@@ -1,18 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-threaded test-compiled test-mp lint lint-strict docs-check analysis static-check threaded-check obs report bench-smoke bench-check resilience-check serve-check check
+.PHONY: test test-compiled test-mp lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Same tier-1 suite, but every Simulation defaults to the deferred
-# threaded wave executor (bit-identical by contract).
-test-threaded:
-	REPRO_THREADED=1 $(PYTHON) -m pytest -x -q
-
 # Same tier-1 suite under the compiled step-plan backend (bit-identical
-# by contract; hooks that need per-launch dispatch fall back visibly).
+# by contract; fault and span hooks act on the plan's kernels, only the
+# capture modes fall back, visibly).
 test-compiled:
 	REPRO_BACKEND=compiled $(PYTHON) -m pytest -x -q
 
@@ -70,11 +66,6 @@ analysis:
 static-check:
 	$(PYTHON) -m repro analysis --static --all-configs --cert-dir certificates
 
-# Race-gate every config's captured schedule AND verify the threaded
-# wave executor reproduces serial results bit-for-bit.
-threaded-check:
-	$(PYTHON) -m repro analysis --all-configs --threaded
-
 # Telemetry smoke: trace + metrics artifacts for the Fig. 2 golden cavity.
 obs:
 	$(PYTHON) -m repro obs --workload cavity2d --config case --out-dir obs-artifacts
@@ -97,8 +88,9 @@ bench-check: bench-smoke
 	$(PYTHON) -m repro history --check
 
 # Fault matrix: inject NaN / kernel / OOM faults into every fusion
-# config, serial and threaded, and require bit-identical recovery plus
-# visible telemetry (retries_total, rollback events).  Exit status gates.
+# config on compiled plan replay, serial and threaded, and require
+# bit-identical recovery, zero plan_fallback_steps and visible telemetry
+# (retries_total, rollback events).  Exit status gates.
 resilience-check:
 	$(PYTHON) -m repro resilience --out-dir resilience-artifacts
 
@@ -110,4 +102,4 @@ serve-check:
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py -k "fair or resume or chaos"
 
-check: lint docs-check test test-threaded test-compiled test-mp threaded-check static-check resilience-check serve-check report bench-check
+check: lint docs-check test test-compiled test-mp static-check resilience-check serve-check report bench-check

@@ -31,7 +31,7 @@ executes:
   certificates (access sets, wave schedule, legality verdict, lint
   findings) the future compiled backend consumes as its admission
   contract;
-* :mod:`repro.analysis.cli` — ``python -m repro.analysis`` lints every
+* :mod:`repro.analysis.cli` — ``python -m repro analysis`` lints every
   fusion configuration on small multigrid workloads; ``--static`` runs
   the declaration-only gate.
 """

@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — lint every fusion configuration.
+"""``python -m repro analysis`` — lint every fusion configuration.
 
 For each requested :class:`~repro.core.fusion.FusionConfig` and workload
 the linter runs a short functional simulation under access capture, then
@@ -31,7 +31,7 @@ from .races import detect_races
 from .verify import verify_trace
 
 __all__ = ["ALL_CONFIGS", "lint_config", "main", "small_workloads",
-           "static_check", "threaded_check"]
+           "static_check"]
 
 #: Every configuration the linter gates: the Fig. 9 ablation plus the
 #: original (Fig. 4a) baseline.
@@ -86,34 +86,6 @@ def lint_config(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "refined_races": [str(r) for r in refined_races],
         "stable": sim.is_stable(),
     }
-
-
-def threaded_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
-                   steps: int = 2) -> bool:
-    """True when threaded execution is bit-identical to serial.
-
-    Runs the workload twice — immediate mode, then the deferred wave
-    executor with the debug gate *on* (each unique step shape is replayed
-    under capture and race-checked before its first concurrent run) —
-    and compares every level's ``f``/``fstar``/``ghost_acc`` bitwise.
-    """
-    import numpy as np
-
-    wl_kwargs = small_workloads()[workload]
-    wl = lid_cavity(**wl_kwargs)
-
-    def _state(threaded: bool) -> list[tuple[Any, Any, Any]]:
-        sim = Simulation.from_config(
-            wl.spec, wl.sim_config(fusion=config, threaded=threaded,
-                                   executor_debug=True))
-        with sim:
-            sim.run(steps)
-            return [(b.f.copy(), b.fstar.copy(), b.ghost_acc.copy())
-                    for b in sim.engine.levels]
-
-    return all(np.array_equal(a, b)
-               for sl, tl in zip(_state(False), _state(True))
-               for a, b in zip(sl, tl))
 
 
 def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
@@ -247,22 +219,9 @@ def _run_static(configs: Sequence[FusionConfig], workloads: Sequence[str],
     return reports + [{"negative_controls": controls}], total
 
 
-def _run_reports(configs: Sequence[FusionConfig], workloads: Sequence[str],
-                 steps: int, threaded: bool = False) -> list[dict[str, Any]]:
-    reports = []
-    for cfg in configs:
-        for wl in workloads:
-            rep = lint_config(cfg, wl, steps=steps)
-            if threaded:
-                rep["threaded_identical"] = threaded_check(cfg, wl, steps=steps)
-            reports.append(rep)
-    return reports
-
-
 def _problems(report: dict[str, Any]) -> int:
     return (len(report["findings"]) + len(report["races"])
-            + len(report["refined_races"]) + (0 if report["stable"] else 1)
-            + (0 if report.get("threaded_identical", True) else 1))
+            + len(report["refined_races"]) + (0 if report["stable"] else 1))
 
 
 def _print_text(reports: list[dict[str, Any]], out: TextIO) -> None:
@@ -282,13 +241,11 @@ def _print_text(reports: list[dict[str, Any]], out: TextIO) -> None:
             print(f"    race (refined schedule): {r}", file=out)
         if not rep["stable"]:
             print("    simulation diverged (NaN/Inf populations)", file=out)
-        if not rep.get("threaded_identical", True):
-            print("    threaded execution differs from serial", file=out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog="python -m repro analysis",
         description="Trace-based declaration verifier and race detector "
                     "for every kernel-fusion configuration.")
     parser.add_argument("--config", action="append", default=None,
@@ -303,9 +260,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="workload(s) to lint on (default: all)")
     parser.add_argument("--steps", type=int, default=2,
                         help="coarse time steps to trace (default 2)")
-    parser.add_argument("--threaded", action="store_true",
-                        help="also verify the threaded wave executor is "
-                             "bit-identical to serial execution")
     parser.add_argument("--static", action="store_true",
                         help="declaration-only mode: symbolic access sets, "
                              "fusion-legality proofs, lint pass, step-plan "
@@ -339,8 +293,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{len(reports) - 1} static runs, {total} problem(s)")
         return 1 if total else 0
 
-    reports = _run_reports(configs, workloads, args.steps,
-                           threaded=args.threaded)
+    reports = [lint_config(cfg, wl, steps=args.steps)
+               for cfg in configs for wl in workloads]
     total = sum(_problems(r) for r in reports)
     if args.json:
         json.dump({"runs": reports, "total_problems": total}, sys.stdout,

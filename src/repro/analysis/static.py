@@ -26,7 +26,7 @@ the small scatter/gather patches — and proves:
   the conflicting pair;
 * **dynamic containment**: statically inferred access sets are a
   superset of anything shadow-execution capture observes (the
-  cross-check mode of ``python -m repro.analysis --static``).
+  cross-check mode of ``python -m repro analysis --static``).
 
 The symbolic access sets also feed the lint pass
 (:mod:`repro.analysis.lint`) and the step-plan certificates

@@ -85,13 +85,18 @@ def make_backend(name: str) -> Backend:
     return ctor()
 
 
-def resolve_backend(name: str | None) -> Backend:
+def resolve_backend(name: str | None, threaded: bool = False) -> Backend:
     """Resolve a configured backend name to an instance.
 
     ``None`` defers to ``$REPRO_BACKEND`` and falls back to the
-    interpreted reference backend — the same layering as
-    ``SimConfig.threaded`` and ``$REPRO_THREADED``.
+    interpreted reference backend.  ``threaded`` asks for thread-wave
+    execution, which replays an admitted plan in this process: the
+    reference path is serial by definition and an ambient ``mp`` has its
+    own executor, so both resolve to ``compiled`` (an explicit
+    ``backend="mp", threaded=True`` is rejected by ``SimConfig``).
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV, "").strip() or "interpreted"
+    if threaded and name in ("interpreted", "mp"):
+        name = "compiled"
     return make_backend(name)

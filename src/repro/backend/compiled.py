@@ -5,14 +5,17 @@ relaxation rates, body force, engine state epoch — compiles a
 :class:`~repro.backend.plan.StepPlan` (capture, admit, pre-resolve,
 pre-allocate; see :mod:`repro.backend.compiler`) and caches it.  Every
 later step of the same shape replays the cached plan with zero Python
-re-dispatch of the launch path.
+re-dispatch of the launch path — serially, or in dependency waves on a
+thread pool when the simulation was configured ``threaded``.
 
-Runtime hooks that must observe or intercept *individual launches*
-(tracer, fault injector, deferred executor) make replay meaningless, so
-steps running under them fall back to the interpreted reference path —
-counted, never silent.  Span recorders keep working through the plan's
-timed replay, and checkpoint restores bump the engine's state epoch so
-stale plans are never replayed against restored state.
+Fault injectors and span recorders act on the plan's kernels
+(:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`), so a
+faulted or observed step runs the same bodies as any other.  Only the
+two capture modes — declaration capture and access capture — run a step
+on the interpreted reference path, counted in ``plan_fallback_steps``:
+they exist to check the reference bodies against their declarations.
+Checkpoint restores bump the engine's state epoch so stale plans are
+never replayed against restored state.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
+from ..neon.executor import WavePool
 from .compiler import compile_plan
 from .interpreted import InterpretedBackend
 from .plan import StepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.config import SimConfig
     from ..core.stepper import NonUniformStepper
 
 __all__ = ["CompiledBackend", "CompiledAABackend"]
@@ -41,6 +46,9 @@ class CompiledBackend:
 
     def __init__(self) -> None:
         self.plans: dict[PlanKey, StepPlan] = {}
+        #: :class:`~repro.neon.executor.WavePool` replaying plans in
+        #: waves, or ``None`` for serial replay (see :meth:`configure`).
+        self.pool: WavePool | None = None
         self._fallback = InterpretedBackend()
         #: Counters surfaced through ``repro.obs.metrics.run_metrics``.
         self.stats: dict[str, float] = {
@@ -49,6 +57,16 @@ class CompiledBackend:
             "plan_fallback_steps": 0,
             "plan_compile_seconds": 0.0,
         }
+
+    def configure(self, config: "SimConfig") -> None:
+        """Apply ``SimConfig`` knobs (called by ``Simulation.__init__``)."""
+        if config.threaded:
+            self.pool = WavePool(config.max_workers)
+
+    def close(self) -> None:
+        """Stop the pool's threads; a later step restarts them lazily."""
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def _plan_key(self, stepper: "NonUniformStepper") -> PlanKey:
         """Everything a cached plan's bindings depend on.
@@ -66,10 +84,9 @@ class CompiledBackend:
                 engine.state_epoch)
 
     def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True when a runtime hook needs to see individual launches."""
+        """True while a capture mode of the reference launch path is on."""
         rt = stepper.engine.rt
-        return (rt.plan_only or rt.tracer is not None
-                or rt.faults is not None or rt.executor is not None)
+        return rt.plan_only or rt.tracer is not None
 
     def _obtain_plan(self, stepper: "NonUniformStepper") -> StepPlan:
         key = self._plan_key(stepper)
@@ -101,7 +118,7 @@ class CompiledBackend:
         plan = self._obtain_plan(stepper)
         rt = stepper.engine.rt
         try:
-            plan.execute(rt)
+            plan.execute(rt, self.pool)
             rt.step_marker()
         except BaseException:
             rt.abort_step()

@@ -1,12 +1,12 @@
-"""The interpreted reference backend: re-dispatched immediate execution.
+"""The interpreted reference backend: serial, per-launch execution.
 
-This is the package's original hot path, extracted verbatim from
-``NonUniformStepper.step``: every coarse step re-drives the Algorithm-1
-recursion, and every ``op_*`` goes through
-:meth:`~repro.neon.runtime.Runtime.launch` — constructing its record,
-consulting the tracer/fault/executor hooks and executing (or deferring)
-its body.  Slowest, most observable, and the correctness reference every
-other backend is gated against bit-for-bit.
+Every coarse step re-drives the Algorithm-1 recursion, and every
+``op_*`` goes through :meth:`~repro.neon.runtime.Runtime.launch` —
+constructing its record, consulting the tracer/fault/span hooks and
+executing its body, one kernel at a time.  It exists to be the
+reference: step plans are captured from this recursion, declaration
+capture and access capture are modes of this launch path, and every
+other backend is gated against it bit-for-bit.
 """
 
 from __future__ import annotations

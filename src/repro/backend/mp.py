@@ -1,6 +1,7 @@
 """Process-parallel step-plan backend: escaping the GIL with shared memory.
 
-The threaded :class:`~repro.neon.executor.WaveExecutor` runs dependency
+Thread-wave replay (:meth:`StepPlan.execute
+<repro.backend.plan.StepPlan.execute>` with a pool) runs dependency
 waves concurrently, but every NumPy kernel body still contends for one
 interpreter lock whenever it touches Python between array ops.  This
 backend moves wave execution into *processes*: every level's population
@@ -34,7 +35,7 @@ worker death, detected via process sentinels) surfaces as
 the partial step is closed with
 :meth:`~repro.neon.runtime.Runtime.abort_step`, the pool is torn down
 and respawned lazily — and the resilience ladder can step the run down
-to the threaded executor (see :mod:`repro.resilience.runner`).
+to serial in-process plan replay (see :mod:`repro.resilience.runner`).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class MpWorkerError(RuntimeError):
     Carries the runtime's shared ``kernel_span`` error contract, so the
     resilience runner treats it like any other kernel-body failure:
     roll back, retry, and eventually step down the degradation ladder
-    (mp -> threaded -> serial).
+    (mp -> serial).
     """
 
     def __init__(self, message: str, *, worker: int | None = None,
@@ -355,12 +356,13 @@ class MultiprocessBackend:
     pool, copies the state back into private arrays and unlinks the
     segment.
 
-    Runtime hooks that must observe or intercept individual launches
-    (tracer, fault injector, deferred thread executor, plan-only mode)
-    fall back to the interpreted reference path — counted, never silent.
-    Span recorders keep working: workers report per-kernel wall times
-    (``perf_counter`` is CLOCK_MONOTONIC, comparable across processes on
-    one host) and the parent republishes them through ``on_launch``.
+    The capture modes of the reference launch path (access tracer,
+    plan-only) run a step on the interpreted backend — counted, never
+    silent — and so does an installed fault injector (see
+    :meth:`_must_fall_back`).  Span recorders keep working: workers
+    report per-kernel wall times (``perf_counter`` is CLOCK_MONOTONIC,
+    comparable across processes on one host) and the parent republishes
+    them through ``on_launch``.
     """
 
     name = "mp"
@@ -402,17 +404,22 @@ class MultiprocessBackend:
 
     # -- configuration seam ----------------------------------------------------
     def configure(self, config) -> None:
-        """Apply ``SimConfig`` knobs (called by ``Simulation._build``)."""
+        """Apply ``SimConfig`` knobs (called by ``Simulation.__init__``)."""
         mp_workers = getattr(config, "mp_workers", None)
         if mp_workers:
             self.workers = int(mp_workers)
 
     # -- step ------------------------------------------------------------------
     def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True when a runtime hook needs to see individual launches."""
+        """True while a capture mode or a fault injector is installed.
+
+        Kernel bodies live in the worker processes, out of reach of an
+        in-process injector; this backend's own fault domain — worker
+        death — is injected on the pool path itself.
+        """
         rt = stepper.engine.rt
         return (rt.plan_only or rt.tracer is not None
-                or rt.faults is not None or rt.executor is not None)
+                or rt.faults is not None)
 
     def step(self, stepper: "NonUniformStepper") -> None:
         """Advance one coarse step on the worker pool (or counted fallback)."""
@@ -639,7 +646,7 @@ class MultiprocessBackend:
             worker, e = min(real, key=lambda it: it[1]["index"])
             idx = e["index"]
             # Waves before the failing one completed on every worker;
-            # keep their records, like the serial drain and plan replay.
+            # keep their records, like in-process plan replay.
             rt.records.extend(plan.records[:idx])
             span = {"index": len(rt.records), "name": e["name"],
                     "level": e["level"], "n_cells": e["n_cells"],

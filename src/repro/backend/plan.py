@@ -6,18 +6,22 @@ A :class:`StepPlan` is the product of one plan compilation
 one pre-bound body closure per record (field views resolved, index maps
 flattened, scratch assigned from the buffer arena), the stream digest
 that ties the plan to its admission certificate, and the arena model the
-scratch came from.  :meth:`StepPlan.execute` is the entire replay hot
-path: call the closures in order, append the prebuilt records — no
-``Runtime.launch``, no record construction, no per-launch Python
-re-dispatch.
+scratch came from.  :meth:`StepPlan.execute` is the one in-process
+replay loop: call the closures — in program order, or wave by wave on a
+thread pool — and append the prebuilt records; no ``Runtime.launch``, no
+record construction, no per-launch Python re-dispatch.  The runtime's
+``faults`` and ``spans`` hooks act on the plan's kernels, so installing
+one never changes which code executes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from ..neon.runtime import KernelRecord
+from ..neon.graph import schedule_records
+from ..neon.runtime import FieldRef, KernelRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu.memory import BufferLifetime
@@ -58,50 +62,119 @@ class StepPlan:
         #: Human label for spans/diagnostics (config + workload shape).
         self.label = label
         self.replays = 0
+        self._waves: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def execute(self, rt: "Runtime") -> None:
+    @property
+    def waves(self) -> tuple[tuple[int, ...], ...]:
+        """The plan's wave schedule: record indices grouped by ASAP depth.
+
+        Scheduled over the *declared* field-level graph.  The
+        certificate's interval-refined schedule lets two kernels share a
+        field in one wave, which is sound only for bodies touching
+        exactly their declared rows; the accumulate body adds into its
+        whole accumulator.  Built on first use, so serial replay and
+        cold start never pay for it.
+        """
+        if self._waves is None:
+            # A stream body stages its gather in arena scratch its record
+            # does not declare; the arena folds those single-record
+            # lifetimes onto shared slabs, so kernels leased the same
+            # slab must not share a wave.
+            slab = {lt.first: lt.slab for lt in self.arena
+                    if lt.first == lt.last}
+            records = [
+                rec if i not in slab else replace(
+                    rec, writes=rec.writes + (FieldRef("arena", slab[i]),))
+                for i, rec in enumerate(self.records)]
+            self._waves = tuple(tuple(w) for w in schedule_records(records))
+        return self._waves
+
+    def execute(self, rt: "Runtime", pool: Any = None) -> None:
         """Replay the plan once: run every body, append every record.
 
-        Mirrors the runtime's serial error contract: on a mid-plan
-        failure the records of the bodies that *did* run are kept, the
-        exception gains a ``kernel_span`` attribute naming the failed
-        kernel, and the caller is expected to close the partial step
-        with :meth:`~repro.neon.runtime.Runtime.abort_step`.
+        ``pool`` (anything with ``submit(fn, *args) -> Future``) selects
+        the executor: ``None`` runs the bodies in program order on the
+        calling thread; otherwise each wave of :attr:`waves` is
+        submitted to the pool and joined before the next one starts
+        (single-kernel waves run inline — a dispatch round-trip buys
+        them nothing).
 
-        With a span recorder installed the replay times each body and
-        reports it through ``on_launch`` exactly like immediate
-        execution does, so Perfetto timelines and the roofline work
-        unchanged over compiled runs.
+        The runtime's hooks act on the plan's kernels: an installed
+        fault injector wraps every body for this replay, a span recorder
+        receives each kernel's wall-clock start and duration (reported
+        from the calling thread, in record order), so failure handling,
+        Perfetto timelines and the roofline work over replayed steps.
+
+        Error contract, shared with every backend: on a failure the
+        records of the longest program-order prefix of kernels that
+        completed are kept, the exception gains a ``kernel_span``
+        attribute naming the first failed kernel in program order, and
+        the caller closes the partial step with
+        :meth:`~repro.neon.runtime.Runtime.abort_step`.
         """
-        records = rt.records
-        spans = rt.spans
-        done = 0
-        try:
-            if spans is None:
+        if pool is None and rt.faults is None and rt.spans is None:
+            done = 0
+            try:
                 for body in self.bodies:
                     body()
                     done += 1
-            else:
-                base = len(records)
-                for i, body in enumerate(self.bodies):
-                    t0 = perf_counter()
-                    body()
-                    done += 1
-                    records.append(self.records[i])
-                    spans.on_launch(base + i, self.records[i], t0,
-                                    perf_counter() - t0)
-        except BaseException as exc:
-            if spans is None:
-                records.extend(self.records[:done])
-            rec = self.records[done]
-            setattr(exc, "kernel_span",
-                    {"index": len(records), "name": rec.name,
-                     "level": rec.level, "n_cells": rec.n_cells,
-                     "start": 0.0, "dur_us": 0.0})
-            raise
-        if spans is None:
-            records.extend(self.records)
+            except BaseException as exc:
+                rt.records.extend(self.records[:done])
+                self._name_failure(exc, done, len(rt.records))
+                raise
+            rt.records.extend(self.records)
+        else:
+            self._execute_hooked(rt, pool)
         self.replays += 1
+
+    def _execute_hooked(self, rt: "Runtime", pool: Any) -> None:
+        """Replay under a pool and/or runtime hooks (see :meth:`execute`)."""
+        bodies: Sequence[Callable[[], None]] = self.bodies
+        if rt.faults is not None:
+            wrap = rt.faults.wrap_body
+            bodies = [wrap(rec.name, rec.level, body)
+                      for rec, body in zip(self.records, bodies)]
+        n = len(bodies)
+        timings: list[tuple[float, float] | None] = [None] * n
+        errors: dict[int, BaseException] = {}
+
+        def run(k: int) -> None:
+            t0 = perf_counter()
+            try:
+                bodies[k]()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors[k] = exc
+            else:
+                timings[k] = (t0, perf_counter() - t0)
+
+        waves: Iterable[Sequence[int]] = (
+            self.waves if pool is not None else ((k,) for k in range(n)))
+        for wave in waves:
+            if len(wave) == 1:
+                run(wave[0])
+            else:
+                # Join the whole wave even when a body failed: its peers
+                # are in flight, exactly like kernels on a device.
+                for fut in [pool.submit(run, k) for k in wave]:
+                    fut.result()
+            if errors:
+                break
+        done = next((k for k, t in enumerate(timings) if t is None), n)
+        base = len(rt.records)
+        rt.records.extend(self.records[:done])
+        if rt.spans is not None:
+            for k in range(done):
+                rt.spans.on_launch(base + k, self.records[k], *timings[k])
+        if errors:
+            first = min(errors)
+            self._name_failure(errors[first], first, base + done)
+            raise errors[first]
+
+    def _name_failure(self, exc: BaseException, k: int, index: int) -> None:
+        rec = self.records[k]
+        setattr(exc, "kernel_span",
+                {"index": index, "name": rec.name, "level": rec.level,
+                 "n_cells": rec.n_cells, "start": 0.0, "dur_us": 0.0})

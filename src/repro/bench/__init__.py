@@ -2,7 +2,7 @@
 perf-trajectory history (``BENCH_HISTORY.jsonl``) and its regression
 gate (``python -m repro.bench.history --check``)."""
 
-from .harness import Measurement, compare_serial_threaded, full_scale_mlups, measure
+from .harness import Measurement, full_scale_mlups, measure
 from .model import level_factors, scale_trace
 from .workloads import (TABLE1_DISTRIBUTIONS, TABLE1_SIZES, Workload,
                         airplane_geometry, airplane_tunnel, lid_cavity, sphere_tunnel)
@@ -11,7 +11,7 @@ from .workloads import (TABLE1_DISTRIBUTIONS, TABLE1_SIZES, Workload,
 # ``python -m repro.bench.history`` and an eager package import would
 # shadow the module execution (runpy's double-import warning).
 
-__all__ = ["Measurement", "compare_serial_threaded", "full_scale_mlups", "measure",
+__all__ = ["Measurement", "full_scale_mlups", "measure",
            "level_factors", "scale_trace",
            "TABLE1_DISTRIBUTIONS", "TABLE1_SIZES", "Workload",
            "airplane_geometry", "airplane_tunnel", "lid_cavity", "sphere_tunnel"]

@@ -19,8 +19,7 @@ from ..neon.runtime import KernelRecord
 from .model import level_factors, scale_trace
 from .workloads import Workload
 
-__all__ = ["Measurement", "compare_serial_threaded", "measure",
-           "full_scale_mlups"]
+__all__ = ["Measurement", "measure", "full_scale_mlups"]
 
 
 @dataclass
@@ -92,10 +91,9 @@ def measure(workload: Workload, config: FusionConfig, steps: int = 5,
     ``backend`` selects the execution backend (``None`` defers to
     ``$REPRO_BACKEND``, like direct construction does); with a compiled
     backend the ``warmup`` steps absorb plan compilation, so the timed
-    window measures pure replay.  ``threaded`` forces the wave executor
-    on or off (``None`` defers to ``$REPRO_THREADED``).  The simulation
-    is closed before returning, so mp worker pools and executor threads
-    never outlive the measurement.
+    window measures pure replay.  ``threaded`` replays the plan in
+    thread waves.  The simulation is closed before returning, so mp
+    worker pools and wave-pool threads never outlive the measurement.
     """
     if concurrent is None:
         concurrent = default_concurrency(config)
@@ -133,65 +131,6 @@ def measure(workload: Workload, config: FusionConfig, steps: int = 5,
             arena_peak_bytes=arena_peak)
     finally:
         sim.close()
-
-
-def compare_serial_threaded(workload: Workload, config: FusionConfig,
-                            steps: int = 5, warmup: int = 1,
-                            max_workers: int | None = None) -> dict:
-    """Serial vs threaded wall-clock comparison on one workload/config.
-
-    Runs the identical measurement twice — immediate execution, then the
-    deferred wave executor (debug gate off: the shapes are proven by the
-    analysis suite) — and reports wall seconds, speedup and a bitwise
-    equality check of every level's ``f``/``fstar``/``ghost_acc``.  The
-    result feeds ``BENCH_*.json``; ``cpu_count`` rides along because a
-    single-core host cannot show a real speedup regardless of schedule
-    width.
-    """
-    import os
-
-    import numpy as np
-
-    def _one(threaded: bool):
-        sim = Simulation.from_config(
-            workload.spec,
-            workload.sim_config(fusion=config, threaded=threaded,
-                                max_workers=max_workers,
-                                executor_debug=False))
-        with sim:
-            if warmup:
-                sim.run(warmup)
-            sim.runtime.reset(steps_base=sim.steps_done)
-            sim.elapsed = 0.0
-            if sim.executor is not None:
-                sim.executor.stats.clear()  # drop warmup flushes
-            seconds = sim.run(steps).seconds
-            state = [(b.f.copy(), b.fstar.copy(), b.ghost_acc.copy())
-                     for b in sim.engine.levels]
-            stats = list(sim.executor.stats) if sim.executor else []
-        return seconds, state, stats
-
-    serial_s, serial_state, _ = _one(False)
-    threaded_s, threaded_state, stats = _one(True)
-    identical = all(
-        np.array_equal(a, b)
-        for sl, tl in zip(serial_state, threaded_state)
-        for a, b in zip(sl, tl))
-    waves = [st for st in stats if st["mode"] == "threaded"]
-    return {
-        "workload": workload.name,
-        "config": config.name,
-        "steps": steps,
-        "serial_seconds": serial_s,
-        "threaded_seconds": threaded_s,
-        "speedup": serial_s / threaded_s if threaded_s > 0 else float("inf"),
-        "bit_identical": bool(identical),
-        "workers": waves[0]["workers"] if waves else 0,
-        "cpu_count": os.cpu_count() or 1,
-        "threaded_flushes": len(waves),
-        "mean_waves_per_step": (sum(st["waves"] for st in waves) / len(waves))
-                               if waves else 0.0,
-    }
 
 
 def full_scale_mlups(m: Measurement, full_counts_finest_first: list[float],

@@ -20,9 +20,10 @@ gate is judged, so a failing run still leaves its evidence in the
 trajectory.
 
 A second leg (:func:`run_mp_smoke`, skippable with ``--skip-mp``)
-measures the process-parallel mp backend against the threaded executor
-on a larger cavity and appends its own ``smoke_mp`` history record,
-salted with ``backend="mp"`` so the series keeps a separate baseline.
+measures the process-parallel mp backend against thread-wave replay of
+the same plan on a larger cavity and appends its own ``smoke_mp``
+history record, salted with ``backend="mp"`` so the series keeps a
+separate baseline.
 On hosts with two or more cores the mp leg gates on
 ``$REPRO_SMOKE_MP_MIN_SPEEDUP`` (default 1.3×); everywhere it gates on
 the pool actually being used (zero counted fallback steps).
@@ -104,7 +105,7 @@ def run_smoke(steps: int = 3, warmup: int = 1) -> dict:
 
 
 def run_mp_smoke(steps: int = 3, warmup: int = 1) -> dict:
-    """Measure the mp backend against the threaded in-process executor.
+    """Measure the mp backend against in-process thread-wave plan replay.
 
     Uses a larger cavity than the main pass (64x64) so kernel work
     dominates the per-wave IPC round-trips, and a single config
@@ -120,7 +121,7 @@ def run_mp_smoke(steps: int = 3, warmup: int = 1) -> dict:
     wl = lid_cavity(base=(64, 64), num_levels=2, lattice="D2Q9")
     cfg = get_config(MP_SMOKE_CONFIG)
     mt = measure(wl, cfg, steps=steps, warmup=warmup,
-                 backend="interpreted", threaded=True)
+                 backend="compiled", threaded=True)
     mm = measure(wl, cfg, steps=steps, warmup=warmup,
                  backend="mp", threaded=False)
     speedup = (mt.wall_seconds / mm.wall_seconds

@@ -1,7 +1,6 @@
 """``python -m repro`` — the unified CLI facade.
 
-One front door for every tool the repo grew, instead of five
-``python -m repro.<pkg>`` entry points with drifting conventions::
+One front door for every tool the repo grew::
 
     python -m repro analysis    # fusion-legality verifier, race gate, certs
     python -m repro obs         # telemetry runner (trace + metrics + watchdog)
@@ -16,9 +15,6 @@ directory everywhere (subcommands whose native flag is ``--out`` get it
 translated by the facade), ``--config`` selects a fusion config where
 one applies, and ``--json`` switches machine-readable output where the
 tool supports it.
-
-The old per-package entry points still work but print a one-line
-deprecation notice pointing here.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 :class:`~repro.core.simulation.Simulation` grew its construction surface
 one keyword at a time (lattice, collision, viscosity/omega0, fusion
-config, force, dtype, threaded, max_workers, executor_debug, …), which
-made call sites hard to audit and impossible to serialize.  ``SimConfig``
+config, force, dtype, threaded, max_workers, …), which made call sites
+hard to audit and impossible to serialize.  ``SimConfig``
 consolidates all of it into a single frozen dataclass:
 
 * **validated once**, at construction (exactly one of viscosity/omega0,
@@ -11,13 +11,12 @@ consolidates all of it into a single frozen dataclass:
 * **immutable and comparable** — two simulations built from equal
   configs are bit-identical by the engine's determinism guarantees;
 * **replaceable** — :meth:`SimConfig.replace` derives safety profiles
-  (the resilience ladder's ``threaded=False`` / reduced-ω rebuilds)
-  without mutating the original;
+  (the resilience ladder's serial / reduced-ω rebuilds) without
+  mutating the original;
 * **serializable** — :meth:`SimConfig.as_dict` feeds checkpoint
   manifests and structured reports.
 
-Construct simulations with ``Simulation.from_config(spec, config)``; the
-legacy keyword form still works behind a one-time deprecation warning.
+Construct simulations with ``Simulation.from_config(spec, config)``.
 """
 
 from __future__ import annotations
@@ -58,11 +57,15 @@ class SimConfig:
         ``None`` (float64, the paper's setting), ``numpy.float32`` /
         ``numpy.float64`` or their string names.
     threaded:
-        ``None`` defers to ``$REPRO_THREADED``; ``True``/``False`` force
-        the deferred wave executor on or off.
-    max_workers / executor_debug:
-        Forwarded to :class:`~repro.neon.executor.WaveExecutor` when
-        threading is enabled.
+        ``True`` replays each step plan in dependency waves on a thread
+        pool (see :meth:`StepPlan.execute
+        <repro.backend.plan.StepPlan.execute>`); a ``None``/
+        ``"interpreted"`` backend then resolves to ``"compiled"``, since
+        the reference path is serial by definition.  Bit-identical to
+        serial execution.  Not combinable with ``backend="mp"``.
+    max_workers:
+        Thread-pool width when ``threaded``; ``None`` picks a small
+        per-host default.
     backend:
         Execution backend name (see :mod:`repro.backend`):
         ``"interpreted"`` (reference), ``"compiled"`` (step-plan replay),
@@ -84,7 +87,6 @@ class SimConfig:
     dtype: Any = None
     threaded: bool | None = None
     max_workers: int | None = None
-    executor_debug: bool | None = None
     backend: str | None = None
     mp_workers: int | None = None
 
@@ -112,6 +114,11 @@ class SimConfig:
                 raise ValueError(
                     f"unknown backend {self.backend!r}; available: "
                     f"{', '.join(available_backends())}")
+        if self.backend == "mp" and self.threaded:
+            raise ValueError(
+                "backend='mp' runs waves on worker processes and cannot "
+                "also be threaded; drop threaded=True or pick "
+                "backend='compiled'")
 
     def replace(self, **changes) -> "SimConfig":
         """A copy with ``changes`` applied (re-validated).
@@ -135,7 +142,6 @@ class SimConfig:
             "dtype": np.dtype(self.dtype).name if self.dtype is not None else None,
             "threaded": self.threaded,
             "max_workers": self.max_workers,
-            "executor_debug": self.executor_debug,
             "backend": self.backend,
             "mp_workers": self.mp_workers,
         }

@@ -232,10 +232,9 @@ class Engine:
             t.read(FieldRef("fghost", lv), lo, hi, round(per_val * n_ghost_vals))
 
     # -- kernel bodies ---------------------------------------------------------
-    # Bodies are closures over their enqueue-time inputs (relaxation rate,
-    # force, fusion flags): under deferred execution they run at the next
-    # flush, and a launch must see the configuration it was issued with —
-    # not whatever a callback mutated in between.
+    # Bodies are closures over their launch-time inputs (relaxation rate,
+    # force, fusion flags): a launch sees the configuration it was issued
+    # with, whenever a hook decides to run it.
     def _collide_into_fstar(self, lv: int, omega: float | None = None,
                             force=_EAGER) -> None:
         if omega is None:

@@ -8,10 +8,6 @@ record per ``run`` call carrying the steps advanced, the wall time, the
 backend/execution mode that did the work, the measured MLUPS and — for
 resilient runs — the full degradation/retry summary
 (:class:`~repro.resilience.runner.RunReport`) under :attr:`report`.
-
-``float(result)`` still yields the wall seconds, so arithmetic on the
-old return value keeps working during migration; new code should read
-the named fields.
 """
 
 from __future__ import annotations
@@ -67,9 +63,6 @@ class RunResult:
     def outcome(self) -> str:
         """``"ok"`` for plain runs; the resilient report's outcome otherwise."""
         return self.report.outcome if self.report is not None else "ok"
-
-    def __float__(self) -> float:
-        return float(self.seconds)
 
     def as_dict(self) -> dict:
         """JSON-ready digest (job results, bench payloads, CLI output)."""

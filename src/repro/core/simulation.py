@@ -12,39 +12,20 @@ where ``V_L`` counts active voxels excluding ghost cells.
 
 from __future__ import annotations
 
-import os
 import time
-import warnings
 
 import numpy as np
 
 from ..grid.multigrid import MultiGrid, RefinementSpec, build_multigrid
 from ..neon.runtime import Runtime
-from .collision import CollisionModel
 from .config import SimConfig
 from .engine import Engine
-from .fusion import FUSED_FULL, FusionConfig
 from .lattice import Lattice, get_lattice
 from .results import RunResult
 from .stepper import NonUniformStepper
 from .units import omega_from_viscosity
 
 __all__ = ["Simulation", "mlups"]
-
-#: One-time flag for the legacy-kwargs deprecation warning (the shim
-#: must not spam a test suite that builds hundreds of simulations).
-_legacy_warned = False
-
-
-def _warn_legacy_kwargs() -> None:
-    global _legacy_warned
-    if not _legacy_warned:
-        _legacy_warned = True
-        warnings.warn(
-            "Simulation(spec, lattice=..., viscosity=..., ...) keyword "
-            "construction is deprecated; build a repro.SimConfig and use "
-            "Simulation.from_config(spec, config) instead",
-            DeprecationWarning, stacklevel=3)
 
 
 def mlups(active_per_level: list[int], n_coarse_steps: int, seconds: float) -> float:
@@ -63,51 +44,46 @@ class Simulation:
     ----------
     spec:
         Domain description (shape, refinement regions, solid, face BCs).
-    lattice:
-        Descriptor or name (``"D2Q9"``, ``"D3Q19"``, ``"D3Q27"``).
-    collision:
-        ``"bgk"``, ``"kbc"`` or a :class:`~repro.core.collision.CollisionModel`.
-    viscosity / omega0:
-        Exactly one of the two fixes the coarse-level relaxation.
     config:
-        Kernel-fusion configuration; defaults to the paper's best (Fig. 4f).
-    force:
-        Optional constant body-force density vector (coarse lattice
-        units), applied with the Guo forcing scheme on every level.
-    dtype:
-        Population storage precision: ``numpy.float64`` (default, the
-        paper's setting) or ``numpy.float32`` (halves memory and DRAM
-        traffic, cf. reduced-precision LBM [9]).
-    threaded:
-        Run kernel bodies with the deferred wave executor (see
-        :mod:`repro.neon.executor`).  Defaults to ``$REPRO_THREADED``
-        (``1``/``true``/``on``/``yes``); results are bit-identical to
-        serial execution.  Use the simulation as a context manager (or
-        call :meth:`close`) so worker threads are released promptly.
-    max_workers / executor_debug:
-        Forwarded to :class:`~repro.neon.executor.WaveExecutor` when
-        ``threaded``; ignored otherwise.
+        The :class:`~repro.core.config.SimConfig` — lattice, collision,
+        relaxation, fusion configuration, body force, precision and the
+        execution backend.  How a step executes (backend, serial or
+        thread-wave replay) is fixed here, at construction.
+    runtime:
+        An existing :class:`~repro.neon.runtime.Runtime` to record into
+        (e.g. one with access capture already started).
+
+    :meth:`from_config` is the convenient front door: it builds or
+    derives the config from keyword overrides.  Use the simulation as a
+    context manager (or call :meth:`close`) so backend resources — pool
+    threads, worker processes — are released promptly.
     """
 
-    def __init__(self, spec: RefinementSpec, lattice: Lattice | str = "D3Q19",
-                 collision: CollisionModel | str = "bgk", *,
-                 viscosity: float | None = None, omega0: float | None = None,
-                 config: FusionConfig = FUSED_FULL,
-                 runtime: Runtime | None = None, force=None,
-                 dtype=None, threaded: bool | None = None,
-                 max_workers: int | None = None,
-                 executor_debug: bool | None = None,
-                 _config: SimConfig | None = None) -> None:
-        if _config is None:
-            # Legacy keyword construction: fold everything into a
-            # SimConfig (which validates) and warn once per process.
-            _warn_legacy_kwargs()
-            _config = SimConfig(
-                lattice=lattice, collision=collision, viscosity=viscosity,
-                omega0=omega0, fusion=config, force=force, dtype=dtype,
-                threaded=threaded, max_workers=max_workers,
-                executor_debug=executor_debug)
-        self._build(spec, _config, runtime)
+    def __init__(self, spec: RefinementSpec, config: SimConfig,
+                 runtime: Runtime | None = None) -> None:
+        lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
+               else config.lattice)
+        omega0 = (config.omega0 if config.omega0 is not None
+                  else omega_from_viscosity(config.viscosity))
+        #: The immutable configuration this simulation was built from
+        #: (checkpoint manifests and resilience rebuilds read it back).
+        self.sim_config: SimConfig = config
+        self.mgrid: MultiGrid = build_multigrid(spec, lat)
+        self.engine = Engine(self.mgrid, config.collision, omega0,
+                             runtime=runtime, force=config.force,
+                             dtype=np.float64 if config.dtype is None
+                             else config.dtype)
+        from ..backend import resolve_backend
+        backend = resolve_backend(config.backend, bool(config.threaded))
+        configure = getattr(backend, "configure", None)
+        if configure is not None:
+            # Backend-specific SimConfig knobs (mp_workers, the thread
+            # pool) without widening the duck-typed Backend protocol.
+            configure(config)
+        self.stepper = NonUniformStepper(self.engine, config.fusion,
+                                         backend=backend)
+        self.engine.initialize()
+        self.elapsed = 0.0
 
     @classmethod
     def from_config(cls, spec: RefinementSpec, config: SimConfig | None = None,
@@ -126,40 +102,7 @@ class Simulation:
             config = SimConfig(**overrides)
         elif overrides:
             config = config.replace(**overrides)
-        return cls(spec, runtime=runtime, _config=config)
-
-    def _build(self, spec: RefinementSpec, config: SimConfig,
-               runtime: Runtime | None) -> None:
-        lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
-               else config.lattice)
-        omega0 = (config.omega0 if config.omega0 is not None
-                  else omega_from_viscosity(config.viscosity))
-        #: The immutable configuration this simulation was built from
-        #: (checkpoint manifests and resilience rebuilds read it back).
-        self.sim_config: SimConfig = config
-        self.mgrid: MultiGrid = build_multigrid(spec, lat)
-        self.engine = Engine(self.mgrid, config.collision, omega0,
-                             runtime=runtime, force=config.force,
-                             dtype=np.float64 if config.dtype is None
-                             else config.dtype)
-        from ..backend import resolve_backend
-        backend = resolve_backend(config.backend)
-        configure = getattr(backend, "configure", None)
-        if configure is not None:
-            # Backend-specific SimConfig knobs (e.g. mp_workers) without
-            # widening the duck-typed Backend protocol.
-            configure(config)
-        self.stepper = NonUniformStepper(self.engine, config.fusion,
-                                         backend=backend)
-        self.engine.initialize()
-        self.elapsed = 0.0
-        threaded = config.threaded
-        if threaded is None:
-            threaded = os.environ.get("REPRO_THREADED", "").lower() \
-                in ("1", "true", "on", "yes")
-        if threaded:
-            self.enable_threading(max_workers=config.max_workers,
-                                  debug=config.executor_debug)
+        return cls(spec, config, runtime)
 
     # -- delegation ------------------------------------------------------------
     @property
@@ -186,9 +129,11 @@ class Simulation:
     @property
     def mode(self) -> str:
         """Execution mode: ``"mp"``, ``"threaded"`` or ``"serial"``."""
-        if getattr(self.backend, "name", "") == "mp":
+        backend = self.backend
+        if getattr(backend, "name", "") == "mp":
             return "mp"
-        return "threaded" if self.executor is not None else "serial"
+        return ("threaded" if getattr(backend, "pool", None) is not None
+                else "serial")
 
     def initialize(self, rho: float = 1.0, u=None) -> None:
         """(Re-)initialise the populations to equilibrium; resets timing."""
@@ -203,9 +148,9 @@ class Simulation:
             callback_every: int = 1) -> RunResult:
         """Run ``n_steps`` coarse steps; return a typed :class:`RunResult`.
 
-        ``float(result)`` is the wall-clock seconds of this call (the old
-        return value); the named fields add steps advanced, the backend
-        and execution mode that did the work and the measured MLUPS.
+        The result names the wall-clock seconds of this call, the steps
+        advanced, the backend and execution mode that did the work and
+        the measured MLUPS.
         """
         start_step = self.steps_done
         t0 = time.perf_counter()
@@ -240,48 +185,20 @@ class Simulation:
         return self.run(max(0, target - self.steps_done),
                         callback=callback, callback_every=callback_every)
 
-    # -- threaded execution ------------------------------------------------------
-    def enable_threading(self, max_workers: int | None = None,
-                         debug: bool | None = None):
-        """Install a :class:`~repro.neon.executor.WaveExecutor` and return it.
-
-        Kernel bodies are captured per coarse step and replayed in
-        dependency waves on a thread pool; results are bit-identical to
-        serial execution (the scheduler uses the declared graph, which
-        the debug gate race-checks before the first replay of each step
-        shape).
-        """
-        from ..neon.executor import WaveExecutor
-        ex = WaveExecutor(max_workers=max_workers, debug=debug)
-        self.engine.rt.executor_install(ex)
-        return ex
-
-    def disable_threading(self) -> None:
-        """Flush pending work, remove the executor and stop its threads."""
-        self.engine.rt.executor_install(None)
-
-    @property
-    def executor(self):
-        """The installed wave executor, or ``None`` in serial mode."""
-        return self.engine.rt.executor
-
     def close(self) -> None:
-        """Flush deferred work and release executor/backend resources.
+        """Release the backend's resources.
 
-        Backends owning external resources (the mp backend's worker
-        processes and shared-memory arena) expose a duck-typed
-        ``close()``; in-process backends have nothing to release.
+        Backends owning resources (the mp backend's worker processes and
+        shared-memory arena, a plan backend's wave-pool threads) expose
+        a duck-typed ``close()``; the reference backend has none.
 
         Idempotent and safe from ``finally`` paths: calling it twice
         (server shutdown racing a worker's own cleanup) is a no-op the
-        second time, and a partially-built simulation — ``_build``
+        second time, and a partially-built simulation — ``__init__``
         raised before the stepper existed — closes whatever it has
         instead of raising ``AttributeError``.  The simulation itself
         stays usable: stepping again lazily respawns backend resources.
         """
-        engine = getattr(self, "engine", None)
-        if engine is not None:
-            self.disable_threading()
         stepper = getattr(self, "stepper", None)
         if stepper is not None:
             close = getattr(stepper.backend, "close", None)

@@ -1,6 +1,6 @@
 """Mini-Neon programming-model substrate: runtime, trace, dependency graphs."""
 
-from .executor import WaveExecutor, WaveRaceError, default_workers
+from .executor import WavePool, default_workers
 from .graph import (ConflictPair, build_dependency_graph, graph_stats,
                     iter_conflict_pairs, schedule_records, schedule_waves,
                     stream_assignment)
@@ -9,4 +9,4 @@ from .runtime import FieldRef, KernelRecord, Runtime
 __all__ = ["ConflictPair", "build_dependency_graph", "graph_stats",
            "iter_conflict_pairs", "schedule_records", "schedule_waves",
            "stream_assignment", "FieldRef", "KernelRecord", "Runtime",
-           "WaveExecutor", "WaveRaceError", "default_workers"]
+           "WavePool", "default_workers"]

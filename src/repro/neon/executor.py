@@ -1,134 +1,59 @@
-"""Threaded wave executor for deferred kernel graphs (paper Fig. 2, Section V-C).
+"""The thread pool behind wave replay of step plans (paper Fig. 2, Section V-C).
 
-Neon's runtime does not run kernels in program order: it extracts the
-data-dependency DAG of a step, partitions it into *waves* of mutually
-independent kernels and issues each wave concurrently on CUDA streams,
-synchronising only between waves.  :class:`WaveExecutor` reproduces that
-execution model on the host: the runtime's deferred-capture path (see
-:meth:`repro.neon.runtime.Runtime.launch`) enqueues each kernel's body
-closure next to its :class:`~repro.neon.runtime.KernelRecord`, and at
-every flush the executor
+Neon issues the mutually independent kernels of one dependency wave on
+separate CUDA streams and synchronises between waves.  On the host that
+is :meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>` with a
+``pool``: each multi-kernel wave of the plan's schedule is submitted
+here and joined before the next wave starts.  NumPy releases the GIL
+inside its vectorised kernels, so independent bodies overlap on
+multi-core hosts.
 
-1. builds the *declared* dependency graph of the captured step and
-   partitions it with :func:`~repro.neon.graph.schedule_waves`;
-2. (debug mode) before the first replay of each unique step shape, runs
-   the bodies serially under access capture and race-checks every wave
-   with :func:`repro.analysis.races.detect_races` — the same gate
-   ``python -m repro.analysis`` applies in CI;
-3. executes each wave's bodies concurrently on a persistent
-   :class:`~concurrent.futures.ThreadPoolExecutor`, with a barrier
-   between waves (one barrier = one device synchronisation).
-
-Scheduling over the **declared** graph is what makes threaded execution
-bit-identical to serial: same-wave kernels touch disjoint rows of every
-field (the race detector proves it per configuration), so each array
-element is produced by exactly one body whose internal arithmetic order
-is unchanged.  NumPy releases the GIL inside its vectorised kernels, so
-independent bodies genuinely overlap on multi-core hosts.
-
-Error contract: if a body raises, the executor drains the in-flight
-wave, truncates the trace at the first failed kernel (its record and
-every later one never "launched"), and re-raises the original exception
-on the main thread with a ``kernel_span`` attribute describing the
-failed kernel.  Fallback to serial execution is automatic whenever the
-executor is not installed, access capture is active, or the debug gate
-is replaying a new step shape.
+:class:`WavePool` is only the worker threads: created lazily, replaced
+after a ``fork`` (the child inherits the pool object but none of its
+threads) and stopped by :meth:`WavePool.shutdown` or, for a leaked pool,
+by the garbage collector.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
-from typing import Any, Callable, Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable
 
-from .graph import schedule_records
-
-#: ``(record_index, body)`` pairs captured by the deferred launch path.
-Pending = list[tuple[int, "Callable[[], None] | None"]]
-
-__all__ = ["WaveExecutor", "WaveRaceError", "default_workers"]
-
-
-class WaveRaceError(RuntimeError):
-    """The debug gate found same-wave kernels with conflicting accesses."""
-
-    def __init__(self, races: Iterable[Any]) -> None:
-        self.races = list(races)
-        lines = "\n  ".join(str(r) for r in self.races)
-        super().__init__(
-            f"{len(self.races)} intra-wave race(s) in the deferred step "
-            f"(threaded execution would be unsound):\n  {lines}")
+__all__ = ["WavePool", "default_workers"]
 
 
 def default_workers() -> int:
-    """Worker count: ``$REPRO_THREAD_WORKERS`` or a small per-host default.
+    """Per-host pool width: the core count, clamped to ``[2, 8]``.
 
     At least 2 so the concurrent path is exercised even on single-core
     hosts (where the pool degrades gracefully to interleaving).
     """
-    env = os.environ.get("REPRO_THREAD_WORKERS", "")
-    if env:
-        return max(1, int(env))
     return max(2, min(8, os.cpu_count() or 1))
-
-
-def _timed(fn: Callable[[], None] | None) -> tuple[float, float]:
-    """Run one kernel body; return ``(start, duration)`` in seconds.
-
-    On failure the timing rides along on the exception so the caller can
-    still attach a span to the error report.
-    """
-    t0 = perf_counter()
-    try:
-        if fn is not None:
-            fn()
-    except BaseException as exc:
-        setattr(exc, "_wave_timing", (t0, perf_counter() - t0))
-        raise
-    return t0, perf_counter() - t0
 
 
 def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
     pool.shutdown(wait=False)
 
 
-class WaveExecutor:
-    """Executes a deferred step's kernel bodies wave-by-wave on threads.
+class WavePool:
+    """Lazy, fork-safe worker threads for one plan-replaying backend.
 
-    Parameters
-    ----------
-    max_workers:
-        Thread-pool width (default :func:`default_workers`).  The pool is
-        created lazily, reused across flushes, and shut down by
-        :meth:`shutdown` (``Simulation.close`` / the context manager) or
-        when the executor is garbage-collected.
-    debug:
-        When true (default; override with ``$REPRO_THREADED_DEBUG=0``),
-        the first occurrence of each unique step shape is replayed
-        serially under access capture and race-checked before that shape
-        is ever run concurrently.  A detected conflict raises
-        :class:`WaveRaceError` instead of executing an unsound schedule.
+    ``max_workers`` defaults to :func:`default_workers`.  The pool stays
+    usable after :meth:`shutdown`: the next :meth:`submit` re-creates the
+    threads, which is what lets a closed simulation step again.
     """
 
-    def __init__(self, max_workers: int | None = None,
-                 debug: bool | None = None) -> None:
-        if debug is None:
-            debug = os.environ.get("REPRO_THREADED_DEBUG", "1").lower() \
-                not in ("0", "false", "off")
-        self.max_workers = int(max_workers) if max_workers else default_workers()
+    def __init__(self, max_workers: int | None = None) -> None:
+        self.max_workers = (default_workers() if max_workers is None
+                            else int(max_workers))
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.debug = bool(debug)
-        #: Per-flush execution stats consumed by ``repro.obs.metrics``.
-        self.stats: list[dict[str, Any]] = []
         self._pool: ThreadPoolExecutor | None = None
         self._pool_pid: int | None = None
         self._finalizer: weakref.finalize | None = None
-        self._verified: set[tuple[Any, ...]] = set()
 
-    # -- pool lifecycle ------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is not None and self._pool_pid != os.getpid():
             # Forked child: only the forking thread survives fork, so the
@@ -144,13 +69,17 @@ class WaveExecutor:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.max_workers, thread_name_prefix="repro-wave")
             self._pool_pid = os.getpid()
-            # Leaked executors (no explicit close) must not pin worker
+            # Leaked pools (no explicit close) must not pin worker
             # threads for the life of the process.
             self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
         return self._pool
 
+    def submit(self, fn: Callable[..., object], *args: object) -> Future:
+        """Run ``fn(*args)`` on a worker thread; returns its future."""
+        return self._ensure_pool().submit(fn, *args)
+
     def shutdown(self) -> None:
-        """Stop the worker threads; the executor stays reusable (lazy pool)."""
+        """Stop the worker threads (idempotent; the pool stays reusable)."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             if self._finalizer is not None:
@@ -161,135 +90,3 @@ class WaveExecutor:
                 # the parent, and joining them here would block forever.
                 return
             pool.shutdown(wait=True)
-
-    # -- execution -----------------------------------------------------------
-    def execute(self, runtime: Any, pending: Pending) -> None:
-        """Run the deferred bodies of one flush (called by ``Runtime.flush``).
-
-        ``pending`` holds ``(record_index, body)`` pairs for the tail of
-        ``runtime.records``; the body order is program order.
-        """
-        records = [runtime.records[i] for i, _ in pending]
-        waves = schedule_records(records)
-        if self.debug:
-            key = tuple((r.name, r.level, r.reads, r.writes) for r in records)
-            if key not in self._verified:
-                self._gate(runtime, pending, records, waves)
-                self._verified.add(key)
-                return
-        self._run_waves(runtime, pending, waves)
-
-    def _run_waves(self, runtime: Any, pending: Pending,
-                   waves: list[list[int]]) -> None:
-        t_flush = perf_counter()
-        timings: dict[int, tuple[float, float]] = {}
-        wave_ms: list[float] = []
-        for wave in waves:
-            w0 = perf_counter()
-            failures: list[tuple[int, BaseException]] = []
-            if len(wave) == 1 or self.max_workers == 1:
-                # A one-kernel wave gains nothing from a dispatch round-trip.
-                for k in wave:
-                    try:
-                        timings[k] = _timed(pending[k][1])
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        failures.append((k, exc))
-            else:
-                pool = self._ensure_pool()
-                futures = [(k, pool.submit(_timed, pending[k][1])) for k in wave]
-                for k, fut in futures:
-                    try:
-                        timings[k] = fut.result()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        failures.append((k, exc))
-            wave_ms.append((perf_counter() - w0) * 1e3)
-            if failures:
-                self._fail(runtime, pending, timings, failures)
-        self._report_spans(runtime, pending, timings)
-        wall_ms = (perf_counter() - t_flush) * 1e3
-        self.stats.append({
-            "mode": "threaded", "kernels": len(pending), "waves": len(waves),
-            "wave_ms": wave_ms, "wall_ms": wall_ms,
-            "busy_ms": sum(d for _, d in timings.values()) * 1e3,
-            "workers": self.max_workers,
-        })
-
-    def _gate(self, runtime: Any, pending: Pending, records: list[Any],
-              waves: list[list[int]]) -> None:
-        """Serial capture replay + race check of a new step shape."""
-        from ..analysis.capture import AccessTracer
-        from ..analysis.races import detect_races
-
-        t_flush = perf_counter()
-        tracer = AccessTracer()
-        prev, runtime.tracer = runtime.tracer, tracer
-        accesses: dict[int, list[Any]] = {}
-        timings: dict[int, tuple[float, float]] = {}
-        try:
-            for k, (_, fn) in enumerate(pending):
-                tracer.begin_launch()
-                try:
-                    timings[k] = _timed(fn)
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    accesses[k] = tracer.end_launch()
-                    self._fail(runtime, pending, timings, [(k, exc)])
-                accesses[k] = tracer.end_launch()
-        finally:
-            runtime.tracer = prev
-        self._report_spans(runtime, pending, timings)
-        wall_ms = (perf_counter() - t_flush) * 1e3
-        self.stats.append({
-            "mode": "debug-gate", "kernels": len(pending), "waves": len(waves),
-            "wave_ms": [], "wall_ms": wall_ms, "busy_ms": wall_ms,
-            "workers": self.max_workers,
-        })
-        races = detect_races(records, accesses, waves)
-        if races:
-            raise WaveRaceError(races)
-
-    # -- error / span plumbing -----------------------------------------------
-    def _fail(self, runtime: Any, pending: Pending,
-              timings: dict[int, tuple[float, float]],
-              failures: list[tuple[int, BaseException]]) -> None:
-        """Truncate the trace at the first failed kernel and re-raise.
-
-        Bodies of the same wave may already have executed (their effects
-        stand, exactly as in-flight kernels on a device); their records
-        and those of never-launched bodies are dropped so the trace only
-        describes kernels that ran, keeping spans and records 1:1.
-        """
-        k_bad, exc = min(failures, key=lambda f: f[0])
-        idx_bad = pending[k_bad][0]
-        rec = runtime.records[idx_bad]
-        self._report_spans(runtime, pending, timings, upto=k_bad)
-        start, dur = getattr(exc, "_wave_timing", (0.0, 0.0))
-        setattr(exc, "kernel_span", {
-            "index": idx_bad, "name": rec.name, "level": rec.level,
-            "n_cells": rec.n_cells, "start": start, "dur_us": dur * 1e6,
-        })
-        del runtime.records[idx_bad:]
-        self.stats.append({
-            "mode": "error", "kernels": k_bad, "waves": 0, "wave_ms": [],
-            "wall_ms": 0.0, "busy_ms": 0.0, "workers": self.max_workers,
-        })
-        raise exc
-
-    @staticmethod
-    def _report_spans(runtime: Any, pending: Pending,
-                      timings: dict[int, tuple[float, float]],
-                      upto: int | None = None) -> None:
-        """Forward measured body timings to the installed span recorder.
-
-        Called from the main thread only, in record order, so the
-        recorder needs no locking; observed slices genuinely overlap in
-        threaded mode, which is what the per-stream timeline renders.
-        """
-        spans = runtime.spans
-        if spans is None:
-            return
-        for k in sorted(timings):
-            if upto is not None and k >= upto:
-                continue
-            idx = pending[k][0]
-            start, dur = timings[k]
-            spans.on_launch(idx, runtime.records[idx], start, dur)

@@ -238,8 +238,11 @@ def schedule_records(records: list[KernelRecord],
                      ) -> list[list[int]]:
     """Waves of a record list in one call (graph build + ASAP partition).
 
-    The transitive reduction is skipped: redundant edges cannot change
-    ASAP depths, and the executor calls this on every step flush.
+    This is the schedule plan replay executes: the thread-wave executor
+    (:attr:`StepPlan.waves <repro.backend.plan.StepPlan.waves>`) and the
+    mp backend each call it once per admitted plan, never per step.  The
+    transitive reduction is skipped: redundant edges cannot change ASAP
+    depths.
     """
     return schedule_waves(
         build_dependency_graph(records, reduce=False, access_map=access_map))

@@ -16,14 +16,13 @@ The *functional* result of a program never depends on the recording; the
 records are a faithful trace from which launch counts, bytes moved and
 synchronisation depth are derived.
 
-With a :class:`~repro.neon.executor.WaveExecutor` installed
-(:meth:`Runtime.executor_install`), ``launch`` switches to a *deferred*
-capture path: the record is appended immediately but the body closure is
-queued, and at every :meth:`step_marker` (or explicit :meth:`flush`) the
-captured step is partitioned into dependency waves and executed
-concurrently — the way Neon issues independent kernels on separate CUDA
-streams.  Results are bit-identical to immediate execution; the fallback
-to immediate mode is automatic while access capture is active.
+:meth:`Runtime.launch` is the serial, per-launch *reference* path: step
+plans (:mod:`repro.backend`) are captured from it in plan-only mode and
+tested against it, and the two capture modes (declaration capture,
+access capture) are modes of it by definition.  Everything else — plan
+replay, serial or in dependency waves — appends prebuilt records to the
+same trace and honours the same hooks (``spans``, ``faults``,
+:meth:`Runtime.step_marker`, :meth:`Runtime.abort_step`).
 """
 
 from __future__ import annotations
@@ -99,17 +98,13 @@ class Runtime:
         #: step marker, ``on_reset()`` on :meth:`reset`.  Spans are opt-in
         #: and, when absent, the hot path pays a single ``None`` test.
         self.spans: Any = None
-        #: Installed :class:`~repro.neon.executor.WaveExecutor`, or ``None``
-        #: (immediate execution).  Duck-typed: ``execute(runtime, pending)``
-        #: and ``shutdown()``.
-        self.executor: Any = None
         #: Active fault injector (see :mod:`repro.resilience.faults`), or
         #: ``None``.  Duck-typed like the span recorder so the runtime
         #: never imports the resilience layer: ``wrap_body(name, level,
-        #: fn)`` may substitute a kernel body at launch, ``on_step(step)``
-        #: fires after each coarse-step marker with the absolute
-        #: completed-step count.  When absent the hot path pays a single
-        #: ``None`` test.
+        #: fn)`` may substitute a kernel body (per launch here, per replay
+        #: in ``StepPlan.execute``), ``on_step(step)`` fires after each
+        #: coarse-step marker with the absolute completed-step count.
+        #: When absent the hot path pays a single ``None`` test.
         self.faults: Any = None
         #: Coarse steps completed before the current trace began (synced by
         #: checkpoint restore / post-warmup :meth:`reset`); per-step metrics
@@ -119,24 +114,23 @@ class Runtime:
         #: ever running kernel bodies — the declaration stream the static
         #: analyzer (:mod:`repro.analysis.static`) reasons about.
         self.plan_only = False
-        self._pending: list[tuple[int, KernelBody | None]] = []
 
     def launch(self, name: str, level: int, *, n_cells: int,
                bytes_read: int, bytes_written: int,
                reads: tuple[FieldRef, ...] = (), writes: tuple[FieldRef, ...] = (),
                atomic_bytes: int = 0, tag: str = "",
                fn: KernelBody | None = None) -> None:
-        """Record one kernel launch and run (or defer/skip) its body.
+        """Record one kernel launch and run (or skip) its body.
 
         Appends a :class:`KernelRecord` built from the *declared*
         access sets and byte counts, then dispatches ``fn`` through
         whichever hooks are installed: plan-only mode records without
-        executing, a fault hook may wrap the body, a tracer shadows
-        its accesses, and an executor queues it for wave replay.
+        executing, a fault hook may wrap the body and a tracer shadows
+        its accesses.
         """
         if self.plan_only:
             # Declaration-only capture: the record is the whole launch.
-            # Bodies, tracers, executors and fault hooks are all bypassed —
+            # Bodies, tracers and fault hooks are all bypassed —
             # nothing observes or mutates simulation state, which is the
             # property the static analyzer's "no execution" contract needs.
             self.records.append(KernelRecord(
@@ -148,20 +142,8 @@ class Runtime:
         if self.faults is not None:
             # The injector sees every launch and may wrap the body (to
             # raise a simulated kernel/OOM failure when it runs); the
-            # record itself is never altered.  Wrapping happens before
-            # the deferred-capture branch so injected faults surface
-            # identically in immediate and threaded execution.
+            # record itself is never altered.
             fn = self.faults.wrap_body(name, level, fn)
-        if self.executor is not None and self.tracer is None:
-            # Deferred capture: record now, run the body at the next flush.
-            rec = KernelRecord(
-                name=name, level=level, n_cells=int(n_cells),
-                bytes_read=int(bytes_read), bytes_written=int(bytes_written),
-                reads=tuple(reads), writes=tuple(writes),
-                atomic_bytes=int(atomic_bytes), tag=tag)
-            self.records.append(rec)
-            self._pending.append((len(self.records) - 1, fn))
-            return
         spans = self.spans
         t0 = perf_counter() if spans is not None else 0.0
         if self.tracer is not None:
@@ -183,12 +165,7 @@ class Runtime:
             spans.on_launch(len(self.records) - 1, rec, t0, perf_counter() - t0)
 
     def step_marker(self) -> None:
-        """Mark the end of one coarse time step in the trace.
-
-        In deferred mode this is the step's synchronisation point: every
-        queued body has executed before the marker is placed.
-        """
-        self.flush()
+        """Mark the end of one coarse time step in the trace."""
         start = self.markers[-1] if self.markers else 0
         self.markers.append(len(self.records))
         if self.spans is not None:
@@ -206,7 +183,6 @@ class Runtime:
         a warmup or a checkpoint restore, so metrics over the new trace
         do not attribute zero-kernel steps to the untraced history.
         """
-        self.flush()
         self.records.clear()
         self.markers.clear()
         self.captured.clear()
@@ -215,85 +191,21 @@ class Runtime:
         if self.spans is not None:
             self.spans.on_reset()
 
-    # -- deferred execution --------------------------------------------------
-    def flush(self) -> None:
-        """Execute every queued kernel body (no-op in immediate mode).
-
-        With an executor installed the queued step is partitioned into
-        dependency waves and run concurrently; if the executor was
-        removed with bodies still queued they run serially in program
-        order, preserving the exact serial semantics.
-        """
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        if self.executor is not None:
-            self.executor.execute(self, pending)
-        else:
-            self._drain_serial(pending)
-
-    def _drain_serial(self, pending: list[tuple[int, KernelBody | None]]) -> None:
-        spans = self.spans
-        for idx, fn in pending:
-            t0 = perf_counter() if spans is not None else 0.0
-            try:
-                if fn is not None:
-                    fn()
-            except BaseException as exc:
-                rec = self.records[idx]
-                # dynamic attribute: the error contract shared with the
-                # wave executor (callers look for exc.kernel_span)
-                setattr(exc, "kernel_span",
-                        {"index": idx, "name": rec.name,
-                         "level": rec.level, "n_cells": rec.n_cells,
-                         "start": t0, "dur_us": 0.0})
-                del self.records[idx:]
-                raise
-            if spans is not None:
-                spans.on_launch(idx, self.records[idx], t0, perf_counter() - t0)
-
     def abort_step(self) -> None:
         """Close the current (partial) coarse step after a mid-step failure.
 
-        Queued bodies that never ran are discarded along with their
-        records — keeping them would fabricate trace entries for kernels
-        that never launched.  Whatever *did* execute since the last
-        marker is closed off with a step marker, so span trees stay
-        balanced and per-step trace queries never leak a partial step
-        into the next one.  Idempotent and safe to call in immediate
-        mode.
+        Whatever executed since the last marker is closed off with a
+        step marker, so span trees stay balanced and per-step trace
+        queries never leak a partial step into the next one.
+        Idempotent.
         """
-        if self._pending:
-            first = self._pending[0][0]
-            del self.records[first:]
-            self._pending.clear()
         start = self.markers[-1] if self.markers else 0
         if len(self.records) > start:
             self.step_marker()
 
-    def executor_install(self, executor: Any) -> None:
-        """Install (or, with ``None``, remove) a wave executor.
-
-        Pending bodies are flushed under the *previous* mode first, and a
-        replaced executor is shut down — the caller keeps a single clean
-        ownership chain for worker threads.
-        """
-        if self.executor is executor:
-            return
-        self.flush()
-        old, self.executor = self.executor, executor
-        if old is not None:
-            old.shutdown()
-
     # -- fault hooks ---------------------------------------------------------
     def faults_install(self, injector: Any) -> None:
-        """Install (or, with ``None``, remove) a fault injector.
-
-        Pending deferred bodies are flushed first so faults armed from
-        now on only wrap launches issued from now on — a body captured
-        before installation is never retroactively corrupted.
-        """
-        self.flush()
+        """Install (or, with ``None``, remove) a fault injector."""
         self.faults = injector
 
     # -- span hooks ----------------------------------------------------------
@@ -304,7 +216,6 @@ class Runtime:
         from now on; it observes timing only and cannot perturb declared
         reads/writes, traffic accounting or the functional result.
         """
-        self.flush()  # queued bodies report to the recorder active at enqueue
         self.spans = recorder
 
     # -- plan-only (declaration) capture -------------------------------------
@@ -317,7 +228,6 @@ class Runtime:
         runs), but produced without touching a single population value.
         :mod:`repro.analysis.static` builds its proofs over such streams.
         """
-        self.flush()
         self.plan_only = True
 
     def plan_stop(self) -> None:
@@ -334,7 +244,6 @@ class Runtime:
         capture primitive behind compiled step plans
         (:mod:`repro.backend.compiler`).
         """
-        self.flush()
         base = len(self.records)
         self.plan_start()
         try:
@@ -354,13 +263,13 @@ class Runtime:
         accesses land in :attr:`captured`, keyed by record index.  The
         functional result of the program is unaffected.
 
-        Capture takes precedence over deferred execution: while a tracer
-        is installed every launch runs its body immediately (serial
-        fallback), because shadow recording needs launch bracketing.
+        Shadow recording needs launch bracketing, so plan-replaying
+        backends run captured steps on this reference path (a counted
+        fallback): capture checks the reference bodies against their
+        declarations.
         """
         if self.tracer is None:
             from ..analysis.capture import AccessTracer
-            self.flush()
             self.tracer = AccessTracer()
 
     def capture_stop(self) -> dict[int, list[Any]]:

@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — run a workload under full telemetry.
+"""``python -m repro obs`` — run a workload under full telemetry.
 
 Runs one (workload, fusion-config) pair with the span tracer installed
 and the health watchdog armed, then emits
@@ -14,7 +14,7 @@ The emitted trace is validated structurally before the process exits
 (exactly one complete slice per kernel record, parseable JSON); exit
 status is non-zero on validation failure or a detected divergence.
 
-``python -m repro.obs report`` is the observatory entry point: the same
+``python -m repro report`` is the observatory entry point: the same
 telemetry session rendered as one terminal/HTML run report — trace
 summary, metrics, roofline accounting (achieved bandwidth + drift),
 lint opportunities, the step-plan certificate digest and a unified
@@ -154,13 +154,13 @@ def _print_report(res: dict, out) -> None:
 
 
 def report_main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.obs report`` — the observatory run report."""
+    """``python -m repro report`` — the observatory run report."""
     from .log import EventLog
     from .report import collect_report, render_text, write_report
     from .roofline import drift_report
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs report",
+        prog="python -m repro report",
         description="Render one telemetry session as a terminal/HTML run "
                     "report: trace + metrics + roofline + lint "
                     "opportunities + certificate digest + event log.")
@@ -245,11 +245,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs",
+        prog="python -m repro obs",
         description="Telemetry runner: span tracer + Perfetto timeline "
                     "export + metrics report + health watchdog.  "
                     "Subcommand 'report' renders the observatory run "
-                    "report instead (see python -m repro.obs report -h).")
+                    "report instead (see python -m repro report -h).")
     parser.add_argument("--workload", default="cavity2d",
                         choices=sorted(OBS_WORKLOADS),
                         help="workload to run (default cavity2d, the "

@@ -266,32 +266,6 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
         reg.gauge("observed_mean_concurrency",
                   "time-weighted mean overlapping kernel spans").set(
             occ["mean_concurrent"])
-    executor = getattr(rt, "executor", None)
-    if executor is not None and getattr(executor, "stats", None):
-        wave_ms = reg.histogram("wave_exec_ms",
-                                "wall time per dependency wave (ms)")
-        util: list[float] = []
-        threaded_flushes = 0
-        for st in executor.stats:
-            for w in st.get("wave_ms", ()):
-                wave_ms.observe(w)
-            if st.get("mode") == "threaded":
-                threaded_flushes += 1
-                wall, workers = st.get("wall_ms", 0.0), st.get("workers", 1)
-                if wall > 0 and workers:
-                    util.append(st.get("busy_ms", 0.0) / (wall * workers))
-        reg.counter("executor_flushes", "deferred-step flushes").value = \
-            float(len(executor.stats))
-        reg.counter("executor_threaded_flushes",
-                    "flushes executed on the thread pool").value = \
-            float(threaded_flushes)
-        reg.gauge("executor_workers", "wave-executor thread-pool width").set(
-            executor.max_workers)
-        if util:
-            reg.gauge(
-                "thread_utilisation",
-                "mean busy-time share of the pool during threaded flushes",
-            ).set(sum(util) / len(util))
     return reg
 
 

@@ -1,4 +1,4 @@
-"""``python -m repro.obs report`` — one run, one report.
+"""``python -m repro report`` — one run, one report.
 
 Joins every telemetry source the repo has into a single artifact, in two
 renderings (terminal text and self-contained HTML):

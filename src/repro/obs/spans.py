@@ -214,8 +214,8 @@ class SpanRecorder:
         """Measured kernel-span overlap — the host analogue of per-stream
         occupancy.
 
-        Serial execution yields ``max_concurrent == 1``; under the
-        threaded wave executor genuinely overlapping bodies raise it up
+        Serial execution yields ``max_concurrent == 1``; under
+        thread-wave plan replay genuinely overlapping bodies raise it up
         to the wave width, which is what the Perfetto export renders
         next to the predicted stream tracks.  ``mean_concurrent`` is the
         time-weighted average over the spanned interval.

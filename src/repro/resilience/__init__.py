@@ -9,7 +9,7 @@ The subsystem has three parts (DESIGN.md Section 11):
   ``Simulation.run`` with periodic checkpoints, rollback-and-retry under
   a :class:`RetryPolicy`, and a degradation ladder (threaded -> serial,
   divergence -> reduced-omega safety profile);
-* :mod:`repro.resilience.cli` — ``python -m repro.resilience``, the
+* :mod:`repro.resilience.cli` — ``python -m repro resilience``, the
   fault matrix verifying bit-identical recovery for every fusion config.
 """
 

@@ -1,4 +1,4 @@
-"""``python -m repro.resilience`` — the recovery fault matrix.
+"""``python -m repro resilience`` — the recovery fault matrix.
 
 Runs every requested (fusion config x fault kind x execution mode) cell:
 an unfaulted serial run of the workload provides the per-config
@@ -8,12 +8,16 @@ last good checkpoint, retry, and finish with population buffers
 execution are themselves bit-identical, one serial reference per fusion
 config covers both modes.
 
-Each cell also has to leave a visible telemetry trail (a nonzero
-``retries_total`` counter and at least one ``rollback`` recovery event),
-so a recovery that silently happened — or silently didn't — fails the
-matrix.  Results land in ``BENCH_resilience.json`` via
-:func:`repro.obs.metrics.write_bench_json`; the exit status is non-zero
-if any cell failed, which is what CI gates on.
+Every cell runs on the ``compiled`` backend — faults are injected into,
+and recovered on, the plan replay that ships — and must report zero
+``plan_fallback_steps``: a cell that quietly ran on the interpreted
+reference path fails the matrix.  Each cell also has to leave a visible
+telemetry trail (a nonzero ``retries_total`` counter and at least one
+``rollback`` recovery event), so a recovery that silently happened — or
+silently didn't — fails the matrix.  Results land in
+``BENCH_resilience.json`` via :func:`repro.obs.metrics.write_bench_json`;
+the exit status is non-zero if any cell failed, which is what CI gates
+on.
 """
 
 from __future__ import annotations
@@ -76,8 +80,10 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
     rows: list[dict] = []
     for fusion in fusion_cfgs:
         base_cfg = SimConfig(lattice=wl.lattice, collision=wl.collision,
-                             viscosity=wl.viscosity, fusion=fusion)
+                             viscosity=wl.viscosity, fusion=fusion,
+                             backend="compiled")
         with Simulation.from_config(wl.spec, base_cfg,
+                                    backend="interpreted",
                                     threaded=False) as ref_sim:
             ref_sim.run(steps)
             reference = _state(ref_sim)
@@ -98,23 +104,25 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
                         retries=report.retries,
                         rollback_steps=report.rollback_steps,
                         checkpoints=report.checkpoints,
-                        injected=len(injector.fired),
                         identical=_identical(reference, _state(runner.sim)),
                         telemetry=bool(
                             runner.registry["retries_total"].value >= 1
                             and rollbacks >= 1),
                     )
-                    row["ok"] = bool(
-                        row["outcome"] == "ok" and row["identical"]
-                        and row["injected"] >= 1 and row["telemetry"])
                 except RetryExhausted as exc:
                     row.update(outcome="failed", retries=exc.report.retries,
                                rollback_steps=exc.report.rollback_steps,
                                checkpoints=exc.report.checkpoints,
-                               injected=len(injector.fired),
-                               identical=False, telemetry=True, ok=False)
+                               identical=False, telemetry=True)
                 finally:
+                    row["injected"] = len(injector.fired)
+                    row["plan_fallback_steps"] = int(
+                        runner.sim.backend.stats["plan_fallback_steps"])
                     runner.close()
+                row["ok"] = bool(
+                    row["outcome"] == "ok" and row["identical"]
+                    and row["injected"] >= 1 and row["telemetry"]
+                    and row["plan_fallback_steps"] == 0)
                 rows.append(row)
     passed = sum(1 for r in rows if r["ok"])
     return {
@@ -131,13 +139,15 @@ def _print_matrix(result: dict, out) -> None:
     print(f"workload {result['workload']}  steps {result['steps']}  "
           f"fault at step {result['fault_step']}", file=out)
     header = (f"{'config':<18} {'mode':<9} {'fault':<7} {'outcome':<9} "
-              f"{'retries':>7} {'rollback':>8} {'identical':>9} {'ok':>4}")
+              f"{'retries':>7} {'rollback':>8} {'identical':>9} "
+              f"{'fallback':>8} {'ok':>4}")
     print(header, file=out)
     print("-" * len(header), file=out)
     for r in result["rows"]:
         print(f"{r['config']:<18} {r['mode']:<9} {r['fault']:<7} "
               f"{r['outcome']:<9} {r['retries']:>7} {r['rollback_steps']:>8} "
-              f"{str(r['identical']):>9} {'yes' if r['ok'] else 'NO':>4}",
+              f"{str(r['identical']):>9} {r['plan_fallback_steps']:>8} "
+              f"{'yes' if r['ok'] else 'NO':>4}",
               file=out)
     s = result["summary"]
     print(f"{s['passed']}/{s['cells']} cells recovered bit-identically",
@@ -146,11 +156,12 @@ def _print_matrix(result: dict, out) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.resilience",
+        prog="python -m repro resilience",
         description="Fault matrix: inject NaN/kernel/OOM faults across "
-                    "fusion configs and execution modes, verify every "
-                    "recovered run is bit-identical to an unfaulted "
-                    "reference.")
+                    "fusion configs and execution modes on compiled "
+                    "plan replay, verify every recovered run is "
+                    "bit-identical to an unfaulted reference and never "
+                    "left the plan path.")
     parser.add_argument("--workload", default="cavity2d-2lvl",
                         choices=sorted(MATRIX_WORKLOADS))
     parser.add_argument("--configs", default="all",

@@ -15,13 +15,16 @@ a deterministic stand-in here:
 
 The :class:`FaultInjector` installs on a runtime via the same duck-typed
 hook mechanism as the span recorder (:attr:`repro.neon.runtime.Runtime.faults`):
-``wrap_body`` may substitute a kernel body at launch, ``on_step`` fires
-after every coarse-step marker.  Faults are armed by **absolute** coarse
+``wrap_body`` may substitute a kernel body — per launch on the reference
+path, per replay on a step plan's kernels — and ``on_step`` fires after
+every coarse-step marker.  Faults are armed by **absolute** coarse
 step (``Runtime.steps_base`` + markers), so a rollback that rebases the
 trace does not re-fire a one-shot fault — exactly the transient-fault
 semantics the recovery matrix verifies bit-identical recovery against.
 Fired state lives in the injector, surviving re-installation onto
 rebuilt simulations (the degradation ladder's serial/safety rebuilds).
+No backend but ``mp`` (whose bodies live in other processes) changes
+path under an injector: faults hit the kernels that ship.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ class Fault:
         reference; negative values never disarm (persistent fault, used
         to exercise the degradation ladder).
     only_threaded:
-        Fire only while a wave executor is installed — models failures
-        specific to the concurrent path, which the ladder's
+        Fire only while the simulation's mode is ``"threaded"`` — models
+        failures specific to the concurrent path, which the ladder's
         fall-back-to-serial rung must survive.
     """
 
@@ -135,11 +138,12 @@ class FaultInjector:
     def wrap_body(self, name: str, level: int, fn):
         """Substitute a raising body when a kernel/OOM fault matches.
 
-        Called by :meth:`repro.neon.runtime.Runtime.launch` for every
-        kernel.  The wrapper raises when it *runs* (immediately in
-        serial mode, at the flush in deferred mode) and only then
-        consumes the fault — a captured-but-aborted body does not burn
-        a firing.
+        Called for every kernel: by
+        :meth:`repro.neon.runtime.Runtime.launch` on the reference path
+        and by :meth:`repro.backend.plan.StepPlan.execute` on replayed
+        plans.  The wrapper raises when it *runs* and only then consumes
+        the fault — a wrapped body that a failing wave never reached
+        does not burn a firing.
         """
         rt = self._sim.runtime
         step = rt.steps_base + len(rt.markers) + 1  # the in-flight step
@@ -150,11 +154,11 @@ class FaultInjector:
                 continue
             if f.kernel is not None and (f.kernel != name or f.level != level):
                 continue
-            if f.only_threaded and rt.executor is None:
+            if f.only_threaded and self._sim.mode != "threaded":
                 continue
 
             def raising(f=f, name=name, level=level) -> None:
-                if not f.armed:  # disarmed between capture and flush
+                if not f.armed:  # disarmed by a same-wave peer
                     if fn is not None:
                         fn()
                     return
@@ -178,7 +182,7 @@ class FaultInjector:
         for f in self.faults:
             if f.kind not in ("nan", "inf") or not f.armed or f.step != step:
                 continue
-            if f.only_threaded and self._sim.runtime.executor is None:
+            if f.only_threaded and self._sim.mode != "threaded":
                 continue
             value = float("nan") if f.kind == "nan" else float("inf")
             f.consume()

@@ -2,31 +2,28 @@
 
 :class:`ResilientRunner` wraps ``Simulation.run`` the way a production
 driver must: checkpoint periodically, watch numerical health, and when
-the run fails — a divergence, a kernel fault, a device OOM, a scheduler
-race — roll back to the last good checkpoint and retry under a bounded
+the run fails — a divergence, a kernel fault, a device OOM, a dead
+worker — roll back to the last good checkpoint and retry under a bounded
 :class:`RetryPolicy` instead of dying 20k steps into a 30k-step
 wind-tunnel experiment.
 
 Recovery from *transient* faults is **bit-identical** to an unfaulted
 run: the engine is deterministic, a checkpoint captures every population
 buffer verbatim, and a rollback restores all of them before re-running
-the lost steps (``python -m repro.resilience`` verifies this across the
+the lost steps (``python -m repro resilience`` verifies this across the
 whole fusion-config matrix).
 
-When retries alone cannot help, the runner walks a degradation ladder:
+When retries alone cannot help, the runner walks a degradation ladder
+(``mp -> serial -> safety`` or ``threaded -> serial -> safety``):
 
-1. **mp -> threaded** — repeated worker-pool failures under the
-   process-parallel backend (:class:`~repro.backend.mp.MpWorkerError`:
-   a worker died, timed out or failed mid-step) rebuild the simulation
-   on the in-process threaded executor after
-   ``executor_failures_before_serial`` strikes.  Both modes are
+1. **mp -> serial** / **threaded -> serial** — repeated failures on a
+   concurrent executor (:class:`~repro.backend.mp.MpWorkerError` from
+   the worker pool: a worker died, timed out or failed mid-step; kernel
+   or OOM failures under thread-wave replay) rebuild the simulation on
+   serial in-process plan replay after
+   ``executor_failures_before_serial`` strikes.  Every executor is
    bit-identical to serial, so this rung never changes results.
-2. **threaded -> serial** — a :class:`~repro.neon.executor.WaveRaceError`
-   (deterministic scheduler defect) falls back immediately; repeated
-   kernel failures under the executor fall back after
-   ``executor_failures_before_serial`` strikes.  Serial execution is
-   bit-identical, so this rung never changes results.
-3. **reduced-omega safety profile** — repeated divergence means the
+2. **reduced-omega safety profile** — repeated divergence means the
    physics, not the machinery, is unstable; after
    ``divergences_before_safety`` strikes the simulation is rebuilt with
    the coarse relaxation rate scaled by ``omega_safety_scale`` (more
@@ -53,7 +50,6 @@ from ..core.simulation import Simulation
 from ..core.units import omega_from_viscosity
 from ..gpu.memory import DeviceOOMError
 from ..io.checkpoint import CheckpointStore
-from ..neon.executor import WaveRaceError
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.watchdog import HealthWatchdog, SimulationDiverged
@@ -89,9 +85,8 @@ class RetryPolicy:
         checked right before a checkpoint is written, so a poisoned
         state never becomes a rollback target regardless of cadence.
     executor_failures_before_serial:
-        Kernel/OOM failures under the threaded executor tolerated before
-        falling back to serial execution (a ``WaveRaceError`` falls back
-        on the first strike — it is deterministic, retrying is futile).
+        Failures under a concurrent executor (thread waves or the mp
+        worker pool) tolerated before falling back to serial replay.
     divergences_before_safety:
         Divergences tolerated before rebuilding with the safety profile.
     omega_safety_scale:
@@ -172,10 +167,10 @@ from .faults import InjectedKernelError
 
 #: Failure types the runner recovers from; other exceptions recover only
 #: when a ``kernel_span`` marks them as a kernel-body failure (attached
-#: by the executor / deferred-drain error paths).  Anything else is a
-#: programming error and propagates untouched.
-_RECOVERABLE = (SimulationDiverged, WaveRaceError, DeviceOOMError,
-                InjectedKernelError, MpWorkerError)
+#: by plan replay).  Anything else is a programming error and
+#: propagates untouched.
+_RECOVERABLE = (SimulationDiverged, DeviceOOMError, InjectedKernelError,
+                MpWorkerError)
 
 
 class ResilientRunner:
@@ -291,7 +286,6 @@ class ResilientRunner:
             self._count("checkpoints_total", "checkpoints written")
         attempts = 0
         executor_strikes = 0
-        mp_strikes = 0
         divergences = 0
         while self.sim.steps_done < report.target_step:
             segment_end = min(report.target_step,
@@ -312,27 +306,19 @@ class ResilientRunner:
                     # Budget spent on this rung: step down or give up
                     # (raises RetryExhausted with the report attached).
                     attempts = self._degrade_or_fail(report, exc)
-                    executor_strikes = mp_strikes = divergences = 0
+                    executor_strikes = divergences = 0
                 elif isinstance(exc, SimulationDiverged):
                     divergences += 1
                     if (divergences >= pol.divergences_before_safety
                             and self._omega_scale() == 1.0):
                         self._degrade_safety(report)
                         attempts = executor_strikes = divergences = 0
-                        mp_strikes = 0
-                elif self.mode == "mp":
-                    # Worker-pool failures: the backend already respawns
-                    # the pool per retry; repeated strikes abandon the
-                    # process rung for the in-process threaded executor.
-                    mp_strikes += 1
-                    if mp_strikes >= pol.executor_failures_before_serial:
-                        self._degrade_threaded(report)
-                        attempts = mp_strikes = 0
-                elif self.sim.executor is not None:
-                    strikes_needed = (1 if isinstance(exc, WaveRaceError)
-                                      else pol.executor_failures_before_serial)
+                elif self.mode != "serial":
+                    # The mp backend already respawns its pool per retry;
+                    # repeated strikes on either concurrent executor
+                    # abandon it for serial replay.
                     executor_strikes += 1
-                    if executor_strikes >= strikes_needed:
+                    if executor_strikes >= pol.executor_failures_before_serial:
                         self._degrade_serial(report)
                         attempts = executor_strikes = 0
                 self._rollback(report)
@@ -372,8 +358,6 @@ class ResilientRunner:
     def _classify(exc: BaseException) -> str:
         if isinstance(exc, SimulationDiverged):
             return "divergence"
-        if isinstance(exc, WaveRaceError):
-            return "race"
         if isinstance(exc, DeviceOOMError):
             return "oom"
         if isinstance(exc, MpWorkerError):
@@ -401,26 +385,22 @@ class ResilientRunner:
     def _omega_scale(self) -> float:
         return getattr(self, "_omega_scale_applied", 1.0)
 
-    def _degrade_threaded(self, report: RunReport) -> None:
-        """Mp rung: rebuild on the in-process threaded executor.
+    def _degrade_serial(self, report: RunReport) -> None:
+        """Concurrent rung (mp or threaded): rebuild on serial plan replay.
 
-        The backend choice is baked in at construction, so unlike the
-        threaded -> serial rung this needs a rebuild; the caller restores
-        a checkpoint right after, exactly like the safety-profile rung.
+        The executor is fixed at construction, so this needs a rebuild;
+        the caller restores a checkpoint right after, exactly like the
+        safety-profile rung.  A threaded run keeps its own plan backend;
+        mp lands on ``compiled``, which replays the same admitted plan.
         """
         at_step = self.sim.steps_done
-        self._rebuild(self.config.replace(backend="interpreted",
-                                          threaded=True))
-        self._note_degradation(report, "threaded", step=at_step)
-
-    def _degrade_serial(self, report: RunReport) -> None:
-        """Threaded rung: drop the wave executor; bit-identical by construction."""
-        self.sim.disable_threading()
-        self.config = self.config.replace(threaded=False)
-        self._note_degradation(report, "serial")
+        backend = ("compiled" if self.mode == "mp"
+                   else self.sim.backend.name)
+        self._rebuild(self.config.replace(backend=backend, threaded=False))
+        self._note_degradation(report, "serial", step=at_step)
 
     def _degrade_safety(self, report: RunReport) -> None:
-        """Rung 2: rebuild with a reduced-omega (more viscous) profile."""
+        """Last rung: rebuild with a reduced-omega (more viscous) profile."""
         cfg = self.config
         at_step = self.sim.steps_done
         omega0 = (cfg.omega0 if cfg.omega0 is not None
@@ -441,10 +421,7 @@ class ResilientRunner:
     def _degrade_or_fail(self, report: RunReport, exc: BaseException) -> int:
         """Retry budget spent: step down a rung (returning a reset attempt
         count of 0) or raise :class:`RetryExhausted`."""
-        if self.mode == "mp":
-            self._degrade_threaded(report)
-            return 0
-        if self.sim.executor is not None:
+        if self.mode != "serial":
             self._degrade_serial(report)
             return 0
         if isinstance(exc, SimulationDiverged) and self._omega_scale() == 1.0:
@@ -462,7 +439,7 @@ class ResilientRunner:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Release executor threads and the temporary checkpoint dir.
+        """Release the simulation's backend and the temporary checkpoint dir.
 
         Idempotent: double-shutdown (a server's ``finally`` path racing
         explicit cleanup) is a no-op the second time, and a runner whose

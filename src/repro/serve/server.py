@@ -5,7 +5,7 @@ bounded worker pool.  The event loop owns scheduling, admission and
 telemetry; each admitted job runs on a worker thread driving a
 :class:`~repro.resilience.runner.ResilientRunner` in checkpoint-cadence
 segments, so every job gets the full per-job resilience ladder
-(rollback-retry, mp -> threaded -> serial, safety-omega) *and* the
+(rollback-retry, mp/threaded -> serial, safety-omega) *and* the
 server gets segment-granular cancellation, durable progress and
 worker-death recovery on top.
 

@@ -57,7 +57,8 @@ class TestVorticityIndicator:
         region = np.zeros((32, 32), dtype=bool)
         region[4:12, 4:12] = True
         spec = RefinementSpec((32, 32), [region], bc=PERIODIC)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.02)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.02)
         sim.initialize(u=lambda c: taylor_green_2d(c, 0.0, 0.02, 0.03, (32, 32)))
         sim.run(3)
         return sim
@@ -83,7 +84,8 @@ class TestVorticityIndicator:
         region = np.zeros((16, 16), dtype=bool)
         region[4:10, 4:10] = True
         spec = RefinementSpec((16, 16), [region], bc=PERIODIC)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05)
         assert not vorticity_indicator(sim).any()
 
 
@@ -92,7 +94,8 @@ class TestRegrid:
         region = np.zeros((32, 32), dtype=bool)
         region[4:12, 4:12] = True
         spec = RefinementSpec((32, 32), [region], bc=PERIODIC)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.02)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.02)
         sim.initialize(u=lambda c: taylor_green_2d(c, 0.0, 0.02, 0.03, (32, 32)))
         sim.run(5)
         return sim

@@ -35,8 +35,10 @@ def traced_sim(config, base=(20, 20), num_levels=2, lattice="D2Q9", steps=2):
     wl = lid_cavity(base=base, num_levels=num_levels, lattice=lattice)
     rt = Runtime()
     rt.capture_start()
-    sim = Simulation(wl.spec, wl.lattice, wl.collision, viscosity=wl.viscosity,
-                     config=config, runtime=rt)
+    sim = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                 collision=wl.collision,
+                                 viscosity=wl.viscosity, fusion=config,
+                                 runtime=rt)
     sim.run(steps)
     return sim, rt
 
@@ -98,13 +100,16 @@ class TestRuntimeCapture:
 
     def test_functional_result_unchanged_by_capture(self):
         wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
-        plain = Simulation(wl.spec, wl.lattice, wl.collision,
-                           viscosity=wl.viscosity, config=FUSED_FULL)
+        plain = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                       collision=wl.collision,
+                                       viscosity=wl.viscosity,
+                                       fusion=FUSED_FULL)
         rt = Runtime()
         rt.capture_start()
-        traced = Simulation(wl.spec, wl.lattice, wl.collision,
-                            viscosity=wl.viscosity, config=FUSED_FULL,
-                            runtime=rt)
+        traced = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                        collision=wl.collision,
+                                        viscosity=wl.viscosity,
+                                        fusion=FUSED_FULL, runtime=rt)
         plain.run(3)
         traced.run(3)
         for lv in range(plain.num_levels):

@@ -1,6 +1,6 @@
 """CI gate: the analysis linter must stay green on every configuration.
 
-This mirrors the ``python -m repro.analysis --all-configs`` job in
+This mirrors the ``python -m repro analysis --all-configs`` job in
 ``.github/workflows/ci.yml`` so the gate also runs wherever only pytest
 is available.  The ruff/mypy checks piggyback here too, skipping
 gracefully when the tools are not installed.

@@ -10,9 +10,14 @@ The contract under test is the one ``docs/ARCHITECTURE.md`` states:
 * the plan **cache invalidates** when it must: config changes and
   regrids produce a new backend instance, checkpoint restores bump the
   engine's state epoch;
-* runtime hooks that intercept individual launches (tracer, faults,
-  executor) force a **counted fallback** to the interpreted path, with
+* fault injectors, span recorders and ``threaded=True`` act on the
+  plan's kernels — **zero** fallback steps; only the capture modes of
+  the reference launch path (access capture, plan-only) and ``mp`` under
+  an injector take a **counted fallback** to the interpreted path, with
   results still bit-identical.
+
+The ``threaded`` axis of the bit-identity matrix (7 configs x 2-D/3-D on
+a 3-level grid) is ``tests/test_executor.py::TestDeterminism``.
 """
 
 import os
@@ -39,9 +44,9 @@ def cavity(dim="2d"):
 
 
 def build(wl, cfg, backend, **over):
+    over.setdefault("threaded", False)
     return Simulation.from_config(
-        wl.spec, wl.sim_config(fusion=cfg), backend=backend,
-        threaded=False, **over)
+        wl.spec, wl.sim_config(fusion=cfg), backend=backend, **over)
 
 
 def states(sim):
@@ -92,6 +97,24 @@ class TestBitIdentity:
         assert "fstar@1" in dropped
         plan = next(iter(sa.backend.plans.values()))
         assert plan.arena_bytes > 0
+
+    def test_waves_keep_shared_scratch_apart(self):
+        # The stream bodies stage their gather in arena scratch no record
+        # declares; on three levels the arena folds S@1's and S@2's
+        # staging onto one slab although the declared graph would put
+        # the two kernels in one wave.
+        wl = lid_cavity(base=(10, 10, 10), num_levels=3, lattice="D3Q19")
+        sim = build(wl, ABLATION_CONFIGS[0], "compiled")
+        sim.run(1)
+        plan = next(iter(sim.backend.plans.values()))
+        slab = {lt.first: lt.slab for lt in plan.arena
+                if lt.first == lt.last}
+        assert len(set(slab.values())) < len(slab)  # slabs really shared
+        for wave in plan.waves:
+            leased = [slab[k] for k in wave if k in slab]
+            assert len(leased) == len(set(leased)), wave
+        assert sorted(k for w in plan.waves for k in w) == list(
+            range(len(plan)))
 
 
 class TestPlanCache:
@@ -154,23 +177,25 @@ class TestPlanCache:
 
 
 class TestFallback:
-    """Hooks that must see individual launches bypass plan replay."""
+    """Hooks act on plan kernels; only capture modes leave the plan path."""
 
-    def _parity_under(self, prepare):
+    def _parity_under(self, prepare, backend="compiled", **over):
         wl = cavity()
         si = build(wl, ABLATION_CONFIGS[0], "interpreted")
-        sc = build(wl, ABLATION_CONFIGS[0], "compiled")
+        sc = build(wl, ABLATION_CONFIGS[0], backend, **over)
         prepare(si)
         prepare(sc)
         si.run(3)
         sc.run(3)
         assert_bit_identical(states(si), states(sc))
+        assert si.runtime.records == sc.runtime.records
         return sc
 
-    def test_executor_falls_back(self):
-        sc = self._parity_under(lambda s: s.enable_threading(max_workers=2))
-        assert sc.backend.stats["plan_fallback_steps"] == 3
-        assert sc.backend.stats["plan_cache_misses"] == 0
+    def test_threaded_replays_plan(self):
+        sc = self._parity_under(lambda s: None, threaded=True, max_workers=2)
+        assert sc.mode == "threaded"
+        assert sc.backend.stats["plan_fallback_steps"] == 0
+        assert sc.backend.stats["plan_cache_misses"] == 1
         sc.close()
 
     def test_access_tracer_falls_back(self):
@@ -178,10 +203,72 @@ class TestFallback:
         assert sc.backend.stats["plan_fallback_steps"] == 3
         assert sc.runtime.captured  # tracer really observed the launches
 
-    def test_fault_injector_falls_back(self):
-        from repro.resilience.faults import FaultInjector
-        sc = self._parity_under(lambda s: FaultInjector([]).install(s))
+    def test_plan_only_falls_back(self):
+        sc = self._parity_under(lambda s: s.runtime.plan_start())
         assert sc.backend.stats["plan_fallback_steps"] == 3
+        assert sc.backend.stats["plan_cache_misses"] == 0
+        assert sc.runtime.records  # declarations were still recorded
+
+    def test_fault_injector_replays_plan(self):
+        from repro.resilience.faults import (Fault, FaultInjector,
+                                             InjectedKernelError)
+        sc = self._parity_under(lambda s: FaultInjector([]).install(s))
+        assert sc.backend.stats["plan_fallback_steps"] == 0
+        # ... and an armed fault fires from the plan's own kernel
+        FaultInjector([Fault("kernel", step=4, level=1,
+                             kernel="A")]).install(sc)
+        with pytest.raises(InjectedKernelError) as ei:
+            sc.run(1)
+        assert ei.value.kernel_span["name"] == "A"
+        assert sc.backend.stats["plan_fallback_steps"] == 0
+
+    def test_fault_injector_falls_back(self):
+        # mp only: its kernel bodies live in worker processes, out of an
+        # in-process injector's reach (no pool is spawned for such steps).
+        from repro.resilience.faults import FaultInjector
+        sc = self._parity_under(lambda s: FaultInjector([]).install(s),
+                                backend="mp")
+        assert sc.backend.stats["plan_fallback_steps"] == 3
+        assert sc.backend.stats["mp_steps"] == 0
+        sc.close()
+
+    def test_threaded_mid_wave_fault_recovers(self):
+        from repro.resilience import ResilientRunner, RetryPolicy
+        from repro.resilience.faults import (Fault, FaultInjector,
+                                             InjectedKernelError)
+        wl = cavity()
+        cfg = wl.sim_config(fusion=ABLATION_CONFIGS[0], backend="compiled",
+                            threaded=True, max_workers=2)
+        # S@0 shares the step's second wave with A@1 and S@1.
+        fault = dict(kind="kernel", step=2, level=0, kernel="S")
+        with Simulation.from_config(wl.spec, cfg) as sc:
+            sc.run(1)
+            plan = next(iter(sc.backend.plans.values()))
+            k = next(i for i, r in enumerate(plan.records)
+                     if (r.name, r.level) == ("S", 0))
+            wave = next(w for w in plan.waves if k in w)
+            assert len(wave) > 1
+            FaultInjector([Fault(**fault)]).install(sc)
+            with pytest.raises(InjectedKernelError) as ei:
+                sc.run(1)
+            rt = sc.runtime
+            assert ei.value.kernel_span["name"] == "S"
+            assert rt.markers[-1] == len(rt.records)       # step closed
+            ran = rt.records[rt.markers[-2]:]
+            assert 0 < len(ran) <= k                        # truncated
+            assert tuple(ran) == plan.records[:len(ran)]
+            assert sc.steps_done == 1
+
+        ref = build(wl, ABLATION_CONFIGS[0], "interpreted")
+        ref.run(6)
+        with ResilientRunner(wl.spec, cfg,
+                             policy=RetryPolicy(checkpoint_every=2),
+                             faults=FaultInjector([Fault(**fault)])) as runner:
+            report = runner.run(6).report
+            assert report.outcome == "ok" and report.retries == 1
+            assert runner.sim.mode == "threaded"
+            assert runner.sim.backend.stats["plan_fallback_steps"] == 0
+            assert_bit_identical(states(ref), states(runner.sim))
 
     def test_spans_do_not_fall_back(self):
         wl = cavity()

@@ -14,7 +14,9 @@ from repro.neon.runtime import KernelRecord
 class TestWorkloads:
     def test_cavity_builds_and_runs(self):
         wl = lid_cavity(base=(12, 12), num_levels=2, lattice="D2Q9")
-        sim = Simulation(wl.spec, wl.lattice, wl.collision, viscosity=wl.viscosity)
+        sim = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                     collision=wl.collision,
+                                     viscosity=wl.viscosity)
         sim.run(2)
         assert sim.is_stable()
 
@@ -28,7 +30,9 @@ class TestWorkloads:
 
     def test_sphere_tunnel_scaled(self):
         wl = sphere_tunnel(scale=0.125)
-        sim = Simulation(wl.spec, wl.lattice, wl.collision, viscosity=wl.viscosity)
+        sim = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                     collision=wl.collision,
+                                     viscosity=wl.viscosity)
         sim.run(2)
         assert sim.is_stable()
         assert sim.num_levels == 3
@@ -41,7 +45,9 @@ class TestWorkloads:
 
     def test_airplane_tunnel_scaled(self):
         wl = airplane_tunnel(scale=0.06, num_levels=3)
-        sim = Simulation(wl.spec, wl.lattice, wl.collision, viscosity=wl.viscosity)
+        sim = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                     collision=wl.collision,
+                                     viscosity=wl.viscosity)
         sim.run(1)
         assert sim.is_stable()
 

@@ -28,7 +28,8 @@ class TestSlipBoundary:
                        "y-": FaceBC(top_kind) if top_kind == "slip" else FaceBC("wall"),
                        "y+": FaceBC(top_kind)})
         spec = RefinementSpec((12, 12), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.1)
         return sim
 
     def test_classification_contains_slip(self):
@@ -43,7 +44,8 @@ class TestSlipBoundary:
         bc = DomainBC({"x-": FaceBC("periodic"), "x+": FaceBC("periodic"),
                        "y-": FaceBC("slip"), "y+": FaceBC("slip")})
         spec = RefinementSpec((12, 12), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.1)
         sim.initialize(u=np.array([0.04, 0.0]))
         sim.run(20)
         _, u = sim.macroscopics(0)
@@ -70,7 +72,8 @@ class TestSlipBoundary:
         bc = DomainBC({"y-": FaceBC("slip"), "y+": FaceBC("slip"),
                        "x-": FaceBC("periodic"), "x+": FaceBC("periodic")})
         spec = RefinementSpec((8, 8), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.2)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.2)
         sim.initialize(u=np.array([0.0, 0.03]))
         sim.run(60)
         assert sim.is_stable()
@@ -81,7 +84,8 @@ class TestSlipBoundary:
 class TestSolidForce:
     def test_zero_without_solid(self):
         spec = RefinementSpec((8, 8, 8))
-        sim = Simulation(spec, "D3Q19", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                     viscosity=0.05)
         sim.run(2)
         assert np.allclose(solid_force(sim.engine), 0.0)
 
@@ -90,13 +94,15 @@ class TestSolidForce:
         bc_still = DomainBC()  # all resting walls
         spec_still = RefinementSpec(spec.base_shape, spec.refine_regions,
                                     solid=spec.solid, bc=bc_still)
-        sim = Simulation(spec_still, "D3Q19", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec_still, lattice="D3Q19",
+                                     collision="bgk", viscosity=0.05)
         sim.run(3)
         assert np.abs(solid_force(sim.engine)).max() < 1e-12
 
     def test_drag_points_downstream(self):
         spec, sphere = sphere_spec()
-        sim = Simulation(spec, "D3Q19", "bgk", viscosity=0.02)
+        sim = Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                     viscosity=0.02)
         sim.run(40)
         fx, fy, fz = solid_force(sim.engine)
         assert fx > 0.0                      # drag along the inlet flow
@@ -105,7 +111,8 @@ class TestSolidForce:
 
     def test_drag_coefficient_plausible(self):
         spec, sphere = sphere_spec()
-        sim = Simulation(spec, "D3Q19", "bgk", viscosity=0.02)
+        sim = Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                     viscosity=0.02)
         sim.run(60)
         fx = solid_force(sim.engine)[0]
         area = np.pi * (2 * sphere.radius) ** 2  # frontal area, fine units R*2
@@ -120,7 +127,8 @@ class TestSolidForce:
 class TestEnergyDiagnostics:
     def test_kinetic_energy_of_uniform_flow(self):
         spec = RefinementSpec((8, 8))
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.1)
         sim.initialize(u=np.array([0.02, 0.0]))
         e = kinetic_energy(sim.engine)
         assert e == pytest.approx(0.5 * 64 * 0.02 ** 2, rel=1e-3)
@@ -128,13 +136,15 @@ class TestEnergyDiagnostics:
     def test_enstrophy_positive_for_shear(self):
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
         spec = RefinementSpec((12, 12), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.1)
         sim.run(30)
         assert enstrophy_2d(sim) > 0.0
 
     def test_enstrophy_needs_2d(self):
         spec = RefinementSpec((6, 6, 6))
-        sim = Simulation(spec, "D3Q19", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                     viscosity=0.1)
         with pytest.raises(ValueError):
             enstrophy_2d(sim)
 
@@ -142,7 +152,8 @@ class TestEnergyDiagnostics:
 class TestCheckpoint:
     def make(self):
         spec, _ = sphere_spec()
-        return Simulation(spec, "D3Q19", "bgk", viscosity=0.03)
+        return Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                      viscosity=0.03)
 
     def test_bitwise_resume(self, tmp_path):
         path = str(tmp_path / "ck.npz")
@@ -162,17 +173,20 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.npz")
         a = self.make()
         save_checkpoint(a, path)
-        other = Simulation(RefinementSpec((8, 8, 8)), "D3Q19", "bgk",
-                           viscosity=0.03)
+        other = Simulation.from_config(RefinementSpec((8, 8, 8)),
+                                       lattice="D3Q19", collision="bgk",
+                                       viscosity=0.03)
         with pytest.raises(ValueError):
             restore_checkpoint(other, path)
 
     def test_lattice_validation(self, tmp_path):
         path = str(tmp_path / "ck.npz")
         spec = RefinementSpec((8, 8, 8))
-        a = Simulation(spec, "D3Q19", "bgk", viscosity=0.03)
+        a = Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                   viscosity=0.03)
         save_checkpoint(a, path)
-        b = Simulation(spec, "D3Q27", "bgk", viscosity=0.03)
+        b = Simulation.from_config(spec, lattice="D3Q27", collision="bgk",
+                                   viscosity=0.03)
         with pytest.raises(ValueError, match="lattice"):
             restore_checkpoint(b, path)
 
@@ -181,10 +195,12 @@ class TestCheckpoint:
         # buffer shapes, so it used to restore silently — the stored
         # base_shape must be checked, not just the derived censuses.
         path = str(tmp_path / "ck.npz")
-        a = Simulation(RefinementSpec((8, 12)), "D2Q9", "bgk", viscosity=0.05)
+        a = Simulation.from_config(RefinementSpec((8, 12)), lattice="D2Q9",
+                                   collision="bgk", viscosity=0.05)
         a.run(2)
         save_checkpoint(a, path)
-        b = Simulation(RefinementSpec((12, 8)), "D2Q9", "bgk", viscosity=0.05)
+        b = Simulation.from_config(RefinementSpec((12, 8)), lattice="D2Q9",
+                                   collision="bgk", viscosity=0.05)
         assert b.mgrid.active_per_level() == a.mgrid.active_per_level()
         with pytest.raises(ValueError, match="base shape"):
             restore_checkpoint(b, path)

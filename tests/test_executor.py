@@ -1,20 +1,27 @@
-"""Deferred threaded wave execution: determinism, fallback and errors."""
+"""Thread-wave replay of step plans: determinism, pool lifecycle, errors.
+
+``threaded=True`` replays the admitted step plan wave by wave on a
+thread pool; the serial interpreted backend is the reference every case
+here compares against.
+"""
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.analysis.cli import ALL_CONFIGS
-from repro.bench.harness import compare_serial_threaded
+from repro.backend.plan import StepPlan
 from repro.bench.workloads import lid_cavity
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
-from repro.neon.executor import WaveExecutor, WaveRaceError, default_workers
-from repro.neon.runtime import FieldRef, Runtime
+from repro.neon.executor import WavePool
+from repro.neon.runtime import FieldRef, KernelRecord, Runtime
+from repro.resilience.faults import Fault, FaultInjector
 
 WORKLOADS = {
     "2d": lambda: lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9"),
@@ -32,13 +39,22 @@ def states_equal(a, b):
                for la, lb in zip(a, b) for x, y in zip(la, lb))
 
 
-def run_cavity(wl, config, threaded, steps=3, **kwargs):
-    sim = Simulation(wl.spec, wl.lattice, wl.collision,
-                     viscosity=wl.viscosity, config=config,
-                     threaded=threaded, **kwargs)
-    with sim:
-        sim.run(steps)
-        return full_state(sim)
+def make_sim(wl, threaded, fusion=FUSED_FULL, **overrides):
+    """Thread-wave plan replay, or the serial interpreted reference."""
+    return Simulation.from_config(
+        wl.spec, wl.sim_config(fusion=fusion), threaded=threaded,
+        backend="compiled" if threaded else "interpreted", **overrides)
+
+
+def hand_plan(*kernels):
+    """A plan over ``(name, body, reads, writes)`` tuples of field names."""
+    records = [KernelRecord(name=name, level=0, n_cells=4, bytes_read=0,
+                            bytes_written=32,
+                            reads=tuple(FieldRef(r, 0) for r in reads),
+                            writes=tuple(FieldRef(w, 0) for w in writes))
+               for name, _, reads, writes in kernels]
+    return StepPlan(records, [body for _, body, _, _ in kernels],
+                    digest="", certificate={})
 
 
 class TestDeterminism:
@@ -48,42 +64,27 @@ class TestDeterminism:
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
     def test_bit_identical_to_serial(self, dim, config):
         wl = WORKLOADS[dim]()
-        serial = run_cavity(wl, config, threaded=False)
-        threaded = run_cavity(wl, config, threaded=True)
-        assert states_equal(serial, threaded)
-
-    def test_debug_gate_races_each_new_shape_once(self):
-        wl = WORKLOADS["2d"]()
-        sim = Simulation(wl.spec, wl.lattice, wl.collision,
-                         viscosity=wl.viscosity, threaded=True,
-                         executor_debug=True)
-        with sim:
-            sim.run(3)
-            ex = sim.executor
-            stats = list(ex.stats)
-        gates = [s for s in stats if s["mode"] == "debug-gate"]
-        threaded = [s for s in stats if s["mode"] == "threaded"]
-        # The steady-state step shape is verified once, then replayed
-        # concurrently; at least one later flush must be threaded.
-        assert gates and threaded
-        assert len(ex._verified) == len(gates)
+        with make_sim(wl, False, config) as serial, \
+                make_sim(wl, True, config) as threaded:
+            serial.run(3)
+            threaded.run(3)
+            assert threaded.mode == "threaded"
+            assert threaded.backend.stats["plan_fallback_steps"] == 0
+            assert states_equal(full_state(serial), full_state(threaded))
+            assert threaded.runtime.records == serial.runtime.records
+            assert threaded.runtime.markers == serial.runtime.markers
 
     def test_checkpoint_restore_threaded_continue(self, tmp_path):
         wl = WORKLOADS["3d"]()
         path = str(tmp_path / "ck.npz")
 
-        def fresh(threaded):
-            return Simulation(wl.spec, wl.lattice, wl.collision,
-                              viscosity=wl.viscosity, threaded=threaded)
-
-        a = fresh(False)
+        a = make_sim(wl, False)
         a.run(2)
         save_checkpoint(a, path)
         a.run(2)
         reference = full_state(a)
 
-        b = fresh(True)
-        with b:
+        with make_sim(wl, True) as b:
             restore_checkpoint(b, path)
             assert b.steps_done == 2
             b.run(2)
@@ -91,85 +92,44 @@ class TestDeterminism:
 
 
 class TestDeferredRuntime:
-    def record_kernel(self, rt, name, fn, reads=(), writes=()):
-        rt.launch(name, 0, n_cells=4, bytes_read=0, bytes_written=32,
-                  reads=reads, writes=writes, fn=fn)
-
-    def test_bodies_deferred_until_marker(self):
-        rt = Runtime()
-        rt.executor_install(WaveExecutor(max_workers=2, debug=False))
-        hits = []
-        self.record_kernel(rt, "A", lambda: hits.append("A"),
-                           writes=(FieldRef("a", 0),))
-        self.record_kernel(rt, "B", lambda: hits.append("B"),
-                           writes=(FieldRef("b", 0),))
-        assert hits == []
-        assert rt.launches() == 2  # records appear immediately
-        rt.step_marker()
-        assert sorted(hits) == ["A", "B"]
-        rt.executor_install(None)
-
-    def test_executor_removal_drains_serially(self):
-        rt = Runtime()
-        rt.executor_install(WaveExecutor(max_workers=2, debug=False))
-        hits = []
-        self.record_kernel(rt, "A", lambda: hits.append("A"))
-        rt.executor_install(None)  # flushes under the previous mode
-        assert hits == ["A"]
-
     def test_capture_takes_precedence_over_deferred(self):
-        rt = Runtime()
-        rt.executor_install(WaveExecutor(max_workers=2, debug=False))
-        rt.capture_start()
-        hits = []
-        self.record_kernel(rt, "A", lambda: hits.append("A"))
-        assert hits == ["A"]  # eager serial fallback while capturing
-        rt.capture_stop()
-        rt.executor_install(None)
+        # Access capture is a mode of the reference launch path: a
+        # threaded simulation runs captured steps there, serially, and
+        # counts them.
+        wl = WORKLOADS["2d"]()
+        with make_sim(wl, True) as sim, make_sim(wl, False) as ref:
+            sim.runtime.capture_start()
+            sim.run(2)
+            captured = sim.runtime.capture_stop()
+            ref.run(2)
+            assert sim.backend.stats["plan_fallback_steps"] == 2
+            assert set(captured) == set(range(len(sim.runtime.records)))
+            assert states_equal(full_state(ref), full_state(sim))
 
     def test_error_truncates_trace_and_attaches_span(self):
-        rt = Runtime()
-        rt.executor_install(WaveExecutor(max_workers=2, debug=False))
-        self.record_kernel(rt, "ok", lambda: None,
-                           writes=(FieldRef("a", 0),))
-
         def boom():
             raise RuntimeError("kernel exploded")
 
-        # same field => later wave, so "ok" has already run when it fails
-        self.record_kernel(rt, "bad", boom, reads=(FieldRef("a", 0),),
-                           writes=(FieldRef("b", 0),))
-        with pytest.raises(RuntimeError, match="kernel exploded") as err:
-            rt.step_marker()
+        ran = []
+        # "ok" and "bad" share the first wave; "late" waits for "ok".
+        plan = hand_plan(("ok", lambda: ran.append("ok"), (), ("a",)),
+                         ("bad", boom, (), ("b",)),
+                         ("late", lambda: ran.append("late"), ("a",), ("c",)))
+        assert plan.waves == ((0, 1), (2,))
+        rt = Runtime()
+        pool = WavePool(max_workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="kernel exploded") as err:
+                plan.execute(rt, pool)
+        finally:
+            pool.shutdown()
         span = err.value.kernel_span
         assert span["name"] == "bad" and span["index"] == 1
-        # the failed kernel's record is gone; the executed one remains
+        # the failed wave was joined, later waves never started, and the
+        # trace holds exactly the kernels that completed before "bad"
+        assert ran == ["ok"]
         assert [r.name for r in rt.records] == ["ok"]
-        rt.executor_install(None)
-
-    def test_race_gate_rejects_misdeclared_overlap(self):
-        rt = Runtime()
-        rt.executor_install(WaveExecutor(max_workers=2, debug=True))
-        shared = FieldRef("x", 0)
-
-        def write_shared():
-            if rt.tracer is not None:
-                rt.tracer.write(shared, 0, 4, 32)
-
-        # Both kernels *declare* disjoint fields (same wave) but actually
-        # write the same rows of one field — the gate must refuse.
-        self.record_kernel(rt, "A", write_shared, writes=(FieldRef("a", 0),))
-        self.record_kernel(rt, "B", write_shared, writes=(FieldRef("b", 0),))
-        with pytest.raises(WaveRaceError) as err:
-            rt.step_marker()
-        assert err.value.races
-        rt.executor_install(None)
-
-    def test_default_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREAD_WORKERS", "5")
-        assert default_workers() == 5
-        monkeypatch.delenv("REPRO_THREAD_WORKERS")
-        assert default_workers() >= 2
+        assert plan.replays == 0
 
 
 class TestForkSafety:
@@ -178,38 +138,30 @@ class TestForkSafety:
     Only the forking thread survives ``fork``: the child's copy of the
     parent's ``ThreadPoolExecutor`` lists worker threads that do not
     exist, so a submit there queues futures nothing will ever complete.
-    Pre-fix, the child's first flush hung forever on ``fut.result()``.
+    Pre-fix, the child's first wave hung forever on ``fut.result()``.
     """
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires fork()")
     def test_fork_then_flush_does_not_hang(self):
-        import threading
-
         rt = Runtime()
-        ex = WaveExecutor(max_workers=2, debug=False)
-        rt.executor_install(ex)
+        pool = WavePool(max_workers=2)
         # The two bodies rendezvous, forcing the pool to its full two
         # worker threads (a fast body can otherwise finish before the
         # second submit, leaving a one-thread pool whose child copy could
         # still grow a live thread and mask the bug).
         both = threading.Barrier(2)
-        rt.launch("A", 0, n_cells=4, bytes_read=0, bytes_written=32,
-                  writes=(FieldRef("a", 0),), fn=lambda: both.wait(timeout=10))
-        rt.launch("B", 0, n_cells=4, bytes_read=0, bytes_written=32,
-                  writes=(FieldRef("b", 0),), fn=lambda: both.wait(timeout=10))
-        rt.step_marker()
-        assert len(ex._pool._threads) == 2  # noqa: SLF001 - the bug's setup
+        hand_plan(("A", lambda: both.wait(timeout=10), (), ("a",)),
+                  ("B", lambda: both.wait(timeout=10), (), ("b",))
+                  ).execute(rt, pool)
+        assert len(pool._pool._threads) == 2  # noqa: SLF001 - the bug's setup
         time.sleep(0.2)  # let both workers go idle before forking
         pid = os.fork()
-        if pid == 0:  # child: flush a fresh two-kernel wave, then report
+        if pid == 0:  # child: replay a fresh two-kernel wave, then report
             try:
                 signal.alarm(20)  # hang guard — pre-fix this fires
-                rt.launch("C", 0, n_cells=4, bytes_read=0, bytes_written=32,
-                          writes=(FieldRef("c", 0),), fn=lambda: None)
-                rt.launch("D", 0, n_cells=4, bytes_read=0, bytes_written=32,
-                          writes=(FieldRef("d", 0),), fn=lambda: None)
-                rt.step_marker()
-                ex.shutdown()  # must not join the parent's threads either
+                hand_plan(("C", lambda: None, (), ("c",)),
+                          ("D", lambda: None, (), ("d",))).execute(rt, pool)
+                pool.shutdown()  # must not join the parent's threads either
                 os._exit(0)
             except BaseException:
                 os._exit(2)
@@ -223,38 +175,31 @@ class TestForkSafety:
         else:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("forked child hung flushing the inherited pool")
+            pytest.fail("forked child hung replaying on the inherited pool")
         assert os.waitstatus_to_exitcode(status) == 0
-        rt.executor_install(None)
-        ex.shutdown()
+        pool.shutdown()
+
+    def test_max_workers_validated(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            WavePool(max_workers=0)
+        assert WavePool().max_workers >= 2
 
 
 class TestSimulationIntegration:
     def make(self, threaded, **kwargs):
-        wl = WORKLOADS["2d"]()
-        kwargs.setdefault("config", FUSED_FULL)
-        return Simulation(wl.spec, wl.lattice, wl.collision,
-                          viscosity=wl.viscosity, threaded=threaded, **kwargs)
-
-    def test_env_knob_enables_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADED", "1")
-        with self.make(threaded=None) as sim:
-            assert sim.executor is not None
-        monkeypatch.setenv("REPRO_THREADED", "0")
-        with self.make(threaded=None) as sim:
-            assert sim.executor is None
+        return make_sim(WORKLOADS["2d"](), threaded, **kwargs)
 
     def test_context_manager_shuts_down_pool(self):
         # The unfused baseline has multi-kernel waves, so the pool is
         # actually exercised (singleton waves run inline).
-        sim = self.make(threaded=True, executor_debug=False,
-                        config=MODIFIED_BASELINE)
+        sim = self.make(threaded=True, fusion=MODIFIED_BASELINE,
+                        max_workers=2)
         with sim:
             sim.run(2)
-            ex = sim.runtime.executor
-            assert ex._pool is not None  # pool actually spun up
-        assert sim.executor is None
-        assert ex._pool is None
+            pool = sim.backend.pool
+            assert pool.max_workers == 2
+            assert pool._pool is not None  # pool actually spun up
+        assert pool._pool is None
 
     def test_trace_identical_to_serial(self):
         serial = self.make(threaded=False)
@@ -264,21 +209,10 @@ class TestSimulationIntegration:
             assert threaded.runtime.markers == serial.runtime.markers
             assert threaded.runtime.records == serial.runtime.records
 
-    def test_metrics_report_executor_stats(self):
-        from repro.obs.metrics import run_metrics
-        with self.make(threaded=True, executor_debug=False) as sim:
-            sim.run(3)
-            reg = run_metrics(sim)
-        assert reg["wave_exec_ms"].count > 0
-        assert reg["executor_workers"].value >= 1
-        assert reg["executor_threaded_flushes"].value > 0
-        assert 0.0 < reg["thread_utilisation"].value <= 1.0
-
     def test_spans_record_threaded_timings(self):
-        with self.make(threaded=True, executor_debug=False) as sim:
+        with self.make(threaded=True, fusion=MODIFIED_BASELINE) as sim:
             rec = sim.enable_tracing()
             sim.run(2)
-            sim.close()  # final flush before reading spans
             assert len(rec.kernel_spans) == len(sim.runtime.records)
             occ = rec.observed_occupancy()
             assert occ["max_concurrent"] >= 1
@@ -287,33 +221,21 @@ class TestSimulationIntegration:
 class TestMidStepFailure:
     """A kernel failure mid-step must not leave the trace unbalanced."""
 
-    def make(self, threaded):
-        wl = WORKLOADS["2d"]()
-        sim = Simulation(wl.spec, wl.lattice, wl.collision,
-                         viscosity=wl.viscosity, config=MODIFIED_BASELINE,
-                         threaded=threaded)
-        # The failure is injected by monkeypatching an engine kernel
-        # body, which only the re-dispatching interpreted backend can
-        # observe (compiled plans bind bodies at compile time); the
-        # compiled-path error contract is covered in test_backend.py.
-        from repro.backend import InterpretedBackend
-        sim.stepper.backend = InterpretedBackend()
-        return sim
-
     @pytest.mark.parametrize("threaded", [False, True])
     def test_partial_step_closed_on_error(self, threaded):
         from repro.obs.trace import chrome_trace, validate_trace
 
-        with self.make(threaded) as sim:
+        wl = WORKLOADS["2d"]()
+        with make_sim(wl, threaded, MODIFIED_BASELINE) as sim:
             rec = sim.enable_tracing()
             sim.run(1)
             clean = len(sim.runtime.last_step())
 
-            def boom(lv, *args, **kwargs):
-                raise RuntimeError("mid-step failure")
-
-            sim.engine._coalesce_values = boom
-            with pytest.raises(RuntimeError, match="mid-step failure"):
+            # the coarse level's coalescence: late in the step, behind
+            # multi-kernel waves
+            FaultInjector([Fault("kernel", step=2, level=0,
+                                 kernel="O")]).install(sim)
+            with pytest.raises(RuntimeError, match="injected kernel failure"):
                 sim.run(1)
             rt = sim.runtime
             # The partial step was closed: no record dangles beyond the
@@ -326,16 +248,5 @@ class TestMidStepFailure:
             problems = validate_trace(chrome_trace(rec), len(rt.records))
             assert problems == []
 
-            del sim.engine._coalesce_values  # un-patch
-            sim.run(1)
+            sim.run(1)  # the one-shot fault is spent
             assert len(sim.runtime.last_step()) == clean
-
-
-class TestBenchComparison:
-    def test_compare_serial_threaded_reports(self):
-        wl = WORKLOADS["2d"]()
-        cmp = compare_serial_threaded(wl, FUSED_FULL, steps=2, warmup=1)
-        assert cmp["bit_identical"]
-        assert cmp["serial_seconds"] > 0 and cmp["threaded_seconds"] > 0
-        assert cmp["workers"] >= 1 and cmp["cpu_count"] >= 1
-        assert cmp["threaded_flushes"] == 2

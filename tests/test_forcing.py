@@ -56,7 +56,8 @@ class TestPoiseuille:
         region = np.zeros((H, H), dtype=bool)
         region[:, :4] = True
         spec = RefinementSpec((H, H), [region], bc=PERIODIC_X)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=nu, force=(g, 0.0))
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=nu, force=(g, 0.0))
         sim.run(800)
         u_max = g * H * H / (8.0 * nu)
         for lv in range(2):
@@ -67,13 +68,15 @@ class TestPoiseuille:
 
     def test_force_scales_across_levels(self):
         spec = RefinementSpec((8, 8), wall_refinement((8, 8), 2, [2.0]))
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.1, force=(1e-4, 0.0))
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.1, force=(1e-4, 0.0))
         assert sim.engine.force[1][0] == pytest.approx(0.5e-4)
 
     def test_force_shape_validated(self):
         spec = RefinementSpec((8, 8))
         with pytest.raises(ValueError):
-            Simulation(spec, "D2Q9", "bgk", viscosity=0.1, force=(1e-4, 0, 0))
+            Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                   viscosity=0.1, force=(1e-4, 0, 0))
 
     def test_all_fusion_variants_identical_with_force(self):
         from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
@@ -83,8 +86,9 @@ class TestPoiseuille:
         spec = RefinementSpec((H, H), [region], bc=PERIODIC_X)
         ref = None
         for cfg in (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS):
-            sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.2,
-                             force=(1e-5, 0.0), config=cfg)
+            sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                         viscosity=0.2, force=(1e-5, 0.0),
+                                         fusion=cfg)
             sim.run(5)
             state = np.concatenate([b.f[:, :b.n_owned].ravel()
                                     for b in sim.engine.levels])
@@ -98,7 +102,8 @@ class TestReducedPrecision:
     def make(self, dtype):
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.06, 0.0))})
         spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05, dtype=dtype)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05, dtype=dtype)
         sim.run(30)
         return sim
 
@@ -122,7 +127,8 @@ class TestReducedPrecision:
     def test_invalid_dtype(self):
         spec = RefinementSpec((8, 8))
         with pytest.raises(ValueError):
-            Simulation(spec, "D2Q9", "bgk", viscosity=0.1, dtype=np.int32)
+            Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                   viscosity=0.1, dtype=np.int32)
 
     def test_fp32_stable(self):
         sim = self.make(np.float32)

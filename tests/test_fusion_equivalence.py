@@ -47,7 +47,9 @@ def test_all_variants_bitwise_identical(setup):
     spec, lattice, collision = setup()
     ref = None
     for cfg in ALL_CONFIGS:
-        sim = Simulation(spec, lattice, collision, viscosity=0.04, config=cfg)
+        sim = Simulation.from_config(spec, lattice=lattice,
+                                     collision=collision, viscosity=0.04,
+                                     fusion=cfg)
         sim.run(6)
         state = state_vector(sim)
         assert np.isfinite(state).all(), cfg.name
@@ -62,7 +64,9 @@ def test_kernel_count_reduction_matches_fig2():
     spec, lattice, collision = cavity_2d_three_levels()
     counts = {}
     for cfg in (MODIFIED_BASELINE, FUSED_FULL):
-        sim = Simulation(spec, lattice, collision, viscosity=0.04, config=cfg)
+        sim = Simulation.from_config(spec, lattice=lattice,
+                                     collision=collision, viscosity=0.04,
+                                     fusion=cfg)
         sim.run(1)
         counts[cfg.name] = sim.runtime.launches()
     ratio = counts["baseline-4b"] / counts["ours-4f"]
@@ -73,7 +77,9 @@ def test_launch_counts_strictly_ordered():
     spec, lattice, collision = cavity_2d()
     launches = []
     for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSE_CA, FUSED_FULL):
-        sim = Simulation(spec, lattice, collision, viscosity=0.04, config=cfg)
+        sim = Simulation.from_config(spec, lattice=lattice,
+                                     collision=collision, viscosity=0.04,
+                                     fusion=cfg)
         sim.run(1)
         launches.append(sim.runtime.launches())
     assert launches == sorted(launches, reverse=True)
@@ -82,7 +88,8 @@ def test_launch_counts_strictly_ordered():
 
 def test_fused_full_uses_case_kernel_on_finest_only():
     spec, lattice, collision = cavity_2d_three_levels()
-    sim = Simulation(spec, lattice, collision, viscosity=0.04, config=FUSED_FULL)
+    sim = Simulation.from_config(spec, lattice=lattice, collision=collision,
+                                 viscosity=0.04, fusion=FUSED_FULL)
     sim.run(1)
     case = [r for r in sim.runtime.records if r.name == "CASE"]
     assert case and all(r.level == 2 for r in case)
@@ -91,8 +98,8 @@ def test_fused_full_uses_case_kernel_on_finest_only():
 
 def test_original_baseline_uses_gather_accumulate_and_ghost_explosion():
     spec, lattice, collision = cavity_2d()
-    sim = Simulation(spec, lattice, collision, viscosity=0.04,
-                     config=ORIGINAL_BASELINE)
+    sim = Simulation.from_config(spec, lattice=lattice, collision=collision,
+                                 viscosity=0.04, fusion=ORIGINAL_BASELINE)
     sim.run(1)
     names = [r.name for r in sim.runtime.records]
     assert names.count("A") == 2      # gather per fine collision
@@ -103,8 +110,8 @@ def test_original_baseline_uses_gather_accumulate_and_ghost_explosion():
 
 def test_modified_baseline_accumulate_uses_atomics():
     spec, lattice, collision = cavity_2d()
-    sim = Simulation(spec, lattice, collision, viscosity=0.04,
-                     config=MODIFIED_BASELINE)
+    sim = Simulation.from_config(spec, lattice=lattice, collision=collision,
+                                 viscosity=0.04, fusion=MODIFIED_BASELINE)
     sim.run(1)
     a_recs = [r for r in sim.runtime.records if r.name == "A"]
     assert a_recs and all(r.atomic_bytes > 0 for r in a_recs)
@@ -114,7 +121,9 @@ def test_bytes_per_step_decrease_with_fusion():
     spec, lattice, collision = cavity_2d_three_levels()
     totals = {}
     for cfg in (MODIFIED_BASELINE, FUSED_FULL):
-        sim = Simulation(spec, lattice, collision, viscosity=0.04, config=cfg)
+        sim = Simulation.from_config(spec, lattice=lattice,
+                                     collision=collision, viscosity=0.04,
+                                     fusion=cfg)
         sim.run(2)
         totals[cfg.name] = sim.runtime.total_bytes()
     assert totals["ours-4f"] < 0.8 * totals["baseline-4b"]
@@ -142,8 +151,10 @@ class TestFusionConfigValidation:
 def test_uniform_grid_supports_fused_cs():
     # single-level grids accept the CASE path too (plain fused collide-stream)
     spec = RefinementSpec((12, 12))
-    a = Simulation(spec, "D2Q9", "bgk", viscosity=0.04, config=MODIFIED_BASELINE)
-    b = Simulation(spec, "D2Q9", "bgk", viscosity=0.04, config=FUSED_FULL)
+    a = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                               viscosity=0.04, fusion=MODIFIED_BASELINE)
+    b = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                               viscosity=0.04, fusion=FUSED_FULL)
     for sim in (a, b):
         sim.initialize(u=lambda c: 0.01 * np.stack([np.sin(2 * np.pi * c[:, 1] / 12),
                                                     np.cos(2 * np.pi * c[:, 0] / 12)]))

@@ -31,8 +31,9 @@ MATRIX = [
 @pytest.mark.parametrize("lattice,collision", MATRIX)
 def test_lattice_collision_matrix(lattice, collision):
     d = 2 if lattice == "D2Q9" else 3
-    sim = Simulation(cavity_spec(d, base=12 if d == 3 else 16),
-                     lattice, collision, viscosity=0.05)
+    sim = Simulation.from_config(cavity_spec(d, base=12 if d == 3 else 16),
+                                 lattice=lattice, collision=collision,
+                                 viscosity=0.05)
     m0 = sim.engine.total_mass()
     sim.run(4)
     assert sim.is_stable()
@@ -46,7 +47,9 @@ def test_variant_equivalence_holds_for_every_collision(lattice, collision):
     spec = cavity_spec(d, base=12 if d == 3 else 16)
     states = []
     for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
-        sim = Simulation(spec, lattice, collision, viscosity=0.05, config=cfg)
+        sim = Simulation.from_config(spec, lattice=lattice,
+                                     collision=collision, viscosity=0.05,
+                                     fusion=cfg)
         sim.run(3)
         states.append(np.concatenate([b.f[:, :b.n_owned].ravel()
                                       for b in sim.engine.levels]))
@@ -59,7 +62,8 @@ def test_four_level_stack():
     spec = cavity_spec(2, base=24, levels=2)
     regions = wall_refinement((24, 24), 4, [9.0, 4.0, 1.6])
     spec = dataclasses.replace(spec, refine_regions=regions)
-    sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+    sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                 viscosity=0.05)
     assert sim.num_levels == 4
     sim.run(2)
     assert sim.is_stable()
@@ -72,12 +76,14 @@ def test_four_level_stack():
 def test_block_size_invariance(block_size):
     """Physics must not depend on the memory-block size (Section V-B)."""
     spec = dataclasses.replace(cavity_spec(2), block_size=block_size)
-    sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+    sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                 viscosity=0.05)
     sim.run(5)
     rho, u = sim.macroscopics(1)
     key = (float(rho.sum()), float(np.abs(u).sum()))
     spec4 = dataclasses.replace(cavity_spec(2), block_size=4)
-    ref = Simulation(spec4, "D2Q9", "bgk", viscosity=0.05)
+    ref = Simulation.from_config(spec4, lattice="D2Q9", collision="bgk",
+                                 viscosity=0.05)
     ref.run(5)
     rho_r, u_r = ref.macroscopics(1)
     assert key[0] == pytest.approx(float(rho_r.sum()), rel=1e-12)
@@ -88,14 +94,16 @@ def test_block_size_invariance(block_size):
 def test_curve_invariance(curve):
     """Physics must not depend on the block ordering (Section V-A)."""
     spec = dataclasses.replace(cavity_spec(2), curve=curve)
-    sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+    sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                 viscosity=0.05)
     sim.run(5)
     rho, _ = sim.macroscopics(0)
     assert rho.sum() == pytest.approx(sim.mgrid.levels[0].n_owned, rel=1e-3)
     pos = sim.positions(0)
     order = np.lexsort(pos.T)
     spec_ref = dataclasses.replace(cavity_spec(2), curve="morton")
-    ref = Simulation(spec_ref, "D2Q9", "bgk", viscosity=0.05)
+    ref = Simulation.from_config(spec_ref, lattice="D2Q9", collision="bgk",
+                                 viscosity=0.05)
     ref.run(5)
     rho_ref, _ = ref.macroscopics(0)
     order_ref = np.lexsort(ref.positions(0).T)
@@ -111,7 +119,8 @@ def test_mixed_bc_wind_tunnel_with_slip_walls():
     region = np.zeros((16, 8, 8), dtype=bool)
     region[4:10, 2:6, 2:6] = True
     spec = RefinementSpec((16, 8, 8), [region], bc=bc)
-    sim = Simulation(spec, "D3Q19", "bgk", viscosity=0.03)
+    sim = Simulation.from_config(spec, lattice="D3Q19", collision="bgk",
+                                 viscosity=0.03)
     sim.initialize(u=np.array([0.04, 0.0, 0.0]))
     sim.run(2)
     assert sim.is_stable()
@@ -129,7 +138,8 @@ def test_mixed_bc_wind_tunnel_with_slip_walls():
 
 
 def test_long_run_remains_bounded():
-    sim = Simulation(cavity_spec(2), "D2Q9", "bgk", viscosity=0.02)
+    sim = Simulation.from_config(cavity_spec(2), lattice="D2Q9",
+                                 collision="bgk", viscosity=0.02)
     sim.run(300)
     assert sim.is_stable()
     assert sim.max_velocity() < 0.15

@@ -9,7 +9,7 @@ The contract under test extends the backend-parity one
 * a **dead worker** surfaces as a structured :class:`MpWorkerError`
   carrying the mid-step error contract (``kernel_span``), the pool
   respawns lazily, and :class:`ResilientRunner` rides the failure to a
-  bit-identical finish (rollback-retry, then the mp → threaded ladder
+  bit-identical finish (rollback-retry, then the mp → serial ladder
   rung when strikes accumulate);
 * ``$REPRO_BACKEND=mp`` selects the backend ambiently in a fresh
   process, exactly like the compiled backends (the spawn-mode smoke the
@@ -164,7 +164,7 @@ class TestResilience:
             assert runner.mode == "mp"
             assert_bit_identical(expect, states(runner.sim))
 
-    def test_repeated_worker_failures_degrade_to_threaded(self):
+    def test_repeated_worker_failures_degrade_to_serial(self):
         runner = ResilientRunner(
             cavity_spec(), mp_config(),
             policy=RetryPolicy(checkpoint_every=2, max_retries=5,
@@ -175,8 +175,9 @@ class TestResilience:
 
             runner.sim.backend.step = doomed_step
             report = runner.run(2).report
-            assert [d["rung"] for d in report.degradations] == ["threaded"]
-            assert runner.mode == "threaded"
+            assert [d["rung"] for d in report.degradations] == ["serial"]
+            assert runner.mode == "serial"
+            assert runner.sim.backend.name == "compiled"
             assert report.final_step == 2
             assert report.outcome == "degraded"
 

@@ -90,8 +90,9 @@ class TestDependencyGraph:
         assert g.number_of_edges() == 0
 
     def test_acyclic(self):
-        sim = Simulation(RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0])),
-                         "D2Q9", "bgk", viscosity=0.05, config=MODIFIED_BASELINE)
+        sim = Simulation.from_config(RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0])),
+                                     lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05, fusion=MODIFIED_BASELINE)
         sim.run(2)
         g = build_dependency_graph(sim.runtime.records, reduce=False)
         assert nx.is_directed_acyclic_graph(g)
@@ -264,7 +265,8 @@ class TestGoldenKernelCounts:
                               wall_refinement(self.SPEC["base"],
                                               self.SPEC["levels"],
                                               self.SPEC["widths"]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05, config=config)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05, fusion=config)
         sim.run(2)
         return sim.runtime.last_step()
 
@@ -297,7 +299,8 @@ class TestStepGraphs:
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
         spec = RefinementSpec((24, 24), wall_refinement((24, 24), 3, [7.0, 2.0]),
                               bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05, config=config)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05, fusion=config)
         sim.run(2)
         return build_dependency_graph(sim.runtime.last_step(), reduce=False)
 

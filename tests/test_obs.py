@@ -22,8 +22,10 @@ from repro.obs.cli import main as obs_main
 
 def small_sim(config=FUSED_FULL, runtime=None):
     wl = lid_cavity(base=(20, 20), num_levels=2, lattice="D2Q9")
-    return Simulation(wl.spec, wl.lattice, wl.collision,
-                      viscosity=wl.viscosity, config=config, runtime=runtime)
+    return Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                  collision=wl.collision,
+                                  viscosity=wl.viscosity, fusion=config,
+                                  runtime=runtime)
 
 
 def golden_sim(config):
@@ -31,7 +33,8 @@ def golden_sim(config):
     base = (24, 24)
     bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
     spec = RefinementSpec(base, wall_refinement(base, 3, [7.0, 2.0]), bc=bc)
-    return Simulation(spec, "D2Q9", "bgk", viscosity=0.05, config=config)
+    return Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                  viscosity=0.05, fusion=config)
 
 
 class TestMetricsRegistry:

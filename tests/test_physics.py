@@ -28,7 +28,8 @@ def tg_sim(L, refined, nu=0.02, u0=0.02):
         region[5 * q:11 * q, 5 * q:11 * q] = True
         regions = [region]
     spec = RefinementSpec((L, L), regions, bc=PERIODIC_2D)
-    sim = Simulation(spec, "D2Q9", "bgk", viscosity=nu)
+    sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                 viscosity=nu)
     sim.initialize(u=lambda c: taylor_green_2d(c, 0.0, nu, u0, (L, L)))
     return sim
 
@@ -97,7 +98,8 @@ class TestUniformFlowExactness:
 
     def test_rest_state_fixed_point(self):
         spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]))
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05)
         f0 = [b.f[:, :b.n_owned].copy() for b in sim.engine.levels]
         sim.run(4)
         for buf, ref in zip(sim.engine.levels, f0):
@@ -107,7 +109,8 @@ class TestUniformFlowExactness:
         region = np.zeros((16, 16), dtype=bool)
         region[5:11, 5:11] = True
         spec = RefinementSpec((16, 16), [region], bc=PERIODIC_2D)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05)
         sim.initialize(u=np.array([0.02, 0.01]))
         sim.run(8)
         for lv in range(2):
@@ -124,7 +127,8 @@ class TestCouette:
         region = np.zeros((H, H), dtype=bool)
         region[:, :4] = True  # refine the lower part of the channel
         spec = RefinementSpec((H, H), [region], bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=nu)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=nu)
         sim.run(steps)
         return sim
 
@@ -148,7 +152,8 @@ class TestConservation:
     def test_single_level_mass_exact(self):
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
         spec = RefinementSpec((16, 16), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05)
         m0 = sim.engine.total_mass()
         sim.run(50)
         assert sim.engine.total_mass() == pytest.approx(m0, rel=1e-12)
@@ -156,7 +161,8 @@ class TestConservation:
     def test_multi_level_mass_drift_small(self):
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
         spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05)
         m0 = sim.engine.total_mass()
         sim.run(50)
         drift = abs(sim.engine.total_mass() - m0) / m0
@@ -166,7 +172,8 @@ class TestConservation:
         region = np.zeros((16, 16), dtype=bool)
         region[5:11, 5:11] = True
         spec = RefinementSpec((16, 16), [region], bc=PERIODIC_2D)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.05)
         sim.initialize(u=lambda c: taylor_green_2d(c, 0.0, 0.05, 0.02, (16, 16)))
         m0 = sim.engine.total_mass()
         sim.run(50)
@@ -177,7 +184,8 @@ class TestStability:
     def test_cavity_stays_stable_and_bounded(self):
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.08, 0.0))})
         spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.02)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=0.02)
         sim.run(150)
         assert sim.is_stable()
         assert sim.max_velocity() < 0.2  # bounded by the lid speed scale
@@ -185,6 +193,8 @@ class TestStability:
     def test_kbc_stable_at_low_viscosity_3d(self):
         from repro.bench.workloads import sphere_tunnel
         wl = sphere_tunnel(scale=0.125)
-        sim = Simulation(wl.spec, wl.lattice, wl.collision, viscosity=wl.viscosity)
+        sim = Simulation.from_config(wl.spec, lattice=wl.lattice,
+                                     collision=wl.collision,
+                                     viscosity=wl.viscosity)
         sim.run(10)
         assert sim.is_stable()

@@ -165,8 +165,9 @@ def test_any_config_any_steps_mass_bounded(config_name, steps):
 
     bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
     spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-    sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                     config=get_config(config_name))
+    sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                 viscosity=0.05,
+                                 fusion=get_config(config_name))
     m0 = sim.engine.total_mass()
     sim.run(steps)
     assert sim.is_stable()

@@ -83,7 +83,8 @@ class TestCrossValidation:
         from repro.grid.geometry import wall_refinement
         bc = DomainBC({"y+": FaceBC("moving", velocity=lid)})
         spec = RefinementSpec((H, H), wall_refinement((H, H), 2, [3.0]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=nu)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     viscosity=nu)
         steps = 120
         sim.run(steps)
 
@@ -103,7 +104,8 @@ class TestCrossValidation:
         # machine precision
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
         spec = RefinementSpec((10, 10), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", omega0=1.25)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     omega0=1.25)
         sim.run(20)
         dense = DenseLBM(D2Q9, (10, 10), omega=1.25, bc=bc)
         dense.run(20)
@@ -117,7 +119,8 @@ class TestCrossValidation:
         bc = DomainBC({"x-": FaceBC("inlet", velocity=(0.04, 0.0)),
                        "x+": FaceBC("outflow")})
         spec = RefinementSpec((12, 10), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", omega0=1.1)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     omega0=1.1)
         sim.run(15)
         dense = DenseLBM(D2Q9, (12, 10), omega=1.1, bc=bc)
         dense.run(15)

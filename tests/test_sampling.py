@@ -15,7 +15,8 @@ from repro.io.tables import format_table
 def sim():
     bc = DomainBC({"y+": FaceBC("moving", velocity=(0.06, 0.0))})
     spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-    s = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+    s = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                               viscosity=0.05)
     s.run(30)
     return s
 
@@ -54,7 +55,8 @@ class TestComposite:
         base = (16, 16)
         spec = RefinementSpec(base, shell_refinement(sphere, base, 2, [4.0]),
                               solid=voxelize(sphere, (32, 32), 1))
-        s = Simulation(spec, "D2Q9", "bgk", viscosity=0.05)
+        s = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                   viscosity=0.05)
         rho, _ = composite_fields(s)
         assert np.isnan(rho[16, 16])       # sphere centre
         assert not np.isnan(rho[2, 2])     # far-field fluid

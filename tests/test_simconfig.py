@@ -1,11 +1,10 @@
-"""SimConfig: validation, replace semantics, and the legacy-kwargs shim."""
+"""SimConfig: validation, replace semantics, and construction from it."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-import repro.core.simulation as sim_mod
 from repro import FUSED_FULL, SimConfig, Simulation, get_config
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
@@ -39,6 +38,14 @@ class TestValidation:
     def test_max_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="max_workers"):
             SimConfig(viscosity=0.05, max_workers=0)
+
+    def test_mp_backend_cannot_be_threaded(self):
+        # It used to construct, count a fallback on every step and still
+        # report mode == "mp".
+        with pytest.raises(ValueError, match="threaded"):
+            SimConfig(viscosity=0.05, backend="mp", threaded=True)
+        with pytest.raises(ValueError, match="threaded"):
+            SimConfig(viscosity=0.05, backend="mp").replace(threaded=True)
 
     def test_force_normalized_to_tuple(self):
         cfg = SimConfig(viscosity=0.05, force=np.array([1e-5, 0.0, 0.0]))
@@ -75,17 +82,10 @@ class TestReplace:
 
 
 class TestShim:
-    def test_legacy_kwargs_warn_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "_legacy_warned", False)
-        spec = cavity_spec()
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                             threaded=False)
-        sim.close()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second build must stay silent
-            Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                       threaded=False).close()
+    def test_legacy_kwargs_rejected(self):
+        # The constructor takes (spec, config, runtime=None) only.
+        with pytest.raises(TypeError):
+            Simulation(cavity_spec(), "D2Q9", "bgk", viscosity=0.05)
 
     def test_from_config_never_warns(self):
         with warnings.catch_warnings():
@@ -95,14 +95,17 @@ class TestShim:
                                          threaded=False))
         sim.close()
 
-    def test_legacy_and_config_paths_are_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "_legacy_warned", True)
+    def test_legacy_and_config_paths_are_bit_identical(self):
+        # What legacy keyword callers migrated to — from_config building
+        # the config from bare keywords — against an explicit SimConfig.
         spec = cavity_spec()
-        legacy = Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                            config=FUSED_FULL, threaded=False)
+        legacy = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                        viscosity=0.05, fusion=FUSED_FULL,
+                                        threaded=False)
         modern = Simulation.from_config(
             spec, SimConfig(lattice="D2Q9", collision="bgk", viscosity=0.05,
                             fusion=FUSED_FULL, threaded=False))
+        assert legacy.sim_config == modern.sim_config
         legacy.run(5)
         modern.run(5)
         for a, b in zip(legacy.engine.levels, modern.engine.levels):

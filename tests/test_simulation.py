@@ -17,46 +17,53 @@ def spec_2d():
 class TestConstruction:
     def test_exactly_one_relaxation_spec(self):
         with pytest.raises(ValueError):
-            Simulation(spec_2d(), "D2Q9", "bgk")
+            Simulation.from_config(spec_2d(), lattice="D2Q9", collision="bgk")
         with pytest.raises(ValueError):
-            Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1, omega0=1.0)
+            Simulation.from_config(spec_2d(), lattice="D2Q9", collision="bgk",
+                                   viscosity=0.1, omega0=1.0)
 
     def test_lattice_by_name_or_object(self):
         from repro.core.lattice import D2Q9
-        a = Simulation(spec_2d(), "d2q9", "bgk", viscosity=0.1)
-        b = Simulation(spec_2d(), D2Q9, "bgk", viscosity=0.1)
+        a = Simulation.from_config(spec_2d(), lattice="d2q9", collision="bgk",
+                                   viscosity=0.1)
+        b = Simulation.from_config(spec_2d(), lattice=D2Q9, collision="bgk",
+                                   viscosity=0.1)
         assert a.lattice is b.lattice
 
     def test_collision_object(self):
         from repro.core.collision import BGK
         from repro.core.lattice import D2Q9
-        sim = Simulation(spec_2d(), "D2Q9", BGK(D2Q9), viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision=BGK(D2Q9), viscosity=0.1)
         assert sim.engine.collision.name == "BGK"
 
     def test_collision_lattice_mismatch(self):
         from repro.core.collision import BGK
         from repro.core.lattice import D3Q19
         with pytest.raises(ValueError):
-            Simulation(spec_2d(), "D2Q9", BGK(D3Q19), viscosity=0.1)
+            Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                   collision=BGK(D3Q19), viscosity=0.1)
 
     def test_default_config_is_fused(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         assert sim.stepper.config is FUSED_FULL
 
 
 class TestRun:
     def test_step_counting(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         sim.run(3)
         sim.step()
         assert sim.steps_done == 4
 
     def test_run_returns_structured_result(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         res = sim.run(2)
         assert res.steps == 2 and res.final_step == 2
         assert res.seconds > 0
-        assert float(res) == res.seconds  # numeric shim for old callers
         assert sim.elapsed >= res.seconds
         assert res.backend == sim.backend.name
         assert res.mode == sim.mode
@@ -66,13 +73,15 @@ class TestRun:
         assert d["steps"] == 2 and d["report"] is None
 
     def test_callback_cadence(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         hits = []
         sim.run(6, callback=lambda s: hits.append(s.steps_done), callback_every=2)
         assert hits == [2, 4, 6]
 
     def test_initialize_resets(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         sim.run(3)
         sim.initialize()
         assert sim.steps_done == 0 and sim.elapsed == 0.0
@@ -81,7 +90,8 @@ class TestRun:
 
 class TestObservables:
     def test_wallclock_mlups(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         sim.run(5)
         m = sim.wallclock_mlups()
         expected_updates = sum(v * 2 ** lv for lv, v in
@@ -89,17 +99,20 @@ class TestObservables:
         assert m == pytest.approx(expected_updates / (sim.elapsed * 1e6))
 
     def test_is_stable_detects_nan(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         assert sim.is_stable()
         sim.engine.levels[0].f[0, 0] = np.nan
         assert not sim.is_stable()
 
     def test_max_velocity_at_rest(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         assert sim.max_velocity() == pytest.approx(0.0, abs=1e-12)
 
     def test_positions_in_level_units(self):
-        sim = Simulation(spec_2d(), "D2Q9", "bgk", viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
         # the fine level hugs the walls, so it reaches the box edge (31 at
         # fine resolution); the coarse level owns only the interior
         assert sim.positions(1).max() == 31
@@ -132,11 +145,16 @@ class TestCloseIdempotency:
         sim.close()  # regression: second close must be a no-op
 
     def test_double_close_threaded(self):
-        sim = self._sim(threaded=True)
+        from repro.core.fusion import MODIFIED_BASELINE
+        # The unfused baseline has multi-kernel waves, so the backend's
+        # pool really starts threads for close() to release.
+        sim = self._sim(threaded=True, fusion=MODIFIED_BASELINE)
         sim.run(1)
+        assert sim.backend.pool._pool is not None
         sim.close()
         sim.close()
-        assert sim.executor is None
+        assert sim.backend.pool._pool is None
+        assert sim.mode == "threaded"  # fixed at construction
 
     def test_double_close_mp(self):
         sim = self._sim(backend="mp", mp_workers=2, threaded=False)
@@ -155,7 +173,7 @@ class TestCloseIdempotency:
         assert sim.steps_done == 2
 
     def test_close_on_partially_built_simulation(self):
-        # A simulation whose _build failed must still close() cleanly
+        # A simulation whose __init__ failed must still close() cleanly
         # from a caller's finally path.
         sim = Simulation.__new__(Simulation)
         sim.close()

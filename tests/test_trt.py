@@ -67,7 +67,8 @@ class TestTRTPhysics:
         errs = {}
         for model in ("bgk", "trt"):
             spec = RefinementSpec((H, H), bc=PERIODIC_X)
-            sim = Simulation(spec, "D2Q9", model, viscosity=nu, force=(g, 0.0))
+            sim = Simulation.from_config(spec, lattice="D2Q9", collision=model,
+                                         viscosity=nu, force=(g, 0.0))
             sim.run(3000)
             _, u = sim.macroscopics(0)
             y = sim.positions(0)[:, 1] + 0.5
@@ -81,7 +82,8 @@ class TestTRTPhysics:
         from repro.grid.geometry import wall_refinement
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.08, 0.0))})
         spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "trt", viscosity=0.02)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="trt",
+                                     viscosity=0.02)
         sim.run(60)
         assert sim.is_stable()
 
@@ -92,7 +94,8 @@ class TestTRTPhysics:
         spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
         ref = None
         for cfg in (ABLATION_CONFIGS[0], ABLATION_CONFIGS[-1]):
-            sim = Simulation(spec, "D2Q9", "trt", viscosity=0.05, config=cfg)
+            sim = Simulation.from_config(spec, lattice="D2Q9", collision="trt",
+                                         viscosity=0.05, fusion=cfg)
             sim.run(5)
             state = np.concatenate([b.f[:, :b.n_owned].ravel()
                                     for b in sim.engine.levels])
