@@ -15,18 +15,21 @@ Compilation of one coarse step runs in four stages:
    :class:`~repro.backend.base.PlanAdmissionError` — an inadmissible
    plan is never executed.
 3. **Pre-resolution** — every field view and index map the kernel
-   bodies need is resolved once: bulk pulls, boundary patches,
-   explosion/coalescence maps and the accumulate scatter are flattened
-   to precomputed 1-D index arrays over contiguous buffer views, so a
-   replayed body is a handful of ``take``/fancy-index calls instead of
-   per-``q`` Python loops.  Adjacent elementwise expressions of the
+   bodies need is resolved once: boundary patches, explosion/coalescence
+   maps and the accumulate scatter are flattened to precomputed 1-D
+   index arrays over contiguous buffer views, so a replayed body is a
+   handful of ``take``/fancy-index calls instead of per-``q`` Python
+   loops.  The bulk pull is one ``take`` per population row straight
+   into ``f``, its bounds check hoisted here: the index rows are proven
+   inside ``[0, n_used)`` once and frozen read-only, so a replay gathers
+   unchecked and unbuffered.  Adjacent elementwise expressions of the
    fused CA/SE/SO/CASE kernels become a single pre-bound closure whose
    sub-expressions share those resolved operands.
-4. **Scratch allocation** — temporaries (the fine-ghost stream gather,
-   AA-dropped double buffers) are packed into slabs by the
-   ``gpu/memory.py`` buffer arena (:func:`arena_assign`), and the
-   assignment is re-checked with :func:`arena_check` before any slab is
-   materialised.
+4. **Scratch allocation** — AA-dropped double buffers are packed into
+   slabs by the ``gpu/memory.py`` buffer arena (:func:`arena_assign`),
+   and the assignment is re-checked with :func:`arena_check` before any
+   slab is materialised.  No body touches memory its record does not
+   declare.
 
 Every closure reproduces the interpreted kernel body's NumPy operations
 in the same order on the same operands, so compiled execution is
@@ -55,9 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["admit_stream", "compile_plan", "prove_plan_legality"]
 
 KernelBody = Callable[[], None]
-
-#: Kernel names whose body contains the bulk streaming gather.
-_STREAM_NAMES = ("S", "SE", "SO", "SEO", "CASE")
 
 
 def prove_plan_legality(stepper: "NonUniformStepper",
@@ -164,6 +164,7 @@ class _Level:
     def __init__(self, engine: Any, lv: int,
                  fstar_store: np.ndarray | None) -> None:
         buf = engine.levels[lv]
+        self.lv = lv
         self.buf = buf
         self.Q = engine.lat.q
         self.n = buf.n_owned
@@ -189,9 +190,24 @@ class _Level:
             self._maps[key] = got
         return got
 
-    def pull_flat(self) -> np.ndarray:
-        return self.map("pull", lambda: np.ascontiguousarray(
-            (self.qoff + self.buf.pull_rows).reshape(-1)))
+    def pull_rows(self) -> np.ndarray:
+        """The bulk-pull index rows, bounds-proven and frozen.
+
+        The stream body gathers with ``mode="clip"`` (NumPy buffers an
+        ``out=`` gather it may have to abandon with an ``IndexError``),
+        so the check a replay skips is made here, once; freezing the
+        array keeps it true.
+        """
+        def make() -> np.ndarray:
+            rows = self.buf.pull_rows
+            if rows.size and (rows.min() < 0 or rows.max() >= self.n_used):
+                raise PlanAdmissionError(
+                    [f"level {self.lv}: bulk pull rows leave "
+                     f"[0, {self.n_used}): min {rows.min()}, "
+                     f"max {rows.max()}"])
+            rows.setflags(write=False)
+            return rows
+        return self.map("pull", make)
 
     def patches(self) -> tuple:
         """Boundary-patch scatter maps, in interpreted apply order."""
@@ -228,28 +244,14 @@ class _PlanBuilder:
     def _scratch_requests(self) -> list[BufferLifetime]:
         """Scratch the plan needs, as arena lifetime requests.
 
-        AA-dropped double buffers live for the whole step (they are the
-        CASE register file between collide and stream); the fine-ghost
-        stream gather staging is live for exactly its own record, so the
-        arena can fold every staging buffer onto one slab.
+        AA-dropped double buffers live for the whole step: they are the
+        CASE register file between collide and stream.
         """
-        reqs: list[BufferLifetime] = []
         last = len(self.records) - 1
-        Q = self.engine.lat.q
-        for lv in sorted(self.dropped_levels):
-            buf = self.engine.levels[lv]
-            reqs.append(BufferLifetime(
-                name=f"plan:fstar@{lv}",
-                nbytes=Q * buf.n_used * self.itemsize, first=0, last=last))
-        for i, rec in enumerate(self.records):
-            if rec.name in _STREAM_NAMES:
-                buf = self.engine.levels[rec.level]
-                if buf.n_owned < buf.n_used:
-                    reqs.append(BufferLifetime(
-                        name=f"plan:stream@{rec.level}#{i}",
-                        nbytes=Q * buf.n_owned * self.itemsize,
-                        first=i, last=i))
-        return reqs
+        row_bytes = self.engine.lat.q * self.itemsize
+        return [BufferLifetime(name=f"plan:fstar@{lv}", first=0, last=last,
+                               nbytes=row_bytes * self.engine.levels[lv].n_used)
+                for lv in sorted(self.dropped_levels)]
 
     def _allocate(self) -> tuple[list[BufferLifetime], int]:
         lifetimes = arena_assign(self._scratch_requests())
@@ -327,28 +329,20 @@ class _PlanBuilder:
                                      minlength=minlength)
         return body
 
-    def _make_stream(self, i: int, lv: int, *, do_exp: bool, do_coal: bool,
+    def _make_stream(self, lv: int, *, do_exp: bool, do_coal: bool,
                      from_ghost: bool) -> KernelBody:
         L = self._level(lv)
         take = np.take
-        pull_flat = L.pull_flat()
+        rows = L.pull_rows()
+        pulls = [(L.fstar[q], rows[q], L.f_view[q]) for q in range(L.Q)]
         bb, mov, out, sl = L.patches()
         f_flat, fstar_flat = L.f_flat, L.fstar_flat
-        if L.n == L.n_used:
-            stage = None
-        else:  # gather staged through the arena, then one strided copy
-            stage = self._scratch[f"plan:stream@{lv}#{i}"]
-        stage2d = stage.reshape(L.Q, L.n) if stage is not None else None
-        f_view = L.f_view
         exp = self._make_explode(lv, from_ghost) if do_exp else None
         coal = self._make_coalesce(lv) if do_coal else None
 
         def body() -> None:
-            if stage is None:
-                take(fstar_flat, pull_flat, out=f_flat)
-            else:
-                take(fstar_flat, pull_flat, out=stage)
-                f_view[:] = stage2d
+            for src, idx, dst in pulls:
+                take(src, idx, out=dst, mode="clip")
             # boundary patches, in the interpreted order: the patch sets
             # may overlap at a (q, cell) and last-write-wins must hold
             if bb is not None:
@@ -413,11 +407,11 @@ class _PlanBuilder:
             fstar_flat[dst] = coarse_flat[src]
         return body
 
-    def _make_case(self, i: int, lv: int) -> KernelBody:
+    def _make_case(self, lv: int) -> KernelBody:
         """The fully fused CASE substep as one pre-bound closure."""
         collide = self._make_collide(lv, with_accumulate=False)
         acc = self._make_accumulate(lv) if lv > 0 else None
-        stream = self._make_stream(i, lv, do_exp=False, do_coal=False,
+        stream = self._make_stream(lv, do_exp=False, do_coal=False,
                                    from_ghost=False)
         exp = self._make_explode(lv, from_ghost=False) if lv > 0 else None
 
@@ -449,12 +443,12 @@ class _PlanBuilder:
                 body = self._make_explode(lv, from_ghost=original)
             elif name in ("S", "SE", "SO", "SEO"):
                 body = self._make_stream(
-                    i, lv, do_exp=name in ("SE", "SEO"),
+                    lv, do_exp=name in ("SE", "SEO"),
                     do_coal=name in ("SO", "SEO"), from_ghost=original)
             elif name == "O":
                 body = self._make_coalesce(lv)
             elif name == "CASE":
-                body = self._make_case(i, lv)
+                body = self._make_case(lv)
             else:
                 raise PlanAdmissionError(
                     [f"no compiled body for kernel {name!r} "

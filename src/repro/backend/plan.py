@@ -16,12 +16,11 @@ one never changes which code executes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..neon.graph import schedule_records
-from ..neon.runtime import FieldRef, KernelRecord
+from ..neon.runtime import KernelRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu.memory import BufferLifetime
@@ -79,17 +78,8 @@ class StepPlan:
         cold start never pay for it.
         """
         if self._waves is None:
-            # A stream body stages its gather in arena scratch its record
-            # does not declare; the arena folds those single-record
-            # lifetimes onto shared slabs, so kernels leased the same
-            # slab must not share a wave.
-            slab = {lt.first: lt.slab for lt in self.arena
-                    if lt.first == lt.last}
-            records = [
-                rec if i not in slab else replace(
-                    rec, writes=rec.writes + (FieldRef("arena", slab[i]),))
-                for i, rec in enumerate(self.records)]
-            self._waves = tuple(tuple(w) for w in schedule_records(records))
+            self._waves = tuple(
+                tuple(w) for w in schedule_records(self.records))
         return self._waves
 
     def execute(self, rt: "Runtime", pool: Any = None) -> None:

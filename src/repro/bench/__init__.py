@@ -1,15 +1,11 @@
 """Benchmark harness: workloads, measurement, trace extrapolation,
 perf-trajectory history (``BENCH_HISTORY.jsonl``) and its regression
-gate (``python -m repro.bench.history --check``)."""
+gate (``python -m repro history --check``)."""
 
 from .harness import Measurement, full_scale_mlups, measure
 from .model import level_factors, scale_trace
 from .workloads import (TABLE1_DISTRIBUTIONS, TABLE1_SIZES, Workload,
                         airplane_geometry, airplane_tunnel, lid_cavity, sphere_tunnel)
-
-# repro.bench.history is deliberately *not* imported here: it is run as
-# ``python -m repro.bench.history`` and an eager package import would
-# shadow the module execution (runpy's double-import warning).
 
 __all__ = ["Measurement", "full_scale_mlups", "measure",
            "level_factors", "scale_trace",

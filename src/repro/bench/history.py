@@ -22,7 +22,7 @@ previous ``window`` values, the threshold is ``k`` times the scaled
 **median absolute deviation** of those values (with a relative noise
 floor), and a deviation must *also* exceed ``min_ratio`` to be reported
 at all.  Findings worse than ``fail_ratio`` are severity ``fail`` and
-gate the exit status of ``python -m repro.bench.history --check``;
+gate the exit status of ``python -m repro history --check``;
 milder findings are ``warn`` and informational (shared CI hosts are
 noisy), unless ``--strict``.
 """
@@ -442,7 +442,7 @@ def _print_report(report: RegressionReport, out) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.history",
+        prog="python -m repro history",
         description="Benchmark-trajectory tools: inspect BENCH_HISTORY.jsonl "
                     "and gate on noise-aware regression detection.")
     parser.add_argument("--path", default=None,
@@ -497,10 +497,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.strict and report.warnings:
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m
-    import sys
-    print("note: 'python -m repro.bench.history' is deprecated; use "
-          "'python -m repro history'", file=sys.stderr)
-    raise SystemExit(main())

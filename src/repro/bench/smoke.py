@@ -1,4 +1,4 @@
-"""``python -m repro.bench.smoke`` — the quick benchmark pass CI tracks.
+"""``python -m repro bench`` — the quick benchmark pass CI tracks.
 
 One small lid-cavity measurement per direction-setting fusion config
 (the original baseline, the modified baseline and the full fusion),
@@ -23,10 +23,11 @@ A second leg (:func:`run_mp_smoke`, skippable with ``--skip-mp``)
 measures the process-parallel mp backend against thread-wave replay of
 the same plan on a larger cavity and appends its own ``smoke_mp``
 history record, salted with ``backend="mp"`` so the series keeps a
-separate baseline.
-On hosts with two or more cores the mp leg gates on
-``$REPRO_SMOKE_MP_MIN_SPEEDUP`` (default 1.3×); everywhere it gates on
-the pool actually being used (zero counted fallback steps).
+separate baseline.  The leg prints the mp-over-threaded ratio and gates
+only on the pool actually being used (zero counted fallback steps):
+whether processes beat threads is a property of the host's cores, and
+the ledger's ``backend.mp_step_p50_s`` against
+``backend.replay_step_p50_s`` is where that comparison is read.
 
 Runs in seconds and needs nothing beyond the package itself, which is
 what ``make bench-check`` and the ``perf-observatory`` CI job want.
@@ -39,7 +40,7 @@ import os
 from typing import Sequence
 
 __all__ = ["SMOKE_CONFIGS", "MP_SMOKE_CONFIG", "DEFAULT_MIN_SPEEDUP",
-           "DEFAULT_MP_MIN_SPEEDUP", "run_smoke", "run_mp_smoke", "main"]
+           "run_smoke", "run_mp_smoke", "main"]
 
 #: Config names measured by the smoke pass — the endpoints of Fig. 9's
 #: ablation (both baselines and the full fusion), enough to catch a
@@ -54,12 +55,6 @@ DEFAULT_MIN_SPEEDUP = 1.3
 #: config keeps the leg fast — the bit-identity of the others is the
 #: test suite's job, not the benchmark's).
 MP_SMOKE_CONFIG = "ours-4f"
-
-#: mp-over-threaded speedup the smoke pass requires on multi-core hosts
-#: (override with ``$REPRO_SMOKE_MP_MIN_SPEEDUP``).  Single-core hosts
-#: report the ratio but never gate on it: with one core the worker pool
-#: cannot beat in-process threads no matter how well it shards.
-DEFAULT_MP_MIN_SPEEDUP = 1.3
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -147,7 +142,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from ..obs.metrics import write_bench_json
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.smoke",
+        prog="python -m repro bench",
         description="Quick benchmark pass: one small cavity measurement "
                     "per direction-setting fusion config, under both the "
                     "interpreted and compiled backends; appends to "
@@ -187,8 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"  FAIL: compiled backend below the {min_speedup:.2f}x "
               f"speedup gate")
     if not args.skip_mp:
-        mp_min = float(os.environ.get("REPRO_SMOKE_MP_MIN_SPEEDUP",
-                                      DEFAULT_MP_MIN_SPEEDUP))
         mp_payload = run_mp_smoke(steps=args.steps)
         # Separate bench name + backend salt: the mp series starts its
         # own baseline in the history trajectory.
@@ -207,16 +200,4 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"  FAIL: mp leg fell back to in-process execution for "
                   f"{pool['fallback_steps']:.0f} steps")
             failed = True
-        elif cores >= 2 and ratio < mp_min:
-            # Only gate where a speedup is physically possible.
-            print(f"  FAIL: mp backend below the {mp_min:.2f}x "
-                  f"speedup gate on a {cores}-core host")
-            failed = True
     return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m
-    import sys
-    print("note: 'python -m repro.bench.smoke' is deprecated; use "
-          "'python -m repro bench'", file=sys.stderr)
-    raise SystemExit(main())

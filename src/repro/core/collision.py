@@ -2,14 +2,23 @@
 
 All operators act on population arrays of shape ``(Q, N)`` where ``N`` is
 the number of cells of one grid level — the flat, structure-of-arrays view
-produced by the block-sparse grid (Section V-A of the paper).  Operating on
-whole levels at once keeps every kernel a handful of vectorised NumPy
-passes, the CPU analogue of one CUDA kernel launch.
+produced by the block-sparse grid (Section V-A of the paper).
+
+Collision is per cell, so a level is processed in *column tiles* narrow
+enough that a tile of ``f``, of ``out`` and of every ``(Q, tile)``
+intermediate stays in cache between the passes that touch it — the host
+analogue of the paper's fused kernels keeping intermediates in registers
+(Section IV).  :meth:`CollisionModel.collide` is the one blocked driver;
+an operator implements only its per-tile relaxation, in ``out=`` ufunc /
+``matmul`` / ``einsum`` calls on scratch allocated once per call.  A tile
+runs the operations of the whole-array formula in the same order, so the
+result does not depend on the tile width, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -28,6 +37,47 @@ __all__ = [
     "KBC",
     "make_collision",
 ]
+
+#: Bytes a tile's working set may occupy: the ``f`` and ``out`` tiles plus
+#: the operator's live intermediates.  Smaller tiles sit deeper in the cache
+#: but pay NumPy's per-call cost (and, between concurrently stepping
+#: threads, a GIL hand-off) more often; the sweep behind the value is in
+#: EXPERIMENTS.md, "Blocked collision".
+TILE_BUDGET_BYTES = 6 << 20
+
+
+def tile_width(q: int, live_tiles: int) -> int:
+    """Cells per tile so that ``live_tiles`` float64 ``(q, tile)`` arrays fit the budget.
+
+    A multiple of 64: BLAS ``gemv`` computes the last ``n % 4`` columns of
+    a call in a scalar tail whose rounding differs from the vector body,
+    so tile edges must fall on multiples of 4 for a tiled call to equal
+    the whole-array one.
+    """
+    return max(TILE_BUDGET_BYTES // (q * 8 * live_tiles) // 64 * 64, 64)
+
+
+def _tiled(n: int, q: int, live_tiles: int, rows: tuple[int, ...]
+           ) -> Iterator[tuple[int, int, list[np.ndarray]]]:
+    """Yield ``(lo, hi, scratch)`` over the column tiles of an ``n``-cell level.
+
+    ``scratch`` is one contiguous float64 ``(r, hi - lo)`` block per entry
+    of ``rows``, carved from a single allocation made once per call.  A
+    trailing single column is folded into the tile before it: on one
+    column NumPy reduces and multiplies along the other axis, in another
+    summation order than on a whole level.
+    """
+    tile = tile_width(q, live_tiles)
+    flat = np.empty(sum(rows) * min(n, tile + 1))
+    lo, blocks = 0, []
+    while lo < n:
+        hi = lo + tile if lo + tile + 1 < n else n
+        if not blocks or blocks[0].shape[1] != hi - lo:
+            offs = np.cumsum((0,) + rows) * (hi - lo)
+            blocks = [flat[a:b].reshape(r, hi - lo)
+                      for a, b, r in zip(offs, offs[1:], rows)]
+        yield lo, hi, blocks
+        lo = hi
 
 
 def density(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -54,6 +104,34 @@ def macroscopics(lat: Lattice, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, velocity(lat, f, rho)
 
 
+def _moments_into(lat: Lattice, f: np.ndarray, force: np.ndarray | None,
+                  rho: np.ndarray, u: np.ndarray) -> None:
+    """Density into ``rho`` ``(m,)``, (half-force-shifted) velocity into ``u``."""
+    np.add.reduce(f, axis=0, dtype=f.dtype, out=rho)
+    np.matmul(lat.ef.T, f, out=u)
+    if force is not None:
+        u += 0.5 * np.asarray(force, dtype=np.float64)[:, None]
+    u /= rho
+
+
+def _equilibrium_into(lat: Lattice, rho: np.ndarray, u: np.ndarray,
+                      out: np.ndarray, eu: np.ndarray, t: np.ndarray,
+                      s: np.ndarray) -> None:
+    """Eq. (5) on one tile; leaves ``e_i . u`` in ``eu``, clobbers ``t``, ``s``."""
+    inv_cs2 = 1.0 / lat.cs2
+    np.matmul(lat.ef, u, out=eu)
+    np.einsum("dn,dn->n", u, u, out=s)          # |u|^2
+    np.multiply(eu, inv_cs2, out=out)
+    np.multiply(eu, 0.5 * inv_cs2 * inv_cs2, out=t)
+    t *= eu
+    out += t
+    s *= 0.5 * inv_cs2
+    out -= s
+    out += 1.0
+    np.multiply(lat.w[:, None], rho, out=t)
+    out *= t
+
+
 def equilibrium(lat: Lattice, rho: np.ndarray, u: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Second-order Maxwell-Boltzmann equilibrium, Eq. (5).
@@ -64,19 +142,30 @@ def equilibrium(lat: Lattice, rho: np.ndarray, u: np.ndarray,
     u : shape ``(d, N)``
     out : optional ``(Q, N)`` buffer written in place.
     """
-    rho = np.asarray(rho, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    inv_cs2 = 1.0 / lat.cs2
-    eu = lat.ef @ u                       # (Q, N) — e_i . u
-    usq = np.einsum("dn,dn->n", u, u)     # |u|^2, shape (N,)
+    n = u.shape[1]
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,))
     if out is None:
-        out = np.empty_like(eu)
-    np.multiply(eu, inv_cs2, out=out)
-    out += 0.5 * inv_cs2 * inv_cs2 * eu * eu
-    out -= 0.5 * inv_cs2 * usq
-    out += 1.0
-    out *= lat.w[:, None] * rho
+        out = np.empty((lat.q, n))
+    for lo, hi, (eu, t, s) in _tiled(n, lat.q, 3, (lat.q, lat.q, 1)):
+        _equilibrium_into(lat, rho[lo:hi], u[:, lo:hi], out[:, lo:hi],
+                          eu, t, s[0])
     return out
+
+
+def _guo_source_into(lat: Lattice, eu: np.ndarray, u: np.ndarray,
+                     force: np.ndarray, omega: float, out: np.ndarray,
+                     t: np.ndarray, s: np.ndarray) -> None:
+    """Guo source of one tile into ``out``, given ``eu = e_i . u``."""
+    inv_cs2 = 1.0 / lat.cs2
+    ef_dot_f = (lat.ef @ force)[:, None]               # (Q, 1)
+    np.matmul(force, u, out=s)                         # u . F
+    np.subtract(ef_dot_f, s, out=out)
+    out *= inv_cs2
+    np.multiply(eu, inv_cs2 * inv_cs2, out=t)
+    t *= ef_dot_f
+    out += t
+    out *= (1.0 - 0.5 * omega) * lat.w[:, None]
 
 
 def guo_source(lat: Lattice, u: np.ndarray, force: np.ndarray,
@@ -90,18 +179,17 @@ def guo_source(lat: Lattice, u: np.ndarray, force: np.ndarray,
     shifted velocity ``u = (sum e_i f_i + F/2) / rho``.
     """
     force = np.asarray(force, dtype=np.float64)
-    inv_cs2 = 1.0 / lat.cs2
-    eu = lat.ef @ u                                   # (Q, N)
-    ef_dot_f = lat.ef @ force                          # (Q,)
-    u_dot_f = force @ u                                # (N,)
-    term = inv_cs2 * (ef_dot_f[:, None] - u_dot_f[None, :])
-    term += inv_cs2 * inv_cs2 * eu * ef_dot_f[:, None]
-    return (1.0 - 0.5 * omega) * lat.w[:, None] * term
+    u = np.asarray(u, dtype=np.float64)
+    eu = lat.ef @ u
+    out = np.empty_like(eu)
+    _guo_source_into(lat, eu, u, force, omega, out, np.empty_like(eu),
+                     np.empty(u.shape[1]))
+    return out
 
 
 @dataclass(frozen=True)
 class CollisionModel:
-    """Base class; subclasses implement :meth:`collide`.
+    """Base class: the blocked driver; subclasses relax one tile.
 
     ``force`` is an optional constant body-force density vector ``(d,)``
     applied with the Guo scheme (second-order accurate forcing).
@@ -109,20 +197,51 @@ class CollisionModel:
 
     lattice: Lattice
 
+    #: ``(Q, tile)`` float64 intermediates a tile keeps live; with the ``f``
+    #: and ``out`` tiles they set the tile width (see :func:`tile_width`).
+    SCRATCH_TILES: ClassVar[int] = 3
+    #: ``(tile,)`` scratch rows of a tile, beyond ``rho`` and ``u``.
+    SCRATCH_ROWS: ClassVar[int] = 1
+
     def collide(self, f: np.ndarray, omega: float,
                 out: np.ndarray | None = None,
                 force: np.ndarray | None = None) -> np.ndarray:
+        """Post-collision populations of ``f`` ``(Q, N)``, tile by tile.
+
+        ``out`` may be ``f`` itself (a tile is read before it is written);
+        any other overlap between the two is not supported.
+        """
+        lat = self.lattice
+        if out is None:
+            out = np.empty_like(f)
+        if force is not None:
+            force = np.asarray(force, dtype=np.float64)
+        rows = (1, lat.d, self.SCRATCH_ROWS) + (lat.q,) * self.SCRATCH_TILES
+        for lo, hi, ws in _tiled(f.shape[1], lat.q, self.SCRATCH_TILES + 2,
+                                 rows):
+            (rho,), u, rest, eu, feq, t = ws[:6]
+            _moments_into(lat, f[:, lo:hi], force, rho, u)
+            _equilibrium_into(lat, rho, u, feq, eu, t, rest[0])
+            self._relax_tile(f[:, lo:hi], omega, out[:, lo:hi], force, ws)
+        return out
+
+    def _relax_tile(self, f: np.ndarray, omega: float, out: np.ndarray,
+                    force: np.ndarray | None, ws: list[np.ndarray]) -> None:
+        """Relax one tile of ``f`` into ``out``.
+
+        ``ws`` is ``rho`` ``(1, m)``, ``u``, ``SCRATCH_ROWS`` rows, then
+        ``SCRATCH_TILES`` tiles: the first holds ``e_i . u`` on entry, the
+        second the equilibrium; the other tiles and the rows are free.
+        """
         raise NotImplementedError
 
     def _moments(self, f: np.ndarray, force: np.ndarray | None
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Density and (half-force-shifted, if forced) velocity."""
-        lat = self.lattice
-        rho = f.sum(axis=0)
-        mom = lat.ef.T @ f
-        if force is not None:
-            mom = mom + 0.5 * np.asarray(force, dtype=np.float64)[:, None]
-        return rho, mom / rho
+        rho = np.empty(f.shape[1])
+        u = np.empty((self.lattice.d, f.shape[1]))
+        _moments_into(self.lattice, f, force, rho, u)
+        return rho, u
 
     @property
     def name(self) -> str:
@@ -133,20 +252,15 @@ class CollisionModel:
 class BGK(CollisionModel):
     """Single-relaxation-time Bhatnagar-Gross-Krook operator (Eq. 3)."""
 
-    def collide(self, f: np.ndarray, omega: float,
-                out: np.ndarray | None = None,
-                force: np.ndarray | None = None) -> np.ndarray:
-        lat = self.lattice
-        rho, u = self._moments(f, force)
-        feq = equilibrium(lat, rho, u)
-        if out is None:
-            out = np.empty_like(f)
+    def _relax_tile(self, f, omega, out, force, ws) -> None:
+        _, u, (s,), eu, feq, t = ws
         # f* = (1 - omega) f + omega feq (+ Guo source)
         np.multiply(f, 1.0 - omega, out=out)
-        out += omega * feq
+        feq *= omega
+        out += feq
         if force is not None:
-            out += guo_source(lat, u, force, omega)
-        return out
+            _guo_source_into(self.lattice, eu, u, force, omega, feq, t, s)
+            out += feq
 
 
 @dataclass(frozen=True)
@@ -165,6 +279,8 @@ class TRT(CollisionModel):
 
     magic: float = 3.0 / 16.0
 
+    SCRATCH_TILES: ClassVar[int] = 4
+
     def __post_init__(self) -> None:
         if self.magic <= 0:
             raise ValueError("the magic parameter must be positive")
@@ -173,30 +289,31 @@ class TRT(CollisionModel):
         lam_plus = 1.0 / omega - 0.5
         return 1.0 / (self.magic / lam_plus + 0.5)
 
-    def collide(self, f: np.ndarray, omega: float,
-                out: np.ndarray | None = None,
-                force: np.ndarray | None = None) -> np.ndarray:
-        lat = self.lattice
-        rho, u = self._moments(f, force)
-        feq = equilibrium(lat, rho, u)
-        fneq = f - feq
-        fneq_rev = fneq[lat.opp]
-        plus = 0.5 * (fneq + fneq_rev)
-        minus = 0.5 * (fneq - fneq_rev)
+    def _parity_mix(self, x: np.ndarray, c_even: float, c_odd: float,
+                    rev: np.ndarray, even: np.ndarray) -> None:
+        """``c_even * even(x) + c_odd * odd(x)`` into ``even``; clobbers ``rev``."""
+        np.take(x, self.lattice.opp, axis=0, out=rev, mode="clip")
+        np.add(x, rev, out=even)
+        even *= 0.5
+        np.subtract(x, rev, out=rev)
+        rev *= 0.5
+        even *= c_even
+        rev *= c_odd
+        even += rev
+
+    def _relax_tile(self, f, omega, out, force, ws) -> None:
+        _, u, (s,), eu, fneq, a, b = ws
+        np.subtract(f, fneq, out=fneq)
         om = self.omega_minus(omega)
-        if out is None:
-            out = np.empty_like(f)
-        np.subtract(f, omega * plus + om * minus, out=out)
+        self._parity_mix(fneq, omega, om, a, b)
+        np.subtract(f, b, out=out)
         if force is not None:
             # each parity of the Guo source relaxes with its own rate:
             # the odd part (the force itself) with omega_minus, the even
             # part (the u.F corrections) with omega
-            raw = guo_source(lat, u, force, omega=0.0)
-            raw_rev = raw[lat.opp]
-            even = 0.5 * (raw + raw_rev)
-            odd = 0.5 * (raw - raw_rev)
-            out += (1.0 - 0.5 * omega) * even + (1.0 - 0.5 * om) * odd
-        return out
+            _guo_source_into(self.lattice, eu, u, force, 0.0, fneq, a, s)
+            self._parity_mix(fneq, 1.0 - 0.5 * omega, 1.0 - 0.5 * om, a, b)
+            out += b
 
 
 # Index bookkeeping for the KBC shear-part decomposition.  The shear part
@@ -239,64 +356,84 @@ class KBC(CollisionModel):
     (the paper's turbulent runs) and, for testing, D2Q9.
     """
 
+    SCRATCH_TILES: ClassVar[int] = 5
+    #: |u|^2, the d x d momentum-flux tensor, and 7 rows of shear / gamma terms.
+    SCRATCH_ROWS: ClassVar[int] = 1 + 9 + 7
+
     def __post_init__(self) -> None:
         if self.lattice.d == 3 and self.lattice.q != 27:
             raise ValueError("KBC in 3D requires the D3Q27 lattice")
         object.__setattr__(self, "_groups", _kbc_shear_tables(self.lattice))
 
-    def _delta_s(self, fneq: np.ndarray) -> np.ndarray:
-        """Shear part of the non-equilibrium populations, shape (Q, N)."""
-        lat = self.lattice
-        e = lat.ef
-        g = self._groups
-        ds = np.zeros_like(fneq)
-        if lat.d == 3:
-            pi = np.einsum("qa,qb,qn->abn", e, e, fneq)
-            nxz = pi[0, 0] - pi[2, 2]
-            nyz = pi[1, 1] - pi[2, 2]
-            ds[g["x"]] = (2.0 * nxz - nyz) / 6.0
-            ds[g["y"]] = (-nxz + 2.0 * nyz) / 6.0
-            ds[g["z"]] = (-nxz - nyz) / 6.0
-            ds[g["xy+"]] = pi[0, 1] / 4.0
-            ds[g["xy-"]] = -pi[0, 1] / 4.0
-            ds[g["xz+"]] = pi[0, 2] / 4.0
-            ds[g["xz-"]] = -pi[0, 2] / 4.0
-            ds[g["yz+"]] = pi[1, 2] / 4.0
-            ds[g["yz-"]] = -pi[1, 2] / 4.0
+    def _delta_s(self, fneq: np.ndarray, ds: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+        """Shear part of ``fneq`` into ``ds``; ``rows`` is ``(d*d + 4, N)`` scratch."""
+        d, e, g = self.lattice.d, self.lattice.ef, self._groups
+        pi = rows[:d * d].reshape(d, d, -1)
+        nxz, nyz, r, r2 = rows[d * d:d * d + 4]
+        ds.fill(0.0)
+        np.einsum("qa,qb,qn->abn", e, e, fneq, out=pi)
+        if d == 3:
+            np.subtract(pi[0, 0], pi[2, 2], out=nxz)
+            np.subtract(pi[1, 1], pi[2, 2], out=nyz)
+            np.multiply(nxz, 2.0, out=r)          # (2 nxz - nyz) / 6
+            r -= nyz
+            r /= 6.0
+            ds[g["x"]] = r
+            np.negative(nxz, out=r)               # (-nxz + 2 nyz) / 6
+            np.multiply(nyz, 2.0, out=r2)
+            r += r2
+            r /= 6.0
+            ds[g["y"]] = r
+            np.negative(nxz, out=r)               # (-nxz - nyz) / 6
+            r -= nyz
+            r /= 6.0
+            ds[g["z"]] = r
+            planar = (("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))
         else:  # D2Q9
-            pi = np.einsum("qa,qb,qn->abn", e, e, fneq)
-            n = pi[0, 0] - pi[1, 1]
-            ds[g["x"]] = n / 4.0
-            ds[g["y"]] = -n / 4.0
-            ds[g["xy+"]] = pi[0, 1] / 4.0
-            ds[g["xy-"]] = -pi[0, 1] / 4.0
+            np.subtract(pi[0, 0], pi[1, 1], out=nxz)
+            np.divide(nxz, 4.0, out=r)
+            ds[g["x"]] = r
+            np.negative(nxz, out=r)
+            r /= 4.0
+            ds[g["y"]] = r
+            planar = (("xy", 0, 1),)
+        for key, a, b in planar:                  # +-Pi_ab / 4
+            np.divide(pi[a, b], 4.0, out=r)
+            ds[g[key + "+"]] = r
+            np.negative(pi[a, b], out=r)
+            r /= 4.0
+            ds[g[key + "-"]] = r
         return ds
 
-    def collide(self, f: np.ndarray, omega: float,
-                out: np.ndarray | None = None,
-                force: np.ndarray | None = None) -> np.ndarray:
-        lat = self.lattice
+    def _relax_tile(self, f, omega, out, force, ws) -> None:
+        _, u, rows, eu, feq, t, dh, ds = ws
+        s, sh, hh, gamma = rows[:4]
         beta = 0.5 * omega
-        rho, u = self._moments(f, force)
-        feq = equilibrium(lat, rho, u)
-        fneq = f - feq
-        ds = self._delta_s(fneq)
-        dh = fneq - ds
+        np.subtract(f, feq, out=dh)               # fneq
+        self._delta_s(dh, ds, rows[4:])
+        dh -= ds
         # Entropic scalar products <x|y> = sum_i x_i y_i / feq_i.
-        inv_feq = 1.0 / feq
-        sh = np.einsum("qn,qn->n", ds * inv_feq, dh)
-        hh = np.einsum("qn,qn->n", dh * inv_feq, dh)
+        np.divide(1.0, feq, out=feq)
+        np.multiply(ds, feq, out=t)
+        np.einsum("qn,qn->n", t, dh, out=sh)
+        np.multiply(dh, feq, out=t)
+        np.einsum("qn,qn->n", t, dh, out=hh)
         inv_beta = 1.0 / beta
-        gamma = np.full_like(hh, 2.0)
         mask = hh > 1e-30
         np.divide(sh, hh, out=sh, where=mask)
-        gamma[mask] = inv_beta - (2.0 - inv_beta) * sh[mask]
-        if out is None:
-            out = np.empty_like(f)
-        np.subtract(f, beta * (2.0 * ds + gamma[None, :] * dh), out=out)
+        sh *= 2.0 - inv_beta
+        np.subtract(inv_beta, sh, out=sh)
+        gamma.fill(2.0)
+        np.copyto(gamma, sh, where=mask)
+        ds *= 2.0
+        dh *= gamma
+        ds += dh
+        ds *= beta
+        np.subtract(f, ds, out=out)
         if force is not None:
-            out += guo_source(lat, u, force, omega)
-        return out
+            _guo_source_into(self.lattice, eu, u, force, omega, feq, t, s)
+            out += feq
 
 
 def make_collision(model: str, lat: Lattice) -> CollisionModel:

@@ -295,7 +295,7 @@ def write_bench_json(name: str, payload: dict, out_dir: str | None = None) -> st
     ``BENCH_HISTORY.jsonl`` in the same directory: the snapshot file is
     overwritten run-to-run (and gitignored), the history line is the
     append-only trajectory the regression gate
-    (``python -m repro.bench.history --check``) judges.
+    (``python -m repro history --check``) judges.
     """
     from ..bench.history import append_record, history_path, record_from_bench
 

@@ -99,22 +99,29 @@ class TestBitIdentity:
         assert plan.arena_bytes > 0
 
     def test_waves_keep_shared_scratch_apart(self):
-        # The stream bodies stage their gather in arena scratch no record
-        # declares; on three levels the arena folds S@1's and S@2's
-        # staging onto one slab although the declared graph would put
-        # the two kernels in one wave.
+        # No body touches scratch its record does not declare (the bulk
+        # pull gathers straight into f), so no single-record arena
+        # lifetime exists and waves are the declared schedule: on three
+        # levels S@1 and S@2 run side by side.
         wl = lid_cavity(base=(10, 10, 10), num_levels=3, lattice="D3Q19")
-        sim = build(wl, ABLATION_CONFIGS[0], "compiled")
-        sim.run(1)
+        for cfg in ALL_CONFIGS:
+            for backend in ("compiled", "compiled-aa"):
+                plan = compile_plan(build(wl, cfg, backend).stepper,
+                                    drop_proven=backend == "compiled-aa")
+                assert not [lt for lt in plan.arena if lt.first == lt.last]
+        sim = build(wl, ABLATION_CONFIGS[0], "compiled", threaded=True)
+        ref = build(wl, ABLATION_CONFIGS[0], "interpreted")
+        sim.run(3)
+        ref.run(3)
         plan = next(iter(sim.backend.plans.values()))
-        slab = {lt.first: lt.slab for lt in plan.arena
-                if lt.first == lt.last}
-        assert len(set(slab.values())) < len(slab)  # slabs really shared
-        for wave in plan.waves:
-            leased = [slab[k] for k in wave if k in slab]
-            assert len(leased) == len(set(leased)), wave
+        assert plan.arena_bytes == 0
+        names = [(r.name, r.level) for r in plan.records]
+        assert any({("S", 1), ("S", 2)} <= {names[k] for k in wave}
+                   for wave in plan.waves)
         assert sorted(k for w in plan.waves for k in w) == list(
             range(len(plan)))
+        assert_bit_identical(states(ref), states(sim))
+        sim.close()
 
 
 class TestPlanCache:
@@ -346,6 +353,34 @@ class TestAdmission:
 
         with pytest.raises(PlanAdmissionError):
             compile_plan(CoarseOnly())
+
+    @pytest.mark.parametrize("past_end", [False, True],
+                             ids=["negative", "past-end"])
+    def test_out_of_range_pull_row_refused(self, past_end):
+        # The stream body gathers with mode="clip"; the bounds check it
+        # skips is made at plan build and must refuse, not clip.
+        sim = build(cavity(), ABLATION_CONFIGS[-1], "interpreted")
+        buf = sim.engine.levels[1]
+        buf.pull_rows = buf.pull_rows.copy()
+        buf.pull_rows[3, 7] = buf.n_used if past_end else -1
+        with pytest.raises(PlanAdmissionError, match="level 1"):
+            compile_plan(sim.stepper)
+
+    def test_pull_rows_frozen_by_compilation(self):
+        sim = build(cavity("3d"), ABLATION_CONFIGS[0], "compiled")
+        sim.run(1)
+        for buf in sim.engine.levels:
+            assert not buf.pull_rows.flags.writeable
+        # the per-row index arrays a stream body closes over
+        plan = next(iter(sim.backend.plans.values()))
+        pulls = [c.cell_contents for body in plan.bodies
+                 for c in body.__closure__ or ()
+                 if isinstance(c.cell_contents, list)]
+        assert pulls
+        for src, idx, dst in (t for p in pulls for t in p):
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 0
 
 
 class TestSelection:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.collision import (BGK, KBC, density, equilibrium, macroscopics,
-                                  make_collision, pressure, velocity)
+from repro.core.collision import (BGK, KBC, TRT, density, equilibrium,
+                                  macroscopics, make_collision, pressure,
+                                  tile_width, velocity)
 from repro.core.lattice import CS2, D2Q9, D3Q19, D3Q27
 
 RNG = np.random.default_rng(42)
@@ -153,7 +154,7 @@ class TestKBC:
         f = random_state(lat)
         rho, u = macroscopics(lat, f)
         fneq = f - equilibrium(lat, rho, u)
-        ds = op._delta_s(fneq)
+        ds = op._delta_s(fneq, np.empty_like(fneq), np.empty((13, fneq.shape[1])))
         assert np.allclose(ds.sum(axis=0), 0.0, atol=1e-13)
         assert np.allclose(lat.ef.T @ ds, 0.0, atol=1e-13)
 
@@ -163,7 +164,7 @@ class TestKBC:
         f = random_state(lat, amp=0.05)
         rho, u = macroscopics(lat, f)
         fneq = f - equilibrium(lat, rho, u)
-        ds = op._delta_s(fneq)
+        ds = op._delta_s(fneq, np.empty_like(fneq), np.empty((13, fneq.shape[1])))
         pi_f = np.einsum("qa,qb,qn->abn", lat.ef, lat.ef, fneq)
         pi_s = np.einsum("qa,qb,qn->abn", lat.ef, lat.ef, ds)
         assert np.allclose(pi_s[0, 1], pi_f[0, 1], atol=1e-12)
@@ -203,3 +204,160 @@ def test_make_collision_errors():
 def test_make_collision_names():
     assert make_collision("bgk", D2Q9).name == "BGK"
     assert make_collision("kbc", D3Q27).name == "KBC"
+
+
+# -- bit reference for the blocked kernels ------------------------------------
+# The textbook whole-array formulas, kept here (and only here) as the
+# reference the tiled, allocation-free production kernels must equal bit
+# for bit: same operations, same order, per cell.
+
+def ref_equilibrium(lat, rho, u):
+    inv = 1.0 / lat.cs2
+    eu = lat.ef @ u
+    usq = np.einsum("dn,dn->n", u, u)
+    out = eu * inv
+    out += 0.5 * inv * inv * eu * eu
+    out -= 0.5 * inv * usq
+    out += 1.0
+    out *= lat.w[:, None] * rho
+    return out
+
+
+def ref_guo(lat, u, force, omega):
+    inv = 1.0 / lat.cs2
+    eu = lat.ef @ u
+    ef = lat.ef @ force
+    term = inv * (ef[:, None] - (force @ u)[None, :])
+    term += inv * inv * eu * ef[:, None]
+    return (1.0 - 0.5 * omega) * lat.w[:, None] * term
+
+
+def ref_collide(op, f, omega, force=None):
+    lat = op.lattice
+    rho = f.sum(axis=0)
+    mom = lat.ef.T @ f
+    if force is not None:
+        mom = mom + 0.5 * force[:, None]
+    u = mom / rho
+    feq = ref_equilibrium(lat, rho, u)
+    if isinstance(op, BGK):
+        out = f * (1.0 - omega)
+        out += omega * feq
+    elif isinstance(op, TRT):
+        def parts(x):
+            rev = x[lat.opp]
+            return 0.5 * (x + rev), 0.5 * (x - rev)
+        plus, minus = parts(f - feq)
+        om = op.omega_minus(omega)
+        out = f - (omega * plus + om * minus)
+        if force is not None:
+            even, odd = parts(ref_guo(lat, u, force, 0.0))
+            out += (1.0 - 0.5 * omega) * even + (1.0 - 0.5 * om) * odd
+        return out
+    else:  # KBC
+        fneq = f - feq
+        pi = np.einsum("qa,qb,qn->abn", lat.ef, lat.ef, fneq)
+        g, ds = op._groups, np.zeros_like(fneq)
+        if lat.d == 3:
+            nxz, nyz = pi[0, 0] - pi[2, 2], pi[1, 1] - pi[2, 2]
+            ds[g["x"]] = (2.0 * nxz - nyz) / 6.0
+            ds[g["y"]] = (-nxz + 2.0 * nyz) / 6.0
+            ds[g["z"]] = (-nxz - nyz) / 6.0
+            planar = (("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))
+        else:
+            n = pi[0, 0] - pi[1, 1]
+            ds[g["x"]], ds[g["y"]] = n / 4.0, -n / 4.0
+            planar = (("xy", 0, 1),)
+        for key, a, b in planar:
+            ds[g[key + "+"]], ds[g[key + "-"]] = pi[a, b] / 4.0, -pi[a, b] / 4.0
+        dh = fneq - ds
+        inv_feq = 1.0 / feq
+        sh = np.einsum("qn,qn->n", ds * inv_feq, dh)
+        hh = np.einsum("qn,qn->n", dh * inv_feq, dh)
+        beta = 0.5 * omega
+        gamma = np.full_like(hh, 2.0)
+        mask = hh > 1e-30
+        np.divide(sh, hh, out=sh, where=mask)
+        gamma[mask] = 1.0 / beta - (2.0 - 1.0 / beta) * sh[mask]
+        out = f - beta * (2.0 * ds + gamma[None, :] * dh)
+    if force is not None:
+        out += ref_guo(lat, u, force, omega)
+    return out
+
+
+def _widths(op):
+    tile = tile_width(op.lattice.q, op.SCRATCH_TILES + 2)
+    return [1, tile - 1, tile, tile + 1, 3 * tile + 7]
+
+
+OPERATORS = [BGK(D2Q9), BGK(D3Q19), BGK(D3Q27), TRT(D2Q9), TRT(D3Q19),
+             KBC(D2Q9), KBC(D3Q27)]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("strided", [False, True], ids=["contig", "strided"])
+@pytest.mark.parametrize("op", OPERATORS,
+                         ids=lambda o: f"{o.name}-{o.lattice.name}")
+class TestBlockedKernelsBitIdentical:
+    def states(self, op, strided):
+        for n in _widths(op):
+            store = random_state(op.lattice, n + 5 if strided else n, amp=0.05)
+            yield store[:, :n]
+
+    def test_collide_equals_reference(self, op, strided, forced):
+        force = 1e-4 * (1.0 + np.arange(op.lattice.d)) if forced else None
+        for f in self.states(op, strided):
+            want = ref_collide(op, f, 1.6, force)
+            out = np.empty((f.shape[0], f.shape[1] + 3))[:, :f.shape[1]]
+            assert op.collide(f, 1.6, out=out, force=force) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(op.collide(f, 1.6, force=force), want)
+            # in place (a tile is read before it is written); same memory
+            # layout, because one-column reductions depend on it
+            g = f.base.copy()[:, :f.shape[1]]
+            op.collide(g, 1.6, out=g, force=force)
+            assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contig", "strided"])
+@pytest.mark.parametrize("lat", [D2Q9, D3Q19, D3Q27], ids=lambda l: l.name)
+def test_equilibrium_equals_reference(lat, strided):
+    tile = tile_width(lat.q, 3)
+    for n in (1, tile - 1, tile, tile + 1, 3 * tile + 7):
+        f = random_state(lat, n + 5 if strided else n, amp=0.05)[:, :n]
+        rho, u = macroscopics(lat, f)
+        want = ref_equilibrium(lat, rho, u)
+        assert np.array_equal(equilibrium(lat, rho, u), want)
+        out = np.empty_like(f)
+        assert equilibrium(lat, rho, u, out=out) is out
+        assert np.array_equal(out, want)
+
+
+def test_float32_populations_match_reference():
+    # the stored dtype may be float32; the arithmetic stays float64
+    for op in (BGK(D3Q19), TRT(D3Q19), KBC(D3Q27)):
+        f = random_state(op.lattice, 3000, amp=0.05).astype(np.float32)
+        out = np.empty_like(f)
+        op.collide(f, 1.6, out=out)
+        assert np.array_equal(out, ref_collide(op, f, 1.6).astype(np.float32))
+
+
+@pytest.mark.parametrize("op", [BGK(D3Q19), TRT(D3Q19), KBC(D3Q27)],
+                         ids=lambda o: o.name)
+def test_collide_allocates_no_level_sized_temporary(op):
+    import tracemalloc
+    lat = op.lattice
+    n = 400_000
+    f = random_state(lat, n)
+    out = np.empty_like(f)
+    tile = tile_width(lat.q, op.SCRATCH_TILES + 2)
+    workspace = 8 * (tile + 1) * (
+        lat.q * op.SCRATCH_TILES + 1 + lat.d + op.SCRATCH_ROWS)
+    op.collide(f, 1.6, out=out)
+    tracemalloc.start()
+    try:
+        op.collide(f, 1.6, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * workspace < lat.q * n * 8   # one (Q, N) temporary shows
