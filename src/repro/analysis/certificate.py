@@ -69,9 +69,16 @@ def _access_json(a: StaticAccess) -> dict[str, Any]:
 def build_certificate(config: str, workload: str,
                       records: Sequence[KernelRecord], model: AccessModel,
                       proof: LegalityProof, lint: LintReport,
-                      steps: int) -> dict[str, Any]:
-    """Assemble the certificate document for one (config, workload) plan."""
-    static_map = model.access_map(records)
+                      steps: int,
+                      static_map: Mapping[int, Sequence[StaticAccess]] | None = None,
+                      ) -> dict[str, Any]:
+    """Assemble the certificate document for one (config, workload) plan.
+
+    ``static_map`` is ``model.access_map(records)`` when the caller has
+    it already.
+    """
+    if static_map is None:
+        static_map = model.access_map(records)
     g = build_dependency_graph(list(records), reduce=False,
                                access_map=static_map)
     waves = schedule_waves(g)

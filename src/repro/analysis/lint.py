@@ -282,6 +282,7 @@ def stream_lifetimes(records: Sequence[KernelRecord],
 def lint_stream(records: Sequence[KernelRecord], model: AccessModel,
                 device: DeviceSpec | None = None,
                 lifetimes: Sequence[BufferLifetime] | None = None,
+                static_map: Mapping[int, Sequence[StaticAccess]] | None = None,
                 ) -> LintReport:
     """Run every lint check over one stream.
 
@@ -290,9 +291,12 @@ def lint_stream(records: Sequence[KernelRecord], model: AccessModel,
     and packed with :func:`~repro.gpu.memory.arena_assign`, whose result
     is then itself verified with :func:`~repro.gpu.memory.arena_check` —
     the allocator is not trusted by the linter that gates on it.
+    ``static_map`` is ``model.access_map(records)`` when the caller has
+    it already (plan admission shares one with the certificate).
     """
     dev = device if device is not None else get_device("A100-40GB")
-    static_map = model.access_map(records)
+    if static_map is None:
+        static_map = model.access_map(records)
     flat = _flat(static_map)
     findings: list[LintFinding] = []
     findings.extend(_dead_stores(records, flat, dev))

@@ -36,6 +36,7 @@ as its admission contract.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -100,6 +101,26 @@ def _entries(qs: np.ndarray, rows: np.ndarray, width: int) -> frozenset[int]:
                       + np.asarray(rows, dtype=np.int64)).tolist())
 
 
+def _once_per_model(builder: Callable[..., list[StaticAccess]],
+                    ) -> Callable[..., tuple[StaticAccess, ...]]:
+    """Compute a geometry-only access builder once per model and arguments.
+
+    The builders below are pure functions of a level's index maps, which
+    are immutable once the engine is initialised; a stream asks for the
+    same few answers once per record.  The memo lives on the
+    :class:`AccessModel` instance and dies with it; results are tuples
+    of frozen :class:`StaticAccess`, so callers cannot alter them.
+    """
+    @functools.wraps(builder)
+    def cached(self: "AccessModel", *args: Any,
+               **kw: Any) -> tuple[StaticAccess, ...]:
+        key = (builder.__name__, args, tuple(sorted(kw.items())))
+        if key not in self._memo:
+            self._memo[key] = tuple(builder(self, *args, **kw))
+        return self._memo[key]
+    return cached
+
+
 class AccessModel:
     """Symbolic per-kernel access sets from engine geometry alone.
 
@@ -114,6 +135,7 @@ class AccessModel:
         self.engine = engine
         self.q: int = engine.lat.q
         self.itemsize: int = engine.itemsize
+        self._memo: dict[tuple[Any, ...], tuple[StaticAccess, ...]] = {}
 
     # -- geometry helpers ----------------------------------------------------
     def _buf(self, lv: int) -> "LevelBuffers":
@@ -184,6 +206,7 @@ class AccessModel:
                                     Q * i * m))
         return out
 
+    @_once_per_model
     def _stream_reads(self, lv: int) -> list[StaticAccess]:
         """The bulk ``fstar`` gather, split owned/fine-ghost like the tracer."""
         buf = self._buf(lv)
@@ -207,6 +230,7 @@ class AccessModel:
                                     round(per_val * n_ghost_vals)))
         return out
 
+    @_once_per_model
     def _explode(self, lv: int, from_ghost: bool, subsumed: bool) -> list[StaticAccess]:
         buf = self._buf(lv)
         m = buf.exp_q.size
@@ -227,6 +251,7 @@ class AccessModel:
                                                  buf.n_used)))
         return out
 
+    @_once_per_model
     def _coalesce(self, lv: int, subsumed: bool) -> list[StaticAccess]:
         buf = self._buf(lv)
         i = self.itemsize
@@ -276,11 +301,11 @@ class AccessModel:
             if any(r.name == "fghost" for r in record.writes):
                 return self._explosion_copy(lv)
             from_ghost = any(r.name == "fghost" for r in record.reads)
-            return self._explode(lv, from_ghost, subsumed=False)
+            return list(self._explode(lv, from_ghost, subsumed=False))
         if name == "O":
-            return self._coalesce(lv, subsumed=False)
+            return list(self._coalesce(lv, subsumed=False))
         if name in ("S", "SE", "SO", "SEO"):
-            out = self._stream_reads(lv)
+            out = list(self._stream_reads(lv))
             out.append(StaticAccess(FieldRef("f", lv), WRITE, 0, n, Q * i * n))
             if buf.meta_bytes:
                 out.append(StaticAccess(None, META, 0, 0, buf.meta_bytes))

@@ -109,14 +109,15 @@ def admit_stream(stepper: "NonUniformStepper", *, workload: str = ""):
     if not records:
         raise PlanAdmissionError(["captured step stream is empty"])
     model = AccessModel(engine)
-    lint = lint_stream(records, model)
+    static_map = model.access_map(records)
+    lint = lint_stream(records, model, static_map=static_map)
     problems = [str(f) for f in lint.errors]
     proof = prove_plan_legality(stepper, records, model)
     if proof.verdict == "illegal":
         problems.extend(str(c) for c in proof.counterexamples[:3])
     label = workload or f"live-{engine.mgrid.d}d-{stepper.num_levels}lvl"
     cert = build_certificate(stepper.config.name, label, records, model,
-                             proof, lint, steps=1)
+                             proof, lint, steps=1, static_map=static_map)
     problems.extend(validate_certificate(cert, records))
     if problems:
         raise PlanAdmissionError(problems)

@@ -61,6 +61,8 @@ class LevelBuffers:
     fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers
     meta_bytes: int               # per-pass structural metadata traffic
     positions: np.ndarray         # (n_owned, d) level-resolution coordinates
+    n_exp_cells: int              # distinct owned cells the E kernel writes
+    n_coal_cells: int             # distinct owned cells the O kernel writes
     #: True when streaming pulls from the fine-ghost region (rows >=
     #: n_owned; original baseline only) — the S kernel then reads the
     #: logical ``fghost`` field in addition to ``fstar``.
@@ -143,6 +145,7 @@ class Engine:
             fg_coarse_rows=np.empty(0, dtype=np.int64),
             meta_bytes=grid_meta,
             positions=cl.grid.cell_positions()[cl.owned_slots],
+            n_exp_cells=cl.n_interface_fine, n_coal_cells=cl.n_interface_coarse,
             pulls_fghost=pulls_fghost,
         )
 
@@ -477,7 +480,7 @@ class Engine:
         if m == 0:
             return
         self.rt.launch(
-            "E", lv, n_cells=int(np.unique(buf.exp_cell).size),
+            "E", lv, n_cells=buf.n_exp_cells,
             bytes_read=self.itemsize * m, bytes_written=self.itemsize * m,
             reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("fstar", lv - 1),),
             writes=(FieldRef("f", lv),),
@@ -490,7 +493,7 @@ class Engine:
         if m == 0:
             return
         self.rt.launch(
-            "O", lv, n_cells=int(np.unique(buf.coal_cell).size),
+            "O", lv, n_cells=buf.n_coal_cells,
             bytes_read=self.itemsize * m,
             bytes_written=self.itemsize * m + self.itemsize * buf.ghost_acc.size,
             reads=(FieldRef("gacc", lv),),

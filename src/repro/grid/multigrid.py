@@ -41,8 +41,9 @@ _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # the highest precedence decides the boundary treatment.
 _PRECEDENCE = {"inlet": 0, "moving": 1, "wall": 2, "slip": 3, "outflow": 4}
 
-#: Owner codes used in the per-level label arrays.
-_SELF, _FINER, _COARSER, _SOLID = np.int8(0), np.int8(1), np.int8(2), np.int8(3)
+#: Owner codes used in the per-level label arrays; ``_OUTSIDE`` fills the
+#: one-cell pad of the compile step's label array on non-periodic axes.
+_SELF, _FINER, _COARSER, _SOLID, _OUTSIDE = (np.int8(c) for c in range(5))
 
 
 @dataclass(frozen=True)
@@ -145,27 +146,18 @@ def _dilate(mask: np.ndarray, radius: int,
 
     Refinement interfaces interact across periodic seams (a cell at x=0
     neighbours x=N-1), so ghost layers and the level-jump validation must
-    see the wrapped adjacency.
+    see the wrapped adjacency.  A Chebyshev ball is the Minkowski sum of
+    one segment per axis, so ``d`` running maxima of width ``2r + 1``
+    replace one pass over a ``(2r + 1)^d`` footprint.
     """
     if not mask.any():
         return mask.copy()
-    if periodic is None or not any(periodic):
-        footprint = np.ones((2 * radius + 1,) * mask.ndim, dtype=bool)
-        return ndimage.binary_dilation(mask, structure=footprint)
-    out = mask.copy()
-    for _ in range(radius):
-        # sequential per-axis dilation yields the full Chebyshev footprint
-        for axis in range(mask.ndim):
-            snap = out.copy()
-            for shift in (-1, 1):
-                rolled = np.roll(snap, shift, axis=axis)
-                if not periodic[axis]:
-                    # rolled-in values from the far side are invalid
-                    edge = [slice(None)] * mask.ndim
-                    edge[axis] = 0 if shift == 1 else -1
-                    rolled[tuple(edge)] = False
-                out |= rolled
-    return out
+    out = mask.view(np.uint8)
+    for axis in range(mask.ndim):
+        wrap = periodic is not None and periodic[axis]
+        out = ndimage.maximum_filter1d(out, 2 * radius + 1, axis=axis,
+                                       mode="wrap" if wrap else "constant")
+    return out.view(bool)
 
 
 def _validate_spec(spec: RefinementSpec) -> None:
@@ -354,21 +346,28 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
                                      curve=spec.curve)
     pos_all = grid.cell_positions()
     # blocks are padded to B^d: slots past the box boundary are never active
-    inside = np.all(pos_all < shape, axis=1)
+    inside = np.flatnonzero(np.all(pos_all < shape, axis=1))
+    cell_of_slot = np.ravel_multi_index(tuple(pos_all[inside].T), lab.shape)
+    active = grid.active()
 
     def slots_of(mask: np.ndarray) -> np.ndarray:
         flag = np.zeros(grid.n_alloc, dtype=bool)
-        flag[inside] = mask[tuple(pos_all[inside].T)]
-        return np.flatnonzero(flag & grid.active())
+        flag[inside] = mask.ravel()[cell_of_slot]
+        return np.flatnonzero(flag & active)
 
-    owned_slots = slots_of(owned_mask)
-    ghost_slots = slots_of(ghost_mask)
-    fine_ghost_slots = slots_of(fine_ghost_mask)
     return grid, {
-        "owned_mask": owned_mask, "ghost_mask": ghost_mask,
-        "owned_slots": owned_slots, "ghost_slots": ghost_slots,
-        "fine_ghost_slots": fine_ghost_slots, "shape": shape,
+        "owned_slots": slots_of(owned_mask), "ghost_slots": slots_of(ghost_mask),
+        "fine_ghost_slots": slots_of(fine_ghost_mask), "shape": shape,
+        "pos_all": pos_all, "inside": inside,
     }
+
+
+def _wrap_pads(padded: np.ndarray, periodic: list[bool]) -> None:
+    """Fill the one-cell pad of every periodic axis with the far side's cells."""
+    for axis, wrap in enumerate(periodic):
+        if wrap:
+            p = np.moveaxis(padded, axis, 0)
+            p[0], p[-1] = p[-2], p[1]
 
 
 def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
@@ -383,18 +382,35 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
 
     pre = [_compile_level(spec, lat, lvl, labels) for lvl in range(spec.num_levels)]
     grids = [g for g, _ in pre]
-    metas = [m for _, m in pre]
 
     levels: list[CompiledLevel] = []
     for lvl in range(spec.num_levels):
-        grid, meta = grids[lvl], metas[lvl]
+        grid, meta = pre[lvl]
+        pre[lvl] = None                                    # pos_all dies with the level
         lab = labels[lvl]
         shape = meta["shape"]
         owned_slots = meta["owned_slots"]
         ghost_slots = meta["ghost_slots"]
         fine_ghost_slots = meta["fine_ghost_slots"]
+        pos_all, inside = meta["pos_all"], meta["inside"]
         n_owned = owned_slots.size
-        pos = grid.cell_positions()[owned_slots]          # (n_owned, d)
+        pos = pos_all[owned_slots]                         # (n_owned, d)
+
+        # Dense transients over the box padded by one cell: owner labels
+        # and an int32 position -> slot table.  A pull source is then one
+        # flat offset away from its cell, with no bounds test: the pad
+        # holds the far side on periodic axes and _OUTSIDE / -1 elsewhere.
+        padded = tuple(int(n) + 2 for n in shape)
+        strides = np.cumprod((1,) + padded[:0:-1])[::-1]
+        cell_all = (pos_all + 1) @ strides                 # valid where `inside`
+        lab_pad = np.full(padded, _OUTSIDE, dtype=np.int8)
+        lab_pad[(slice(1, -1),) * d] = lab
+        slot_pad = np.full(padded, -1, dtype=np.int32)
+        slot_pad.ravel()[cell_all[inside]] = inside
+        _wrap_pads(lab_pad, periodic)
+        _wrap_pads(slot_pad, periodic)
+        lab_flat, slot_flat = lab_pad.ravel(), slot_pad.ravel()
+        cell = cell_all[owned_slots]
 
         ghost_row_of_slot = np.full(grid.n_alloc, -1, dtype=np.int64)
         ghost_row_of_slot[ghost_slots] = np.arange(ghost_slots.size)
@@ -408,54 +424,40 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
             v = lat.e[q]
             if not v.any():  # rest population: trivially interior (self)
                 continue
-            src = pos - v                                  # pull source position
-            for axis in range(d):
-                if periodic[axis]:
-                    src[:, axis] %= shape[axis]
-            below = src < 0
-            above = src >= shape
-            outside = below | above
-            is_out = outside.any(axis=1)
-            inside_rows = np.flatnonzero(~is_out)
+            src = cell - int(v @ strides)                  # flat pull source
+            code = lab_flat.take(src)
 
-            if inside_rows.size:
-                s = src[inside_rows]
-                code = lab[tuple(s.T)]
-                sel_self = code == _SELF
-                rows = inside_rows[sel_self]
-                slots = grid.lookup(s[sel_self])
-                pull_src[q, rows] = slots
-                sel_fine = code == _FINER
-                if sel_fine.any():
-                    rows_f = inside_rows[sel_fine]
-                    gslots = grid.lookup(s[sel_fine])
-                    coal.append((q, rows_f, ghost_row_of_slot[gslots]))
-                    kind[q, rows_f] = kinds.COALESCENCE
-                sel_coarse = code == _COARSER
-                if sel_coarse.any():
-                    rows_c = inside_rows[sel_coarse]
-                    parent_pos = s[sel_coarse] // 2
-                    cslots = grids[lvl - 1].lookup(parent_pos)
-                    own_ghost = grid.lookup(s[sel_coarse])   # 4a alternative source
-                    exp.append((q, rows_c, cslots, own_ghost))
-                    kind[q, rows_c] = kinds.EXPLOSION
-                sel_solid = code == _SOLID
-                if sel_solid.any():
-                    rows_s = inside_rows[sel_solid]
-                    bb.append((q, rows_s))
-                    solid_bb.append((q, rows_s))
-                    kind[q, rows_s] = kinds.BOUNCEBACK
+            rows = np.flatnonzero(code == _SELF)
+            pull_src[q, rows] = slot_flat.take(src[rows])
+            rows_f = np.flatnonzero(code == _FINER)
+            if rows_f.size:
+                gslots = slot_flat.take(src[rows_f])
+                coal.append((q, rows_f, ghost_row_of_slot[gslots]))
+                kind[q, rows_f] = kinds.COALESCENCE
+            rows_c = np.flatnonzero(code == _COARSER)
+            if rows_c.size:
+                # the source is inside the box, so % only acts on wrapped axes
+                cslots = grids[lvl - 1].lookup((pos[rows_c] - v) % shape // 2)
+                own_ghost = slot_flat.take(src[rows_c])    # 4a alternative source
+                exp.append((q, rows_c, cslots, own_ghost))
+                kind[q, rows_c] = kinds.EXPLOSION
+            rows_s = np.flatnonzero(code == _SOLID)
+            if rows_s.size:
+                bb.append((q, rows_s))
+                solid_bb.append((q, rows_s))
+                kind[q, rows_s] = kinds.BOUNCEBACK
 
-            if is_out.any():
-                rows_o = np.flatnonzero(is_out)
+            rows_o = np.flatnonzero(code == _OUTSIDE)
+            if rows_o.size:
+                src_o = pos[rows_o] - v
                 # pick the governing face by precedence among crossed faces
                 best_rank = np.full(rows_o.size, 99, dtype=np.int64)
                 best_face = np.zeros(rows_o.size, dtype=np.int64)
                 for axis in range(d):
-                    if periodic[axis]:  # wrapped already, cannot be crossed
+                    if periodic[axis]:  # wrapped by the pad, cannot be crossed
                         continue
-                    for side, crossed in ((0, below[rows_o, axis]),
-                                          (1, above[rows_o, axis])):
+                    for side, crossed in ((0, src_o[:, axis] < 0),
+                                          (1, src_o[:, axis] >= shape[axis])):
                         fi = 2 * axis + side
                         rank = _PRECEDENCE[spec.bc.face(face_names[fi]).kind]
                         better = crossed & (rank < best_rank)
@@ -510,6 +512,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                         kind[q, rows] = kinds.OUTFLOW
                     else:  # pragma: no cover - periodic was wrapped already
                         raise AssertionError("periodic faces cannot be crossed")
+        del lab_pad, slot_pad, lab_flat, slot_flat, cell_all, cell   # freed before the next level
 
         def _cat(parts, col, dtype=np.int64):
             if not parts:
@@ -537,7 +540,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
 
         # Accumulate map: children of every coarse-ghost cell on the finer level.
         if lvl < spec.num_levels - 1 and ghost_slots.size:
-            gpos = grid.cell_positions()[ghost_slots]
+            gpos = pos_all[ghost_slots]
             children_off = np.stack(np.meshgrid(*([np.arange(2)] * d),
                                                 indexing="ij"), axis=-1).reshape(-1, d)
             fine = (gpos[:, None, :] * 2 + children_off[None, :, :]).reshape(-1, d)
@@ -552,7 +555,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
         # Original-baseline explosion copy: every fine-ghost cell mirrors its
         # coarse parent's post-collision state.
         if fine_ghost_slots.size:
-            fpos = grid.cell_positions()[fine_ghost_slots]
+            fpos = pos_all[fine_ghost_slots]
             fg_coarse_src = grids[lvl - 1].lookup(fpos // 2)
             if (fg_coarse_src < 0).any():
                 raise AssertionError("fine-ghost parent not allocated on coarser level")

@@ -121,6 +121,25 @@ class TestKernelRecords:
         eng.op_coalesce(0)
         assert eng.rt.records[-1].name == "O"
 
+    def test_interface_kernels_declare_distinct_cells(self):
+        # E / O declare the owned cells they touch, not their (q, cell)
+        # entries; the count is taken once at build, not per launch
+        base = (16, 16)
+        spec = RefinementSpec(base, wall_refinement(base, 3, [4.0, 1.5]))
+        eng = Engine(build_multigrid(spec, D2Q9), "bgk", omega0=1.2)
+        eng.initialize()
+        seen = set()
+        for lv, buf in enumerate(eng.levels):
+            for op, name, cells in ((eng.op_explode, "E", buf.exp_cell),
+                                    (eng.op_coalesce, "O", buf.coal_cell)):
+                if cells.size:
+                    op(lv)
+                    rec = eng.rt.records[-1]
+                    assert (rec.name, rec.level) == (name, lv)
+                    assert rec.n_cells == np.unique(cells).size < cells.size
+                    seen.add((name, lv))
+        assert seen == {("E", 1), ("E", 2), ("O", 0), ("O", 1)}
+
     def test_accumulate_level0_rejected(self):
         eng = make_engine()
         with pytest.raises(ValueError):

@@ -1,12 +1,25 @@
 """Multi-resolution stack construction, validation and interface maps."""
 
+import dataclasses
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from repro.core.lattice import D2Q9, D3Q19
+from repro.bench.workloads import sphere_tunnel
+from repro.core.lattice import D2Q9, D3Q19, D3Q27
 from repro.grid import kinds
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
-from repro.grid.multigrid import (DomainBC, FaceBC, RefinementSpec, build_multigrid)
+from repro.grid.multigrid import (_FACE_KINDS, _PRECEDENCE, DomainBC, FaceBC,
+                                  RefinementSpec, _dilate, _face_names,
+                                  _owner_labels, _upsample2, _validate_spec,
+                                  build_multigrid)
+from repro.grid.sparse_grid import BlockSparseGrid
 
 
 def two_level_2d(base=(16, 16), width=3.0, bc=None):
@@ -256,3 +269,322 @@ class TestBoundaryClassification:
             assert (lv.kind[lv.mov_q, lv.mov_cell] == kinds.MOVING).all()
             assert (lv.kind[lv.out_q, lv.out_cell] == kinds.OUTFLOW).all()
             assert (lv.kind[lv.bb_q, lv.bb_cell] == kinds.BOUNCEBACK).all()
+
+
+# -- bit-reference for the grid compile ----------------------------------------
+#
+# The compile step classifies pulls with flat gathers over padded dense
+# arrays.  What follows is the classifier it replaced, kept as the
+# reference: (n, d) position arithmetic, ``lab[tuple(s.T)]`` and one
+# ``BlockSparseGrid.lookup`` per answer, a full-footprint dilation.  Every
+# array of every CompiledLevel has to come out equal, dtype included.
+
+def ref_dilate(mask, radius, periodic):
+    if not mask.any():
+        return mask.copy()
+    if not any(periodic):
+        footprint = np.ones((2 * radius + 1,) * mask.ndim, dtype=bool)
+        return ndimage.binary_dilation(mask, structure=footprint)
+    out = mask.copy()
+    for _ in range(radius):
+        for axis in range(mask.ndim):
+            snap = out.copy()
+            for shift in (-1, 1):
+                rolled = np.roll(snap, shift, axis=axis)
+                if not periodic[axis]:
+                    edge = [slice(None)] * mask.ndim
+                    edge[axis] = 0 if shift == 1 else -1
+                    rolled[tuple(edge)] = False
+                out |= rolled
+    return out
+
+
+def ref_compile(spec, lat):
+    """``{level: {field: array}}`` by the position-based classifier."""
+    d, Q, nl = spec.d, lat.q, spec.num_levels
+    per, names, labels = spec.bc.periodic_axes(d), _face_names(d), _owner_labels(spec)
+    grids, slots = [], []
+    for lvl, lab in enumerate(labels):
+        owned = lab == 0
+        ghost = ref_dilate(owned, 1, per) & (lab == 1)
+        fghost = (ref_dilate(owned, 4, per) & _upsample2(labels[lvl - 1] == 0)
+                  if lvl else np.zeros_like(owned))
+        grid = BlockSparseGrid.from_mask(owned | ghost | fghost, level=lvl,
+                                         block_size=spec.block_size, curve=spec.curve)
+        p = grid.cell_positions()
+        ok = np.all(p < lab.shape, axis=1) & grid.active()
+        grids.append(grid)
+        slots.append([np.flatnonzero(ok)[m[tuple(p[ok].T)]] for m in (owned, ghost, fghost)])
+    out = {}
+    for lvl, (grid, lab) in enumerate(zip(grids, labels)):
+        owned_slots, ghost_slots, fg_slots = slots[lvl]
+        shape = np.asarray(lab.shape)
+        pos = grid.cell_positions()[owned_slots]
+        ghost_row = np.full(grid.n_alloc, -1, dtype=np.int64)
+        ghost_row[ghost_slots] = np.arange(ghost_slots.size)
+        pull_src = np.tile(owned_slots, (Q, 1))
+        kind = np.full((Q, owned_slots.size), kinds.INTERIOR, dtype=np.int8)
+        T = {k: [] for k in ("bb", "mov", "out", "exp", "coal", "sb", "sl")}
+
+        def mark(table, code, q, rows, *cols):
+            T[table].append((q, rows) + cols)
+            kind[q, rows] = code
+
+        for q in range(Q):
+            v = lat.e[q]
+            if not v.any():
+                continue
+            src = np.where(per, (pos - v) % shape, pos - v)
+            below, above = src < 0, src >= shape
+            is_out = (below | above).any(axis=1)
+            rin = np.flatnonzero(~is_out)
+            s = src[rin]
+            code = lab[tuple(s.T)]
+            pull_src[q, rin[code == 0]] = grid.lookup(s[code == 0])
+            if (code == 1).any():
+                mark("coal", kinds.COALESCENCE, q, rin[code == 1],
+                     ghost_row[grid.lookup(s[code == 1])])
+            if (code == 2).any():
+                mark("exp", kinds.EXPLOSION, q, rin[code == 2],
+                     grids[lvl - 1].lookup(s[code == 2] // 2), grid.lookup(s[code == 2]))
+            if (code == 3).any():
+                T["sb"].append((q, rin[code == 3]))
+                mark("bb", kinds.BOUNCEBACK, q, rin[code == 3])
+            rows_o = np.flatnonzero(is_out)
+            rank = np.full(rows_o.size, 99)
+            face = np.zeros(rows_o.size, dtype=np.int64)
+            for fi in range(2 * d):
+                fkind = spec.bc.face(names[fi]).kind
+                if fkind == "periodic":
+                    continue
+                crossed = (above if fi % 2 else below)[rows_o, fi // 2]
+                better = crossed & (_PRECEDENCE[fkind] < rank)
+                rank[better], face[better] = _PRECEDENCE[fkind], fi
+            for fi in np.unique(face):
+                fbc, rows = spec.bc.face(names[fi]), rows_o[face == fi]
+                if fbc.kind == "wall":
+                    mark("bb", kinds.BOUNCEBACK, q, rows)
+                elif fbc.kind in ("moving", "inlet"):
+                    term = 2.0 * lat.w[q] * float(lat.ef[q] @ np.asarray(fbc.velocity)) / lat.cs2
+                    mark("mov", kinds.MOVING, q, rows, term)
+                elif fbc.kind == "outflow":
+                    mark("out", kinds.OUTFLOW, q, rows)
+                else:  # slip: mirrored direction at the tangential neighbour
+                    mvec, tvec = v.copy(), v.copy()
+                    mvec[fi // 2], tvec[fi // 2] = -v[fi // 2], 0
+                    mpos = np.where(per, (pos[rows] - tvec) % shape, pos[rows] - tvec)
+                    good = np.all((mpos >= 0) & (mpos < shape), axis=1)
+                    good[good] = lab[tuple(mpos[good].T)] == 0
+                    if good.any():
+                        mark("sl", kinds.SLIP, q, rows[good],
+                             lat.direction_index(mvec), grid.lookup(mpos[good]))
+                    if (~good).any():
+                        mark("bb", kinds.BOUNCEBACK, q, rows[~good])
+
+        def cat(table, col, dtype=np.int64):
+            return np.concatenate([np.empty(0, dtype)] + [
+                np.broadcast_to(np.asarray(p[col]), p[1].shape).astype(dtype)
+                for p in T[table]])
+
+        a = {"owned_slots": owned_slots, "ghost_slots": ghost_slots,
+             "fine_ghost_slots": fg_slots, "fg_slots": fg_slots,
+             "pull_src": pull_src, "kind": kind}
+        for table, cols in (("bb", "q cell"), ("mov", "q cell"), ("out", "q cell"),
+                            ("sb", "q cell"), ("sl", "q cell src_q src"),
+                            ("exp", "q cell src ghost_src"), ("coal", "q cell src")):
+            for col, name in enumerate(cols.split()):
+                a[f"{table}_{name}"] = cat(table, col)
+        a["mov_term"] = cat("mov", 2, np.float64)
+        a["out_val"] = lat.w[a["out_q"]] if a["out_q"].size else np.empty(0)
+        children = np.array(list(itertools.product((0, 1), repeat=d)))
+        gpos = grid.cell_positions()[ghost_slots]
+        a["acc_fine_slots"] = (grids[lvl + 1].lookup(
+            (gpos[:, None, :] * 2 + children).reshape(-1, d))
+            if ghost_slots.size else np.empty(0, dtype=np.int64))
+        a["acc_ghost_rows"] = np.repeat(np.arange(ghost_slots.size), 2 ** d)
+        a["fg_coarse_src"] = (grids[lvl - 1].lookup(grid.cell_positions()[fg_slots] // 2)
+                              if fg_slots.size else np.empty(0, dtype=np.int64))
+        out[lvl] = a
+    return out
+
+
+def assert_matches_reference(spec, lat):
+    mg = build_multigrid(spec, lat)
+    ref = ref_compile(spec, lat)
+    for cl in mg.levels:
+        fields = [f.name for f in dataclasses.fields(cl)
+                  if isinstance(getattr(cl, f.name), np.ndarray)]
+        assert sorted(fields) == sorted(ref[cl.level])
+        for name in fields:
+            got, want = getattr(cl, name), ref[cl.level][name]
+            assert got.dtype == want.dtype, (cl.level, name, got.dtype, want.dtype)
+            assert np.array_equal(got, want), (cl.level, name)
+    return mg
+
+
+_BC_FLAVOURS = ("walls", "moving", "periodic", "slip", "open")
+
+
+def flavoured_bc(d, flavour):
+    """Face mixes named after the kind they add to the default walls."""
+    last = "xyz"[d - 1]
+    vel = (0.05,) + (0.0,) * (d - 1)
+    faces = {
+        "walls": {},
+        "moving": {f"{last}+": FaceBC("moving", velocity=vel)},
+        "periodic": {"x-": FaceBC("periodic"), "x+": FaceBC("periodic"),
+                     f"{last}+": FaceBC("moving", velocity=vel)},
+        "slip": {"y-": FaceBC("slip"), "y+": FaceBC("slip"), "x+": FaceBC("outflow")},
+        "open": {"x-": FaceBC("inlet", velocity=vel), "x+": FaceBC("outflow"),
+                 "y-": FaceBC("slip")},
+    }[flavour]
+    return DomainBC(faces)
+
+
+def nested_box_spec(base, levels, bc, solid=False, block_size=4, curve="morton"):
+    """Nested box refinement hugging the low x face (the whole of x when periodic)."""
+    d = len(base)
+    periodic_x = bc.periodic_axes(d)[0]
+    lo, hi = [2] * d, [n - 3 for n in base]
+    regions = []
+    for k in range(levels - 1):
+        shape = tuple(n * 2 ** k for n in base)
+        if periodic_x:
+            lo[0], hi[0] = 0, shape[0]
+        elif k == 0:
+            lo[0] = 0
+        region = np.zeros(shape, dtype=bool)
+        region[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+        regions.append(region)
+        lo = [2 * a + (3 if a else 0) for a in lo]
+        hi = [2 * b - 3 for b in hi]
+    mask = None
+    if solid:
+        mask = np.zeros(tuple(n * 2 ** (levels - 1) for n in base), dtype=bool)
+        mask[tuple(slice((a + b) // 2 - 1, (a + b) // 2 + 1)
+                   for a, b in zip(lo, hi))] = True       # inside the finest box
+    return RefinementSpec(base, regions, solid=mask, bc=bc,
+                          block_size=block_size, curve=curve)
+
+
+def _reference_cases():
+    for (base, lat), flavour, levels, solid, block, curve in itertools.product(
+            (((15, 13), D2Q9), ((11, 9, 13), D3Q19)), _BC_FLAVOURS, (1, 2, 3),
+            (False, True), (2, 4, 8), ("morton", "hilbert")):
+        yield pytest.param(
+            base, lat, flavour, levels, solid, block, curve,
+            id=f"{len(base)}d-{flavour}-L{levels}-{'solid' if solid else 'fluid'}"
+               f"-B{block}-{curve}")
+
+
+class TestCompileMatchesReference:
+    @pytest.mark.parametrize("base,lat,flavour,levels,solid,block,curve",
+                             _reference_cases())
+    def test_every_array_equal(self, base, lat, flavour, levels, solid, block, curve):
+        # no base extent is a multiple of any block size: edge blocks are padded
+        spec = nested_box_spec(base, levels, flavoured_bc(len(base), flavour),
+                               solid=solid, block_size=block, curve=curve)
+        mg = assert_matches_reference(spec, lat)
+        assert mg.num_levels == levels
+
+    def test_d3q27_sphere_tunnel(self):
+        assert_matches_reference(sphere_tunnel(scale=0.25).spec, D3Q27)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 9), (2, 5, 11)])
+    def test_dilation(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for radius, p_set in itertools.product((1, 2, 4), (0.03, 0.3)):
+            mask = rng.random(shape) < p_set
+            for per in itertools.product((False, True), repeat=len(shape)):
+                got = _dilate(mask, radius, list(per))
+                assert got.dtype == np.bool_
+                assert np.array_equal(got, ref_dilate(mask, radius, list(per)))
+
+
+#: 25 random topologies locally; ``--hypothesis-profile ci`` (tests/conftest.py,
+#: selected by the workflow's tier-1 step) spends the profile's 200.
+grid_budget = (settings.get_profile("ci")
+               if settings.get_current_profile_name() == "ci"
+               else settings(max_examples=25, deadline=None))
+
+
+@st.composite
+def random_specs(draw):
+    """Random nested boxes, face-BC mixes and storage; legality not guaranteed."""
+    d = draw(st.sampled_from((2, 3)))
+    base = tuple(draw(st.integers(5, 12 if d == 2 else 8)) for _ in range(d))
+    levels = draw(st.sampled_from((1, 2, 2, 3, 3)))
+    vel = tuple(draw(st.floats(-0.05, 0.05)) for _ in range(d))
+    faces = {}
+    for axis in "xyz"[:d]:
+        lo = draw(st.sampled_from(_FACE_KINDS))
+        hi = lo if lo == "periodic" else draw(
+            st.sampled_from([k for k in _FACE_KINDS if k != "periodic"]))
+        for name, kind in ((f"{axis}-", lo), (f"{axis}+", hi)):
+            faces[name] = FaceBC(kind, velocity=vel if kind in ("moving", "inlet") else None)
+    # Each level's box sits 0-2 cells inside the range the previous one
+    # leaves it: its children, less the two cells of coarse-ghost children
+    # on every side that is not a domain face.  Periodic seams and tight
+    # boxes still produce illegal specs; the property discards those.
+    regions = []
+    lo, hi = [0] * d, list(base)
+    for k in range(levels):
+        extent = [n * 2 ** k for n in base]
+        box = [slice(a + draw(st.integers(0, 2)), b - draw(st.integers(0, 2)))
+               for a, b in zip(lo, hi)]
+        assume(all(s.start < s.stop for s in box))
+        if k == levels - 1:
+            break
+        region = np.zeros(extent, dtype=bool)
+        region[tuple(box)] = True
+        # a level left owning nothing passes _validate_spec, and
+        # BlockSparseGrid then refuses the empty mask: not a topology
+        assume(not region.all())
+        regions.append(region)
+        lo = [2 * s.start + (2 if s.start else 0) for s in box]
+        hi = [2 * s.stop - (2 if s.stop < n else 0) for s, n in zip(box, extent)]
+    solid = None
+    if draw(st.booleans()):
+        solid = np.zeros(extent, dtype=bool)
+        solid[tuple(slice(s.start, s.start + draw(st.integers(1, 2))) for s in box)] = True
+    return RefinementSpec(base, regions, solid=solid, bc=DomainBC(faces),
+                          block_size=draw(st.sampled_from((2, 4, 8))),
+                          curve=draw(st.sampled_from(("morton", "hilbert"))))
+
+
+@grid_budget
+@given(random_specs())
+def test_random_topologies_match_reference(spec):
+    try:
+        _validate_spec(spec)
+    except ValueError:
+        assume(False)
+    assert_matches_reference(spec, D2Q9 if spec.d == 2 else D3Q19)
+
+
+class TestCompileMemory:
+    def test_peak_stays_near_the_result(self):
+        """Dense transients: one int8 + one int32 box, one level at a time."""
+        spec = sphere_tunnel(scale=0.5).spec
+        build_multigrid(spec, D3Q27)        # imports and first-touch out of the way
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mg = build_multigrid(spec, D3Q27)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = {id(a): a.nbytes for cl in mg.levels
+                  for obj in (cl, cl.grid) for a in vars(obj).values()
+                  if isinstance(a, np.ndarray)}
+        label_bytes = int(np.prod(spec.level_shape(spec.num_levels - 1)))
+        assert peak - sum(arrays.values()) < 2 * label_bytes + (64 << 20)
+
+    def test_no_level_shaped_array_survives_on_a_grid(self):
+        spec = sphere_tunnel(scale=0.25).spec
+        mg = build_multigrid(spec, D3Q27)
+        for cl in mg.levels:
+            box = int(np.prod(spec.level_shape(cl.level)))
+            for name, a in vars(cl.grid).items():
+                if isinstance(a, np.ndarray):
+                    assert a.size < box, (cl.level, name, a.shape)

@@ -16,7 +16,8 @@ from repro.analysis.static import (AccessModel, StaticAccess, check_contraction,
                                    plan_stream, prove_fusion_legality,
                                    seeded_illegal_proof, superset_findings,
                                    swap_declaration, verify_static)
-from repro.bench.workloads import lid_cavity
+from repro.backend.compiler import admit_stream
+from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_SO, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE)
 from repro.core.simulation import Simulation
@@ -132,6 +133,59 @@ class TestStaticAccessSets:
         fake = StaticAccess(FieldRef("f", 0), READ, 10**6, 10**6 + 4, 32)
         problems = superset_findings(records, {0: [fake]}, static_map)
         assert len(problems) == 1 and "not covered" in problems[0]
+
+
+# ------------------------------------------------------ per-model access memo
+
+class UnmemoisedModel(AccessModel):
+    """The three geometry-only builders recomputed on every call."""
+
+    def _stream_reads(self, lv):
+        return tuple(AccessModel._stream_reads.__wrapped__(self, lv))
+
+    def _explode(self, lv, from_ghost, subsumed):
+        return tuple(AccessModel._explode.__wrapped__(self, lv, from_ghost, subsumed))
+
+    def _coalesce(self, lv, subsumed):
+        return tuple(AccessModel._coalesce.__wrapped__(self, lv, subsumed))
+
+
+class TestAccessMemo:
+    @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
+    @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
+    def test_memo_is_invisible(self, config, wl):
+        records, model = plan_stream(config, wl, steps=2)
+        plain = UnmemoisedModel(model.engine)
+        assert not plain._memo
+        first = model.access_map(records)
+        assert first == plain.access_map(records)
+        assert not plain._memo and model._memo
+        # what a caller does to a returned list stays with the caller
+        for accesses in first.values():
+            accesses.clear()
+        assert model.access_map(records) == plain.access_map(records)
+
+    #: Certificate stream digests at the parent commit (EXPERIMENTS.md,
+    #: "Cold start without a cache"): the compile step and the declared
+    #: E / O cell counts feed every number a record declares.
+    PARENT_DIGESTS = {
+        ("cavity", "ours-4f"):
+            "80b56e92437c3c302cf1eebc17a4cb4c39b0b97e3440e1b03558eafa08d0a6c2",
+        ("cavity", "baseline-4b"):
+            "2e026baa12956508dc4ff69f97eff4594f5e74a253d6b61efdd2a28c4cf7ff26",
+        ("sphere", "baseline-4b"):
+            "06b9cf13cea19c542eb77986f6ffc2b12df2ae487b10fe006b8f59b1c2502fe8",
+    }
+
+    @pytest.mark.parametrize("which,fusion", PARENT_DIGESTS,
+                             ids=[f"{w}-{f}" for w, f in PARENT_DIGESTS])
+    def test_admitted_stream_digest_unchanged(self, which, fusion):
+        wl = (lid_cavity(base=(16, 16, 16), num_levels=3) if which == "cavity"
+              else sphere_tunnel(scale=0.5))
+        sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=fusion))
+        _records, cert, lint = admit_stream(sim.stepper)
+        assert cert["stream_digest"] == self.PARENT_DIGESTS[which, fusion]
+        assert not lint.errors
 
 
 # ------------------------------------------------------------ legality proofs
