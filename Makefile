@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -20,6 +20,23 @@ test-compiled:
 test-mp:
 	REPRO_BACKEND=mp $(PYTHON) -m pytest -x -q tests/test_mp_backend.py \
 		tests/test_simulation.py tests/test_fusion_equivalence.py
+
+# Bit-identity across executors rests on one promise of the collision
+# kernels: a cell's result does not depend on where its column sits in a
+# call (DESIGN.md section 17, decision 2).  It has to hold for whatever
+# kernel set the BLAS dispatches to, not only this host's, so the tests
+# that rely on it run again under two others (both load on any x86-64;
+# OPENBLAS_VERBOSE=2 prints the core once, so the log shows the override
+# took).  One BLAS thread: above a size threshold a threaded OpenBLAS
+# cuts Q into per-thread chunks, and the Nehalem kernels round a chunk's
+# edge rows differently, so there a cell also depends on the width of
+# its call -- as it did before the moment-space kernels (DESIGN.md).
+test-blas:
+	@for core in Nehalem Sandybridge; do \
+		OPENBLAS_CORETYPE=$$core OPENBLAS_VERBOSE=2 OPENBLAS_NUM_THREADS=1 \
+		$(PYTHON) -m pytest -x -q tests/test_collision.py \
+			tests/test_mp_backend.py tests/test_reference.py || exit 1; \
+	done
 
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool
@@ -102,4 +119,4 @@ serve-check:
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py -k "fair or resume or chaos"
 
-check: lint docs-check test test-compiled test-mp static-check resilience-check serve-check report bench-check
+check: lint docs-check test test-compiled test-mp test-blas static-check resilience-check serve-check report bench-check

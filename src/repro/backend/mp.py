@@ -189,8 +189,13 @@ def _attach_shared(levels, shm, manifest, dtype) -> None:
 def _shard_collide(engine, rec, lo: int, hi: int):
     """Body computing columns ``[lo, hi)`` of one pure collide kernel.
 
-    Collision is per-cell, so the slice is bitwise identical to the same
-    columns of the whole-buffer call the interpreted path makes.
+    The slice is bitwise identical to the same columns of the whole-buffer
+    call the interpreted path makes — not because collision is per-cell
+    (BLAS rounds a product's edge columns differently) but because
+    ``collide`` runs every matrix product on a 64-column-aligned, padded
+    block, so a cell's result does not depend on where its column sits in
+    a call (DESIGN.md section 17, decision 2).  ``_partition`` may
+    therefore cut anywhere.
     """
     buf = engine.levels[rec.level]
     collide = engine.collision.collide

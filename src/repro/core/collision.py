@@ -1,24 +1,33 @@
-"""Collision operators: BGK (Eq. 3) and the entropic KBC model (Section II).
+"""Collision operators: BGK (Eq. 3), TRT and the entropic KBC model (Section II).
 
 All operators act on population arrays of shape ``(Q, N)`` where ``N`` is
 the number of cells of one grid level — the flat, structure-of-arrays view
 produced by the block-sparse grid (Section V-A of the paper).
 
-Collision is per cell, so a level is processed in *column tiles* narrow
-enough that a tile of ``f``, of ``out`` and of every ``(Q, tile)``
-intermediate stays in cache between the passes that touch it — the host
-analogue of the paper's fused kernels keeping intermediates in registers
-(Section IV).  :meth:`CollisionModel.collide` is the one blocked driver;
-an operator implements only its per-tile relaxation, in ``out=`` ufunc /
-``matmul`` / ``einsum`` calls on scratch allocated once per call.  A tile
-runs the operations of the whole-array formula in the same order, so the
-result does not depend on the tile width, bit for bit.
+Collision happens in *moment space*.  The equilibrium (Eq. 5) is a
+polynomial in a handful of moments, so a cell's relaxation is two small
+matrix products against constant lattice matrices and a few row
+operations: **project** ``[rho; j]`` out of ``f``, form the second-order
+rows ``j_a j_b / rho`` (and ``[1; u]`` for Guo forcing), **reconstruct**
+``basis @ [rho; j; jj/rho]`` scaled by the operator's rates.  A level is
+processed in *column tiles* narrow enough that the ``f``, ``out`` and
+scratch tiles stay in cache between the few passes that touch them — the
+host analogue of the paper's fused kernels keeping intermediates in
+registers (Section IV).
+
+A cell's result must not depend on where its column sits in a call (mp
+column shards, the dense reference and other tile widths compute the same
+cell at other offsets).  BLAS rounds the last columns of a product in an
+edge kernel, so **every matrix product here runs on a block whose width is
+a multiple of 64**: whole tiles are read in place, the last ``N % 64``
+columns are staged into scratch padded with the rest state ``w_i``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
@@ -39,45 +48,42 @@ __all__ = [
 ]
 
 #: Bytes a tile's working set may occupy: the ``f`` and ``out`` tiles plus
-#: the operator's live intermediates.  Smaller tiles sit deeper in the cache
+#: the operator's scratch tiles.  Smaller tiles sit deeper in the cache
 #: but pay NumPy's per-call cost (and, between concurrently stepping
 #: threads, a GIL hand-off) more often; the sweep behind the value is in
-#: EXPERIMENTS.md, "Blocked collision".
+#: EXPERIMENTS.md, "Moment-space collision".
 TILE_BUDGET_BYTES = 6 << 20
 
 
 def tile_width(q: int, live_tiles: int) -> int:
-    """Cells per tile so that ``live_tiles`` float64 ``(q, tile)`` arrays fit the budget.
-
-    A multiple of 64: BLAS ``gemv`` computes the last ``n % 4`` columns of
-    a call in a scalar tail whose rounding differs from the vector body,
-    so tile edges must fall on multiples of 4 for a tiled call to equal
-    the whole-array one.
-    """
+    """Cells per tile so that ``live_tiles`` float64 ``(q, tile)`` arrays fit the budget."""
     return max(TILE_BUDGET_BYTES // (q * 8 * live_tiles) // 64 * 64, 64)
 
 
-def _tiled(n: int, q: int, live_tiles: int, rows: tuple[int, ...]
-           ) -> Iterator[tuple[int, int, list[np.ndarray]]]:
-    """Yield ``(lo, hi, scratch)`` over the column tiles of an ``n``-cell level.
+def _tiles(lat: Lattice, n: int, live_tiles: int, direct: bool
+           ) -> Iterator[tuple[int, int, bool, list[np.ndarray]]]:
+    """Yield ``(lo, hi, staged, scratch)`` over the column tiles of an ``n``-cell level.
 
-    ``scratch`` is one contiguous float64 ``(r, hi - lo)`` block per entry
-    of ``rows``, carved from a single allocation made once per call.  A
-    trailing single column is folded into the tile before it: on one
-    column NumPy reduces and multiplies along the other axis, in another
-    summation order than on a whole level.
+    ``scratch`` is float64, carved from one allocation per call, and as
+    wide as the tile's matrix products run — always a multiple of 64: a
+    ``(Q, w)`` stage, the ``(2 + 2 d + len(pairs), w)`` moment block and
+    ``live_tiles - 2`` more ``(Q, w)`` blocks.  ``staged`` tells the caller
+    to go through the stage instead of ``[lo, hi)`` of its own arrays:
+    for the last ``n % 64`` columns (``w = 64``; the caller pads) and,
+    unless ``direct``, for every tile.
     """
-    tile = tile_width(q, live_tiles)
-    flat = np.empty(sum(rows) * min(n, tile + 1))
-    lo, blocks = 0, []
-    while lo < n:
-        hi = lo + tile if lo + tile + 1 < n else n
-        if not blocks or blocks[0].shape[1] != hi - lo:
-            offs = np.cumsum((0,) + rows) * (hi - lo)
-            blocks = [flat[a:b].reshape(r, hi - lo)
-                      for a, b, r in zip(offs, offs[1:], rows)]
-        yield lo, hi, blocks
-        lo = hi
+    tile = tile_width(lat.q, live_tiles)
+    width, full = min(tile, n + -n % 64), n - n % 64
+    shapes = [(lat.q, 64 if direct else width),
+              (2 + 2 * lat.d + len(lat.pairs), width),
+              *[(lat.q, width)] * (live_tiles - 2)]
+    offs = [0, *accumulate(r * w for r, w in shapes)]
+    flat = np.empty(offs[-1])
+    blocks = [flat[a:b].reshape(s) for a, b, s in zip(offs, offs[1:], shapes)]
+    edges = sorted({*range(0, full, tile), full, n})
+    for lo, hi in zip(edges, edges[1:]):
+        w = hi - lo + (lo - hi) % 64               # hi - lo rounded up
+        yield lo, hi, not direct or w > hi - lo, [b[:, :w] for b in blocks]
 
 
 def density(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -104,32 +110,59 @@ def macroscopics(lat: Lattice, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, velocity(lat, f, rho)
 
 
-def _moments_into(lat: Lattice, f: np.ndarray, force: np.ndarray | None,
-                  rho: np.ndarray, u: np.ndarray) -> None:
-    """Density into ``rho`` ``(m,)``, (half-force-shifted) velocity into ``u``."""
-    np.add.reduce(f, axis=0, dtype=f.dtype, out=rho)
-    np.matmul(lat.ef.T, f, out=u)
+def _flux_rows(lat: Lattice, m: np.ndarray) -> None:
+    """Fill the second-order rows ``j_a u_b`` of the moment block ``m``.
+
+    ``m`` is ``[rho; j; j_a u_b (a <= b); 1; u]``, ``(2 + 2 d + len(pairs), width)``.
+    """
+    n1 = 1 + lat.d
+    u = m[n1 + len(lat.pairs) + 1:]
+    for k, (a, b) in enumerate(lat.pairs):
+        np.multiply(m[1 + a], u[b], out=m[n1 + k])
+
+
+def _project(lat: Lattice, f: np.ndarray, force: np.ndarray | None,
+             m: np.ndarray) -> None:
+    """Moment block of a population tile: ``[rho; j; j_a u_b; 1; u]`` into ``m``.
+
+    With a force, ``j`` carries Guo's half-force shift.
+    """
+    n1, n2 = 1 + lat.d, lat.basis.shape[1]
+    np.matmul(lat.moments[:n1], f, out=m[:n1])
     if force is not None:
-        u += 0.5 * np.asarray(force, dtype=np.float64)[:, None]
-    u /= rho
+        m[1:n1] += 0.5 * force[:, None]
+    m[n2] = 1.0
+    np.divide(m[1:n1], m[0], out=m[n2 + 1:])
+    _flux_rows(lat, m)
 
 
-def _equilibrium_into(lat: Lattice, rho: np.ndarray, u: np.ndarray,
-                      out: np.ndarray, eu: np.ndarray, t: np.ndarray,
-                      s: np.ndarray) -> None:
-    """Eq. (5) on one tile; leaves ``e_i . u`` in ``eu``, clobbers ``t``, ``s``."""
-    inv_cs2 = 1.0 / lat.cs2
-    np.matmul(lat.ef, u, out=eu)
-    np.einsum("dn,dn->n", u, u, out=s)          # |u|^2
-    np.multiply(eu, inv_cs2, out=out)
-    np.multiply(eu, 0.5 * inv_cs2 * inv_cs2, out=t)
-    t *= eu
-    out += t
-    s *= 0.5 * inv_cs2
-    out -= s
-    out += 1.0
-    np.multiply(lat.w[:, None], rho, out=t)
-    out *= t
+def _guo_basis(lat: Lattice, force: np.ndarray) -> np.ndarray:
+    """``(Q, 1 + d)`` matrix ``G`` of Guo's source, ``S = (1 - omega/2) G @ [1; u]``."""
+    ef_f = (lat.ef @ force)[:, None] / lat.cs2
+    return lat.w[:, None] * np.hstack(
+        [ef_f, (lat.ef * ef_f - force) / lat.cs2])
+
+
+def _reconstruct(lat: Lattice, rho: np.ndarray, u: np.ndarray,
+                 basis: np.ndarray, rows: slice,
+                 out: np.ndarray | None) -> np.ndarray:
+    """``basis @ m[rows]`` for the moment block ``m`` of ``(rho, u)``, tile by tile."""
+    u = np.asarray(u, dtype=np.float64)
+    n = u.shape[1]
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,))
+    if out is None:
+        out = np.empty((lat.q, n))
+    n1, n2 = 1 + lat.d, lat.basis.shape[1]
+    for lo, hi, staged, (stage, m) in _tiles(lat, n, 2, out.dtype == np.float64):
+        k = hi - lo
+        m[0, :k], m[n2], m[n2 + 1:, :k] = rho[lo:hi], 1.0, u[:, lo:hi]
+        m[0, k:], m[n2 + 1:, k:] = 1.0, 0.0
+        np.multiply(m[0], m[n2 + 1:], out=m[1:n1])
+        _flux_rows(lat, m)
+        np.matmul(basis, m[rows], out=stage if staged else out[:, lo:hi])
+        if staged:
+            out[:, lo:hi] = stage[:, :k]
+    return out
 
 
 def equilibrium(lat: Lattice, rho: np.ndarray, u: np.ndarray,
@@ -142,30 +175,8 @@ def equilibrium(lat: Lattice, rho: np.ndarray, u: np.ndarray,
     u : shape ``(d, N)``
     out : optional ``(Q, N)`` buffer written in place.
     """
-    u = np.asarray(u, dtype=np.float64)
-    n = u.shape[1]
-    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,))
-    if out is None:
-        out = np.empty((lat.q, n))
-    for lo, hi, (eu, t, s) in _tiled(n, lat.q, 3, (lat.q, lat.q, 1)):
-        _equilibrium_into(lat, rho[lo:hi], u[:, lo:hi], out[:, lo:hi],
-                          eu, t, s[0])
-    return out
-
-
-def _guo_source_into(lat: Lattice, eu: np.ndarray, u: np.ndarray,
-                     force: np.ndarray, omega: float, out: np.ndarray,
-                     t: np.ndarray, s: np.ndarray) -> None:
-    """Guo source of one tile into ``out``, given ``eu = e_i . u``."""
-    inv_cs2 = 1.0 / lat.cs2
-    ef_dot_f = (lat.ef @ force)[:, None]               # (Q, 1)
-    np.matmul(force, u, out=s)                         # u . F
-    np.subtract(ef_dot_f, s, out=out)
-    out *= inv_cs2
-    np.multiply(eu, inv_cs2 * inv_cs2, out=t)
-    t *= ef_dot_f
-    out += t
-    out *= (1.0 - 0.5 * omega) * lat.w[:, None]
+    return _reconstruct(lat, rho, u, lat.basis,
+                        slice(None, lat.basis.shape[1]), out)
 
 
 def guo_source(lat: Lattice, u: np.ndarray, force: np.ndarray,
@@ -178,18 +189,15 @@ def guo_source(lat: Lattice, u: np.ndarray, force: np.ndarray,
     equilibrium (and the macroscopic output) must use the half-force
     shifted velocity ``u = (sum e_i f_i + F/2) / rho``.
     """
-    force = np.asarray(force, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    eu = lat.ef @ u
-    out = np.empty_like(eu)
-    _guo_source_into(lat, eu, u, force, omega, out, np.empty_like(eu),
-                     np.empty(u.shape[1]))
-    return out
+    basis = (1.0 - 0.5 * omega) * _guo_basis(
+        lat, np.asarray(force, dtype=np.float64))
+    return _reconstruct(lat, 1.0, u, basis,
+                        slice(lat.basis.shape[1], None), None)
 
 
 @dataclass(frozen=True)
 class CollisionModel:
-    """Base class: the blocked driver; subclasses relax one tile.
+    """Base class: the tiled moment-space driver; subclasses relax one tile.
 
     ``force`` is an optional constant body-force density vector ``(d,)``
     applied with the Guo scheme (second-order accurate forcing).
@@ -197,11 +205,9 @@ class CollisionModel:
 
     lattice: Lattice
 
-    #: ``(Q, tile)`` float64 intermediates a tile keeps live; with the ``f``
-    #: and ``out`` tiles they set the tile width (see :func:`tile_width`).
-    SCRATCH_TILES: ClassVar[int] = 3
-    #: ``(tile,)`` scratch rows of a tile, beyond ``rho`` and ``u``.
-    SCRATCH_ROWS: ClassVar[int] = 1
+    #: Float64 ``(Q, tile)`` arrays a tile keeps live: ``f``, ``out`` and the
+    #: operator's scratch tiles; sets the tile width (see :func:`tile_width`).
+    LIVE_TILES: ClassVar[int] = 3
 
     def collide(self, f: np.ndarray, omega: float,
                 out: np.ndarray | None = None,
@@ -209,39 +215,47 @@ class CollisionModel:
         """Post-collision populations of ``f`` ``(Q, N)``, tile by tile.
 
         ``out`` may be ``f`` itself (a tile is read before it is written);
-        any other overlap between the two is not supported.
+        any other overlap between the two is not supported.  The
+        arithmetic is float64 whatever the storage dtype: other dtypes go
+        through a float64 stage and are rounded once, on store.
         """
         lat = self.lattice
         if out is None:
             out = np.empty_like(f)
         if force is not None:
             force = np.asarray(force, dtype=np.float64)
-        rows = (1, lat.d, self.SCRATCH_ROWS) + (lat.q,) * self.SCRATCH_TILES
-        for lo, hi, ws in _tiled(f.shape[1], lat.q, self.SCRATCH_TILES + 2,
-                                 rows):
-            (rho,), u, rest, eu, feq, t = ws[:6]
-            _moments_into(lat, f[:, lo:hi], force, rho, u)
-            _equilibrium_into(lat, rho, u, feq, eu, t, rest[0])
-            self._relax_tile(f[:, lo:hi], omega, out[:, lo:hi], force, ws)
+        relax = self._relaxation(omega, force)
+        for lo, hi, staged, (stage, m, *tiles) in _tiles(
+                lat, f.shape[1], self.LIVE_TILES,
+                f.dtype == out.dtype == np.float64):
+            if staged:
+                src = dst = stage
+                src[:, :hi - lo], src[:, hi - lo:] = f[:, lo:hi], lat.w[:, None]
+            else:
+                src, dst = f[:, lo:hi], out[:, lo:hi]
+            _project(lat, src, force, m)
+            relax(src, dst, m, *tiles)
+            if staged:
+                out[:, lo:hi] = dst[:, :hi - lo]
         return out
 
-    def _relax_tile(self, f: np.ndarray, omega: float, out: np.ndarray,
-                    force: np.ndarray | None, ws: list[np.ndarray]) -> None:
-        """Relax one tile of ``f`` into ``out``.
+    def _relaxation(self, omega: float, force: np.ndarray | None
+                    ) -> Callable[..., None]:
+        """One call's tile relaxation ``(f, out, m, *scratch_tiles)``.
 
-        ``ws`` is ``rho`` ``(1, m)``, ``u``, ``SCRATCH_ROWS`` rows, then
-        ``SCRATCH_TILES`` tiles: the first holds ``e_i . u`` on entry, the
-        second the equilibrium; the other tiles and the rows are free.
+        Closed over the call's constant matrices; ``m`` is the moment block
+        of :func:`_project`, ``out`` may be ``f`` itself.
         """
         raise NotImplementedError
 
     def _moments(self, f: np.ndarray, force: np.ndarray | None
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Density and (half-force-shifted, if forced) velocity."""
-        rho = np.empty(f.shape[1])
-        u = np.empty((self.lattice.d, f.shape[1]))
-        _moments_into(self.lattice, f, force, rho, u)
-        return rho, u
+        rho = density(self.lattice, f)
+        mom = self.lattice.ef.T @ f
+        if force is not None:
+            mom += 0.5 * np.asarray(force, dtype=np.float64)[:, None]
+        return rho, mom / rho
 
     @property
     def name(self) -> str:
@@ -252,15 +266,19 @@ class CollisionModel:
 class BGK(CollisionModel):
     """Single-relaxation-time Bhatnagar-Gross-Krook operator (Eq. 3)."""
 
-    def _relax_tile(self, f, omega, out, force, ws) -> None:
-        _, u, (s,), eu, feq, t = ws
+    def _relaxation(self, omega, force):
+        lat = self.lattice
         # f* = (1 - omega) f + omega feq (+ Guo source)
-        np.multiply(f, 1.0 - omega, out=out)
-        feq *= omega
-        out += feq
+        mat = omega * lat.basis
         if force is not None:
-            _guo_source_into(self.lattice, eu, u, force, omega, feq, t, s)
-            out += feq
+            mat = np.hstack([mat, (1.0 - 0.5 * omega) * _guo_basis(lat, force)])
+        rows = mat.shape[1]
+
+        def relax(f, out, m, g):
+            np.matmul(mat, m[:rows], out=g)
+            np.multiply(f, 1.0 - omega, out=out)
+            out += g
+        return relax
 
 
 @dataclass(frozen=True)
@@ -279,7 +297,7 @@ class TRT(CollisionModel):
 
     magic: float = 3.0 / 16.0
 
-    SCRATCH_TILES: ClassVar[int] = 4
+    LIVE_TILES: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.magic <= 0:
@@ -289,59 +307,56 @@ class TRT(CollisionModel):
         lam_plus = 1.0 / omega - 0.5
         return 1.0 / (self.magic / lam_plus + 0.5)
 
-    def _parity_mix(self, x: np.ndarray, c_even: float, c_odd: float,
-                    rev: np.ndarray, even: np.ndarray) -> None:
-        """``c_even * even(x) + c_odd * odd(x)`` into ``even``; clobbers ``rev``."""
-        np.take(x, self.lattice.opp, axis=0, out=rev, mode="clip")
-        np.add(x, rev, out=even)
-        even *= 0.5
-        np.subtract(x, rev, out=rev)
-        rev *= 0.5
-        even *= c_even
-        rev *= c_odd
-        even += rev
+    def _by_parity(self, mat: np.ndarray, c_even: float, c_odd: float
+                   ) -> np.ndarray:
+        """``c_even * even(mat) + c_odd * odd(mat)`` about direction reversal."""
+        rev = mat[self.lattice.opp]
+        return 0.5 * c_even * (mat + rev) + 0.5 * c_odd * (mat - rev)
 
-    def _relax_tile(self, f, omega, out, force, ws) -> None:
-        _, u, (s,), eu, fneq, a, b = ws
-        np.subtract(f, fneq, out=fneq)
+    def _relaxation(self, omega, force):
+        lat = self.lattice
         om = self.omega_minus(omega)
-        self._parity_mix(fneq, omega, om, a, b)
-        np.subtract(f, b, out=out)
+        # f* = f - omega f+neq - om f-neq
+        #    = a f + b f[opp] + (omega W+ + om W-) m, W+- the parities of W
+        a, b = 1.0 - 0.5 * (omega + om), 0.5 * (om - omega)
+        mat = self._by_parity(lat.basis, omega, om)
         if force is not None:
             # each parity of the Guo source relaxes with its own rate:
             # the odd part (the force itself) with omega_minus, the even
             # part (the u.F corrections) with omega
-            _guo_source_into(self.lattice, eu, u, force, 0.0, fneq, a, s)
-            self._parity_mix(fneq, 1.0 - 0.5 * omega, 1.0 - 0.5 * om, a, b)
-            out += b
+            mat = np.hstack([mat, self._by_parity(
+                _guo_basis(lat, force), 1.0 - 0.5 * omega, 1.0 - 0.5 * om)])
+        rows = mat.shape[1]
+
+        def relax(f, out, m, g, rev):
+            np.matmul(mat, m[:rows], out=g)
+            np.take(f, lat.opp, axis=0, out=rev, mode="clip")
+            rev *= b
+            g += rev
+            np.multiply(f, a, out=out)
+            out += g
+        return relax
 
 
-# Index bookkeeping for the KBC shear-part decomposition.  The shear part
-# s_i of the population in direction e_i depends only on the non-equilibrium
-# momentum-flux tensor Pi = sum_i e_i e_i (f_i - f_i^eq); see Karlin, Bösch
-# and Chikatamarla, Phys. Rev. E 90 (2014) — and the per-cell stabiliser
-# gamma is computed from the entropic scalar product.
-def _kbc_shear_tables(lat: Lattice):
-    """Precompute direction groups for the D3Q27/D2Q9 shear decomposition."""
-    e = lat.e
-    groups = {
-        "x": [], "y": [], "z": [],        # axis-aligned, speed 1
-        "xy+": [], "xy-": [],             # planar diagonals
-        "xz+": [], "xz-": [],
-        "yz+": [], "yz-": [],
-    }
+def _kbc_shear(lat: Lattice) -> np.ndarray:
+    """``(Q, len(pairs))`` matrix ``S`` of the KBC shear part, ``ds = S @ Pi(fneq)``.
+
+    The shear part ``s_i`` of the population in direction ``e_i`` depends
+    only on the non-equilibrium momentum-flux tensor ``Pi``; see Karlin,
+    Bösch and Chikatamarla, Phys. Rev. E 90 (2014).  Axis directions carry
+    the traceless normal stress ``(d Pi_aa - tr Pi) / 2d``, planar
+    diagonals ``e_a e_b Pi_ab / 4``; rest and corner directions none.
+    """
     d = lat.d
-    for i, v in enumerate(e.tolist()):
-        nz = [k for k, c in enumerate(v) if c != 0]
-        if len(nz) == 1:
-            groups["xyz"[nz[0]]].append(i)
-        elif len(nz) == 2 and d >= 2:
-            a, b = nz
-            key = "xyz"[a] + "xyz"[b]
-            sign = "+" if v[a] * v[b] > 0 else "-"
-            if key in ("xy", "xz", "yz"):
-                groups[key + sign].append(i)
-    return groups
+    shear = np.zeros((lat.q, len(lat.pairs)))
+    for i, v in enumerate(lat.e.tolist()):
+        nz = [a for a, c in enumerate(v) if c != 0]
+        for k, (a, b) in enumerate(lat.pairs):
+            if len(nz) == 1 and a == b:
+                shear[i, k] = ((d if a == nz[0] else 0) - 1) / (2 * d)
+            elif nz == [a, b]:
+                shear[i, k] = v[a] * v[b] / 4
+    return shear
 
 
 @dataclass(frozen=True)
@@ -356,84 +371,55 @@ class KBC(CollisionModel):
     (the paper's turbulent runs) and, for testing, D2Q9.
     """
 
-    SCRATCH_TILES: ClassVar[int] = 5
-    #: |u|^2, the d x d momentum-flux tensor, and 7 rows of shear / gamma terms.
-    SCRATCH_ROWS: ClassVar[int] = 1 + 9 + 7
+    #: ``(Q, len(pairs))`` shear matrix of the lattice, see :func:`_kbc_shear`.
+    shear: np.ndarray = field(init=False, repr=False, compare=False,
+                              default=None)
+
+    LIVE_TILES: ClassVar[int] = 5
 
     def __post_init__(self) -> None:
         if self.lattice.d == 3 and self.lattice.q != 27:
             raise ValueError("KBC in 3D requires the D3Q27 lattice")
-        object.__setattr__(self, "_groups", _kbc_shear_tables(self.lattice))
+        shear = _kbc_shear(self.lattice)
+        shear.setflags(write=False)
+        object.__setattr__(self, "shear", shear)
 
-    def _delta_s(self, fneq: np.ndarray, ds: np.ndarray,
-                 rows: np.ndarray) -> np.ndarray:
-        """Shear part of ``fneq`` into ``ds``; ``rows`` is ``(d*d + 4, N)`` scratch."""
-        d, e, g = self.lattice.d, self.lattice.ef, self._groups
-        pi = rows[:d * d].reshape(d, d, -1)
-        nxz, nyz, r, r2 = rows[d * d:d * d + 4]
-        ds.fill(0.0)
-        np.einsum("qa,qb,qn->abn", e, e, fneq, out=pi)
-        if d == 3:
-            np.subtract(pi[0, 0], pi[2, 2], out=nxz)
-            np.subtract(pi[1, 1], pi[2, 2], out=nyz)
-            np.multiply(nxz, 2.0, out=r)          # (2 nxz - nyz) / 6
-            r -= nyz
-            r /= 6.0
-            ds[g["x"]] = r
-            np.negative(nxz, out=r)               # (-nxz + 2 nyz) / 6
-            np.multiply(nyz, 2.0, out=r2)
-            r += r2
-            r /= 6.0
-            ds[g["y"]] = r
-            np.negative(nxz, out=r)               # (-nxz - nyz) / 6
-            r -= nyz
-            r /= 6.0
-            ds[g["z"]] = r
-            planar = (("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))
-        else:  # D2Q9
-            np.subtract(pi[0, 0], pi[1, 1], out=nxz)
-            np.divide(nxz, 4.0, out=r)
-            ds[g["x"]] = r
-            np.negative(nxz, out=r)
-            r /= 4.0
-            ds[g["y"]] = r
-            planar = (("xy", 0, 1),)
-        for key, a, b in planar:                  # +-Pi_ab / 4
-            np.divide(pi[a, b], 4.0, out=r)
-            ds[g[key + "+"]] = r
-            np.negative(pi[a, b], out=r)
-            r /= 4.0
-            ds[g[key + "-"]] = r
-        return ds
+    def _relaxation(self, omega, force):
+        lat, shear = self.lattice, self.shear
+        n2, n_pi = lat.basis.shape[1], len(lat.pairs)
+        flux = lat.moments[n2 - n_pi:]
+        beta, inv_beta = 0.5 * omega, 2.0 / omega
+        source = None if force is None else (
+            (1.0 - beta) * _guo_basis(lat, force))
 
-    def _relax_tile(self, f, omega, out, force, ws) -> None:
-        _, u, rows, eu, feq, t, dh, ds = ws
-        s, sh, hh, gamma = rows[:4]
-        beta = 0.5 * omega
-        np.subtract(f, feq, out=dh)               # fneq
-        self._delta_s(dh, ds, rows[4:])
-        dh -= ds
-        # Entropic scalar products <x|y> = sum_i x_i y_i / feq_i.
-        np.divide(1.0, feq, out=feq)
-        np.multiply(ds, feq, out=t)
-        np.einsum("qn,qn->n", t, dh, out=sh)
-        np.multiply(dh, feq, out=t)
-        np.einsum("qn,qn->n", t, dh, out=hh)
-        inv_beta = 1.0 / beta
-        mask = hh > 1e-30
-        np.divide(sh, hh, out=sh, where=mask)
-        sh *= 2.0 - inv_beta
-        np.subtract(inv_beta, sh, out=sh)
-        gamma.fill(2.0)
-        np.copyto(gamma, sh, where=mask)
-        ds *= 2.0
-        dh *= gamma
-        ds += dh
-        ds *= beta
-        np.subtract(f, ds, out=out)
-        if force is not None:
-            _guo_source_into(self.lattice, eu, u, force, omega, feq, t, s)
-            out += feq
+        def relax(f, out, m, feq, dh, ds):
+            np.matmul(lat.basis, m[:n2], out=feq)
+            # the conserved and flux rows of m are spent: reuse them
+            pi, (sh, hh, gamma) = m[:n_pi], m[n_pi:n_pi + 3]
+            np.subtract(f, feq, out=dh)               # fneq
+            np.matmul(flux, dh, out=pi)
+            np.matmul(shear, pi, out=ds)
+            dh -= ds
+            # Entropic scalar products <x|y> = sum_i x_i y_i / feq_i.
+            np.divide(dh, feq, out=feq)
+            np.einsum("qn,qn->n", ds, feq, out=sh)
+            np.einsum("qn,qn->n", dh, feq, out=hh)
+            mask = hh > 1e-30
+            np.divide(sh, hh, out=sh, where=mask)
+            sh *= 2.0 - inv_beta
+            np.subtract(inv_beta, sh, out=sh)
+            gamma.fill(2.0)
+            np.copyto(gamma, sh, where=mask)
+            # f* = f - beta (2 ds + gamma dh)
+            gamma *= beta
+            ds *= omega
+            dh *= gamma
+            ds += dh
+            np.subtract(f, ds, out=out)
+            if source is not None:
+                np.matmul(source, m[n2:], out=feq)
+                out += feq
+        return relax
 
 
 def make_collision(model: str, lat: Lattice) -> CollisionModel:

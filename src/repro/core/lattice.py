@@ -37,6 +37,14 @@ class Lattice:
         Quadrature weights, shape ``(q,)``; they sum to one.
     opp:
         Permutation with ``e[opp[i]] == -e[i]``, used by bounce-back.
+    pairs:
+        Index pairs ``(a, b)``, ``a <= b``, of a symmetric ``d x d`` tensor.
+    moments:
+        ``(1 + d + len(pairs), Q)``, rows ``1``, ``e_a`` and ``e_a e_b``:
+        ``moments @ f`` is density, momentum and momentum flux.
+    basis:
+        ``(Q, 1 + d + len(pairs))``, Eq. (5) expanded in the moments it is
+        a polynomial of: ``feq = basis @ [rho; j; j_a j_b / rho]``.
     """
 
     name: str
@@ -46,16 +54,30 @@ class Lattice:
     cs2: float = CS2
     # Cached float view of e used in hot loops.
     ef: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    # Constant matrices of the moment-space collision (DESIGN.md, section 17).
+    pairs: tuple = field(init=False, repr=False, compare=False, default=())
+    moments: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    basis: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", np.ascontiguousarray(self.e, dtype=np.int64))
         object.__setattr__(self, "w", np.ascontiguousarray(self.w, dtype=np.float64))
         object.__setattr__(self, "opp", np.ascontiguousarray(self.opp, dtype=np.int64))
-        object.__setattr__(self, "ef", self.e.astype(np.float64))
-        self.e.setflags(write=False)
-        self.w.setflags(write=False)
-        self.opp.setflags(write=False)
-        self.ef.setflags(write=False)
+        ef, d, cs2 = self.e.astype(np.float64), self.e.shape[1], self.cs2
+        pairs = tuple((a, b) for a in range(d) for b in range(a, d))
+        moments = np.ascontiguousarray(np.vstack(
+            [np.ones((1, len(ef))), ef.T] + [ef[:, a] * ef[:, b] for a, b in pairs]))
+        # Eq. (5) times rho is w [rho + e.j / cs2 + (e e - cs2 I) : j j / (2 rho cs2^2)];
+        # an off-diagonal pair stands for both of its symmetric entries
+        shift = [0.0] * (1 + d) + [cs2 * (a == b) for a, b in pairs]
+        scale = [1.0] + [1 / cs2] * d + [(1 + (a != b)) / (2 * cs2 ** 2)
+                                        for a, b in pairs]
+        basis = np.ascontiguousarray(self.w[:, None] * (moments.T - shift) * scale)
+        for name, value in (("ef", ef), ("pairs", pairs), ("moments", moments),
+                            ("basis", basis)):
+            object.__setattr__(self, name, value)
+        for arr in (self.e, self.w, self.opp, ef, moments, basis):
+            arr.setflags(write=False)
 
     @property
     def d(self) -> int:

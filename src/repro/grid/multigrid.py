@@ -178,6 +178,11 @@ def _validate_spec(spec: RefinementSpec) -> None:
                 f"refine_regions[{k}] refines cells not covered by level {k} "
                 "(refinement regions must nest)"
             )
+        if not (covered & ~region).any():
+            raise ValueError(
+                f"refine_regions[{k}] refines every level-{k} cell: "
+                f"level {k} would own no cells"
+            )
         # Strong balance: a refined cell may not touch a cell that level k
         # does not cover, otherwise the level jump would exceed one.
         if (_dilate(region, 1, per) & ~covered).any():

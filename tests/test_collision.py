@@ -1,14 +1,20 @@
 """BGK and KBC collision operators (paper Eqs. 3-8 and Section II)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.collision import (BGK, KBC, TRT, density, equilibrium,
-                                  macroscopics, make_collision, pressure,
-                                  tile_width, velocity)
+from repro.bench.workloads import lid_cavity, sphere_tunnel
+from repro.core.collision import (BGK, KBC, TILE_BUDGET_BYTES, TRT,
+                                  CollisionModel, density, equilibrium,
+                                  guo_source, macroscopics, make_collision,
+                                  pressure, tile_width, velocity)
 from repro.core.lattice import CS2, D2Q9, D3Q19, D3Q27
+from repro.core.simulation import Simulation
 
 RNG = np.random.default_rng(42)
+EPS = np.finfo(np.float64).eps
 
 
 def random_state(lat, n=64, amp=0.02):
@@ -154,7 +160,7 @@ class TestKBC:
         f = random_state(lat)
         rho, u = macroscopics(lat, f)
         fneq = f - equilibrium(lat, rho, u)
-        ds = op._delta_s(fneq, np.empty_like(fneq), np.empty((13, fneq.shape[1])))
+        ds = op.shear @ (lat.moments[1 + lat.d:] @ fneq)
         assert np.allclose(ds.sum(axis=0), 0.0, atol=1e-13)
         assert np.allclose(lat.ef.T @ ds, 0.0, atol=1e-13)
 
@@ -164,7 +170,7 @@ class TestKBC:
         f = random_state(lat, amp=0.05)
         rho, u = macroscopics(lat, f)
         fneq = f - equilibrium(lat, rho, u)
-        ds = op._delta_s(fneq, np.empty_like(fneq), np.empty((13, fneq.shape[1])))
+        ds = op.shear @ (lat.moments[1 + lat.d:] @ fneq)
         pi_f = np.einsum("qa,qb,qn->abn", lat.ef, lat.ef, fneq)
         pi_s = np.einsum("qa,qb,qn->abn", lat.ef, lat.ef, ds)
         assert np.allclose(pi_s[0, 1], pi_f[0, 1], atol=1e-12)
@@ -206,10 +212,17 @@ def test_make_collision_names():
     assert make_collision("kbc", D3Q27).name == "KBC"
 
 
-# -- bit reference for the blocked kernels ------------------------------------
-# The textbook whole-array formulas, kept here (and only here) as the
-# reference the tiled, allocation-free production kernels must equal bit
-# for bit: same operations, same order, per cell.
+# -- the elementwise reference ---------------------------------------------------
+# The textbook whole-array formulas, kept here (and only here), with their
+# own direction-group table.  The production kernels relax in moment space:
+# a GEMM sums in another order, so they agree with these to a bound (256
+# eps; measured worst 18), not bit for bit.  What is asserted bitwise are
+# the properties the executors rely on: a cell's result does not depend on
+# where its column sits in a call, on the memory layout, on in-place
+# operation, or on the storage dtype beyond one final rounding.
+RTOL = 256 * EPS
+OMEGAS = (0.6, 1.0, 1.6, 1.95)
+
 
 def ref_equilibrium(lat, rho, u):
     inv = 1.0 / lat.cs2
@@ -230,6 +243,22 @@ def ref_guo(lat, u, force, omega):
     term = inv * (ef[:, None] - (force @ u)[None, :])
     term += inv * inv * eu * ef[:, None]
     return (1.0 - 0.5 * omega) * lat.w[:, None] * term
+
+
+def ref_shear_groups(lat):
+    """Directions by shear role: axis ``"x"``, planar diagonal ``"xy+"`` / ``"xy-"``."""
+    groups = {}
+    for i, v in enumerate(lat.e.tolist()):
+        nz = [k for k, c in enumerate(v) if c != 0]
+        if len(nz) == 1:
+            key = "xyz"[nz[0]]
+        elif len(nz) == 2:
+            a, b = nz
+            key = "xyz"[a] + "xyz"[b] + ("+" if v[a] * v[b] > 0 else "-")
+        else:
+            continue
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def ref_collide(op, f, omega, force=None):
@@ -257,7 +286,7 @@ def ref_collide(op, f, omega, force=None):
     else:  # KBC
         fneq = f - feq
         pi = np.einsum("qa,qb,qn->abn", lat.ef, lat.ef, fneq)
-        g, ds = op._groups, np.zeros_like(fneq)
+        g, ds = ref_shear_groups(lat), np.zeros_like(fneq)
         if lat.d == 3:
             nxz, nyz = pi[0, 0] - pi[2, 2], pi[1, 1] - pi[2, 2]
             ds[g["x"]] = (2.0 * nxz - nyz) / 6.0
@@ -286,73 +315,134 @@ def ref_collide(op, f, omega, force=None):
 
 
 def _widths(op):
-    tile = tile_width(op.lattice.q, op.SCRATCH_TILES + 2)
-    return [1, tile - 1, tile, tile + 1, 3 * tile + 7]
+    tile = tile_width(op.lattice.q, op.LIVE_TILES)
+    return [1, 63, 64, 65, tile - 1, tile, tile + 1, 3 * tile + 7]
+
+
+def _force(lat, forced):
+    return 1e-4 * (1.0 + np.arange(lat.d)) if forced else None
 
 
 OPERATORS = [BGK(D2Q9), BGK(D3Q19), BGK(D3Q27), TRT(D2Q9), TRT(D3Q19),
              KBC(D2Q9), KBC(D3Q27)]
+op_params = pytest.mark.parametrize(
+    "op", OPERATORS, ids=lambda o: f"{o.name}-{o.lattice.name}")
+forced_params = pytest.mark.parametrize(
+    "forced", [False, True], ids=["unforced", "forced"])
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@forced_params
 @pytest.mark.parametrize("strided", [False, True], ids=["contig", "strided"])
-@pytest.mark.parametrize("op", OPERATORS,
-                         ids=lambda o: f"{o.name}-{o.lattice.name}")
+@op_params
 class TestBlockedKernelsBitIdentical:
-    def states(self, op, strided):
-        for n in _widths(op):
-            store = random_state(op.lattice, n + 5 if strided else n, amp=0.05)
-            yield store[:, :n]
+    """Within 256 eps of the elementwise reference; bitwise equal to itself
+    whatever the memory layout and whether or not it runs in place."""
 
     def test_collide_equals_reference(self, op, strided, forced):
-        force = 1e-4 * (1.0 + np.arange(op.lattice.d)) if forced else None
-        for f in self.states(op, strided):
-            want = ref_collide(op, f, 1.6, force)
-            out = np.empty((f.shape[0], f.shape[1] + 3))[:, :f.shape[1]]
-            assert op.collide(f, 1.6, out=out, force=force) is out
-            assert np.array_equal(out, want)
-            assert np.array_equal(op.collide(f, 1.6, force=force), want)
-            # in place (a tile is read before it is written); same memory
-            # layout, because one-column reductions depend on it
-            g = f.base.copy()[:, :f.shape[1]]
-            op.collide(g, 1.6, out=g, force=force)
-            assert np.array_equal(g, want)
+        force = _force(op.lattice, forced)
+        for n, omega in zip(_widths(op), itertools.cycle(OMEGAS)):
+            store = random_state(op.lattice, n + 5 if strided else n, amp=0.05)
+            f = store[:, :n]
+            out = np.empty((f.shape[0], n + 3))[:, :n]
+            assert op.collide(f, omega, out=out, force=force) is out
+            np.testing.assert_allclose(out, ref_collide(op, f, omega, force),
+                                       rtol=RTOL, atol=0.0)
+            # strided == contiguous, out-of-place == in place (a tile is
+            # read before it is written)
+            assert np.array_equal(op.collide(f.copy(), omega, force=force), out)
+            g = store.copy()[:, :n]
+            op.collide(g, omega, out=g, force=force)
+            assert np.array_equal(g, out)
+
+
+@forced_params
+@op_params
+def test_a_cell_does_not_depend_on_its_column(op, forced):
+    # mp column shards, the dense reference and other tile widths compute
+    # the same cell at another offset of another call (DESIGN section 17,
+    # decision 2): every width around the 64-column padding unit and the
+    # tile edge, at aligned and unaligned offsets, then random slices
+    lat, force = op.lattice, _force(op.lattice, forced)
+    tile = tile_width(lat.q, op.LIVE_TILES)
+    n = 3 * tile + 1001
+    f = random_state(lat, n, amp=0.05)
+    whole = op.collide(f, 1.6, force=force)
+    rng = np.random.default_rng(n)
+    slices = [(off, off + w)
+              for off in (0, 1, 7, 63, 64, 1001, int(rng.integers(tile)))
+              for w in [*range(1, 140), tile - 1, tile, tile + 1]]
+    slices += [tuple(sorted(rng.integers(0, n + 1, 2))) for _ in range(40)]
+    for lo, hi in slices:
+        if lo < hi:
+            assert np.array_equal(op.collide(f[:, lo:hi], 1.6, force=force),
+                                  whole[:, lo:hi]), (lo, hi)
+
+
+@forced_params
+@op_params
+def test_conserves_mass_and_momentum_per_cell(op, forced):
+    lat, force = op.lattice, _force(op.lattice, forced)
+    f = random_state(lat, 5000, amp=0.05)
+    for omega in OMEGAS:
+        out = op.collide(f, omega, force=force)
+        rho = f.sum(axis=0)
+        assert (np.abs(out.sum(axis=0) - rho) <= 16 * EPS * rho).all()
+        gain = lat.ef.T @ (out - f)      # the force, if any, and nothing else
+        if forced and isinstance(op, KBC):
+            continue    # the half-force shift sits in dh and relaxes with gamma
+        if forced:
+            gain -= force[:, None]
+        assert np.abs(gain).max() <= 1e-15
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contig", "strided"])
 @pytest.mark.parametrize("lat", [D2Q9, D3Q19, D3Q27], ids=lambda l: l.name)
 def test_equilibrium_equals_reference(lat, strided):
-    tile = tile_width(lat.q, 3)
-    for n in (1, tile - 1, tile, tile + 1, 3 * tile + 7):
+    tile = tile_width(lat.q, 2)
+    for n in (1, 63, 64, tile - 1, tile, tile + 1, 3 * tile + 7):
         f = random_state(lat, n + 5 if strided else n, amp=0.05)[:, :n]
         rho, u = macroscopics(lat, f)
-        want = ref_equilibrium(lat, rho, u)
-        assert np.array_equal(equilibrium(lat, rho, u), want)
+        got = equilibrium(lat, rho, u)
+        np.testing.assert_allclose(got, ref_equilibrium(lat, rho, u),
+                                   rtol=RTOL, atol=0.0)
         out = np.empty_like(f)
         assert equilibrium(lat, rho, u, out=out) is out
-        assert np.array_equal(out, want)
+        assert np.array_equal(out, got)
+        # the dense reference initialises the same cells in another order
+        lo = n // 3
+        assert np.array_equal(equilibrium(lat, rho[lo:], u[:, lo:]), got[:, lo:])
+
+
+@pytest.mark.parametrize("lat", [D2Q9, D3Q19, D3Q27], ids=lambda l: l.name)
+def test_guo_source_equals_reference(lat):
+    u = 0.05 * RNG.standard_normal((lat.d, 1000))
+    force = _force(lat, True)
+    for omega in OMEGAS:
+        want = ref_guo(lat, u, force, omega)
+        np.testing.assert_allclose(guo_source(lat, u, force, omega), want,
+                                   rtol=0.0, atol=RTOL * np.abs(want).max())
 
 
 def test_float32_populations_match_reference():
-    # the stored dtype may be float32; the arithmetic stays float64
+    # the stored dtype may be float32; the arithmetic stays float64 and
+    # the result is rounded once, on store
     for op in (BGK(D3Q19), TRT(D3Q19), KBC(D3Q27)):
         f = random_state(op.lattice, 3000, amp=0.05).astype(np.float32)
         out = np.empty_like(f)
         op.collide(f, 1.6, out=out)
-        assert np.array_equal(out, ref_collide(op, f, 1.6).astype(np.float32))
+        want = op.collide(f.astype(np.float64), 1.6)
+        assert np.array_equal(out, want.astype(np.float32))
+        np.testing.assert_allclose(
+            out, ref_collide(op, f.astype(np.float64), 1.6), rtol=1e-6)
 
 
 @pytest.mark.parametrize("op", [BGK(D3Q19), TRT(D3Q19), KBC(D3Q27)],
                          ids=lambda o: o.name)
 def test_collide_allocates_no_level_sized_temporary(op):
     import tracemalloc
-    lat = op.lattice
     n = 400_000
-    f = random_state(lat, n)
+    f = random_state(op.lattice, n + 7)[:, :n]     # ragged: the stage is live too
     out = np.empty_like(f)
-    tile = tile_width(lat.q, op.SCRATCH_TILES + 2)
-    workspace = 8 * (tile + 1) * (
-        lat.q * op.SCRATCH_TILES + 1 + lat.d + op.SCRATCH_ROWS)
     op.collide(f, 1.6, out=out)
     tracemalloc.start()
     try:
@@ -360,4 +450,32 @@ def test_collide_allocates_no_level_sized_temporary(op):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * workspace < lat.q * n * 8   # one (Q, N) temporary shows
+    assert peak < TILE_BUDGET_BYTES + (1 << 20) < op.lattice.q * n * 8
+
+
+@pytest.mark.parametrize("workload, steps", [
+    (lambda: lid_cavity(base=(32, 32), num_levels=3, lattice="D2Q9"), 100),
+    (lambda: sphere_tunnel(scale=0.25), 20),
+], ids=["cavity2d-bgk", "sphere-kbc"])
+def test_whole_run_matches_elementwise_collision(workload, steps, monkeypatch):
+    # rounding differences of the moment-space kernels do not grow: a run
+    # with the elementwise reference patched in behind every collide ends
+    # at the same velocities
+    def run():
+        wl = workload()
+        sim = Simulation.from_config(wl.spec, wl.sim_config())
+        sim.run(steps)
+        return [sim.macroscopics(lv)[1] for lv in range(wl.spec.num_levels)]
+
+    shipped = run()
+
+    def elementwise(self, f, omega, out=None, force=None):
+        res = ref_collide(self, np.asarray(f, dtype=np.float64), omega, force)
+        if out is None:
+            return res
+        out[...] = res
+        return out
+
+    monkeypatch.setattr(CollisionModel, "collide", elementwise)
+    for u, v in zip(shipped, run()):
+        assert np.abs(u - v).max() <= 1e-10

@@ -20,17 +20,21 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.backend import (MpWorkerError, MultiprocessBackend,
                            available_backends, make_backend)
-from repro.backend.mp import default_mp_workers
+from repro.backend.mp import _partition, _shard_collide, default_mp_workers
 from repro.bench.workloads import lid_cavity
+from repro.core.collision import BGK, KBC, TRT, equilibrium
 from repro.core.config import SimConfig
 from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
+from repro.core.lattice import D3Q19, D3Q27
 from repro.core.simulation import Simulation
+from repro.neon.runtime import FieldRef, KernelRecord
 from repro.resilience import ResilientRunner, RetryPolicy
 
 ALL_CONFIGS = (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS)
@@ -109,6 +113,40 @@ class TestBitIdentity:
         assert sm.steps_done == 3
         assert sm.backend._procs
         sm.close()
+
+
+class TestCollideShards:
+    """A column shard equals the same columns of the whole-level call.
+
+    ``_partition`` cuts a level at ``np.linspace`` bounds, multiples of
+    nothing; ``collide`` must make a cell's result independent of where
+    its column sits in a call (DESIGN.md section 17, decision 2).
+    """
+
+    N = 10_007
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("op, forced", [
+        (BGK(D3Q19), False), (TRT(D3Q19), True), (KBC(D3Q27), False),
+    ], ids=["BGK-D3Q19", "TRT-D3Q19-forced", "KBC-D3Q27"])
+    def test_shards_concatenate_to_the_whole_level(self, op, forced, workers):
+        lat = op.lattice
+        rng = np.random.default_rng(workers)
+        f = equilibrium(lat, 1.0 + 0.05 * rng.standard_normal(self.N),
+                        0.05 * rng.standard_normal((lat.d, self.N)))
+        f *= 1.0 + 1e-3 * rng.standard_normal(f.shape)
+        force = 1e-4 * (1.0 + np.arange(lat.d)) if forced else None
+        buf = SimpleNamespace(f=f, fstar=np.full_like(f, np.nan))
+        engine = SimpleNamespace(levels=[buf], collision=op, omega=[1.6],
+                                 force=[force])
+        rec = KernelRecord("C", 0, self.N, f.nbytes, f.nbytes,
+                           (FieldRef("f", 0),), (FieldRef("fstar", 0),))
+        shards = [(lo, hi) for worker in _partition([rec], [[0]], workers)
+                  for _, lo, hi in worker[0]]
+        assert len(shards) == workers and all(lo >= 0 for lo, _ in shards)
+        for lo, hi in shards:
+            _shard_collide(engine, rec, lo, hi)()
+        assert np.array_equal(buf.fstar, op.collide(f, 1.6, force=force))
 
 
 class TestWorkerDeath:
