@@ -6,9 +6,11 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Same tier-1 suite under the compiled step-plan backend (bit-identical
-# by contract; fault and span hooks act on the plan's kernels, only the
-# capture modes fall back, visibly).
+# Same tier-1 suite under the compiled step-plan backend.  Both
+# backends run the same kernel bodies, so this leg checks the replay
+# mechanics against the launch path: records, markers, fault and span
+# hooks acting on the plan's kernels, and the capture modes falling
+# back, visibly.
 test-compiled:
 	REPRO_BACKEND=compiled $(PYTHON) -m pytest -x -q
 

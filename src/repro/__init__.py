@@ -25,8 +25,8 @@ from .core import (ABLATION_CONFIGS, BGK, D2Q9, D3Q19, D3Q27, FUSED_FULL, KBC, T
                    FusionConfig, Lattice, NonUniformStepper, RunResult, SimConfig,
                    Simulation, get_config, get_lattice, mlups, omega_at_level,
                    omega_from_viscosity)
-from .backend import (Backend, CompiledAABackend, CompiledBackend,
-                      InterpretedBackend, PlanAdmissionError, StepPlan,
+from .backend import (Backend, CompiledBackend, InterpretedBackend,
+                      PlanAdmissionError, StepPlan,
                       available_backends, make_backend, resolve_backend)
 from .grid import (AirplaneProxy, BlockSparseGrid, Box, DomainBC, Ellipsoid, FaceBC,
                    MultiGrid, RefinementSpec, Shape, Sphere, build_multigrid,
@@ -47,7 +47,7 @@ __all__ = [
     "legalize_regions", "regrid", "vorticity_indicator",
     "drag_coefficient", "kinetic_energy", "solid_force",
     "Runtime", "build_dependency_graph", "graph_stats",
-    "Backend", "CompiledAABackend", "CompiledBackend", "InterpretedBackend",
+    "Backend", "CompiledBackend", "InterpretedBackend",
     "PlanAdmissionError", "StepPlan", "available_backends", "make_backend",
     "resolve_backend",
     "__version__",

@@ -58,13 +58,12 @@ class PlanAdmissionError(RuntimeError):
 
 
 def _registry() -> dict[str, Callable[[], Backend]]:
-    from .compiled import CompiledAABackend, CompiledBackend
+    from .compiled import CompiledBackend
     from .interpreted import InterpretedBackend
     from .mp import MultiprocessBackend
     return {
         "interpreted": InterpretedBackend,
         "compiled": CompiledBackend,
-        "compiled-aa": CompiledAABackend,
         "mp": MultiprocessBackend,
     }
 

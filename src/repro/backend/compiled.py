@@ -1,21 +1,21 @@
-"""Compiled backends: cache a step plan per step shape, then replay.
+"""Compiled backend: cache a step plan per step shape, then replay.
 
 The first execution of each unique step shape — fusion config, per-level
 relaxation rates, body force, engine state epoch — compiles a
-:class:`~repro.backend.plan.StepPlan` (capture, admit, pre-resolve,
-pre-allocate; see :mod:`repro.backend.compiler`) and caches it.  Every
-later step of the same shape replays the cached plan with zero Python
-re-dispatch of the launch path — serially, or in dependency waves on a
-thread pool when the simulation was configured ``threaded``.
+:class:`~repro.backend.plan.StepPlan` (capture, admit, bind; see
+:mod:`repro.backend.compiler`) and caches it.  Every later step of the
+same shape replays the cached plan with zero Python re-dispatch of the
+launch path — serially, or in dependency waves on a thread pool when the
+simulation was configured ``threaded``.
 
 Fault injectors and span recorders act on the plan's kernels
 (:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`), so a
 faulted or observed step runs the same bodies as any other.  Only the
 two capture modes — declaration capture and access capture — run a step
-on the interpreted reference path, counted in ``plan_fallback_steps``:
-they exist to check the reference bodies against their declarations.
-Checkpoint restores bump the engine's state epoch so stale plans are
-never replayed against restored state.
+on the launch path, counted in ``plan_fallback_steps``: access capture
+needs its launch bracketing, plan-only executes nothing.  The bodies are
+the same either way.  Checkpoint restores bump the engine's state epoch
+so stale plans are never replayed against restored state.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import SimConfig
     from ..core.stepper import NonUniformStepper
 
-__all__ = ["CompiledBackend", "CompiledAABackend"]
+__all__ = ["CompiledBackend"]
 
 PlanKey = tuple[Any, ...]
 
@@ -41,8 +41,6 @@ class CompiledBackend:
     """Compile-once / replay-many execution of the coarse step."""
 
     name = "compiled"
-    #: AA-pattern buffer dropping is the :class:`CompiledAABackend` opt-in.
-    drop_proven = False
 
     def __init__(self) -> None:
         self.plans: dict[PlanKey, StepPlan] = {}
@@ -95,7 +93,7 @@ class CompiledBackend:
             self.stats["plan_cache_hits"] += 1
             return plan
         t0 = perf_counter()
-        plan = compile_plan(stepper, drop_proven=self.drop_proven)
+        plan = compile_plan(stepper)
         dt = perf_counter() - t0
         self.stats["plan_cache_misses"] += 1
         self.stats["plan_compile_seconds"] += dt
@@ -104,9 +102,7 @@ class CompiledBackend:
         on_event = getattr(spans, "on_event", None)
         if on_event is not None:
             on_event("plan_compile", label=plan.label, kernels=len(plan),
-                     digest=plan.digest, seconds=dt,
-                     arena_bytes=plan.arena_bytes,
-                     dropped=list(plan.dropped))
+                     digest=plan.digest, seconds=dt)
         return plan
 
     def step(self, stepper: "NonUniformStepper") -> None:
@@ -125,19 +121,3 @@ class CompiledBackend:
             raise
         stepper.steps_done += 1
 
-
-class CompiledAABackend(CompiledBackend):
-    """Compiled plans with AA-pattern in-place streaming (paper §VI-B).
-
-    Population double buffers the lint pass proves droppable — the fused
-    CASE path never reads ``fstar`` outside its own substep — are
-    physically replaced by arena scratch, so the engine's ``fstar``
-    allocation on those levels goes cold.  Field values the stream
-    declares as outputs stay bit-identical to the interpreted path;
-    *undeclared* buffer contents (the dropped ``fstar``) intentionally
-    diverge, which is why this is a separate opt-in backend rather than
-    the ``compiled`` default.
-    """
-
-    name = "compiled-aa"
-    drop_proven = True

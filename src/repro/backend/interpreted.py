@@ -2,11 +2,13 @@
 
 Every coarse step re-drives the Algorithm-1 recursion, and every
 ``op_*`` goes through :meth:`~repro.neon.runtime.Runtime.launch` —
-constructing its record, consulting the tracer/fault/span hooks and
-executing its body, one kernel at a time.  It exists to be the
-reference: step plans are captured from this recursion, declaration
-capture and access capture are modes of this launch path, and every
-other backend is gated against it bit-for-bit.
+constructing its record, consulting the tracer/fault/span hooks,
+binding and executing its body, one kernel at a time.  It exists to be
+the reference for *how a step is run*: step plans are captured from
+this recursion, declaration capture and access capture are modes of
+this launch path, and every other backend's records, markers, hook
+order and error contract are gated against it.  The arithmetic is not
+a second copy — plans replay the bodies these launches carry.
 """
 
 from __future__ import annotations

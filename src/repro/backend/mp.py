@@ -13,10 +13,10 @@ between waves.
 
 Bit-identity is inherited, not re-derived:
 
-* workers build their kernel bodies with the same
-  :class:`~repro.backend.compiler._PlanBuilder` the compiled backend
-  uses, over the same captured stream (digest-checked against the
-  parent's admission certificate), on the same shared buffers;
+* workers capture the same stream on their own engine (digest-checked
+  against the parent's admission certificate) and bind the bodies its
+  launches carried (:func:`~repro.backend.compiler.bind_bodies`), on
+  the same shared buffers;
 * the only mp-specific body is the column shard of a pure collide
   kernel — collision is a per-cell operator, so a column slice computes
   exactly the values the whole-buffer call would;
@@ -46,7 +46,7 @@ import traceback
 import weakref
 from threading import BrokenBarrierError
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from ..analysis.certificate import stream_digest
 from ..gpu.costmodel import kernel_time_us
 from ..gpu.device import A100_40GB
 from ..neon.graph import schedule_records
-from .compiler import admit_stream
+from .compiler import admit_stream, bind_bodies
 from .interpreted import InterpretedBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -242,7 +242,6 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         shm = shared_memory.SharedMemory(name=setup["shm"])
         engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0,
                         dtype=setup["dtype"])
-        engine._link_levels()
         _attach_shared(engine.levels, shm, setup["manifest"], engine.dtype)
         stepper = NonUniformStepper(engine, setup["fusion"])
         plans: dict[int, tuple[int, list]] = {}
@@ -258,19 +257,18 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
                     engine.omega = list(payload["omega"])
                     engine.force = [None if fv is None else np.asarray(fv)
                                     for fv in payload["force"]]
+                    handles: list = []
                     records = engine.rt.capture_plan(
-                        lambda: stepper._advance(0))
+                        lambda: stepper._advance(0), handles)
                     mine = stream_digest(records)
                     if mine != payload["digest"]:
                         conn.send(("plan-err", plan_id,
                                    ("digest", f"worker stream digest {mine} "
                                     f"!= parent {payload['digest']}")))
                         continue
-                    from .compiler import _PlanBuilder
-                    bodies, _, _ = _PlanBuilder(
-                        engine, stepper.config, records, ()).build()
                     plans[plan_id] = (payload["n_waves"], _build_shards(
-                        engine, records, bodies, payload["waves"]))
+                        engine, records, bind_bodies(records, handles),
+                        payload["waves"]))
                     conn.send(("plan-ok", plan_id, None))
                 except Exception:
                     conn.send(("plan-err", plan_id,

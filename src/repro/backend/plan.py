@@ -1,12 +1,12 @@
-"""Compiled step plans: a pre-resolved kernel stream replayed without dispatch.
+"""Step plans: an admitted kernel stream replayed without dispatch.
 
 A :class:`StepPlan` is the product of one plan compilation
 (:mod:`repro.backend.compiler`): the captured
 :class:`~repro.neon.runtime.KernelRecord` stream of one coarse step,
-one pre-bound body closure per record (field views resolved, index maps
-flattened, scratch assigned from the buffer arena), the stream digest
-that ties the plan to its admission certificate, and the arena model the
-scratch came from.  :meth:`StepPlan.execute` is the one in-process
+the bound body closure each of those launches carried (the engine's own
+— field views resolved, index maps flattened) and the stream digest
+that ties the plan to its admission certificate.
+:meth:`StepPlan.execute` is the one in-process
 replay loop: call the closures — in program order, or wave by wave on a
 thread pool — and append the prebuilt records; no ``Runtime.launch``, no
 record construction, no per-launch Python re-dispatch.  The runtime's
@@ -23,26 +23,27 @@ from ..neon.graph import schedule_records
 from ..neon.runtime import KernelRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..gpu.memory import BufferLifetime
     from ..neon.runtime import Runtime
 
 __all__ = ["StepPlan"]
 
 
 class StepPlan:
-    """One compiled coarse step: prebuilt records plus pre-bound bodies.
+    """One compiled coarse step: prebuilt records plus their bound bodies.
 
     The record tuple is shared across every replay (records are frozen
     dataclasses; appending the same instances each step is what makes
     the trace of a compiled run bit-identical to the interpreted one).
     """
 
+    #: Scratch a plan allocates beside the engine's buffers: none — bodies
+    #: are bound to the engine's own arrays.  Kept because the performance
+    #: ledger reads it (``backend.arena_bytes``).
+    arena_bytes = 0
+
     def __init__(self, records: Sequence[KernelRecord],
                  bodies: Sequence[Callable[[], None]],
                  *, digest: str, certificate: dict[str, Any],
-                 arena: Sequence["BufferLifetime"] = (),
-                 arena_bytes: int = 0,
-                 dropped: Sequence[str] = (),
                  label: str = "") -> None:
         if len(records) != len(bodies):
             raise ValueError("one body per record is the plan invariant")
@@ -52,12 +53,6 @@ class StepPlan:
         self.digest = digest
         #: Admission certificate the plan validated against (PR-5 schema).
         self.certificate = certificate
-        #: Arena lifetimes backing the plan's scratch allocations.
-        self.arena: tuple["BufferLifetime", ...] = tuple(arena)
-        #: Arena capacity the scratch slabs occupy, in bytes.
-        self.arena_bytes = int(arena_bytes)
-        #: Fields whose double buffer was physically dropped (AA mode).
-        self.dropped: tuple[str, ...] = tuple(dropped)
         #: Human label for spans/diagnostics (config + workload shape).
         self.label = label
         self.replays = 0

@@ -36,7 +36,7 @@ class Measurement:
     cost: TraceCost
     sim_mlups: float
     #: Execution backend that produced the wall-clock numbers
-    #: (``"interpreted"``, ``"compiled"``, ``"compiled-aa"``).
+    #: (``"interpreted"``, ``"compiled"``, ``"mp"``).
     backend: str = "interpreted"
     #: Metrics-registry snapshot of the measured run (see
     #: :func:`repro.obs.metrics.run_metrics`); what the benchmarks

@@ -11,10 +11,13 @@ functional NumPy host is slow); it is a *stable series*: the same tiny
 workload measured the same way every PR, so the regression gate
 (:mod:`repro.bench.history`) has a trajectory to judge.
 
-The smoke pass also *asserts* the compiled backend's raison d'être: the
-geometric-mean speedup over the interpreted path must reach
-``$REPRO_SMOKE_MIN_SPEEDUP`` (default 1.3×) or the process exits
-non-zero — a compiled backend that stops paying for itself fails CI the
+The smoke pass also *asserts* what plan replay is for.  Both backends
+run the same kernel bodies, so on this toy — where the arithmetic is a
+few microseconds per kernel — the interpreted-over-compiled ratio
+measures the launch path's per-kernel cost (record construction plus
+binding the body) against bare replay of those bodies.  Its geometric
+mean must reach :data:`DEFAULT_MIN_SPEEDUP` or the process exits
+non-zero: replay that stops being cheaper than launching fails CI the
 same way a broken test would.  The history line is written *before* the
 gate is judged, so a failing run still leaves its evidence in the
 trajectory.
@@ -47,8 +50,8 @@ __all__ = ["SMOKE_CONFIGS", "MP_SMOKE_CONFIG", "DEFAULT_MIN_SPEEDUP",
 #: regression in either the unfused or the fused code path.
 SMOKE_CONFIGS = ("baseline-4a", "baseline-4b", "ours-4f")
 
-#: Compiled-over-interpreted geometric-mean speedup the smoke pass
-#: requires (override with ``$REPRO_SMOKE_MIN_SPEEDUP``).
+#: Interpreted-over-compiled geometric-mean wall-clock ratio the smoke
+#: pass requires (it reads 1.4-1.7x on the toy cavity).
 DEFAULT_MIN_SPEEDUP = 1.3
 
 #: Config measured by the process-parallel leg (the paper's best; one
@@ -153,17 +156,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (default: $BENCH_OUT_DIR "
                              "or the repo root)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="required compiled/interpreted geomean "
-                             "speedup (default $REPRO_SMOKE_MIN_SPEEDUP "
-                             f"or {DEFAULT_MIN_SPEEDUP})")
     parser.add_argument("--skip-mp", action="store_true",
                         help="skip the process-parallel (mp backend) leg")
     args = parser.parse_args(argv)
-    min_speedup = args.min_speedup
-    if min_speedup is None:
-        min_speedup = float(os.environ.get("REPRO_SMOKE_MIN_SPEEDUP",
-                                           DEFAULT_MIN_SPEEDUP))
 
     payload = run_smoke(steps=args.steps)
     # History first: a gate failure must still leave its evidence line.
@@ -175,12 +170,13 @@ def main(argv: Sequence[str] | None = None) -> int:
               f"speedup {ratio:.2f}x  "
               f"{s['kernels_per_step']:.0f} kernels/step")
     mean = payload["speedup"]["mean"]["speedup"]
-    print(f"  geomean speedup {mean:.2f}x (gate: >= {min_speedup:.2f}x)")
+    print(f"  geomean speedup {mean:.2f}x "
+          f"(gate: >= {DEFAULT_MIN_SPEEDUP:.2f}x)")
     print(f"  wrote {path} (+ BENCH_HISTORY.jsonl line)")
-    failed = mean < min_speedup
+    failed = mean < DEFAULT_MIN_SPEEDUP
     if failed:
-        print(f"  FAIL: compiled backend below the {min_speedup:.2f}x "
-              f"speedup gate")
+        print(f"  FAIL: plan replay below the {DEFAULT_MIN_SPEEDUP:.2f}x "
+              f"gate over the launch path")
     if not args.skip_mp:
         mp_payload = run_mp_smoke(steps=args.steps)
         # Separate bench name + backend salt: the mp series starts its

@@ -68,9 +68,9 @@ class SimConfig:
         per-host default.
     backend:
         Execution backend name (see :mod:`repro.backend`):
-        ``"interpreted"`` (reference), ``"compiled"`` (step-plan replay),
-        ``"compiled-aa"`` (plus AA-pattern buffer dropping) or ``"mp"``
-        (process-parallel shared-memory replay).  ``None`` defers to
+        ``"interpreted"`` (reference), ``"compiled"`` (step-plan replay)
+        or ``"mp"`` (process-parallel shared-memory replay).  All run
+        the same kernel bodies.  ``None`` defers to
         ``$REPRO_BACKEND`` and falls back to interpreted.
     mp_workers:
         Worker-process count for the ``"mp"`` backend; ``None`` defers

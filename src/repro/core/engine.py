@@ -1,4 +1,4 @@
-"""Execution engine: state buffers and the kernel bodies of every variant.
+"""Execution engine: state buffers and the one body of every kernel.
 
 The engine owns, per level, the two population buffers (``f`` holds the
 post-streaming state at the start of a substep, ``fstar`` the
@@ -6,9 +6,16 @@ post-collision state) and the ghost-layer accumulator, plus every
 streaming map translated from grid slots to compact *row* space: rows
 ``0..n_owned-1`` are the owned cells, followed by the fine-ghost rows the
 original baseline needs.  Each ``op_*`` method is one GPU kernel: it
-executes vectorised NumPy immediately and emits one launch record with
-the DRAM traffic the equivalent CUDA kernel would generate — this is what
-the cost model consumes.
+emits one launch record with the DRAM traffic the equivalent CUDA kernel
+would generate — this is what the cost model consumes — and hands the
+runtime a handle of the kernel's body.
+
+This module is the only place a kernel body is written.  The ``_collide``
+/ ``_accumulate`` / ``_stream`` / ``_explode`` / ``_coalesce`` /
+``_explosion_copy`` builders each return the vectorised NumPy closure of
+one primitive with its access report beside it; the launch path, every
+step plan (serial, thread waves) and every mp worker bind and run those
+closures (:mod:`repro.backend`), and access capture checks them.
 
 Fused kernels execute the same arithmetic as their unfused sequence (the
 intermediate lives in the ``fstar`` buffer, playing the role of the GPU's
@@ -20,21 +27,16 @@ but not arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..grid.multigrid import CompiledLevel, MultiGrid
-from ..neon.runtime import FieldRef, Runtime
+from ..neon.runtime import FieldRef, KernelBody, LazyBody, Runtime
 from .collision import CollisionModel, equilibrium, macroscopics, make_collision
 from .units import omega_at_level
 
 __all__ = ["Engine", "LevelBuffers"]
-
-#: Default sentinel for kernel-body inputs that may legitimately be None
-#: (``force``): distinguishes "snapshot at call time" from an explicit value.
-_EAGER = object()
-
 
 
 @dataclass
@@ -104,6 +106,10 @@ class Engine:
         #: so a stale plan is never replayed against replaced buffers.
         self.state_epoch = 0
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
+        self._link_levels()
+        #: Per level, the flat index maps the kernel bodies share, built
+        #: by the first body that needs them (see :meth:`_map`).
+        self._maps: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
@@ -176,7 +182,6 @@ class Engine:
         callable mapping cell-centre positions (in coarse units, ``(N, d)``)
         to velocities ``(d, N)``.
         """
-        self._link_levels()
         d = self.mgrid.d
         for lv, buf in enumerate(self.levels):
             n = buf.n_owned
@@ -193,12 +198,7 @@ class Engine:
             buf.fstar[:, :n] = feq
             buf.ghost_acc[:] = 0.0
 
-    # -- access capture helpers ------------------------------------------------
-    def _tracer(self):
-        """The runtime's access tracer, if a traced launch is in flight."""
-        t = self.rt.tracer
-        return t if (t is not None and t.active) else None
-
+    # -- access reports --------------------------------------------------------
     @staticmethod
     def _span(rows: np.ndarray) -> tuple[int, int]:
         """Half-open interval bounding the rows an index array touches."""
@@ -234,169 +234,278 @@ class Engine:
             lo, hi = self._span(ghost_rows)
             t.read(FieldRef("fghost", lv), lo, hi, round(per_val * n_ghost_vals))
 
+    # -- index maps ------------------------------------------------------------
+    def _map(self, lv: int, key, make):
+        """Level ``lv``'s flat index map ``key``, built on first use.
+
+        The maps flatten 2-D ``(q, row)`` addressing into 1-D indices
+        over the contiguous ``(Q, n_used)`` / ``(Q, n_ghost)`` buffers, so
+        a body is one gather/scatter instead of a per-``q`` loop.  They
+        depend on the level geometry alone and are shared by every body
+        bound on this engine.
+        """
+        maps = self._maps[lv]
+        got = maps.get(key)
+        if got is None:
+            got = maps[key] = make()
+        return got
+
+    def _qoff(self, lv: int) -> np.ndarray:
+        """Column vector: offset of population ``q`` in level ``lv``'s flat buffers."""
+        return (np.arange(self.lat.q, dtype=np.int64) * self.levels[lv].n_used)[:, None]
+
+    def _pull_rows(self, lv: int) -> np.ndarray:
+        """The bulk-pull index rows, bounds-proven and frozen.
+
+        The stream body gathers with ``mode="clip"`` (NumPy buffers an
+        ``out=`` gather it may have to abandon with an ``IndexError``),
+        so the check it skips is made here, once per array (a replaced
+        ``pull_rows`` is proven again); freezing the array keeps it true.
+        """
+        rows = self.levels[lv].pull_rows
+        if self._maps[lv].get("pull") is not rows:
+            n_used = self.levels[lv].n_used
+            if rows.size and (rows.min() < 0 or rows.max() >= n_used):
+                raise IndexError(
+                    f"level {lv}: bulk pull rows leave [0, {n_used}): "
+                    f"min {rows.min()}, max {rows.max()}")
+            rows.setflags(write=False)
+            self._maps[lv]["pull"] = rows
+        return rows
+
     # -- kernel bodies ---------------------------------------------------------
-    # Bodies are closures over their launch-time inputs (relaxation rate,
-    # force, fusion flags): a launch sees the configuration it was issued
-    # with, whenever a hook decides to run it.
-    def _collide_into_fstar(self, lv: int, omega: float | None = None,
-                            force=_EAGER) -> None:
-        if omega is None:
-            omega = self.omega[lv]
-        if force is _EAGER:
-            force = self.force[lv]
+    # The one implementation of each kernel.  A builder resolves buffer
+    # views and index maps and returns ``(run, report)``: ``run()`` is the
+    # arithmetic, ``report(tracer)`` states the accesses it performs.
+    # Builders return ``None`` where the geometry leaves nothing to do.
+    # Views are taken at bind time and never kept on the engine: the mp
+    # backend rebinds ``buf.f`` / ``fstar`` / ``ghost_acc`` to shared
+    # memory and back, and a body bound afterwards must see those arrays.
+    def _fuse(self, *parts, registers: tuple[FieldRef, ...] = ()) -> KernelBody:
+        """One kernel body running ``parts`` in order (``None`` parts dropped).
+
+        Fusion regroups bodies without touching their arithmetic.  Under
+        access capture the body first reports its parts' accesses;
+        ``registers`` are fields the fused kernel keeps on chip, whose
+        accesses are invisible to DRAM and to the declarations.
+        """
+        parts = tuple(p for p in parts if p)
+        runs = tuple(run for run, _ in parts)
+        if len(runs) == 1:
+            run = runs[0]
+        else:
+            def run() -> None:
+                for part in runs:
+                    part()
+        t = self.rt.tracer
+        if t is None:
+            return run
+
+        def traced() -> None:
+            with t.suppress(*registers):
+                for _, report in parts:
+                    report(t)
+            run()
+        return traced
+
+    def _collide(self, lv: int, omega: float, force):
         buf = self.levels[lv]
         n = buf.n_owned
-        t = self._tracer()
-        if t is not None:
+        collide = self.collision.collide
+        f, out = buf.f[:, :n], buf.fstar[:, :n]
+
+        def run() -> None:
+            collide(f, omega, out=out, force=force)
+
+        def report(t) -> None:
             nb = self.lat.q * self.itemsize * n
             t.read(FieldRef("f", lv), 0, n, nb)
             t.write(FieldRef("fstar", lv), 0, n, nb)
-        self.collision.collide(buf.f[:, :n], omega,
-                               out=buf.fstar[:, :n], force=force)
+        return run, report
 
-    def _accumulate_values(self, lv: int, mode: str = "fused") -> None:
-        """Add the finer level's fresh post-collision values into our ghosts.
+    def _accumulate(self, lv: int, mode: str):
+        """Add level ``lv``'s fresh post-collision values into its parent's ghosts.
 
-        ``mode`` selects the traffic attribution of the equivalent GPU
-        kernel: ``"fused"`` (Collision+Accumulate — the source values sit
-        in registers, the scatter is atomic), ``"scatter"`` (standalone
-        fine-initiated atomic scatter) or ``"gather"`` (the original
-        baseline's coarse-initiated gather, launched over ghost cells).
-        The arithmetic is identical in all three.
+        One flat ``bincount`` over ``q``-offset bins: contributions to a
+        bin keep the order of the per-``q`` sums, so the float
+        accumulation order is the textbook one.  ``mode`` selects the
+        traffic attribution of the equivalent GPU kernel: ``"fused"``
+        (Collision+Accumulate — the source values sit in registers, the
+        scatter is atomic), ``"scatter"`` (standalone fine-initiated
+        atomic scatter) or ``"gather"`` (the original baseline's
+        coarse-initiated gather, launched over ghost cells).  The
+        arithmetic is identical in all three.
         """
-        buf = self.levels[lv]
-        fine = self.levels[lv + 1]
-        if buf.acc_ghost_rows.size == 0:
-            return
-        ng = buf.ghost_acc.shape[1]
-        t = self._tracer()
-        if t is not None:
-            Q, i = self.lat.q, self.itemsize
-            m = buf.acc_fine_rows.size
-            flo, fhi = self._span(buf.acc_fine_rows)
-            glo, ghi = self._span(buf.acc_ghost_rows)
-            t.read(FieldRef("fstar", lv + 1), flo, fhi,
+        parent, fine = self.levels[lv - 1], self.levels[lv]
+        if parent.acc_ghost_rows.size == 0:
+            return None
+        Q, ng = self.lat.q, parent.ghost_acc.shape[1]
+        rows_flat, src_flat = self._map(lv, "acc", lambda: (
+            np.ascontiguousarray(
+                ((np.arange(Q, dtype=np.int64) * ng)[:, None]
+                 + parent.acc_ghost_rows).reshape(-1)),
+            np.ascontiguousarray(
+                (self._qoff(lv) + parent.acc_fine_rows).reshape(-1))))
+        gacc_flat, fstar_flat = parent.ghost_acc.reshape(-1), fine.fstar.reshape(-1)
+        minlength = Q * ng
+        bincount = np.bincount
+
+        def run() -> None:
+            gacc_flat[:] += bincount(rows_flat, weights=fstar_flat[src_flat],
+                                     minlength=minlength)
+
+        def report(t) -> None:
+            i, m = self.itemsize, parent.acc_fine_rows.size
+            flo, fhi = self._span(parent.acc_fine_rows)
+            glo, ghi = self._span(parent.acc_ghost_rows)
+            t.read(FieldRef("fstar", lv), flo, fhi,
                    0 if mode == "fused" else Q * i * m)
             if mode == "gather":
-                t.read(FieldRef("gacc", lv), 0, ng, Q * i * ng)
-                t.write(FieldRef("gacc", lv), 0, ng, Q * i * ng)
+                t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
+                t.write(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
             else:
                 if mode == "scatter":
-                    t.read(FieldRef("gacc", lv), 0, ng, Q * i * ng)
-                t.atomic(FieldRef("gacc", lv), glo, ghi, Q * i * m)
-        for q in range(self.lat.q):
-            buf.ghost_acc[q] += np.bincount(
-                buf.acc_ghost_rows,
-                weights=fine.fstar[q, buf.acc_fine_rows],
-                minlength=ng)
+                    t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
+                t.atomic(FieldRef("gacc", lv - 1), glo, ghi, Q * i * m)
+        return run, report
 
-    def _stream_bulk(self, lv: int) -> None:
-        buf = self.levels[lv]
-        n = buf.n_owned
-        t = self._tracer()
-        if t is not None:
-            self._trace_fstar_read(
-                t, lv, buf.pull_rows,
-                [buf.bb_cell, buf.mov_cell, buf.sl_src],
-                self.lat.q * self.itemsize * n)
-            t.write(FieldRef("f", lv), 0, n, self.lat.q * self.itemsize * n)
-            t.meta(buf.meta_bytes)
-        for q in range(self.lat.q):
-            buf.f[q, :n] = buf.fstar[q, buf.pull_rows[q]]
-        # boundary patches (part of the same kernel on the GPU)
-        if buf.bb_q.size:
-            buf.f[buf.bb_q, buf.bb_cell] = buf.fstar[buf.bb_opp, buf.bb_cell]
-        if buf.mov_q.size:
-            buf.f[buf.mov_q, buf.mov_cell] = (buf.fstar[buf.mov_opp, buf.mov_cell]
-                                              + buf.mov_term)
-        if buf.out_q.size:
-            buf.f[buf.out_q, buf.out_cell] = buf.out_val
-        if buf.sl_q.size:  # specular reflection off a free-slip plane
-            buf.f[buf.sl_q, buf.sl_cell] = buf.fstar[buf.sl_src_q, buf.sl_src]
+    def _stream(self, lv: int):
+        """The bulk pull plus the boundary patches (one kernel on the GPU)."""
+        b = self.levels[lv]
+        Q, n, nu = self.lat.q, b.n_owned, b.n_used
+        rows = self._pull_rows(lv)
+        pulls = [(b.fstar[q], rows[q], b.f[q, :n]) for q in range(Q)]
+        bb, mov, out, sl = self._map(lv, "patches", lambda: (
+            (b.bb_q * nu + b.bb_cell, b.bb_opp * nu + b.bb_cell)
+            if b.bb_q.size else None,
+            (b.mov_q * nu + b.mov_cell, b.mov_opp * nu + b.mov_cell, b.mov_term)
+            if b.mov_q.size else None,
+            (b.out_q * nu + b.out_cell, b.out_val) if b.out_q.size else None,
+            # specular reflection off a free-slip plane
+            (b.sl_q * nu + b.sl_cell, b.sl_src_q * nu + b.sl_src)
+            if b.sl_q.size else None))
+        f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
+        take = np.take
 
-    def _explode_values(self, lv: int, from_ghost: bool,
-                        subsumed: bool = False) -> None:
-        buf = self.levels[lv]
-        if buf.exp_q.size == 0:
-            return
-        t = self._tracer()
-        if t is not None:
-            m, i = buf.exp_q.size, self.itemsize
-            if from_ghost:
-                lo, hi = self._span(buf.exp_ghost_rows)
-                t.read(FieldRef("fghost", lv), lo, hi, i * m)
-            else:
-                lo, hi = self._span(buf.exp_rows)
-                t.read(FieldRef("fstar", lv - 1), lo, hi, i * m)
-            lo, hi = self._span(buf.exp_cell)
+        def run() -> None:
+            for src, idx, dst in pulls:
+                take(src, idx, out=dst, mode="clip")
+            # the patch sets may overlap at a (q, cell): this order, and
+            # last-write-wins, is part of the result
+            if bb is not None:
+                f_flat[bb[0]] = fstar_flat[bb[1]]
+            if mov is not None:
+                f_flat[mov[0]] = fstar_flat[mov[1]] + mov[2]
+            if out is not None:
+                f_flat[out[0]] = out[1]
+            if sl is not None:
+                f_flat[sl[0]] = fstar_flat[sl[1]]
+
+        def report(t) -> None:
+            nb = Q * self.itemsize * n
+            self._trace_fstar_read(t, lv, b.pull_rows,
+                                   [b.bb_cell, b.mov_cell, b.sl_src], nb)
+            t.write(FieldRef("f", lv), 0, n, nb)
+            t.meta(b.meta_bytes)
+        return run, report
+
+    def _explode(self, lv: int, from_ghost: bool, subsumed: bool = False):
+        """Write the cross-level pulls of ``f`` from the coarse ``fstar``
+        (or, ``from_ghost``, from this level's fine-ghost copies of it)."""
+        b = self.levels[lv]
+        if b.exp_q.size == 0:
+            return None
+        src_lv = lv if from_ghost else lv - 1
+        src_rows = b.exp_ghost_rows if from_ghost else b.exp_rows
+        dst, src = self._map(lv, ("exp", from_ghost), lambda: (
+            b.exp_q * b.n_used + b.exp_cell,
+            b.exp_q * self.levels[src_lv].n_used + src_rows))
+        f_flat = b.f.reshape(-1)
+        src_flat = self.levels[src_lv].fstar.reshape(-1)
+
+        def run() -> None:
+            f_flat[dst] = src_flat[src]
+
+        def report(t) -> None:
+            nb = self.itemsize * b.exp_q.size
+            lo, hi = self._span(src_rows)
+            t.read(FieldRef("fghost", lv) if from_ghost
+                   else FieldRef("fstar", lv - 1), lo, hi, nb)
+            lo, hi = self._span(b.exp_cell)
             # fused into streaming, the write lands on entries the bulk
             # pull already paid for — no extra traffic
-            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else i * m)
-        if from_ghost:
-            buf.f[buf.exp_q, buf.exp_cell] = buf.fstar[buf.exp_q, buf.exp_ghost_rows]
-        else:
-            coarse = self.levels[lv - 1]
-            buf.f[buf.exp_q, buf.exp_cell] = coarse.fstar[buf.exp_q, buf.exp_rows]
+            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb)
+        return run, report
 
-    def _coalesce_values(self, lv: int, subsumed: bool = False) -> None:
-        buf = self.levels[lv]
-        t = self._tracer()
-        if t is not None:
-            i = self.itemsize
-            ng = buf.ghost_acc.shape[1]
-            if buf.coal_q.size:
-                m = buf.coal_q.size
-                lo, hi = self._span(buf.coal_src)
-                t.read(FieldRef("gacc", lv), lo, hi, i * m)
-                lo, hi = self._span(buf.coal_cell)
-                t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else i * m)
-            if ng:
-                t.write(FieldRef("gacc", lv), 0, ng, i * buf.ghost_acc.size)
-        if buf.coal_q.size:
-            buf.f[buf.coal_q, buf.coal_cell] = (buf.ghost_acc[buf.coal_q, buf.coal_src]
-                                                * self.inv_navg)
-        buf.ghost_acc[:] = 0.0
+    def _coalesce(self, lv: int, subsumed: bool = False):
+        """Average the accumulated ghosts into ``f``, then reset them."""
+        b = self.levels[lv]
+        ng = b.ghost_acc.shape[1]
+        dst, src = self._map(lv, "coal", lambda: (
+            b.coal_q * b.n_used + b.coal_cell, b.coal_q * ng + b.coal_src))
+        inv_navg = self.inv_navg
+        gacc, f_flat = b.ghost_acc, b.f.reshape(-1)
+        gacc_flat = gacc.reshape(-1)
 
-    def _explosion_copy_values(self, lv: int) -> None:
+        def run() -> None:
+            f_flat[dst] = gacc_flat[src] * inv_navg
+            gacc.fill(0.0)
+
+        def report(t) -> None:
+            nb = self.itemsize * b.coal_q.size
+            lo, hi = self._span(b.coal_src)
+            t.read(FieldRef("gacc", lv), lo, hi, nb)
+            lo, hi = self._span(b.coal_cell)
+            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb)
+            t.write(FieldRef("gacc", lv), 0, ng, self.itemsize * gacc.size)
+        return run, report
+
+    def _explosion_copy(self, lv: int):
         """Original baseline: mirror coarse post-collision state into fine ghosts."""
-        buf = self.levels[lv]
-        if buf.fg_rows.size == 0:
-            return
-        coarse = self.levels[lv - 1]
-        t = self._tracer()
-        if t is not None:
-            nb = self.lat.q * self.itemsize * buf.fg_rows.size
-            lo, hi = self._span(buf.fg_coarse_rows)
+        b = self.levels[lv]
+        dst, src = self._map(lv, "copy", lambda: (
+            np.ascontiguousarray((self._qoff(lv) + b.fg_rows).reshape(-1)),
+            np.ascontiguousarray(
+                (self._qoff(lv - 1) + b.fg_coarse_rows).reshape(-1))))
+        fstar_flat = b.fstar.reshape(-1)
+        coarse_flat = self.levels[lv - 1].fstar.reshape(-1)
+
+        def run() -> None:
+            fstar_flat[dst] = coarse_flat[src]
+
+        def report(t) -> None:
+            nb = self.lat.q * self.itemsize * b.fg_rows.size
+            lo, hi = self._span(b.fg_coarse_rows)
             t.read(FieldRef("fstar", lv - 1), lo, hi, nb)
-            lo, hi = self._span(buf.fg_rows)
+            lo, hi = self._span(b.fg_rows)
             t.write(FieldRef("fghost", lv), lo, hi, nb)
-        buf.fstar[:, buf.fg_rows] = coarse.fstar[:, buf.fg_coarse_rows]
+        return run, report
 
     # -- public ops: one launch record each -------------------------------------
+    # ``fn=`` is a :class:`~repro.neon.runtime.LazyBody`: declaring a launch
+    # builds nothing, so plan-only capture stays free.  Its builder closes
+    # over the launch-time inputs (relaxation rate, force, fusion flags): a
+    # launch sees the configuration it was issued with, whenever it is bound.
     def op_collide(self, lv: int, fuse_accumulate: bool = False) -> None:
         buf = self.levels[lv]
         Q, n = self.lat.q, buf.n_owned
-        reads = (FieldRef("f", lv),)
         writes: tuple[FieldRef, ...] = (FieldRef("fstar", lv),)
         atomic = 0
         name = "C"
-        m = 0
-        if fuse_accumulate and lv > 0:
-            parent = self.levels[lv - 1]
-            m = parent.acc_fine_rows.size
-        omega, force = self.omega[lv], self.force[lv]
-        def body() -> None:
-            self._collide_into_fstar(lv, omega, force)
-            if fuse_accumulate and lv > 0:
-                self._accumulate_values(lv - 1, mode="fused")
-        if fuse_accumulate and lv > 0 and m:
+        fused = fuse_accumulate and lv > 0
+        if fused and self.levels[lv - 1].acc_fine_rows.size:
             name = "CA"
             writes = writes + (FieldRef("gacc", lv - 1),)
-            atomic = Q * self.itemsize * m
+            atomic = Q * self.itemsize * self.levels[lv - 1].acc_fine_rows.size
+        omega, force = self.omega[lv], self.force[lv]
         self.rt.launch(name, lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n,
                        bytes_written=Q * self.itemsize * n + atomic,
-                       atomic_bytes=atomic, reads=reads, writes=writes, fn=body)
+                       atomic_bytes=atomic, reads=(FieldRef("f", lv),),
+                       writes=writes,
+                       fn=LazyBody(lambda: self._fuse(
+                           self._collide(lv, omega, force),
+                           fused and self._accumulate(lv, "fused"))))
 
     def op_accumulate(self, lv: int, gather: bool = False) -> None:
         """Separate Accumulate kernel: fine level ``lv`` into parent ghosts.
@@ -421,8 +530,8 @@ class Engine:
             atomic_bytes=0 if gather else Q * self.itemsize * m,
             reads=(FieldRef("fstar", lv), FieldRef("gacc", lv - 1)),
             writes=(FieldRef("gacc", lv - 1),),
-            fn=lambda: self._accumulate_values(
-                lv - 1, mode="gather" if gather else "scatter"))
+            fn=LazyBody(lambda: self._fuse(self._accumulate(
+                lv, "gather" if gather else "scatter"))))
 
     def op_explosion_copy(self, lv: int) -> None:
         """Original baseline's Explosion: coarse f* copied into fine ghost layers."""
@@ -435,7 +544,7 @@ class Engine:
             "E", lv, n_cells=nfg,
             bytes_read=Q * self.itemsize * nfg, bytes_written=Q * self.itemsize * nfg,
             reads=(FieldRef("fstar", lv - 1),), writes=(FieldRef("fghost", lv),),
-            fn=lambda: self._explosion_copy_values(lv))
+            fn=LazyBody(lambda: self._fuse(self._explosion_copy(lv))))
 
     def op_stream(self, lv: int, *, fuse_explosion: bool = False,
                   fuse_coalescence: bool = False, exp_from_ghost: bool = False) -> None:
@@ -464,14 +573,12 @@ class Engine:
             writes.append(FieldRef("gacc", lv))
             br += self.itemsize * buf.coal_q.size
             bw += self.itemsize * buf.ghost_acc.size  # reset
-        def body() -> None:
-            self._stream_bulk(lv)
-            if do_exp:
-                self._explode_values(lv, exp_from_ghost, subsumed=True)
-            if do_coal:
-                self._coalesce_values(lv, subsumed=True)
         self.rt.launch(name, lv, n_cells=n, bytes_read=br, bytes_written=bw,
-                       reads=tuple(reads), writes=tuple(writes), fn=body)
+                       reads=tuple(reads), writes=tuple(writes),
+                       fn=LazyBody(lambda: self._fuse(
+                           self._stream(lv),
+                           do_exp and self._explode(lv, exp_from_ghost, subsumed=True),
+                           do_coal and self._coalesce(lv, subsumed=True))))
 
     def op_explode(self, lv: int, exp_from_ghost: bool = False) -> None:
         """Separate Explosion kernel writing the cross-level pulls of ``f``."""
@@ -484,7 +591,7 @@ class Engine:
             bytes_read=self.itemsize * m, bytes_written=self.itemsize * m,
             reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("fstar", lv - 1),),
             writes=(FieldRef("f", lv),),
-            fn=lambda: self._explode_values(lv, exp_from_ghost))
+            fn=LazyBody(lambda: self._fuse(self._explode(lv, exp_from_ghost))))
 
     def op_coalesce(self, lv: int) -> None:
         """Separate Coalescence kernel: averaged ghost reads plus the reset."""
@@ -498,7 +605,7 @@ class Engine:
             bytes_written=self.itemsize * m + self.itemsize * buf.ghost_acc.size,
             reads=(FieldRef("gacc", lv),),
             writes=(FieldRef("f", lv), FieldRef("gacc", lv)),
-            fn=lambda: self._coalesce_values(lv))
+            fn=LazyBody(lambda: self._fuse(self._coalesce(lv))))
 
     def op_fused_case(self, lv: int) -> None:
         """The fully fused finest-level kernel (Fig. 4f).
@@ -521,27 +628,17 @@ class Engine:
             if buf.exp_q.size:
                 reads.append(FieldRef("fstar", lv - 1))
         omega, force = self.omega[lv], self.force[lv]
-        def run() -> None:
-            self._collide_into_fstar(lv, omega, force)
-            if lv > 0:
-                self._accumulate_values(lv - 1, mode="fused")
-            self._stream_bulk(lv)
-            self._explode_values(lv, from_ghost=False, subsumed=True)
-
-        def body() -> None:
-            t = self._tracer()
-            if t is None:
-                run()
-            else:
-                # the post-collision intermediate lives in registers: its
-                # accesses are invisible to DRAM and to the declarations
-                with t.suppress(FieldRef("fstar", lv)):
-                    run()
         self.rt.launch("CASE", lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n + self.itemsize * buf.exp_q.size + buf.meta_bytes,
                        bytes_written=Q * self.itemsize * n + atomic,
                        atomic_bytes=atomic,
-                       reads=tuple(reads), writes=tuple(writes), fn=body)
+                       reads=tuple(reads), writes=tuple(writes),
+                       fn=LazyBody(lambda: self._fuse(
+                           self._collide(lv, omega, force),
+                           lv > 0 and self._accumulate(lv, "fused"),
+                           self._stream(lv),
+                           self._explode(lv, from_ghost=False, subsumed=True),
+                           registers=(FieldRef("fstar", lv),))))
 
     # -- fault injection ---------------------------------------------------------
     def corrupt_cell(self, lv: int, cell: int, q: int = 0,

@@ -32,7 +32,7 @@ class RunResult:
         Wall-clock seconds of this call.
     backend:
         Name of the execution backend that finished the run
-        (``"interpreted"``, ``"compiled"``, ``"compiled-aa"``, ``"mp"``).
+        (``"interpreted"``, ``"compiled"``, ``"mp"``).
     mode:
         Execution mode at the end of the run: ``"serial"``,
         ``"threaded"`` or ``"mp"``.

@@ -9,8 +9,8 @@ very same driver.
 
 *How* the step executes is delegated to a pluggable backend
 (:mod:`repro.backend`): the interpreted reference backend re-drives the
-recursion through ``Runtime.launch`` every step, the compiled backends
-capture it once into a step plan and replay, and the mp backend ships
+recursion through ``Runtime.launch`` every step, the compiled backend
+captures it once into a step plan and replays, and the mp backend ships
 shards of that same captured plan to worker processes over shared
 memory.  The recursion in :meth:`_advance` stays the single definition
 of the algorithm either way — plans are captured *from* it (in this

@@ -8,6 +8,8 @@ reproduce the parts of that model the paper relies on:
 * :class:`FieldRef` — identity of a data container (a field at a level);
 * :class:`KernelRecord` — one executed kernel with its declared
   reads/writes and its memory-traffic footprint;
+* :class:`LazyBody` — a kernel body declared with its launch and built
+  only when something runs it;
 * :class:`Runtime` — executes kernel bodies immediately (host = the
   "device") while recording every launch for the profiler, the
   dependency-graph analysis (Fig. 2) and the GPU cost model.
@@ -20,9 +22,10 @@ synchronisation depth are derived.
 plans (:mod:`repro.backend`) are captured from it in plan-only mode and
 tested against it, and the two capture modes (declaration capture,
 access capture) are modes of it by definition.  Everything else — plan
-replay, serial or in dependency waves — appends prebuilt records to the
-same trace and honours the same hooks (``spans``, ``faults``,
-:meth:`Runtime.step_marker`, :meth:`Runtime.abort_step`).
+replay, serial or in dependency waves — runs the bodies those launches
+carried, appends prebuilt records to the same trace and honours the
+same hooks (``spans``, ``faults``, :meth:`Runtime.step_marker`,
+:meth:`Runtime.abort_step`).
 """
 
 from __future__ import annotations
@@ -31,11 +34,37 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
 
-__all__ = ["FieldRef", "KernelRecord", "Runtime"]
+__all__ = ["FieldRef", "KernelRecord", "LazyBody", "Runtime"]
 
 #: A kernel body: a no-argument closure over the engine's buffers (or
 #: ``None`` for declaration-only launches).
 KernelBody = Callable[[], None]
+
+
+class LazyBody:
+    """Handle of a kernel body that is built when first needed.
+
+    Declaring a launch must cost nothing when nothing runs (plan-only
+    capture), so ``op_*`` passes ``LazyBody(make)`` as ``fn=``:
+    :meth:`bind` calls ``make()`` once for the body closure.  The launch
+    path calls the handle (bind, then run); a step plan keeps
+    ``handle.bind()`` and replays the bare closure.
+    """
+
+    __slots__ = ("_make", "_body")
+
+    def __init__(self, make: Callable[[], KernelBody]) -> None:
+        self._make = make
+        self._body: KernelBody | None = None
+
+    def bind(self) -> KernelBody:
+        """Build the body closure (first call) and return it."""
+        if self._body is None:
+            self._body = self._make()
+        return self._body
+
+    def __call__(self) -> None:
+        self.bind()()
 
 
 @dataclass(frozen=True)
@@ -114,6 +143,9 @@ class Runtime:
         #: ever running kernel bodies — the declaration stream the static
         #: analyzer (:mod:`repro.analysis.static`) reasons about.
         self.plan_only = False
+        #: Where plan-only launches leave their ``fn`` (see
+        #: :meth:`capture_plan`), or ``None`` to drop it.
+        self._plan_bodies: list[KernelBody | None] | None = None
 
     def launch(self, name: str, level: int, *, n_cells: int,
                bytes_read: int, bytes_written: int,
@@ -128,16 +160,19 @@ class Runtime:
         executing, a fault hook may wrap the body and a tracer shadows
         its accesses.
         """
+        rec = KernelRecord(
+            name=name, level=level, n_cells=int(n_cells),
+            bytes_read=int(bytes_read), bytes_written=int(bytes_written),
+            reads=tuple(reads), writes=tuple(writes),
+            atomic_bytes=int(atomic_bytes), tag=tag)
         if self.plan_only:
             # Declaration-only capture: the record is the whole launch.
             # Bodies, tracers and fault hooks are all bypassed —
             # nothing observes or mutates simulation state, which is the
             # property the static analyzer's "no execution" contract needs.
-            self.records.append(KernelRecord(
-                name=name, level=level, n_cells=int(n_cells),
-                bytes_read=int(bytes_read), bytes_written=int(bytes_written),
-                reads=tuple(reads), writes=tuple(writes),
-                atomic_bytes=int(atomic_bytes), tag=tag))
+            self.records.append(rec)
+            if self._plan_bodies is not None:
+                self._plan_bodies.append(fn)
             return
         if self.faults is not None:
             # The injector sees every launch and may wrap the body (to
@@ -155,11 +190,6 @@ class Runtime:
                 self.captured[len(self.records)] = self.tracer.end_launch()
         elif fn is not None:
             fn()
-        rec = KernelRecord(
-            name=name, level=level, n_cells=int(n_cells),
-            bytes_read=int(bytes_read), bytes_written=int(bytes_written),
-            reads=tuple(reads), writes=tuple(writes),
-            atomic_bytes=int(atomic_bytes), tag=tag)
         self.records.append(rec)
         if spans is not None:
             spans.on_launch(len(self.records) - 1, rec, t0, perf_counter() - t0)
@@ -234,22 +264,28 @@ class Runtime:
         """Leave plan-only mode; subsequent launches execute normally."""
         self.plan_only = False
 
-    def capture_plan(self, drive: Callable[[], None]) -> list[KernelRecord]:
+    def capture_plan(self, drive: Callable[[], None],
+                     bodies: list[KernelBody | None] | None = None,
+                     ) -> list[KernelRecord]:
         """Capture the declaration stream ``drive`` would launch.
 
         Runs ``drive`` under plan-only mode and returns the records it
         appended, leaving the runtime's trace exactly as it was: the
         captured declarations are removed again, so profiling and
-        per-step accounting never see the phantom launches.  This is the
-        capture primitive behind compiled step plans
+        per-step accounting never see the phantom launches.  Each
+        launch's ``fn`` — unbound, never called — is appended to
+        ``bodies`` when a list is given, one per record.  This is the
+        capture primitive behind step plans
         (:mod:`repro.backend.compiler`).
         """
         base = len(self.records)
+        self._plan_bodies = bodies
         self.plan_start()
         try:
             drive()
         finally:
             self.plan_stop()
+            self._plan_bodies = None
         captured = self.records[base:]
         del self.records[base:]
         return captured
@@ -264,9 +300,10 @@ class Runtime:
         functional result of the program is unaffected.
 
         Shadow recording needs launch bracketing, so plan-replaying
-        backends run captured steps on this reference path (a counted
-        fallback): capture checks the reference bodies against their
-        declarations.
+        backends run captured steps on this launch path (a counted
+        fallback).  A body bound while a tracer is installed reports its
+        accesses before it runs; capture checks the bodies every
+        executor runs against their declarations.
         """
         if self.tracer is None:
             from ..analysis.capture import AccessTracer

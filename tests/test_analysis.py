@@ -183,7 +183,8 @@ class TestVerifier:
                     bytes_written=Q * self.itemsize * n,
                     reads=(FieldRef("f", lv),),
                     writes=(),  # forgot to declare the fstar output
-                    fn=lambda: self._collide_into_fstar(lv))
+                    fn=self._fuse(self._collide(
+                        lv, self.omega[lv], self.force[lv])))
 
         wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
         mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.engine import Engine
-from repro.core.lattice import D2Q9
+from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
+from repro.core.lattice import D2Q9, D3Q19
 from repro.core.stepper import NonUniformStepper
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, build_multigrid
 from repro.grid.geometry import wall_refinement
+from repro.neon.runtime import FieldRef, LazyBody
+
+from .test_multigrid import nested_box_spec
 
 
 def make_engine(bc=None, base=(16, 16), omega0=1.2):
@@ -18,6 +22,33 @@ def make_engine(bc=None, base=(16, 16), omega0=1.2):
     eng = Engine(mg, "bgk", omega0=omega0)
     eng.initialize()
     return eng
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cfg", [ORIGINAL_BASELINE, MODIFIED_BASELINE,
+                                     FUSED_FULL], ids=lambda c: c.name)
+    def test_fresh_engine_declares_the_initialised_step(self, cfg):
+        # cross-level rows are linked at construction, so the stream does
+        # not depend on initialize() having run
+        ready = make_engine()
+        fresh = Engine(ready.mgrid, "bgk", omega0=1.2)
+        streams = [eng.rt.capture_plan(NonUniformStepper(eng, cfg).step)
+                   for eng in (fresh, ready)]
+        assert streams[0] == streams[1]
+        # ... and it includes the Accumulate into level 0's ghosts
+        assert any(FieldRef("gacc", 0) in r.writes and r.level == 1
+                   for r in streams[0])
+
+    def test_declaration_capture_builds_nothing(self):
+        eng = Engine(make_engine().mgrid, "bgk", omega0=1.2)
+        handles = []
+        records = eng.rt.capture_plan(NonUniformStepper(eng, FUSED_FULL).step,
+                                      handles)
+        assert len(handles) == len(records) > 0
+        assert all(isinstance(h, LazyBody) and h._body is None
+                   for h in handles)
+        assert eng._maps == [{} for _ in eng.levels]
+        assert all(b.pull_rows.flags.writeable for b in eng.levels)
 
 
 class TestInitialize:
@@ -247,3 +278,134 @@ class TestBoundaryPhysics:
         fine = eng.levels[1]
         got = fine.f[fine.out_q, fine.out_cell]
         assert np.allclose(got, eng.lat.w[fine.out_q])
+
+
+# -- every body against a textbook copy ------------------------------------------
+# Per-q loops and 2-D (q, row) indexing, straight off the algorithm; the
+# engine's bodies (flat index maps, one take per row, one flat bincount)
+# must reproduce them bit for bit.
+
+def ref_collide(eng, lv):
+    b = eng.levels[lv]
+    eng.collision.collide(b.f[:, :b.n_owned], eng.omega[lv],
+                          out=b.fstar[:, :b.n_owned], force=eng.force[lv])
+
+
+def ref_accumulate(eng, lv):
+    parent, fine = eng.levels[lv - 1], eng.levels[lv]
+    for q in range(eng.lat.q):
+        parent.ghost_acc[q] += np.bincount(
+            parent.acc_ghost_rows, weights=fine.fstar[q, parent.acc_fine_rows],
+            minlength=parent.ghost_acc.shape[1])
+
+
+def ref_stream(eng, lv):
+    b = eng.levels[lv]
+    for q in range(eng.lat.q):
+        b.f[q, :b.n_owned] = b.fstar[q, b.pull_rows[q]]
+    # the four patches, in apply order (they may overlap at a (q, cell))
+    b.f[b.bb_q, b.bb_cell] = b.fstar[b.bb_opp, b.bb_cell]
+    b.f[b.mov_q, b.mov_cell] = b.fstar[b.mov_opp, b.mov_cell] + b.mov_term
+    b.f[b.out_q, b.out_cell] = b.out_val
+    b.f[b.sl_q, b.sl_cell] = b.fstar[b.sl_src_q, b.sl_src]
+
+
+def ref_explode(eng, lv, from_ghost):
+    b = eng.levels[lv]
+    if from_ghost:
+        b.f[b.exp_q, b.exp_cell] = b.fstar[b.exp_q, b.exp_ghost_rows]
+    else:
+        b.f[b.exp_q, b.exp_cell] = eng.levels[lv - 1].fstar[b.exp_q, b.exp_rows]
+
+
+def ref_coalesce(eng, lv):
+    b = eng.levels[lv]
+    b.f[b.coal_q, b.coal_cell] = (b.ghost_acc[b.coal_q, b.coal_src]
+                                  * eng.inv_navg)
+    b.ghost_acc[:] = 0.0
+
+
+def ref_explosion_copy(eng, lv):
+    b = eng.levels[lv]
+    b.fstar[:, b.fg_rows] = eng.levels[lv - 1].fstar[:, b.fg_coarse_rows]
+
+
+def ref_explode_direct(eng, lv):
+    ref_explode(eng, lv, from_ghost=False)
+
+
+def ref_explode_ghost(eng, lv):
+    ref_explode(eng, lv, from_ghost=True)
+
+
+#: kernel -> (coarsest level it runs on, its launch, the textbook sequence)
+KERNELS = {
+    "C": (0, lambda e, lv: e.op_collide(lv), [ref_collide]),
+    "A-scatter": (1, lambda e, lv: e.op_accumulate(lv), [ref_accumulate]),
+    "A-gather": (1, lambda e, lv: e.op_accumulate(lv, gather=True),
+                 [ref_accumulate]),
+    "S": (0, lambda e, lv: e.op_stream(lv), [ref_stream]),
+    "E": (1, lambda e, lv: e.op_explode(lv), [ref_explode_direct]),
+    "E-ghost": (1, lambda e, lv: e.op_explode(lv, exp_from_ghost=True),
+                [ref_explode_ghost]),
+    "O": (0, lambda e, lv: e.op_coalesce(lv), [ref_coalesce]),
+    "E-copy": (1, lambda e, lv: e.op_explosion_copy(lv), [ref_explosion_copy]),
+    "CA": (1, lambda e, lv: e.op_collide(lv, fuse_accumulate=True),
+           [ref_collide, ref_accumulate]),
+    "SEO": (0, lambda e, lv: e.op_stream(lv, fuse_explosion=True,
+                                         fuse_coalescence=True),
+            [ref_stream, ref_explode_direct, ref_coalesce]),
+    "SE-ghost": (1, lambda e, lv: e.op_stream(lv, fuse_explosion=True,
+                                              exp_from_ghost=True),
+                 [ref_stream, ref_explode_ghost]),
+    "CASE": (1, lambda e, lv: e.op_fused_case(lv),
+             [ref_collide, ref_accumulate, ref_stream, ref_explode_direct]),
+}
+
+
+def mixed_engine(d):
+    """Three levels, a solid, and every face kind between the two grids."""
+    vel = (0.04,) + (0.0,) * (d - 1)
+    if d == 2:
+        base, lat = (15, 13), D2Q9
+        faces = {"x-": FaceBC("inlet", velocity=vel), "x+": FaceBC("outflow"),
+                 "y-": FaceBC("slip"), "y+": FaceBC("moving", velocity=vel)}
+    else:
+        base, lat = (11, 11, 13), D3Q19     # y+ stays a resting wall
+        faces = {"x-": FaceBC("periodic"), "x+": FaceBC("periodic"),
+                 "y-": FaceBC("slip"), "z-": FaceBC("outflow"),
+                 "z+": FaceBC("moving", velocity=vel)}
+    spec = nested_box_spec(base, 3, DomainBC(faces), solid=True)
+    return Engine(build_multigrid(spec, lat), "bgk", omega0=1.3)
+
+
+class TestKernelBodies:
+    FIELDS = ("f", "fstar", "ghost_acc")
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
+    def engine(self, request):
+        return mixed_engine(request.param)
+
+    def test_grids_reach_every_index_map(self, engine):
+        for name in ("bb_q", "mov_q", "out_q", "sl_q", "exp_q", "coal_q",
+                     "acc_fine_rows", "fg_rows", "exp_ghost_rows"):
+            assert any(getattr(b, name).size for b in engine.levels), name
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_textbook_body(self, engine, kernel):
+        first, launch, reference = KERNELS[kernel]
+        rng = np.random.default_rng(sum(map(ord, kernel)))
+        for lv in range(first, len(engine.levels)):
+            start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
+                      for k in self.FIELDS} for b in engine.levels]
+            results = []
+            for run in (lambda: launch(engine, lv),
+                        lambda: [ref(engine, lv) for ref in reference]):
+                for b, saved in zip(engine.levels, start):
+                    for k in self.FIELDS:
+                        getattr(b, k)[...] = saved[k]
+                run()
+                results.append([getattr(b, k).copy() for b in engine.levels
+                                for k in self.FIELDS])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want), (kernel, lv)
