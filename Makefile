@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +39,14 @@ test-blas:
 		$(PYTHON) -m pytest -x -q tests/test_collision.py \
 			tests/test_mp_backend.py tests/test_reference.py || exit 1; \
 	done
+
+# Live bytes (DESIGN.md sections 11, 18): the tracemalloc guard on the
+# 16^3 x 3 anchor (one pull table per level, shared by grid and engine;
+# admission and state_digest copy nothing), the dead-state proof (only f
+# crosses a coarse step, all 7 configs, dynamic and static) and the
+# format-2 checkpoint contract.  Under 30 s; also part of `make test`.
+mem-check:
+	$(PYTHON) -m pytest -x -q tests/test_live_state.py
 
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool
@@ -121,4 +129,4 @@ serve-check:
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py -k "fair or resume or chaos"
 
-check: lint docs-check test test-compiled test-mp test-blas static-check resilience-check serve-check report bench-check
+check: lint docs-check test test-compiled test-mp test-blas mem-check static-check resilience-check serve-check report bench-check

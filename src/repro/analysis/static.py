@@ -95,6 +95,23 @@ def _span(rows: np.ndarray) -> tuple[int, int]:
     return (int(rows.min()), int(rows.max()) + 1)
 
 
+def _split_spans(arrays: Sequence[np.ndarray],
+                 n: int) -> list[tuple[int, int] | None]:
+    """Span of the rows ``< n`` and of the rows ``>= n`` in ``arrays``
+    (``None``: no such row), by masked reductions over each array where
+    it lies: the bulk pull table is a level's largest and is not copied."""
+    spans: list[tuple[int, int] | None] = [None, None]
+    for rows in (a for a in arrays if a.size):
+        info, high = np.iinfo(rows.dtype), rows >= n
+        for side, mask in enumerate((~high, high)):
+            lo = int(rows.min(where=mask, initial=info.max))
+            hi = int(rows.max(where=mask, initial=info.min)) + 1
+            if lo < hi:
+                old = spans[side] or (lo, hi)
+                spans[side] = (min(lo, old[0]), max(hi, old[1]))
+    return spans
+
+
 def _entries(qs: np.ndarray, rows: np.ndarray, width: int) -> frozenset[int]:
     """Exact entry ids of a ``(q, row)`` patch in a ``(Q, width)`` buffer."""
     return frozenset((np.asarray(qs, dtype=np.int64) * width
@@ -211,24 +228,16 @@ class AccessModel:
         """The bulk ``fstar`` gather, split owned/fine-ghost like the tracer."""
         buf = self._buf(lv)
         Q, i, n = self.q, self.itemsize, buf.n_owned
-        flat = buf.pull_rows.ravel()
-        nvals = flat.size
-        extra = [a for a in (buf.bb_cell, buf.mov_cell, buf.sl_src) if a.size]
-        all_rows = np.concatenate([flat] + extra) if extra else flat
-        ghost = all_rows >= n
-        n_ghost_vals = int((flat >= n).sum())
+        nvals = buf.pull_rows.size
+        n_ghost_vals = int(np.count_nonzero(buf.pull_rows >= n))
         per_val = (Q * i * n) / nvals if nvals else 0.0
-        out: list[StaticAccess] = []
-        owned_rows, ghost_rows = all_rows[~ghost], all_rows[ghost]
-        if owned_rows.size:
-            lo, hi = _span(owned_rows)
-            out.append(StaticAccess(FieldRef("fstar", lv), READ, lo, hi,
-                                    round(per_val * (nvals - n_ghost_vals))))
-        if ghost_rows.size:
-            lo, hi = _span(ghost_rows)
-            out.append(StaticAccess(FieldRef("fghost", lv), READ, lo, hi,
-                                    round(per_val * n_ghost_vals)))
-        return out
+        # the patch sources extend the spans but carry no bytes of their own
+        spans = _split_spans(
+            (buf.pull_rows, buf.bb_cell, buf.mov_cell, buf.sl_src), n)
+        return [StaticAccess(FieldRef(name, lv), READ, *span, round(per_val * nv))
+                for name, span, nv in zip(("fstar", "fghost"), spans,
+                                          (nvals - n_ghost_vals, n_ghost_vals))
+                if span is not None]
 
     @_once_per_model
     def _explode(self, lv: int, from_ghost: bool, subsumed: bool) -> list[StaticAccess]:

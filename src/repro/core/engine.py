@@ -3,12 +3,15 @@
 The engine owns, per level, the two population buffers (``f`` holds the
 post-streaming state at the start of a substep, ``fstar`` the
 post-collision state) and the ghost-layer accumulator, plus every
-streaming map translated from grid slots to compact *row* space: rows
-``0..n_owned-1`` are the owned cells, followed by the fine-ghost rows the
-original baseline needs.  Each ``op_*`` method is one GPU kernel: it
-emits one launch record with the DRAM traffic the equivalent CUDA kernel
-would generate — this is what the cost model consumes — and hands the
-runtime a handle of the kernel's body.
+streaming map in compact *row* space: rows ``0..n_owned-1`` are the owned
+cells, followed — in ``fstar`` only, no kernel touches them in ``f`` — by
+the fine-ghost rows the original baseline needs; the bulk pull table is
+the grid's own array, shared.  Between coarse steps ``f`` is the whole
+state: ``fstar`` is rewritten before it is read, ``ghost_acc`` is zero.
+Each ``op_*`` method is one GPU kernel: it emits one launch record with
+the DRAM traffic the equivalent CUDA kernel would generate — this is what
+the cost model consumes — and hands the runtime a handle of the kernel's
+body.
 
 This module is the only place a kernel body is written.  The ``_collide``
 / ``_accumulate`` / ``_stream`` / ``_explode`` / ``_coalesce`` /
@@ -43,12 +46,12 @@ __all__ = ["Engine", "LevelBuffers"]
 class LevelBuffers:
     """Per-level state and row-space maps."""
 
-    f: np.ndarray                 # (Q, n_used) post-streaming populations
+    f: np.ndarray                 # (Q, n_owned) post-streaming populations
     fstar: np.ndarray             # (Q, n_used) post-collision populations
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
     n_used: int
-    pull_rows: np.ndarray         # (Q, n_owned) same-level gather rows
+    pull_rows: np.ndarray         # (Q, n_owned) gather rows: the grid's table
     bb_q: np.ndarray; bb_cell: np.ndarray; bb_opp: np.ndarray
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_opp: np.ndarray; mov_term: np.ndarray
     out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
@@ -115,24 +118,17 @@ class Engine:
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
         lat = self.lat
         Q = lat.q
-        row_of_slot = np.full(cl.n_alloc, -1, dtype=np.int64)
-        row_of_slot[cl.owned_slots] = np.arange(cl.n_owned)
-        n_fg = cl.fine_ghost_slots.size
-        row_of_slot[cl.fine_ghost_slots] = cl.n_owned + np.arange(n_fg)
-        n_used = cl.n_owned + n_fg
-
-        pull_rows = row_of_slot[cl.pull_src]
-        if (pull_rows < 0).any():
-            raise AssertionError("interior pull references an unallocated row")
+        row_of_slot = cl.row_of_slot()
+        n_used = cl.n_owned + cl.fine_ghost_slots.size
         sl_src_rows = row_of_slot[cl.sl_src] if cl.sl_src.size else cl.sl_src
-        pulls_fghost = bool((pull_rows >= cl.n_owned).any()
+        pulls_fghost = bool(cl.pull_rows.max(initial=0) >= cl.n_owned
                             or (sl_src_rows >= cl.n_owned).any())
         grid_meta = sum(cl.grid.metadata_bytes().values())
         return LevelBuffers(
-            f=np.zeros((Q, n_used), dtype=self.dtype),
+            f=np.zeros((Q, cl.n_owned), dtype=self.dtype),
             fstar=np.zeros((Q, n_used), dtype=self.dtype),
             ghost_acc=np.zeros((Q, cl.n_ghost), dtype=self.dtype),
-            n_owned=cl.n_owned, n_used=n_used, pull_rows=pull_rows,
+            n_owned=cl.n_owned, n_used=n_used, pull_rows=cl.pull_rows,
             bb_q=cl.bb_q, bb_cell=cl.bb_cell, bb_opp=lat.opp[cl.bb_q],
             mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_opp=lat.opp[cl.mov_q],
             mov_term=cl.mov_term,
@@ -193,9 +189,8 @@ class Engine:
                 uu = np.asarray(u(centers), dtype=np.float64)
             else:
                 uu = np.broadcast_to(np.asarray(u, dtype=np.float64)[:, None], (d, n)).copy()
-            feq = equilibrium(self.lat, rr, uu)
-            buf.f[:, :n] = feq
-            buf.fstar[:, :n] = feq
+            equilibrium(self.lat, rr, uu, out=buf.f)
+            buf.fstar[:, :n] = buf.f
             buf.ghost_acc[:] = 0.0
 
     # -- access reports --------------------------------------------------------
@@ -239,8 +234,9 @@ class Engine:
         """Level ``lv``'s flat index map ``key``, built on first use.
 
         The maps flatten 2-D ``(q, row)`` addressing into 1-D indices
-        over the contiguous ``(Q, n_used)`` / ``(Q, n_ghost)`` buffers, so
-        a body is one gather/scatter instead of a per-``q`` loop.  They
+        over the contiguous buffers — stride ``n_owned`` in ``f``,
+        ``n_used`` in ``fstar``, ``n_ghost`` in ``ghost_acc`` — so a
+        body is one gather/scatter instead of a per-``q`` loop.  They
         depend on the level geometry alone and are shared by every body
         bound on this engine.
         """
@@ -251,7 +247,7 @@ class Engine:
         return got
 
     def _qoff(self, lv: int) -> np.ndarray:
-        """Column vector: offset of population ``q`` in level ``lv``'s flat buffers."""
+        """Column vector: offset of population ``q`` in level ``lv``'s flat ``fstar``."""
         return (np.arange(self.lat.q, dtype=np.int64) * self.levels[lv].n_used)[:, None]
 
     def _pull_rows(self, lv: int) -> np.ndarray:
@@ -312,7 +308,7 @@ class Engine:
         buf = self.levels[lv]
         n = buf.n_owned
         collide = self.collision.collide
-        f, out = buf.f[:, :n], buf.fstar[:, :n]
+        f, out = buf.f, buf.fstar[:, :n]
 
         def run() -> None:
             collide(f, omega, out=out, force=force)
@@ -374,15 +370,15 @@ class Engine:
         b = self.levels[lv]
         Q, n, nu = self.lat.q, b.n_owned, b.n_used
         rows = self._pull_rows(lv)
-        pulls = [(b.fstar[q], rows[q], b.f[q, :n]) for q in range(Q)]
+        pulls = [(b.fstar[q], rows[q], b.f[q]) for q in range(Q)]
         bb, mov, out, sl = self._map(lv, "patches", lambda: (
-            (b.bb_q * nu + b.bb_cell, b.bb_opp * nu + b.bb_cell)
+            (b.bb_q * n + b.bb_cell, b.bb_opp * nu + b.bb_cell)
             if b.bb_q.size else None,
-            (b.mov_q * nu + b.mov_cell, b.mov_opp * nu + b.mov_cell, b.mov_term)
+            (b.mov_q * n + b.mov_cell, b.mov_opp * nu + b.mov_cell, b.mov_term)
             if b.mov_q.size else None,
-            (b.out_q * nu + b.out_cell, b.out_val) if b.out_q.size else None,
+            (b.out_q * n + b.out_cell, b.out_val) if b.out_q.size else None,
             # specular reflection off a free-slip plane
-            (b.sl_q * nu + b.sl_cell, b.sl_src_q * nu + b.sl_src)
+            (b.sl_q * n + b.sl_cell, b.sl_src_q * nu + b.sl_src)
             if b.sl_q.size else None))
         f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
         take = np.take
@@ -418,7 +414,7 @@ class Engine:
         src_lv = lv if from_ghost else lv - 1
         src_rows = b.exp_ghost_rows if from_ghost else b.exp_rows
         dst, src = self._map(lv, ("exp", from_ghost), lambda: (
-            b.exp_q * b.n_used + b.exp_cell,
+            b.exp_q * b.n_owned + b.exp_cell,
             b.exp_q * self.levels[src_lv].n_used + src_rows))
         f_flat = b.f.reshape(-1)
         src_flat = self.levels[src_lv].fstar.reshape(-1)
@@ -442,7 +438,7 @@ class Engine:
         b = self.levels[lv]
         ng = b.ghost_acc.shape[1]
         dst, src = self._map(lv, "coal", lambda: (
-            b.coal_q * b.n_used + b.coal_cell, b.coal_q * ng + b.coal_src))
+            b.coal_q * b.n_owned + b.coal_cell, b.coal_q * ng + b.coal_src))
         inv_navg = self.inv_navg
         gacc, f_flat = b.ghost_acc, b.f.reshape(-1)
         gacc_flat = gacc.reshape(-1)

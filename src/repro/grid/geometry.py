@@ -121,28 +121,46 @@ class AirplaneProxy(Shape):
 
 # -- voxelisation ----------------------------------------------------------
 
-def cell_centers(shape: tuple[int, ...], level: int) -> np.ndarray:
+#: Bytes of cell-centre coordinates one shape evaluation is handed.
+_SLAB_BYTES = 4 << 20
+
+
+def cell_centers(shape: tuple[int, ...], level: int,
+                 rows: slice = slice(None)) -> np.ndarray:
     """Cell-centre coordinates of a level-``level`` grid, in *coarse* units.
 
     A level-L cell has size ``2^-L``; centres sit at ``(i + 0.5) * 2^-L``.
-    Returns an array of shape ``shape + (d,)``.
+    Returns an array of shape ``shape + (d,)``, cut to ``rows`` along axis 0.
     """
     h = 2.0 ** (-level)
     axes = [(np.arange(n) + 0.5) * h for n in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
     return np.stack(mesh, axis=-1)
+
+
+def _sample(fn, grid_shape: tuple[int, ...], level: int, dtype) -> np.ndarray:
+    """``fn(points)`` at every cell centre, one slab along axis 0 at a time.
+
+    A whole box of centres is ``8 d`` bytes per cell and an SDF makes several
+    temporaries that size; a point's value does not depend on its slab.
+    """
+    d = len(grid_shape)
+    out = np.empty(grid_shape, dtype=dtype)
+    step = max(1, _SLAB_BYTES // (8 * d * max(1, out[:1].size)))
+    for lo in range(0, grid_shape[0], step):
+        pts = cell_centers(grid_shape, level, slice(lo, lo + step))
+        out[lo:lo + step] = fn(pts.reshape(-1, d)).reshape(pts.shape[:-1])
+    return out
 
 
 def voxelize(shape_obj: Shape, grid_shape: tuple[int, ...], level: int) -> np.ndarray:
     """Boolean mask of level-``level`` cells whose centre lies inside the shape."""
-    pts = cell_centers(grid_shape, level).reshape(-1, len(grid_shape))
-    return shape_obj.contains(pts).reshape(grid_shape)
+    return _sample(shape_obj.contains, grid_shape, level, bool)
 
 
 def distance_field(shape_obj: Shape, grid_shape: tuple[int, ...], level: int) -> np.ndarray:
     """Signed distance (coarse units) sampled at cell centres."""
-    pts = cell_centers(grid_shape, level).reshape(-1, len(grid_shape))
-    return shape_obj.sdf(pts).reshape(grid_shape)
+    return _sample(shape_obj.sdf, grid_shape, level, np.float64)
 
 
 # -- refinement-region builders ---------------------------------------------

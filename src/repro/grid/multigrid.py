@@ -193,12 +193,12 @@ def _validate_spec(spec: RefinementSpec) -> None:
             )
         # The coarse-ghost layer of level k lives in the first level-k cell
         # ring inside the refined region; its level-(k+1) children must be
-        # owned by level k+1, so the next interface has to stay clear of it.
+        # owned by level k+1, so the next interface has to stay clear of it
+        # (and so do the solid cells, where level k+1 is the finest).
+        ghost_children = _upsample2(_dilate(covered & ~region, 1, per) & region)
         if k + 1 < len(spec.refine_regions):
-            owned_k = covered & ~region
-            ghost_k = _dilate(owned_k, 1, per) & region
             nxt = np.asarray(spec.refine_regions[k + 1], dtype=bool)
-            if (_upsample2(ghost_k) & nxt).any():
+            if (ghost_children & nxt).any():
                 raise ValueError(
                     f"refine_regions[{k + 1}] starts too close to the "
                     f"level-{k}/{k + 1} interface: the ghost layer's children "
@@ -213,11 +213,19 @@ def _validate_spec(spec: RefinementSpec) -> None:
             raise ValueError(
                 f"solid mask has shape {solid.shape}, expected finest-level {finest}"
             )
-        if solid.any() and spec.num_levels > 1 and (_dilate(solid, 1, per) & ~covered).any():
-            raise ValueError(
-                "solid cells must be surrounded by finest-level cells "
-                "(refine around the obstacle)"
-            )
+        if solid.any() and spec.num_levels > 1:
+            if (_dilate(solid, 1, per) & ~covered).any():
+                raise ValueError(
+                    "solid cells must be surrounded by finest-level cells "
+                    "(refine around the obstacle)"
+                )
+            # Accumulate sums all 2^d children of a coarse ghost cell.
+            hit = np.argwhere(ghost_children & solid)
+            if hit.size:
+                raise ValueError(
+                    f"solid cell {tuple(hit[0].tolist())} is a child of level "
+                    f"{k}'s coarse ghost cell {tuple((hit[0] // 2).tolist())}: "
+                    f"keep the obstacle two level-{k + 1} cells off the interface")
 
 
 @dataclass
@@ -226,9 +234,10 @@ class CompiledLevel:
 
     All COO tables (``bb_*``, ``mov_*``, ``out_*``, ``exp_*``, ``coal_*``)
     index into the *owned-cell row space* (0..n_owned-1) paired with a
-    lattice direction.  ``pull_src`` holds, per direction and owned cell,
-    the same-level source slot for interior pulls (self-referencing where a
-    special kind applies; those entries are patched by the kind tables).
+    lattice direction.  ``pull_rows`` holds, per direction and owned cell,
+    the same-level source row (:meth:`row_of_slot`) of interior pulls,
+    self-referencing where a special kind applies (those entries are patched
+    by the kind tables): one read-only table, which the engine shares.
     """
 
     level: int
@@ -236,7 +245,7 @@ class CompiledLevel:
     owned_slots: np.ndarray           # (n_owned,) slot ids, ordered by slot
     ghost_slots: np.ndarray           # coarse-ghost accumulator cells
     fine_ghost_slots: np.ndarray      # 4-layer fine ghosts (original baseline)
-    pull_src: np.ndarray              # (Q, n_owned) same-level source slots
+    pull_rows: np.ndarray             # (Q, n_owned) int32 same-level source rows
     kind: np.ndarray                  # (Q, n_owned) int8 pull classification
     # -- boundary tables -----------------------------------------------------
     bb_q: np.ndarray; bb_cell: np.ndarray
@@ -267,6 +276,10 @@ class CompiledLevel:
     @property
     def n_alloc(self) -> int:
         return self.grid.n_alloc
+
+    def row_of_slot(self) -> np.ndarray:
+        """Slot -> row of the engine's per-level buffers (-1: not stored)."""
+        return _row_of_slot(self.n_alloc, self.owned_slots, self.fine_ghost_slots)
 
     @property
     def n_interface_fine(self) -> int:
@@ -305,6 +318,15 @@ class MultiGrid:
     def finest_first_distribution(self) -> list[int]:
         """Voxel counts ordered finest-to-coarsest, as reported in Table I."""
         return [lv.n_owned for lv in reversed(self.levels)]
+
+
+def _row_of_slot(n_alloc: int, owned_slots: np.ndarray,
+                 fine_ghost_slots: np.ndarray) -> np.ndarray:
+    """The row space: owned cells in slot order, then the fine ghosts."""
+    rows = np.full(n_alloc, -1, dtype=np.int64)
+    rows[owned_slots] = np.arange(owned_slots.size)
+    rows[fine_ghost_slots] = owned_slots.size + np.arange(fine_ghost_slots.size)
+    return rows
 
 
 def _owner_labels(spec: RefinementSpec) -> list[np.ndarray]:
@@ -420,7 +442,12 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
         ghost_row_of_slot = np.full(grid.n_alloc, -1, dtype=np.int64)
         ghost_row_of_slot[ghost_slots] = np.arange(ghost_slots.size)
 
-        pull_src = np.tile(owned_slots, (Q, 1))
+        n_used = n_owned + fine_ghost_slots.size
+        if n_used >= 2 ** 31:
+            raise ValueError(f"level {lvl} stores {n_used} cells; the int32 "
+                             f"pull table addresses fewer than 2**31")
+        row_of_slot = _row_of_slot(grid.n_alloc, owned_slots, fine_ghost_slots)
+        pull_rows = np.tile(np.arange(n_owned, dtype=np.int32), (Q, 1))
         kind = np.full((Q, n_owned), kinds.INTERIOR, dtype=np.int8)
 
         bb, mov, out, exp, coal = [], [], [], [], []
@@ -433,7 +460,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
             code = lab_flat.take(src)
 
             rows = np.flatnonzero(code == _SELF)
-            pull_src[q, rows] = slot_flat.take(src[rows])
+            pull_rows[q, rows] = row_of_slot.take(slot_flat.take(src[rows]))
             rows_f = np.flatnonzero(code == _FINER)
             if rows_f.size:
                 gslots = slot_flat.take(src[rows_f])
@@ -542,6 +569,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
             raise AssertionError("explosion source not allocated on the coarser level")
         if coal_src.size and (coal_src < 0).any():
             raise AssertionError("coalescence source missing from the ghost layer")
+        pull_rows.setflags(write=False)
 
         # Accumulate map: children of every coarse-ghost cell on the finer level.
         if lvl < spec.num_levels - 1 and ghost_slots.size:
@@ -569,7 +597,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
 
         levels.append(CompiledLevel(
             level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
-            fine_ghost_slots=fine_ghost_slots, pull_src=pull_src, kind=kind,
+            fine_ghost_slots=fine_ghost_slots, pull_rows=pull_rows, kind=kind,
             bb_q=bb_q, bb_cell=bb_cell,
             mov_q=mov_q, mov_cell=mov_cell, mov_term=mov_term.astype(np.float64),
             out_q=out_q, out_cell=out_cell, out_val=out_val,

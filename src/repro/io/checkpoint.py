@@ -1,9 +1,15 @@
 """Exact checkpoint/restore of a running simulation.
 
 Long wind-tunnel runs (the paper's 30k-iteration sphere experiment)
-need restartability.  A checkpoint stores every level's population
-buffers and ghost accumulators verbatim, so a restored run continues
-bit-for-bit identically — which the test suite asserts.
+need restartability.  A checkpoint stores the *live* state and nothing
+else — between coarse steps, every level's ``f``: ``fstar`` (fine-ghost
+rows included) is rewritten before anything reads it and the ghost
+accumulators are zero, so a restore derives them from the file and the
+run continues bit-for-bit identically (asserted with the dead buffers
+poisoned: ``tests/test_live_state.py``).  Format 2 is uncompressed —
+deflate was over half of a served job's wall time and the zip CRC-32
+guards the members either way — so a near-rest state, which deflates to
+almost nothing, takes more disk than it did (DESIGN.md section 16).
 
 Two layers:
 
@@ -38,7 +44,7 @@ from ..core.simulation import Simulation
 __all__ = ["CheckpointError", "CheckpointStore",
            "save_checkpoint", "restore_checkpoint"]
 
-_FORMAT = 1
+_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):
@@ -66,9 +72,11 @@ def _payload(sim: Simulation) -> dict[str, np.ndarray]:
         "active_per_level": np.asarray(sim.mgrid.active_per_level()),
     }
     for lv, buf in enumerate(sim.engine.levels):
+        if buf.ghost_acc.any():
+            raise RuntimeError(
+                f"checkpoint requested inside a coarse step: level {lv}'s "
+                f"ghost accumulator is not zero")
         payload[f"f_{lv}"] = buf.f
-        payload[f"fstar_{lv}"] = buf.fstar
-        payload[f"gacc_{lv}"] = buf.ghost_acc
     return payload
 
 
@@ -85,7 +93,7 @@ def _atomic_write_npz(path: str, payload: dict[str, np.ndarray]) -> None:
                                suffix=".tmp", dir=dirname)
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+            np.savez(fh, **payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -98,14 +106,14 @@ def _atomic_write_npz(path: str, payload: dict[str, np.ndarray]) -> None:
 
 
 def save_checkpoint(sim: Simulation, path: str) -> None:
-    """Write the full engine state to ``path`` (``.npz``), atomically."""
+    """Write the live engine state to ``path`` (``.npz``), atomically."""
     _atomic_write_npz(path, _payload(sim))
 
 
 def _load_arrays(path: str) -> dict[str, np.ndarray]:
     """Read every array of a checkpoint into memory, or raise CheckpointError.
 
-    ``np.load`` on an ``.npz`` is lazy — members are decompressed on
+    ``np.load`` on an ``.npz`` is lazy — members are read on
     access — so a truncated file can fail *midway through a restore*.
     Materializing everything first makes restore all-or-nothing.
     """
@@ -124,7 +132,9 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     per-level cell counts) — the function validates and raises
     ``ValueError`` otherwise; a damaged file raises
     :class:`CheckpointError`.  The simulation is only modified once the
-    whole file has been read and validated.
+    whole file has been read and validated; every buffer is then a
+    function of the file alone (``fstar`` mirrors ``f``, the rest is
+    zero): no NaN of the abandoned timeline survives a rollback.
     """
     data = _load_arrays(path)
     try:
@@ -148,16 +158,15 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     if data["active_per_level"].tolist() != sim.mgrid.active_per_level():
         raise ValueError("grid layout differs from the checkpoint")
     for lv, buf in enumerate(sim.engine.levels):
-        for key, target in ((f"f_{lv}", buf.f), (f"fstar_{lv}", buf.fstar),
-                            (f"gacc_{lv}", buf.ghost_acc)):
-            if key not in data:
-                raise CheckpointError(f"missing array {key!r}", path)
-            if data[key].shape != target.shape:
-                raise ValueError(f"level {lv} buffer shape mismatch")
+        if f"f_{lv}" not in data:
+            raise CheckpointError(f"missing array 'f_{lv}'", path)
+        if data[f"f_{lv}"].shape != buf.f.shape:
+            raise ValueError(f"level {lv} buffer shape mismatch")
     for lv, buf in enumerate(sim.engine.levels):
         buf.f[:] = data[f"f_{lv}"]
-        buf.fstar[:] = data[f"fstar_{lv}"]
-        buf.ghost_acc[:] = data[f"gacc_{lv}"]
+        buf.fstar[:, :buf.n_owned] = buf.f
+        buf.fstar[:, buf.n_owned:] = 0.0
+        buf.ghost_acc[:] = 0.0
     steps = int(data["steps"])
     sim.stepper.steps_done = steps
     # State mutated outside the step path: compiled backends key their

@@ -15,8 +15,9 @@ jobs whose recorded state is non-terminal, rebuilds their
 :class:`~repro.serve.spec.JobSpec` from ``payload.pkl`` and re-enqueues
 them — the checkpoint store then resumes each from its last good
 generation.  ``state_digest`` is the bit-identity witness: a SHA-256
-over every level's population buffers plus the step count, so a resumed
-or fault-recovered run can be proven identical to an unfaulted one.
+over the step count and every level's ``f`` — between coarse steps the
+whole live state, and exactly what a checkpoint stores — so a resumed or
+fault-recovered run can be proven identical to an unfaulted one.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import json
 import os
 import pickle
 import tempfile
-
-import numpy as np
 
 from .spec import JobSpec
 
@@ -136,15 +135,16 @@ def rebuild_jobspec(root: str, job_id: str, state: dict) -> JobSpec:
 def state_digest(sim) -> str:
     """SHA-256 witness of a simulation's exact state.
 
-    Hashes the step count and every level's ``f`` / ``fstar`` /
-    ``ghost_acc`` verbatim — the same buffers a checkpoint stores — so
-    two runs agree iff they are bit-identical.
+    Hashes the step count and every level's ``f`` verbatim — the same
+    buffers a checkpoint stores, the whole state between coarse steps
+    (:mod:`repro.io.checkpoint`) — so two runs agree iff they are
+    bit-identical.  Rows reach the hash through the buffer protocol,
+    uncopied.
     """
     h = hashlib.sha256()
     h.update(f"steps={sim.steps_done}".encode())
     for lv, buf in enumerate(sim.engine.levels):
-        for fname in ("f", "fstar", "ghost_acc"):
-            arr = np.ascontiguousarray(getattr(buf, fname))
-            h.update(f"|{fname}@{lv}:{arr.shape}:{arr.dtype}".encode())
-            h.update(arr.tobytes())
+        h.update(f"|f@{lv}:{buf.f.shape}:{buf.f.dtype}".encode())
+        for row in buf.f:
+            h.update(row)
     return h.hexdigest()

@@ -48,7 +48,32 @@ class TestConstruction:
         assert all(isinstance(h, LazyBody) and h._body is None
                    for h in handles)
         assert eng._maps == [{} for _ in eng.levels]
-        assert all(b.pull_rows.flags.writeable for b in eng.levels)
+
+    def test_the_pull_table_is_the_grids(self):
+        # one table per level, frozen from birth: the engine neither
+        # translates nor copies it, and f has no fine-ghost rows
+        eng = make_engine()
+        for cl, b in zip(eng.mgrid.levels, eng.levels):
+            assert b.pull_rows is cl.pull_rows
+            assert b.pull_rows.dtype == np.int32
+            assert not b.pull_rows.flags.writeable
+            assert b.f.shape == (eng.lat.q, b.n_owned)
+            assert b.fstar.shape == (eng.lat.q, b.n_used)
+        assert eng.levels[1].n_used > eng.levels[1].n_owned
+
+    def test_a_table_replaced_after_the_proof_is_proven_again(self):
+        # the bounds proof is per array, not per level (tests/test_backend.py
+        # has the table replaced before any bind, both ends of the range)
+        eng = make_engine()
+        b = eng.levels[1]
+        eng._stream(1)                      # proves the grid's own table
+        b.pull_rows = b.pull_rows.copy()    # a writeable stand-in ...
+        b.pull_rows[3, 7] = b.n_used
+        with pytest.raises(IndexError, match="level 1: bulk pull rows leave"):
+            eng._stream(1)                  # ... is not taken on trust
+        b.pull_rows[3, 7] = 0
+        eng._stream(1)
+        assert not b.pull_rows.flags.writeable
 
 
 class TestInitialize:

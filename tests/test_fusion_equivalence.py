@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_CA, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE, FusionConfig,
                                get_config)
+from repro.core.lattice import D2Q9
 from repro.core.simulation import Simulation
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
 from repro.grid.multigrid import (DomainBC, FaceBC, RefinementSpec,
-                                  _face_names, _validate_spec)
+                                  _face_names, _validate_spec, build_multigrid)
 
 from .test_multigrid import random_specs
 
@@ -229,25 +230,22 @@ def test_random_topologies_agree_across_executors_and_configs(spec):
     lattice = "D2Q9" if spec.d == 2 else "D3Q19"
     try:
         _validate_spec(spec)
-        # ... which lets through one class of specs the engine refuses
-        # to link (the fixture below)
-        Simulation.from_config(spec, lattice=lattice, viscosity=0.05).close()
-    except (ValueError, AssertionError):
+    except ValueError:
         assume(False)
     assert_executors_and_configs_agree(spec, lattice)
 
 
 def test_solid_among_a_ghost_cells_children_is_refused():
     # Shrunk by the property above.  Through the periodic seam the coarse
-    # column y=0 is a ghost layer, and one of its children is solid: the
-    # spec validates, the engine refuses to link it.  Pinned so the
-    # property's discard stays honest until validation rejects such specs.
+    # column y=0 is a ghost layer, and one of its children is solid:
+    # Accumulate would sum a cell that does not exist.  Validation names
+    # the cell (the engine used to die linking the levels).
     region = np.zeros((5, 5), dtype=bool)
     region[:, :4] = True
     solid = np.zeros((10, 10), dtype=bool)
     solid[0, 1] = True
     bc = DomainBC({"y-": FaceBC("periodic"), "y+": FaceBC("periodic")})
     spec = RefinementSpec((5, 5), [region], solid=solid, bc=bc, block_size=2)
-    _validate_spec(spec)
-    with pytest.raises(AssertionError, match="accumulate source"):
-        Simulation.from_config(spec, lattice="D2Q9", viscosity=0.05)
+    with pytest.raises(ValueError, match=r"solid cell \(0, 1\) is a child of "
+                                         r"level 0's coarse ghost cell \(0, 0\)"):
+        build_multigrid(spec, D2Q9)

@@ -1,0 +1,228 @@
+"""Only what is live is held, copied and persisted (DESIGN.md sections 11, 16, 18).
+
+Between coarse steps the state of a run is the owned columns of every
+level's ``f``: ``fstar`` is rewritten before anything reads it and the
+ghost accumulators are zero.  These tests hold that claim dynamically
+(poison the dead buffers, nothing changes) and statically (the first
+access to ``fstar`` / ``fghost`` in every stream is a full-cover write),
+check that checkpoints and ``state_digest`` carry exactly the live state,
+and guard the heap of the ROADMAP anchor.  ``make mem-check`` runs this
+file.
+"""
+
+import gc
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.analysis.capture import WRITE
+from repro.analysis.static import plan_stream
+from repro.bench.workloads import lid_cavity
+from repro.core.diagnostics import solid_force
+from repro.core.simulation import Simulation
+from repro.io.checkpoint import (CheckpointStore, restore_checkpoint,
+                                 save_checkpoint)
+from repro.obs.watchdog import HealthWatchdog
+from repro.serve.state import state_digest
+
+from .test_fusion_equivalence import (ALL_CONFIGS, cavity_2d_three_levels,
+                                      sphere_3d)
+from .test_static_analysis import WL2D, WL3D
+
+MiB = 2 ** 20
+GRIDS = pytest.mark.parametrize("setup", [cavity_2d_three_levels, sphere_3d],
+                                ids=["cavity2d-3lvl", "sphere3d-kbc"])
+CONFIGS = pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.name)
+
+
+def make(setup, cfg=ALL_CONFIGS[-1], **kw):
+    spec, lattice, collision = setup()
+    return Simulation.from_config(spec, lattice=lattice, collision=collision,
+                                  viscosity=0.04, fusion=cfg, **kw)
+
+
+def assert_same_f(a, b):
+    for la, lb in zip(a.engine.levels, b.engine.levels):
+        assert np.array_equal(la.f, lb.f)
+
+
+# -- what crosses a coarse-step boundary -------------------------------------------
+
+@GRIDS
+@CONFIGS
+def test_only_f_crosses_a_coarse_step(setup, cfg):
+    clean, poisoned = make(setup, cfg), make(setup, cfg)
+    with clean, poisoned:
+        clean.run(2)
+        poisoned.run(2)
+        for buf in poisoned.engine.levels:
+            assert buf.f.shape == (poisoned.lattice.q, buf.n_owned)
+            assert not buf.ghost_acc.any()
+            buf.fstar.fill(np.nan)          # fine-ghost rows included
+        for _ in range(3):
+            clean.run(1)
+            poisoned.run(1)
+            assert_same_f(clean, poisoned)
+            for buf in poisoned.engine.levels:
+                assert np.isfinite(buf.f).all()
+                assert np.isfinite(buf.fstar[:, :buf.n_owned]).all()
+                assert not buf.ghost_acc.any()
+
+
+@pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
+@CONFIGS
+def test_first_access_to_fstar_is_a_full_cover_write(cfg, wl):
+    records, model = plan_stream(cfg, wl, steps=1)
+    first = {}
+    for i, accesses in model.access_map(records).items():
+        for a in accesses:
+            if a.field is not None and a.field.name in ("fstar", "fghost"):
+                first.setdefault(a.field, (a, f"#{i} {records[i].name}"))
+    levels = model.engine.levels
+    assert {ref.level for ref in first if ref.name == "fstar"} >= set(
+        range(len(levels) - (1 if cfg.fuse_cs_finest else 0)))
+    assert any(ref.name == "fghost" for ref in first) == cfg.original_layout
+    for ref, (a, where) in first.items():
+        buf = levels[ref.level]
+        cover = ((0, buf.n_owned) if ref.name == "fstar"
+                 else (buf.n_owned, buf.n_used))
+        assert (a.kind, a.lo, a.hi, a.entries) == (WRITE, *cover, None), (
+            str(ref), where, str(a))
+
+
+# -- checkpoints and digests carry the live state ------------------------------------
+
+def test_restore_leaves_nothing_of_the_abandoned_timeline(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    a = make(sphere_3d)
+    a.run(4)
+    save_checkpoint(a, path)
+    a.run(3)
+
+    b = make(sphere_3d)
+    b.run(6)                                # a used simulation, elsewhere in time
+    for buf in b.engine.levels:
+        for arr in (buf.f, buf.fstar, buf.ghost_acc):
+            arr.fill(np.nan)
+    restore_checkpoint(b, path)
+    assert b.steps_done == 4
+    for buf in b.engine.levels:
+        assert np.isfinite(buf.f).all() and np.isfinite(buf.fstar).all()
+        assert np.array_equal(buf.fstar[:, :buf.n_owned], buf.f)
+        assert not buf.fstar[:, buf.n_owned:].any() and not buf.ghost_acc.any()
+    assert HealthWatchdog(b).check()["status"] == "ok"
+    assert np.isfinite(solid_force(b.engine)).all()
+    b.run(3)
+    assert_same_f(a, b)
+    assert state_digest(a) == state_digest(b)
+
+
+def test_a_checkpoint_holds_f_and_the_header_only(tmp_path):
+    sim = make(cavity_2d_three_levels, ALL_CONFIGS[0])      # 4a: fine ghosts
+    sim.run(2)
+    path = CheckpointStore(tmp_path / "ck").save(sim)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = {"format", "steps", "num_levels", "base_shape", "lattice",
+              "active_per_level"}
+    assert set(arrays) == header | {f"f_{lv}" for lv in range(sim.num_levels)}
+    assert int(arrays["format"]) == 2
+    for lv, buf in enumerate(sim.engine.levels):
+        assert np.array_equal(arrays[f"f_{lv}"], buf.f)
+    live = sum(buf.f.nbytes for buf in sim.engine.levels)
+    assert live < os.path.getsize(path) < live + 4096       # stored, not deflated
+
+
+def test_format_1_is_refused(tmp_path):
+    sim = make(cavity_2d_three_levels)
+    path = str(tmp_path / "old.npz")
+    save_checkpoint(sim, path)
+    with np.load(path) as data:
+        old = {k: data[k] for k in data.files}
+    old["format"] = np.asarray(1)
+    for lv, buf in enumerate(sim.engine.levels):    # what format 1 also stored
+        old[f"fstar_{lv}"], old[f"gacc_{lv}"] = buf.fstar, buf.ghost_acc
+    np.savez_compressed(path, **old)
+    with pytest.raises(ValueError, match="^unsupported checkpoint format 1$"):
+        restore_checkpoint(sim, path)
+
+
+def test_save_inside_a_step_is_refused(tmp_path):
+    sim = make(cavity_2d_three_levels, ALL_CONFIGS[1])      # unfused 4b
+    sim.run(1)
+    sim.engine.op_collide(1)
+    sim.engine.op_accumulate(1)             # level 0's ghosts now hold a sum
+    store = CheckpointStore(tmp_path / "ck")
+    with pytest.raises(RuntimeError, match="inside a coarse step: level 0"):
+        store.save(sim)
+    with pytest.raises(RuntimeError, match="inside a coarse step"):
+        save_checkpoint(sim, str(tmp_path / "ck.npz"))
+    assert os.listdir(store.directory) == [] and store.latest() is None
+    assert not (tmp_path / "ck.npz").exists()
+
+
+@GRIDS
+def test_digest_of_a_run_resumed_at_its_last_step(setup, tmp_path):
+    # the uninterrupted run holds its last post-collision state in fstar,
+    # the resumed one a mirror of f: dead bytes, and the digest skips them
+    whole = make(setup)
+    whole.run(5)
+    CheckpointStore(tmp_path / "ck").save(whole)
+    resumed = make(setup)
+    assert CheckpointStore(tmp_path / "ck").restore_latest(resumed) == 5
+    assert any(not np.array_equal(a.fstar, b.fstar) for a, b in
+               zip(whole.engine.levels, resumed.engine.levels))
+    assert state_digest(whole) == state_digest(resumed)
+    whole.run(1)
+    assert state_digest(whole) != state_digest(resumed)
+
+
+# -- the anchor's heap ---------------------------------------------------------------
+
+def index_tables(sim):
+    """Distinct (by memory) >= 32-bit integer arrays with an entry per
+    (q, owned cell), reachable from the grid or the engine."""
+    found = {}
+    for cl, buf, maps in zip(sim.mgrid.levels, sim.engine.levels,
+                             sim.engine._maps):
+        per_cell = sim.lattice.q * cl.n_owned
+        held = [*vars(cl).values(), *vars(cl.grid).values(),
+                *vars(buf).values(), *maps.values()]
+        while held:
+            arr = held.pop()
+            if isinstance(arr, tuple):      # the flat maps nest (patches)
+                held.extend(arr)
+            elif (isinstance(arr, np.ndarray) and arr.size >= per_cell
+                    and arr.dtype.kind in "iu" and arr.itemsize >= 4):
+                found.setdefault(arr.__array_interface__["data"][0],
+                                 (cl.level, arr))
+    return sorted(found.values(), key=lambda item: item[0])
+
+
+def test_anchor_heap_stays_near_the_live_bytes():
+    """16^3 x 3 cavity, compiled: 128.7 MiB steady / 155.5 MiB peak before
+    the tables were shared and admission and the digest stopped copying."""
+    wl = lid_cavity(base=(16, 16, 16), num_levels=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulation.from_config(wl.spec, wl.sim_config(backend="compiled"))
+        sim.run(1)                          # admits and binds the plan
+        state_digest(sim)
+        _, peak = tracemalloc.get_traced_memory()
+        sim.run(2)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with sim:
+        assert peak <= 120 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 105 * MiB, f"steady {current / MiB:.1f} MiB"
+        tables = index_tables(sim)
+        assert [lv for lv, _ in tables] == list(range(sim.num_levels))
+        for (lv, table), cl, buf in zip(tables, sim.mgrid.levels,
+                                        sim.engine.levels):
+            assert table is cl.pull_rows is buf.pull_rows
+            assert table.dtype == np.int32 and not table.flags.writeable

@@ -284,7 +284,9 @@ class TestBoundaryClassification:
 # arrays.  What follows is the classifier it replaced, kept as the
 # reference: (n, d) position arithmetic, ``lab[tuple(s.T)]`` and one
 # ``BlockSparseGrid.lookup`` per answer, a full-footprint dilation.  Every
-# array of every CompiledLevel has to come out equal, dtype included.
+# array of every CompiledLevel has to come out equal, dtype included.  The
+# reference keeps the bulk pull in slot space (``pull_src``) and maps it to
+# rows at the end; the compile step emits rows only, as frozen int32.
 
 def ref_dilate(mask, radius, periodic):
     if not mask.any():
@@ -393,9 +395,13 @@ def ref_compile(spec, lat):
                 np.broadcast_to(np.asarray(p[col]), p[1].shape).astype(dtype)
                 for p in T[table]])
 
+        # row space: owned cells in slot order, then the fine ghosts
+        row_of_slot = np.full(grid.n_alloc, -1, dtype=np.int64)
+        row_of_slot[np.concatenate([owned_slots, fg_slots])] = np.arange(
+            owned_slots.size + fg_slots.size)
         a = {"owned_slots": owned_slots, "ghost_slots": ghost_slots,
              "fine_ghost_slots": fg_slots, "fg_slots": fg_slots,
-             "pull_src": pull_src, "kind": kind}
+             "pull_rows": row_of_slot[pull_src].astype(np.int32), "kind": kind}
         for table, cols in (("bb", "q cell"), ("mov", "q cell"), ("out", "q cell"),
                             ("sb", "q cell"), ("sl", "q cell src_q src"),
                             ("exp", "q cell src ghost_src"), ("coal", "q cell src")):
@@ -426,6 +432,8 @@ def assert_matches_reference(spec, lat):
             got, want = getattr(cl, name), ref[cl.level][name]
             assert got.dtype == want.dtype, (cl.level, name, got.dtype, want.dtype)
             assert np.array_equal(got, want), (cl.level, name)
+        assert cl.pull_rows.min(initial=0) >= 0
+        assert not cl.pull_rows.flags.writeable
     return mg
 
 
@@ -476,7 +484,9 @@ def nested_box_spec(base, levels, bc, solid=False, block_size=4, curve="morton")
 
 def _reference_cases():
     for (base, lat), flavour, levels, solid, block, curve in itertools.product(
-            (((15, 13), D2Q9), ((11, 9, 13), D3Q19)), _BC_FLAVOURS, (1, 2, 3),
+            # (a 9-wide axis would leave the third level nothing but children
+            # of coarse ghost cells, where validation refuses a solid)
+            (((15, 13), D2Q9), ((11, 11, 13), D3Q19)), _BC_FLAVOURS, (1, 2, 3),
             (False, True), (2, 4, 8), ("morton", "hilbert")):
         yield pytest.param(
             base, lat, flavour, levels, solid, block, curve,

@@ -3,6 +3,7 @@ certificates (repro.analysis.static / lint / certificate)."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis.capture import AccessTracer, READ, WRITE
@@ -18,13 +19,18 @@ from repro.analysis.static import (AccessModel, StaticAccess, check_contraction,
                                    swap_declaration, verify_static)
 from repro.backend.compiler import admit_stream
 from repro.bench.workloads import lid_cavity, sphere_tunnel
+from repro.core.engine import Engine
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_SO, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE)
+from repro.core.lattice import D2Q9, D3Q19
 from repro.core.simulation import Simulation
 from repro.gpu.device import get_device
 from repro.gpu.memory import (BufferLifetime, arena_assign, arena_check,
                               arena_peak_bytes)
+from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
 from repro.neon.runtime import FieldRef, KernelRecord, Runtime
+
+from .test_multigrid import nested_box_spec
 
 WL2D = dict(base=(20, 20), num_levels=2, lattice="D2Q9")
 WL3D = dict(base=(12, 12, 12), num_levels=3, lattice="D3Q19")
@@ -150,7 +156,56 @@ class UnmemoisedModel(AccessModel):
         return tuple(AccessModel._coalesce.__wrapped__(self, lv, subsumed))
 
 
+def concatenated_stream_reads(model, lv):
+    """``AccessModel._stream_reads`` as it was: one concatenated copy of
+    every source row, split by boolean indexing."""
+    buf = model.engine.levels[lv]
+    n, flat = buf.n_owned, buf.pull_rows.ravel()
+    rows = np.concatenate([flat, buf.bb_cell, buf.mov_cell, buf.sl_src])
+    per_val = model.q * model.itemsize * n / flat.size
+    n_ghost = int((flat >= n).sum())
+    out = []
+    for name, part, nvals in (("fstar", rows[rows < n], flat.size - n_ghost),
+                              ("fghost", rows[rows >= n], n_ghost)):
+        if part.size:
+            out.append(StaticAccess(FieldRef(name, lv), READ, int(part.min()),
+                                    int(part.max()) + 1, round(per_val * nvals)))
+    return tuple(out)
+
+
 class TestAccessMemo:
+    @pytest.mark.parametrize("d", (2, 3), ids=("2d", "3d"))
+    def test_stream_reads_equal_the_concatenate_formulation(self, d):
+        # three levels and a solid; every level touches the slip wall,
+        # the coarsest also the moving one
+        base, lat = ((15, 13), D2Q9) if d == 2 else ((11, 11, 13), D3Q19)
+        bc = DomainBC({"x-": FaceBC("slip"), "y+": FaceBC("outflow"),
+                       "y-": FaceBC("moving", velocity=(0.04,) + (0.0,) * (d - 1))})
+        engine = Engine(build_multigrid(
+            nested_box_spec(base, 3, bc, solid=True), lat), "bgk", omega0=1.3)
+        model = AccessModel(engine)
+        assert all(b.sl_src.size and b.bb_cell.size for b in engine.levels)
+        assert engine.levels[0].mov_cell.size
+        for lv in range(len(engine.levels)):
+            assert model._stream_reads(lv) == concatenated_stream_reads(model, lv)
+        # ... and a table that pulls from the fine-ghost rows, as a 4a
+        # layout streaming across the interface would (slip sources too)
+        rng = np.random.default_rng(d)
+        for buf in engine.levels[1:]:
+            assert buf.n_used > buf.n_owned
+            buf.pull_rows = buf.pull_rows.copy()
+            hit = rng.random(buf.pull_rows.shape) < 0.01
+            buf.pull_rows[hit] = rng.integers(buf.n_owned + 2, buf.n_used - 1,
+                                              int(hit.sum()))
+            buf.sl_src = buf.sl_src.copy()
+            buf.sl_src[::3] = buf.n_used - 1
+        model = AccessModel(engine)
+        for lv in range(len(engine.levels)):
+            got = model._stream_reads(lv)
+            assert got == concatenated_stream_reads(model, lv)
+            assert [a.field.name for a in got] == (
+                ["fstar", "fghost"] if lv else ["fstar"])
+
     @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_memo_is_invisible(self, config, wl):
