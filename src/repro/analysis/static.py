@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.fusion import MODIFIED_BASELINE, FusionConfig
+from ..grid.multigrid import iter_pull_rows
 from ..neon.graph import build_dependency_graph, iter_conflict_pairs
 from ..neon.runtime import FieldRef, KernelRecord, Runtime
 from .capture import ATOMIC, META, READ, WRITE
@@ -95,21 +96,28 @@ def _span(rows: np.ndarray) -> tuple[int, int]:
     return (int(rows.min()), int(rows.max()) + 1)
 
 
-def _split_spans(arrays: Sequence[np.ndarray],
-                 n: int) -> list[tuple[int, int] | None]:
+def _split_spans(arrays: Iterable[np.ndarray], n: int,
+                 ) -> tuple[list[tuple[int, int] | None], int]:
     """Span of the rows ``< n`` and of the rows ``>= n`` in ``arrays``
-    (``None``: no such row), by masked reductions over each array where
-    it lies: the bulk pull table is a level's largest and is not copied."""
+    (``None``: no such row), and how many rows are ``>= n``, by masked
+    reductions over each array as it comes (it may be a scratch the next
+    one overwrites): the pull table is a level's largest and is not copied."""
     spans: list[tuple[int, int] | None] = [None, None]
-    for rows in (a for a in arrays if a.size):
+    n_high = 0
+    for rows in arrays:
         info, high = np.iinfo(rows.dtype), rows >= n
-        for side, mask in enumerate((~high, high)):
+        here = int(np.count_nonzero(high))
+        n_high += here
+        # all on one side (every table the grid compile emits): no mask
+        sides = (((0, ~high), (1, high)) if 0 < here < rows.size
+                 else ((int(here > 0), True),))
+        for side, mask in sides:
             lo = int(rows.min(where=mask, initial=info.max))
             hi = int(rows.max(where=mask, initial=info.min)) + 1
             if lo < hi:
                 old = spans[side] or (lo, hi)
                 spans[side] = (min(lo, old[0]), max(hi, old[1]))
-    return spans
+    return spans, n_high
 
 
 def _entries(qs: np.ndarray, rows: np.ndarray, width: int) -> frozenset[int]:
@@ -206,12 +214,12 @@ class AccessModel:
         if parent.acc_fine_rows.size == 0:
             return []
         Q, i = self.q, self.itemsize
-        m = parent.acc_fine_rows.size
+        nb = i * parent.n_acc          # the entries Coalescence reads, no others
         ng = parent.ghost_acc.shape[1]
         flo, fhi = _span(parent.acc_fine_rows)
         glo, ghi = _span(parent.acc_ghost_rows)
         out = [StaticAccess(FieldRef("fstar", lv), READ, flo, fhi,
-                            0 if mode == "fused" else Q * i * m)]
+                            0 if mode == "fused" else nb)]
         if mode == "gather":
             out.append(StaticAccess(FieldRef("gacc", lv - 1), READ, 0, ng, Q * i * ng))
             out.append(StaticAccess(FieldRef("gacc", lv - 1), WRITE, 0, ng, Q * i * ng))
@@ -219,21 +227,18 @@ class AccessModel:
             if mode == "scatter":
                 out.append(StaticAccess(FieldRef("gacc", lv - 1), READ, 0, ng,
                                         Q * i * ng))
-            out.append(StaticAccess(FieldRef("gacc", lv - 1), ATOMIC, glo, ghi,
-                                    Q * i * m))
+            out.append(StaticAccess(FieldRef("gacc", lv - 1), ATOMIC, glo, ghi, nb))
         return out
 
     @_once_per_model
     def _stream_reads(self, lv: int) -> list[StaticAccess]:
-        """The bulk ``fstar`` gather, split owned/fine-ghost like the tracer."""
+        """The ``fstar`` gather, split owned/fine-ghost like the tracer."""
         buf = self._buf(lv)
         Q, i, n = self.q, self.itemsize, buf.n_owned
-        nvals = buf.pull_rows.size
-        n_ghost_vals = int(np.count_nonzero(buf.pull_rows >= n))
+        nvals = buf.pull_flat.size
         per_val = (Q * i * n) / nvals if nvals else 0.0
-        # the patch sources extend the spans but carry no bytes of their own
-        spans = _split_spans(
-            (buf.pull_rows, buf.bb_cell, buf.mov_cell, buf.sl_src), n)
+        spans, n_ghost_vals = _split_spans(
+            iter_pull_rows(buf.pull_flat, buf.n_used), n)
         return [StaticAccess(FieldRef(name, lv), READ, *span, round(per_val * nv))
                 for name, span, nv in zip(("fstar", "fghost"), spans,
                                           (nvals - n_ghost_vals, n_ghost_vals))

@@ -5,9 +5,13 @@ post-streaming state at the start of a substep, ``fstar`` the
 post-collision state) and the ghost-layer accumulator, plus every
 streaming map in compact *row* space: rows ``0..n_owned-1`` are the owned
 cells, followed — in ``fstar`` only, no kernel touches them in ``f`` — by
-the fine-ghost rows the original baseline needs; the bulk pull table is
-the grid's own array, shared.  Between coarse steps ``f`` is the whole
-state: ``fstar`` is rewritten before it is read, ``ghost_acc`` is zero.
+the fine-ghost rows the original baseline needs.  The pull table is the
+grid's own array, shared: one flat ``fstar`` entry per ``(q, owned
+cell)`` with the bounce-back, moving-wall and slip links already in it,
+so Streaming is one gather per direction.  Accumulate adds into the
+parent's ghost bins only what Coalescence reads there; the other bins
+stay zero.  Between coarse steps ``f`` is the whole state: ``fstar`` is
+rewritten before it is read, ``ghost_acc`` is zero.
 Each ``op_*`` method is one GPU kernel: it emits one launch record with
 the DRAM traffic the equivalent CUDA kernel would generate — this is what
 the cost model consumes — and hands the runtime a handle of the kernel's
@@ -25,7 +29,8 @@ intermediate lives in the ``fstar`` buffer, playing the role of the GPU's
 registers), so every fusion variant is bitwise-identical in results and
 differs only in its launch/traffic trace — mirroring how kernel fusion
 works on the device, where it eliminates intermediate DRAM round-trips
-but not arithmetic.
+but not arithmetic.  What a body saves over the textbook form it saves
+fused or not: values it would move and nobody would read.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.multigrid import CompiledLevel, MultiGrid
+from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows
 from ..neon.runtime import FieldRef, KernelBody, LazyBody, Runtime
 from .collision import CollisionModel, equilibrium, macroscopics, make_collision
 from .units import omega_at_level
@@ -51,17 +56,17 @@ class LevelBuffers:
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
     n_used: int
-    pull_rows: np.ndarray         # (Q, n_owned) gather rows: the grid's table
-    bb_q: np.ndarray; bb_cell: np.ndarray; bb_opp: np.ndarray
-    mov_q: np.ndarray; mov_cell: np.ndarray; mov_opp: np.ndarray; mov_term: np.ndarray
+    pull_flat: np.ndarray         # (Q, n_owned) flat fstar entries: the grid's table
+    mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
     out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
-    sl_q: np.ndarray; sl_cell: np.ndarray; sl_src_q: np.ndarray; sl_src: np.ndarray
     sb_q: np.ndarray; sb_cell: np.ndarray; sb_opp: np.ndarray; sb_e: np.ndarray
     exp_q: np.ndarray; exp_cell: np.ndarray; exp_rows: np.ndarray
     exp_ghost_rows: np.ndarray
     coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray
     acc_fine_rows: np.ndarray     # rows in the FINER level's buffers
     acc_ghost_rows: np.ndarray
+    acc_live: np.ndarray          # (Q, n_ghost) bool: the bins Coalescence reads
+    n_acc: int                    # (q, child) entries Accumulate adds into them
     fg_rows: np.ndarray           # this level's fine-ghost rows (4a)
     fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers
     meta_bytes: int               # per-pass structural metadata traffic
@@ -69,8 +74,8 @@ class LevelBuffers:
     n_exp_cells: int              # distinct owned cells the E kernel writes
     n_coal_cells: int             # distinct owned cells the O kernel writes
     #: True when streaming pulls from the fine-ghost region (rows >=
-    #: n_owned; original baseline only) — the S kernel then reads the
-    #: logical ``fghost`` field in addition to ``fstar``.
+    #: n_owned) — the S kernel then reads the logical ``fghost`` field
+    #: in addition to ``fstar``.
     pulls_fghost: bool = False
 
 
@@ -120,21 +125,19 @@ class Engine:
         Q = lat.q
         row_of_slot = cl.row_of_slot()
         n_used = cl.n_owned + cl.fine_ghost_slots.size
-        sl_src_rows = row_of_slot[cl.sl_src] if cl.sl_src.size else cl.sl_src
-        pulls_fghost = bool(cl.pull_rows.max(initial=0) >= cl.n_owned
-                            or (sl_src_rows >= cl.n_owned).any())
+        pulls_fghost = n_used > cl.n_owned and any(
+            rows.max(initial=0) >= cl.n_owned
+            for rows in iter_pull_rows(cl.pull_flat, n_used))
+        acc_live = np.zeros((Q, cl.n_ghost), dtype=bool)
+        acc_live[cl.coal_q, cl.coal_src] = True
         grid_meta = sum(cl.grid.metadata_bytes().values())
         return LevelBuffers(
             f=np.zeros((Q, cl.n_owned), dtype=self.dtype),
             fstar=np.zeros((Q, n_used), dtype=self.dtype),
             ghost_acc=np.zeros((Q, cl.n_ghost), dtype=self.dtype),
-            n_owned=cl.n_owned, n_used=n_used, pull_rows=cl.pull_rows,
-            bb_q=cl.bb_q, bb_cell=cl.bb_cell, bb_opp=lat.opp[cl.bb_q],
-            mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_opp=lat.opp[cl.mov_q],
-            mov_term=cl.mov_term,
+            n_owned=cl.n_owned, n_used=n_used, pull_flat=cl.pull_flat,
+            mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
             out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,
-            sl_q=cl.sl_q, sl_cell=cl.sl_cell, sl_src_q=cl.sl_src_q,
-            sl_src=sl_src_rows,
             sb_q=cl.sb_q, sb_cell=cl.sb_cell, sb_opp=lat.opp[cl.sb_q],
             sb_e=lat.ef[lat.opp[cl.sb_q]],
             exp_q=cl.exp_q, exp_cell=cl.exp_cell, exp_rows=np.empty(0, dtype=np.int64),
@@ -142,7 +145,8 @@ class Engine:
             else cl.exp_ghost_src,
             coal_q=cl.coal_q, coal_cell=cl.coal_cell, coal_src=cl.coal_src,
             acc_fine_rows=np.empty(0, dtype=np.int64),
-            acc_ghost_rows=cl.acc_ghost_rows,
+            acc_ghost_rows=cl.acc_ghost_rows, acc_live=acc_live,
+            n_acc=int(acc_live.sum(axis=0)[cl.acc_ghost_rows].sum()),
             fg_rows=row_of_slot[cl.fg_slots] if cl.fg_slots.size else cl.fg_slots,
             fg_coarse_rows=np.empty(0, dtype=np.int64),
             meta_bytes=grid_meta,
@@ -202,32 +206,21 @@ class Engine:
         return (int(rows.min()), int(rows.max()) + 1)
 
     def _trace_fstar_read(self, t, lv: int, rows: np.ndarray,
-                          extra_rows: list[np.ndarray], nbytes_total: int) -> None:
+                          nbytes_total: int) -> None:
         """Record a gather from ``fstar``, splitting the fine-ghost region.
 
         Rows ``>= n_owned`` are the original baseline's fine-ghost layers:
         logically they are the ``fghost`` field, and the declarations name
-        them as such.  ``nbytes_total`` is apportioned by value count;
-        ``extra_rows`` (boundary-patch sources) extend the intervals but
-        carry no extra bytes — on the GPU each destination entry is read
-        exactly once, from either the bulk pull or its patch.
+        them as such.  ``nbytes_total`` is apportioned by value count: each
+        destination entry is read exactly once, wherever its link points.
         """
-        n_owned = self.levels[lv].n_owned
         flat = rows.ravel()
-        nvals = flat.size
-        all_rows = np.concatenate([flat] + [a for a in extra_rows if a.size]) \
-            if extra_rows else flat
-        ghost = all_rows >= n_owned
-        n_ghost_vals = int((flat >= n_owned).sum())
-        per_val = nbytes_total / nvals if nvals else 0.0
-        owned_rows, ghost_rows = all_rows[~ghost], all_rows[ghost]
-        if owned_rows.size:
-            lo, hi = self._span(owned_rows)
-            t.read(FieldRef("fstar", lv), lo, hi,
-                   round(per_val * (nvals - n_ghost_vals)))
-        if ghost_rows.size:
-            lo, hi = self._span(ghost_rows)
-            t.read(FieldRef("fghost", lv), lo, hi, round(per_val * n_ghost_vals))
+        ghost = flat >= self.levels[lv].n_owned
+        per_val = nbytes_total / flat.size if flat.size else 0.0
+        for name, part in (("fstar", flat[~ghost]), ("fghost", flat[ghost])):
+            if part.size:
+                lo, hi = self._span(part)
+                t.read(FieldRef(name, lv), lo, hi, round(per_val * part.size))
 
     # -- index maps ------------------------------------------------------------
     def _map(self, lv: int, key, make):
@@ -250,24 +243,24 @@ class Engine:
         """Column vector: offset of population ``q`` in level ``lv``'s flat ``fstar``."""
         return (np.arange(self.lat.q, dtype=np.int64) * self.levels[lv].n_used)[:, None]
 
-    def _pull_rows(self, lv: int) -> np.ndarray:
-        """The bulk-pull index rows, bounds-proven and frozen.
+    def _pull_flat(self, lv: int) -> np.ndarray:
+        """The pull table, bounds-proven and frozen.
 
         The stream body gathers with ``mode="clip"`` (NumPy buffers an
         ``out=`` gather it may have to abandon with an ``IndexError``),
         so the check it skips is made here, once per array (a replaced
-        ``pull_rows`` is proven again); freezing the array keeps it true.
+        ``pull_flat`` is proven again); freezing the array keeps it true.
         """
-        rows = self.levels[lv].pull_rows
-        if self._maps[lv].get("pull") is not rows:
-            n_used = self.levels[lv].n_used
-            if rows.size and (rows.min() < 0 or rows.max() >= n_used):
+        table = self.levels[lv].pull_flat
+        if self._maps[lv].get("pull") is not table:
+            size = self.lat.q * self.levels[lv].n_used
+            if table.size and (table.min() < 0 or table.max() >= size):
                 raise IndexError(
-                    f"level {lv}: bulk pull rows leave [0, {n_used}): "
-                    f"min {rows.min()}, max {rows.max()}")
-            rows.setflags(write=False)
-            self._maps[lv]["pull"] = rows
-        return rows
+                    f"level {lv}: pull table entries leave [0, {size}): "
+                    f"min {table.min()}, max {table.max()}")
+            table.setflags(write=False)
+            self._maps[lv]["pull"] = table
+        return table
 
     # -- kernel bodies ---------------------------------------------------------
     # The one implementation of each kernel.  A builder resolves buffer
@@ -322,9 +315,11 @@ class Engine:
     def _accumulate(self, lv: int, mode: str):
         """Add level ``lv``'s fresh post-collision values into its parent's ghosts.
 
-        One flat ``bincount`` over ``q``-offset bins: contributions to a
-        bin keep the order of the per-``q`` sums, so the float
-        accumulation order is the textbook one.  ``mode`` selects the
+        One flat ``bincount`` over ``q``-offset bins, fed the entries
+        whose bin the parent's Coalescence reads (``acc_live``) and no
+        others: contributions to such a bin keep the order of the
+        per-``q`` sums, so the float accumulation order is the textbook
+        one, and a bin nobody reads stays 0.  ``mode`` selects the
         traffic attribution of the equivalent GPU kernel: ``"fused"``
         (Collision+Accumulate — the source values sit in registers, the
         scatter is atomic), ``"scatter"`` (standalone fine-initiated
@@ -336,12 +331,19 @@ class Engine:
         if parent.acc_ghost_rows.size == 0:
             return None
         Q, ng = self.lat.q, parent.ghost_acc.shape[1]
-        rows_flat, src_flat = self._map(lv, "acc", lambda: (
-            np.ascontiguousarray(
-                ((np.arange(Q, dtype=np.int64) * ng)[:, None]
-                 + parent.acc_ghost_rows).reshape(-1)),
-            np.ascontiguousarray(
-                (self._qoff(lv) + parent.acc_fine_rows).reshape(-1))))
+
+        def live_entries():
+            # per q, the children whose bin is read: a sub-sequence of
+            # the textbook's q-major (Q * m) entry list, never built
+            keep = [np.flatnonzero(live.take(parent.acc_ghost_rows))
+                    for live in parent.acc_live]
+
+            def flat(stride, rows):
+                return np.concatenate([q * stride + rows.take(k)
+                                       for q, k in enumerate(keep)])
+            return (flat(ng, parent.acc_ghost_rows),
+                    flat(fine.n_used, parent.acc_fine_rows))
+        rows_flat, src_flat = self._map(lv, "acc", live_entries)
         gacc_flat, fstar_flat = parent.ghost_acc.reshape(-1), fine.fstar.reshape(-1)
         minlength = Q * ng
         bincount = np.bincount
@@ -351,56 +353,43 @@ class Engine:
                                      minlength=minlength)
 
         def report(t) -> None:
-            i, m = self.itemsize, parent.acc_fine_rows.size
+            i, nb = self.itemsize, self.itemsize * src_flat.size
             flo, fhi = self._span(parent.acc_fine_rows)
             glo, ghi = self._span(parent.acc_ghost_rows)
-            t.read(FieldRef("fstar", lv), flo, fhi,
-                   0 if mode == "fused" else Q * i * m)
+            t.read(FieldRef("fstar", lv), flo, fhi, 0 if mode == "fused" else nb)
             if mode == "gather":
                 t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
                 t.write(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
             else:
                 if mode == "scatter":
                     t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
-                t.atomic(FieldRef("gacc", lv - 1), glo, ghi, Q * i * m)
+                t.atomic(FieldRef("gacc", lv - 1), glo, ghi, nb)
         return run, report
 
     def _stream(self, lv: int):
-        """The bulk pull plus the boundary patches (one kernel on the GPU)."""
+        """One gather per direction through the pull table — interior,
+        bounce-back and slip links alike — then the moving-wall momentum
+        and the outflow values (one kernel on the GPU)."""
         b = self.levels[lv]
-        Q, n, nu = self.lat.q, b.n_owned, b.n_used
-        rows = self._pull_rows(lv)
-        pulls = [(b.fstar[q], rows[q], b.f[q]) for q in range(Q)]
-        bb, mov, out, sl = self._map(lv, "patches", lambda: (
-            (b.bb_q * n + b.bb_cell, b.bb_opp * nu + b.bb_cell)
-            if b.bb_q.size else None,
-            (b.mov_q * n + b.mov_cell, b.mov_opp * nu + b.mov_cell, b.mov_term)
-            if b.mov_q.size else None,
-            (b.out_q * n + b.out_cell, b.out_val) if b.out_q.size else None,
-            # specular reflection off a free-slip plane
-            (b.sl_q * n + b.sl_cell, b.sl_src_q * nu + b.sl_src)
-            if b.sl_q.size else None))
+        Q, n = self.lat.q, b.n_owned
         f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
+        pulls = list(zip(self._pull_flat(lv), b.f))
+        mov, out = self._map(lv, "walls", lambda: (
+            (b.mov_q * n + b.mov_cell, b.mov_term) if b.mov_q.size else None,
+            (b.out_q * n + b.out_cell, b.out_val) if b.out_q.size else None))
         take = np.take
 
         def run() -> None:
-            for src, idx, dst in pulls:
-                take(src, idx, out=dst, mode="clip")
-            # the patch sets may overlap at a (q, cell): this order, and
-            # last-write-wins, is part of the result
-            if bb is not None:
-                f_flat[bb[0]] = fstar_flat[bb[1]]
+            for idx, dst in pulls:
+                take(fstar_flat, idx, out=dst, mode="clip")
             if mov is not None:
-                f_flat[mov[0]] = fstar_flat[mov[1]] + mov[2]
+                f_flat[mov[0]] += mov[1]
             if out is not None:
                 f_flat[out[0]] = out[1]
-            if sl is not None:
-                f_flat[sl[0]] = fstar_flat[sl[1]]
 
         def report(t) -> None:
             nb = Q * self.itemsize * n
-            self._trace_fstar_read(t, lv, b.pull_rows,
-                                   [b.bb_cell, b.mov_cell, b.sl_src], nb)
+            self._trace_fstar_read(t, lv, b.pull_flat % b.n_used, nb)
             t.write(FieldRef("f", lv), 0, n, nb)
             t.meta(b.meta_bytes)
         return run, report
@@ -492,7 +481,7 @@ class Engine:
         if fused and self.levels[lv - 1].acc_fine_rows.size:
             name = "CA"
             writes = writes + (FieldRef("gacc", lv - 1),)
-            atomic = Q * self.itemsize * self.levels[lv - 1].acc_fine_rows.size
+            atomic = self.itemsize * self.levels[lv - 1].n_acc
         omega, force = self.omega[lv], self.force[lv]
         self.rt.launch(name, lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n,
@@ -516,14 +505,14 @@ class Engine:
         m = parent.acc_fine_rows.size
         if m == 0:
             return
-        Q = self.lat.q
         ng = parent.ghost_acc.shape[1]
+        moved, gacc = self.itemsize * parent.n_acc, self.itemsize * parent.ghost_acc.size
         self.rt.launch(
             "A", lv,
             n_cells=(ng if gather else m),
-            bytes_read=Q * self.itemsize * m + Q * self.itemsize * ng,
-            bytes_written=Q * self.itemsize * (ng if gather else m),
-            atomic_bytes=0 if gather else Q * self.itemsize * m,
+            bytes_read=moved + gacc,
+            bytes_written=gacc if gather else moved,
+            atomic_bytes=0 if gather else moved,
             reads=(FieldRef("fstar", lv), FieldRef("gacc", lv - 1)),
             writes=(FieldRef("gacc", lv - 1),),
             fn=LazyBody(lambda: self._fuse(self._accumulate(
@@ -617,9 +606,8 @@ class Engine:
         atomic = 0
         if lv > 0:
             parent = self.levels[lv - 1]
-            m = parent.acc_fine_rows.size
-            if m:
-                atomic = Q * self.itemsize * m
+            if parent.acc_fine_rows.size:
+                atomic = self.itemsize * parent.n_acc
                 writes.append(FieldRef("gacc", lv - 1))
             if buf.exp_q.size:
                 reads.append(FieldRef("fstar", lv - 1))

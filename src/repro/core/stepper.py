@@ -96,7 +96,7 @@ class NonUniformStepper:
                 # Streaming and the cross-level pulls.  Writes of S, E and O
                 # target disjoint population entries, so they may execute in
                 # any order (on the GPU they run concurrently, Fig. 2); the
-                # engine applies the bulk gather first, then the patches.
+                # engine gathers first, then writes the cross-level entries.
                 eng.op_stream(lv,
                               fuse_explosion=cfg.fuse_se,
                               fuse_coalescence=cfg.fuse_so,

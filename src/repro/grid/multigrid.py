@@ -34,7 +34,7 @@ from . import kinds
 from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
-           "MultiGrid", "build_multigrid"]
+           "MultiGrid", "build_multigrid", "iter_pull_rows"]
 
 _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # When a diagonal pull exits through several faces at once, the face with
@@ -234,10 +234,14 @@ class CompiledLevel:
 
     All COO tables (``bb_*``, ``mov_*``, ``out_*``, ``exp_*``, ``coal_*``)
     index into the *owned-cell row space* (0..n_owned-1) paired with a
-    lattice direction.  ``pull_rows`` holds, per direction and owned cell,
-    the same-level source row (:meth:`row_of_slot`) of interior pulls,
-    self-referencing where a special kind applies (those entries are patched
-    by the kind tables): one read-only table, which the engine shares.
+    lattice direction.  ``pull_flat`` holds, per direction and owned cell,
+    the entry ``q_src * n_used + row`` (:meth:`row_of_slot`) of the level's
+    flat post-collision buffer that streaming reads: the upstream row for
+    an interior pull, the cell's own opposite population for bounce-back,
+    moving and inlet links, the mirrored population of the tangential
+    neighbour for slip, and the entry itself where another kernel part
+    supplies the value (outflow, explosion, coalescence).  One read-only
+    table, which the engine shares; the kind lists stay its definition.
     """
 
     level: int
@@ -245,7 +249,7 @@ class CompiledLevel:
     owned_slots: np.ndarray           # (n_owned,) slot ids, ordered by slot
     ghost_slots: np.ndarray           # coarse-ghost accumulator cells
     fine_ghost_slots: np.ndarray      # 4-layer fine ghosts (original baseline)
-    pull_rows: np.ndarray             # (Q, n_owned) int32 same-level source rows
+    pull_flat: np.ndarray             # (Q, n_owned) int32 flat fstar source entries
     kind: np.ndarray                  # (Q, n_owned) int8 pull classification
     # -- boundary tables -----------------------------------------------------
     bb_q: np.ndarray; bb_cell: np.ndarray
@@ -327,6 +331,18 @@ def _row_of_slot(n_alloc: int, owned_slots: np.ndarray,
     rows[owned_slots] = np.arange(owned_slots.size)
     rows[fine_ghost_slots] = owned_slots.size + np.arange(fine_ghost_slots.size)
     return rows
+
+
+def iter_pull_rows(pull_flat: np.ndarray, n_used: int):
+    """Per direction, the source rows ``entry % n_used`` of a pull table,
+    each yielded in the one scratch row all directions share (as ``entry -
+    entry // n_used * n_used``: NumPy divides an int32 array by a scalar
+    three times faster than it takes the remainder)."""
+    rows = np.empty(pull_flat.shape[1], dtype=pull_flat.dtype)
+    for entries in pull_flat:
+        np.floor_divide(entries, n_used, out=rows)
+        np.multiply(rows, n_used, out=rows)
+        yield np.subtract(entries, rows, out=rows)
 
 
 def _owner_labels(spec: RefinementSpec) -> list[np.ndarray]:
@@ -443,11 +459,14 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
         ghost_row_of_slot[ghost_slots] = np.arange(ghost_slots.size)
 
         n_used = n_owned + fine_ghost_slots.size
-        if n_used >= 2 ** 31:
-            raise ValueError(f"level {lvl} stores {n_used} cells; the int32 "
-                             f"pull table addresses fewer than 2**31")
+        if Q * n_used >= 2 ** 31:
+            raise ValueError(f"level {lvl} stores {Q} x {n_used} populations; the "
+                             f"int32 pull table addresses fewer than 2**31")
         row_of_slot = _row_of_slot(grid.n_alloc, owned_slots, fine_ghost_slots)
-        pull_rows = np.tile(np.arange(n_owned, dtype=np.int32), (Q, 1))
+        # every entry starts as a reference to itself and is overwritten
+        # below, once, where its (q, cell) is classified
+        pull_flat = (np.arange(Q, dtype=np.int32)[:, None] * np.int32(n_used)
+                     + np.arange(n_owned, dtype=np.int32))
         kind = np.full((Q, n_owned), kinds.INTERIOR, dtype=np.int8)
 
         bb, mov, out, exp, coal = [], [], [], [], []
@@ -458,9 +477,10 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                 continue
             src = cell - int(v @ strides)                  # flat pull source
             code = lab_flat.take(src)
+            bounce = int(lat.opp[q]) * n_used              # + cell: halfway bounce-back
 
             rows = np.flatnonzero(code == _SELF)
-            pull_rows[q, rows] = row_of_slot.take(slot_flat.take(src[rows]))
+            pull_flat[q, rows] = q * n_used + row_of_slot.take(slot_flat.take(src[rows]))
             rows_f = np.flatnonzero(code == _FINER)
             if rows_f.size:
                 gslots = slot_flat.take(src[rows_f])
@@ -478,6 +498,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                 bb.append((q, rows_s))
                 solid_bb.append((q, rows_s))
                 kind[q, rows_s] = kinds.BOUNCEBACK
+                pull_flat[q, rows_s] = bounce + rows_s
 
             rows_o = np.flatnonzero(code == _OUTSIDE)
             if rows_o.size:
@@ -501,11 +522,13 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                     if fbc.kind == "wall":
                         bb.append((q, rows))
                         kind[q, rows] = kinds.BOUNCEBACK
+                        pull_flat[q, rows] = bounce + rows
                     elif fbc.kind in ("moving", "inlet"):
                         uw = np.zeros(d) if fbc.velocity is None else np.asarray(fbc.velocity)
                         term = 2.0 * lat.w[q] * float(lat.ef[q] @ uw) / lat.cs2
                         mov.append((q, rows, term))
                         kind[q, rows] = kinds.MOVING
+                        pull_flat[q, rows] = bounce + rows   # the body adds `term`
                     elif fbc.kind == "slip":
                         # Specular reflection at the halfway plane: sample
                         # the mirrored direction at the tangential
@@ -533,12 +556,14 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                             slots = grid.lookup(mpos[ok_idx])
                             slip.append((q, srows, mq, slots))
                             kind[q, srows] = kinds.SLIP
+                            pull_flat[q, srows] = mq * n_used + row_of_slot[slots]
                         if (~ok_idx).any():
                             # mirrored source unavailable (interface or
                             # corner): degrade gracefully to bounce-back
                             brows = rows[~ok_idx]
                             bb.append((q, brows))
                             kind[q, brows] = kinds.BOUNCEBACK
+                            pull_flat[q, brows] = bounce + brows
                     elif fbc.kind == "outflow":
                         out.append((q, rows))
                         kind[q, rows] = kinds.OUTFLOW
@@ -569,7 +594,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
             raise AssertionError("explosion source not allocated on the coarser level")
         if coal_src.size and (coal_src < 0).any():
             raise AssertionError("coalescence source missing from the ghost layer")
-        pull_rows.setflags(write=False)
+        pull_flat.setflags(write=False)
 
         # Accumulate map: children of every coarse-ghost cell on the finer level.
         if lvl < spec.num_levels - 1 and ghost_slots.size:
@@ -597,7 +622,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
 
         levels.append(CompiledLevel(
             level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
-            fine_ghost_slots=fine_ghost_slots, pull_rows=pull_rows, kind=kind,
+            fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat, kind=kind,
             bb_q=bb_q, bb_cell=bb_cell,
             mov_q=mov_q, mov_cell=mov_cell, mov_term=mov_term.astype(np.float64),
             out_q=out_q, out_cell=out_cell, out_val=out_val,

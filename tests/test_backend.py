@@ -357,27 +357,28 @@ class TestAdmission:
                              ids=["negative", "past-end"])
     def test_out_of_range_pull_row_refused(self, past_end):
         # The stream body gathers with mode="clip"; the bounds check it
-        # skips is made at plan build and must refuse, not clip.
+        # skips is made at plan build and must refuse, not clip.  An entry
+        # addresses the flat (Q, n_used) source: Q * n_used is one past it.
         sim = build(cavity(), ABLATION_CONFIGS[-1], "interpreted")
         buf = sim.engine.levels[1]
-        buf.pull_rows = buf.pull_rows.copy()
-        buf.pull_rows[3, 7] = buf.n_used if past_end else -1
-        with pytest.raises(PlanAdmissionError, match="level 1"):
+        buf.pull_flat = buf.pull_flat.copy()
+        buf.pull_flat[3, 7] = sim.lattice.q * buf.n_used if past_end else -1
+        with pytest.raises(PlanAdmissionError, match="level 1: pull table"):
             compile_plan(sim.stepper)
 
-    def test_pull_rows_frozen_by_compilation(self):
+    def test_pull_table_frozen_by_compilation(self):
         sim = build(cavity("3d"), ABLATION_CONFIGS[0], "compiled")
         sim.run(1)
         for buf in sim.engine.levels:
-            assert not buf.pull_rows.flags.writeable
-        # the per-row index arrays a stream body closes over
+            assert not buf.pull_flat.flags.writeable
+        # the per-direction index rows a stream body closes over
         plan = next(iter(sim.backend.plans.values()))
         pulls = [c.cell_contents for body in plan.bodies
                  for c in body.__closure__ or ()
                  if isinstance(c.cell_contents, list)]
         assert pulls
-        for src, idx, dst in (t for p in pulls for t in p):
-            assert not idx.flags.writeable
+        for idx, dst in (t for p in pulls for t in p):
+            assert idx.dtype == np.int32 and not idx.flags.writeable
             with pytest.raises(ValueError):
                 idx[0] = 0
 

@@ -11,7 +11,7 @@ from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, build_multigr
 from repro.grid.geometry import wall_refinement
 from repro.neon.runtime import FieldRef, LazyBody
 
-from .test_multigrid import nested_box_spec
+from .test_multigrid import nested_box_spec, ref_compile
 
 
 def make_engine(bc=None, base=(16, 16), omega0=1.2):
@@ -54,9 +54,9 @@ class TestConstruction:
         # translates nor copies it, and f has no fine-ghost rows
         eng = make_engine()
         for cl, b in zip(eng.mgrid.levels, eng.levels):
-            assert b.pull_rows is cl.pull_rows
-            assert b.pull_rows.dtype == np.int32
-            assert not b.pull_rows.flags.writeable
+            assert b.pull_flat is cl.pull_flat
+            assert b.pull_flat.dtype == np.int32
+            assert not b.pull_flat.flags.writeable
             assert b.f.shape == (eng.lat.q, b.n_owned)
             assert b.fstar.shape == (eng.lat.q, b.n_used)
         assert eng.levels[1].n_used > eng.levels[1].n_owned
@@ -67,13 +67,13 @@ class TestConstruction:
         eng = make_engine()
         b = eng.levels[1]
         eng._stream(1)                      # proves the grid's own table
-        b.pull_rows = b.pull_rows.copy()    # a writeable stand-in ...
-        b.pull_rows[3, 7] = b.n_used
-        with pytest.raises(IndexError, match="level 1: bulk pull rows leave"):
+        b.pull_flat = b.pull_flat.copy()    # a writeable stand-in ...
+        b.pull_flat[3, 7] = eng.lat.q * b.n_used
+        with pytest.raises(IndexError, match="level 1: pull table entries leave"):
             eng._stream(1)                  # ... is not taken on trust
-        b.pull_rows[3, 7] = 0
+        b.pull_flat[3, 7] -= 1              # the last entry of the flat source
         eng._stream(1)
-        assert not b.pull_rows.flags.writeable
+        assert not b.pull_flat.flags.writeable
 
 
 class TestInitialize:
@@ -307,8 +307,9 @@ class TestBoundaryPhysics:
 
 # -- every body against a textbook copy ------------------------------------------
 # Per-q loops and 2-D (q, row) indexing, straight off the algorithm; the
-# engine's bodies (flat index maps, one take per row, one flat bincount)
-# must reproduce them bit for bit.
+# engine's bodies (flat index maps, one take per row through a table that
+# has the boundary links folded in, one flat bincount over the entries
+# Coalescence reads) must reproduce them bit for bit.
 
 def ref_collide(eng, lv):
     b = eng.levels[lv]
@@ -325,14 +326,16 @@ def ref_accumulate(eng, lv):
 
 
 def ref_stream(eng, lv):
-    b = eng.levels[lv]
+    """The row pull of the reference compile, then the grid's four kind
+    lists — disjoint sets (tests/test_multigrid.py), so in any order.
+    Nothing here reads the folded table."""
+    b, cl, opp = eng.levels[lv], eng.mgrid.levels[lv], eng.lat.opp
     for q in range(eng.lat.q):
-        b.f[q, :b.n_owned] = b.fstar[q, b.pull_rows[q]]
-    # the four patches, in apply order (they may overlap at a (q, cell))
-    b.f[b.bb_q, b.bb_cell] = b.fstar[b.bb_opp, b.bb_cell]
-    b.f[b.mov_q, b.mov_cell] = b.fstar[b.mov_opp, b.mov_cell] + b.mov_term
-    b.f[b.out_q, b.out_cell] = b.out_val
-    b.f[b.sl_q, b.sl_cell] = b.fstar[b.sl_src_q, b.sl_src]
+        b.f[q] = b.fstar[q, eng.ref_pull_rows[lv][q]]
+    b.f[cl.bb_q, cl.bb_cell] = b.fstar[opp[cl.bb_q], cl.bb_cell]
+    b.f[cl.mov_q, cl.mov_cell] = b.fstar[opp[cl.mov_q], cl.mov_cell] + cl.mov_term
+    b.f[cl.out_q, cl.out_cell] = cl.out_val
+    b.f[cl.sl_q, cl.sl_cell] = b.fstar[cl.sl_src_q, cl.row_of_slot()[cl.sl_src]]
 
 
 def ref_explode(eng, lv, from_ghost):
@@ -363,6 +366,24 @@ def ref_explode_ghost(eng, lv):
     ref_explode(eng, lv, from_ghost=True)
 
 
+def ref_accumulate_twice_then_coalesce(eng, lv):
+    ref_accumulate(eng, lv)
+    eng.levels[lv].fstar[...] = eng.levels[lv].fstar[::-1].copy()  # a second substep
+    ref_accumulate(eng, lv)
+    ref_coalesce(eng, lv - 1)
+
+
+def accumulate_twice_then_coalesce(eng, lv):
+    eng.op_accumulate(lv)
+    eng.levels[lv].fstar[...] = eng.levels[lv].fstar[::-1].copy()
+    eng.op_accumulate(lv)
+    eng.op_coalesce(lv - 1)
+
+
+#: Kernels with an Accumulate part: the textbook adds into every ghost
+#: bin, the body into the bins the parent's Coalescence reads.
+ACCUMULATING = ("A-scatter", "A-gather", "CA", "CASE")
+
 #: kernel -> (coarsest level it runs on, its launch, the textbook sequence)
 KERNELS = {
     "C": (0, lambda e, lv: e.op_collide(lv), [ref_collide]),
@@ -385,6 +406,8 @@ KERNELS = {
                  [ref_stream, ref_explode_ghost]),
     "CASE": (1, lambda e, lv: e.op_fused_case(lv),
              [ref_collide, ref_accumulate, ref_stream, ref_explode_direct]),
+    "A-A-O": (1, accumulate_twice_then_coalesce,
+              [ref_accumulate_twice_then_coalesce]),
 }
 
 
@@ -401,7 +424,17 @@ def mixed_engine(d):
                  "y-": FaceBC("slip"), "z-": FaceBC("outflow"),
                  "z+": FaceBC("moving", velocity=vel)}
     spec = nested_box_spec(base, 3, DomainBC(faces), solid=True)
-    return Engine(build_multigrid(spec, lat), "bgk", omega0=1.3)
+    eng = Engine(build_multigrid(spec, lat), "bgk", omega0=1.3)
+    #: the row-space pull of the reference compile, for ref_stream
+    eng.ref_pull_rows = [a["pull_rows"] for a in ref_compile(spec, lat).values()]
+    return eng
+
+
+def consumed_bins(b):
+    """(Q, n_ghost) mask of the ghost bins level ``b``'s Coalescence reads."""
+    live = np.zeros(b.ghost_acc.shape, dtype=bool)
+    live[b.coal_q, b.coal_src] = True
+    return live
 
 
 class TestKernelBodies:
@@ -412,9 +445,14 @@ class TestKernelBodies:
         return mixed_engine(request.param)
 
     def test_grids_reach_every_index_map(self, engine):
-        for name in ("bb_q", "mov_q", "out_q", "sl_q", "exp_q", "coal_q",
-                     "acc_fine_rows", "fg_rows", "exp_ghost_rows"):
-            assert any(getattr(b, name).size for b in engine.levels), name
+        for levels, names in (
+                (engine.mgrid.levels, ("bb_q", "sb_q", "mov_q", "out_q", "sl_q")),
+                (engine.levels, ("exp_q", "coal_q", "acc_fine_rows", "fg_rows",
+                                 "exp_ghost_rows"))):
+            for name in names:
+                assert any(getattr(lv, name).size for lv in levels), name
+        for cl, b in zip(engine.mgrid.levels, engine.levels):
+            assert b.pull_flat is cl.pull_flat      # the table is the grid's
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_matches_textbook_body(self, engine, kernel):
@@ -430,7 +468,42 @@ class TestKernelBodies:
                     for k in self.FIELDS:
                         getattr(b, k)[...] = saved[k]
                 run()
-                results.append([getattr(b, k).copy() for b in engine.levels
-                                for k in self.FIELDS])
-            for got, want in zip(*results):
-                assert np.array_equal(got, want), (kernel, lv)
+                results.append([{k: getattr(b, k).copy() for k in self.FIELDS}
+                                for b in engine.levels])
+            got, want = results
+            if kernel in ACCUMULATING:
+                # narrowed to what is read: the other bins were not touched
+                parent = engine.levels[lv - 1]
+                live = consumed_bins(parent)
+                assert live.any() and not live.all()
+                want[lv - 1]["ghost_acc"] = np.where(
+                    live, want[lv - 1]["ghost_acc"], start[lv - 1]["ghost_acc"])
+            for g, w in zip(got, want):
+                for k in self.FIELDS:
+                    assert np.array_equal(g[k], w[k]), (kernel, lv, k)
+
+    def test_accumulate_keeps_a_subsequence_of_the_entries(self, engine):
+        Q, children = engine.lat.q, 2 ** engine.mgrid.d
+        for lv in range(1, len(engine.levels)):
+            parent, fine = engine.levels[lv - 1], engine.levels[lv]
+            ng = parent.ghost_acc.shape[1]
+            engine._accumulate(lv, "scatter")
+            bins, src = engine._maps[lv]["acc"]
+            # the textbook's entries, q-major: (bin, source) pairs, all distinct
+            full = np.stack([(np.arange(Q)[:, None] * ng
+                              + parent.acc_ghost_rows).ravel(),
+                             (np.arange(Q)[:, None] * fine.n_used
+                              + parent.acc_fine_rows).ravel()], axis=1)
+            where = {pair: i for i, pair in enumerate(map(tuple, full.tolist()))}
+            at = [where[pair] for pair in zip(bins.tolist(), src.tolist())]
+            assert at == sorted(set(at))                    # order kept
+            live = consumed_bins(parent)
+            assert np.array_equal(np.bincount(bins, minlength=Q * ng),
+                                  children * live.ravel())
+            assert bins.size == parent.n_acc == children * live.sum()
+            # ... and the declarations count exactly those entries
+            for launch in (lambda: engine.op_accumulate(lv),
+                           lambda: engine.op_collide(lv, fuse_accumulate=True),
+                           lambda: engine.op_fused_case(lv)):
+                rec = engine.rt.capture_plan(launch)[0]
+                assert rec.atomic_bytes == engine.itemsize * src.size

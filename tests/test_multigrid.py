@@ -18,7 +18,7 @@ from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinem
 from repro.grid.multigrid import (_FACE_KINDS, _PRECEDENCE, DomainBC, FaceBC,
                                   RefinementSpec, _dilate, _face_names,
                                   _owner_labels, _upsample2, _validate_spec,
-                                  build_multigrid)
+                                  build_multigrid, iter_pull_rows)
 from repro.grid.sparse_grid import BlockSparseGrid
 
 
@@ -285,8 +285,10 @@ class TestBoundaryClassification:
 # reference: (n, d) position arithmetic, ``lab[tuple(s.T)]`` and one
 # ``BlockSparseGrid.lookup`` per answer, a full-footprint dilation.  Every
 # array of every CompiledLevel has to come out equal, dtype included.  The
-# reference keeps the bulk pull in slot space (``pull_src``) and maps it to
-# rows at the end; the compile step emits rows only, as frozen int32.
+# reference keeps the bulk pull in slot space (``pull_src``), maps it to rows
+# at the end and leaves the boundary links in the kind lists; the compile
+# step emits one frozen int32 table of flat ``q_src * n_used + row`` entries
+# with those links folded in, checked against ``folded_pull`` below.
 
 def ref_dilate(mask, radius, periodic):
     if not mask.any():
@@ -421,19 +423,62 @@ def ref_compile(spec, lat):
     return out
 
 
+def folded_pull(a, lat):
+    """The flat-source table ``q_src * n_used + row``, entry by entry, from
+    one level of the reference: its row pull and its kind lists."""
+    n_used = a["owned_slots"].size + a["fine_ghost_slots"].size
+    row_of_slot = np.full(int(max(a["owned_slots"].max(),
+                                  a["fine_ghost_slots"].max(initial=0))) + 1, -1)
+    row_of_slot[np.concatenate([a["owned_slots"], a["fine_ghost_slots"]])] = \
+        np.arange(n_used)
+    # interior pulls; outflow / explosion / coalescence refer to themselves
+    flat = np.arange(lat.q)[:, None] * n_used + a["pull_rows"].astype(np.int64)
+    for t in ("bb", "mov"):                 # the cell's own opposite population
+        q, cell = a[f"{t}_q"], a[f"{t}_cell"]
+        flat[q, cell] = lat.opp[q] * n_used + cell
+    flat[a["sl_q"], a["sl_cell"]] = (a["sl_src_q"] * n_used
+                                     + row_of_slot[a["sl_src"]])
+    return flat
+
+
+_KIND_TABLES = {"bb": kinds.BOUNCEBACK, "mov": kinds.MOVING, "out": kinds.OUTFLOW,
+                "sl": kinds.SLIP, "exp": kinds.EXPLOSION, "coal": kinds.COALESCENCE}
+
+
+def assert_one_kind_per_pull(cl):
+    """Every non-interior (q, cell) sits in exactly one kind table and
+    ``kind`` names it: the tables are disjoint, so folding them into the
+    pull table needs no order."""
+    listed = np.zeros(cl.kind.shape, dtype=np.int64)
+    for table, code in _KIND_TABLES.items():
+        q, cell = getattr(cl, f"{table}_q"), getattr(cl, f"{table}_cell")
+        np.add.at(listed, (q, cell), 1)
+        assert (cl.kind[q, cell] == code).all(), (cl.level, table)
+    assert np.array_equal(listed, cl.kind != kinds.INTERIOR), cl.level
+
+
 def assert_matches_reference(spec, lat):
     mg = build_multigrid(spec, lat)
     ref = ref_compile(spec, lat)
     for cl in mg.levels:
+        a = ref[cl.level]
         fields = [f.name for f in dataclasses.fields(cl)
                   if isinstance(getattr(cl, f.name), np.ndarray)]
-        assert sorted(fields) == sorted(ref[cl.level])
+        assert sorted(fields) == sorted(set(a) - {"pull_rows"} | {"pull_flat"})
+        fields.remove("pull_flat")
         for name in fields:
-            got, want = getattr(cl, name), ref[cl.level][name]
+            got, want = getattr(cl, name), a[name]
             assert got.dtype == want.dtype, (cl.level, name, got.dtype, want.dtype)
             assert np.array_equal(got, want), (cl.level, name)
-        assert cl.pull_rows.min(initial=0) >= 0
-        assert not cl.pull_rows.flags.writeable
+        assert_one_kind_per_pull(cl)
+        table = cl.pull_flat
+        assert table.dtype == np.int32 and not table.flags.writeable
+        assert np.array_equal(table, folded_pull(a, lat)), cl.level
+        n_used = cl.n_owned + cl.fine_ghost_slots.size
+        interior = cl.kind == kinds.INTERIOR
+        assert np.array_equal((table % n_used)[interior], a["pull_rows"][interior])
+        for got, want in zip(iter_pull_rows(table, n_used), table % n_used):
+            assert np.array_equal(got, want)
     return mg
 
 
