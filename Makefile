@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis static-check obs report bench-check resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -104,14 +104,11 @@ report:
 	$(PYTHON) -m repro report --workload cavity2d --config case \
 		--out-dir report-artifacts
 
-# Quick benchmark pass that appends to BENCH_HISTORY.jsonl: one small
-# measurement per direction-setting config (pytest-benchmark not needed).
-bench-smoke:
-	$(PYTHON) -m repro bench --out-dir $${BENCH_OUT_DIR:-.}
-
-# The regression gate over the appended trajectory.  Lenient by default:
-# warnings (< 5x) inform, hard regressions (>= 5x) fail the target.
-bench-check: bench-smoke
+# The regression gate over the ledger series in BENCH_HISTORY.jsonl (one
+# record per side of every parent/change comparison, benchmarks/ledger);
+# it times nothing itself.  Lenient by default: warnings (< 5x) inform,
+# hard regressions (>= 5x) fail the target.
+bench-check:
 	$(PYTHON) -m repro history --check
 
 # Fault matrix: inject NaN / kernel / OOM faults into every fusion

@@ -24,9 +24,9 @@ executes:
 * :mod:`repro.analysis.static` — symbolic per-kernel access sets,
   fusion-legality contraction proofs with structured counterexamples,
   and the static ⊇ dynamic containment cross-check;
-* :mod:`repro.analysis.lint` — dead stores, redundant loads, arena
-  lifetime/aliasing violations and AA-pattern double-buffer
-  opportunities priced by the :mod:`repro.gpu` cost model;
+* :mod:`repro.analysis.lint` — dead stores, and redundant-load and
+  droppable-buffer opportunities priced by the :mod:`repro.gpu` cost
+  model;
 * :mod:`repro.analysis.certificate` — machine-readable step-plan
   certificates (access sets, wave schedule, legality verdict, lint
   findings) the future compiled backend consumes as its admission

@@ -120,14 +120,6 @@ def build_certificate(config: str, workload: str,
                 "detail": f.detail,
             } for f in lint.findings],
         },
-        "arena": {
-            "peak_bytes": lint.arena_bytes,
-            "naive_bytes": lint.naive_bytes,
-            "lifetimes": [{
-                "name": lt.name, "nbytes": lt.nbytes, "first": lt.first,
-                "last": lt.last, "slab": lt.slab,
-            } for lt in lint.lifetimes],
-        },
     }
 
 

@@ -139,7 +139,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         cert_path = str(write_certificate(
             cert, f"{cert_dir}/{config.name}--{workload}.json"))
 
-    aa = [f for f in lint.opportunities if f.check == "aa-double-buffer"]
     return {
         "config": config.name,
         "workload": workload,
@@ -153,7 +152,7 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "counterexamples": [str(c) for c in proof.counterexamples],
         "lint_errors": [str(f) for f in lint.errors],
         "lint_opportunities": len(lint.opportunities),
-        "aa_bytes_saved": sum(f.bytes_saved for f in aa),
+        "touched_bytes": lint.touched_bytes,
         "certificate_problems": cert_problems,
         "certificate": cert_path,
     }
@@ -195,7 +194,7 @@ def _run_static(configs: Sequence[FusionConfig], workloads: Sequence[str],
                   f"{rep['workload']:<14s} kernels={rep['kernels']:4d} "
                   f"verdict={rep['verdict']:8s} "
                   f"pairs={rep['pairs_checked']:4d} "
-                  f"aa-saves={rep['aa_bytes_saved']} B", file=out)
+                  f"touched={rep['touched_bytes']} B", file=out)
             for msg in (rep["findings"] + rep["superset"]
                         + rep["lint_errors"] + rep["certificate_problems"]):
                 print(f"    {msg}", file=out)

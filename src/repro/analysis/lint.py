@@ -3,21 +3,22 @@
 Consumes the declaration stream and the :class:`~repro.analysis.static.AccessModel`
 (never a population value) and reports two severities:
 
-* ``error`` — the step plan is wasteful or unsound as declared and the
-  ``--static`` gate fails: **dead stores** (a write fully shadowed by a
-  later write with no intervening overlapping read — the classic
-  write-write shadowing bug) and **arena aliasing** (two buffers sharing
-  an arena slab while both are live, via the lifetime model in
-  :mod:`repro.gpu.memory`).
+* ``error`` — the step plan is wasteful as declared and the ``--static``
+  gate fails: **dead stores** (a write fully shadowed by a later write
+  with no intervening overlapping read — the classic write-write
+  shadowing bug).
 * ``opportunity`` — legal but leaving performance on the table, reported
   with predicted bytes (and µs on the reference device) saved:
   **redundant loads** (the same rows of a field read twice with no
-  intervening write — a fusion or caching candidate), **AA-pattern
-  double buffering** (a level whose ``f``/``fstar`` ping-pong in-place
-  AA streaming (§VI-B) would collapse into one buffer, the cuda_lbm
-  71%-of-bandwidth transformation) and **droppable buffers** (allocated
-  but never touched by any kernel of the stream — e.g. the finest-level
-  ``fstar`` once CASE keeps the post-collision state in registers).
+  intervening write — a fusion or caching candidate) and **droppable
+  buffers** (allocated but never touched by any kernel of the stream —
+  e.g. the finest-level ``fstar`` once CASE keeps the post-collision
+  state in registers).
+
+The report also carries ``touched_bytes``, the allocations the stream
+does touch.  It is a plain sum: Algorithm 1 nests a finer level's
+kernels inside the coarser level's, so every buffer's live range
+overlaps every other's and no two could share storage.
 
 All findings carry machine-readable fields so certificates can embed
 them; ``lint_stream`` is pure over its inputs and never executes a body.
@@ -30,22 +31,20 @@ from typing import Mapping, Sequence
 
 from ..gpu.costmodel import traffic_time_us
 from ..gpu.device import DeviceSpec, get_device
-from ..gpu.memory import BufferLifetime, arena_assign, arena_check, arena_peak_bytes
 from ..neon.graph import _access_overlap
 from ..neon.runtime import FieldRef, KernelRecord
 from .capture import ATOMIC, META, READ, WRITE
 from .static import AccessModel, StaticAccess
 
-__all__ = ["LintFinding", "LintReport", "lint_stream", "build_lifetimes",
-           "stream_lifetimes"]
+__all__ = ["LintFinding", "LintReport", "lint_stream"]
 
 
 @dataclass(frozen=True)
 class LintFinding:
     """One lint diagnostic over a kernel stream."""
 
-    check: str                  # dead-store | arena-alias | redundant-load
-                                # | aa-double-buffer | droppable-buffer
+    check: str                  # dead-store | redundant-load
+                                # | droppable-buffer
     severity: str               # "error" | "opportunity"
     field: str                  # field label ("fstar@1") or buffer name
     index: int                  # record index the finding anchors to (-1: global)
@@ -72,12 +71,10 @@ class LintFinding:
 
 @dataclass(frozen=True)
 class LintReport:
-    """All findings of one stream, plus the arena model that produced them."""
+    """All findings of one stream, plus the bytes of the buffers it touches."""
 
     findings: tuple[LintFinding, ...]
-    lifetimes: tuple[BufferLifetime, ...]
-    arena_bytes: int
-    naive_bytes: int
+    touched_bytes: int
 
     @property
     def errors(self) -> tuple[LintFinding, ...]:
@@ -186,41 +183,6 @@ def _redundant_loads(records: Sequence[KernelRecord],
     return out
 
 
-def _aa_double_buffer(records: Sequence[KernelRecord],
-                      flat: list[tuple[int, StaticAccess]],
-                      model: AccessModel,
-                      device: DeviceSpec) -> list[LintFinding]:
-    """Levels whose f/fstar ping-pong AA-pattern streaming would collapse.
-
-    Signature (per level): Collision writes ``fstar``, Streaming reads it
-    back and writes ``f`` — two full population buffers where the AA
-    pattern [7] keeps one, reading and writing the same buffer in
-    alternating orientations.  Predicted savings: the whole ``fstar``
-    allocation (capacity) and every byte of traffic through it.
-    """
-    out: list[LintFinding] = []
-    levels = {r.level for r in records}
-    for lv in sorted(levels):
-        ref = FieldRef("fstar", lv)
-        touched = [(i, a) for i, a in flat if a.field == ref]
-        writes = [t for t in touched if t[1].kind == WRITE and t[1].nbytes > 0]
-        reads = [t for t in touched if t[1].kind == READ and t[1].nbytes > 0]
-        if not writes or not reads:
-            continue
-        traffic = sum(a.nbytes for _, a in touched)
-        capacity = model.field_nbytes(ref)
-        i0 = writes[0][0]
-        out.append(LintFinding(
-            check="aa-double-buffer", severity="opportunity",
-            field=str(ref), index=i0, kernel=_label(records, i0),
-            bytes_saved=traffic, capacity_saved=capacity,
-            time_saved_us=traffic_time_us(traffic, device),
-            detail=(f"level {lv} ping-pongs f/fstar ({len(writes)} writes, "
-                    f"{len(reads)} reads per window); in-place AA-pattern "
-                    f"streaming would drop the second buffer")))
-    return out
-
-
 def _droppable_buffers(model: AccessModel,
                        flat: list[tuple[int, StaticAccess]],
                        ) -> list[LintFinding]:
@@ -241,56 +203,29 @@ def _droppable_buffers(model: AccessModel,
     return out
 
 
-# -- arena lifetime model ------------------------------------------------------
-
-def build_lifetimes(model: AccessModel,
-                    flat: list[tuple[int, StaticAccess]],
-                    ) -> list[BufferLifetime]:
-    """Buffer live ranges over the stream, from symbolic access sets.
+def _touched_bytes(model: AccessModel,
+                   flat: list[tuple[int, StaticAccess]]) -> int:
+    """Bytes of the allocations the stream touches.
 
     ``fghost`` rows physically live in the tail of the ``fstar``
-    allocation, so the two are merged into one lifetime (splitting them
-    would let the arena "free" half an allocation).  Untouched buffers
-    get no lifetime — the droppable-buffer check reports those.
+    allocation, so touching either counts the whole ``fstar`` once.
+    Untouched buffers are not counted — the droppable-buffer check
+    reports those.
     """
-    spans: dict[FieldRef, tuple[int, int]] = {}
-    for i, a in flat:
+    refs: set[FieldRef] = set()
+    for _, a in flat:
         assert a.field is not None
         ref = a.field
-        if ref.name == "fghost":  # tail of the fstar allocation
-            ref = FieldRef("fstar", ref.level)
-        lo, hi = spans.get(ref, (i, i))
-        spans[ref] = (min(lo, i), max(hi, i))
-    return [BufferLifetime(name=str(ref), nbytes=model.field_nbytes(ref),
-                           first=lo, last=hi)
-            for ref, (lo, hi) in sorted(spans.items(),
-                                        key=lambda kv: str(kv[0]))]
-
-
-def stream_lifetimes(records: Sequence[KernelRecord],
-                     model: AccessModel) -> list[BufferLifetime]:
-    """Buffer live ranges of a stream, straight from a record list.
-
-    Convenience over :func:`build_lifetimes` for callers outside the
-    lint pass (the metrics registry publishes the packed arena's peak
-    occupancy per step): derives the symbolic access map and flattens it
-    the same way :func:`lint_stream` does.
-    """
-    return build_lifetimes(model, _flat(model.access_map(records)))
+        refs.add(FieldRef("fstar", ref.level) if ref.name == "fghost" else ref)
+    return sum(model.field_nbytes(ref) for ref in refs)
 
 
 def lint_stream(records: Sequence[KernelRecord], model: AccessModel,
                 device: DeviceSpec | None = None,
-                lifetimes: Sequence[BufferLifetime] | None = None,
                 static_map: Mapping[int, Sequence[StaticAccess]] | None = None,
                 ) -> LintReport:
     """Run every lint check over one stream.
 
-    ``lifetimes`` overrides the derived arena model (tests inject broken
-    assignments); by default live ranges are derived from the access sets
-    and packed with :func:`~repro.gpu.memory.arena_assign`, whose result
-    is then itself verified with :func:`~repro.gpu.memory.arena_check` —
-    the allocator is not trusted by the linter that gates on it.
     ``static_map`` is ``model.access_map(records)`` when the caller has
     it already (plan admission shares one with the certificate).
     """
@@ -301,18 +236,6 @@ def lint_stream(records: Sequence[KernelRecord], model: AccessModel,
     findings: list[LintFinding] = []
     findings.extend(_dead_stores(records, flat, dev))
     findings.extend(_redundant_loads(records, flat, dev))
-    findings.extend(_aa_double_buffer(records, flat, model, dev))
     findings.extend(_droppable_buffers(model, flat))
-
-    if lifetimes is None:
-        lts = arena_assign(build_lifetimes(model, flat))
-    else:
-        lts = list(lifetimes)
-    for problem in arena_check(lts):
-        findings.append(LintFinding(
-            check="arena-alias", severity="error", field="", index=-1,
-            kernel="", bytes_saved=0, capacity_saved=0, time_saved_us=0.0,
-            detail=problem))
-    naive = sum(lt.nbytes for lt in lts)
-    return LintReport(findings=tuple(findings), lifetimes=tuple(lts),
-                      arena_bytes=arena_peak_bytes(lts), naive_bytes=naive)
+    return LintReport(findings=tuple(findings),
+                      touched_bytes=_touched_bytes(model, flat))

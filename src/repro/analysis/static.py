@@ -178,7 +178,7 @@ class AccessModel:
 
         ``fghost`` rows live in the tail of the ``fstar`` allocation
         (rows ``n_owned..n_used``); they are reported separately so the
-        arena model can see both regions, but share one allocation.
+        lint pass can see both regions, but share one allocation.
         """
         buf = self._buf(ref.level)
         if ref.name in ("f", "fstar"):

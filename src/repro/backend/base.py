@@ -45,7 +45,7 @@ class PlanAdmissionError(RuntimeError):
     """A compiled step plan failed its admission contract.
 
     Raised when the captured kernel stream has lint *errors* (dead
-    stores, arena aliasing) or fails certificate validation (digest
+    stores) or fails certificate validation (digest
     mismatch, hazard-order violation, illegal fusion contraction).  The
     plan is never executed: admission failures mean the declarations the
     plan would be replayed from cannot be trusted.

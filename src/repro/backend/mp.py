@@ -173,7 +173,7 @@ class _MpPlan:
 
 # -- worker process ------------------------------------------------------------
 
-def _attach_shared(levels, shm, manifest, dtype) -> None:
+def _attach_shared(levels, shm, manifest) -> None:
     """Swap each level's state buffers to views over the shared segment."""
     for lv, fname, shape, off in manifest:
         buf = levels[lv]
@@ -182,7 +182,7 @@ def _attach_shared(levels, shm, manifest, dtype) -> None:
             raise ValueError(
                 f"shared-memory manifest mismatch: {fname}@{lv} is "
                 f"{cur.shape}, manifest says {tuple(shape)}")
-        setattr(buf, fname, np.ndarray(shape, dtype=dtype,
+        setattr(buf, fname, np.ndarray(shape, dtype=cur.dtype,
                                        buffer=shm.buf, offset=off))
 
 
@@ -240,9 +240,8 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         # and the parent's unlink clears the single entry; unregistering
         # here would instead strip the parent's own registration.
         shm = shared_memory.SharedMemory(name=setup["shm"])
-        engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0,
-                        dtype=setup["dtype"])
-        _attach_shared(engine.levels, shm, setup["manifest"], engine.dtype)
+        engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0)
+        _attach_shared(engine.levels, shm, setup["manifest"])
         stepper = NonUniformStepper(engine, setup["fusion"])
         plans: dict[int, tuple[int, list]] = {}
         conn.send(("ready", worker_id, None))
@@ -515,7 +514,6 @@ class MultiprocessBackend:
         blob = pickle.dumps({
             "mgrid": engine.mgrid,
             "collision": engine.collision,
-            "dtype": engine.dtype,
             "fusion": stepper.config,
             "shm": self._shm.name,
             "manifest": self._manifest,

@@ -1,6 +1,7 @@
 """Benchmark harness: workloads, measurement, trace extrapolation,
-perf-trajectory history (``BENCH_HISTORY.jsonl``) and its regression
-gate (``python -m repro history --check``)."""
+perf-trajectory history (``BENCH_HISTORY.jsonl``: the ledger series of
+``benchmarks/ledger`` and the figure benchmarks' lines) and its
+regression gate (``python -m repro history --check``)."""
 
 from .harness import Measurement, full_scale_mlups, measure
 from .model import level_factors, scale_trace

@@ -42,8 +42,8 @@ class Measurement:
     #: :func:`repro.obs.metrics.run_metrics`); what the benchmarks
     #: serialize into their ``BENCH_*.json`` artifacts.
     metrics: dict = field(default_factory=dict)
-    #: Buffer-arena peak occupancy over one step's stream, from the
-    #: ``gpu/memory.py`` lifetime model (0 when the trace is empty).
+    #: Bytes of the buffers one step's stream touches, the lint pass's
+    #: ``touched_bytes`` (0 when the trace is empty).
     arena_peak_bytes: int = 0
 
     @property

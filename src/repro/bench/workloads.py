@@ -48,7 +48,7 @@ class Workload:
     def sim_config(self, **overrides):
         """The workload's physics as a :class:`~repro.core.config.SimConfig`.
 
-        ``overrides`` (fusion, threaded, dtype, ...) are folded in, so
+        ``overrides`` (fusion, threaded, backend, ...) are folded in, so
         ``Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg))`` is
         the one-line way to instantiate any benchmark setup.
         """

@@ -6,7 +6,6 @@ One front door for every tool the repo grew::
     python -m repro obs         # telemetry runner (trace + metrics + watchdog)
     python -m repro report      # observatory run report (text/HTML/JSON)
     python -m repro resilience  # fault matrix, bit-identical recovery gate
-    python -m repro bench       # bench smoke suite (appends history)
     python -m repro history     # bench-history trajectory + regression gate
     python -m repro serve       # multi-tenant job server (flood demo, summary)
 
@@ -45,11 +44,6 @@ def _resilience(argv: list[str]) -> int:
     return main(_translate_out(argv))
 
 
-def _bench(argv: list[str]) -> int:
-    from .bench.smoke import main
-    return main(_translate_out(argv))
-
-
 def _history(argv: list[str]) -> int:
     from .bench.history import main
     return main(argv)
@@ -68,7 +62,6 @@ SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "report": (_report, "observatory run report (text/HTML/JSON)"),
     "resilience": (_resilience, "fault matrix with bit-identical "
                    "recovery gate"),
-    "bench": (_bench, "benchmark smoke suite (appends BENCH_HISTORY)"),
     "history": (_history, "bench-history trajectory and regression gate"),
     "serve": (_serve, "async multi-tenant simulation job server"),
 }

@@ -1,8 +1,9 @@
 """Collision operators: BGK (Eq. 3), TRT and the entropic KBC model (Section II).
 
-All operators act on population arrays of shape ``(Q, N)`` where ``N`` is
-the number of cells of one grid level — the flat, structure-of-arrays view
-produced by the block-sparse grid (Section V-A of the paper).
+All operators act on float64 population arrays of shape ``(Q, N)`` where
+``N`` is the number of cells of one grid level — the flat,
+structure-of-arrays view produced by the block-sparse grid (Section V-A of
+the paper).
 
 Collision happens in *moment space*.  The equilibrium (Eq. 5) is a
 polynomial in a handful of moments, so a cell's relaxation is two small
@@ -60,21 +61,20 @@ def tile_width(q: int, live_tiles: int) -> int:
     return max(TILE_BUDGET_BYTES // (q * 8 * live_tiles) // 64 * 64, 64)
 
 
-def _tiles(lat: Lattice, n: int, live_tiles: int, direct: bool
+def _tiles(lat: Lattice, n: int, live_tiles: int
            ) -> Iterator[tuple[int, int, bool, list[np.ndarray]]]:
     """Yield ``(lo, hi, staged, scratch)`` over the column tiles of an ``n``-cell level.
 
-    ``scratch`` is float64, carved from one allocation per call, and as
-    wide as the tile's matrix products run — always a multiple of 64: a
-    ``(Q, w)`` stage, the ``(2 + 2 d + len(pairs), w)`` moment block and
-    ``live_tiles - 2`` more ``(Q, w)`` blocks.  ``staged`` tells the caller
-    to go through the stage instead of ``[lo, hi)`` of its own arrays:
-    for the last ``n % 64`` columns (``w = 64``; the caller pads) and,
-    unless ``direct``, for every tile.
+    ``scratch`` is float64, carved from one allocation per call: a
+    ``(Q, 64)`` stage, and — as wide as the tile's matrix products run,
+    always a multiple of 64 — the ``(2 + 2 d + len(pairs), w)`` moment
+    block and ``live_tiles - 2`` more ``(Q, w)`` blocks.  ``staged`` tells
+    the caller to go through the stage instead of ``[lo, hi)`` of its own
+    arrays: for the last ``n % 64`` columns (``w = 64``; the caller pads).
     """
     tile = tile_width(lat.q, live_tiles)
     width, full = min(tile, n + -n % 64), n - n % 64
-    shapes = [(lat.q, 64 if direct else width),
+    shapes = [(lat.q, 64),
               (2 + 2 * lat.d + len(lat.pairs), width),
               *[(lat.q, width)] * (live_tiles - 2)]
     offs = [0, *accumulate(r * w for r, w in shapes)]
@@ -83,7 +83,7 @@ def _tiles(lat: Lattice, n: int, live_tiles: int, direct: bool
     edges = sorted({*range(0, full, tile), full, n})
     for lo, hi in zip(edges, edges[1:]):
         w = hi - lo + (lo - hi) % 64               # hi - lo rounded up
-        yield lo, hi, not direct or w > hi - lo, [b[:, :w] for b in blocks]
+        yield lo, hi, w > hi - lo, [b[:, :w] for b in blocks]
 
 
 def density(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ def _reconstruct(lat: Lattice, rho: np.ndarray, u: np.ndarray,
     if out is None:
         out = np.empty((lat.q, n))
     n1, n2 = 1 + lat.d, lat.basis.shape[1]
-    for lo, hi, staged, (stage, m) in _tiles(lat, n, 2, out.dtype == np.float64):
+    for lo, hi, staged, (stage, m) in _tiles(lat, n, 2):
         k = hi - lo
         m[0, :k], m[n2], m[n2 + 1:, :k] = rho[lo:hi], 1.0, u[:, lo:hi]
         m[0, k:], m[n2 + 1:, k:] = 1.0, 0.0
@@ -215,9 +215,7 @@ class CollisionModel:
         """Post-collision populations of ``f`` ``(Q, N)``, tile by tile.
 
         ``out`` may be ``f`` itself (a tile is read before it is written);
-        any other overlap between the two is not supported.  The
-        arithmetic is float64 whatever the storage dtype: other dtypes go
-        through a float64 stage and are rounded once, on store.
+        any other overlap between the two is not supported.
         """
         lat = self.lattice
         if out is None:
@@ -226,8 +224,7 @@ class CollisionModel:
             force = np.asarray(force, dtype=np.float64)
         relax = self._relaxation(omega, force)
         for lo, hi, staged, (stage, m, *tiles) in _tiles(
-                lat, f.shape[1], self.LIVE_TILES,
-                f.dtype == out.dtype == np.float64):
+                lat, f.shape[1], self.LIVE_TILES):
             if staged:
                 src = dst = stage
                 src[:, :hi - lo], src[:, hi - lo:] = f[:, lo:hi], lat.w[:, None]

@@ -2,12 +2,12 @@
 
 :class:`~repro.core.simulation.Simulation` grew its construction surface
 one keyword at a time (lattice, collision, viscosity/omega0, fusion
-config, force, dtype, threaded, max_workers, …), which made call sites
+config, force, threaded, max_workers, …), which made call sites
 hard to audit and impossible to serialize.  ``SimConfig``
 consolidates all of it into a single frozen dataclass:
 
 * **validated once**, at construction (exactly one of viscosity/omega0,
-  known fusion preset, well-formed dtype);
+  known fusion preset);
 * **immutable and comparable** — two simulations built from equal
   configs are bit-identical by the engine's determinism guarantees;
 * **replaceable** — :meth:`SimConfig.replace` derives safety profiles
@@ -53,9 +53,6 @@ class SimConfig:
     force:
         Optional constant body-force density vector (coarse lattice
         units); stored as a tuple so the config stays hashable.
-    dtype:
-        ``None`` (float64, the paper's setting), ``numpy.float32`` /
-        ``numpy.float64`` or their string names.
     threaded:
         ``True`` replays each step plan in dependency waves on a thread
         pool (see :meth:`StepPlan.execute
@@ -84,7 +81,6 @@ class SimConfig:
     omega0: float | None = None
     fusion: FusionConfig | str = FUSED_FULL
     force: tuple[float, ...] | None = None
-    dtype: Any = None
     threaded: bool | None = None
     max_workers: int | None = None
     backend: str | None = None
@@ -102,8 +98,6 @@ class SimConfig:
         if self.force is not None:
             object.__setattr__(self, "force",
                                tuple(float(c) for c in np.asarray(self.force).ravel()))
-        if isinstance(self.dtype, str):
-            object.__setattr__(self, "dtype", np.dtype(self.dtype).type)
         if self.max_workers is not None and int(self.max_workers) < 1:
             raise ValueError("max_workers must be >= 1")
         if self.mp_workers is not None and int(self.mp_workers) < 1:
@@ -139,7 +133,6 @@ class SimConfig:
             "omega0": self.omega0,
             "fusion": self.fusion.name,
             "force": list(self.force) if self.force is not None else None,
-            "dtype": np.dtype(self.dtype).name if self.dtype is not None else None,
             "threaded": self.threaded,
             "max_workers": self.max_workers,
             "backend": self.backend,

@@ -84,13 +84,10 @@ class Engine:
 
     def __init__(self, mgrid: MultiGrid, collision: CollisionModel | str = "bgk",
                  omega0: float = 1.0, runtime: Runtime | None = None,
-                 force=None, dtype=np.float64) -> None:
+                 force=None) -> None:
         self.mgrid = mgrid
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError("dtype must be float32 or float64")
-        #: bytes per stored population value (paper: fp32 halves traffic [9])
-        self.itemsize = self.dtype.itemsize
+        #: bytes per stored population value: populations are float64
+        self.itemsize = 8
         self.lat = mgrid.lattice
         self.collision = (make_collision(collision, self.lat)
                           if isinstance(collision, str) else collision)
@@ -132,9 +129,9 @@ class Engine:
         acc_live[cl.coal_q, cl.coal_src] = True
         grid_meta = sum(cl.grid.metadata_bytes().values())
         return LevelBuffers(
-            f=np.zeros((Q, cl.n_owned), dtype=self.dtype),
-            fstar=np.zeros((Q, n_used), dtype=self.dtype),
-            ghost_acc=np.zeros((Q, cl.n_ghost), dtype=self.dtype),
+            f=np.zeros((Q, cl.n_owned)),
+            fstar=np.zeros((Q, n_used)),
+            ghost_acc=np.zeros((Q, cl.n_ghost)),
             n_owned=cl.n_owned, n_used=n_used, pull_flat=cl.pull_flat,
             mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
             out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,

@@ -46,8 +46,8 @@ class Simulation:
         Domain description (shape, refinement regions, solid, face BCs).
     config:
         The :class:`~repro.core.config.SimConfig` — lattice, collision,
-        relaxation, fusion configuration, body force, precision and the
-        execution backend.  How a step executes (backend, serial or
+        relaxation, fusion configuration, body force and the execution
+        backend.  How a step executes (backend, serial or
         thread-wave replay) is fixed here, at construction.
     runtime:
         An existing :class:`~repro.neon.runtime.Runtime` to record into
@@ -70,9 +70,7 @@ class Simulation:
         self.sim_config: SimConfig = config
         self.mgrid: MultiGrid = build_multigrid(spec, lat)
         self.engine = Engine(self.mgrid, config.collision, omega0,
-                             runtime=runtime, force=config.force,
-                             dtype=np.float64 if config.dtype is None
-                             else config.dtype)
+                             runtime=runtime, force=config.force)
         from ..backend import resolve_backend
         backend = resolve_backend(config.backend, bool(config.threaded))
         configure = getattr(backend, "configure", None)

@@ -31,7 +31,6 @@ __all__ = [
     "MemoryReport", "grid_memory_report", "ghost_layer_bytes",
     "uniform_memory_bytes", "uniform_aa_max_cube",
     "mc_level_counts", "refined_memory_bytes",
-    "BufferLifetime", "arena_assign", "arena_check", "arena_peak_bytes",
 ]
 
 
@@ -134,93 +133,6 @@ def uniform_aa_max_cube(device: DeviceSpec, q: int = 19, itemsize: int = 4) -> i
     """
     cells = device.capacity_bytes / (q * itemsize)
     return int(np.floor(cells ** (1.0 / 3.0)))
-
-
-# -- buffer-arena lifetimes (static-analysis hooks) ---------------------------
-
-@dataclass(frozen=True)
-class BufferLifetime:
-    """Live range of one buffer over a kernel stream.
-
-    ``first``/``last`` are inclusive record indices of the first and last
-    kernels touching the buffer (the static analyzer derives them from
-    symbolic access sets).  ``slab`` is assigned by :func:`arena_assign`;
-    two lifetimes on the same slab alias the same storage, which is legal
-    only if their index ranges are disjoint — checked by
-    :func:`arena_check`.
-    """
-
-    name: str
-    nbytes: int
-    first: int
-    last: int
-    slab: int = -1
-
-    def overlaps(self, other: "BufferLifetime") -> bool:
-        """Inclusive live-range overlap (both kernels may run the buffer)."""
-        return self.first <= other.last and other.first <= self.last
-
-
-def arena_assign(lifetimes: list[BufferLifetime]) -> list[BufferLifetime]:
-    """Greedy linear-scan slab assignment over buffer live ranges.
-
-    Buffers whose live ranges never overlap may share a slab (the arena
-    reuses the freed storage); the classic register-allocation sweep by
-    increasing ``first`` index is optimal for interval graphs.  Returns
-    new lifetimes with ``slab`` filled in.
-    """
-    out: list[BufferLifetime] = []
-    slab_free_at: list[int] = []  # slab index -> last index still in use
-    slab_size: list[int] = []
-    for lt in sorted(lifetimes, key=lambda t: (t.first, t.last, t.name)):
-        slab = -1
-        for s, busy_until in enumerate(slab_free_at):
-            if busy_until < lt.first and slab_size[s] >= lt.nbytes:
-                slab = s
-                break
-        if slab < 0:
-            slab = len(slab_free_at)
-            slab_free_at.append(lt.last)
-            slab_size.append(lt.nbytes)
-        else:
-            slab_free_at[slab] = lt.last
-        out.append(BufferLifetime(name=lt.name, nbytes=lt.nbytes,
-                                  first=lt.first, last=lt.last, slab=slab))
-    return out
-
-
-def arena_check(lifetimes: list[BufferLifetime]) -> list[str]:
-    """Aliasing violations of a slab assignment.
-
-    A violation is two buffers assigned to one slab whose live ranges
-    overlap — some kernel could read one buffer while the arena has
-    already handed its bytes to the other.  Returns human-readable
-    findings (empty = assignment is sound).
-    """
-    problems: list[str] = []
-    by_slab: dict[int, list[BufferLifetime]] = {}
-    for lt in lifetimes:
-        if lt.slab < 0:
-            problems.append(f"buffer {lt.name} has no slab assignment")
-            continue
-        by_slab.setdefault(lt.slab, []).append(lt)
-    for slab, members in sorted(by_slab.items()):
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if a.overlaps(b):
-                    problems.append(
-                        f"slab {slab}: {a.name} (live [{a.first},{a.last}]) "
-                        f"aliases {b.name} (live [{b.first},{b.last}]) "
-                        f"while both are in use")
-    return problems
-
-
-def arena_peak_bytes(lifetimes: list[BufferLifetime]) -> int:
-    """Arena capacity of an assignment: sum of per-slab maximum sizes."""
-    slabs: dict[int, int] = {}
-    for lt in lifetimes:
-        slabs[lt.slab] = max(slabs.get(lt.slab, 0), lt.nbytes)
-    return sum(slabs.values())
 
 
 # -- Monte-Carlo estimates for paper-scale domains ---------------------------

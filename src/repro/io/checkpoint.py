@@ -129,8 +129,8 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     """Load a checkpoint into a simulation built from the *same* spec.
 
     The target must match the checkpoint structurally (levels, lattice,
-    per-level cell counts) — the function validates and raises
-    ``ValueError`` otherwise; a damaged file raises
+    per-level cell counts, population dtype) — the function validates and
+    raises ``ValueError`` otherwise; a damaged file raises
     :class:`CheckpointError`.  The simulation is only modified once the
     whole file has been read and validated; every buffer is then a
     function of the file alone (``fstar`` mirrors ``f``, the rest is
@@ -160,8 +160,14 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     for lv, buf in enumerate(sim.engine.levels):
         if f"f_{lv}" not in data:
             raise CheckpointError(f"missing array 'f_{lv}'", path)
-        if data[f"f_{lv}"].shape != buf.f.shape:
+        saved = data[f"f_{lv}"]
+        if saved.shape != buf.f.shape:
             raise ValueError(f"level {lv} buffer shape mismatch")
+        if saved.dtype != buf.f.dtype:
+            # checkpoints are verbatim: a cast would restore a state no
+            # run ever produced
+            raise ValueError(f"level {lv} populations are {saved.dtype}, "
+                             f"not {buf.f.dtype}")
     for lv, buf in enumerate(sim.engine.levels):
         buf.f[:] = data[f"f_{lv}"]
         buf.fstar[:, :buf.n_owned] = buf.f

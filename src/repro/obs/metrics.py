@@ -194,17 +194,12 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
         reg.gauge("wave_depth", "sync points per coarse step").set(len(waves))
         reg.gauge("wave_max_width", "widest concurrency wave").set(
             max(len(w) for w in waves))
-        # Buffer-arena peak occupancy over the step's stream: derive
-        # live ranges from the symbolic access sets, pack them with the
-        # linear-scan allocator and report the arena capacity that
-        # assignment needs (gpu/memory.py lifetimes).
-        from ..analysis.lint import stream_lifetimes
+        # The gauge keeps the name its history series was recorded under.
+        from ..analysis.lint import lint_stream
         from ..analysis.static import AccessModel
-        from ..gpu.memory import arena_assign, arena_peak_bytes
-        lts = arena_assign(stream_lifetimes(last, AccessModel(sim.engine)))
         reg.gauge("arena_peak_bytes",
-                  "buffer-arena peak occupancy over one step (B)").set(
-            arena_peak_bytes(lts))
+                  "bytes of the buffers one step's stream touches (B)").set(
+            lint_stream(last, AccessModel(sim.engine)).touched_bytes)
     backend = getattr(getattr(sim, "stepper", None), "backend", None)
     stats = getattr(backend, "stats", None)
     if stats:

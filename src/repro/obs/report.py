@@ -54,7 +54,7 @@ class RunReport:
     roofline: RooflineSummary | None
     drift: list[dict]              # flagged drift findings (as_dicts)
     lint: dict                     # {"errors": [...], "opportunities": [...],
-                                   #  "arena_bytes": int, "naive_bytes": int}
+                                   #  "touched_bytes": int}
     certificate: dict              # {"stream_digest": ..., "source": ...}
     log_lines: int                 # unified event-log lines emitted
     occupancy: dict = field(default_factory=dict)
@@ -93,8 +93,7 @@ def _lint_last_step(sim) -> dict:
     """
     records = sim.runtime.last_step()
     if not records:
-        return {"errors": [], "opportunities": [],
-                "arena_bytes": 0, "naive_bytes": 0}
+        return {"errors": [], "opportunities": [], "touched_bytes": 0}
     from ..analysis.lint import lint_stream
     from ..analysis.static import AccessModel
     report = lint_stream(records, AccessModel(sim.engine))
@@ -105,8 +104,7 @@ def _lint_last_step(sim) -> dict:
             "bytes_saved": f.bytes_saved, "capacity_saved": f.capacity_saved,
             "time_saved_us": round(f.time_saved_us, 3), "detail": f.detail,
         } for f in report.opportunities],
-        "arena_bytes": report.arena_bytes,
-        "naive_bytes": report.naive_bytes,
+        "touched_bytes": report.touched_bytes,
     }
 
 
@@ -201,8 +199,7 @@ def render_text(rep: RunReport) -> str:
         f"wall MLUPS    : {_fmt(m.get('wall_mlups'))}   "
         f"bytes/step {_fmt(m.get('bytes_per_step'), 0)}   "
         f"wave depth {_fmt(m.get('wave_depth'), 0)}",
-        f"arena peak    : {_fmt(m.get('arena_peak_bytes'), 0)} B "
-        f"(naive {_fmt(rep.lint.get('naive_bytes'), 0)} B)",
+        f"touched bytes : {_fmt(m.get('arena_peak_bytes'), 0)} B",
         f"occupancy     : max {rep.occupancy.get('max_concurrent', 0)} "
         f"mean {_fmt(rep.occupancy.get('mean_concurrent', 0.0), 2)}",
     ]

@@ -141,17 +141,17 @@ def synthetic_step_records(spec, config) -> list[KernelRecord]:
     """One coarse step's kernel stream, synthesized without a grid.
 
     Level ``L`` runs ``2^L`` substeps per coarse step (Algorithm 1);
-    each kernel reads and writes one full population set of its level.
+    each kernel reads and writes one full (float64) population set of
+    its level.
     """
     fusion = config.fusion
     lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
            else config.lattice)
-    dsize = 8 if config.dtype is None else np.dtype(config.dtype).itemsize
     active = active_cells_estimate(spec)
     num_levels = len(active)
     records: list[KernelRecord] = []
     for level, cells in enumerate(active):
-        payload = int(cells) * lat.q * dsize
+        payload = int(cells) * lat.q * 8
         for _ in range(2 ** level):
             for name in level_kernel_names(fusion, level, num_levels):
                 atomic = (int(payload * _ATOMIC_FRACTION)

@@ -136,7 +136,6 @@ class TestRegrid:
         assert new.stepper.config is sim.stepper.config
         assert new.engine.omega == sim.engine.omega
         assert new.steps_done == sim.steps_done
-        assert new.engine.dtype == sim.engine.dtype
 
     def test_continues_stably(self):
         sim = self.make_sim()

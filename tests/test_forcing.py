@@ -96,40 +96,3 @@ class TestPoiseuille:
                 ref = state
             else:
                 assert np.array_equal(state, ref), cfg.name
-
-
-class TestReducedPrecision:
-    def make(self, dtype):
-        bc = DomainBC({"y+": FaceBC("moving", velocity=(0.06, 0.0))})
-        spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]), bc=bc)
-        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
-                                     viscosity=0.05, dtype=dtype)
-        sim.run(30)
-        return sim
-
-    def test_fp32_buffers(self):
-        sim = self.make(np.float32)
-        assert sim.engine.levels[0].f.dtype == np.float32
-        assert sim.engine.levels[0].ghost_acc.dtype == np.float32
-
-    def test_fp32_tracks_fp64(self):
-        s32, s64 = self.make(np.float32), self.make(np.float64)
-        for a, b in zip(s32.engine.levels, s64.engine.levels):
-            diff = np.abs(a.f[:, :a.n_owned].astype(np.float64)
-                          - b.f[:, :b.n_owned]).max()
-            assert diff < 1e-5
-
-    def test_fp32_halves_traffic(self):
-        s32, s64 = self.make(np.float32), self.make(np.float64)
-        ratio = s32.runtime.total_bytes() / s64.runtime.total_bytes()
-        assert 0.45 < ratio < 0.6  # metadata bytes keep it slightly above 1/2
-
-    def test_invalid_dtype(self):
-        spec = RefinementSpec((8, 8))
-        with pytest.raises(ValueError):
-            Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
-                                   viscosity=0.1, dtype=np.int32)
-
-    def test_fp32_stable(self):
-        sim = self.make(np.float32)
-        assert sim.is_stable()

@@ -149,6 +149,23 @@ def test_format_1_is_refused(tmp_path):
         restore_checkpoint(sim, path)
 
 
+def test_a_float32_checkpoint_is_refused(tmp_path):
+    # written by hand: what a float32 run of an earlier commit stored
+    sim = make(cavity_2d_three_levels)
+    sim.run(2)
+    path = str(tmp_path / "f32.npz")
+    save_checkpoint(sim, path)
+    with np.load(path) as data:
+        old = {k: data[k] for k in data.files}
+    old["f_1"] = old["f_1"].astype(np.float32)
+    np.savez(path, **old)
+    sim.run(1)
+    before = state_digest(sim)
+    with pytest.raises(ValueError, match="^level 1 populations are float32"):
+        restore_checkpoint(sim, path)
+    assert state_digest(sim) == before and sim.steps_done == 3
+
+
 def test_save_inside_a_step_is_refused(tmp_path):
     sim = make(cavity_2d_three_levels, ALL_CONFIGS[1])      # unfused 4b
     sim.run(1)

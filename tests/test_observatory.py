@@ -519,7 +519,8 @@ class TestReportEdgeCases:
             os.path.join(out, "report_cavity2d-2lvl_ours-4f.json")))
         assert rep["steps"] == 2
         assert rep["certificate"]["stream_digest"]
-        assert rep["metrics"]["arena_peak_bytes"] > 0
+        assert (rep["metrics"]["arena_peak_bytes"]
+                == rep["lint"]["touched_bytes"] > 0)
         html = open(
             os.path.join(out, "report_cavity2d-2lvl_ours-4f.html")).read()
         assert "Roofline" in html

@@ -52,9 +52,11 @@ class TestValidation:
         assert cfg.force == (1e-5, 0.0, 0.0)
         hash(cfg)  # stays hashable
 
-    def test_dtype_string_resolves(self):
-        cfg = SimConfig(viscosity=0.05, dtype="float32")
-        assert cfg.dtype is np.float32
+    def test_storage_dtype_is_not_a_field(self):
+        # populations are float64; the keyword is refused like any
+        # unknown field
+        with pytest.raises(TypeError):
+            SimConfig(viscosity=0.05, dtype="float32")
 
 
 class TestReplace:
@@ -72,12 +74,11 @@ class TestReplace:
     def test_as_dict_is_json_ready(self):
         import json
         cfg = SimConfig(lattice="D2Q9", viscosity=0.05, fusion=FUSED_FULL,
-                        dtype=np.float32, threaded=False)
+                        threaded=False)
         d = cfg.as_dict()
         json.dumps(d)
         assert d["lattice"] == "D2Q9"
         assert d["fusion"] == FUSED_FULL.name
-        assert d["dtype"] == "float32"
         assert d["threaded"] is False
 
 

@@ -12,7 +12,7 @@ from repro.analysis.certificate import (CERTIFICATE_VERSION, build_certificate,
                                         validate_certificate,
                                         write_certificate)
 from repro.analysis.cli import small_workloads, static_check
-from repro.analysis.lint import LintFinding, build_lifetimes, lint_stream
+from repro.analysis.lint import LintFinding, lint_stream
 from repro.analysis.static import (AccessModel, StaticAccess, check_contraction,
                                    plan_stream, prove_fusion_legality,
                                    seeded_illegal_proof, superset_findings,
@@ -25,8 +25,6 @@ from repro.core.fusion import (ABLATION_CONFIGS, FUSE_SO, FUSED_FULL,
 from repro.core.lattice import D2Q9, D3Q19
 from repro.core.simulation import Simulation
 from repro.gpu.device import get_device
-from repro.gpu.memory import (BufferLifetime, arena_assign, arena_check,
-                              arena_peak_bytes)
 from repro.grid import kinds
 from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
 from repro.neon.runtime import FieldRef, KernelRecord, Runtime
@@ -329,14 +327,6 @@ class TestLint:
         records, model = plan_stream(config, WL2D, steps=2)
         assert lint_stream(records, model).errors == ()
 
-    def test_aa_double_buffer_opportunity_with_bytes_saved(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=2)
-        report = lint_stream(records, model)
-        aa = [f for f in report.opportunities if f.check == "aa-double-buffer"]
-        assert aa, "baseline must expose the AA-pattern rewrite"
-        assert all(f.bytes_saved > 0 and f.capacity_saved > 0 for f in aa)
-        assert all(f.time_saved_us > 0 for f in aa)
-
     def test_case_drops_finest_fstar(self):
         records, model = plan_stream(FUSED_FULL, WL2D, steps=2)
         report = lint_stream(records, model)
@@ -365,53 +355,40 @@ class TestLint:
         assert red
         assert all(f.bytes_saved > 0 for f in red)
 
-    def test_injected_arena_violation_flagged(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        lts = [BufferLifetime("x", 64, 0, 5, slab=0),
-               BufferLifetime("y", 64, 3, 8, slab=0)]
-        report = lint_stream(records, model, lifetimes=lts)
-        alias = [f for f in report.errors if f.check == "arena-alias"]
-        assert alias and "x" in alias[0].detail and "y" in alias[0].detail
 
+# -------------------------------------------------------------- touched bytes
 
-# ------------------------------------------------------------ arena lifetimes
+class TestTouchedBytes:
+    # (six other configs, ours-4f): what the arena model removed after
+    # 260888b reported as its peak -- and as its plain sum -- on the
+    # static gate's two workloads
+    PINNED = {"2d": (WL2D, 218_016, 121_248),
+              "3d": (WL3D, 26_535_552, 14_706_304)}
 
-class TestArena:
-    def test_disjoint_lifetimes_share_a_slab(self):
-        lts = arena_assign([BufferLifetime("a", 100, 0, 3),
-                            BufferLifetime("b", 80, 5, 9)])
-        assert lts[0].slab == lts[1].slab
-        assert arena_check(lts) == []
-        assert arena_peak_bytes(lts) == 100
+    @pytest.mark.parametrize("dim", PINNED)
+    def test_pinned_on_the_static_gate_workloads(self, dim):
+        wl, others, case = self.PINNED[dim]
+        for config in ALL:
+            records, model = plan_stream(config, wl, steps=2)
+            assert lint_stream(records, model).touched_bytes == (
+                case if config is FUSED_FULL else others), config.name
 
-    def test_overlapping_lifetimes_get_distinct_slabs(self):
-        lts = arena_assign([BufferLifetime("a", 100, 0, 6),
-                            BufferLifetime("b", 80, 5, 9)])
-        assert lts[0].slab != lts[1].slab
-        assert arena_peak_bytes(lts) == 180
-
-    def test_undersized_slab_not_reused(self):
-        # the freed slab is too small for the second buffer
-        lts = arena_assign([BufferLifetime("small", 10, 0, 1),
-                            BufferLifetime("big", 100, 3, 5)])
-        assert lts[0].slab != lts[1].slab
-
-    def test_arena_check_catches_bad_assignment(self):
-        bad = [BufferLifetime("a", 10, 0, 5, slab=0),
-               BufferLifetime("b", 10, 2, 7, slab=0)]
-        problems = arena_check(bad)
-        assert problems and "aliases" in problems[0]
-
-    def test_unassigned_lifetime_reported(self):
-        assert arena_check([BufferLifetime("a", 10, 0, 5)]) \
-            == ["buffer a has no slab assignment"]
-
-    def test_lifetimes_merge_fghost_into_fstar(self):
+    def test_fghost_is_counted_with_its_fstar(self):
         records, model = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
-        flat = [(i, a) for i, accs in model.access_map(records).items()
-                for a in accs if a.field is not None and a.hi > a.lo]
-        names = {lt.name for lt in build_lifetimes(model, flat)}
-        assert not any(n.startswith("fghost") for n in names)
+        touched = {a.field for accs in model.access_map(records).values()
+                   for a in accs if a.field is not None and a.hi > a.lo}
+        ghost = {ref for ref in touched if ref.name == "fghost"}
+        assert ghost
+        assert all(FieldRef("fstar", ref.level) in touched for ref in ghost)
+        assert lint_stream(records, model).touched_bytes == sum(
+            model.field_nbytes(ref) for ref in touched - ghost)
+
+    def test_run_metrics_gauge_reads_it(self):
+        from repro.obs.metrics import run_metrics
+        wl = lid_cavity(**WL2D)
+        sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL))
+        sim.run(1)
+        assert run_metrics(sim)["arena_peak_bytes"].value == 121_248
 
 
 # --------------------------------------------------------------- certificates
@@ -430,6 +407,7 @@ class TestCertificates:
         path = write_certificate(cert, tmp_path / "certs" / "c.json")
         loaded = load_certificate(path)
         assert loaded == cert
+        assert "arena" not in loaded
         assert validate_certificate(loaded, records) == []
         assert loaded["version"] == CERTIFICATE_VERSION
         assert loaded["legality"]["verdict"] == "legal"
@@ -478,7 +456,7 @@ class TestStaticCLI:
         assert rep["verdict"] == "legal"
         assert rep["lint_errors"] == []
         assert rep["certificate_problems"] == []
-        assert rep["aa_bytes_saved"] > 0
+        assert rep["touched_bytes"] == 121_248
         assert load_certificate(rep["certificate"])["config"] == "ours-4f"
 
     def test_cli_static_single_config(self, capsys):
