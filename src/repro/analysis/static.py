@@ -598,7 +598,6 @@ def check_contraction(base_records: Sequence[KernelRecord],
         return 0, len(fused_pos), cex
 
     # -- happens-before on every conflicting pair -----------------------------
-    import networkx as nx
     g = build_dependency_graph(list(fused_records), reduce=False)
     descendants: dict[int, set[int]] = {}
     pairs = 0
@@ -613,7 +612,7 @@ def check_contraction(base_records: Sequence[KernelRecord],
                 "both map into one fused kernel but the body order is reversed")
         else:
             if fi not in descendants:
-                descendants[fi] = set(nx.descendants(g, fi))
+                descendants[fi] = g.descendants(fi)
             if fj in descendants[fi]:
                 continue
             reason, detail = "unordered", (

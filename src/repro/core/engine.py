@@ -647,34 +647,28 @@ class Engine:
     def health_scan(self):
         """Yield a per-level numerical-health snapshot (owned cells only).
 
-        Each item carries the rows whose ``f``/``fstar`` populations are
-        non-finite (with one offending value per row, for diagnostics),
-        plus density and velocity magnitude.  Consumed by the
-        observability watchdog (:mod:`repro.obs.watchdog`); kept on the
-        engine because only it knows the buffer/row layout.
+        Each item carries the rows whose ``f`` populations are non-finite
+        (with one offending value per row, for diagnostics), plus density
+        and velocity magnitude.  Only ``f`` crosses a coarse step, so
+        ``fstar`` is not scanned; a non-finite population makes its
+        column's rho non-finite, so one moment product finds the rows.
+        Consumed by the observability watchdog (:mod:`repro.obs.watchdog`);
+        kept on the engine because only it knows the buffer/row layout.
         """
         for lv, buf in enumerate(self.levels):
-            n = buf.n_owned
-            scan: dict = {}
-            healthy = True
-            for fname in ("f", "fstar"):
-                arr = getattr(buf, fname)[:, :n]
-                finite = np.isfinite(arr)
-                bad = np.nonzero(~finite.all(axis=0))[0]
-                scan[f"nonfinite_{fname}"] = bad
-                if bad.size:
-                    healthy = False
-                    first_q = np.argmax(~finite[:, bad], axis=0)
-                    scan[f"{fname}_values"] = arr[first_q, bad]
-                else:
-                    scan[f"{fname}_values"] = arr[:0, 0]
-            if healthy:
-                rho, u = self.macroscopics(lv)
-                scan["rho"] = rho
-                scan["umag"] = np.sqrt((u * u).sum(axis=0))
-            else:  # moments of non-finite populations are meaningless
-                scan["rho"] = np.empty(0)
-                scan["umag"] = np.empty(0)
+            f = buf.f[:, :buf.n_owned]
+            m = self.lat.moments[:1 + self.lat.d] @ f
+            bad = np.nonzero(~np.isfinite(m[0]))[0]
+            first_q = np.argmax(~np.isfinite(f[:, bad]), axis=0)
+            scan = {"nonfinite": bad, "values": f[first_q, bad]}
+            if bad.size:  # moments of non-finite populations are meaningless
+                scan["rho"] = scan["umag"] = np.empty(0)
+            else:
+                if self.force[lv] is not None:
+                    m[1:] += 0.5 * self.force[lv][:, None]
+                m[1:] /= m[0]
+                scan["rho"] = m[0]
+                scan["umag"] = np.sqrt((m[1:] * m[1:]).sum(axis=0))
             yield scan
 
     # -- observables -------------------------------------------------------------

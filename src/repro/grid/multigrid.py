@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from ..core.lattice import Lattice
 from . import kinds
@@ -148,16 +147,22 @@ def _dilate(mask: np.ndarray, radius: int,
     neighbours x=N-1), so ghost layers and the level-jump validation must
     see the wrapped adjacency.  A Chebyshev ball is the Minkowski sum of
     one segment per axis, so ``d`` running maxima of width ``2r + 1``
-    replace one pass over a ``(2r + 1)^d`` footprint.
+    replace one pass over a ``(2r + 1)^d`` footprint; each is the OR of
+    the ``2r + 1`` shifted slices of a copy padded by ``r`` along its axis.
     """
     if not mask.any():
         return mask.copy()
-    out = mask.view(np.uint8)
-    for axis in range(mask.ndim):
+    out = mask
+    for axis, n in enumerate(mask.shape):
         wrap = periodic is not None and periodic[axis]
-        out = ndimage.maximum_filter1d(out, 2 * radius + 1, axis=axis,
-                                       mode="wrap" if wrap else "constant")
-    return out.view(bool)
+        pad = [(radius, radius) if a == axis else (0, 0)
+               for a in range(mask.ndim)]
+        padded = np.pad(out, pad, mode="wrap" if wrap else "constant")
+        lead = (slice(None),) * axis
+        out = padded[lead + (slice(0, n),)].copy()
+        for k in range(1, 2 * radius + 1):
+            out |= padded[lead + (slice(k, k + n),)]
+    return out
 
 
 def _validate_spec(spec: RefinementSpec) -> None:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-import networkx as nx
-
 from .runtime import FieldRef, KernelRecord
 
 #: Observed or statically inferred accesses per record index.  Values
@@ -32,12 +30,95 @@ from .runtime import FieldRef, KernelRecord
 #: ``field``/``kind``/``lo``/``hi`` attributes.
 AccessMap = Mapping[int, Sequence[Any]]
 
-__all__ = ["ConflictPair", "build_dependency_graph", "graph_stats",
+__all__ = ["ConflictPair", "KernelDAG", "build_dependency_graph", "graph_stats",
            "iter_conflict_pairs", "schedule_records", "schedule_waves",
            "stream_assignment"]
 
 _ATOMIC = "atomic"
 _META = "meta"
+
+
+class _Nodes(dict):
+    """``g.nodes``: ``nodes[i]`` is node ``i``'s attribute dict, iteration
+    yields the indices and ``nodes(data=True)`` the ``(i, attrs)`` pairs."""
+
+    def __call__(self, data: bool = False) -> list:
+        return list(self.items()) if data else list(self)
+
+
+class KernelDAG:
+    """Dependency DAG over a kernel stream, as adjacency dicts.
+
+    Nodes are record indices and every edge runs from an earlier record
+    to a later one (:meth:`add_edge` asserts ``u < v``), so the graph is
+    acyclic by construction and index order is a topological order.
+    """
+
+    def __init__(self) -> None:
+        self.nodes = _Nodes()
+        self._succ: dict[int, dict[int, dict[str, Any]]] = {}
+
+    def add_node(self, n: int, **attrs: Any) -> None:
+        """Add node ``n`` (or update its attributes)."""
+        self.nodes.setdefault(n, {}).update(attrs)
+        self._succ.setdefault(n, {})
+
+    def add_edge(self, u: int, v: int, **attrs: Any) -> None:
+        """Add edge ``u -> v`` (or update its attributes)."""
+        assert u < v, f"edge {u} -> {v} runs against program order"
+        self.add_node(u)
+        self.add_node(v)
+        self._succ[u].setdefault(v, {}).update(attrs)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """True when ``u -> v`` is an edge."""
+        return v in self._succ.get(u, ())
+
+    def out_edges(self, n: int) -> list[tuple[int, int]]:
+        """The edges ``(n, v)`` leaving ``n``."""
+        return [(n, v) for v in self._succ[n]]
+
+    def edges(self, data: bool = False) -> list[tuple]:
+        """All edges as ``(u, v)``, or ``(u, v, attrs)`` with ``data``."""
+        return [(u, v, d) if data else (u, v)
+                for u, succ in self._succ.items() for v, d in succ.items()]
+
+    def number_of_nodes(self) -> int:
+        """Node count."""
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        """Edge count."""
+        return sum(map(len, self._succ.values()))
+
+    def descendants(self, n: int) -> set[int]:
+        """Every node reachable from ``n`` (``n`` itself excluded)."""
+        seen: set[int] = set()
+        stack = [n]
+        while stack:
+            new = self._succ[stack.pop()].keys() - seen
+            seen |= new
+            stack.extend(new)
+        return seen
+
+    def transitive_reduction(self) -> KernelDAG:
+        """The same nodes, without the edges another path implies.
+
+        ``u -> v`` goes when ``v`` is reachable from another successor of
+        ``u``; surviving edges keep their attributes.
+        """
+        tr = KernelDAG()
+        for n, attrs in self.nodes.items():
+            tr.add_node(n, **attrs)
+        reach: dict[int, set[int]] = {}
+        for u in sorted(self.nodes, reverse=True):
+            succ = self._succ[u]
+            implied = set().union(*(reach[v] for v in succ))
+            for v, d in succ.items():
+                if v not in implied:
+                    tr.add_edge(u, v, **d)
+            reach[u] = implied | succ.keys()
+        return tr
 
 
 def _access_overlap(a: Any, b: Any) -> bool:
@@ -155,7 +236,7 @@ def iter_conflict_pairs(records: Sequence[KernelRecord],
 def build_dependency_graph(records: list[KernelRecord],
                            reduce: bool = True,
                            access_map: AccessMap | None = None,
-                           ) -> nx.DiGraph:
+                           ) -> KernelDAG:
     """DAG over a kernel trace; node ``i`` is ``records[i]``.
 
     Node attributes: ``label`` (e.g. ``"S1"`` — kernel initial + level, the
@@ -165,7 +246,7 @@ def build_dependency_graph(records: list[KernelRecord],
     list, e.g. :attr:`repro.neon.runtime.Runtime.captured`) switches edge
     construction to row-interval granularity — see the module docstring.
     """
-    g = nx.DiGraph()
+    g = KernelDAG()
     for i, r in enumerate(records):
         g.add_node(i, label=f"{r.name}{r.level}", name=r.name, level=r.level)
     if access_map is None:
@@ -208,23 +289,17 @@ def build_dependency_graph(records: list[KernelRecord],
                 readers.setdefault(ref, []).append(i)
             for ref in r.writes:
                 writers.setdefault(ref, []).append(i)
-    if reduce and g.number_of_edges():
-        tr = nx.transitive_reduction(g)
-        tr.add_nodes_from(g.nodes(data=True))
-        return tr
-    return g
+    return g.transitive_reduction() if reduce else g
 
 
-def schedule_waves(g: nx.DiGraph) -> list[list[int]]:
+def schedule_waves(g: KernelDAG) -> list[list[int]]:
     """Partition kernels into maximal concurrent waves (ASAP schedule).
 
     Consecutive waves are separated by one device synchronisation; the
     number of waves is therefore the synchronisation count of the step.
     """
-    if g.number_of_nodes() == 0:
-        return []
     depth = {n: 0 for n in g.nodes}
-    for n in nx.topological_sort(g):
+    for n in sorted(depth):  # index order is a topological order
         for _, m in g.out_edges(n):
             depth[m] = max(depth[m], depth[n] + 1)
     waves: dict[int, list[int]] = {}
@@ -248,7 +323,7 @@ def schedule_records(records: list[KernelRecord],
         build_dependency_graph(records, reduce=False, access_map=access_map))
 
 
-def stream_assignment(g: nx.DiGraph) -> dict[int, tuple[int, int]]:
+def stream_assignment(g: KernelDAG) -> dict[int, tuple[int, int]]:
     """Map each node to its ``(wave, stream)`` slot in the ASAP schedule.
 
     Kernels of one wave run concurrently, one per stream; the stream index
@@ -263,7 +338,7 @@ def stream_assignment(g: nx.DiGraph) -> dict[int, tuple[int, int]]:
     return out
 
 
-def graph_stats(g: nx.DiGraph) -> dict[str, int | float]:
+def graph_stats(g: KernelDAG) -> dict[str, int | float]:
     """Kernel count, dependency edges, depth (syncs) and mean width."""
     waves = schedule_waves(g)
     n = g.number_of_nodes()

@@ -11,7 +11,8 @@ the run leaves its envelope, instead of letting it run to completion.
 
 Checks, per level, on the owned cells:
 
-* **finiteness** of the population buffers ``f`` and ``fstar``;
+* **finiteness** of the populations ``f`` (the whole state between
+  coarse steps; ``fstar`` is scratch that is rewritten before it is read);
 * **density bounds**: ρ inside ``rho_bounds`` (LBM works near ρ = 1);
 * **velocity bound**: |u| below ``max_velocity`` (default c_s = 1/√3,
   the incompressibility/stability envelope).
@@ -122,11 +123,9 @@ class HealthWatchdog:
         step = self.sim.steps_done
         levels = []
         for lv, scan in enumerate(self.sim.engine.health_scan()):
-            for fname in ("f", "fstar"):
-                bad = scan[f"nonfinite_{fname}"]
-                if bad.size:
-                    self._raise(step, lv, fname, "non-finite",
-                                bad, scan[f"{fname}_values"])
+            if scan["nonfinite"].size:
+                self._raise(step, lv, "f", "non-finite",
+                            scan["nonfinite"], scan["values"])
             rho, u = scan["rho"], scan["umag"]
             lo, hi = self.rho_bounds
             out = np.nonzero((rho < lo) | (rho > hi))[0]

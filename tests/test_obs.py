@@ -285,23 +285,38 @@ class TestWatchdog:
         assert wd.last_report["status"] == "ok"
         assert wd.last_report["levels"][0]["rho_max"] >= 1.0
 
-    def test_nan_in_fstar_mid_run_fires_with_level_and_step(self):
+    @staticmethod
+    def _run_sabotaged(field):
+        """Four watched steps with a NaN put into ``field`` after step 2."""
         sim = small_sim()
         sim.enable_tracing()
         wd = HealthWatchdog(sim, every=1, last_n_spans=4)
 
         def sabotage_then_check(stepper):
-            if stepper.steps_done == 2:
-                sim.engine.levels[1].fstar[0, 5] = np.nan
+            if field is not None and stepper.steps_done == 2:
+                getattr(sim.engine.levels[1], field)[0, 5] = np.nan
             wd.callback(stepper)
 
+        sim.run(4, callback=sabotage_then_check)
+        return sim, wd
+
+    def test_nan_in_fstar_at_step_boundary_does_not_trip(self):
+        # fstar is dead between coarse steps (tests/test_live_state.py):
+        # a value nothing will read is not a divergence.
+        from repro.serve.state import state_digest
+        clean, _ = self._run_sabotaged(None)
+        poisoned, wd = self._run_sabotaged("fstar")
+        assert wd.checks_run == 4 and wd.last_report["status"] == "ok"
+        assert state_digest(poisoned) == state_digest(clean)
+
+    def test_nan_in_f_mid_run_fires_with_level_and_step(self):
         with pytest.raises(SimulationDiverged) as exc:
-            sim.run(4, callback=sabotage_then_check)
+            self._run_sabotaged("f")
         p = exc.value.payload
         assert exc.value.level == 1 and p["level"] == 1
         assert exc.value.step == 2 and p["step"] == 2
-        assert p["field"] == "fstar" and p["reason"] == "non-finite"
-        assert p["cells"] == [5]
+        assert p["field"] == "f" and p["reason"] == "non-finite"
+        assert p["cells"] == [5] and p["values"] == [None]
         assert len(p["spans"]) == 4          # diagnostic dump of last spans
         assert p["positions"]                # offending cell coordinates
 

@@ -172,3 +172,61 @@ def test_any_config_any_steps_mass_bounded(config_name, steps):
     sim.run(steps)
     assert sim.is_stable()
     assert abs(sim.engine.total_mass() - m0) / m0 < 1e-4
+
+
+# -- independent oracles for what replaced networkx and scipy.ndimage ---------
+
+@st.composite
+def forward_dag(draw):
+    """Edges ``u < v`` over at most 40 nodes, with a ``dep`` attribute each."""
+    n = draw(st.integers(1, 40))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=120))
+    deps = draw(st.lists(st.sampled_from(["raw", "war", "waw"]),
+                         min_size=len(edges), max_size=len(edges)))
+    return n, [(min(e), max(e), dep) for e, dep in zip(edges, deps)]
+
+
+@given(forward_dag())
+@settings(max_examples=100, deadline=None)
+def test_kernel_dag_matches_networkx(dag):
+    nx = pytest.importorskip("networkx")
+    from repro.neon.graph import KernelDAG, schedule_waves
+    n, edges = dag
+    ours, ref = KernelDAG(), nx.DiGraph()
+    for g in (ours, ref):
+        for i in range(n):
+            g.add_node(i, label=f"K{i}")
+        for u, v, dep in edges:
+            g.add_edge(u, v, dep=dep)
+    assert sorted(ours.edges(data=True)) == sorted(ref.edges(data=True))
+    assert ours.nodes(data=True) == list(ref.nodes(data=True))
+    for i in range(n):
+        assert ours.descendants(i) == nx.descendants(ref, i)
+        assert ours.out_edges(i) == list(ref.out_edges(i))
+    reduced = ours.transitive_reduction()
+    assert sorted(reduced.edges()) == sorted(nx.transitive_reduction(ref).edges())
+    assert all(d == ref.edges[u, v] for u, v, d in reduced.edges(data=True))
+    assert reduced.nodes(data=True) == ours.nodes(data=True)
+    # the ASAP waves are the topological generations, redundant edges or not
+    waves = [sorted(gen) for gen in nx.topological_generations(ref)]
+    assert schedule_waves(ours) == schedule_waves(reduced) == waves
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dilate_matches_ndimage(data):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    from repro.grid.multigrid import _dilate
+    shape = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    mask = data.draw(arrays(bool, tuple(shape)))
+    radius = data.draw(st.integers(1, 4))
+    periodic = data.draw(st.lists(st.booleans(), min_size=len(shape),
+                                  max_size=len(shape)))
+    ref = mask.view(np.uint8)
+    for axis, wrap in enumerate(periodic):
+        ref = ndimage.maximum_filter1d(ref, 2 * radius + 1, axis=axis,
+                                       mode="wrap" if wrap else "constant")
+    got = _dilate(mask, radius, periodic)
+    assert got.dtype == np.bool_ and np.array_equal(got, ref.view(bool))
+    assert got is not mask
