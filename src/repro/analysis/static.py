@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,11 +53,47 @@ if TYPE_CHECKING:
     from ..core.engine import Engine, LevelBuffers
 
 __all__ = [
-    "StaticAccess", "AccessModel", "plan_stream",
+    "EntrySet", "StaticAccess", "AccessModel", "plan_stream",
     "verify_static", "superset_findings",
     "Counterexample", "LegalityProof", "check_contraction",
     "prove_fusion_legality", "swap_declaration", "seeded_illegal_proof",
 ]
+
+
+class EntrySet:
+    """An exact set of entry ids: one sorted, unique, read-only int32 array.
+
+    int32 holds any id: the grid compile refuses ``Q * n_used >= 2**31``.
+    Duplicates go by a sort and an adjacent-difference mask — ``np.unique``
+    takes a hash path on NumPy 2.4 that costs more than the sort.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: Any) -> None:
+        ids = np.sort(np.asarray(ids, dtype=np.int32), axis=None)
+        keep = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+        self.ids: np.ndarray = ids[keep]
+        self.ids.flags.writeable = False
+
+    def __len__(self) -> int:
+        return int(self.ids.size)
+
+    def __eq__(self, other: object) -> bool:
+        return (self is other or isinstance(other, EntrySet)
+                and np.array_equal(self.ids, other.ids))
+
+    def __hash__(self) -> int:
+        return hash(self.ids.tobytes())
+
+    def isdisjoint(self, other: "EntrySet") -> bool:
+        """True when no id is in both sets: the smaller searched in the larger."""
+        if other is self:
+            return not self.ids.size
+        small, big = sorted((self.ids, other.ids), key=len)
+        at = np.searchsorted(big, small).clip(max=big.size - 1)
+        return not np.any(big[at] == small)
 
 
 @dataclass(frozen=True)
@@ -78,7 +114,7 @@ class StaticAccess:
     lo: int
     hi: int
     nbytes: int
-    entries: frozenset[int] | None = None
+    entries: EntrySet | None = None
 
     def covers(self, lo: int, hi: int) -> bool:
         """True when ``[lo, hi)`` lies inside this access's interval."""
@@ -120,28 +156,24 @@ def _split_spans(arrays: Iterable[np.ndarray], n: int,
     return spans, n_high
 
 
-def _entries(qs: np.ndarray, rows: np.ndarray, width: int) -> frozenset[int]:
-    """Exact entry ids of a ``(q, row)`` patch in a ``(Q, width)`` buffer."""
-    return frozenset((np.asarray(qs, dtype=np.int64) * width
-                      + np.asarray(rows, dtype=np.int64)).tolist())
+_T = TypeVar("_T")
 
 
-def _once_per_model(builder: Callable[..., list[StaticAccess]],
-                    ) -> Callable[..., tuple[StaticAccess, ...]]:
-    """Compute a geometry-only access builder once per model and arguments.
+def _once_per_model(builder: Callable[..., _T]) -> Callable[..., _T]:
+    """Compute a geometry-only builder once per model and arguments.
 
     The builders below are pure functions of a level's index maps, which
     are immutable once the engine is initialised; a stream asks for the
     same few answers once per record.  The memo lives on the
     :class:`AccessModel` instance and dies with it; results are tuples
-    of frozen :class:`StaticAccess`, so callers cannot alter them.
+    of frozen :class:`StaticAccess` or an :class:`EntrySet`, so callers
+    cannot alter them.
     """
     @functools.wraps(builder)
-    def cached(self: "AccessModel", *args: Any,
-               **kw: Any) -> tuple[StaticAccess, ...]:
+    def cached(self: "AccessModel", *args: Any, **kw: Any) -> _T:
         key = (builder.__name__, args, tuple(sorted(kw.items())))
         if key not in self._memo:
-            self._memo[key] = tuple(builder(self, *args, **kw))
+            self._memo[key] = builder(self, *args, **kw)
         return self._memo[key]
     return cached
 
@@ -160,7 +192,7 @@ class AccessModel:
         self.engine = engine
         self.q: int = engine.lat.q
         self.itemsize: int = engine.itemsize
-        self._memo: dict[tuple[Any, ...], tuple[StaticAccess, ...]] = {}
+        self._memo: dict[tuple[Any, ...], Any] = {}
 
     # -- geometry helpers ----------------------------------------------------
     def _buf(self, lv: int) -> "LevelBuffers":
@@ -231,7 +263,7 @@ class AccessModel:
         return out
 
     @_once_per_model
-    def _stream_reads(self, lv: int) -> list[StaticAccess]:
+    def _stream_reads(self, lv: int) -> tuple[StaticAccess, ...]:
         """The ``fstar`` gather, split owned/fine-ghost like the tracer."""
         buf = self._buf(lv)
         Q, i, n = self.q, self.itemsize, buf.n_owned
@@ -239,34 +271,41 @@ class AccessModel:
         per_val = (Q * i * n) / nvals if nvals else 0.0
         spans, n_ghost_vals = _split_spans(
             iter_pull_rows(buf.pull_flat, buf.n_used), n)
-        return [StaticAccess(FieldRef(name, lv), READ, *span, round(per_val * nv))
-                for name, span, nv in zip(("fstar", "fghost"), spans,
-                                          (nvals - n_ghost_vals, n_ghost_vals))
-                if span is not None]
+        return tuple(StaticAccess(FieldRef(name, lv), READ, *span, round(per_val * nv))
+                     for name, span, nv in zip(("fstar", "fghost"), spans,
+                                               (nvals - n_ghost_vals, n_ghost_vals))
+                     if span is not None)
 
     @_once_per_model
-    def _explode(self, lv: int, from_ghost: bool, subsumed: bool) -> list[StaticAccess]:
+    def _patch(self, lv: int, rows: str) -> EntrySet:
+        """Entry ids ``q * width + row`` of Explosion's ``f`` write
+        (``rows="exp_cell"``), Coalescence's ``gacc`` read (``"coal_src"``)
+        or ``f`` write (``"coal_cell"``): one object every access shares."""
+        buf = self._buf(lv)
+        qs = buf.exp_q if rows == "exp_cell" else buf.coal_q
+        width = buf.ghost_acc.shape[1] if rows == "coal_src" else buf.n_used
+        return EntrySet(np.asarray(qs, dtype=np.int64) * width + getattr(buf, rows))
+
+    @_once_per_model
+    def _explode(self, lv: int, from_ghost: bool, subsumed: bool) -> tuple[StaticAccess, ...]:
         buf = self._buf(lv)
         m = buf.exp_q.size
         if m == 0:
-            return []
+            return ()
         i = self.itemsize
-        out: list[StaticAccess] = []
         if from_ghost:
             lo, hi = _span(buf.exp_ghost_rows)
-            out.append(StaticAccess(FieldRef("fghost", lv), READ, lo, hi, i * m))
+            read = StaticAccess(FieldRef("fghost", lv), READ, lo, hi, i * m)
         else:
             lo, hi = _span(buf.exp_rows)
-            out.append(StaticAccess(FieldRef("fstar", lv - 1), READ, lo, hi, i * m))
+            read = StaticAccess(FieldRef("fstar", lv - 1), READ, lo, hi, i * m)
         lo, hi = _span(buf.exp_cell)
-        out.append(StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
-                                0 if subsumed else i * m,
-                                entries=_entries(buf.exp_q, buf.exp_cell,
-                                                 buf.n_used)))
-        return out
+        return (read, StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
+                                   0 if subsumed else i * m,
+                                   entries=self._patch(lv, "exp_cell")))
 
     @_once_per_model
-    def _coalesce(self, lv: int, subsumed: bool) -> list[StaticAccess]:
+    def _coalesce(self, lv: int, subsumed: bool) -> tuple[StaticAccess, ...]:
         buf = self._buf(lv)
         i = self.itemsize
         ng = buf.ghost_acc.shape[1]
@@ -275,16 +314,15 @@ class AccessModel:
             m = buf.coal_q.size
             lo, hi = _span(buf.coal_src)
             out.append(StaticAccess(FieldRef("gacc", lv), READ, lo, hi, i * m,
-                                    entries=_entries(buf.coal_q, buf.coal_src, ng)))
+                                    entries=self._patch(lv, "coal_src")))
             lo, hi = _span(buf.coal_cell)
             out.append(StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
                                     0 if subsumed else i * m,
-                                    entries=_entries(buf.coal_q, buf.coal_cell,
-                                                     buf.n_used)))
+                                    entries=self._patch(lv, "coal_cell")))
         if ng:
             out.append(StaticAccess(FieldRef("gacc", lv), WRITE, 0, ng,
                                     i * int(buf.ghost_acc.size)))
-        return out
+        return tuple(out)
 
     def _explosion_copy(self, lv: int) -> list[StaticAccess]:
         buf = self._buf(lv)

@@ -36,6 +36,7 @@ import json
 import os
 import tempfile
 import zipfile
+from typing import IO, Callable
 
 import numpy as np
 
@@ -80,20 +81,21 @@ def _payload(sim: Simulation) -> dict[str, np.ndarray]:
     return payload
 
 
-def _atomic_write_npz(path: str, payload: dict[str, np.ndarray]) -> None:
-    """Write ``payload`` so ``path`` only ever holds a complete archive.
+def _atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> None:
+    """Write a file through ``write(fh)`` so ``path`` only ever holds it whole.
 
     The bytes go to a temp file in the same directory (same filesystem,
-    so the final ``os.replace`` is atomic); a process dying mid-write
-    leaves only the temp file, never a truncated checkpoint under the
-    real name.
+    so the final ``os.replace`` is atomic) and are ``fsync``-ed before
+    the rename; a process dying mid-write leaves only the temp file,
+    never a truncated file under the real name, and a failed write
+    removes the temp file.
     """
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
                                suffix=".tmp", dir=dirname)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **payload)
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -107,7 +109,8 @@ def _atomic_write_npz(path: str, payload: dict[str, np.ndarray]) -> None:
 
 def save_checkpoint(sim: Simulation, path: str) -> None:
     """Write the live engine state to ``path`` (``.npz``), atomically."""
-    _atomic_write_npz(path, _payload(sim))
+    payload = _payload(sim)
+    _atomic_write(path, lambda fh: np.savez(fh, **payload))
 
 
 def _load_arrays(path: str) -> dict[str, np.ndarray]:
@@ -118,7 +121,8 @@ def _load_arrays(path: str) -> dict[str, np.ndarray]:
     Materializing everything first makes restore all-or-nothing.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load does not close a file it cannot parse: hand it our handle
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             return {k: data[k] for k in data.files}
     except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError) as exc:
         raise CheckpointError(
@@ -260,7 +264,7 @@ class CheckpointStore:
         """
         step = sim.steps_done
         path = self.path_for(step)
-        _atomic_write_npz(path, _payload(sim))
+        save_checkpoint(sim, path)
         entry = {
             "step": int(step),
             "file": os.path.basename(path),
@@ -304,13 +308,10 @@ class CheckpointStore:
                     pass
 
     def _write_manifest(self, man: dict) -> None:
-        path = os.path.join(self.directory, self.MANIFEST)
-        fd, tmp = tempfile.mkstemp(prefix=self.MANIFEST + ".",
-                                   suffix=".tmp", dir=self.directory)
-        with os.fdopen(fd, "w") as fh:
+        def write(fh: IO) -> None:
             json.dump(man, fh, indent=2)
             fh.write("\n")
-        os.replace(tmp, path)
+        _atomic_write(os.path.join(self.directory, self.MANIFEST), write, "w")
 
     # -- reading -------------------------------------------------------------
     def restore(self, sim: Simulation, step: int | None = None) -> int:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.capture import WRITE
 from repro.analysis.static import plan_stream
+from repro.backend.compiler import admit_stream
 from repro.bench.workloads import lid_cavity
 from repro.core.diagnostics import solid_force
 from repro.core.simulation import Simulation
@@ -222,8 +223,11 @@ def test_anchor_heap_stays_near_the_live_bytes():
     """16^3 x 3 cavity, compiled: 128.7 MiB steady / 155.5 MiB peak before
     the tables were shared and admission and the digest stopped copying;
     90.7 / 102 before Accumulate kept only the entries Coalescence reads
-    and the boundary links moved into the pull table (reads 79.5 / 100.8;
-    the ceilings are that + 5 %)."""
+    and the boundary links moved into the pull table; 80.4 / 101.8 while
+    admission held the exact entry sets as frozensets of Python ints
+    (reads 80.4 / 84.0; the ceilings are that + 5 %).  Admitting the plan
+    again may add at most 4 MiB to the heap it starts from (25.9 MiB with
+    the frozensets, 1.3 MiB with the shared sorted arrays)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     gc.collect()
     tracemalloc.start()
@@ -235,11 +239,16 @@ def test_anchor_heap_stays_near_the_live_bytes():
         sim.run(2)
         gc.collect()
         current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        admit_stream(sim.stepper)
+        _, admit_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     with sim:
-        assert peak <= 106 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert peak <= 88 * MiB, f"peak {peak / MiB:.1f} MiB"
         assert current <= 84 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert admit_peak - current <= 4 * MiB, (
+            f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
         # one (Q, n_owned) integer table per level and no other
         tables = index_tables(sim)
         assert [lv for lv, _ in tables] == list(range(sim.num_levels))

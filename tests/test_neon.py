@@ -196,19 +196,17 @@ class TestIntervalRefinement:
     def test_exact_entry_sets_refine_overlapping_envelopes(self):
         # interleaved scatter patches: same bounding interval, disjoint
         # entries — must not conflict; sharing one entry must
-        from repro.analysis.static import StaticAccess
+        from repro.analysis.static import EntrySet, StaticAccess
 
         def graph(e0, e1):
             records = [rec("W", 0, writes=[F0]), rec("V", 0, writes=[F0])]
-            amap = {0: [StaticAccess(F0, "write", 0, 10, 8,
-                                     entries=frozenset(e0))],
-                    1: [StaticAccess(F0, "write", 0, 10, 8,
-                                     entries=frozenset(e1))]}
+            amap = {i: [StaticAccess(F0, "write", 0, 10, 8, entries=EntrySet(e))]
+                    for i, e in enumerate((e0, e1))}
             return build_dependency_graph(records, reduce=False,
                                           access_map=amap)
 
-        assert graph({0, 2, 4}, {1, 3, 5}).number_of_edges() == 0
-        assert graph({0, 2, 4}, {1, 4, 5}).number_of_edges() == 1
+        assert graph([4, 0, 2], [1, 3, 5, 3]).number_of_edges() == 0
+        assert graph([4, 0, 2], [1, 4, 5]).number_of_edges() == 1
 
 
 class TestDegenerateSchedules:

@@ -13,6 +13,7 @@ Covers the acceptance criteria of the observatory PR:
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,10 @@ from repro.obs.roofline import (DRIFT_WORKLOADS, drift_findings, drift_report,
 from repro.resilience import Fault, FaultInjector, InjectedKernelError
 
 ALL_CONFIGS = (ORIGINAL_BASELINE,) + ABLATION_CONFIGS
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 def small_sim(config=FUSED_FULL):
@@ -177,9 +182,9 @@ class TestHistoryRecords:
         assert len(recs) == 2
         assert all(r["bench"] == "t" for r in recs)
         # The snapshot file is still written alongside.
-        snap = json.load(open(os.path.join(out, "BENCH_T.json"))) \
+        snap = read_json(os.path.join(out, "BENCH_T.json")) \
             if os.path.exists(os.path.join(out, "BENCH_T.json")) \
-            else json.load(open(os.path.join(out, "BENCH_t.json")))
+            else read_json(os.path.join(out, "BENCH_t.json"))
         assert snap["wall_seconds"] == 2.1
 
     def test_append_is_one_unbuffered_o_append_write(self, tmp_path,
@@ -250,7 +255,7 @@ class TestHistoryRecords:
                     os._exit(1)
             pids.append(pid)
         assert all(os.waitpid(pid, 0)[1] == 0 for pid in pids)
-        lines = open(p).read().splitlines()
+        lines = Path(p).read_text().splitlines()
         assert len(lines) == n_proc * n_rec
         for line in lines:
             assert json.loads(line)["labels"]["blob"] == blob
@@ -349,7 +354,7 @@ class TestHistoryCLI:
                              "--json", jpath]) == 0
         out = capsys.readouterr().out
         assert "6 record(s)" in out
-        rep = json.load(open(jpath))
+        rep = read_json(jpath)
         assert rep["records"] == 6
         assert any(f["metric"] == "wall_seconds" for f in rep["findings"])
 
@@ -515,14 +520,12 @@ class TestReportEdgeCases:
         stdout = capsys.readouterr().out
         assert "roofline" in stdout
         assert "stream digest" in stdout
-        rep = json.load(open(
-            os.path.join(out, "report_cavity2d-2lvl_ours-4f.json")))
+        rep = read_json(os.path.join(out, "report_cavity2d-2lvl_ours-4f.json"))
         assert rep["steps"] == 2
         assert rep["certificate"]["stream_digest"]
         assert (rep["metrics"]["arena_peak_bytes"]
                 == rep["lint"]["touched_bytes"] > 0)
-        html = open(
-            os.path.join(out, "report_cavity2d-2lvl_ours-4f.html")).read()
+        html = Path(out, "report_cavity2d-2lvl_ours-4f.html").read_text()
         assert "Roofline" in html
         lines = read_log(os.path.join(out,
                                       "events_cavity2d-2lvl_ours-4f.jsonl"))
@@ -534,7 +537,7 @@ class TestReportEdgeCases:
         sim, rec = traced_run()
         rep = collect_report(sim, rec, workload="w")
         paths = write_report(rep, "w_case", str(tmp_path))
-        loaded = json.load(open(paths["json"]))
+        loaded = read_json(paths["json"])
         assert loaded["workload"] == "w"
         assert loaded["roofline"]["kernels"] == rep.roofline.kernels
-        assert open(paths["html"]).read().startswith("<!doctype html>")
+        assert Path(paths["html"]).read_text().startswith("<!doctype html>")

@@ -151,6 +151,32 @@ def test_bincount_accumulate_matches_add_at(n_ghost, data):
     assert np.allclose(via_bincount, via_add_at, atol=1e-12)
 
 
+# -- exact entry sets ---------------------------------------------------------------
+
+# small ids repeat often, large ones reach the int32 ceiling
+ENTRY_IDS = st.lists(st.integers(1, 40) | st.integers(1, 2 ** 31 - 2), max_size=50)
+
+
+@given(ENTRY_IDS, ENTRY_IDS, st.sampled_from([None, "low", "high"]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_entry_set_agrees_with_python_set(a, b, shared, same):
+    from repro.analysis.static import EntrySet
+    if shared:
+        # disjoint but for one id below (above) every other one
+        b = [i for i in b if i not in set(a)]
+        edge = (min(a + b, default=1) - 1 if shared == "low"
+                else max(a + b, default=0) + 1)
+        a, b = a + [edge], [edge] + b
+    x = EntrySet(a)
+    y = x if same else EntrySet(np.array(b, dtype=np.int64))
+    sa, sb = set(a), set(a) if same else set(b)
+    assert (len(x), len(y)) == (len(sa), len(sb))
+    assert x.ids.tolist() == sorted(sa) and not x.ids.flags.writeable
+    assert (x == y) == (sa == sb)
+    assert x == EntrySet(sorted(sa)) and hash(x) == hash(EntrySet(sorted(sa)))
+    assert x.isdisjoint(y) == y.isdisjoint(x) == sa.isdisjoint(sb)
+
+
 # -- end-to-end schedule property -------------------------------------------------
 
 @given(st.sampled_from(["baseline-4a", "baseline-4b", "fuse-CA", "fuse-SE",

@@ -9,6 +9,7 @@ when a plan backend is selected.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,8 +177,8 @@ class TestCheckpointStore:
         sim.run(2)
         path = str(tmp_path / "ck.npz")
         save_checkpoint(sim, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:len(blob) // 3])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:len(blob) // 3])
         before = state(sim)
         with pytest.raises(CheckpointError) as exc:
             restore_checkpoint(sim, path)
@@ -194,8 +195,8 @@ class TestCheckpointStore:
         good = state(sim)
         sim.run(2)
         newest = store.save(sim)
-        blob = open(newest, "rb").read()
-        open(newest, "wb").write(blob[:100])
+        blob = Path(newest).read_bytes()
+        Path(newest).write_bytes(blob[:100])
         other = Simulation.from_config(cavity_spec(),
                                        cavity_config(threaded=False))
         assert store.restore_latest(other) == 2
@@ -207,7 +208,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "ck")
         sim.run(1)
         p = store.save(sim)
-        open(p, "wb").write(b"junk")
+        Path(p).write_bytes(b"junk")
         with pytest.raises(CheckpointError):
             store.restore_latest(sim)
 
@@ -282,6 +283,35 @@ class TestCheckpointStore:
         leftovers = [n for n in os.listdir(store.directory)
                      if n.endswith(".tmp")]
         assert leftovers == []
+
+    def test_failed_manifest_write_keeps_the_old_manifest(self, tmp_path,
+                                                          monkeypatch):
+        sim = Simulation.from_config(cavity_spec(),
+                                     cavity_config(threaded=False))
+        store = CheckpointStore(tmp_path / "ck")
+        sim.run(1)
+        store.save(sim)
+        manifest = Path(store.directory, CheckpointStore.MANIFEST)
+        before = manifest.read_bytes()
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (synced.append(fd), real_fsync(fd))[1])
+        sim.run(1)
+        store.save(sim)                     # the checkpoint and the manifest
+        assert len(synced) == 2
+        after = manifest.read_bytes()
+        assert after != before
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("json.dump", boom)
+        sim.run(1)
+        with pytest.raises(OSError, match="disk full"):
+            store.save(sim)
+        assert manifest.read_bytes() == after
+        assert not [n for n in os.listdir(store.directory) if n.endswith(".tmp")]
 
 
 # -- the recovery matrix ------------------------------------------------------

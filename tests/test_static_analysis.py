@@ -152,10 +152,13 @@ class TestStaticAccessSets:
 # ------------------------------------------------------ per-model access memo
 
 class UnmemoisedModel(AccessModel):
-    """The three geometry-only builders recomputed on every call."""
+    """The four geometry-only builders recomputed on every call."""
 
     def _stream_reads(self, lv):
         return tuple(AccessModel._stream_reads.__wrapped__(self, lv))
+
+    def _patch(self, lv, rows):
+        return AccessModel._patch.__wrapped__(self, lv, rows)
 
     def _explode(self, lv, from_ghost, subsumed):
         return tuple(AccessModel._explode.__wrapped__(self, lv, from_ghost, subsumed))
@@ -236,6 +239,36 @@ class TestAccessMemo:
         for accesses in first.values():
             accesses.clear()
         assert model.access_map(records) == plain.access_map(records)
+
+    def test_one_entry_set_per_patch_in_an_admission(self, monkeypatch):
+        # the fused stream's E / O parts are subsumed, the baseline stream
+        # prove_plan_legality captures has them standalone: both maps of
+        # one admission hold one entry-set object per patch
+        seen = []
+
+        class Spy(AccessModel):
+            def accesses(self, record):
+                out = super().accesses(record)
+                seen.extend(a for a in out if a.entries is not None)
+                return out
+
+        monkeypatch.setattr("repro.backend.compiler.AccessModel", Spy)
+        wl = lid_cavity(**WL3D)
+        sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL))
+        admit_stream(sim.stepper)
+        patches = {}
+        for a in seen:
+            patches.setdefault((a.field, a.kind, a.entries), []).append(a)
+        # Explosion writes f on levels 1-2, Coalescence reads gacc and
+        # writes f on levels 0-1
+        assert sorted((ref.name, ref.level, kind) for ref, kind, _ in patches) == [
+            ("f", 0, WRITE), ("f", 1, WRITE), ("f", 1, WRITE), ("f", 2, WRITE),
+            ("gacc", 0, READ), ("gacc", 1, READ)]
+        for uses in patches.values():
+            assert len({id(a.entries) for a in uses}) == 1
+            if uses[0].kind == WRITE:
+                # subsumed in the fused map, standalone in the baseline one
+                assert {a.nbytes == 0 for a in uses} == {True, False}
 
     #: Certificate stream digests (EXPERIMENTS.md, "Kernels that do less"),
     #: re-pinned there: A / CA / CASE now declare the bytes of the entries
