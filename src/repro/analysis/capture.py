@@ -10,10 +10,10 @@ the two sides stay independent so :mod:`repro.analysis.verify` can diff
 them.
 
 Row coordinates are the engine's compact row space: rows ``0..n_owned-1``
-are the owned cells of a level, rows ``n_owned..n_used-1`` the fine-ghost
-region of the original baseline.  The engine maps accesses to the ghost
-region of ``fstar`` onto the logical ``fghost`` field, matching how the
-declarations name it.
+are the owned cells of a level — all of ``f`` and ``fstar``, both
+``(Q, n_owned)`` — and rows ``n_owned..n_used-1`` the fine-ghost region of
+the original baseline, the ``fghost`` field, which the engine allocates
+for that layout alone (column ``r - n_owned`` holds row ``r``).
 """
 
 from __future__ import annotations

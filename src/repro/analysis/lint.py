@@ -207,8 +207,9 @@ def _touched_bytes(model: AccessModel,
                    flat: list[tuple[int, StaticAccess]]) -> int:
     """Bytes of the allocations the stream touches.
 
-    ``fghost`` rows physically live in the tail of the ``fstar``
-    allocation, so touching either counts the whole ``fstar`` once.
+    In the priced GPU layout ``fghost`` rows are the tail of the
+    ``fstar`` allocation, so touching either counts the whole ``fstar``
+    once.
     Untouched buffers are not counted — the droppable-buffer check
     reports those.
     """

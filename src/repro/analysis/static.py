@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,7 +63,8 @@ __all__ = [
 class EntrySet:
     """An exact set of entry ids: one sorted, unique, read-only int32 array.
 
-    int32 holds any id: the grid compile refuses ``Q * n_used >= 2**31``.
+    int32 holds any id: the grid compile refuses ``Q * n_used >= 2**31``
+    (``n_used``: the owned rows plus the 4a layout's fine-ghost rows).
     Duplicates go by a sort and an adjacent-difference mask — ``np.unique``
     takes a hash path on NumPy 2.4 that costs more than the sort.
     """
@@ -132,30 +133,6 @@ def _span(rows: np.ndarray) -> tuple[int, int]:
     return (int(rows.min()), int(rows.max()) + 1)
 
 
-def _split_spans(arrays: Iterable[np.ndarray], n: int,
-                 ) -> tuple[list[tuple[int, int] | None], int]:
-    """Span of the rows ``< n`` and of the rows ``>= n`` in ``arrays``
-    (``None``: no such row), and how many rows are ``>= n``, by masked
-    reductions over each array as it comes (it may be a scratch the next
-    one overwrites): the pull table is a level's largest and is not copied."""
-    spans: list[tuple[int, int] | None] = [None, None]
-    n_high = 0
-    for rows in arrays:
-        info, high = np.iinfo(rows.dtype), rows >= n
-        here = int(np.count_nonzero(high))
-        n_high += here
-        # all on one side (every table the grid compile emits): no mask
-        sides = (((0, ~high), (1, high)) if 0 < here < rows.size
-                 else ((int(here > 0), True),))
-        for side, mask in sides:
-            lo = int(rows.min(where=mask, initial=info.max))
-            hi = int(rows.max(where=mask, initial=info.min)) + 1
-            if lo < hi:
-                old = spans[side] or (lo, hi)
-                spans[side] = (min(lo, old[0]), max(hi, old[1]))
-    return spans, n_high
-
-
 _T = TypeVar("_T")
 
 
@@ -206,11 +183,13 @@ class AccessModel:
         return self._buf(lv).exp_q.size > 0
 
     def field_nbytes(self, ref: FieldRef) -> int:
-        """Allocated bytes of the buffer backing ``ref``.
+        """Bytes the GPU allocation model prices for the buffer backing ``ref``.
 
-        ``fghost`` rows live in the tail of the ``fstar`` allocation
-        (rows ``n_owned..n_used``); they are reported separately so the
-        lint pass can see both regions, but share one allocation.
+        On the device both population buffers span the row space
+        ``n_used`` and ``fghost`` is the tail of ``fstar`` (rows
+        ``n_owned..n_used``), reported separately so the lint pass can
+        see both regions.  The engine stores only what it addresses:
+        ``(Q, n_owned)`` buffers and a separate ``fghost`` under 4a.
         """
         buf = self._buf(ref.level)
         if ref.name in ("f", "fstar"):
@@ -264,17 +243,17 @@ class AccessModel:
 
     @_once_per_model
     def _stream_reads(self, lv: int) -> tuple[StaticAccess, ...]:
-        """The ``fstar`` gather, split owned/fine-ghost like the tracer."""
+        """The ``fstar`` gather: the span of the rows the pull table names,
+        one scratch row at a time (the table is a level's largest)."""
         buf = self._buf(lv)
-        Q, i, n = self.q, self.itemsize, buf.n_owned
-        nvals = buf.pull_flat.size
-        per_val = (Q * i * n) / nvals if nvals else 0.0
-        spans, n_ghost_vals = _split_spans(
-            iter_pull_rows(buf.pull_flat, buf.n_used), n)
-        return tuple(StaticAccess(FieldRef(name, lv), READ, *span, round(per_val * nv))
-                     for name, span, nv in zip(("fstar", "fghost"), spans,
-                                               (nvals - n_ghost_vals, n_ghost_vals))
-                     if span is not None)
+        n = buf.n_owned
+        if not buf.pull_flat.size:
+            return ()
+        lo, hi = n, 0
+        for rows in iter_pull_rows(buf.pull_flat, n):
+            lo, hi = min(lo, int(rows.min())), max(hi, int(rows.max()) + 1)
+        return (StaticAccess(FieldRef("fstar", lv), READ, lo, hi,
+                             self.q * self.itemsize * n),)
 
     @_once_per_model
     def _patch(self, lv: int, rows: str) -> EntrySet:

@@ -18,7 +18,7 @@ Compilation of one coarse step runs in three stages:
    plan is never executed.
 3. **Bind** — each handle is bound once (:func:`bind_bodies`): the
    engine resolves the field views and flat index maps its body needs
-   and proves the pull table's entries inside ``[0, Q * n_used)`` before
+   and proves the pull table's entries inside ``[0, Q * n_owned)`` before
    freezing them, so a replay is the bare closures in a loop.
 
 The bodies are the ones :meth:`~repro.neon.runtime.Runtime.launch` runs

@@ -74,8 +74,9 @@ DEFAULT_TIMEOUT = 60.0
 MIN_SHARD_CELLS = 2048
 
 #: Buffer fields of one :class:`~repro.core.engine.LevelBuffers` that
-#: carry mutable simulation state and therefore live in shared memory.
-_SHARED_FIELDS = ("f", "fstar", "ghost_acc")
+#: carry mutable simulation state and therefore live in shared memory
+#: (``fghost`` where the 4a layout allocated it).
+_SHARED_FIELDS = ("f", "fstar", "fghost", "ghost_acc")
 
 
 def default_mp_workers() -> int:
@@ -178,10 +179,11 @@ def _attach_shared(levels, shm, manifest) -> None:
     for lv, fname, shape, off in manifest:
         buf = levels[lv]
         cur = getattr(buf, fname)
-        if cur.shape != tuple(shape):
+        if getattr(cur, "shape", None) != tuple(shape):
             raise ValueError(
                 f"shared-memory manifest mismatch: {fname}@{lv} is "
-                f"{cur.shape}, manifest says {tuple(shape)}")
+                f"{getattr(cur, 'shape', 'unallocated')}, manifest says "
+                f"{tuple(shape)}")
         setattr(buf, fname, np.ndarray(shape, dtype=cur.dtype,
                                        buffer=shm.buf, offset=off))
 
@@ -241,8 +243,10 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         # here would instead strip the parent's own registration.
         shm = shared_memory.SharedMemory(name=setup["shm"])
         engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0)
-        _attach_shared(engine.levels, shm, setup["manifest"])
+        # the stepper allocates what its layout addresses (4a: fghost)
+        # before the parent's layout of the segment is checked against it
         stepper = NonUniformStepper(engine, setup["fusion"])
+        _attach_shared(engine.levels, shm, setup["manifest"])
         plans: dict[int, tuple[int, list]] = {}
         conn.send(("ready", worker_id, None))
         while True:
@@ -459,20 +463,20 @@ class MultiprocessBackend:
     # -- shared-memory arena ---------------------------------------------------
     def _build_arena(self, engine) -> None:
         from multiprocessing import shared_memory
-        total = sum(getattr(buf, f).nbytes
-                    for buf in engine.levels for f in _SHARED_FIELDS)
+        fields = [(lv, fname, getattr(buf, fname))
+                  for lv, buf in enumerate(engine.levels)
+                  for fname in _SHARED_FIELDS if getattr(buf, fname) is not None]
+        total = sum(arr.nbytes for _, _, arr in fields)
         shm = shared_memory.SharedMemory(create=True, size=max(1, total))
         manifest: list[tuple[int, str, tuple, int]] = []
         off = 0
-        for lv, buf in enumerate(engine.levels):
-            for fname in _SHARED_FIELDS:
-                arr = getattr(buf, fname)
-                view = np.ndarray(arr.shape, dtype=arr.dtype,
-                                  buffer=shm.buf, offset=off)
-                view[:] = arr
-                setattr(buf, fname, view)
-                manifest.append((lv, fname, arr.shape, off))
-                off += arr.nbytes
+        for lv, fname, arr in fields:
+            view = np.ndarray(arr.shape, dtype=arr.dtype,
+                              buffer=shm.buf, offset=off)
+            view[:] = arr
+            setattr(engine.levels[lv], fname, view)
+            manifest.append((lv, fname, arr.shape, off))
+            off += arr.nbytes
         self._shm = shm
         self._manifest = manifest
         self._engine = engine

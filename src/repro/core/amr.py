@@ -143,12 +143,12 @@ def regrid(sim: Simulation, desired_finest: np.ndarray | None = None,
         rho_lv = _block_mean(rho_f, factor)
         u_lv = np.stack([_block_mean(u_f[a], factor)
                          for a in range(sim.mgrid.d)])
-        pos = buf.positions
+        pos = new_sim.engine.positions(lv)
         rho = rho_lv[tuple(pos.T)]
         u = u_lv[(slice(None),) + tuple(pos.T)]
         feq = equilibrium(new_sim.lattice, rho, u)
-        buf.f[:, :buf.n_owned] = feq
-        buf.fstar[:, :buf.n_owned] = feq
+        buf.f[:] = feq
+        buf.fstar[:] = feq
         buf.ghost_acc[:] = 0.0
     new_sim.stepper.steps_done = sim.steps_done
     return new_sim

@@ -2,16 +2,19 @@
 
 The engine owns, per level, the two population buffers (``f`` holds the
 post-streaming state at the start of a substep, ``fstar`` the
-post-collision state) and the ghost-layer accumulator, plus every
-streaming map in compact *row* space: rows ``0..n_owned-1`` are the owned
-cells, followed — in ``fstar`` only, no kernel touches them in ``f`` — by
-the fine-ghost rows the original baseline needs.  The pull table is the
-grid's own array, shared: one flat ``fstar`` entry per ``(q, owned
-cell)`` with the bounce-back, moving-wall and slip links already in it,
-so Streaming is one gather per direction.  Accumulate adds into the
-parent's ghost bins only what Coalescence reads there; the other bins
-stay zero.  Between coarse steps ``f`` is the whole state: ``fstar`` is
-rewritten before it is read, ``ghost_acc`` is zero.
+post-collision state), both ``(Q, n_owned)``, and the ghost-layer
+accumulator, plus every streaming map in compact *row* space: rows
+``0..n_owned-1`` are the owned cells.  The original baseline's (Fig. 4a)
+fine-ghost populations live in a third buffer, ``fghost``, allocated only
+for that layout (:meth:`Engine.allocate_fghost`); its rows keep the
+numbers ``n_owned..n_used-1`` in the maps and access reports.  The pull
+table is the grid's own array, shared: one flat ``fstar`` entry
+``q_src * n_owned + row`` per ``(q, owned cell)`` with the bounce-back,
+moving-wall and slip links already in it, so Streaming is one gather per
+direction.  Accumulate adds into the parent's ghost bins only what
+Coalescence reads there; the other bins stay zero.  Between coarse steps
+``f`` is the whole state: ``fstar`` and ``fghost`` are rewritten before
+they are read, ``ghost_acc`` is zero.
 Each ``op_*`` method is one GPU kernel: it emits one launch record with
 the DRAM traffic the equivalent CUDA kernel would generate — this is what
 the cost model consumes — and hands the runtime a handle of the kernel's
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows
+from ..grid.multigrid import CompiledLevel, MultiGrid
 from ..neon.runtime import FieldRef, KernelBody, LazyBody, Runtime
 from .collision import CollisionModel, equilibrium, macroscopics, make_collision
 from .units import omega_at_level
@@ -52,10 +55,10 @@ class LevelBuffers:
     """Per-level state and row-space maps."""
 
     f: np.ndarray                 # (Q, n_owned) post-streaming populations
-    fstar: np.ndarray             # (Q, n_used) post-collision populations
+    fstar: np.ndarray             # (Q, n_owned) post-collision populations
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
-    n_used: int
+    n_used: int                   # n_owned + fine ghosts: rows the reports number
     pull_flat: np.ndarray         # (Q, n_owned) flat fstar entries: the grid's table
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
     out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
@@ -70,13 +73,11 @@ class LevelBuffers:
     fg_rows: np.ndarray           # this level's fine-ghost rows (4a)
     fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers
     meta_bytes: int               # per-pass structural metadata traffic
-    positions: np.ndarray         # (n_owned, d) level-resolution coordinates
     n_exp_cells: int              # distinct owned cells the E kernel writes
     n_coal_cells: int             # distinct owned cells the O kernel writes
-    #: True when streaming pulls from the fine-ghost region (rows >=
-    #: n_owned) — the S kernel then reads the logical ``fghost`` field
-    #: in addition to ``fstar``.
-    pulls_fghost: bool = False
+    #: (Q, n_used - n_owned) fine-ghost populations, row ``r`` at column
+    #: ``r - n_owned``; ``None`` unless the 4a layout runs on this engine.
+    fghost: np.ndarray | None = None
 
 
 class Engine:
@@ -121,18 +122,15 @@ class Engine:
         lat = self.lat
         Q = lat.q
         row_of_slot = cl.row_of_slot()
-        n_used = cl.n_owned + cl.fine_ghost_slots.size
-        pulls_fghost = n_used > cl.n_owned and any(
-            rows.max(initial=0) >= cl.n_owned
-            for rows in iter_pull_rows(cl.pull_flat, n_used))
         acc_live = np.zeros((Q, cl.n_ghost), dtype=bool)
         acc_live[cl.coal_q, cl.coal_src] = True
         grid_meta = sum(cl.grid.metadata_bytes().values())
         return LevelBuffers(
             f=np.zeros((Q, cl.n_owned)),
-            fstar=np.zeros((Q, n_used)),
+            fstar=np.zeros((Q, cl.n_owned)),
             ghost_acc=np.zeros((Q, cl.n_ghost)),
-            n_owned=cl.n_owned, n_used=n_used, pull_flat=cl.pull_flat,
+            n_owned=cl.n_owned, n_used=cl.n_owned + cl.fine_ghost_slots.size,
+            pull_flat=cl.pull_flat,
             mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
             out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,
             sb_q=cl.sb_q, sb_cell=cl.sb_cell, sb_opp=lat.opp[cl.sb_q],
@@ -147,9 +145,7 @@ class Engine:
             fg_rows=row_of_slot[cl.fg_slots] if cl.fg_slots.size else cl.fg_slots,
             fg_coarse_rows=np.empty(0, dtype=np.int64),
             meta_bytes=grid_meta,
-            positions=cl.grid.cell_positions()[cl.owned_slots],
             n_exp_cells=cl.n_interface_fine, n_coal_cells=cl.n_interface_coarse,
-            pulls_fghost=pulls_fghost,
         )
 
     def _link_levels(self) -> None:
@@ -172,6 +168,37 @@ class Engine:
                 if (buf.acc_fine_rows < 0).any():
                     raise AssertionError("accumulate source is not an owned fine cell")
 
+    def allocate_fghost(self) -> None:
+        """Give every level with fine ghosts its ``fghost`` buffer.
+
+        Only the original baseline (Fig. 4a) addresses fine ghosts — its
+        Explosion copy writes them, its Explode reads them — so only a
+        stepper running that layout calls this, at construction: before
+        anything lays out state (the mp backend's shared segment holds
+        the buffers it finds).  Idempotent.
+        """
+        for buf in self.levels:
+            if buf.fghost is None and buf.n_used > buf.n_owned:
+                buf.fghost = np.zeros((self.lat.q, buf.n_used - buf.n_owned))
+
+    def _fghost(self, lv: int) -> np.ndarray:
+        fghost = self.levels[lv].fghost
+        if fghost is None:
+            raise RuntimeError(f"level {lv} has no fghost: only the 4a layout "
+                               f"addresses fine ghosts (Engine.allocate_fghost)")
+        return fghost
+
+    def positions(self, lv: int) -> np.ndarray:
+        """Owned-cell coordinates of level ``lv``, in that level's units.
+
+        Computed from the grid on each call: the readers (callable
+        initial conditions, sampling, regridding, the watchdog's report)
+        are off the step path, and a stored copy would be ``8 * d`` bytes
+        per owned cell for the whole run.
+        """
+        cl = self.mgrid.levels[lv]
+        return cl.grid.cell_positions()[cl.owned_slots]
+
     def initialize(self, rho: float | np.ndarray = 1.0, u=None) -> None:
         """Set every level to the local equilibrium of (rho, u).
 
@@ -186,12 +213,12 @@ class Engine:
             if u is None:
                 uu = np.zeros((d, n))
             elif callable(u):
-                centers = (buf.positions + 0.5) * 2.0 ** (-lv)
+                centers = (self.positions(lv) + 0.5) * 2.0 ** (-lv)
                 uu = np.asarray(u(centers), dtype=np.float64)
             else:
                 uu = np.broadcast_to(np.asarray(u, dtype=np.float64)[:, None], (d, n)).copy()
             equilibrium(self.lat, rr, uu, out=buf.f)
-            buf.fstar[:, :n] = buf.f
+            buf.fstar[:] = buf.f
             buf.ghost_acc[:] = 0.0
 
     # -- access reports --------------------------------------------------------
@@ -202,31 +229,15 @@ class Engine:
             return (0, 0)
         return (int(rows.min()), int(rows.max()) + 1)
 
-    def _trace_fstar_read(self, t, lv: int, rows: np.ndarray,
-                          nbytes_total: int) -> None:
-        """Record a gather from ``fstar``, splitting the fine-ghost region.
-
-        Rows ``>= n_owned`` are the original baseline's fine-ghost layers:
-        logically they are the ``fghost`` field, and the declarations name
-        them as such.  ``nbytes_total`` is apportioned by value count: each
-        destination entry is read exactly once, wherever its link points.
-        """
-        flat = rows.ravel()
-        ghost = flat >= self.levels[lv].n_owned
-        per_val = nbytes_total / flat.size if flat.size else 0.0
-        for name, part in (("fstar", flat[~ghost]), ("fghost", flat[ghost])):
-            if part.size:
-                lo, hi = self._span(part)
-                t.read(FieldRef(name, lv), lo, hi, round(per_val * part.size))
-
     # -- index maps ------------------------------------------------------------
     def _map(self, lv: int, key, make):
         """Level ``lv``'s flat index map ``key``, built on first use.
 
         The maps flatten 2-D ``(q, row)`` addressing into 1-D indices
-        over the contiguous buffers — stride ``n_owned`` in ``f``,
-        ``n_used`` in ``fstar``, ``n_ghost`` in ``ghost_acc`` — so a
-        body is one gather/scatter instead of a per-``q`` loop.  They
+        over the contiguous buffers — stride ``n_owned`` in ``f`` and
+        ``fstar``, ``n_ghost`` in ``ghost_acc``, the fine-ghost count in
+        ``fghost`` — so a body is one gather/scatter instead of a per-``q``
+        loop.  They
         depend on the level geometry alone and are shared by every body
         bound on this engine.
         """
@@ -235,10 +246,6 @@ class Engine:
         if got is None:
             got = maps[key] = make()
         return got
-
-    def _qoff(self, lv: int) -> np.ndarray:
-        """Column vector: offset of population ``q`` in level ``lv``'s flat ``fstar``."""
-        return (np.arange(self.lat.q, dtype=np.int64) * self.levels[lv].n_used)[:, None]
 
     def _pull_flat(self, lv: int) -> np.ndarray:
         """The pull table, bounds-proven and frozen.
@@ -250,7 +257,7 @@ class Engine:
         """
         table = self.levels[lv].pull_flat
         if self._maps[lv].get("pull") is not table:
-            size = self.lat.q * self.levels[lv].n_used
+            size = self.lat.q * self.levels[lv].n_owned
             if table.size and (table.min() < 0 or table.max() >= size):
                 raise IndexError(
                     f"level {lv}: pull table entries leave [0, {size}): "
@@ -265,8 +272,8 @@ class Engine:
     # arithmetic, ``report(tracer)`` states the accesses it performs.
     # Builders return ``None`` where the geometry leaves nothing to do.
     # Views are taken at bind time and never kept on the engine: the mp
-    # backend rebinds ``buf.f`` / ``fstar`` / ``ghost_acc`` to shared
-    # memory and back, and a body bound afterwards must see those arrays.
+    # backend rebinds ``buf.f`` / ``fstar`` / ``fghost`` / ``ghost_acc`` to
+    # shared memory and back, and a body bound afterwards must see those arrays.
     def _fuse(self, *parts, registers: tuple[FieldRef, ...] = ()) -> KernelBody:
         """One kernel body running ``parts`` in order (``None`` parts dropped).
 
@@ -298,7 +305,7 @@ class Engine:
         buf = self.levels[lv]
         n = buf.n_owned
         collide = self.collision.collide
-        f, out = buf.f, buf.fstar[:, :n]
+        f, out = buf.f, buf.fstar
 
         def run() -> None:
             collide(f, omega, out=out, force=force)
@@ -339,7 +346,7 @@ class Engine:
                 return np.concatenate([q * stride + rows.take(k)
                                        for q, k in enumerate(keep)])
             return (flat(ng, parent.acc_ghost_rows),
-                    flat(fine.n_used, parent.acc_fine_rows))
+                    flat(fine.n_owned, parent.acc_fine_rows))
         rows_flat, src_flat = self._map(lv, "acc", live_entries)
         gacc_flat, fstar_flat = parent.ghost_acc.reshape(-1), fine.fstar.reshape(-1)
         minlength = Q * ng
@@ -386,7 +393,7 @@ class Engine:
 
         def report(t) -> None:
             nb = Q * self.itemsize * n
-            self._trace_fstar_read(t, lv, b.pull_flat % b.n_used, nb)
+            t.read(FieldRef("fstar", lv), *self._span(b.pull_flat % n), nb)
             t.write(FieldRef("f", lv), 0, n, nb)
             t.meta(b.meta_bytes)
         return run, report
@@ -397,20 +404,21 @@ class Engine:
         b = self.levels[lv]
         if b.exp_q.size == 0:
             return None
-        src_lv = lv if from_ghost else lv - 1
-        src_rows = b.exp_ghost_rows if from_ghost else b.exp_rows
+        if from_ghost:
+            source, src_rows = self._fghost(lv), b.exp_ghost_rows - b.n_owned
+        else:
+            source, src_rows = self.levels[lv - 1].fstar, b.exp_rows
         dst, src = self._map(lv, ("exp", from_ghost), lambda: (
             b.exp_q * b.n_owned + b.exp_cell,
-            b.exp_q * self.levels[src_lv].n_used + src_rows))
-        f_flat = b.f.reshape(-1)
-        src_flat = self.levels[src_lv].fstar.reshape(-1)
+            b.exp_q * source.shape[1] + src_rows))
+        f_flat, src_flat = b.f.reshape(-1), source.reshape(-1)
 
         def run() -> None:
             f_flat[dst] = src_flat[src]
 
         def report(t) -> None:
             nb = self.itemsize * b.exp_q.size
-            lo, hi = self._span(src_rows)
+            lo, hi = self._span(b.exp_ghost_rows if from_ghost else b.exp_rows)
             t.read(FieldRef("fghost", lv) if from_ghost
                    else FieldRef("fstar", lv - 1), lo, hi, nb)
             lo, hi = self._span(b.exp_cell)
@@ -444,16 +452,16 @@ class Engine:
 
     def _explosion_copy(self, lv: int):
         """Original baseline: mirror coarse post-collision state into fine ghosts."""
-        b = self.levels[lv]
+        b, fghost = self.levels[lv], self._fghost(lv)
+        coarse = self.levels[lv - 1]
+        q = np.arange(self.lat.q, dtype=np.int64)[:, None]
         dst, src = self._map(lv, "copy", lambda: (
-            np.ascontiguousarray((self._qoff(lv) + b.fg_rows).reshape(-1)),
-            np.ascontiguousarray(
-                (self._qoff(lv - 1) + b.fg_coarse_rows).reshape(-1))))
-        fstar_flat = b.fstar.reshape(-1)
-        coarse_flat = self.levels[lv - 1].fstar.reshape(-1)
+            (q * fghost.shape[1] + (b.fg_rows - b.n_owned)).reshape(-1),
+            (q * coarse.n_owned + b.fg_coarse_rows).reshape(-1)))
+        fghost_flat, coarse_flat = fghost.reshape(-1), coarse.fstar.reshape(-1)
 
         def run() -> None:
-            fstar_flat[dst] = coarse_flat[src]
+            fghost_flat[dst] = coarse_flat[src]
 
         def report(t) -> None:
             nb = self.lat.q * self.itemsize * b.fg_rows.size
@@ -535,10 +543,6 @@ class Engine:
         Q, n = self.lat.q, buf.n_owned
         name = "S"
         reads = [FieldRef("fstar", lv)]
-        if buf.pulls_fghost:
-            # original baseline: the pull gathers from the fine-ghost
-            # layers the Explosion copy just filled
-            reads.append(FieldRef("fghost", lv))
         writes = [FieldRef("f", lv)]
         br = Q * self.itemsize * n + buf.meta_bytes
         bw = Q * self.itemsize * n
@@ -656,7 +660,7 @@ class Engine:
         kept on the engine because only it knows the buffer/row layout.
         """
         for lv, buf in enumerate(self.levels):
-            f = buf.f[:, :buf.n_owned]
+            f = buf.f
             m = self.lat.moments[:1 + self.lat.d] @ f
             bad = np.nonzero(~np.isfinite(m[0]))[0]
             first_q = np.argmax(~np.isfinite(f[:, bad]), axis=0)
@@ -678,8 +682,7 @@ class Engine:
         With a body force the velocity carries the Guo half-force shift,
         matching the collision operator's definition.
         """
-        buf = self.levels[lv]
-        f = buf.f[:, :buf.n_owned]
+        f = self.levels[lv].f
         if self.force[lv] is None:
             return macroscopics(self.lat, f)
         return self.collision._moments(f, self.force[lv])
@@ -689,7 +692,7 @@ class Engine:
         total = 0.0
         for lv, buf in enumerate(self.levels):
             vol = (0.5 ** lv) ** self.mgrid.d
-            total += vol * float(buf.f[:, :buf.n_owned].sum())
+            total += vol * float(buf.f.sum())
         return total
 
     def total_momentum(self) -> np.ndarray:
@@ -697,5 +700,5 @@ class Engine:
         mom = np.zeros(self.mgrid.d)
         for lv, buf in enumerate(self.levels):
             vol = (0.5 ** lv) ** self.mgrid.d
-            mom += vol * (self.lat.ef.T @ buf.f[:, :buf.n_owned]).sum(axis=1)
+            mom += vol * (self.lat.ef.T @ buf.f).sum(axis=1)
         return mom

@@ -244,7 +244,7 @@ class Simulation:
 
     def positions(self, level: int) -> np.ndarray:
         """Owned-cell coordinates of one level, in that level's units."""
-        return self.engine.levels[level].positions
+        return self.engine.positions(level)
 
     def max_velocity(self) -> float:
         """Maximum velocity magnitude over all levels (stability monitor)."""
@@ -257,7 +257,7 @@ class Simulation:
 
     def is_stable(self) -> bool:
         """False once populations contain NaN/Inf (diverged run)."""
-        return all(np.isfinite(buf.f[:, :buf.n_owned]).all()
+        return all(np.isfinite(buf.f).all()
                    for buf in self.engine.levels)
 
     def wallclock_mlups(self) -> float:

@@ -240,8 +240,9 @@ class CompiledLevel:
     All COO tables (``bb_*``, ``mov_*``, ``out_*``, ``exp_*``, ``coal_*``)
     index into the *owned-cell row space* (0..n_owned-1) paired with a
     lattice direction.  ``pull_flat`` holds, per direction and owned cell,
-    the entry ``q_src * n_used + row`` (:meth:`row_of_slot`) of the level's
-    flat post-collision buffer that streaming reads: the upstream row for
+    the entry ``q_src * n_owned + row`` (:meth:`row_of_slot`) of the level's
+    flat ``(Q, n_owned)`` post-collision buffer that streaming reads (never
+    a fine-ghost row: every source is an owned cell): the upstream row for
     an interior pull, the cell's own opposite population for bounce-back,
     moving and inlet links, the mirrored population of the tangential
     neighbour for slip, and the entry itself where another kernel part
@@ -338,15 +339,15 @@ def _row_of_slot(n_alloc: int, owned_slots: np.ndarray,
     return rows
 
 
-def iter_pull_rows(pull_flat: np.ndarray, n_used: int):
-    """Per direction, the source rows ``entry % n_used`` of a pull table,
+def iter_pull_rows(pull_flat: np.ndarray, n_owned: int):
+    """Per direction, the source rows ``entry % n_owned`` of a pull table,
     each yielded in the one scratch row all directions share (as ``entry -
-    entry // n_used * n_used``: NumPy divides an int32 array by a scalar
+    entry // n_owned * n_owned``: NumPy divides an int32 array by a scalar
     three times faster than it takes the remainder)."""
     rows = np.empty(pull_flat.shape[1], dtype=pull_flat.dtype)
     for entries in pull_flat:
-        np.floor_divide(entries, n_used, out=rows)
-        np.multiply(rows, n_used, out=rows)
+        np.floor_divide(entries, n_owned, out=rows)
+        np.multiply(rows, n_owned, out=rows)
         yield np.subtract(entries, rows, out=rows)
 
 
@@ -463,14 +464,16 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
         ghost_row_of_slot = np.full(grid.n_alloc, -1, dtype=np.int64)
         ghost_row_of_slot[ghost_slots] = np.arange(ghost_slots.size)
 
-        n_used = n_owned + fine_ghost_slots.size
-        if Q * n_used >= 2 ** 31:
-            raise ValueError(f"level {lvl} stores {Q} x {n_used} populations; the "
-                             f"int32 pull table addresses fewer than 2**31")
+        # int32 entry ids (the pull table's, the static model's) number the
+        # (q, row) pairs of the row space, 4a's fine-ghost rows included
+        n_rows = n_owned + fine_ghost_slots.size
+        if Q * n_rows >= 2 ** 31:
+            raise ValueError(f"level {lvl} has {Q} x {n_rows} population entries; "
+                             f"int32 ids address fewer than 2**31")
         row_of_slot = _row_of_slot(grid.n_alloc, owned_slots, fine_ghost_slots)
         # every entry starts as a reference to itself and is overwritten
         # below, once, where its (q, cell) is classified
-        pull_flat = (np.arange(Q, dtype=np.int32)[:, None] * np.int32(n_used)
+        pull_flat = (np.arange(Q, dtype=np.int32)[:, None] * np.int32(n_owned)
                      + np.arange(n_owned, dtype=np.int32))
         kind = np.full((Q, n_owned), kinds.INTERIOR, dtype=np.int8)
 
@@ -482,10 +485,10 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                 continue
             src = cell - int(v @ strides)                  # flat pull source
             code = lab_flat.take(src)
-            bounce = int(lat.opp[q]) * n_used              # + cell: halfway bounce-back
+            bounce = int(lat.opp[q]) * n_owned             # + cell: halfway bounce-back
 
             rows = np.flatnonzero(code == _SELF)
-            pull_flat[q, rows] = q * n_used + row_of_slot.take(slot_flat.take(src[rows]))
+            pull_flat[q, rows] = q * n_owned + row_of_slot.take(slot_flat.take(src[rows]))
             rows_f = np.flatnonzero(code == _FINER)
             if rows_f.size:
                 gslots = slot_flat.take(src[rows_f])
@@ -561,7 +564,7 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
                             slots = grid.lookup(mpos[ok_idx])
                             slip.append((q, srows, mq, slots))
                             kind[q, srows] = kinds.SLIP
-                            pull_flat[q, srows] = mq * n_used + row_of_slot[slots]
+                            pull_flat[q, srows] = mq * n_owned + row_of_slot[slots]
                         if (~ok_idx).any():
                             # mirrored source unavailable (interface or
                             # corner): degrade gracefully to bounce-back

@@ -2,11 +2,11 @@
 
 Long wind-tunnel runs (the paper's 30k-iteration sphere experiment)
 need restartability.  A checkpoint stores the *live* state and nothing
-else — between coarse steps, every level's ``f``: ``fstar`` (fine-ghost
-rows included) is rewritten before anything reads it and the ghost
-accumulators are zero, so a restore derives them from the file and the
-run continues bit-for-bit identically (asserted with the dead buffers
-poisoned: ``tests/test_live_state.py``).  Format 2 is uncompressed —
+else — between coarse steps, every level's ``f``: ``fstar`` (and the
+4a layout's ``fghost``) is rewritten before anything reads it and the
+ghost accumulators are zero, so a restore derives them from the file
+and the run continues bit-for-bit identically (asserted with the dead
+buffers poisoned: ``tests/test_live_state.py``).  Format 2 is uncompressed —
 deflate was over half of a served job's wall time and the zip CRC-32
 guards the members either way — so a near-rest state, which deflates to
 almost nothing, takes more disk than it did (DESIGN.md section 16).
@@ -174,8 +174,9 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
                              f"not {buf.f.dtype}")
     for lv, buf in enumerate(sim.engine.levels):
         buf.f[:] = data[f"f_{lv}"]
-        buf.fstar[:, :buf.n_owned] = buf.f
-        buf.fstar[:, buf.n_owned:] = 0.0
+        buf.fstar[:] = buf.f
+        if buf.fghost is not None:      # only where the 4a layout allocated it
+            buf.fghost.fill(0.0)
         buf.ghost_acc[:] = 0.0
     steps = int(data["steps"])
     sim.stepper.steps_done = steps

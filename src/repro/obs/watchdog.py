@@ -157,8 +157,8 @@ class HealthWatchdog:
         k = self.max_cells_reported
         cells = np.asarray(cells)[:k]
         values = np.asarray(values).ravel()[:k]
-        buf = self.sim.engine.levels[level]
-        pos = buf.positions[cells[cells < buf.n_owned]]
+        engine = self.sim.engine
+        pos = engine.positions(level)[cells[cells < engine.levels[level].n_owned]]
         recorder = self.sim.runtime.spans
         spans = ([s.as_dict() for s in recorder.last(self.last_n_spans)]
                  if recorder is not None else [])

@@ -356,11 +356,11 @@ class TestAdmission:
     def test_out_of_range_pull_row_refused(self, past_end):
         # The stream body gathers with mode="clip"; the bounds check it
         # skips is made at plan build and must refuse, not clip.  An entry
-        # addresses the flat (Q, n_used) source: Q * n_used is one past it.
+        # addresses the flat (Q, n_owned) fstar: Q * n_owned is one past it.
         sim = build(cavity(), ABLATION_CONFIGS[-1], "interpreted")
         buf = sim.engine.levels[1]
         buf.pull_flat = buf.pull_flat.copy()
-        buf.pull_flat[3, 7] = sim.lattice.q * buf.n_used if past_end else -1
+        buf.pull_flat[3, 7] = sim.lattice.q * buf.n_owned if past_end else -1
         with pytest.raises(PlanAdmissionError, match="level 1: pull table"):
             compile_plan(sim.stepper)
 

@@ -51,15 +51,30 @@ class TestConstruction:
 
     def test_the_pull_table_is_the_grids(self):
         # one table per level, frozen from birth: the engine neither
-        # translates nor copies it, and f has no fine-ghost rows
+        # translates nor copies it, and neither population buffer has
+        # fine-ghost rows
         eng = make_engine()
         for cl, b in zip(eng.mgrid.levels, eng.levels):
             assert b.pull_flat is cl.pull_flat
             assert b.pull_flat.dtype == np.int32
             assert not b.pull_flat.flags.writeable
-            assert b.f.shape == (eng.lat.q, b.n_owned)
-            assert b.fstar.shape == (eng.lat.q, b.n_used)
+            assert b.f.shape == b.fstar.shape == (eng.lat.q, b.n_owned)
+            assert b.pull_flat.max() < eng.lat.q * b.n_owned
         assert eng.levels[1].n_used > eng.levels[1].n_owned
+
+    @pytest.mark.parametrize("cfg", [ORIGINAL_BASELINE, MODIFIED_BASELINE,
+                                     FUSED_FULL], ids=lambda c: c.name)
+    def test_only_the_4a_layout_allocates_fine_ghosts(self, cfg):
+        eng = make_engine()
+        NonUniformStepper(eng, cfg).run(1)
+        for b in eng.levels:
+            if cfg.original_layout and b.n_used > b.n_owned:
+                assert b.fghost.shape == (eng.lat.q, b.n_used - b.n_owned)
+            else:
+                assert b.fghost is None
+        if not cfg.original_layout:         # and no body makes do without it
+            with pytest.raises(RuntimeError, match="level 1 has no fghost"):
+                eng._explosion_copy(1)
 
     def test_a_table_replaced_after_the_proof_is_proven_again(self):
         # the bounds proof is per array, not per level (tests/test_backend.py
@@ -68,7 +83,7 @@ class TestConstruction:
         b = eng.levels[1]
         eng._stream(1)                      # proves the grid's own table
         b.pull_flat = b.pull_flat.copy()    # a writeable stand-in ...
-        b.pull_flat[3, 7] = eng.lat.q * b.n_used
+        b.pull_flat[3, 7] = eng.lat.q * b.n_owned
         with pytest.raises(IndexError, match="level 1: pull table entries leave"):
             eng._stream(1)                  # ... is not taken on trust
         b.pull_flat[3, 7] -= 1              # the last entry of the flat source
@@ -253,18 +268,20 @@ class TestStreamingSemantics:
 
     def test_explosion_copy_mirrors_coarse(self):
         eng = make_engine()
+        eng.allocate_fghost()
         eng.initialize(u=np.array([0.01, 0.02]))
         eng.op_collide(0)
         eng.op_explosion_copy(1)
         fine = eng.levels[1]
         coarse = eng.levels[0]
-        assert np.array_equal(fine.fstar[:, fine.fg_rows],
+        assert np.array_equal(fine.fghost[:, fine.fg_rows - fine.n_owned],
                               coarse.fstar[:, fine.fg_coarse_rows])
 
     def test_stream_from_ghost_equals_direct(self):
         # 4a explosion path (via ghost copies) gives identical pull values
         eng_a = make_engine()
         eng_b = make_engine()
+        eng_a.allocate_fghost()
         for eng in (eng_a, eng_b):
             eng.initialize(u=np.array([0.015, 0.0]))
             eng.op_collide(0)
@@ -273,7 +290,7 @@ class TestStreamingSemantics:
         eng_a.op_stream(1, fuse_explosion=True, exp_from_ghost=True)
         eng_b.op_stream(1, fuse_explosion=True, exp_from_ghost=False)
         a, b = eng_a.levels[1], eng_b.levels[1]
-        assert np.array_equal(a.f[:, :a.n_owned], b.f[:, :b.n_owned])
+        assert np.array_equal(a.f, b.f)
 
 
 class TestBoundaryPhysics:
@@ -341,7 +358,7 @@ def ref_stream(eng, lv):
 def ref_explode(eng, lv, from_ghost):
     b = eng.levels[lv]
     if from_ghost:
-        b.f[b.exp_q, b.exp_cell] = b.fstar[b.exp_q, b.exp_ghost_rows]
+        b.f[b.exp_q, b.exp_cell] = b.fghost[b.exp_q, b.exp_ghost_rows - b.n_owned]
     else:
         b.f[b.exp_q, b.exp_cell] = eng.levels[lv - 1].fstar[b.exp_q, b.exp_rows]
 
@@ -355,7 +372,7 @@ def ref_coalesce(eng, lv):
 
 def ref_explosion_copy(eng, lv):
     b = eng.levels[lv]
-    b.fstar[:, b.fg_rows] = eng.levels[lv - 1].fstar[:, b.fg_coarse_rows]
+    b.fghost[:, b.fg_rows - b.n_owned] = eng.levels[lv - 1].fstar[:, b.fg_coarse_rows]
 
 
 def ref_explode_direct(eng, lv):
@@ -425,6 +442,7 @@ def mixed_engine(d):
                  "z+": FaceBC("moving", velocity=vel)}
     spec = nested_box_spec(base, 3, DomainBC(faces), solid=True)
     eng = Engine(build_multigrid(spec, lat), "bgk", omega0=1.3)
+    eng.allocate_fghost()                   # for the 4a bodies
     #: the row-space pull of the reference compile, for ref_stream
     eng.ref_pull_rows = [a["pull_rows"] for a in ref_compile(spec, lat).values()]
     return eng
@@ -438,7 +456,7 @@ def consumed_bins(b):
 
 
 class TestKernelBodies:
-    FIELDS = ("f", "fstar", "ghost_acc")
+    FIELDS = ("f", "fstar", "fghost", "ghost_acc")
 
     @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
     def engine(self, request):
@@ -460,16 +478,17 @@ class TestKernelBodies:
         rng = np.random.default_rng(sum(map(ord, kernel)))
         for lv in range(first, len(engine.levels)):
             start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
-                      for k in self.FIELDS} for b in engine.levels]
+                      for k in self.FIELDS if getattr(b, k) is not None}
+                     for b in engine.levels]
             results = []
             for run in (lambda: launch(engine, lv),
                         lambda: [ref(engine, lv) for ref in reference]):
                 for b, saved in zip(engine.levels, start):
-                    for k in self.FIELDS:
-                        getattr(b, k)[...] = saved[k]
+                    for k, values in saved.items():
+                        getattr(b, k)[...] = values
                 run()
-                results.append([{k: getattr(b, k).copy() for k in self.FIELDS}
-                                for b in engine.levels])
+                results.append([{k: getattr(b, k).copy() for k in saved}
+                                for b, saved in zip(engine.levels, start)])
             got, want = results
             if kernel in ACCUMULATING:
                 # narrowed to what is read: the other bins were not touched
@@ -479,7 +498,8 @@ class TestKernelBodies:
                 want[lv - 1]["ghost_acc"] = np.where(
                     live, want[lv - 1]["ghost_acc"], start[lv - 1]["ghost_acc"])
             for g, w in zip(got, want):
-                for k in self.FIELDS:
+                assert g.keys() == w.keys()
+                for k in g:
                     assert np.array_equal(g[k], w[k]), (kernel, lv, k)
 
     def test_accumulate_keeps_a_subsequence_of_the_entries(self, engine):
@@ -492,7 +512,7 @@ class TestKernelBodies:
             # the textbook's entries, q-major: (bin, source) pairs, all distinct
             full = np.stack([(np.arange(Q)[:, None] * ng
                               + parent.acc_ghost_rows).ravel(),
-                             (np.arange(Q)[:, None] * fine.n_used
+                             (np.arange(Q)[:, None] * fine.n_owned
                               + parent.acc_fine_rows).ravel()], axis=1)
             where = {pair: i for i, pair in enumerate(map(tuple, full.tolist()))}
             at = [where[pair] for pair in zip(bins.tolist(), src.tolist())]

@@ -1,13 +1,14 @@
 """Only what is live is held, copied and persisted (DESIGN.md sections 11, 16, 18).
 
-Between coarse steps the state of a run is the owned columns of every
-level's ``f``: ``fstar`` is rewritten before anything reads it and the
-ghost accumulators are zero.  These tests hold that claim dynamically
-(poison the dead buffers, nothing changes) and statically (the first
-access to ``fstar`` / ``fghost`` in every stream is a full-cover write),
-check that checkpoints and ``state_digest`` carry exactly the live state,
-and guard the heap of the ROADMAP anchor.  ``make mem-check`` runs this
-file.
+Between coarse steps the state of a run is every level's ``f``:
+``fstar`` (and the 4a layout's ``fghost``) is rewritten before anything
+reads it and the ghost accumulators are zero.  These tests hold that
+claim dynamically (poison the dead buffers, nothing changes) and
+statically (the first access to ``fstar`` / ``fghost`` in every stream
+is a full-cover write), check that checkpoints and ``state_digest``
+carry exactly the live state, that the population buffers are the
+layout the memory model prices, and guard the heap of the ROADMAP
+anchor.  ``make mem-check`` runs this file.
 """
 
 import gc
@@ -20,9 +21,15 @@ import pytest
 from repro.analysis.capture import WRITE
 from repro.analysis.static import plan_stream
 from repro.backend.compiler import admit_stream
-from repro.bench.workloads import lid_cavity
+from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.diagnostics import solid_force
+from repro.core.engine import Engine
+from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
+from repro.core.lattice import get_lattice
 from repro.core.simulation import Simulation
+from repro.core.stepper import NonUniformStepper
+from repro.gpu.memory import grid_memory_report
+from repro.grid.multigrid import build_multigrid
 from repro.io.checkpoint import (CheckpointStore, restore_checkpoint,
                                  save_checkpoint)
 from repro.obs.watchdog import HealthWatchdog
@@ -61,7 +68,9 @@ def test_only_f_crosses_a_coarse_step(setup, cfg):
         for buf in poisoned.engine.levels:
             assert buf.f.shape == (poisoned.lattice.q, buf.n_owned)
             assert not buf.ghost_acc.any()
-            buf.fstar.fill(np.nan)          # fine-ghost rows included
+            buf.fstar.fill(np.nan)
+            if buf.fghost is not None:      # 4a's fine ghosts
+                buf.fghost.fill(np.nan)
         for _ in range(3):
             clean.run(1)
             poisoned.run(1)
@@ -102,7 +111,7 @@ def test_restore_leaves_nothing_of_the_abandoned_timeline(tmp_path):
     save_checkpoint(a, path)
     a.run(3)
 
-    b = make(sphere_3d)
+    b = make(sphere_3d)                     # ours-4f: no fine ghosts
     b.run(6)                                # a used simulation, elsewhere in time
     for buf in b.engine.levels:
         for arr in (buf.f, buf.fstar, buf.ghost_acc):
@@ -110,13 +119,32 @@ def test_restore_leaves_nothing_of_the_abandoned_timeline(tmp_path):
     restore_checkpoint(b, path)
     assert b.steps_done == 4
     for buf in b.engine.levels:
-        assert np.isfinite(buf.f).all() and np.isfinite(buf.fstar).all()
-        assert np.array_equal(buf.fstar[:, :buf.n_owned], buf.f)
-        assert not buf.fstar[:, buf.n_owned:].any() and not buf.ghost_acc.any()
+        assert buf.fghost is None and buf.fstar.shape == buf.f.shape
+        assert np.isfinite(buf.f).all()
+        assert np.array_equal(buf.fstar, buf.f) and not buf.ghost_acc.any()
     assert HealthWatchdog(b).check()["status"] == "ok"
     assert np.isfinite(solid_force(b.engine)).all()
     b.run(3)
     assert_same_f(a, b)
+    assert state_digest(a) == state_digest(b)
+
+
+def test_restore_zeroes_the_fine_ghosts_4a_allocated(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    a = make(cavity_2d_three_levels, ORIGINAL_BASELINE)
+    a.run(2)
+    save_checkpoint(a, path)
+    a.run(2)
+    b = make(cavity_2d_three_levels, ORIGINAL_BASELINE)
+    b.run(3)
+    ghosts = [buf.fghost for buf in b.engine.levels if buf.fghost is not None]
+    assert len(ghosts) == b.num_levels - 1
+    for fghost in ghosts:
+        fghost.fill(np.nan)
+    restore_checkpoint(b, path)
+    assert all(buf.fghost is g for buf, g in zip(b.engine.levels[1:], ghosts))
+    assert not any(fghost.any() for fghost in ghosts)
+    b.run(2)
     assert state_digest(a) == state_digest(b)
 
 
@@ -197,6 +225,45 @@ def test_digest_of_a_run_resumed_at_its_last_step(setup, tmp_path):
     assert state_digest(whole) != state_digest(resumed)
 
 
+# -- the heap holds what the model prices --------------------------------------------
+
+def allocated(arr):
+    """Bytes of the allocation behind ``arr``, not of the view."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr.nbytes
+
+
+@pytest.mark.parametrize("workload", [
+    lambda: lid_cavity(base=(16, 16, 16), num_levels=3),
+    lambda: sphere_tunnel(scale=0.5)], ids=["anchor", "sphere-half"])
+def test_population_bytes_are_what_the_memory_model_prices(workload):
+    """``f`` + ``fstar`` + allocated ``fghost`` + ``ghost_acc`` per config
+    against :func:`repro.gpu.memory.grid_memory_report` (section IV-A):
+    4b and 4f hold the optimized scheme's bytes exactly; 4a differs from
+    the original scheme by two named terms."""
+    wl = workload()
+    mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
+    optimized = grid_memory_report(mgrid, scheme="optimized")
+    original = grid_memory_report(mgrid, scheme="original")
+    for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
+        engine = Engine(mgrid, wl.collision)
+        NonUniformStepper(engine, cfg)          # allocates what cfg addresses
+        held = sum(allocated(arr) for buf in engine.levels
+                   for arr in (buf.f, buf.fstar, buf.fghost, buf.ghost_acc)
+                   if arr is not None)
+        if not cfg.original_layout:
+            assert held == optimized.populations + optimized.ghost_accumulators
+            continue
+        # the model prices the fine ghosts in both population buffers, the
+        # engine stores them once (fghost); and 4a's gather Accumulate sums
+        # into the coarse ghost layer, which the original scheme omits
+        fine_ghosts_once = original.ghost_populations // 2
+        assert original.ghost_populations > 0
+        assert held == (original.populations + original.ghost_populations
+                        - fine_ghosts_once + optimized.ghost_accumulators)
+
+
 # -- the anchor's heap ---------------------------------------------------------------
 
 def index_tables(sim):
@@ -225,9 +292,11 @@ def test_anchor_heap_stays_near_the_live_bytes():
     90.7 / 102 before Accumulate kept only the entries Coalescence reads
     and the boundary links moved into the pull table; 80.4 / 101.8 while
     admission held the exact entry sets as frozensets of Python ints
-    (reads 80.4 / 84.0; the ceilings are that + 5 %).  Admitting the plan
-    again may add at most 4 MiB to the heap it starts from (25.9 MiB with
-    the frozensets, 1.3 MiB with the shared sorted arrays)."""
+    and 80.4 / 84.0 while ``fstar`` carried 4a's fine-ghost rows under
+    every config and each level its positions (reads 68.8 / 72.3; the
+    ceilings are that + 5 %).  Admitting the plan again may add at most
+    4 MiB to the heap it starts from (25.9 MiB with the frozensets, 1.3
+    MiB with the shared sorted arrays)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     gc.collect()
     tracemalloc.start()
@@ -245,8 +314,8 @@ def test_anchor_heap_stays_near_the_live_bytes():
     finally:
         tracemalloc.stop()
     with sim:
-        assert peak <= 88 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 84 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 76 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 72 * MiB, f"steady {current / MiB:.1f} MiB"
         assert admit_peak - current <= 4 * MiB, (
             f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
         # one (Q, n_owned) integer table per level and no other

@@ -287,7 +287,7 @@ class TestBoundaryClassification:
 # array of every CompiledLevel has to come out equal, dtype included.  The
 # reference keeps the bulk pull in slot space (``pull_src``), maps it to rows
 # at the end and leaves the boundary links in the kind lists; the compile
-# step emits one frozen int32 table of flat ``q_src * n_used + row`` entries
+# step emits one frozen int32 table of flat ``q_src * n_owned + row`` entries
 # with those links folded in, checked against ``folded_pull`` below.
 
 def ref_dilate(mask, radius, periodic):
@@ -423,20 +423,22 @@ def ref_compile(spec, lat):
     return out
 
 
-def folded_pull(a, lat):
-    """The flat-source table ``q_src * n_used + row``, entry by entry, from
-    one level of the reference: its row pull and its kind lists."""
-    n_used = a["owned_slots"].size + a["fine_ghost_slots"].size
+def folded_pull(a, lat, stride=None):
+    """The flat-source table ``q_src * stride + row``, entry by entry, from
+    one level of the reference: its row pull and its kind lists.  The
+    stride of the grid's table is ``n_owned``, the length of ``fstar``."""
+    n_rows = a["owned_slots"].size + a["fine_ghost_slots"].size
+    stride = a["owned_slots"].size if stride is None else stride
     row_of_slot = np.full(int(max(a["owned_slots"].max(),
                                   a["fine_ghost_slots"].max(initial=0))) + 1, -1)
     row_of_slot[np.concatenate([a["owned_slots"], a["fine_ghost_slots"]])] = \
-        np.arange(n_used)
+        np.arange(n_rows)
     # interior pulls; outflow / explosion / coalescence refer to themselves
-    flat = np.arange(lat.q)[:, None] * n_used + a["pull_rows"].astype(np.int64)
+    flat = np.arange(lat.q)[:, None] * stride + a["pull_rows"].astype(np.int64)
     for t in ("bb", "mov"):                 # the cell's own opposite population
         q, cell = a[f"{t}_q"], a[f"{t}_cell"]
-        flat[q, cell] = lat.opp[q] * n_used + cell
-    flat[a["sl_q"], a["sl_cell"]] = (a["sl_src_q"] * n_used
+        flat[q, cell] = lat.opp[q] * stride + cell
+    flat[a["sl_q"], a["sl_cell"]] = (a["sl_src_q"] * stride
                                      + row_of_slot[a["sl_src"]])
     return flat
 
@@ -474,10 +476,15 @@ def assert_matches_reference(spec, lat):
         table = cl.pull_flat
         assert table.dtype == np.int32 and not table.flags.writeable
         assert np.array_equal(table, folded_pull(a, lat)), cl.level
-        n_used = cl.n_owned + cl.fine_ghost_slots.size
+        # every source is an owned row of the (Q, n_owned) fstar
+        n = cl.n_owned
+        assert table.min() >= 0 and table.max() < lat.q * n, cl.level
+        sources = np.concatenate([a["pull_rows"].ravel(),
+                                  cl.row_of_slot()[a["sl_src"]]])
+        assert (sources < n).all(), cl.level
         interior = cl.kind == kinds.INTERIOR
-        assert np.array_equal((table % n_used)[interior], a["pull_rows"][interior])
-        for got, want in zip(iter_pull_rows(table, n_used), table % n_used):
+        assert np.array_equal((table % n)[interior], a["pull_rows"][interior])
+        for got, want in zip(iter_pull_rows(table, n), table % n):
             assert np.array_equal(got, want)
     return mg
 

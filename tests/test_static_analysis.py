@@ -17,13 +17,15 @@ from repro.analysis.static import (AccessModel, StaticAccess, check_contraction,
                                    plan_stream, prove_fusion_legality,
                                    seeded_illegal_proof, superset_findings,
                                    swap_declaration, verify_static)
-from repro.backend.compiler import admit_stream
+from repro.backend import PlanAdmissionError
+from repro.backend.compiler import admit_stream, compile_plan
 from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.engine import Engine
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_SO, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE)
 from repro.core.lattice import D2Q9, D3Q19
 from repro.core.simulation import Simulation
+from repro.core.stepper import NonUniformStepper
 from repro.gpu.device import get_device
 from repro.grid import kinds
 from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
@@ -212,8 +214,9 @@ class TestAccessMemo:
 
         assert fields_read() == [["fstar"]] * 3
         # ... and a table that pulls from the fine-ghost rows, as a 4a
-        # layout streaming across the interface would (slip sources too):
-        # the reference is edited, the table folded from it again
+        # layout streaming across the interface would (slip sources too),
+        # folded at the stride of that row space: fstar has no such rows,
+        # so binding the stream refuses the table, naming the level
         rng = np.random.default_rng(d)
         for lv, buf in enumerate(engine.levels[1:], 1):
             a = ref[lv]
@@ -223,8 +226,11 @@ class TestAccessMemo:
             a["pull_rows"][hit] = rng.integers(buf.n_owned + 2, buf.n_used - 1,
                                                int(hit.sum()))
             a["sl_src"][::3] = a["fine_ghost_slots"][-1]    # row n_used - 1
-            buf.pull_flat = folded_pull(a, lat).astype(np.int32)
-        assert fields_read() == [["fstar"], ["fstar", "fghost"], ["fstar", "fghost"]]
+            buf.pull_flat = folded_pull(a, lat, buf.n_used).astype(np.int32)
+            assert buf.pull_flat.max() >= lat.q * buf.n_owned
+        with pytest.raises(PlanAdmissionError,
+                           match=r"level [12]: pull table entries leave"):
+            compile_plan(NonUniformStepper(engine, MODIFIED_BASELINE))
 
     @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
