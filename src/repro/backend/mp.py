@@ -53,6 +53,7 @@ import numpy as np
 from ..analysis.certificate import stream_digest
 from ..gpu.costmodel import kernel_time_us
 from ..gpu.device import A100_40GB
+from ..neon.executor import usable_cpus
 from ..neon.graph import schedule_records
 from .compiler import admit_stream, bind_bodies
 from .interpreted import InterpretedBackend
@@ -84,7 +85,7 @@ def default_mp_workers() -> int:
     env = os.environ.get(WORKERS_ENV, "").strip()
     if env:
         return max(1, int(env))
-    return max(2, min(4, os.cpu_count() or 1))
+    return max(2, min(4, usable_cpus()))
 
 
 class MpWorkerError(RuntimeError):
@@ -199,16 +200,8 @@ def _shard_collide(engine, rec, lo: int, hi: int):
     a call (DESIGN.md section 17, decision 2).  ``_partition`` may
     therefore cut anywhere.
     """
-    buf = engine.levels[rec.level]
-    collide = engine.collision.collide
-    omega = engine.omega[rec.level]
-    force = engine.force[rec.level]
-    f = buf.f[:, lo:hi]
-    out = buf.fstar[:, lo:hi]
-
-    def body() -> None:
-        collide(f, omega, out=out, force=force)
-    return body
+    lv = rec.level
+    return engine.collide_columns(lv, lo, hi, engine.omega[lv], engine.force[lv])
 
 
 def _build_shards(engine, records, bodies, waves_assignment):
@@ -243,6 +236,8 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         # here would instead strip the parent's own registration.
         shm = shared_memory.SharedMemory(name=setup["shm"])
         engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0)
+        # the pool shards across processes: no threads inside a worker
+        engine.split_width = 1
         # the stepper allocates what its layout addresses (4a: fghost)
         # before the parent's layout of the segment is checked against it
         stepper = NonUniformStepper(engine, setup["fusion"])

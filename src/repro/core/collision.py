@@ -56,12 +56,12 @@ __all__ = [
 TILE_BUDGET_BYTES = 6 << 20
 
 
-def tile_width(q: int, live_tiles: int) -> int:
-    """Cells per tile so that ``live_tiles`` float64 ``(q, tile)`` arrays fit the budget."""
-    return max(TILE_BUDGET_BYTES // (q * 8 * live_tiles) // 64 * 64, 64)
+def tile_width(q: int, live_tiles: int, budget: int = TILE_BUDGET_BYTES) -> int:
+    """Cells per tile so that ``live_tiles`` float64 ``(q, tile)`` arrays fit ``budget``."""
+    return max(budget // (q * 8 * live_tiles) // 64 * 64, 64)
 
 
-def _tiles(lat: Lattice, n: int, live_tiles: int
+def _tiles(lat: Lattice, n: int, live_tiles: int, budget: int = TILE_BUDGET_BYTES
            ) -> Iterator[tuple[int, int, bool, list[np.ndarray]]]:
     """Yield ``(lo, hi, staged, scratch)`` over the column tiles of an ``n``-cell level.
 
@@ -72,7 +72,7 @@ def _tiles(lat: Lattice, n: int, live_tiles: int
     the caller to go through the stage instead of ``[lo, hi)`` of its own
     arrays: for the last ``n % 64`` columns (``w = 64``; the caller pads).
     """
-    tile = tile_width(lat.q, live_tiles)
+    tile = tile_width(lat.q, live_tiles, budget)
     width, full = min(tile, n + -n % 64), n - n % 64
     shapes = [(lat.q, 64),
               (2 + 2 * lat.d + len(lat.pairs), width),
@@ -211,11 +211,13 @@ class CollisionModel:
 
     def collide(self, f: np.ndarray, omega: float,
                 out: np.ndarray | None = None,
-                force: np.ndarray | None = None) -> np.ndarray:
+                force: np.ndarray | None = None,
+                budget: int = TILE_BUDGET_BYTES) -> np.ndarray:
         """Post-collision populations of ``f`` ``(Q, N)``, tile by tile.
 
         ``out`` may be ``f`` itself (a tile is read before it is written);
-        any other overlap between the two is not supported.
+        any other overlap between the two is not supported.  ``budget``
+        bounds the tile working set.
         """
         lat = self.lattice
         if out is None:
@@ -224,7 +226,7 @@ class CollisionModel:
             force = np.asarray(force, dtype=np.float64)
         relax = self._relaxation(omega, force)
         for lo, hi, staged, (stage, m, *tiles) in _tiles(
-                lat, f.shape[1], self.LIVE_TILES):
+                lat, f.shape[1], self.LIVE_TILES, budget):
             if staged:
                 src = dst = stage
                 src[:, :hi - lo], src[:, hi - lo:] = f[:, lo:hi], lat.w[:, None]

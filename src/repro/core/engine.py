@@ -26,6 +26,8 @@ This module is the only place a kernel body is written.  The ``_collide``
 one primitive with its access report beside it; the launch path, every
 step plan (serial, thread waves) and every mp worker bind and run those
 closures (:mod:`repro.backend`), and access capture checks them.
+Collide and the streaming gathers run a large level as column ranges on
+every usable CPU (:meth:`Engine.split_cuts`), bit-identically.
 
 Fused kernels execute the same arithmetic as their unfused sequence (the
 intermediate lives in the ``fstar`` buffer, playing the role of the GPU's
@@ -43,11 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grid.multigrid import CompiledLevel, MultiGrid
+from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import FieldRef, KernelBody, LazyBody, Runtime
-from .collision import CollisionModel, equilibrium, macroscopics, make_collision
+from .collision import (TILE_BUDGET_BYTES, CollisionModel, equilibrium,
+                        macroscopics, make_collision)
 from .units import omega_at_level
 
-__all__ = ["Engine", "LevelBuffers"]
+__all__ = ["Engine", "LevelBuffers", "SPLIT_MIN_BYTES"]
+
+#: Population bytes each part of a split collide / stream body must hold
+#: (the sweep behind the value: EXPERIMENTS.md, "Cell-range split").
+SPLIT_MIN_BYTES = 1 << 20
 
 
 @dataclass
@@ -111,6 +119,8 @@ class Engine:
         #: (checkpoint restore); compiled step plans key their cache on it
         #: so a stale plan is never replayed against replaced buffers.
         self.state_epoch = 0
+        #: Most parts of a split body (mp workers, sharded already, set 1).
+        self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
         self._link_levels()
         #: Per level, the flat index maps the kernel bodies share, built
@@ -266,6 +276,18 @@ class Engine:
             self._maps[lv]["pull"] = table
         return table
 
+    def split_cuts(self, lv: int) -> list[int]:
+        """Column cuts ``[0, ..., n_owned]`` of level ``lv``'s split bodies:
+        at most :attr:`split_width` parts of :data:`SPLIT_MIN_BYTES` or
+        more, inner cuts on multiples of 64 columns (the GEMM unit)."""
+        n = self.levels[lv].n_owned
+        parts = self.split_width
+        while parts > 1 and self.lat.q * self.itemsize * n < parts * SPLIT_MIN_BYTES:
+            parts -= 1
+        blocks = -(-n // 64)
+        inner = {64 * (blocks * k // parts) for k in range(1, parts)}
+        return [0, *sorted(c for c in inner if 0 < c < n), n]
+
     # -- kernel bodies ---------------------------------------------------------
     # The one implementation of each kernel.  A builder resolves buffer
     # views and index maps and returns ``(run, report)``: ``run()`` is the
@@ -301,14 +323,25 @@ class Engine:
             run()
         return traced
 
-    def _collide(self, lv: int, omega: float, force):
+    def collide_columns(self, lv: int, lo: int, hi: int, omega: float, force,
+                        budget: int = TILE_BUDGET_BYTES) -> KernelBody:
+        """Collide columns ``[lo, hi)`` of level ``lv`` (a split part, an mp shard)."""
         buf = self.levels[lv]
-        n = buf.n_owned
         collide = self.collision.collide
-        f, out = buf.f, buf.fstar
+        f, out = buf.f[:, lo:hi], buf.fstar[:, lo:hi]
 
         def run() -> None:
-            collide(f, omega, out=out, force=force)
+            collide(f, omega, out=out, force=force, budget=budget)
+        return run
+
+    def _collide(self, lv: int, omega: float, force):
+        n = self.levels[lv].n_owned
+        cuts = self.split_cuts(lv)
+        # the parts share one tile budget: a split adds no scratch
+        budget = TILE_BUDGET_BYTES // (len(cuts) - 1)
+        parts = [self.collide_columns(lv, lo, hi, omega, force, budget)
+                 for lo, hi in zip(cuts, cuts[1:])]
+        run = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 
         def report(t) -> None:
             nb = self.lat.q * self.itemsize * n
@@ -377,15 +410,26 @@ class Engine:
         b = self.levels[lv]
         Q, n = self.lat.q, b.n_owned
         f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
-        pulls = list(zip(self._pull_flat(lv), b.f))
+        table = self._pull_flat(lv)
         mov, out = self._map(lv, "walls", lambda: (
             (b.mov_q * n + b.mov_cell, b.mov_term) if b.mov_q.size else None,
             (b.out_q * n + b.out_cell, b.out_val) if b.out_q.size else None))
         take = np.take
 
+        def gather(lo: int, hi: int) -> KernelBody:
+            pulls = [(idx[lo:hi], dst[lo:hi]) for idx, dst in zip(table, b.f)]
+
+            def part() -> None:
+                for idx, dst in pulls:
+                    take(fstar_flat, idx, out=dst, mode="clip")
+            return part
+        cuts = self.split_cuts(lv)
+        parts = [gather(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        pull = parts[0] if len(parts) == 1 else lambda: run_split(parts)
+
         def run() -> None:
-            for idx, dst in pulls:
-                take(fstar_flat, idx, out=dst, mode="clip")
+            pull()
+            # the wall and outflow fix-ups index cells of every part
             if mov is not None:
                 f_flat[mov[0]] += mov[1]
             if out is not None:

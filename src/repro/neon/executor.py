@@ -12,25 +12,37 @@ multi-core hosts.
 after a ``fork`` (the child inherits the pool object but none of its
 threads) and stopped by :meth:`WavePool.shutdown` or, for a leaked pool,
 by the garbage collector.
+
+One process-wide pool also runs the cell-range parts of a kernel body
+(:func:`run_split`).
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Callable, Sequence
 
-__all__ = ["WavePool", "default_workers"]
+__all__ = ["WavePool", "default_workers", "run_split", "usable_cpus"]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (taskset, cpusets),
+    the host's CPU count where the platform has no such mask."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def default_workers() -> int:
-    """Per-host pool width: the core count, clamped to ``[2, 8]``.
+    """Per-process pool width: the usable CPUs, clamped to ``[2, 8]``.
 
     At least 2 so the concurrent path is exercised even on single-core
     hosts (where the pool degrades gracefully to interleaving).
     """
-    return max(2, min(8, os.cpu_count() or 1))
+    return max(2, min(8, usable_cpus()))
 
 
 def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
@@ -90,3 +102,19 @@ class WavePool:
                 # the parent, and joining them here would block forever.
                 return
             pool.shutdown(wait=True)
+
+
+#: Runs all but the first part of every split body in this process.
+_SPLIT_POOL = WavePool(max(1, usable_cpus() - 1))
+
+
+def run_split(parts: Sequence[Callable[[], None]]) -> None:
+    """Run ``parts`` concurrently, the first on the calling thread; every
+    part is joined before the first error (in part order) propagates."""
+    futures = [_SPLIT_POOL.submit(part) for part in parts[1:]]
+    try:
+        parts[0]()
+    finally:
+        wait(futures)
+    for fut in futures:
+        fut.result()

@@ -142,6 +142,8 @@ def _print_report(res: dict, out) -> None:
     print(f"  wave depth   : {val('wave_depth'):.0f} syncs/step "
           f"(max width {val('wave_max_width'):.0f})", file=out)
     print(f"  MLUPS (wall) : {val('wall_mlups'):.3f}", file=out)
+    print(f"  cell split   : {val('cell_split_parts'):.0f} part(s) on the "
+          f"largest level", file=out)
     print(f"  span cover   : {val('span_total_us'):.0f} us over "
           f"{res['n_records']} kernels", file=out)
     wd = res["watchdog"]

@@ -187,6 +187,9 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
     for lv, n in enumerate(sim.mgrid.active_per_level()):
         reg.gauge(f"active_cells.L{lv}",
                   f"active voxels on level {lv}").set(n)
+    eng = sim.engine        # the largest level has the most parts
+    reg.gauge("cell_split_parts", "collide / stream parts, largest level").set(
+        max(len(eng.split_cuts(lv)) - 1 for lv in range(len(eng.levels))))
     last = rt.last_step()
     if last:
         g = build_dependency_graph(last, reduce=False)

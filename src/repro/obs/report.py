@@ -199,7 +199,8 @@ def render_text(rep: RunReport) -> str:
         f"wall MLUPS    : {_fmt(m.get('wall_mlups'))}   "
         f"bytes/step {_fmt(m.get('bytes_per_step'), 0)}   "
         f"wave depth {_fmt(m.get('wave_depth'), 0)}",
-        f"touched bytes : {_fmt(m.get('arena_peak_bytes'), 0)} B",
+        f"touched bytes : {_fmt(m.get('arena_peak_bytes'), 0)} B   "
+        f"cell split {_fmt(m.get('cell_split_parts'), 0)} part(s)",
         f"occupancy     : max {rep.occupancy.get('max_concurrent', 0)} "
         f"mean {_fmt(rep.occupancy.get('mean_concurrent', 0.0), 2)}",
     ]

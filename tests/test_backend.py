@@ -369,11 +369,21 @@ class TestAdmission:
         sim.run(1)
         for buf in sim.engine.levels:
             assert not buf.pull_flat.flags.writeable
-        # the per-direction index rows a stream body closes over
+        # the per-direction index rows a stream body (or its cell-range
+        # parts) closes over
+        def lists(fn):
+            for c in getattr(fn, "__closure__", None) or ():
+                v = c.cell_contents
+                if callable(v):
+                    yield from lists(v)
+                elif isinstance(v, list):
+                    yield v
+                    for part in v:
+                        yield from lists(part)
+
         plan = next(iter(sim.backend.plans.values()))
-        pulls = [c.cell_contents for body in plan.bodies
-                 for c in body.__closure__ or ()
-                 if isinstance(c.cell_contents, list)]
+        pulls = [v for body in plan.bodies for v in lists(body)
+                 if v and isinstance(v[0], tuple)]
         assert pulls
         for idx, dst in (t for p in pulls for t in p):
             assert idx.dtype == np.int32 and not idx.flags.writeable

@@ -12,6 +12,7 @@ from repro.core.collision import (BGK, KBC, TILE_BUDGET_BYTES, TRT,
                                   pressure, tile_width, velocity)
 from repro.core.lattice import CS2, D2Q9, D3Q19, D3Q27
 from repro.core.simulation import Simulation
+from repro.neon.executor import run_split
 
 RNG = np.random.default_rng(42)
 EPS = np.finfo(np.float64).eps
@@ -426,18 +427,33 @@ def test_guo_source_equals_reference(lat):
 @pytest.mark.parametrize("op", [BGK(D3Q19), TRT(D3Q19), KBC(D3Q27)],
                          ids=lambda o: o.name)
 def test_collide_allocates_no_level_sized_temporary(op):
+    # split into column ranges run concurrently (as the engine's collide
+    # body does), the parts share one tile budget: no more scratch than
+    # one unsplit call, and the same result
+    import hashlib
     import tracemalloc
     n = 400_000
     f = random_state(op.lattice, n + 7)[:, :n]     # ragged: the stage is live too
     out = np.empty_like(f)
-    op.collide(f, 1.6, out=out)
-    tracemalloc.start()
-    try:
-        op.collide(f, 1.6, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < TILE_BUDGET_BYTES + (1 << 20) < op.lattice.q * n * 8
+    digests = set()
+    for parts in (1, 2, 3):
+        cuts = [0, *(64 * (-(-n // 64) * k // parts) for k in range(1, parts)), n]
+        budget = TILE_BUDGET_BYTES // parts
+
+        def collide():
+            run_split([lambda lo=lo, hi=hi: op.collide(f[:, lo:hi], 1.6,
+                                                       out=out[:, lo:hi], budget=budget)
+                       for lo, hi in zip(cuts, cuts[1:])])
+        collide()
+        tracemalloc.start()
+        try:
+            collide()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TILE_BUDGET_BYTES + (1 << 20) < op.lattice.q * n * 8, parts
+        digests.add(hashlib.sha256(out).hexdigest())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("workload, steps", [
@@ -456,7 +472,7 @@ def test_whole_run_matches_elementwise_collision(workload, steps, monkeypatch):
 
     shipped = run()
 
-    def elementwise(self, f, omega, out=None, force=None):
+    def elementwise(self, f, omega, out=None, force=None, budget=None):
         res = ref_collide(self, np.asarray(f, dtype=np.float64), omega, force)
         if out is None:
             return res

@@ -1,10 +1,14 @@
 """The central correctness claim: every fusion variant of Fig. 4 computes
 bit-identical physics; only the kernel schedule changes (Section IV)."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+import repro.core.engine as engine_mod
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_CA, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE, FusionConfig,
                                get_config)
@@ -175,6 +179,10 @@ EXECUTORS = {"interpreted": dict(backend="interpreted", threaded=False),
              "compiled": dict(backend="compiled", threaded=False),
              "threaded": dict(backend="compiled", threaded=True)}
 
+#: Cell-range parts of each collide / stream body, the size floor removed
+#: (DESIGN.md, "Cell-range split"): unsplit, and up to three parts.
+SPLITS = (1, 3)
+
 #: 10 random topologies locally; ``--hypothesis-profile ci`` spends its 200.
 executor_budget = (settings.get_profile("ci")
                    if settings.get_current_profile_name() == "ci"
@@ -203,9 +211,11 @@ def assert_executors_and_configs_agree(spec, lattice, steps=3):
     state = None
     for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
         trace = None
-        for executor, how in EXECUTORS.items():
-            with Simulation.from_config(spec, lattice=lattice, viscosity=0.05,
-                                        fusion=cfg, **how) as sim:
+        for (executor, how), parts in itertools.product(EXECUTORS.items(), SPLITS):
+            with mock.patch.object(engine_mod, "SPLIT_MIN_BYTES", 0), \
+                    mock.patch.object(engine_mod, "usable_cpus", lambda: parts), \
+                    Simulation.from_config(spec, lattice=lattice, viscosity=0.05,
+                                           fusion=cfg, **how) as sim:
                 sim.initialize(u=swirl(spec.base_shape))
                 mass = [sim.engine.total_mass()]
                 for _ in range(steps):
@@ -214,7 +224,7 @@ def assert_executors_and_configs_agree(spec, lattice, steps=3):
                 got = [a.copy() for b in sim.engine.levels
                        for a in (b.f, b.ghost_acc)]
                 ran = (list(sim.runtime.records), list(sim.runtime.markers))
-            where = f"{cfg.name} / {executor}"
+            where = f"{cfg.name} / {executor} / {parts} part(s)"
             state = state or got
             assert all(np.array_equal(a, b) for a, b in zip(state, got)), where
             trace = trace or ran

@@ -20,7 +20,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from repro.backend.mp import _partition, _shard_collide, default_mp_workers
 from repro.bench.workloads import lid_cavity
 from repro.core.collision import BGK, KBC, TRT, equilibrium
 from repro.core.config import SimConfig
+from repro.core.engine import Engine
 from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
 from repro.core.lattice import D3Q19, D3Q27
 from repro.core.simulation import Simulation
@@ -139,6 +140,8 @@ class TestCollideShards:
         buf = SimpleNamespace(f=f, fstar=np.full_like(f, np.nan))
         engine = SimpleNamespace(levels=[buf], collision=op, omega=[1.6],
                                  force=[force])
+        # the shard is the engine's own column-range collide piece
+        engine.collide_columns = MethodType(Engine.collide_columns, engine)
         rec = KernelRecord("C", 0, self.N, f.nbytes, f.nbytes,
                            (FieldRef("f", 0),), (FieldRef("fstar", 0),))
         shards = [(lo, hi) for worker in _partition([rec], [[0]], workers)
