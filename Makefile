@@ -44,9 +44,12 @@ test-blas:
 # 16^3 x 3 anchor (one pull table per level, shared by grid and engine;
 # admission and state_digest copy nothing), the dead-state proof (only f
 # crosses a coarse step, all 7 configs, dynamic and static) and the
-# format-2 checkpoint contract.  Under 30 s; also part of `make test`.
+# format-2 checkpoint contract; and the grid compile's tracemalloc peak
+# over its result (half sphere, anchor: each level's dense tables are
+# locals of its compile).  Under 30 s; also part of `make test`.
 mem-check:
-	$(PYTHON) -m pytest -x -q tests/test_live_state.py
+	$(PYTHON) -m pytest -x -q tests/test_live_state.py \
+		"tests/test_multigrid.py::TestCompileMemory"
 
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool

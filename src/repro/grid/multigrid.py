@@ -288,18 +288,30 @@ class CompiledLevel:
         return self.grid.n_alloc
 
     def row_of_slot(self) -> np.ndarray:
-        """Slot -> row of the engine's per-level buffers (-1: not stored)."""
-        return _row_of_slot(self.n_alloc, self.owned_slots, self.fine_ghost_slots)
+        """Slot -> row of the engine's per-level buffers (-1: not stored):
+        owned cells in slot order, then the fine ghosts."""
+        rows = np.full(self.n_alloc, -1, dtype=np.int64)
+        rows[self.owned_slots] = np.arange(self.n_owned)
+        rows[self.fine_ghost_slots] = self.n_owned + np.arange(self.fine_ghost_slots.size)
+        return rows
 
     @property
     def n_interface_fine(self) -> int:
         """Owned cells with at least one explosion pull (fine side of an interface)."""
-        return int(np.unique(self.exp_cell).size)
+        return _n_distinct(self.exp_cell, self.n_owned)
 
     @property
     def n_interface_coarse(self) -> int:
         """Owned cells with at least one coalescence pull (coarse side)."""
-        return int(np.unique(self.coal_cell).size)
+        return _n_distinct(self.coal_cell, self.n_owned)
+
+
+def _n_distinct(cells: np.ndarray, n: int) -> int:
+    """How many distinct values ``cells`` holds, all in ``[0, n)``: a flag
+    scatter and a count, no sort."""
+    flag = np.zeros(n, dtype=bool)
+    flag[cells] = True
+    return int(np.count_nonzero(flag))
 
 
 @dataclass
@@ -328,15 +340,6 @@ class MultiGrid:
     def finest_first_distribution(self) -> list[int]:
         """Voxel counts ordered finest-to-coarsest, as reported in Table I."""
         return [lv.n_owned for lv in reversed(self.levels)]
-
-
-def _row_of_slot(n_alloc: int, owned_slots: np.ndarray,
-                 fine_ghost_slots: np.ndarray) -> np.ndarray:
-    """The row space: owned cells in slot order, then the fine ghosts."""
-    rows = np.full(n_alloc, -1, dtype=np.int64)
-    rows[owned_slots] = np.arange(owned_slots.size)
-    rows[fine_ghost_slots] = owned_slots.size + np.arange(fine_ghost_slots.size)
-    return rows
 
 
 def iter_pull_rows(pull_flat: np.ndarray, n_owned: int):
@@ -368,49 +371,6 @@ def _owner_labels(spec: RefinementSpec) -> list[np.ndarray]:
     return labels
 
 
-def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
-                   labels: list[np.ndarray]) -> tuple[BlockSparseGrid, dict]:
-    """Build one level's sparse grid and classify every streaming pull."""
-    d, Q = spec.d, lat.q
-    lab = labels[lvl]
-    shape = np.asarray(spec.level_shape(lvl), dtype=np.int64)
-    owned_mask = lab == _SELF
-    # Coarse-ghost layer: one layer of this level's cells inside the finer
-    # region, adjacent to owned cells (Section IV-A).
-    per = spec.bc.periodic_axes(d)
-    if lvl < spec.num_levels - 1:
-        ghost_mask = _dilate(owned_mask, 1, per) & (lab == _FINER)
-    else:
-        ghost_mask = np.zeros_like(owned_mask)
-    # Fine-ghost region of the original baseline: four layers of this
-    # level's cells outside the owned region, overlapping the coarser
-    # parent (Section III / Fig. 4a).
-    if lvl > 0:
-        parent_owned = _upsample2(labels[lvl - 1] == _SELF)
-        fine_ghost_mask = _dilate(owned_mask, 4, per) & parent_owned
-    else:
-        fine_ghost_mask = np.zeros_like(owned_mask)
-    alloc = owned_mask | ghost_mask | fine_ghost_mask
-    grid = BlockSparseGrid.from_mask(alloc, level=lvl, block_size=spec.block_size,
-                                     curve=spec.curve)
-    pos_all = grid.cell_positions()
-    # blocks are padded to B^d: slots past the box boundary are never active
-    inside = np.flatnonzero(np.all(pos_all < shape, axis=1))
-    cell_of_slot = np.ravel_multi_index(tuple(pos_all[inside].T), lab.shape)
-    active = grid.active()
-
-    def slots_of(mask: np.ndarray) -> np.ndarray:
-        flag = np.zeros(grid.n_alloc, dtype=bool)
-        flag[inside] = mask.ravel()[cell_of_slot]
-        return np.flatnonzero(flag & active)
-
-    return grid, {
-        "owned_slots": slots_of(owned_mask), "ghost_slots": slots_of(ghost_mask),
-        "fine_ghost_slots": slots_of(fine_ghost_mask), "shape": shape,
-        "pos_all": pos_all, "inside": inside,
-    }
-
-
 def _wrap_pads(padded: np.ndarray, periodic: list[bool]) -> None:
     """Fill the one-cell pad of every periodic axis with the far side's cells."""
     for axis, wrap in enumerate(periodic):
@@ -419,227 +379,297 @@ def _wrap_pads(padded: np.ndarray, periodic: list[bool]) -> None:
             p[0], p[-1] = p[-2], p[1]
 
 
+def _strides(dims: tuple[int, ...]) -> np.ndarray:
+    """C-order element strides of a box."""
+    return np.cumprod((1,) + dims[:0:-1])[::-1]
+
+
+def _cube_offsets(n: int, strides: np.ndarray) -> np.ndarray:
+    """Flat offsets of the cells of an ``n^d`` cube, C order."""
+    return strides @ np.indices((n,) * strides.size).reshape(strides.size, -1)
+
+
+def _slot_cells(grid: BlockSparseGrid, padded: tuple[int, ...]) -> np.ndarray:
+    """Flat index of every slot in the level's box padded by one cell: its
+    block origin's plus its local offset's, one ``(n_blocks, 1) + (1, B^d)``
+    add.  Slots of an edge block past the box get an index that is not
+    theirs (perhaps past the array); they are inactive, and only active
+    slots are ever stored."""
+    B, strides = grid.block_size, _strides(padded)
+    origin = (grid.block_coords * B + 1) @ strides
+    return (origin[:, None] + _cube_offsets(B, strides)).ravel()
+
+
+def _index_table(cells: np.ndarray, padded: tuple[int, ...], periodic: list[bool],
+                 owned_slots: np.ndarray, ghosts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One level's flat int32 table over its padded box: an owned cell holds
+    its row, another stored cell ``-2 - slot``, any other position -1; the
+    pads are wrapped like the labels'."""
+    table = np.full(padded, -1, dtype=np.int32)
+    flat = table.reshape(-1)
+    for slots in ghosts:
+        flat[cells.take(slots)] = -2 - slots
+    flat[cells.take(owned_slots)] = np.arange(owned_slots.size)
+    _wrap_pads(table, periodic)
+    return flat
+
+
+def _slot_of(entries: np.ndarray, owned_slots: np.ndarray) -> np.ndarray:
+    """Slots named by index-table entries (-1 where nothing is stored)."""
+    return np.where(entries >= 0, owned_slots.take(entries, mode="clip"),
+                    -2 - entries.astype(np.int64))
+
+
+def _parent_cells(cells: np.ndarray, padded: tuple[int, ...],
+                  coarse_strides: np.ndarray) -> np.ndarray:
+    """Flat index in the coarser level's padded box of each padded cell's
+    parent: padded coordinate ``c`` has parent ``(c + 1) // 2``, which maps
+    a periodic pad onto the coarser level's wrapped pad."""
+    coords = np.unravel_index(cells, padded)
+    return sum((c + 1) // 2 * s for c, s in zip(coords, coarse_strides))
+
+
+def _cat(parts: list[tuple], col: int, dtype=np.int64) -> np.ndarray:
+    """Column ``col`` of the per-direction parts, rows in append order."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    if np.ndim(parts[0][col]) == 0:                   # one value per part
+        return np.repeat(np.array([p[col] for p in parts], dtype=dtype),
+                         [p[1].size for p in parts])
+    return np.concatenate([p[col] for p in parts]).astype(dtype, copy=False)
+
+
+def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
+                 padded: tuple[int, ...], periodic: list[bool]):
+    """Level compile: the level's sparse grid, its owner labels over the
+    padded box, every slot's padded index, the index table and the (owned,
+    coarse-ghost, fine-ghost) slots."""
+    lab = labels[lvl]
+    owned_mask = lab == _SELF
+    alloc = owned_mask.copy()
+    # Coarse-ghost layer: one layer of this level's cells inside the finer
+    # region, adjacent to owned cells (Section IV-A).
+    if lvl < spec.num_levels - 1:
+        alloc |= _dilate(owned_mask, 1, periodic) & (lab == _FINER)
+    # Fine-ghost region of the original baseline: four layers of this
+    # level's cells outside the owned region, overlapping the coarser
+    # parent (Section III / Fig. 4a).
+    if lvl > 0:
+        alloc |= _dilate(owned_mask, 4, periodic) & _upsample2(labels[lvl - 1] == _SELF)
+    grid = BlockSparseGrid.from_mask(alloc, level=lvl, block_size=spec.block_size,
+                                     curve=spec.curve)
+    del owned_mask, alloc
+    lab_pad = np.full(padded, _OUTSIDE, dtype=np.int8)
+    lab_pad[(slice(1, -1),) * spec.d] = lab
+    _wrap_pads(lab_pad, periodic)
+    lab_flat = lab_pad.reshape(-1)
+    # an active slot is owned (_SELF), a coarse ghost (_FINER) or a fine
+    # ghost (_COARSER), by the label of its cell
+    cells = _slot_cells(grid, padded)
+    code = np.where(grid.active(), lab_flat.take(cells, mode="clip"), _OUTSIDE)
+    slots = tuple(np.flatnonzero(code == c) for c in (_SELF, _FINER, _COARSER))
+    table = _index_table(cells, padded, periodic, slots[0], slots[1:])
+    return grid, lab_flat, cells, table, slots
+
+
+def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
+              padded: tuple[int, ...], table: np.ndarray, cell: np.ndarray,
+              owned_slots: np.ndarray):
+    """Classification: every (direction, owned cell) pull of one level.
+
+    Returns the pull table, the kind matrix and the per-kind parts
+    ``(q, rows, ...)`` in append order; an explosion part carries its
+    padded pull sources, whose coarser parents are resolved later.
+    """
+    d, Q, n_owned = spec.d, lat.q, owned_slots.size
+    per, face_names, strides = spec.bc.periodic_axes(d), _face_names(d), _strides(padded)
+    pull_flat = np.empty((Q, n_owned), dtype=np.int32)
+    kind = np.full((Q, n_owned), kinds.INTERIOR, dtype=np.int8)
+    parts: dict[str, list] = {k: [] for k in ("bb", "sb", "mov", "out", "sl", "exp", "coal")}
+    src = np.empty(n_owned, dtype=np.int64)
+
+    def mark(table_name, code, q, rows, *cols):
+        parts[table_name].append((q, rows) + cols)
+        kind[q, rows] = code
+
+    for q in range(Q):
+        v = lat.e[q]
+        entries = pull_flat[q]
+        np.subtract(cell, int(v @ strides), out=src)     # flat pull source
+        # Interior pulls in one gather: the source's owned row.  Rows that
+        # read < 0 refer to themselves and are classified below, where an
+        # entry that is read is written once.
+        table.take(src, out=entries, mode="clip")
+        miss = np.flatnonzero(entries < 0)
+        held = entries[miss]
+        entries[miss] = miss
+        entries += q * n_owned
+        if not miss.size:
+            continue
+        src_m = src[miss]
+        code = lab_flat.take(src_m)
+        bounce = int(lat.opp[q]) * n_owned             # + cell: halfway bounce-back
+
+        sel = code == _FINER
+        if sel.any():                                  # + the ghost slot
+            mark("coal", kinds.COALESCENCE, q, miss[sel], -2 - held[sel])
+        sel = code == _COARSER
+        if sel.any():    # + the padded source and 4a's own fine-ghost slot
+            mark("exp", kinds.EXPLOSION, q, miss[sel], src_m[sel], -2 - held[sel])
+        sel = code == _SOLID
+        if sel.any():
+            rows_s = miss[sel]
+            mark("bb", kinds.BOUNCEBACK, q, rows_s)
+            parts["sb"].append((q, rows_s))
+            pull_flat[q, rows_s] = bounce + rows_s
+
+        sel = code == _OUTSIDE
+        if not sel.any():
+            continue
+        rows_o = miss[sel]
+        # the pad layer the source lies in names the crossed faces; pick
+        # the governing one by precedence
+        layer = np.unravel_index(src_m[sel], padded)
+        best_rank = np.full(rows_o.size, 99, dtype=np.int64)
+        best_face = np.zeros(rows_o.size, dtype=np.int64)
+        for axis in range(d):
+            if per[axis]:  # wrapped by the pad, cannot be crossed
+                continue
+            for side, crossed in ((0, layer[axis] == 0),
+                                  (1, layer[axis] == padded[axis] - 1)):
+                fi = 2 * axis + side
+                rank = _PRECEDENCE[spec.bc.face(face_names[fi]).kind]
+                better = crossed & (rank < best_rank)
+                best_rank[better] = rank
+                best_face[better] = fi
+        for fi in np.flatnonzero(np.bincount(best_face)):
+            fbc = spec.bc.face(face_names[fi])
+            rows = rows_o[best_face == fi]
+            if fbc.kind == "wall":
+                mark("bb", kinds.BOUNCEBACK, q, rows)
+                pull_flat[q, rows] = bounce + rows
+            elif fbc.kind in ("moving", "inlet"):
+                uw = np.zeros(d) if fbc.velocity is None else np.asarray(fbc.velocity)
+                term = 2.0 * lat.w[q] * float(lat.ef[q] @ uw) / lat.cs2
+                mark("mov", kinds.MOVING, q, rows, term)
+                pull_flat[q, rows] = bounce + rows   # the body adds `term`
+            elif fbc.kind == "slip":
+                # Specular reflection at the halfway plane: sample the
+                # mirrored direction at the tangential neighbour on the
+                # cell's own wall-adjacent row (the mirror image of the
+                # out-of-domain source), where this level owns it.
+                axis = fi // 2
+                mvec = v.copy()
+                mvec[axis] = -mvec[axis]
+                mq = lat.direction_index(mvec)
+                tvec = v.copy()
+                tvec[axis] = 0
+                mrow = table.take(cell[rows] - int(tvec @ strides))
+                good = mrow >= 0
+                if good.any():
+                    srows = rows[good]
+                    mark("sl", kinds.SLIP, q, srows, mq, owned_slots.take(mrow[good]))
+                    pull_flat[q, srows] = mq * n_owned + mrow[good]
+                if not good.all():
+                    # mirrored source unavailable (interface or
+                    # corner): degrade gracefully to bounce-back
+                    brows = rows[~good]
+                    mark("bb", kinds.BOUNCEBACK, q, brows)
+                    pull_flat[q, brows] = bounce + brows
+            elif fbc.kind == "outflow":
+                mark("out", kinds.OUTFLOW, q, rows)
+            else:  # pragma: no cover - periodic was wrapped already
+                raise AssertionError("periodic faces cannot be crossed")
+    pull_flat.setflags(write=False)
+    return pull_flat, kind, parts
+
+
+def _link_coarser(up: CompiledLevel, periodic: list[bool], padded: tuple[int, ...],
+                  table: np.ndarray, owned_slots: np.ndarray, exp_cells: np.ndarray,
+                  fg_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-level maps, by gather on the coarser level ``up``'s index
+    table (built here, dropped on return): the parent slots of the padded
+    explosion sources ``exp_cells`` and fine ghosts ``fg_cells``, and the
+    children of ``up``'s ghost cells in this level's ``table`` (its
+    accumulate map, stored on ``up``)."""
+    up_padded = tuple(n + 2 for n in up.grid.shape)
+    up_cells = _slot_cells(up.grid, up_padded)
+    up_table = _index_table(up_cells, up_padded, periodic, up.owned_slots,
+                            (up.ghost_slots, up.fine_ghost_slots))
+    exp_src, fg_src = (_slot_of(up_table.take(_parent_cells(c, padded, _strides(up_padded))),
+                                up.owned_slots) for c in (exp_cells, fg_cells))
+    if (exp_src < 0).any():
+        raise AssertionError("explosion source not allocated on the coarser level")
+    if (fg_src < 0).any():
+        raise AssertionError("fine-ghost parent not allocated on coarser level")
+    if up.ghost_slots.size:
+        # padded coordinate c of a coarse cell has its children from 2c - 1
+        strides = _strides(padded)
+        first = sum((2 * c - 1) * s for c, s in zip(
+            np.unravel_index(up_cells.take(up.ghost_slots), up_padded), strides))
+        kids = (first[:, None] + _cube_offsets(2, strides)).ravel()
+        up.acc_fine_slots = _slot_of(table.take(kids), owned_slots)
+        if (up.acc_fine_slots < 0).any():
+            raise AssertionError("ghost child not allocated on the finer level")
+    return exp_src, fg_src
+
+
+def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
+                   labels: list[np.ndarray], coarser: list[CompiledLevel]) -> CompiledLevel:
+    """Compile one level; ``coarser`` holds the levels compiled before it.
+
+    Its dense transients — int8 owner labels and the int32 index table over
+    the box padded by one cell — are locals, gone on return.  A pull source
+    is one flat offset away from its cell, with no bounds test: the pad
+    holds the far side on periodic axes and _OUTSIDE / -1 elsewhere.
+    """
+    per = spec.bc.periodic_axes(spec.d)
+    padded = tuple(n + 2 for n in labels[lvl].shape)
+    grid, lab_flat, cells, table, (owned_slots, ghost_slots, fine_ghost_slots) = \
+        _level_slots(spec, lvl, labels, padded, per)
+    # int32 entry ids (the pull table's, the static model's) number the
+    # (q, row) pairs of the row space, 4a's fine-ghost rows included
+    n_rows = owned_slots.size + fine_ghost_slots.size
+    if lat.q * n_rows >= 2 ** 31:
+        raise ValueError(f"level {lvl} has {lat.q} x {n_rows} population entries; "
+                         f"int32 ids address fewer than 2**31")
+    pull_flat, kind, parts = _classify(spec, lat, lab_flat, padded, table,
+                                       cells.take(owned_slots), owned_slots)
+    del lab_flat
+    coal_slots = _cat(parts["coal"], 2)
+    coal_src = np.searchsorted(ghost_slots, coal_slots)
+    if (coal_src >= ghost_slots.size).any() or (
+            ghost_slots.take(coal_src, mode="clip") != coal_slots).any():
+        raise AssertionError("coalescence source missing from the ghost layer")
+    exp_src = fg_coarse_src = np.empty(0, dtype=np.int64)
+    if lvl > 0:
+        exp_src, fg_coarse_src = _link_coarser(
+            coarser[lvl - 1], per, padded, table, owned_slots,
+            _cat(parts["exp"], 2), cells.take(fine_ghost_slots))
+    col = {f"{k}_{name}": _cat(p, i) for k, p in parts.items()
+           for i, name in enumerate(("q", "cell"))}
+    return CompiledLevel(
+        level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
+        fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat, kind=kind, **col,
+        mov_term=_cat(parts["mov"], 2, np.float64),
+        out_val=lat.w[col["out_q"]] if col["out_q"].size else np.empty(0),
+        sl_src_q=_cat(parts["sl"], 2), sl_src=_cat(parts["sl"], 3),
+        exp_src=exp_src, exp_ghost_src=_cat(parts["exp"], 3), coal_src=coal_src,
+        # acc_fine_slots: resolved by the next finer level's _link_coarser
+        acc_fine_slots=np.empty(0, dtype=np.int64),
+        acc_ghost_rows=np.repeat(np.arange(ghost_slots.size if lvl < spec.num_levels - 1
+                                           else 0), 2 ** spec.d),
+        fg_slots=fine_ghost_slots, fg_coarse_src=fg_coarse_src,
+    )
+
+
 def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
     """Validate ``spec`` and compile the full multi-resolution stack."""
     if lat.d != spec.d:
         raise ValueError(f"lattice is {lat.d}-D but the domain is {spec.d}-D")
     _validate_spec(spec)
     labels = _owner_labels(spec)
-    Q, d = lat.q, spec.d
-    periodic = spec.bc.periodic_axes(d)
-    face_names = _face_names(d)
-
-    pre = [_compile_level(spec, lat, lvl, labels) for lvl in range(spec.num_levels)]
-    grids = [g for g, _ in pre]
-
     levels: list[CompiledLevel] = []
     for lvl in range(spec.num_levels):
-        grid, meta = pre[lvl]
-        pre[lvl] = None                                    # pos_all dies with the level
-        lab = labels[lvl]
-        shape = meta["shape"]
-        owned_slots = meta["owned_slots"]
-        ghost_slots = meta["ghost_slots"]
-        fine_ghost_slots = meta["fine_ghost_slots"]
-        pos_all, inside = meta["pos_all"], meta["inside"]
-        n_owned = owned_slots.size
-        pos = pos_all[owned_slots]                         # (n_owned, d)
-
-        # Dense transients over the box padded by one cell: owner labels
-        # and an int32 position -> slot table.  A pull source is then one
-        # flat offset away from its cell, with no bounds test: the pad
-        # holds the far side on periodic axes and _OUTSIDE / -1 elsewhere.
-        padded = tuple(int(n) + 2 for n in shape)
-        strides = np.cumprod((1,) + padded[:0:-1])[::-1]
-        cell_all = (pos_all + 1) @ strides                 # valid where `inside`
-        lab_pad = np.full(padded, _OUTSIDE, dtype=np.int8)
-        lab_pad[(slice(1, -1),) * d] = lab
-        slot_pad = np.full(padded, -1, dtype=np.int32)
-        slot_pad.ravel()[cell_all[inside]] = inside
-        _wrap_pads(lab_pad, periodic)
-        _wrap_pads(slot_pad, periodic)
-        lab_flat, slot_flat = lab_pad.ravel(), slot_pad.ravel()
-        cell = cell_all[owned_slots]
-
-        ghost_row_of_slot = np.full(grid.n_alloc, -1, dtype=np.int64)
-        ghost_row_of_slot[ghost_slots] = np.arange(ghost_slots.size)
-
-        # int32 entry ids (the pull table's, the static model's) number the
-        # (q, row) pairs of the row space, 4a's fine-ghost rows included
-        n_rows = n_owned + fine_ghost_slots.size
-        if Q * n_rows >= 2 ** 31:
-            raise ValueError(f"level {lvl} has {Q} x {n_rows} population entries; "
-                             f"int32 ids address fewer than 2**31")
-        row_of_slot = _row_of_slot(grid.n_alloc, owned_slots, fine_ghost_slots)
-        # every entry starts as a reference to itself and is overwritten
-        # below, once, where its (q, cell) is classified
-        pull_flat = (np.arange(Q, dtype=np.int32)[:, None] * np.int32(n_owned)
-                     + np.arange(n_owned, dtype=np.int32))
-        kind = np.full((Q, n_owned), kinds.INTERIOR, dtype=np.int8)
-
-        bb, mov, out, exp, coal = [], [], [], [], []
-        solid_bb, slip = [], []
-        for q in range(Q):
-            v = lat.e[q]
-            if not v.any():  # rest population: trivially interior (self)
-                continue
-            src = cell - int(v @ strides)                  # flat pull source
-            code = lab_flat.take(src)
-            bounce = int(lat.opp[q]) * n_owned             # + cell: halfway bounce-back
-
-            rows = np.flatnonzero(code == _SELF)
-            pull_flat[q, rows] = q * n_owned + row_of_slot.take(slot_flat.take(src[rows]))
-            rows_f = np.flatnonzero(code == _FINER)
-            if rows_f.size:
-                gslots = slot_flat.take(src[rows_f])
-                coal.append((q, rows_f, ghost_row_of_slot[gslots]))
-                kind[q, rows_f] = kinds.COALESCENCE
-            rows_c = np.flatnonzero(code == _COARSER)
-            if rows_c.size:
-                # the source is inside the box, so % only acts on wrapped axes
-                cslots = grids[lvl - 1].lookup((pos[rows_c] - v) % shape // 2)
-                own_ghost = slot_flat.take(src[rows_c])    # 4a alternative source
-                exp.append((q, rows_c, cslots, own_ghost))
-                kind[q, rows_c] = kinds.EXPLOSION
-            rows_s = np.flatnonzero(code == _SOLID)
-            if rows_s.size:
-                bb.append((q, rows_s))
-                solid_bb.append((q, rows_s))
-                kind[q, rows_s] = kinds.BOUNCEBACK
-                pull_flat[q, rows_s] = bounce + rows_s
-
-            rows_o = np.flatnonzero(code == _OUTSIDE)
-            if rows_o.size:
-                src_o = pos[rows_o] - v
-                # pick the governing face by precedence among crossed faces
-                best_rank = np.full(rows_o.size, 99, dtype=np.int64)
-                best_face = np.zeros(rows_o.size, dtype=np.int64)
-                for axis in range(d):
-                    if periodic[axis]:  # wrapped by the pad, cannot be crossed
-                        continue
-                    for side, crossed in ((0, src_o[:, axis] < 0),
-                                          (1, src_o[:, axis] >= shape[axis])):
-                        fi = 2 * axis + side
-                        rank = _PRECEDENCE[spec.bc.face(face_names[fi]).kind]
-                        better = crossed & (rank < best_rank)
-                        best_rank[better] = rank
-                        best_face[better] = fi
-                for fi in np.unique(best_face):
-                    fbc = spec.bc.face(face_names[fi])
-                    rows = rows_o[best_face == fi]
-                    if fbc.kind == "wall":
-                        bb.append((q, rows))
-                        kind[q, rows] = kinds.BOUNCEBACK
-                        pull_flat[q, rows] = bounce + rows
-                    elif fbc.kind in ("moving", "inlet"):
-                        uw = np.zeros(d) if fbc.velocity is None else np.asarray(fbc.velocity)
-                        term = 2.0 * lat.w[q] * float(lat.ef[q] @ uw) / lat.cs2
-                        mov.append((q, rows, term))
-                        kind[q, rows] = kinds.MOVING
-                        pull_flat[q, rows] = bounce + rows   # the body adds `term`
-                    elif fbc.kind == "slip":
-                        # Specular reflection at the halfway plane: sample
-                        # the mirrored direction at the tangential
-                        # neighbour on the cell's own wall-adjacent row
-                        # (the mirror image of the out-of-domain source).
-                        axis = fi // 2
-                        mvec = lat.e[q].copy()
-                        mvec[axis] = -mvec[axis]
-                        mq = lat.direction_index(mvec)
-                        tvec = lat.e[q].copy()
-                        tvec[axis] = 0
-                        mpos = pos[rows] - tvec
-                        for ax in range(d):  # corners: wrap periodic axes
-                            if periodic[ax]:
-                                mpos[:, ax] %= shape[ax]
-                        ok = np.all((mpos >= 0) & (mpos < shape), axis=1)
-                        ok_idx = np.zeros(rows.size, dtype=bool)
-                        if ok.any():
-                            sl_code = lab[tuple(mpos[ok].T)]
-                            good = sl_code == _SELF
-                            tmp = np.flatnonzero(ok)
-                            ok_idx[tmp[good]] = True
-                        if ok_idx.any():
-                            srows = rows[ok_idx]
-                            slots = grid.lookup(mpos[ok_idx])
-                            slip.append((q, srows, mq, slots))
-                            kind[q, srows] = kinds.SLIP
-                            pull_flat[q, srows] = mq * n_owned + row_of_slot[slots]
-                        if (~ok_idx).any():
-                            # mirrored source unavailable (interface or
-                            # corner): degrade gracefully to bounce-back
-                            brows = rows[~ok_idx]
-                            bb.append((q, brows))
-                            kind[q, brows] = kinds.BOUNCEBACK
-                            pull_flat[q, brows] = bounce + brows
-                    elif fbc.kind == "outflow":
-                        out.append((q, rows))
-                        kind[q, rows] = kinds.OUTFLOW
-                    else:  # pragma: no cover - periodic was wrapped already
-                        raise AssertionError("periodic faces cannot be crossed")
-        del lab_pad, slot_pad, lab_flat, slot_flat, cell_all, cell   # freed before the next level
-
-        def _cat(parts, col, dtype=np.int64):
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([
-                np.broadcast_to(np.asarray(p[col]), np.asarray(p[1]).shape).astype(dtype)
-                for p in parts
-            ])
-
-        bb_q, bb_cell = _cat(bb, 0), _cat(bb, 1)
-        mov_q, mov_cell = _cat(mov, 0), _cat(mov, 1)
-        mov_term = _cat(mov, 2, dtype=np.float64)
-        out_q, out_cell = _cat(out, 0), _cat(out, 1)
-        out_val = lat.w[out_q] if out_q.size else np.empty(0)
-        exp_q, exp_cell = _cat(exp, 0), _cat(exp, 1)
-        exp_src, exp_ghost_src = _cat(exp, 2), _cat(exp, 3)
-        coal_q, coal_cell, coal_src = _cat(coal, 0), _cat(coal, 1), _cat(coal, 2)
-        sl_q, sl_cell = _cat(slip, 0), _cat(slip, 1)
-        sl_src_q, sl_src = _cat(slip, 2), _cat(slip, 3)
-        sb_q, sb_cell = _cat(solid_bb, 0), _cat(solid_bb, 1)
-        if exp_src.size and (exp_src < 0).any():
-            raise AssertionError("explosion source not allocated on the coarser level")
-        if coal_src.size and (coal_src < 0).any():
-            raise AssertionError("coalescence source missing from the ghost layer")
-        pull_flat.setflags(write=False)
-
-        # Accumulate map: children of every coarse-ghost cell on the finer level.
-        if lvl < spec.num_levels - 1 and ghost_slots.size:
-            gpos = pos_all[ghost_slots]
-            children_off = np.stack(np.meshgrid(*([np.arange(2)] * d),
-                                                indexing="ij"), axis=-1).reshape(-1, d)
-            fine = (gpos[:, None, :] * 2 + children_off[None, :, :]).reshape(-1, d)
-            acc_fine_slots = grids[lvl + 1].lookup(fine)
-            if (acc_fine_slots < 0).any():
-                raise AssertionError("ghost child not allocated on the finer level")
-            acc_ghost_rows = np.repeat(np.arange(ghost_slots.size), 2 ** d)
-        else:
-            acc_fine_slots = np.empty(0, dtype=np.int64)
-            acc_ghost_rows = np.empty(0, dtype=np.int64)
-
-        # Original-baseline explosion copy: every fine-ghost cell mirrors its
-        # coarse parent's post-collision state.
-        if fine_ghost_slots.size:
-            fpos = pos_all[fine_ghost_slots]
-            fg_coarse_src = grids[lvl - 1].lookup(fpos // 2)
-            if (fg_coarse_src < 0).any():
-                raise AssertionError("fine-ghost parent not allocated on coarser level")
-        else:
-            fg_coarse_src = np.empty(0, dtype=np.int64)
-
-        levels.append(CompiledLevel(
-            level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
-            fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat, kind=kind,
-            bb_q=bb_q, bb_cell=bb_cell,
-            mov_q=mov_q, mov_cell=mov_cell, mov_term=mov_term.astype(np.float64),
-            out_q=out_q, out_cell=out_cell, out_val=out_val,
-            sl_q=sl_q, sl_cell=sl_cell, sl_src_q=sl_src_q, sl_src=sl_src,
-            sb_q=sb_q, sb_cell=sb_cell,
-            exp_q=exp_q, exp_cell=exp_cell, exp_src=exp_src,
-            exp_ghost_src=exp_ghost_src,
-            coal_q=coal_q, coal_cell=coal_cell, coal_src=coal_src,
-            acc_fine_slots=acc_fine_slots, acc_ghost_rows=acc_ghost_rows,
-            fg_slots=fine_ghost_slots, fg_coarse_src=fg_coarse_src,
-        ))
+        levels.append(_compile_level(spec, lat, lvl, labels, levels))
     return MultiGrid(spec=spec, lattice=lat, levels=levels)

@@ -83,8 +83,10 @@ class BlockSparseGrid:
         for n in nblk_axes:
             new_shape.extend((n, B))
         view = padded.reshape(new_shape)
-        local_axes = tuple(range(1, 2 * d, 2))
-        occupied = view.any(axis=local_axes)
+        # per-block activity bits, C-ordered local cells
+        block_axes_first = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+        cells = view.transpose(block_axes_first).reshape(nblk_axes + (B ** d,))
+        occupied = cells.any(axis=-1)
         coords = np.argwhere(occupied).astype(np.int64)
         if coords.shape[0] == 0:
             raise ValueError("mask selects no cells; cannot build an empty grid")
@@ -93,18 +95,14 @@ class BlockSparseGrid:
         nb = coords.shape[0]
         lut = np.full(nblk_axes, -1, dtype=np.int64)
         lut[tuple(coords.T)] = np.arange(nb)
-        # per-block activity bits, C-ordered local cells
-        block_axes_first = tuple(range(0, 2 * d, 2)) + local_axes
-        cells = view.transpose(block_axes_first).reshape(occupied.shape + (B ** d,))
         flags = cells[tuple(coords.T)]
         words = bm.pack_bits(flags)
-        # 3^d block neighbour table
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
-        nbr = np.full((nb, 3 ** d), -1, dtype=np.int32)
-        for k, off in enumerate(offsets):
-            tgt = coords + off
-            ok = np.all((tgt >= 0) & (tgt < np.asarray(nblk_axes)), axis=1)
-            nbr[ok, k] = lut[tuple(tgt[ok].T)]
+        # 3^d block neighbour table: one gather on the table padded by a block
+        lut_pad = np.full(tuple(n + 2 for n in nblk_axes), -1, dtype=np.int32)
+        lut_pad[(slice(1, -1),) * d] = lut
+        strides = np.cumprod((1,) + lut_pad.shape[:0:-1])[::-1]
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ strides
+        nbr = lut_pad.reshape(-1)[((coords + 1) @ strides)[:, None] + offsets]
         return cls(level=level, shape=tuple(int(s) for s in shape), block_size=B,
                    block_coords=coords, block_lut=lut, bitmask_words=words,
                    block_neighbors=nbr, curve=curve)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from repro.bench.workloads import sphere_tunnel
+from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.lattice import D2Q9, D3Q19, D3Q27
 from repro.grid import kinds
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
@@ -628,23 +629,154 @@ def test_random_topologies_match_reference(spec):
     assert_matches_reference(spec, D2Q9 if spec.d == 2 else D3Q19)
 
 
+def assert_interface_counts(mg):
+    for cl in mg.levels:
+        assert cl.n_interface_fine == np.unique(cl.exp_cell).size, cl.level
+        assert cl.n_interface_coarse == np.unique(cl.coal_cell).size, cl.level
+
+
+def test_interface_counts_are_distinct_cells():
+    """``n_interface_fine`` / ``_coarse`` (a flag scatter) equal the number of
+    distinct explosion / coalescence cells over the reference matrix."""
+    for case in _reference_cases():
+        base, lat, flavour, levels, solid, block, curve = case.values
+        mg = build_multigrid(nested_box_spec(base, levels, flavoured_bc(len(base), flavour),
+                                             solid=solid, block_size=block, curve=curve), lat)
+        assert_interface_counts(mg)
+
+
+@grid_budget
+@given(random_specs())
+def test_random_topologies_count_interface_cells(spec):
+    try:
+        _validate_spec(spec)
+    except ValueError:
+        assume(False)
+    assert_interface_counts(build_multigrid(spec, D2Q9 if spec.d == 2 else D3Q19))
+
+
+# -- pinned compile witness ------------------------------------------------------
+#
+# SHA-256 over (name, dtype, shape, bytes) of every CompiledLevel and
+# BlockSparseGrid array, per spec, as the position-based compile produced
+# them before the flat-table one: "same arrays out, bit for bit", checked
+# directly.  A digest that moves means every downstream number may move.
+
+def shell_cavity(offsets):
+    """The 16³×3 anchor cavity with its innermost refinement shell moved per
+    wall by ``offsets`` (x-, x+, y-, y+, z-, z+), as ``coldstart-mix`` varies it."""
+    spec = lid_cavity(base=(16, 16, 16), num_levels=3).spec
+    last = spec.refine_regions[-1]
+    thick = int(np.argmin(last[(slice(None),) + tuple(n // 2 for n in last.shape[1:])]))
+    region = np.zeros_like(last)
+    for axis, side in itertools.product(range(3), (0, 1)):
+        t = thick + offsets[2 * axis + side]
+        idx = [slice(None)] * 3
+        idx[axis] = slice(0, t) if side == 0 else slice(last.shape[axis] - t, None)
+        region[tuple(idx)] = True
+    return dataclasses.replace(spec, refine_regions=spec.refine_regions[:-1] + [region])
+
+
+def _witness_specs():
+    vel = (0.05, 0.0)
+    periodic = FaceBC("periodic")
+    return {
+        "cavity-12c-L2": (lid_cavity(base=(12, 12, 12), num_levels=2).spec, D3Q19),
+        "cavity-16c-L3": (lid_cavity(base=(16, 16, 16), num_levels=3).spec, D3Q19),
+        "cavity-24c-L3": (lid_cavity(base=(24, 24, 24), num_levels=3).spec, D3Q19),
+        "sphere-s0.25": (sphere_tunnel(scale=0.25).spec, D3Q27),
+        "sphere-s0.5": (sphere_tunnel(scale=0.5).spec, D3Q27),
+        "2d-periodic-slip-moving-L3": (nested_box_spec((40, 28), 3, DomainBC({
+            "x-": periodic, "x+": periodic, "y-": FaceBC("slip"),
+            "y+": FaceBC("moving", velocity=vel)})), D2Q9),
+        "2d-fully-periodic-B8-hilbert": (nested_box_spec((36, 30), 3, DomainBC({
+            f: periodic for f in ("x-", "x+", "y-", "y+")}),
+            block_size=8, curve="hilbert"), D2Q9),
+        "3d-periodic-inlet-outflow-slip-B2": (nested_box_spec((14, 11, 13), 3, DomainBC({
+            "x-": FaceBC("inlet", velocity=(0.05, 0.0, 0.0)), "x+": FaceBC("outflow"),
+            "y-": FaceBC("slip"), "y+": FaceBC("slip"), "z-": periodic, "z+": periodic}),
+            solid=True, block_size=2), D3Q19),
+        "coldstart-shell-a": (shell_cavity((-1, 0, 0, 0, 0, 1)), D3Q19),
+        "coldstart-shell-b": (shell_cavity((0, 1, -1, 1, -1, 0)), D3Q19),
+        "served-2d-64-L3": (lid_cavity(base=(64, 64), num_levels=3, lattice="D2Q9").spec,
+                            D2Q9),
+    }
+
+
+def compile_digest(mg):
+    h = hashlib.sha256()
+    for cl in mg.levels:
+        for obj in (cl, cl.grid):
+            for name, a in vars(obj).items():
+                if isinstance(a, np.ndarray):
+                    h.update(f"{cl.level}:{name}:{a.dtype.str}:{a.shape}".encode())
+                    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+WITNESS = {
+    "2d-fully-periodic-B8-hilbert":
+        "beb6ee2eabe561857f3d1921bd01874a3153be23bf07542bad9d19b8c06f6ed1",
+    "2d-periodic-slip-moving-L3":
+        "c74d250425370e3e43fcbdc172e45c3d65f025ba777e17f460b7a8acf3370a23",
+    "3d-periodic-inlet-outflow-slip-B2":
+        "0f0ff7620c9766070902ce229e8d6dab2d55db825bdf5534e4da9bd5ce7ab3e8",
+    "cavity-12c-L2":
+        "f8dc6c2b3e20ce9681a00b354d88d38fb69135f54ec105b012fc7e56e387a4ae",
+    "cavity-16c-L3":
+        "1ec459051268d9883afb947e2eb80c4f5cd209a4f8af1d3a719cc266298a36c6",
+    "cavity-24c-L3":
+        "29da97c0104823982e9f3e66e5d7aa2d37d66398807698173e599f4661c00e06",
+    "coldstart-shell-a":
+        "704aeffd3bd2c8336c6c05367765d36dfe33d7ee76be51dbc3412accbf9ff42e",
+    "coldstart-shell-b":
+        "0002344ab190f91299b18abee166e18c3bca01b8a4939a19d8df3bf1691f592c",
+    "served-2d-64-L3":
+        "718c8dd3de0b163ea58f3232dc2132099bc14db9adc0317b9b4702d80d69535b",
+    "sphere-s0.25":
+        "2164ccd717d2c45c40265db181be717ed1eae439ace2a8175838df97cdee5f96",
+    "sphere-s0.5":
+        "f03c94a04aa3ea1794bdc5baf62443e1991d6b98a528afa1f6cb4b2eafef5d15",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS))
+def test_compile_witness_pinned(name):
+    spec, lat = _witness_specs()[name]
+    assert compile_digest(build_multigrid(spec, lat)) == WITNESS[name]
+
+
 class TestCompileMemory:
-    def test_peak_stays_near_the_result(self):
-        """Dense transients: one int8 + one int32 box, one level at a time."""
-        spec = sphere_tunnel(scale=0.5).spec
-        build_multigrid(spec, D3Q27)        # imports and first-touch out of the way
+    """The build's ``tracemalloc`` peak over the bytes of its result, MiB.
+
+    Ceilings are the reading + 2 MiB (half sphere 13.2, anchor 5.7; the
+    position-based compile read 18.6 / 25.1): each level's dense tables
+    are locals of its compile.  A fine-resolution copy of a coarser
+    level's table (4 bytes per finest padded cell, +7.1 MiB on the half
+    sphere) fails the first.
+    """
+
+    @staticmethod
+    def excess_mib(spec, lat):
+        build_multigrid(spec, lat)          # imports and first-touch out of the way
         gc.collect()
         tracemalloc.start()
         try:
-            mg = build_multigrid(spec, D3Q27)
+            mg = build_multigrid(spec, lat)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         arrays = {id(a): a.nbytes for cl in mg.levels
                   for obj in (cl, cl.grid) for a in vars(obj).values()
                   if isinstance(a, np.ndarray)}
-        label_bytes = int(np.prod(spec.level_shape(spec.num_levels - 1)))
-        assert peak - sum(arrays.values()) < 2 * label_bytes + (64 << 20)
+        return (peak - sum(arrays.values())) / 2 ** 20
+
+    def test_peak_stays_near_the_result(self):
+        assert self.excess_mib(sphere_tunnel(scale=0.5).spec, D3Q27) < 15.2
+
+    def test_anchor_peak_stays_near_the_result(self):
+        assert self.excess_mib(lid_cavity(base=(16, 16, 16), num_levels=3).spec,
+                               D3Q19) < 7.7
 
     def test_no_level_shaped_array_survives_on_a_grid(self):
         spec = sphere_tunnel(scale=0.25).spec
