@@ -7,10 +7,10 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Same tier-1 suite under the compiled step-plan backend.  Both
-# backends run the same kernel bodies, so this leg checks the replay
-# mechanics against the launch path: records, markers, fault and span
-# hooks acting on the plan's kernels, and the capture modes falling
-# back, visibly.
+# backends run the same kernel bodies in the same loop
+# (StepPlan.execute), so this leg checks the plan cache and admission
+# against a step captured afresh: records, markers, and fault, span and
+# access-capture hooks acting on the admitted plan without leaving it.
 test-compiled:
 	REPRO_BACKEND=compiled $(PYTHON) -m pytest -x -q
 
@@ -87,8 +87,11 @@ docs-check:
 	fi
 	$(PYTHON) tools/check_links.py
 
+# Declaration verifier + race detector, on the interpreted path and on
+# replayed compiled plans (capture does not change which code runs).
 analysis:
 	$(PYTHON) -m repro analysis --all-configs
+	REPRO_BACKEND=compiled $(PYTHON) -m repro analysis --all-configs
 
 # Declaration-only gate: symbolic access sets, fusion-legality proofs,
 # lint pass, step-plan certificates, static ⊇ dynamic cross-check and

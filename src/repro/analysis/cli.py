@@ -94,16 +94,14 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
 
     Gates (each failure is a ``problem``):
 
-    1. the plan-only stream equals the executing stream record-for-record
-       (the declarations the analyzer saw are the declarations that run);
-    2. symbolic access sets reproduce every declaration exactly
+    1. symbolic access sets reproduce every declaration exactly
        (:func:`~repro.analysis.static.verify_static`);
-    3. static access sets ⊇ dynamically captured ones (soundness of the
+    2. static access sets ⊇ dynamically captured ones (soundness of the
        static model);
-    4. the fusion is proved a legal contraction of the modified baseline
+    3. the fusion is proved a legal contraction of the modified baseline
        (:func:`~repro.analysis.static.prove_fusion_legality`);
-    5. the lint pass reports no ``error``-severity findings;
-    6. the emitted certificate validates against the live stream.
+    4. the lint pass reports no ``error``-severity findings;
+    5. the emitted certificate validates against the live stream.
 
     With ``cert_dir``, the step-plan certificate is written there as
     ``<config>--<workload>.json``.
@@ -125,7 +123,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     sim.run(steps)
     captured = rt.capture_stop()
 
-    stream_mismatch = list(rt.records) != records
     static_map = model.access_map(records)
     findings = verify_static(records, model)
     superset = superset_findings(records, captured, static_map)
@@ -144,7 +141,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "workload": workload,
         "steps": steps,
         "kernels": len(records),
-        "stream_mismatch": stream_mismatch,
         "findings": [str(f) for f in findings],
         "superset": superset,
         "verdict": proof.verdict,
@@ -172,8 +168,7 @@ def _static_negative_control(workload: str, steps: int) -> dict[str, Any]:
 
 
 def _static_problems(report: dict[str, Any]) -> int:
-    return ((1 if report["stream_mismatch"] else 0)
-            + len(report["findings"]) + len(report["superset"])
+    return (len(report["findings"]) + len(report["superset"])
             + (0 if report["verdict"] in ("legal", "baseline") else 1)
             + len(report["lint_errors"]) + len(report["certificate_problems"]))
 
@@ -198,9 +193,6 @@ def _run_static(configs: Sequence[FusionConfig], workloads: Sequence[str],
             for msg in (rep["findings"] + rep["superset"]
                         + rep["lint_errors"] + rep["certificate_problems"]):
                 print(f"    {msg}", file=out)
-            if rep["stream_mismatch"]:
-                print("    plan-only stream differs from executing stream",
-                      file=out)
             if rep["verdict"] == "illegal":
                 for c in rep["counterexamples"]:
                     print(f"    counterexample: {c}", file=out)

@@ -6,8 +6,8 @@ capture); the compiled-backend roadmap needs the same guarantees proved
 from two inputs only:
 
 * the :class:`~repro.neon.runtime.KernelRecord` declarations (fields,
-  byte totals, atomics) a plan-only run records
-  (:meth:`~repro.neon.runtime.Runtime.plan_start` — no body executes),
+  byte totals, atomics) a capture records
+  (:meth:`~repro.neon.runtime.Runtime.capture_plan` — no body executes),
 * the grid geometry already compiled into the engine's per-level index
   arrays (row counts, scatter/gather maps) — data, not execution.
 
@@ -45,7 +45,7 @@ import numpy as np
 from ..core.fusion import MODIFIED_BASELINE, FusionConfig
 from ..grid.multigrid import iter_pull_rows
 from ..neon.graph import build_dependency_graph, iter_conflict_pairs
-from ..neon.runtime import FieldRef, KernelRecord, Runtime
+from ..neon.runtime import FieldRef, KernelRecord
 from .capture import ATOMIC, META, READ, WRITE
 from .verify import Finding, verify_record
 
@@ -401,24 +401,21 @@ def plan_stream(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
     """Record the declaration stream of a workload without executing bodies.
 
     Builds the simulation (grid compilation + buffer allocation are
-    setup, not kernel execution), switches the runtime to plan-only mode
-    and drives the Algorithm-1 stepper: every ``op_*`` records its
-    declaration and skips its body.  The resulting stream is
-    record-for-record identical to an executing run's trace — asserted
-    by the ``--static`` cross-check gate.
+    setup, not kernel execution) and captures ``steps`` coarse steps of
+    the Algorithm-1 stepper with
+    :meth:`~repro.neon.runtime.Runtime.capture_plan`: every ``op_*``
+    records its declaration and no body runs.  Every backend runs a step
+    from this same capture.
     """
     from ..bench.workloads import lid_cavity
     from ..core.simulation import Simulation
 
     wl = lid_cavity(**wl_kwargs)
-    rt = Runtime()
     sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=fusion,
-                                                        threaded=False),
-                                 runtime=rt)
-    rt.plan_start()
-    sim.run(steps)
-    rt.plan_stop()
-    return list(rt.records), AccessModel(sim.engine)
+                                                        threaded=False))
+    records = [rec for _ in range(steps) for rec in
+               sim.runtime.capture_plan(lambda: sim.stepper._advance(0))]
+    return records, AccessModel(sim.engine)
 
 
 # -- static declaration verification -----------------------------------------

@@ -4,17 +4,16 @@ The Algorithm-1 stepper (:mod:`repro.core.stepper`) describes *what* a
 coarse step does; a backend decides *how* it runs:
 
 * :class:`~repro.backend.interpreted.InterpretedBackend` — the serial
-  reference path: every ``op_*`` re-dispatches through
-  :meth:`Runtime.launch <repro.neon.runtime.Runtime.launch>` each step,
-  building its record and binding its body per launch.  Plans are
-  captured from it, the capture modes run on it, and every other
-  backend's records, markers and hook order are tested against it.
+  reference: every step re-drives the recursion under
+  :meth:`Runtime.capture_plan <repro.neon.runtime.Runtime.capture_plan>`,
+  binds each launch's body afresh and runs them, with no admission and
+  no cache.  Every other backend's records, markers and hook order are
+  tested against it.
 * :class:`~repro.backend.compiled.CompiledBackend` — compile-once step
   plans: the first execution of each unique step shape captures the
-  kernel stream in plan-only mode, admits it, binds each launch's body
-  once and replays the plan on later steps with zero Python re-dispatch
-  of the launch path — serially, or in dependency waves on a thread
-  pool under ``SimConfig(threaded=True)``.
+  kernel stream, admits it, binds each launch's body once and replays
+  the plan on later steps with zero Python re-dispatch — serially, or in
+  dependency waves on a thread pool under ``SimConfig(threaded=True)``.
 * :class:`~repro.backend.mp.MultiprocessBackend` — process-parallel
   replay of the same admitted plans: level buffers live in shared
   memory, a spawn-based worker pool executes cost-model-balanced
@@ -23,11 +22,12 @@ coarse step does; a backend decides *how* it runs:
 
 Every backend runs the same kernel bodies — :mod:`repro.core.engine`
 writes each one once — so bit-identity between them is by construction;
-what differs is who calls the closures.  The admitted
-:class:`~repro.backend.plan.StepPlan` is the one representation
-everything but the reference backend executes: serial replay, thread
-waves and process waves are executors over it, and the runtime's
-``faults``/``spans`` hooks act on its kernels.
+what differs is who calls the closures.  The
+:class:`~repro.backend.plan.StepPlan` is the one representation every
+backend executes — its :meth:`~repro.backend.plan.StepPlan.execute` is
+the one in-process loop (interpreted, serial replay, thread waves), mp
+runs shards of it in worker processes — and the runtime's
+``faults``/``spans``/``tracer`` hooks act on its kernels.
 
 Select a backend with ``SimConfig(backend="compiled")`` or the
 ``$REPRO_BACKEND`` environment variable; the default is interpreted.

@@ -1,21 +1,19 @@
 """Compiled backend: cache a step plan per step shape, then replay.
 
 The first execution of each unique step shape — fusion config, per-level
-relaxation rates, body force, engine state epoch — compiles a
-:class:`~repro.backend.plan.StepPlan` (capture, admit, bind; see
-:mod:`repro.backend.compiler`) and caches it.  Every later step of the
-same shape replays the cached plan with zero Python re-dispatch of the
-launch path — serially, or in dependency waves on a thread pool when the
+relaxation rates, body force (:func:`~repro.backend.compiler.plan_key`)
+— compiles a :class:`~repro.backend.plan.StepPlan` (capture, admit,
+bind; see :mod:`repro.backend.compiler`) and caches it.  Every later
+step of the same shape replays the cached plan with zero Python
+re-dispatch — serially, or in dependency waves on a thread pool when the
 simulation was configured ``threaded``.
 
-Fault injectors and span recorders act on the plan's kernels
-(:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`), so a
-faulted or observed step runs the same bodies as any other.  Only the
-two capture modes — declaration capture and access capture — run a step
-on the launch path, counted in ``plan_fallback_steps``: access capture
-needs its launch bracketing, plan-only executes nothing.  The bodies are
-the same either way.  Checkpoint restores bump the engine's state epoch
-so stale plans are never replayed against restored state.
+Fault injectors, span recorders and access capture act on the plan's
+kernels (:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`),
+so a faulted, observed or traced step runs the admitted plan like any
+other: this backend never leaves it, and ``plan_fallback_steps`` stays
+0.  A checkpoint restore writes the buffers the plan is bound to in
+place, so the cached plan is replayed after it.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 from ..neon.executor import WavePool
-from .compiler import compile_plan
-from .interpreted import InterpretedBackend
+from .compiler import compile_plan, plan_key
 from .plan import StepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CompiledBackend"]
 
-PlanKey = tuple[Any, ...]
-
 
 class CompiledBackend:
     """Compile-once / replay-many execution of the coarse step."""
@@ -43,12 +38,12 @@ class CompiledBackend:
     name = "compiled"
 
     def __init__(self) -> None:
-        self.plans: dict[PlanKey, StepPlan] = {}
+        self.plans: dict[tuple[Any, ...], StepPlan] = {}
         #: :class:`~repro.neon.executor.WavePool` replaying plans in
         #: waves, or ``None`` for serial replay (see :meth:`configure`).
         self.pool: WavePool | None = None
-        self._fallback = InterpretedBackend()
-        #: Counters surfaced through ``repro.obs.metrics.run_metrics``.
+        #: Counters surfaced through ``repro.obs.metrics.run_metrics``
+        #: (``plan_fallback_steps`` is shared with mp, which may fall back).
         self.stats: dict[str, float] = {
             "plan_cache_hits": 0,
             "plan_cache_misses": 0,
@@ -66,28 +61,8 @@ class CompiledBackend:
         if self.pool is not None:
             self.pool.shutdown()
 
-    def _plan_key(self, stepper: "NonUniformStepper") -> PlanKey:
-        """Everything a cached plan's bindings depend on.
-
-        ``SimConfig`` changes and regrids build a new ``Simulation`` (and
-        with it a fresh backend instance), so those invalidate by
-        construction; checkpoint restores mutate buffers in place and are
-        keyed via the engine's ``state_epoch``.
-        """
-        engine = stepper.engine
-        force_key = tuple(
-            None if fv is None else tuple(float(c) for c in fv)
-            for fv in engine.force)
-        return (stepper.config, tuple(engine.omega), force_key,
-                engine.state_epoch)
-
-    def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True while a capture mode of the reference launch path is on."""
-        rt = stepper.engine.rt
-        return rt.plan_only or rt.tracer is not None
-
     def _obtain_plan(self, stepper: "NonUniformStepper") -> StepPlan:
-        key = self._plan_key(stepper)
+        key = plan_key(stepper)
         plan = self.plans.get(key)
         if plan is not None:
             self.stats["plan_cache_hits"] += 1
@@ -106,11 +81,7 @@ class CompiledBackend:
         return plan
 
     def step(self, stepper: "NonUniformStepper") -> None:
-        """Advance one coarse step by plan replay (or counted fallback)."""
-        if self._must_fall_back(stepper):
-            self.stats["plan_fallback_steps"] += 1
-            self._fallback.step(stepper)
-            return
+        """Advance one coarse step by plan replay."""
         plan = self._obtain_plan(stepper)
         rt = stepper.engine.rt
         try:
@@ -120,4 +91,3 @@ class CompiledBackend:
             rt.abort_step()
             raise
         stepper.steps_done += 1
-

@@ -2,11 +2,9 @@
 
 Compilation of one coarse step runs in three stages:
 
-1. **Capture** — the kernel stream is recorded in the runtime's
-   plan-only mode (:meth:`~repro.neon.runtime.Runtime.capture_plan`):
-   record-for-record identical to an executing step's trace, produced
-   without touching a population value.  Each launch's body handle is
-   kept next to its record, unbound.
+1. **Capture** — :meth:`~repro.neon.runtime.Runtime.capture_plan`
+   records the kernel stream: every launch's declaration, with its body
+   handle kept next to it, unbound; no body runs.
 2. **Admission** — the captured stream must pass the PR-5 contract
    before any body is built: every kernel is one the static access
    model knows, the lint pass reports zero errors, the fusion config is
@@ -19,29 +17,45 @@ Compilation of one coarse step runs in three stages:
 3. **Bind** — each handle is bound once (:func:`bind_bodies`): the
    engine resolves the field views and flat index maps its body needs
    and proves the pull table's entries inside ``[0, Q * n_owned)`` before
-   freezing them, so a replay is the bare closures in a loop.
+   freezing them; the body's access report comes with it.  A run is the
+   bare closures in a loop (:meth:`StepPlan.execute
+   <repro.backend.plan.StepPlan.execute>`).
 
-The bodies are the ones :meth:`~repro.neon.runtime.Runtime.launch` runs
-(:mod:`repro.core.engine` writes each kernel once); this module indexes
-no population buffer.
+The interpreted backend runs stages 1 and 3 every step, without
+admission; the bodies are the ones :mod:`repro.core.engine` writes once,
+and this module indexes no population buffer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..analysis.certificate import build_certificate, validate_certificate
 from ..analysis.lint import lint_stream
 from ..analysis.static import AccessModel, LegalityProof, check_contraction
-from ..neon.runtime import KernelBody, KernelRecord, LazyBody
+from ..neon.runtime import AccessReport, KernelBody, KernelRecord, LazyBody
 from .base import PlanAdmissionError
 from .plan import StepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.stepper import NonUniformStepper
 
-__all__ = ["admit_stream", "bind_bodies", "compile_plan",
+__all__ = ["admit_stream", "bind_bodies", "compile_plan", "plan_key",
            "prove_plan_legality"]
+
+
+def plan_key(stepper: "NonUniformStepper") -> tuple[Any, ...]:
+    """Everything a cached plan's bindings depend on.
+
+    ``SimConfig`` changes and regrids build a new ``Simulation`` (and
+    with it a fresh backend instance), so those invalidate by
+    construction.  A checkpoint restore writes every buffer in place, so
+    the views a plan bound stay valid and the plan is replayed.
+    """
+    engine = stepper.engine
+    force_key = tuple(None if fv is None else tuple(float(c) for c in fv)
+                      for fv in engine.force)
+    return (stepper.config, tuple(engine.omega), force_key)
 
 
 def prove_plan_legality(stepper: "NonUniformStepper",
@@ -77,12 +91,12 @@ def prove_plan_legality(stepper: "NonUniformStepper",
 
 
 def admit_stream(stepper: "NonUniformStepper", *, workload: str = "",
-                 bodies: list[KernelBody | None] | None = None):
+                 bodies: list[Any] | None = None):
     """Capture one step's declaration stream and run plan admission.
 
-    The shared front half of every plan-replaying backend: the stream is
-    captured in plan-only mode (each launch's body handle appended to
-    ``bodies`` when given), linted, proven a legal contraction on the
+    The shared front half of every plan-caching backend: the stream is
+    captured (each launch's body handle appended to ``bodies`` when
+    given), linted, proven a legal contraction on the
     live geometry and tied to a validated certificate.  Returns
     ``(records, certificate, lint_report)``; raises
     :class:`~repro.backend.base.PlanAdmissionError` when any part of the
@@ -119,36 +133,41 @@ def admit_stream(stepper: "NonUniformStepper", *, workload: str = "",
     return records, cert, lint
 
 
-def bind_bodies(records: Sequence[KernelRecord],
-                bodies: Sequence[KernelBody | None]) -> list[KernelBody]:
+def bind_bodies(records: Sequence[KernelRecord], handles: Sequence[Any],
+                ) -> tuple[list[KernelBody], list[AccessReport | None]]:
     """Bind the body handles captured with ``records``, one per record.
 
-    A :class:`~repro.neon.runtime.LazyBody` is bound (the engine builds
-    its closure); a plain callable is its own body.  Refused: a launch
-    that carried no body, and a body whose index proof fails.
+    Returns the body closures and their access reports, aligned with
+    ``records``.  A :class:`~repro.neon.runtime.LazyBody` is bound (the
+    engine builds its closure and report); a plain callable is its own
+    body and reports nothing.  Refused: a launch that carried no body,
+    and a body whose index proof fails.
     """
-    bound: list[KernelBody] = []
-    for i, (rec, fn) in enumerate(zip(records, bodies)):
+    bodies: list[KernelBody] = []
+    reports: list[AccessReport | None] = []
+    for i, (rec, fn) in enumerate(zip(records, handles)):
         if fn is None:
             raise PlanAdmissionError(
                 [f"kernel {rec.name!r} (record #{i}, level {rec.level}) "
                  f"declares work but was launched without a body"])
         try:
-            bound.append(fn.bind() if isinstance(fn, LazyBody) else fn)
+            run, report = fn.bind() if isinstance(fn, LazyBody) else (fn, None)
         except IndexError as exc:
             raise PlanAdmissionError(
                 [f"kernel {rec.name!r} (record #{i}): {exc}"]) from exc
-    return bound
+        bodies.append(run)
+        reports.append(report)
+    return bodies, reports
 
 
 def compile_plan(stepper: "NonUniformStepper", *,
                  workload: str = "") -> StepPlan:
     """Compile one coarse step of ``stepper`` into a :class:`StepPlan`."""
     engine = stepper.engine
-    handles: list[KernelBody | None] = []
+    handles: list[Any] = []
     records, cert, _lint = admit_stream(stepper, workload=workload,
                                         bodies=handles)
     label = workload or f"live-{engine.mgrid.d}d-{stepper.num_levels}lvl"
-    return StepPlan(records, bind_bodies(records, handles),
+    return StepPlan(records, *bind_bodies(records, handles),
                     digest=cert["stream_digest"], certificate=cert,
                     label=f"{stepper.config.name}/{label}")

@@ -1,19 +1,21 @@
-"""The interpreted reference backend: serial, per-launch execution.
+"""The interpreted reference backend: capture, bind and run every step.
 
-Every coarse step re-drives the Algorithm-1 recursion, and every
-``op_*`` goes through :meth:`~repro.neon.runtime.Runtime.launch` —
-constructing its record, consulting the tracer/fault/span hooks,
-binding and executing its body, one kernel at a time.  It exists to be
-the reference for *how a step is run*: step plans are captured from
-this recursion, declaration capture and access capture are modes of
-this launch path, and every other backend's records, markers, hook
-order and error contract are gated against it.  The arithmetic is not
-a second copy — plans replay the bodies these launches carry.
+Every coarse step re-drives the Algorithm-1 recursion under
+:meth:`~repro.neon.runtime.Runtime.capture_plan`, binds each launch's
+body afresh (:func:`~repro.backend.compiler.bind_bodies`) and runs the
+result in :meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`,
+the loop every in-process backend shares — no admission, no cache.  It
+is the per-step reference for *what a step declares*: the compiled
+backend's cached plans, and every backend's records, markers, hook
+order and error contract, are gated against it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
+
+from .compiler import bind_bodies
+from .plan import StepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.stepper import NonUniformStepper
@@ -22,7 +24,7 @@ __all__ = ["InterpretedBackend"]
 
 
 class InterpretedBackend:
-    """Reference execution: one ``Runtime.launch`` per kernel per step."""
+    """Reference execution: capture and bind the step anew, then run it."""
 
     name = "interpreted"
 
@@ -31,12 +33,15 @@ class InterpretedBackend:
 
         If a kernel body raises mid-step, the partial step is closed
         (:meth:`~repro.neon.runtime.Runtime.abort_step`) before the
-        exception propagates, so span trees stay balanced and the trace
-        remains exportable/valid.
+        exception — named by its ``kernel_span`` — propagates, so span
+        trees stay balanced and the trace remains exportable/valid.
         """
         rt = stepper.engine.rt
+        handles: list[Any] = []
+        records = rt.capture_plan(lambda: stepper._advance(0), handles)
+        plan = StepPlan(records, *bind_bodies(records, handles))
         try:
-            stepper._advance(0)
+            plan.execute(rt)
             rt.step_marker()
         except BaseException:
             rt.abort_step()

@@ -55,7 +55,7 @@ from ..gpu.costmodel import kernel_time_us
 from ..gpu.device import A100_40GB
 from ..neon.executor import usable_cpus
 from ..neon.graph import schedule_records
-from .compiler import admit_stream, bind_bodies
+from .compiler import admit_stream, bind_bodies, plan_key
 from .interpreted import InterpretedBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -265,7 +265,7 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
                                     f"!= parent {payload['digest']}")))
                         continue
                     plans[plan_id] = (payload["n_waves"], _build_shards(
-                        engine, records, bind_bodies(records, handles),
+                        engine, records, bind_bodies(records, handles)[0],
                         payload["waves"]))
                     conn.send(("plan-ok", plan_id, None))
                 except Exception:
@@ -357,9 +357,8 @@ class MultiprocessBackend:
     pool, copies the state back into private arrays and unlinks the
     segment.
 
-    The capture modes of the reference launch path (access tracer,
-    plan-only) run a step on the interpreted backend — counted, never
-    silent — and so does an installed fault injector (see
+    Under an access tracer or an installed fault injector a step runs
+    on the interpreted backend — counted, never silent (see
     :meth:`_must_fall_back`).  Span recorders keep working: workers
     report per-kernel wall times (``perf_counter`` is CLOCK_MONOTONIC,
     comparable across processes on one host) and the parent republishes
@@ -412,15 +411,14 @@ class MultiprocessBackend:
 
     # -- step ------------------------------------------------------------------
     def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True while a capture mode or a fault injector is installed.
+        """True while an access tracer or a fault injector is installed.
 
         Kernel bodies live in the worker processes, out of reach of an
-        in-process injector; this backend's own fault domain — worker
-        death — is injected on the pool path itself.
+        in-process tracer or injector; this backend's own fault domain —
+        worker death — is injected on the pool path itself.
         """
         rt = stepper.engine.rt
-        return (rt.plan_only or rt.tracer is not None
-                or rt.faults is not None)
+        return rt.tracer is not None or rt.faults is not None
 
     def step(self, stepper: "NonUniformStepper") -> None:
         """Advance one coarse step on the worker pool (or counted fallback)."""
@@ -565,16 +563,8 @@ class MultiprocessBackend:
         self._plans.clear()
 
     # -- plan admission / distribution ----------------------------------------
-    def _plan_key(self, stepper: "NonUniformStepper") -> tuple:
-        # No state_epoch: checkpoint restores write the shared buffers in
-        # place, so a distributed plan's worker bindings stay valid.
-        engine = stepper.engine
-        force_key = tuple(None if fv is None else tuple(float(c) for c in fv)
-                          for fv in engine.force)
-        return (stepper.config, tuple(engine.omega), force_key)
-
     def _obtain_plan(self, stepper: "NonUniformStepper") -> _MpPlan:
-        key = self._plan_key(stepper)
+        key = plan_key(stepper)
         plan = self._plans.get(key)
         if plan is None:
             t0 = perf_counter()

@@ -1,17 +1,19 @@
-"""Step plans: an admitted kernel stream replayed without dispatch.
+"""Step plans: a captured kernel stream and the one loop that runs it.
 
-A :class:`StepPlan` is the product of one plan compilation
-(:mod:`repro.backend.compiler`): the captured
-:class:`~repro.neon.runtime.KernelRecord` stream of one coarse step,
-the bound body closure each of those launches carried (the engine's own
-— field views resolved, index maps flattened) and the stream digest
-that ties the plan to its admission certificate.
-:meth:`StepPlan.execute` is the one in-process
-replay loop: call the closures — in program order, or wave by wave on a
+A :class:`StepPlan` holds the captured
+:class:`~repro.neon.runtime.KernelRecord` stream of one coarse step and,
+aligned with it, the bound body closure of each launch (the engine's own
+— field views resolved, index maps flattened) and that body's access
+report.  The compiled backend keeps admitted plans (stream digest and
+certificate from :mod:`repro.backend.compiler`); the interpreted backend
+binds a fresh, unadmitted one every step.
+
+:meth:`StepPlan.execute` is the one loop that runs kernel bodies in this
+process: call the closures — in program order, or wave by wave on a
 thread pool — and append the prebuilt records; no ``Runtime.launch``, no
 record construction, no per-launch Python re-dispatch.  The runtime's
-``faults`` and ``spans`` hooks act on the plan's kernels, so installing
-one never changes which code executes.
+``faults``, ``spans`` and access ``tracer`` hooks act on the plan's
+kernels, so installing one never changes which code executes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..neon.graph import schedule_records
-from ..neon.runtime import KernelRecord
+from ..neon.runtime import AccessReport, KernelRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..neon.runtime import Runtime
@@ -29,11 +31,13 @@ __all__ = ["StepPlan"]
 
 
 class StepPlan:
-    """One compiled coarse step: prebuilt records plus their bound bodies.
+    """One coarse step: prebuilt records plus their bound bodies.
 
     The record tuple is shared across every replay (records are frozen
     dataclasses; appending the same instances each step is what makes
     the trace of a compiled run bit-identical to the interpreted one).
+    ``reports[k]`` states what ``bodies[k]`` accesses, or is ``None`` for
+    a body that reports nothing.
     """
 
     #: Scratch a plan allocates beside the engine's buffers: none — bodies
@@ -43,16 +47,22 @@ class StepPlan:
 
     def __init__(self, records: Sequence[KernelRecord],
                  bodies: Sequence[Callable[[], None]],
-                 *, digest: str, certificate: dict[str, Any],
+                 reports: Sequence[AccessReport | None] | None = None,
+                 *, digest: str = "", certificate: dict[str, Any] | None = None,
                  label: str = "") -> None:
-        if len(records) != len(bodies):
-            raise ValueError("one body per record is the plan invariant")
+        if reports is None:
+            reports = (None,) * len(bodies)
+        if not len(records) == len(bodies) == len(reports):
+            raise ValueError("one body and one report per record is the "
+                             "plan invariant")
         self.records: tuple[KernelRecord, ...] = tuple(records)
         self.bodies: tuple[Callable[[], None], ...] = tuple(bodies)
-        #: SHA-256 stream digest (also in the admission certificate).
+        self.reports: tuple[AccessReport | None, ...] = tuple(reports)
+        #: SHA-256 stream digest (also in the admission certificate);
+        #: empty on an unadmitted plan.
         self.digest = digest
         #: Admission certificate the plan validated against (PR-5 schema).
-        self.certificate = certificate
+        self.certificate = certificate if certificate is not None else {}
         #: Human label for spans/diagnostics (config + workload shape).
         self.label = label
         self.replays = 0
@@ -78,7 +88,7 @@ class StepPlan:
         return self._waves
 
     def execute(self, rt: "Runtime", pool: Any = None) -> None:
-        """Replay the plan once: run every body, append every record.
+        """Run the plan once: run every body, append every record.
 
         ``pool`` (anything with ``submit(fn, *args) -> Future``) selects
         the executor: ``None`` runs the bodies in program order on the
@@ -88,10 +98,11 @@ class StepPlan:
         them nothing).
 
         The runtime's hooks act on the plan's kernels: an installed
-        fault injector wraps every body for this replay, a span recorder
+        fault injector wraps every body for this run, a span recorder
         receives each kernel's wall-clock start and duration (reported
-        from the calling thread, in record order), so failure handling,
-        Perfetto timelines and the roofline work over replayed steps.
+        from the calling thread, in record order), and an access tracer
+        brackets each body — its report, then the body — into
+        ``rt.captured[index]``, in program order (no pool while tracing).
 
         Error contract, shared with every backend: on a failure the
         records of the longest program-order prefix of kernels that
@@ -100,7 +111,8 @@ class StepPlan:
         the caller closes the partial step with
         :meth:`~repro.neon.runtime.Runtime.abort_step`.
         """
-        if pool is None and rt.faults is None and rt.spans is None:
+        if (pool is None and rt.faults is None and rt.spans is None
+                and rt.tracer is None):
             done = 0
             try:
                 for body in self.bodies:
@@ -116,27 +128,40 @@ class StepPlan:
         self.replays += 1
 
     def _execute_hooked(self, rt: "Runtime", pool: Any) -> None:
-        """Replay under a pool and/or runtime hooks (see :meth:`execute`)."""
+        """Run under a pool and/or runtime hooks (see :meth:`execute`)."""
         bodies: Sequence[Callable[[], None]] = self.bodies
         if rt.faults is not None:
             wrap = rt.faults.wrap_body
             bodies = [wrap(rec.name, rec.level, body)
                       for rec, body in zip(self.records, bodies)]
         n = len(bodies)
+        base = len(rt.records)
         timings: list[tuple[float, float] | None] = [None] * n
         errors: dict[int, BaseException] = {}
+        tracer = rt.tracer
 
         def run(k: int) -> None:
             t0 = perf_counter()
             try:
-                bodies[k]()
+                if tracer is None:
+                    bodies[k]()
+                else:
+                    tracer.begin_launch()
+                    try:
+                        report = self.reports[k]
+                        if report is not None:
+                            report(tracer)
+                        bodies[k]()
+                    finally:
+                        rt.captured[base + k] = tracer.end_launch()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors[k] = exc
             else:
                 timings[k] = (t0, perf_counter() - t0)
 
         waves: Iterable[Sequence[int]] = (
-            self.waves if pool is not None else ((k,) for k in range(n)))
+            self.waves if pool is not None and tracer is None
+            else ((k,) for k in range(n)))
         for wave in waves:
             if len(wave) == 1:
                 run(wave[0])
@@ -148,7 +173,6 @@ class StepPlan:
             if errors:
                 break
         done = next((k for k, t in enumerate(timings) if t is None), n)
-        base = len(rt.records)
         rt.records.extend(self.records[:done])
         if rt.spans is not None:
             for k in range(done):

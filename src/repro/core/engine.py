@@ -15,17 +15,18 @@ direction.  Accumulate adds into the parent's ghost bins only what
 Coalescence reads there; the other bins stay zero.  Between coarse steps
 ``f`` is the whole state: ``fstar`` and ``fghost`` are rewritten before
 they are read, ``ghost_acc`` is zero.
-Each ``op_*`` method is one GPU kernel: it emits one launch record with
-the DRAM traffic the equivalent CUDA kernel would generate — this is what
-the cost model consumes — and hands the runtime a handle of the kernel's
-body.
+Each ``op_*`` method is one GPU kernel: it declares one launch record
+with the DRAM traffic the equivalent CUDA kernel would generate — this
+is what the cost model consumes — and hands the runtime a handle of the
+kernel's body.
 
 This module is the only place a kernel body is written.  The ``_collide``
 / ``_accumulate`` / ``_stream`` / ``_explode`` / ``_coalesce`` /
 ``_explosion_copy`` builders each return the vectorised NumPy closure of
-one primitive with its access report beside it; the launch path, every
-step plan (serial, thread waves) and every mp worker bind and run those
-closures (:mod:`repro.backend`), and access capture checks them.
+one primitive with its access report beside it; every step plan
+(interpreted, compiled serial, thread waves) and every mp worker bind
+and run those closures (:mod:`repro.backend`), and access capture checks
+them against the reports.
 Collide and the streaming gathers run a large level as column ranges on
 every usable CPU (:meth:`Engine.split_cuts`), bit-identically.
 
@@ -46,7 +47,8 @@ import numpy as np
 
 from ..grid.multigrid import CompiledLevel, MultiGrid
 from ..neon.executor import run_split, usable_cpus
-from ..neon.runtime import FieldRef, KernelBody, LazyBody, Runtime
+from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
+                            Runtime)
 from .collision import (TILE_BUDGET_BYTES, CollisionModel, equilibrium,
                         macroscopics, make_collision)
 from .units import omega_at_level
@@ -115,10 +117,6 @@ class Engine:
             self.force = [f0 * 0.5 ** lv for lv in range(mgrid.num_levels)]
         #: 1 / (2 * 2^d): the Coalescence average over 2^d children x 2 substeps.
         self.inv_navg = 1.0 / (2.0 * 2 ** mgrid.d)
-        #: Bumped whenever engine state is mutated outside the step path
-        #: (checkpoint restore); compiled step plans key their cache on it
-        #: so a stale plan is never replayed against replaced buffers.
-        self.state_epoch = 0
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
@@ -296,13 +294,15 @@ class Engine:
     # Views are taken at bind time and never kept on the engine: the mp
     # backend rebinds ``buf.f`` / ``fstar`` / ``fghost`` / ``ghost_acc`` to
     # shared memory and back, and a body bound afterwards must see those arrays.
-    def _fuse(self, *parts, registers: tuple[FieldRef, ...] = ()) -> KernelBody:
-        """One kernel body running ``parts`` in order (``None`` parts dropped).
+    def _fuse(self, *parts, registers: tuple[FieldRef, ...] = (),
+              ) -> tuple[KernelBody, AccessReport]:
+        """One kernel body running ``parts`` in order (``None`` parts
+        dropped), with the access report of the whole kernel.
 
-        Fusion regroups bodies without touching their arithmetic.  Under
-        access capture the body first reports its parts' accesses;
+        Fusion regroups bodies without touching their arithmetic.
         ``registers`` are fields the fused kernel keeps on chip, whose
-        accesses are invisible to DRAM and to the declarations.
+        accesses are invisible to DRAM and to the declarations: the
+        report leaves them out.
         """
         parts = tuple(p for p in parts if p)
         runs = tuple(run for run, _ in parts)
@@ -312,16 +312,12 @@ class Engine:
             def run() -> None:
                 for part in runs:
                     part()
-        t = self.rt.tracer
-        if t is None:
-            return run
 
-        def traced() -> None:
+        def report(t) -> None:
             with t.suppress(*registers):
-                for _, report in parts:
-                    report(t)
-            run()
-        return traced
+                for _, part_report in parts:
+                    part_report(t)
+        return run, report
 
     def collide_columns(self, lv: int, lo: int, hi: int, omega: float, force,
                         budget: int = TILE_BUDGET_BYTES) -> KernelBody:
@@ -517,7 +513,7 @@ class Engine:
 
     # -- public ops: one launch record each -------------------------------------
     # ``fn=`` is a :class:`~repro.neon.runtime.LazyBody`: declaring a launch
-    # builds nothing, so plan-only capture stays free.  Its builder closes
+    # builds nothing, so capturing a stream stays free.  Its builder closes
     # over the launch-time inputs (relaxation rate, force, fusion flags): a
     # launch sees the configuration it was issued with, whenever it is bound.
     def op_collide(self, lv: int, fuse_accumulate: bool = False) -> None:

@@ -8,13 +8,15 @@ changes, which is how the paper's Fig. 2 graphs are generated from the
 very same driver.
 
 *How* the step executes is delegated to a pluggable backend
-(:mod:`repro.backend`): the interpreted reference backend re-drives the
-recursion through ``Runtime.launch`` every step, the compiled backend
-captures it once into a step plan and replays, and the mp backend ships
-shards of that same captured plan to worker processes over shared
-memory.  The recursion in :meth:`_advance` stays the single definition
-of the algorithm either way — plans are captured *from* it (in this
-process or a digest-checked worker), never re-implemented.
+(:mod:`repro.backend`).  Every backend records the recursion with
+``Runtime.capture_plan`` — ``op_*`` only declares — and runs the bodies
+the launches carried: the interpreted reference backend captures and
+runs it anew every step, the compiled backend captures it once into an
+admitted step plan and replays, and the mp backend ships shards of that
+same captured plan to worker processes over shared memory.  The
+recursion in :meth:`_advance` stays the single definition of the
+algorithm either way — plans are captured *from* it (in this process or
+a digest-checked worker), never re-implemented.
 """
 
 from __future__ import annotations

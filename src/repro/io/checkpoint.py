@@ -138,7 +138,8 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     :class:`CheckpointError`.  The simulation is only modified once the
     whole file has been read and validated; every buffer is then a
     function of the file alone (``fstar`` mirrors ``f``, the rest is
-    zero): no NaN of the abandoned timeline survives a rollback.
+    zero): no NaN of the abandoned timeline survives a rollback.  Every
+    buffer is written in place, so a step plan bound to them stays valid.
     """
     data = _load_arrays(path)
     try:
@@ -180,10 +181,6 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
         buf.ghost_acc[:] = 0.0
     steps = int(data["steps"])
     sim.stepper.steps_done = steps
-    # State mutated outside the step path: compiled backends key their
-    # plan cache on the epoch, so a plan bound before the restore is
-    # recompiled rather than replayed against the restored buffers.
-    sim.engine.state_epoch += 1
     # Rebase the trace: the restored steps happened outside this
     # runtime's records, so per-step metrics must not average the new
     # trace over them (they'd report skewed kernels/bytes per step).

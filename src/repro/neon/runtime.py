@@ -6,65 +6,60 @@ schedules kernels, and places synchronisations only where needed.  We
 reproduce the parts of that model the paper relies on:
 
 * :class:`FieldRef` — identity of a data container (a field at a level);
-* :class:`KernelRecord` — one executed kernel with its declared
+* :class:`KernelRecord` — one kernel launch with its declared
   reads/writes and its memory-traffic footprint;
 * :class:`LazyBody` — a kernel body declared with its launch and built
-  only when something runs it;
-* :class:`Runtime` — executes kernel bodies immediately (host = the
-  "device") while recording every launch for the profiler, the
-  dependency-graph analysis (Fig. 2) and the GPU cost model.
+  only when a plan binds it;
+* :class:`Runtime` — records the declarations a step launches
+  (:meth:`Runtime.capture_plan`) and keeps the trace of the kernels that
+  ran, for the profiler, the dependency-graph analysis (Fig. 2) and the
+  GPU cost model.
 
-The *functional* result of a program never depends on the recording; the
-records are a faithful trace from which launch counts, bytes moved and
-synchronisation depth are derived.
-
-:meth:`Runtime.launch` is the serial, per-launch *reference* path: step
-plans (:mod:`repro.backend`) are captured from it in plan-only mode and
-tested against it, and the two capture modes (declaration capture,
-access capture) are modes of it by definition.  Everything else — plan
-replay, serial or in dependency waves — runs the bodies those launches
-carried, appends prebuilt records to the same trace and honours the
-same hooks (``spans``, ``faults``, :meth:`Runtime.step_marker`,
-:meth:`Runtime.abort_step`).
+Declaring a kernel and running it are separate, as in Neon: ``launch``
+only declares, inside :meth:`Runtime.capture_plan`, and
+:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>` is the
+one loop that runs kernel bodies, for every in-process backend.  It
+appends the records of the kernels it ran to :attr:`Runtime.records`
+and applies the hooks installed here (``spans``, ``faults``, the access
+``tracer``); :meth:`Runtime.step_marker` and :meth:`Runtime.abort_step`
+close each coarse step.  The *functional* result of a program never
+depends on the recording.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable
 
 __all__ = ["FieldRef", "KernelRecord", "LazyBody", "Runtime"]
 
-#: A kernel body: a no-argument closure over the engine's buffers (or
-#: ``None`` for declaration-only launches).
+#: A kernel body: a no-argument closure over the engine's buffers.
 KernelBody = Callable[[], None]
+#: A body's access report: states to an access tracer what the body reads
+#: and writes (see :mod:`repro.analysis.capture`).
+AccessReport = Callable[[Any], None]
 
 
 class LazyBody:
-    """Handle of a kernel body that is built when first needed.
+    """Handle of a kernel body that is built when a plan binds it.
 
-    Declaring a launch must cost nothing when nothing runs (plan-only
-    capture), so ``op_*`` passes ``LazyBody(make)`` as ``fn=``:
-    :meth:`bind` calls ``make()`` once for the body closure.  The launch
-    path calls the handle (bind, then run); a step plan keeps
-    ``handle.bind()`` and replays the bare closure.
+    Declaring a launch must cost nothing (capture runs no body, and
+    admission may refuse the stream), so ``op_*`` passes
+    ``LazyBody(make)`` as ``fn=``: :meth:`bind` calls ``make()`` once for
+    the body closure and its access report.
     """
 
     __slots__ = ("_make", "_body")
 
-    def __init__(self, make: Callable[[], KernelBody]) -> None:
+    def __init__(self, make: Callable[[], tuple[KernelBody, AccessReport]]) -> None:
         self._make = make
-        self._body: KernelBody | None = None
+        self._body: tuple[KernelBody, AccessReport] | None = None
 
-    def bind(self) -> KernelBody:
-        """Build the body closure (first call) and return it."""
+    def bind(self) -> tuple[KernelBody, AccessReport]:
+        """Build ``(run, report)`` (first call) and return it."""
         if self._body is None:
             self._body = self._make()
         return self._body
-
-    def __call__(self) -> None:
-        self.bind()()
 
 
 @dataclass(frozen=True)
@@ -106,11 +101,12 @@ class KernelRecord:
 
 
 class Runtime:
-    """Immediate-mode executor with full launch tracing.
+    """Kernel declarations, the trace of what ran, and the hooks.
 
-    ``launch`` runs ``fn`` (if given) and appends a :class:`KernelRecord`.
-    ``step_marker`` tags coarse-timestep boundaries so benchmarks can cut
-    the trace per step.
+    ``launch`` declares a kernel inside :meth:`capture_plan`; the plan
+    loop appends the :class:`KernelRecord` of every kernel it ran to
+    :attr:`records`.  ``step_marker`` tags coarse-timestep boundaries so
+    benchmarks can cut the trace per step.
     """
 
     def __init__(self) -> None:
@@ -118,11 +114,11 @@ class Runtime:
         self.markers: list[int] = []
         #: Active :class:`~repro.analysis.capture.AccessTracer`, or ``None``.
         self.tracer: Any = None
-        #: Observed accesses per record index (populated in capture mode).
+        #: Observed accesses per record index (populated under a tracer).
         self.captured: dict[int, list[Any]] = {}
         #: Active span recorder (see :mod:`repro.obs.spans`), or ``None``.
         #: Duck-typed so the runtime never imports the observability layer:
-        #: ``on_launch(index, record, start, duration)`` after every launch,
+        #: ``on_launch(index, record, start, duration)`` per kernel run,
         #: ``on_step(step_index, start_record, end_record)`` at each coarse-
         #: step marker, ``on_reset()`` on :meth:`reset`.  Spans are opt-in
         #: and, when absent, the hot path pays a single ``None`` test.
@@ -130,8 +126,8 @@ class Runtime:
         #: Active fault injector (see :mod:`repro.resilience.faults`), or
         #: ``None``.  Duck-typed like the span recorder so the runtime
         #: never imports the resilience layer: ``wrap_body(name, level,
-        #: fn)`` may substitute a kernel body (per launch here, per replay
-        #: in ``StepPlan.execute``), ``on_step(step)`` fires after each
+        #: fn)`` may substitute a kernel body (per run, in
+        #: ``StepPlan.execute``), ``on_step(step)`` fires after each
         #: coarse-step marker with the absolute completed-step count.
         #: When absent the hot path pays a single ``None`` test.
         self.faults: Any = None
@@ -139,60 +135,34 @@ class Runtime:
         #: checkpoint restore / post-warmup :meth:`reset`); per-step metrics
         #: subtract it so a restored run is not skewed by untraced history.
         self.steps_base = 0
-        #: Plan-only mode (see :meth:`plan_start`): record launches without
-        #: ever running kernel bodies — the declaration stream the static
-        #: analyzer (:mod:`repro.analysis.static`) reasons about.
-        self.plan_only = False
-        #: Where plan-only launches leave their ``fn`` (see
-        #: :meth:`capture_plan`), or ``None`` to drop it.
-        self._plan_bodies: list[KernelBody | None] | None = None
+        #: ``(records, bodies)`` of the active :meth:`capture_plan`, or
+        #: ``None`` outside one.
+        self._capture: tuple[list[KernelRecord], list[Any]] | None = None
 
     def launch(self, name: str, level: int, *, n_cells: int,
                bytes_read: int, bytes_written: int,
                reads: tuple[FieldRef, ...] = (), writes: tuple[FieldRef, ...] = (),
                atomic_bytes: int = 0, tag: str = "",
-               fn: KernelBody | None = None) -> None:
-        """Record one kernel launch and run (or skip) its body.
+               fn: LazyBody | KernelBody | None = None) -> None:
+        """Declare one kernel launch; run nothing.
 
-        Appends a :class:`KernelRecord` built from the *declared*
-        access sets and byte counts, then dispatches ``fn`` through
-        whichever hooks are installed: plan-only mode records without
-        executing, a fault hook may wrap the body and a tracer shadows
-        its accesses.
+        Appends a :class:`KernelRecord` built from the *declared* access
+        sets and byte counts to the active :meth:`capture_plan`, and the
+        body handle ``fn`` — never called here — beside it.  A launch
+        outside a capture raises ``RuntimeError``: kernels run in
+        :meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`.
         """
-        rec = KernelRecord(
+        if self._capture is None:
+            raise RuntimeError(
+                f"kernel {name!r} launched outside Runtime.capture_plan: "
+                f"a launch only declares, StepPlan.execute runs bodies")
+        records, bodies = self._capture
+        records.append(KernelRecord(
             name=name, level=level, n_cells=int(n_cells),
             bytes_read=int(bytes_read), bytes_written=int(bytes_written),
             reads=tuple(reads), writes=tuple(writes),
-            atomic_bytes=int(atomic_bytes), tag=tag)
-        if self.plan_only:
-            # Declaration-only capture: the record is the whole launch.
-            # Bodies, tracers and fault hooks are all bypassed —
-            # nothing observes or mutates simulation state, which is the
-            # property the static analyzer's "no execution" contract needs.
-            self.records.append(rec)
-            if self._plan_bodies is not None:
-                self._plan_bodies.append(fn)
-            return
-        if self.faults is not None:
-            # The injector sees every launch and may wrap the body (to
-            # raise a simulated kernel/OOM failure when it runs); the
-            # record itself is never altered.
-            fn = self.faults.wrap_body(name, level, fn)
-        spans = self.spans
-        t0 = perf_counter() if spans is not None else 0.0
-        if self.tracer is not None:
-            self.tracer.begin_launch()
-            try:
-                if fn is not None:
-                    fn()
-            finally:
-                self.captured[len(self.records)] = self.tracer.end_launch()
-        elif fn is not None:
-            fn()
-        self.records.append(rec)
-        if spans is not None:
-            spans.on_launch(len(self.records) - 1, rec, t0, perf_counter() - t0)
+            atomic_bytes=int(atomic_bytes), tag=tag))
+        bodies.append(fn)
 
     def step_marker(self) -> None:
         """Mark the end of one coarse time step in the trace."""
@@ -248,62 +218,41 @@ class Runtime:
         """
         self.spans = recorder
 
-    # -- plan-only (declaration) capture -------------------------------------
-    def plan_start(self) -> None:
-        """Record declarations only: from now on no kernel body executes.
-
-        The resulting trace is the *static kernel stream* — identical
-        record-for-record to what an executing run would append (launch
-        declarations are computed from grid geometry before any body
-        runs), but produced without touching a single population value.
-        :mod:`repro.analysis.static` builds its proofs over such streams.
-        """
-        self.plan_only = True
-
-    def plan_stop(self) -> None:
-        """Leave plan-only mode; subsequent launches execute normally."""
-        self.plan_only = False
-
+    # -- declaration capture -------------------------------------------------
     def capture_plan(self, drive: Callable[[], None],
-                     bodies: list[KernelBody | None] | None = None,
+                     bodies: list[Any] | None = None,
                      ) -> list[KernelRecord]:
-        """Capture the declaration stream ``drive`` would launch.
+        """Capture the declaration stream ``drive`` launches.
 
-        Runs ``drive`` under plan-only mode and returns the records it
-        appended, leaving the runtime's trace exactly as it was: the
-        captured declarations are removed again, so profiling and
-        per-step accounting never see the phantom launches.  Each
-        launch's ``fn`` — unbound, never called — is appended to
-        ``bodies`` when a list is given, one per record.  This is the
-        capture primitive behind step plans
-        (:mod:`repro.backend.compiler`).
+        The only way a step's kernel stream is recorded: every
+        :meth:`launch` inside ``drive`` appends its record to the returned
+        list, and its ``fn`` — unbound, never called — to ``bodies`` when
+        a list is given, one per record.  No body runs, and the trace
+        (:attr:`records`, :attr:`markers`) is left as it was.  Captures
+        do not nest (``RuntimeError``).  Every backend's step starts here
+        (:mod:`repro.backend`), and so does the static analyzer
+        (:mod:`repro.analysis.static`).
         """
-        base = len(self.records)
-        self._plan_bodies = bodies
-        self.plan_start()
+        if self._capture is not None:
+            raise RuntimeError("Runtime.capture_plan called inside a capture")
+        records: list[KernelRecord] = []
+        self._capture = (records, bodies if bodies is not None else [])
         try:
             drive()
         finally:
-            self.plan_stop()
-            self._plan_bodies = None
-        captured = self.records[base:]
-        del self.records[base:]
-        return captured
+            self._capture = None
+        return records
 
     # -- access capture ------------------------------------------------------
     def capture_start(self) -> None:
         """Shadow-record every kernel body's actual buffer accesses.
 
-        While active, each ``launch`` runs its body under an
-        :class:`~repro.analysis.capture.AccessTracer`; the observed
+        While active, the plan loop runs each body bracketed by an
+        :class:`~repro.analysis.capture.AccessTracer` — the body's access
+        report first, then the body — in program order; the observed
         accesses land in :attr:`captured`, keyed by record index.  The
-        functional result of the program is unaffected.
-
-        Shadow recording needs launch bracketing, so plan-replaying
-        backends run captured steps on this launch path (a counted
-        fallback).  A body bound while a tracer is installed reports its
-        accesses before it runs; capture checks the bodies every
-        executor runs against their declarations.
+        functional result of the program and the bodies that run are
+        unaffected: a compiled run replays its admitted plan.
         """
         if self.tracer is None:
             from ..analysis.capture import AccessTracer

@@ -15,8 +15,8 @@ a deterministic stand-in here:
 
 The :class:`FaultInjector` installs on a runtime via the same duck-typed
 hook mechanism as the span recorder (:attr:`repro.neon.runtime.Runtime.faults`):
-``wrap_body`` may substitute a kernel body — per launch on the reference
-path, per replay on a step plan's kernels — and ``on_step`` fires after
+``wrap_body`` may substitute a kernel body — each time the plan loop runs
+the kernel, on every in-process backend — and ``on_step`` fires after
 every coarse-step marker.  Faults are armed by **absolute** coarse
 step (``Runtime.steps_base`` + markers), so a rollback that rebases the
 trace does not re-fire a one-shot fault — exactly the transient-fault
@@ -138,10 +138,10 @@ class FaultInjector:
     def wrap_body(self, name: str, level: int, fn):
         """Substitute a raising body when a kernel/OOM fault matches.
 
-        Called for every kernel: by
-        :meth:`repro.neon.runtime.Runtime.launch` on the reference path
-        and by :meth:`repro.backend.plan.StepPlan.execute` on replayed
-        plans.  The wrapper raises when it *runs* and only then consumes
+        Called for every kernel by
+        :meth:`repro.backend.plan.StepPlan.execute`, the one loop that
+        runs bodies (interpreted, compiled serial and threaded alike).
+        The wrapper raises when it *runs* and only then consumes
         the fault — a wrapped body that a failing wave never reached
         does not burn a firing.
         """
@@ -159,8 +159,7 @@ class FaultInjector:
 
             def raising(f=f, name=name, level=level) -> None:
                 if not f.armed:  # disarmed by a same-wave peer
-                    if fn is not None:
-                        fn()
+                    fn()
                     return
                 f.consume()
                 self.fired.append({"kind": f.kind, "step": f.step,

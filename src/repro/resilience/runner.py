@@ -167,8 +167,8 @@ from .faults import InjectedKernelError
 
 #: Failure types the runner recovers from; other exceptions recover only
 #: when a ``kernel_span`` marks them as a kernel-body failure (attached
-#: by plan replay).  Anything else is a programming error and
-#: propagates untouched.
+#: by the plan loop, on every backend).  Anything else is a programming
+#: error and propagates untouched.
 _RECOVERABLE = (SimulationDiverged, DeviceOOMError, InjectedKernelError,
                 MpWorkerError)
 

@@ -17,7 +17,7 @@ from repro.core.stepper import NonUniformStepper
 from repro.grid.multigrid import build_multigrid
 from repro.core.lattice import get_lattice
 from repro.neon.graph import build_dependency_graph, schedule_waves
-from repro.neon.runtime import FieldRef, KernelRecord, Runtime
+from repro.neon.runtime import FieldRef, KernelRecord, LazyBody, Runtime
 
 F0, FS0 = FieldRef("f", 0), FieldRef("fstar", 0)
 A0, B0 = FieldRef("a", 0), FieldRef("b", 0)
@@ -183,8 +183,8 @@ class TestVerifier:
                     bytes_written=Q * self.itemsize * n,
                     reads=(FieldRef("f", lv),),
                     writes=(),  # forgot to declare the fstar output
-                    fn=self._fuse(self._collide(
-                        lv, self.omega[lv], self.force[lv])))
+                    fn=LazyBody(lambda: self._fuse(self._collide(
+                        lv, self.omega[lv], self.force[lv]))))
 
         wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
         mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))

@@ -7,14 +7,15 @@ The contract under test is the one ``docs/ARCHITECTURE.md`` states:
   trace — across all fusion configs in 2D and 3D;
 * plans are **admitted** against the PR-5 certificate contract before
   their first replay, and refuse admission on a tampered stream;
-* the plan **cache invalidates** when it must: config changes and
-  regrids produce a new backend instance, checkpoint restores bump the
-  engine's state epoch;
-* fault injectors, span recorders and ``threaded=True`` act on the
-  plan's kernels — **zero** fallback steps; only the capture modes of
-  the reference launch path (access capture, plan-only) and ``mp`` under
-  an injector take a **counted fallback** to the interpreted path, with
-  results still bit-identical.
+* the plan **cache invalidates** when it must — config changes and
+  regrids produce a new backend instance — and only then: a checkpoint
+  restore writes the plan's buffers in place and replays the cached plan;
+* fault injectors, span recorders, access capture and ``threaded=True``
+  act on the plan's kernels in the one loop every in-process backend
+  runs — **zero** fallback steps, the same accesses captured and the
+  same ``kernel_span`` on a failing body; only ``mp`` under an injector
+  takes a **counted fallback** to the interpreted path, with results
+  still bit-identical.
 
 The ``threaded`` axis of the bit-identity matrix (7 configs x 2-D/3-D on
 a 3-level grid) is ``tests/test_executor.py::TestDeterminism``.
@@ -29,8 +30,9 @@ from repro.backend import (CompiledBackend, InterpretedBackend,
 from repro.backend.compiler import compile_plan
 from repro.bench.workloads import lid_cavity
 from repro.core.config import SimConfig
-from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
+from repro.core.fusion import ABLATION_CONFIGS, FUSED_FULL, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
+from repro.resilience.faults import FaultInjector
 
 ALL_CONFIGS = (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS)
 
@@ -101,18 +103,32 @@ class TestPlanCache:
         assert sim.backend.stats["plan_cache_hits"] == 4
         assert sim.backend.stats["plan_compile_seconds"] > 0
 
-    def test_checkpoint_restore_forces_recompile(self, tmp_path):
+    def test_checkpoint_restore_replays_the_cached_plan(self, tmp_path):
         from repro.io.checkpoint import restore_checkpoint, save_checkpoint
         sim = build(cavity(), ABLATION_CONFIGS[0], "compiled")
         sim.run(2)
         path = str(tmp_path / "ck.npz")
         save_checkpoint(sim, path)
-        assert len(sim.backend.plans) == 1
         restore_checkpoint(sim, path)
         sim.run(1)
-        # The epoch bump keyed a second compilation.
-        assert sim.backend.stats["plan_cache_misses"] == 2
-        assert len(sim.backend.plans) == 2
+        assert sim.backend.stats["plan_cache_misses"] == 1
+        assert len(sim.backend.plans) == 1
+
+    @pytest.mark.parametrize("cfg", [ORIGINAL_BASELINE, ABLATION_CONFIGS[-1]],
+                             ids=lambda c: c.name)
+    def test_restore_keeps_every_buffer_the_plan_bound(self, cfg, tmp_path):
+        # what replaying the cached plan after a restore relies on
+        from repro.io.checkpoint import restore_checkpoint, save_checkpoint
+        sim = build(cavity("3d"), cfg, "compiled")
+        sim.run(2)
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(sim, path)
+        fields = ("f", "fstar", "fghost", "ghost_acc")
+        before = [[getattr(b, k) for k in fields] for b in sim.engine.levels]
+        assert any(arrs[2] is not None for arrs in before) == cfg.original_layout
+        restore_checkpoint(sim, path)
+        for b, arrs in zip(sim.engine.levels, before):
+            assert all(getattr(b, k) is a for k, a in zip(fields, arrs))
 
     def test_restored_run_stays_bit_identical(self, tmp_path):
         from repro.io.checkpoint import restore_checkpoint, save_checkpoint
@@ -153,7 +169,7 @@ class TestPlanCache:
 
 
 class TestFallback:
-    """Hooks act on plan kernels; only capture modes leave the plan path."""
+    """Hooks act on plan kernels; only mp under an injector leaves the plan."""
 
     def _parity_under(self, prepare, backend="compiled", **over):
         wl = cavity()
@@ -174,7 +190,7 @@ class TestFallback:
         assert sc.backend.stats["plan_cache_misses"] == 1
         sc.close()
 
-    def test_access_tracer_falls_back(self):
+    def test_access_tracer_replays_plan(self):
         sims = []
 
         def capture(sim):
@@ -182,17 +198,12 @@ class TestFallback:
             sims.append(sim)
 
         sc = self._parity_under(capture)
-        assert sc.backend.stats["plan_fallback_steps"] == 3
-        assert sc.runtime.captured  # tracer really observed the launches
-        # ... running the bodies every executor runs: same accesses as
-        # the interpreted simulation's launches
+        assert sc.backend.stats["plan_fallback_steps"] == 0
+        assert sc.backend.stats["plan_cache_misses"] == 1
+        assert sc.runtime.captured  # tracer really observed the kernels
+        # ... of the admitted plan: same accesses as the interpreted
+        # simulation's freshly bound bodies
         assert sc.runtime.captured == sims[0].runtime.captured
-
-    def test_plan_only_falls_back(self):
-        sc = self._parity_under(lambda s: s.runtime.plan_start())
-        assert sc.backend.stats["plan_fallback_steps"] == 3
-        assert sc.backend.stats["plan_cache_misses"] == 0
-        assert sc.runtime.records  # declarations were still recorded
 
     def test_fault_injector_replays_plan(self):
         from repro.resilience.faults import (Fault, FaultInjector,
@@ -289,6 +300,99 @@ class TestFallback:
         assert rt.markers[-1] == len(rt.records)
         assert ei.value.kernel_span["name"] == plan.records[boom_at].name
         assert sc.steps_done == 1
+
+
+class TestAccessCaptureOnReplay:
+    """Turning access capture on does not change the code that runs."""
+
+    @pytest.mark.parametrize("threaded", [False, True],
+                             ids=["serial", "threaded"])
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_replayed_plan_captures_what_interpreted_does(self, cfg, dim,
+                                                          threaded):
+        from repro.analysis.static import AccessModel, superset_findings
+        wl = cavity(dim)
+        si = build(wl, cfg, "interpreted")
+        sc = build(wl, cfg, "compiled", threaded=threaded, max_workers=2)
+        with sc:
+            for sim in (si, sc):
+                sim.runtime.capture_start()
+                sim.run(3)
+            assert sc.mode == ("threaded" if threaded else "serial")
+            assert sc.backend.stats["plan_fallback_steps"] == 0
+            assert sc.backend.stats["plan_cache_misses"] == 1
+            records, captured = sc.runtime.records, sc.runtime.captured
+            assert records == si.runtime.records
+            assert captured == si.runtime.captured
+            assert set(captured) == set(range(len(records)))
+            static_map = AccessModel(sc.engine).access_map(records)
+            assert superset_findings(records, captured, static_map) == []
+
+
+class RaiseOnce(FaultInjector):
+    """The first ``kernel@level`` body of coarse step ``step`` raises a
+    plain ``RuntimeError``, once.  Not a type the resilient runner recovers
+    by itself: only the ``kernel_span`` names it a kernel failure."""
+
+    def __init__(self, kernel, level, step):
+        super().__init__([])
+        self.site, self.step, self.armed = (kernel, level), step, True
+
+    def wrap_body(self, name, level, fn):
+        rt = self._sim.runtime
+        if ((name, level) != self.site
+                or rt.steps_base + len(rt.markers) + 1 != self.step):
+            return fn
+
+        def body():
+            if not self.armed:
+                return fn()
+            self.armed = False
+            raise RuntimeError(f"body failure in {name}@{level}")
+        return body
+
+
+class TestFailureContract:
+    """A failing body is reported alike by every in-process backend."""
+
+    def test_a_plain_body_failure_is_named_alike(self):
+        wl = cavity()
+        seen = []
+        for backend, threaded in (("interpreted", False), ("compiled", False),
+                                  ("compiled", True)):
+            with build(wl, FUSED_FULL, backend, threaded=threaded,
+                       max_workers=2) as sim:
+                sim.run(1)
+                RaiseOnce("CASE", 1, step=2).install(sim)
+                with pytest.raises(RuntimeError, match="body failure") as ei:
+                    sim.run(1)
+                rt, span = sim.runtime, ei.value.kernel_span
+                # the kept prefix is the kernels before the failed one
+                assert [r.name for r in rt.records[rt.markers[-2]:]] == ["C"]
+                assert span["index"] == rt.markers[-1] == len(rt.records)
+                assert sim.steps_done == 1
+                seen.append(((span["name"], span["level"], span["index"]),
+                             list(rt.records), list(rt.markers)))
+        assert seen[0][0][:2] == ("CASE", 1)
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    def test_interpreted_run_recovers_from_it(self):
+        from repro.resilience import ResilientRunner, RetryPolicy
+        wl = cavity()
+        ref = build(wl, FUSED_FULL, "interpreted")
+        ref.run(6)
+        cfg = wl.sim_config(fusion=FUSED_FULL, backend="interpreted",
+                            threaded=False)
+        with ResilientRunner(wl.spec, cfg,
+                             policy=RetryPolicy(checkpoint_every=2),
+                             faults=RaiseOnce("CASE", 1, step=3),
+                             sleep=lambda s: None) as runner:
+            report = runner.run(6).report
+            assert report.outcome == "ok" and report.retries == 1
+            assert report.failures[0]["kind"] == "kernel"
+            assert runner.sim.backend.name == "interpreted"
+            assert_bit_identical(states(ref), states(runner.sim))
 
 
 class TestAdmission:

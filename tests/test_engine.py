@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backend.compiler import bind_bodies
+from repro.backend.plan import StepPlan
 from repro.core.engine import Engine
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.lattice import D2Q9, D3Q19
@@ -12,6 +14,15 @@ from repro.grid.geometry import wall_refinement
 from repro.neon.runtime import FieldRef, LazyBody
 
 from .test_multigrid import nested_box_spec, ref_compile
+
+
+def run_op(op, *args, **kwargs):
+    """Declare the engine op ``op(*args, **kwargs)``, then run its body:
+    the interpreted backend's capture / bind / loop, one op at a time."""
+    rt = op.__self__.rt
+    handles = []
+    records = rt.capture_plan(lambda: op(*args, **kwargs), handles)
+    StepPlan(records, *bind_bodies(records, handles)).execute(rt)
 
 
 def make_engine(bc=None, base=(16, 16), omega0=1.2):
@@ -32,7 +43,8 @@ class TestConstruction:
         # not depend on initialize() having run
         ready = make_engine()
         fresh = Engine(ready.mgrid, "bgk", omega0=1.2)
-        streams = [eng.rt.capture_plan(NonUniformStepper(eng, cfg).step)
+        streams = [eng.rt.capture_plan(
+                       lambda eng=eng: NonUniformStepper(eng, cfg)._advance(0))
                    for eng in (fresh, ready)]
         assert streams[0] == streams[1]
         # ... and it includes the Accumulate into level 0's ghosts
@@ -42,8 +54,8 @@ class TestConstruction:
     def test_declaration_capture_builds_nothing(self):
         eng = Engine(make_engine().mgrid, "bgk", omega0=1.2)
         handles = []
-        records = eng.rt.capture_plan(NonUniformStepper(eng, FUSED_FULL).step,
-                                      handles)
+        stepper = NonUniformStepper(eng, FUSED_FULL)
+        records = eng.rt.capture_plan(lambda: stepper._advance(0), handles)
         assert len(handles) == len(records) > 0
         assert all(isinstance(h, LazyBody) and h._body is None
                    for h in handles)
@@ -143,7 +155,7 @@ class TestOmegaPerLevel:
 class TestKernelRecords:
     def test_collide_record(self):
         eng = make_engine()
-        eng.op_collide(0)
+        run_op(eng.op_collide, 0)
         rec = eng.rt.records[-1]
         assert rec.name == "C" and rec.level == 0
         assert rec.n_cells == eng.levels[0].n_owned
@@ -151,26 +163,26 @@ class TestKernelRecords:
 
     def test_fused_collide_accumulate_record(self):
         eng = make_engine()
-        eng.op_collide(1, fuse_accumulate=True)
+        run_op(eng.op_collide, 1, fuse_accumulate=True)
         rec = eng.rt.records[-1]
         assert rec.name == "CA"
         assert rec.atomic_bytes > 0
 
     def test_stream_fusion_names(self):
         eng = make_engine()
-        eng.op_collide(0)
-        eng.op_collide(1, fuse_accumulate=True)
-        eng.op_stream(1, fuse_explosion=True)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_collide, 1, fuse_accumulate=True)
+        run_op(eng.op_stream, 1, fuse_explosion=True)
         assert eng.rt.records[-1].name == "SE"
-        eng.op_stream(0, fuse_coalescence=True)
+        run_op(eng.op_stream, 0, fuse_coalescence=True)
         assert eng.rt.records[-1].name == "SO"
-        eng.op_stream(1, fuse_explosion=True, fuse_coalescence=True)
+        run_op(eng.op_stream, 1, fuse_explosion=True, fuse_coalescence=True)
         assert eng.rt.records[-1].name == "SE"  # finest has no coalescence
 
     def test_case_record_traffic_is_two_passes(self):
         eng = make_engine()
-        eng.op_collide(0)
-        eng.op_fused_case(1)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_fused_case, 1)
         rec = eng.rt.records[-1]
         n = eng.levels[1].n_owned
         assert rec.name == "CASE"
@@ -181,15 +193,15 @@ class TestKernelRecords:
 
     def test_separate_interface_kernels(self):
         eng = make_engine()
-        eng.op_collide(0)
-        eng.op_collide(1)
-        eng.op_accumulate(1)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_collide, 1)
+        run_op(eng.op_accumulate, 1)
         assert eng.rt.records[-1].name == "A"
-        eng.op_stream(1)
-        eng.op_explode(1)
+        run_op(eng.op_stream, 1)
+        run_op(eng.op_explode, 1)
         assert eng.rt.records[-1].name == "E"
-        eng.op_stream(0)
-        eng.op_coalesce(0)
+        run_op(eng.op_stream, 0)
+        run_op(eng.op_coalesce, 0)
         assert eng.rt.records[-1].name == "O"
 
     def test_interface_kernels_declare_distinct_cells(self):
@@ -204,7 +216,7 @@ class TestKernelRecords:
             for op, name, cells in ((eng.op_explode, "E", buf.exp_cell),
                                     (eng.op_coalesce, "O", buf.coal_cell)):
                 if cells.size:
-                    op(lv)
+                    run_op(op, lv)
                     rec = eng.rt.records[-1]
                     assert (rec.name, rec.level) == (name, lv)
                     assert rec.n_cells == np.unique(cells).size < cells.size
@@ -214,7 +226,7 @@ class TestKernelRecords:
     def test_accumulate_level0_rejected(self):
         eng = make_engine()
         with pytest.raises(ValueError):
-            eng.op_accumulate(0)
+            run_op(eng.op_accumulate, 0)
 
 
 class TestStreamingSemantics:
@@ -223,9 +235,9 @@ class TestStreamingSemantics:
         # post-collision value of the parent cell, verbatim (Eq. 10)
         eng = make_engine()
         eng.initialize(u=np.array([0.01, 0.005]))
-        eng.op_collide(0)
-        eng.op_collide(1)
-        eng.op_stream(1, fuse_explosion=True)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_collide, 1)
+        run_op(eng.op_stream, 1, fuse_explosion=True)
         fine = eng.levels[1]
         coarse = eng.levels[0]
         got = fine.f[fine.exp_q, fine.exp_cell]
@@ -237,24 +249,24 @@ class TestStreamingSemantics:
         eng.initialize(u=np.array([0.01, 0.0]))
         # run the full two-substep fine cycle so the accumulator holds 2x4 samples
         stepper = NonUniformStepper(eng)
-        eng.op_collide(0)
-        eng.op_collide(1, fuse_accumulate=True)
-        eng.op_stream(1, fuse_explosion=True)
-        eng.op_collide(1, fuse_accumulate=True)
-        eng.op_stream(1, fuse_explosion=True)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_collide, 1, fuse_accumulate=True)
+        run_op(eng.op_stream, 1, fuse_explosion=True)
+        run_op(eng.op_collide, 1, fuse_accumulate=True)
+        run_op(eng.op_stream, 1, fuse_explosion=True)
         coarse = eng.levels[0]
         acc = coarse.ghost_acc.copy()
-        eng.op_stream(0, fuse_coalescence=True)
+        run_op(eng.op_stream, 0, fuse_coalescence=True)
         got = coarse.f[coarse.coal_q, coarse.coal_cell]
         expected = acc[coarse.coal_q, coarse.coal_src] / 8.0  # 2 * 2^2
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_ghost_reset_after_coalescence(self):
         eng = make_engine()
-        eng.op_collide(0)
-        eng.op_collide(1, fuse_accumulate=True)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_collide, 1, fuse_accumulate=True)
         assert np.abs(eng.levels[0].ghost_acc).max() > 0
-        eng.op_stream(0, fuse_coalescence=True)
+        run_op(eng.op_stream, 0, fuse_coalescence=True)
         assert (eng.levels[0].ghost_acc == 0).all()
 
     def test_accumulate_gather_equals_scatter(self):
@@ -262,16 +274,16 @@ class TestStreamingSemantics:
         eng2 = make_engine()
         for eng, gather in ((eng1, False), (eng2, True)):
             eng.initialize(u=np.array([0.02, -0.01]))
-            eng.op_collide(1)
-            eng.op_accumulate(1, gather=gather)
+            run_op(eng.op_collide, 1)
+            run_op(eng.op_accumulate, 1, gather=gather)
         assert np.allclose(eng1.levels[0].ghost_acc, eng2.levels[0].ghost_acc)
 
     def test_explosion_copy_mirrors_coarse(self):
         eng = make_engine()
         eng.allocate_fghost()
         eng.initialize(u=np.array([0.01, 0.02]))
-        eng.op_collide(0)
-        eng.op_explosion_copy(1)
+        run_op(eng.op_collide, 0)
+        run_op(eng.op_explosion_copy, 1)
         fine = eng.levels[1]
         coarse = eng.levels[0]
         assert np.array_equal(fine.fghost[:, fine.fg_rows - fine.n_owned],
@@ -284,11 +296,11 @@ class TestStreamingSemantics:
         eng_a.allocate_fghost()
         for eng in (eng_a, eng_b):
             eng.initialize(u=np.array([0.015, 0.0]))
-            eng.op_collide(0)
-            eng.op_collide(1)
-        eng_a.op_explosion_copy(1)
-        eng_a.op_stream(1, fuse_explosion=True, exp_from_ghost=True)
-        eng_b.op_stream(1, fuse_explosion=True, exp_from_ghost=False)
+            run_op(eng.op_collide, 0)
+            run_op(eng.op_collide, 1)
+        run_op(eng_a.op_explosion_copy, 1)
+        run_op(eng_a.op_stream, 1, fuse_explosion=True, exp_from_ghost=True)
+        run_op(eng_b.op_stream, 1, fuse_explosion=True, exp_from_ghost=False)
         a, b = eng_a.levels[1], eng_b.levels[1]
         assert np.array_equal(a.f, b.f)
 
@@ -315,8 +327,8 @@ class TestBoundaryPhysics:
         bc = DomainBC({"x+": FaceBC("outflow")})
         eng = make_engine(bc=bc)
         eng.initialize(u=np.array([0.03, 0.0]))
-        eng.op_collide(1)
-        eng.op_stream(1)
+        run_op(eng.op_collide, 1)
+        run_op(eng.op_stream, 1)
         fine = eng.levels[1]
         got = fine.f[fine.out_q, fine.out_cell]
         assert np.allclose(got, eng.lat.w[fine.out_q])
@@ -391,10 +403,10 @@ def ref_accumulate_twice_then_coalesce(eng, lv):
 
 
 def accumulate_twice_then_coalesce(eng, lv):
-    eng.op_accumulate(lv)
+    run_op(eng.op_accumulate, lv)
     eng.levels[lv].fstar[...] = eng.levels[lv].fstar[::-1].copy()
-    eng.op_accumulate(lv)
-    eng.op_coalesce(lv - 1)
+    run_op(eng.op_accumulate, lv)
+    run_op(eng.op_coalesce, lv - 1)
 
 
 #: Kernels with an Accumulate part: the textbook adds into every ghost
@@ -403,25 +415,25 @@ ACCUMULATING = ("A-scatter", "A-gather", "CA", "CASE")
 
 #: kernel -> (coarsest level it runs on, its launch, the textbook sequence)
 KERNELS = {
-    "C": (0, lambda e, lv: e.op_collide(lv), [ref_collide]),
-    "A-scatter": (1, lambda e, lv: e.op_accumulate(lv), [ref_accumulate]),
-    "A-gather": (1, lambda e, lv: e.op_accumulate(lv, gather=True),
+    "C": (0, lambda e, lv: run_op(e.op_collide, lv), [ref_collide]),
+    "A-scatter": (1, lambda e, lv: run_op(e.op_accumulate, lv), [ref_accumulate]),
+    "A-gather": (1, lambda e, lv: run_op(e.op_accumulate, lv, gather=True),
                  [ref_accumulate]),
-    "S": (0, lambda e, lv: e.op_stream(lv), [ref_stream]),
-    "E": (1, lambda e, lv: e.op_explode(lv), [ref_explode_direct]),
-    "E-ghost": (1, lambda e, lv: e.op_explode(lv, exp_from_ghost=True),
+    "S": (0, lambda e, lv: run_op(e.op_stream, lv), [ref_stream]),
+    "E": (1, lambda e, lv: run_op(e.op_explode, lv), [ref_explode_direct]),
+    "E-ghost": (1, lambda e, lv: run_op(e.op_explode, lv, exp_from_ghost=True),
                 [ref_explode_ghost]),
-    "O": (0, lambda e, lv: e.op_coalesce(lv), [ref_coalesce]),
-    "E-copy": (1, lambda e, lv: e.op_explosion_copy(lv), [ref_explosion_copy]),
-    "CA": (1, lambda e, lv: e.op_collide(lv, fuse_accumulate=True),
+    "O": (0, lambda e, lv: run_op(e.op_coalesce, lv), [ref_coalesce]),
+    "E-copy": (1, lambda e, lv: run_op(e.op_explosion_copy, lv), [ref_explosion_copy]),
+    "CA": (1, lambda e, lv: run_op(e.op_collide, lv, fuse_accumulate=True),
            [ref_collide, ref_accumulate]),
-    "SEO": (0, lambda e, lv: e.op_stream(lv, fuse_explosion=True,
+    "SEO": (0, lambda e, lv: run_op(e.op_stream, lv, fuse_explosion=True,
                                          fuse_coalescence=True),
             [ref_stream, ref_explode_direct, ref_coalesce]),
-    "SE-ghost": (1, lambda e, lv: e.op_stream(lv, fuse_explosion=True,
+    "SE-ghost": (1, lambda e, lv: run_op(e.op_stream, lv, fuse_explosion=True,
                                               exp_from_ghost=True),
                  [ref_stream, ref_explode_ghost]),
-    "CASE": (1, lambda e, lv: e.op_fused_case(lv),
+    "CASE": (1, lambda e, lv: run_op(e.op_fused_case, lv),
              [ref_collide, ref_accumulate, ref_stream, ref_explode_direct]),
     "A-A-O": (1, accumulate_twice_then_coalesce,
               [ref_accumulate_twice_then_coalesce]),

@@ -93,17 +93,17 @@ class TestDeterminism:
 
 class TestDeferredRuntime:
     def test_capture_takes_precedence_over_deferred(self):
-        # Access capture is a mode of the reference launch path: a
-        # threaded simulation runs captured steps there, serially, and
-        # counts them.
+        # Under access capture a threaded simulation replays its plan in
+        # program order (no waves), without leaving it.
         wl = WORKLOADS["2d"]()
         with make_sim(wl, True) as sim, make_sim(wl, False) as ref:
-            sim.runtime.capture_start()
-            sim.run(2)
+            for s in (sim, ref):
+                s.runtime.capture_start()
+                s.run(2)
             captured = sim.runtime.capture_stop()
-            ref.run(2)
-            assert sim.backend.stats["plan_fallback_steps"] == 2
+            assert sim.backend.stats["plan_fallback_steps"] == 0
             assert set(captured) == set(range(len(sim.runtime.records)))
+            assert captured == ref.runtime.capture_stop()
             assert states_equal(full_state(ref), full_state(sim))
 
     def test_error_truncates_trace_and_attaches_span(self):

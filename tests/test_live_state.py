@@ -37,6 +37,7 @@ from repro.serve.state import state_digest
 
 from .test_fusion_equivalence import (ALL_CONFIGS, cavity_2d_three_levels,
                                       sphere_3d)
+from .test_engine import run_op
 from .test_static_analysis import WL2D, WL3D
 
 MiB = 2 ** 20
@@ -198,8 +199,8 @@ def test_a_float32_checkpoint_is_refused(tmp_path):
 def test_save_inside_a_step_is_refused(tmp_path):
     sim = make(cavity_2d_three_levels, ALL_CONFIGS[1])      # unfused 4b
     sim.run(1)
-    sim.engine.op_collide(1)
-    sim.engine.op_accumulate(1)             # level 0's ghosts now hold a sum
+    run_op(sim.engine.op_collide, 1)
+    run_op(sim.engine.op_accumulate, 1)     # level 0's ghosts now hold a sum
     store = CheckpointStore(tmp_path / "ck")
     with pytest.raises(RuntimeError, match="inside a coarse step: level 0"):
         store.save(sim)

@@ -1,5 +1,9 @@
 """Mini-Neon runtime and dependency-graph extraction (Fig. 2, Section V-C)."""
 
+import pytest
+
+from repro.backend.compiler import bind_bodies
+from repro.backend.plan import StepPlan
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
 from repro.grid.geometry import wall_refinement
@@ -18,41 +22,60 @@ F0, FS0 = FieldRef("f", 0), FieldRef("fstar", 0)
 F1, FS1 = FieldRef("f", 1), FieldRef("fstar", 1)
 
 
+def run(rt, *names, n_cells=1, bytes_read=1, bytes_written=1):
+    """Declare one no-op kernel per name, then run them as a plan."""
+    handles = []
+    records = rt.capture_plan(lambda: [
+        rt.launch(name, 0, n_cells=n_cells, bytes_read=bytes_read,
+                  bytes_written=bytes_written, fn=lambda: None)
+        for name in names], handles)
+    StepPlan(records, *bind_bodies(records, handles)).execute(rt)
+
+
 class TestRuntime:
-    def test_launch_executes_and_records(self):
+    def test_launch_declares_and_the_plan_runs(self):
         rt = Runtime()
         hit = []
-        rt.launch("C", 0, n_cells=5, bytes_read=10, bytes_written=20,
-                  fn=lambda: hit.append(1))
-        assert hit == [1]
-        assert rt.launches() == 1
-        assert rt.records[0].bytes_total == 30
+        handles = []
+        records = rt.capture_plan(lambda: rt.launch(
+            "C", 0, n_cells=5, bytes_read=10, bytes_written=20,
+            fn=lambda: hit.append(1)), handles)
+        assert hit == [] and rt.launches() == 0     # declared, not run
+        assert records[0].bytes_total == 30
+        StepPlan(records, *bind_bodies(records, handles)).execute(rt)
+        assert hit == [1] and rt.records == records
+
+    def test_launch_outside_a_capture_is_refused(self):
+        rt = Runtime()
+        with pytest.raises(RuntimeError, match="outside Runtime.capture_plan"):
+            rt.launch("C", 0, n_cells=1, bytes_read=1, bytes_written=1)
+        with pytest.raises(RuntimeError, match="inside a capture"):
+            rt.capture_plan(lambda: rt.capture_plan(lambda: None))
+        assert rt.capture_plan(lambda: None) == []   # and the runtime recovered
 
     def test_step_marker_slicing(self):
         rt = Runtime()
-        rt.launch("C", 0, n_cells=1, bytes_read=1, bytes_written=1)
+        run(rt, "C")
         rt.step_marker()
-        rt.launch("S", 0, n_cells=1, bytes_read=1, bytes_written=1)
-        rt.launch("O", 0, n_cells=1, bytes_read=1, bytes_written=1)
+        run(rt, "S", "O")
         rt.step_marker()
         last = rt.last_step()
         assert [r.name for r in last] == ["S", "O"]
 
     def test_last_step_without_markers(self):
         rt = Runtime()
-        rt.launch("C", 0, n_cells=1, bytes_read=1, bytes_written=1)
+        run(rt, "C")
         assert len(rt.last_step()) == 1
 
     def test_summary_by_name(self):
         rt = Runtime()
-        for _ in range(3):
-            rt.launch("C", 0, n_cells=7, bytes_read=2, bytes_written=3)
+        run(rt, "C", "C", "C", n_cells=7, bytes_read=2, bytes_written=3)
         s = rt.summary_by_name()
         assert s["C"] == {"launches": 3, "cells": 21, "bytes": 15}
 
     def test_reset(self):
         rt = Runtime()
-        rt.launch("C", 0, n_cells=1, bytes_read=1, bytes_written=1)
+        run(rt, "C")
         rt.step_marker()
         rt.reset()
         assert rt.launches() == 0 and rt.markers == []
