@@ -93,9 +93,9 @@ analysis:
 	$(PYTHON) -m repro analysis --all-configs
 	REPRO_BACKEND=compiled $(PYTHON) -m repro analysis --all-configs
 
-# Declaration-only gate: symbolic access sets, fusion-legality proofs,
-# lint pass, step-plan certificates, static ⊇ dynamic cross-check and
-# the seeded-illegal negative control.
+# Declaration-time gate, no body runs: the bound bodies' access reports
+# against the declarations, fusion-legality proofs, lint pass, step-plan
+# certificates and the seeded-illegal negative control.
 static-check:
 	$(PYTHON) -m repro analysis --static --all-configs --cert-dir certificates
 

@@ -1,13 +1,19 @@
-"""Shadow-recording of the buffer accesses a kernel body actually performs.
+"""What a kernel touches: the access report bound with each body.
 
-The engine's kernel bodies are instrumented at the point where they index
-into the population / accumulator buffers: every read, plain write and
-atomic-add scatter is reported to the active :class:`AccessTracer` with
-the *actual* row interval taken from the index arrays the body uses.
-Declarations (the ``reads=``/``writes=`` tuples and byte counts handed to
-:meth:`~repro.neon.runtime.Runtime.launch`) never feed into the capture;
-the two sides stay independent so :mod:`repro.analysis.verify` can diff
-them.
+Every kernel body in :mod:`repro.core.engine` is built together with its
+access report — a closure that states, to an :class:`AccessTracer`, each
+read, plain write and atomic-add scatter the body performs, with the row
+interval taken from the index arrays the body uses.  That report is the
+one per-kernel statement of a kernel's footprint: admission, the legality
+proof, lint, certificates and ``repro analysis`` evaluate it (no body
+runs), and a tracer installed with
+:meth:`~repro.neon.runtime.Runtime.capture_start` records it beside each
+body the plan loop runs.  A report is not an observation of its body;
+``tests/test_static_analysis.py`` checks each report against what its
+body actually reads and writes.  Declarations (the ``reads=``/``writes=``
+tuples and byte counts handed to
+:meth:`~repro.neon.runtime.Runtime.launch`) are the other, independent
+statement; :mod:`repro.analysis.verify` diffs the two.
 
 Row coordinates are the engine's compact row space: rows ``0..n_owned-1``
 are the owned cells of a level — all of ``f`` and ``fstar``, both
@@ -20,11 +26,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
+
+import numpy as np
 
 from ..neon.runtime import FieldRef
 
-__all__ = ["Access", "AccessTracer", "READ", "WRITE", "ATOMIC", "META"]
+__all__ = ["Access", "AccessTracer", "EntrySet", "READ", "WRITE", "ATOMIC",
+           "META"]
 
 #: Access kinds.  ``META`` is structural-metadata traffic (neighbour
 #: tables, bitmasks): it contributes to the read-byte total but names no
@@ -37,14 +46,54 @@ META = "meta"
 _KINDS = frozenset((READ, WRITE, ATOMIC, META))
 
 
+class EntrySet:
+    """An exact set of entry ids: one sorted, unique, read-only int32 array.
+
+    int32 holds any id: the grid compile refuses ``Q * n_used >= 2**31``
+    (``n_used``: the owned rows plus the 4a layout's fine-ghost rows).
+    Duplicates go by a sort and an adjacent-difference mask — ``np.unique``
+    takes a hash path on NumPy 2.4 that costs more than the sort.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: Any) -> None:
+        ids = np.sort(np.asarray(ids, dtype=np.int32), axis=None)
+        keep = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+        self.ids: np.ndarray = ids[keep]
+        self.ids.flags.writeable = False
+
+    def __len__(self) -> int:
+        return int(self.ids.size)
+
+    def __eq__(self, other: object) -> bool:
+        return (self is other or isinstance(other, EntrySet)
+                and np.array_equal(self.ids, other.ids))
+
+    def __hash__(self) -> int:
+        return hash(self.ids.tobytes())
+
+    def isdisjoint(self, other: "EntrySet") -> bool:
+        """True when no id is in both sets: the smaller searched in the larger."""
+        if other is self:
+            return not self.ids.size
+        small, big = sorted((self.ids, other.ids), key=len)
+        at = np.searchsorted(big, small).clip(max=big.size - 1)
+        return not np.any(big[at] == small)
+
+
 @dataclass(frozen=True)
 class Access:
-    """One observed access: a field, a half-open row interval, a payload.
+    """One reported access: a field, a half-open row interval, a payload.
 
     ``nbytes`` models the DRAM traffic of the access under the same
     accounting the declarations use (register-resident re-reads inside a
-    fused kernel carry 0 bytes); ``lo``/``hi`` bound the rows actually
-    indexed, so two accesses conflict only if their intervals overlap.
+    fused kernel carry 0 bytes); ``lo``/``hi`` bound the rows the body
+    indexes.  ``entries`` (when not ``None``) is the exact set of entry
+    ids the body's flat index map names — the interval is then only an
+    envelope, and two exact accesses conflict only if the sets intersect
+    (:func:`repro.neon.graph._access_overlap`).
     """
 
     field: FieldRef | None
@@ -52,36 +101,43 @@ class Access:
     lo: int
     hi: int
     nbytes: int
+    entries: EntrySet | None = None
 
-    def overlaps(self, other: "Access") -> bool:
-        # max/min form: an empty interval [x,x) overlaps nothing, even
-        # when x lies strictly inside the other interval
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
+    def covers(self, lo: int, hi: int) -> bool:
+        """True when ``[lo, hi)`` lies inside this access's interval."""
+        return self.lo <= lo and hi <= self.hi
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         where = f"{self.field}[{self.lo}:{self.hi}]" if self.field else "meta"
-        return f"{self.kind} {where} ({self.nbytes} B)"
+        exact = f" ({len(self.entries)} exact)" if self.entries is not None else ""
+        return f"{self.kind} {where}{exact} ({self.nbytes} B)"
 
 
 class AccessTracer:
-    """Collects :class:`Access` records for the kernel body in flight.
+    """Collects the :class:`Access` records one kernel's report states.
 
-    The runtime brackets every traced launch with :meth:`begin_launch` /
-    :meth:`end_launch`; engine bodies call :meth:`read` / :meth:`write` /
+    Every launch is bracketed with :meth:`begin_launch` /
+    :meth:`end_launch`; a report calls :meth:`read` / :meth:`write` /
     :meth:`atomic` / :meth:`meta` only while a launch is active.  Fields
     registered through :meth:`suppress` are register-resident for the
     duration of the ``with`` block (the fused CASE kernel keeps the
     post-collision populations in registers): their accesses are not
-    recorded at all.
+    recorded at all.  An ``entries=`` index array becomes one
+    :class:`EntrySet`, built the first time this tracer sees the array
+    (the engine shares each flat index map between every body it binds,
+    so every report naming a patch gets the same object).
     """
 
     def __init__(self) -> None:
         self._current: list[Access] | None = None
         self._suppressed: set[FieldRef] = set()
+        #: ``id(array) -> (array, EntrySet)``; the array is kept so its id
+        #: cannot be reused while the tracer lives.
+        self._entry_sets: dict[int, tuple[np.ndarray, EntrySet]] = {}
 
     @property
     def active(self) -> bool:
-        """True while a launch body is executing under capture."""
+        """True while a launch is being recorded."""
         return self._current is not None
 
     # -- launch bracketing ---------------------------------------------------
@@ -107,22 +163,31 @@ class AccessTracer:
             self._suppressed -= added
 
     # -- recording ------------------------------------------------------------
+    def _entry_set(self, ids: np.ndarray) -> EntrySet:
+        got = self._entry_sets.get(id(ids))
+        if got is None:
+            got = self._entry_sets[id(ids)] = (ids, EntrySet(ids))
+        return got[1]
+
     def _add(self, field: FieldRef | None, kind: str, lo: int, hi: int,
-             nbytes: int) -> None:
+             nbytes: int, entries: np.ndarray | None = None) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown access kind {kind!r}")
         if self._current is None:
             return
         if field is not None and field in self._suppressed:
             return
-        self._current.append(Access(field=field, kind=kind, lo=int(lo),
-                                    hi=int(hi), nbytes=int(nbytes)))
+        self._current.append(Access(
+            field=field, kind=kind, lo=int(lo), hi=int(hi), nbytes=int(nbytes),
+            entries=None if entries is None else self._entry_set(entries)))
 
-    def read(self, field: FieldRef, lo: int, hi: int, nbytes: int) -> None:
-        self._add(field, READ, lo, hi, nbytes)
+    def read(self, field: FieldRef, lo: int, hi: int, nbytes: int,
+             entries: np.ndarray | None = None) -> None:
+        self._add(field, READ, lo, hi, nbytes, entries)
 
-    def write(self, field: FieldRef, lo: int, hi: int, nbytes: int) -> None:
-        self._add(field, WRITE, lo, hi, nbytes)
+    def write(self, field: FieldRef, lo: int, hi: int, nbytes: int,
+              entries: np.ndarray | None = None) -> None:
+        self._add(field, WRITE, lo, hi, nbytes, entries)
 
     def atomic(self, field: FieldRef, lo: int, hi: int, nbytes: int) -> None:
         self._add(field, ATOMIC, lo, hi, nbytes)

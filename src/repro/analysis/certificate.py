@@ -1,7 +1,7 @@
 """Machine-readable step-plan certificates.
 
 A certificate is the static analyzer's output frozen as JSON: the
-declaration stream, its symbolic access sets, the wave schedule a
+declaration stream, the access map its bound bodies report, the wave schedule a
 dependency-driven runtime would issue, the fusion-legality verdict and
 the lint findings — everything a compiled backend needs to *admit* a
 step plan without re-deriving the analysis (ROADMAP: "compiled step
@@ -24,8 +24,9 @@ from typing import Any, Mapping, Sequence
 
 from ..neon.graph import build_dependency_graph, graph_stats, schedule_waves
 from ..neon.runtime import FieldRef, KernelRecord
+from .capture import Access
 from .lint import LintReport
-from .static import AccessModel, LegalityProof, StaticAccess
+from .static import LegalityProof
 
 __all__ = ["CERTIFICATE_VERSION", "stream_digest", "build_certificate",
            "validate_certificate", "write_certificate", "load_certificate"]
@@ -56,7 +57,7 @@ def _ref_json(ref: FieldRef) -> str:
     return f"{ref.name}@{ref.level}"
 
 
-def _access_json(a: StaticAccess) -> dict[str, Any]:
+def _access_json(a: Access) -> dict[str, Any]:
     out: dict[str, Any] = {
         "field": _ref_json(a.field) if a.field is not None else None,
         "kind": a.kind, "rows": [a.lo, a.hi], "nbytes": a.nbytes,
@@ -67,20 +68,13 @@ def _access_json(a: StaticAccess) -> dict[str, Any]:
 
 
 def build_certificate(config: str, workload: str,
-                      records: Sequence[KernelRecord], model: AccessModel,
+                      records: Sequence[KernelRecord],
+                      accesses: Mapping[int, Sequence[Access]],
                       proof: LegalityProof, lint: LintReport,
-                      steps: int,
-                      static_map: Mapping[int, Sequence[StaticAccess]] | None = None,
-                      ) -> dict[str, Any]:
-    """Assemble the certificate document for one (config, workload) plan.
-
-    ``static_map`` is ``model.access_map(records)`` when the caller has
-    it already.
-    """
-    if static_map is None:
-        static_map = model.access_map(records)
+                      steps: int) -> dict[str, Any]:
+    """Assemble the certificate document for one (config, workload) plan."""
     g = build_dependency_graph(list(records), reduce=False,
-                               access_map=static_map)
+                               access_map=accesses)
     waves = schedule_waves(g)
     kernels = []
     for i, r in enumerate(records):
@@ -90,7 +84,7 @@ def build_certificate(config: str, workload: str,
             "bytes_written": r.bytes_written, "atomic_bytes": r.atomic_bytes,
             "reads": [_ref_json(f) for f in r.reads],
             "writes": [_ref_json(f) for f in r.writes],
-            "accesses": [_access_json(a) for a in static_map[i]],
+            "accesses": [_access_json(a) for a in accesses[i]],
         })
     return {
         "version": CERTIFICATE_VERSION,

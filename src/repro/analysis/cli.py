@@ -3,13 +3,15 @@
 For each requested :class:`~repro.core.fusion.FusionConfig` and workload
 the linter runs a short functional simulation under access capture, then
 
-1. diffs every kernel's observed accesses against its declarations
-   (:mod:`repro.analysis.verify`),
+1. diffs every kernel's captured accesses (its body's report) against
+   its declarations (:mod:`repro.analysis.verify`),
 2. schedules the declared dependency graph into concurrency waves and
-   race-checks every wave at row-interval granularity
+   race-checks every wave at row-interval / exact-entry granularity
    (:mod:`repro.analysis.races`), and
 3. repeats the race check on the interval-refined graph (the schedule a
    runtime exploiting disjoint row ranges would use).
+
+``--static`` runs the declaration-time gate instead (:func:`static_check`).
 
 Exit status is non-zero when any finding or race survives — this is the
 CI gate that every future fusion/optimisation change must keep green.
@@ -90,18 +92,19 @@ def lint_config(config: FusionConfig, workload: str = "cavity2d-2lvl",
 
 def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
                  steps: int = 2, cert_dir: str | None = None) -> dict[str, Any]:
-    """Declaration-only analysis of one config; returns a report dict.
+    """Declaration-time analysis of one config; returns a report dict.
 
-    Gates (each failure is a ``problem``):
+    Nothing executes: the stream is captured and its bodies bound, and
+    the access map is what their reports state
+    (:func:`~repro.analysis.static.plan_stream`).  Gates (each failure is
+    a ``problem``):
 
-    1. symbolic access sets reproduce every declaration exactly
-       (:func:`~repro.analysis.static.verify_static`);
-    2. static access sets ⊇ dynamically captured ones (soundness of the
-       static model);
-    3. the fusion is proved a legal contraction of the modified baseline
+    1. the reports reproduce every declaration exactly
+       (:func:`~repro.analysis.verify.verify_trace` over the bind-time map);
+    2. the fusion is proved a legal contraction of the modified baseline
        (:func:`~repro.analysis.static.prove_fusion_legality`);
-    4. the lint pass reports no ``error``-severity findings;
-    5. the emitted certificate validates against the live stream.
+    3. the lint pass reports no ``error``-severity findings;
+    4. the emitted certificate validates against the stream.
 
     With ``cert_dir``, the step-plan certificate is written there as
     ``<config>--<workload>.json``.
@@ -109,26 +112,14 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     from .certificate import build_certificate, validate_certificate, \
         write_certificate
     from .lint import lint_stream
-    from .static import plan_stream, prove_fusion_legality, \
-        superset_findings, verify_static
+    from .static import plan_stream, prove_fusion_legality
 
     wl_kwargs = small_workloads()[workload]
-    records, model = plan_stream(config, wl_kwargs, steps=steps)
-
-    wl = lid_cavity(**wl_kwargs)
-    rt = Runtime()
-    rt.capture_start()
-    sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=config),
-                                 runtime=rt)
-    sim.run(steps)
-    captured = rt.capture_stop()
-
-    static_map = model.access_map(records)
-    findings = verify_static(records, model)
-    superset = superset_findings(records, captured, static_map)
+    records, accesses, engine = plan_stream(config, wl_kwargs, steps=steps)
+    findings = verify_trace(records, accesses)
     proof = prove_fusion_legality(config, wl_kwargs, steps=steps)
-    lint = lint_stream(records, model)
-    cert = build_certificate(config.name, workload, records, model, proof,
+    lint = lint_stream(records, accesses, engine)
+    cert = build_certificate(config.name, workload, records, accesses, proof,
                              lint, steps)
     cert_problems = validate_certificate(cert, records)
     cert_path = None
@@ -142,7 +133,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "steps": steps,
         "kernels": len(records),
         "findings": [str(f) for f in findings],
-        "superset": superset,
         "verdict": proof.verdict,
         "pairs_checked": proof.pairs_checked,
         "counterexamples": [str(c) for c in proof.counterexamples],
@@ -168,7 +158,7 @@ def _static_negative_control(workload: str, steps: int) -> dict[str, Any]:
 
 
 def _static_problems(report: dict[str, Any]) -> int:
-    return (len(report["findings"]) + len(report["superset"])
+    return (len(report["findings"])
             + (0 if report["verdict"] in ("legal", "baseline") else 1)
             + len(report["lint_errors"]) + len(report["certificate_problems"]))
 
@@ -190,8 +180,8 @@ def _run_static(configs: Sequence[FusionConfig], workloads: Sequence[str],
                   f"verdict={rep['verdict']:8s} "
                   f"pairs={rep['pairs_checked']:4d} "
                   f"touched={rep['touched_bytes']} B", file=out)
-            for msg in (rep["findings"] + rep["superset"]
-                        + rep["lint_errors"] + rep["certificate_problems"]):
+            for msg in (rep["findings"] + rep["lint_errors"]
+                        + rep["certificate_problems"]):
                 print(f"    {msg}", file=out)
             if rep["verdict"] == "illegal":
                 for c in rep["counterexamples"]:
@@ -252,10 +242,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--steps", type=int, default=2,
                         help="coarse time steps to trace (default 2)")
     parser.add_argument("--static", action="store_true",
-                        help="declaration-only mode: symbolic access sets, "
-                             "fusion-legality proofs, lint pass, step-plan "
-                             "certificates and the static ⊇ dynamic "
-                             "cross-check (plus a seeded-illegal control)")
+                        help="declaration-time mode, no body runs: the "
+                             "bound bodies' access reports against the "
+                             "declarations, fusion-legality proofs, lint "
+                             "pass and step-plan certificates (plus a "
+                             "seeded-illegal control)")
     parser.add_argument("--cert-dir", default=None, metavar="DIR",
                         help="with --static: write step-plan certificates "
                              "to DIR (one JSON per config x workload)")

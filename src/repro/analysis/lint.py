@@ -1,7 +1,8 @@
-"""Static lint pass over a kernel stream's symbolic access sets.
+"""Lint pass over a kernel stream's access map.
 
-Consumes the declaration stream and the :class:`~repro.analysis.static.AccessModel`
-(never a population value) and reports two severities:
+Consumes the declaration stream, its access map (each bound body's
+report, :func:`repro.backend.compiler.bind_stream`) and the engine's
+buffer sizes — never a population value — and reports two severities:
 
 * ``error`` — the step plan is wasteful as declared and the ``--static``
   gate fails: **dead stores** (a write fully shadowed by a later write
@@ -27,16 +28,18 @@ them; ``lint_stream`` is pure over its inputs and never executes a body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..gpu.costmodel import traffic_time_us
 from ..gpu.device import DeviceSpec, get_device
 from ..neon.graph import _access_overlap
 from ..neon.runtime import FieldRef, KernelRecord
-from .capture import ATOMIC, META, READ, WRITE
-from .static import AccessModel, StaticAccess
+from .capture import ATOMIC, META, READ, WRITE, Access
 
-__all__ = ["LintFinding", "LintReport", "lint_stream"]
+if TYPE_CHECKING:
+    from ..core.engine import Engine
+
+__all__ = ["LintFinding", "LintReport", "field_nbytes", "lint_stream"]
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,44 @@ def _label(records: Sequence[KernelRecord], i: int) -> str:
     return f"{records[i].name}{records[i].level}"
 
 
-def _flat(static_map: Mapping[int, Sequence[StaticAccess]],
-          ) -> list[tuple[int, StaticAccess]]:
+def field_nbytes(engine: "Engine", ref: FieldRef) -> int:
+    """Bytes the GPU allocation model prices for the buffer backing ``ref``.
+
+    On the device both population buffers span the row space ``n_used``
+    and ``fghost`` is the tail of ``fstar`` (rows ``n_owned..n_used``),
+    reported separately so the lint pass can see both regions.  The
+    engine stores only what it addresses: ``(Q, n_owned)`` buffers and a
+    separate ``fghost`` under 4a.
+    """
+    buf, row = engine.levels[ref.level], engine.lat.q * engine.itemsize
+    if ref.name in ("f", "fstar"):
+        return row * buf.n_used
+    if ref.name == "fghost":
+        return row * (buf.n_used - buf.n_owned)
+    if ref.name == "gacc":
+        return int(buf.ghost_acc.size) * engine.itemsize
+    raise KeyError(f"unknown field {ref}")
+
+
+def _known_fields(engine: "Engine") -> list[FieldRef]:
+    """Every allocatable field of the compiled stack, all levels."""
+    out: list[FieldRef] = []
+    for lv, buf in enumerate(engine.levels):
+        out.append(FieldRef("f", lv))
+        out.append(FieldRef("fstar", lv))
+        if buf.ghost_acc.size:
+            out.append(FieldRef("gacc", lv))
+        if buf.n_used > buf.n_owned:
+            out.append(FieldRef("fghost", lv))
+    return out
+
+
+def _flat(accesses: Mapping[int, Sequence[Access]],
+          ) -> list[tuple[int, Access]]:
     """(record index, access) pairs in stream order, meta dropped."""
-    out: list[tuple[int, StaticAccess]] = []
-    for i in sorted(static_map):
-        for a in static_map[i]:
+    out: list[tuple[int, Access]] = []
+    for i in sorted(accesses):
+        for a in accesses[i]:
             if a.kind != META and a.field is not None and a.hi > a.lo:
                 out.append((i, a))
     return out
@@ -103,7 +138,7 @@ def _flat(static_map: Mapping[int, Sequence[StaticAccess]],
 # -- individual checks ---------------------------------------------------------
 
 def _dead_stores(records: Sequence[KernelRecord],
-                 flat: list[tuple[int, StaticAccess]],
+                 flat: list[tuple[int, Access]],
                  device: DeviceSpec) -> list[LintFinding]:
     """Writes fully shadowed by a later write before any overlapping read.
 
@@ -112,7 +147,7 @@ def _dead_stores(records: Sequence[KernelRecord],
     output, alive beyond the analyzed window (the next step reads it).
     """
     out: list[LintFinding] = []
-    per_field: dict[FieldRef, list[tuple[int, StaticAccess]]] = {}
+    per_field: dict[FieldRef, list[tuple[int, Access]]] = {}
     for i, a in flat:
         assert a.field is not None
         per_field.setdefault(a.field, []).append((i, a))
@@ -120,7 +155,7 @@ def _dead_stores(records: Sequence[KernelRecord],
         for k, (i, a) in enumerate(accs):
             if a.kind != WRITE:
                 continue
-            shadowed: tuple[int, StaticAccess] | None = None
+            shadowed: tuple[int, Access] | None = None
             for j, b in accs[k + 1:]:
                 if not _access_overlap(a, b):
                     continue
@@ -144,7 +179,7 @@ def _dead_stores(records: Sequence[KernelRecord],
 
 
 def _redundant_loads(records: Sequence[KernelRecord],
-                     flat: list[tuple[int, StaticAccess]],
+                     flat: list[tuple[int, Access]],
                      device: DeviceSpec) -> list[LintFinding]:
     """Two overlapping reads of one field with no intervening write.
 
@@ -153,7 +188,7 @@ def _redundant_loads(records: Sequence[KernelRecord],
     finding per (field, later record), anchored at the re-reader.
     """
     out: list[LintFinding] = []
-    per_field: dict[FieldRef, list[tuple[int, StaticAccess]]] = {}
+    per_field: dict[FieldRef, list[tuple[int, Access]]] = {}
     for i, a in flat:
         assert a.field is not None
         per_field.setdefault(a.field, []).append((i, a))
@@ -183,16 +218,16 @@ def _redundant_loads(records: Sequence[KernelRecord],
     return out
 
 
-def _droppable_buffers(model: AccessModel,
-                       flat: list[tuple[int, StaticAccess]],
+def _droppable_buffers(engine: "Engine",
+                       flat: list[tuple[int, Access]],
                        ) -> list[LintFinding]:
     """Allocated buffers no kernel of the stream ever touches."""
     touched = {a.field for _, a in flat}
     out: list[LintFinding] = []
-    for ref in model.known_fields():
+    for ref in _known_fields(engine):
         if ref in touched:
             continue
-        nbytes = model.field_nbytes(ref)
+        nbytes = field_nbytes(engine, ref)
         if nbytes <= 0:
             continue
         out.append(LintFinding(
@@ -203,8 +238,8 @@ def _droppable_buffers(model: AccessModel,
     return out
 
 
-def _touched_bytes(model: AccessModel,
-                   flat: list[tuple[int, StaticAccess]]) -> int:
+def _touched_bytes(engine: "Engine",
+                   flat: list[tuple[int, Access]]) -> int:
     """Bytes of the allocations the stream touches.
 
     In the priced GPU layout ``fghost`` rows are the tail of the
@@ -218,25 +253,18 @@ def _touched_bytes(model: AccessModel,
         assert a.field is not None
         ref = a.field
         refs.add(FieldRef("fstar", ref.level) if ref.name == "fghost" else ref)
-    return sum(model.field_nbytes(ref) for ref in refs)
+    return sum(field_nbytes(engine, ref) for ref in refs)
 
 
-def lint_stream(records: Sequence[KernelRecord], model: AccessModel,
-                device: DeviceSpec | None = None,
-                static_map: Mapping[int, Sequence[StaticAccess]] | None = None,
-                ) -> LintReport:
-    """Run every lint check over one stream.
-
-    ``static_map`` is ``model.access_map(records)`` when the caller has
-    it already (plan admission shares one with the certificate).
-    """
+def lint_stream(records: Sequence[KernelRecord],
+                accesses: Mapping[int, Sequence[Access]], engine: "Engine",
+                device: DeviceSpec | None = None) -> LintReport:
+    """Run every lint check over one stream and its access map."""
     dev = device if device is not None else get_device("A100-40GB")
-    if static_map is None:
-        static_map = model.access_map(records)
-    flat = _flat(static_map)
+    flat = _flat(accesses)
     findings: list[LintFinding] = []
     findings.extend(_dead_stores(records, flat, dev))
     findings.extend(_redundant_loads(records, flat, dev))
-    findings.extend(_droppable_buffers(model, flat))
+    findings.extend(_droppable_buffers(engine, flat))
     return LintReport(findings=tuple(findings),
-                      touched_bytes=_touched_bytes(model, flat))
+                      touched_bytes=_touched_bytes(engine, flat))

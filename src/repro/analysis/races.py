@@ -1,16 +1,19 @@
-"""Wave-level race detection over observed accesses.
+"""Wave-level race detection over captured accesses.
 
 :func:`~repro.neon.graph.schedule_waves` partitions a kernel trace into
 maximal concurrent waves — kernels in one wave run with no
-synchronisation between them, so any pair whose *observed* accesses
-conflict on overlapping row intervals of the same field is a data race on
-the device.  Conflict rules:
+synchronisation between them, so any pair whose accesses conflict on
+the same field is a data race on the device.  Two accesses can touch a
+common entry by the one rule the interval-refined dependency graph uses
+(:func:`repro.neon.graph._access_overlap`: overlapping half-open row
+intervals, decided by the exact entry sets when both sides carry one).
+Conflict rules:
 
 * read / read — never a conflict;
 * atomic / atomic — commutative (the Accumulate scatter is an
   atomic-add), never a conflict;
-* write / write, write / read — a conflict when row intervals overlap;
-* atomic / plain (read or write) — a conflict when intervals overlap:
+* write / write, write / read — a conflict when the accesses overlap;
+* atomic / plain (read or write) — a conflict when they overlap:
   atomicity does not order an atomic add against a plain access.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..neon.graph import _access_overlap
 from ..neon.runtime import KernelRecord
 from .capture import ATOMIC, META, READ, Access
 
@@ -27,7 +31,7 @@ __all__ = ["Race", "access_conflict", "detect_races"]
 
 @dataclass(frozen=True)
 class Race:
-    """Two same-wave kernels with conflicting observed accesses."""
+    """Two same-wave kernels with conflicting accesses."""
 
     wave: int
     field: str
@@ -56,7 +60,7 @@ def access_conflict(a: Access, b: Access) -> str | None:
         return None
     if a.kind == ATOMIC and b.kind == ATOMIC:
         return None  # commutative atomic adds
-    if not a.overlaps(b):
+    if not _access_overlap(a, b):
         return None
     if ATOMIC in (a.kind, b.kind):
         return "atomic-plain"
@@ -68,10 +72,10 @@ def access_conflict(a: Access, b: Access) -> str | None:
 def detect_races(records: Sequence[KernelRecord],
                  captured: Mapping[int, Sequence[Access]],
                  waves: Sequence[Sequence[int]]) -> list[Race]:
-    """Flag every conflicting same-wave pair at row-interval granularity.
+    """Flag every conflicting same-wave pair at row-interval / entry granularity.
 
     ``waves`` is :func:`~repro.neon.graph.schedule_waves` output over the
-    same ``records``; ``captured`` the runtime's observed accesses.  A
+    same ``records``; ``captured`` the runtime's captured accesses.  A
     record without captured accesses contributes nothing — run the
     declaration verifier alongside to catch such gaps.
     """

@@ -1,11 +1,13 @@
-"""Declaration verifier: diff observed accesses against kernel declarations.
+"""Declaration verifier: diff each body's access report against its declaration.
 
-For every traced :class:`~repro.neon.runtime.KernelRecord` we compare
+A kernel's footprint is stated twice, independently: by the launch
+declaration the scheduler trusts and by the access report bound with its
+body (:mod:`repro.analysis.capture`).  For every
+:class:`~repro.neon.runtime.KernelRecord` we compare
 
-* the fields the body *actually* read/wrote (captured by
-  :mod:`repro.analysis.capture`) against the declared ``reads``/``writes``
-  tuples the scheduler trusts, and
-* the observed DRAM traffic against the declared
+* the fields the report says the body reads/writes against the declared
+  ``reads``/``writes`` tuples, and
+* the reported DRAM traffic against the declared
   ``bytes_read``/``bytes_written``/``atomic_bytes``.
 
 A read of a field the same kernel wrote earlier in its own body is an
@@ -28,7 +30,7 @@ __all__ = ["Finding", "verify_record", "verify_trace"]
 
 @dataclass(frozen=True)
 class Finding:
-    """One declared-vs-observed discrepancy on one kernel launch."""
+    """One declared-vs-reported discrepancy on one kernel launch."""
 
     check: str          # e.g. "undeclared-read", "bytes-written-mismatch"
     index: int          # record index within the trace
@@ -112,10 +114,11 @@ def verify_trace(records: Sequence[KernelRecord],
                  indices: Iterable[int] | None = None) -> list[Finding]:
     """Verify every captured launch of a trace.
 
-    ``captured`` is :attr:`repro.neon.runtime.Runtime.captured`;
+    ``captured`` is :attr:`repro.neon.runtime.Runtime.captured` or a
+    bind-time access map (:func:`repro.analysis.static.plan_stream`);
     ``indices`` restricts the check (default: every record).  A record
-    executed while capture was active but yielding no trace entry is
-    reported as ``uncaptured`` so silent gaps cannot pass the gate.
+    yielding no entry is reported as ``uncaptured`` so silent gaps
+    cannot pass the gate.
     """
     out: list[Finding] = []
     for i in (range(len(records)) if indices is None else indices):

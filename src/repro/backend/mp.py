@@ -568,12 +568,14 @@ class MultiprocessBackend:
         plan = self._plans.get(key)
         if plan is None:
             t0 = perf_counter()
-            records, cert, _lint = admit_stream(stepper)
+            # the parent runs no body (the workers bind and run their
+            # own): it keeps the admitted records and certificate
+            admitted, _lint = admit_stream(stepper)
+            records = admitted.records
             waves = schedule_records(records)
             assignment = _partition(records, waves, self.workers)
-            plan = _MpPlan(self._next_plan_id, records,
-                           cert["stream_digest"], len(waves), assignment,
-                           cert)
+            plan = _MpPlan(self._next_plan_id, records, admitted.digest,
+                           len(waves), assignment, admitted.certificate)
             self._next_plan_id += 1
             dt = perf_counter() - t0
             self.stats["plan_cache_misses"] += 1

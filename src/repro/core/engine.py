@@ -25,8 +25,10 @@ This module is the only place a kernel body is written.  The ``_collide``
 ``_explosion_copy`` builders each return the vectorised NumPy closure of
 one primitive with its access report beside it; every step plan
 (interpreted, compiled serial, thread waves) and every mp worker bind
-and run those closures (:mod:`repro.backend`), and access capture checks
-them against the reports.
+and run those closures (:mod:`repro.backend`).  The report is the one
+statement of what a kernel touches: admission, the legality proof, lint
+and certificates evaluate it without running the body
+(:mod:`repro.analysis.capture`).
 Collide and the streaming gathers run a large level as column ranges on
 every usable CPU (:meth:`Engine.split_cuts`), bit-identically.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.multigrid import CompiledLevel, MultiGrid
+from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows
 from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
                             Runtime)
@@ -255,24 +257,34 @@ class Engine:
             got = maps[key] = make()
         return got
 
-    def _pull_flat(self, lv: int) -> np.ndarray:
-        """The pull table, bounds-proven and frozen.
+    def _pull_flat(self, lv: int) -> tuple[np.ndarray, tuple[int, int]]:
+        """The pull table, bounds-proven and frozen, and the span of the
+        ``fstar`` rows it reads.
 
         The stream body gathers with ``mode="clip"`` (NumPy buffers an
         ``out=`` gather it may have to abandon with an ``IndexError``),
         so the check it skips is made here, once per array (a replaced
         ``pull_flat`` is proven again); freezing the array keeps it true.
+        The same pass, one direction at a time in one scratch row (the
+        table is a level's largest array), takes the row span the stream
+        report states.
         """
         table = self.levels[lv].pull_flat
-        if self._maps[lv].get("pull") is not table:
-            size = self.lat.q * self.levels[lv].n_owned
-            if table.size and (table.min() < 0 or table.max() >= size):
+        got = self._maps[lv].get("pull")
+        if got is None or got[0] is not table:
+            n = self.levels[lv].n_owned
+            size = self.lat.q * n
+            lo, hi, low, high = n, 0, 0, -1     # an empty level spans [0, 0)
+            for entries, rows in zip(table, iter_pull_rows(table, n)) if n else ():
+                low, high = min(low, int(entries.min())), max(high, int(entries.max()))
+                lo, hi = min(lo, int(rows.min())), max(hi, int(rows.max()) + 1)
+            if low < 0 or high >= size:
                 raise IndexError(
                     f"level {lv}: pull table entries leave [0, {size}): "
                     f"min {table.min()}, max {table.max()}")
             table.setflags(write=False)
-            self._maps[lv]["pull"] = table
-        return table
+            got = self._maps[lv]["pull"] = (table, (lo, hi))
+        return got
 
     def split_cuts(self, lv: int) -> list[int]:
         """Column cuts ``[0, ..., n_owned]`` of level ``lv``'s split bodies:
@@ -406,7 +418,7 @@ class Engine:
         b = self.levels[lv]
         Q, n = self.lat.q, b.n_owned
         f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
-        table = self._pull_flat(lv)
+        table, span = self._pull_flat(lv)
         mov, out = self._map(lv, "walls", lambda: (
             (b.mov_q * n + b.mov_cell, b.mov_term) if b.mov_q.size else None,
             (b.out_q * n + b.out_cell, b.out_val) if b.out_q.size else None))
@@ -433,7 +445,7 @@ class Engine:
 
         def report(t) -> None:
             nb = Q * self.itemsize * n
-            t.read(FieldRef("fstar", lv), *self._span(b.pull_flat % n), nb)
+            t.read(FieldRef("fstar", lv), *span, nb)
             t.write(FieldRef("f", lv), 0, n, nb)
             t.meta(b.meta_bytes)
         return run, report
@@ -464,7 +476,7 @@ class Engine:
             lo, hi = self._span(b.exp_cell)
             # fused into streaming, the write lands on entries the bulk
             # pull already paid for — no extra traffic
-            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb)
+            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb, entries=dst)
         return run, report
 
     def _coalesce(self, lv: int, subsumed: bool = False):
@@ -484,9 +496,9 @@ class Engine:
         def report(t) -> None:
             nb = self.itemsize * b.coal_q.size
             lo, hi = self._span(b.coal_src)
-            t.read(FieldRef("gacc", lv), lo, hi, nb)
+            t.read(FieldRef("gacc", lv), lo, hi, nb, entries=src)
             lo, hi = self._span(b.coal_cell)
-            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb)
+            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb, entries=dst)
             t.write(FieldRef("gacc", lv), 0, ng, self.itemsize * gacc.size)
         return run, report
 

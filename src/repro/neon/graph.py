@@ -9,7 +9,7 @@ reduction of this DAG is what the paper draws in Figure 2; its depth is
 the number of unavoidable synchronisation points, and its width the
 concurrency the scheduler can exploit.
 
-When an ``access_map`` of observed accesses (see
+When an ``access_map`` of reported accesses (see
 :mod:`repro.analysis.capture`) is supplied, edges are refined to
 row-interval granularity: two kernels that touch *disjoint* row ranges of
 the same field do not conflict, and concurrent atomic-add scatters to the
@@ -24,10 +24,9 @@ from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .runtime import FieldRef, KernelRecord
 
-#: Observed or statically inferred accesses per record index.  Values
-#: are duck-typed (:class:`repro.analysis.capture.Access` or
-#: :class:`repro.analysis.static.StaticAccess`): anything with
-#: ``field``/``kind``/``lo``/``hi`` attributes.
+#: Accesses per record index, as the bound bodies report them.  Values are
+#: duck-typed (:class:`repro.analysis.capture.Access`): anything with
+#: ``field``/``kind``/``lo``/``hi`` attributes and, optionally, ``entries``.
 AccessMap = Mapping[int, Sequence[Any]]
 
 __all__ = ["ConflictPair", "KernelDAG", "build_dependency_graph", "graph_stats",
@@ -129,9 +128,9 @@ def _access_overlap(a: Any, b: Any) -> bool:
     conflict, and an *empty* interval ``[x,x)`` conflicts with nothing,
     even when ``x`` lies inside the other interval — which the classic
     two-clause test ``a.lo < b.hi and b.lo < a.hi`` gets wrong).
-    Accesses may additionally carry an ``entries`` attribute
-    (an exact set of touched entry ids, used by the static analyzer for
-    small scatter/gather patches): when **both** sides are exact the
+    Accesses may additionally carry an ``entries`` attribute (the exact
+    set of entry ids a small scatter/gather patch touches, which the
+    Explosion and Coalescence reports state): when **both** sides are exact the
     bounding intervals are only an envelope and the sets decide —
     interleaved-but-disjoint patches (e.g. Explosion vs Coalescence
     writes into the same ``f`` buffer) correctly do not conflict.
@@ -206,7 +205,7 @@ def iter_conflict_pairs(records: Sequence[KernelRecord],
     contraction preserves the order of each of these pairs, not merely
     the pruned edge set.
 
-    With an ``access_map`` (observed or statically inferred accesses),
+    With an ``access_map`` (the accesses the bound bodies report),
     pairs are refined to row-interval / exact-entry granularity and
     commutative atomic-atomic pairs are dropped, exactly as in
     interval-refined graph construction.
@@ -242,7 +241,7 @@ def build_dependency_graph(records: list[KernelRecord],
     Node attributes: ``label`` (e.g. ``"S1"`` — kernel initial + level, the
     paper's Fig. 2 naming), ``name``, ``level``.
 
-    ``access_map`` (record index → observed :class:`~repro.analysis.capture.Access`
+    ``access_map`` (record index → reported :class:`~repro.analysis.capture.Access`
     list, e.g. :attr:`repro.neon.runtime.Runtime.captured`) switches edge
     construction to row-interval granularity — see the module docstring.
     """

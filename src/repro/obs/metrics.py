@@ -199,10 +199,11 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
             max(len(w) for w in waves))
         # The gauge keeps the name its history series was recorded under.
         from ..analysis.lint import lint_stream
-        from ..analysis.static import AccessModel
+        from ..backend.compiler import bind_stream
+        step, _, _, accesses = bind_stream(sim.stepper)
         reg.gauge("arena_peak_bytes",
                   "bytes of the buffers one step's stream touches (B)").set(
-            lint_stream(last, AccessModel(sim.engine)).touched_bytes)
+            lint_stream(step, accesses, sim.engine).touched_bytes)
     backend = getattr(getattr(sim, "stepper", None), "backend", None)
     stats = getattr(backend, "stats", None)
     if stats:

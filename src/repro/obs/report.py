@@ -86,17 +86,18 @@ def _registry_values(registry: MetricsRegistry) -> dict:
 
 
 def _lint_last_step(sim) -> dict:
-    """Static lint findings over the last complete step's stream.
+    """Static lint findings over one step's stream.
 
-    Consumes declarations only, so it works on any finished (or aborted)
-    run; an empty stream yields an empty report rather than an error.
+    The stream is captured from the run's stepper and its bodies bound
+    (no body runs), so it works on any finished (or aborted) run; a run
+    that completed no step yields an empty report rather than an error.
     """
-    records = sim.runtime.last_step()
-    if not records:
+    if not sim.runtime.last_step():
         return {"errors": [], "opportunities": [], "touched_bytes": 0}
     from ..analysis.lint import lint_stream
-    from ..analysis.static import AccessModel
-    report = lint_stream(records, AccessModel(sim.engine))
+    from ..backend.compiler import bind_stream
+    records, _, _, accesses = bind_stream(sim.stepper)
+    report = lint_stream(records, accesses, sim.engine)
     return {
         "errors": [str(f) for f in report.errors],
         "opportunities": [{

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.capture import ATOMIC, META, READ, WRITE, Access, AccessTracer
+from repro.analysis.capture import (ATOMIC, META, READ, WRITE, Access,
+                                   AccessTracer, EntrySet)
 from repro.analysis.cli import ALL_CONFIGS, lint_config, main, small_workloads
 from repro.analysis.races import access_conflict, detect_races
 from repro.analysis.verify import verify_record, verify_trace
@@ -236,6 +237,26 @@ class TestRaceDetector:
         captured = {0: [Access(A0, READ, 0, 10, 80)],
                     1: [Access(A0, READ, 0, 10, 80)]}
         assert detect_races(records, captured, [[0, 1]]) == []
+
+    def test_exact_entries_decide_inside_overlapping_envelopes(self):
+        # Explosion's and Coalescence's f patches interleave: the refined
+        # schedule may put them in one wave, and the detector must agree
+        # with the graph that disjoint entries do not race
+        records = [rec("E", writes=(F0,)), rec("O", writes=(F0,))]
+
+        def wave(e0, e1):
+            return {i: [Access(F0, WRITE, 0, 10, 8, entries=EntrySet(e))]
+                    for i, e in enumerate((e0, e1))}
+
+        disjoint, shared = wave([4, 0, 2], [1, 3, 5]), wave([4, 0, 2], [1, 4, 5])
+        assert detect_races(records, disjoint, [[0, 1]]) == []
+        assert build_dependency_graph(records, reduce=False,
+                                      access_map=disjoint).number_of_edges() == 0
+        races = detect_races(records, shared, [[0, 1]])
+        assert len(races) == 1 and races[0].hazard == "waw"
+        # one side exact, the other an interval: the envelopes decide
+        mixed = {0: disjoint[0], 1: [Access(F0, READ, 5, 6, 8)]}
+        assert [r.hazard for r in detect_races(records, mixed, [[0, 1]])] == ["rw"]
 
     def test_conflict_matrix(self):
         w = Access(A0, WRITE, 0, 4, 32)

@@ -219,11 +219,11 @@ class TestIntervalRefinement:
     def test_exact_entry_sets_refine_overlapping_envelopes(self):
         # interleaved scatter patches: same bounding interval, disjoint
         # entries — must not conflict; sharing one entry must
-        from repro.analysis.static import EntrySet, StaticAccess
+        from repro.analysis.capture import Access, EntrySet
 
         def graph(e0, e1):
             records = [rec("W", 0, writes=[F0]), rec("V", 0, writes=[F0])]
-            amap = {i: [StaticAccess(F0, "write", 0, 10, 8, entries=EntrySet(e))]
+            amap = {i: [Access(F0, "write", 0, 10, 8, entries=EntrySet(e))]
                     for i, e in enumerate((e0, e1))}
             return build_dependency_graph(records, reduce=False,
                                           access_map=amap)

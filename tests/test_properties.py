@@ -160,7 +160,7 @@ ENTRY_IDS = st.lists(st.integers(1, 40) | st.integers(1, 2 ** 31 - 2), max_size=
 @given(ENTRY_IDS, ENTRY_IDS, st.sampled_from([None, "low", "high"]), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_entry_set_agrees_with_python_set(a, b, shared, same):
-    from repro.analysis.static import EntrySet
+    from repro.analysis.capture import EntrySet
     if shared:
         # disjoint but for one id below (above) every other one
         b = [i for i in b if i not in set(a)]

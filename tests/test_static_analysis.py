@@ -1,24 +1,26 @@
-"""Static kernel-stream analyzer: access sets, legality proofs, lint,
-certificates (repro.analysis.static / lint / certificate)."""
+"""Static kernel-stream analyzer: access maps and what bodies do, legality
+proofs, lint, certificates (repro.analysis.static / lint / certificate)."""
 
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.analysis.capture import AccessTracer, READ, WRITE
+from repro.analysis.capture import READ, WRITE, Access, AccessTracer
 from repro.analysis.certificate import (CERTIFICATE_VERSION, build_certificate,
                                         load_certificate, stream_digest,
                                         validate_certificate,
                                         write_certificate)
 from repro.analysis.cli import small_workloads, static_check
-from repro.analysis.lint import LintFinding, lint_stream
-from repro.analysis.static import (AccessModel, StaticAccess, check_contraction,
-                                   plan_stream, prove_fusion_legality,
-                                   seeded_illegal_proof, superset_findings,
-                                   swap_declaration, verify_static)
+from repro.analysis.lint import LintFinding, field_nbytes, lint_stream
+from repro.analysis.static import (check_contraction, decompose, plan_stream,
+                                   prove_fusion_legality, seeded_illegal_proof,
+                                   swap_declaration)
+from repro.analysis.verify import verify_trace
 from repro.backend import PlanAdmissionError
-from repro.backend.compiler import admit_stream, compile_plan
+from repro.backend.compiler import admit_stream, bind_stream, compile_plan
 from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.engine import Engine
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_SO, FUSED_FULL,
@@ -61,12 +63,12 @@ def captured_run(config, wl_kwargs, steps=2):
 class TestPlanStream:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_plan_equals_executing_stream_2d(self, config):
-        records, _ = plan_stream(config, WL2D, steps=2)
+        records, _, _ = plan_stream(config, WL2D, steps=2)
         executed, _ = captured_run(config, WL2D, steps=2)
         assert records == executed
 
     def test_plan_equals_executing_stream_3d(self):
-        records, _ = plan_stream(FUSED_FULL, WL3D, steps=2)
+        records, _, _ = plan_stream(FUSED_FULL, WL3D, steps=2)
         executed, _ = captured_run(FUSED_FULL, WL3D, steps=2)
         assert records == executed
 
@@ -86,105 +88,207 @@ class TestPlanStream:
             assert (lv.f == f0).all()
 
 
-# ------------------------------------------------- static access verification
+# ------------------------------------------------- reports against declarations
 
 class TestStaticAccessSets:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_static_sets_reproduce_declarations_2d(self, config):
-        records, model = plan_stream(config, WL2D, steps=2)
-        assert verify_static(records, model) == []
+        records, accesses, _ = plan_stream(config, WL2D, steps=2)
+        assert verify_trace(records, accesses) == []
 
     @pytest.mark.parametrize("config", (ORIGINAL_BASELINE, MODIFIED_BASELINE,
                                         FUSED_FULL), ids=lambda c: c.name)
     def test_static_sets_reproduce_declarations_3d(self, config):
-        records, model = plan_stream(config, WL3D, steps=2)
-        assert verify_static(records, model) == []
+        records, accesses, _ = plan_stream(config, WL3D, steps=2)
+        assert verify_trace(records, accesses) == []
 
     def test_broken_declaration_is_caught(self):
-        # hand-edit one kernel's declared byte count: the symbolic sets
-        # no longer reproduce the declaration
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        # hand-edit one kernel's declared byte count: the reports no
+        # longer reproduce the declaration
+        records, accesses, _ = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         bad = list(records)
         bad[0] = replace(bad[0], bytes_read=bad[0].bytes_read + 64)
-        findings = verify_static(bad, model)
+        findings = verify_trace(bad, accesses)
         assert findings and any("bytes" in f.check for f in findings)
 
     def test_swapped_field_declaration_is_caught(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        records, accesses, _ = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         bad = swap_declaration(list(records), "C")
-        findings = verify_static(bad, model)
+        findings = verify_trace(bad, accesses)
         checks = {f.check for f in findings}
         assert "undeclared-read" in checks or "undeclared-write" in checks
 
-    def test_unknown_kernel_reported_not_raised(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        bad = [replace(records[0], name="XYZ")]
-        findings = verify_static(bad, model)
-        assert [f.check for f in findings] == ["unmodeled-kernel"]
+    def test_launch_without_report_refused_at_admission(self):
+        # a plain callable states no accesses: the stream's access map
+        # would have a hole, so binding refuses it, naming the launch,
+        # before anything runs
+        wl = lid_cavity(**WL2D)
+        sim = Simulation.from_config(
+            wl.spec, wl.sim_config(fusion=MODIFIED_BASELINE))
+        stepper = sim.stepper
 
+        def never():
+            raise AssertionError("a refused body ran")
+
+        class Unreported:
+            engine = stepper.engine
+            config = stepper.config
+            num_levels = stepper.num_levels
+
+            def _advance(self, lv):
+                stepper._advance(lv)
+                self.engine.rt.launch("XYZ", 0, n_cells=4, bytes_read=0,
+                                      bytes_written=0, fn=never)
+
+        for admit in (bind_stream, admit_stream):
+            with pytest.raises(PlanAdmissionError,
+                               match=r"record #\d+ \(level 0\): kernel 'XYZ' "
+                                     r"was launched with a plain callable"):
+                admit(Unreported())
+
+    # -- reports against what the bodies do ------------------------------------
+    # Each report must cover its body: every entry the body changes lies in
+    # a reported write, and the body computes nothing from an entry outside
+    # its reported reads.  Run on ALL_CONFIGS x the two small_workloads.
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_static_superset_of_dynamic_2d(self, config):
-        records, model = plan_stream(config, WL2D, steps=2)
-        executed, captured = captured_run(config, WL2D, steps=2)
-        assert records == executed
-        assert superset_findings(records, captured,
-                                 model.access_map(records)) == []
+        assert report_violations(config, WL2D) == []
 
     def test_static_superset_of_dynamic_3d(self):
-        records, model = plan_stream(FUSED_FULL, WL3D, steps=2)
-        _, captured = captured_run(FUSED_FULL, WL3D, steps=2)
-        assert superset_findings(records, captured,
-                                 model.access_map(records)) == []
+        assert report_violations(FUSED_FULL, WL3D) == []
 
     @pytest.mark.parametrize("config", [c for c in ALL if c is not FUSED_FULL],
                              ids=lambda c: c.name)
     def test_static_superset_of_dynamic_3d_other_configs(self, config):
-        records, model = plan_stream(config, WL3D, steps=1)
-        executed, captured = captured_run(config, WL3D, steps=1)
-        assert records == executed
-        assert superset_findings(records, captured,
-                                 model.access_map(records)) == []
+        assert report_violations(config, WL3D) == []
 
-    def test_superset_violation_detected(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        static_map = model.access_map(records)
-        # fabricate an observation outside every static interval
-        fake = StaticAccess(FieldRef("f", 0), READ, 10**6, 10**6 + 4, 32)
-        problems = superset_findings(records, {0: [fake]}, static_map)
-        assert len(problems) == 1 and "not covered" in problems[0]
+    def test_superset_violation_detected(self, monkeypatch):
+        # every interval Engine._span reports one row short at the top:
+        # Accumulate reads, Explosion / Coalescence writes go unreported
+        def short(rows):
+            return (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+        monkeypatch.setattr(Engine, "_span", staticmethod(short))
+        problems = report_violations(MODIFIED_BASELINE, WL2D)
+        assert any("changes" in p for p in problems)
+        assert any("reads" in p for p in problems)
 
 
-# ------------------------------------------------------ per-model access memo
+class SeeEverything(AccessTracer):
+    """A tracer that records register-resident accesses too: a fused body
+    reads and writes its ``fstar`` whether or not DRAM sees it."""
 
-class UnmemoisedModel(AccessModel):
-    """The four geometry-only builders recomputed on every call."""
-
-    def _stream_reads(self, lv):
-        return tuple(AccessModel._stream_reads.__wrapped__(self, lv))
-
-    def _patch(self, lv, rows):
-        return AccessModel._patch.__wrapped__(self, lv, rows)
-
-    def _explode(self, lv, from_ghost, subsumed):
-        return tuple(AccessModel._explode.__wrapped__(self, lv, from_ghost, subsumed))
-
-    def _coalesce(self, lv, subsumed):
-        return tuple(AccessModel._coalesce.__wrapped__(self, lv, subsumed))
+    @contextmanager
+    def suppress(self, *fields):
+        yield
 
 
-def concatenated_stream_reads(model, lv, rows):
-    """``AccessModel._stream_reads`` as it was: one copy of every source
-    row (``rows``: the row-space pull with the slip sources in place; a
+def buffers(engine):
+    """``FieldRef -> (array, row number of column 0)``, every allocated buffer."""
+    out = {}
+    for lv, b in enumerate(engine.levels):
+        out[FieldRef("f", lv)] = (b.f, 0)
+        out[FieldRef("fstar", lv)] = (b.fstar, 0)
+        if b.ghost_acc.size:
+            out[FieldRef("gacc", lv)] = (b.ghost_acc, 0)
+        if b.fghost is not None:
+            out[FieldRef("fghost", lv)] = (b.fghost, b.n_owned)
+    return out
+
+
+def named(shape, offset, accesses):
+    """The ``(q, column)`` entries ``accesses`` name: the interval's columns,
+    and of an exact access only its entries inside that interval."""
+    mask = np.zeros(shape, dtype=bool)
+    for a in accesses:
+        cols = np.zeros(shape, dtype=bool)
+        cols[:, max(a.lo - offset, 0):max(a.hi - offset, 0)] = True
+        if a.entries is not None:
+            exact = np.zeros(shape, dtype=bool)
+            exact.reshape(-1)[a.entries.ids] = True
+            cols &= exact
+        mask |= cols
+    return mask
+
+
+def report_violations(config, wl_kwargs, seed=0):
+    """Run every body of one step of ``config`` against its report.
+
+    Writes: on random buffers, every entry the body changes must be named
+    by a reported write or atomic access of that field.  Reads: every
+    field the body does not write before it reads it is NaN outside its
+    reported reads; no entry the body writes may come out NaN.
+    """
+    wl = lid_cavity(**wl_kwargs)
+    rng = np.random.default_rng(seed)
+    problems = []
+    with Simulation.from_config(wl.spec, wl.sim_config(fusion=config)) as sim:
+        records, bodies, reports, _ = bind_stream(sim.stepper)
+        bufs, tracer = buffers(sim.engine), SeeEverything()
+
+        def randomise():
+            for arr, _ in bufs.values():
+                arr[...] = rng.uniform(0.5, 1.5, arr.shape)
+
+        for i, (rec, body, report) in enumerate(zip(records, bodies, reports)):
+            tracer.begin_launch()
+            report(tracer)
+            per_field = {}
+            for a in tracer.end_launch():
+                if a.field is not None:
+                    per_field.setdefault(a.field, []).append(a)
+            label = f"#{i} {rec.name}{rec.level}"
+
+            randomise()
+            before = {ref: arr.copy() for ref, (arr, _) in bufs.items()}
+            body()
+            written = {}
+            for ref, (arr, off) in bufs.items():
+                written[ref] = arr != before[ref]
+                stray = written[ref] & ~named(arr.shape, off, [
+                    a for a in per_field.get(ref, ()) if a.kind != READ])
+                if stray.any():
+                    q, col = np.argwhere(stray)[0]
+                    problems.append(f"{label} changes {ref} at q={q}, row "
+                                    f"{col + off} outside its reported writes")
+
+            randomise()
+            for ref, (arr, off) in bufs.items():
+                accs = per_field.get(ref, [])
+                if accs and accs[0].kind != READ:
+                    continue            # the body writes it before reading it
+                arr[~named(arr.shape, off,
+                           [a for a in accs if a.kind == READ])] = np.nan
+            body()
+            for ref, (arr, _) in bufs.items():
+                if np.isnan(arr[written[ref]]).any():
+                    problems.append(f"{label} reads outside its report: a "
+                                    f"NaN reached {ref}")
+    return problems
+
+
+# ------------------------------------------------------------ access memo
+
+def concatenated_stream_reads(engine, lv, rows):
+    """The stream read as it once was: one copy of every source row
+    (``rows``: the row-space pull with the slip sources in place; a
     bounce-back or moving link reads its own cell, as the self-reference
     there already says), split by boolean indexing."""
-    n, flat = model.engine.levels[lv].n_owned, rows.ravel()
-    per_val = model.q * model.itemsize * n / flat.size
+    n, flat = engine.levels[lv].n_owned, rows.ravel()
+    per_val = engine.lat.q * engine.itemsize * n / flat.size
     out = []
     for name, part in (("fstar", flat[flat < n]), ("fghost", flat[flat >= n])):
         if part.size:
-            out.append(StaticAccess(FieldRef(name, lv), READ, int(part.min()),
-                                    int(part.max()) + 1, round(per_val * part.size)))
+            out.append(Access(FieldRef(name, lv), READ, int(part.min()),
+                              int(part.max()) + 1, round(per_val * part.size)))
     return tuple(out)
+
+
+def reported(report, tracer=None):
+    """What one bound report states, recorded by ``tracer`` (or a fresh one)."""
+    tracer = tracer if tracer is not None else AccessTracer()
+    tracer.begin_launch()
+    report(tracer)
+    return tracer.end_launch()
 
 
 class TestAccessMemo:
@@ -208,10 +312,11 @@ class TestAccessMemo:
             return rows
 
         def fields_read():
-            model, names = AccessModel(engine), []
+            names = []
             for lv in range(len(engine.levels)):
-                got = model._stream_reads(lv)
-                assert got == concatenated_stream_reads(model, lv, source_rows(lv))
+                got = tuple(a for a in reported(engine._stream(lv)[1])
+                            if a.kind == READ)
+                assert got == concatenated_stream_reads(engine, lv, source_rows(lv))
                 names.append([a.field.name for a in got])
             return names
 
@@ -238,30 +343,37 @@ class TestAccessMemo:
     @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_memo_is_invisible(self, config, wl):
-        records, model = plan_stream(config, wl, steps=2)
-        plain = UnmemoisedModel(model.engine)
-        assert not plain._memo
-        first = model.access_map(records)
-        assert first == plain.access_map(records)
-        assert not plain._memo and model._memo
+        # the engine caches each level's index maps and pull span, a
+        # tracer builds one EntrySet per index array: a warm rebind
+        # reports what a cold one did, sharing the cold one's entry sets
+        w = lid_cavity(**wl)
+        sim = Simulation.from_config(w.spec, w.sim_config(fusion=config))
+        tracer = AccessTracer()
+        _, _, reports, cold = bind_stream(sim.stepper, tracer)
+        assert cold == {i: reported(r) for i, r in enumerate(reports)}
+        _, _, _, warm = bind_stream(sim.stepper, tracer)
+        assert warm == cold
+        for k, accesses in warm.items():
+            for a, b in zip(accesses, cold[k]):
+                assert a.entries is b.entries
         # what a caller does to a returned list stays with the caller
-        for accesses in first.values():
+        for accesses in cold.values():
             accesses.clear()
-        assert model.access_map(records) == plain.access_map(records)
+        assert bind_stream(sim.stepper, tracer)[3] == warm
 
     def test_one_entry_set_per_patch_in_an_admission(self, monkeypatch):
         # the fused stream's E / O parts are subsumed, the baseline stream
-        # prove_plan_legality captures has them standalone: both maps of
-        # one admission hold one entry-set object per patch
+        # prove_plan_legality binds has them standalone: both maps of one
+        # admission hold one entry-set object per patch
         seen = []
 
-        class Spy(AccessModel):
-            def accesses(self, record):
-                out = super().accesses(record)
+        class Spy(AccessTracer):
+            def end_launch(self):
+                out = super().end_launch()
                 seen.extend(a for a in out if a.entries is not None)
                 return out
 
-        monkeypatch.setattr("repro.backend.compiler.AccessModel", Spy)
+        monkeypatch.setattr("repro.backend.compiler.AccessTracer", Spy)
         wl = lid_cavity(**WL3D)
         sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL))
         admit_stream(sim.stepper)
@@ -279,7 +391,7 @@ class TestAccessMemo:
                 # subsumed in the fused map, standalone in the baseline one
                 assert {a.nbytes == 0 for a in uses} == {True, False}
 
-    #: Certificate stream digests (EXPERIMENTS.md, "Kernels that do less"),
+#: Certificate stream digests (EXPERIMENTS.md, "Kernels that do less"),
     #: re-pinned there: A / CA / CASE now declare the bytes of the entries
     #: Coalescence reads, not of every child of a ghost cell.  The compile
     #: step and the E / O cell counts feed every other number of a record.
@@ -298,8 +410,8 @@ class TestAccessMemo:
         wl = (lid_cavity(base=(16, 16, 16), num_levels=3) if which == "cavity"
               else sphere_tunnel(scale=0.5))
         sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=fusion))
-        _records, cert, lint = admit_stream(sim.stepper)
-        assert cert["stream_digest"] == self.PINNED_DIGESTS[which, fusion]
+        plan, lint = admit_stream(sim.stepper)
+        assert plan.certificate["stream_digest"] == self.PINNED_DIGESTS[which, fusion]
         assert not lint.errors
 
 
@@ -339,16 +451,14 @@ class TestFusionLegality:
         assert proof.verdict == "illegal"
 
     def test_missing_primitive_is_structural_counterexample(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        base_map = model.access_map(records)
+        records, base_map, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         _, _, cex = check_contraction(records, base_map, records[:-1],
-                                      model.decompose)
+                                      partial(decompose, engine))
         assert cex and cex[0].reason == "structure"
         assert "no image" in cex[0].detail
 
     def test_reordered_conflicting_pair_rejected(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        base_map = model.access_map(records)
+        records, base_map, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         # swap the first C with the S of the same substep: C writes fstar
         # that S reads, so the contraction must reject the reversal
         idx_c = next(i for i, r in enumerate(records) if r.name == "C")
@@ -357,7 +467,7 @@ class TestFusionLegality:
         shuffled = list(records)
         shuffled[idx_c], shuffled[idx_s] = shuffled[idx_s], shuffled[idx_c]
         _, _, cex = check_contraction(records, base_map, shuffled,
-                                      model.decompose)
+                                      partial(decompose, engine))
         assert cex
 
 
@@ -366,31 +476,33 @@ class TestFusionLegality:
 class TestLint:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_real_streams_have_no_lint_errors(self, config):
-        records, model = plan_stream(config, WL2D, steps=2)
-        assert lint_stream(records, model).errors == ()
+        records, accesses, engine = plan_stream(config, WL2D, steps=2)
+        assert lint_stream(records, accesses, engine).errors == ()
 
     def test_case_drops_finest_fstar(self):
-        records, model = plan_stream(FUSED_FULL, WL2D, steps=2)
-        report = lint_stream(records, model)
+        records, accesses, engine = plan_stream(FUSED_FULL, WL2D, steps=2)
+        report = lint_stream(records, accesses, engine)
         drop = [f for f in report.opportunities
                 if f.check == "droppable-buffer"]
-        finest = len(model.engine.levels) - 1
+        finest = len(engine.levels) - 1
         assert any(f.field == f"fstar@{finest}" for f in drop)
 
     def test_synthetic_dead_store_flagged(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        records, accesses, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         # duplicate the first Collision: its fstar write is immediately
         # overwritten by the copy with nothing reading in between
         idx = next(i for i, r in enumerate(records) if r.name == "C")
         bad = records[:idx + 1] + [records[idx]] + records[idx + 1:]
-        report = lint_stream(bad, model)
+        bad_map = {k: accesses[k if k <= idx else k - 1]
+                   for k in range(len(bad))}
+        report = lint_stream(bad, bad_map, engine)
         dead = [f for f in report.errors if f.check == "dead-store"]
         assert dead and dead[0].index == idx
         assert dead[0].bytes_saved > 0
 
     def test_synthetic_redundant_load_flagged(self):
-        records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        report = lint_stream(records, model)
+        records, accesses, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        report = lint_stream(records, accesses, engine)
         red = [f for f in report.opportunities if f.check == "redundant-load"]
         # consecutive substeps re-read f/fstar rows without intervening
         # writes somewhere in any real stream
@@ -411,19 +523,19 @@ class TestTouchedBytes:
     def test_pinned_on_the_static_gate_workloads(self, dim):
         wl, others, case = self.PINNED[dim]
         for config in ALL:
-            records, model = plan_stream(config, wl, steps=2)
-            assert lint_stream(records, model).touched_bytes == (
+            records, accesses, engine = plan_stream(config, wl, steps=2)
+            assert lint_stream(records, accesses, engine).touched_bytes == (
                 case if config is FUSED_FULL else others), config.name
 
     def test_fghost_is_counted_with_its_fstar(self):
-        records, model = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
-        touched = {a.field for accs in model.access_map(records).values()
+        records, accesses, engine = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
+        touched = {a.field for accs in accesses.values()
                    for a in accs if a.field is not None and a.hi > a.lo}
         ghost = {ref for ref in touched if ref.name == "fghost"}
         assert ghost
         assert all(FieldRef("fstar", ref.level) in touched for ref in ghost)
-        assert lint_stream(records, model).touched_bytes == sum(
-            model.field_nbytes(ref) for ref in touched - ghost)
+        assert lint_stream(records, accesses, engine).touched_bytes == sum(
+            field_nbytes(engine, ref) for ref in touched - ghost)
 
     def test_run_metrics_gauge_reads_it(self):
         from repro.obs.metrics import run_metrics
@@ -437,10 +549,10 @@ class TestTouchedBytes:
 
 class TestCertificates:
     def _cert(self, config=MODIFIED_BASELINE, wl=WL2D, steps=1):
-        records, model = plan_stream(config, wl, steps=steps)
+        records, accesses, engine = plan_stream(config, wl, steps=steps)
         proof = prove_fusion_legality(config, wl, steps=steps)
-        lint = lint_stream(records, model)
-        cert = build_certificate(config.name, "wl", records, model, proof,
+        lint = lint_stream(records, accesses, engine)
+        cert = build_certificate(config.name, "wl", records, accesses, proof,
                                  lint, steps)
         return records, cert
 
@@ -493,7 +605,7 @@ class TestStaticCLI:
     def test_static_check_clean_on_case(self, tmp_path):
         rep = static_check(FUSED_FULL, "cavity2d-2lvl", steps=2,
                            cert_dir=str(tmp_path))
-        assert rep["findings"] == [] and rep["superset"] == []
+        assert rep["findings"] == [] and "superset" not in rep
         assert rep["verdict"] == "legal"
         assert rep["lint_errors"] == []
         assert rep["certificate_problems"] == []
