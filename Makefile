@@ -42,7 +42,8 @@ test-blas:
 
 # Live bytes (DESIGN.md sections 11, 18): the tracemalloc guard on the
 # 16^3 x 3 anchor (one pull table per level, shared by grid and engine;
-# admission and state_digest copy nothing), the dead-state proof (only f
+# every grid table int32 and priced by gpu.memory.index_bytes; admission
+# and state_digest copy nothing), the dead-state proof (only f
 # crosses a coarse step, all 7 configs, dynamic and static) and the
 # format-2 checkpoint contract; and the grid compile's tracemalloc peak
 # over its result (half sphere, anchor: each level's dense tables are

@@ -29,13 +29,14 @@ def solid_force(engine: Engine) -> np.ndarray:
     lat = engine.lat
     d = engine.mgrid.d
     force = np.zeros(d)
-    for lv, buf in enumerate(engine.levels):
-        if buf.sb_q.size == 0:
+    for lv, (cl, buf) in enumerate(zip(engine.mgrid.levels, engine.levels)):
+        if cl.sb_q.size == 0:
             continue
         # populations pointing INTO the wall: direction opp(q) at the cell
-        fs = buf.fstar[buf.sb_opp, buf.sb_cell]
+        opp = lat.opp[cl.sb_q]
+        fs = buf.fstar[opp, cl.sb_cell]
         weight = (0.5 ** lv) ** d * (2 ** lv)
-        force += weight * 2.0 * (fs[:, None] * buf.sb_e).sum(axis=0)
+        force += weight * 2.0 * (fs[:, None] * lat.ef[opp]).sum(axis=0)
     return force
 
 

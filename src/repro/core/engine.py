@@ -3,12 +3,13 @@
 The engine owns, per level, the two population buffers (``f`` holds the
 post-streaming state at the start of a substep, ``fstar`` the
 post-collision state), both ``(Q, n_owned)``, and the ghost-layer
-accumulator, plus every streaming map in compact *row* space: rows
-``0..n_owned-1`` are the owned cells.  The original baseline's (Fig. 4a)
+accumulator.  Every streaming map is the grid's own int32 array, in
+compact *row* space: rows ``0..n_owned-1`` are the owned cells.  The
+original baseline's (Fig. 4a)
 fine-ghost populations live in a third buffer, ``fghost``, allocated only
 for that layout (:meth:`Engine.allocate_fghost`); its rows keep the
 numbers ``n_owned..n_used-1`` in the maps and access reports.  The pull
-table is the grid's own array, shared: one flat ``fstar`` entry
+table holds one flat ``fstar`` entry
 ``q_src * n_owned + row`` per ``(q, owned cell)`` with the bounce-back,
 moving-wall and slip links already in it, so Streaming is one gather per
 direction.  Accumulate adds into the parent's ghost bins only what
@@ -64,32 +65,42 @@ SPLIT_MIN_BYTES = 1 << 20
 
 @dataclass
 class LevelBuffers:
-    """Per-level state and row-space maps."""
+    """Per-level state, and the grid's row-space maps (the same arrays)."""
 
     f: np.ndarray                 # (Q, n_owned) post-streaming populations
     fstar: np.ndarray             # (Q, n_owned) post-collision populations
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
     n_used: int                   # n_owned + fine ghosts: rows the reports number
-    pull_flat: np.ndarray         # (Q, n_owned) flat fstar entries: the grid's table
+    pull_flat: np.ndarray         # (Q, n_owned) flat fstar entries
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
     out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
-    sb_q: np.ndarray; sb_cell: np.ndarray; sb_opp: np.ndarray; sb_e: np.ndarray
     exp_q: np.ndarray; exp_cell: np.ndarray; exp_rows: np.ndarray
     exp_ghost_rows: np.ndarray
     coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray
     acc_fine_rows: np.ndarray     # rows in the FINER level's buffers
     acc_ghost_rows: np.ndarray
-    acc_live: np.ndarray          # (Q, n_ghost) bool: the bins Coalescence reads
-    n_acc: int                    # (q, child) entries Accumulate adds into them
-    fg_rows: np.ndarray           # this level's fine-ghost rows (4a)
-    fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers
+    n_acc: int                    # (q, child) entries Accumulate adds into read bins
+    fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers (4a)
     meta_bytes: int               # per-pass structural metadata traffic
     n_exp_cells: int              # distinct owned cells the E kernel writes
     n_coal_cells: int             # distinct owned cells the O kernel writes
     #: (Q, n_used - n_owned) fine-ghost populations, row ``r`` at column
     #: ``r - n_owned``; ``None`` unless the 4a layout runs on this engine.
     fghost: np.ndarray | None = None
+
+
+def _flat(q, stride: int, rows: np.ndarray) -> np.ndarray:
+    """Flat ``intp`` entries ``q * stride + rows`` of a ``(Q, stride)`` buffer."""
+    return np.asarray(q, dtype=np.intp) * stride + rows
+
+
+def _read_bins(Q: int, n_ghost: int, coal_q: np.ndarray,
+               coal_src: np.ndarray) -> np.ndarray:
+    """(Q, n_ghost) mask of the ghost bins a level's Coalescence reads."""
+    live = np.zeros((Q, n_ghost), dtype=bool)
+    live[coal_q, coal_src] = True
+    return live
 
 
 class Engine:
@@ -122,19 +133,15 @@ class Engine:
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
-        self._link_levels()
         #: Per level, the flat index maps the kernel bodies share, built
         #: by the first body that needs them (see :meth:`_map`).
         self._maps: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
-        lat = self.lat
-        Q = lat.q
-        row_of_slot = cl.row_of_slot()
-        acc_live = np.zeros((Q, cl.n_ghost), dtype=bool)
-        acc_live[cl.coal_q, cl.coal_src] = True
-        grid_meta = sum(cl.grid.metadata_bytes().values())
+        """The level's buffers beside the grid's own maps: the grid states
+        every map in the engine's row space, so none is copied here."""
+        Q = self.lat.q
         return LevelBuffers(
             f=np.zeros((Q, cl.n_owned)),
             fstar=np.zeros((Q, cl.n_owned)),
@@ -143,40 +150,16 @@ class Engine:
             pull_flat=cl.pull_flat,
             mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
             out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,
-            sb_q=cl.sb_q, sb_cell=cl.sb_cell, sb_opp=lat.opp[cl.sb_q],
-            sb_e=lat.ef[lat.opp[cl.sb_q]],
-            exp_q=cl.exp_q, exp_cell=cl.exp_cell, exp_rows=np.empty(0, dtype=np.int64),
-            exp_ghost_rows=row_of_slot[cl.exp_ghost_src] if cl.exp_ghost_src.size
-            else cl.exp_ghost_src,
+            exp_q=cl.exp_q, exp_cell=cl.exp_cell, exp_rows=cl.exp_rows,
+            exp_ghost_rows=cl.exp_ghost_rows,
             coal_q=cl.coal_q, coal_cell=cl.coal_cell, coal_src=cl.coal_src,
-            acc_fine_rows=np.empty(0, dtype=np.int64),
-            acc_ghost_rows=cl.acc_ghost_rows, acc_live=acc_live,
-            n_acc=int(acc_live.sum(axis=0)[cl.acc_ghost_rows].sum()),
-            fg_rows=row_of_slot[cl.fg_slots] if cl.fg_slots.size else cl.fg_slots,
-            fg_coarse_rows=np.empty(0, dtype=np.int64),
-            meta_bytes=grid_meta,
+            acc_fine_rows=cl.acc_fine_rows, acc_ghost_rows=cl.acc_ghost_rows,
+            n_acc=int(_read_bins(Q, cl.n_ghost, cl.coal_q, cl.coal_src)
+                      .sum(axis=0)[cl.acc_ghost_rows].sum()),
+            fg_coarse_rows=cl.fg_coarse_rows,
+            meta_bytes=sum(cl.grid.metadata_bytes().values()),
             n_exp_cells=cl.n_interface_fine, n_coal_cells=cl.n_interface_coarse,
         )
-
-    def _link_levels(self) -> None:
-        """Resolve cross-level row references (needs all levels built)."""
-        for lv, (cl, buf) in enumerate(zip(self.mgrid.levels, self.levels)):
-            if lv > 0:
-                coarse_cl = self.mgrid.levels[lv - 1]
-                coarse_rows = np.full(coarse_cl.n_alloc, -1, dtype=np.int64)
-                coarse_rows[coarse_cl.owned_slots] = np.arange(coarse_cl.n_owned)
-                buf.exp_rows = coarse_rows[cl.exp_src] if cl.exp_src.size else cl.exp_src
-                if cl.fg_coarse_src.size:
-                    buf.fg_coarse_rows = coarse_rows[cl.fg_coarse_src]
-                if buf.exp_rows.size and (buf.exp_rows < 0).any():
-                    raise AssertionError("explosion source is not an owned coarse cell")
-            if lv < self.mgrid.num_levels - 1 and cl.acc_fine_slots.size:
-                fine_cl = self.mgrid.levels[lv + 1]
-                fine_rows = np.full(fine_cl.n_alloc, -1, dtype=np.int64)
-                fine_rows[fine_cl.owned_slots] = np.arange(fine_cl.n_owned)
-                buf.acc_fine_rows = fine_rows[cl.acc_fine_slots]
-                if (buf.acc_fine_rows < 0).any():
-                    raise AssertionError("accumulate source is not an owned fine cell")
 
     def allocate_fghost(self) -> None:
         """Give every level with fine ghosts its ``fghost`` buffer.
@@ -249,7 +232,9 @@ class Engine:
         ``fghost`` — so a body is one gather/scatter instead of a per-``q``
         loop.  They
         depend on the level geometry alone and are shared by every body
-        bound on this engine.
+        bound on this engine.  Unlike the grid's int32 tables they are
+        ``intp`` (:func:`_flat`), the width NumPy indexes with: an int32
+        map would be converted on every call (DESIGN.md §18 has the price).
         """
         maps = self._maps[lv]
         got = maps.get(key)
@@ -361,7 +346,7 @@ class Engine:
         """Add level ``lv``'s fresh post-collision values into its parent's ghosts.
 
         One flat ``bincount`` over ``q``-offset bins, fed the entries
-        whose bin the parent's Coalescence reads (``acc_live``) and no
+        whose bin the parent's Coalescence reads and no
         others: contributions to such a bin keep the order of the
         per-``q`` sums, so the float accumulation order is the textbook
         one, and a bin nobody reads stays 0.  ``mode`` selects the
@@ -380,11 +365,11 @@ class Engine:
         def live_entries():
             # per q, the children whose bin is read: a sub-sequence of
             # the textbook's q-major (Q * m) entry list, never built
-            keep = [np.flatnonzero(live.take(parent.acc_ghost_rows))
-                    for live in parent.acc_live]
+            keep = [np.flatnonzero(live.take(parent.acc_ghost_rows)) for live in
+                    _read_bins(Q, ng, parent.coal_q, parent.coal_src)]
 
             def flat(stride, rows):
-                return np.concatenate([q * stride + rows.take(k)
+                return np.concatenate([_flat(q, stride, rows.take(k))
                                        for q, k in enumerate(keep)])
             return (flat(ng, parent.acc_ghost_rows),
                     flat(fine.n_owned, parent.acc_fine_rows))
@@ -420,8 +405,8 @@ class Engine:
         f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
         table, span = self._pull_flat(lv)
         mov, out = self._map(lv, "walls", lambda: (
-            (b.mov_q * n + b.mov_cell, b.mov_term) if b.mov_q.size else None,
-            (b.out_q * n + b.out_cell, b.out_val) if b.out_q.size else None))
+            (_flat(b.mov_q, n, b.mov_cell), b.mov_term) if b.mov_q.size else None,
+            (_flat(b.out_q, n, b.out_cell), b.out_val) if b.out_q.size else None))
         take = np.take
 
         def gather(lo: int, hi: int) -> KernelBody:
@@ -461,8 +446,8 @@ class Engine:
         else:
             source, src_rows = self.levels[lv - 1].fstar, b.exp_rows
         dst, src = self._map(lv, ("exp", from_ghost), lambda: (
-            b.exp_q * b.n_owned + b.exp_cell,
-            b.exp_q * source.shape[1] + src_rows))
+            _flat(b.exp_q, b.n_owned, b.exp_cell),
+            _flat(b.exp_q, source.shape[1], src_rows)))
         f_flat, src_flat = b.f.reshape(-1), source.reshape(-1)
 
         def run() -> None:
@@ -484,7 +469,7 @@ class Engine:
         b = self.levels[lv]
         ng = b.ghost_acc.shape[1]
         dst, src = self._map(lv, "coal", lambda: (
-            b.coal_q * b.n_owned + b.coal_cell, b.coal_q * ng + b.coal_src))
+            _flat(b.coal_q, b.n_owned, b.coal_cell), _flat(b.coal_q, ng, b.coal_src)))
         inv_navg = self.inv_navg
         gacc, f_flat = b.ghost_acc, b.f.reshape(-1)
         gacc_flat = gacc.reshape(-1)
@@ -506,21 +491,19 @@ class Engine:
         """Original baseline: mirror coarse post-collision state into fine ghosts."""
         b, fghost = self.levels[lv], self._fghost(lv)
         coarse = self.levels[lv - 1]
-        q = np.arange(self.lat.q, dtype=np.int64)[:, None]
-        dst, src = self._map(lv, "copy", lambda: (
-            (q * fghost.shape[1] + (b.fg_rows - b.n_owned)).reshape(-1),
-            (q * coarse.n_owned + b.fg_coarse_rows).reshape(-1)))
+        # fghost column k is fine ghost k: the copy writes all of it
+        src = self._map(lv, "copy", lambda: _flat(
+            np.arange(self.lat.q)[:, None], coarse.n_owned, b.fg_coarse_rows).reshape(-1))
         fghost_flat, coarse_flat = fghost.reshape(-1), coarse.fstar.reshape(-1)
 
         def run() -> None:
-            fghost_flat[dst] = coarse_flat[src]
+            fghost_flat[:] = coarse_flat[src]
 
         def report(t) -> None:
-            nb = self.lat.q * self.itemsize * b.fg_rows.size
+            nb = self.itemsize * src.size
             lo, hi = self._span(b.fg_coarse_rows)
             t.read(FieldRef("fstar", lv - 1), lo, hi, nb)
-            lo, hi = self._span(b.fg_rows)
-            t.write(FieldRef("fghost", lv), lo, hi, nb)
+            t.write(FieldRef("fghost", lv), b.n_owned, b.n_used, nb)
         return run, report
 
     # -- public ops: one launch record each -------------------------------------
@@ -578,7 +561,7 @@ class Engine:
     def op_explosion_copy(self, lv: int) -> None:
         """Original baseline's Explosion: coarse f* copied into fine ghost layers."""
         buf = self.levels[lv]
-        nfg = buf.fg_rows.size
+        nfg = buf.n_used - buf.n_owned
         if nfg == 0:
             return
         Q = self.lat.q

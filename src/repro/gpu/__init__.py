@@ -5,8 +5,8 @@ from .costmodel import (FLOPS_PER_CELL, KernelCost, TraceCost, cost_trace,
 from .device import (A100_40GB, A100_80GB, CPU_XEON_32C, V100_32GB, DeviceSpec,
                      get_device)
 from .memory import (DeviceOOMError, MemoryReport, ensure_fits,
-                     ghost_layer_bytes, grid_memory_report, mc_level_counts,
-                     refined_memory_bytes, uniform_aa_max_cube,
+                     ghost_layer_bytes, grid_memory_report, index_bytes,
+                     mc_level_counts, refined_memory_bytes, uniform_aa_max_cube,
                      uniform_memory_bytes)
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "A100_40GB", "A100_80GB", "CPU_XEON_32C", "V100_32GB", "DeviceSpec",
     "get_device",
     "DeviceOOMError", "ensure_fits",
-    "MemoryReport", "ghost_layer_bytes", "grid_memory_report", "mc_level_counts",
+    "MemoryReport", "ghost_layer_bytes", "grid_memory_report", "index_bytes",
+    "mc_level_counts",
     "refined_memory_bytes", "uniform_aa_max_cube", "uniform_memory_bytes",
 ]

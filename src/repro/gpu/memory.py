@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..grid.bitmask import words_per_block
 from ..grid.geometry import Shape
 from ..grid.multigrid import MultiGrid
 from .device import DeviceSpec
 
 __all__ = [
     "DeviceOOMError", "ensure_fits",
-    "MemoryReport", "grid_memory_report", "ghost_layer_bytes",
+    "MemoryReport", "grid_memory_report", "ghost_layer_bytes", "index_bytes",
     "uniform_memory_bytes", "uniform_aa_max_cube",
     "mc_level_counts", "refined_memory_bytes",
 ]
@@ -106,6 +107,41 @@ def grid_memory_report(mgrid: MultiGrid, itemsize: int = 8,
                    for lv in mgrid.levels)
     return MemoryReport(populations=pops, ghost_accumulators=gacc,
                         ghost_populations=gpop, metadata=meta)
+
+
+def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
+    """Host bytes of a compiled stack's index arrays, one term per family.
+
+    Counted from the grid's sizes — cells, kind-list entries, blocks — at
+    the width every array is stored with: int32 indices, float64 wall
+    terms and outflow values, uint64 bitmask words.  ``pull`` (``Q``
+    entries per owned cell) dominates; ``blocks`` is the block-sparse
+    structure :func:`grid_memory_report` prices as ``metadata``, plus the
+    host's dense block table.  The engine shares these arrays; its own
+    flat gather maps depend on the kernels bound and are not counted.
+    """
+    q, d = mgrid.lattice.q, mgrid.d
+    out = dict.fromkeys(("pull", "cells", "boundary", "explosion", "coalescence",
+                         "accumulate", "blocks"), 0)
+    for cl in mgrid.levels:
+        g, B = cl.grid, cl.grid.block_size
+        out["pull"] += 4 * q * cl.n_owned
+        out["cells"] += 4 * (cl.n_owned + cl.n_ghost + cl.fine_ghost_slots.size)
+        # (q, cell) pairs; slip adds its source direction and cell, moving
+        # walls and outlets a float64 value
+        out["boundary"] += (8 * (cl.bb_q.size + cl.sb_q.size) + 16 * cl.sl_q.size
+                            + 16 * (cl.mov_q.size + cl.out_q.size))
+        # (q, cell, coarse row, fine-ghost row) per pull; a coarse row per fine ghost
+        out["explosion"] += 16 * cl.exp_q.size + 4 * cl.fine_ghost_slots.size
+        out["coalescence"] += 12 * cl.coal_q.size
+        # a (fine row, ghost row) pair per child of a ghost cell
+        out["accumulate"] += 8 * 2 ** d * cl.n_ghost
+        # origins and 3^d neighbours per block, the dense block table, the
+        # bitmask words and the block-local offsets
+        out["blocks"] += (4 * g.n_blocks * (d + 3 ** d)
+                          + 4 * int(np.prod([-(-n // B) for n in g.shape]))
+                          + 8 * g.n_blocks * words_per_block(B ** d) + 4 * d * B ** d)
+    return out
 
 
 def ghost_layer_bytes(mgrid: MultiGrid, itemsize: int = 8) -> dict[str, int]:

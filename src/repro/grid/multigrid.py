@@ -16,10 +16,13 @@ Construction happens in two phases:
 2. :func:`build_multigrid` validates the spec, derives the per-level
    ownership partition, allocates one :class:`BlockSparseGrid` per level
    (owned cells + the ghost layers of *both* algorithm variants) and
-   pre-classifies every (cell, direction) streaming pull into the kinds of
-   :mod:`repro.grid.kinds`.  After this compile step the time loop is pure
+   classifies every (cell, direction) streaming pull once
+   (:class:`CompiledLevel`).  After this compile step the time loop is pure
    vectorised gathers — the CPU analogue of the paper's precomputed
    neighbour/ghost indices on the GPU.
+
+Every index array the compile emits is int32, the width its values need:
+the compile refuses a level whose ``Q * rows`` entry ids would not fit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.lattice import Lattice
-from . import kinds
 from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
@@ -237,17 +239,35 @@ def _validate_spec(spec: RefinementSpec) -> None:
 class CompiledLevel:
     """One level of the stack with every precomputed streaming map.
 
-    All COO tables (``bb_*``, ``mov_*``, ``out_*``, ``exp_*``, ``coal_*``)
-    index into the *owned-cell row space* (0..n_owned-1) paired with a
-    lattice direction.  ``pull_flat`` holds, per direction and owned cell,
-    the entry ``q_src * n_owned + row`` (:meth:`row_of_slot`) of the level's
-    flat ``(Q, n_owned)`` post-collision buffer that streaming reads (never
-    a fine-ghost row: every source is an owned cell): the upstream row for
-    an interior pull, the cell's own opposite population for bounce-back,
-    moving and inlet links, the mirrored population of the tangential
-    neighbour for slip, and the entry itself where another kernel part
-    supplies the value (outflow, explosion, coalescence).  One read-only
-    table, which the engine shares; the kind lists stay its definition.
+    Every (direction, owned cell) pull that does not read an owned cell of
+    the same level (periodic wraps included) sits in exactly one kind
+    list, a COO table of directions ``*_q`` and owned rows ``*_cell``
+    (0..n_owned-1):
+
+    * ``bb`` — a resting wall or solid: halfway bounce-back (``sb``: the
+      solid links among them, for the momentum exchange);
+    * ``mov`` — a moving wall or inlet: bounce-back plus ``mov_term``,
+      ``2 w_i rho_w (e_i . u_w) / c_s^2``;
+    * ``out`` — an open outlet: the lattice weight ``out_val``;
+    * ``sl`` — a free-slip plane: direction ``sl_src_q`` of the tangential
+      neighbour in slot ``sl_src`` (specular reflection);
+    * ``exp`` — a cell of the next-coarser level (Eq. 10): its row there;
+    * ``coal`` — a cell of the next-finer level (Eq. 11): the ghost row
+      of the accumulator it averages.
+
+    ``pull_flat`` holds, per direction and owned cell, the entry ``q_src *
+    n_owned + row`` of the level's flat ``(Q, n_owned)`` post-collision
+    buffer that streaming reads (never a fine-ghost row: every source is
+    an owned cell): the upstream row for an interior pull, the cell's own
+    opposite population for bounce-back, moving and inlet links, the
+    mirrored population of the tangential neighbour for slip, and the
+    entry itself where another kernel part supplies the value (outflow,
+    explosion, coalescence).  One read-only table, which the engine
+    shares; the kind lists stay its definition.
+
+    Every cross-level reference is a *row* of the buffers it indexes,
+    so the engine uses these arrays as they are.  Rows number a level's
+    owned cells in slot order, then its fine ghosts (:meth:`row_of_slot`).
     """
 
     level: int
@@ -255,8 +275,7 @@ class CompiledLevel:
     owned_slots: np.ndarray           # (n_owned,) slot ids, ordered by slot
     ghost_slots: np.ndarray           # coarse-ghost accumulator cells
     fine_ghost_slots: np.ndarray      # 4-layer fine ghosts (original baseline)
-    pull_flat: np.ndarray             # (Q, n_owned) int32 flat fstar source entries
-    kind: np.ndarray                  # (Q, n_owned) int8 pull classification
+    pull_flat: np.ndarray             # (Q, n_owned) flat fstar source entries
     # -- boundary tables -----------------------------------------------------
     bb_q: np.ndarray; bb_cell: np.ndarray
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
@@ -265,15 +284,15 @@ class CompiledLevel:
     # -- solid-link subset of the bounce-back table (momentum exchange) ------
     sb_q: np.ndarray; sb_cell: np.ndarray
     # -- cross-level tables ----------------------------------------------------
-    exp_q: np.ndarray; exp_cell: np.ndarray; exp_src: np.ndarray       # coarse slots
-    exp_ghost_src: np.ndarray        # same values but as own fine-ghost slots (4a)
+    exp_q: np.ndarray; exp_cell: np.ndarray
+    exp_rows: np.ndarray             # the coarser level's owned rows
+    exp_ghost_rows: np.ndarray       # the same values in this level's fine ghosts (4a)
     coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray    # ghost rows
     # -- accumulate maps (present when a finer level exists) -----------------
-    acc_fine_slots: np.ndarray       # slots in the *finer* level's arrays
+    acc_fine_rows: np.ndarray        # owned rows of the *finer* level, 2^d per ghost
     acc_ghost_rows: np.ndarray       # rows of this level's ghost accumulator
-    # -- original-baseline explosion copy (coarse f* -> fine ghost slots) ----
-    fg_slots: np.ndarray             # this level's fine-ghost slots (4a)
-    fg_coarse_src: np.ndarray        # source slots in the coarser level
+    # -- original-baseline explosion copy (coarse f* -> fine ghosts) ---------
+    fg_coarse_rows: np.ndarray       # per fine ghost, its parent's coarser row
 
     @property
     def n_owned(self) -> int:
@@ -290,7 +309,7 @@ class CompiledLevel:
     def row_of_slot(self) -> np.ndarray:
         """Slot -> row of the engine's per-level buffers (-1: not stored):
         owned cells in slot order, then the fine ghosts."""
-        rows = np.full(self.n_alloc, -1, dtype=np.int64)
+        rows = np.full(self.n_alloc, -1, dtype=np.int32)
         rows[self.owned_slots] = np.arange(self.n_owned)
         rows[self.fine_ghost_slots] = self.n_owned + np.arange(self.fine_ghost_slots.size)
         return rows
@@ -401,23 +420,19 @@ def _slot_cells(grid: BlockSparseGrid, padded: tuple[int, ...]) -> np.ndarray:
 
 
 def _index_table(cells: np.ndarray, padded: tuple[int, ...], periodic: list[bool],
-                 owned_slots: np.ndarray, ghosts: tuple[np.ndarray, ...]) -> np.ndarray:
+                 owned_slots: np.ndarray, *others: np.ndarray) -> np.ndarray:
     """One level's flat int32 table over its padded box: an owned cell holds
-    its row, another stored cell ``-2 - slot``, any other position -1; the
-    pads are wrapped like the labels'."""
+    its row, the ``j``-th cell of ``others`` (in order: coarse ghosts, fine
+    ghosts) ``-2 - j``, any other position -1; the pads are wrapped like
+    the labels'."""
     table = np.full(padded, -1, dtype=np.int32)
     flat = table.reshape(-1)
-    for slots in ghosts:
-        flat[cells.take(slots)] = -2 - slots
     flat[cells.take(owned_slots)] = np.arange(owned_slots.size)
+    if others:
+        stored = np.concatenate(others)
+        flat[cells.take(stored)] = -2 - np.arange(stored.size)
     _wrap_pads(table, periodic)
     return flat
-
-
-def _slot_of(entries: np.ndarray, owned_slots: np.ndarray) -> np.ndarray:
-    """Slots named by index-table entries (-1 where nothing is stored)."""
-    return np.where(entries >= 0, owned_slots.take(entries, mode="clip"),
-                    -2 - entries.astype(np.int64))
 
 
 def _parent_cells(cells: np.ndarray, padded: tuple[int, ...],
@@ -429,14 +444,14 @@ def _parent_cells(cells: np.ndarray, padded: tuple[int, ...],
     return sum((c + 1) // 2 * s for c, s in zip(coords, coarse_strides))
 
 
-def _cat(parts: list[tuple], col: int, dtype=np.int64) -> np.ndarray:
+def _cat(parts: list[tuple], col: int, dtype=np.int32) -> np.ndarray:
     """Column ``col`` of the per-direction parts, rows in append order."""
     if not parts:
         return np.empty(0, dtype=dtype)
     if np.ndim(parts[0][col]) == 0:                   # one value per part
         return np.repeat(np.array([p[col] for p in parts], dtype=dtype),
                          [p[1].size for p in parts])
-    return np.concatenate([p[col] for p in parts]).astype(dtype, copy=False)
+    return np.concatenate([p[col] for p in parts], dtype=dtype)
 
 
 def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
@@ -467,8 +482,12 @@ def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
     # ghost (_COARSER), by the label of its cell
     cells = _slot_cells(grid, padded)
     code = np.where(grid.active(), lab_flat.take(cells, mode="clip"), _OUTSIDE)
-    slots = tuple(np.flatnonzero(code == c) for c in (_SELF, _FINER, _COARSER))
-    table = _index_table(cells, padded, periodic, slots[0], slots[1:])
+    if grid.n_alloc >= 2 ** 31:
+        raise ValueError(f"level {lvl} allocates {grid.n_alloc} cells; "
+                         f"int32 slot ids address fewer than 2**31")
+    slots = tuple(np.flatnonzero(code == c).astype(np.int32)
+                  for c in (_SELF, _FINER, _COARSER))
+    table = _index_table(cells, padded, periodic, *slots)
     return grid, lab_flat, cells, table, slots
 
 
@@ -477,20 +496,19 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
               owned_slots: np.ndarray):
     """Classification: every (direction, owned cell) pull of one level.
 
-    Returns the pull table, the kind matrix and the per-kind parts
-    ``(q, rows, ...)`` in append order; an explosion part carries its
-    padded pull sources, whose coarser parents are resolved later.
+    Returns the pull table and the per-kind parts ``(q, rows, ...)`` in
+    append order; an explosion part carries its padded pull sources,
+    whose coarser parents are resolved later, and a ghost pull the index
+    ``j`` its source has among the level's stored ghosts (:func:`_index_table`).
     """
     d, Q, n_owned = spec.d, lat.q, owned_slots.size
     per, face_names, strides = spec.bc.periodic_axes(d), _face_names(d), _strides(padded)
     pull_flat = np.empty((Q, n_owned), dtype=np.int32)
-    kind = np.full((Q, n_owned), kinds.INTERIOR, dtype=np.int8)
     parts: dict[str, list] = {k: [] for k in ("bb", "sb", "mov", "out", "sl", "exp", "coal")}
     src = np.empty(n_owned, dtype=np.int64)
 
-    def mark(table_name, code, q, rows, *cols):
+    def mark(table_name, q, rows, *cols):
         parts[table_name].append((q, rows) + cols)
-        kind[q, rows] = code
 
     for q in range(Q):
         v = lat.e[q]
@@ -500,7 +518,7 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
         # read < 0 refer to themselves and are classified below, where an
         # entry that is read is written once.
         table.take(src, out=entries, mode="clip")
-        miss = np.flatnonzero(entries < 0)
+        miss = np.flatnonzero(entries < 0).astype(np.int32)
         held = entries[miss]
         entries[miss] = miss
         entries += q * n_owned
@@ -511,15 +529,15 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
         bounce = int(lat.opp[q]) * n_owned             # + cell: halfway bounce-back
 
         sel = code == _FINER
-        if sel.any():                                  # + the ghost slot
-            mark("coal", kinds.COALESCENCE, q, miss[sel], -2 - held[sel])
+        if sel.any():                                  # + the ghost's j
+            mark("coal", q, miss[sel], -2 - held[sel])
         sel = code == _COARSER
-        if sel.any():    # + the padded source and 4a's own fine-ghost slot
-            mark("exp", kinds.EXPLOSION, q, miss[sel], src_m[sel], -2 - held[sel])
+        if sel.any():          # + the padded source and 4a's fine ghost's j
+            mark("exp", q, miss[sel], src_m[sel], -2 - held[sel])
         sel = code == _SOLID
         if sel.any():
             rows_s = miss[sel]
-            mark("bb", kinds.BOUNCEBACK, q, rows_s)
+            mark("bb", q, rows_s)
             parts["sb"].append((q, rows_s))
             pull_flat[q, rows_s] = bounce + rows_s
 
@@ -546,12 +564,12 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
             fbc = spec.bc.face(face_names[fi])
             rows = rows_o[best_face == fi]
             if fbc.kind == "wall":
-                mark("bb", kinds.BOUNCEBACK, q, rows)
+                mark("bb", q, rows)
                 pull_flat[q, rows] = bounce + rows
             elif fbc.kind in ("moving", "inlet"):
                 uw = np.zeros(d) if fbc.velocity is None else np.asarray(fbc.velocity)
                 term = 2.0 * lat.w[q] * float(lat.ef[q] @ uw) / lat.cs2
-                mark("mov", kinds.MOVING, q, rows, term)
+                mark("mov", q, rows, term)
                 pull_flat[q, rows] = bounce + rows   # the body adds `term`
             elif fbc.kind == "slip":
                 # Specular reflection at the halfway plane: sample the
@@ -568,50 +586,50 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
                 good = mrow >= 0
                 if good.any():
                     srows = rows[good]
-                    mark("sl", kinds.SLIP, q, srows, mq, owned_slots.take(mrow[good]))
+                    mark("sl", q, srows, mq, owned_slots.take(mrow[good]))
                     pull_flat[q, srows] = mq * n_owned + mrow[good]
                 if not good.all():
                     # mirrored source unavailable (interface or
                     # corner): degrade gracefully to bounce-back
                     brows = rows[~good]
-                    mark("bb", kinds.BOUNCEBACK, q, brows)
+                    mark("bb", q, brows)
                     pull_flat[q, brows] = bounce + brows
             elif fbc.kind == "outflow":
-                mark("out", kinds.OUTFLOW, q, rows)
+                mark("out", q, rows)
             else:  # pragma: no cover - periodic was wrapped already
                 raise AssertionError("periodic faces cannot be crossed")
     pull_flat.setflags(write=False)
-    return pull_flat, kind, parts
+    return pull_flat, parts
 
 
 def _link_coarser(up: CompiledLevel, periodic: list[bool], padded: tuple[int, ...],
-                  table: np.ndarray, owned_slots: np.ndarray, exp_cells: np.ndarray,
+                  table: np.ndarray, exp_cells: np.ndarray,
                   fg_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-level maps, by gather on the coarser level ``up``'s index
-    table (built here, dropped on return): the parent slots of the padded
-    explosion sources ``exp_cells`` and fine ghosts ``fg_cells``, and the
-    children of ``up``'s ghost cells in this level's ``table`` (its
-    accumulate map, stored on ``up``)."""
+    """Cross-level maps, by gather on the coarser level ``up``'s table of
+    owned rows (built here, dropped on return): the parent rows of the
+    padded explosion sources ``exp_cells`` and fine ghosts ``fg_cells``,
+    and the rows of ``up``'s ghost cells' children in this level's
+    ``table`` (its accumulate map, stored on ``up``).  Every one of them
+    is an owned cell."""
     up_padded = tuple(n + 2 for n in up.grid.shape)
     up_cells = _slot_cells(up.grid, up_padded)
-    up_table = _index_table(up_cells, up_padded, periodic, up.owned_slots,
-                            (up.ghost_slots, up.fine_ghost_slots))
-    exp_src, fg_src = (_slot_of(up_table.take(_parent_cells(c, padded, _strides(up_padded))),
-                                up.owned_slots) for c in (exp_cells, fg_cells))
-    if (exp_src < 0).any():
-        raise AssertionError("explosion source not allocated on the coarser level")
-    if (fg_src < 0).any():
-        raise AssertionError("fine-ghost parent not allocated on coarser level")
+    up_table = _index_table(up_cells, up_padded, periodic, up.owned_slots)
+    exp_rows, fg_rows = (up_table.take(_parent_cells(c, padded, _strides(up_padded)))
+                         for c in (exp_cells, fg_cells))
+    if exp_rows.size and exp_rows.min() < 0:
+        raise AssertionError("explosion source is not an owned coarse cell")
+    if fg_rows.size and fg_rows.min() < 0:
+        raise AssertionError("fine-ghost parent is not an owned coarse cell")
     if up.ghost_slots.size:
         # padded coordinate c of a coarse cell has its children from 2c - 1
         strides = _strides(padded)
         first = sum((2 * c - 1) * s for c, s in zip(
             np.unravel_index(up_cells.take(up.ghost_slots), up_padded), strides))
         kids = (first[:, None] + _cube_offsets(2, strides)).ravel()
-        up.acc_fine_slots = _slot_of(table.take(kids), owned_slots)
-        if (up.acc_fine_slots < 0).any():
-            raise AssertionError("ghost child not allocated on the finer level")
-    return exp_src, fg_src
+        up.acc_fine_rows = table.take(kids)
+        if up.acc_fine_rows.min() < 0:
+            raise AssertionError("ghost child is not an owned fine cell")
+    return exp_rows, fg_rows
 
 
 def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
@@ -627,39 +645,44 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
     padded = tuple(n + 2 for n in labels[lvl].shape)
     grid, lab_flat, cells, table, (owned_slots, ghost_slots, fine_ghost_slots) = \
         _level_slots(spec, lvl, labels, padded, per)
-    # int32 entry ids (the pull table's, the static model's) number the
-    # (q, row) pairs of the row space, 4a's fine-ghost rows included
-    n_rows = owned_slots.size + fine_ghost_slots.size
-    if lat.q * n_rows >= 2 ** 31:
-        raise ValueError(f"level {lvl} has {lat.q} x {n_rows} population entries; "
-                         f"int32 ids address fewer than 2**31")
-    pull_flat, kind, parts = _classify(spec, lat, lab_flat, padded, table,
-                                       cells.take(owned_slots), owned_slots)
-    del lab_flat
-    coal_slots = _cat(parts["coal"], 2)
-    coal_src = np.searchsorted(ghost_slots, coal_slots)
-    if (coal_src >= ghost_slots.size).any() or (
-            ghost_slots.take(coal_src, mode="clip") != coal_slots).any():
-        raise AssertionError("coalescence source missing from the ghost layer")
-    exp_src = fg_coarse_src = np.empty(0, dtype=np.int64)
-    if lvl > 0:
-        exp_src, fg_coarse_src = _link_coarser(
-            coarser[lvl - 1], per, padded, table, owned_slots,
-            _cat(parts["exp"], 2), cells.take(fine_ghost_slots))
+    # int32 entry ids (the pull table's, the access reports') number the
+    # (q, row) pairs of the row space, 4a's fine-ghost rows included, and
+    # the (q, ghost) bins of the accumulator
+    n_rows, n_ghost = owned_slots.size + fine_ghost_slots.size, ghost_slots.size
+    if lat.q * max(n_rows, n_ghost) >= 2 ** 31:
+        raise ValueError(f"level {lvl} has {lat.q} x {max(n_rows, n_ghost)} "
+                         f"population entries; int32 ids address fewer than 2**31")
+    pull_flat, parts = _classify(spec, lat, lab_flat, padded, table,
+                                 cells.take(owned_slots), owned_slots)
+    exp_cells, fg_cells = _cat(parts["exp"], 2, np.int64), cells.take(fine_ghost_slots)
+    del lab_flat, cells
     col = {f"{k}_{name}": _cat(p, i) for k, p in parts.items()
            for i, name in enumerate(("q", "cell"))}
+    # the j of a coarse ghost is its ghost row; of a fine ghost, j - n_ghost
+    # counts the fine ghosts, whose rows follow the owned ones
+    col["coal_src"] = _cat(parts["coal"], 2)
+    col["exp_ghost_rows"] = _cat(parts["exp"], 3) + (owned_slots.size - n_ghost)
+    col["mov_term"] = _cat(parts["mov"], 2, np.float64)
+    col["sl_src_q"], col["sl_src"] = _cat(parts["sl"], 2), _cat(parts["sl"], 3)
+    del parts
+    coal, exp = col["coal_src"], col["exp_ghost_rows"]
+    if coal.size and not 0 <= coal.min() <= coal.max() < n_ghost:
+        raise AssertionError("coalescence source missing from the ghost layer")
+    if exp.size and not owned_slots.size <= exp.min() <= exp.max() < n_rows:
+        raise AssertionError("explosion source missing from the fine-ghost layer")
+    exp_rows = fg_coarse_rows = np.empty(0, dtype=np.int32)
+    if lvl > 0:
+        exp_rows, fg_coarse_rows = _link_coarser(
+            coarser[lvl - 1], per, padded, table, exp_cells, fg_cells)
     return CompiledLevel(
         level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
-        fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat, kind=kind, **col,
-        mov_term=_cat(parts["mov"], 2, np.float64),
+        fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat, **col,
         out_val=lat.w[col["out_q"]] if col["out_q"].size else np.empty(0),
-        sl_src_q=_cat(parts["sl"], 2), sl_src=_cat(parts["sl"], 3),
-        exp_src=exp_src, exp_ghost_src=_cat(parts["exp"], 3), coal_src=coal_src,
-        # acc_fine_slots: resolved by the next finer level's _link_coarser
-        acc_fine_slots=np.empty(0, dtype=np.int64),
-        acc_ghost_rows=np.repeat(np.arange(ghost_slots.size if lvl < spec.num_levels - 1
-                                           else 0), 2 ** spec.d),
-        fg_slots=fine_ghost_slots, fg_coarse_src=fg_coarse_src,
+        exp_rows=exp_rows,
+        # acc_fine_rows: resolved by the next finer level's _link_coarser
+        acc_fine_rows=np.empty(0, dtype=np.int32),
+        acc_ghost_rows=np.repeat(np.arange(n_ghost, dtype=np.int32), 2 ** spec.d),
+        fg_coarse_rows=fg_coarse_rows,
     )
 
 

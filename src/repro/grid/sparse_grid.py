@@ -30,7 +30,7 @@ __all__ = ["BlockSparseGrid"]
 def _local_offsets(d: int, B: int) -> np.ndarray:
     """Local coordinates of every cell of a block, C-ordered, shape (B^d, d)."""
     axes = np.meshgrid(*([np.arange(B)] * d), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=1).astype(np.int64)
+    return np.stack([a.ravel() for a in axes], axis=1).astype(np.int32)
 
 
 def _offset_index(carry: np.ndarray) -> np.ndarray:
@@ -53,8 +53,8 @@ class BlockSparseGrid:
     level: int
     shape: tuple[int, ...]
     block_size: int
-    block_coords: np.ndarray           # (nb, d) in block units, curve-ordered
-    block_lut: np.ndarray              # dense (block-space) -> block id or -1
+    block_coords: np.ndarray           # (nb, d) int32 in block units, curve-ordered
+    block_lut: np.ndarray              # dense (block-space) int32 -> block id or -1
     bitmask_words: np.ndarray          # (nb, words) uint64 — active cells
     block_neighbors: np.ndarray        # (nb, 3^d) int32 block ids, -1 if absent
     curve: str = "morton"
@@ -90,10 +90,9 @@ class BlockSparseGrid:
         coords = np.argwhere(occupied).astype(np.int64)
         if coords.shape[0] == 0:
             raise ValueError("mask selects no cells; cannot build an empty grid")
-        perm = block_order(coords, nblk_axes, curve)
-        coords = coords[perm]
+        coords = coords[block_order(coords, nblk_axes, curve)].astype(np.int32)
         nb = coords.shape[0]
-        lut = np.full(nblk_axes, -1, dtype=np.int64)
+        lut = np.full(nblk_axes, -1, dtype=np.int32)
         lut[tuple(coords.T)] = np.arange(nb)
         flags = cells[tuple(coords.T)]
         words = bm.pack_bits(flags)

@@ -286,8 +286,7 @@ class TestStreamingSemantics:
         run_op(eng.op_explosion_copy, 1)
         fine = eng.levels[1]
         coarse = eng.levels[0]
-        assert np.array_equal(fine.fghost[:, fine.fg_rows - fine.n_owned],
-                              coarse.fstar[:, fine.fg_coarse_rows])
+        assert np.array_equal(fine.fghost, coarse.fstar[:, fine.fg_coarse_rows])
 
     def test_stream_from_ghost_equals_direct(self):
         # 4a explosion path (via ghost copies) gives identical pull values
@@ -383,8 +382,10 @@ def ref_coalesce(eng, lv):
 
 
 def ref_explosion_copy(eng, lv):
-    b = eng.levels[lv]
-    b.fghost[:, b.fg_rows - b.n_owned] = eng.levels[lv - 1].fstar[:, b.fg_coarse_rows]
+    b, cl = eng.levels[lv], eng.mgrid.levels[lv]
+    # fghost column k holds fine ghost k, row n_owned + k
+    cols = cl.row_of_slot()[cl.fine_ghost_slots] - b.n_owned
+    b.fghost[:, cols] = eng.levels[lv - 1].fstar[:, b.fg_coarse_rows]
 
 
 def ref_explode_direct(eng, lv):
@@ -477,7 +478,7 @@ class TestKernelBodies:
     def test_grids_reach_every_index_map(self, engine):
         for levels, names in (
                 (engine.mgrid.levels, ("bb_q", "sb_q", "mov_q", "out_q", "sl_q")),
-                (engine.levels, ("exp_q", "coal_q", "acc_fine_rows", "fg_rows",
+                (engine.levels, ("exp_q", "coal_q", "acc_fine_rows", "fg_coarse_rows",
                                  "exp_ghost_rows"))):
             for name in names:
                 assert any(getattr(lv, name).size for lv in levels), name

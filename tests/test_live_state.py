@@ -28,7 +28,7 @@ from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.lattice import get_lattice
 from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
-from repro.gpu.memory import grid_memory_report
+from repro.gpu.memory import grid_memory_report, index_bytes
 from repro.grid.multigrid import build_multigrid
 from repro.io.checkpoint import (CheckpointStore, restore_checkpoint,
                                  save_checkpoint)
@@ -265,6 +265,38 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
                         - fine_ghosts_once + optimized.ghost_accumulators)
 
 
+#: ``CompiledLevel`` arrays by :func:`repro.gpu.memory.index_bytes` family
+#: (name prefixes); every ``BlockSparseGrid`` array is ``blocks``.
+INDEX_FAMILIES = {
+    "pull": ("pull_flat",), "cells": ("owned_slots", "ghost_slots", "fine_ghost_slots"),
+    "boundary": ("bb_", "sb_", "mov_", "out_", "sl_"),
+    "explosion": ("exp_", "fg_coarse_rows"), "coalescence": ("coal_",),
+    "accumulate": ("acc_",)}
+
+
+@pytest.mark.parametrize("workload", [
+    lambda: lid_cavity(base=(16, 16, 16), num_levels=3),
+    lambda: sphere_tunnel(scale=0.5),
+    lambda: lid_cavity(base=(64, 64), num_levels=3, lattice="D2Q9")],
+    ids=["anchor", "sphere-half", "served-2d"])
+def test_index_bytes_are_what_the_memory_model_prices(workload):
+    """Every array a compiled level and its block grid hold, summed by
+    family, against :func:`repro.gpu.memory.index_bytes`, which counts
+    from sizes: exact, so a wider dtype or a new table shows."""
+    wl = workload()
+    mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
+    held = dict.fromkeys(index_bytes(mgrid), 0)
+    for cl in mgrid.levels:
+        for name, arr in vars(cl).items():
+            if isinstance(arr, np.ndarray):
+                family, = [f for f, names in INDEX_FAMILIES.items()
+                           if name.startswith(names)]
+                held[family] += allocated(arr)
+        held["blocks"] += sum(allocated(arr) for arr in vars(cl.grid).values()
+                              if isinstance(arr, np.ndarray))
+    assert held == index_bytes(mgrid)
+
+
 # -- the anchor's heap ---------------------------------------------------------------
 
 def index_tables(sim):
@@ -292,12 +324,14 @@ def test_anchor_heap_stays_near_the_live_bytes():
     the tables were shared and admission and the digest stopped copying;
     90.7 / 102 before Accumulate kept only the entries Coalescence reads
     and the boundary links moved into the pull table; 80.4 / 101.8 while
-    admission held the exact entry sets as frozensets of Python ints
-    and 80.4 / 84.0 while ``fstar`` carried 4a's fine-ghost rows under
-    every config and each level its positions (reads 68.8 / 72.3; the
-    ceilings are that + 5 %).  Admitting the plan again may add at most
-    4 MiB to the heap it starts from (25.9 MiB with the frozensets, 1.3
-    MiB with the shared sorted arrays)."""
+    admission held the exact entry sets as frozensets of Python ints;
+    80.4 / 84.0 while ``fstar`` carried 4a's fine-ghost rows under
+    every config and each level its positions; 67.9 / 71.4 while the
+    grid kept int64 tables and a kind matrix and the engine row-space
+    copies of them (reads 58.9 / 62.5; the ceilings are that + 5 %).
+    Admitting the plan again may add at most 4 MiB to the heap it starts
+    from (25.9 MiB with the frozensets, 1.3 MiB with the shared sorted
+    arrays, reads 0.9)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     gc.collect()
     tracemalloc.start()
@@ -315,8 +349,8 @@ def test_anchor_heap_stays_near_the_live_bytes():
     finally:
         tracemalloc.stop()
     with sim:
-        assert peak <= 76 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 72 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 65.6 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 61.9 * MiB, f"steady {current / MiB:.1f} MiB"
         assert admit_peak - current <= 4 * MiB, (
             f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
         # one (Q, n_owned) integer table per level and no other
@@ -332,6 +366,40 @@ def test_anchor_heap_stays_near_the_live_bytes():
                        for r in plan.records if r.atomic_bytes)
         assert sum(r.atomic_bytes for r in plan.records) \
             == sim.engine.itemsize * gathered == 5_345_280
+
+
+@GRIDS
+@pytest.mark.parametrize("cfg", (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL),
+                         ids=lambda c: c.name)
+def test_every_index_array_is_int32_and_the_grids(setup, cfg):
+    """The index heap at the width its values need: every integer array
+    the grid compile keeps (bitmask words aside: they are bits) is int32,
+    and the engine copies no grid map — each array of a level's buffers
+    other than the populations is the grid's own object.  No ``(Q,
+    n_owned)`` kind matrix is kept: the kind lists are the classification.
+    The flat maps the bound bodies gather and scatter with are ``intp``,
+    the index width NumPy converts every other one to, per call."""
+    with make(setup, cfg) as sim:
+        sim.run(1)                          # binds every body, builds every map
+        grid_arrays = {id(a) for cl in sim.mgrid.levels for a in vars(cl).values()
+                       if isinstance(a, np.ndarray)}
+        for cl, buf, maps in zip(sim.mgrid.levels, sim.engine.levels,
+                                 sim.engine._maps):
+            assert not hasattr(cl, "kind")
+            held = [(f"grid.{k}", a, np.int32) for k, a in vars(cl.grid).items()
+                    if k != "bitmask_words"]
+            held += [(f"level.{k}", a, np.int32) for k, a in vars(cl).items()]
+            held += [(f"maps.{k}", a, np.intp) for k, a in maps.items() if k != "pull"]
+            while held:
+                name, a, width = held.pop()
+                if isinstance(a, tuple):    # the flat maps come in tuples
+                    held.extend((name, x, width) for x in a)
+                elif isinstance(a, np.ndarray) and a.dtype.kind in "iu":
+                    assert a.dtype == width, (cl.level, name, a.dtype)
+            for k, a in vars(buf).items():
+                if isinstance(a, np.ndarray) and k not in ("f", "fstar", "ghost_acc",
+                                                           "fghost"):
+                    assert id(a) in grid_arrays, (cl.level, k)
 
 
 def test_a_traced_step_allocates_no_pull_table():

@@ -14,7 +14,6 @@ from scipy import ndimage
 
 from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.lattice import D2Q9, D3Q19, D3Q27
-from repro.grid import kinds
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
 from repro.grid.multigrid import (_FACE_KINDS, _PRECEDENCE, DomainBC, FaceBC,
                                   RefinementSpec, _dilate, _face_names,
@@ -163,9 +162,8 @@ class TestInterfaceMaps:
         mg = build_multigrid(two_level_2d(), D2Q9)
         fine = mg.levels[1]
         coarse = mg.levels[0]
-        owned = set(coarse.owned_slots.tolist())
         assert fine.exp_q.size > 0
-        assert set(fine.exp_src.tolist()) <= owned
+        assert 0 <= fine.exp_rows.min() and fine.exp_rows.max() < coarse.n_owned
 
     def test_explosion_source_is_parent_of_pull_position(self):
         mg = build_multigrid(two_level_2d(), D2Q9)
@@ -174,7 +172,7 @@ class TestInterfaceMaps:
         coarse_pos = coarse.grid.cell_positions()
         cells = fine.owned_slots[fine.exp_cell]
         src_pos = fine_pos[cells] - mg.lattice.e[fine.exp_q]
-        assert np.array_equal(coarse_pos[fine.exp_src], src_pos // 2)
+        assert np.array_equal(coarse_pos[coarse.owned_slots[fine.exp_rows]], src_pos // 2)
 
     def test_coalescence_sources_are_ghost_rows(self):
         mg = build_multigrid(two_level_2d(), D2Q9)
@@ -186,7 +184,7 @@ class TestInterfaceMaps:
     def test_accumulate_children_count(self):
         mg = build_multigrid(two_level_2d(), D2Q9)
         coarse = mg.levels[0]
-        assert coarse.acc_fine_slots.size == coarse.n_ghost * 4
+        assert coarse.acc_fine_rows.size == coarse.n_ghost * 4
         # each ghost row receives exactly 2^d children
         counts = np.bincount(coarse.acc_ghost_rows, minlength=coarse.n_ghost)
         assert (counts == 4).all()
@@ -195,7 +193,7 @@ class TestInterfaceMaps:
         mg = build_multigrid(two_level_2d(), D2Q9)
         coarse, fine = mg.levels[0], mg.levels[1]
         gpos = coarse.grid.cell_positions()[coarse.ghost_slots]
-        cpos = fine.grid.cell_positions()[coarse.acc_fine_slots]
+        cpos = fine.grid.cell_positions()[fine.owned_slots[coarse.acc_fine_rows]]
         parents = cpos // 2
         assert np.array_equal(parents, np.repeat(gpos, 4, axis=0))
 
@@ -251,8 +249,7 @@ class TestBoundaryClassification:
             D2Q9)
         assert mg.levels[0].bb_q.size > 0
         assert mg_p.levels[0].bb_q.size == 0
-        assert (mg_p.levels[0].kind == kinds.INTERIOR).sum() > \
-            (mg.levels[0].kind == kinds.INTERIOR).sum()
+        assert n_listed(mg_p.levels[0]) < n_listed(mg.levels[0])
 
     def test_solid_classified_bounceback(self):
         sphere = Sphere((8.0, 8.0), 2.0)
@@ -262,7 +259,7 @@ class TestBoundaryClassification:
         spec = RefinementSpec(base, regions, solid=solid)
         mg = build_multigrid(spec, D2Q9)
         fine = mg.levels[1]
-        assert (fine.kind == kinds.BOUNCEBACK).any()
+        assert fine.sb_q.size > 0 and fine.bb_q.size >= fine.sb_q.size
         # solid cells themselves are not owned
         pos = fine.grid.cell_positions()[fine.owned_slots]
         assert not solid[tuple(pos.T)].any()
@@ -271,12 +268,9 @@ class TestBoundaryClassification:
         bc = DomainBC({"x-": FaceBC("inlet", velocity=(0.04, 0.0)),
                        "x+": FaceBC("outflow")})
         mg = build_multigrid(two_level_2d(bc=bc), D2Q9)
+        ref = ref_compile(mg.spec, D2Q9)
         for lv in mg.levels:
-            assert (lv.kind[lv.exp_q, lv.exp_cell] == kinds.EXPLOSION).all()
-            assert (lv.kind[lv.coal_q, lv.coal_cell] == kinds.COALESCENCE).all()
-            assert (lv.kind[lv.mov_q, lv.mov_cell] == kinds.MOVING).all()
-            assert (lv.kind[lv.out_q, lv.out_cell] == kinds.OUTFLOW).all()
-            assert (lv.kind[lv.bb_q, lv.bb_cell] == kinds.BOUNCEBACK).all()
+            assert_one_kind_per_pull(lv, ref[lv.level]["kind"])
 
 
 # -- bit-reference for the grid compile ----------------------------------------
@@ -286,10 +280,16 @@ class TestBoundaryClassification:
 # reference: (n, d) position arithmetic, ``lab[tuple(s.T)]`` and one
 # ``BlockSparseGrid.lookup`` per answer, a full-footprint dilation.  Every
 # array of every CompiledLevel has to come out equal, dtype included.  The
-# reference keeps the bulk pull in slot space (``pull_src``), maps it to rows
-# at the end and leaves the boundary links in the kind lists; the compile
-# step emits one frozen int32 table of flat ``q_src * n_owned + row`` entries
-# with those links folded in, checked against ``folded_pull`` below.
+# reference keeps the bulk pull and the cross-level sources in slot space
+# (``pull_src``), maps them to rows at the end, leaves the boundary links in
+# the kind lists and marks every pull's kind in a ``(Q, n_owned)`` matrix
+# the grid does not store; the compile step emits one frozen int32 table of
+# flat ``q_src * n_owned + row`` entries with those links folded in, checked
+# against ``folded_pull`` below.
+
+#: Pull kinds of the reference's matrix (0: interior).
+INTERIOR = 0
+_KIND_CODES = {"bb": 1, "mov": 2, "out": 3, "exp": 4, "coal": 5, "sl": 6}
 
 def ref_dilate(mask, radius, periodic):
     if not mask.any():
@@ -327,6 +327,15 @@ def ref_compile(spec, lat):
         ok = np.all(p < lab.shape, axis=1) & grid.active()
         grids.append(grid)
         slots.append([np.flatnonzero(ok)[m[tuple(p[ok].T)]] for m in (owned, ghost, fghost)])
+
+    def rows_of(lvl):
+        # row space: owned cells in slot order, then the fine ghosts
+        owned_slots, _, fg_slots = slots[lvl]
+        row_of_slot = np.full(grids[lvl].n_alloc, -1, dtype=np.int64)
+        row_of_slot[np.concatenate([owned_slots, fg_slots])] = np.arange(
+            owned_slots.size + fg_slots.size)
+        return row_of_slot
+
     out = {}
     for lvl, (grid, lab) in enumerate(zip(grids, labels)):
         owned_slots, ghost_slots, fg_slots = slots[lvl]
@@ -335,12 +344,12 @@ def ref_compile(spec, lat):
         ghost_row = np.full(grid.n_alloc, -1, dtype=np.int64)
         ghost_row[ghost_slots] = np.arange(ghost_slots.size)
         pull_src = np.tile(owned_slots, (Q, 1))
-        kind = np.full((Q, owned_slots.size), kinds.INTERIOR, dtype=np.int8)
+        kind = np.full((Q, owned_slots.size), INTERIOR, dtype=np.int8)
         T = {k: [] for k in ("bb", "mov", "out", "exp", "coal", "sb", "sl")}
 
-        def mark(table, code, q, rows, *cols):
+        def mark(table, q, rows, *cols):
             T[table].append((q, rows) + cols)
-            kind[q, rows] = code
+            kind[q, rows] = _KIND_CODES[table]
 
         for q in range(Q):
             v = lat.e[q]
@@ -354,14 +363,13 @@ def ref_compile(spec, lat):
             code = lab[tuple(s.T)]
             pull_src[q, rin[code == 0]] = grid.lookup(s[code == 0])
             if (code == 1).any():
-                mark("coal", kinds.COALESCENCE, q, rin[code == 1],
-                     ghost_row[grid.lookup(s[code == 1])])
+                mark("coal", q, rin[code == 1], ghost_row[grid.lookup(s[code == 1])])
             if (code == 2).any():
-                mark("exp", kinds.EXPLOSION, q, rin[code == 2],
+                mark("exp", q, rin[code == 2],
                      grids[lvl - 1].lookup(s[code == 2] // 2), grid.lookup(s[code == 2]))
             if (code == 3).any():
                 T["sb"].append((q, rin[code == 3]))
-                mark("bb", kinds.BOUNCEBACK, q, rin[code == 3])
+                mark("bb", q, rin[code == 3])
             rows_o = np.flatnonzero(is_out)
             rank = np.full(rows_o.size, 99)
             face = np.zeros(rows_o.size, dtype=np.int64)
@@ -375,12 +383,12 @@ def ref_compile(spec, lat):
             for fi in np.unique(face):
                 fbc, rows = spec.bc.face(names[fi]), rows_o[face == fi]
                 if fbc.kind == "wall":
-                    mark("bb", kinds.BOUNCEBACK, q, rows)
+                    mark("bb", q, rows)
                 elif fbc.kind in ("moving", "inlet"):
                     term = 2.0 * lat.w[q] * float(lat.ef[q] @ np.asarray(fbc.velocity)) / lat.cs2
-                    mark("mov", kinds.MOVING, q, rows, term)
+                    mark("mov", q, rows, term)
                 elif fbc.kind == "outflow":
-                    mark("out", kinds.OUTFLOW, q, rows)
+                    mark("out", q, rows)
                 else:  # slip: mirrored direction at the tangential neighbour
                     mvec, tvec = v.copy(), v.copy()
                     mvec[fi // 2], tvec[fi // 2] = -v[fi // 2], 0
@@ -388,39 +396,41 @@ def ref_compile(spec, lat):
                     good = np.all((mpos >= 0) & (mpos < shape), axis=1)
                     good[good] = lab[tuple(mpos[good].T)] == 0
                     if good.any():
-                        mark("sl", kinds.SLIP, q, rows[good],
+                        mark("sl", q, rows[good],
                              lat.direction_index(mvec), grid.lookup(mpos[good]))
                     if (~good).any():
-                        mark("bb", kinds.BOUNCEBACK, q, rows[~good])
+                        mark("bb", q, rows[~good])
 
         def cat(table, col, dtype=np.int64):
             return np.concatenate([np.empty(0, dtype)] + [
                 np.broadcast_to(np.asarray(p[col]), p[1].shape).astype(dtype)
                 for p in T[table]])
 
-        # row space: owned cells in slot order, then the fine ghosts
-        row_of_slot = np.full(grid.n_alloc, -1, dtype=np.int64)
-        row_of_slot[np.concatenate([owned_slots, fg_slots])] = np.arange(
-            owned_slots.size + fg_slots.size)
+        row_of_slot = rows_of(lvl)
         a = {"owned_slots": owned_slots, "ghost_slots": ghost_slots,
-             "fine_ghost_slots": fg_slots, "fg_slots": fg_slots,
-             "pull_rows": row_of_slot[pull_src].astype(np.int32), "kind": kind}
+             "fine_ghost_slots": fg_slots,
+             "pull_rows": row_of_slot[pull_src], "kind": kind}
         for table, cols in (("bb", "q cell"), ("mov", "q cell"), ("out", "q cell"),
                             ("sb", "q cell"), ("sl", "q cell src_q src"),
-                            ("exp", "q cell src ghost_src"), ("coal", "q cell src")):
+                            ("exp", "q cell rows ghost_rows"), ("coal", "q cell src")):
             for col, name in enumerate(cols.split()):
                 a[f"{table}_{name}"] = cat(table, col)
+        a["exp_rows"] = rows_of(lvl - 1)[a["exp_rows"]] if lvl else a["exp_rows"]
+        a["exp_ghost_rows"] = row_of_slot[a["exp_ghost_rows"]]
         a["mov_term"] = cat("mov", 2, np.float64)
         a["out_val"] = lat.w[a["out_q"]] if a["out_q"].size else np.empty(0)
         children = np.array(list(itertools.product((0, 1), repeat=d)))
         gpos = grid.cell_positions()[ghost_slots]
-        a["acc_fine_slots"] = (grids[lvl + 1].lookup(
-            (gpos[:, None, :] * 2 + children).reshape(-1, d))
+        a["acc_fine_rows"] = (rows_of(lvl + 1)[grids[lvl + 1].lookup(
+            (gpos[:, None, :] * 2 + children).reshape(-1, d))]
             if ghost_slots.size else np.empty(0, dtype=np.int64))
         a["acc_ghost_rows"] = np.repeat(np.arange(ghost_slots.size), 2 ** d)
-        a["fg_coarse_src"] = (grids[lvl - 1].lookup(grid.cell_positions()[fg_slots] // 2)
-                              if fg_slots.size else np.empty(0, dtype=np.int64))
-        out[lvl] = a
+        a["fg_coarse_rows"] = (rows_of(lvl - 1)[grids[lvl - 1].lookup(
+            grid.cell_positions()[fg_slots] // 2)]
+            if fg_slots.size else np.empty(0, dtype=np.int64))
+        # every index the grid keeps is int32
+        out[lvl] = {k: v.astype(np.int32) if v.dtype.kind == "i" and k != "kind" else v
+                    for k, v in a.items()}
     return out
 
 
@@ -444,20 +454,21 @@ def folded_pull(a, lat, stride=None):
     return flat
 
 
-_KIND_TABLES = {"bb": kinds.BOUNCEBACK, "mov": kinds.MOVING, "out": kinds.OUTFLOW,
-                "sl": kinds.SLIP, "exp": kinds.EXPLOSION, "coal": kinds.COALESCENCE}
+def n_listed(cl):
+    """Pulls the kind lists of a level hold."""
+    return sum(getattr(cl, f"{table}_q").size for table in _KIND_CODES)
 
 
-def assert_one_kind_per_pull(cl):
-    """Every non-interior (q, cell) sits in exactly one kind table and
-    ``kind`` names it: the tables are disjoint, so folding them into the
-    pull table needs no order."""
-    listed = np.zeros(cl.kind.shape, dtype=np.int64)
-    for table, code in _KIND_TABLES.items():
+def assert_one_kind_per_pull(cl, kind):
+    """Every non-interior (q, cell) sits in exactly one kind table, the one
+    the reference's ``kind`` matrix names: the tables are disjoint, so
+    folding them into the pull table needs no order."""
+    listed = np.zeros(cl.pull_flat.shape, dtype=np.int64)
+    for table, code in _KIND_CODES.items():
         q, cell = getattr(cl, f"{table}_q"), getattr(cl, f"{table}_cell")
         np.add.at(listed, (q, cell), 1)
-        assert (cl.kind[q, cell] == code).all(), (cl.level, table)
-    assert np.array_equal(listed, cl.kind != kinds.INTERIOR), cl.level
+        assert (kind[q, cell] == code).all(), (cl.level, table)
+    assert np.array_equal(listed, kind != INTERIOR), cl.level
 
 
 def assert_matches_reference(spec, lat):
@@ -467,13 +478,13 @@ def assert_matches_reference(spec, lat):
         a = ref[cl.level]
         fields = [f.name for f in dataclasses.fields(cl)
                   if isinstance(getattr(cl, f.name), np.ndarray)]
-        assert sorted(fields) == sorted(set(a) - {"pull_rows"} | {"pull_flat"})
+        assert sorted(fields) == sorted(set(a) - {"pull_rows", "kind"} | {"pull_flat"})
         fields.remove("pull_flat")
         for name in fields:
             got, want = getattr(cl, name), a[name]
             assert got.dtype == want.dtype, (cl.level, name, got.dtype, want.dtype)
             assert np.array_equal(got, want), (cl.level, name)
-        assert_one_kind_per_pull(cl)
+        assert_one_kind_per_pull(cl, a["kind"])
         table = cl.pull_flat
         assert table.dtype == np.int32 and not table.flags.writeable
         assert np.array_equal(table, folded_pull(a, lat)), cl.level
@@ -483,7 +494,7 @@ def assert_matches_reference(spec, lat):
         sources = np.concatenate([a["pull_rows"].ravel(),
                                   cl.row_of_slot()[a["sl_src"]]])
         assert (sources < n).all(), cl.level
-        interior = cl.kind == kinds.INTERIOR
+        interior = a["kind"] == INTERIOR
         assert np.array_equal((table % n)[interior], a["pull_rows"][interior])
         for got, want in zip(iter_pull_rows(table, n), table % n):
             assert np.array_equal(got, want)
@@ -658,9 +669,12 @@ def test_random_topologies_count_interface_cells(spec):
 # -- pinned compile witness ------------------------------------------------------
 #
 # SHA-256 over (name, dtype, shape, bytes) of every CompiledLevel and
-# BlockSparseGrid array, per spec, as the position-based compile produced
-# them before the flat-table one: "same arrays out, bit for bit", checked
+# BlockSparseGrid array, per spec: "same arrays out, bit for bit", checked
 # directly.  A digest that moves means every downstream number may move.
+# The pins were computed from the int64 / slot-space arrays of the compile
+# before its tables went int32 and its cross-level maps to row space: each
+# array converted (slots to rows through ``row_of_slot``, integers to int32,
+# the kind matrix dropped) and hashed in this form.
 
 def shell_cavity(offsets):
     """The 16³×3 anchor cavity with its innermost refinement shell moved per
@@ -716,27 +730,27 @@ def compile_digest(mg):
 
 WITNESS = {
     "2d-fully-periodic-B8-hilbert":
-        "beb6ee2eabe561857f3d1921bd01874a3153be23bf07542bad9d19b8c06f6ed1",
+        "0b41937babb3bf488def2e2ecdbf590b4de99bb76c6cae066b2066c7d071794e",
     "2d-periodic-slip-moving-L3":
-        "c74d250425370e3e43fcbdc172e45c3d65f025ba777e17f460b7a8acf3370a23",
+        "3beace79c79f91f8d28391f47bb179bf2fe87d43cdc80946eacd25c36d28acca",
     "3d-periodic-inlet-outflow-slip-B2":
-        "0f0ff7620c9766070902ce229e8d6dab2d55db825bdf5534e4da9bd5ce7ab3e8",
+        "f749238b2e994a20830591f5f00ac8e738ed52ee8d9a1810c22f4f6080b46bd8",
     "cavity-12c-L2":
-        "f8dc6c2b3e20ce9681a00b354d88d38fb69135f54ec105b012fc7e56e387a4ae",
+        "e2b37d3d3aec1d5f3b96260f1809a6def231c4b92e86a6a8c750662f2f7ad89e",
     "cavity-16c-L3":
-        "1ec459051268d9883afb947e2eb80c4f5cd209a4f8af1d3a719cc266298a36c6",
+        "a7e8b0bd18525c871771131315120176dc98e2aa2ae64147573519a67fa13806",
     "cavity-24c-L3":
-        "29da97c0104823982e9f3e66e5d7aa2d37d66398807698173e599f4661c00e06",
+        "5efee434a8fd124b69f6a56892967c0f351c166ba0c6201d3db4c5d48ec6d009",
     "coldstart-shell-a":
-        "704aeffd3bd2c8336c6c05367765d36dfe33d7ee76be51dbc3412accbf9ff42e",
+        "f23dd778bc62aa19589b61cb32d648b760944185397629eaf72fa812cef521c7",
     "coldstart-shell-b":
-        "0002344ab190f91299b18abee166e18c3bca01b8a4939a19d8df3bf1691f592c",
+        "6c353253c3dded2e4813ec036b972f4629f583459a4e1f848942115044f39e25",
     "served-2d-64-L3":
-        "718c8dd3de0b163ea58f3232dc2132099bc14db9adc0317b9b4702d80d69535b",
+        "48969d25555776c3dcae8a27ae310c6c158cae63585674e33c6b0d5e6dd71a71",
     "sphere-s0.25":
-        "2164ccd717d2c45c40265db181be717ed1eae439ace2a8175838df97cdee5f96",
+        "e163877c38e329ff3562912daec52c8536a89a1ea6a3393cb71a2a711eb0c38b",
     "sphere-s0.5":
-        "f03c94a04aa3ea1794bdc5baf62443e1991d6b98a528afa1f6cb4b2eafef5d15",
+        "ea2ddaea1e0ea4c684d53e35811d0c494c403f9ba70328c4edd2e806f2e50676",
 }
 
 
@@ -753,7 +767,9 @@ class TestCompileMemory:
     position-based compile read 18.6 / 25.1): each level's dense tables
     are locals of its compile.  A fine-resolution copy of a coarser
     level's table (4 bytes per finest padded cell, +7.1 MiB on the half
-    sphere) fails the first.
+    sphere) fails the first.  With every table int32 and the kind lists
+    freed before the cross-level maps are built they read 13.4 / 5.3:
+    the result shrank by more than the half sphere's peak did.
     """
 
     @staticmethod
@@ -776,7 +792,7 @@ class TestCompileMemory:
 
     def test_anchor_peak_stays_near_the_result(self):
         assert self.excess_mib(lid_cavity(base=(16, 16, 16), num_levels=3).spec,
-                               D3Q19) < 7.7
+                               D3Q19) < 7.3
 
     def test_no_level_shaped_array_survives_on_a_grid(self):
         spec = sphere_tunnel(scale=0.25).spec

@@ -29,11 +29,10 @@ from repro.core.lattice import D2Q9, D3Q19
 from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
 from repro.gpu.device import get_device
-from repro.grid import kinds
 from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
 from repro.neon.runtime import FieldRef, KernelRecord, Runtime
 
-from .test_multigrid import folded_pull, nested_box_spec, ref_compile
+from .test_multigrid import INTERIOR, folded_pull, nested_box_spec, ref_compile
 
 WL2D = dict(base=(20, 20), num_levels=2, lattice="D2Q9")
 WL3D = dict(base=(12, 12, 12), num_levels=3, lattice="D3Q19")
@@ -330,7 +329,7 @@ class TestAccessMemo:
             a = ref[lv]
             assert buf.n_used > buf.n_owned
             hit = ((rng.random(a["pull_rows"].shape) < 0.01)
-                   & (a["kind"] == kinds.INTERIOR))
+                   & (a["kind"] == INTERIOR))
             a["pull_rows"][hit] = rng.integers(buf.n_owned + 2, buf.n_used - 1,
                                                int(hit.sum()))
             a["sl_src"][::3] = a["fine_ghost_slots"][-1]    # row n_used - 1
