@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis static-check obs report bench-check resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis static-check obs report resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -111,13 +111,6 @@ report:
 	$(PYTHON) -m repro report --workload cavity2d --config case \
 		--out-dir report-artifacts
 
-# The regression gate over the ledger series in BENCH_HISTORY.jsonl (one
-# record per side of every parent/change comparison, benchmarks/ledger);
-# it times nothing itself.  Lenient by default: warnings (< 5x) inform,
-# hard regressions (>= 5x) fail the target.
-bench-check:
-	$(PYTHON) -m repro history --check
-
 # Fault matrix: inject NaN / kernel / OOM faults into every fusion
 # config on compiled plan replay, serial and threaded, and require
 # bit-identical recovery, zero plan_fallback_steps and visible telemetry
@@ -133,4 +126,4 @@ serve-check:
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py -k "fair or resume or chaos"
 
-check: lint docs-check test test-compiled test-mp test-blas mem-check static-check resilience-check serve-check report bench-check
+check: lint docs-check test test-compiled test-mp test-blas mem-check static-check resilience-check serve-check report

@@ -1,7 +1,7 @@
-"""Benchmark harness: workloads, measurement, trace extrapolation,
-perf-trajectory history (``BENCH_HISTORY.jsonl``: the ledger series of
-``benchmarks/ledger`` and the figure benchmarks' lines) and its
-regression gate (``python -m repro history --check``)."""
+"""Benchmark harness: workloads, measurement, trace extrapolation and
+the record of ledger comparisons (``BENCH_HISTORY.jsonl``: one line per
+side of every parent/change comparison made with ``benchmarks/ledger``,
+printed as pairs by ``python -m repro history``)."""
 
 from .harness import Measurement, full_scale_mlups, measure
 from .model import level_factors, scale_trace

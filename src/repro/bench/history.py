@@ -1,30 +1,24 @@
-"""Benchmark history: an append-only perf trajectory with a regression gate.
+"""Benchmark history: the record of parent/change ledger comparisons.
 
-Every benchmark run appends one JSON line to ``BENCH_HISTORY.jsonl`` at
-the repository root (the ``BENCH_*.json`` snapshot files are overwritten
-per run and gitignored; the history line is what survives across PRs).
-A record carries everything needed to compare runs honestly:
+``BENCH_HISTORY.jsonl`` at the repository root holds one JSON line per
+side of every ledger comparison (``benchmarks/ledger/compare.py`` gives
+the verdict; this file only keeps what was measured).  A record carries:
 
-* ``git_sha`` — the commit the run measured;
-* ``host`` — a fingerprint of the machine (regressions are only judged
-  against a baseline from the *same* host: cross-host wall clock is not
-  comparable);
-* ``config_digest`` — a hash of the benchmark's watched-metric key set,
-  so a benchmark that changes shape starts a fresh baseline instead of
-  "regressing" against an incomparable series;
-* ``metrics`` — the flat numeric watch-list extracted from the
-  ``BENCH_*.json`` payload (wall seconds, MLUPS, kernels/step, ...);
-* ``bandwidth`` — the roofline summary when the run traced spans.
+* ``bench`` — ``ledger-<workload>``;
+* ``git_sha`` — the commit the run measured (the parent's, for both
+  sides of a comparison made on its working tree);
+* ``host`` — a fingerprint of the machine;
+* ``metrics`` — the end-to-end medians under their ``BENCHMARK.json``
+  names (``setup_s``, ``mlups``, ``op_p50_s``, ``peak_rss_mb``; records
+  written before those names carry ``end_to_end.*`` / ``traced.*`` keys);
+* ``labels`` — strings: ``pr`` and ``side`` (``parent`` / ``change``)
+  pair the records, ``backend``, ``pairs``, ``seconds``, ``source``,
+  ``tree`` describe the runs.
 
-The regression detector is noise-aware: the baseline for each
-(bench, host, digest, metric) series is the **rolling median** of the
-previous ``window`` values, the threshold is ``k`` times the scaled
-**median absolute deviation** of those values (with a relative noise
-floor), and a deviation must *also* exceed ``min_ratio`` to be reported
-at all.  Findings worse than ``fail_ratio`` are severity ``fail`` and
-gate the exit status of ``python -m repro history --check``;
-milder findings are ``warn`` and informational (shared CI hosts are
-noisy), unless ``--strict``.
+``python -m repro history`` prints the pairs: per PR and benchmark, each
+metric both sides carry, parent → change, with their ratio.  A record
+that pairs with nothing (no ``pr`` / ``side`` label, or no other side)
+is counted as unpaired.
 """
 
 from __future__ import annotations
@@ -35,10 +29,8 @@ import json
 import os
 import platform
 import subprocess
-import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
 try:  # POSIX only; appends on other platforms skip the >PIPE_BUF lock
     import fcntl
@@ -51,33 +43,13 @@ except ImportError:  # pragma: no cover - non-POSIX host
     _PIPE_BUF = 512
 
 __all__ = [
-    "HISTORY_VERSION", "WATCHED_METRICS", "LOWER_IS_BETTER",
-    "repo_root", "history_path", "git_sha", "host_fingerprint",
-    "config_digest", "build_record", "record_from_bench", "append_record",
-    "load_history", "RegressionFinding", "RegressionReport",
-    "detect_regressions", "seed_synthetic_history", "main",
+    "HISTORY_VERSION", "repo_root", "history_path", "git_sha",
+    "host_fingerprint", "build_record", "append_record", "load_history",
+    "main",
 ]
 
 HISTORY_VERSION = 1
 HISTORY_BASENAME = "BENCH_HISTORY.jsonl"
-
-#: Metric leaf keys worth tracking across PRs, with their direction.
-#: ``True`` means lower is better (time, traffic, footprint); ``False``
-#: means higher is better (throughput, bandwidth, speedup).
-LOWER_IS_BETTER: dict[str, bool] = {
-    "wall_seconds": True,
-    "kernels_per_step": True,
-    "bytes_per_step": True,
-    "atomic_bytes": True,
-    "arena_peak_bytes": True,
-    "wall_mlups": False,
-    "sim_mlups": False,
-    "speedup": False,
-    "achieved_bw": False,
-    "achieved_fraction": False,
-    "mlups": False,
-}
-WATCHED_METRICS = frozenset(LOWER_IS_BETTER)
 
 
 # -- provenance ----------------------------------------------------------------
@@ -126,8 +98,8 @@ def git_sha(cwd: str | None = None) -> str:
 def host_fingerprint() -> dict:
     """Stable identity of the measuring machine.
 
-    ``id`` is a short hash of the stable components; the regression
-    detector groups series by it so baselines never mix hosts.
+    ``id`` is a short hash of the stable components, so records from
+    different machines are told apart at a glance.
     """
     info = {
         "platform": platform.platform(),
@@ -140,83 +112,21 @@ def host_fingerprint() -> dict:
     return {"id": digest, **info}
 
 
-def config_digest(metrics: dict[str, float],
-                  backend: str | None = None) -> str:
-    """Hash of the watched-metric *key set* — the series identity.
-
-    Two runs are comparable when they measured the same quantities; a
-    benchmark that adds or drops a config/workload changes its key set
-    and therefore starts a fresh baseline.  ``backend`` salts the digest
-    so compiled-backend runs start their own baseline instead of
-    "improving" against interpreted history (and interpreted runs never
-    regress against compiled ones); ``None`` leaves digests of
-    backend-agnostic benchmarks unchanged.
-    """
-    keys = sorted(metrics)
-    if backend:
-        keys.append(f"backend={backend}")
-    return hashlib.sha256("\n".join(keys).encode()).hexdigest()[:12]
-
-
-# -- record construction -------------------------------------------------------
-
-def _numeric_leaves(payload: Any, prefix: str = "",
-                    depth: int = 0) -> Iterable[tuple[str, float]]:
-    """Watched numeric leaves of a nested bench payload, dotted paths."""
-    if depth > 6:
-        return
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            key = f"{prefix}.{k}" if prefix else str(k)
-            if isinstance(v, bool):
-                continue
-            if isinstance(v, (int, float)) and k in WATCHED_METRICS:
-                yield key, float(v)
-            elif isinstance(v, dict):
-                yield from _numeric_leaves(v, key, depth + 1)
-
+# -- records -------------------------------------------------------------------
 
 def build_record(bench: str, metrics: dict[str, float], *,
-                 bandwidth: dict | None = None,
                  labels: dict | None = None,
-                 sha: str | None = None,
-                 backend: str | None = None) -> dict:
-    """Assemble one history line (see the module docstring for fields).
-
-    ``backend`` records which execution backend produced the numbers and
-    salts the :func:`config_digest`, so per-backend series never share a
-    regression baseline.
-    """
-    rec = {
+                 sha: str | None = None) -> dict:
+    """Assemble one history line (see the module docstring for fields)."""
+    return {
         "v": HISTORY_VERSION,
         "bench": bench,
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_sha": sha if sha is not None else git_sha(),
         "host": host_fingerprint(),
-        "config_digest": config_digest(metrics, backend=backend),
         "metrics": dict(sorted(metrics.items())),
-        "bandwidth": bandwidth or {},
         "labels": labels or {},
     }
-    if backend is not None:
-        rec["backend"] = backend
-    return rec
-
-
-def record_from_bench(name: str, payload: dict) -> dict:
-    """History record extracted from a ``BENCH_<name>.json`` payload.
-
-    Scans the (possibly nested) payload for watched numeric leaves; the
-    dotted path disambiguates per-config entries
-    (``measurements.ours-4f.wall_mlups``).  A ``backend`` key in the
-    payload is carried into the record and its digest.
-    """
-    metrics = dict(_numeric_leaves(payload))
-    bandwidth = payload.get("bandwidth") if isinstance(
-        payload.get("bandwidth"), dict) else None
-    backend = payload.get("backend") if isinstance(
-        payload.get("backend"), str) else None
-    return build_record(name, metrics, bandwidth=bandwidth, backend=backend)
 
 
 def append_record(record: dict, path: str | None = None) -> str:
@@ -270,230 +180,58 @@ def load_history(path: str | None = None) -> list[dict]:
     return out
 
 
-# -- regression detection ------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegressionFinding:
-    """One metric of one benchmark moving the wrong way."""
-
-    bench: str
-    metric: str
-    host: str
-    value: float
-    baseline: float            # rolling median of the prior window
-    ratio: float               # value/baseline oriented so > 1 is worse
-    threshold: float           # MAD-scaled deviation that was exceeded
-    window: int                # prior points the baseline stands on
-    severity: str              # "warn" | "fail"
-    git_sha: str
-
-    def __str__(self) -> str:
-        return (f"{self.severity}: {self.bench}:{self.metric} = "
-                f"{self.value:.6g} vs baseline {self.baseline:.6g} "
-                f"({self.ratio:.2f}x worse over {self.window} runs, "
-                f"host {self.host}, {self.git_sha[:10]})")
-
-    def as_dict(self) -> dict:
-        return {"bench": self.bench, "metric": self.metric, "host": self.host,
-                "value": self.value, "baseline": self.baseline,
-                "ratio": round(self.ratio, 4), "threshold": self.threshold,
-                "window": self.window, "severity": self.severity,
-                "git_sha": self.git_sha}
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """Outcome of one ``--check`` sweep."""
-
-    records: int
-    series_checked: int
-    findings: tuple[RegressionFinding, ...]
-
-    @property
-    def failures(self) -> tuple[RegressionFinding, ...]:
-        return tuple(f for f in self.findings if f.severity == "fail")
-
-    @property
-    def warnings(self) -> tuple[RegressionFinding, ...]:
-        return tuple(f for f in self.findings if f.severity == "warn")
-
-    def as_dict(self) -> dict:
-        return {"records": self.records, "series_checked": self.series_checked,
-                "findings": [f.as_dict() for f in self.findings]}
-
-
-def _median(values: Sequence[float]) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else 0.5 * (s[mid - 1] + s[mid])
-
-
-def detect_regressions(history: Sequence[dict], *, window: int = 8,
-                       mad_factor: float = 4.0, min_ratio: float = 1.25,
-                       fail_ratio: float = 5.0, min_history: int = 3,
-                       noise_floor: float = 0.10) -> RegressionReport:
-    """Judge the newest record of every series against its own past.
-
-    A series is (bench, host id, config digest, metric).  The newest
-    value is compared to the rolling median of up to ``window``
-    *earlier* values; at least ``min_history`` of them must exist.  The
-    value is flagged when it is worse than the baseline by more than
-
-        max(mad_factor * 1.4826 * MAD, noise_floor * |baseline|)
-
-    **and** the worse-direction ratio exceeds ``min_ratio`` (both guards
-    must agree: the MAD term adapts to each series' own noise, the ratio
-    term keeps a perfectly quiet series from flagging microscopic
-    drift).  Ratios at or above ``fail_ratio`` escalate to ``fail``.
-    """
-    by_series: dict[tuple[str, str, str], list[dict]] = {}
-    for rec in history:
-        key = (rec.get("bench", "?"),
-               rec.get("host", {}).get("id", "?"),
-               rec.get("config_digest", "?"))
-        by_series.setdefault(key, []).append(rec)
-
-    findings: list[RegressionFinding] = []
-    series_checked = 0
-    for (bench, host, _digest), recs in sorted(by_series.items()):
-        if len(recs) < min_history + 1:
-            continue
-        latest = recs[-1]
-        prior = recs[-(window + 1):-1]
-        for metric, lower_better in LOWER_IS_BETTER.items():
-            pairs = [(r["metrics"].get(k), k)
-                     for r in [latest]
-                     for k in latest.get("metrics", {})
-                     if k == metric or k.endswith("." + metric)]
-            for value, key in pairs:
-                if value is None:
-                    continue
-                past = [r["metrics"][key] for r in prior
-                        if isinstance(r.get("metrics", {}).get(key),
-                                      (int, float))]
-                if len(past) < min_history:
-                    continue
-                series_checked += 1
-                baseline = _median(past)
-                if baseline == 0:
-                    continue
-                mad = _median([abs(v - baseline) for v in past])
-                threshold = max(mad_factor * 1.4826 * mad,
-                                noise_floor * abs(baseline))
-                delta = (value - baseline) if lower_better \
-                    else (baseline - value)
-                if delta <= threshold:
-                    continue
-                ratio = (value / baseline) if lower_better \
-                    else (baseline / value if value > 0 else float("inf"))
-                if ratio < min_ratio:
-                    continue
-                findings.append(RegressionFinding(
-                    bench=bench, metric=key, host=host,
-                    value=float(value), baseline=float(baseline),
-                    ratio=float(ratio), threshold=float(threshold),
-                    window=len(past),
-                    severity="fail" if ratio >= fail_ratio else "warn",
-                    git_sha=str(latest.get("git_sha", "unknown"))))
-    return RegressionReport(records=len(history),
-                            series_checked=series_checked,
-                            findings=tuple(findings))
-
-
-def seed_synthetic_history(path: str, *, runs: int = 6,
-                           slowdown: float | None = None,
-                           bench: str = "synthetic",
-                           base_seconds: float = 1.0,
-                           jitter: float = 0.02) -> str:
-    """Write a deterministic fixture history (tests and the README demo).
-
-    Emits ``runs`` records of one benchmark with ±``jitter`` alternating
-    noise around ``base_seconds``; when ``slowdown`` is given the *last*
-    record's ``wall_seconds`` is multiplied by it (and its MLUPS divided),
-    simulating a PR that regressed the hot path.
-    """
-    host = host_fingerprint()
-    for i in range(runs):
-        wobble = 1.0 + jitter * (1 if i % 2 else -1)
-        seconds = base_seconds * wobble
-        mlups = 100.0 / wobble
-        if slowdown is not None and i == runs - 1:
-            seconds *= slowdown
-            mlups /= slowdown
-        metrics = {"wall_seconds": seconds, "wall_mlups": mlups,
-                   "kernels_per_step": 10.0, "bytes_per_step": 1e6}
-        rec = build_record(bench, metrics, sha=f"seed{i:07d}")
-        rec["host"] = host
-        append_record(rec, path)
-    return path
-
-
 # -- CLI -----------------------------------------------------------------------
 
-def _print_report(report: RegressionReport, out) -> None:
-    print(f"history: {report.records} record(s), "
-          f"{report.series_checked} series checked", file=out)
-    for f in report.findings:
-        print(f"  {f}", file=out)
-    if not report.findings:
-        print("  no regressions detected", file=out)
+def _pair_line(pr: str, bench: str, parent: dict, change: dict) -> str:
+    """``PR <pr> <bench> @ <sha>: <metric> <parent> → <change> (×<ratio>), ...``"""
+    def numbers(rec: dict) -> dict:
+        return {k: v for k, v in (rec.get("metrics") or {}).items()
+                if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+    p, c = numbers(parent), numbers(change)
+    cells = [f"{k} {p[k]:.4g} → {c[k]:.4g}"
+             + (f" (×{c[k] / p[k]:.3f})" if p[k] else "")
+             for k in sorted(p.keys() & c.keys())]
+    return (f"PR {pr} {bench} @ {str(parent.get('git_sha', '?'))[:10]}: "
+            + ", ".join(cells))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro history",
-        description="Benchmark-trajectory tools: inspect BENCH_HISTORY.jsonl "
-                    "and gate on noise-aware regression detection.")
+        description="Print the ledger comparisons recorded in "
+                    "BENCH_HISTORY.jsonl: per PR and benchmark, every metric "
+                    "both sides carry, parent → change, with their ratio.")
     parser.add_argument("--path", default=None,
                         help="history file (default: BENCH_HISTORY.jsonl at "
                              "the repo root)")
-    parser.add_argument("--check", action="store_true",
-                        help="run the regression detector over the history")
-    parser.add_argument("--show", action="store_true",
-                        help="print the trailing records of the trajectory")
-    parser.add_argument("--tail", type=int, default=5,
-                        help="records to print with --show (default 5)")
-    parser.add_argument("--window", type=int, default=8,
-                        help="rolling-baseline window (default 8 runs)")
-    parser.add_argument("--mad-factor", type=float, default=4.0,
-                        help="MAD multiplier for the deviation threshold")
-    parser.add_argument("--min-ratio", type=float, default=1.25,
-                        help="minimum worse-direction ratio to report")
-    parser.add_argument("--fail-ratio", type=float, default=5.0,
-                        help="ratio at which a finding gates the exit status")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero on warnings too (quiet hosts)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the check report as JSON")
+    parser.add_argument("--tail", type=int, default=None, metavar="N",
+                        help="print only the last N PRs (default: all)")
     args = parser.parse_args(argv)
 
     path = args.path if args.path is not None else history_path()
     history = load_history(path)
 
-    if args.show or not args.check:
-        print(f"{path}: {len(history)} record(s)")
-        for rec in history[-args.tail:]:
-            mets = rec.get("metrics", {})
-            brief = ", ".join(f"{k}={v:.4g}" for k, v in sorted(mets.items())
-                              if isinstance(v, (int, float)))
-            print(f"  {rec.get('recorded_at', '?')} "
-                  f"{str(rec.get('git_sha', '?'))[:10]} "
-                  f"{rec.get('bench', '?')}: {brief[:160]}")
-    if not args.check:
-        return 0
+    # (pr, bench) -> {side: record}, in the order the PRs were recorded.
+    sides_of: dict[tuple[str, str], dict[str, dict]] = {}
+    unpaired = 0
+    for rec in history:
+        labels = rec.get("labels") or {}
+        pr, side = labels.get("pr"), labels.get("side")
+        if pr is None or side not in ("parent", "change"):
+            unpaired += 1
+            continue
+        sides_of.setdefault((str(pr), rec["bench"]), {})[side] = rec
+    pairs = {key: sides for key, sides in sides_of.items() if len(sides) == 2}
+    unpaired += sum(len(sides) for sides in sides_of.values() if len(sides) < 2)
 
-    report = detect_regressions(history, window=args.window,
-                                mad_factor=args.mad_factor,
-                                min_ratio=args.min_ratio,
-                                fail_ratio=args.fail_ratio)
-    _print_report(report, sys.stdout)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
-    if report.failures:
-        return 1
-    if args.strict and report.warnings:
-        return 1
+    prs = list(dict.fromkeys(pr for pr, _ in pairs))
+    print(f"{path}: {len(history)} record(s), {len(pairs)} pair(s) over "
+          f"{len(prs)} PR(s), {unpaired} unpaired")
+    if args.tail is not None:
+        prs = prs[-args.tail:] if args.tail > 0 else []
+    shown = set(prs)
+    for (pr, bench), sides in pairs.items():
+        if pr in shown:
+            print("  " + _pair_line(pr, bench, sides["parent"], sides["change"]))
     return 0

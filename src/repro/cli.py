@@ -6,7 +6,7 @@ One front door for every tool the repo grew::
     python -m repro obs         # telemetry runner (trace + metrics + watchdog)
     python -m repro report      # observatory run report (text/HTML/JSON)
     python -m repro resilience  # fault matrix, bit-identical recovery gate
-    python -m repro history     # bench-history trajectory + regression gate
+    python -m repro history     # ledger comparisons, parent → change per PR
     python -m repro serve       # multi-tenant job server (flood demo, summary)
 
 Conventions shared across subcommands: ``--out-dir`` names the artifact
@@ -62,7 +62,8 @@ SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "report": (_report, "observatory run report (text/HTML/JSON)"),
     "resilience": (_resilience, "fault matrix with bit-identical "
                    "recovery gate"),
-    "history": (_history, "bench-history trajectory and regression gate"),
+    "history": (_history, "recorded ledger comparisons: parent → change "
+                "per PR"),
     "serve": (_serve, "async multi-tenant simulation job server"),
 }
 

@@ -272,9 +272,9 @@ def bench_out_dir() -> str:
     """Directory for ``BENCH_*.json`` artifacts.
 
     ``$BENCH_OUT_DIR`` when set; otherwise the repository root, so a
-    plain benchmark run persists its trajectory where
-    ``BENCH_HISTORY.jsonl`` accumulates across PRs instead of scattering
-    artifacts over whatever the working directory happens to be.
+    plain benchmark run leaves its snapshot in one known place instead of
+    scattering artifacts over whatever the working directory happens to
+    be.
     """
     env = os.environ.get("BENCH_OUT_DIR")
     if env:
@@ -286,29 +286,19 @@ def bench_out_dir() -> str:
 def write_bench_json(name: str, payload: dict, out_dir: str | None = None) -> str:
     """Write ``BENCH_<name>.json`` and return its path.
 
-    Every benchmark emits one of these so the performance trajectory is
-    machine-readable across PRs; ``payload`` may contain plain values,
-    registry dicts (:meth:`MetricsRegistry.as_dict`) or nested tables.
-
-    Every call *also* appends one extracted record to
-    ``BENCH_HISTORY.jsonl`` in the same directory: the snapshot file is
-    overwritten run-to-run (and gitignored), the history line is the
-    append-only trajectory the regression gate
-    (``python -m repro history --check``) judges.
+    Every figure benchmark emits one of these, overwritten run to run
+    (and gitignored); ``payload`` may contain plain values, registry
+    dicts (:meth:`MetricsRegistry.as_dict`) or nested tables.  Nothing
+    else is written: ``BENCH_HISTORY.jsonl`` holds ledger comparisons
+    only (:mod:`repro.bench.history`).
     """
-    from ..bench.history import append_record, history_path, record_from_bench
-
     out = out_dir if out_dir is not None else bench_out_dir()
     os.makedirs(out, exist_ok=True)
-    # One coercion pass (numpy scalars, dataclass-ish values) shared by
-    # the snapshot file and the extracted history record.
-    clean = json.loads(json.dumps({"bench": name, **payload},
-                                  default=_json_default))
+    text = json.dumps({"bench": name, **payload}, indent=2,
+                      default=_json_default)
     path = os.path.join(out, f"BENCH_{name}.json")
     with open(path, "w") as fh:
-        json.dump(clean, fh, indent=2)
-        fh.write("\n")
-    append_record(record_from_bench(name, clean), history_path(out))
+        fh.write(text + "\n")
     return path
 
 

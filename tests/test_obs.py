@@ -73,10 +73,13 @@ class TestMetricsRegistry:
         json.loads(reg.to_json())  # serializable
 
     def test_write_bench_json(self, tmp_path):
+        write_bench_json("unit", {"speedup": 1.0}, out_dir=str(tmp_path))
         path = write_bench_json("unit", {"speedup": 2.0}, out_dir=str(tmp_path))
         data = json.loads((tmp_path / "BENCH_unit.json").read_text())
         assert path.endswith("BENCH_unit.json")
         assert data == {"bench": "unit", "speedup": 2.0}
+        # The snapshot is all a figure benchmark writes: no history line.
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_unit.json"]
 
 
 class TestSpanRecorder:

@@ -1,11 +1,12 @@
-"""Performance observatory: roofline join, drift sweep, bench history
-regression gate, unified event log and the ``obs report`` CLI.
+"""Performance observatory: roofline join, drift sweep, the record of
+ledger comparisons, unified event log and the ``obs report`` CLI.
 
-Covers the acceptance criteria of the observatory PR:
+Covers:
 
 * the roofline/drift report runs on **all 7 fusion configs**, 2D and 3D;
-* the regression detector flags a seeded 2x synthetic slowdown in a
-  fixture history while passing a clean one;
+* ``BENCH_HISTORY.jsonl`` appends stay whole lines under concurrent
+  writers, and ``python -m repro history`` prints every recorded ledger
+  comparison as a parent → change pair (old and new record shapes alike);
 * the report CLI degrades gracefully on an empty trace, a trace
   truncated mid-step by a failed kernel, and a restored-from-checkpoint
   run (no double-counting of pre-restore steps).
@@ -17,19 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import measure
-from repro.bench.history import (LOWER_IS_BETTER, RegressionReport,
-                                 append_record, build_record, config_digest,
-                                 detect_regressions, history_path,
-                                 load_history, record_from_bench,
-                                 seed_synthetic_history)
+from repro.bench.history import append_record, build_record, load_history
 from repro.bench.history import main as history_main
 from repro.bench.workloads import lid_cavity
 from repro.core.fusion import ABLATION_CONFIGS, FUSED_FULL, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
 from repro.gpu.device import A100_40GB
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
-from repro.obs import write_bench_json
 from repro.obs.cli import main as obs_main
 from repro.obs.log import EventLog, read_log, split_runs, validate_log
 from repro.obs.report import (collect_report, render_html, render_text,
@@ -136,7 +131,7 @@ class TestDriftSweep:
         json.dumps(dr.as_dict())
 
 
-# -- bench history + regression gate -------------------------------------------
+# -- bench history: the record of ledger comparisons ----------------------------
 
 class TestHistoryRecords:
     def test_build_record_provenance(self):
@@ -144,23 +139,6 @@ class TestHistoryRecords:
         assert rec["v"] == 1
         assert rec["git_sha"] == "abc"
         assert rec["host"]["id"]
-        assert rec["config_digest"] == config_digest({"wall_seconds": 1.0})
-
-    def test_config_digest_tracks_key_set_not_values(self):
-        a = config_digest({"wall_seconds": 1.0, "wall_mlups": 2.0})
-        b = config_digest({"wall_seconds": 9.0, "wall_mlups": 0.1})
-        c = config_digest({"wall_seconds": 1.0})
-        assert a == b
-        assert a != c
-
-    def test_record_from_bench_extracts_watched_leaves_only(self):
-        payload = {"summary": {"wall_seconds": 1.5, "irrelevant": 3.0,
-                               "nested": {"wall_mlups": 7.0}},
-                   "steps": 5, "wall_seconds": 1.5}
-        rec = record_from_bench("x", payload)
-        assert rec["metrics"] == {"summary.nested.wall_mlups": 7.0,
-                                  "summary.wall_seconds": 1.5,
-                                  "wall_seconds": 1.5}
 
     def test_append_and_load_roundtrip_skips_torn_lines(self, tmp_path):
         p = str(tmp_path / "BENCH_HISTORY.jsonl")
@@ -171,21 +149,6 @@ class TestHistoryRecords:
         recs = load_history(p)
         assert len(recs) == 2
         assert [r["metrics"]["wall_seconds"] for r in recs] == [1.0, 1.1]
-
-    def test_write_bench_json_appends_history(self, tmp_path):
-        out = str(tmp_path)
-        write_bench_json("t", {"wall_seconds": 2.0}, out)
-        write_bench_json("t", {"wall_seconds": 2.1}, out)
-        hist = history_path(out)
-        assert os.path.basename(hist) == "BENCH_HISTORY.jsonl"
-        recs = load_history(hist)
-        assert len(recs) == 2
-        assert all(r["bench"] == "t" for r in recs)
-        # The snapshot file is still written alongside.
-        snap = read_json(os.path.join(out, "BENCH_T.json")) \
-            if os.path.exists(os.path.join(out, "BENCH_T.json")) \
-            else read_json(os.path.join(out, "BENCH_t.json"))
-        assert snap["wall_seconds"] == 2.1
 
     def test_append_is_one_unbuffered_o_append_write(self, tmp_path,
                                                      monkeypatch):
@@ -272,95 +235,67 @@ class TestHistoryRecords:
         assert bench_out_dir() == "/tmp/elsewhere"
 
 
-class TestRegressionDetector:
-    """Acceptance: seeded 2x slowdown flagged; clean history passes."""
-
-    def test_clean_history_passes(self, tmp_path):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6)
-        report = detect_regressions(load_history(p))
-        assert isinstance(report, RegressionReport)
-        assert report.series_checked > 0
-        assert report.findings == ()
-
-    def test_seeded_2x_slowdown_is_flagged(self, tmp_path):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=2.0)
-        report = detect_regressions(load_history(p))
-        flagged = {f.metric for f in report.findings}
-        assert "wall_seconds" in flagged
-        f = next(f for f in report.findings if f.metric == "wall_seconds")
-        assert f.ratio == pytest.approx(2.0, rel=0.1)
-        assert f.severity == "warn"       # < fail_ratio: informational
-
-    def test_6x_slowdown_escalates_to_fail(self, tmp_path):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=6.0)
-        report = detect_regressions(load_history(p))
-        f = next(f for f in report.findings if f.metric == "wall_seconds")
-        assert f.severity == "fail"
-        assert report.failures
-
-    def test_improvement_is_not_flagged(self, tmp_path):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=0.5)   # got *faster*
-        report = detect_regressions(load_history(p))
-        assert not any(f.metric == "wall_seconds" for f in report.findings)
-
-    def test_short_history_is_not_judged(self, tmp_path):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=3,
-                                   slowdown=10.0)
-        report = detect_regressions(load_history(p))
-        assert report.findings == ()
-
-    def test_direction_table_covers_bench_summary_keys(self):
-        m = measure(lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9"),
-                    FUSED_FULL, steps=1, warmup=0)
-        s = m.summary()
-        assert s["arena_peak_bytes"] > 0
-        watched = {k for k in s if k in LOWER_IS_BETTER}
-        assert {"wall_seconds", "wall_mlups", "sim_mlups",
-                "kernels_per_step", "bytes_per_step", "atomic_bytes",
-                "arena_peak_bytes"} <= watched
+LEDGER_WORKLOADS = ("cavity3d-steady", "sphere-kbc-unfused",
+                    "coldstart-mix", "serve-flood")
 
 
-class TestHistoryCLI:
-    def test_check_clean_exits_zero(self, tmp_path, capsys):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6)
-        assert history_main(["--path", p, "--check"]) == 0
-        assert "no regressions" in capsys.readouterr().out
+def pair_lines(out: str, pr: str) -> dict[str, str]:
+    """bench -> the printed ``PR <pr> <bench> @ sha: ...`` line."""
+    lines = {}
+    for line in out.splitlines():
+        head = line.strip().split(" @ ")[0].split(" ")
+        if head[:2] == ["PR", pr] and len(head) == 3:
+            lines[head[2]] = line
+    return lines
 
-    def test_check_2x_warns_but_exits_zero(self, tmp_path, capsys):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=2.0)
-        assert history_main(["--path", p, "--check"]) == 0
-        assert "warn: synthetic:wall_seconds" in capsys.readouterr().out
 
-    def test_check_2x_strict_exits_one(self, tmp_path):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=2.0)
-        assert history_main(["--path", p, "--check", "--strict"]) == 1
-
-    def test_check_6x_fails(self, tmp_path, capsys):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=6.0)
-        assert history_main(["--path", p, "--check"]) == 1
-        assert "fail: synthetic:wall_seconds" in capsys.readouterr().out
-
-    def test_show_and_json_report(self, tmp_path, capsys):
-        p = seed_synthetic_history(str(tmp_path / "h.jsonl"), runs=6,
-                                   slowdown=2.0)
-        jpath = str(tmp_path / "report.json")
-        assert history_main(["--path", p, "--check", "--show", "--tail", "2",
-                             "--json", jpath]) == 0
+class TestHistoryPairs:
+    def test_committed_history_prints_every_ledger_pair(self, capsys):
+        assert history_main([]) == 0
         out = capsys.readouterr().out
-        assert "6 record(s)" in out
-        rep = read_json(jpath)
-        assert rep["records"] == 6
-        assert any(f["metric"] == "wall_seconds" for f in rep["findings"])
+        # Every `pr` label from 21 to 31 (no record carries 23) holds one
+        # comparison per ledger workload.
+        for pr in [21, 22] + list(range(24, 32)):
+            lines = pair_lines(out, str(pr))
+            for w in LEDGER_WORKLOADS:
+                assert "→" in lines[f"ledger-{w}"], (pr, w)
 
-    def test_missing_history_is_empty_not_an_error(self, tmp_path):
-        assert history_main(["--path", str(tmp_path / "nope.jsonl"),
-                             "--check"]) == 0
+    def test_old_and_new_shapes_pair_and_unlabelled_is_counted(
+            self, tmp_path, capsys):
+        p = str(tmp_path / "h.jsonl")
+
+        def old_shape(side, mlups, rss):
+            # As appended before the record carried BENCHMARK.json names.
+            return {"v": 1, "bench": "ledger-w", "git_sha": "a" * 40,
+                    "backend": "compiled", "bandwidth": {},
+                    "labels": {"pr": "31", "side": side, "peak_rss_mb": rss},
+                    "metrics": {"end_to_end.mlups": mlups,
+                                "end_to_end.wall_seconds": 1.0 / mlups}}
+
+        append_record(old_shape("parent", 10.0, "117.6"), p)
+        append_record(old_shape("change", 11.0, "109.5"), p)
+        for side, rss in (("parent", 110.0), ("change", 99.0)):
+            append_record(build_record(
+                "ledger-w", {"setup_s": 0.2, "mlups": 10.0,
+                             "op_p50_s": 0.05, "peak_rss_mb": rss},
+                labels={"pr": "32", "side": side, "backend": "compiled"},
+                sha="b" * 40), p)
+        # What a figure benchmark used to append: no pr / side labels.
+        append_record(build_record("fig2_kernel_graph", {}, sha="c" * 40), p)
+
+        assert history_main(["--path", p]) == 0
+        out = capsys.readouterr().out
+        assert "5 record(s), 2 pair(s) over 2 PR(s), 1 unpaired" in out
+        old = pair_lines(out, "31")["ledger-w"]
+        assert "end_to_end.mlups 10 → 11 (×1.100)" in old
+        assert "peak_rss_mb" not in old     # a string label, not a metric
+        new = pair_lines(out, "32")["ledger-w"]
+        assert "peak_rss_mb 110 → 99 (×0.900)" in new
+        assert "mlups 10 → 10 (×1.000)" in new
+
+        assert history_main(["--path", p, "--tail", "1"]) == 0
+        out = capsys.readouterr().out
+        assert pair_lines(out, "31") == {} and pair_lines(out, "32")
 
 
 # -- unified event log ---------------------------------------------------------
