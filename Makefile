@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis static-check obs report resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis obs report resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -9,8 +9,8 @@ test:
 # Same tier-1 suite under the compiled step-plan backend.  Both
 # backends run the same kernel bodies in the same loop
 # (StepPlan.execute), so this leg checks the plan cache and admission
-# against a step captured afresh: records, markers, and fault, span and
-# access-capture hooks acting on the admitted plan without leaving it.
+# against a step captured afresh: records, markers, and the fault and
+# span hooks acting on the admitted plan without leaving it.
 test-compiled:
 	REPRO_BACKEND=compiled $(PYTHON) -m pytest -x -q
 
@@ -88,17 +88,13 @@ docs-check:
 	fi
 	$(PYTHON) tools/check_links.py
 
-# Declaration verifier + race detector, on the interpreted path and on
-# replayed compiled plans (capture does not change which code runs).
+# One pass over the bind-time access map (the bound bodies' reports; no
+# body runs for it): reports against declarations, races on the declared
+# and interval-refined waves, fusion-legality proofs, lint pass, step-plan
+# certificates, a short run that must stay finite, and the seeded-illegal
+# negative control.
 analysis:
-	$(PYTHON) -m repro analysis --all-configs
-	REPRO_BACKEND=compiled $(PYTHON) -m repro analysis --all-configs
-
-# Declaration-time gate, no body runs: the bound bodies' access reports
-# against the declarations, fusion-legality proofs, lint pass, step-plan
-# certificates and the seeded-illegal negative control.
-static-check:
-	$(PYTHON) -m repro analysis --static --all-configs --cert-dir certificates
+	$(PYTHON) -m repro analysis --all-configs --cert-dir certificates
 
 # Telemetry smoke: trace + metrics artifacts for the Fig. 2 golden cavity.
 obs:
@@ -126,4 +122,4 @@ serve-check:
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py -k "fair or resume or chaos"
 
-check: lint docs-check test test-compiled test-mp test-blas mem-check static-check resilience-check serve-check report
+check: lint docs-check test test-compiled test-mp test-blas mem-check analysis resilience-check serve-check report

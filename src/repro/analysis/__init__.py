@@ -27,9 +27,10 @@ reasons over the reports:
 * :mod:`repro.analysis.certificate` — machine-readable step-plan
   certificates (access map, wave schedule, legality verdict, lint
   findings) plan admission validates;
-* :mod:`repro.analysis.cli` — ``python -m repro analysis`` lints every
-  fusion configuration on small multigrid workloads under access
-  capture; ``--static`` runs the declaration-time gate.
+* :mod:`repro.analysis.cli` — ``python -m repro analysis`` checks every
+  fusion configuration on small multigrid workloads in one pass over
+  the bind-time access map: declarations, races on the declared and
+  the interval-refined waves, legality, lint and certificates.
 
 Whether a report covers what its body actually does is checked by
 running the bodies on poisoned buffers (``tests/test_static_analysis.py``).
@@ -39,7 +40,7 @@ from .capture import Access, AccessTracer
 from .certificate import (CERTIFICATE_VERSION, build_certificate,
                           load_certificate, stream_digest,
                           validate_certificate, write_certificate)
-from .cli import ALL_CONFIGS, lint_config, main, small_workloads, static_check
+from .cli import ALL_CONFIGS, main, small_workloads, static_check
 from .lint import LintFinding, LintReport, lint_stream
 from .races import Race, detect_races
 from .static import (Counterexample, LegalityProof, plan_stream,
@@ -59,7 +60,6 @@ __all__ = [
     "Race",
     "build_certificate",
     "detect_races",
-    "lint_config",
     "lint_stream",
     "load_certificate",
     "main",

@@ -5,10 +5,9 @@ access report — a closure that states, to an :class:`AccessTracer`, each
 read, plain write and atomic-add scatter the body performs, with the row
 interval taken from the index arrays the body uses.  That report is the
 one per-kernel statement of a kernel's footprint: admission, the legality
-proof, lint, certificates and ``repro analysis`` evaluate it (no body
-runs), and a tracer installed with
-:meth:`~repro.neon.runtime.Runtime.capture_start` records it beside each
-body the plan loop runs.  A report is not an observation of its body;
+proof, lint, certificates and ``repro analysis`` evaluate it once, at
+bind time (:func:`repro.backend.compiler.bind_stream`; no body runs).
+A report is not an observation of its body;
 ``tests/test_static_analysis.py`` checks each report against what its
 body actually reads and writes.  Declarations (the ``reads=``/``writes=``
 tuples and byte counts handed to

@@ -4,10 +4,10 @@ Consumes the declaration stream, its access map (each bound body's
 report, :func:`repro.backend.compiler.bind_stream`) and the engine's
 buffer sizes — never a population value — and reports two severities:
 
-* ``error`` — the step plan is wasteful as declared and the ``--static``
-  gate fails: **dead stores** (a write fully shadowed by a later write
-  with no intervening overlapping read — the classic write-write
-  shadowing bug).
+* ``error`` — the step plan is wasteful as declared, plan admission
+  refuses it and ``repro analysis`` fails: **dead stores** (a write
+  fully shadowed by a later write with no intervening overlapping read
+  — the classic write-write shadowing bug).
 * ``opportunity`` — legal but leaving performance on the table, reported
   with predicted bytes (and µs on the reference device) saved:
   **redundant loads** (the same rows of a field read twice with no

@@ -33,10 +33,9 @@ admission checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from ..core.fusion import MODIFIED_BASELINE, FusionConfig
+from ..core.fusion import FusionConfig
 from ..neon.graph import (_access_overlap, build_dependency_graph,
                           iter_conflict_pairs)
 from ..neon.runtime import FieldRef, KernelRecord
@@ -44,6 +43,7 @@ from .capture import ATOMIC, WRITE, Access, AccessTracer
 
 if TYPE_CHECKING:
     from ..core.engine import Engine
+    from ..core.simulation import Simulation
 
 __all__ = [
     "plan_stream", "decompose",
@@ -82,30 +82,24 @@ def decompose(engine: "Engine", record: KernelRecord) -> list[tuple[str, int]]:
 
 def plan_stream(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
                 steps: int = 2,
-                ) -> tuple[list[KernelRecord], dict[int, list[Access]], "Engine"]:
+                ) -> tuple[list[KernelRecord], dict[int, list[Access]],
+                           "Simulation"]:
     """The declaration stream of a workload and its access map; no body runs.
 
     Builds the simulation (grid compilation + buffer allocation are
-    setup, not kernel execution) and, ``steps`` times, captures one coarse
-    step of the Algorithm-1 stepper, binds its bodies and evaluates their
-    reports (:func:`~repro.backend.compiler.bind_stream`, one tracer for
-    the whole stream).  Returns ``(records, accesses, engine)``.
+    setup, not kernel execution) on the interpreted backend, whatever
+    ``$REPRO_BACKEND`` says, and binds ``steps`` coarse steps of the
+    Algorithm-1 stepper (:func:`~repro.backend.compiler.bind_steps`, one
+    tracer for the whole stream).  Returns ``(records, accesses, sim)``.
     """
-    from ..backend.compiler import bind_stream
+    from ..backend.compiler import bind_steps
     from ..bench.workloads import lid_cavity
     from ..core.simulation import Simulation
 
     wl = lid_cavity(**wl_kwargs)
-    sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=fusion,
-                                                        threaded=False))
-    tracer = AccessTracer()
-    records: list[KernelRecord] = []
-    accesses: dict[int, list[Access]] = {}
-    for _ in range(steps):
-        step, _bodies, _reports, step_map = bind_stream(sim.stepper, tracer)
-        accesses.update((len(records) + i, a) for i, a in step_map.items())
-        records.extend(step)
-    return records, accesses, sim.engine
+    sim = Simulation.from_config(wl.spec, wl.sim_config(
+        fusion=fusion, threaded=False, backend="interpreted"))
+    return (*bind_steps(sim.stepper, steps, AccessTracer()), sim)
 
 
 # -- fusion-legality contraction proof ----------------------------------------
@@ -279,29 +273,24 @@ def prove_fusion_legality(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
                           ) -> LegalityProof:
     """Prove a fusion configuration is a legal contraction of Fig. 4b.
 
-    ``tamper`` (tests, the CLI's seeded negative control) may rewrite
-    the fused stream's declarations before the proof runs; the baseline
-    side and the access maps are never tampered, so a declaration
-    lie surfaces as a lost happens-before pair.
+    The proof plan admission runs
+    (:func:`~repro.backend.compiler.prove_plan_legality`), on the fused
+    simulation's own engine over ``steps`` coarse steps.  ``tamper``
+    (tests, the CLI's seeded negative control) may rewrite the fused
+    stream's declarations before the proof runs; the baseline side and
+    the access maps are never tampered, so a declaration lie surfaces as
+    a lost happens-before pair.
 
     The original Fig. 4a layout is a different *algorithm* (gather
     Accumulate, fine-ghost Explosion copies), not a contraction of 4b:
     it gets the verdict ``"baseline"`` and an empty proof.
     """
-    if fusion.original_layout:
-        return LegalityProof(config=fusion.name, baseline=fusion.name,
-                             verdict="baseline", pairs_checked=0,
-                             primitives=0, counterexamples=())
-    base_records, base_map, _ = plan_stream(MODIFIED_BASELINE, wl_kwargs, steps)
-    fused_records, _, engine = plan_stream(fusion, wl_kwargs, steps)
+    from ..backend.compiler import prove_plan_legality
+
+    records, _, sim = plan_stream(fusion, wl_kwargs, steps)
     if tamper is not None:
-        fused_records = tamper(fused_records)
-    pairs, prims, cex = check_contraction(base_records, base_map,
-                                          fused_records, partial(decompose, engine))
-    return LegalityProof(
-        config=fusion.name, baseline=MODIFIED_BASELINE.name,
-        verdict="legal" if not cex else "illegal", pairs_checked=pairs,
-        primitives=prims, counterexamples=tuple(cex))
+        records = tamper(records)
+    return prove_plan_legality(sim.stepper, records, AccessTracer(), steps)
 
 
 # -- seeded negative control ---------------------------------------------------

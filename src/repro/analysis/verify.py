@@ -114,8 +114,8 @@ def verify_trace(records: Sequence[KernelRecord],
                  indices: Iterable[int] | None = None) -> list[Finding]:
     """Verify every captured launch of a trace.
 
-    ``captured`` is :attr:`repro.neon.runtime.Runtime.captured` or a
-    bind-time access map (:func:`repro.analysis.static.plan_stream`);
+    ``captured`` is a bind-time access map
+    (:func:`repro.analysis.static.plan_stream`);
     ``indices`` restricts the check (default: every record).  A record
     yielding no entry is reported as ``uncaptured`` so silent gaps
     cannot pass the gate.

@@ -27,7 +27,7 @@ what differs is who calls the closures.  The
 backend executes — its :meth:`~repro.backend.plan.StepPlan.execute` is
 the one in-process loop (interpreted, serial replay, thread waves), mp
 runs shards of it in worker processes — and the runtime's
-``faults``/``spans``/``tracer`` hooks act on its kernels.
+``faults``/``spans`` hooks act on its kernels.
 
 Select a backend with ``SimConfig(backend="compiled")`` or the
 ``$REPRO_BACKEND`` environment variable; the default is interpreted.

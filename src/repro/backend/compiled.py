@@ -8,10 +8,9 @@ step of the same shape replays the cached plan with zero Python
 re-dispatch — serially, or in dependency waves on a thread pool when the
 simulation was configured ``threaded``.
 
-Fault injectors, span recorders and access capture act on the plan's
-kernels (:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`),
-so a faulted, observed or traced step runs the admitted plan like any
-other: this backend never leaves it, and ``plan_fallback_steps`` stays
+Fault injectors and span recorders act on the plan's kernels
+(:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`), so a
+faulted or observed step runs the admitted plan like any other: this backend never leaves it, and ``plan_fallback_steps`` stays
 0.  A checkpoint restore writes the buffers the plan is bound to in
 place, so the cached plan is replayed after it.
 """

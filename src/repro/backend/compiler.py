@@ -43,8 +43,8 @@ from .plan import StepPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.stepper import NonUniformStepper
 
-__all__ = ["admit_stream", "bind_bodies", "bind_stream", "compile_plan",
-           "plan_key", "prove_plan_legality"]
+__all__ = ["admit_stream", "bind_bodies", "bind_steps", "bind_stream",
+           "compile_plan", "plan_key", "prove_plan_legality"]
 
 
 def plan_key(stepper: "NonUniformStepper") -> tuple[Any, ...]:
@@ -119,18 +119,34 @@ def bind_stream(stepper: "NonUniformStepper", tracer: AccessTracer | None = None
     return records, bodies, reports, accesses
 
 
+def bind_steps(stepper: "NonUniformStepper", steps: int, tracer: AccessTracer,
+               ) -> tuple[list[KernelRecord], dict[int, list[Access]]]:
+    """``steps`` coarse steps of the stream and their access map; no body runs.
+
+    Each step is :func:`bind_stream` with ``tracer``; the records are
+    concatenated and ``accesses`` is keyed by index into them.
+    """
+    records: list[KernelRecord] = []
+    accesses: dict[int, list[Access]] = {}
+    for _ in range(steps):
+        step, _, _, step_map = bind_stream(stepper, tracer)
+        accesses.update((len(records) + i, a) for i, a in step_map.items())
+        records.extend(step)
+    return records, accesses
+
+
 def prove_plan_legality(stepper: "NonUniformStepper",
                         records: list[KernelRecord],
-                        tracer: AccessTracer) -> LegalityProof:
-    """Prove the captured stream is a legal contraction, on the live grid.
+                        tracer: AccessTracer, steps: int) -> LegalityProof:
+    """Prove ``records`` a legal contraction, on the live grid.
 
-    Unlike :func:`repro.analysis.static.prove_fusion_legality` (which
-    proves configs on a canonical workload), this runs the contraction
-    check against a modified-baseline stream captured, bound and
-    reported from the *same* engine, with the admission's ``tracer`` —
-    the plan is admitted for the geometry it will actually replay on.
-    The original Fig. 4a layout is a different algorithm, not a
-    contraction, and keeps its ``"baseline"`` verdict.
+    ``records`` are ``steps`` coarse steps of ``stepper``'s stream (plan
+    admission proves 1, ``python -m repro analysis`` 2).  The modified
+    baseline is captured, bound and reported from the *same* engine for
+    as many steps, with ``tracer`` — the plan is admitted for the
+    geometry it will actually replay on.  The original Fig. 4a layout is
+    a different algorithm, not a contraction, and keeps its
+    ``"baseline"`` verdict.
     """
     from ..core.fusion import MODIFIED_BASELINE
     from ..core.stepper import NonUniformStepper
@@ -140,8 +156,8 @@ def prove_plan_legality(stepper: "NonUniformStepper",
         return LegalityProof(config=cfg.name, baseline=cfg.name,
                              verdict="baseline", pairs_checked=0,
                              primitives=0, counterexamples=())
-    baseline = NonUniformStepper(stepper.engine, MODIFIED_BASELINE)
-    base_records, _, _, base_map = bind_stream(baseline, tracer)
+    base_records, base_map = bind_steps(
+        NonUniformStepper(stepper.engine, MODIFIED_BASELINE), steps, tracer)
     pairs, prims, cex = check_contraction(
         base_records, base_map, records, partial(decompose, stepper.engine))
     return LegalityProof(
@@ -165,12 +181,12 @@ def admit_stream(stepper: "NonUniformStepper", *,
     """
     engine = stepper.engine
     tracer = AccessTracer()
-    records, bodies, reports, accesses = bind_stream(stepper, tracer)
+    records, bodies, _, accesses = bind_stream(stepper, tracer)
     if not records:
         raise PlanAdmissionError(["captured step stream is empty"])
     lint = lint_stream(records, accesses, engine)
     problems = [str(f) for f in lint.errors]
-    proof = prove_plan_legality(stepper, records, tracer)
+    proof = prove_plan_legality(stepper, records, tracer, 1)
     if proof.verdict == "illegal":
         problems.extend(str(c) for c in proof.counterexamples[:3])
     label = workload or f"live-{engine.mgrid.d}d-{stepper.num_levels}lvl"
@@ -179,7 +195,7 @@ def admit_stream(stepper: "NonUniformStepper", *,
     problems.extend(validate_certificate(cert, records))
     if problems:
         raise PlanAdmissionError(problems)
-    return StepPlan(records, bodies, reports, digest=cert["stream_digest"],
+    return StepPlan(records, bodies, digest=cert["stream_digest"],
                     certificate=cert,
                     label=f"{stepper.config.name}/{label}"), lint
 

@@ -39,7 +39,7 @@ class InterpretedBackend:
         rt = stepper.engine.rt
         handles: list[Any] = []
         records = rt.capture_plan(lambda: stepper._advance(0), handles)
-        plan = StepPlan(records, *bind_bodies(records, handles))
+        plan = StepPlan(records, bind_bodies(records, handles)[0])
         try:
             plan.execute(rt)
             rt.step_marker()

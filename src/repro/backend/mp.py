@@ -357,7 +357,7 @@ class MultiprocessBackend:
     pool, copies the state back into private arrays and unlinks the
     segment.
 
-    Under an access tracer or an installed fault injector a step runs
+    Under an installed fault injector a step runs
     on the interpreted backend — counted, never silent (see
     :meth:`_must_fall_back`).  Span recorders keep working: workers
     report per-kernel wall times (``perf_counter`` is CLOCK_MONOTONIC,
@@ -411,14 +411,13 @@ class MultiprocessBackend:
 
     # -- step ------------------------------------------------------------------
     def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True while an access tracer or a fault injector is installed.
+        """True while a fault injector is installed.
 
         Kernel bodies live in the worker processes, out of reach of an
-        in-process tracer or injector; this backend's own fault domain —
+        in-process injector; this backend's own fault domain —
         worker death — is injected on the pool path itself.
         """
-        rt = stepper.engine.rt
-        return rt.tracer is not None or rt.faults is not None
+        return stepper.engine.rt.faults is not None
 
     def step(self, stepper: "NonUniformStepper") -> None:
         """Advance one coarse step on the worker pool (or counted fallback)."""

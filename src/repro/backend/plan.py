@@ -3,8 +3,7 @@
 A :class:`StepPlan` holds the captured
 :class:`~repro.neon.runtime.KernelRecord` stream of one coarse step and,
 aligned with it, the bound body closure of each launch (the engine's own
-— field views resolved, index maps flattened) and that body's access
-report.  The compiled backend keeps admitted plans (stream digest and
+— field views resolved, index maps flattened).  The compiled backend keeps admitted plans (stream digest and
 certificate from :mod:`repro.backend.compiler`); the interpreted backend
 binds a fresh, unadmitted one every step.
 
@@ -12,8 +11,8 @@ binds a fresh, unadmitted one every step.
 process: call the closures — in program order, or wave by wave on a
 thread pool — and append the prebuilt records; no ``Runtime.launch``, no
 record construction, no per-launch Python re-dispatch.  The runtime's
-``faults``, ``spans`` and access ``tracer`` hooks act on the plan's
-kernels, so installing one never changes which code executes.
+``faults`` and ``spans`` hooks act on the plan's kernels, so installing
+one never changes which code executes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..neon.graph import schedule_records
-from ..neon.runtime import AccessReport, KernelRecord
+from ..neon.runtime import KernelRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..neon.runtime import Runtime
@@ -36,8 +35,8 @@ class StepPlan:
     The record tuple is shared across every replay (records are frozen
     dataclasses; appending the same instances each step is what makes
     the trace of a compiled run bit-identical to the interpreted one).
-    ``reports[k]`` states what ``bodies[k]`` accesses, or is ``None`` for
-    a body that reports nothing.
+    What each body accesses is its report, evaluated once at bind time
+    (:func:`~repro.backend.compiler.bind_stream`); a plan does not keep it.
     """
 
     #: Scratch a plan allocates beside the engine's buffers: none — bodies
@@ -47,17 +46,12 @@ class StepPlan:
 
     def __init__(self, records: Sequence[KernelRecord],
                  bodies: Sequence[Callable[[], None]],
-                 reports: Sequence[AccessReport | None] | None = None,
                  *, digest: str = "", certificate: dict[str, Any] | None = None,
                  label: str = "") -> None:
-        if reports is None:
-            reports = (None,) * len(bodies)
-        if not len(records) == len(bodies) == len(reports):
-            raise ValueError("one body and one report per record is the "
-                             "plan invariant")
+        if len(records) != len(bodies):
+            raise ValueError("one body per record is the plan invariant")
         self.records: tuple[KernelRecord, ...] = tuple(records)
         self.bodies: tuple[Callable[[], None], ...] = tuple(bodies)
-        self.reports: tuple[AccessReport | None, ...] = tuple(reports)
         #: SHA-256 stream digest (also in the admission certificate);
         #: empty on an unadmitted plan.
         self.digest = digest
@@ -98,11 +92,9 @@ class StepPlan:
         them nothing).
 
         The runtime's hooks act on the plan's kernels: an installed
-        fault injector wraps every body for this run, a span recorder
+        fault injector wraps every body for this run, and a span recorder
         receives each kernel's wall-clock start and duration (reported
-        from the calling thread, in record order), and an access tracer
-        brackets each body — its report, then the body — into
-        ``rt.captured[index]``, in program order (no pool while tracing).
+        from the calling thread, in record order).
 
         Error contract, shared with every backend: on a failure the
         records of the longest program-order prefix of kernels that
@@ -111,8 +103,7 @@ class StepPlan:
         the caller closes the partial step with
         :meth:`~repro.neon.runtime.Runtime.abort_step`.
         """
-        if (pool is None and rt.faults is None and rt.spans is None
-                and rt.tracer is None):
+        if pool is None and rt.faults is None and rt.spans is None:
             done = 0
             try:
                 for body in self.bodies:
@@ -138,30 +129,18 @@ class StepPlan:
         base = len(rt.records)
         timings: list[tuple[float, float] | None] = [None] * n
         errors: dict[int, BaseException] = {}
-        tracer = rt.tracer
 
         def run(k: int) -> None:
             t0 = perf_counter()
             try:
-                if tracer is None:
-                    bodies[k]()
-                else:
-                    tracer.begin_launch()
-                    try:
-                        report = self.reports[k]
-                        if report is not None:
-                            report(tracer)
-                        bodies[k]()
-                    finally:
-                        rt.captured[base + k] = tracer.end_launch()
+                bodies[k]()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors[k] = exc
             else:
                 timings[k] = (t0, perf_counter() - t0)
 
         waves: Iterable[Sequence[int]] = (
-            self.waves if pool is not None and tracer is None
-            else ((k,) for k in range(n)))
+            self.waves if pool is not None else ((k,) for k in range(n)))
         for wave in waves:
             if len(wave) == 1:
                 run(wave[0])

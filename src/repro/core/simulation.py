@@ -51,7 +51,7 @@ class Simulation:
         thread-wave replay) is fixed here, at construction.
     runtime:
         An existing :class:`~repro.neon.runtime.Runtime` to record into
-        (e.g. one with access capture already started).
+        (e.g. one with a span recorder already installed).
 
     :meth:`from_config` is the convenient front door: it builds or
     derives the config from keyword overrides.  Use the simulation as a

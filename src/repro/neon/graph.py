@@ -242,8 +242,9 @@ def build_dependency_graph(records: list[KernelRecord],
     paper's Fig. 2 naming), ``name``, ``level``.
 
     ``access_map`` (record index → reported :class:`~repro.analysis.capture.Access`
-    list, e.g. :attr:`repro.neon.runtime.Runtime.captured`) switches edge
-    construction to row-interval granularity — see the module docstring.
+    list: the bind-time map of :func:`repro.backend.compiler.bind_stream`)
+    switches edge construction to row-interval granularity — see the
+    module docstring.
     """
     g = KernelDAG()
     for i, r in enumerate(records):

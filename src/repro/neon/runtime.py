@@ -20,9 +20,11 @@ only declares, inside :meth:`Runtime.capture_plan`, and
 :meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>` is the
 one loop that runs kernel bodies, for every in-process backend.  It
 appends the records of the kernels it ran to :attr:`Runtime.records`
-and applies the hooks installed here (``spans``, ``faults``, the access
-``tracer``); :meth:`Runtime.step_marker` and :meth:`Runtime.abort_step`
-close each coarse step.  The *functional* result of a program never
+and applies the two hooks installed here (``spans``, ``faults``);
+:meth:`Runtime.step_marker` and :meth:`Runtime.abort_step` close each
+coarse step.  What each kernel accesses is not observed at run time: it
+is the access report bound with its body, evaluated at bind time
+(:func:`repro.backend.compiler.bind_stream`).  The *functional* result of a program never
 depends on the recording.
 """
 
@@ -112,10 +114,6 @@ class Runtime:
     def __init__(self) -> None:
         self.records: list[KernelRecord] = []
         self.markers: list[int] = []
-        #: Active :class:`~repro.analysis.capture.AccessTracer`, or ``None``.
-        self.tracer: Any = None
-        #: Observed accesses per record index (populated under a tracer).
-        self.captured: dict[int, list[Any]] = {}
         #: Active span recorder (see :mod:`repro.obs.spans`), or ``None``.
         #: Duck-typed so the runtime never imports the observability layer:
         #: ``on_launch(index, record, start, duration)`` per kernel run,
@@ -185,7 +183,6 @@ class Runtime:
         """
         self.records.clear()
         self.markers.clear()
-        self.captured.clear()
         if steps_base is not None:
             self.steps_base = int(steps_base)
         if self.spans is not None:
@@ -242,26 +239,6 @@ class Runtime:
         finally:
             self._capture = None
         return records
-
-    # -- access capture ------------------------------------------------------
-    def capture_start(self) -> None:
-        """Shadow-record every kernel body's actual buffer accesses.
-
-        While active, the plan loop runs each body bracketed by an
-        :class:`~repro.analysis.capture.AccessTracer` — the body's access
-        report first, then the body — in program order; the observed
-        accesses land in :attr:`captured`, keyed by record index.  The
-        functional result of the program and the bodies that run are
-        unaffected: a compiled run replays its admitted plan.
-        """
-        if self.tracer is None:
-            from ..analysis.capture import AccessTracer
-            self.tracer = AccessTracer()
-
-    def capture_stop(self) -> dict[int, list[Any]]:
-        """Stop capturing; return (and keep) the accesses observed so far."""
-        self.tracer = None
-        return dict(self.captured)
 
     # -- trace queries -------------------------------------------------------
     def last_step(self) -> list[KernelRecord]:

@@ -1,24 +1,24 @@
-"""Access capture, declaration verifier, race detector (repro.analysis)."""
+"""Access reports, declaration verifier, race detector (repro.analysis)."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis.capture import (ATOMIC, META, READ, WRITE, Access,
                                    AccessTracer, EntrySet)
-from repro.analysis.cli import ALL_CONFIGS, lint_config, main, small_workloads
+from repro.analysis.cli import ALL_CONFIGS, main, small_workloads, static_check
 from repro.analysis.races import access_conflict, detect_races
+from repro.analysis.static import plan_stream
 from repro.analysis.verify import verify_record, verify_trace
+from repro.backend.compiler import bind_stream
 from repro.bench.workloads import lid_cavity
 from repro.core.engine import Engine
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
-from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
 from repro.grid.multigrid import build_multigrid
 from repro.core.lattice import get_lattice
 from repro.neon.graph import build_dependency_graph, schedule_waves
-from repro.neon.runtime import FieldRef, KernelRecord, LazyBody, Runtime
+from repro.neon.runtime import FieldRef, KernelRecord, LazyBody
 
 F0, FS0 = FieldRef("f", 0), FieldRef("fstar", 0)
 A0, B0 = FieldRef("a", 0), FieldRef("b", 0)
@@ -32,16 +32,11 @@ def rec(name, level=0, reads=(), writes=(), bytes_read=0, bytes_written=0,
                         atomic_bytes=atomic_bytes)
 
 
-def traced_sim(config, base=(20, 20), num_levels=2, lattice="D2Q9", steps=2):
-    wl = lid_cavity(base=base, num_levels=num_levels, lattice=lattice)
-    rt = Runtime()
-    rt.capture_start()
-    sim = Simulation.from_config(wl.spec, lattice=wl.lattice,
-                                 collision=wl.collision,
-                                 viscosity=wl.viscosity, fusion=config,
-                                 runtime=rt)
-    sim.run(steps)
-    return sim, rt
+def bound_stream(config, steps=2):
+    """Two coarse steps of the 2-D cavity: ``(records, accesses, sim)``,
+    the access map being what the bound bodies report (no body runs)."""
+    return plan_stream(config, dict(base=(20, 20), num_levels=2,
+                                    lattice="D2Q9"), steps)
 
 
 class TestAccessTracer:
@@ -85,50 +80,26 @@ class TestAccessTracer:
 
 
 class TestRuntimeCapture:
+    """The stream ``Runtime.capture_plan`` records and its bind-time map."""
+
     def test_capture_aligns_with_records(self):
-        _, rt = traced_sim(MODIFIED_BASELINE)
-        assert set(rt.captured) == set(range(len(rt.records)))
-        assert all(rt.captured[i] for i in rt.captured), \
-            "every engine kernel body must record at least one access"
-
-    def test_capture_stop_freezes(self):
-        sim, rt = traced_sim(MODIFIED_BASELINE)
-        n = len(rt.records)
-        rt.capture_stop()
-        sim.run(1)
-        assert len(rt.records) > n
-        assert set(rt.captured) == set(range(n))
-
-    def test_functional_result_unchanged_by_capture(self):
-        wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
-        plain = Simulation.from_config(wl.spec, lattice=wl.lattice,
-                                       collision=wl.collision,
-                                       viscosity=wl.viscosity,
-                                       fusion=FUSED_FULL)
-        rt = Runtime()
-        rt.capture_start()
-        traced = Simulation.from_config(wl.spec, lattice=wl.lattice,
-                                        collision=wl.collision,
-                                        viscosity=wl.viscosity,
-                                        fusion=FUSED_FULL, runtime=rt)
-        plain.run(3)
-        traced.run(3)
-        for lv in range(plain.num_levels):
-            a, b = plain.engine.levels[lv], traced.engine.levels[lv]
-            np.testing.assert_array_equal(a.f[:, :a.n_owned], b.f[:, :b.n_owned])
+        records, accesses, _ = bound_stream(MODIFIED_BASELINE)
+        assert set(accesses) == set(range(len(records)))
+        assert all(accesses[i] for i in accesses), \
+            "every engine kernel body must report at least one access"
 
     def test_case_keeps_intermediate_in_registers(self):
-        sim, rt = traced_sim(FUSED_FULL)
+        records, accesses, sim = bound_stream(FUSED_FULL)
         finest = sim.num_levels - 1
-        case_idx = [i for i, r in enumerate(rt.records) if r.name == "CASE"]
+        case_idx = [i for i, r in enumerate(records) if r.name == "CASE"]
         assert case_idx, "FUSED_FULL must launch CASE kernels"
         for i in case_idx:
-            fields = {a.field for a in rt.captured[i] if a.field is not None}
+            fields = {a.field for a in accesses[i] if a.field is not None}
             assert FieldRef("fstar", finest) not in fields
 
     def test_accumulate_scatter_is_atomic(self):
-        _, rt = traced_sim(FUSED_FULL)
-        atomics = [a for accs in rt.captured.values() for a in accs
+        _, accesses, _ = bound_stream(FUSED_FULL)
+        atomics = [a for accs in accesses.values() for a in accs
                    if a.kind == ATOMIC]
         assert atomics and all(a.field.name == "gacc" for a in atomics)
 
@@ -136,8 +107,8 @@ class TestRuntimeCapture:
 class TestVerifier:
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
     def test_all_declarations_sound_2d(self, config):
-        _, rt = traced_sim(config)
-        assert verify_trace(rt.records, rt.captured) == []
+        records, accesses, _ = bound_stream(config)
+        assert verify_trace(records, accesses) == []
 
     def test_undeclared_read_flagged(self):
         r = rec("C", reads=(), writes=(FS0,), bytes_read=32, bytes_written=32)
@@ -189,12 +160,10 @@ class TestVerifier:
 
         wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
         mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
-        rt = Runtime()
-        rt.capture_start()
-        eng = MisdeclaredEngine(mgrid, wl.collision, 1.2, runtime=rt)
-        eng.initialize()
-        NonUniformStepper(eng, MODIFIED_BASELINE).step()
-        findings = verify_trace(rt.records, rt.captured)
+        eng = MisdeclaredEngine(mgrid, wl.collision, 1.2)
+        records, _, _, accesses = bind_stream(
+            NonUniformStepper(eng, MODIFIED_BASELINE))
+        findings = verify_trace(records, accesses)
         bad = [f for f in findings if f.check == "undeclared-write"]
         assert bad and all("fstar" in f.field for f in bad)
 
@@ -313,19 +282,19 @@ class TestIntervalRefinedGraph:
         assert not g.has_edge(0, 1)
 
     def test_refined_trace_stays_schedulable(self):
-        _, rt = traced_sim(FUSED_FULL)
-        g = build_dependency_graph(rt.records, reduce=False,
-                                   access_map=rt.captured)
+        records, accesses, _ = bound_stream(FUSED_FULL)
+        g = build_dependency_graph(records, reduce=False, access_map=accesses)
         waves = schedule_waves(g)
-        assert detect_races(rt.records, rt.captured, waves) == []
+        assert detect_races(records, accesses, waves) == []
 
 
 class TestCLI:
-    def test_lint_config_report_shape(self):
-        rep = lint_config(MODIFIED_BASELINE, "cavity2d-2lvl", steps=1)
+    def test_static_check_report_shape(self):
+        rep = static_check(MODIFIED_BASELINE, "cavity2d-2lvl", steps=1)
         assert rep["findings"] == [] and rep["races"] == []
+        assert rep["refined_races"] == [] and rep["verdict"] == "legal"
         assert rep["kernels"] > 0 and rep["declared_waves"] > 0
-        assert rep["stable"]
+        assert rep["refined_waves"] > 0 and rep["stable"]
 
     def test_main_single_config_ok(self, capsys):
         assert main(["--config", "ours-4f", "--workload", "cavity2d-2lvl"]) == 0

@@ -1,6 +1,6 @@
-"""CI gate: the analysis linter must stay green on every configuration.
+"""CI gate: the analysis must stay green on every configuration.
 
-This mirrors the ``python -m repro analysis --all-configs`` job in
+This mirrors the ``python -m repro analysis --all-configs`` step in
 ``.github/workflows/ci.yml`` so the gate also runs wherever only pytest
 is available.  The ruff/mypy checks piggyback here too, skipping
 gracefully when the tools are not installed.
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ALL_CONFIGS, lint_config, main, small_workloads
+from repro.analysis import ALL_CONFIGS, main, small_workloads, static_check
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -21,10 +21,13 @@ REPO = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("workload", sorted(small_workloads()))
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 def test_config_is_clean(config, workload):
-    rep = lint_config(config, workload)
+    rep = static_check(config, workload)
     assert rep["findings"] == []
     assert rep["races"] == []
     assert rep["refined_races"] == []
+    assert rep["verdict"] == ("baseline" if config.original_layout
+                              else "legal")
+    assert rep["lint_errors"] == [] and rep["certificate_problems"] == []
     assert rep["stable"]
 
 
@@ -32,7 +35,13 @@ def test_cli_all_configs_exits_zero(capsys):
     assert main(["--all-configs", "--workload", "cavity2d-2lvl"]) == 0
     out = capsys.readouterr().out
     assert "0 problem(s)" in out
-    assert out.count("[OK]") == len(ALL_CONFIGS)
+    runs = [line for line in out.splitlines()
+            if line.startswith("[OK]") and "seeded illegal" not in line]
+    assert len(runs) == len(ALL_CONFIGS)
+    # the one default pass proves legality and race-checks every run
+    for line in runs:
+        assert "verdict=" in line and "races=0" in line, line
+    assert "[OK] seeded illegal fusion rejected on cavity2d-2lvl" in out
 
 
 def test_ruff_clean():

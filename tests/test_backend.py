@@ -10,10 +10,10 @@ The contract under test is the one ``docs/ARCHITECTURE.md`` states:
 * the plan **cache invalidates** when it must — config changes and
   regrids produce a new backend instance — and only then: a checkpoint
   restore writes the plan's buffers in place and replays the cached plan;
-* fault injectors, span recorders, access capture and ``threaded=True``
-  act on the plan's kernels in the one loop every in-process backend
-  runs — **zero** fallback steps, the same accesses captured and the
-  same ``kernel_span`` on a failing body; only ``mp`` under an injector
+* fault injectors, span recorders and ``threaded=True`` act on the
+  plan's kernels in the one loop every in-process backend runs —
+  **zero** fallback steps and the same ``kernel_span`` on a failing
+  body; only ``mp`` under an injector
   takes a **counted fallback** to the interpreted path, with results
   still bit-identical.
 
@@ -190,21 +190,6 @@ class TestFallback:
         assert sc.backend.stats["plan_cache_misses"] == 1
         sc.close()
 
-    def test_access_tracer_replays_plan(self):
-        sims = []
-
-        def capture(sim):
-            sim.runtime.capture_start()
-            sims.append(sim)
-
-        sc = self._parity_under(capture)
-        assert sc.backend.stats["plan_fallback_steps"] == 0
-        assert sc.backend.stats["plan_cache_misses"] == 1
-        assert sc.runtime.captured  # tracer really observed the kernels
-        # ... of the admitted plan: same accesses as the interpreted
-        # simulation's freshly bound bodies
-        assert sc.runtime.captured == sims[0].runtime.captured
-
     def test_fault_injector_replays_plan(self):
         from repro.resilience.faults import (Fault, FaultInjector,
                                              InjectedKernelError)
@@ -300,35 +285,6 @@ class TestFallback:
         assert rt.markers[-1] == len(rt.records)
         assert ei.value.kernel_span["name"] == plan.records[boom_at].name
         assert sc.steps_done == 1
-
-
-class TestAccessCaptureOnReplay:
-    """Turning access capture on does not change the code that runs."""
-
-    @pytest.mark.parametrize("threaded", [False, True],
-                             ids=["serial", "threaded"])
-    @pytest.mark.parametrize("dim", ["2d", "3d"])
-    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.name)
-    def test_replayed_plan_captures_what_interpreted_does(self, cfg, dim,
-                                                          threaded):
-        from repro.backend.compiler import bind_stream
-        wl = cavity(dim)
-        si = build(wl, cfg, "interpreted")
-        sc = build(wl, cfg, "compiled", threaded=threaded, max_workers=2)
-        with sc:
-            for sim in (si, sc):
-                sim.runtime.capture_start()
-                sim.run(3)
-            assert sc.mode == ("threaded" if threaded else "serial")
-            assert sc.backend.stats["plan_fallback_steps"] == 0
-            assert sc.backend.stats["plan_cache_misses"] == 1
-            records, captured = sc.runtime.records, sc.runtime.captured
-            assert records == si.runtime.records
-            assert captured == si.runtime.captured
-            assert set(captured) == set(range(len(records)))
-            # ... and every step captures the map admission bound
-            _, _, _, bound = bind_stream(sc.stepper)
-            assert captured == {i: bound[i % len(bound)] for i in captured}
 
 
 class RaiseOnce(FaultInjector):

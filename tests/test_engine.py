@@ -22,7 +22,7 @@ def run_op(op, *args, **kwargs):
     rt = op.__self__.rt
     handles = []
     records = rt.capture_plan(lambda: op(*args, **kwargs), handles)
-    StepPlan(records, *bind_bodies(records, handles)).execute(rt)
+    StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
 
 
 def make_engine(bc=None, base=(16, 16), omega0=1.2):

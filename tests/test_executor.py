@@ -92,20 +92,6 @@ class TestDeterminism:
 
 
 class TestDeferredRuntime:
-    def test_capture_takes_precedence_over_deferred(self):
-        # Under access capture a threaded simulation replays its plan in
-        # program order (no waves), without leaving it.
-        wl = WORKLOADS["2d"]()
-        with make_sim(wl, True) as sim, make_sim(wl, False) as ref:
-            for s in (sim, ref):
-                s.runtime.capture_start()
-                s.run(2)
-            captured = sim.runtime.capture_stop()
-            assert sim.backend.stats["plan_fallback_steps"] == 0
-            assert set(captured) == set(range(len(sim.runtime.records)))
-            assert captured == ref.runtime.capture_stop()
-            assert states_equal(full_state(ref), full_state(sim))
-
     def test_error_truncates_trace_and_attaches_span(self):
         def boom():
             raise RuntimeError("kernel exploded")

@@ -85,13 +85,13 @@ def test_only_f_crosses_a_coarse_step(setup, cfg):
 @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
 @CONFIGS
 def test_first_access_to_fstar_is_a_full_cover_write(cfg, wl):
-    records, access_map, engine = plan_stream(cfg, wl, steps=1)
+    records, access_map, sim = plan_stream(cfg, wl, steps=1)
     first = {}
     for i, accesses in access_map.items():
         for a in accesses:
             if a.field is not None and a.field.name in ("fstar", "fghost"):
                 first.setdefault(a.field, (a, f"#{i} {records[i].name}"))
-    levels = engine.levels
+    levels = sim.engine.levels
     assert {ref.level for ref in first if ref.name == "fstar"} >= set(
         range(len(levels) - (1 if cfg.fuse_cs_finest else 0)))
     assert any(ref.name == "fghost" for ref in first) == cfg.original_layout
@@ -400,32 +400,3 @@ def test_every_index_array_is_int32_and_the_grids(setup, cfg):
                 if isinstance(a, np.ndarray) and k not in ("f", "fstar", "ghost_acc",
                                                            "fghost"):
                     assert id(a) in grid_arrays, (cl.level, k)
-
-
-def test_a_traced_step_allocates_no_pull_table():
-    """16^3 x 3 anchor, compiled ``ours-4f``: turning access capture on
-    adds no table-sized temporary to a step.  The stream report reads the
-    row span the pull table's bounds proof cached once; evaluated as
-    ``pull_flat % n`` it cost 8.8 MiB on the finest level (a traced step
-    peaked at 8.82 MiB above the heap it started from, an untraced one at
-    3.48)."""
-    wl = lid_cavity(base=(16, 16, 16), num_levels=3)
-    cfg = wl.sim_config(fusion=FUSED_FULL, backend="compiled")
-    with Simulation.from_config(wl.spec, cfg) as sim:
-        sim.run(1)                          # admits and binds the plan
-
-        def step_peak():
-            gc.collect()
-            tracemalloc.start()
-            try:
-                sim.run(1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        untraced = step_peak()
-        sim.runtime.capture_start()
-        sim.run(1)                          # the tracer builds its entry sets
-        traced = step_peak()
-    assert traced - untraced <= MiB / 2, (
-        f"traced step {traced / MiB:.2f} MiB, untraced {untraced / MiB:.2f}")

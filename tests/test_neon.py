@@ -29,7 +29,7 @@ def run(rt, *names, n_cells=1, bytes_read=1, bytes_written=1):
         rt.launch(name, 0, n_cells=n_cells, bytes_read=bytes_read,
                   bytes_written=bytes_written, fn=lambda: None)
         for name in names], handles)
-    StepPlan(records, *bind_bodies(records, handles)).execute(rt)
+    StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
 
 
 class TestRuntime:
@@ -42,7 +42,7 @@ class TestRuntime:
             fn=lambda: hit.append(1)), handles)
         assert hit == [] and rt.launches() == 0     # declared, not run
         assert records[0].bytes_total == 30
-        StepPlan(records, *bind_bodies(records, handles)).execute(rt)
+        StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
         assert hit == [1] and rt.records == records
 
     def test_launch_outside_a_capture_is_refused(self):

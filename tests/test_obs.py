@@ -138,17 +138,20 @@ class TestSpanRecorder:
         """Analysis gate stays green with span hooks installed."""
         from repro.analysis.races import detect_races
         from repro.analysis.verify import verify_trace
+        from repro.backend.compiler import bind_stream
         from repro.neon.graph import build_dependency_graph, schedule_waves
 
         rt = Runtime()
         SpanRecorder().install(rt)
-        rt.capture_start()
         sim = small_sim(runtime=rt)
         sim.run(2)
-        captured = rt.capture_stop()
-        findings = verify_trace(rt.records, captured)
+        # the kernels that ran under spans are the bound stream, twice
+        step, _, _, bound = bind_stream(sim.stepper)
+        assert rt.records == step + step
+        access_map = {i: bound[i % len(step)] for i in range(len(rt.records))}
+        findings = verify_trace(rt.records, access_map)
         waves = schedule_waves(build_dependency_graph(rt.records, reduce=False))
-        races = detect_races(rt.records, captured, waves)
+        races = detect_races(rt.records, access_map, waves)
         assert findings == [] and races == []
         assert len(rt.spans.kernel_spans) == len(rt.records)
 

@@ -30,7 +30,7 @@ from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
 from repro.gpu.device import get_device
 from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
-from repro.neon.runtime import FieldRef, KernelRecord, Runtime
+from repro.neon.runtime import FieldRef, KernelRecord
 
 from .test_multigrid import INTERIOR, folded_pull, nested_box_spec, ref_compile
 
@@ -48,13 +48,11 @@ def rec(name, level=0, reads=(), writes=(), n_cells=4, bytes_read=0,
 
 
 def captured_run(config, wl_kwargs, steps=2):
+    """The records of the kernels a ``steps``-step run executed."""
     wl = lid_cavity(**wl_kwargs)
-    rt = Runtime()
-    rt.capture_start()
-    sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=config),
-                                 runtime=rt)
-    sim.run(steps)
-    return list(rt.records), rt.capture_stop()
+    with Simulation.from_config(wl.spec, wl.sim_config(fusion=config)) as sim:
+        sim.run(steps)
+    return list(sim.runtime.records)
 
 
 # ---------------------------------------------------------------- plan streams
@@ -63,12 +61,12 @@ class TestPlanStream:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_plan_equals_executing_stream_2d(self, config):
         records, _, _ = plan_stream(config, WL2D, steps=2)
-        executed, _ = captured_run(config, WL2D, steps=2)
+        executed = captured_run(config, WL2D, steps=2)
         assert records == executed
 
     def test_plan_equals_executing_stream_3d(self):
         records, _, _ = plan_stream(FUSED_FULL, WL3D, steps=2)
-        executed, _ = captured_run(FUSED_FULL, WL3D, steps=2)
+        executed = captured_run(FUSED_FULL, WL3D, steps=2)
         assert records == executed
 
     def test_plan_only_runs_no_bodies(self):
@@ -450,14 +448,14 @@ class TestFusionLegality:
         assert proof.verdict == "illegal"
 
     def test_missing_primitive_is_structural_counterexample(self):
-        records, base_map, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        records, base_map, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         _, _, cex = check_contraction(records, base_map, records[:-1],
-                                      partial(decompose, engine))
+                                      partial(decompose, sim.engine))
         assert cex and cex[0].reason == "structure"
         assert "no image" in cex[0].detail
 
     def test_reordered_conflicting_pair_rejected(self):
-        records, base_map, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        records, base_map, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         # swap the first C with the S of the same substep: C writes fstar
         # that S reads, so the contraction must reject the reversal
         idx_c = next(i for i, r in enumerate(records) if r.name == "C")
@@ -466,7 +464,7 @@ class TestFusionLegality:
         shuffled = list(records)
         shuffled[idx_c], shuffled[idx_s] = shuffled[idx_s], shuffled[idx_c]
         _, _, cex = check_contraction(records, base_map, shuffled,
-                                      partial(decompose, engine))
+                                      partial(decompose, sim.engine))
         assert cex
 
 
@@ -475,33 +473,33 @@ class TestFusionLegality:
 class TestLint:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_real_streams_have_no_lint_errors(self, config):
-        records, accesses, engine = plan_stream(config, WL2D, steps=2)
-        assert lint_stream(records, accesses, engine).errors == ()
+        records, accesses, sim = plan_stream(config, WL2D, steps=2)
+        assert lint_stream(records, accesses, sim.engine).errors == ()
 
     def test_case_drops_finest_fstar(self):
-        records, accesses, engine = plan_stream(FUSED_FULL, WL2D, steps=2)
-        report = lint_stream(records, accesses, engine)
+        records, accesses, sim = plan_stream(FUSED_FULL, WL2D, steps=2)
+        report = lint_stream(records, accesses, sim.engine)
         drop = [f for f in report.opportunities
                 if f.check == "droppable-buffer"]
-        finest = len(engine.levels) - 1
+        finest = len(sim.engine.levels) - 1
         assert any(f.field == f"fstar@{finest}" for f in drop)
 
     def test_synthetic_dead_store_flagged(self):
-        records, accesses, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        records, accesses, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         # duplicate the first Collision: its fstar write is immediately
         # overwritten by the copy with nothing reading in between
         idx = next(i for i, r in enumerate(records) if r.name == "C")
         bad = records[:idx + 1] + [records[idx]] + records[idx + 1:]
         bad_map = {k: accesses[k if k <= idx else k - 1]
                    for k in range(len(bad))}
-        report = lint_stream(bad, bad_map, engine)
+        report = lint_stream(bad, bad_map, sim.engine)
         dead = [f for f in report.errors if f.check == "dead-store"]
         assert dead and dead[0].index == idx
         assert dead[0].bytes_saved > 0
 
     def test_synthetic_redundant_load_flagged(self):
-        records, accesses, engine = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        report = lint_stream(records, accesses, engine)
+        records, accesses, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
+        report = lint_stream(records, accesses, sim.engine)
         red = [f for f in report.opportunities if f.check == "redundant-load"]
         # consecutive substeps re-read f/fstar rows without intervening
         # writes somewhere in any real stream
@@ -522,19 +520,19 @@ class TestTouchedBytes:
     def test_pinned_on_the_static_gate_workloads(self, dim):
         wl, others, case = self.PINNED[dim]
         for config in ALL:
-            records, accesses, engine = plan_stream(config, wl, steps=2)
-            assert lint_stream(records, accesses, engine).touched_bytes == (
+            records, accesses, sim = plan_stream(config, wl, steps=2)
+            assert lint_stream(records, accesses, sim.engine).touched_bytes == (
                 case if config is FUSED_FULL else others), config.name
 
     def test_fghost_is_counted_with_its_fstar(self):
-        records, accesses, engine = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
+        records, accesses, sim = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
         touched = {a.field for accs in accesses.values()
                    for a in accs if a.field is not None and a.hi > a.lo}
         ghost = {ref for ref in touched if ref.name == "fghost"}
         assert ghost
         assert all(FieldRef("fstar", ref.level) in touched for ref in ghost)
-        assert lint_stream(records, accesses, engine).touched_bytes == sum(
-            field_nbytes(engine, ref) for ref in touched - ghost)
+        assert lint_stream(records, accesses, sim.engine).touched_bytes == sum(
+            field_nbytes(sim.engine, ref) for ref in touched - ghost)
 
     def test_run_metrics_gauge_reads_it(self):
         from repro.obs.metrics import run_metrics
@@ -548,9 +546,9 @@ class TestTouchedBytes:
 
 class TestCertificates:
     def _cert(self, config=MODIFIED_BASELINE, wl=WL2D, steps=1):
-        records, accesses, engine = plan_stream(config, wl, steps=steps)
+        records, accesses, sim = plan_stream(config, wl, steps=steps)
         proof = prove_fusion_legality(config, wl, steps=steps)
-        lint = lint_stream(records, accesses, engine)
+        lint = lint_stream(records, accesses, sim.engine)
         cert = build_certificate(config.name, "wl", records, accesses, proof,
                                  lint, steps)
         return records, cert
@@ -613,7 +611,7 @@ class TestStaticCLI:
 
     def test_cli_static_single_config(self, capsys):
         from repro.analysis.cli import main
-        code = main(["--static", "--config", "baseline-4b",
+        code = main(["--config", "baseline-4b",
                      "--workload", "cavity2d-2lvl"])
         out = capsys.readouterr().out
         assert code == 0
