@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis obs report resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis report resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -96,16 +96,21 @@ docs-check:
 analysis:
 	$(PYTHON) -m repro analysis --all-configs --cert-dir certificates
 
-# Telemetry smoke: trace + metrics artifacts for the Fig. 2 golden cavity.
-obs:
-	$(PYTHON) -m repro obs --workload cavity2d --config case --out-dir obs-artifacts
-	$(PYTHON) -m repro obs --workload cavity2d --config baseline --out-dir obs-artifacts
-
-# Observatory run report: trace + metrics + roofline + lint + certificate
-# digest + event log for the Fig. 2 golden cavity, text/HTML/JSON.
+# Telemetry run on the Fig. 2 golden cavity, fused and unfused: Perfetto
+# trace (re-read and validated), run report (metrics + roofline + lint +
+# certificate digest, text/HTML/JSON) and event log.  Each run must
+# launch the paper's kernel count per coarse step: 10 for ours-4f, 29 for
+# baseline-4b.
 report:
-	$(PYTHON) -m repro report --workload cavity2d --config case \
+	$(PYTHON) -m repro report --workload cavity2d --config ours-4f \
 		--out-dir report-artifacts
+	$(PYTHON) -m repro report --workload cavity2d --config baseline-4b \
+		--out-dir report-artifacts
+	$(PYTHON) -c "import json; \
+		k = {c: set(json.load(open(f'report-artifacts/report_cavity2d_{c}.json'))['kernels_per_step']) \
+		     for c in ('ours-4f', 'baseline-4b')}; \
+		assert k == {'ours-4f': {10}, 'baseline-4b': {29}}, k; \
+		print('kernels/step:', k)"
 
 # Fault matrix: inject NaN / kernel / OOM faults into every fusion
 # config on compiled plan replay, serial and threaded, and require

@@ -3,8 +3,7 @@
 One front door for every tool the repo grew::
 
     python -m repro analysis    # fusion-legality verifier, race gate, certs
-    python -m repro obs         # telemetry runner (trace + metrics + watchdog)
-    python -m repro report      # observatory run report (text/HTML/JSON)
+    python -m repro report      # telemetry run: trace, report, event log
     python -m repro resilience  # fault matrix, bit-identical recovery gate
     python -m repro history     # ledger comparisons, parent → change per PR
     python -m repro serve       # multi-tenant job server (flood demo, summary)
@@ -29,14 +28,9 @@ def _analysis(argv: list[str]) -> int:
     return main(argv)
 
 
-def _obs(argv: list[str]) -> int:
-    from .obs.cli import main
-    return main(_translate_out(argv))
-
-
 def _report(argv: list[str]) -> int:
     from .obs.cli import main
-    return main(["report"] + _translate_out(argv))
+    return main(_translate_out(argv))
 
 
 def _resilience(argv: list[str]) -> int:
@@ -58,8 +52,8 @@ def _serve(argv: list[str]) -> int:
 SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "analysis": (_analysis, "static/dynamic kernel-stream analyzer: "
                  "fusion legality, race gate, certificates"),
-    "obs": (_obs, "telemetry runner: span trace, metrics, watchdog"),
-    "report": (_report, "observatory run report (text/HTML/JSON)"),
+    "report": (_report, "telemetry run: Perfetto trace, run report "
+               "(text/HTML/JSON), event log, watchdog"),
     "resilience": (_resilience, "fault matrix with bit-identical "
                    "recovery gate"),
     "history": (_history, "recorded ledger comparisons: parent → change "

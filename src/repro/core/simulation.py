@@ -142,8 +142,7 @@ class Simulation:
     def step(self) -> None:
         self.stepper.step()
 
-    def run(self, n_steps: int, callback=None,
-            callback_every: int = 1) -> RunResult:
+    def run(self, n_steps: int, callback=None) -> RunResult:
         """Run ``n_steps`` coarse steps; return a typed :class:`RunResult`.
 
         The result names the wall-clock seconds of this call, the steps
@@ -153,8 +152,7 @@ class Simulation:
         start_step = self.steps_done
         t0 = time.perf_counter()
         try:
-            self.stepper.run(n_steps, callback=callback,
-                             callback_every=callback_every)
+            self.stepper.run(n_steps, callback=callback)
         finally:
             dt = time.perf_counter() - t0
             self.elapsed += dt
@@ -172,16 +170,14 @@ class Simulation:
                      "steps_traced": len(rt.markers),
                      "elapsed_total": self.elapsed})
 
-    def run_until(self, target: int, callback=None,
-                  callback_every: int = 1) -> RunResult:
+    def run_until(self, target: int, callback=None) -> RunResult:
         """Run until ``steps_done`` reaches ``target`` (no-op if past it).
 
         The resumption-friendly variant of :meth:`run`: after a
         checkpoint restore or a rollback the caller states the absolute
         goal instead of recomputing a remainder.
         """
-        return self.run(max(0, target - self.steps_done),
-                        callback=callback, callback_every=callback_every)
+        return self.run(max(0, target - self.steps_done), callback=callback)
 
     def close(self) -> None:
         """Release the backend's resources.
@@ -227,16 +223,6 @@ class Simulation:
     def disable_tracing(self) -> None:
         """Remove the span recorder; the hot path reverts to zero overhead."""
         self.engine.rt.spans_install(None)
-
-    def watchdog(self, **kwargs):
-        """Build a :class:`~repro.obs.watchdog.HealthWatchdog` for this run.
-
-        ``sim.watchdog(every=5).watch(100)`` runs 100 coarse steps with a
-        health check every 5; see the watchdog module for the envelope
-        parameters.
-        """
-        from ..obs.watchdog import HealthWatchdog
-        return HealthWatchdog(self, **kwargs)
 
     # -- observables ------------------------------------------------------------
     def macroscopics(self, level: int) -> tuple[np.ndarray, np.ndarray]:

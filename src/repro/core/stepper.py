@@ -60,22 +60,20 @@ class NonUniformStepper:
         """
         self.backend.step(self)
 
-    def run(self, n_steps: int, callback=None, callback_every: int = 1) -> None:
-        """Run ``n_steps`` coarse steps, optionally invoking ``callback(self)``."""
-        for k in range(n_steps):
+    def run(self, n_steps: int, callback=None) -> None:
+        """Run ``n_steps`` coarse steps, invoking ``callback(self)`` after each."""
+        for _ in range(n_steps):
             self.step()
-            if callback is not None and (k + 1) % callback_every == 0:
+            if callback is not None:
                 callback(self)
 
-    def run_until(self, target: int, callback=None,
-                  callback_every: int = 1) -> None:
+    def run_until(self, target: int, callback=None) -> None:
         """Advance until ``steps_done`` reaches ``target`` (absolute count).
 
         A restored or rolled-back driver resumes toward the same goal
         without recomputing remainders; already-past targets are no-ops.
         """
-        self.run(max(0, target - self.steps_done),
-                 callback=callback, callback_every=callback_every)
+        self.run(max(0, target - self.steps_done), callback=callback)
 
     # -- Algorithm 1 -----------------------------------------------------------
     def _advance(self, lv: int) -> None:

@@ -81,16 +81,19 @@ def _payload(sim: Simulation) -> dict[str, np.ndarray]:
     return payload
 
 
-def _atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> None:
+def atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> None:
     """Write a file through ``write(fh)`` so ``path`` only ever holds it whole.
 
-    The bytes go to a temp file in the same directory (same filesystem,
-    so the final ``os.replace`` is atomic) and are ``fsync``-ed before
-    the rename; a process dying mid-write leaves only the temp file,
-    never a truncated file under the real name, and a failed write
-    removes the temp file.
+    The bytes go to a temp file in the same directory (created if
+    missing; same filesystem, so the final ``os.replace`` is atomic) and
+    are ``fsync``-ed before the rename; a process dying mid-write leaves
+    only the temp file, never a truncated file under the real name, and
+    a failed write removes the temp file and leaves the old file as it
+    was.  Every durable file the repo writes goes through here:
+    checkpoints, their manifest, and the job server's state files.
     """
     dirname = os.path.dirname(os.path.abspath(path))
+    os.makedirs(dirname, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
                                suffix=".tmp", dir=dirname)
     try:
@@ -110,7 +113,7 @@ def _atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") ->
 def save_checkpoint(sim: Simulation, path: str) -> None:
     """Write the live engine state to ``path`` (``.npz``), atomically."""
     payload = _payload(sim)
-    _atomic_write(path, lambda fh: np.savez(fh, **payload))
+    atomic_write(path, lambda fh: np.savez(fh, **payload))
 
 
 def _load_arrays(path: str) -> dict[str, np.ndarray]:
@@ -309,7 +312,7 @@ class CheckpointStore:
         def write(fh: IO) -> None:
             json.dump(man, fh, indent=2)
             fh.write("\n")
-        _atomic_write(os.path.join(self.directory, self.MANIFEST), write, "w")
+        atomic_write(os.path.join(self.directory, self.MANIFEST), write, "w")
 
     # -- reading -------------------------------------------------------------
     def restore(self, sim: Simulation, step: int | None = None) -> int:

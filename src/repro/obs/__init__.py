@@ -17,9 +17,9 @@ Built on the runtime's launch trace (DESIGN.md §9):
   watchdog, resilience) with per-run labels;
 * :mod:`repro.obs.report` — one-shot run report (text / HTML / JSON)
   joining trace, metrics, roofline, lint and certificates;
-* ``python -m repro obs`` (:mod:`repro.obs.cli`) — run a workload under
-  full telemetry and emit the trace + metrics artifacts;
-  ``python -m repro report`` renders the unified run report.
+* ``python -m repro report`` (:mod:`repro.obs.cli`) — run a workload
+  under full telemetry and write its Perfetto trace, run report and
+  event log, validating the trace before it exits.
 """
 
 from .log import EventLog, read_log, split_runs, validate_log

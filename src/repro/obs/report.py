@@ -122,7 +122,6 @@ def collect_report(sim, recorder: SpanRecorder,
                    registry: MetricsRegistry | None = None, *,
                    workload: str = "", status: dict | None = None,
                    device: DeviceSpec = A100_40GB, kbc: bool = False,
-                   drift_factor: float = 3.0,
                    event_log: EventLog | None = None) -> RunReport:
     """Assemble a :class:`RunReport` from a (possibly failed) session.
 
@@ -151,7 +150,7 @@ def collect_report(sim, recorder: SpanRecorder,
     drift = []
     if summary is not None:
         drift = [f.as_dict() for f in drift_findings(
-            summary, factor=drift_factor, workload=workload,
+            summary, workload=workload,
             config=sim.stepper.config.name)]
 
     log_lines = 0

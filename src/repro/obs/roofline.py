@@ -244,7 +244,11 @@ class DriftFinding:
                 "factor": self.factor, "detail": self.detail}
 
 
-def drift_findings(summary: RooflineSummary, *, factor: float = 3.0,
+#: Normalized skew beyond which a family is flagged (either way).
+DRIFT_FACTOR = 3.0
+
+
+def drift_findings(summary: RooflineSummary, *, factor: float = DRIFT_FACTOR,
                    workload: str = "", config: str = "",
                    min_observed_us: float = 50.0) -> list[DriftFinding]:
     """Families whose normalized skew exceeds ``factor`` (either way).
@@ -309,14 +313,13 @@ DRIFT_WORKLOADS: dict[str, dict] = {
 }
 
 
-def drift_report(*, steps: int = 2, factor: float = 3.0,
-                 device: DeviceSpec = A100_40GB,
-                 workloads: dict[str, dict] | None = None) -> DriftReport:
+def drift_report(*, steps: int = 2,
+                 device: DeviceSpec = A100_40GB) -> DriftReport:
     """Run all 7 fusion configs on 2D and 3D cavities; join and flag.
 
     This is the observatory's cross-config oracle: every config's span
     trace is joined with the cost model and families whose normalized
-    skew exceeds ``factor`` are reported.  An empty ``findings`` tuple
+    skew exceeds :data:`DRIFT_FACTOR` are reported.  An empty ``findings`` tuple
     means observed time tracks predicted traffic uniformly across the
     whole fusion design space.
     """
@@ -324,11 +327,10 @@ def drift_report(*, steps: int = 2, factor: float = 3.0,
     from ..core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
     from ..core.simulation import Simulation
 
-    wls = workloads if workloads is not None else DRIFT_WORKLOADS
     configs = (ORIGINAL_BASELINE,) + ABLATION_CONFIGS
     entries: list[dict] = []
     findings: list[DriftFinding] = []
-    for wl_name, kwargs in wls.items():
+    for wl_name, kwargs in DRIFT_WORKLOADS.items():
         wl = lid_cavity(**kwargs)
         for cfg in configs:
             sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg))
@@ -339,7 +341,7 @@ def drift_report(*, steps: int = 2, factor: float = 3.0,
                                        kbc=wl.collision.lower() == "kbc")
             entries.append({"workload": wl_name, "config": cfg.name,
                             "summary": summary})
-            findings.extend(drift_findings(summary, factor=factor,
-                                           workload=wl_name, config=cfg.name))
-    return DriftReport(device=device.name, factor=factor,
+            findings.extend(drift_findings(summary, workload=wl_name,
+                                           config=cfg.name))
+    return DriftReport(device=device.name, factor=DRIFT_FACTOR,
                        entries=tuple(entries), findings=tuple(findings))

@@ -4,8 +4,8 @@ Grid-refinement LBM runs fail in a characteristic way: an instability
 (too-high lattice velocity, under-resolved interface, ω too close to 2)
 breeds a NaN that silently floods every level within a few coarse steps,
 after which all reported numbers are garbage.  The watchdog checks the
-populations and macroscopic fields of every level at a configurable
-cadence and raises a structured :class:`SimulationDiverged` — carrying
+populations and macroscopic fields of every level after every coarse
+step and raises a structured :class:`SimulationDiverged` — carrying
 the offending level/step/cells and the last-N kernel spans — the moment
 the run leaves its envelope, instead of letting it run to completion.
 
@@ -13,9 +13,9 @@ Checks, per level, on the owned cells:
 
 * **finiteness** of the populations ``f`` (the whole state between
   coarse steps; ``fstar`` is scratch that is rewritten before it is read);
-* **density bounds**: ρ inside ``rho_bounds`` (LBM works near ρ = 1);
-* **velocity bound**: |u| below ``max_velocity`` (default c_s = 1/√3,
-  the incompressibility/stability envelope).
+* **density bounds**: ρ inside :data:`RHO_BOUNDS` (LBM works near ρ = 1);
+* **velocity bound**: |u| below :data:`MAX_VELOCITY` (c_s = 1/√3, the
+  incompressibility/stability envelope).
 """
 
 from __future__ import annotations
@@ -28,6 +28,15 @@ __all__ = ["SimulationDiverged", "HealthWatchdog", "CS_LATTICE"]
 
 #: Lattice speed of sound — above it the low-Mach expansion is meaningless.
 CS_LATTICE = 1.0 / math.sqrt(3.0)
+#: Closed density envelope; LBM operates near ρ = 1, so excursions past a
+#: factor of a few mean the run is gone.
+RHO_BOUNDS = (0.2, 5.0)
+#: Maximum admissible |u| in lattice units.
+MAX_VELOCITY = CS_LATTICE
+#: Size of the span dump attached to a divergence report.
+LAST_N_SPANS = 16
+#: Cap on offending cells included in the payload.
+MAX_CELLS_REPORTED = 8
 
 
 class SimulationDiverged(RuntimeError):
@@ -58,46 +67,20 @@ class SimulationDiverged(RuntimeError):
 
 
 class HealthWatchdog:
-    """Periodic numerical-health monitor for one ``Simulation``.
+    """Per-step numerical-health monitor for one ``Simulation``.
 
     Parameters
     ----------
     sim:
         The :class:`~repro.core.simulation.Simulation` to watch.
-    every:
-        Check cadence in coarse steps (``callback`` honours it; direct
-        :meth:`check` calls always run).
-    rho_bounds:
-        Closed density envelope; LBM operates near ρ = 1, so excursions
-        past a factor of a few mean the run is gone.
-    max_velocity:
-        Maximum admissible |u| in lattice units (default: c_s).
-    last_n_spans:
-        Size of the span dump attached to a divergence report.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; every check
         publishes per-level ρ/|u| extrema gauges and a check counter.
-    max_cells_reported:
-        Cap on offending cells included in the payload.
     """
 
-    def __init__(self, sim, *, every: int = 1,
-                 rho_bounds: tuple[float, float] = (0.2, 5.0),
-                 max_velocity: float = CS_LATTICE,
-                 last_n_spans: int = 16,
-                 registry=None,
-                 max_cells_reported: int = 8) -> None:
-        if every < 1:
-            raise ValueError("cadence must be >= 1 step")
-        if rho_bounds[0] >= rho_bounds[1]:
-            raise ValueError("rho_bounds must be an increasing pair")
+    def __init__(self, sim, *, registry=None) -> None:
         self.sim = sim
-        self.every = every
-        self.rho_bounds = rho_bounds
-        self.max_velocity = max_velocity
-        self.last_n_spans = last_n_spans
         self.registry = registry
-        self.max_cells_reported = max_cells_reported
         self.checks_run = 0
         #: Last successful report (None until the first check passes).
         self.last_report: dict | None = None
@@ -105,8 +88,7 @@ class HealthWatchdog:
     # -- wiring --------------------------------------------------------------
     def callback(self, stepper) -> None:
         """Per-step hook for ``Simulation.run(callback=...)``."""
-        if stepper.steps_done % self.every == 0:
-            self.check()
+        self.check()
 
     def watch(self, n_steps: int):
         """Run ``n_steps`` coarse steps under supervision.
@@ -114,7 +96,7 @@ class HealthWatchdog:
         Returns the :class:`~repro.core.results.RunResult` of the
         underlying :meth:`~repro.core.simulation.Simulation.run`.
         """
-        return self.sim.run(n_steps, callback=self.callback, callback_every=1)
+        return self.sim.run(n_steps, callback=self.callback)
 
     # -- the check -----------------------------------------------------------
     def check(self) -> dict:
@@ -127,11 +109,11 @@ class HealthWatchdog:
                 self._raise(step, lv, "f", "non-finite",
                             scan["nonfinite"], scan["values"])
             rho, u = scan["rho"], scan["umag"]
-            lo, hi = self.rho_bounds
+            lo, hi = RHO_BOUNDS
             out = np.nonzero((rho < lo) | (rho > hi))[0]
             if out.size:
                 self._raise(step, lv, "rho", "density-bounds", out, rho[out])
-            fast = np.nonzero(u > self.max_velocity)[0]
+            fast = np.nonzero(u > MAX_VELOCITY)[0]
             if fast.size:
                 self._raise(step, lv, "u", "velocity-bound", fast, u[fast])
             stats = {
@@ -154,13 +136,13 @@ class HealthWatchdog:
     # -- failure path --------------------------------------------------------
     def _raise(self, step: int, level: int, fname: str, reason: str,
                cells: np.ndarray, values: np.ndarray) -> None:
-        k = self.max_cells_reported
+        k = MAX_CELLS_REPORTED
         cells = np.asarray(cells)[:k]
         values = np.asarray(values).ravel()[:k]
         engine = self.sim.engine
         pos = engine.positions(level)[cells[cells < engine.levels[level].n_owned]]
         recorder = self.sim.runtime.spans
-        spans = ([s.as_dict() for s in recorder.last(self.last_n_spans)]
+        spans = ([s.as_dict() for s in recorder.last(LAST_N_SPANS)]
                  if recorder is not None else [])
         payload = {
             "step": step, "level": level, "field": fname, "reason": reason,

@@ -20,13 +20,13 @@ When retries alone cannot help, the runner walks a degradation ladder
    concurrent executor (:class:`~repro.backend.mp.MpWorkerError` from
    the worker pool: a worker died, timed out or failed mid-step; kernel
    or OOM failures under thread-wave replay) rebuild the simulation on
-   serial in-process plan replay after
-   ``executor_failures_before_serial`` strikes.  Every executor is
-   bit-identical to serial, so this rung never changes results.
+   serial in-process plan replay after :data:`EXECUTOR_STRIKES`
+   strikes.  Every executor is bit-identical to serial, so this rung
+   never changes results.
 2. **reduced-omega safety profile** — repeated divergence means the
    physics, not the machinery, is unstable; after
-   ``divergences_before_safety`` strikes the simulation is rebuilt with
-   the coarse relaxation rate scaled by ``omega_safety_scale`` (more
+   :data:`DIVERGENCE_STRIKES` strikes the simulation is rebuilt with the
+   coarse relaxation rate scaled by :data:`OMEGA_SAFETY_SCALE` (more
    viscous, more stable) and the report marks the run ``degraded``.
 
 Every recovery is visible in telemetry: ``retries_total`` /
@@ -57,9 +57,19 @@ from ..obs.watchdog import HealthWatchdog, SimulationDiverged
 __all__ = ["RetryPolicy", "RunReport", "RetryExhausted", "ResilientRunner"]
 
 
+#: Failures under a concurrent executor (thread waves or the mp worker
+#: pool) tolerated before the ladder falls back to serial replay.
+EXECUTOR_STRIKES = 2
+#: Divergences tolerated before the rebuild with the safety profile.
+DIVERGENCE_STRIKES = 3
+#: Factor on the coarse relaxation rate for the safety profile (< 1 raises
+#: viscosity, pulling the run away from the omega -> 2 stability boundary).
+OMEGA_SAFETY_SCALE = 0.8
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounds and cadences of the recovery loop.
+    """Bounds of the recovery loop.
 
     Attributes
     ----------
@@ -71,50 +81,16 @@ class RetryPolicy:
     checkpoint_every:
         Coarse steps between automatic checkpoints.  Smaller means less
         recomputation per rollback, more I/O.
-    backoff / backoff_factor / max_backoff:
-        Seconds slept before the k-th consecutive retry:
-        ``min(backoff * backoff_factor**(k-1), max_backoff)``.  The
-        default ``backoff=0`` never sleeps (transient faults in this
-        host-model runtime do not need wall-clock spacing; a real
-        deployment facing flaky devices sets it nonzero).
-    keep_checkpoints:
-        Generations the :class:`~repro.io.checkpoint.CheckpointStore`
-        retains (>= 2 keeps a fallback if the newest write tore).
-    watchdog_every:
-        Health-check cadence in coarse steps; the state is *always*
-        checked right before a checkpoint is written, so a poisoned
-        state never becomes a rollback target regardless of cadence.
-    executor_failures_before_serial:
-        Failures under a concurrent executor (thread waves or the mp
-        worker pool) tolerated before falling back to serial replay.
-    divergences_before_safety:
-        Divergences tolerated before rebuilding with the safety profile.
-    omega_safety_scale:
-        Factor applied to the coarse relaxation rate for the safety
-        profile (< 1 raises viscosity, pulling the run away from the
-        omega -> 2 stability boundary).
     """
 
     max_retries: int = 3
     checkpoint_every: int = 5
-    backoff: float = 0.0
-    backoff_factor: float = 2.0
-    max_backoff: float = 30.0
-    keep_checkpoints: int = 3
-    watchdog_every: int = 1
-    executor_failures_before_serial: int = 2
-    divergences_before_safety: int = 3
-    omega_safety_scale: float = 0.8
 
     def __post_init__(self) -> None:
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.backoff < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be >= 0 with factor >= 1")
-        if not 0 < self.omega_safety_scale < 1:
-            raise ValueError("omega_safety_scale must be in (0, 1)")
 
 
 @dataclass
@@ -192,42 +168,30 @@ class ResilientRunner:
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`,
         (re-)installed on every build — the test matrix's hook.
-    registry / recorder:
-        Telemetry sinks; fresh ones are created when omitted and exposed
-        as :attr:`registry` / :attr:`recorder`.
-    setup:
-        Optional ``setup(sim)`` hook run after every (re)build, before
-        any stepping — the place to impose initial conditions, since a
-        ladder rebuild must re-impose them before the checkpoint restore
-        overwrites the state.
-    sleep:
-        Injectable ``sleep(seconds)`` for backoff (tests pass a stub).
+
+    The runner's telemetry sinks are fresh ones, exposed as
+    :attr:`registry` (a :class:`~repro.obs.metrics.MetricsRegistry`) and
+    :attr:`recorder` (a :class:`~repro.obs.spans.SpanRecorder`).
     """
 
     def __init__(self, spec, config: SimConfig | None = None, *,
                  policy: RetryPolicy | None = None, store=None,
-                 faults=None, registry: MetricsRegistry | None = None,
-                 recorder: SpanRecorder | None = None,
-                 setup=None, sleep=time.sleep) -> None:
+                 faults=None) -> None:
         self.spec = spec
         self.config = config if config is not None else SimConfig(viscosity=0.05)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.recorder = recorder if recorder is not None else SpanRecorder()
+        self.registry = MetricsRegistry()
+        self.recorder = SpanRecorder()
         self.faults = faults
-        self.setup = setup
-        self._sleep = sleep
         self._tmp = None
         if store is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-            store = CheckpointStore(self._tmp.name,
-                                    keep=self.policy.keep_checkpoints)
+            store = CheckpointStore(self._tmp.name)
         elif isinstance(store, (str, bytes)):
-            store = CheckpointStore(str(store),
-                                    keep=self.policy.keep_checkpoints)
+            store = CheckpointStore(str(store))
         self.store: CheckpointStore = store
         self.sim: Simulation = self._build(self.config)
-        self.watchdog: HealthWatchdog = self._make_watchdog()
+        self.watchdog = HealthWatchdog(self.sim, registry=self.registry)
 
     # -- construction / rebuilds ----------------------------------------------
     def _build(self, config: SimConfig) -> Simulation:
@@ -235,13 +199,7 @@ class ResilientRunner:
         sim.enable_tracing(self.recorder)
         if self.faults is not None:
             self.faults.install(sim)
-        if self.setup is not None:
-            self.setup(sim)
         return sim
-
-    def _make_watchdog(self) -> HealthWatchdog:
-        return HealthWatchdog(self.sim, every=self.policy.watchdog_every,
-                              registry=self.registry)
 
     def _rebuild(self, config: SimConfig) -> None:
         """Swap in a fresh simulation built from ``config``.
@@ -252,7 +210,7 @@ class ResilientRunner:
         old, self.config = self.sim, config
         old.close()
         self.sim = self._build(config)
-        self.watchdog = self._make_watchdog()
+        self.watchdog = HealthWatchdog(self.sim, registry=self.registry)
 
     @property
     def mode(self) -> str:
@@ -291,11 +249,10 @@ class ResilientRunner:
             segment_end = min(report.target_step,
                               self.sim.steps_done + pol.checkpoint_every)
             try:
+                # The watchdog checks every step, so the state is validated
+                # before it is checkpointed: a poisoned state never becomes
+                # a rollback target.
                 self.sim.run_until(segment_end, callback=self.watchdog.callback)
-                # Validate *before* checkpointing: a poisoned state must
-                # never become a rollback target (the watchdog cadence
-                # may not have landed on this step).
-                self.watchdog.check()
             except Exception as exc:
                 if (not isinstance(exc, _RECOVERABLE)
                         and not hasattr(exc, "kernel_span")):
@@ -309,7 +266,7 @@ class ResilientRunner:
                     executor_strikes = divergences = 0
                 elif isinstance(exc, SimulationDiverged):
                     divergences += 1
-                    if (divergences >= pol.divergences_before_safety
+                    if (divergences >= DIVERGENCE_STRIKES
                             and self._omega_scale() == 1.0):
                         self._degrade_safety(report)
                         attempts = executor_strikes = divergences = 0
@@ -318,11 +275,10 @@ class ResilientRunner:
                     # repeated strikes on either concurrent executor
                     # abandon it for serial replay.
                     executor_strikes += 1
-                    if executor_strikes >= pol.executor_failures_before_serial:
+                    if executor_strikes >= EXECUTOR_STRIKES:
                         self._degrade_serial(report)
                         attempts = executor_strikes = 0
                 self._rollback(report)
-                self._backoff(attempts)
                 continue
             self.store.save(self.sim, kind="periodic")
             report.checkpoints += 1
@@ -374,13 +330,6 @@ class ResilientRunner:
         self.recorder.on_event("rollback", from_step=failed_at,
                                to_step=restored, lost_steps=lost)
 
-    def _backoff(self, attempt: int) -> None:
-        pol = self.policy
-        if pol.backoff <= 0 or attempt < 1:
-            return
-        self._sleep(min(pol.backoff * pol.backoff_factor ** (attempt - 1),
-                        pol.max_backoff))
-
     # -- the degradation ladder ------------------------------------------------
     def _omega_scale(self) -> float:
         return getattr(self, "_omega_scale_applied", 1.0)
@@ -405,9 +354,8 @@ class ResilientRunner:
         at_step = self.sim.steps_done
         omega0 = (cfg.omega0 if cfg.omega0 is not None
                   else omega_from_viscosity(cfg.viscosity))
-        scaled = omega0 * self.policy.omega_safety_scale
-        self._omega_scale_applied = (self._omega_scale()
-                                     * self.policy.omega_safety_scale)
+        scaled = omega0 * OMEGA_SAFETY_SCALE
+        self._omega_scale_applied = self._omega_scale() * OMEGA_SAFETY_SCALE
         self._rebuild(cfg.replace(viscosity=None, omega0=scaled))
         self._note_degradation(report, "safety-omega", step=at_step,
                                omega0=scaled)

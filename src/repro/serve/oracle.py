@@ -17,8 +17,9 @@ Two approximations keep it allocation-free, both deliberate:
   obstacle-free domains;
 * **the kernel sequence per level** mirrors the stepper's fusion rules
   (CASE on the finest level, CA/SE/SO per flag, explosion only where a
-  coarser level exists, coalescence only where a finer one does) with
-  one full population read + write per kernel.
+  coarser level exists, coalescence only where a finer one does, the
+  original layout's explosion copy) with one full population read +
+  write per kernel.
 
 The result is deterministic, monotone in domain size and step count,
 and differentiates fusion configs the way Fig. 9 does — which is all a
@@ -98,16 +99,18 @@ def level_kernel_names(config: FusionConfig, level: int,
                        num_levels: int) -> list[str]:
     """The kernel families one substep of ``level`` launches.
 
-    Mirrors the stepper's fusion rules: Accumulate exists only on levels
-    with a coarser neighbour (the fine side initiates the scatter),
-    Explosion only where a coarser level feeds ghosts, Coalescence only
-    where a finer level reports back.  The original (Fig. 4a) layout
-    adds the explicit Explosion copy and gather Accumulate unfused.
+    Mirrors the stepper's fusion rules: the finest level runs one CASE
+    when it is fused (a single-level grid too), Accumulate exists only on
+    levels with a coarser neighbour (the fine side initiates the
+    scatter), Explosion only where a coarser level feeds ghosts,
+    Coalescence only where a finer level reports back.  The original
+    (Fig. 4a) layout adds the explicit Explosion copy into the fine
+    ghost layer, beside its gather Accumulate and separate Explosion.
     """
     finest = level == num_levels - 1
     has_coarser = level > 0
     has_finer = not finest
-    if config.fuse_cs_finest and finest and has_coarser:
+    if config.fuse_cs_finest and finest:
         return ["CASE"]
     names: list[str] = []
     if config.fuse_ca and has_coarser:
@@ -116,6 +119,8 @@ def level_kernel_names(config: FusionConfig, level: int,
         names.append("C")
         if has_coarser:
             names.append("A")
+    if config.original_layout and has_coarser:
+        names.append("E")
     fuse_se = config.fuse_se and has_coarser
     fuse_so = config.fuse_so and has_finer
     if fuse_se and fuse_so:

@@ -61,7 +61,7 @@ from typing import Any, Callable
 
 from ..core.results import RunResult
 from ..gpu.device import A100_40GB, DeviceSpec
-from ..io.checkpoint import CheckpointError, CheckpointStore
+from ..io.checkpoint import CheckpointError, CheckpointStore, atomic_write
 from ..obs.log import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..resilience.runner import ResilientRunner, RetryExhausted, RetryPolicy
@@ -651,8 +651,10 @@ class JobServer:
         import json
         if path is None:
             path = os.path.join(self.root, "fleet_summary.json")
-        with open(path, "w") as fh:
-            json.dump(self.fleet_summary(), fh, indent=2, sort_keys=True,
-                      default=str)
+        summary = self.fleet_summary()
+
+        def write(fh) -> None:
+            json.dump(summary, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
+        atomic_write(path, write, "w")
         return path

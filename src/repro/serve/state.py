@@ -26,8 +26,8 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 
+from ..io.checkpoint import atomic_write
 from .spec import JobSpec
 
 __all__ = ["job_dir", "write_job_state", "read_job_state",
@@ -44,30 +44,11 @@ def job_dir(root: str, job_id: str) -> str:
     return os.path.join(str(root), "jobs", str(job_id))
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    os.makedirs(dirname, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                               suffix=".tmp", dir=dirname)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_job_state(directory: str, state: dict) -> str:
     """Atomically persist one job's lifecycle snapshot; return the path."""
     path = os.path.join(directory, STATE_FILE)
-    _atomic_write(path, (json.dumps(state, indent=2, sort_keys=True,
-                                    default=str) + "\n").encode())
+    text = json.dumps(state, indent=2, sort_keys=True, default=str) + "\n"
+    atomic_write(path, lambda fh: fh.write(text), "w")
     return path
 
 
@@ -84,8 +65,9 @@ def read_job_state(directory: str) -> dict | None:
 def write_job_payload(directory: str, spec, config) -> str:
     """Persist the non-JSON-able job payload (domain + SimConfig)."""
     path = os.path.join(directory, PAYLOAD_FILE)
-    _atomic_write(path, pickle.dumps({"spec": spec, "config": config},
-                                     protocol=pickle.HIGHEST_PROTOCOL))
+    data = pickle.dumps({"spec": spec, "config": config},
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(path, lambda fh: fh.write(data))
     return path
 
 

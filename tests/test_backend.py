@@ -343,8 +343,7 @@ class TestFailureContract:
                             threaded=False)
         with ResilientRunner(wl.spec, cfg,
                              policy=RetryPolicy(checkpoint_every=2),
-                             faults=RaiseOnce("CASE", 1, step=3),
-                             sleep=lambda s: None) as runner:
+                             faults=RaiseOnce("CASE", 1, step=3)) as runner:
             report = runner.run(6).report
             assert report.outcome == "ok" and report.retries == 1
             assert report.failures[0]["kind"] == "kernel"

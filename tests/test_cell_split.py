@@ -193,8 +193,7 @@ def test_worker_part_failure_names_kernel_and_recovers(split, monkeypatch):
 
     fired.clear()
     with ResilientRunner(wl.spec, config,
-                         policy=RetryPolicy(checkpoint_every=2),
-                         sleep=lambda s: None) as runner:
+                         policy=RetryPolicy(checkpoint_every=2)) as runner:
         report = runner.run(6).report
         assert report.outcome == "ok" and report.retries == 1 and fired
         assert state_digest(runner.sim) == want[0]

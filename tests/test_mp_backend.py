@@ -208,8 +208,7 @@ class TestResilience:
     def test_repeated_worker_failures_degrade_to_serial(self):
         runner = ResilientRunner(
             cavity_spec(), mp_config(),
-            policy=RetryPolicy(checkpoint_every=2, max_retries=5,
-                               executor_failures_before_serial=2))
+            policy=RetryPolicy(checkpoint_every=2, max_retries=5))
         with runner:
             def doomed_step(stepper):
                 raise MpWorkerError("injected pool failure")

@@ -17,7 +17,8 @@ from repro.neon.runtime import Runtime
 from repro.obs import (HealthWatchdog, MetricsRegistry, SimulationDiverged,
                        SpanRecorder, chrome_trace, run_metrics, validate_trace,
                        write_bench_json)
-from repro.obs.cli import main as obs_main
+from repro.obs.cli import main as report_main
+from repro.obs.watchdog import CS_LATTICE, LAST_N_SPANS, RHO_BOUNDS
 
 
 def small_sim(config=FUSED_FULL, runtime=None):
@@ -285,9 +286,9 @@ class TestMeasurementGuards:
 class TestWatchdog:
     def test_healthy_run_reports_ok(self):
         sim = small_sim()
-        wd = HealthWatchdog(sim, every=2)
+        wd = HealthWatchdog(sim)
         sim.run(4, callback=wd.callback)
-        assert wd.checks_run == 2  # cadence honoured
+        assert wd.checks_run == 4  # one check per coarse step
         assert wd.last_report["status"] == "ok"
         assert wd.last_report["levels"][0]["rho_max"] >= 1.0
 
@@ -296,7 +297,7 @@ class TestWatchdog:
         """Four watched steps with a NaN put into ``field`` after step 2."""
         sim = small_sim()
         sim.enable_tracing()
-        wd = HealthWatchdog(sim, every=1, last_n_spans=4)
+        wd = HealthWatchdog(sim)
 
         def sabotage_then_check(stepper):
             if field is not None and stepper.steps_done == 2:
@@ -323,7 +324,8 @@ class TestWatchdog:
         assert exc.value.step == 2 and p["step"] == 2
         assert p["field"] == "f" and p["reason"] == "non-finite"
         assert p["cells"] == [5] and p["values"] == [None]
-        assert len(p["spans"]) == 4          # diagnostic dump of last spans
+        # dump of the last spans: both steps' 4 kernels, under the cap
+        assert len(p["spans"]) == 8 < LAST_N_SPANS
         assert p["positions"]                # offending cell coordinates
 
     def test_inf_in_f_propagates_and_fires(self):
@@ -339,23 +341,32 @@ class TestWatchdog:
     def test_density_bounds(self):
         sim = small_sim()
         sim.run(1)
-        wd = HealthWatchdog(sim, rho_bounds=(0.9, 1.1))
+        wd = HealthWatchdog(sim)
         buf = sim.engine.levels[0]
-        buf.f[:, :buf.n_owned] *= 2.0        # rho ~ 2 everywhere
+        buf.f[:, :buf.n_owned] *= 10.0       # rho ~ 10 everywhere
         with pytest.raises(SimulationDiverged) as exc:
             wd.check()
         assert exc.value.reason == "density-bounds"
         assert exc.value.payload["field"] == "rho"
-        assert all(v == pytest.approx(2.0, rel=0.1)
+        assert RHO_BOUNDS[1] < 10.0
+        assert all(v == pytest.approx(10.0, rel=0.1)
                    for v in exc.value.payload["values"])
 
     def test_velocity_bound(self):
         sim = small_sim()
         sim.run(1)
-        wd = HealthWatchdog(sim, max_velocity=1e-9)
+        wd = HealthWatchdog(sim)
+        # Three extra units of rest density moving along +x on one cell:
+        # rho ~ 4 stays in bounds, |u| ~ 0.75 exceeds c_s.
+        lat = sim.engine.lat
+        qx = next(q for q, e in enumerate(lat.e) if tuple(e) == (1, 0))
+        sim.engine.levels[0].f[qx, 3] += 3.0
         with pytest.raises(SimulationDiverged) as exc:
             wd.check()
         assert exc.value.reason == "velocity-bound"
+        p = exc.value.payload
+        assert p["field"] == "u" and p["level"] == 0 and p["cells"] == [3]
+        assert p["values"][0] > CS_LATTICE
 
     def test_registry_integration(self):
         reg = MetricsRegistry()
@@ -365,34 +376,43 @@ class TestWatchdog:
         assert reg["watchdog_checks"].value == 2
         assert "rho_max.L0" in reg and "u_max.L1" in reg
 
-    def test_bad_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            HealthWatchdog(small_sim(), every=0)
-
 
 class TestObsCli:
+    """``python -m repro report``: one telemetry command, all artifacts."""
+
     def test_smoke_cavity2d_2lvl(self, tmp_path, capsys):
-        rc = obs_main(["--workload", "cavity2d-2lvl", "--config", "case",
-                       "--steps", "2", "--out", str(tmp_path)])
+        rc = report_main(["--workload", "cavity2d-2lvl", "--config",
+                          "ours-4f", "--steps", "2", "--out", str(tmp_path)])
         assert rc == 0
         trace = json.loads(
             (tmp_path / "trace_cavity2d-2lvl_ours-4f.json").read_text())
-        metrics = json.loads(
-            (tmp_path / "metrics_cavity2d-2lvl_ours-4f.json").read_text())
-        assert validate_trace(trace, metrics["n_records"]) == []
-        assert metrics["watchdog"]["status"] == "ok"
-        assert "wall_mlups" in metrics["metrics"]["metrics"]
+        report = json.loads(
+            (tmp_path / "report_cavity2d-2lvl_ours-4f.json").read_text())
+        assert validate_trace(trace, report["n_records"]) == []
+        assert report["status"]["status"] == "ok"
+        assert "wall_mlups" in report["metrics"]
+        assert (tmp_path / "events_cavity2d-2lvl_ours-4f.jsonl").exists()
+        assert not list(tmp_path.glob("metrics_*.json"))
         assert "trace OK" in capsys.readouterr().out
 
     def test_golden_kernel_counts_by_config(self, tmp_path, capsys):
-        for alias, expect in (("case", 10), ("baseline", 29)):
-            rc = obs_main(["--workload", "cavity2d", "--config", alias,
-                           "--steps", "2", "--out", str(tmp_path)])
+        for config, expect in (("ours-4f", 10), ("baseline-4b", 29)):
+            rc = report_main(["--workload", "cavity2d", "--config", config,
+                              "--steps", "2", "--out", str(tmp_path)])
             assert rc == 0
-            out = capsys.readouterr().out
-            assert f"kernels/step : {expect:.1f}" in out
+            assert f"({expect} kernels/step)" in capsys.readouterr().out
+            report = json.loads(
+                (tmp_path / f"report_cavity2d_{config}.json").read_text())
+            assert report["kernels_per_step"] == [expect, expect]
 
     def test_unknown_config_errors(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            obs_main(["--config", "nope", "--out", str(tmp_path)])
+            report_main(["--config", "nope", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_obs_is_not_a_subcommand(self, capsys):
+        from repro.cli import SUBCOMMANDS, main
+        assert main(["obs"]) == 2
+        assert "unknown subcommand 'obs'" in capsys.readouterr().err
+        assert sorted(SUBCOMMANDS) == ["analysis", "history", "report",
+                                       "resilience", "serve"]

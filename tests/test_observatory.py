@@ -25,7 +25,7 @@ from repro.core.fusion import ABLATION_CONFIGS, FUSED_FULL, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
 from repro.gpu.device import A100_40GB
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
-from repro.obs.cli import main as obs_main
+from repro.obs.cli import main as report_main
 from repro.obs.log import EventLog, read_log, split_runs, validate_log
 from repro.obs.report import (collect_report, render_html, render_text,
                               write_report)
@@ -375,8 +375,8 @@ class TestReportEdgeCases:
 
     def test_empty_trace_via_cli(self, tmp_path, capsys):
         out = str(tmp_path)
-        code = obs_main(["report", "--workload", "cavity2d-2lvl",
-                         "--steps", "0", "--out", out])
+        code = report_main(["--workload", "cavity2d-2lvl", "--steps", "0",
+                            "--out", out])
         assert code == 0
         assert "empty trace" in capsys.readouterr().out
         assert os.path.exists(
@@ -448,9 +448,8 @@ class TestReportEdgeCases:
     def test_report_cli_writes_artifacts_and_event_log(self, tmp_path,
                                                        capsys):
         out = str(tmp_path)
-        code = obs_main(["report", "--workload", "cavity2d-2lvl",
-                         "--steps", "2", "--out", out,
-                         "--run-id", "r42", "--label", "tenant=t9"])
+        code = report_main(["--workload", "cavity2d-2lvl", "--steps", "2",
+                            "--out", out])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "roofline" in stdout
@@ -465,8 +464,9 @@ class TestReportEdgeCases:
         lines = read_log(os.path.join(out,
                                       "events_cavity2d-2lvl_ours-4f.jsonl"))
         assert validate_log(lines) == []
-        assert all(ln["run"]["id"] == "r42" for ln in lines)
-        assert all(ln["run"]["tenant"] == "t9" for ln in lines)
+        assert len({ln["run"]["id"] for ln in lines}) == 1
+        assert all(ln["run"]["workload"] == "cavity2d-2lvl"
+                   and ln["run"]["config"] == "ours-4f" for ln in lines)
 
     def test_report_written_files_roundtrip(self, tmp_path):
         sim, rec = traced_run()

@@ -22,9 +22,10 @@ from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
 from repro.io.checkpoint import (CheckpointError, CheckpointStore,
                                  restore_checkpoint, save_checkpoint)
-from repro.obs.watchdog import SimulationDiverged
+from repro.obs.watchdog import HealthWatchdog, SimulationDiverged
 from repro.resilience import (Fault, FaultInjector, InjectedKernelError,
                               ResilientRunner, RetryExhausted, RetryPolicy)
+from repro.resilience.runner import DIVERGENCE_STRIKES, OMEGA_SAFETY_SCALE
 
 ALL_CONFIGS = (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS)
 
@@ -81,7 +82,7 @@ class TestFaultInjector:
                                      cavity_config(threaded=False))
         FaultInjector([Fault("nan", step=3)]).install(sim)
         with pytest.raises(SimulationDiverged) as exc:
-            sim.watchdog(every=1).watch(6)
+            HealthWatchdog(sim).watch(6)
         assert exc.value.step == 3
         assert exc.value.reason == "non-finite"
 
@@ -383,9 +384,7 @@ def test_ladder_falls_back_to_serial_and_stays_bit_identical():
     injector = FaultInjector([Fault("kernel", step=5, times=-1,
                                     only_threaded=True)])
     with ResilientRunner(spec, config, faults=injector,
-                         policy=RetryPolicy(
-                             checkpoint_every=3,
-                             executor_failures_before_serial=2)) as runner:
+                         policy=RetryPolicy(checkpoint_every=3)) as runner:
         report = runner.run(steps).report
         assert report.outcome == "degraded"
         assert report.mode == "serial"
@@ -397,34 +396,21 @@ def test_ladder_falls_back_to_serial_and_stays_bit_identical():
 
 def test_ladder_rebuilds_with_safety_omega_on_repeated_divergence():
     spec = cavity_spec()
-    # The fault fires twice, pushing the divergence count to the ladder
-    # threshold, then disarms — the safety rerun completes.
-    injector = FaultInjector([Fault("nan", step=4, times=2)])
-    policy = RetryPolicy(checkpoint_every=3, divergences_before_safety=2,
-                         omega_safety_scale=0.8)
+    # The fault fires DIVERGENCE_STRIKES times, pushing the divergence
+    # count to the ladder threshold, then disarms — the safety rerun
+    # completes.
+    injector = FaultInjector([Fault("nan", step=4, times=DIVERGENCE_STRIKES)])
     with ResilientRunner(spec, cavity_config(threaded=False),
-                         faults=injector, policy=policy) as runner:
+                         faults=injector,
+                         policy=RetryPolicy(checkpoint_every=3)) as runner:
         omega_before = runner.sim.engine.omega[0]
         report = runner.run(6).report
         assert report.outcome == "degraded"
-        assert report.omega_scale == pytest.approx(0.8)
+        assert report.omega_scale == pytest.approx(OMEGA_SAFETY_SCALE)
         assert [d["rung"] for d in report.degradations] == ["safety-omega"]
-        assert runner.sim.engine.omega[0] == pytest.approx(0.8 * omega_before)
+        assert runner.sim.engine.omega[0] == pytest.approx(
+            OMEGA_SAFETY_SCALE * omega_before)
         assert runner.sim.steps_done == 6 and runner.sim.is_stable()
-
-
-def test_backoff_schedule_uses_injected_sleep():
-    spec = cavity_spec()
-    naps = []
-    injector = FaultInjector([Fault("kernel", step=2, times=3)])
-    policy = RetryPolicy(max_retries=5, checkpoint_every=2, backoff=0.5,
-                         backoff_factor=2.0, max_backoff=1.5)
-    with ResilientRunner(spec, cavity_config(threaded=False),
-                         faults=injector, policy=policy,
-                         sleep=naps.append) as runner:
-        report = runner.run(4).report
-    assert report.outcome == "ok"
-    assert naps == [0.5, 1.0, 1.5]  # geometric, capped at max_backoff
 
 
 def test_runner_uses_provided_store_directory(tmp_path):

@@ -85,6 +85,47 @@ class TestOracle:
         assert unfused.total_us > fused.total_us
         assert unfused.kernels_per_step > fused.kernels_per_step
 
+    @pytest.mark.parametrize("base,levels,lattice,widths", [
+        ((10, 10), 1, "D2Q9", None),
+        ((12, 12), 2, "D2Q9", None),
+        ((24, 24), 3, "D2Q9", [7.0, 2.0]),        # the Fig. 2 golden cavity
+        ((8, 8, 8), 2, "D3Q19", None),
+    ])
+    def test_synthetic_stream_matches_captured_step(self, base, levels,
+                                                    lattice, widths):
+        # The oracle prices the kernels a step launches: the multiset of
+        # (name, level) must be the one the stepper declares, config by
+        # config, on every grid depth.
+        from collections import Counter
+        from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
+        from repro.serve.oracle import synthetic_step_records
+        wl = lid_cavity(base=base, num_levels=levels, lattice=lattice,
+                        widths=widths)
+        for fusion in (ORIGINAL_BASELINE,) + ABLATION_CONFIGS:
+            config = wl.sim_config(fusion=fusion, backend="interpreted")
+            with Simulation.from_config(wl.spec, config) as sim:
+                captured = sim.runtime.capture_plan(
+                    lambda: sim.stepper._advance(0))
+            synthetic = synthetic_step_records(wl.spec, config)
+            assert (Counter((r.name, r.level) for r in synthetic)
+                    == Counter((r.name, r.level) for r in captured)), fusion.name
+
+    def test_served_geometries_price_as_before(self):
+        # serve-flood's geometries (ours-4f, 2-3 levels) and their
+        # baseline-4b counterparts: the oracle's per-step price is pinned.
+        pinned = {
+            ((48, 48), 3, "D2Q9"): (1249.6087459807075, 3628.9841800643085),
+            ((64, 64), 3, "D2Q9"): (1256.7455948553054, 3653.4210932475885),
+            ((96, 96), 2, "D2Q9"): (503.6393569131833, 1390.136077170418),
+            ((12, 12, 12), 2, "D3Q19"): (502.2211932833155,
+                                         1386.208617363344),
+        }
+        for (base, levels, lattice), prices in pinned.items():
+            wl = lid_cavity(base=base, num_levels=levels, lattice=lattice)
+            for fusion, price in zip(("ours-4f", "baseline-4b"), prices):
+                cost = predict_cost(wl.spec, wl.sim_config(fusion=fusion), 10)
+                assert cost.per_step_us == pytest.approx(price, rel=1e-12)
+
 
 class TestAdmission:
     def test_per_tenant_queue_cap(self, tmp_path):
@@ -379,3 +420,23 @@ class TestRestartResume:
         assert summary["jobs_total"] == 4
         assert summary["states"] == {"done": 4}
         assert set(summary["tenants"]) == {"tenant-0", "tenant-1"}
+
+    def test_fleet_summary_write_is_atomic(self, tmp_path, monkeypatch):
+        # A writer that raises mid-dump leaves the previous summary
+        # byte-identical and no temp file behind.
+        srv = JobServer(str(tmp_path), workers=1)
+        path = srv.write_fleet_summary()
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        class Unprintable:
+            def __str__(self):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(srv, "fleet_summary",
+                            lambda: {"a_first": 1, "z_last": Unprintable()})
+        with pytest.raises(OSError, match="disk full"):
+            srv.write_fleet_summary()
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert sorted(os.listdir(str(tmp_path))) == ["fleet_summary.json"]

@@ -76,8 +76,8 @@ class TestRun:
         sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
                                      collision="bgk", viscosity=0.1)
         hits = []
-        sim.run(6, callback=lambda s: hits.append(s.steps_done), callback_every=2)
-        assert hits == [2, 4, 6]
+        sim.run(6, callback=lambda s: hits.append(s.steps_done))
+        assert hits == [1, 2, 3, 4, 5, 6]  # after every coarse step
 
     def test_initialize_resets(self):
         sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
