@@ -45,12 +45,16 @@ test-blas:
 # every grid table int32 and priced by gpu.memory.index_bytes; admission
 # and state_digest copy nothing), the dead-state proof (only f
 # crosses a coarse step, all 7 configs, dynamic and static) and the
-# format-2 checkpoint contract; and the grid compile's tracemalloc peak
-# over its result (half sphere, anchor: each level's dense tables are
-# locals of its compile).  Under 30 s; also part of `make test`.
+# format-2 checkpoint contract; the host allocating exactly what the
+# stream addresses (no finest fstar under CASE: that level collides and
+# streams in place, checked against the textbook bodies); and the grid
+# compile's tracemalloc peak over its result (half sphere, anchor: each
+# level's dense tables are locals of its compile).  Under 30 s; also part
+# of `make test`.
 mem-check:
 	$(PYTHON) -m pytest -x -q tests/test_live_state.py \
-		"tests/test_multigrid.py::TestCompileMemory"
+		"tests/test_multigrid.py::TestCompileMemory" \
+		"tests/test_engine.py::TestInPlace"
 
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool

@@ -12,9 +12,11 @@ buffer sizes — never a population value — and reports two severities:
   with predicted bytes (and µs on the reference device) saved:
   **redundant loads** (the same rows of a field read twice with no
   intervening write — a fusion or caching candidate) and **droppable
-  buffers** (allocated but never touched by any kernel of the stream —
+  buffers** (priced but never touched by any kernel of the stream —
   e.g. the finest-level ``fstar`` once CASE keeps the post-collision
-  state in registers).
+  state in registers).  The host engine allocates none of them
+  (:meth:`~repro.core.engine.Engine.allocate`): under CASE the finest
+  level collides and streams in place.
 
 The report also carries ``touched_bytes``, the allocations the stream
 does touch.  It is a plain sum: Algorithm 1 nests a finer level's

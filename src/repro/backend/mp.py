@@ -238,8 +238,9 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0)
         # the pool shards across processes: no threads inside a worker
         engine.split_width = 1
-        # the stepper allocates what its layout addresses (4a: fghost)
-        # before the parent's layout of the segment is checked against it
+        # allocate what the layout addresses (4a: fghost; the finest fstar
+        # but under CASE) before the parent's segment is checked against it
+        engine.allocate(setup["fusion"])
         stepper = NonUniformStepper(engine, setup["fusion"])
         _attach_shared(engine.levels, shm, setup["manifest"])
         plans: dict[int, tuple[int, list]] = {}

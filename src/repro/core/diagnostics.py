@@ -24,7 +24,11 @@ def solid_force(engine: Engine) -> np.ndarray:
     volume-weighted per level (a level-L link carries ``2^{-Ld}`` of
     mass) and rated per *coarse* time unit (a level-L link fires ``2^L``
     times per coarse step).  Returned in coarse lattice units; uses the
-    current post-collision state, so call it right after a step.
+    last substep's bounce, so call it right after a step.
+
+    The bounce-back pull put ``f*_{opp q}`` of each link's cell into
+    ``f_q`` (``sb_q`` is the direction the cell pulls from the solid),
+    so ``f`` alone carries it: no level needs ``fstar`` for this.
     """
     lat = engine.lat
     d = engine.mgrid.d
@@ -32,9 +36,10 @@ def solid_force(engine: Engine) -> np.ndarray:
     for lv, (cl, buf) in enumerate(zip(engine.mgrid.levels, engine.levels)):
         if cl.sb_q.size == 0:
             continue
-        # populations pointing INTO the wall: direction opp(q) at the cell
+        # populations pointing INTO the wall: direction opp(q) at the
+        # cell, bounced back into f_q by the last substep's pull
         opp = lat.opp[cl.sb_q]
-        fs = buf.fstar[opp, cl.sb_cell]
+        fs = buf.f[cl.sb_q, cl.sb_cell]
         weight = (0.5 ** lv) ** d * (2 ** lv)
         force += weight * 2.0 * (fs[:, None] * lat.ef[opp]).sum(axis=0)
     return force

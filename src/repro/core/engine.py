@@ -3,19 +3,25 @@
 The engine owns, per level, the two population buffers (``f`` holds the
 post-streaming state at the start of a substep, ``fstar`` the
 post-collision state), both ``(Q, n_owned)``, and the ghost-layer
-accumulator.  Every streaming map is the grid's own int32 array, in
+accumulator.  The finest level holds no ``fstar`` under a stream that
+fuses CASE (Fig. 4f): its post-collision values live in ``f`` itself —
+Collide writes over its input, Accumulate reads ``f`` and Streaming runs
+in place, one direction group at a time through a small scratch
+(:meth:`Engine.allocate`, :meth:`Engine._stream`).  Every streaming map
+is the grid's own int32 array, in
 compact *row* space: rows ``0..n_owned-1`` are the owned cells.  The
 original baseline's (Fig. 4a)
 fine-ghost populations live in a third buffer, ``fghost``, allocated only
-for that layout (:meth:`Engine.allocate_fghost`); its rows keep the
+for that layout (:meth:`Engine.allocate`); its rows keep the
 numbers ``n_owned..n_used-1`` in the maps and access reports.  The pull
 table holds one flat ``fstar`` entry
 ``q_src * n_owned + row`` per ``(q, owned cell)`` with the bounce-back,
 moving-wall and slip links already in it, so Streaming is one gather per
 direction.  Accumulate adds into the parent's ghost bins only what
 Coalescence reads there; the other bins stay zero.  Between coarse steps
-``f`` is the whole state: ``fstar`` and ``fghost`` are rewritten before
-they are read, ``ghost_acc`` is zero.
+``f`` is the whole state: ``fstar``, ``fghost`` and the in-place
+stream's scratch are rewritten before they are read, ``ghost_acc`` is
+zero.
 Each ``op_*`` method is one GPU kernel: it declares one launch record
 with the DRAM traffic the equivalent CUDA kernel would generate — this
 is what the cost model consumes — and hands the runtime a handle of the
@@ -30,16 +36,18 @@ and run those closures (:mod:`repro.backend`).  The report is the one
 statement of what a kernel touches: admission, the legality proof, lint
 and certificates evaluate it without running the body
 (:mod:`repro.analysis.capture`).
-Collide and the streaming gathers run a large level as column ranges on
-every usable CPU (:meth:`Engine.split_cuts`), bit-identically.
+Collide and the streaming gathers run a large level as column ranges (an
+in-place stream: as direction groups) on every usable CPU
+(:meth:`Engine.split_cuts`), bit-identically.
 
 Fused kernels execute the same arithmetic as their unfused sequence (the
-intermediate lives in the ``fstar`` buffer, playing the role of the GPU's
-registers), so every fusion variant is bitwise-identical in results and
-differs only in its launch/traffic trace — mirroring how kernel fusion
-works on the device, where it eliminates intermediate DRAM round-trips
-but not arithmetic.  What a body saves over the textbook form it saves
-fused or not: values it would move and nobody would read.
+intermediate lives in the ``fstar`` buffer, or for CASE in ``f``, playing
+the role of the GPU's registers), so every fusion variant is
+bitwise-identical in results and differs only in its launch/traffic
+trace — mirroring how kernel fusion works on the device, where it
+eliminates intermediate DRAM round-trips but not arithmetic.  What a
+body saves over the textbook form it saves fused or not: values it would
+move and nobody would read.
 """
 
 from __future__ import annotations
@@ -48,12 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows
+from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows, pull_groups
 from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
                             Runtime)
 from .collision import (TILE_BUDGET_BYTES, CollisionModel, equilibrium,
                         macroscopics, make_collision)
+from .fusion import FusionConfig
 from .units import omega_at_level
 
 __all__ = ["Engine", "LevelBuffers", "SPLIT_MIN_BYTES"]
@@ -68,7 +77,9 @@ class LevelBuffers:
     """Per-level state, and the grid's row-space maps (the same arrays)."""
 
     f: np.ndarray                 # (Q, n_owned) post-streaming populations
-    fstar: np.ndarray             # (Q, n_owned) post-collision populations
+    #: (Q, n_owned) post-collision populations; on the finest level
+    #: ``None`` unless the stream addresses it (:meth:`Engine.allocate`)
+    fstar: np.ndarray | None
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
     n_used: int                   # n_owned + fine ghosts: rows the reports number
@@ -133,8 +144,9 @@ class Engine:
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
-        #: Per level, the flat index maps the kernel bodies share, built
-        #: by the first body that needs them (see :meth:`_map`).
+        #: Per level, the flat index maps the kernel bodies share (and the
+        #: in-place stream's groups and scratch), built by the first body
+        #: that needs them (see :meth:`_map`).
         self._maps: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
@@ -142,9 +154,10 @@ class Engine:
         """The level's buffers beside the grid's own maps: the grid states
         every map in the engine's row space, so none is copied here."""
         Q = self.lat.q
+        finest = cl.level == self.mgrid.num_levels - 1
         return LevelBuffers(
             f=np.zeros((Q, cl.n_owned)),
-            fstar=np.zeros((Q, cl.n_owned)),
+            fstar=None if finest else np.zeros((Q, cl.n_owned)),
             ghost_acc=np.zeros((Q, cl.n_ghost)),
             n_owned=cl.n_owned, n_used=cl.n_owned + cl.fine_ghost_slots.size,
             pull_flat=cl.pull_flat,
@@ -161,24 +174,37 @@ class Engine:
             n_exp_cells=cl.n_interface_fine, n_coal_cells=cl.n_interface_coarse,
         )
 
-    def allocate_fghost(self) -> None:
-        """Give every level with fine ghosts its ``fghost`` buffer.
+    def allocate(self, config: FusionConfig) -> None:
+        """Give the levels the buffers a stream of ``config`` addresses
+        beyond the ones every stream does.
 
-        Only the original baseline (Fig. 4a) addresses fine ghosts — its
-        Explosion copy writes them, its Explode reads them — so only a
-        stepper running that layout calls this, at construction: before
-        anything lays out state (the mp backend's shared segment holds
-        the buffers it finds).  Idempotent.
+        Every level but the finest holds ``fstar`` from construction: the
+        next finer level's Explosion reads it.  The finest level's
+        ``fstar`` is read only by its own Accumulate and Streaming, which
+        a CASE kernel (Fig. 4f) runs in ``f``, so every config without
+        CASE gets it here.  Only the original baseline (Fig. 4a)
+        addresses fine ghosts — its Explosion copy writes them, its
+        Explode reads them — so only it gets ``fghost``.
+
+        Called for a stepper that will run, before anything lays out state
+        (:class:`~repro.core.simulation.Simulation`, each mp worker: the
+        mp backend's shared segment holds the buffers it finds), never by
+        the stepper itself: plan admission binds a baseline stepper on
+        the same engine only for its reports.  Idempotent.
         """
-        for buf in self.levels:
-            if buf.fghost is None and buf.n_used > buf.n_owned:
-                buf.fghost = np.zeros((self.lat.q, buf.n_used - buf.n_owned))
+        finest = self.levels[-1]
+        if not config.fuse_cs_finest and finest.fstar is None:
+            finest.fstar = np.zeros_like(finest.f)
+        if config.original_layout:
+            for buf in self.levels:
+                if buf.fghost is None and buf.n_used > buf.n_owned:
+                    buf.fghost = np.zeros((self.lat.q, buf.n_used - buf.n_owned))
 
     def _fghost(self, lv: int) -> np.ndarray:
         fghost = self.levels[lv].fghost
         if fghost is None:
             raise RuntimeError(f"level {lv} has no fghost: only the 4a layout "
-                               f"addresses fine ghosts (Engine.allocate_fghost)")
+                               f"addresses fine ghosts (Engine.allocate)")
         return fghost
 
     def positions(self, lv: int) -> np.ndarray:
@@ -211,7 +237,8 @@ class Engine:
             else:
                 uu = np.broadcast_to(np.asarray(u, dtype=np.float64)[:, None], (d, n)).copy()
             equilibrium(self.lat, rr, uu, out=buf.f)
-            buf.fstar[:] = buf.f
+            if buf.fstar is not None:
+                buf.fstar[:] = buf.f
             buf.ghost_acc[:] = 0.0
 
     # -- access reports --------------------------------------------------------
@@ -235,6 +262,8 @@ class Engine:
         bound on this engine.  Unlike the grid's int32 tables they are
         ``intp`` (:func:`_flat`), the width NumPy indexes with: an int32
         map would be converted on every call (DESIGN.md §18 has the price).
+        The in-place stream keeps its direction groups and its scratch
+        here too, so a level holds one scratch however many bodies bind.
         """
         maps = self._maps[lv]
         got = maps.get(key)
@@ -321,7 +350,8 @@ class Engine:
         """Collide columns ``[lo, hi)`` of level ``lv`` (a split part, an mp shard)."""
         buf = self.levels[lv]
         collide = self.collision.collide
-        f, out = buf.f[:, lo:hi], buf.fstar[:, lo:hi]
+        f = buf.f[:, lo:hi]
+        out = f if buf.fstar is None else buf.fstar[:, lo:hi]     # in place
 
         def run() -> None:
             collide(f, omega, out=out, force=force, budget=budget)
@@ -374,12 +404,14 @@ class Engine:
             return (flat(ng, parent.acc_ghost_rows),
                     flat(fine.n_owned, parent.acc_fine_rows))
         rows_flat, src_flat = self._map(lv, "acc", live_entries)
-        gacc_flat, fstar_flat = parent.ghost_acc.reshape(-1), fine.fstar.reshape(-1)
+        # the post-collision values: in f itself on a level without fstar
+        post = fine.f if fine.fstar is None else fine.fstar
+        gacc_flat, post_flat = parent.ghost_acc.reshape(-1), post.reshape(-1)
         minlength = Q * ng
         bincount = np.bincount
 
         def run() -> None:
-            gacc_flat[:] += bincount(rows_flat, weights=fstar_flat[src_flat],
+            gacc_flat[:] += bincount(rows_flat, weights=post_flat[src_flat],
                                      minlength=minlength)
 
         def report(t) -> None:
@@ -399,25 +431,56 @@ class Engine:
     def _stream(self, lv: int):
         """One gather per direction through the pull table — interior,
         bounce-back and slip links alike — then the moving-wall momentum
-        and the outflow values (one kernel on the GPU)."""
+        and the outflow values (one kernel on the GPU).
+
+        From ``fstar`` the gathers split by column range.  A level without
+        ``fstar`` streams in place: a direction group's rows read only
+        that group's rows (:func:`~repro.grid.multigrid.pull_groups`), so
+        each group is gathered from ``f`` into a scratch and copied back
+        before the next overwrites anything; the groups are dealt out to
+        the split's parts, each with a ``(G, n_owned)`` scratch (``G`` the
+        largest group) that every body bound on the level shares.
+        """
         b = self.levels[lv]
         Q, n = self.lat.q, b.n_owned
-        f_flat, fstar_flat = b.f.reshape(-1), b.fstar.reshape(-1)
+        f_flat = b.f.reshape(-1)
         table, span = self._pull_flat(lv)
         mov, out = self._map(lv, "walls", lambda: (
             (_flat(b.mov_q, n, b.mov_cell), b.mov_term) if b.mov_q.size else None,
             (_flat(b.out_q, n, b.out_cell), b.out_val) if b.out_q.size else None))
-        take = np.take
+        take, copyto = np.take, np.copyto
+        cuts = self.split_cuts(lv)
 
         def gather(lo: int, hi: int) -> KernelBody:
+            fstar_flat = b.fstar.reshape(-1)
             pulls = [(idx[lo:hi], dst[lo:hi]) for idx, dst in zip(table, b.f)]
 
             def part() -> None:
                 for idx, dst in pulls:
                     take(fstar_flat, idx, out=dst, mode="clip")
             return part
-        cuts = self.split_cuts(lv)
-        parts = [gather(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+        def in_place(groups, scratch: np.ndarray) -> KernelBody:
+            pulls = [[(table[q], b.f[q], row) for q, row in zip(g, scratch)]
+                     for g in groups]
+
+            def part() -> None:
+                for group in pulls:
+                    for idx, _, row in group:
+                        take(f_flat, idx, out=row, mode="clip")
+                    for _, dst, row in group:
+                        copyto(dst, row)
+            return part
+
+        if b.fstar is not None:
+            parts = [gather(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        else:
+            groups = sorted(self._map(lv, "groups", lambda: pull_groups(
+                self.mgrid.levels[lv], self.lat)), key=len, reverse=True)
+            width = min(len(cuts) - 1, len(groups))
+            scratch = self._map(lv, ("scratch", width), lambda: np.empty(
+                (width, len(groups[0]), n)))
+            parts = [in_place(groups[k::width], scratch[k]) for k in range(width)]
         pull = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 
         def run() -> None:
@@ -632,8 +695,10 @@ class Engine:
         """The fully fused finest-level kernel (Fig. 4f).
 
         Collision + Accumulate + Streaming + Explosion in one launch; the
-        post-collision intermediate stays in registers (our ``fstar``
-        buffer stands in for them and is excluded from the traffic).
+        post-collision intermediate stays in registers (excluded from the
+        traffic).  On the host it stays in ``f``: the finest level holds no
+        ``fstar`` under a CASE stream, so the body collides in place,
+        accumulates from ``f`` and streams in place (:meth:`_stream`).
         """
         buf = self.levels[lv]
         Q, n = self.lat.q, buf.n_owned

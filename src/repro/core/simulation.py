@@ -71,6 +71,7 @@ class Simulation:
         self.mgrid: MultiGrid = build_multigrid(spec, lat)
         self.engine = Engine(self.mgrid, config.collision, omega0,
                              runtime=runtime, force=config.force)
+        self.engine.allocate(config.fusion)
         from ..backend import resolve_backend
         backend = resolve_backend(config.backend, bool(config.threaded))
         configure = getattr(backend, "configure", None)

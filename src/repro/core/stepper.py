@@ -41,8 +41,6 @@ class NonUniformStepper:
         self.config = config
         self.num_levels = engine.mgrid.num_levels
         self.steps_done = 0
-        if config.original_layout:
-            engine.allocate_fghost()    # the Explosion copy's destination
         if backend is None:
             from ..backend.interpreted import InterpretedBackend
             backend = InterpretedBackend()

@@ -35,7 +35,7 @@ from ..core.lattice import Lattice
 from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
-           "MultiGrid", "build_multigrid", "iter_pull_rows"]
+           "MultiGrid", "build_multigrid", "iter_pull_rows", "pull_groups"]
 
 _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # When a diagonal pull exits through several faces at once, the face with
@@ -371,6 +371,43 @@ def iter_pull_rows(pull_flat: np.ndarray, n_owned: int):
         np.floor_divide(entries, n_owned, out=rows)
         np.multiply(rows, n_owned, out=rows)
         yield np.subtract(entries, rows, out=rows)
+
+
+def pull_groups(cl: CompiledLevel, lat: Lattice) -> list[tuple[int, ...]]:
+    """The moving directions of a level's pull table, in *direction
+    groups*: the smallest sets closed under the source directions their
+    rows read, so a group's rows can be gathered from the post-collision
+    values in ``f`` and written back over them while every other group's
+    sources stay untouched.
+
+    Read off the kind lists, not the table: a row of direction ``q``
+    reads ``q`` (interior pulls, and the entries outflow, explosion and
+    coalescence supply themselves), ``opp q`` (bounce-back, moving and
+    inlet links) and ``sl_src_q`` (slip links).  So a direction is a
+    group of its own on a level without boundary links, a wall or solid
+    pairs it with ``opp q``, and a slip face can merge two pairs.  The
+    rest direction pulls every cell from itself and is left out.
+    """
+    root = list(range(lat.q))
+
+    def find(q: int) -> int:
+        while root[q] != q:
+            q = root[q]
+        return q
+
+    bounced = np.zeros(lat.q, dtype=bool)
+    bounced[cl.bb_q] = bounced[cl.mov_q] = True
+    slipped = np.zeros((lat.q, lat.q), dtype=bool)
+    slipped[cl.sl_q, cl.sl_src_q] = True
+    links = [(q, int(lat.opp[q])) for q in np.flatnonzero(bounced)]
+    links += [(int(a), int(b)) for a, b in np.argwhere(slipped)]
+    for a, b in links:
+        root[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for q in range(lat.q):
+        if lat.e[q].any():
+            groups.setdefault(find(q), []).append(q)
+    return [tuple(g) for g in groups.values()]
 
 
 def _owner_labels(spec: RefinementSpec) -> list[np.ndarray]:

@@ -2,8 +2,9 @@
 
 Long wind-tunnel runs (the paper's 30k-iteration sphere experiment)
 need restartability.  A checkpoint stores the *live* state and nothing
-else — between coarse steps, every level's ``f``: ``fstar`` (and the
-4a layout's ``fghost``) is rewritten before anything reads it and the
+else — between coarse steps, every level's ``f``: ``fstar`` (which the
+finest level holds only outside CASE, and the 4a layout's ``fghost``)
+is rewritten before anything reads it and the
 ghost accumulators are zero, so a restore derives them from the file
 and the run continues bit-for-bit identically (asserted with the dead
 buffers poisoned: ``tests/test_live_state.py``).  Format 2 is uncompressed —
@@ -89,8 +90,10 @@ def atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> 
     are ``fsync``-ed before the rename; a process dying mid-write leaves
     only the temp file, never a truncated file under the real name, and
     a failed write removes the temp file and leaves the old file as it
-    was.  Every durable file the repo writes goes through here:
-    checkpoints, their manifest, and the job server's state files.
+    was.  The directory is ``fsync``-ed after the rename, which is what
+    makes the rename itself survive a power loss.  Every durable file
+    the repo writes goes through here: checkpoints, their manifest, and
+    the job server's state files.
     """
     dirname = os.path.dirname(os.path.abspath(path))
     os.makedirs(dirname, exist_ok=True)
@@ -108,6 +111,11 @@ def atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> 
         except OSError:
             pass
         raise
+    dir_fd = os.open(dirname, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save_checkpoint(sim: Simulation, path: str) -> None:
@@ -140,9 +148,10 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     raises ``ValueError`` otherwise; a damaged file raises
     :class:`CheckpointError`.  The simulation is only modified once the
     whole file has been read and validated; every buffer is then a
-    function of the file alone (``fstar`` mirrors ``f``, the rest is
-    zero): no NaN of the abandoned timeline survives a rollback.  Every
-    buffer is written in place, so a step plan bound to them stays valid.
+    function of the file alone (``fstar``, where a level holds one,
+    mirrors ``f``, the rest is zero): no NaN of the abandoned timeline
+    survives a rollback.  Every buffer is written in place, so a step
+    plan bound to them stays valid.
     """
     data = _load_arrays(path)
     try:
@@ -178,7 +187,8 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
                              f"not {buf.f.dtype}")
     for lv, buf in enumerate(sim.engine.levels):
         buf.f[:] = data[f"f_{lv}"]
-        buf.fstar[:] = buf.f
+        if buf.fstar is not None:       # the finest level has none under CASE
+            buf.fstar[:] = buf.f
         if buf.fghost is not None:      # only where the 4a layout allocated it
             buf.fghost.fill(0.0)
         buf.ghost_acc[:] = 0.0

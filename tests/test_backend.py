@@ -50,7 +50,8 @@ def build(wl, cfg, backend, **over):
 
 
 def states(sim):
-    return [(b.f.copy(), b.fstar.copy(), b.ghost_acc.copy())
+    return [(b.f.copy(), b.fstar if b.fstar is None else b.fstar.copy(),
+             b.ghost_acc.copy())
             for b in sim.engine.levels]
 
 

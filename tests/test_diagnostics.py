@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.workloads import sphere_tunnel
 from repro.core.diagnostics import (drag_coefficient, enstrophy_2d, kinetic_energy,
                                     solid_force)
+from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
 from repro.grid.geometry import Sphere, shell_refinement, voxelize
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
@@ -118,6 +120,30 @@ class TestSolidForce:
         area = np.pi * (2 * sphere.radius) ** 2  # frontal area, fine units R*2
         cd = drag_coefficient(fx, 1.0, 0.05, area)
         assert 0.1 < cd < 30.0  # moderate-Re sphere: O(1-10)
+
+    def test_the_bounced_populations_sit_in_f(self):
+        # the bounce-back pull put fstar[opp q] of each solid link's cell
+        # into f[q]: shown under 4b, which still holds the finest fstar,
+        # so solid_force reads f on every level and every config
+        wl = sphere_tunnel(scale=0.25)
+        forces = {}
+        for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
+            with Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg)) as sim:
+                sim.run(5)
+                forces[cfg.name] = solid_force(sim.engine)
+                if cfg is not MODIFIED_BASELINE:
+                    continue
+                opp = sim.lattice.opp
+                links = 0
+                for cl, buf in zip(sim.mgrid.levels, sim.engine.levels):
+                    links += cl.sb_q.size
+                    assert np.array_equal(buf.f[cl.sb_q, cl.sb_cell],
+                                          buf.fstar[opp[cl.sb_q], cl.sb_cell])
+                assert links > 0
+        assert sim.engine.levels[-1].fstar is None          # ours-4f's finest
+        assert np.abs(forces["baseline-4b"]).max() > 0
+        for force in forces.values():
+            assert np.array_equal(force, forces["baseline-4b"])
 
     def test_drag_coefficient_validation(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 from repro.backend.compiler import bind_bodies
 from repro.backend.plan import StepPlan
 from repro.core.engine import Engine
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.lattice import D2Q9, D3Q19
 from repro.core.stepper import NonUniformStepper
-from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, build_multigrid
+from repro.grid.multigrid import (DomainBC, FaceBC, RefinementSpec, build_multigrid,
+                                  pull_groups)
 from repro.grid.geometry import wall_refinement
 from repro.neon.runtime import FieldRef, LazyBody
 
@@ -25,12 +27,15 @@ def run_op(op, *args, **kwargs):
     StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
 
 
-def make_engine(bc=None, base=(16, 16), omega0=1.2):
+def make_engine(bc=None, base=(16, 16), omega0=1.2, cfg=MODIFIED_BASELINE):
+    """A two-level engine holding the buffers ``cfg``'s stream addresses
+    (by default the unfused kernels': every ``fstar``)."""
     regions = wall_refinement(base, 2, [3.0])
     spec = RefinementSpec(base_shape=base, refine_regions=regions,
                           bc=bc or DomainBC())
     mg = build_multigrid(spec, D2Q9)
     eng = Engine(mg, "bgk", omega0=omega0)
+    eng.allocate(cfg)
     eng.initialize()
     return eng
 
@@ -77,7 +82,7 @@ class TestConstruction:
     @pytest.mark.parametrize("cfg", [ORIGINAL_BASELINE, MODIFIED_BASELINE,
                                      FUSED_FULL], ids=lambda c: c.name)
     def test_only_the_4a_layout_allocates_fine_ghosts(self, cfg):
-        eng = make_engine()
+        eng = make_engine(cfg=cfg)
         NonUniformStepper(eng, cfg).run(1)
         for b in eng.levels:
             if cfg.original_layout and b.n_used > b.n_owned:
@@ -279,8 +284,7 @@ class TestStreamingSemantics:
         assert np.allclose(eng1.levels[0].ghost_acc, eng2.levels[0].ghost_acc)
 
     def test_explosion_copy_mirrors_coarse(self):
-        eng = make_engine()
-        eng.allocate_fghost()
+        eng = make_engine(cfg=ORIGINAL_BASELINE)
         eng.initialize(u=np.array([0.01, 0.02]))
         run_op(eng.op_collide, 0)
         run_op(eng.op_explosion_copy, 1)
@@ -290,9 +294,8 @@ class TestStreamingSemantics:
 
     def test_stream_from_ghost_equals_direct(self):
         # 4a explosion path (via ghost copies) gives identical pull values
-        eng_a = make_engine()
+        eng_a = make_engine(cfg=ORIGINAL_BASELINE)
         eng_b = make_engine()
-        eng_a.allocate_fghost()
         for eng in (eng_a, eng_b):
             eng.initialize(u=np.array([0.015, 0.0]))
             run_op(eng.op_collide, 0)
@@ -441,8 +444,9 @@ KERNELS = {
 }
 
 
-def mixed_engine(d):
-    """Three levels, a solid, and every face kind between the two grids."""
+def mixed_engine(d, cfg=ORIGINAL_BASELINE):
+    """Three levels, a solid, and every face kind between the two grids;
+    by default every buffer allocated (4a's ``fghost``, every ``fstar``)."""
     vel = (0.04,) + (0.0,) * (d - 1)
     if d == 2:
         base, lat = (15, 13), D2Q9
@@ -455,7 +459,7 @@ def mixed_engine(d):
                  "z+": FaceBC("moving", velocity=vel)}
     spec = nested_box_spec(base, 3, DomainBC(faces), solid=True)
     eng = Engine(build_multigrid(spec, lat), "bgk", omega0=1.3)
-    eng.allocate_fghost()                   # for the 4a bodies
+    eng.allocate(cfg)
     #: the row-space pull of the reference compile, for ref_stream
     eng.ref_pull_rows = [a["pull_rows"] for a in ref_compile(spec, lat).values()]
     return eng
@@ -540,3 +544,89 @@ class TestKernelBodies:
                            lambda: engine.op_fused_case(lv)):
                 rec = engine.rt.capture_plan(launch)[0]
                 assert rec.atomic_bytes == engine.itemsize * src.size
+
+
+def table_groups(table, n):
+    """Direction groups of one level read off its pull table: the rows
+    joined by the source directions ``entry // n_owned`` they read,
+    identity rows (the rest direction) left out; sorted lists."""
+    root = list(range(table.shape[0]))
+
+    def find(q):
+        while root[q] != q:
+            q = root[q]
+        return q
+    moving = [q for q, row in enumerate(table)
+              if not np.array_equal(row, q * n + np.arange(n))]
+    for q in moving:
+        for src in np.unique(table[q] // n):
+            root[find(q)] = find(int(src))
+    groups = {}
+    for q in moving:
+        groups.setdefault(find(q), []).append(q)
+    return sorted(groups.values())
+
+
+#: finest-level kernel sequences of the configs, all equal to the textbook
+#: collide, accumulate, stream, explode
+IN_PLACE = {
+    "CASE": lambda e, lv: run_op(e.op_fused_case, lv),
+    "C-A-S-E": lambda e, lv: [run_op(e.op_collide, lv), run_op(e.op_accumulate, lv),
+                              run_op(e.op_stream, lv), run_op(e.op_explode, lv)],
+    "CA-SE": lambda e, lv: [run_op(e.op_collide, lv, fuse_accumulate=True),
+                            run_op(e.op_stream, lv, fuse_explosion=True)],
+}
+
+
+class TestInPlace:
+    """The finest level without ``fstar`` (a CASE stream's engine):
+    Collide writes over ``f``, Accumulate reads ``f`` and Streaming runs
+    in place one direction group at a time, through a scratch per split
+    part — the values the textbook computes through ``fstar``."""
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
+    def engines(self, request):
+        return mixed_engine(request.param), mixed_engine(request.param, FUSED_FULL)
+
+    def test_groups_are_closed_under_the_rows_sources(self, engines):
+        _, eng = engines
+        merged = False
+        for cl, b in zip(eng.mgrid.levels, eng.levels):
+            groups = pull_groups(cl, eng.lat)
+            assert sorted(map(sorted, groups)) == table_groups(b.pull_flat, b.n_owned)
+            merged |= max(map(len, groups)) > 2
+        assert merged                       # a slip face joins two pairs
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("sequence", IN_PLACE)
+    def test_matches_textbook_body(self, engines, sequence, width, monkeypatch):
+        ref, eng = engines
+        lv = len(eng.levels) - 1
+        assert eng.levels[lv].fstar is None and ref.levels[lv].fstar is not None
+        monkeypatch.setattr(engine_mod, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(eng, "split_width", width)
+        rng = np.random.default_rng(width)
+        start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
+                  for k in ("f", "fstar", "ghost_acc") if getattr(b, k) is not None}
+                 for b in ref.levels]
+        for e in (ref, eng):
+            for b, saved in zip(e.levels, start):
+                for k, values in saved.items():
+                    if getattr(b, k) is not None:
+                        getattr(b, k)[...] = values
+        IN_PLACE[sequence](eng, lv)
+        for body in (ref_collide, ref_accumulate, ref_stream, ref_explode_direct):
+            body(ref, lv)
+        for got, want in zip(eng.levels[:lv], ref.levels[:lv]):
+            assert np.array_equal(got.f, want.f)
+            assert np.array_equal(got.fstar, want.fstar)
+        assert np.array_equal(eng.levels[lv].f, ref.levels[lv].f)
+        parent = eng.levels[lv - 1]         # the bins Coalescence reads
+        live = consumed_bins(parent)
+        assert np.array_equal(parent.ghost_acc, np.where(
+            live, ref.levels[lv - 1].ghost_acc, start[lv - 1]["ghost_acc"]))
+        groups = pull_groups(eng.mgrid.levels[lv], eng.lat)
+        parts = min(len(eng.split_cuts(lv)) - 1, len(groups))
+        assert parts == min(width, len(eng.split_cuts(lv)) - 1)
+        assert eng._maps[lv][("scratch", parts)].shape == (
+            parts, max(map(len, groups)), eng.levels[lv].n_owned)

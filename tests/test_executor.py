@@ -30,7 +30,8 @@ WORKLOADS = {
 
 
 def full_state(sim):
-    return [(b.f.copy(), b.fstar.copy(), b.ghost_acc.copy())
+    return [(b.f.copy(), b.fstar if b.fstar is None else b.fstar.copy(),
+             b.ghost_acc.copy())
             for b in sim.engine.levels]
 
 

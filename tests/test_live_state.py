@@ -1,14 +1,15 @@
 """Only what is live is held, copied and persisted (DESIGN.md sections 11, 16, 18).
 
 Between coarse steps the state of a run is every level's ``f``:
-``fstar`` (and the 4a layout's ``fghost``) is rewritten before anything
-reads it and the ghost accumulators are zero.  These tests hold that
-claim dynamically (poison the dead buffers, nothing changes) and
-statically (the first access to ``fstar`` / ``fghost`` in every stream
-is a full-cover write), check that checkpoints and ``state_digest``
-carry exactly the live state, that the population buffers are the
-layout the memory model prices, and guard the heap of the ROADMAP
-anchor.  ``make mem-check`` runs this file.
+``fstar`` (and the 4a layout's ``fghost``, and the scratch of a level
+that streams in place) is rewritten before anything reads it and the
+ghost accumulators are zero.  These tests hold that claim dynamically
+(poison the dead buffers, nothing changes) and statically (the first
+access to ``fstar`` / ``fghost`` in every stream is a full-cover write),
+check that checkpoints and ``state_digest`` carry exactly the live
+state, that the host allocates exactly what the stream addresses and
+the population buffers are the layout the memory model prices, and
+guard the heap of the ROADMAP anchor.  ``make mem-check`` runs this file.
 """
 
 import gc
@@ -18,7 +19,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 from repro.analysis.capture import WRITE
+from repro.analysis.lint import field_nbytes
 from repro.analysis.static import plan_stream
 from repro.backend.compiler import admit_stream
 from repro.bench.workloads import lid_cavity, sphere_tunnel
@@ -32,12 +35,13 @@ from repro.gpu.memory import grid_memory_report, index_bytes
 from repro.grid.multigrid import build_multigrid
 from repro.io.checkpoint import (CheckpointStore, restore_checkpoint,
                                  save_checkpoint)
+from repro.neon.runtime import FieldRef
 from repro.obs.watchdog import HealthWatchdog
 from repro.serve.state import state_digest
 
 from .test_fusion_equivalence import (ALL_CONFIGS, cavity_2d_three_levels,
                                       sphere_3d)
-from .test_engine import run_op
+from .test_engine import run_op, table_groups
 from .test_static_analysis import WL2D, WL3D
 
 MiB = 2 ** 20
@@ -57,6 +61,14 @@ def assert_same_f(a, b):
         assert np.array_equal(la.f, lb.f)
 
 
+def scratch(engine):
+    """``lv -> (parts, G, n_owned)`` scratch of every level that streams
+    in place, as its bound bodies share it."""
+    return {lv: arr for lv, maps in enumerate(engine._maps)
+            for key, arr in maps.items()
+            if isinstance(key, tuple) and key[0] == "scratch"}
+
+
 # -- what crosses a coarse-step boundary -------------------------------------------
 
 @GRIDS
@@ -66,10 +78,16 @@ def test_only_f_crosses_a_coarse_step(setup, cfg):
     with clean, poisoned:
         clean.run(2)
         poisoned.run(2)
+        stage = scratch(poisoned.engine)
+        assert list(stage) == ([poisoned.num_levels - 1] if cfg.fuse_cs_finest
+                               else [])
+        for arr in stage.values():          # the in-place stream's scratch
+            arr.fill(np.nan)
         for buf in poisoned.engine.levels:
             assert buf.f.shape == (poisoned.lattice.q, buf.n_owned)
             assert not buf.ghost_acc.any()
-            buf.fstar.fill(np.nan)
+            if buf.fstar is not None:       # not the finest level's under CASE
+                buf.fstar.fill(np.nan)
             if buf.fghost is not None:      # 4a's fine ghosts
                 buf.fghost.fill(np.nan)
         for _ in range(3):
@@ -78,7 +96,7 @@ def test_only_f_crosses_a_coarse_step(setup, cfg):
             assert_same_f(clean, poisoned)
             for buf in poisoned.engine.levels:
                 assert np.isfinite(buf.f).all()
-                assert np.isfinite(buf.fstar[:, :buf.n_owned]).all()
+                assert buf.fstar is None or np.isfinite(buf.fstar).all()
                 assert not buf.ghost_acc.any()
 
 
@@ -116,13 +134,17 @@ def test_restore_leaves_nothing_of_the_abandoned_timeline(tmp_path):
     b.run(6)                                # a used simulation, elsewhere in time
     for buf in b.engine.levels:
         for arr in (buf.f, buf.fstar, buf.ghost_acc):
-            arr.fill(np.nan)
+            if arr is not None:             # the finest level has no fstar
+                arr.fill(np.nan)
     restore_checkpoint(b, path)
     assert b.steps_done == 4
+    *coarse, finest = b.engine.levels
+    assert finest.fstar is None
     for buf in b.engine.levels:
-        assert buf.fghost is None and buf.fstar.shape == buf.f.shape
-        assert np.isfinite(buf.f).all()
-        assert np.array_equal(buf.fstar, buf.f) and not buf.ghost_acc.any()
+        assert buf.fghost is None and np.isfinite(buf.f).all()
+        assert not buf.ghost_acc.any()
+    for buf in coarse:
+        assert np.array_equal(buf.fstar, buf.f)
     assert HealthWatchdog(b).check()["status"] == "ok"
     assert np.isfinite(solid_force(b.engine)).all()
     b.run(3)
@@ -173,7 +195,7 @@ def test_format_1_is_refused(tmp_path):
         old = {k: data[k] for k in data.files}
     old["format"] = np.asarray(1)
     for lv, buf in enumerate(sim.engine.levels):    # what format 1 also stored
-        old[f"fstar_{lv}"], old[f"gacc_{lv}"] = buf.fstar, buf.ghost_acc
+        old[f"fstar_{lv}"], old[f"gacc_{lv}"] = np.zeros_like(buf.f), buf.ghost_acc
     np.savez_compressed(path, **old)
     with pytest.raises(ValueError, match="^unsupported checkpoint format 1$"):
         restore_checkpoint(sim, path)
@@ -226,7 +248,12 @@ def test_digest_of_a_run_resumed_at_its_last_step(setup, tmp_path):
     assert state_digest(whole) != state_digest(resumed)
 
 
-# -- the heap holds what the model prices --------------------------------------------
+# -- the heap holds what the stream addresses and the model prices ------------------
+
+ANCHOR_AND_SPHERE = pytest.mark.parametrize("workload", [
+    lambda: lid_cavity(base=(16, 16, 16), num_levels=3),
+    lambda: sphere_tunnel(scale=0.5)], ids=["anchor", "sphere-half"])
+
 
 def allocated(arr):
     """Bytes of the allocation behind ``arr``, not of the view."""
@@ -235,13 +262,41 @@ def allocated(arr):
     return arr.nbytes
 
 
-@pytest.mark.parametrize("workload", [
-    lambda: lid_cavity(base=(16, 16, 16), num_levels=3),
-    lambda: sphere_tunnel(scale=0.5)], ids=["anchor", "sphere-half"])
+@ANCHOR_AND_SPHERE
+def test_the_host_allocates_what_the_stream_addresses(workload):
+    """After admission — which also binds the modified baseline on the
+    same engine, for its reports only — the priced fields the host holds
+    no buffer for are exactly the lint's droppable buffers: 4a's fine
+    ghosts outside 4a, and the finest ``fstar`` under CASE."""
+    wl = workload()
+    buffers = {"f": "f", "fstar": "fstar", "fghost": "fghost", "gacc": "ghost_acc"}
+    for cfg in ALL_CONFIGS:
+        with Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg)) as sim:
+            _, lint = admit_stream(sim.stepper)
+            engine = sim.engine
+            droppable = {f.field for f in lint.findings
+                         if f.check == "droppable-buffer"}
+            missing = {str(ref) for lv, buf in enumerate(engine.levels)
+                       for name, attr in buffers.items()
+                       if getattr(buf, attr) is None
+                       and field_nbytes(engine, ref := FieldRef(name, lv)) > 0}
+            assert missing == droppable, cfg.name
+            finest = sim.num_levels - 1
+            expected = ({f"fghost@{lv}" for lv in range(1, sim.num_levels)}
+                        if not cfg.original_layout else set())
+            if cfg.fuse_cs_finest:
+                expected.add(f"fstar@{finest}")
+            assert droppable == expected, cfg.name
+
+
+@ANCHOR_AND_SPHERE
 def test_population_bytes_are_what_the_memory_model_prices(workload):
-    """``f`` + ``fstar`` + allocated ``fghost`` + ``ghost_acc`` per config
-    against :func:`repro.gpu.memory.grid_memory_report` (section IV-A):
-    4b and 4f hold the optimized scheme's bytes exactly; 4a differs from
+    """``f`` + ``fstar`` + allocated ``fghost`` + ``ghost_acc`` + the
+    in-place stream's scratch per config, after admission, against
+    :func:`repro.gpu.memory.grid_memory_report` (section IV-A): 4b holds
+    the optimized scheme's bytes exactly, 4f those less the finest
+    ``fstar`` plus one ``(G, n_owned)`` scratch per part of the finest
+    level's split (no more parts than direction groups); 4a differs from
     the original scheme by two named terms."""
     wl = workload()
     mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
@@ -249,10 +304,21 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
     original = grid_memory_report(mgrid, scheme="original")
     for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
         engine = Engine(mgrid, wl.collision)
-        NonUniformStepper(engine, cfg)          # allocates what cfg addresses
+        engine.allocate(cfg)
+        admit_stream(NonUniformStepper(engine, cfg))    # binds every body
         held = sum(allocated(arr) for buf in engine.levels
                    for arr in (buf.f, buf.fstar, buf.fghost, buf.ghost_acc)
                    if arr is not None)
+        held += sum(allocated(arr) for arr in scratch(engine).values())
+        if cfg.fuse_cs_finest:
+            lv = mgrid.num_levels - 1
+            n, item = engine.levels[lv].n_owned, engine.itemsize
+            groups = table_groups(mgrid.levels[lv].pull_flat, n)
+            parts = min(len(engine.split_cuts(lv)) - 1, len(groups))
+            big = max(map(len, groups))
+            assert held == (optimized.populations + optimized.ghost_accumulators
+                            - engine.lat.q * item * n + parts * big * n * item)
+            continue
         if not cfg.original_layout:
             assert held == optimized.populations + optimized.ghost_accumulators
             continue
@@ -319,7 +385,7 @@ def index_tables(sim):
     return sorted(found.values(), key=lambda item: item[0])
 
 
-def test_anchor_heap_stays_near_the_live_bytes():
+def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
     """16^3 x 3 cavity, compiled: 128.7 MiB steady / 155.5 MiB peak before
     the tables were shared and admission and the digest stopped copying;
     90.7 / 102 before Accumulate kept only the entries Coalescence reads
@@ -328,11 +394,16 @@ def test_anchor_heap_stays_near_the_live_bytes():
     80.4 / 84.0 while ``fstar`` carried 4a's fine-ghost rows under
     every config and each level its positions; 67.9 / 71.4 while the
     grid kept int64 tables and a kind matrix and the engine row-space
-    copies of them (reads 58.9 / 62.5; the ceilings are that + 5 %).
+    copies of them; 61.9 / 65.6 while the finest level held ``fstar``
+    under CASE (reads 45.0 / 48.5; the ceilings are that + 5 %).  The
+    finest level streams in place through one ``(G, n_owned)`` scratch
+    per split part, allocated once for every body bound on it; the split
+    is pinned at 2 parts, so the heap does not depend on the host's CPUs.
     Admitting the plan again may add at most 4 MiB to the heap it starts
     from (25.9 MiB with the frozensets, 1.3 MiB with the shared sorted
     arrays, reads 0.9)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
+    monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     gc.collect()
     tracemalloc.start()
     try:
@@ -349,8 +420,13 @@ def test_anchor_heap_stays_near_the_live_bytes():
     finally:
         tracemalloc.stop()
     with sim:
-        assert peak <= 65.6 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 61.9 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 50.9 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 47.2 * MiB, f"steady {current / MiB:.1f} MiB"
+        finest = sim.num_levels - 1
+        n = sim.engine.levels[finest].n_owned
+        assert sim.engine.levels[finest].fstar is None
+        assert {lv: a.shape for lv, a in scratch(sim.engine).items()} == {
+            finest: (2, 2, n)}              # 2 parts, (q, opp q) pairs
         assert admit_peak - current <= 4 * MiB, (
             f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
         # one (Q, n_owned) integer table per level and no other

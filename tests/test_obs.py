@@ -293,15 +293,16 @@ class TestWatchdog:
         assert wd.last_report["levels"][0]["rho_max"] >= 1.0
 
     @staticmethod
-    def _run_sabotaged(field):
-        """Four watched steps with a NaN put into ``field`` after step 2."""
+    def _run_sabotaged(field, lv=1):
+        """Four watched steps with a NaN put into level ``lv``'s ``field``
+        after step 2."""
         sim = small_sim()
         sim.enable_tracing()
         wd = HealthWatchdog(sim)
 
         def sabotage_then_check(stepper):
             if field is not None and stepper.steps_done == 2:
-                getattr(sim.engine.levels[1], field)[0, 5] = np.nan
+                getattr(sim.engine.levels[lv], field)[0, 5] = np.nan
             wd.callback(stepper)
 
         sim.run(4, callback=sabotage_then_check)
@@ -309,10 +310,11 @@ class TestWatchdog:
 
     def test_nan_in_fstar_at_step_boundary_does_not_trip(self):
         # fstar is dead between coarse steps (tests/test_live_state.py):
-        # a value nothing will read is not a divergence.
+        # a value nothing will read is not a divergence.  Level 0's: the
+        # finest level holds no fstar under CASE.
         from repro.serve.state import state_digest
         clean, _ = self._run_sabotaged(None)
-        poisoned, wd = self._run_sabotaged("fstar")
+        poisoned, wd = self._run_sabotaged("fstar", lv=0)
         assert wd.checks_run == 4 and wd.last_report["status"] == "ok"
         assert state_digest(poisoned) == state_digest(clean)
 

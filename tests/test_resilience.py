@@ -9,6 +9,7 @@ when a plan backend is selected.
 """
 
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from repro.gpu.memory import DeviceOOMError
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
 from repro.io.checkpoint import (CheckpointError, CheckpointStore,
-                                 restore_checkpoint, save_checkpoint)
+                                 atomic_write, restore_checkpoint,
+                                 save_checkpoint)
 from repro.obs.watchdog import HealthWatchdog, SimulationDiverged
 from repro.resilience import (Fault, FaultInjector, InjectedKernelError,
                               ResilientRunner, RetryExhausted, RetryPolicy)
@@ -296,11 +298,11 @@ class TestCheckpointStore:
         before = manifest.read_bytes()
         synced = []
         real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: (synced.append(fd), real_fsync(fd))[1])
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(
+            stat.S_ISDIR(os.fstat(fd).st_mode)), real_fsync(fd))[1])
         sim.run(1)
         store.save(sim)                     # the checkpoint and the manifest
-        assert len(synced) == 2
+        assert synced == [False, True] * 2  # each file, then its directory
         after = manifest.read_bytes()
         assert after != before
 
@@ -313,6 +315,30 @@ class TestCheckpointStore:
             store.save(sim)
         assert manifest.read_bytes() == after
         assert not [n for n in os.listdir(store.directory) if n.endswith(".tmp")]
+
+    def test_atomic_write_syncs_the_directory_after_the_rename(self, tmp_path,
+                                                               monkeypatch):
+        # the rename is only durable once its directory entry is on disk
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            calls.append(("fsync-dir" if stat.S_ISDIR(mode) else "fsync-file",
+                          os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "sub" / "state.json"
+        atomic_write(str(path), lambda fh: fh.write("{}"), "w")
+        assert path.read_text() == "{}"
+        assert [kind for kind, _ in calls] == ["fsync-file", "replace", "fsync-dir"]
+        assert calls[-1][1] == os.stat(path.parent).st_ino
 
 
 # -- the recovery matrix ------------------------------------------------------

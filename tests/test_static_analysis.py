@@ -184,7 +184,8 @@ def buffers(engine):
     out = {}
     for lv, b in enumerate(engine.levels):
         out[FieldRef("f", lv)] = (b.f, 0)
-        out[FieldRef("fstar", lv)] = (b.fstar, 0)
+        if b.fstar is not None:         # the finest level's, outside CASE
+            out[FieldRef("fstar", lv)] = (b.fstar, 0)
         if b.ghost_acc.size:
             out[FieldRef("gacc", lv)] = (b.ghost_acc, 0)
         if b.fghost is not None:
