@@ -18,10 +18,12 @@ test-compiled:
 # process-parallel mp backend (ambient $REPRO_BACKEND selection).  Every
 # stepping simulation spawns its own worker pool, so the *full* suite
 # under mp would be pathological; the dedicated suite plus the
-# facade/physics subsets cover the contract.
+# facade/physics subsets cover the contract, and the executor digest
+# matrix (threaded and mp against serial, 7 configs x 2 grids).
 test-mp:
 	REPRO_BACKEND=mp $(PYTHON) -m pytest -x -q tests/test_mp_backend.py \
-		tests/test_simulation.py tests/test_fusion_equivalence.py
+		tests/test_simulation.py tests/test_fusion_equivalence.py \
+		"tests/test_executor.py::TestDigestMatrix"
 
 # Bit-identity across executors rests on one promise of the collision
 # kernels: a cell's result does not depend on where its column sits in a
@@ -40,14 +42,16 @@ test-blas:
 			tests/test_mp_backend.py tests/test_reference.py || exit 1; \
 	done
 
-# Live bytes (DESIGN.md sections 11, 18): the tracemalloc guard on the
-# 16^3 x 3 anchor (one pull table per level, shared by grid and engine;
+# Live bytes (DESIGN.md sections 11, 18): the tracemalloc guards on the
+# 16^3 x 3 anchor and the half-sphere 4b tunnel (one population buffer
+# and one in-place stream scratch per level; one pull table per level,
+# shared by grid and engine;
 # every grid table int32 and priced by gpu.memory.index_bytes; admission
 # and state_digest copy nothing), the dead-state proof (only f
 # crosses a coarse step, all 7 configs, dynamic and static) and the
 # format-2 checkpoint contract; the host allocating exactly what the
-# stream addresses (no finest fstar under CASE: that level collides and
-# streams in place, checked against the textbook bodies); and the grid
+# stream addresses (every level collides and streams in place, checked
+# against the two-buffer textbook bodies); and the grid
 # compile's tracemalloc peak over its result (half sphere, anchor: each
 # level's dense tables are locals of its compile).  Under 30 s; also part
 # of `make test`.
@@ -96,7 +100,8 @@ docs-check:
 # body runs for it): reports against declarations, races on the declared
 # and interval-refined waves, fusion-legality proofs, lint pass, step-plan
 # certificates, a short run that must stay finite, and the seeded-illegal
-# negative control.
+# negative controls (a hoisted Collision; an Explode moved behind the
+# coarser Stream that overwrites what it reads).
 analysis:
 	$(PYTHON) -m repro analysis --all-configs --cert-dir certificates
 

@@ -11,6 +11,7 @@ from conftest import run_once
 from repro.bench.workloads import lid_cavity
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
+from repro.gpu.costmodel import device_records
 from repro.io.tables import format_table
 from repro.neon.graph import build_dependency_graph, graph_stats
 from repro.obs import write_bench_json
@@ -34,7 +35,7 @@ def test_fig2_kernel_graphs(benchmark, report):
     stats = {}
     for name, trace in (("baseline (Fig. 2 top)", base_trace),
                         ("ours (Fig. 2 bottom)", ours_trace)):
-        g = build_dependency_graph(trace, reduce=False)
+        g = build_dependency_graph(device_records(trace), reduce=False)
         s = graph_stats(g)
         stats[name] = s
         census = {}

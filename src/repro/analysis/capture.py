@@ -15,7 +15,7 @@ tuples and byte counts handed to
 statement; :mod:`repro.analysis.verify` diffs the two.
 
 Row coordinates are the engine's compact row space: rows ``0..n_owned-1``
-are the owned cells of a level — all of ``f`` and ``fstar``, both
+are the owned cells of a level — all of its one population buffer ``f``,
 ``(Q, n_owned)`` — and rows ``n_owned..n_used-1`` the fine-ghost region of
 the original baseline, the ``fghost`` field, which the engine allocates
 for that layout alone (column ``r - n_owned`` holds row ``r``).
@@ -23,9 +23,8 @@ for that layout alone (column ``r - n_owned`` holds row ``r``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -117,19 +116,18 @@ class AccessTracer:
 
     Every launch is bracketed with :meth:`begin_launch` /
     :meth:`end_launch`; a report calls :meth:`read` / :meth:`write` /
-    :meth:`atomic` / :meth:`meta` only while a launch is active.  Fields
-    registered through :meth:`suppress` are register-resident for the
-    duration of the ``with`` block (the fused CASE kernel keeps the
-    post-collision populations in registers): their accesses are not
-    recorded at all.  An ``entries=`` index array becomes one
-    :class:`EntrySet`, built the first time this tracer sees the array
+    :meth:`atomic` / :meth:`meta` only while a launch is active.  A
+    register-resident access inside a fused kernel (the CASE kernel's
+    post-collision populations) is reported with 0 bytes, so it still
+    names the storage the host body touches.  An ``entries=`` index
+    array becomes one :class:`EntrySet`, built the first time this
+    tracer sees the array
     (the engine shares each flat index map between every body it binds,
     so every report naming a patch gets the same object).
     """
 
     def __init__(self) -> None:
         self._current: list[Access] | None = None
-        self._suppressed: set[FieldRef] = set()
         #: ``id(array) -> (array, EntrySet)``; the array is kept so its id
         #: cannot be reused while the tracer lives.
         self._entry_sets: dict[int, tuple[np.ndarray, EntrySet]] = {}
@@ -151,16 +149,6 @@ class AccessTracer:
         out, self._current = self._current, None
         return out
 
-    # -- register-resident fields -------------------------------------------
-    @contextmanager
-    def suppress(self, *fields: FieldRef) -> Iterator[None]:
-        added = set(fields) - self._suppressed
-        self._suppressed |= added
-        try:
-            yield
-        finally:
-            self._suppressed -= added
-
     # -- recording ------------------------------------------------------------
     def _entry_set(self, ids: np.ndarray) -> EntrySet:
         got = self._entry_sets.get(id(ids))
@@ -173,8 +161,6 @@ class AccessTracer:
         if kind not in _KINDS:
             raise ValueError(f"unknown access kind {kind!r}")
         if self._current is None:
-            return
-        if field is not None and field in self._suppressed:
             return
         self._current.append(Access(
             field=field, kind=kind, lo=int(lo), hi=int(hi), nbytes=int(nbytes),

@@ -14,7 +14,8 @@ one pass over the stream's bind-time access map (no body runs for it:
    certificate;
 
 then steps the simulation to check it stays finite, and runs the
-seeded-illegal negative control per workload.
+seeded-illegal negative controls per workload (a Collision hoisted over
+an Explosion, and an Explode moved behind the coarser level's Stream).
 
 Exit status is non-zero when any finding, race or failed gate survives —
 this is the CI gate that every future fusion/optimisation change must
@@ -128,17 +129,22 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     }
 
 
-def _negative_control(workload: str, steps: int) -> dict[str, Any]:
-    """The seeded-illegal gate: a swapped declaration must be rejected."""
-    from .static import seeded_illegal_proof
+def _negative_controls(workload: str, steps: int) -> list[dict[str, Any]]:
+    """The seeded-illegal gates: each reordered stream must be rejected."""
+    from .static import SEEDED_CONTROLS, seeded_illegal_proof
 
-    proof = seeded_illegal_proof(small_workloads()[workload], steps=steps)
-    return {
-        "workload": workload,
-        "verdict": proof.verdict,
-        "rejected": proof.verdict == "illegal" and bool(proof.counterexamples),
-        "counterexamples": [str(c) for c in proof.counterexamples],
-    }
+    out = []
+    for control in SEEDED_CONTROLS:
+        proof = seeded_illegal_proof(small_workloads()[workload], steps=steps,
+                                     control=control)
+        out.append({
+            "workload": workload,
+            "control": control,
+            "verdict": proof.verdict,
+            "rejected": proof.verdict == "illegal" and bool(proof.counterexamples),
+            "counterexamples": [str(c) for c in proof.counterexamples],
+        })
+    return out
 
 
 def _problems(report: dict[str, Any]) -> int:
@@ -184,15 +190,15 @@ def _run(configs: Sequence[FusionConfig], workloads: Sequence[str],
                 print("    simulation diverged (NaN/Inf populations)", file=out)
     controls = []
     for wl in workloads:
-        ctl = _negative_control(wl, steps)
-        controls.append(ctl)
-        if not ctl["rejected"]:
-            total += 1
-            print(f"[FAIL] seeded illegal fusion NOT rejected on {wl}",
-                  file=out)
-        else:
-            print(f"[OK] seeded illegal fusion rejected on {wl}: "
-                  f"{ctl['counterexamples'][0]}", file=out)
+        for ctl in _negative_controls(wl, steps):
+            controls.append(ctl)
+            if not ctl["rejected"]:
+                total += 1
+                print(f"[FAIL] seeded illegal {ctl['control']} NOT rejected "
+                      f"on {wl}", file=out)
+            else:
+                print(f"[OK] seeded illegal {ctl['control']} rejected on {wl}: "
+                      f"{ctl['counterexamples'][0]}", file=out)
     return reports, controls, total
 
 
@@ -202,7 +208,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Declaration verifier, race detector, fusion-legality "
                     "proof, lint pass and step-plan certificates for every "
                     "kernel-fusion configuration, over the access map the "
-                    "bound bodies report (plus a seeded-illegal control).")
+                    "bound bodies report (plus seeded-illegal controls).")
     parser.add_argument("--config", action="append", default=None,
                         metavar="NAME",
                         help="check one configuration (repeatable); "

@@ -12,11 +12,9 @@ buffer sizes — never a population value — and reports two severities:
   with predicted bytes (and µs on the reference device) saved:
   **redundant loads** (the same rows of a field read twice with no
   intervening write — a fusion or caching candidate) and **droppable
-  buffers** (priced but never touched by any kernel of the stream —
-  e.g. the finest-level ``fstar`` once CASE keeps the post-collision
-  state in registers).  The host engine allocates none of them
-  (:meth:`~repro.core.engine.Engine.allocate`): under CASE the finest
-  level collides and streams in place.
+  buffers** (never touched by any kernel of the stream — the fine
+  ghosts outside the 4a layout).  The host engine allocates none of
+  them (:meth:`~repro.core.engine.Engine.allocate`).
 
 The report also carries ``touched_bytes``, the allocations the stream
 does touch.  It is a plain sum: Algorithm 1 nests a finer level's
@@ -51,7 +49,7 @@ class LintFinding:
     check: str                  # dead-store | redundant-load
                                 # | droppable-buffer
     severity: str               # "error" | "opportunity"
-    field: str                  # field label ("fstar@1") or buffer name
+    field: str                  # field label ("f@1") or buffer name
     index: int                  # record index the finding anchors to (-1: global)
     kernel: str                 # kernel label at that index ("" for global)
     bytes_saved: int            # predicted DRAM traffic eliminated
@@ -95,17 +93,15 @@ def _label(records: Sequence[KernelRecord], i: int) -> str:
 
 
 def field_nbytes(engine: "Engine", ref: FieldRef) -> int:
-    """Bytes the GPU allocation model prices for the buffer backing ``ref``.
+    """Bytes of the host buffer backing ``ref``, allocated or not.
 
-    On the device both population buffers span the row space ``n_used``
-    and ``fghost`` is the tail of ``fstar`` (rows ``n_owned..n_used``),
-    reported separately so the lint pass can see both regions.  The
-    engine stores only what it addresses: ``(Q, n_owned)`` buffers and a
-    separate ``fghost`` under 4a.
+    A level stores one ``(Q, n_owned)`` population buffer ``f``, the 4a
+    layout's fine ghosts (rows ``n_owned..n_used``) in ``fghost``, and
+    its ghost accumulator.
     """
     buf, row = engine.levels[ref.level], engine.lat.q * engine.itemsize
-    if ref.name in ("f", "fstar"):
-        return row * buf.n_used
+    if ref.name == "f":
+        return row * buf.n_owned
     if ref.name == "fghost":
         return row * (buf.n_used - buf.n_owned)
     if ref.name == "gacc":
@@ -118,7 +114,6 @@ def _known_fields(engine: "Engine") -> list[FieldRef]:
     out: list[FieldRef] = []
     for lv, buf in enumerate(engine.levels):
         out.append(FieldRef("f", lv))
-        out.append(FieldRef("fstar", lv))
         if buf.ghost_acc.size:
             out.append(FieldRef("gacc", lv))
         if buf.n_used > buf.n_owned:
@@ -244,18 +239,11 @@ def _touched_bytes(engine: "Engine",
                    flat: list[tuple[int, Access]]) -> int:
     """Bytes of the allocations the stream touches.
 
-    In the priced GPU layout ``fghost`` rows are the tail of the
-    ``fstar`` allocation, so touching either counts the whole ``fstar``
-    once.
     Untouched buffers are not counted — the droppable-buffer check
     reports those.
     """
-    refs: set[FieldRef] = set()
-    for _, a in flat:
-        assert a.field is not None
-        ref = a.field
-        refs.add(FieldRef("fstar", ref.level) if ref.name == "fghost" else ref)
-    return sum(field_nbytes(engine, ref) for ref in refs)
+    refs = {a.field for _, a in flat}
+    return sum(field_nbytes(engine, ref) for ref in refs if ref is not None)
 
 
 def lint_stream(records: Sequence[KernelRecord],

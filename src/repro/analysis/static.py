@@ -48,7 +48,8 @@ if TYPE_CHECKING:
 __all__ = [
     "plan_stream", "decompose",
     "Counterexample", "LegalityProof", "check_contraction",
-    "prove_fusion_legality", "swap_declaration", "seeded_illegal_proof",
+    "prove_fusion_legality", "hoist_collide", "late_explode", "SEEDED_CONTROLS",
+    "seeded_illegal_proof",
 ]
 
 #: Primitives of every kernel whose name fixes them (``CASE`` depends on
@@ -293,37 +294,43 @@ def prove_fusion_legality(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
     return prove_plan_legality(sim.stepper, records, AccessTracer(), steps)
 
 
-# -- seeded negative control ---------------------------------------------------
+# -- seeded negative controls --------------------------------------------------
 
-def swap_declaration(records: list[KernelRecord],
-                     name: str = "E") -> list[KernelRecord]:
-    """Swap the read/write declarations of the first ``name`` kernel.
+def hoist_collide(records: list[KernelRecord]) -> list[KernelRecord]:
+    """Move the next Collision of the first Explosion's level in front of
+    it: the next substep collides entries the Explosion has not written."""
+    e = next(i for i, r in enumerate(records) if r.name == "E")
+    c = next(i for i, r in enumerate(records)
+             if i > e and r.name.startswith("C") and r.level == records[e].level)
+    return [*records[:e], records[c], *records[e:c], *records[c + 1:]]
 
-    The classic declaration bug: a kernel that *writes* a field but
-    declares it as an input (and vice versa).  The scheduler then drops
-    the dependency edges that ordered the kernel against its true
-    consumers — which the contraction proof must detect.
+
+def late_explode(records: list[KernelRecord]) -> list[KernelRecord]:
+    """Move the last level-1 Explode before the first level-0 Stream to
+    just behind it: the Explode reads coarse post-collision values in
+    ``f`` that the Stream has already overwritten."""
+    s = next(i for i, r in enumerate(records)
+             if r.name.startswith("S") and r.level == 0)
+    e = max(i for i, r in enumerate(records[:s])
+            if r.name == "E" and r.level == 1)
+    return [*records[:e], *records[e + 1:s + 1], records[e], *records[s + 1:]]
+
+
+#: The seeded-illegal controls: ``name -> (fusion config, tamper)``.
+SEEDED_CONTROLS = {"fusion": ("fuse-SO", hoist_collide),
+                   "late Explode": ("baseline-4b", late_explode)}
+
+
+def seeded_illegal_proof(wl_kwargs: Mapping[str, Any], steps: int = 2,
+                         control: str = "fusion") -> LegalityProof:
+    """Negative control: a seeded-illegal stream must be rejected.
+
+    Runs the contraction proof for the control's fusion config with its
+    stream reordered (:data:`SEEDED_CONTROLS`; declarations and access
+    maps untouched): the proof must return ``"illegal"`` with a
+    counterexample naming the reordered pair.
     """
-    from dataclasses import replace
-    out = list(records)
-    for i, r in enumerate(out):
-        if r.name == name:
-            out[i] = replace(r, reads=r.writes, writes=r.reads)
-            return out
-    raise ValueError(f"stream has no {name!r} kernel to tamper with")
-
-
-def seeded_illegal_proof(wl_kwargs: Mapping[str, Any],
-                         steps: int = 2) -> LegalityProof:
-    """Negative control: a swapped declaration must be rejected.
-
-    Runs the contraction proof for Streaming+Coalescence fusion with the
-    first standalone Explosion kernel's reads/writes swapped.  The
-    tampered E loses its RAW edge into the next substep's Collision
-    (both now only *read* the shared field), so the conflicting pair
-    ``E writes f`` -> ``C reads f`` becomes unordered — the proof must
-    return ``"illegal"`` with a counterexample naming that pair.
-    """
-    from ..core.fusion import FUSE_SO
-    return prove_fusion_legality(FUSE_SO, wl_kwargs, steps,
-                                 tamper=swap_declaration)
+    from ..core.fusion import get_config
+    fusion, tamper = SEEDED_CONTROLS[control]
+    return prove_fusion_legality(get_config(fusion), wl_kwargs, steps,
+                                 tamper=tamper)

@@ -77,7 +77,7 @@ MIN_SHARD_CELLS = 2048
 #: Buffer fields of one :class:`~repro.core.engine.LevelBuffers` that
 #: carry mutable simulation state and therefore live in shared memory
 #: (``fghost`` where the 4a layout allocated it).
-_SHARED_FIELDS = ("f", "fstar", "fghost", "ghost_acc")
+_SHARED_FIELDS = ("f", "fghost", "ghost_acc")
 
 
 def default_mp_workers() -> int:
@@ -238,8 +238,8 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0)
         # the pool shards across processes: no threads inside a worker
         engine.split_width = 1
-        # allocate what the layout addresses (4a: fghost; the finest fstar
-        # but under CASE) before the parent's segment is checked against it
+        # allocate what the layout addresses (4a: fghost) before the
+        # parent's segment is checked against it
         engine.allocate(setup["fusion"])
         stepper = NonUniformStepper(engine, setup["fusion"])
         _attach_shared(engine.levels, shm, setup["manifest"])

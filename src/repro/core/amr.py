@@ -148,8 +148,6 @@ def regrid(sim: Simulation, desired_finest: np.ndarray | None = None,
         u = u_lv[(slice(None),) + tuple(pos.T)]
         feq = equilibrium(new_sim.lattice, rho, u)
         buf.f[:] = feq
-        if buf.fstar is not None:
-            buf.fstar[:] = feq
         buf.ghost_acc[:] = 0.0
     new_sim.stepper.steps_done = sim.steps_done
     return new_sim

@@ -28,7 +28,7 @@ def solid_force(engine: Engine) -> np.ndarray:
 
     The bounce-back pull put ``f*_{opp q}`` of each link's cell into
     ``f_q`` (``sb_q`` is the direction the cell pulls from the solid),
-    so ``f`` alone carries it: no level needs ``fstar`` for this.
+    so ``f`` carries it.
     """
     lat = engine.lat
     d = engine.mgrid.d

@@ -1,31 +1,30 @@
 """Execution engine: state buffers and the one body of every kernel.
 
-The engine owns, per level, the two population buffers (``f`` holds the
-post-streaming state at the start of a substep, ``fstar`` the
-post-collision state), both ``(Q, n_owned)``, and the ghost-layer
-accumulator.  The finest level holds no ``fstar`` under a stream that
-fuses CASE (Fig. 4f): its post-collision values live in ``f`` itself —
-Collide writes over its input, Accumulate reads ``f`` and Streaming runs
+The engine owns, per level, one population buffer ``f`` (``(Q,
+n_owned)``) and the ghost-layer accumulator.  ``f`` holds the
+post-streaming state at the start of a substep and, after Collide wrote
+over its input, the post-collision state: Accumulate reads it there, and
+so do the next finer level's Explosion reads during both finer substeps
+(Algorithm 1 runs a level's Streaming only after them).  Streaming runs
 in place, one direction group at a time through a small scratch
-(:meth:`Engine.allocate`, :meth:`Engine._stream`).  Every streaming map
-is the grid's own int32 array, in
-compact *row* space: rows ``0..n_owned-1`` are the owned cells.  The
-original baseline's (Fig. 4a)
-fine-ghost populations live in a third buffer, ``fghost``, allocated only
-for that layout (:meth:`Engine.allocate`); its rows keep the
-numbers ``n_owned..n_used-1`` in the maps and access reports.  The pull
-table holds one flat ``fstar`` entry
-``q_src * n_owned + row`` per ``(q, owned cell)`` with the bounce-back,
-moving-wall and slip links already in it, so Streaming is one gather per
-direction.  Accumulate adds into the parent's ghost bins only what
-Coalescence reads there; the other bins stay zero.  Between coarse steps
-``f`` is the whole state: ``fstar``, ``fghost`` and the in-place
-stream's scratch are rewritten before they are read, ``ghost_acc`` is
-zero.
+(:meth:`Engine._stream`).  Every streaming map is the grid's own int32
+array, in compact *row* space: rows ``0..n_owned-1`` are the owned
+cells.  The original baseline's (Fig. 4a) fine-ghost populations live in
+a second buffer, ``fghost``, allocated only for that layout
+(:meth:`Engine.allocate`); its rows keep the numbers
+``n_owned..n_used-1`` in the maps and access reports.  The pull table
+holds one flat ``f`` entry ``q_src * n_owned + row`` per ``(q, owned
+cell)`` with the bounce-back, moving-wall and slip links already in it,
+so Streaming is one gather per direction.  Accumulate adds into the
+parent's ghost bins only what Coalescence reads there; the other bins
+stay zero.  Between coarse steps ``f`` is the whole state: ``fghost``
+and the in-place stream's scratch are rewritten before they are read,
+``ghost_acc`` is zero.
 Each ``op_*`` method is one GPU kernel: it declares one launch record
-with the DRAM traffic the equivalent CUDA kernel would generate — this
-is what the cost model consumes — and hands the runtime a handle of the
-kernel's body.
+with the DRAM traffic the equivalent CUDA kernel would generate — the
+paper's two-buffer kernels, which is what the cost model consumes — and
+hands the runtime a handle of the kernel's body.  Its declared fields
+and its body's access report name the storage the body touches.
 
 This module is the only place a kernel body is written.  The ``_collide``
 / ``_accumulate`` / ``_stream`` / ``_explode`` / ``_coalesce`` /
@@ -36,18 +35,15 @@ and run those closures (:mod:`repro.backend`).  The report is the one
 statement of what a kernel touches: admission, the legality proof, lint
 and certificates evaluate it without running the body
 (:mod:`repro.analysis.capture`).
-Collide and the streaming gathers run a large level as column ranges (an
-in-place stream: as direction groups) on every usable CPU
-(:meth:`Engine.split_cuts`), bit-identically.
+Collide runs a large level as column ranges, Streaming as direction
+groups, on every usable CPU (:meth:`Engine.split_cuts`), bit-identically.
 
-Fused kernels execute the same arithmetic as their unfused sequence (the
-intermediate lives in the ``fstar`` buffer, or for CASE in ``f``, playing
-the role of the GPU's registers), so every fusion variant is
-bitwise-identical in results and differs only in its launch/traffic
-trace — mirroring how kernel fusion works on the device, where it
-eliminates intermediate DRAM round-trips but not arithmetic.  What a
-body saves over the textbook form it saves fused or not: values it would
-move and nobody would read.
+Fused kernels execute the same arithmetic as their unfused sequence, so
+every fusion variant is bitwise-identical in results and differs only in
+its launch/traffic trace — mirroring how kernel fusion works on the
+device, where it eliminates intermediate DRAM round-trips but not
+arithmetic.  What a body saves over the textbook form it saves fused or
+not: values it would move and nobody would read.
 """
 
 from __future__ import annotations
@@ -76,14 +72,11 @@ SPLIT_MIN_BYTES = 1 << 20
 class LevelBuffers:
     """Per-level state, and the grid's row-space maps (the same arrays)."""
 
-    f: np.ndarray                 # (Q, n_owned) post-streaming populations
-    #: (Q, n_owned) post-collision populations; on the finest level
-    #: ``None`` unless the stream addresses it (:meth:`Engine.allocate`)
-    fstar: np.ndarray | None
+    f: np.ndarray                 # (Q, n_owned) populations, collided in place
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
     n_used: int                   # n_owned + fine ghosts: rows the reports number
-    pull_flat: np.ndarray         # (Q, n_owned) flat fstar entries
+    pull_flat: np.ndarray         # (Q, n_owned) flat f entries
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
     out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
     exp_q: np.ndarray; exp_cell: np.ndarray; exp_rows: np.ndarray
@@ -154,10 +147,8 @@ class Engine:
         """The level's buffers beside the grid's own maps: the grid states
         every map in the engine's row space, so none is copied here."""
         Q = self.lat.q
-        finest = cl.level == self.mgrid.num_levels - 1
         return LevelBuffers(
             f=np.zeros((Q, cl.n_owned)),
-            fstar=None if finest else np.zeros((Q, cl.n_owned)),
             ghost_acc=np.zeros((Q, cl.n_ghost)),
             n_owned=cl.n_owned, n_used=cl.n_owned + cl.fine_ghost_slots.size,
             pull_flat=cl.pull_flat,
@@ -176,15 +167,11 @@ class Engine:
 
     def allocate(self, config: FusionConfig) -> None:
         """Give the levels the buffers a stream of ``config`` addresses
-        beyond the ones every stream does.
+        beyond ``f`` and ``ghost_acc``, which every stream does.
 
-        Every level but the finest holds ``fstar`` from construction: the
-        next finer level's Explosion reads it.  The finest level's
-        ``fstar`` is read only by its own Accumulate and Streaming, which
-        a CASE kernel (Fig. 4f) runs in ``f``, so every config without
-        CASE gets it here.  Only the original baseline (Fig. 4a)
-        addresses fine ghosts — its Explosion copy writes them, its
-        Explode reads them — so only it gets ``fghost``.
+        Only the original baseline (Fig. 4a) addresses fine ghosts — its
+        Explosion copy writes them, its Explode reads them — so only it
+        gets ``fghost``.
 
         Called for a stepper that will run, before anything lays out state
         (:class:`~repro.core.simulation.Simulation`, each mp worker: the
@@ -192,9 +179,6 @@ class Engine:
         the stepper itself: plan admission binds a baseline stepper on
         the same engine only for its reports.  Idempotent.
         """
-        finest = self.levels[-1]
-        if not config.fuse_cs_finest and finest.fstar is None:
-            finest.fstar = np.zeros_like(finest.f)
         if config.original_layout:
             for buf in self.levels:
                 if buf.fghost is None and buf.n_used > buf.n_owned:
@@ -237,8 +221,6 @@ class Engine:
             else:
                 uu = np.broadcast_to(np.asarray(u, dtype=np.float64)[:, None], (d, n)).copy()
             equilibrium(self.lat, rr, uu, out=buf.f)
-            if buf.fstar is not None:
-                buf.fstar[:] = buf.f
             buf.ghost_acc[:] = 0.0
 
     # -- access reports --------------------------------------------------------
@@ -254,8 +236,8 @@ class Engine:
         """Level ``lv``'s flat index map ``key``, built on first use.
 
         The maps flatten 2-D ``(q, row)`` addressing into 1-D indices
-        over the contiguous buffers — stride ``n_owned`` in ``f`` and
-        ``fstar``, ``n_ghost`` in ``ghost_acc``, the fine-ghost count in
+        over the contiguous buffers — stride ``n_owned`` in ``f``,
+        ``n_ghost`` in ``ghost_acc``, the fine-ghost count in
         ``fghost`` — so a body is one gather/scatter instead of a per-``q``
         loop.  They
         depend on the level geometry alone and are shared by every body
@@ -273,7 +255,7 @@ class Engine:
 
     def _pull_flat(self, lv: int) -> tuple[np.ndarray, tuple[int, int]]:
         """The pull table, bounds-proven and frozen, and the span of the
-        ``fstar`` rows it reads.
+        ``f`` rows it reads.
 
         The stream body gathers with ``mode="clip"`` (NumPy buffers an
         ``out=`` gather it may have to abandon with an ``IndexError``),
@@ -318,17 +300,13 @@ class Engine:
     # arithmetic, ``report(tracer)`` states the accesses it performs.
     # Builders return ``None`` where the geometry leaves nothing to do.
     # Views are taken at bind time and never kept on the engine: the mp
-    # backend rebinds ``buf.f`` / ``fstar`` / ``fghost`` / ``ghost_acc`` to
+    # backend rebinds ``buf.f`` / ``fghost`` / ``ghost_acc`` to
     # shared memory and back, and a body bound afterwards must see those arrays.
-    def _fuse(self, *parts, registers: tuple[FieldRef, ...] = (),
-              ) -> tuple[KernelBody, AccessReport]:
+    def _fuse(self, *parts) -> tuple[KernelBody, AccessReport]:
         """One kernel body running ``parts`` in order (``None`` parts
         dropped), with the access report of the whole kernel.
 
         Fusion regroups bodies without touching their arithmetic.
-        ``registers`` are fields the fused kernel keeps on chip, whose
-        accesses are invisible to DRAM and to the declarations: the
-        report leaves them out.
         """
         parts = tuple(p for p in parts if p)
         runs = tuple(run for run, _ in parts)
@@ -340,24 +318,23 @@ class Engine:
                     part()
 
         def report(t) -> None:
-            with t.suppress(*registers):
-                for _, part_report in parts:
-                    part_report(t)
+            for _, part_report in parts:
+                part_report(t)
         return run, report
 
     def collide_columns(self, lv: int, lo: int, hi: int, omega: float, force,
                         budget: int = TILE_BUDGET_BYTES) -> KernelBody:
         """Collide columns ``[lo, hi)`` of level ``lv`` (a split part, an mp shard)."""
-        buf = self.levels[lv]
         collide = self.collision.collide
-        f = buf.f[:, lo:hi]
-        out = f if buf.fstar is None else buf.fstar[:, lo:hi]     # in place
+        f = self.levels[lv].f[:, lo:hi]
 
         def run() -> None:
-            collide(f, omega, out=out, force=force, budget=budget)
+            collide(f, omega, out=f, force=force, budget=budget)
         return run
 
-    def _collide(self, lv: int, omega: float, force):
+    def _collide(self, lv: int, omega: float, force, in_registers: bool = False):
+        """Collide level ``lv`` in place; ``in_registers`` (CASE) keeps the
+        post-collision values on chip, so the write moves no DRAM bytes."""
         n = self.levels[lv].n_owned
         cuts = self.split_cuts(lv)
         # the parts share one tile budget: a split adds no scratch
@@ -369,7 +346,7 @@ class Engine:
         def report(t) -> None:
             nb = self.lat.q * self.itemsize * n
             t.read(FieldRef("f", lv), 0, n, nb)
-            t.write(FieldRef("fstar", lv), 0, n, nb)
+            t.write(FieldRef("f", lv), 0, n, 0 if in_registers else nb)
         return run, report
 
     def _accumulate(self, lv: int, mode: str):
@@ -404,9 +381,7 @@ class Engine:
             return (flat(ng, parent.acc_ghost_rows),
                     flat(fine.n_owned, parent.acc_fine_rows))
         rows_flat, src_flat = self._map(lv, "acc", live_entries)
-        # the post-collision values: in f itself on a level without fstar
-        post = fine.f if fine.fstar is None else fine.fstar
-        gacc_flat, post_flat = parent.ghost_acc.reshape(-1), post.reshape(-1)
+        gacc_flat, post_flat = parent.ghost_acc.reshape(-1), fine.f.reshape(-1)
         minlength = Q * ng
         bincount = np.bincount
 
@@ -418,7 +393,7 @@ class Engine:
             i, nb = self.itemsize, self.itemsize * src_flat.size
             flo, fhi = self._span(parent.acc_fine_rows)
             glo, ghi = self._span(parent.acc_ghost_rows)
-            t.read(FieldRef("fstar", lv), flo, fhi, 0 if mode == "fused" else nb)
+            t.read(FieldRef("f", lv), flo, fhi, 0 if mode == "fused" else nb)
             if mode == "gather":
                 t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
                 t.write(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
@@ -428,18 +403,19 @@ class Engine:
                 t.atomic(FieldRef("gacc", lv - 1), glo, ghi, nb)
         return run, report
 
-    def _stream(self, lv: int):
+    def _stream(self, lv: int, in_registers: bool = False):
         """One gather per direction through the pull table — interior,
         bounce-back and slip links alike — then the moving-wall momentum
         and the outflow values (one kernel on the GPU).
 
-        From ``fstar`` the gathers split by column range.  A level without
-        ``fstar`` streams in place: a direction group's rows read only
-        that group's rows (:func:`~repro.grid.multigrid.pull_groups`), so
-        each group is gathered from ``f`` into a scratch and copied back
-        before the next overwrites anything; the groups are dealt out to
-        the split's parts, each with a ``(G, n_owned)`` scratch (``G`` the
-        largest group) that every body bound on the level shares.
+        In place: a direction group's rows read only that group's rows
+        (:func:`~repro.grid.multigrid.pull_groups`), so each group is
+        gathered from ``f`` into a scratch and copied back before the next
+        overwrites anything; the groups are dealt out to the split's
+        parts, each with a ``(G, n_owned)`` scratch (``G`` the largest
+        group) that every body bound on the level shares.  The report
+        prices the paper's two-buffer gather (``in_registers``, CASE: the
+        source values come from registers, so the read moves no bytes).
         """
         b = self.levels[lv]
         Q, n = self.lat.q, b.n_owned
@@ -449,16 +425,6 @@ class Engine:
             (_flat(b.mov_q, n, b.mov_cell), b.mov_term) if b.mov_q.size else None,
             (_flat(b.out_q, n, b.out_cell), b.out_val) if b.out_q.size else None))
         take, copyto = np.take, np.copyto
-        cuts = self.split_cuts(lv)
-
-        def gather(lo: int, hi: int) -> KernelBody:
-            fstar_flat = b.fstar.reshape(-1)
-            pulls = [(idx[lo:hi], dst[lo:hi]) for idx, dst in zip(table, b.f)]
-
-            def part() -> None:
-                for idx, dst in pulls:
-                    take(fstar_flat, idx, out=dst, mode="clip")
-            return part
 
         def in_place(groups, scratch: np.ndarray) -> KernelBody:
             pulls = [[(table[q], b.f[q], row) for q, row in zip(g, scratch)]
@@ -472,15 +438,12 @@ class Engine:
                         copyto(dst, row)
             return part
 
-        if b.fstar is not None:
-            parts = [gather(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        else:
-            groups = sorted(self._map(lv, "groups", lambda: pull_groups(
-                self.mgrid.levels[lv], self.lat)), key=len, reverse=True)
-            width = min(len(cuts) - 1, len(groups))
-            scratch = self._map(lv, ("scratch", width), lambda: np.empty(
-                (width, len(groups[0]), n)))
-            parts = [in_place(groups[k::width], scratch[k]) for k in range(width)]
+        groups = sorted(self._map(lv, "groups", lambda: pull_groups(
+            self.mgrid.levels[lv], self.lat)), key=len, reverse=True)
+        width = min(len(self.split_cuts(lv)) - 1, len(groups))
+        scratch = self._map(lv, ("scratch", width), lambda: np.empty(
+            (width, len(groups[0]), n)))
+        parts = [in_place(groups[k::width], scratch[k]) for k in range(width)]
         pull = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 
         def run() -> None:
@@ -493,21 +456,22 @@ class Engine:
 
         def report(t) -> None:
             nb = Q * self.itemsize * n
-            t.read(FieldRef("fstar", lv), *span, nb)
+            t.read(FieldRef("f", lv), *span, 0 if in_registers else nb)
             t.write(FieldRef("f", lv), 0, n, nb)
             t.meta(b.meta_bytes)
         return run, report
 
     def _explode(self, lv: int, from_ghost: bool, subsumed: bool = False):
-        """Write the cross-level pulls of ``f`` from the coarse ``fstar``
-        (or, ``from_ghost``, from this level's fine-ghost copies of it)."""
+        """Write the cross-level pulls of ``f`` from the coarse level's
+        post-collision ``f`` (or, ``from_ghost``, from this level's
+        fine-ghost copies of it)."""
         b = self.levels[lv]
         if b.exp_q.size == 0:
             return None
         if from_ghost:
             source, src_rows = self._fghost(lv), b.exp_ghost_rows - b.n_owned
         else:
-            source, src_rows = self.levels[lv - 1].fstar, b.exp_rows
+            source, src_rows = self.levels[lv - 1].f, b.exp_rows
         dst, src = self._map(lv, ("exp", from_ghost), lambda: (
             _flat(b.exp_q, b.n_owned, b.exp_cell),
             _flat(b.exp_q, source.shape[1], src_rows)))
@@ -520,7 +484,7 @@ class Engine:
             nb = self.itemsize * b.exp_q.size
             lo, hi = self._span(b.exp_ghost_rows if from_ghost else b.exp_rows)
             t.read(FieldRef("fghost", lv) if from_ghost
-                   else FieldRef("fstar", lv - 1), lo, hi, nb)
+                   else FieldRef("f", lv - 1), lo, hi, nb)
             lo, hi = self._span(b.exp_cell)
             # fused into streaming, the write lands on entries the bulk
             # pull already paid for — no extra traffic
@@ -557,7 +521,7 @@ class Engine:
         # fghost column k is fine ghost k: the copy writes all of it
         src = self._map(lv, "copy", lambda: _flat(
             np.arange(self.lat.q)[:, None], coarse.n_owned, b.fg_coarse_rows).reshape(-1))
-        fghost_flat, coarse_flat = fghost.reshape(-1), coarse.fstar.reshape(-1)
+        fghost_flat, coarse_flat = fghost.reshape(-1), coarse.f.reshape(-1)
 
         def run() -> None:
             fghost_flat[:] = coarse_flat[src]
@@ -565,7 +529,7 @@ class Engine:
         def report(t) -> None:
             nb = self.itemsize * src.size
             lo, hi = self._span(b.fg_coarse_rows)
-            t.read(FieldRef("fstar", lv - 1), lo, hi, nb)
+            t.read(FieldRef("f", lv - 1), lo, hi, nb)
             t.write(FieldRef("fghost", lv), b.n_owned, b.n_used, nb)
         return run, report
 
@@ -577,7 +541,7 @@ class Engine:
     def op_collide(self, lv: int, fuse_accumulate: bool = False) -> None:
         buf = self.levels[lv]
         Q, n = self.lat.q, buf.n_owned
-        writes: tuple[FieldRef, ...] = (FieldRef("fstar", lv),)
+        writes: tuple[FieldRef, ...] = (FieldRef("f", lv),)
         atomic = 0
         name = "C"
         fused = fuse_accumulate and lv > 0
@@ -616,13 +580,14 @@ class Engine:
             bytes_read=moved + gacc,
             bytes_written=gacc if gather else moved,
             atomic_bytes=0 if gather else moved,
-            reads=(FieldRef("fstar", lv), FieldRef("gacc", lv - 1)),
+            reads=(FieldRef("f", lv), FieldRef("gacc", lv - 1)),
             writes=(FieldRef("gacc", lv - 1),),
             fn=LazyBody(lambda: self._fuse(self._accumulate(
                 lv, "gather" if gather else "scatter"))))
 
     def op_explosion_copy(self, lv: int) -> None:
-        """Original baseline's Explosion: coarse f* copied into fine ghost layers."""
+        """Original baseline's Explosion: the coarse post-collision ``f``
+        copied into fine ghost layers."""
         buf = self.levels[lv]
         nfg = buf.n_used - buf.n_owned
         if nfg == 0:
@@ -631,7 +596,7 @@ class Engine:
         self.rt.launch(
             "E", lv, n_cells=nfg,
             bytes_read=Q * self.itemsize * nfg, bytes_written=Q * self.itemsize * nfg,
-            reads=(FieldRef("fstar", lv - 1),), writes=(FieldRef("fghost", lv),),
+            reads=(FieldRef("f", lv - 1),), writes=(FieldRef("fghost", lv),),
             fn=LazyBody(lambda: self._fuse(self._explosion_copy(lv))))
 
     def op_stream(self, lv: int, *, fuse_explosion: bool = False,
@@ -640,7 +605,7 @@ class Engine:
         buf = self.levels[lv]
         Q, n = self.lat.q, buf.n_owned
         name = "S"
-        reads = [FieldRef("fstar", lv)]
+        reads = [FieldRef("f", lv)]
         writes = [FieldRef("f", lv)]
         br = Q * self.itemsize * n + buf.meta_bytes
         bw = Q * self.itemsize * n
@@ -649,7 +614,7 @@ class Engine:
         if do_exp:
             name = name + "E"
             reads.append(FieldRef("fghost", lv) if exp_from_ghost
-                         else FieldRef("fstar", lv - 1))
+                         else FieldRef("f", lv - 1))
             br += self.itemsize * buf.exp_q.size
         if do_coal:
             name = ("SEO" if do_exp else "SO")
@@ -673,7 +638,7 @@ class Engine:
         self.rt.launch(
             "E", lv, n_cells=buf.n_exp_cells,
             bytes_read=self.itemsize * m, bytes_written=self.itemsize * m,
-            reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("fstar", lv - 1),),
+            reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("f", lv - 1),),
             writes=(FieldRef("f", lv),),
             fn=LazyBody(lambda: self._fuse(self._explode(lv, exp_from_ghost))))
 
@@ -695,10 +660,10 @@ class Engine:
         """The fully fused finest-level kernel (Fig. 4f).
 
         Collision + Accumulate + Streaming + Explosion in one launch; the
-        post-collision intermediate stays in registers (excluded from the
-        traffic).  On the host it stays in ``f``: the finest level holds no
-        ``fstar`` under a CASE stream, so the body collides in place,
-        accumulates from ``f`` and streams in place (:meth:`_stream`).
+        post-collision intermediate stays in registers (its write and
+        re-reads move no DRAM bytes).  On the host it stays in ``f``, as
+        under every config: the body collides in place, accumulates from
+        ``f`` and streams in place (:meth:`_stream`).
         """
         buf = self.levels[lv]
         Q, n = self.lat.q, buf.n_owned
@@ -711,7 +676,7 @@ class Engine:
                 atomic = self.itemsize * parent.n_acc
                 writes.append(FieldRef("gacc", lv - 1))
             if buf.exp_q.size:
-                reads.append(FieldRef("fstar", lv - 1))
+                reads.append(FieldRef("f", lv - 1))
         omega, force = self.omega[lv], self.force[lv]
         self.rt.launch("CASE", lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n + self.itemsize * buf.exp_q.size + buf.meta_bytes,
@@ -719,11 +684,10 @@ class Engine:
                        atomic_bytes=atomic,
                        reads=tuple(reads), writes=tuple(writes),
                        fn=LazyBody(lambda: self._fuse(
-                           self._collide(lv, omega, force),
+                           self._collide(lv, omega, force, in_registers=True),
                            lv > 0 and self._accumulate(lv, "fused"),
-                           self._stream(lv),
-                           self._explode(lv, from_ghost=False, subsumed=True),
-                           registers=(FieldRef("fstar", lv),))))
+                           self._stream(lv, in_registers=True),
+                           self._explode(lv, from_ghost=False, subsumed=True))))
 
     # -- fault injection ---------------------------------------------------------
     def corrupt_cell(self, lv: int, cell: int, q: int = 0,
@@ -754,7 +718,7 @@ class Engine:
         Each item carries the rows whose ``f`` populations are non-finite
         (with one offending value per row, for diagnostics), plus density
         and velocity magnitude.  Only ``f`` crosses a coarse step, so
-        ``fstar`` is not scanned; a non-finite population makes its
+        nothing else is scanned; a non-finite population makes its
         column's rho non-finite, so one moment product finds the rows.
         Consumed by the observability watchdog (:mod:`repro.obs.watchdog`);
         kept on the engine because only it knows the buffer/row layout.

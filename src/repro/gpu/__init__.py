@@ -1,7 +1,7 @@
 """GPU hardware model: device specs, roofline cost model, memory footprint."""
 
 from .costmodel import (FLOPS_PER_CELL, KernelCost, TraceCost, cost_trace,
-                        kernel_time_us, predicted_mlups)
+                        device_records, kernel_time_us, predicted_mlups)
 from .device import (A100_40GB, A100_80GB, CPU_XEON_32C, V100_32GB, DeviceSpec,
                      get_device)
 from .memory import (DeviceOOMError, MemoryReport, ensure_fits,
@@ -10,8 +10,8 @@ from .memory import (DeviceOOMError, MemoryReport, ensure_fits,
                      uniform_memory_bytes)
 
 __all__ = [
-    "FLOPS_PER_CELL", "KernelCost", "TraceCost", "cost_trace", "kernel_time_us",
-    "predicted_mlups",
+    "FLOPS_PER_CELL", "KernelCost", "TraceCost", "cost_trace", "device_records",
+    "kernel_time_us", "predicted_mlups",
     "A100_40GB", "A100_80GB", "CPU_XEON_32C", "V100_32GB", "DeviceSpec",
     "get_device",
     "DeviceOOMError", "ensure_fits",

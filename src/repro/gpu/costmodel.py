@@ -12,19 +12,21 @@ Kernel fusion is rewarded for exactly the physical reasons the paper
 gives: fused kernels move fewer intermediate bytes through DRAM and pay
 fewer fixed launch overheads.  The optional *concurrent* mode groups
 independent kernels (per dependency wave, Section V-C) so they share one
-launch overhead — Neon's stream-level concurrency.
+launch overhead — Neon's stream-level concurrency, on the device's
+waves (:func:`device_records`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..neon.graph import build_dependency_graph, schedule_waves
-from ..neon.runtime import KernelRecord
+from ..neon.runtime import FieldRef, KernelRecord
 from .device import DeviceSpec
 
 __all__ = ["KernelCost", "TraceCost", "kernel_time_us", "cost_trace",
-           "predicted_mlups", "traffic_time_us", "FLOPS_PER_CELL"]
+           "device_records", "predicted_mlups", "traffic_time_us",
+           "FLOPS_PER_CELL"]
 
 #: Per-cell double-precision flop estimates by kernel family.  Collision
 #: dominates (equilibrium + relaxation); KBC roughly triples BGK.  These
@@ -89,6 +91,31 @@ def kernel_time_us(rec: KernelRecord, device: DeviceSpec,
     return KernelCost(rec, t, mem_us, flop_us)
 
 
+def device_records(records: list[KernelRecord]) -> list[KernelRecord]:
+    """``records`` with the fields the paper's device kernels touch.
+
+    The host keeps a level's post-collision values in its one buffer
+    ``f``; the device keeps them in a second one, ``fstar``, which a
+    Collision without a Streaming part writes, a kernel without a
+    Collision part reads on its own level, and an Explosion reads on the
+    coarser one.  These records' graph is the device's (Fig. 2).
+    """
+    def on_device(r: KernelRecord, ref: FieldRef, write: bool) -> FieldRef:
+        if ref.name != "f":
+            return ref
+        collides = r.name.startswith("C")
+        if ref.level < r.level:
+            post = True
+        elif write:
+            post = collides and "S" not in r.name
+        else:
+            post = not collides
+        return FieldRef("fstar", ref.level) if post else ref
+    return [replace(r, reads=tuple(on_device(r, x, False) for x in r.reads),
+                    writes=tuple(on_device(r, x, True) for x in r.writes))
+            for r in records]
+
+
 def cost_trace(records: list[KernelRecord], device: DeviceSpec, *,
                kbc: bool = False, concurrent: bool = False) -> TraceCost:
     """Simulated total time of a trace.
@@ -104,7 +131,7 @@ def cost_trace(records: list[KernelRecord], device: DeviceSpec, *,
               for r in records)
     launch = device.launch_overhead_us * len(records)
     if concurrent:
-        g = build_dependency_graph(records, reduce=False)
+        g = build_dependency_graph(device_records(records), reduce=False)
         waves = schedule_waves(g)
         launch += device.sync_overhead_us * len(waves)
     else:

@@ -275,7 +275,7 @@ class CompiledLevel:
     owned_slots: np.ndarray           # (n_owned,) slot ids, ordered by slot
     ghost_slots: np.ndarray           # coarse-ghost accumulator cells
     fine_ghost_slots: np.ndarray      # 4-layer fine ghosts (original baseline)
-    pull_flat: np.ndarray             # (Q, n_owned) flat fstar source entries
+    pull_flat: np.ndarray             # (Q, n_owned) flat f source entries
     # -- boundary tables -----------------------------------------------------
     bb_q: np.ndarray; bb_cell: np.ndarray
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray

@@ -2,11 +2,10 @@
 
 Long wind-tunnel runs (the paper's 30k-iteration sphere experiment)
 need restartability.  A checkpoint stores the *live* state and nothing
-else — between coarse steps, every level's ``f``: ``fstar`` (which the
-finest level holds only outside CASE, and the 4a layout's ``fghost``)
-is rewritten before anything reads it and the
-ghost accumulators are zero, so a restore derives them from the file
-and the run continues bit-for-bit identically (asserted with the dead
+else — between coarse steps, every level's one population buffer ``f``:
+the 4a layout's ``fghost`` and the in-place stream's scratch are
+rewritten before anything reads them and the ghost accumulators are
+zero, so a restore derives them from the file and the run continues bit-for-bit identically (asserted with the dead
 buffers poisoned: ``tests/test_live_state.py``).  Format 2 is uncompressed —
 deflate was over half of a served job's wall time and the zip CRC-32
 guards the members either way — so a near-rest state, which deflates to
@@ -148,9 +147,9 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
     raises ``ValueError`` otherwise; a damaged file raises
     :class:`CheckpointError`.  The simulation is only modified once the
     whole file has been read and validated; every buffer is then a
-    function of the file alone (``fstar``, where a level holds one,
-    mirrors ``f``, the rest is zero): no NaN of the abandoned timeline
-    survives a rollback.  Every buffer is written in place, so a step
+    function of the file alone (``f`` is read, ``fghost`` and
+    ``ghost_acc`` are zeroed; the stream's scratch is written before it
+    is read): no NaN of the abandoned timeline survives a rollback.  Every buffer is written in place, so a step
     plan bound to them stays valid.
     """
     data = _load_arrays(path)
@@ -187,8 +186,6 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
                              f"not {buf.f.dtype}")
     for lv, buf in enumerate(sim.engine.levels):
         buf.f[:] = data[f"f_{lv}"]
-        if buf.fstar is not None:       # the finest level has none under CASE
-            buf.fstar[:] = buf.f
         if buf.fghost is not None:      # only where the 4a layout allocated it
             buf.fghost.fill(0.0)
         buf.ghost_acc[:] = 0.0

@@ -161,6 +161,7 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
     wall time per kernel family.
     """
     from ..core.simulation import mlups
+    from ..gpu.costmodel import device_records
     from ..neon.graph import build_dependency_graph, schedule_waves
 
     reg = registry if registry is not None else MetricsRegistry()
@@ -192,9 +193,10 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
         max(len(eng.split_cuts(lv)) - 1 for lv in range(len(eng.levels))))
     last = rt.last_step()
     if last:
-        g = build_dependency_graph(last, reduce=False)
+        g = build_dependency_graph(device_records(last), reduce=False)
         waves = schedule_waves(g)
-        reg.gauge("wave_depth", "sync points per coarse step").set(len(waves))
+        reg.gauge("wave_depth", "device sync points per coarse step").set(
+            len(waves))
         reg.gauge("wave_max_width", "widest concurrency wave").set(
             max(len(w) for w in waves))
         # The gauge keeps the name its history series was recorded under.

@@ -7,7 +7,8 @@ format every Chrome-trace consumer (``ui.perfetto.dev``,
 * **pid 1 — observed (wall clock)**: the step spans (track ``coarse
   steps``), the per-level runs (track ``level runs``) and one track per
   *concurrency stream* carrying the kernel slices.  Streams follow the
-  dependency-wave schedule (:func:`repro.neon.graph.stream_assignment`):
+  device's dependency-wave schedule (:func:`repro.neon.graph.stream_assignment`
+  over :func:`repro.gpu.costmodel.device_records`):
   kernels sharing a wave sit on different stream tracks, so the width of
   the schedule is visible even though the functional run executes
   sequentially.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 
-from ..gpu.costmodel import kernel_time_us
+from ..gpu.costmodel import device_records, kernel_time_us
 from ..gpu.device import A100_40GB, DeviceSpec
 from ..neon.graph import build_dependency_graph, stream_assignment
 from .spans import SpanRecorder
@@ -92,7 +93,8 @@ def chrome_trace(recorder: SpanRecorder, *, device: DeviceSpec = A100_40GB,
         if not spans:
             continue
         records = [s.record for s in spans]
-        slots = stream_assignment(build_dependency_graph(records, reduce=False))
+        slots = stream_assignment(build_dependency_graph(
+            device_records(records), reduce=False))
         cursor = spans[0].start_us
         wave_end = {}
         for pos, span in enumerate(spans):

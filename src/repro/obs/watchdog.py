@@ -11,9 +11,9 @@ the run leaves its envelope, instead of letting it run to completion.
 
 Checks, per level, on the owned cells:
 
-* **finiteness** of the populations ``f`` (the whole state between
-  coarse steps; ``fstar``, which the finest level holds only outside
-  CASE, is scratch that is rewritten before it is read);
+* **finiteness** of the populations ``f`` (each level's one population
+  buffer, the whole state between coarse steps; the in-place stream's
+  scratch and 4a's ``fghost`` are rewritten before they are read);
 * **density bounds**: ρ inside :data:`RHO_BOUNDS` (LBM works near ρ = 1);
 * **velocity bound**: |u| below :data:`MAX_VELOCITY` (c_s = 1/√3, the
   incompressibility/stability envelope).

@@ -3,7 +3,7 @@
 The contract under test is the one ``docs/ARCHITECTURE.md`` states:
 
 * compiled execution is **bit-identical** to interpreted execution —
-  every level's ``f``/``fstar``/``ghost_acc`` and the recorded kernel
+  every level's ``f``/``ghost_acc`` and the recorded kernel
   trace — across all fusion configs in 2D and 3D;
 * plans are **admitted** against the PR-5 certificate contract before
   their first replay, and refuse admission on a tampered stream;
@@ -50,14 +50,12 @@ def build(wl, cfg, backend, **over):
 
 
 def states(sim):
-    return [(b.f.copy(), b.fstar if b.fstar is None else b.fstar.copy(),
-             b.ghost_acc.copy())
-            for b in sim.engine.levels]
+    return [(b.f.copy(), b.ghost_acc.copy()) for b in sim.engine.levels]
 
 
 def assert_bit_identical(a, b):
     for lv, (sa, sb) in enumerate(zip(a, b)):
-        for name, xa, xb in zip(("f", "fstar", "gacc"), sa, sb):
+        for name, xa, xb in zip(("f", "gacc"), sa, sb):
             assert np.array_equal(xa, xb), f"{name}@{lv} diverged"
 
 
@@ -77,9 +75,10 @@ class TestBitIdentity:
         assert si.runtime.markers == sc.runtime.markers
 
     def test_waves_keep_shared_scratch_apart(self):
-        # No body touches scratch its record does not declare (the bulk
-        # pull gathers straight into f), so waves are the declared
-        # schedule: on three levels S@1 and S@2 run side by side.
+        # No body touches scratch another level's body uses (the in-place
+        # stream's scratch is per level), so waves are the declared
+        # schedule.  That schedule keeps S@1 out of S@2's waves: S@1
+        # overwrites the f@1 that the Explode after every S@2 reads.
         wl = lid_cavity(base=(10, 10, 10), num_levels=3, lattice="D3Q19")
         sim = build(wl, ABLATION_CONFIGS[0], "compiled", threaded=True)
         ref = build(wl, ABLATION_CONFIGS[0], "interpreted")
@@ -87,9 +86,14 @@ class TestBitIdentity:
         ref.run(3)
         plan = next(iter(sim.backend.plans.values()))
         assert plan.arena_bytes == 0
+        scratch = [a for maps in sim.engine._maps for key, a in maps.items()
+                   if isinstance(key, tuple) and key[0] == "scratch"]
+        assert len(scratch) == sim.num_levels
+        assert len({id(a) for a in scratch}) == len(scratch)
         names = [(r.name, r.level) for r in plan.records]
-        assert any({("S", 1), ("S", 2)} <= {names[k] for k in wave}
-                   for wave in plan.waves)
+        assert {("S", 1), ("S", 2), ("E", 2)} <= set(names)
+        assert not any({("S", 1), ("S", 2)} <= {names[k] for k in wave}
+                       for wave in plan.waves)
         assert sorted(k for w in plan.waves for k in w) == list(
             range(len(plan)))
         assert_bit_identical(states(ref), states(sim))
@@ -124,9 +128,9 @@ class TestPlanCache:
         sim.run(2)
         path = str(tmp_path / "ck.npz")
         save_checkpoint(sim, path)
-        fields = ("f", "fstar", "fghost", "ghost_acc")
+        fields = ("f", "fghost", "ghost_acc")
         before = [[getattr(b, k) for k in fields] for b in sim.engine.levels]
-        assert any(arrs[2] is not None for arrs in before) == cfg.original_layout
+        assert any(arrs[1] is not None for arrs in before) == cfg.original_layout
         restore_checkpoint(sim, path)
         for b, arrs in zip(sim.engine.levels, before):
             assert all(getattr(b, k) is a for k, a in zip(fields, arrs))
@@ -221,20 +225,20 @@ class TestFallback:
         wl = cavity()
         cfg = wl.sim_config(fusion=ABLATION_CONFIGS[0], backend="compiled",
                             threaded=True, max_workers=2)
-        # S@0 shares the step's second wave with A@1 and S@1.
-        fault = dict(kind="kernel", step=2, level=0, kernel="S")
+        # C@1 shares the step's first wave with C@0.
+        fault = dict(kind="kernel", step=2, level=1, kernel="C")
         with Simulation.from_config(wl.spec, cfg) as sc:
             sc.run(1)
             plan = next(iter(sc.backend.plans.values()))
             k = next(i for i, r in enumerate(plan.records)
-                     if (r.name, r.level) == ("S", 0))
+                     if (r.name, r.level) == ("C", 1))
             wave = next(w for w in plan.waves if k in w)
             assert len(wave) > 1
             FaultInjector([Fault(**fault)]).install(sc)
             with pytest.raises(InjectedKernelError) as ei:
                 sc.run(1)
             rt = sc.runtime
-            assert ei.value.kernel_span["name"] == "S"
+            assert ei.value.kernel_span["name"] == "C"
             assert rt.markers[-1] == len(rt.records)       # step closed
             ran = rt.records[rt.markers[-2]:]
             assert 0 < len(ran) <= k                        # truncated
@@ -417,7 +421,7 @@ class TestAdmission:
     def test_out_of_range_pull_row_refused(self, past_end):
         # The stream body gathers with mode="clip"; the bounds check it
         # skips is made at plan build and must refuse, not clip.  An entry
-        # addresses the flat (Q, n_owned) fstar: Q * n_owned is one past it.
+        # addresses the flat (Q, n_owned) f: Q * n_owned is one past it.
         sim = build(cavity(), ABLATION_CONFIGS[-1], "interpreted")
         buf = sim.engine.levels[1]
         buf.pull_flat = buf.pull_flat.copy()
@@ -430,23 +434,26 @@ class TestAdmission:
         sim.run(1)
         for buf in sim.engine.levels:
             assert not buf.pull_flat.flags.writeable
-        # the per-direction index rows a stream body (or its cell-range
-        # parts) closes over
+        # the per-direction index rows a stream body (or its split
+        # parts, or their direction groups) closes over
         def lists(fn):
             for c in getattr(fn, "__closure__", None) or ():
                 v = c.cell_contents
                 if callable(v):
                     yield from lists(v)
                 elif isinstance(v, list):
-                    yield v
-                    for part in v:
-                        yield from lists(part)
+                    yield from nested(v)
+
+        def nested(v):
+            yield v
+            for part in v:
+                yield from nested(part) if isinstance(part, list) else lists(part)
 
         plan = next(iter(sim.backend.plans.values()))
         pulls = [v for body in plan.bodies for v in lists(body)
                  if v and isinstance(v[0], tuple)]
         assert pulls
-        for idx, dst in (t for p in pulls for t in p):
+        for idx, *_ in (t for p in pulls for t in p):
             assert idx.dtype == np.int32 and not idx.flags.writeable
             with pytest.raises(ValueError):
                 idx[0] = 0

@@ -122,25 +122,25 @@ class TestSolidForce:
         assert 0.1 < cd < 30.0  # moderate-Re sphere: O(1-10)
 
     def test_the_bounced_populations_sit_in_f(self):
-        # the bounce-back pull put fstar[opp q] of each solid link's cell
-        # into f[q]: shown under 4b, which still holds the finest fstar,
-        # so solid_force reads f on every level and every config
+        # the bounce-back pull puts the post-collision value of opp q at
+        # each solid link's cell into f[q] (shown by streaming one level
+        # once more), so solid_force reads f on every level and config
+        from .test_engine import run_op
         wl = sphere_tunnel(scale=0.25)
         forces = {}
         for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
             with Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg)) as sim:
                 sim.run(5)
                 forces[cfg.name] = solid_force(sim.engine)
-                if cfg is not MODIFIED_BASELINE:
-                    continue
-                opp = sim.lattice.opp
-                links = 0
-                for cl, buf in zip(sim.mgrid.levels, sim.engine.levels):
-                    links += cl.sb_q.size
-                    assert np.array_equal(buf.f[cl.sb_q, cl.sb_cell],
-                                          buf.fstar[opp[cl.sb_q], cl.sb_cell])
-                assert links > 0
-        assert sim.engine.levels[-1].fstar is None          # ours-4f's finest
+        opp = sim.lattice.opp
+        links = 0
+        for lv, (cl, buf) in enumerate(zip(sim.mgrid.levels, sim.engine.levels)):
+            links += cl.sb_q.size
+            post = buf.f.copy()
+            run_op(sim.engine.op_stream, lv)
+            assert np.array_equal(buf.f[cl.sb_q, cl.sb_cell],
+                                  post[opp[cl.sb_q], cl.sb_cell])
+        assert links > 0
         assert np.abs(forces["baseline-4b"]).max() > 0
         for force in forces.values():
             assert np.array_equal(force, forces["baseline-4b"])

@@ -29,7 +29,7 @@ def run_op(op, *args, **kwargs):
 
 def make_engine(bc=None, base=(16, 16), omega0=1.2, cfg=MODIFIED_BASELINE):
     """A two-level engine holding the buffers ``cfg``'s stream addresses
-    (by default the unfused kernels': every ``fstar``)."""
+    (4a's ``fghost`` besides every level's ``f`` and ``ghost_acc``)."""
     regions = wall_refinement(base, 2, [3.0])
     spec = RefinementSpec(base_shape=base, refine_regions=regions,
                           bc=bc or DomainBC())
@@ -68,14 +68,15 @@ class TestConstruction:
 
     def test_the_pull_table_is_the_grids(self):
         # one table per level, frozen from birth: the engine neither
-        # translates nor copies it, and neither population buffer has
+        # translates nor copies it, and the one population buffer has no
         # fine-ghost rows
         eng = make_engine()
         for cl, b in zip(eng.mgrid.levels, eng.levels):
             assert b.pull_flat is cl.pull_flat
             assert b.pull_flat.dtype == np.int32
             assert not b.pull_flat.flags.writeable
-            assert b.f.shape == b.fstar.shape == (eng.lat.q, b.n_owned)
+            assert b.f.shape == (eng.lat.q, b.n_owned)
+            assert not hasattr(b, "fstar")
             assert b.pull_flat.max() < eng.lat.q * b.n_owned
         assert eng.levels[1].n_used > eng.levels[1].n_owned
 
@@ -246,7 +247,7 @@ class TestStreamingSemantics:
         fine = eng.levels[1]
         coarse = eng.levels[0]
         got = fine.f[fine.exp_q, fine.exp_cell]
-        expected = coarse.fstar[fine.exp_q, fine.exp_rows]
+        expected = coarse.f[fine.exp_q, fine.exp_rows]     # collided in place
         assert np.array_equal(got, expected)
 
     def test_coalescence_is_scaled_average(self):
@@ -290,7 +291,7 @@ class TestStreamingSemantics:
         run_op(eng.op_explosion_copy, 1)
         fine = eng.levels[1]
         coarse = eng.levels[0]
-        assert np.array_equal(fine.fghost, coarse.fstar[:, fine.fg_coarse_rows])
+        assert np.array_equal(fine.fghost, coarse.f[:, fine.fg_coarse_rows])
 
     def test_stream_from_ghost_equals_direct(self):
         # 4a explosion path (via ghost copies) gives identical pull values
@@ -337,36 +338,43 @@ class TestBoundaryPhysics:
 
 
 # -- every body against a textbook copy ------------------------------------------
-# Per-q loops and 2-D (q, row) indexing, straight off the algorithm; the
-# engine's bodies (flat index maps, one take per row through a table that
-# has the boundary links folded in, one flat bincount over the entries
-# Coalescence reads) must reproduce them bit for bit.
+# Per-q loops and 2-D (q, row) indexing, straight off the algorithm, with
+# the paper's two buffers: Collision and Streaming write a fresh array
+# (``fstar`` / the new ``f``) from a whole copy of their input, and the
+# level's ``f`` holds the result.  The engine's in-place bodies (flat
+# index maps, one take per row through a table that has the boundary
+# links folded in, streamed one direction group at a time, one flat
+# bincount over the entries Coalescence reads) must reproduce them bit
+# for bit.
 
 def ref_collide(eng, lv):
     b = eng.levels[lv]
-    eng.collision.collide(b.f[:, :b.n_owned], eng.omega[lv],
-                          out=b.fstar[:, :b.n_owned], force=eng.force[lv])
+    fstar = np.empty_like(b.f)
+    eng.collision.collide(b.f, eng.omega[lv], out=fstar, force=eng.force[lv])
+    b.f[...] = fstar
 
 
 def ref_accumulate(eng, lv):
     parent, fine = eng.levels[lv - 1], eng.levels[lv]
     for q in range(eng.lat.q):
         parent.ghost_acc[q] += np.bincount(
-            parent.acc_ghost_rows, weights=fine.fstar[q, parent.acc_fine_rows],
+            parent.acc_ghost_rows, weights=fine.f[q, parent.acc_fine_rows],
             minlength=parent.ghost_acc.shape[1])
 
 
 def ref_stream(eng, lv):
     """The row pull of the reference compile, then the grid's four kind
-    lists — disjoint sets (tests/test_multigrid.py), so in any order.
-    Nothing here reads the folded table."""
+    lists — disjoint sets (tests/test_multigrid.py), so in any order —
+    all from a copy of the post-collision values.  Nothing here reads
+    the folded table."""
     b, cl, opp = eng.levels[lv], eng.mgrid.levels[lv], eng.lat.opp
+    fstar = b.f.copy()
     for q in range(eng.lat.q):
-        b.f[q] = b.fstar[q, eng.ref_pull_rows[lv][q]]
-    b.f[cl.bb_q, cl.bb_cell] = b.fstar[opp[cl.bb_q], cl.bb_cell]
-    b.f[cl.mov_q, cl.mov_cell] = b.fstar[opp[cl.mov_q], cl.mov_cell] + cl.mov_term
+        b.f[q] = fstar[q, eng.ref_pull_rows[lv][q]]
+    b.f[cl.bb_q, cl.bb_cell] = fstar[opp[cl.bb_q], cl.bb_cell]
+    b.f[cl.mov_q, cl.mov_cell] = fstar[opp[cl.mov_q], cl.mov_cell] + cl.mov_term
     b.f[cl.out_q, cl.out_cell] = cl.out_val
-    b.f[cl.sl_q, cl.sl_cell] = b.fstar[cl.sl_src_q, cl.row_of_slot()[cl.sl_src]]
+    b.f[cl.sl_q, cl.sl_cell] = fstar[cl.sl_src_q, cl.row_of_slot()[cl.sl_src]]
 
 
 def ref_explode(eng, lv, from_ghost):
@@ -374,7 +382,7 @@ def ref_explode(eng, lv, from_ghost):
     if from_ghost:
         b.f[b.exp_q, b.exp_cell] = b.fghost[b.exp_q, b.exp_ghost_rows - b.n_owned]
     else:
-        b.f[b.exp_q, b.exp_cell] = eng.levels[lv - 1].fstar[b.exp_q, b.exp_rows]
+        b.f[b.exp_q, b.exp_cell] = eng.levels[lv - 1].f[b.exp_q, b.exp_rows]
 
 
 def ref_coalesce(eng, lv):
@@ -388,7 +396,7 @@ def ref_explosion_copy(eng, lv):
     b, cl = eng.levels[lv], eng.mgrid.levels[lv]
     # fghost column k holds fine ghost k, row n_owned + k
     cols = cl.row_of_slot()[cl.fine_ghost_slots] - b.n_owned
-    b.fghost[:, cols] = eng.levels[lv - 1].fstar[:, b.fg_coarse_rows]
+    b.fghost[:, cols] = eng.levels[lv - 1].f[:, b.fg_coarse_rows]
 
 
 def ref_explode_direct(eng, lv):
@@ -401,14 +409,14 @@ def ref_explode_ghost(eng, lv):
 
 def ref_accumulate_twice_then_coalesce(eng, lv):
     ref_accumulate(eng, lv)
-    eng.levels[lv].fstar[...] = eng.levels[lv].fstar[::-1].copy()  # a second substep
+    eng.levels[lv].f[...] = eng.levels[lv].f[::-1].copy()  # a second substep
     ref_accumulate(eng, lv)
     ref_coalesce(eng, lv - 1)
 
 
 def accumulate_twice_then_coalesce(eng, lv):
     run_op(eng.op_accumulate, lv)
-    eng.levels[lv].fstar[...] = eng.levels[lv].fstar[::-1].copy()
+    eng.levels[lv].f[...] = eng.levels[lv].f[::-1].copy()
     run_op(eng.op_accumulate, lv)
     run_op(eng.op_coalesce, lv - 1)
 
@@ -446,7 +454,7 @@ KERNELS = {
 
 def mixed_engine(d, cfg=ORIGINAL_BASELINE):
     """Three levels, a solid, and every face kind between the two grids;
-    by default every buffer allocated (4a's ``fghost``, every ``fstar``)."""
+    by default every buffer allocated (4a's ``fghost`` too)."""
     vel = (0.04,) + (0.0,) * (d - 1)
     if d == 2:
         base, lat = (15, 13), D2Q9
@@ -473,7 +481,7 @@ def consumed_bins(b):
 
 
 class TestKernelBodies:
-    FIELDS = ("f", "fstar", "fghost", "ghost_acc")
+    FIELDS = ("f", "fghost", "ghost_acc")
 
     @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
     def engine(self, request):
@@ -567,8 +575,8 @@ def table_groups(table, n):
     return sorted(groups.values())
 
 
-#: finest-level kernel sequences of the configs, all equal to the textbook
-#: collide, accumulate, stream, explode
+#: kernel sequences of the configs on a level below the coarsest, all
+#: equal to the textbook collide, accumulate, stream, explode
 IN_PLACE = {
     "CASE": lambda e, lv: run_op(e.op_fused_case, lv),
     "C-A-S-E": lambda e, lv: [run_op(e.op_collide, lv), run_op(e.op_accumulate, lv),
@@ -579,54 +587,53 @@ IN_PLACE = {
 
 
 class TestInPlace:
-    """The finest level without ``fstar`` (a CASE stream's engine):
-    Collide writes over ``f``, Accumulate reads ``f`` and Streaming runs
-    in place one direction group at a time, through a scratch per split
-    part — the values the textbook computes through ``fstar``."""
+    """Every level holds one population buffer: Collide writes over
+    ``f``, Accumulate and the finer level's Explosion read ``f`` and
+    Streaming runs in place one direction group at a time, through a
+    scratch per split part — the values the textbook computes through a
+    second buffer."""
 
     @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
-    def engines(self, request):
-        return mixed_engine(request.param), mixed_engine(request.param, FUSED_FULL)
+    def engine(self, request):
+        return mixed_engine(request.param)
 
-    def test_groups_are_closed_under_the_rows_sources(self, engines):
-        _, eng = engines
+    def test_groups_are_closed_under_the_rows_sources(self, engine):
         merged = False
-        for cl, b in zip(eng.mgrid.levels, eng.levels):
-            groups = pull_groups(cl, eng.lat)
+        for cl, b in zip(engine.mgrid.levels, engine.levels):
+            groups = pull_groups(cl, engine.lat)
             assert sorted(map(sorted, groups)) == table_groups(b.pull_flat, b.n_owned)
             merged |= max(map(len, groups)) > 2
         assert merged                       # a slip face joins two pairs
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("sequence", IN_PLACE)
-    def test_matches_textbook_body(self, engines, sequence, width, monkeypatch):
-        ref, eng = engines
-        lv = len(eng.levels) - 1
-        assert eng.levels[lv].fstar is None and ref.levels[lv].fstar is not None
+    def test_matches_textbook_body(self, engine, sequence, width, monkeypatch):
         monkeypatch.setattr(engine_mod, "SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(eng, "split_width", width)
+        monkeypatch.setattr(engine, "split_width", width)
         rng = np.random.default_rng(width)
-        start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
-                  for k in ("f", "fstar", "ghost_acc") if getattr(b, k) is not None}
-                 for b in ref.levels]
-        for e in (ref, eng):
-            for b, saved in zip(e.levels, start):
-                for k, values in saved.items():
-                    if getattr(b, k) is not None:
+        for lv in range(1, len(engine.levels)):
+            start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
+                      for k in ("f", "ghost_acc")} for b in engine.levels]
+            results = []
+            for run in (lambda: IN_PLACE[sequence](engine, lv),
+                        lambda: [body(engine, lv) for body in (
+                            ref_collide, ref_accumulate, ref_stream,
+                            ref_explode_direct)]):
+                for b, saved in zip(engine.levels, start):
+                    for k, values in saved.items():
                         getattr(b, k)[...] = values
-        IN_PLACE[sequence](eng, lv)
-        for body in (ref_collide, ref_accumulate, ref_stream, ref_explode_direct):
-            body(ref, lv)
-        for got, want in zip(eng.levels[:lv], ref.levels[:lv]):
-            assert np.array_equal(got.f, want.f)
-            assert np.array_equal(got.fstar, want.fstar)
-        assert np.array_equal(eng.levels[lv].f, ref.levels[lv].f)
-        parent = eng.levels[lv - 1]         # the bins Coalescence reads
-        live = consumed_bins(parent)
-        assert np.array_equal(parent.ghost_acc, np.where(
-            live, ref.levels[lv - 1].ghost_acc, start[lv - 1]["ghost_acc"]))
-        groups = pull_groups(eng.mgrid.levels[lv], eng.lat)
-        parts = min(len(eng.split_cuts(lv)) - 1, len(groups))
-        assert parts == min(width, len(eng.split_cuts(lv)) - 1)
-        assert eng._maps[lv][("scratch", parts)].shape == (
-            parts, max(map(len, groups)), eng.levels[lv].n_owned)
+                run()
+                results.append([(b.f.copy(), b.ghost_acc.copy())
+                                for b in engine.levels])
+            got, want = results
+            live = consumed_bins(engine.levels[lv - 1])   # the bins read
+            want[lv - 1] = (want[lv - 1][0], np.where(
+                live, want[lv - 1][1], start[lv - 1]["ghost_acc"]))
+            for (gf, gacc), (wf, wacc) in zip(got, want):
+                assert np.array_equal(gf, wf), (sequence, lv)
+                assert np.array_equal(gacc, wacc), (sequence, lv)
+            groups = pull_groups(engine.mgrid.levels[lv], engine.lat)
+            parts = min(len(engine.split_cuts(lv)) - 1, len(groups))
+            assert parts == min(width, len(engine.split_cuts(lv)) - 1)
+            assert engine._maps[lv][("scratch", parts)].shape == (
+                parts, max(map(len, groups)), engine.levels[lv].n_owned)

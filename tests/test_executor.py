@@ -5,6 +5,7 @@ thread pool; the serial interpreted backend is the reference every case
 here compares against.
 """
 
+import functools
 import os
 import signal
 import threading
@@ -15,13 +16,14 @@ import pytest
 
 from repro.analysis.cli import ALL_CONFIGS
 from repro.backend.plan import StepPlan
-from repro.bench.workloads import lid_cavity
+from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.neon.executor import WavePool
 from repro.neon.runtime import FieldRef, KernelRecord, Runtime
 from repro.resilience.faults import Fault, FaultInjector
+from repro.serve.state import state_digest
 
 WORKLOADS = {
     "2d": lambda: lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9"),
@@ -30,9 +32,7 @@ WORKLOADS = {
 
 
 def full_state(sim):
-    return [(b.f.copy(), b.fstar if b.fstar is None else b.fstar.copy(),
-             b.ghost_acc.copy())
-            for b in sim.engine.levels]
+    return [(b.f.copy(), b.ghost_acc.copy()) for b in sim.engine.levels]
 
 
 def states_equal(a, b):
@@ -56,6 +56,40 @@ def hand_plan(*kernels):
                for name, _, reads, writes in kernels]
     return StepPlan(records, [body for _, body, _, _ in kernels],
                     digest="", certificate={})
+
+
+#: The executor digest matrix's grids: D3Q27 KBC with a solid and open
+#: faces, and a three-level D2Q9 cavity.
+DIGEST_GRIDS = {
+    "quarter-sphere": lambda: sphere_tunnel(scale=0.25),
+    "cavity2d-48": lambda: lid_cavity(base=(48, 48), num_levels=3, lattice="D2Q9"),
+}
+DIGEST_STEPS = 3
+
+
+@functools.lru_cache(maxsize=None)
+def serial_digest(grid, config):
+    """``state_digest`` after :data:`DIGEST_STEPS` interpreted steps."""
+    wl = DIGEST_GRIDS[grid]()
+    with make_sim(wl, False, config) as sim:
+        sim.run(DIGEST_STEPS)
+        return state_digest(sim)
+
+
+class TestDigestMatrix:
+    """The executors that reorder kernels agree with serial replay on every
+    config: one population buffer per level holds only because each
+    coarse Stream waits for the finer Explodes that read its ``f``
+    (compiled+threaded here, mp in ``tests/test_mp_backend.py``)."""
+
+    @pytest.mark.parametrize("grid", DIGEST_GRIDS)
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_threaded_digest_equals_serial(self, grid, config):
+        with make_sim(DIGEST_GRIDS[grid](), True, config) as sim:
+            sim.run(DIGEST_STEPS)
+            assert sim.mode == "threaded"
+            assert sim.backend.stats["plan_fallback_steps"] == 0
+            assert state_digest(sim) == serial_digest(grid, config)
 
 
 class TestDeterminism:

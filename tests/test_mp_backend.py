@@ -4,7 +4,7 @@ The contract under test extends the backend-parity one
 (``tests/test_backend.py``) across a process boundary:
 
 * mp execution is **bit-identical** to interpreted execution — every
-  level's ``f``/``fstar``/``ghost_acc``, the recorded kernel trace and
+  level's ``f``/``ghost_acc``, the recorded kernel trace and
   the step markers — across all fusion configs in 2D and 3D;
 * a **dead worker** surfaces as a structured :class:`MpWorkerError`
   carrying the mid-step error contract (``kernel_span``), the pool
@@ -37,6 +37,9 @@ from repro.core.lattice import D3Q19, D3Q27
 from repro.core.simulation import Simulation
 from repro.neon.runtime import FieldRef, KernelRecord
 from repro.resilience import ResilientRunner, RetryPolicy
+from repro.serve.state import state_digest
+
+from .test_executor import DIGEST_GRIDS, DIGEST_STEPS, serial_digest
 
 ALL_CONFIGS = (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS)
 
@@ -54,13 +57,11 @@ def build(wl, cfg, backend, **over):
 
 
 def states(sim):
-    return [(b.f.copy(), b.fstar if b.fstar is None else b.fstar.copy(),
-             b.ghost_acc.copy())
-            for b in sim.engine.levels]
+    return [(b.f.copy(), b.ghost_acc.copy()) for b in sim.engine.levels]
 
 
 def assert_bit_identical(a, b):
-    names = ("f", "fstar", "gacc")
+    names = ("f", "gacc")
     for lv, (sa, sb) in enumerate(zip(a, b)):
         for name, xa, xb in zip(names, sa, sb):
             assert np.array_equal(xa, xb), f"{name}@{lv} diverged"
@@ -102,6 +103,16 @@ class TestBitIdentity:
             assert sm.backend.stats["plan_fallback_steps"] == 0
             assert sm.backend.stats["mp_steps"] == 3
 
+    @pytest.mark.parametrize("grid", DIGEST_GRIDS)
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_digest_matrix_equals_serial(self, grid, cfg):
+        # the executor digest matrix's mp column (tests/test_executor.py)
+        wl = DIGEST_GRIDS[grid]()
+        with build(wl, cfg, "mp") as sm:
+            sm.run(DIGEST_STEPS)
+            assert sm.backend.stats["mp_steps"] == DIGEST_STEPS
+            assert state_digest(sm) == serial_digest(grid, cfg)
+
     def test_close_releases_pool_and_respawns_lazily(self):
         wl = cavity()
         sm = build(wl, ALL_CONFIGS[-1], "mp")
@@ -138,19 +149,19 @@ class TestCollideShards:
                         0.05 * rng.standard_normal((lat.d, self.N)))
         f *= 1.0 + 1e-3 * rng.standard_normal(f.shape)
         force = 1e-4 * (1.0 + np.arange(lat.d)) if forced else None
-        buf = SimpleNamespace(f=f, fstar=np.full_like(f, np.nan))
+        buf = SimpleNamespace(f=f.copy())
         engine = SimpleNamespace(levels=[buf], collision=op, omega=[1.6],
                                  force=[force])
         # the shard is the engine's own column-range collide piece
         engine.collide_columns = MethodType(Engine.collide_columns, engine)
         rec = KernelRecord("C", 0, self.N, f.nbytes, f.nbytes,
-                           (FieldRef("f", 0),), (FieldRef("fstar", 0),))
+                           (FieldRef("f", 0),), (FieldRef("f", 0),))
         shards = [(lo, hi) for worker in _partition([rec], [[0]], workers)
                   for _, lo, hi in worker[0]]
         assert len(shards) == workers and all(lo >= 0 for lo, _ in shards)
         for lo, hi in shards:
             _shard_collide(engine, rec, lo, hi)()
-        assert np.array_equal(buf.fstar, op.collide(f, 1.6, force=force))
+        assert np.array_equal(buf.f, op.collide(f, 1.6, force=force))
 
 
 class TestWorkerDeath:

@@ -314,6 +314,33 @@ class TestGoldenKernelCounts:
         n_ours = sum(self.counts(FUSED_FULL).values())
         assert (n_base, n_ours) == (29, 10)
 
+    @pytest.mark.parametrize("config, host, device", [
+        (MODIFIED_BASELINE, 22, 12), (FUSED_FULL, 9, 8)], ids=["4b", "4f"])
+    def test_device_graph_is_the_two_buffer_one(self, config, host, device):
+        # the declarations name the host's one buffer per level, which
+        # adds hazards; the device keeps f* apart (Fig. 2): 12 / 8 waves,
+        # as the cost model prices them
+        from repro.gpu.costmodel import device_records
+        records = self.last_step(config)
+        dev = device_records(records)
+        assert {str(x) for r in dev for x in r.reads + r.writes} >= {
+            "fstar@0", "fstar@1"}
+        for recs, waves in ((records, host), (dev, device)):
+            g = build_dependency_graph(list(recs), reduce=False)
+            assert len(schedule_waves(g)) == waves
+
+    def test_the_coarse_stream_waits_for_the_finer_explodes(self):
+        # on the host S1 overwrites the f@1 every E2 reads; on the device
+        # E2 reads f*@1, which S1 does not write
+        from repro.gpu.costmodel import device_records
+        records = self.last_step(MODIFIED_BASELINE)
+        explodes = [i for i, r in enumerate(records) if (r.name, r.level) == ("E", 2)]
+        stream = next(i for i, r in enumerate(records) if (r.name, r.level) == ("S", 1))
+        host = build_dependency_graph(list(records), reduce=False)
+        dev = build_dependency_graph(device_records(records), reduce=False)
+        assert all(host.has_edge(e, stream) for e in explodes if e < stream)
+        assert not any(dev.has_edge(e, stream) for e in explodes)
+
 
 class TestStepGraphs:
     def make(self, config):

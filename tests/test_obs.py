@@ -295,28 +295,33 @@ class TestWatchdog:
     @staticmethod
     def _run_sabotaged(field, lv=1):
         """Four watched steps with a NaN put into level ``lv``'s ``field``
-        after step 2."""
+        after step 2 (``"scratch"``: the scratch its stream runs through)."""
         sim = small_sim()
         sim.enable_tracing()
         wd = HealthWatchdog(sim)
 
         def sabotage_then_check(stepper):
             if field is not None and stepper.steps_done == 2:
-                getattr(sim.engine.levels[lv], field)[0, 5] = np.nan
+                arr = (next(a for k, a in sim.engine._maps[lv].items()
+                            if isinstance(k, tuple) and k[0] == "scratch")
+                       if field == "scratch" else getattr(sim.engine.levels[lv], field))
+                arr.flat[5] = np.nan            # f: q 0, cell 5
             wd.callback(stepper)
 
         sim.run(4, callback=sabotage_then_check)
         return sim, wd
 
     def test_nan_in_fstar_at_step_boundary_does_not_trip(self):
-        # fstar is dead between coarse steps (tests/test_live_state.py):
-        # a value nothing will read is not a divergence.  Level 0's: the
-        # finest level holds no fstar under CASE.
+        # the post-collision values f* live in f during a step; the stream
+        # runs through a scratch that is dead between coarse steps
+        # (tests/test_live_state.py): a value nothing will read is not a
+        # divergence
         from repro.serve.state import state_digest
         clean, _ = self._run_sabotaged(None)
-        poisoned, wd = self._run_sabotaged("fstar", lv=0)
-        assert wd.checks_run == 4 and wd.last_report["status"] == "ok"
-        assert state_digest(poisoned) == state_digest(clean)
+        for lv in range(clean.num_levels):
+            poisoned, wd = self._run_sabotaged("scratch", lv=lv)
+            assert wd.checks_run == 4 and wd.last_report["status"] == "ok"
+            assert state_digest(poisoned) == state_digest(clean)
 
     def test_nan_in_f_mid_run_fires_with_level_and_step(self):
         with pytest.raises(SimulationDiverged) as exc:

@@ -1,7 +1,6 @@
 """Static kernel-stream analyzer: access maps and what bodies do, legality
 proofs, lint, certificates (repro.analysis.static / lint / certificate)."""
 
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 
@@ -16,8 +15,7 @@ from repro.analysis.certificate import (CERTIFICATE_VERSION, build_certificate,
 from repro.analysis.cli import small_workloads, static_check
 from repro.analysis.lint import LintFinding, field_nbytes, lint_stream
 from repro.analysis.static import (check_contraction, decompose, plan_stream,
-                                   prove_fusion_legality, seeded_illegal_proof,
-                                   swap_declaration)
+                                   prove_fusion_legality, seeded_illegal_proof)
 from repro.analysis.verify import verify_trace
 from repro.backend import PlanAdmissionError
 from repro.backend.compiler import admit_stream, bind_stream, compile_plan
@@ -110,7 +108,10 @@ class TestStaticAccessSets:
 
     def test_swapped_field_declaration_is_caught(self):
         records, accesses, _ = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        bad = swap_declaration(list(records), "C")
+        # E reads the coarse level's f and writes its own
+        i = next(i for i, r in enumerate(records) if r.name == "E")
+        bad = list(records)
+        bad[i] = replace(bad[i], reads=bad[i].writes, writes=bad[i].reads)
         findings = verify_trace(bad, accesses)
         checks = {f.check for f in findings}
         assert "undeclared-read" in checks or "undeclared-write" in checks
@@ -170,22 +171,11 @@ class TestStaticAccessSets:
         assert any("reads" in p for p in problems)
 
 
-class SeeEverything(AccessTracer):
-    """A tracer that records register-resident accesses too: a fused body
-    reads and writes its ``fstar`` whether or not DRAM sees it."""
-
-    @contextmanager
-    def suppress(self, *fields):
-        yield
-
-
 def buffers(engine):
     """``FieldRef -> (array, row number of column 0)``, every allocated buffer."""
     out = {}
     for lv, b in enumerate(engine.levels):
         out[FieldRef("f", lv)] = (b.f, 0)
-        if b.fstar is not None:         # the finest level's, outside CASE
-            out[FieldRef("fstar", lv)] = (b.fstar, 0)
         if b.ghost_acc.size:
             out[FieldRef("gacc", lv)] = (b.ghost_acc, 0)
         if b.fghost is not None:
@@ -221,7 +211,7 @@ def report_violations(config, wl_kwargs, seed=0):
     problems = []
     with Simulation.from_config(wl.spec, wl.sim_config(fusion=config)) as sim:
         records, bodies, reports, _ = bind_stream(sim.stepper)
-        bufs, tracer = buffers(sim.engine), SeeEverything()
+        bufs, tracer = buffers(sim.engine), AccessTracer()
 
         def randomise():
             for arr, _ in bufs.values():
@@ -274,7 +264,7 @@ def concatenated_stream_reads(engine, lv, rows):
     n, flat = engine.levels[lv].n_owned, rows.ravel()
     per_val = engine.lat.q * engine.itemsize * n / flat.size
     out = []
-    for name, part in (("fstar", flat[flat < n]), ("fghost", flat[flat >= n])):
+    for name, part in (("f", flat[flat < n]), ("fghost", flat[flat >= n])):
         if part.size:
             out.append(Access(FieldRef(name, lv), READ, int(part.min()),
                               int(part.max()) + 1, round(per_val * part.size)))
@@ -318,10 +308,10 @@ class TestAccessMemo:
                 names.append([a.field.name for a in got])
             return names
 
-        assert fields_read() == [["fstar"]] * 3
+        assert fields_read() == [["f"]] * 3
         # ... and a table that pulls from the fine-ghost rows, as a 4a
         # layout streaming across the interface would (slip sources too),
-        # folded at the stride of that row space: fstar has no such rows,
+        # folded at the stride of that row space: f has no such rows,
         # so binding the stream refuses the table, naming the level
         rng = np.random.default_rng(d)
         for lv, buf in enumerate(engine.levels[1:], 1):
@@ -389,17 +379,18 @@ class TestAccessMemo:
                 # subsumed in the fused map, standalone in the baseline one
                 assert {a.nbytes == 0 for a in uses} == {True, False}
 
-#: Certificate stream digests (EXPERIMENTS.md, "Kernels that do less"),
-    #: re-pinned there: A / CA / CASE now declare the bytes of the entries
-    #: Coalescence reads, not of every child of a ghost cell.  The compile
-    #: step and the E / O cell counts feed every other number of a record.
+    #: Certificate stream digests, re-pinned when the declarations named
+    #: the storage each body touches (EXPERIMENTS.md, "One population
+    #: buffer per level": C writes f, A / S / E read f, no fstar; byte
+    #: counts unchanged).  The compile step and the E / O cell counts feed
+    #: every other number of a record.
     PINNED_DIGESTS = {
         ("cavity", "ours-4f"):
-            "a8498462ac956baab137d0676e30da54e6cb297fa10620bb098b7fc1c6a837ed",
+            "70e58cca5fd9fe1c9ad70ebf97e87239d3c4e2bda604eb7b8b19bec2eecc024b",
         ("cavity", "baseline-4b"):
-            "70302be91739a5ef558e1fcb263b14822caaeb318c69ee13dd6ecb3652d4ec07",
+            "d7d457e9f182bd995731138dc089f37a9fdc881aee9344db07cf53233e3682ca",
         ("sphere", "baseline-4b"):
-            "991a072fcc31eb426658e2101ff03b745c5f178c29f68cc70bcb7783c0ed3839",
+            "1f65efe1e778f9c0d0843ccecf9358c85ea6b744e5e4d35fe21a946c26842417",
     }
 
     @pytest.mark.parametrize("which,fusion", PINNED_DIGESTS,
@@ -442,11 +433,29 @@ class TestFusionLegality:
         assert cex.field.startswith("f@")
         assert cex.interval_i[1] > cex.interval_i[0]
 
-    def test_tampered_stream_via_swap_declaration(self):
-        proof = prove_fusion_legality(
-            FUSE_SO, WL2D, steps=2,
-            tamper=lambda recs: swap_declaration(recs, "E"))
+    def test_tampered_stream_via_dropped_write(self):
+        # a swapped E declaration no longer loses an order: every kernel
+        # that consumes E's write of f@1 also writes f@1, so the swapped
+        # read keeps a WAR edge.  Forgetting the write loses them all.
+        def drop_writes(records):
+            i = next(i for i, r in enumerate(records) if r.name == "E")
+            return [*records[:i], replace(records[i], writes=()), *records[i + 1:]]
+        proof = prove_fusion_legality(FUSE_SO, WL2D, steps=2, tamper=drop_writes)
         assert proof.verdict == "illegal"
+        assert {(c.kernel_i, c.kernel_j, c.field) for c in proof.counterexamples
+                } >= {("C1", "E1", "f@1"), ("S1", "E1", "f@1")}
+
+    @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
+    def test_late_explode_rejected(self, wl):
+        # the coarse Stream overwrites the f@0 entries the finer level's
+        # Explode reads: admitted while both read a second buffer
+        # (fstar@0), refused now that the reports name f@0
+        proof = seeded_illegal_proof(wl, steps=2, control="late Explode")
+        assert proof.verdict == "illegal"
+        cex = proof.counterexamples[0]
+        assert (cex.reason, cex.kernel_i, cex.kernel_j, cex.hazard, cex.field) == (
+            "unordered", "E1", "S0", "war", "f@0")
+        assert cex.fused_i > cex.fused_j
 
     def test_missing_primitive_is_structural_counterexample(self):
         records, base_map, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
@@ -457,7 +466,7 @@ class TestFusionLegality:
 
     def test_reordered_conflicting_pair_rejected(self):
         records, base_map, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        # swap the first C with the S of the same substep: C writes fstar
+        # swap the first C with the S of the same substep: C writes the f
         # that S reads, so the contraction must reject the reversal
         idx_c = next(i for i, r in enumerate(records) if r.name == "C")
         idx_s = next(i for i, r in enumerate(records)
@@ -477,19 +486,20 @@ class TestLint:
         records, accesses, sim = plan_stream(config, WL2D, steps=2)
         assert lint_stream(records, accesses, sim.engine).errors == ()
 
-    def test_case_drops_finest_fstar(self):
-        records, accesses, sim = plan_stream(FUSED_FULL, WL2D, steps=2)
+    @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
+    def test_only_fine_ghosts_are_droppable(self, config):
+        records, accesses, sim = plan_stream(config, WL2D, steps=2)
         report = lint_stream(records, accesses, sim.engine)
-        drop = [f for f in report.opportunities
-                if f.check == "droppable-buffer"]
-        finest = len(sim.engine.levels) - 1
-        assert any(f.field == f"fstar@{finest}" for f in drop)
+        drop = {f.field for f in report.opportunities
+                if f.check == "droppable-buffer"}
+        assert drop == (set() if config.original_layout else {"fghost@1"})
 
     def test_synthetic_dead_store_flagged(self):
-        records, accesses, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        # duplicate the first Collision: its fstar write is immediately
-        # overwritten by the copy with nothing reading in between
-        idx = next(i for i, r in enumerate(records) if r.name == "C")
+        records, accesses, sim = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
+        # duplicate the first Explosion copy: its fghost write is
+        # immediately overwritten by the copy with nothing reading in
+        # between (every kernel that writes f reads it first)
+        idx = next(i for i, r in enumerate(records) if r.name == "E")
         bad = records[:idx + 1] + [records[idx]] + records[idx + 1:]
         bad_map = {k: accesses[k if k <= idx else k - 1]
                    for k in range(len(bad))}
@@ -502,7 +512,7 @@ class TestLint:
         records, accesses, sim = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
         report = lint_stream(records, accesses, sim.engine)
         red = [f for f in report.opportunities if f.check == "redundant-load"]
-        # consecutive substeps re-read f/fstar rows without intervening
+        # consecutive substeps re-read f rows without intervening
         # writes somewhere in any real stream
         assert red
         assert all(f.bytes_saved > 0 for f in red)
@@ -511,36 +521,37 @@ class TestLint:
 # -------------------------------------------------------------- touched bytes
 
 class TestTouchedBytes:
-    # (six other configs, ours-4f): what the arena model removed after
-    # 260888b reported as its peak -- and as its plain sum -- on the
-    # static gate's two workloads
-    PINNED = {"2d": (WL2D, 218_016, 121_248),
-              "3d": (WL3D, 26_535_552, 14_706_304)}
+    # (six other configs, baseline-4a) on the static gate's two workloads:
+    # every level's f and ghost_acc, and 4a's fghost (218_016 / 121_248
+    # and 26_535_552 / 14_706_304 for (others, ours-4f) while the reports
+    # named a second buffer fstar, priced at n_used rows)
+    PINNED = {"2d": (WL2D, 87_840, 110_880),
+              "3d": (WL3D, 8_655_488, 13_480_576)}
 
     @pytest.mark.parametrize("dim", PINNED)
     def test_pinned_on_the_static_gate_workloads(self, dim):
-        wl, others, case = self.PINNED[dim]
+        wl, others, original = self.PINNED[dim]
         for config in ALL:
             records, accesses, sim = plan_stream(config, wl, steps=2)
             assert lint_stream(records, accesses, sim.engine).touched_bytes == (
-                case if config is FUSED_FULL else others), config.name
+                original if config.original_layout else others), config.name
 
-    def test_fghost_is_counted_with_its_fstar(self):
-        records, accesses, sim = plan_stream(ORIGINAL_BASELINE, WL2D, steps=1)
+    @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
+    def test_touched_bytes_are_the_host_buffers(self, config):
+        records, accesses, sim = plan_stream(config, WL2D, steps=1)
         touched = {a.field for accs in accesses.values()
                    for a in accs if a.field is not None and a.hi > a.lo}
-        ghost = {ref for ref in touched if ref.name == "fghost"}
-        assert ghost
-        assert all(FieldRef("fstar", ref.level) in touched for ref in ghost)
+        held = sum(arr.nbytes for buf in sim.engine.levels
+                   for arr in (buf.f, buf.fghost, buf.ghost_acc) if arr is not None)
         assert lint_stream(records, accesses, sim.engine).touched_bytes == sum(
-            field_nbytes(sim.engine, ref) for ref in touched - ghost)
+            field_nbytes(sim.engine, ref) for ref in touched) == held
 
     def test_run_metrics_gauge_reads_it(self):
         from repro.obs.metrics import run_metrics
         wl = lid_cavity(**WL2D)
         sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL))
         sim.run(1)
-        assert run_metrics(sim)["arena_peak_bytes"].value == 121_248
+        assert run_metrics(sim)["arena_peak_bytes"].value == 87_840
 
 
 # --------------------------------------------------------------- certificates
@@ -607,7 +618,7 @@ class TestStaticCLI:
         assert rep["verdict"] == "legal"
         assert rep["lint_errors"] == []
         assert rep["certificate_problems"] == []
-        assert rep["touched_bytes"] == 121_248
+        assert rep["touched_bytes"] == 87_840
         assert load_certificate(rep["certificate"])["config"] == "ours-4f"
 
     def test_cli_static_single_config(self, capsys):
