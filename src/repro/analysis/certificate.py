@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from ..io.checkpoint import atomic_write
 from ..neon.graph import build_dependency_graph, graph_stats, schedule_waves
 from ..neon.runtime import FieldRef, KernelRecord
 from .capture import Access
@@ -192,10 +193,9 @@ def validate_certificate(cert: Mapping[str, Any],
 
 def write_certificate(cert: Mapping[str, Any], path: str | Path) -> Path:
     """Serialise one certificate to ``path`` (parent dirs created)."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(cert, indent=2, sort_keys=False) + "\n")
-    return p
+    text = json.dumps(cert, indent=2, sort_keys=False) + "\n"
+    atomic_write(str(path), lambda fh: fh.write(text), "w")
+    return Path(path)
 
 
 def load_certificate(path: str | Path) -> dict[str, Any]:

@@ -29,16 +29,13 @@ import json
 import sys
 from typing import Any, Sequence, TextIO
 
-from ..core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE, FusionConfig, get_config
+from ..bench.workloads import ALL_CONFIGS, SMALL_WORKLOADS
+from ..core.fusion import FusionConfig, get_config
 from ..neon.graph import build_dependency_graph, schedule_waves
 from .races import detect_races
 from .verify import verify_trace
 
 __all__ = ["ALL_CONFIGS", "main", "small_workloads", "static_check"]
-
-#: Every configuration the gate covers: the Fig. 9 ablation plus the
-#: original (Fig. 4a) baseline.
-ALL_CONFIGS: tuple[FusionConfig, ...] = (ORIGINAL_BASELINE,) + ABLATION_CONFIGS
 
 
 def small_workloads() -> dict[str, dict[str, Any]]:
@@ -48,10 +45,8 @@ def small_workloads() -> dict[str, dict[str, Any]]:
     operator (Explosion, Accumulate, Coalescence) while staying fast
     enough to sweep 7 configurations x 2 workloads in seconds.
     """
-    return {
-        "cavity2d-2lvl": dict(base=(20, 20), num_levels=2, lattice="D2Q9"),
-        "cavity3d-3lvl": dict(base=(12, 12, 12), num_levels=3, lattice="D3Q19"),
-    }
+    return {name: SMALL_WORKLOADS[name]
+            for name in ("cavity2d-2lvl", "cavity3d-3lvl")}
 
 
 def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",

@@ -13,12 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+from ..core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE, FusionConfig
 from ..grid.geometry import (AirplaneProxy, Shape, Sphere, enforce_shell_separation,
                              shell_refinement, voxelize, wall_refinement)
 from ..grid.multigrid import DomainBC, FaceBC, RefinementSpec
 
 __all__ = ["Workload", "lid_cavity", "sphere_tunnel", "airplane_tunnel",
-           "TABLE1_SIZES", "TABLE1_DISTRIBUTIONS"]
+           "TABLE1_SIZES", "TABLE1_DISTRIBUTIONS", "ALL_CONFIGS",
+           "SMALL_WORKLOADS"]
+
+#: Every fusion configuration the gates and sweeps cover: the original
+#: (Fig. 4a) baseline plus the Fig. 9 ablation.
+ALL_CONFIGS: tuple[FusionConfig, ...] = (ORIGINAL_BASELINE,) + ABLATION_CONFIGS
+
+#: Named lid cavities small enough for functional runs; a name is one
+#: domain in every command (``repro analysis``, ``report``,
+#: ``resilience``, the drift sweep).  ``cavity2d`` is the Fig. 2 golden
+#: setup: 29 (baseline-4b) / 10 (ours-4f) kernels per coarse step.
+SMALL_WORKLOADS: dict[str, dict] = {
+    "cavity2d": dict(base=(24, 24), num_levels=3, lattice="D2Q9",
+                     widths=[7.0, 2.0]),
+    "cavity2d-2lvl": dict(base=(20, 20), num_levels=2, lattice="D2Q9"),
+    "cavity3d-2lvl": dict(base=(10, 10, 10), num_levels=2, lattice="D3Q19"),
+    "cavity3d-3lvl": dict(base=(12, 12, 12), num_levels=3, lattice="D3Q19"),
+}
 
 #: The finest-level domain sizes of Table I.
 TABLE1_SIZES = ((272, 192, 272), (544, 384, 544), (816, 576, 816))

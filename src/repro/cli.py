@@ -9,10 +9,9 @@ One front door for every tool the repo grew::
     python -m repro serve       # multi-tenant job server (flood demo, summary)
 
 Conventions shared across subcommands: ``--out-dir`` names the artifact
-directory everywhere (subcommands whose native flag is ``--out`` get it
-translated by the facade), ``--config`` selects a fusion config where
-one applies, and ``--json`` switches machine-readable output where the
-tool supports it.
+directory everywhere, ``--config`` selects a fusion config where one
+applies, and ``--json`` switches machine-readable output where the tool
+supports it.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ def _analysis(argv: list[str]) -> int:
 
 def _report(argv: list[str]) -> int:
     from .obs.cli import main
-    return main(_translate_out(argv))
+    return main(argv)
 
 
 def _resilience(argv: list[str]) -> int:
     from .resilience.cli import main
-    return main(_translate_out(argv))
+    return main(argv)
 
 
 def _history(argv: list[str]) -> int:
@@ -60,19 +59,6 @@ SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
                 "per PR"),
     "serve": (_serve, "async multi-tenant simulation job server"),
 }
-
-
-def _translate_out(argv: Sequence[str]) -> list[str]:
-    """Map the facade's ``--out-dir`` onto a tool's native ``--out``."""
-    out: list[str] = []
-    for arg in argv:
-        if arg == "--out-dir":
-            out.append("--out")
-        elif arg.startswith("--out-dir="):
-            out.append("--out=" + arg[len("--out-dir="):])
-        else:
-            out.append(arg)
-    return out
 
 
 def _usage(stream=None) -> None:

@@ -90,9 +90,11 @@ def atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> 
     only the temp file, never a truncated file under the real name, and
     a failed write removes the temp file and leaves the old file as it
     was.  The directory is ``fsync``-ed after the rename, which is what
-    makes the rename itself survive a power loss.  Every durable file
-    the repo writes goes through here: checkpoints, their manifest, and
-    the job server's state files.
+    makes the rename itself survive a power loss.  Every file the repo
+    writes whole goes through here: checkpoints, their manifest, the job
+    server's state files and fleet summary, certificates, traces, run
+    reports, ``BENCH_*.json`` and event logs written with
+    ``append=False``.  Appends (the shared event sink) do not.
     """
     dirname = os.path.dirname(os.path.abspath(path))
     os.makedirs(dirname, exist_ok=True)

@@ -1,7 +1,7 @@
 """``python -m repro report`` — run a workload under full telemetry.
 
 Runs one (workload, fusion-config) pair with the span tracer installed
-and the health watchdog armed, then writes into ``--out``:
+and the health watchdog armed, then writes into ``--out-dir``:
 
 * ``trace_<workload>_<config>.json`` — a Chrome-trace/Perfetto timeline
   (load it at https://ui.perfetto.dev) with one observed track per
@@ -29,10 +29,11 @@ import os
 import sys
 from typing import Sequence
 
-from ..bench.workloads import lid_cavity
+from ..bench.workloads import SMALL_WORKLOADS, lid_cavity
 from ..core.fusion import get_config
 from ..core.simulation import Simulation
 from ..gpu.device import get_device
+from ..io.checkpoint import atomic_write
 from .log import EventLog
 from .metrics import MetricsRegistry, run_metrics
 from .report import collect_report, render_text, write_report
@@ -40,17 +41,7 @@ from .roofline import drift_report
 from .trace import validate_trace, write_chrome_trace
 from .watchdog import HealthWatchdog, SimulationDiverged
 
-__all__ = ["main", "OBS_WORKLOADS"]
-
-#: Named workloads small enough for functional telemetry runs.
-#: ``cavity2d`` is the Fig. 2 golden setup: a 3-level 24x24 cavity whose
-#: per-coarse-step kernel counts are 29 (baseline-4b) / 10 (ours-4f).
-OBS_WORKLOADS: dict[str, dict] = {
-    "cavity2d": dict(base=(24, 24), num_levels=3, lattice="D2Q9",
-                     widths=[7.0, 2.0]),
-    "cavity2d-2lvl": dict(base=(20, 20), num_levels=2, lattice="D2Q9"),
-    "cavity3d": dict(base=(12, 12, 12), num_levels=3, lattice="D3Q19"),
-}
+__all__ = ["main"]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -62,7 +53,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "(text/HTML/JSON: metrics, roofline, lint, certificate "
                     "digest) and event log, and validate the trace.")
     parser.add_argument("--workload", default="cavity2d",
-                        choices=sorted(OBS_WORKLOADS),
+                        choices=sorted(SMALL_WORKLOADS),
                         help="workload to run (default cavity2d, the "
                              "Fig. 2 golden setup)")
     parser.add_argument("--config", default="ours-4f",
@@ -71,7 +62,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="coarse steps to run (default 3)")
     parser.add_argument("--device", default="A100-40GB",
                         help="device spec for the predicted track")
-    parser.add_argument("--out", default=".",
+    parser.add_argument("--out-dir", default=".",
                         help="output directory for the artifacts")
     parser.add_argument("--drift", action="store_true",
                         help="also sweep all 7 fusion configs (2D+3D) "
@@ -84,7 +75,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyError as exc:
         parser.error(str(exc.args[0]))
 
-    wl = lid_cavity(**OBS_WORKLOADS[args.workload])
+    wl = lid_cavity(**SMALL_WORKLOADS[args.workload])
     kbc = wl.collision.lower() == "kbc"
     registry = MetricsRegistry()
     log = EventLog(workload=args.workload, config=cfg.name)
@@ -108,13 +99,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                              workload=args.workload, status=status,
                              device=device, kbc=kbc, event_log=log)
 
-    os.makedirs(args.out, exist_ok=True)
     stem = f"{args.workload}_{cfg.name}"
     trace_path = write_chrome_trace(
-        os.path.join(args.out, f"trace_{stem}.json"), recorder,
+        os.path.join(args.out_dir, f"trace_{stem}.json"), recorder,
         device=device, kbc=kbc)
-    paths = write_report(rep, stem, args.out)
-    log_path = log.write(os.path.join(args.out, f"events_{stem}.jsonl"),
+    paths = write_report(rep, stem, args.out_dir)
+    log_path = log.write(os.path.join(args.out_dir, f"events_{stem}.jsonl"),
                          append=False)
 
     sys.stdout.write(render_text(rep))
@@ -133,10 +123,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.drift:
         dr = drift_report(steps=max(args.steps, 2), device=device)
-        drift_path = os.path.join(args.out, "drift_report.json")
-        with open(drift_path, "w") as fh:
-            json.dump(dr.as_dict(), fh, indent=2)
-            fh.write("\n")
+        drift_path = os.path.join(args.out_dir, "drift_report.json")
+        text = json.dumps(dr.as_dict(), indent=2) + "\n"
+        atomic_write(drift_path, lambda fh: fh.write(text), "w")
         print(f"drift sweep   : {len(dr.entries)} (workload, config) "
               f"entries, {len(dr.findings)} flagged -> {drift_path}")
         for f in dr.findings:

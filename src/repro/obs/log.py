@@ -38,6 +38,8 @@ import os
 from typing import Any, Iterable, Sequence
 from uuid import uuid4
 
+from ..io.checkpoint import atomic_write
+
 __all__ = ["LOG_VERSION", "LOG_KINDS", "EventLog", "read_log",
            "validate_log", "split_runs"]
 
@@ -169,10 +171,17 @@ class EventLog:
                        for line in self.lines)
 
     def write(self, path: str, append: bool = True) -> str:
-        """Serialize to ``path`` (append by default: logs are shared sinks)."""
+        """Serialize to ``path`` (append by default: logs are shared sinks).
+
+        ``append=False`` replaces the file whole (atomically).
+        """
+        text = self.dump()
+        if not append:
+            atomic_write(path, lambda fh: fh.write(text), "w")
+            return path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "a" if append else "w") as fh:
-            fh.write(self.dump())
+        with open(path, "a") as fh:
+            fh.write(text)
         return path
 
     def __len__(self) -> int:

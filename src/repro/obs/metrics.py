@@ -13,6 +13,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from ..io.checkpoint import atomic_write
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "run_metrics", "write_bench_json", "bench_out_dir"]
 
@@ -295,12 +297,10 @@ def write_bench_json(name: str, payload: dict, out_dir: str | None = None) -> st
     only (:mod:`repro.bench.history`).
     """
     out = out_dir if out_dir is not None else bench_out_dir()
-    os.makedirs(out, exist_ok=True)
     text = json.dumps({"bench": name, **payload}, indent=2,
-                      default=_json_default)
+                      default=_json_default) + "\n"
     path = os.path.join(out, f"BENCH_{name}.json")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    atomic_write(path, lambda fh: fh.write(text), "w")
     return path
 
 

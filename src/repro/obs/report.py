@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..gpu.device import A100_40GB, DeviceSpec
+from ..io.checkpoint import atomic_write
 from .log import EventLog
 from .metrics import MetricsRegistry, run_metrics
 from .roofline import RooflineSummary, drift_findings, roofline_summary
@@ -364,14 +365,12 @@ def render_html(rep: RunReport) -> str:
 def write_report(rep: RunReport, stem: str, out_dir: str) -> dict[str, str]:
     """Write the JSON + HTML renderings; returns their paths."""
     import os
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "json": os.path.join(out_dir, f"report_{stem}.json"),
         "html": os.path.join(out_dir, f"report_{stem}.html"),
     }
-    with open(paths["json"], "w") as fh:
-        json.dump(rep.as_dict(), fh, indent=2, default=str)
-        fh.write("\n")
-    with open(paths["html"], "w") as fh:
-        fh.write(render_html(rep))
+    text = json.dumps(rep.as_dict(), indent=2, default=str) + "\n"
+    atomic_write(paths["json"], lambda fh: fh.write(text), "w")
+    page = render_html(rep)
+    atomic_write(paths["html"], lambda fh: fh.write(page), "w")
     return paths

@@ -306,11 +306,10 @@ class DriftReport:
         }
 
 
-#: Small 2D and 3D cavities the drift sweep runs every config on.
-DRIFT_WORKLOADS: dict[str, dict] = {
-    "cavity2d": dict(base=(20, 20), num_levels=2, lattice="D2Q9"),
-    "cavity3d": dict(base=(10, 10, 10), num_levels=2, lattice="D3Q19"),
-}
+#: The small 2D and 3D cavities (names in
+#: :data:`~repro.bench.workloads.SMALL_WORKLOADS`) the drift sweep runs
+#: every config on.
+DRIFT_WORKLOADS = ("cavity2d-2lvl", "cavity3d-2lvl")
 
 
 def drift_report(*, steps: int = 2,
@@ -323,16 +322,14 @@ def drift_report(*, steps: int = 2,
     means observed time tracks predicted traffic uniformly across the
     whole fusion design space.
     """
-    from ..bench.workloads import lid_cavity
-    from ..core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
+    from ..bench.workloads import ALL_CONFIGS, SMALL_WORKLOADS, lid_cavity
     from ..core.simulation import Simulation
 
-    configs = (ORIGINAL_BASELINE,) + ABLATION_CONFIGS
     entries: list[dict] = []
     findings: list[DriftFinding] = []
-    for wl_name, kwargs in DRIFT_WORKLOADS.items():
-        wl = lid_cavity(**kwargs)
-        for cfg in configs:
+    for wl_name in DRIFT_WORKLOADS:
+        wl = lid_cavity(**SMALL_WORKLOADS[wl_name])
+        for cfg in ALL_CONFIGS:
             sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg))
             recorder = sim.enable_tracing()
             with sim:

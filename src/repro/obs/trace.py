@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 
 from ..gpu.costmodel import device_records, kernel_time_us
+from ..io.checkpoint import atomic_write
 from ..gpu.device import A100_40GB, DeviceSpec
 from ..neon.graph import build_dependency_graph, stream_assignment
 from .spans import SpanRecorder
@@ -146,9 +147,12 @@ def chrome_trace(recorder: SpanRecorder, *, device: DeviceSpec = A100_40GB,
 def write_chrome_trace(path: str, recorder: SpanRecorder, *,
                        device: DeviceSpec = A100_40GB, kbc: bool = False) -> str:
     """Serialize :func:`chrome_trace` to ``path``; returns the path."""
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(recorder, device=device, kbc=kbc), fh)
+    trace = chrome_trace(recorder, device=device, kbc=kbc)
+
+    def write(fh) -> None:
+        json.dump(trace, fh)
         fh.write("\n")
+    atomic_write(path, write, "w")
     return path
 
 

@@ -26,24 +26,15 @@ import argparse
 import sys
 from typing import Sequence
 
+from ..bench.workloads import ALL_CONFIGS, SMALL_WORKLOADS, lid_cavity
 from ..core.config import SimConfig
-from ..core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE, get_config
+from ..core.fusion import get_config
 from ..core.simulation import Simulation
 from ..obs.metrics import write_bench_json
 from .faults import Fault, FaultInjector
 from .runner import ResilientRunner, RetryExhausted, RetryPolicy
 
-__all__ = ["main", "run_matrix", "MATRIX_WORKLOADS"]
-
-ALL_CONFIGS = (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS)
-
-#: Workloads small enough to run the full matrix functionally.
-MATRIX_WORKLOADS: dict[str, dict] = {
-    "cavity2d-2lvl": dict(base=(16, 16), num_levels=2, lattice="D2Q9"),
-    "cavity2d": dict(base=(24, 24), num_levels=3, lattice="D2Q9",
-                     widths=[7.0, 2.0]),
-    "cavity3d": dict(base=(10, 10, 10), num_levels=2, lattice="D3Q19"),
-}
+__all__ = ["main", "run_matrix"]
 
 FAULT_KINDS = ("nan", "kernel", "oom")
 MODES = ("serial", "threaded")
@@ -70,9 +61,7 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
                modes: Sequence[str] = MODES,
                steps: int = 10, policy: RetryPolicy | None = None) -> dict:
     """Run the matrix; return ``{"rows": [...], "summary": {...}}``."""
-    from ..bench.workloads import lid_cavity
-
-    wl = lid_cavity(**MATRIX_WORKLOADS[workload])
+    wl = lid_cavity(**SMALL_WORKLOADS[workload])
     fusion_cfgs = (ALL_CONFIGS if configs is None
                    else [get_config(c) for c in configs])
     pol = policy if policy is not None else RetryPolicy(checkpoint_every=4)
@@ -163,7 +152,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "bit-identical to an unfaulted reference and never "
                     "left the plan path.")
     parser.add_argument("--workload", default="cavity2d-2lvl",
-                        choices=sorted(MATRIX_WORKLOADS))
+                        choices=sorted(SMALL_WORKLOADS))
     parser.add_argument("--configs", default="all",
                         help="comma-separated fusion presets, or 'all' "
                              "(default) for the full Fig.-4 set")
@@ -178,7 +167,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--checkpoint-every", type=int, default=4,
                         help="checkpoint cadence in coarse steps")
     parser.add_argument("--max-retries", type=int, default=3)
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out-dir", default=None,
                         help="directory for BENCH_resilience.json "
                              "(default $BENCH_OUT_DIR or cwd)")
     args = parser.parse_args(argv)
@@ -202,6 +191,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc.args[0]))
 
     _print_matrix(result, sys.stdout)
-    path = write_bench_json("resilience", result, out_dir=args.out)
+    path = write_bench_json("resilience", result, out_dir=args.out_dir)
     print(f"wrote {path}")
     return 0 if result["summary"]["failed"] == 0 else 1

@@ -42,6 +42,7 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..backend.mp import MpWorkerError
 from ..core.config import SimConfig
@@ -49,7 +50,7 @@ from ..core.results import RunResult
 from ..core.simulation import Simulation
 from ..core.units import omega_from_viscosity
 from ..gpu.memory import DeviceOOMError
-from ..io.checkpoint import CheckpointStore
+from ..io.checkpoint import CheckpointError, CheckpointStore
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.watchdog import HealthWatchdog, SimulationDiverged
@@ -164,7 +165,11 @@ class ResilientRunner:
         :class:`RetryPolicy` (defaults are sensible for tests/CI).
     store:
         A :class:`~repro.io.checkpoint.CheckpointStore`, a directory
-        path, or ``None`` for a self-cleaning temporary directory.
+        path, or ``None`` for a self-cleaning temporary directory.  A
+        store holding a readable generation is resumed from: the runner
+        restores the newest one before its first step, so a run picks up
+        where an earlier one stopped and never rolls back past the step
+        it failed at.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`,
         (re-)installed on every build — the test matrix's hook.
@@ -192,6 +197,16 @@ class ResilientRunner:
         self.store: CheckpointStore = store
         self.sim: Simulation = self._build(self.config)
         self.watchdog = HealthWatchdog(self.sim, registry=self.registry)
+        if self.store.latest() is not None:
+            try:
+                restored = self.store.restore_latest(self.sim)
+            except CheckpointError:
+                pass  # no readable generation: start from step 0
+            except BaseException:
+                self.close()
+                raise
+            else:
+                self.recorder.on_event("resume", from_step=restored)
 
     # -- construction / rebuilds ----------------------------------------------
     def _build(self, config: SimConfig) -> Simulation:
@@ -221,7 +236,9 @@ class ResilientRunner:
         self.registry.counter(name, help).inc(amount)
 
     # -- the recovery loop -----------------------------------------------------
-    def run(self, n_steps: int) -> RunResult:
+    def run(self, n_steps: int,
+            on_checkpoint: Callable[[RunReport], None] | None = None
+            ) -> RunResult:
         """Advance ``n_steps`` coarse steps, recovering as needed.
 
         Returns a :class:`~repro.core.results.RunResult` whose
@@ -230,6 +247,12 @@ class ResilientRunner:
         raises :class:`RetryExhausted` (report attached) when the budget
         and the ladder are spent.  Callable repeatedly — the checkpoint
         store and telemetry carry over.
+
+        ``on_checkpoint(report)`` is called on this thread at every
+        checkpoint boundary the run goes on from: before the first step
+        and after each checkpoint short of the target, with the report so
+        far.  Whatever it raises ends the run there, with the state of
+        ``sim.steps_done`` durable in the store.
         """
         pol = self.policy
         start_step = self.sim.steps_done
@@ -242,6 +265,8 @@ class ResilientRunner:
             self.store.save(self.sim, kind="initial")
             report.checkpoints += 1
             self._count("checkpoints_total", "checkpoints written")
+        if on_checkpoint is not None and self.sim.steps_done < report.target_step:
+            on_checkpoint(report)
         attempts = 0
         executor_strikes = 0
         divergences = 0
@@ -284,6 +309,9 @@ class ResilientRunner:
             report.checkpoints += 1
             self._count("checkpoints_total", "checkpoints written")
             attempts = 0
+            if (on_checkpoint is not None
+                    and self.sim.steps_done < report.target_step):
+                on_checkpoint(report)
         report.final_step = self.sim.steps_done
         report.mode = self.mode
         report.omega_scale = self._omega_scale()

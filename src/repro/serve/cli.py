@@ -8,9 +8,9 @@ Two modes:
   deaths — and print the per-tenant fleet summary.  Everything durable
   (job state, checkpoints, ``events.jsonl``, ``fleet_summary.json``)
   lands in ``--out-dir``.
-* **--summary**: post-hoc fleet health from a server root on disk —
-  reads ``fleet_summary.json`` when a server wrote one, otherwise
-  aggregates the persisted ``job.json`` snapshots.
+* **--summary**: post-hoc fleet health from a server root on disk,
+  derived from the persisted ``job.json`` records by the same function
+  the server's own summary uses.
 
 Shared conventions with the other ``python -m repro`` subcommands:
 ``--out-dir`` for artifacts, ``--json`` for machine-readable output.
@@ -27,8 +27,8 @@ import sys
 from ..bench.workloads import lid_cavity
 from ..core.config import SimConfig
 from .server import JobServer
-from .spec import JobSpec, WorkerKilled
-from .state import scan_jobs
+from .spec import JobSpec, JobStatus, WorkerKilled
+from .state import fleet_tables, scan_jobs
 
 __all__ = ["main", "build_flood", "summary_from_disk"]
 
@@ -86,35 +86,14 @@ async def _run_flood(args) -> dict:
 
 
 def summary_from_disk(root: str) -> dict:
-    """Fleet summary reconstructed from a server root on disk."""
-    import os
-    path = os.path.join(str(root), "fleet_summary.json")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        pass
-    jobs = scan_jobs(root)
-    tenants: dict[str, dict] = {}
-    states: dict[str, int] = {}
-    for _, state in jobs:
-        t = tenants.setdefault(str(state.get("tenant", "default")), {
-            "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
-            "restarts": 0, "retries": 0, "checkpoints": 0,
-            "predicted_cost_us": 0.0, "steps_done": 0})
-        s = str(state.get("state", "?"))
-        states[s] = states.get(s, 0) + 1
-        t["submitted"] += 1
-        if s in t:
-            t[s] += 1
-        t["restarts"] += int(state.get("restarts", 0))
-        t["retries"] += int(state.get("retries", 0))
-        t["checkpoints"] += int(state.get("checkpoints", 0))
-        t["predicted_cost_us"] += float(state.get("predicted_cost_us", 0.0))
-        t["steps_done"] += int(state.get("steps_done", 0))
-    return {"version": 1, "root": str(root), "jobs_total": len(jobs),
-            "states": states, "tenants": tenants,
-            "jobs": [state for _, state in jobs]}
+    """Fleet summary of a server root, derived from its ``job.json`` records.
+
+    The tables come from :func:`~repro.serve.state.fleet_tables`, the
+    function :meth:`JobServer.fleet_summary` uses on the live records.
+    """
+    jobs = [JobStatus.from_dict(state) for _, state in scan_jobs(root)]
+    return {"version": 1, "root": str(root), **fleet_tables(jobs),
+            "jobs": [job.as_dict() for job in jobs]}
 
 
 def _print_summary(summary: dict) -> None:
@@ -150,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="concurrent worker threads (default 2)")
     parser.add_argument("--chaos", type=float, default=0.0, metavar="P",
-                        help="per-segment worker-death probability "
+                        help="per-checkpoint worker-death probability "
                              "(demonstrates recovery; default 0)")
     parser.add_argument("--seed", type=int, default=0,
                         help="flood/chaos RNG seed (default 0)")

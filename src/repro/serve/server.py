@@ -2,12 +2,12 @@
 
 :class:`JobServer` multiplexes many concurrent simulation jobs over a
 bounded worker pool.  The event loop owns scheduling, admission and
-telemetry; each admitted job runs on a worker thread driving a
-:class:`~repro.resilience.runner.ResilientRunner` in checkpoint-cadence
-segments, so every job gets the full per-job resilience ladder
-(rollback-retry, mp/threaded -> serial, safety-omega) *and* the
-server gets segment-granular cancellation, durable progress and
-worker-death recovery on top.
+telemetry; each admitted job runs on a worker thread as one
+:class:`~repro.resilience.runner.ResilientRunner` run, so every job gets
+the full per-job resilience ladder (rollback-retry, mp/threaded ->
+serial, safety-omega).  The runner owns checkpoint cadence and resume;
+at each checkpoint boundary its callback hands the server the place to
+record progress, cancel, stop or (under test) kill the worker.
 
 Scheduling policy — weighted fair queueing by predicted cost
 -----------------------------------------------------------
@@ -28,12 +28,14 @@ late joiners neither monopolize nor wait out the backlog.
 Durability
 ----------
 
-Job state (``job.json``), payload (``payload.pkl``) and checkpoints live
-under ``<root>/jobs/<job_id>/`` (:mod:`repro.serve.state`).  Worker
-death — any exception escaping the resilience machinery — requeues the
-job (bounded by ``max_restarts``); a fresh worker resumes from the last
-checkpoint generation.  ``stop()`` interrupts running jobs at their next
-segment boundary and records them as ``queued``; a new server on the
+Job state (``job.json``, the job's :class:`~repro.serve.spec.JobStatus`),
+payload (``payload.pkl``, its :class:`~repro.serve.spec.JobSpec`) and
+checkpoints live under ``<root>/jobs/<job_id>/``
+(:mod:`repro.serve.state`).  Worker death — any exception escaping the
+resilience machinery — requeues the job (bounded by ``max_restarts``);
+the fresh worker's runner resumes from the newest checkpoint
+generation.  ``stop()`` interrupts running jobs at their next
+checkpoint boundary and records them as ``queued``; a new server on the
 same root re-admits them on ``start()`` — that is the restart-resume
 path, and recovery is bit-identical to an uninterrupted run because the
 engine is deterministic and checkpoints are verbatim.
@@ -43,10 +45,11 @@ Telemetry
 
 Every job writes its lifecycle to the unified event log
 (:mod:`repro.obs.log`) under its own run id with per-tenant labels; all
-jobs share one ``events.jsonl`` sink in the server root.  The
-:class:`~repro.obs.metrics.MetricsRegistry` carries fleet counters, and
-:meth:`JobServer.fleet_summary` renders the per-tenant health snapshot
-(also written to ``fleet_summary.json`` on ``stop()``).
+jobs share one ``events.jsonl`` sink in the server root, written on the
+event-loop thread.  :meth:`JobServer.fleet_summary` renders the
+per-tenant health snapshot from the job records
+(:func:`~repro.serve.state.fleet_tables`; also written to
+``fleet_summary.json`` on ``stop()``).
 """
 
 from __future__ import annotations
@@ -56,26 +59,27 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from ..core.results import RunResult
 from ..gpu.device import A100_40GB, DeviceSpec
-from ..io.checkpoint import CheckpointError, CheckpointStore, atomic_write
+from ..io.checkpoint import CheckpointStore, atomic_write
 from ..obs.log import EventLog
-from ..obs.metrics import MetricsRegistry
-from ..resilience.runner import ResilientRunner, RetryExhausted, RetryPolicy
+from ..resilience.runner import (ResilientRunner, RetryExhausted, RetryPolicy,
+                                 RunReport)
 from .oracle import JobCost, predict_cost
 from .spec import (TERMINAL_STATES, AdmissionError, JobCancelled, JobResult,
                    JobSpec, JobStatus, UnknownJobError)
-from .state import (CKPT_DIR, job_dir, rebuild_jobspec, scan_jobs,
-                    state_digest, write_job_payload, write_job_state)
+from .state import (CKPT_DIR, fleet_tables, job_dir, read_job_payload,
+                    scan_jobs, state_digest, write_job_payload,
+                    write_job_state)
 
 __all__ = ["JobServer"]
 
 
 class _Interrupted(RuntimeError):
-    """Server shutdown reached a worker between segments (not a failure)."""
+    """Server shutdown reached a worker at a checkpoint (not a failure)."""
 
 
 class _JobFailed(RuntimeError):
@@ -88,15 +92,11 @@ class _Job:
 
     spec: JobSpec
     status: JobStatus
-    predicted: JobCost
     submitted_seq: int
     log: EventLog
     cancel_event: threading.Event = field(default_factory=threading.Event)
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
     result: JobResult | None = None
-    rollback_steps: int = 0
-    seconds: float = 0.0
-    resumed: bool = False
     flushed_lines: int = 0
 
 
@@ -125,13 +125,11 @@ class JobServer:
         Optional ``factory(JobSpec) -> FaultInjector | None`` installed
         on each job's runner — the test matrix's per-job fault seam.
     chaos:
-        Optional ``hook(job_id, step)`` called between segments on the
-        worker thread; anything it raises is a worker death.  Test seam.
+        Optional ``hook(job_id, step)`` called at each checkpoint
+        boundary a job goes on from, on the worker thread; anything it
+        raises is a worker death.  Test seam.
     max_restarts:
         Worker deaths tolerated per job before it is marked ``failed``.
-    registry:
-        Shared :class:`~repro.obs.metrics.MetricsRegistry` (fresh when
-        omitted; exposed as :attr:`registry`).
     """
 
     def __init__(self, root: str | None = None, *, workers: int = 2,
@@ -141,8 +139,7 @@ class JobServer:
                  device: DeviceSpec = A100_40GB,
                  faults: Callable[[JobSpec], Any] | None = None,
                  chaos: Callable[[str, int], None] | None = None,
-                 max_restarts: int = 2,
-                 registry: MetricsRegistry | None = None) -> None:
+                 max_restarts: int = 2) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._tmp = None
@@ -159,12 +156,10 @@ class JobServer:
         self.faults = faults
         self.chaos = chaos
         self.max_restarts = int(max_restarts)
-        self.registry = registry if registry is not None else MetricsRegistry()
 
         self._jobs: dict[str, _Job] = {}
         self._queue: list[str] = []
         self._vtime: dict[str, float] = {}
-        self._tenant_stats: dict[str, dict] = {}
         self._outstanding_cost_us = 0.0
         self._seq = 0
         self._active = 0
@@ -183,8 +178,8 @@ class JobServer:
 
         With ``resume`` every job recorded on disk in a non-terminal
         state (a previous server stopped, or died, mid-flight) is
-        re-enqueued; its worker restores the newest readable checkpoint
-        generation before stepping.
+        re-enqueued with its recorded status; its runner restores the
+        newest readable checkpoint generation before stepping.
         """
         if self._running:
             raise RuntimeError("server already started")
@@ -196,12 +191,10 @@ class JobServer:
                 if state.get("state") in TERMINAL_STATES or job_id in self._jobs:
                     continue
                 try:
-                    spec = rebuild_jobspec(self.root, job_id, state)
-                except (OSError, KeyError, ValueError):
+                    spec = read_job_payload(job_dir(self.root, job_id))
+                except (OSError, ValueError):
                     continue  # torn payload: not resumable, keep the dir
-                job = self._admit(spec, restarts=int(state.get("restarts", 0)),
-                                  resumed=True)
-                job.status.steps_done = int(state.get("steps_done", 0))
+                job = self._admit(spec, status=JobStatus.from_dict(state))
                 job.log.note("resubmitted", origin="server-restart",
                              steps_done=job.status.steps_done)
                 self._flush_log(job)
@@ -209,7 +202,7 @@ class JobServer:
         return self
 
     async def stop(self) -> None:
-        """Interrupt at segment boundaries, persist, stop dispatching.
+        """Interrupt at checkpoint boundaries, persist, stop dispatching.
 
         Running jobs are *not* lost: each is recorded as ``queued`` with
         its progress, and a new server on the same root resumes it from
@@ -261,7 +254,6 @@ class JobServer:
         live = sum(1 for j in self._jobs.values()
                    if j.status.tenant == tenant and not j.status.terminal)
         if live >= self.max_queued_per_tenant:
-            self._count("serve_rejected_total", "submissions refused")
             raise AdmissionError(
                 f"tenant {tenant!r} already has {live} live jobs "
                 f"(limit {self.max_queued_per_tenant})", tenant)
@@ -269,7 +261,6 @@ class JobServer:
         if (self.max_outstanding_cost_us is not None
                 and self._outstanding_cost_us + cost.total_us
                 > self.max_outstanding_cost_us):
-            self._count("serve_rejected_total", "submissions refused")
             raise AdmissionError(
                 f"fleet cost budget exceeded: outstanding "
                 f"{self._outstanding_cost_us:.0f}us + job "
@@ -293,7 +284,7 @@ class JobServer:
         """Request cancellation; ``False`` if the job already finished.
 
         Queued jobs are cancelled immediately; running jobs stop at
-        their next segment boundary (checkpoint cadence).
+        their next checkpoint boundary.
         """
         job = self._get(job_id)
         if job.status.terminal:
@@ -318,29 +309,25 @@ class JobServer:
             raise UnknownJobError(str(job_id)) from None
 
     def _admit(self, spec: JobSpec, cost: JobCost | None = None,
-               restarts: int = 0, resumed: bool = False) -> _Job:
+               status: JobStatus | None = None) -> _Job:
+        """Queue a new job, or with ``status`` one read back from disk."""
         if cost is None:
             cost = self.predict(spec)
+        resumed = status is not None
+        if status is None:
+            status = JobStatus(job_id=spec.job_id, tenant=str(spec.tenant),
+                               state="queued", steps=spec.steps,
+                               priority=spec.priority)
+        status.state = "queued"
+        status.predicted_cost_us = cost.total_us
         self._seq += 1
-        status = JobStatus(job_id=spec.job_id, tenant=str(spec.tenant),
-                           state="queued", steps=spec.steps,
-                           priority=spec.priority,
-                           predicted_cost_us=cost.total_us,
-                           restarts=restarts)
         log = EventLog(run_id=spec.job_id, **spec.label_dict())
-        job = _Job(spec=spec, status=status, predicted=cost,
-                   submitted_seq=self._seq, log=log, resumed=resumed)
-        job.status.restarts = restarts
+        job = _Job(spec=spec, status=status, submitted_seq=self._seq, log=log)
         self._jobs[spec.job_id] = job
         self._queue.append(spec.job_id)
         self._outstanding_cost_us += cost.total_us
-        stats = self._tenant(status.tenant)
-        stats["submitted"] += 1
-        stats["predicted_cost_us"] += cost.total_us
-        self._count("serve_submitted_total", "jobs admitted")
         if not resumed:
-            jdir = job_dir(self.root, spec.job_id)
-            write_job_payload(jdir, spec.spec, spec.config)
+            write_job_payload(job_dir(self.root, spec.job_id), spec)
             log.emit("meta", steps=spec.steps, tenant=status.tenant,
                      priority=spec.priority,
                      predicted_cost_us=cost.total_us,
@@ -352,26 +339,9 @@ class JobServer:
             self._wake.set()
         return job
 
-    def _tenant(self, tenant: str) -> dict:
-        return self._tenant_stats.setdefault(tenant, {
-            "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
-            "restarts": 0, "retries": 0, "rollback_steps": 0,
-            "degradations": 0, "checkpoints": 0,
-            "predicted_cost_us": 0.0, "served_cost_us": 0.0,
-            "wall_seconds": 0.0, "steps_done": 0,
-        })
-
-    def _count(self, name: str, help: str, amount: float = 1.0) -> None:
-        self.registry.counter(name, help).inc(amount)
-
     def _persist(self, job: _Job) -> None:
         state = job.status.as_dict()
-        state.update(
-            checkpoint_every=job.spec.checkpoint_every,
-            max_retries=job.spec.max_retries,
-            labels=job.spec.label_dict(),
-            submitted_seq=job.submitted_seq,
-            updated_at=time.time())
+        state.update(submitted_seq=job.submitted_seq, updated_at=time.time())
         write_job_state(job_dir(self.root, job.spec.job_id), state)
 
     def _flush_log(self, job: _Job) -> None:
@@ -411,7 +381,7 @@ class JobServer:
                                  self._jobs[j].submitted_seq))
         self._queue.remove(jid)
         job = self._jobs[jid]
-        self._vtime[tenant] += job.predicted.total_us / self._weight(tenant)
+        self._vtime[tenant] += job.status.predicted_cost_us / self._weight(tenant)
         return jid
 
     async def _dispatch_loop(self) -> None:
@@ -426,7 +396,7 @@ class JobServer:
                 self.started_order.append(jid)
                 job.status.state = "admitted"
                 job.log.note("admitted", order=len(self.started_order),
-                             predicted_cost_us=job.predicted.total_us)
+                             predicted_cost_us=job.status.predicted_cost_us)
                 task = asyncio.create_task(self._run_job(job))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
@@ -442,10 +412,8 @@ class JobServer:
         self._persist(job)
         self._flush_log(job)
         try:
-            payload = await asyncio.to_thread(self._drive, job)
+            digest, run, notes = await asyncio.to_thread(self._drive, job)
         except JobCancelled:
-            self._note_events(job, [("note", {"message": "cancelled",
-                                              "step": job.status.steps_done})])
             self._finalize(job, "cancelled")
         except _Interrupted:
             # Server shutdown: park the job as queued for the next
@@ -456,13 +424,10 @@ class JobServer:
             self._flush_log(job)
         except _JobFailed as exc:
             job.status.error = str(exc)
-            self._note_events(job, [("note", {"message": "exhausted",
-                                              "error": str(exc)})])
+            job.log.note("exhausted", error=str(exc))
             self._finalize(job, "failed")
         except Exception as exc:  # worker death
             job.status.restarts += 1
-            self._tenant(job.status.tenant)["restarts"] += 1
-            self._count("serve_worker_deaths_total", "workers lost mid-job")
             job.log.emit("resilience", event="worker-death",
                          step=job.status.steps_done,
                          restart=job.status.restarts,
@@ -471,25 +436,22 @@ class JobServer:
                     and not self._stopping.is_set()):
                 job.status.state = "queued"
                 self._queue.append(job.spec.job_id)
-                self._count("serve_requeues_total", "jobs requeued after "
-                            "worker death")
                 self._persist(job)
                 self._flush_log(job)
             else:
                 job.status.error = f"{type(exc).__name__}: {exc}"
                 self._finalize(job, "failed")
         else:
-            job.result = self._build_result(job, payload)
-            self._note_events(job, payload["notes"])
+            self._note_events(job, notes)
             job.log.emit("metric", labels={"final": True},
                          values={"steps_done": job.status.steps_done,
-                                 "seconds": job.seconds,
+                                 "seconds": job.status.seconds,
                                  "checkpoints": job.status.checkpoints,
                                  "retries": job.status.retries,
-                                 "rollback_steps": job.rollback_steps,
+                                 "rollback_steps": job.status.rollback_steps,
                                  "restarts": job.status.restarts,
                                  "degradations": len(job.status.degradations)})
-            self._finalize(job, "done")
+            self._finalize(job, "done", digest=digest, run=run)
         finally:
             self._active -= 1
             if self._wake is not None:
@@ -502,148 +464,103 @@ class JobServer:
             else:
                 job.log.emit(kind, **data)
 
-    def _build_result(self, job: _Job, payload: dict) -> JobResult:
-        return JobResult(
-            job_id=job.spec.job_id, tenant=job.status.tenant, state="done",
-            steps_done=job.status.steps_done, seconds=job.seconds,
-            predicted_cost_us=job.status.predicted_cost_us,
-            checkpoints=job.status.checkpoints, retries=job.status.retries,
-            rollback_steps=job.rollback_steps, restarts=job.status.restarts,
-            degradations=list(job.status.degradations),
-            state_digest=payload["digest"], run=payload["run"])
-
-    def _finalize(self, job: _Job, state: str) -> None:
+    def _finalize(self, job: _Job, state: str, digest: str | None = None,
+                  run: RunResult | None = None) -> None:
         job.status.state = state
-        stats = self._tenant(job.status.tenant)
-        stats[{"done": "done", "failed": "failed",
-               "cancelled": "cancelled"}[state]] += 1
-        stats["wall_seconds"] += job.seconds
-        stats["steps_done"] += job.status.steps_done
-        stats["retries"] += job.status.retries
-        stats["rollback_steps"] += job.rollback_steps
-        stats["checkpoints"] += job.status.checkpoints
-        stats["degradations"] += len(job.status.degradations)
-        if state == "done":
-            stats["served_cost_us"] += job.status.predicted_cost_us
         self._outstanding_cost_us = max(
             0.0, self._outstanding_cost_us - job.status.predicted_cost_us)
-        self._count(f"serve_jobs_{state}_total", f"jobs {state}")
-        if job.result is None:
-            job.result = JobResult(
-                job_id=job.spec.job_id, tenant=job.status.tenant, state=state,
-                steps_done=job.status.steps_done, seconds=job.seconds,
-                predicted_cost_us=job.status.predicted_cost_us,
-                checkpoints=job.status.checkpoints,
-                retries=job.status.retries, rollback_steps=job.rollback_steps,
-                restarts=job.status.restarts,
-                degradations=list(job.status.degradations),
-                error=job.status.error)
-        else:
-            job.result.state = state
+        job.result = JobResult(**job.status.as_dict(), state_digest=digest,
+                               run=run)
         job.log.note(state, step=job.status.steps_done)
-        self.registry.snapshot(tenant=job.status.tenant,
-                               job=job.spec.job_id, state=state)
         self._persist(job)
         self._flush_log(job)
         job.done_event.set()
 
-    def _drive(self, job: _Job) -> dict:
-        """Worker-thread body: run the job to its target in segments.
+    def _drive(self, job: _Job) -> tuple[str, RunResult, list]:
+        """Worker-thread body: run the job to its target in one runner run.
 
-        Returns the completion payload; raises :class:`JobCancelled`,
-        :class:`_Interrupted` (server stopping), :class:`_JobFailed`
-        (retry budget + ladder exhausted) or any other exception, which
-        the caller treats as worker death.
+        Returns ``(state digest, run result, event notes)``; raises
+        :class:`JobCancelled`, :class:`_Interrupted` (server stopping),
+        :class:`_JobFailed` (retry budget + ladder exhausted) or any other
+        exception, which the caller treats as worker death.  The notes
+        go to the event log on the event-loop thread.
         """
-        spec = job.spec
-        jdir = job_dir(self.root, spec.job_id)
-        store = CheckpointStore(os.path.join(jdir, CKPT_DIR), keep=3)
+        spec, st = job.spec, job.status
+        store = CheckpointStore(
+            os.path.join(job_dir(self.root, spec.job_id), CKPT_DIR), keep=3)
         faults = self.faults(spec) if self.faults is not None else None
         policy = RetryPolicy(checkpoint_every=spec.checkpoint_every,
                              max_retries=spec.max_retries)
-        notes: list = []
-        segments: list[RunResult] = []
         runner = ResilientRunner(spec.spec, spec.config, policy=policy,
                                  store=store, faults=faults)
+        notes: list = []
+        if runner.sim.steps_done:
+            # The runner resumed where an earlier worker stopped.
+            notes.append(("resilience", {"event": "resume",
+                                         "from_step": runner.sim.steps_done,
+                                         "restart": st.restarts}))
+        st.steps_done = runner.sim.steps_done
+        # This worker's run adds to what the record holds from earlier ones.
+        before = replace(st, degradations=list(st.degradations))
         t0 = time.perf_counter()
+
+        def record(report: RunReport) -> None:
+            """Fold the run so far into the job's record and persist it."""
+            if runner.sim.steps_done == st.steps_done:
+                return  # no checkpoint since the last record
+            seen = len(st.degradations) - len(before.degradations)
+            for rung in report.degradations[seen:]:
+                notes.append(("resilience", {"event": "degrade", **rung}))
+            st.steps_done = runner.sim.steps_done
+            st.checkpoints = before.checkpoints + report.checkpoints
+            st.retries = before.retries + report.retries
+            st.rollback_steps = before.rollback_steps + report.rollback_steps
+            st.degradations = before.degradations + report.degradations
+            st.seconds = before.seconds + time.perf_counter() - t0
+            notes.append(("note", {"message": "checkpointed",
+                                   "step": st.steps_done}))
+            self._persist(job)
+
+        def boundary(report: RunReport) -> None:
+            record(report)
+            if self._stopping.is_set():
+                raise _Interrupted()
+            if job.cancel_event.is_set():
+                raise JobCancelled(spec.job_id)
+            if self.chaos is not None:
+                self.chaos(spec.job_id, runner.sim.steps_done)
+
         try:
-            if store.latest() is not None and runner.sim.steps_done == 0:
-                # A previous incarnation made progress: resume from the
-                # newest readable generation instead of step 0.
-                try:
-                    restored = store.restore_latest(runner.sim)
-                except CheckpointError:
-                    restored = 0
-                if restored:
-                    notes.append(("resilience", {"event": "resume",
-                                                 "from_step": restored,
-                                                 "restart": job.status.restarts}))
-                    job.status.steps_done = restored
-            while runner.sim.steps_done < spec.steps:
-                if self._stopping.is_set():
-                    raise _Interrupted()
-                if job.cancel_event.is_set():
-                    raise JobCancelled(spec.job_id)
-                if self.chaos is not None:
-                    self.chaos(spec.job_id, runner.sim.steps_done)
-                segment = min(spec.checkpoint_every,
-                              spec.steps - runner.sim.steps_done)
-                try:
-                    res = runner.run(segment)
-                except RetryExhausted as exc:
-                    raise _JobFailed(str(exc)) from exc
-                segments.append(res)
-                report = res.report
-                job.status.steps_done = res.final_step
-                job.status.checkpoints += report.checkpoints
-                job.status.retries += report.retries
-                job.rollback_steps += report.rollback_steps
-                for rung in report.degradations:
-                    job.status.degradations.append(rung)
-                    notes.append(("resilience", {"event": "degrade", **rung}))
-                notes.append(("note", {"message": "checkpointed",
-                                       "step": res.final_step}))
-                job.seconds += res.seconds
-                self._persist(job)
+            try:
+                run = runner.run(spec.steps - runner.sim.steps_done,
+                                 on_checkpoint=boundary)
+            except RetryExhausted as exc:
+                raise _JobFailed(str(exc)) from exc
+            record(run.report)
             digest = state_digest(runner.sim)
         finally:
-            job.seconds = max(job.seconds, time.perf_counter() - t0)
+            st.seconds = before.seconds + time.perf_counter() - t0
             runner.close()
-        return {"digest": digest, "notes": notes,
-                "run": self._merge_segments(segments)}
-
-    @staticmethod
-    def _merge_segments(segments: list[RunResult]) -> RunResult | None:
-        if not segments:
-            return None
-        steps = sum(s.steps for s in segments)
-        seconds = sum(s.seconds for s in segments)
-        last = segments[-1]
-        weighted = (sum(s.mlups * s.seconds for s in segments) / seconds
-                    if seconds > 0 else 0.0)
-        return RunResult(steps=steps, final_step=last.final_step,
-                         seconds=seconds, backend=last.backend,
-                         mode=last.mode, mlups=weighted,
-                         metrics=last.metrics, report=last.report)
+        return digest, run, notes
 
     # -- fleet health ----------------------------------------------------------
     def fleet_summary(self) -> dict:
-        """Per-tenant and fleet-wide health snapshot (JSON-ready)."""
-        states: dict[str, int] = {}
-        for j in self._jobs.values():
-            states[j.status.state] = states.get(j.status.state, 0) + 1
+        """Per-tenant and fleet-wide health snapshot (JSON-ready).
+
+        The per-state and per-tenant tables are
+        :func:`~repro.serve.state.fleet_tables` of the job records, the
+        same function ``repro serve --summary`` applies to ``job.json``.
+        """
+        jobs = self.jobs()
         return {
             "version": 1,
             "root": self.root,
             "workers": self.workers,
             "device": self.device.name,
-            "jobs_total": len(self._jobs),
-            "states": states,
+            **fleet_tables(jobs),
             "outstanding_cost_us": self._outstanding_cost_us,
             "started_order": list(self.started_order),
-            "tenants": {t: dict(s) for t, s in
-                        sorted(self._tenant_stats.items())},
-            "jobs": [s.as_dict() for s in self.jobs()],
+            "jobs": [s.as_dict() for s in jobs],
         }
 
     def write_fleet_summary(self, path: str | None = None) -> str:

@@ -21,7 +21,7 @@ synchronously from ``submit``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 from uuid import uuid4
 
@@ -129,7 +129,14 @@ class JobSpec:
 
 @dataclass
 class JobStatus:
-    """A point-in-time snapshot of one job's lifecycle."""
+    """A point-in-time snapshot of one job's lifecycle.
+
+    The one per-job record: the server updates it as the job runs,
+    persists it as ``job.json`` (:mod:`repro.serve.state`), restores it
+    on restart, builds the :class:`JobResult` from it and derives the
+    fleet tables from it.  ``seconds`` is wall time spent on workers,
+    summed over restarts.
+    """
 
     job_id: str
     tenant: str
@@ -140,7 +147,9 @@ class JobStatus:
     predicted_cost_us: float = 0.0
     checkpoints: int = 0
     retries: int = 0
+    rollback_steps: int = 0
     restarts: int = 0
+    seconds: float = 0.0
     degradations: list = field(default_factory=list)
     error: str | None = None
 
@@ -153,64 +162,30 @@ class JobStatus:
         return bool(self.degradations)
 
     def as_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "steps": self.steps,
-            "steps_done": self.steps_done,
-            "priority": self.priority,
-            "predicted_cost_us": self.predicted_cost_us,
-            "checkpoints": self.checkpoints,
-            "retries": self.retries,
-            "restarts": self.restarts,
-            "degradations": list(self.degradations),
-            "error": self.error,
-        }
+        return {**vars(self), "degradations": list(self.degradations)}
+
+    @classmethod
+    def from_dict(cls, state: dict) -> "JobStatus":
+        """The status :meth:`as_dict` wrote; other keys are ignored."""
+        return cls(**{f.name: state[f.name] for f in fields(cls)
+                      if f.name in state})
 
 
 @dataclass
-class JobResult:
-    """The final outcome of one job.
+class JobResult(JobStatus):
+    """The final outcome of one job: its :class:`JobStatus` at the end.
 
-    ``state`` is one of :data:`TERMINAL_STATES`.  ``run`` is the merged
-    :class:`~repro.core.results.RunResult` of the job's segments (the
-    last segment's backend/mode, summed steps and wall seconds, the
-    final degradation/retry summary); ``state_digest`` is a SHA-256 over
-    the final population buffers — two jobs that ran the same
-    :class:`JobSpec` to completion must agree on it bit-for-bit,
-    regardless of faults survived along the way.
+    ``state`` is one of :data:`TERMINAL_STATES`.  ``run`` is the
+    :class:`~repro.core.results.RunResult` of the job's last worker (its
+    :class:`~repro.resilience.runner.RunReport` attached);
+    ``state_digest`` is a SHA-256 over the final population buffers —
+    two jobs that ran the same :class:`JobSpec` to completion must agree
+    on it bit-for-bit, regardless of faults survived along the way.
     """
 
-    job_id: str
-    tenant: str
-    state: str
-    steps_done: int
-    seconds: float = 0.0
-    predicted_cost_us: float = 0.0
-    checkpoints: int = 0
-    retries: int = 0
-    rollback_steps: int = 0
-    restarts: int = 0
-    degradations: list = field(default_factory=list)
     state_digest: str | None = None
     run: Any | None = None
-    error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "steps_done": self.steps_done,
-            "seconds": self.seconds,
-            "predicted_cost_us": self.predicted_cost_us,
-            "checkpoints": self.checkpoints,
-            "retries": self.retries,
-            "rollback_steps": self.rollback_steps,
-            "restarts": self.restarts,
-            "degradations": list(self.degradations),
-            "state_digest": self.state_digest,
-            "run": self.run.as_dict() if self.run is not None else None,
-            "error": self.error,
-        }
+        return {**super().as_dict(),
+                "run": self.run.as_dict() if self.run is not None else None}

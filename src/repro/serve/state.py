@@ -2,19 +2,20 @@
 
 Each job owns one directory under ``<root>/jobs/<job_id>/``::
 
-    job.json      -- lifecycle snapshot (atomic tmp+replace, like the
-                     checkpoint manifest): state, steps done, restarts,
-                     the JobSpec's scalar fields
-    payload.pkl   -- the RefinementSpec + SimConfig, pickled (domain
-                     masks and fusion objects are not JSON-able)
+    job.json      -- the job's JobStatus (atomic tmp+replace, like the
+                     checkpoint manifest) plus its submission sequence
+    payload.pkl   -- the whole JobSpec, pickled (domain masks and fusion
+                     objects are not JSON-able)
     ckpt/         -- the job's CheckpointStore (atomic generations,
                      keep-K pruning, torn-write fallback)
 
-``job.json`` is the restart index: a new server scans the root, finds
-jobs whose recorded state is non-terminal, rebuilds their
-:class:`~repro.serve.spec.JobSpec` from ``payload.pkl`` and re-enqueues
-them — the checkpoint store then resumes each from its last good
-generation.  ``state_digest`` is the bit-identity witness: a SHA-256
+``job.json`` is the one per-job record and the restart index: a new
+server scans the root, finds jobs whose recorded state is non-terminal,
+reads their :class:`~repro.serve.spec.JobSpec` from ``payload.pkl`` and
+re-enqueues them with their recorded status — the job's runner then
+resumes from the store's newest readable generation.  The fleet tables
+(:func:`fleet_tables`) are a function of these records, live or read
+back from disk.  ``state_digest`` is the bit-identity witness: a SHA-256
 over the step count and every level's ``f`` — between coarse steps the
 whole live state, and exactly what a checkpoint stores — so a resumed or
 fault-recovered run can be proven identical to an unfaulted one.
@@ -28,11 +29,11 @@ import os
 import pickle
 
 from ..io.checkpoint import atomic_write
-from .spec import JobSpec
+from .spec import TERMINAL_STATES, JobSpec, JobStatus
 
 __all__ = ["job_dir", "write_job_state", "read_job_state",
            "write_job_payload", "read_job_payload", "scan_jobs",
-           "rebuild_jobspec", "state_digest"]
+           "fleet_tables", "state_digest"]
 
 STATE_FILE = "job.json"
 PAYLOAD_FILE = "payload.pkl"
@@ -62,20 +63,21 @@ def read_job_state(directory: str) -> dict | None:
     return state if isinstance(state, dict) else None
 
 
-def write_job_payload(directory: str, spec, config) -> str:
-    """Persist the non-JSON-able job payload (domain + SimConfig)."""
+def write_job_payload(directory: str, spec: JobSpec) -> str:
+    """Persist the job's :class:`JobSpec` (it is not JSON-able)."""
     path = os.path.join(directory, PAYLOAD_FILE)
-    data = pickle.dumps({"spec": spec, "config": config},
-                        protocol=pickle.HIGHEST_PROTOCOL)
+    data = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
     atomic_write(path, lambda fh: fh.write(data))
     return path
 
 
-def read_job_payload(directory: str) -> tuple:
-    """Load the pickled ``(spec, config)`` pair back."""
+def read_job_payload(directory: str) -> JobSpec:
+    """Load the job's :class:`JobSpec` back; ``ValueError`` if it is none."""
     with open(os.path.join(directory, PAYLOAD_FILE), "rb") as fh:
-        payload = pickle.load(fh)
-    return payload["spec"], payload["config"]
+        spec = pickle.load(fh)
+    if not isinstance(spec, JobSpec):
+        raise ValueError(f"{directory}: payload is not a JobSpec")
+    return spec
 
 
 def scan_jobs(root: str) -> list[tuple[str, dict]]:
@@ -100,18 +102,38 @@ def scan_jobs(root: str) -> list[tuple[str, dict]]:
     return out
 
 
-def rebuild_jobspec(root: str, job_id: str, state: dict) -> JobSpec:
-    """Reconstruct the :class:`JobSpec` of a persisted job for resume."""
-    spec, config = read_job_payload(job_dir(root, job_id))
-    labels = state.get("labels") or {}
-    labels = tuple((k, v) for k, v in labels.items() if k != "tenant")
-    return JobSpec(spec=spec, config=config,
-                   steps=int(state.get("steps", 1)),
-                   tenant=str(state.get("tenant", "default")),
-                   priority=int(state.get("priority", 0)),
-                   checkpoint_every=int(state.get("checkpoint_every", 5)),
-                   max_retries=int(state.get("max_retries", 3)),
-                   job_id=str(job_id), labels=labels)
+def fleet_tables(jobs: list[JobStatus]) -> dict:
+    """The per-state and per-tenant tables of a fleet, from its job records.
+
+    Both :meth:`JobServer.fleet_summary
+    <repro.serve.server.JobServer.fleet_summary>` (live records) and
+    ``repro serve --summary`` (records read back from ``job.json``) build
+    their tables here.  Progress counters sum over every job, finished
+    or not; ``served_cost_us`` is the predicted cost of the ``done`` ones.
+    """
+    states: dict[str, int] = {}
+    tenants: dict[str, dict] = {}
+    for job in jobs:
+        states[job.state] = states.get(job.state, 0) + 1
+        t = tenants.setdefault(job.tenant, {
+            "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
+            "restarts": 0, "retries": 0, "rollback_steps": 0,
+            "degradations": 0, "checkpoints": 0,
+            "predicted_cost_us": 0.0, "served_cost_us": 0.0,
+            "wall_seconds": 0.0, "steps_done": 0,
+        })
+        t["submitted"] += 1
+        if job.state in TERMINAL_STATES:
+            t[job.state] += 1
+        for key in ("restarts", "retries", "rollback_steps", "checkpoints",
+                    "steps_done", "predicted_cost_us"):
+            t[key] += getattr(job, key)
+        t["degradations"] += len(job.degradations)
+        t["wall_seconds"] += job.seconds
+        if job.state == "done":
+            t["served_cost_us"] += job.predicted_cost_us
+    return {"jobs_total": len(jobs), "states": states,
+            "tenants": dict(sorted(tenants.items()))}
 
 
 def state_digest(sim) -> str:

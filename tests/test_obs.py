@@ -1,6 +1,7 @@
 """Observability layer: spans, Perfetto export, metrics, watchdog, CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from repro.gpu.costmodel import TraceCost
 from repro.gpu.device import A100_40GB
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
+from repro.analysis.certificate import write_certificate
 from repro.neon.runtime import Runtime
 from repro.obs import (HealthWatchdog, MetricsRegistry, SimulationDiverged,
                        SpanRecorder, chrome_trace, run_metrics, validate_trace,
                        write_bench_json)
 from repro.obs.cli import main as report_main
+from repro.obs.roofline import DriftReport
 from repro.obs.watchdog import CS_LATTICE, LAST_N_SPANS, RHO_BOUNDS
 
 
@@ -389,7 +392,7 @@ class TestObsCli:
 
     def test_smoke_cavity2d_2lvl(self, tmp_path, capsys):
         rc = report_main(["--workload", "cavity2d-2lvl", "--config",
-                          "ours-4f", "--steps", "2", "--out", str(tmp_path)])
+                          "ours-4f", "--steps", "2", "--out-dir", str(tmp_path)])
         assert rc == 0
         trace = json.loads(
             (tmp_path / "trace_cavity2d-2lvl_ours-4f.json").read_text())
@@ -405,7 +408,7 @@ class TestObsCli:
     def test_golden_kernel_counts_by_config(self, tmp_path, capsys):
         for config, expect in (("ours-4f", 10), ("baseline-4b", 29)):
             rc = report_main(["--workload", "cavity2d", "--config", config,
-                              "--steps", "2", "--out", str(tmp_path)])
+                              "--steps", "2", "--out-dir", str(tmp_path)])
             assert rc == 0
             assert f"({expect} kernels/step)" in capsys.readouterr().out
             report = json.loads(
@@ -414,7 +417,7 @@ class TestObsCli:
 
     def test_unknown_config_errors(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            report_main(["--config", "nope", "--out", str(tmp_path)])
+            report_main(["--config", "nope", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_obs_is_not_a_subcommand(self, capsys):
@@ -423,3 +426,43 @@ class TestObsCli:
         assert "unknown subcommand 'obs'" in capsys.readouterr().err
         assert sorted(SUBCOMMANDS) == ["analysis", "history", "report",
                                        "resilience", "serve"]
+
+
+def _report_cli(out_dir, monkeypatch):
+    """``repro report`` on an empty trace, with a stub drift sweep."""
+    monkeypatch.setattr("repro.obs.cli.drift_report", lambda **kw: DriftReport(
+        device="A100-40GB", factor=3.0, entries=(), findings=()))
+    report_main(["--workload", "cavity2d-2lvl", "--steps", "0", "--drift",
+                 "--out-dir", str(out_dir)])
+
+
+WHOLE_FILE_WRITERS = {
+    "cert.json": lambda d, mp: write_certificate({"a": 1}, d / "cert.json"),
+    "BENCH_x.json": lambda d, mp: write_bench_json("x", {"a": 1},
+                                                   out_dir=str(d)),
+    "trace_cavity2d-2lvl_ours-4f.json": _report_cli,
+    "report_cavity2d-2lvl_ours-4f.json": _report_cli,
+    "report_cavity2d-2lvl_ours-4f.html": _report_cli,
+    "events_cavity2d-2lvl_ours-4f.jsonl": _report_cli,
+    "drift_report.json": _report_cli,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_FILE_WRITERS))
+def test_whole_file_writers_are_atomic(name, tmp_path, monkeypatch):
+    # A write that fails before it lands leaves the previous file
+    # byte-identical and no partial file behind.
+    path = tmp_path / name
+    path.write_bytes(b"previous\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        WHOLE_FILE_WRITERS[name](tmp_path, monkeypatch)
+    assert path.read_bytes() == b"previous\n"
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]

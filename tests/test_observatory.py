@@ -376,7 +376,7 @@ class TestReportEdgeCases:
     def test_empty_trace_via_cli(self, tmp_path, capsys):
         out = str(tmp_path)
         code = report_main(["--workload", "cavity2d-2lvl", "--steps", "0",
-                            "--out", out])
+                            "--out-dir", out])
         assert code == 0
         assert "empty trace" in capsys.readouterr().out
         assert os.path.exists(
@@ -449,7 +449,7 @@ class TestReportEdgeCases:
                                                        capsys):
         out = str(tmp_path)
         code = report_main(["--workload", "cavity2d-2lvl", "--steps", "2",
-                            "--out", out])
+                            "--out-dir", out])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "roofline" in stdout

@@ -449,6 +449,40 @@ def test_runner_uses_provided_store_directory(tmp_path):
         assert (tmp_path / "ck" / "manifest.json").exists()
 
 
+def test_runner_resumes_from_the_newest_generation(tmp_path):
+    # A store an earlier run left at steps 0/5/10: the runner continues
+    # from step 10 and a rollback lands on a generation of this run's
+    # own timeline, never past the step it failed at.  The fault at
+    # step 2 lies behind the resume point; the one at 12 fires once.
+    spec, config = cavity_spec(), cavity_config(threaded=False)
+    policy = RetryPolicy(checkpoint_every=5)
+    with ResilientRunner(spec, config, policy=policy,
+                         store=str(tmp_path)) as earlier:
+        earlier.run(10)
+    assert earlier.store.steps() == [0, 5, 10]
+    injector = FaultInjector([Fault("kernel", step=2), Fault("kernel", step=12)])
+    with ResilientRunner(spec, config, policy=policy, store=str(tmp_path),
+                         faults=injector) as runner:
+        assert runner.sim.steps_done == 10
+        result = runner.run(5)
+        rollbacks = [e.meta for e in runner.recorder.events
+                     if e.name == "rollback"]
+        assert identical(reference_state(spec, config, 15), state(runner.sim))
+    assert (result.final_step, result.steps) == (15, 5)
+    assert result.report.retries == 1 and result.report.rollback_steps == 1
+    assert rollbacks == [{"from_step": 11, "to_step": 10, "lost_steps": 1}]
+    assert [f["step"] for f in injector.fired] == [12]
+
+
+def test_checkpoint_callback_sees_every_boundary_short_of_the_target():
+    seen = []
+    with ResilientRunner(cavity_spec(), cavity_config(threaded=False),
+                         policy=RetryPolicy(checkpoint_every=3)) as runner:
+        runner.run(8, on_checkpoint=lambda report: seen.append(
+            (runner.sim.steps_done, report.checkpoints)))
+    assert seen == [(0, 1), (3, 2), (6, 3)]
+
+
 def test_unrecognised_exception_propagates():
     spec = cavity_spec()
 

@@ -15,6 +15,7 @@ The acceptance bar this suite enforces (DESIGN.md §16):
 """
 
 import asyncio
+import json
 import os
 
 import pytest
@@ -26,7 +27,7 @@ from repro.obs.log import read_log, split_runs, validate_log
 from repro.resilience.faults import Fault, FaultInjector
 from repro.serve import (AdmissionError, JobServer, JobSpec, UnknownJobError,
                          WorkerKilled, predict_cost, state_digest)
-from repro.serve.cli import build_flood, summary_from_disk
+from repro.serve.cli import build_flood, main as serve_main, summary_from_disk
 from repro.serve.oracle import active_cells_estimate
 
 
@@ -420,6 +421,46 @@ class TestRestartResume:
         assert summary["jobs_total"] == 4
         assert summary["states"] == {"done": 4}
         assert set(summary["tenants"]) == {"tenant-0", "tenant-1"}
+
+    def test_summary_from_disk_equals_the_servers(self, tmp_path, capsys):
+        # Worker deaths and a kernel fault make the counters non-zero;
+        # `repro serve --summary`, with no fleet_summary.json to read,
+        # derives the server's own per-state and per-tenant tables from
+        # the job records.
+        specs = build_flood(jobs=6, tenants=3, seed=3, steps_min=4,
+                            steps_max=5)
+        killed: set[str] = set()
+
+        def chaos(job_id: str, step: int) -> None:
+            if step > 0 and job_id not in killed:
+                killed.add(job_id)
+                raise WorkerKilled(f"chaos: {job_id} at step {step}")
+
+        def faults(spec: JobSpec):
+            if spec.tenant == "tenant-0":
+                return FaultInjector([Fault("kernel", step=4)])
+            return None
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=2, chaos=chaos,
+                                 faults=faults) as srv:
+                for s in specs:
+                    await srv.submit(s)
+                await srv.drain()
+                return srv.fleet_summary()
+
+        live = asyncio.run(run())
+        os.unlink(os.path.join(str(tmp_path), "fleet_summary.json"))
+        assert serve_main(["--summary", "--json",
+                           "--out-dir", str(tmp_path)]) == 0
+        disk = json.loads(capsys.readouterr().out)
+        assert disk["states"] == live["states"] == {"done": 6}
+        assert disk["tenants"] == live["tenants"]
+        t0 = live["tenants"]["tenant-0"]
+        assert t0["rollback_steps"] > 0 and t0["retries"] > 0
+        assert all(t["restarts"] > 0 and t["wall_seconds"] > 0
+                   and t["served_cost_us"] == t["predicted_cost_us"]
+                   for t in live["tenants"].values())
 
     def test_fleet_summary_write_is_atomic(self, tmp_path, monkeypatch):
         # A writer that raises mid-dump leaves the previous summary
