@@ -68,15 +68,9 @@ class CompiledBackend:
             return plan
         t0 = perf_counter()
         plan = compile_plan(stepper)
-        dt = perf_counter() - t0
         self.stats["plan_cache_misses"] += 1
-        self.stats["plan_compile_seconds"] += dt
+        self.stats["plan_compile_seconds"] += perf_counter() - t0
         self.plans[key] = plan
-        spans = stepper.engine.rt.spans
-        on_event = getattr(spans, "on_event", None)
-        if on_event is not None:
-            on_event("plan_compile", label=plan.label, kernels=len(plan),
-                     digest=plan.digest, seconds=dt)
         return plan
 
     def step(self, stepper: "NonUniformStepper") -> None:

@@ -550,11 +550,10 @@ class MultiprocessBackend:
             _shutdown_procs(self._procs, self._conns)
         self._procs, self._conns, self._barrier = [], [], None
 
-    def _restart(self, rt) -> None:
+    def _restart(self) -> None:
         """Tear the pool down after a step failure; respawn lazily."""
         self._teardown_pool()
         self.stats["mp_worker_restarts"] += 1
-        self._emit(rt, "mp_restart", restarts=self.stats["mp_worker_restarts"])
 
     def close(self) -> None:
         """Stop the pool, copy state out of shared memory, unlink it."""
@@ -577,14 +576,9 @@ class MultiprocessBackend:
             plan = _MpPlan(self._next_plan_id, records, admitted.digest,
                            len(waves), assignment, admitted.certificate)
             self._next_plan_id += 1
-            dt = perf_counter() - t0
             self.stats["plan_cache_misses"] += 1
-            self.stats["plan_compile_seconds"] += dt
+            self.stats["plan_compile_seconds"] += perf_counter() - t0
             self._plans[key] = plan
-            self._emit(stepper.engine.rt, "mp_plan",
-                       label=f"{stepper.config.name}", digest=plan.digest,
-                       kernels=len(records), waves=plan.n_waves,
-                       workers=self.workers, seconds=dt)
         else:
             self.stats["plan_cache_hits"] += 1
         if plan.pool_gen != self._pool_gen:
@@ -605,7 +599,7 @@ class MultiprocessBackend:
             if kind != "plan-err":
                 continue
             why, detail = payload
-            self._restart(engine.rt)
+            self._restart()
             if why == "digest":
                 from .base import PlanAdmissionError
                 raise PlanAdmissionError(
@@ -650,7 +644,7 @@ class MultiprocessBackend:
             span = {"index": len(rt.records), "name": "?", "level": -1,
                     "n_cells": 0, "start": 0.0, "dur_us": 0.0}
             message = f"worker {worker}: {e['error']}"
-        self._restart(rt)
+        self._restart()
         raise MpWorkerError(message, worker=worker, span=span)
 
     def _account(self, wall_ms: float, stats_list) -> None:
@@ -741,19 +735,10 @@ class MultiprocessBackend:
         return replies
 
     def _death(self, worker: int | None, message: str) -> None:
-        rt = self._engine.rt if self._engine is not None else None
-        if rt is not None:
-            self._restart(rt)
+        if self._engine is not None:
+            self._restart()
         else:  # pragma: no cover - death before the arena ever bound
             self._teardown_pool()
         span = {"index": -1, "name": "?", "level": -1, "n_cells": 0,
                 "start": 0.0, "dur_us": 0.0}
         raise MpWorkerError(message, worker=worker, span=span)
-
-    # -- telemetry -------------------------------------------------------------
-    @staticmethod
-    def _emit(rt, event: str, **kw) -> None:
-        on_event = getattr(rt.spans, "on_event", None) \
-            if rt.spans is not None else None
-        if on_event is not None:
-            on_event(event, **kw)

@@ -65,14 +65,6 @@ class NonUniformStepper:
             if callback is not None:
                 callback(self)
 
-    def run_until(self, target: int, callback=None) -> None:
-        """Advance until ``steps_done`` reaches ``target`` (absolute count).
-
-        A restored or rolled-back driver resumes toward the same goal
-        without recomputing remainders; already-past targets are no-ops.
-        """
-        self.run(max(0, target - self.steps_done), callback=callback)
-
     # -- Algorithm 1 -----------------------------------------------------------
     def _advance(self, lv: int) -> None:
         cfg = self.config

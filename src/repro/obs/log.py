@@ -3,8 +3,8 @@
 The observability layer grew four disjoint record streams — kernel/step
 spans (:mod:`repro.obs.spans`), metric snapshots
 (:mod:`repro.obs.metrics`), watchdog findings
-(:mod:`repro.obs.watchdog`) and resilience events
-(retry/rollback/degrade from :mod:`repro.resilience.runner`).  This
+(:mod:`repro.obs.watchdog`) and resilience events (the
+``RunReport.events`` of :mod:`repro.resilience.runner`).  This
 module folds them into **one** append-friendly JSON-lines schema so a
 single file narrates a whole run, and so several concurrent runs can
 share one sink and still be teased apart: every line carries the run's
@@ -23,7 +23,8 @@ Line schema (``v`` = :data:`LOG_VERSION`)::
 * ``step``      — one coarse-step span (record range, timing);
 * ``metric``    — one metrics-registry snapshot (labels + values);
 * ``watchdog``  — a health check outcome (ok stats or divergence payload);
-* ``resilience``— a recovery event (retry / rollback / degrade / fault);
+* ``resilience``— a recovery event (resume / retry / rollback / degrade,
+  or a served job's worker-death);
 * ``note``      — free-form annotations (regrids, phase markers, ...).
 
 ``seq`` is a per-run monotone sequence number — the total order of the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 from uuid import uuid4
 
 from ..io.checkpoint import atomic_write
@@ -67,9 +68,13 @@ class EventLog:
         self._seq = 0
 
     # -- emission ------------------------------------------------------------
-    def emit(self, kind: str, ts_us: float | None = None,
+    def emit(self, kind: str, /, ts_us: float | None = None,
              **data: Any) -> dict:
-        """Append one event line and return it."""
+        """Append one event line and return it.
+
+        ``kind`` is positional-only, so ``data`` may carry a field of
+        that name (a retry event's failure ``kind``).
+        """
         if kind not in LOG_KINDS:
             raise ValueError(f"unknown log kind {kind!r}; one of {LOG_KINDS}")
         line = {
@@ -91,10 +96,8 @@ class EventLog:
     def ingest_spans(self, recorder) -> int:
         """Fold a :class:`~repro.obs.spans.SpanRecorder` into the log.
 
-        Emits one ``kernel`` line per kernel span, one ``step`` line per
-        step span and one ``resilience`` line per surviving event span
-        (the recorder's events are exactly the recovery narration).
-        Returns the number of lines emitted.
+        Emits one ``kernel`` line per kernel span and one ``step`` line
+        per step span; returns the number of lines emitted.
         """
         n = 0
         for s in recorder.kernel_spans:
@@ -108,18 +111,6 @@ class EventLog:
             self.emit("step", ts_us=ss.start_us, step=ss.step,
                       start_record=ss.start_record, end_record=ss.end_record,
                       dur_us=round(ss.dur_us, 3))
-            n += 1
-        n += self.ingest_events(e.as_dict() for e in recorder.events)
-        return n
-
-    def ingest_events(self, events: Iterable[dict]) -> int:
-        """Fold resilience events (``EventSpan.as_dict()`` shape) in."""
-        n = 0
-        for ev in events:
-            ev = dict(ev)
-            ts = ev.pop("ts_us", None)
-            name = ev.pop("name", "event")
-            self.emit("resilience", ts_us=ts, event=name, **ev)
             n += 1
         return n
 

@@ -22,12 +22,11 @@ unit the Chrome-trace/Perfetto exporter (:mod:`repro.obs.trace`) emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 
 from ..neon.runtime import KernelRecord
 
-__all__ = ["KernelSpan", "StepSpan", "LevelRun", "EventSpan", "SpanRecorder"]
+__all__ = ["KernelSpan", "StepSpan", "LevelRun", "SpanRecorder"]
 
 
 @dataclass(frozen=True)
@@ -87,25 +86,6 @@ class LevelRun:
         return self.end_us - self.start_us
 
 
-@dataclass(frozen=True)
-class EventSpan:
-    """A point event outside the kernel trace (rollback, retry, fallback).
-
-    Emitted by the resilience runner via :meth:`SpanRecorder.on_event`.
-    Unlike kernel/step spans, events *survive* trace resets: a rollback
-    resets the runtime (clearing the kernel trace of the abandoned
-    attempt), and the whole point of the event log is to narrate exactly
-    those recoveries.
-    """
-
-    name: str
-    ts_us: float               # relative to the recorder's origin
-    meta: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "ts_us": round(self.ts_us, 3), **self.meta}
-
-
 class SpanRecorder:
     """Collects kernel/step spans from a :class:`~repro.neon.runtime.Runtime`.
 
@@ -118,7 +98,10 @@ class SpanRecorder:
     def __init__(self) -> None:
         self.kernel_spans: list[KernelSpan] = []
         self.step_spans: list[StepSpan] = []
-        self.events: list[EventSpan] = []
+        #: ``kernel_spans[lo:hi]`` of each step span, aligned with
+        #: :attr:`step_spans`; a step's kernels are the spans appended
+        #: since the previous marker, so no query scans the whole trace.
+        self._bounds: list[tuple[int, int]] = []
         self._origin: float | None = None
 
     # -- installation --------------------------------------------------------
@@ -139,8 +122,9 @@ class SpanRecorder:
 
     def on_step(self, step_index: int, start_record: int,
                 end_record: int) -> None:
-        inside = [s for s in self.kernel_spans
-                  if start_record <= s.index < end_record]
+        lo = self._bounds[-1][1] if self._bounds else 0
+        inside = self.kernel_spans[lo:]
+        self._bounds.append((lo, len(self.kernel_spans)))
         if inside:
             t0, t1 = inside[0].start_us, max(s.end_us for s in inside)
         else:  # an empty step still gets a (zero-length) span
@@ -150,34 +134,18 @@ class SpanRecorder:
             end_record=end_record, start_us=t0, end_us=t1))
 
     def on_reset(self) -> None:
-        # Events survive: they narrate recoveries, and every rollback
-        # resets the trace right after emitting one.
         self.kernel_spans.clear()
         self.step_spans.clear()
+        self._bounds.clear()
         self._origin = None
-
-    def on_event(self, name: str, **meta) -> EventSpan:
-        """Record a point event (rollback, retry, degradation, ...).
-
-        Callable any time, including before the first launch; the first
-        observation — launch or event — anchors the time origin.
-        """
-        now = perf_counter()
-        if self._origin is None:
-            self._origin = now
-        ev = EventSpan(name=name, ts_us=(now - self._origin) * 1e6, meta=meta)
-        self.events.append(ev)
-        return ev
 
     # -- derived structure ---------------------------------------------------
     def level_runs(self) -> list[LevelRun]:
         """Per-step maximal same-level runs (the mid-tier of the tree)."""
         runs: list[LevelRun] = []
-        for step in self.step_spans:
+        for k, step in enumerate(self.step_spans):
             group: list[KernelSpan] = []
-            spans = [s for s in self.kernel_spans
-                     if step.start_record <= s.index < step.end_record]
-            for s in spans:
+            for s in self.spans_for_step(k):
                 if group and s.record.level != group[-1].record.level:
                     runs.append(self._close_run(step.step, group))
                     group = []
@@ -200,9 +168,8 @@ class SpanRecorder:
         return self.kernel_spans[-n:] if n > 0 else []
 
     def spans_for_step(self, step: int) -> list[KernelSpan]:
-        ss = self.step_spans[step]
-        return [s for s in self.kernel_spans
-                if ss.start_record <= s.index < ss.end_record]
+        lo, hi = self._bounds[step]
+        return self.kernel_spans[lo:hi]
 
     def total_us(self) -> float:
         """Wall time from the first launch to the end of the last one."""

@@ -12,9 +12,9 @@ Every cell runs on the ``compiled`` backend — faults are injected into,
 and recovered on, the plan replay that ships — and must report zero
 ``plan_fallback_steps``: a cell that quietly ran on the interpreted
 reference path fails the matrix.  Each cell also has to leave a visible
-telemetry trail (a nonzero ``retries_total`` counter and at least one
-``rollback`` recovery event), so a recovery that silently happened — or
-silently didn't — fails the matrix.  Results land in
+trail in its ``RunReport`` (``retries >= 1`` and at least one
+``rollback`` entry in ``events``), so a recovery that silently happened
+— or silently didn't — fails the matrix.  Results land in
 ``BENCH_resilience.json`` via :func:`repro.obs.metrics.write_bench_json`;
 the exit status is non-zero if any cell failed, which is what CI gates
 on.
@@ -86,17 +86,14 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
                        "fault_step": fault_step}
                 try:
                     report = runner.run(steps).report
-                    rollbacks = sum(1 for e in runner.recorder.events
-                                    if e.name == "rollback")
                     row.update(
                         outcome=report.outcome,
                         retries=report.retries,
                         rollback_steps=report.rollback_steps,
                         checkpoints=report.checkpoints,
                         identical=_identical(reference, _state(runner.sim)),
-                        telemetry=bool(
-                            runner.registry["retries_total"].value >= 1
-                            and rollbacks >= 1),
+                        telemetry=report.retries >= 1 and any(
+                            e["name"] == "rollback" for e in report.events),
                     )
                 except RetryExhausted as exc:
                     row.update(outcome="failed", retries=exc.report.retries,

@@ -29,12 +29,14 @@ When retries alone cannot help, the runner walks a degradation ladder
    coarse relaxation rate scaled by :data:`OMEGA_SAFETY_SCALE` (more
    viscous, more stable) and the report marks the run ``degraded``.
 
-Every recovery is visible in telemetry: ``retries_total`` /
-``rollback_steps`` / ``checkpoints_total`` / ``degradations_total``
-counters in the :class:`~repro.obs.metrics.MetricsRegistry`, and
-``retry`` / ``rollback`` / ``degrade`` events in the
-:class:`~repro.obs.spans.SpanRecorder` (events survive the trace resets
-that rollbacks cause).
+Every recovery is recorded once, in the run's :class:`RunReport`: its
+counts (``retries``, ``rollback_steps``, ``checkpoints``), its
+``failures`` and ``degradations``, and ``events`` — the ``resume`` /
+``retry`` / ``rollback`` / ``degrade`` narration in the order it
+happened.  The runner traces nothing: without a fault injector a
+resilient run executes exactly the plan loop ``Simulation.run`` does,
+and what happened to the executor itself (plan compiles, mp worker
+restarts) is the backend's ``stats``.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ from ..core.simulation import Simulation
 from ..core.units import omega_from_viscosity
 from ..gpu.memory import DeviceOOMError
 from ..io.checkpoint import CheckpointError, CheckpointStore
-from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder
 from ..obs.watchdog import HealthWatchdog, SimulationDiverged
 
 __all__ = ["RetryPolicy", "RunReport", "RetryExhausted", "ResilientRunner"]
@@ -101,7 +101,9 @@ class RunReport:
     ``outcome`` is ``"ok"`` (target reached, physics untouched),
     ``"degraded"`` (target reached on a safety rung) or ``"failed"``
     (attached to :class:`RetryExhausted`).  ``failures`` lists every
-    recovered incident; ``degradations`` the ladder rungs taken.
+    recovered incident; ``degradations`` the ladder rungs taken;
+    ``events`` every ``resume`` / ``retry`` / ``rollback`` / ``degrade``
+    as ``{"name": ..., **details}``, in the order they happened.
     """
 
     outcome: str = "ok"
@@ -173,10 +175,6 @@ class ResilientRunner:
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`,
         (re-)installed on every build — the test matrix's hook.
-
-    The runner's telemetry sinks are fresh ones, exposed as
-    :attr:`registry` (a :class:`~repro.obs.metrics.MetricsRegistry`) and
-    :attr:`recorder` (a :class:`~repro.obs.spans.SpanRecorder`).
     """
 
     def __init__(self, spec, config: SimConfig | None = None, *,
@@ -185,9 +183,10 @@ class ResilientRunner:
         self.spec = spec
         self.config = config if config is not None else SimConfig(viscosity=0.05)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.registry = MetricsRegistry()
-        self.recorder = SpanRecorder()
         self.faults = faults
+        #: Events that happened outside a run (a resume at construction);
+        #: they head the next run's ``RunReport.events``.
+        self._events: list[dict] = []
         self._tmp = None
         if store is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
@@ -196,7 +195,7 @@ class ResilientRunner:
             store = CheckpointStore(str(store))
         self.store: CheckpointStore = store
         self.sim: Simulation = self._build(self.config)
-        self.watchdog = HealthWatchdog(self.sim, registry=self.registry)
+        self.watchdog = HealthWatchdog(self.sim)
         if self.store.latest() is not None:
             try:
                 restored = self.store.restore_latest(self.sim)
@@ -206,12 +205,11 @@ class ResilientRunner:
                 self.close()
                 raise
             else:
-                self.recorder.on_event("resume", from_step=restored)
+                self._events.append({"name": "resume", "from_step": restored})
 
     # -- construction / rebuilds ----------------------------------------------
     def _build(self, config: SimConfig) -> Simulation:
         sim = Simulation.from_config(self.spec, config)
-        sim.enable_tracing(self.recorder)
         if self.faults is not None:
             self.faults.install(sim)
         return sim
@@ -225,15 +223,11 @@ class ResilientRunner:
         old, self.config = self.sim, config
         old.close()
         self.sim = self._build(config)
-        self.watchdog = HealthWatchdog(self.sim, registry=self.registry)
+        self.watchdog = HealthWatchdog(self.sim)
 
     @property
     def mode(self) -> str:
         return self.sim.mode
-
-    # -- counters --------------------------------------------------------------
-    def _count(self, name: str, help: str, amount: float = 1.0) -> None:
-        self.registry.counter(name, help).inc(amount)
 
     # -- the recovery loop -----------------------------------------------------
     def run(self, n_steps: int,
@@ -246,25 +240,26 @@ class ResilientRunner:
         :class:`RunReport` (retries, rollbacks, degradation rungs);
         raises :class:`RetryExhausted` (report attached) when the budget
         and the ladder are spent.  Callable repeatedly — the checkpoint
-        store and telemetry carry over.
+        store carries over; each run's report holds that run's events.
 
         ``on_checkpoint(report)`` is called on this thread at every
         checkpoint boundary the run goes on from: before the first step
-        and after each checkpoint short of the target, with the report so
-        far.  Whatever it raises ends the run there, with the state of
-        ``sim.steps_done`` durable in the store.
+        and after each checkpoint short of the target, with the report
+        (events included) as it stands.  Whatever it raises ends the run
+        there, with the state of ``sim.steps_done`` durable in the store.
         """
         pol = self.policy
         start_step = self.sim.steps_done
         t0 = time.perf_counter()
         report = RunReport(target_step=self.sim.steps_done + int(n_steps),
-                           mode=self.mode, omega_scale=self._omega_scale())
+                           mode=self.mode, omega_scale=self._omega_scale(),
+                           events=self._events)
+        self._events = []
         if self.store.latest() is None:
             # Step-0 anchor: the very first failure must have somewhere
             # to roll back to.
             self.store.save(self.sim, kind="initial")
             report.checkpoints += 1
-            self._count("checkpoints_total", "checkpoints written")
         if on_checkpoint is not None and self.sim.steps_done < report.target_step:
             on_checkpoint(report)
         attempts = 0
@@ -307,7 +302,6 @@ class ResilientRunner:
                 continue
             self.store.save(self.sim, kind="periodic")
             report.checkpoints += 1
-            self._count("checkpoints_total", "checkpoints written")
             attempts = 0
             if (on_checkpoint is not None
                     and self.sim.steps_done < report.target_step):
@@ -316,7 +310,6 @@ class ResilientRunner:
         report.mode = self.mode
         report.omega_scale = self._omega_scale()
         report.outcome = "degraded" if report.degradations else "ok"
-        report.events = [e.as_dict() for e in self.recorder.events]
         seconds = time.perf_counter() - t0
         result = self.sim._run_result(start_step, seconds)
         return RunResult(steps=result.steps, final_step=result.final_step,
@@ -334,9 +327,9 @@ class ResilientRunner:
             "attempt": attempt, "mode": self.mode,
             "error": f"{type(exc).__name__}: {exc}",
         })
-        self._count("retries_total", "rollback-retries performed")
-        self.recorder.on_event("retry", kind=kind, step=self.sim.steps_done,
-                               attempt=attempt, mode=self.mode)
+        report.events.append({"name": "retry", "kind": kind,
+                              "step": self.sim.steps_done,
+                              "attempt": attempt, "mode": self.mode})
 
     @staticmethod
     def _classify(exc: BaseException) -> str:
@@ -353,10 +346,8 @@ class ResilientRunner:
         restored = self.store.restore_latest(self.sim)
         lost = max(0, failed_at - restored)
         report.rollback_steps += lost
-        self._count("rollback_steps", "coarse steps recomputed after "
-                    "rollbacks", lost)
-        self.recorder.on_event("rollback", from_step=failed_at,
-                               to_step=restored, lost_steps=lost)
+        report.events.append({"name": "rollback", "from_step": failed_at,
+                              "to_step": restored, "lost_steps": lost})
 
     # -- the degradation ladder ------------------------------------------------
     def _omega_scale(self) -> float:
@@ -391,8 +382,7 @@ class ResilientRunner:
     def _note_degradation(self, report: RunReport, rung: str, **extra) -> None:
         entry = {"rung": rung, "step": self.sim.steps_done, **extra}
         report.degradations.append(entry)
-        self._count("degradations_total", "ladder rungs taken")
-        self.recorder.on_event("degrade", **entry)
+        report.events.append({"name": "degrade", **entry})
 
     def _degrade_or_fail(self, report: RunReport, exc: BaseException) -> int:
         """Retry budget spent: step down a rung (returning a reset attempt
@@ -407,7 +397,6 @@ class ResilientRunner:
         report.mode = self.mode
         report.omega_scale = self._omega_scale()
         report.outcome = "failed"
-        report.events = [e.as_dict() for e in self.recorder.events]
         raise RetryExhausted(
             f"gave up at step {self.sim.steps_done}/{report.target_step} "
             f"after {report.retries} retries "

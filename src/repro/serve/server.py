@@ -46,7 +46,10 @@ Telemetry
 Every job writes its lifecycle to the unified event log
 (:mod:`repro.obs.log`) under its own run id with per-tenant labels; all
 jobs share one ``events.jsonl`` sink in the server root, written on the
-event-loop thread.  :meth:`JobServer.fleet_summary` renders the
+event-loop thread.  A job's ``resilience`` lines are its runner's
+``RunReport.events`` (resume / retry / rollback / degrade), forwarded at
+each checkpoint boundary and at the end of the run, plus the server's
+own ``worker-death``.  :meth:`JobServer.fleet_summary` renders the
 per-tenant health snapshot from the job records
 (:func:`~repro.serve.state.fleet_tables`; also written to
 ``fleet_summary.json`` on ``stop()``).
@@ -494,23 +497,22 @@ class JobServer:
         runner = ResilientRunner(spec.spec, spec.config, policy=policy,
                                  store=store, faults=faults)
         notes: list = []
-        if runner.sim.steps_done:
-            # The runner resumed where an earlier worker stopped.
-            notes.append(("resilience", {"event": "resume",
-                                         "from_step": runner.sim.steps_done,
-                                         "restart": st.restarts}))
+        forwarded = 0  # report events already in ``notes``
         st.steps_done = runner.sim.steps_done
         # This worker's run adds to what the record holds from earlier ones.
         before = replace(st, degradations=list(st.degradations))
         t0 = time.perf_counter()
 
         def record(report: RunReport) -> None:
-            """Fold the run so far into the job's record and persist it."""
+            """Forward the report's new events as ``resilience`` lines, fold
+            the run so far into the job's record and persist it."""
+            nonlocal forwarded
+            for event in report.events[forwarded:]:
+                data = dict(event)
+                notes.append(("resilience", {"event": data.pop("name"), **data}))
+            forwarded = len(report.events)
             if runner.sim.steps_done == st.steps_done:
                 return  # no checkpoint since the last record
-            seen = len(st.degradations) - len(before.degradations)
-            for rung in report.degradations[seen:]:
-                notes.append(("resilience", {"event": "degrade", **rung}))
             st.steps_done = runner.sim.steps_done
             st.checkpoints = before.checkpoints + report.checkpoints
             st.retries = before.retries + report.retries

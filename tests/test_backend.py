@@ -265,10 +265,11 @@ class TestFallback:
         assert sc.backend.stats["plan_cache_hits"] == 2
         # one span per record, even on replayed steps
         assert len(rec.kernel_spans) == len(sc.runtime.records)
-        events = [e for e in rec.events if e.name == "plan_compile"]
-        assert len(events) == 1
-        assert events[0].meta["kernels"] == len(
-            next(iter(sc.backend.plans.values())))
+        # the plan compiled once: the backend's stats are its record
+        assert sc.backend.stats["plan_cache_misses"] == 1
+        assert sc.backend.stats["plan_compile_seconds"] > 0
+        (plan,) = sc.backend.plans.values()
+        assert len(sc.runtime.records) == 3 * len(plan)
 
     def test_compiled_mid_plan_failure_closes_step(self):
         wl = cavity()

@@ -15,12 +15,13 @@ from repro.gpu.device import A100_40GB
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
 from repro.analysis.certificate import write_certificate
-from repro.neon.runtime import Runtime
+from repro.neon.runtime import KernelRecord, Runtime
 from repro.obs import (HealthWatchdog, MetricsRegistry, SimulationDiverged,
                        SpanRecorder, chrome_trace, run_metrics, validate_trace,
                        write_bench_json)
 from repro.obs.cli import main as report_main
 from repro.obs.roofline import DriftReport
+from repro.obs.spans import StepSpan
 from repro.obs.watchdog import CS_LATTICE, LAST_N_SPANS, RHO_BOUNDS
 
 
@@ -166,6 +167,61 @@ class TestSpanRecorder:
             np.testing.assert_array_equal(
                 sim.engine.levels[lv].f, plain.engine.levels[lv].f)
 
+    def test_step_queries_do_not_rescan_the_trace(self):
+        """A step span is built from the spans since the previous marker.
+
+        The hook protocol is driven directly, about 2 000 steps of mostly
+        one kernel (every 7th step two, on two levels; every 11th none).
+        The step spans, ``spans_for_step`` and ``level_runs`` equal their
+        definition over record ranges, and a late ``on_step`` reads no
+        more of the kernel spans than an early one.
+        """
+        class CountingList(list):
+            reads = 0
+
+            def __iter__(self):
+                for item in super().__iter__():
+                    self.reads += 1
+                    yield item
+
+            def __getitem__(self, i):
+                got = super().__getitem__(i)
+                self.reads += len(got) if isinstance(i, slice) else 1
+                return got
+
+        def record(level):
+            return KernelRecord(name="C", level=level, n_cells=1,
+                                bytes_read=8, bytes_written=8,
+                                reads=(), writes=())
+
+        rec = SpanRecorder()
+        rec.kernel_spans = spans = CountingList()
+        index, t, bounds, reads = 0, 0.0, [], []
+        for step in range(2000):
+            start = index
+            n = 0 if step % 11 == 0 else 2 if step % 7 == 0 else 1
+            for k in range(n):
+                rec.on_launch(index, record(k), t, 1e-6)
+                index, t = index + 1, t + 2e-6
+            before = spans.reads
+            rec.on_step(step, start, index)
+            reads.append(spans.reads - before)
+            bounds.append((start, index))
+        assert sum(reads[-100:]) <= 2 * sum(reads[:100])
+
+        t1 = 0.0
+        for k, (start, end) in enumerate(bounds):
+            inside = [s for s in list.__iter__(spans) if start <= s.index < end]
+            if inside:
+                t0, t1 = inside[0].start_us, max(s.end_us for s in inside)
+            else:
+                t0 = t1
+            assert rec.step_spans[k] == StepSpan(
+                step=k, start_record=start, end_record=end,
+                start_us=t0, end_us=t1)
+            assert rec.spans_for_step(k) == inside
+        assert sum(r.end_record - r.start_record
+                   for r in rec.level_runs()) == index
 
 class TestChromeTrace:
     @pytest.fixture(scope="class")

@@ -374,16 +374,33 @@ def test_recovery_is_visible_in_telemetry():
     with ResilientRunner(spec, cavity_config(), faults=injector,
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
         report = runner.run(6).report
-    assert runner.registry["retries_total"].value == 1
-    assert runner.registry["rollback_steps"].value >= 1
-    assert runner.registry["checkpoints_total"].value == report.checkpoints
-    names = [e.name for e in runner.recorder.events]
-    # events survive the trace reset the rollback performs
-    assert names.count("retry") == 1 and names.count("rollback") == 1
-    # (a plan backend's own "plan_compile" events ride along)
-    recovery = [e["name"] for e in report.events
-                if e["name"] in ("retry", "rollback", "degrade")]
-    assert recovery == ["retry", "rollback"]
+    assert report.retries == 1
+    assert report.rollback_steps >= 1
+    assert report.checkpoints == 3  # step-0 anchor, steps 3 and 6
+    # the report is the one record: each recovery once, in order
+    assert [e["name"] for e in report.events] == ["retry", "rollback"]
+    retry, rollback = report.events
+    assert retry == {"name": "retry", "kind": "divergence", "step": 4,
+                     "attempt": 1, "mode": report.mode}
+    assert rollback["lost_steps"] == report.rollback_steps
+    assert all("ts_us" not in e for e in report.events)
+
+
+def test_resilient_run_is_untraced_and_takes_the_plain_plan_loop(monkeypatch):
+    # Without a fault injector the runner installs no runtime hook, so
+    # every step replays the same loop ``Simulation.run`` does.
+    from repro.backend.plan import StepPlan
+
+    def hooked(self, rt, pool):
+        raise AssertionError("a resilient run took the hooked plan loop")
+
+    monkeypatch.setattr(StepPlan, "_execute_hooked", hooked)
+    with ResilientRunner(cavity_spec(), cavity_config(threaded=False),
+                         policy=RetryPolicy(checkpoint_every=3)) as runner:
+        report = runner.run(4).report
+        assert runner.sim.runtime.spans is None
+        assert runner.sim.runtime.faults is None
+    assert report.outcome == "ok" and report.events == []
 
 
 def test_retry_budget_exhaustion_carries_report():
@@ -417,7 +434,8 @@ def test_ladder_falls_back_to_serial_and_stays_bit_identical():
         assert [d["rung"] for d in report.degradations] == ["serial"]
         assert runner.config.threaded is False
         assert identical(reference, state(runner.sim))
-        assert runner.registry["degradations_total"].value == 1
+        degrades = [e for e in report.events if e["name"] == "degrade"]
+        assert degrades == [{"name": "degrade", **report.degradations[0]}]
 
 
 def test_ladder_rebuilds_with_safety_omega_on_repeated_divergence():
@@ -465,11 +483,14 @@ def test_runner_resumes_from_the_newest_generation(tmp_path):
                          faults=injector) as runner:
         assert runner.sim.steps_done == 10
         result = runner.run(5)
-        rollbacks = [e.meta for e in runner.recorder.events
-                     if e.name == "rollback"]
         assert identical(reference_state(spec, config, 15), state(runner.sim))
     assert (result.final_step, result.steps) == (15, 5)
     assert result.report.retries == 1 and result.report.rollback_steps == 1
+    events = result.report.events
+    # the resume at construction heads the run's events
+    assert events[0] == {"name": "resume", "from_step": 10}
+    rollbacks = [{k: v for k, v in e.items() if k != "name"}
+                 for e in events if e["name"] == "rollback"]
     assert rollbacks == [{"from_step": 11, "to_step": 10, "lost_steps": 1}]
     assert [f["step"] for f in injector.fired] == [12]
 

@@ -231,6 +231,31 @@ class TestLifecycle:
                 assert res.error and "injected" in res.error
         asyncio.run(run())
 
+    def test_served_recoveries_reach_the_event_log(self, tmp_path):
+        # A transient kernel fault: the runner's retry and rollback are
+        # the job's ``resilience`` lines, once each, in order.
+        def faults(spec):
+            return FaultInjector([Fault("kernel", step=3)])
+
+        spec = cavity_job(steps=4, job_id="healed")
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=1,
+                                 faults=faults) as srv:
+                return await srv.result(await srv.submit(spec))
+
+        res = asyncio.run(run())
+        assert res.state == "done" and res.retries == 1
+        assert res.state_digest == serial_digest(spec)
+        lines = read_log(os.path.join(str(tmp_path), "events.jsonl"))
+        assert validate_log(lines) == []
+        events = [l["data"] for l in split_runs(lines)["healed"]
+                  if l["kind"] == "resilience"]
+        assert [e["event"] for e in events] == ["retry", "rollback"]
+        assert events[0]["kind"] == "kernel" and events[0]["step"] == 2
+        assert events[1] == {"event": "rollback", "from_step": 2,
+                             "to_step": 2, "lost_steps": 0}
+
 
 class TestFairness:
     """Dispatch order must equal the virtual-time replay of the oracle."""
