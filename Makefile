@@ -130,13 +130,16 @@ resilience-check:
 
 # Job-server gate: a chaos-flooded multi-tenant demo (exit code fails on
 # any lost job), its fleet summary derived from the job records, plus the
-# focused fairness / restart-resume / runner-resume / chaos / summary tests
-# and the served-recovery test (retry / rollback lines in events.jsonl).
+# focused fairness / restart-resume / runner-resume / chaos / summary tests,
+# the served-recovery test (retry / rollback lines in events.jsonl) and the
+# worker-process tests (two pids at once, SIGKILL resume, no child left
+# after stop, an unwritable final record, a boundary the server cannot
+# record, an idle worker's death, queue wait in job.json).
 serve-check:
 	$(PYTHON) -m repro serve --jobs 12 --tenants 3 --workers 2 \
 		--chaos 0.3 --seed 1 --out-dir serve-artifacts
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_resilience.py \
-		-k "fair or resume or chaos or summary or recoveries"
+		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses"
 
 check: lint docs-check test test-compiled test-mp test-blas mem-check analysis resilience-check serve-check report

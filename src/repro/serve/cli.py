@@ -4,8 +4,9 @@ Two modes:
 
 * **flood** (default): synthesize a multi-tenant flood of mixed-size
   lid-cavity jobs, run them through a :class:`~repro.serve.server.JobServer`
-  on a bounded worker pool — optionally with chaos-injected worker
-  deaths — and print the per-tenant fleet summary.  Everything durable
+  on ``--workers`` worker processes — optionally with chaos-injected
+  worker deaths (the server SIGKILLs the worker) — and print the
+  per-tenant fleet summary.  Everything durable
   (job state, checkpoints, ``events.jsonl``, ``fleet_summary.json``)
   lands in ``--out-dir``.
 * **--summary**: post-hoc fleet health from a server root on disk,
@@ -127,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tenants", type=int, default=3,
                         help="tenants in the flood (default 3)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="concurrent worker threads (default 2)")
+                        help="worker processes, one job each at a time "
+                             "(default 2)")
     parser.add_argument("--chaos", type=float, default=0.0, metavar="P",
                         help="per-checkpoint worker-death probability "
                              "(demonstrates recovery; default 0)")

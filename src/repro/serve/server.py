@@ -1,13 +1,18 @@
 """Async multi-tenant simulation job server.
 
 :class:`JobServer` multiplexes many concurrent simulation jobs over a
-bounded worker pool.  The event loop owns scheduling, admission and
-telemetry; each admitted job runs on a worker thread as one
-:class:`~repro.resilience.runner.ResilientRunner` run, so every job gets
-the full per-job resilience ladder (rollback-retry, mp/threaded ->
-serial, safety-omega).  The runner owns checkpoint cadence and resume;
-at each checkpoint boundary its callback hands the server the place to
-record progress, cancel, stop or (under test) kill the worker.
+bounded pool of worker processes.  The event loop owns scheduling,
+admission, persistence and telemetry; each admitted job runs in one of
+``workers`` long-lived processes that :meth:`JobServer.start` forks, as
+one :class:`~repro.resilience.runner.ResilientRunner` run, so every job
+gets the full per-job resilience ladder (rollback-retry, mp/threaded ->
+serial, safety-omega) and jobs step on separate cores, not under one
+GIL.  A worker runs one job at a time.  The runner owns checkpoint
+cadence and resume; at each checkpoint boundary the worker sends the
+server the job's progress and new report events over its pipe and waits
+for the reply — go on, stop (server shutdown) or cancel.  The server
+records the progress (it is the only writer of ``job.json`` and
+``events.jsonl``), runs the ``chaos`` hook and answers.
 
 Scheduling policy — weighted fair queueing by predicted cost
 -----------------------------------------------------------
@@ -31,14 +36,19 @@ Durability
 Job state (``job.json``, the job's :class:`~repro.serve.spec.JobStatus`),
 payload (``payload.pkl``, its :class:`~repro.serve.spec.JobSpec`) and
 checkpoints live under ``<root>/jobs/<job_id>/``
-(:mod:`repro.serve.state`).  Worker death — any exception escaping the
-resilience machinery — requeues the job (bounded by ``max_restarts``);
-the fresh worker's runner resumes from the newest checkpoint
-generation.  ``stop()`` interrupts running jobs at their next
-checkpoint boundary and records them as ``queued``; a new server on the
-same root re-admits them on ``start()`` — that is the restart-resume
-path, and recovery is bit-identical to an uninterrupted run because the
-engine is deterministic and checkpoints are verbatim.
+(:mod:`repro.serve.state`).  Worker death — the worker process exits
+(its pipe reaches EOF), or the server SIGKILLs it because the ``chaos``
+hook raised or a boundary's record could not be written — requeues the
+job (bounded by ``max_restarts``), and the dispatcher forks a
+replacement before its next dispatch; the job's next
+runner resumes from the newest checkpoint generation.  An exception
+escaping the resilience machinery inside a worker is handled the same
+way, but the process lives on.  ``stop()`` interrupts running jobs at
+their next checkpoint boundary, records them as ``queued`` and ends
+every worker process; a new server on the same root re-admits them on
+``start()`` — that is the restart-resume path, and recovery is
+bit-identical to an uninterrupted run because the engine is
+deterministic and checkpoints are verbatim.
 
 Telemetry
 ---------
@@ -46,10 +56,11 @@ Telemetry
 Every job writes its lifecycle to the unified event log
 (:mod:`repro.obs.log`) under its own run id with per-tenant labels; all
 jobs share one ``events.jsonl`` sink in the server root, written on the
-event-loop thread.  A job's ``resilience`` lines are its runner's
-``RunReport.events`` (resume / retry / rollback / degrade), forwarded at
-each checkpoint boundary and at the end of the run, plus the server's
-own ``worker-death``.  :meth:`JobServer.fleet_summary` renders the
+event-loop thread.  The ``running`` note names the worker's ``pid``.  A
+job's ``resilience`` lines are its runner's ``RunReport.events``
+(resume / retry / rollback / degrade), forwarded at each checkpoint
+boundary and at the end of the run, plus the server's own
+``worker-death``.  :meth:`JobServer.fleet_summary` renders the
 per-tenant health snapshot from the job records
 (:func:`~repro.serve.state.fleet_tables`; also written to
 ``fleet_summary.json`` on ``stop()``).
@@ -59,8 +70,9 @@ from __future__ import annotations
 
 import asyncio
 import os
+import pickle
+import signal
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -73,7 +85,7 @@ from ..resilience.runner import (ResilientRunner, RetryExhausted, RetryPolicy,
                                  RunReport)
 from .oracle import JobCost, predict_cost
 from .spec import (TERMINAL_STATES, AdmissionError, JobCancelled, JobResult,
-                   JobSpec, JobStatus, UnknownJobError)
+                   JobSpec, JobStatus, UnknownJobError, WorkerKilled)
 from .state import (CKPT_DIR, fleet_tables, job_dir, read_job_payload,
                     scan_jobs, state_digest, write_job_payload,
                     write_job_state)
@@ -89,6 +101,11 @@ class _JobFailed(RuntimeError):
     """The job itself is unrecoverable (retry budget + ladder exhausted)."""
 
 
+#: The :class:`JobStatus` fields a worker reports; the server owns the rest.
+_PROGRESS = ("steps_done", "checkpoints", "retries", "rollback_steps",
+             "degradations", "seconds")
+
+
 @dataclass
 class _Job:
     """Server-internal bookkeeping for one submitted job."""
@@ -97,10 +114,142 @@ class _Job:
     status: JobStatus
     submitted_seq: int
     log: EventLog
-    cancel_event: threading.Event = field(default_factory=threading.Event)
+    queued_at: float = field(default_factory=time.perf_counter)
+    cancel_requested: bool = False
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
     result: JobResult | None = None
     flushed_lines: int = 0
+
+
+@dataclass
+class _Worker:
+    """One forked worker process and the server's end of its pipe."""
+
+    process: Any
+    conn: Any
+    killed: bool = False
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid
+
+
+def _worker_main(conn, root: str, faults, inherited: list) -> None:
+    """A worker process: serve the jobs its pipe sends until the sentinel.
+
+    Forked by :meth:`JobServer.start`, so it shares the server's imports
+    and ``faults`` factory.  The server decides when it ends (sentinel,
+    EOF, SIGKILL), so SIGINT is ignored.  The server's pipe ends it
+    inherited — its own and those of the workers forked before it — are
+    closed here, so that EOF reaches it when the server hangs up.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    try:
+        while (job := conn.recv()) is not None:
+            conn.send(_serve_job(conn, root, faults, *job))
+    except (EOFError, OSError):
+        pass  # the server is gone
+    finally:
+        conn.close()
+
+
+def _hang_up(workers: list) -> None:
+    """Close the server's pipe ends; each idle worker then reads EOF."""
+    for worker in workers:
+        worker.conn.close()
+
+
+def _serve_job(conn, root: str, faults, spec: JobSpec,
+               st: JobStatus) -> tuple:
+    """Worker-process body: run one job to its target in one runner run.
+
+    At each checkpoint boundary it sends ``("boundary", progress,
+    notes)`` and obeys the reply (``"go"``, ``"stop"``, ``"cancel"``).
+    Returns ``("end", progress, notes, error, digest, run)``: ``error``
+    is ``None`` when the job is done, else the exception that ended it —
+    :class:`JobCancelled`, :class:`_Interrupted` (server stopping),
+    :class:`_JobFailed` (retry budget + ladder exhausted) or any other,
+    which the server treats as worker death.  ``progress`` holds the
+    :data:`_PROGRESS` fields of ``st``; ``notes`` are event-log lines
+    for the server to write.
+    """
+    notes: list = []
+    # This worker's run adds to what the record holds from earlier ones.
+    before = replace(st, degradations=list(st.degradations))
+    t0 = time.perf_counter()
+
+    def progress() -> dict:
+        st.seconds = before.seconds + time.perf_counter() - t0
+        return {key: getattr(st, key) for key in _PROGRESS}
+
+    def take_notes() -> list:
+        out = notes[:]
+        notes.clear()
+        return out
+
+    runner = None
+    try:
+        store = CheckpointStore(
+            os.path.join(job_dir(root, spec.job_id), CKPT_DIR), keep=3)
+        policy = RetryPolicy(checkpoint_every=spec.checkpoint_every,
+                             max_retries=spec.max_retries)
+        runner = ResilientRunner(spec.spec, spec.config, policy=policy,
+                                 store=store,
+                                 faults=faults(spec) if faults else None)
+        forwarded = 0  # report events already in ``notes``
+        st.steps_done = runner.sim.steps_done
+
+        def record(report: RunReport) -> None:
+            """Forward the report's new events as ``resilience`` lines and
+            fold the run so far into the job's record."""
+            nonlocal forwarded
+            for event in report.events[forwarded:]:
+                data = dict(event)
+                notes.append(("resilience", {"event": data.pop("name"), **data}))
+            forwarded = len(report.events)
+            if runner.sim.steps_done == st.steps_done:
+                return  # no checkpoint since the last record
+            st.steps_done = runner.sim.steps_done
+            st.checkpoints = before.checkpoints + report.checkpoints
+            st.retries = before.retries + report.retries
+            st.rollback_steps = before.rollback_steps + report.rollback_steps
+            st.degradations = before.degradations + report.degradations
+            notes.append(("note", {"message": "checkpointed",
+                                   "step": st.steps_done}))
+
+        def boundary(report: RunReport) -> None:
+            record(report)
+            conn.send(("boundary", progress(), take_notes()))
+            reply = conn.recv()
+            if reply == "stop":
+                raise _Interrupted()
+            if reply == "cancel":
+                raise JobCancelled(spec.job_id)
+
+        try:
+            run = runner.run(spec.steps - runner.sim.steps_done,
+                             on_checkpoint=boundary)
+        except RetryExhausted as exc:
+            raise _JobFailed(str(exc)) from exc
+        record(run.report)
+        return ("end", progress(), take_notes(), None,
+                state_digest(runner.sim), run)
+    except Exception as exc:
+        return ("end", progress(), take_notes(), _portable(exc), None, None)
+    finally:
+        if runner is not None:
+            runner.close()
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives the pipe's pickling, else a stand-in naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 class JobServer:
@@ -113,8 +262,9 @@ class JobServer:
         summary).  ``None`` uses a self-cleaning temporary directory —
         fine for tests, pointless for restart-resume.
     workers:
-        Concurrent jobs (worker threads).  Each job may additionally be
-        threaded/mp internally per its own ``SimConfig``.
+        Concurrent jobs: the number of worker processes ``start()``
+        forks, each running one job at a time.  Each job may additionally
+        be threaded/mp internally per its own ``SimConfig``.
     max_queued_per_tenant:
         Admission bound on one tenant's live (non-terminal) jobs.
     max_outstanding_cost_us:
@@ -126,11 +276,15 @@ class JobServer:
         :class:`~repro.gpu.device.DeviceSpec` the oracle prices against.
     faults:
         Optional ``factory(JobSpec) -> FaultInjector | None`` installed
-        on each job's runner — the test matrix's per-job fault seam.
+        on each job's runner — the test matrix's per-job fault seam.  It
+        is called in the worker process, which inherits it when
+        ``start()`` forks: it must be set before ``start()``, and what it
+        records stays in the worker.
     chaos:
-        Optional ``hook(job_id, step)`` called at each checkpoint
-        boundary a job goes on from, on the worker thread; anything it
-        raises is a worker death.  Test seam.
+        Optional ``hook(job_id, step)`` called in the server process at
+        each checkpoint boundary a job goes on from, while the worker
+        waits for the reply; if it raises, the server SIGKILLs that
+        worker — a real worker death.  Test seam.
     max_restarts:
         Worker deaths tolerated per job before it is marked ``failed``.
     """
@@ -165,9 +319,11 @@ class JobServer:
         self._vtime: dict[str, float] = {}
         self._outstanding_cost_us = 0.0
         self._seq = 0
-        self._active = 0
         self._running = False
-        self._stopping = threading.Event()
+        self._stopping = False
+        self._ctx = None  # the fork context, set by start()
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
         self._wake: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
         self._tasks: set[asyncio.Task] = set()
@@ -177,7 +333,8 @@ class JobServer:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self, resume: bool = True) -> "JobServer":
-        """Start the dispatcher; optionally re-admit persisted jobs.
+        """Fork the workers, start the dispatcher; optionally re-admit
+        persisted jobs.
 
         With ``resume`` every job recorded on disk in a non-terminal
         state (a previous server stopped, or died, mid-flight) is
@@ -186,9 +343,16 @@ class JobServer:
         """
         if self._running:
             raise RuntimeError("server already started")
+        import multiprocessing
+        from multiprocessing.util import Finalize
+        self._ctx = multiprocessing.get_context("fork")
+        # A server never stopped must not hang interpreter exit, which
+        # joins every child: hang up on the workers first (EOF ends them).
+        Finalize(self, _hang_up, args=(self._workers,), exitpriority=0)
         self._wake = asyncio.Event()
-        self._stopping.clear()
+        self._stopping = False
         self._running = True
+        self._fork_workers()
         if resume:
             for job_id, state in scan_jobs(self.root):
                 if state.get("state") in TERMINAL_STATES or job_id in self._jobs:
@@ -205,13 +369,16 @@ class JobServer:
         return self
 
     async def stop(self) -> None:
-        """Interrupt at checkpoint boundaries, persist, stop dispatching.
+        """Interrupt at checkpoint boundaries, persist, stop dispatching,
+        end the workers.
 
         Running jobs are *not* lost: each is recorded as ``queued`` with
         its progress, and a new server on the same root resumes it from
-        its last checkpoint.  Also writes ``fleet_summary.json``.
+        its last checkpoint.  Every worker gets the sentinel and is
+        joined; a straggler is killed, so no worker outlives the server.
+        Also writes ``fleet_summary.json``.
         """
-        self._stopping.set()
+        self._stopping = True
         self._running = False
         if self._wake is not None:
             self._wake.set()
@@ -220,6 +387,14 @@ class JobServer:
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
+        for worker in self._workers:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already gone
+        for worker in list(self._workers):
+            self._retire(worker, timeout=5.0)
+        self._idle.clear()
         self.write_fleet_summary()
 
     async def drain(self) -> None:
@@ -296,7 +471,7 @@ class JobServer:
             self._queue.remove(job.spec.job_id)
             self._finalize(job, "cancelled")
             return True
-        job.cancel_event.set()
+        job.cancel_requested = True
         return True
 
     def jobs(self) -> list[JobStatus]:
@@ -390,17 +565,18 @@ class JobServer:
     async def _dispatch_loop(self) -> None:
         assert self._wake is not None
         while self._running:
-            while (self._running and self._queue
-                   and self._active < self.workers
-                   and not self._stopping.is_set()):
+            while self._running and self._queue and not self._stopping:
+                self._fork_workers()
+                if not self._idle:
+                    break
                 jid = self._pick_next()
                 job = self._jobs[jid]
-                self._active += 1
                 self.started_order.append(jid)
                 job.status.state = "admitted"
+                job.status.queue_wait_s += time.perf_counter() - job.queued_at
                 job.log.note("admitted", order=len(self.started_order),
                              predicted_cost_us=job.status.predicted_cost_us)
-                task = asyncio.create_task(self._run_job(job))
+                task = asyncio.create_task(self._run_job(job, self._idle.pop()))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
             self._wake.clear()
@@ -408,14 +584,73 @@ class JobServer:
                 return
             await self._wake.wait()
 
+    # -- worker processes ------------------------------------------------------
+    def _fork_workers(self) -> None:
+        """Retire idle workers that died, then fork workers until there are
+        ``workers`` of them (event loop only; called before each dispatch,
+        so no job is sent to a process that died while idle)."""
+        for worker in [w for w in self._idle if w.process.exitcode is not None]:
+            self._idle.remove(worker)
+            self._retire(worker)
+        while len(self._workers) < self.workers:
+            conn, child = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=_worker_main, name="repro-serve-worker",
+                args=(child, self.root, self.faults,
+                      [w.conn for w in self._workers] + [conn]))
+            process.start()
+            child.close()
+            worker = _Worker(process, conn)
+            self._workers.append(worker)
+            self._idle.append(worker)
+
+    def _retire(self, worker: _Worker, timeout: float | None = None) -> None:
+        """Join a worker that is ending (SIGKILL it after ``timeout``)."""
+        worker.process.join(timeout)
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+        worker.process.close()
+        worker.conn.close()
+        self._workers.remove(worker)
+
+    def _died(self, worker: _Worker) -> WorkerKilled:
+        """Reap a worker whose process is gone (or going); the error to raise."""
+        worker.killed = True
+        worker.process.join()
+        return WorkerKilled(f"worker {worker.pid} exited with code "
+                            f"{worker.process.exitcode}")
+
+    def _send(self, worker: _Worker, message: Any) -> None:
+        try:
+            worker.conn.send(message)
+        except OSError:
+            raise self._died(worker) from None
+
+    async def _recv(self, worker: _Worker) -> Any:
+        """The worker's next message, awaited without a thread;
+        :class:`WorkerKilled` once its pipe reaches EOF."""
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+        fd = worker.conn.fileno()
+        loop.add_reader(fd, lambda: ready.done() or ready.set_result(None))
+        try:
+            await ready
+        finally:
+            loop.remove_reader(fd)
+        try:
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            raise self._died(worker) from None
+
     # -- per-job execution -----------------------------------------------------
-    async def _run_job(self, job: _Job) -> None:
+    async def _run_job(self, job: _Job, worker: _Worker) -> None:
         job.status.state = "running"
-        job.log.note("running", restarts=job.status.restarts)
+        job.log.note("running", restarts=job.status.restarts, pid=worker.pid)
         self._persist(job)
         self._flush_log(job)
         try:
-            digest, run, notes = await asyncio.to_thread(self._drive, job)
+            digest, run = await self._drive(job, worker)
         except JobCancelled:
             self._finalize(job, "cancelled")
         except _Interrupted:
@@ -436,8 +671,9 @@ class JobServer:
                          restart=job.status.restarts,
                          error=f"{type(exc).__name__}: {exc}")
             if (job.status.restarts <= self.max_restarts
-                    and not self._stopping.is_set()):
+                    and not self._stopping):
                 job.status.state = "queued"
+                job.queued_at = time.perf_counter()
                 self._queue.append(job.spec.job_id)
                 self._persist(job)
                 self._flush_log(job)
@@ -445,105 +681,97 @@ class JobServer:
                 job.status.error = f"{type(exc).__name__}: {exc}"
                 self._finalize(job, "failed")
         else:
-            self._note_events(job, notes)
-            job.log.emit("metric", labels={"final": True},
-                         values={"steps_done": job.status.steps_done,
-                                 "seconds": job.status.seconds,
-                                 "checkpoints": job.status.checkpoints,
-                                 "retries": job.status.retries,
-                                 "rollback_steps": job.status.rollback_steps,
-                                 "restarts": job.status.restarts,
-                                 "degradations": len(job.status.degradations)})
-            self._finalize(job, "done", digest=digest, run=run)
+            try:
+                job.log.emit("metric", labels={"final": True},
+                             values={"steps_done": job.status.steps_done,
+                                     "seconds": job.status.seconds,
+                                     "checkpoints": job.status.checkpoints,
+                                     "retries": job.status.retries,
+                                     "rollback_steps": job.status.rollback_steps,
+                                     "restarts": job.status.restarts,
+                                     "degradations": len(job.status.degradations)})
+                self._finalize(job, "done", digest=digest, run=run)
+            except Exception as exc:  # the record of a finished run failed
+                # Drop the lines that were not written, so that the log
+                # does not call the job both done and failed.
+                del job.log.lines[job.flushed_lines:]
+                job.status.error = f"{type(exc).__name__}: {exc}"
+                self._finalize(job, "failed")
         finally:
-            self._active -= 1
+            if worker.killed:
+                self._retire(worker)
+            else:
+                self._idle.append(worker)
             if self._wake is not None:
                 self._wake.set()
 
-    def _note_events(self, job: _Job, notes: list) -> None:
-        for kind, data in notes:
-            if kind == "note":
-                job.log.note(data.pop("message", "note"), **data)
-            else:
-                job.log.emit(kind, **data)
+    async def _drive(self, job: _Job, worker: _Worker) -> tuple[str, RunResult]:
+        """Run the job on ``worker``, serving its checkpoint boundaries.
+
+        Returns ``(state digest, run result)``.  Raises what ended the
+        worker's run (:func:`_serve_job`; the worker lives on), or
+        :class:`WorkerKilled` when the worker dies.  Any other exception
+        here — ``chaos`` raising, a record that cannot be written — SIGKILLs
+        the worker and propagates.
+        """
+        try:
+            self._send(worker, (job.spec, job.status))
+            while True:
+                kind, progress, notes, *end = await self._recv(worker)
+                advanced = progress["steps_done"] != job.status.steps_done
+                for key, value in progress.items():
+                    setattr(job.status, key, value)
+                for line_kind, data in notes:
+                    if line_kind == "note":
+                        job.log.note(data.pop("message"), **data)
+                    else:
+                        job.log.emit(line_kind, **data)
+                if kind == "end":
+                    break
+                if self._stopping:
+                    reply = "stop"
+                elif job.cancel_requested:
+                    reply = "cancel"
+                else:
+                    reply = "go"
+                    if self.chaos is not None:
+                        self.chaos(job.spec.job_id, job.status.steps_done)
+                # The worker goes on while the record is written: its
+                # checkpoint, not job.json, is what a resume starts from.
+                self._send(worker, reply)
+                if advanced:
+                    self._persist(job)
+                self._flush_log(job)
+        except BaseException:
+            # Anything that breaks off the exchange — a dead pipe, a
+            # raising chaos hook, a record the server cannot write, a
+            # cancelled task — ends the worker too.  Left alive it would
+            # step on, or wait for a reply, out of step with the server,
+            # and read the next job it is sent as that reply.
+            worker.process.kill()
+            self._died(worker)
+            raise
+        error, digest, run = end
+        if error is not None:
+            raise error
+        return digest, run
 
     def _finalize(self, job: _Job, state: str, digest: str | None = None,
                   run: RunResult | None = None) -> None:
         job.status.state = state
-        self._outstanding_cost_us = max(
-            0.0, self._outstanding_cost_us - job.status.predicted_cost_us)
-        job.result = JobResult(**job.status.as_dict(), state_digest=digest,
-                               run=run)
         job.log.note(state, step=job.status.steps_done)
-        self._persist(job)
-        self._flush_log(job)
-        job.done_event.set()
-
-    def _drive(self, job: _Job) -> tuple[str, RunResult, list]:
-        """Worker-thread body: run the job to its target in one runner run.
-
-        Returns ``(state digest, run result, event notes)``; raises
-        :class:`JobCancelled`, :class:`_Interrupted` (server stopping),
-        :class:`_JobFailed` (retry budget + ladder exhausted) or any other
-        exception, which the caller treats as worker death.  The notes
-        go to the event log on the event-loop thread.
-        """
-        spec, st = job.spec, job.status
-        store = CheckpointStore(
-            os.path.join(job_dir(self.root, spec.job_id), CKPT_DIR), keep=3)
-        faults = self.faults(spec) if self.faults is not None else None
-        policy = RetryPolicy(checkpoint_every=spec.checkpoint_every,
-                             max_retries=spec.max_retries)
-        runner = ResilientRunner(spec.spec, spec.config, policy=policy,
-                                 store=store, faults=faults)
-        notes: list = []
-        forwarded = 0  # report events already in ``notes``
-        st.steps_done = runner.sim.steps_done
-        # This worker's run adds to what the record holds from earlier ones.
-        before = replace(st, degradations=list(st.degradations))
-        t0 = time.perf_counter()
-
-        def record(report: RunReport) -> None:
-            """Forward the report's new events as ``resilience`` lines, fold
-            the run so far into the job's record and persist it."""
-            nonlocal forwarded
-            for event in report.events[forwarded:]:
-                data = dict(event)
-                notes.append(("resilience", {"event": data.pop("name"), **data}))
-            forwarded = len(report.events)
-            if runner.sim.steps_done == st.steps_done:
-                return  # no checkpoint since the last record
-            st.steps_done = runner.sim.steps_done
-            st.checkpoints = before.checkpoints + report.checkpoints
-            st.retries = before.retries + report.retries
-            st.rollback_steps = before.rollback_steps + report.rollback_steps
-            st.degradations = before.degradations + report.degradations
-            st.seconds = before.seconds + time.perf_counter() - t0
-            notes.append(("note", {"message": "checkpointed",
-                                   "step": st.steps_done}))
-            self._persist(job)
-
-        def boundary(report: RunReport) -> None:
-            record(report)
-            if self._stopping.is_set():
-                raise _Interrupted()
-            if job.cancel_event.is_set():
-                raise JobCancelled(spec.job_id)
-            if self.chaos is not None:
-                self.chaos(spec.job_id, runner.sim.steps_done)
-
         try:
-            try:
-                run = runner.run(spec.steps - runner.sim.steps_done,
-                                 on_checkpoint=boundary)
-            except RetryExhausted as exc:
-                raise _JobFailed(str(exc)) from exc
-            record(run.report)
-            digest = state_digest(runner.sim)
+            self._persist(job)
+            self._flush_log(job)
         finally:
-            st.seconds = before.seconds + time.perf_counter() - t0
-            runner.close()
-        return digest, run, notes
+            # The job ends even when its record cannot be written; a
+            # caller that then fails it finalizes it a second time.
+            if job.result is None:
+                self._outstanding_cost_us = max(
+                    0.0, self._outstanding_cost_us - job.status.predicted_cost_us)
+            job.result = JobResult(**job.status.as_dict(),
+                                   state_digest=digest, run=run)
+            job.done_event.set()
 
     # -- fleet health ----------------------------------------------------------
     def fleet_summary(self) -> dict:

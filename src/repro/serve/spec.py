@@ -45,16 +45,19 @@ class AdmissionError(RuntimeError):
 
 
 class JobCancelled(RuntimeError):
-    """Raised inside a worker when its job's cancellation flag is set."""
+    """Raised inside a worker when the server answers a checkpoint
+    boundary of a job whose cancellation was requested."""
 
 
 class WorkerKilled(RuntimeError):
-    """A worker died mid-job (chaos-injected in tests).
+    """A worker process died mid-job.
 
-    Any exception escaping the per-job resilience machinery is treated
-    as worker death by the server — the job is requeued and resumed from
-    its last checkpoint by a fresh worker.  This type exists so tests
-    and the demo driver can inject exactly that.
+    The server raises it for a job whose worker's pipe reached EOF (the
+    process exited or was killed).  A ``chaos`` hook raises it to kill
+    the worker at a checkpoint boundary: the server SIGKILLs the process
+    and records the hook's exception.  Either way — and for any other
+    exception escaping the per-job resilience machinery — the job is
+    requeued and its next worker resumes it from its last checkpoint.
     """
 
 
@@ -135,7 +138,9 @@ class JobStatus:
     persists it as ``job.json`` (:mod:`repro.serve.state`), restores it
     on restart, builds the :class:`JobResult` from it and derives the
     fleet tables from it.  ``seconds`` is wall time spent on workers,
-    summed over restarts.
+    summed over restarts; ``queue_wait_s`` the time from admission to
+    dispatch, summed over requeues (``0.0`` in records written before
+    it existed).
     """
 
     job_id: str
@@ -150,6 +155,7 @@ class JobStatus:
     rollback_steps: int = 0
     restarts: int = 0
     seconds: float = 0.0
+    queue_wait_s: float = 0.0
     degradations: list = field(default_factory=list)
     error: str | None = None
 

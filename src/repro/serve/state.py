@@ -109,7 +109,9 @@ def fleet_tables(jobs: list[JobStatus]) -> dict:
     <repro.serve.server.JobServer.fleet_summary>` (live records) and
     ``repro serve --summary`` (records read back from ``job.json``) build
     their tables here.  Progress counters sum over every job, finished
-    or not; ``served_cost_us`` is the predicted cost of the ``done`` ones.
+    or not; ``served_cost_us`` is the predicted cost of the ``done`` ones;
+    ``wall_seconds`` and ``queue_wait_s`` are the tenant's service and
+    queueing time.
     """
     states: dict[str, int] = {}
     tenants: dict[str, dict] = {}
@@ -120,7 +122,7 @@ def fleet_tables(jobs: list[JobStatus]) -> dict:
             "restarts": 0, "retries": 0, "rollback_steps": 0,
             "degradations": 0, "checkpoints": 0,
             "predicted_cost_us": 0.0, "served_cost_us": 0.0,
-            "wall_seconds": 0.0, "steps_done": 0,
+            "wall_seconds": 0.0, "queue_wait_s": 0.0, "steps_done": 0,
         })
         t["submitted"] += 1
         if job.state in TERMINAL_STATES:
@@ -130,6 +132,7 @@ def fleet_tables(jobs: list[JobStatus]) -> dict:
             t[key] += getattr(job, key)
         t["degradations"] += len(job.degradations)
         t["wall_seconds"] += job.seconds
+        t["queue_wait_s"] += job.queue_wait_s
         if job.state == "done":
             t["served_cost_us"] += job.predicted_cost_us
     return {"jobs_total": len(jobs), "states": states,

@@ -506,3 +506,262 @@ class TestRestartResume:
         with open(path, "rb") as fh:
             assert fh.read() == before
         assert sorted(os.listdir(str(tmp_path))) == ["fleet_summary.json"]
+
+
+def job_lines(root, job_id):
+    """The job's lines of the server's shared ``events.jsonl``, in order."""
+    return split_runs(read_log(os.path.join(str(root), "events.jsonl")))[job_id]
+
+
+def note_index(lines, message):
+    """Position of the last ``message`` note among ``lines``."""
+    return max(i for i, l in enumerate(lines)
+               if l["kind"] == "note" and l["data"].get("message") == message)
+
+
+class TestWorkerProcesses:
+    """Jobs run in forked worker processes, one job per process at a time."""
+
+    def test_two_jobs_run_in_two_processes_at_once(self, tmp_path):
+        specs = [cavity_job(base=12, levels=2, steps=6, job_id=jid)
+                 for jid in ("left", "right")]
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=2) as srv:
+                for s in specs:
+                    await srv.submit(s)
+                await srv.drain()
+                return [await srv.result(s.job_id) for s in specs]
+
+        results = asyncio.run(asyncio.wait_for(run(), 120))
+        assert [r.state for r in results] == ["done", "done"]
+        lines = read_log(os.path.join(str(tmp_path), "events.jsonl"))
+        assert validate_log(lines) == []
+        pids, spans = [], []
+        for s in specs:
+            mine = [(i, l) for i, l in enumerate(lines)
+                    if l["run"]["id"] == s.job_id and l["kind"] == "note"]
+            running = [(i, l) for i, l in mine
+                       if l["data"]["message"] == "running"]
+            done = [i for i, l in mine if l["data"]["message"] == "done"]
+            assert len(running) == 1 and len(done) == 1
+            pids.append(running[0][1]["data"]["pid"])
+            spans.append((running[0][0], done[0]))
+        # Two distinct worker processes, neither of them the server.
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        # Each job started running before the other one finished.
+        (run_a, done_a), (run_b, done_b) = spans
+        assert run_a < done_b and run_b < done_a
+
+    def test_sigkilled_worker_resumes_bit_identically(self, tmp_path):
+        import signal
+        spec = cavity_job(base=12, levels=2, steps=120, checkpoint_every=1,
+                          job_id="victim")
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=1) as srv:
+                jid = await srv.submit(spec)
+                while srv.status(jid).steps_done < 2:
+                    assert not srv.status(jid).terminal
+                    await asyncio.sleep(0.005)
+                lines = job_lines(tmp_path, jid)
+                pid = lines[note_index(lines, "running")]["data"]["pid"]
+                os.kill(pid, signal.SIGKILL)
+                return pid, await srv.result(jid)
+
+        pid, res = asyncio.run(asyncio.wait_for(run(), 120))
+        assert res.state == "done" and res.steps_done == 120
+        assert res.restarts >= 1
+        assert res.state_digest == serial_digest(spec)
+        lines = job_lines(tmp_path, "victim")
+        deaths = [l["data"] for l in lines if l["kind"] == "resilience"
+                  and l["data"]["event"] == "worker-death"]
+        assert deaths and f"worker {pid} exited" in deaths[0]["error"]
+        # The job was resumed by a fresh worker process.
+        assert lines[note_index(lines, "running")]["data"]["pid"] != pid
+
+    def test_stop_leaves_no_children(self, tmp_path):
+        import multiprocessing
+        killed: set[str] = set()
+
+        def chaos(job_id: str, step: int) -> None:
+            if step > 0 and job_id not in killed:
+                killed.add(job_id)
+                raise WorkerKilled(f"chaos: {job_id} at step {step}")
+
+        specs = build_flood(jobs=4, tenants=2, seed=4, steps_min=3,
+                            steps_max=4)
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=2,
+                                 chaos=chaos) as srv:
+                for s in specs:
+                    await srv.submit(s)
+                await srv.drain()
+            return srv.fleet_summary()
+
+        summary = asyncio.run(asyncio.wait_for(run(), 120))
+        assert summary["states"] == {"done": 4} and len(killed) == 4
+        assert multiprocessing.active_children() == []
+        pids = {l["data"]["pid"]
+                for l in read_log(os.path.join(str(tmp_path), "events.jsonl"))
+                if l["kind"] == "note" and l["data"].get("message") == "running"}
+        # Killed workers were replaced, and no worker survives the server.
+        assert len(pids) > 2 and os.getpid() not in pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_unwritable_final_record_fails_the_job(self, tmp_path):
+        # The event sink raises on a finished job's final line: the job
+        # must still end — as ``failed``, with the error recorded — and
+        # not leave ``result()`` waiting forever.
+        async def run():
+            async with JobServer(str(tmp_path), workers=1) as srv:
+                flush = srv._flush_log
+
+                def sink(job):
+                    last = job.log.lines[-1]
+                    if (len(job.log.lines) > job.flushed_lines
+                            and last["kind"] == "note"
+                            and last["data"].get("message") == "done"):
+                        raise OSError("event sink full")
+                    flush(job)
+
+                srv._flush_log = sink
+                jid = await srv.submit(cavity_job(steps=3, job_id="unsung"))
+                return await asyncio.wait_for(srv.result(jid), timeout=30)
+
+        res = asyncio.run(run())
+        assert res.state == "failed"
+        assert res.error == "OSError: event sink full"
+        disk = summary_from_disk(str(tmp_path))
+        assert disk["states"] == {"failed": 1}
+        assert disk["jobs"][0]["error"] == "OSError: event sink full"
+        # The log says failed, and only failed.
+        lines = read_log(os.path.join(str(tmp_path), "events.jsonl"))
+        assert validate_log(lines) == []
+        ends = [l["data"]["message"] for l in job_lines(tmp_path, "unsung")
+                if l["kind"] == "note"
+                and l["data"]["message"] in ("done", "failed")]
+        assert ends == ["failed"]
+
+    def test_unrecordable_boundary_kills_and_requeues(self, tmp_path):
+        # The event sink raises once, on a mid-job ``checkpointed`` note
+        # the server writes after it has told the worker to go on.  The
+        # worker must die with the exchange: left alive and idle, it
+        # would read the next dispatch as its reply.
+        first = cavity_job(base=12, levels=2, steps=8, checkpoint_every=1,
+                           job_id="first")
+        second = cavity_job(base=12, levels=2, steps=6, checkpoint_every=1,
+                            job_id="second")
+        raised: list[str] = []
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=1) as srv:
+                flush = srv._flush_log
+
+                def sink(job):
+                    if not raised and any(
+                            l["kind"] == "note"
+                            and l["data"].get("message") == "checkpointed"
+                            and l["data"].get("step") == 2
+                            for l in job.log.lines[job.flushed_lines:]):
+                        raised.append(job.spec.job_id)
+                        raise OSError("event sink full")
+                    flush(job)
+
+                srv._flush_log = sink
+                for s in (first, second):
+                    await srv.submit(s)
+                await srv.drain()
+                return [await srv.result(s.job_id) for s in (first, second)]
+
+        a, b = asyncio.run(asyncio.wait_for(run(), 120))
+        assert raised == ["first"]
+        assert a.state == "done" and a.steps_done == 8 and a.restarts == 1
+        assert a.state_digest == serial_digest(first)
+        assert b.state == "done" and b.steps_done == 6 and b.restarts == 0
+        assert b.state_digest == serial_digest(second)
+        lines = read_log(os.path.join(str(tmp_path), "events.jsonl"))
+        assert validate_log(lines) == []
+        mine = job_lines(tmp_path, "first")
+        deaths = [l["data"] for l in mine if l["kind"] == "resilience"
+                  and l["data"]["event"] == "worker-death"]
+        assert [d["error"] for d in deaths] == ["OSError: event sink full"]
+        # The requeued job ran on a fresh process, not the one it left.
+        pids = [l["data"]["pid"] for l in mine if l["kind"] == "note"
+                and l["data"]["message"] == "running"]
+        assert len(pids) == 2 and pids[0] != pids[1]
+        steps = [l["data"]["step"] for l in job_lines(tmp_path, "second")
+                 if l["kind"] == "note"
+                 and l["data"]["message"] == "checkpointed"]
+        assert steps == sorted(steps) and steps[-1] == 6
+
+    def test_idle_worker_death_costs_no_restart(self, tmp_path):
+        # A worker that dies between jobs is replaced before the next
+        # dispatch; the job it would have got never sees it.
+        import signal
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=1,
+                                 max_restarts=0) as srv:
+                (worker,) = srv._workers
+                os.kill(worker.pid, signal.SIGKILL)
+                while worker.process.exitcode is None:
+                    await asyncio.sleep(0.005)
+                jid = await srv.submit(cavity_job(steps=3, job_id="late"))
+                return worker.pid, await srv.result(jid)
+
+        dead, res = asyncio.run(asyncio.wait_for(run(), 60))
+        assert res.state == "done" and res.restarts == 0
+        lines = job_lines(tmp_path, "late")
+        assert not [l for l in lines if l["kind"] == "resilience"]
+        assert lines[note_index(lines, "running")]["data"]["pid"] != dead
+
+    def test_queue_wait_is_in_the_job_record(self, tmp_path):
+        specs = [cavity_job(steps=6, tenant="t0", job_id="first"),
+                 cavity_job(steps=6, tenant="t0", job_id="second")]
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=1) as srv:
+                for s in specs:
+                    await srv.submit(s)
+                await srv.drain()
+                return ([await srv.result(s.job_id) for s in specs],
+                        srv.fleet_summary())
+
+        (first, second), live = asyncio.run(asyncio.wait_for(run(), 120))
+        # The second job queued through the whole of the first's service.
+        assert second.queue_wait_s > first.seconds > 0
+        assert first.queue_wait_s < second.queue_wait_s
+        disk = summary_from_disk(str(tmp_path))
+        assert ([j["queue_wait_s"] for j in disk["jobs"]]
+                == [first.queue_wait_s, second.queue_wait_s])
+        assert (disk["tenants"]["t0"]["queue_wait_s"]
+                == live["tenants"]["t0"]["queue_wait_s"]
+                == first.queue_wait_s + second.queue_wait_s)
+        # Records written before the field existed read 0.0.
+        record = dict(disk["jobs"][0])
+        del record["queue_wait_s"]
+        from repro.serve.spec import JobStatus
+        assert JobStatus.from_dict(record).queue_wait_s == 0.0
+
+    def test_unstopped_server_does_not_hang_exit(self, tmp_path):
+        # Interpreter exit joins every child process; a server that was
+        # started and never stopped must still let its workers go.
+        import subprocess
+        import sys
+        script = (
+            "import asyncio\n"
+            "from repro.serve import JobServer\n"
+            "async def main():\n"
+            f"    await JobServer({str(tmp_path)!r}, workers=2).start()\n"
+            "asyncio.run(main())\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "src"),
+             os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              timeout=60, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
