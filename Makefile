@@ -134,12 +134,15 @@ resilience-check:
 # the served-recovery test (retry / rollback lines in events.jsonl) and the
 # worker-process tests (two pids at once, SIGKILL resume, no child left
 # after stop, an unwritable final record, a boundary the server cannot
-# record, an idle worker's death, queue wait in job.json).
+# record, an idle worker's death, queue wait in job.json), the torn log
+# tail a restarted server terminates, and the per-worker grid cache (a hit
+# equals a direct run, a poisoned entry is rebuilt, verdicts reused across
+# viscosities but not fusion configs, eviction under the budget).
 serve-check:
 	$(PYTHON) -m repro serve --jobs 12 --tenants 3 --workers 2 \
 		--chaos 0.3 --seed 1 --out-dir serve-artifacts
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_resilience.py \
-		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses"
+		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses or GridCache"
 
 check: lint docs-check test test-compiled test-mp test-blas mem-check analysis resilience-check serve-check report

@@ -178,8 +178,26 @@ def admit_stream(stepper: "NonUniformStepper", *,
     :class:`~repro.backend.base.PlanAdmissionError` when any part of the
     PR-5 contract fails — an inadmissible stream is never executed, in
     this process or any worker process replaying shards of it.
+
+    The verdict — certificate and lint report — is kept on the grid
+    (``MultiGrid.verdicts``), keyed by what admission reads besides the
+    grid: the fusion config and the label.  Relaxation rates and force
+    enter no record, so a later admission on the same grid (a served
+    job at another viscosity) captures and binds its stream and reuses
+    the verdict once the certificate validates against the new records,
+    digest included; any mismatch runs the full admission.
     """
     engine = stepper.engine
+    label = workload or f"live-{engine.mgrid.d}d-{stepper.num_levels}lvl"
+    key = (stepper.config, label)
+    verdict = engine.mgrid.verdicts.get(key)
+    if verdict is not None:
+        cert, lint = verdict
+        handles: list[Any] = []
+        records = engine.rt.capture_plan(lambda: stepper._advance(0), handles)
+        bodies, reports = bind_bodies(records, handles)
+        if None not in reports and not validate_certificate(cert, records):
+            return _plan(stepper, label, records, bodies, cert), lint
     tracer = AccessTracer()
     records, bodies, _, accesses = bind_stream(stepper, tracer)
     if not records:
@@ -189,15 +207,20 @@ def admit_stream(stepper: "NonUniformStepper", *,
     proof = prove_plan_legality(stepper, records, tracer, 1)
     if proof.verdict == "illegal":
         problems.extend(str(c) for c in proof.counterexamples[:3])
-    label = workload or f"live-{engine.mgrid.d}d-{stepper.num_levels}lvl"
     cert = build_certificate(stepper.config.name, label, records, accesses,
                              proof, lint, steps=1)
     problems.extend(validate_certificate(cert, records))
     if problems:
         raise PlanAdmissionError(problems)
+    engine.mgrid.verdicts[key] = (cert, lint)
+    return _plan(stepper, label, records, bodies, cert), lint
+
+
+def _plan(stepper: "NonUniformStepper", label: str,
+          records: list[KernelRecord], bodies: list[KernelBody],
+          cert: dict[str, Any]) -> StepPlan:
     return StepPlan(records, bodies, digest=cert["stream_digest"],
-                    certificate=cert,
-                    label=f"{stepper.config.name}/{label}"), lint
+                    certificate=cert, label=f"{stepper.config.name}/{label}")
 
 
 def compile_plan(stepper: "NonUniformStepper", *,

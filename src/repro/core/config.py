@@ -13,8 +13,8 @@ consolidates all of it into a single frozen dataclass:
 * **replaceable** — :meth:`SimConfig.replace` derives safety profiles
   (the resilience ladder's serial / reduced-ω rebuilds) without
   mutating the original;
-* **serializable** — :meth:`SimConfig.as_dict` feeds checkpoint
-  manifests and structured reports.
+* **serializable** — :meth:`SimConfig.as_dict` feeds served jobs'
+  ``meta`` lines and structured reports.
 
 Construct simulations with ``Simulation.from_config(spec, config)``.
 """
@@ -124,7 +124,7 @@ class SimConfig:
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> dict:
-        """JSON-ready digest (checkpoint manifests, resilience reports)."""
+        """JSON-ready digest (served jobs' ``meta`` lines, structured reports)."""
         return {
             "lattice": getattr(self.lattice, "name", self.lattice),
             "collision": (self.collision if isinstance(self.collision, str)

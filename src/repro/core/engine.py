@@ -99,6 +99,16 @@ def _flat(q, stride: int, rows: np.ndarray) -> np.ndarray:
     return np.asarray(q, dtype=np.intp) * stride + rows
 
 
+def _frozen(value):
+    """``value`` with every array in it (nested in tuples) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _frozen(item)
+    return value
+
+
 def _read_bins(Q: int, n_ghost: int, coal_q: np.ndarray,
                coal_src: np.ndarray) -> np.ndarray:
     """(Q, n_ghost) mask of the ghost bins a level's Coalescence reads."""
@@ -137,9 +147,10 @@ class Engine:
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
-        #: Per level, the flat index maps the kernel bodies share (and the
-        #: in-place stream's groups and scratch), built by the first body
-        #: that needs them (see :meth:`_map`).
+        #: Per level, the in-place stream's scratch, ``("scratch", parts)``
+        #: -> ``(parts, G, n_owned)``, built when the first stream body
+        #: binds there: state, so the engine's, while the flat index maps
+        #: live on the grid (see :meth:`_map`).
         self._maps: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
@@ -207,10 +218,16 @@ class Engine:
 
         ``u`` may be ``None`` (fluid at rest), a length-``d`` vector, or a
         callable mapping cell-centre positions (in coarse units, ``(N, d)``)
-        to velocities ``(d, N)``.
+        to velocities ``(d, N)``.  At rest with a scalar density the
+        equilibrium is ``w * rho`` bit for bit (the basis' density column
+        is ``w``, every other moment is zero), written without the GEMMs.
         """
         d = self.mgrid.d
         for lv, buf in enumerate(self.levels):
+            buf.ghost_acc[:] = 0.0
+            if u is None and np.isscalar(rho):
+                buf.f[:] = (self.lat.w * float(rho))[:, None]
+                continue
             n = buf.n_owned
             rr = np.full(n, rho, dtype=np.float64) if np.isscalar(rho) else rho
             if u is None:
@@ -221,7 +238,6 @@ class Engine:
             else:
                 uu = np.broadcast_to(np.asarray(u, dtype=np.float64)[:, None], (d, n)).copy()
             equilibrium(self.lat, rr, uu, out=buf.f)
-            buf.ghost_acc[:] = 0.0
 
     # -- access reports --------------------------------------------------------
     @staticmethod
@@ -239,18 +255,18 @@ class Engine:
         over the contiguous buffers — stride ``n_owned`` in ``f``,
         ``n_ghost`` in ``ghost_acc``, the fine-ghost count in
         ``fghost`` — so a body is one gather/scatter instead of a per-``q``
-        loop.  They
-        depend on the level geometry alone and are shared by every body
-        bound on this engine.  Unlike the grid's int32 tables they are
-        ``intp`` (:func:`_flat`), the width NumPy indexes with: an int32
-        map would be converted on every call (DESIGN.md §18 has the price).
-        The in-place stream keeps its direction groups and its scratch
-        here too, so a level holds one scratch however many bodies bind.
+        loop.  They depend on the level geometry alone, so they live on
+        the grid's level (:attr:`CompiledLevel.maps
+        <repro.grid.multigrid.CompiledLevel.maps>`), frozen, and every
+        body bound on any engine over that grid shares them.  Unlike the
+        grid's int32 tables they are ``intp`` (:func:`_flat`), the width
+        NumPy indexes with: an int32 map would be converted on every call
+        (DESIGN.md §18 has the price).
         """
-        maps = self._maps[lv]
+        maps = self.mgrid.levels[lv].maps
         got = maps.get(key)
         if got is None:
-            got = maps[key] = make()
+            got = maps[key] = _frozen(make())
         return got
 
     def _pull_flat(self, lv: int) -> tuple[np.ndarray, tuple[int, int]]:
@@ -263,10 +279,11 @@ class Engine:
         ``pull_flat`` is proven again); freezing the array keeps it true.
         The same pass, one direction at a time in one scratch row (the
         table is a level's largest array), takes the row span the stream
-        report states.
+        report states.  Kept with the grid's maps, as ``"pull"``.
         """
         table = self.levels[lv].pull_flat
-        got = self._maps[lv].get("pull")
+        maps = self.mgrid.levels[lv].maps
+        got = maps.get("pull")
         if got is None or got[0] is not table:
             n = self.levels[lv].n_owned
             size = self.lat.q * n
@@ -279,7 +296,7 @@ class Engine:
                     f"level {lv}: pull table entries leave [0, {size}): "
                     f"min {table.min()}, max {table.max()}")
             table.setflags(write=False)
-            got = self._maps[lv]["pull"] = (table, (lo, hi))
+            got = maps["pull"] = (table, (lo, hi))
         return got
 
     def split_cuts(self, lv: int) -> list[int]:
@@ -438,11 +455,13 @@ class Engine:
                         copyto(dst, row)
             return part
 
-        groups = sorted(self._map(lv, "groups", lambda: pull_groups(
-            self.mgrid.levels[lv], self.lat)), key=len, reverse=True)
+        groups = sorted(self._map(lv, "groups", lambda: tuple(pull_groups(
+            self.mgrid.levels[lv], self.lat))), key=len, reverse=True)
         width = min(len(self.split_cuts(lv)) - 1, len(groups))
-        scratch = self._map(lv, ("scratch", width), lambda: np.empty(
-            (width, len(groups[0]), n)))
+        key = ("scratch", width)
+        scratch = self._maps[lv].get(key)
+        if scratch is None:
+            scratch = self._maps[lv][key] = np.empty((width, len(groups[0]), n))
         parts = [in_place(groups[k::width], scratch[k]) for k in range(width)]
         pull = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 

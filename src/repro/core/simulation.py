@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from ..grid.multigrid import MultiGrid, RefinementSpec, build_multigrid
+from ..grid.multigrid import (MultiGrid, RefinementSpec, build_multigrid,
+                              spec_digest)
 from ..neon.runtime import Runtime
 from .config import SimConfig
 from .engine import Engine
@@ -52,6 +53,13 @@ class Simulation:
     runtime:
         An existing :class:`~repro.neon.runtime.Runtime` to record into
         (e.g. one with a span recorder already installed).
+    grid:
+        A :class:`~repro.grid.multigrid.MultiGrid` already built from a
+        spec equal to ``spec`` on the config's lattice, used instead of
+        building one (a served job's worker keeps the grids it built;
+        the grid's index maps and admission verdicts come with it).  A
+        grid recorded for another spec or lattice is refused
+        (``ValueError``).
 
     :meth:`from_config` is the convenient front door: it builds or
     derives the config from keyword overrides.  Use the simulation as a
@@ -60,15 +68,24 @@ class Simulation:
     """
 
     def __init__(self, spec: RefinementSpec, config: SimConfig,
-                 runtime: Runtime | None = None) -> None:
+                 runtime: Runtime | None = None, *,
+                 grid: MultiGrid | None = None) -> None:
         lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
                else config.lattice)
+        if grid is not None:
+            want = spec_digest(spec, lat)
+            if grid.lattice.name != lat.name or grid.digest != want:
+                raise ValueError(
+                    f"grid was built for another spec or lattice "
+                    f"({grid.lattice.name}, digest {grid.digest[:12]}), not "
+                    f"this one ({lat.name}, digest {want[:12]})")
         omega0 = (config.omega0 if config.omega0 is not None
                   else omega_from_viscosity(config.viscosity))
         #: The immutable configuration this simulation was built from
-        #: (checkpoint manifests and resilience rebuilds read it back).
+        #: (resilience rebuilds read it back).
         self.sim_config: SimConfig = config
-        self.mgrid: MultiGrid = build_multigrid(spec, lat)
+        self.mgrid: MultiGrid = (grid if grid is not None
+                                 else build_multigrid(spec, lat))
         self.engine = Engine(self.mgrid, config.collision, omega0,
                              runtime=runtime, force=config.force)
         self.engine.allocate(config.fusion)
@@ -87,6 +104,7 @@ class Simulation:
     @classmethod
     def from_config(cls, spec: RefinementSpec, config: SimConfig | None = None,
                     *, runtime: Runtime | None = None,
+                    grid: MultiGrid | None = None,
                     **overrides) -> "Simulation":
         """Build a simulation from a :class:`~repro.core.config.SimConfig`.
 
@@ -101,7 +119,7 @@ class Simulation:
             config = SimConfig(**overrides)
         elif overrides:
             config = config.replace(**overrides)
-        return cls(spec, config, runtime)
+        return cls(spec, config, runtime, grid=grid)
 
     # -- delegation ------------------------------------------------------------
     @property

@@ -27,6 +27,7 @@ the compile refuses a level whose ``Q * rows`` entry ids would not fit.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,8 @@ from ..core.lattice import Lattice
 from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
-           "MultiGrid", "build_multigrid", "iter_pull_rows", "pull_groups"]
+           "MultiGrid", "build_multigrid", "iter_pull_rows", "pull_groups",
+           "spec_digest"]
 
 _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # When a diagonal pull exits through several faces at once, the face with
@@ -132,6 +134,24 @@ class RefinementSpec:
 
     def level_shape(self, level: int) -> tuple[int, ...]:
         return tuple(int(s) * 2 ** level for s in self.base_shape)
+
+
+def spec_digest(spec: RefinementSpec, lattice: Lattice | str) -> str:
+    """SHA-256 of everything a compiled grid is a function of: the coarse
+    shape, the refinement masks, the solid, the face BCs, the block size,
+    the curve and the lattice.  Equal digests, equal grids."""
+    h = hashlib.sha256()
+    name = lattice if isinstance(lattice, str) else lattice.name
+    h.update(repr((tuple(int(n) for n in spec.base_shape), spec.block_size,
+                   spec.curve, name, sorted(spec.bc.faces.items()))).encode())
+    for mask in (*spec.refine_regions, spec.solid):
+        if mask is None:
+            h.update(b"|none")
+            continue
+        mask = np.asarray(mask, dtype=bool)
+        h.update(f"|{mask.shape}".encode())
+        h.update(np.packbits(mask).tobytes())
+    return h.hexdigest()
 
 
 def _upsample2(mask: np.ndarray) -> np.ndarray:
@@ -268,6 +288,11 @@ class CompiledLevel:
     Every cross-level reference is a *row* of the buffers it indexes,
     so the engine uses these arrays as they are.  Rows number a level's
     owned cells in slot order, then its fine ghosts (:meth:`row_of_slot`).
+
+    ``maps`` holds the flat index maps the engine's kernel bodies gather
+    and scatter with (:meth:`~repro.core.engine.Engine._map`), each built
+    by the first body that needs it and frozen: they are a function of
+    the geometry alone, so every engine on this grid shares them.
     """
 
     level: int
@@ -293,6 +318,7 @@ class CompiledLevel:
     acc_ghost_rows: np.ndarray       # rows of this level's ghost accumulator
     # -- original-baseline explosion copy (coarse f* -> fine ghosts) ---------
     fg_coarse_rows: np.ndarray       # per fine ghost, its parent's coarser row
+    maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_owned(self) -> int:
@@ -335,11 +361,18 @@ def _n_distinct(cells: np.ndarray, n: int) -> int:
 
 @dataclass
 class MultiGrid:
-    """The compiled stack of levels plus shared metadata."""
+    """The compiled stack of levels plus shared metadata.
+
+    ``digest`` is the :func:`spec_digest` of the spec and lattice it was
+    built from; ``verdicts`` holds the plan-admission verdicts proven on
+    this grid (:func:`~repro.backend.compiler.admit_stream`).
+    """
 
     spec: RefinementSpec
     lattice: Lattice
     levels: list[CompiledLevel]
+    digest: str = ""
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_levels(self) -> int:
@@ -732,4 +765,5 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
     levels: list[CompiledLevel] = []
     for lvl in range(spec.num_levels):
         levels.append(_compile_level(spec, lat, lvl, labels, levels))
-    return MultiGrid(spec=spec, lattice=lat, levels=levels)
+    return MultiGrid(spec=spec, lattice=lat, levels=levels,
+                     digest=spec_digest(spec, lat))

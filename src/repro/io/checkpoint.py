@@ -15,10 +15,10 @@ Two layers:
 
 * :class:`CheckpointStore` — the directory-based API: atomic writes
   (temp file + ``os.replace``, so a crash mid-write never leaves a
-  half-checkpoint under the real name), a ``manifest.json`` with
-  step/config metadata, keep-last-K pruning and generation fallback on
-  restore.  This is what :class:`~repro.resilience.ResilientRunner`
-  rolls back through.
+  half-checkpoint under the real name), keep-last-K pruning from the
+  directory listing and generation fallback on restore.  One durable
+  write per save: the file names are the index.  This is what
+  :class:`~repro.resilience.ResilientRunner` rolls back through.
 * :func:`save_checkpoint` / :func:`restore_checkpoint` — single-file
   module functions, kept as thin compatibility wrappers over the same
   serialization (and themselves crash-safe).
@@ -32,7 +32,6 @@ byte lands in the simulation's buffers.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import zipfile
@@ -91,7 +90,7 @@ def atomic_write(path: str, write: Callable[[IO], object], mode: str = "wb") -> 
     a failed write removes the temp file and leaves the old file as it
     was.  The directory is ``fsync``-ed after the rename, which is what
     makes the rename itself survive a power loss.  Every file the repo
-    writes whole goes through here: checkpoints, their manifest, the job
+    writes whole goes through here: checkpoints, the job
     server's state files and fleet summary, certificates, traces, run
     reports, ``BENCH_*.json`` and event logs written with
     ``append=False``.  Appends (the shared event sink) do not.
@@ -200,14 +199,13 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
 
 
 class CheckpointStore:
-    """Directory of rolling checkpoints with a manifest and keep-K pruning.
+    """Directory of rolling checkpoints with keep-K pruning.
 
-    Files are named ``ckpt_<step:08d>.npz`` and written atomically;
-    ``manifest.json`` (also atomically replaced) records step, file name
-    and the simulation's :class:`~repro.core.config.SimConfig` digest per
-    generation.  :meth:`restore_latest` walks generations newest-first
-    and transparently skips damaged files, so one torn write never
-    strands a recovery.
+    Files are named ``ckpt_<step:08d>.npz`` and written atomically; the
+    directory listing is the index — there is no manifest to keep in step
+    with it.  :meth:`restore_latest` walks generations newest-first and
+    transparently skips damaged files, so one torn write never strands a
+    recovery.
 
     Parameters
     ----------
@@ -220,8 +218,6 @@ class CheckpointStore:
         files are deleted after each successful save.  ``keep >= 2``
         is what makes generation fallback meaningful.
     """
-
-    MANIFEST = "manifest.json"
 
     def __init__(self, directory: str, keep: int = 3) -> None:
         if keep < 1:
@@ -250,17 +246,8 @@ class CheckpointStore:
         steps = self.steps()
         return steps[-1] if steps else None
 
-    def manifest(self) -> dict:
-        """The on-disk manifest (empty skeleton when absent/corrupt)."""
-        path = os.path.join(self.directory, self.MANIFEST)
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return {"format": _FORMAT, "entries": []}
-
     # -- writing -------------------------------------------------------------
-    def save(self, sim: Simulation, **meta) -> str:
+    def save(self, sim: Simulation) -> str:
         """Checkpoint ``sim`` at its current step; return the file path.
 
         Saving the same step twice overwrites that generation (the
@@ -269,59 +256,31 @@ class CheckpointStore:
         makes this step the new head of the lineage: generations beyond
         it belong to the abandoned timeline and are dropped, so
         :meth:`restore_latest` can never resurrect state the run
-        explicitly rolled back past.  Extra ``meta`` keys land in the
-        manifest entry.
+        explicitly rolled back past.
         """
-        step = sim.steps_done
+        step = int(sim.steps_done)
         path = self.path_for(step)
         save_checkpoint(sim, path)
-        entry = {
-            "step": int(step),
-            "file": os.path.basename(path),
-            "lattice": sim.lattice.name,
-            "base_shape": list(sim.mgrid.spec.base_shape),
-            "config": sim.sim_config.as_dict()
-            if getattr(sim, "sim_config", None) is not None else None,
-            **meta,
-        }
-        man = self.manifest()
-        man["format"] = _FORMAT
-        man["entries"] = ([e for e in man.get("entries", [])
-                           if isinstance(e.get("step"), int)
-                           and e["step"] < int(step)] + [entry])
-        man["entries"].sort(key=lambda e: e.get("step", 0))
-        self._prune(man)
-        self._write_manifest(man)
+        self._prune(step)
         return path
 
-    def _prune(self, man: dict) -> None:
-        """Retain the newest ``keep`` generations of the current lineage.
+    def _prune(self, head: int) -> None:
+        """Retain the newest ``keep`` generations of the lineage ending
+        at ``head`` (the save that just happened), read off the listing.
 
-        The lineage head is the newest manifest entry (the save that just
-        happened).  On-disk files beyond the head are abandoned-timeline
-        leftovers and are always deleted; files at or before the head
-        count toward ``keep`` even when the manifest was lost, so a
-        corrupt manifest does not wipe every fallback generation.
+        Files beyond the head are abandoned-timeline leftovers and are
+        always deleted; older ones beyond the newest ``keep`` go too.
+        A failed save never gets here, so it leaves the store as it was.
         """
-        entries = man.get("entries", [])[-self.keep:]
-        man["entries"] = entries
-        head = entries[-1].get("step") if entries else None
         on_disk = self.steps()
-        lineage = [s for s in on_disk if head is None or s <= head]
-        keep_steps = {e.get("step") for e in entries}
-        keep_steps.update(lineage[-self.keep:])
+        lineage = [s for s in on_disk if s <= head]
+        keep_steps = set(lineage[-self.keep:])
         for step in on_disk:
             if step not in keep_steps:
                 try:
                     os.unlink(self.path_for(step))
                 except OSError:
                     pass
-
-    def _write_manifest(self, man: dict) -> None:
-        def write(fh: IO) -> None:
-            json.dump(man, fh, indent=2)
-            fh.write("\n")
-        atomic_write(os.path.join(self.directory, self.MANIFEST), write, "w")
 
     # -- reading -------------------------------------------------------------
     def restore(self, sim: Simulation, step: int | None = None) -> int:

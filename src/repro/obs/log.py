@@ -41,8 +41,8 @@ from uuid import uuid4
 
 from ..io.checkpoint import atomic_write
 
-__all__ = ["LOG_VERSION", "LOG_KINDS", "EventLog", "read_log",
-           "validate_log", "split_runs"]
+__all__ = ["LOG_VERSION", "LOG_KINDS", "EventLog", "append_lines",
+           "read_log", "validate_log", "split_runs"]
 
 LOG_VERSION = 1
 LOG_KINDS = ("meta", "kernel", "step", "metric", "watchdog",
@@ -157,9 +157,10 @@ class EventLog:
         return n
 
     # -- serialization -------------------------------------------------------
-    def dump(self) -> str:
+    def dump(self, start: int = 0) -> str:
+        """The lines from ``start`` on, as JSON lines."""
         return "".join(json.dumps(line, sort_keys=True, default=str) + "\n"
-                       for line in self.lines)
+                       for line in self.lines[start:])
 
     def write(self, path: str, append: bool = True) -> str:
         """Serialize to ``path`` (append by default: logs are shared sinks).
@@ -170,13 +171,33 @@ class EventLog:
         if not append:
             atomic_write(path, lambda fh: fh.write(text), "w")
             return path
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "a") as fh:
-            fh.write(text)
+        append_lines(path, text)
         return path
 
     def __len__(self) -> int:
         return len(self.lines)
+
+
+def append_lines(path: str, text: str) -> None:
+    """Append ``text`` — whole lines — to the log at ``path`` in one ``write``.
+
+    A process killed mid-append leaves a last line without its newline;
+    appended to as it is, the next line would run on from the fragment
+    and :func:`read_log` would drop both.  So a torn tail is terminated
+    first, in the same ``write``: only the fragment is lost.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    data = text.encode()
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def read_log(path: str) -> list[dict]:

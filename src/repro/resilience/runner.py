@@ -104,6 +104,8 @@ class RunReport:
     recovered incident; ``degradations`` the ladder rungs taken;
     ``events`` every ``resume`` / ``retry`` / ``rollback`` / ``degrade``
     as ``{"name": ..., **details}``, in the order they happened.
+    ``first_step_s`` is the wall time from the call to ``run`` to its
+    first completed step (``None`` until one completes).
     """
 
     outcome: str = "ok"
@@ -117,6 +119,7 @@ class RunReport:
     failures: list = field(default_factory=list)
     degradations: list = field(default_factory=list)
     events: list = field(default_factory=list)
+    first_step_s: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -131,6 +134,7 @@ class RunReport:
             "failures": list(self.failures),
             "degradations": list(self.degradations),
             "events": list(self.events),
+            "first_step_s": self.first_step_s,
         }
 
 
@@ -175,12 +179,17 @@ class ResilientRunner:
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`,
         (re-)installed on every build — the test matrix's hook.
+    grid:
+        Optional :class:`~repro.grid.multigrid.MultiGrid` built from
+        ``spec``, passed to every build, degradation rebuilds included
+        (``Simulation(..., grid=)``).
     """
 
     def __init__(self, spec, config: SimConfig | None = None, *,
                  policy: RetryPolicy | None = None, store=None,
-                 faults=None) -> None:
+                 faults=None, grid=None) -> None:
         self.spec = spec
+        self.grid = grid
         self.config = config if config is not None else SimConfig(viscosity=0.05)
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults
@@ -209,7 +218,7 @@ class ResilientRunner:
 
     # -- construction / rebuilds ----------------------------------------------
     def _build(self, config: SimConfig) -> Simulation:
-        sim = Simulation.from_config(self.spec, config)
+        sim = Simulation.from_config(self.spec, config, grid=self.grid)
         if self.faults is not None:
             self.faults.install(sim)
         return sim
@@ -258,13 +267,19 @@ class ResilientRunner:
         if self.store.latest() is None:
             # Step-0 anchor: the very first failure must have somewhere
             # to roll back to.
-            self.store.save(self.sim, kind="initial")
+            self.store.save(self.sim)
             report.checkpoints += 1
         if on_checkpoint is not None and self.sim.steps_done < report.target_step:
             on_checkpoint(report)
         attempts = 0
         executor_strikes = 0
         divergences = 0
+
+        def watch(stepper) -> None:
+            if report.first_step_s is None:
+                report.first_step_s = time.perf_counter() - t0
+            self.watchdog.callback(stepper)
+
         while self.sim.steps_done < report.target_step:
             segment_end = min(report.target_step,
                               self.sim.steps_done + pol.checkpoint_every)
@@ -272,7 +287,7 @@ class ResilientRunner:
                 # The watchdog checks every step, so the state is validated
                 # before it is checkpointed: a poisoned state never becomes
                 # a rollback target.
-                self.sim.run_until(segment_end, callback=self.watchdog.callback)
+                self.sim.run_until(segment_end, callback=watch)
             except Exception as exc:
                 if (not isinstance(exc, _RECOVERABLE)
                         and not hasattr(exc, "kernel_span")):
@@ -300,7 +315,7 @@ class ResilientRunner:
                         attempts = executor_strikes = 0
                 self._rollback(report)
                 continue
-            self.store.save(self.sim, kind="periodic")
+            self.store.save(self.sim)
             report.checkpoints += 1
             attempts = 0
             if (on_checkpoint is not None

@@ -80,9 +80,10 @@ from typing import Any, Callable
 from ..core.results import RunResult
 from ..gpu.device import A100_40GB, DeviceSpec
 from ..io.checkpoint import CheckpointStore, atomic_write
-from ..obs.log import EventLog
+from ..obs.log import EventLog, append_lines
 from ..resilience.runner import (ResilientRunner, RetryExhausted, RetryPolicy,
                                  RunReport)
+from .cache import GridCache
 from .oracle import JobCost, predict_cost
 from .spec import (TERMINAL_STATES, AdmissionError, JobCancelled, JobResult,
                    JobSpec, JobStatus, UnknownJobError, WorkerKilled)
@@ -103,7 +104,12 @@ class _JobFailed(RuntimeError):
 
 #: The :class:`JobStatus` fields a worker reports; the server owns the rest.
 _PROGRESS = ("steps_done", "checkpoints", "retries", "rollback_steps",
-             "degradations", "seconds")
+             "degradations", "seconds", "first_step_s")
+
+#: Bytes of built grids (arrays and index maps) each worker process keeps
+#: (:class:`~repro.serve.cache.GridCache`); the ledger's four served
+#: geometries hold about 6 MB.
+GRID_CACHE_BYTES = 32 << 20
 
 
 @dataclass
@@ -141,14 +147,17 @@ def _worker_main(conn, root: str, faults, inherited: list) -> None:
     and ``faults`` factory.  The server decides when it ends (sentinel,
     EOF, SIGKILL), so SIGINT is ignored.  The server's pipe ends it
     inherited — its own and those of the workers forked before it — are
-    closed here, so that EOF reaches it when the server hangs up.
+    closed here, so that EOF reaches it when the server hangs up.  The
+    worker keeps the grids its jobs built (:class:`GridCache`, under
+    :data:`GRID_CACHE_BYTES`): it starts cold, and only it holds them.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
+    grids = GridCache(GRID_CACHE_BYTES)
     try:
         while (job := conn.recv()) is not None:
-            conn.send(_serve_job(conn, root, faults, *job))
+            conn.send(_serve_job(conn, root, faults, grids, *job))
     except (EOFError, OSError):
         pass  # the server is gone
     finally:
@@ -161,11 +170,12 @@ def _hang_up(workers: list) -> None:
         worker.conn.close()
 
 
-def _serve_job(conn, root: str, faults, spec: JobSpec,
+def _serve_job(conn, root: str, faults, grids: GridCache, spec: JobSpec,
                st: JobStatus) -> tuple:
     """Worker-process body: run one job to its target in one runner run.
 
-    At each checkpoint boundary it sends ``("boundary", progress,
+    The job's grid comes from ``grids`` (a ``grid`` note says whether it
+    was cached).  At each checkpoint boundary it sends ``("boundary", progress,
     notes)`` and obeys the reply (``"go"``, ``"stop"``, ``"cancel"``).
     Returns ``("end", progress, notes, error, digest, run)``: ``error``
     is ``None`` when the job is done, else the exception that ended it —
@@ -191,12 +201,14 @@ def _serve_job(conn, root: str, faults, spec: JobSpec,
 
     runner = None
     try:
+        grid, cached = grids.get(spec.spec, spec.config.lattice)
+        notes.append(("note", {"message": "grid", "cached": cached}))
         store = CheckpointStore(
             os.path.join(job_dir(root, spec.job_id), CKPT_DIR), keep=3)
         policy = RetryPolicy(checkpoint_every=spec.checkpoint_every,
                              max_retries=spec.max_retries)
         runner = ResilientRunner(spec.spec, spec.config, policy=policy,
-                                 store=store,
+                                 store=store, grid=grid,
                                  faults=faults(spec) if faults else None)
         forwarded = 0  # report events already in ``notes``
         st.steps_done = runner.sim.steps_done
@@ -209,6 +221,9 @@ def _serve_job(conn, root: str, faults, spec: JobSpec,
                 data = dict(event)
                 notes.append(("resilience", {"event": data.pop("name"), **data}))
             forwarded = len(report.events)
+            if report.first_step_s is not None:
+                st.first_step_s = (before.first_step_s + run_start
+                                   + report.first_step_s)
             if runner.sim.steps_done == st.steps_done:
                 return  # no checkpoint since the last record
             st.steps_done = runner.sim.steps_done
@@ -228,6 +243,7 @@ def _serve_job(conn, root: str, faults, spec: JobSpec,
             if reply == "cancel":
                 raise JobCancelled(spec.job_id)
 
+        run_start = time.perf_counter() - t0
         try:
             run = runner.run(spec.steps - runner.sim.steps_done,
                              on_checkpoint=boundary)
@@ -523,14 +539,11 @@ class JobServer:
         write_job_state(job_dir(self.root, job.spec.job_id), state)
 
     def _flush_log(self, job: _Job) -> None:
-        """Append the job's new event lines to the shared sink."""
-        lines = job.log.lines[job.flushed_lines:]
-        if not lines:
+        """Append the job's new event lines to the shared sink, in one
+        ``write`` that first ends a line a killed server left torn."""
+        if len(job.log.lines) == job.flushed_lines:
             return
-        import json
-        with open(self._log_path, "a") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, sort_keys=True, default=str) + "\n")
+        append_lines(self._log_path, job.log.dump(job.flushed_lines))
         job.flushed_lines = len(job.log.lines)
 
     # -- the fair scheduler ----------------------------------------------------

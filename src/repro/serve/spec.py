@@ -139,8 +139,10 @@ class JobStatus:
     on restart, builds the :class:`JobResult` from it and derives the
     fleet tables from it.  ``seconds`` is wall time spent on workers,
     summed over restarts; ``queue_wait_s`` the time from admission to
-    dispatch, summed over requeues (``0.0`` in records written before
-    it existed).
+    dispatch, summed over requeues; ``first_step_s`` a worker's wall
+    time from receiving the job to its first completed step, summed over
+    the dispatches that completed one (each is ``0.0`` in records
+    written before it existed).
     """
 
     job_id: str
@@ -156,6 +158,7 @@ class JobStatus:
     restarts: int = 0
     seconds: float = 0.0
     queue_wait_s: float = 0.0
+    first_step_s: float = 0.0
     degradations: list = field(default_factory=list)
     error: str | None = None
 

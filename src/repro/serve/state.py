@@ -2,8 +2,8 @@
 
 Each job owns one directory under ``<root>/jobs/<job_id>/``::
 
-    job.json      -- the job's JobStatus (atomic tmp+replace, like the
-                     checkpoint manifest) plus its submission sequence
+    job.json      -- the job's JobStatus (atomic tmp+replace, like a
+                     checkpoint) plus its submission sequence
     payload.pkl   -- the whole JobSpec, pickled (domain masks and fusion
                      objects are not JSON-able)
     ckpt/         -- the job's CheckpointStore (atomic generations,
@@ -110,8 +110,8 @@ def fleet_tables(jobs: list[JobStatus]) -> dict:
     ``repro serve --summary`` (records read back from ``job.json``) build
     their tables here.  Progress counters sum over every job, finished
     or not; ``served_cost_us`` is the predicted cost of the ``done`` ones;
-    ``wall_seconds`` and ``queue_wait_s`` are the tenant's service and
-    queueing time.
+    ``wall_seconds``, ``queue_wait_s`` and ``first_step_s`` are the
+    tenant's service, queueing and time-to-first-step seconds.
     """
     states: dict[str, int] = {}
     tenants: dict[str, dict] = {}
@@ -122,7 +122,8 @@ def fleet_tables(jobs: list[JobStatus]) -> dict:
             "restarts": 0, "retries": 0, "rollback_steps": 0,
             "degradations": 0, "checkpoints": 0,
             "predicted_cost_us": 0.0, "served_cost_us": 0.0,
-            "wall_seconds": 0.0, "queue_wait_s": 0.0, "steps_done": 0,
+            "wall_seconds": 0.0, "queue_wait_s": 0.0, "first_step_s": 0.0,
+            "steps_done": 0,
         })
         t["submitted"] += 1
         if job.state in TERMINAL_STATES:
@@ -133,6 +134,7 @@ def fleet_tables(jobs: list[JobStatus]) -> dict:
         t["degradations"] += len(job.degradations)
         t["wall_seconds"] += job.seconds
         t["queue_wait_s"] += job.queue_wait_s
+        t["first_step_s"] += job.first_step_s
         if job.state == "done":
             t["served_cost_us"] += job.predicted_cost_us
     return {"jobs_total": len(jobs), "states": states,

@@ -65,6 +65,7 @@ class TestConstruction:
         assert all(isinstance(h, LazyBody) and h._body is None
                    for h in handles)
         assert eng._maps == [{} for _ in eng.levels]
+        assert all(cl.maps == {} for cl in eng.mgrid.levels)
 
     def test_the_pull_table_is_the_grids(self):
         # one table per level, frozen from birth: the engine neither
@@ -110,6 +111,26 @@ class TestConstruction:
 
 
 class TestInitialize:
+    @pytest.mark.parametrize("lattice,base", [("D2Q9", (16, 16)),
+                                              ("D3Q19", (8, 8, 8)),
+                                              ("D3Q27", (8, 8, 8))])
+    @pytest.mark.parametrize("rho", [1.0, 0.9731])
+    def test_rest_state_is_the_equilibrium_bit_for_bit(self, lattice, base, rho):
+        # at rest with a scalar density initialize writes w * rho without
+        # the equilibrium's GEMMs: the same bits
+        from repro.bench.workloads import lid_cavity
+        from repro.core.collision import equilibrium
+        from repro.core.lattice import get_lattice
+        lat = get_lattice(lattice)
+        eng = Engine(build_multigrid(lid_cavity(base=base, num_levels=2,
+                                                lattice=lattice).spec, lat))
+        eng.initialize(rho)
+        for buf in eng.levels:
+            want = equilibrium(lat, np.full(buf.n_owned, rho),
+                               np.zeros((lat.d, buf.n_owned)))
+            assert want.tobytes() == buf.f.tobytes()
+            assert not buf.ghost_acc.any()
+
     def test_rest_equilibrium(self):
         eng = make_engine()
         lat = eng.lat
@@ -533,7 +554,7 @@ class TestKernelBodies:
             parent, fine = engine.levels[lv - 1], engine.levels[lv]
             ng = parent.ghost_acc.shape[1]
             engine._accumulate(lv, "scatter")
-            bins, src = engine._maps[lv]["acc"]
+            bins, src = engine.mgrid.levels[lv].maps["acc"]
             # the textbook's entries, q-major: (bin, source) pairs, all distinct
             full = np.stack([(np.arange(Q)[:, None] * ng
                               + parent.acc_ghost_rows).ravel(),

@@ -386,7 +386,7 @@ def index_tables(sim):
                              sim.engine._maps):
         per_cell = sim.lattice.q * cl.n_owned
         held = [*vars(cl).values(), *vars(cl.grid).values(),
-                *vars(buf).values(), *maps.values()]
+                *vars(buf).values(), *cl.maps.values(), *maps.values()]
         while held:
             arr = held.pop()
             if isinstance(arr, tuple):      # the flat maps come in tuples
@@ -461,7 +461,7 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
             assert table.dtype == np.int32 and not table.flags.writeable
         # declared atomic bytes are the entries the bound bodies gather
         plan = next(iter(sim.backend.plans.values()))
-        gathered = sum(sim.engine._maps[r.level]["acc"][1].size
+        gathered = sum(sim.mgrid.levels[r.level].maps["acc"][1].size
                        for r in plan.records if r.atomic_bytes)
         assert sum(r.atomic_bytes for r in plan.records) \
             == sim.engine.itemsize * gathered == 5_345_280
@@ -501,13 +501,13 @@ def test_every_index_array_is_int32_and_the_grids(setup, cfg):
         sim.run(1)                          # binds every body, builds every map
         grid_arrays = {id(a) for cl in sim.mgrid.levels for a in vars(cl).values()
                        if isinstance(a, np.ndarray)}
-        for cl, buf, maps in zip(sim.mgrid.levels, sim.engine.levels,
-                                 sim.engine._maps):
+        for cl, buf in zip(sim.mgrid.levels, sim.engine.levels):
             assert not hasattr(cl, "kind")
             held = [(f"grid.{k}", a, np.int32) for k, a in vars(cl.grid).items()
                     if k != "bitmask_words"]
             held += [(f"level.{k}", a, np.int32) for k, a in vars(cl).items()]
-            held += [(f"maps.{k}", a, np.intp) for k, a in maps.items() if k != "pull"]
+            held += [(f"maps.{k}", a, np.intp) for k, a in cl.maps.items()
+                     if k != "pull"]
             while held:
                 name, a, width = held.pop()
                 if isinstance(a, tuple):    # the flat maps come in tuples

@@ -18,7 +18,7 @@ from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinem
 from repro.grid.multigrid import (_FACE_KINDS, _PRECEDENCE, DomainBC, FaceBC,
                                   RefinementSpec, _dilate, _face_names,
                                   _owner_labels, _upsample2, _validate_spec,
-                                  build_multigrid, iter_pull_rows)
+                                  build_multigrid, iter_pull_rows, spec_digest)
 from repro.grid.sparse_grid import BlockSparseGrid
 
 
@@ -752,6 +752,29 @@ WITNESS = {
     "sphere-s0.5":
         "ea2ddaea1e0ea4c684d53e35811d0c494c403f9ba70328c4edd2e806f2e50676",
 }
+
+
+def test_spec_digest_names_the_grid():
+    # equal content in other objects: one digest, recorded on the grid;
+    # anything a compile reads moves it
+    def spec(**kw):
+        return dataclasses.replace(lid_cavity(base=(16, 16), num_levels=3,
+                                              lattice="D2Q9").spec, **kw)
+
+    base = spec_digest(spec(), D2Q9)
+    assert spec_digest(spec(), "D2Q9") == base
+    assert build_multigrid(spec(), D2Q9).digest == base
+    region = spec().refine_regions[1].copy()
+    region[region.nonzero()[0][0], region.nonzero()[1][0]] = False
+    solid = np.zeros(spec().level_shape(2), dtype=bool)
+    variants = [spec(refine_regions=spec().refine_regions[:1] + [region]),
+                spec(solid=solid), spec(block_size=8), spec(curve="hilbert"),
+                spec(bc=DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})),
+                spec(base_shape=(16, 17))]
+    digests = {spec_digest(v, D2Q9) for v in variants}
+    assert base not in digests and len(digests) == len(variants)
+    wl = lid_cavity(base=(8, 8, 8), num_levels=2)
+    assert spec_digest(wl.spec, D3Q19) != spec_digest(wl.spec, D3Q27)
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS))

@@ -346,6 +346,25 @@ class TestEventLog:
         assert len(runs["a"]) == 1 and len(runs["b"]) == 2
         assert validate_log(lines) == []
 
+    def test_append_terminates_a_torn_tail(self, tmp_path, monkeypatch):
+        # a writer killed mid-line: the next append ends that line first,
+        # in its one write, so only the fragment is lost
+        p = tmp_path / "events.jsonl"
+        p.write_text('{"v": 1, "ru')
+        log = EventLog(run_id="a")
+        log.note("one")
+        log.note("two")
+        writes = []
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: (
+            writes.append(bytes(data)), real_write(fd, data))[1])
+        log.write(str(p))
+        assert writes == [b"\n" + log.dump().encode()]
+        lines = read_log(str(p))
+        assert [ln["data"]["message"] for ln in lines] == ["one", "two"]
+        log.write(str(p))                   # a whole tail is left alone
+        assert len(p.read_text().splitlines()) == 5
+
     def test_validate_flags_corruption(self):
         log = EventLog(run_id="a")
         log.note("fine")

@@ -152,9 +152,9 @@ class TestCheckpointStore:
             sim.run(2)
             store.save(sim)
         assert store.steps() == [4, 6]
-        entries = store.manifest()["entries"]
-        assert [e["step"] for e in entries] == [4, 6]
-        assert entries[-1]["config"]["lattice"] == "D2Q9"
+        # the listing is the index: the generations and nothing else
+        assert sorted(os.listdir(store.directory)) == [
+            "ckpt_00000004.npz", "ckpt_00000006.npz"]
 
     def test_restore_specific_generation(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
@@ -223,8 +223,8 @@ class TestCheckpointStore:
 
     def test_rollback_then_resave_drops_abandoned_timeline(self, tmp_path):
         # PR-9 regression: a save below existing generations used to
-        # leave the rolled-back-past checkpoints on disk and in the
-        # manifest, so restore_latest resurrected abandoned state.
+        # leave the rolled-back-past checkpoints on disk, so
+        # restore_latest resurrected abandoned state.
         sim = Simulation.from_config(cavity_spec(),
                                      cavity_config(threaded=False))
         store = CheckpointStore(tmp_path / "ck", keep=3)
@@ -237,25 +237,30 @@ class TestCheckpointStore:
         sim.run(1)                          # new timeline from step 2
         store.save(sim)                     # step 3 is now the head
         assert store.steps() == [2, 3]
-        assert [e["step"] for e in store.manifest()["entries"]] == [2, 3]
         other = Simulation.from_config(cavity_spec(),
                                        cavity_config(threaded=False))
         assert store.restore_latest(other) == 3
         assert other.steps_done == 3
 
-    def test_lost_manifest_keeps_fallback_generations(self, tmp_path):
-        # PR-9 regression: with the manifest gone, pruning used to keep
-        # only the step just saved and delete every fallback generation.
+    def test_a_new_store_keeps_the_fallback_generations(self, tmp_path):
+        # PR-9 regression: a store that had lost its record of earlier
+        # saves used to keep only the step just saved and delete every
+        # fallback generation.  Pruning reads the listing, so a store
+        # opened afresh on the directory (a restarted process) counts
+        # the generations it finds there.
         sim = Simulation.from_config(cavity_spec(),
                                      cavity_config(threaded=False))
         store = CheckpointStore(tmp_path / "ck", keep=3)
         for _ in range(2):
             sim.run(2)
             store.save(sim)                 # steps 2, 4
-        os.unlink(os.path.join(store.directory, CheckpointStore.MANIFEST))
+        store = CheckpointStore(store.directory, keep=3)
         sim.run(2)
-        store.save(sim)                     # step 6, manifest rebuilt
+        store.save(sim)                     # step 6
         assert store.steps() == [2, 4, 6]
+        sim.run(2)
+        store.save(sim)                     # step 8: keep-3 holds
+        assert store.steps() == [4, 6, 8]
 
     def test_restore_latest_tolerates_prune_racing_restore(self, tmp_path,
                                                            monkeypatch):
@@ -287,34 +292,33 @@ class TestCheckpointStore:
                      if n.endswith(".tmp")]
         assert leftovers == []
 
-    def test_failed_manifest_write_keeps_the_old_manifest(self, tmp_path,
-                                                          monkeypatch):
+    def test_failed_save_keeps_the_old_generations(self, tmp_path,
+                                                   monkeypatch):
         sim = Simulation.from_config(cavity_spec(),
                                      cavity_config(threaded=False))
-        store = CheckpointStore(tmp_path / "ck")
+        store = CheckpointStore(tmp_path / "ck", keep=2)
         sim.run(1)
         store.save(sim)
-        manifest = Path(store.directory, CheckpointStore.MANIFEST)
-        before = manifest.read_bytes()
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(
             stat.S_ISDIR(os.fstat(fd).st_mode)), real_fsync(fd))[1])
         sim.run(1)
-        store.save(sim)                     # the checkpoint and the manifest
-        assert synced == [False, True] * 2  # each file, then its directory
-        after = manifest.read_bytes()
-        assert after != before
+        store.save(sim)                     # one durable write per save
+        assert synced == [False, True]      # the file, then its directory
+        before = {name: Path(store.directory, name).read_bytes()
+                  for name in os.listdir(store.directory)}
+        assert sorted(before) == ["ckpt_00000001.npz", "ckpt_00000002.npz"]
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr("json.dump", boom)
+        monkeypatch.setattr(np, "savez", boom)
         sim.run(1)
         with pytest.raises(OSError, match="disk full"):
-            store.save(sim)
-        assert manifest.read_bytes() == after
-        assert not [n for n in os.listdir(store.directory) if n.endswith(".tmp")]
+            store.save(sim)                 # step 3 would prune step 1
+        assert {name: Path(store.directory, name).read_bytes()
+                for name in os.listdir(store.directory)} == before
 
     def test_atomic_write_syncs_the_directory_after_the_rename(self, tmp_path,
                                                                monkeypatch):
@@ -464,7 +468,8 @@ def test_runner_uses_provided_store_directory(tmp_path):
                          policy=RetryPolicy(checkpoint_every=2)) as runner:
         runner.run(4)
         assert runner.store.steps()  # persisted under the given directory
-        assert (tmp_path / "ck" / "manifest.json").exists()
+        assert sorted(os.listdir(tmp_path / "ck")) == [
+            f"ckpt_{s:08d}.npz" for s in runner.store.steps()]
 
 
 def test_runner_resumes_from_the_newest_generation(tmp_path):

@@ -431,6 +431,27 @@ class TestRestartResume:
         assert "survivor" in started
         assert res.state_digest == serial_digest(spec)
 
+    def test_restart_terminates_a_torn_log_tail(self, tmp_path):
+        # A server killed mid-append leaves a line without its newline;
+        # the next server's first line must not run on from it.
+        async def serve(job):
+            async with JobServer(str(tmp_path), workers=1) as srv:
+                await srv.submit(job)
+                await srv.drain()
+
+        asyncio.run(serve(cavity_job(steps=2, job_id="before")))
+        sink = tmp_path / "events.jsonl"
+        with open(sink, "a") as fh:
+            fh.write('{"v": 1, "run": {"id": "bef')         # torn
+        asyncio.run(serve(cavity_job(steps=2, job_id="after")))
+        raw = sink.read_text().splitlines()
+        torn = next(i for i, line in enumerate(raw) if line.endswith('"bef'))
+        first_new = json.loads(raw[torn + 1])
+        assert first_new["run"]["id"] == "after"
+        assert first_new["kind"] == "meta"
+        lines = read_log(str(sink))
+        assert len(lines) == len(raw) - 1 and not validate_log(lines)
+
     def test_fleet_summary_written_and_readable(self, tmp_path):
         async def run():
             async with JobServer(str(tmp_path), workers=2) as srv:
@@ -765,3 +786,137 @@ class TestWorkerProcesses:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               timeout=60, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+#: The served geometries of the ledger's ``serve-flood`` (base, levels,
+#: lattice), each served at two Reynolds numbers.
+SERVED_GEOMETRIES = [((48, 48), 3, "D2Q9"), ((64, 64), 3, "D2Q9"),
+                     ((96, 96), 2, "D2Q9"), ((12, 12, 12), 2, "D3Q19")]
+
+
+def served_job(base, levels, lattice, reynolds, job_id="", steps=3):
+    wl = lid_cavity(base=base, num_levels=levels, lattice=lattice,
+                    reynolds=reynolds)
+    return JobSpec(spec=wl.spec, steps=steps, checkpoint_every=2,
+                   config=wl.sim_config(fusion="ours-4f", backend="compiled"),
+                   job_id=job_id)
+
+
+class TestGridCache:
+    """A worker builds each geometry once: grid, index maps and admission
+    verdict outlive the job; the answer does not change."""
+
+    def test_hit_gives_the_direct_run_digest(self, tmp_path):
+        jobs = [served_job(*g, reynolds=re, job_id=f"g{k}-re{re:.0f}")
+                for k, g in enumerate(SERVED_GEOMETRIES) for re in (90.0, 115.0)]
+
+        async def run():
+            async with JobServer(str(tmp_path), workers=1) as srv:
+                for job in jobs:
+                    await srv.submit(job)
+                await srv.drain()
+                return [await srv.result(j.job_id) for j in jobs], srv.fleet_summary()
+
+        results, live = asyncio.run(asyncio.wait_for(run(), 300))
+        runs = split_runs(read_log(str(tmp_path / "events.jsonl")))
+        for job, res in zip(jobs, results):
+            assert res.state == "done"
+            assert res.state_digest == serial_digest(job), job.job_id
+            grid = [l["data"]["cached"] for l in runs[job.job_id]
+                    if l["kind"] == "note" and l["data"]["message"] == "grid"]
+            assert grid == [job.job_id.endswith("re115")], job.job_id
+            assert 0 < res.first_step_s < res.seconds
+        # time to first step is in job.json and summed per tenant
+        disk = summary_from_disk(str(tmp_path))
+        assert ([j["first_step_s"] for j in disk["jobs"]]
+                == [r.first_step_s for r in results])
+        assert (disk["tenants"]["default"]["first_step_s"]
+                == live["tenants"]["default"]["first_step_s"]
+                == pytest.approx(sum(r.first_step_s for r in results)))
+
+    def test_poisoned_entry_is_rebuilt(self):
+        from repro.serve.cache import GridCache
+        job = served_job((24, 24), 2, "D2Q9", 100.0)
+        cache = GridCache(1 << 30)
+        grid, cached = cache.get(job.spec, "D2Q9")
+        again, hit = cache.get(job.spec, "D2Q9")
+        assert not cached and hit and again is grid
+        grid.levels[0].coal_cell[0] += 1                   # poisoned
+        fresh, cached = cache.get(job.spec, "D2Q9")
+        assert not cached and fresh is not grid and len(cache) == 1
+        again, hit = cache.get(job.spec, "D2Q9")
+        assert hit and again is fresh
+        with Simulation.from_config(job.spec, job.config, grid=fresh) as sim:
+            sim.run(job.steps)
+            assert state_digest(sim) == serial_digest(job)
+
+    def test_eviction_under_the_budget(self):
+        from repro.serve.cache import GridCache, grid_nbytes
+        specs = [served_job((n, n), 2, "D2Q9", 100.0).spec for n in (16, 20, 24)]
+        probe = GridCache(0)
+        sizes = [grid_nbytes(probe.get(s, "D2Q9")[0]) for s in specs]
+        assert len(probe) == 1                              # newest stays
+        cache = GridCache(sizes[1] + sizes[2])
+        for s in specs:
+            cache.get(s, "D2Q9")
+        assert len(cache) == 2
+        assert cache.nbytes() == sizes[1] + sizes[2] <= cache.budget_bytes
+        assert cache.get(specs[0], "D2Q9")[1] is False     # the LRU one left
+        assert cache.get(specs[2], "D2Q9")[1] is True
+
+    def test_verdict_reused_across_viscosities_not_fusion_configs(
+            self, monkeypatch):
+        import repro.backend.compiler as compiler
+        from repro.grid.multigrid import build_multigrid
+        job = served_job((24, 24), 2, "D2Q9", 100.0)
+        proofs = []
+        prove = compiler.prove_plan_legality
+        monkeypatch.setattr(compiler, "prove_plan_legality",
+                            lambda *a, **kw: proofs.append(1) or prove(*a, **kw))
+        grid = build_multigrid(job.spec, Simulation.from_config(
+            job.spec, job.config).lattice)
+
+        def digest(grid, **overrides):
+            config = job.config.replace(**overrides)
+            with Simulation.from_config(job.spec, config, grid=grid) as sim:
+                sim.run(2)
+                return state_digest(sim)
+
+        for viscosity in (0.05, 0.02, 0.01):
+            assert digest(grid, viscosity=viscosity) == digest(
+                None, viscosity=viscosity)
+        # one proof for the cached grid's three jobs, one per direct run
+        assert len(proofs) == 1 + 3 and len(grid.verdicts) == 1
+        digest(grid, fusion="baseline-4b")
+        assert len(proofs) == 5 and len(grid.verdicts) == 2
+
+    def test_a_stale_verdict_runs_full_admission(self):
+        from repro.analysis.certificate import stream_digest
+        from repro.backend.compiler import admit_stream
+        from repro.grid.multigrid import build_multigrid
+        job = served_job((24, 24), 2, "D2Q9", 100.0)
+        sim = Simulation.from_config(job.spec, job.config)
+        plan, lint = admit_stream(sim.stepper)
+        (key, (cert, _)), = sim.mgrid.verdicts.items()
+        sim.mgrid.verdicts[key] = ({**cert, "stream_digest": "0" * 64}, lint)
+        again, _ = admit_stream(sim.stepper)
+        assert again.digest == stream_digest(again.records) == plan.digest
+        assert sim.mgrid.verdicts[key][0]["stream_digest"] == plan.digest
+        assert build_multigrid(job.spec, sim.lattice).verdicts == {}
+
+    def test_grid_of_another_spec_or_lattice_is_refused(self):
+        a = served_job((24, 24), 2, "D2Q9", 100.0)
+        b = served_job((20, 20), 2, "D2Q9", 100.0)
+        with Simulation.from_config(a.spec, a.config) as sim:
+            with pytest.raises(ValueError, match="another spec or lattice"):
+                Simulation.from_config(b.spec, b.config, grid=sim.mgrid)
+            # equal content in another object is the same grid
+            twin = served_job((24, 24), 2, "D2Q9", 60.0)
+            with Simulation.from_config(twin.spec, twin.config,
+                                        grid=sim.mgrid) as other:
+                assert other.mgrid is sim.mgrid
+        cube = served_job((8, 8, 8), 2, "D3Q19", 100.0)
+        with Simulation.from_config(cube.spec, cube.config) as sim:
+            with pytest.raises(ValueError, match="another spec or lattice"):
+                Simulation.from_config(cube.spec, cube.config.replace(
+                    lattice="D3Q27"), grid=sim.mgrid)
