@@ -53,8 +53,10 @@ test-blas:
 # stream addresses (every level collides and streams in place, checked
 # against the two-buffer textbook bodies); and the grid
 # compile's tracemalloc peak over its result (half sphere, anchor: each
-# level's dense tables are locals of its compile).  Under 30 s; also part
-# of `make test`.
+# level's dense tables are locals of its compile).  The heap tests assert
+# through gpu.memory.memory_ledger, the one walker over the grid's and the
+# engine's arrays, which must be within 2 % of the steady heap.  Under
+# 30 s; also part of `make test`.
 mem-check:
 	$(PYTHON) -m pytest -x -q tests/test_live_state.py \
 		"tests/test_multigrid.py::TestCompileMemory" \
@@ -107,24 +109,31 @@ analysis:
 
 # Telemetry run on the Fig. 2 golden cavity, fused and unfused: Perfetto
 # trace (re-read and validated), run report (metrics + roofline + lint +
-# certificate digest, text/HTML/JSON) and event log.  Each run must
-# launch the paper's kernel count per coarse step: 10 for ours-4f, 29 for
-# baseline-4b.
+# certificate digest, text/HTML/JSON), event log and memory ledger.  Each
+# run must launch the paper's kernel count per coarse step: 10 for ours-4f,
+# 29 for baseline-4b; each report's memory section must hold populations
+# and its family bytes must sum to its total.
 report:
 	$(PYTHON) -m repro report --workload cavity2d --config ours-4f \
 		--out-dir report-artifacts
 	$(PYTHON) -m repro report --workload cavity2d --config baseline-4b \
 		--out-dir report-artifacts
 	$(PYTHON) -c "import json; \
-		k = {c: set(json.load(open(f'report-artifacts/report_cavity2d_{c}.json'))['kernels_per_step']) \
+		r = {c: json.load(open(f'report-artifacts/report_cavity2d_{c}.json')) \
 		     for c in ('ours-4f', 'baseline-4b')}; \
+		k = {c: set(v['kernels_per_step']) for c, v in r.items()}; \
 		assert k == {'ours-4f': {10}, 'baseline-4b': {29}}, k; \
-		print('kernels/step:', k)"
+		m = {c: v['memory'] for c, v in r.items()}; \
+		assert all(sum(n for lv in v['levels'] for n in lv.values()) == v['total'] \
+		           and sum(lv.get('populations', 0) for lv in v['levels']) > 0 \
+		           for v in m.values()), m; \
+		print('kernels/step:', k, 'memory total:', {c: v['total'] for c, v in m.items()})"
 
 # Fault matrix: inject NaN / kernel / OOM faults into every fusion
 # config on compiled plan replay, serial and threaded, and require
-# bit-identical recovery, zero plan_fallback_steps and visible telemetry
-# (retries_total, rollback events).  Exit status gates.
+# bit-identical recovery, zero plan_fallback_steps and a visible trail in
+# each run's report (RunReport.retries, its rollback events).  Exit status
+# gates.
 resilience-check:
 	$(PYTHON) -m repro resilience --out-dir resilience-artifacts
 

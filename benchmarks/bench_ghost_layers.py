@@ -13,7 +13,7 @@ from conftest import run_once
 
 from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.simulation import Simulation
-from repro.gpu.memory import ghost_layer_bytes, grid_memory_report
+from repro.gpu.memory import grid_memory_report
 from repro.io.tables import format_table
 from repro.obs import write_bench_json
 
@@ -34,15 +34,14 @@ def test_ghost_layer_memory(benchmark, report):
 
     rows = []
     for name, mgrid in grids:
-        gb = ghost_layer_bytes(mgrid)
-        total_opt = grid_memory_report(mgrid, scheme="optimized").total
-        total_orig = grid_memory_report(mgrid, scheme="original").total
-        rows.append([name, gb["original"] / 1e6, gb["optimized"] / 1e6,
-                     gb["original"] / max(gb["optimized"], 1),
-                     total_orig / total_opt])
+        opt = grid_memory_report(mgrid, scheme="optimized")
+        orig = grid_memory_report(mgrid, scheme="original")
+        ghost_opt, ghost_orig = opt.ghost_accumulators, orig.ghost_populations
+        rows.append([name, ghost_orig / 1e6, ghost_opt / 1e6,
+                     ghost_orig / max(ghost_opt, 1), orig.total / opt.total])
         # the optimized layout always needs (much) less ghost memory
-        assert gb["optimized"] * 3 <= gb["original"]
-        assert total_opt < total_orig
+        assert ghost_opt * 3 <= ghost_orig
+        assert opt.total < orig.total
     report("", format_table(
         ["Workload", "Ghost 4a (MB)", "Ghost 4b (MB)", "Ghost ratio",
          "Total ratio"],

@@ -18,7 +18,8 @@ from ..grid.geometry import (AirplaneProxy, Shape, Sphere, enforce_shell_separat
                              shell_refinement, voxelize, wall_refinement)
 from ..grid.multigrid import DomainBC, FaceBC, RefinementSpec
 
-__all__ = ["Workload", "lid_cavity", "sphere_tunnel", "airplane_tunnel",
+__all__ = ["Workload", "lid_cavity", "sphere_tunnel", "cylinder_channel",
+           "airplane_tunnel",
            "TABLE1_SIZES", "TABLE1_DISTRIBUTIONS", "ALL_CONFIGS",
            "SMALL_WORKLOADS"]
 
@@ -142,6 +143,41 @@ def sphere_tunnel(finest_shape: tuple[int, int, int] = TABLE1_SIZES[0],
         char_velocity=inlet_speed, reynolds=reynolds,
         description="flow over a sphere in a virtual wind tunnel",
         obstacle=sphere)
+
+
+def cylinder_channel(reynolds: float = 20.0, blockage: float = 0.25,
+                     num_levels: int = 3) -> Workload:
+    """Flow past a circular cylinder in a 2-D channel, the usual validation
+    case of LBM codes with refinement; D2Q9 BGK.
+
+    The cylinder, ``D = 8`` coarse cells across, sits on the channel's
+    centre line a quarter of the way downstream; the channel is
+    ``D / blockage`` high and four times as long.  Uniform inlet at
+    ``U = 0.05`` at x-, outflow at x+, free-slip sides, so the domain is
+    mirror symmetric about the centre line.  Shells of width
+    ``1.2 D / 2^k`` refine around the body.  ``reynolds = U D / nu`` with
+    ``D`` and ``nu`` in coarse units.
+    """
+    diameter, inlet_speed = 8, 0.05
+    fine_factor = 2 ** (num_levels - 1)
+    height = int(round(diameter / blockage))
+    base = (4 * height, height)
+    cylinder = Sphere((base[0] / 4.0, base[1] / 2.0), diameter / 2.0)
+    widths = enforce_shell_separation([1.2 * diameter / 2 ** k
+                                       for k in range(num_levels - 1)])
+    regions = shell_refinement(cylinder, base, num_levels, widths) if num_levels > 1 else []
+    solid = voxelize(cylinder, tuple(s * fine_factor for s in base), num_levels - 1)
+    bc = DomainBC({"x-": FaceBC("inlet", velocity=(inlet_speed, 0.0)),
+                   "x+": FaceBC("outflow"), "y-": FaceBC("slip"), "y+": FaceBC("slip")})
+    return Workload(
+        name=f"cylinder-re{reynolds:g}-b{blockage:g}-L{num_levels}",
+        spec=RefinementSpec(base_shape=base, refine_regions=regions, solid=solid,
+                            bc=bc, block_size=4),
+        lattice="D2Q9", collision="bgk",
+        viscosity=inlet_speed * diameter / reynolds,
+        char_velocity=inlet_speed, reynolds=reynolds,
+        description="flow past a cylinder in a slip-walled channel",
+        obstacle=cylinder)
 
 
 def airplane_geometry(finest_shape: tuple[int, int, int] = (1596, 840, 840),

@@ -147,11 +147,11 @@ class Engine:
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
-        #: Per level, the in-place stream's scratch, ``("scratch", parts)``
-        #: -> ``(parts, G, n_owned)``, built when the first stream body
-        #: binds there: state, so the engine's, while the flat index maps
-        #: live on the grid (see :meth:`_map`).
-        self._maps: list[dict] = [{} for _ in self.levels]
+        #: Per level, the in-place stream's scratch, ``parts -> (parts, G,
+        #: n_owned)``, built when the first stream body binds there: state,
+        #: so the engine's, while the flat index maps live on the grid (see
+        #: :meth:`_map`).
+        self.scratch: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
@@ -458,10 +458,9 @@ class Engine:
         groups = sorted(self._map(lv, "groups", lambda: tuple(pull_groups(
             self.mgrid.levels[lv], self.lat))), key=len, reverse=True)
         width = min(len(self.split_cuts(lv)) - 1, len(groups))
-        key = ("scratch", width)
-        scratch = self._maps[lv].get(key)
+        scratch = self.scratch[lv].get(width)
         if scratch is None:
-            scratch = self._maps[lv][key] = np.empty((width, len(groups[0]), n))
+            scratch = self.scratch[lv][width] = np.empty((width, len(groups[0]), n))
         parts = [in_place(groups[k::width], scratch[k]) for k in range(width)]
         pull = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 

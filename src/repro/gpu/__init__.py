@@ -4,8 +4,7 @@ from .costmodel import (FLOPS_PER_CELL, KernelCost, TraceCost, cost_trace,
                         device_records, kernel_time_us, predicted_mlups)
 from .device import (A100_40GB, A100_80GB, CPU_XEON_32C, V100_32GB, DeviceSpec,
                      get_device)
-from .memory import (DeviceOOMError, MemoryReport, ensure_fits,
-                     ghost_layer_bytes, grid_memory_report, index_bytes,
+from .memory import (DeviceOOMError, MemoryReport, grid_memory_report, index_bytes,
                      mc_level_counts, refined_memory_bytes, uniform_aa_max_cube,
                      uniform_memory_bytes)
 
@@ -14,8 +13,7 @@ __all__ = [
     "kernel_time_us", "predicted_mlups",
     "A100_40GB", "A100_80GB", "CPU_XEON_32C", "V100_32GB", "DeviceSpec",
     "get_device",
-    "DeviceOOMError", "ensure_fits",
-    "MemoryReport", "ghost_layer_bytes", "grid_memory_report", "index_bytes",
+    "DeviceOOMError", "MemoryReport", "grid_memory_report", "index_bytes",
     "mc_level_counts",
     "refined_memory_bytes", "uniform_aa_max_cube", "uniform_memory_bytes",
 ]

@@ -14,6 +14,9 @@ Two accounting paths:
 The uniform-grid comparison implements the AA-method accounting [7]:
 a single population buffer, which is the most memory-frugal uniform
 layout — the paper's ~794^3 capacity bound for a 40 GB device.
+
+What a grid or an engine holds is walked by :func:`memory_arrays` and
+summed by level and family in :func:`memory_ledger`.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import numpy as np
 
 from ..grid.bitmask import words_per_block
 from ..grid.geometry import Shape
-from ..grid.multigrid import MultiGrid
+from ..grid.multigrid import MultiGrid, compile_arrays
 from .device import DeviceSpec
 
 __all__ = [
-    "DeviceOOMError", "ensure_fits",
-    "MemoryReport", "grid_memory_report", "ghost_layer_bytes", "index_bytes",
+    "DeviceOOMError", "MemoryReport", "grid_memory_report", "index_bytes",
+    "memory_arrays", "memory_ledger",
     "uniform_memory_bytes", "uniform_aa_max_cube",
     "mc_level_counts", "refined_memory_bytes",
 ]
@@ -38,11 +41,10 @@ __all__ = [
 class DeviceOOMError(MemoryError):
     """A (modelled) device allocation does not fit the card.
 
-    Raised by :func:`ensure_fits` when a compiled grid's footprint
-    exceeds the device capacity, and by the resilience fault injector to
-    simulate a mid-run allocation failure (the way fragmentation or a
-    co-tenant process kills long GPU runs in production).  Carries the
-    byte counts so recovery policies and reports can show headroom.
+    Raised by the resilience fault injector to simulate a mid-run
+    allocation failure (the way fragmentation or a co-tenant process
+    kills long GPU runs in production).  Carries the byte counts so
+    recovery policies and reports can show headroom.
     """
 
     def __init__(self, message: str, *, requested: int = 0,
@@ -50,15 +52,6 @@ class DeviceOOMError(MemoryError):
         super().__init__(message)
         self.requested = int(requested)
         self.capacity = int(capacity)
-
-
-def ensure_fits(report: "MemoryReport", device: DeviceSpec) -> None:
-    """Raise :class:`DeviceOOMError` unless ``report`` fits ``device``."""
-    if not report.fits(device):
-        raise DeviceOOMError(
-            f"grid needs {report.total / 2**30:.2f} GiB but {device.name} "
-            f"has {device.capacity_bytes / 2**30:.2f} GiB",
-            requested=report.total, capacity=device.capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,9 @@ def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
     terms and outflow values, uint64 bitmask words.  ``pull`` (``Q``
     entries per owned cell) dominates; ``blocks`` is the block-sparse
     structure :func:`grid_memory_report` prices as ``metadata``, plus the
-    host's dense block table.  The engine shares these arrays; its own
-    flat gather maps depend on the kernels bound and are not counted.
+    host's dense block table.  The engine shares these arrays; the flat
+    maps its bodies build depend on the kernels bound, so only
+    :func:`memory_ledger` counts them (``maps``).
     """
     q, d = mgrid.lattice.q, mgrid.d
     out = dict.fromkeys(("pull", "cells", "boundary", "explosion", "coalescence",
@@ -144,14 +138,77 @@ def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
     return out
 
 
-def ghost_layer_bytes(mgrid: MultiGrid, itemsize: int = 8) -> dict[str, int]:
-    """Ghost-only bytes of both schemes — the Section IV-A comparison."""
-    q = mgrid.lattice.q
-    return {
-        "optimized": sum(lv.n_ghost * q * itemsize for lv in mgrid.levels),
-        "original": sum(_pop_bytes(lv.fine_ghost_slots.size, q, itemsize)
-                        for lv in mgrid.levels),
-    }
+#: The :func:`index_bytes` family of each array the grid compile keeps, by
+#: attribute-name prefix (``CompiledLevel`` and its ``BlockSparseGrid``).
+_INDEX_PREFIXES = {
+    "pull": ("pull_flat",), "cells": ("owned_slots", "ghost_slots", "fine_ghost_slots"),
+    "boundary": ("bb_", "sb_", "mov_", "out_", "sl_"),
+    "explosion": ("exp_", "fg_coarse_rows"), "coalescence": ("coal_",),
+    "accumulate": ("acc_",), "blocks": ("block_", "bitmask_words", "_local")}
+
+#: The engine's per-level state, by :class:`~repro.core.engine.LevelBuffers`
+#: attribute; its other arrays are the grid's own.
+_STATE_FAMILIES = {"f": "populations", "ghost_acc": "ghost_accumulators",
+                   "fghost": "fine_ghosts"}
+
+
+def _family(name: str) -> str:
+    return _STATE_FAMILIES.get(name) or next(
+        f for f, prefixes in _INDEX_PREFIXES.items() if name.startswith(prefixes))
+
+
+def _allocation(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory behind ``arr`` (``arr`` if not a view)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _arrays(value):
+    """Every array in ``value``, nested in tuples (the flat maps' shape)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    for item in value if isinstance(value, tuple) else ():
+        yield from _arrays(item)
+
+
+def memory_arrays(obj):
+    """``(level, family, name, array)`` once per allocation that a
+    :class:`MultiGrid` or an :class:`~repro.core.engine.Engine` holds.
+
+    Owners in order: the grid compile (the :func:`index_bytes` families),
+    the engine's ``LevelBuffers`` (``populations``, ``ghost_accumulators``,
+    ``fine_ghosts``), the grid's flat index maps (``maps``), the stream
+    scratch (``scratch``).  An allocation held twice is yielded under its
+    first owner (shared ``pull_flat`` counts once, as ``pull``); an empty
+    one, which shares no memory, wherever it is held.
+    """
+    engine = None if isinstance(obj, MultiGrid) else obj
+    mgrid = obj if engine is None else engine.mgrid
+    held = [(lv, _family(name), name, a) for lv, name, a in compile_arrays(mgrid)]
+    held += [(lv, _family(name), name, a) for lv, buf in
+             enumerate(engine.levels if engine else ())
+             for name, a in vars(buf).items() if isinstance(a, np.ndarray)]
+    held += [(cl.level, "maps", str(key), a) for cl in mgrid.levels
+             for key, value in cl.maps.items() for a in _arrays(value)]
+    held += [(lv, "scratch", str(key), a) for lv, scratch in
+             enumerate(engine.scratch if engine else ()) for key, a in scratch.items()]
+    seen: set[int] = set()
+    for lv, family, name, a in held:
+        memory = _allocation(a)
+        if memory.nbytes and id(memory) in seen:
+            continue
+        seen.add(id(memory))
+        yield lv, family, name, a
+
+
+def memory_ledger(obj) -> dict[tuple[int, str], int]:
+    """Bytes per ``(level, family)`` of every allocation
+    :func:`memory_arrays` walks on a grid or an engine."""
+    out: dict[tuple[int, str], int] = {}
+    for lv, family, _, a in memory_arrays(obj):
+        out[lv, family] = out.get((lv, family), 0) + _allocation(a).nbytes
+    return out
 
 
 def uniform_memory_bytes(shape: tuple[int, ...], q: int, itemsize: int = 8,

@@ -36,8 +36,8 @@ from ..core.lattice import Lattice
 from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
-           "MultiGrid", "build_multigrid", "iter_pull_rows", "pull_groups",
-           "spec_digest"]
+           "MultiGrid", "build_multigrid", "compile_arrays", "grid_arrays_digest",
+           "iter_pull_rows", "pull_groups", "spec_digest"]
 
 _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # When a diagonal pull exits through several faces at once, the face with
@@ -151,6 +151,24 @@ def spec_digest(spec: RefinementSpec, lattice: Lattice | str) -> str:
         mask = np.asarray(mask, dtype=bool)
         h.update(f"|{mask.shape}".encode())
         h.update(np.packbits(mask).tobytes())
+    return h.hexdigest()
+
+
+def compile_arrays(grid: MultiGrid):
+    """``(level, name, array)`` of every array attribute of the compile
+    (``CompiledLevel``, its ``BlockSparseGrid``), shared buffers included."""
+    for cl in grid.levels:
+        for owner in (cl, cl.grid):
+            yield from ((cl.level, name, a) for name, a in vars(owner).items()
+                        if isinstance(a, np.ndarray))
+
+
+def grid_arrays_digest(grid: MultiGrid) -> str:
+    """SHA-256 over level, name, dtype, shape and bytes of each compile array."""
+    h = hashlib.sha256()
+    for lv, name, a in compile_arrays(grid):
+        h.update(f"{lv}:{name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.data if a.flags.c_contiguous else a.tobytes())
     return h.hexdigest()
 
 

@@ -201,7 +201,3 @@ class BlockSparseGrid:
             "block_neighbors": self.block_neighbors.size * 4,
             "block_origins": self.block_coords.size * 4,
         }
-
-    def field_bytes(self, ncomp: int, itemsize: int = 8) -> int:
-        """Bytes of one AoSoA field with ``ncomp`` components over this grid."""
-        return self.n_alloc * ncomp * itemsize

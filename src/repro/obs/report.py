@@ -15,7 +15,10 @@ renderings (terminal text and self-contained HTML):
   plan (:mod:`repro.analysis.certificate`) and ties the report to the
   admission artifacts under ``certificates/``;
 * **watchdog + event log** — health status and the unified JSON-lines
-  narration (:mod:`repro.obs.log`).
+  narration (:mod:`repro.obs.log`);
+* **memory** — the bytes the run's grid and engine hold, per level and
+  family (:func:`repro.gpu.memory.memory_ledger`), their total, and the
+  process's peak RSS.
 
 The report degrades gracefully: a truncated trace (a failed kernel
 mid-step), an empty trace (zero steps) or a restored-from-checkpoint run
@@ -26,9 +29,11 @@ from __future__ import annotations
 
 import html as _html
 import json
+import resource
 from dataclasses import dataclass, field
 
 from ..gpu.device import A100_40GB, DeviceSpec
+from ..gpu.memory import memory_ledger
 from ..io.checkpoint import atomic_write
 from .log import EventLog
 from .metrics import MetricsRegistry, run_metrics
@@ -59,6 +64,7 @@ class RunReport:
     certificate: dict              # {"stream_digest": ..., "source": ...}
     log_lines: int                 # unified event-log lines emitted
     occupancy: dict = field(default_factory=dict)
+    memory: dict = field(default_factory=dict)  # {"levels", "total", "ru_maxrss_kib"}
 
     def as_dict(self) -> dict:
         return {
@@ -75,6 +81,7 @@ class RunReport:
             "certificate": self.certificate,
             "log_lines": self.log_lines,
             "occupancy": self.occupancy,
+            "memory": self.memory,
         }
 
 
@@ -117,6 +124,15 @@ def _certificate_digest(sim) -> dict:
         return {"stream_digest": None, "kernels": 0}
     from ..analysis.certificate import stream_digest
     return {"stream_digest": stream_digest(records), "kernels": len(records)}
+
+
+def _memory(sim) -> dict:
+    """The run's memory ledger by level, its total, and the peak RSS."""
+    ledger = memory_ledger(sim.engine)
+    levels = [{f: n for (lv, f), n in ledger.items() if lv == level}
+              for level in range(sim.num_levels)]
+    return {"levels": levels, "total": sum(ledger.values()),
+            "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
 def collect_report(sim, recorder: SpanRecorder,
@@ -174,7 +190,8 @@ def collect_report(sim, recorder: SpanRecorder,
         lint=_lint_last_step(sim),
         certificate=_certificate_digest(sim),
         log_lines=log_lines,
-        occupancy=recorder.observed_occupancy())
+        occupancy=recorder.observed_occupancy(),
+        memory=_memory(sim))
 
 
 # -- terminal rendering --------------------------------------------------------
@@ -256,6 +273,11 @@ def render_text(rep: RunReport) -> str:
     if rep.log_lines:
         lines.append("-- event log --")
         lines.append(f"  {rep.log_lines} unified log lines emitted")
+    if rep.memory:
+        lines.append(f"-- memory: {rep.memory['total']} B held, ru_maxrss "
+                     f"{rep.memory['ru_maxrss_kib']} KiB --")
+        lines += [f"  level {lv}: " + ", ".join(f"{f} {n}" for f, n in sorted(held.items()))
+                  for lv, held in enumerate(rep.memory["levels"])]
     return "\n".join(lines) + "\n"
 
 

@@ -11,56 +11,25 @@ binds to its own parameters: the populations ``f``, the ghost
 accumulators, the stream's scratch, the bodies bound with the job's
 relaxation rates and force, and the plan that holds them.
 
-An entry is checked on every hit: the cache records a SHA-256 over every
-array of the grid when it builds it and re-hashes them on each lookup; a
-mismatch — a poisoned entry — is dropped and rebuilt.  The entries live
-in least-recently-used order under a byte budget that prices each
-grid's arrays and its maps, read whenever a miss adds an entry (maps are
-built by the job that first binds them).
+An entry is checked on every hit: the cache records the grid's
+:func:`~repro.grid.multigrid.grid_arrays_digest` when it builds it and
+re-hashes on each lookup; a mismatch — a poisoned entry — is dropped and
+rebuilt.  The entries live in least-recently-used order under a byte
+budget, priced by :func:`~repro.gpu.memory.memory_ledger` (the grid's
+arrays and its maps, which the first job to bind them builds) whenever
+a miss adds an entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 
-import numpy as np
-
 from ..core.lattice import Lattice, get_lattice
-from ..grid.multigrid import MultiGrid, RefinementSpec, build_multigrid, spec_digest
+from ..gpu.memory import memory_ledger
+from ..grid.multigrid import (MultiGrid, RefinementSpec, build_multigrid,
+                              grid_arrays_digest, spec_digest)
 
-__all__ = ["GridCache", "grid_arrays_digest", "grid_nbytes"]
-
-
-def _grid_arrays(grid: MultiGrid):
-    """``(level, name, array)`` of every array the grid compile produced."""
-    for cl in grid.levels:
-        for obj in (cl, cl.grid):
-            for name, a in vars(obj).items():
-                if isinstance(a, np.ndarray):
-                    yield cl.level, name, a
-
-
-def grid_arrays_digest(grid: MultiGrid) -> str:
-    """SHA-256 over every array of ``grid``: name, dtype, shape and bytes."""
-    h = hashlib.sha256()
-    for lv, name, a in _grid_arrays(grid):
-        h.update(f"{lv}:{name}:{a.dtype.str}:{a.shape}".encode())
-        h.update(a.data if a.flags.c_contiguous else a.tobytes())
-    return h.hexdigest()
-
-
-def grid_nbytes(grid: MultiGrid) -> int:
-    """Bytes of the grid's arrays and of the index maps built on it."""
-    seen: dict[int, int] = {id(a): a.nbytes for _, _, a in _grid_arrays(grid)}
-    held = [m for cl in grid.levels for m in cl.maps.values()]
-    while held:
-        item = held.pop()
-        if isinstance(item, tuple):
-            held.extend(item)
-        elif isinstance(item, np.ndarray):
-            seen[id(item)] = item.nbytes
-    return sum(seen.values())
+__all__ = ["GridCache"]
 
 
 class GridCache:
@@ -79,7 +48,8 @@ class GridCache:
         return len(self._entries)
 
     def nbytes(self) -> int:
-        return sum(grid_nbytes(grid) for grid, _ in self._entries.values())
+        return sum(sum(memory_ledger(grid).values())
+                   for grid, _ in self._entries.values())
 
     def get(self, spec: RefinementSpec,
             lattice: Lattice | str) -> tuple[MultiGrid, bool]:

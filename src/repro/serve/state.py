@@ -72,9 +72,14 @@ def write_job_payload(directory: str, spec: JobSpec) -> str:
 
 
 def read_job_payload(directory: str) -> JobSpec:
-    """Load the job's :class:`JobSpec` back; ``ValueError`` if it is none."""
+    """Load the job's :class:`JobSpec` back; ``ValueError`` if it is none,
+    a torn or otherwise unreadable pickle included."""
     with open(os.path.join(directory, PAYLOAD_FILE), "rb") as fh:
-        spec = pickle.load(fh)
+        try:
+            spec = pickle.load(fh)
+        except Exception as exc:    # a truncated pickle raises EOFError,
+            # UnpicklingError or whatever its cut-off opcode trips over
+            raise ValueError(f"{directory}: unreadable payload ({exc!r})") from exc
     if not isinstance(spec, JobSpec):
         raise ValueError(f"{directory}: payload is not a JobSpec")
     return spec

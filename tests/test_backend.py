@@ -86,8 +86,7 @@ class TestBitIdentity:
         ref.run(3)
         plan = next(iter(sim.backend.plans.values()))
         assert plan.arena_bytes == 0
-        scratch = [a for maps in sim.engine._maps for key, a in maps.items()
-                   if isinstance(key, tuple) and key[0] == "scratch"]
+        scratch = [a for level in sim.engine.scratch for a in level.values()]
         assert len(scratch) == sim.num_levels
         assert len({id(a) for a in scratch}) == len(scratch)
         names = [(r.name, r.level) for r in plan.records]

@@ -64,7 +64,7 @@ class TestConstruction:
         assert len(handles) == len(records) > 0
         assert all(isinstance(h, LazyBody) and h._body is None
                    for h in handles)
-        assert eng._maps == [{} for _ in eng.levels]
+        assert eng.scratch == [{} for _ in eng.levels]
         assert all(cl.maps == {} for cl in eng.mgrid.levels)
 
     def test_the_pull_table_is_the_grids(self):
@@ -656,5 +656,5 @@ class TestInPlace:
             groups = pull_groups(engine.mgrid.levels[lv], engine.lat)
             parts = min(len(engine.split_cuts(lv)) - 1, len(groups))
             assert parts == min(width, len(engine.split_cuts(lv)) - 1)
-            assert engine._maps[lv][("scratch", parts)].shape == (
+            assert engine.scratch[lv][parts].shape == (
                 parts, max(map(len, groups)), engine.levels[lv].n_owned)

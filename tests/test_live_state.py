@@ -33,8 +33,9 @@ from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.lattice import get_lattice
 from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
-from repro.gpu.memory import grid_memory_report, index_bytes
-from repro.grid.multigrid import build_multigrid
+from repro.gpu.memory import (grid_memory_report, index_bytes, memory_arrays,
+                              memory_ledger)
+from repro.grid.multigrid import build_multigrid, compile_arrays
 from repro.io.checkpoint import (CheckpointStore, restore_checkpoint,
                                  save_checkpoint)
 from repro.neon.runtime import FieldRef
@@ -66,9 +67,8 @@ def assert_same_f(a, b):
 def scratch(engine):
     """``lv -> (parts, G, n_owned)`` scratch of every level that streams
     in place, as its bound bodies share it."""
-    return {lv: arr for lv, maps in enumerate(engine._maps)
-            for key, arr in maps.items()
-            if isinstance(key, tuple) and key[0] == "scratch"}
+    return {lv: arr for lv, family, _, arr in memory_arrays(engine)
+            if family == "scratch"}
 
 
 # -- what crosses a coarse-step boundary -------------------------------------------
@@ -265,13 +265,6 @@ ANCHOR_AND_SPHERE = pytest.mark.parametrize("workload", [
     lambda: sphere_tunnel(scale=0.5)], ids=["anchor", "sphere-half"])
 
 
-def allocated(arr):
-    """Bytes of the allocation behind ``arr``, not of the view."""
-    while arr.base is not None:
-        arr = arr.base
-    return arr.nbytes
-
-
 @ANCHOR_AND_SPHERE
 def test_the_host_allocates_what_the_stream_addresses(workload):
     """After admission — which also binds the modified baseline on the
@@ -325,12 +318,9 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
         engine = Engine(mgrid, wl.collision)
         engine.allocate(cfg)
         admit_stream(NonUniformStepper(engine, cfg))    # binds every body
-        held = sum(allocated(arr) for buf in engine.levels
-                   for arr in (buf.f, buf.fghost, buf.ghost_acc)
-                   if arr is not None)
-        stage = scratch(engine)
-        assert sorted(stage) == list(range(mgrid.num_levels))
-        held += sum(allocated(arr) for arr in stage.values())
+        assert sorted(scratch(engine)) == list(range(mgrid.num_levels))
+        held = sum(n for (_, family), n in memory_ledger(engine).items() if family in (
+            "populations", "fine_ghosts", "ghost_accumulators", "scratch"))
         second_buffer = optimized.populations // 2
         # the model prices 4a's fine ghosts in both population buffers, the
         # engine stores them once (fghost); 4a's gather Accumulate sums
@@ -344,15 +334,6 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
                         + scratch_bytes(engine)), cfg.name
 
 
-#: ``CompiledLevel`` arrays by :func:`repro.gpu.memory.index_bytes` family
-#: (name prefixes); every ``BlockSparseGrid`` array is ``blocks``.
-INDEX_FAMILIES = {
-    "pull": ("pull_flat",), "cells": ("owned_slots", "ghost_slots", "fine_ghost_slots"),
-    "boundary": ("bb_", "sb_", "mov_", "out_", "sl_"),
-    "explosion": ("exp_", "fg_coarse_rows"), "coalescence": ("coal_",),
-    "accumulate": ("acc_",)}
-
-
 @pytest.mark.parametrize("workload", [
     lambda: lid_cavity(base=(16, 16, 16), num_levels=3),
     lambda: sphere_tunnel(scale=0.5),
@@ -364,39 +345,14 @@ def test_index_bytes_are_what_the_memory_model_prices(workload):
     from sizes: exact, so a wider dtype or a new table shows."""
     wl = workload()
     mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
-    held = dict.fromkeys(index_bytes(mgrid), 0)
-    for cl in mgrid.levels:
-        for name, arr in vars(cl).items():
-            if isinstance(arr, np.ndarray):
-                family, = [f for f, names in INDEX_FAMILIES.items()
-                           if name.startswith(names)]
-                held[family] += allocated(arr)
-        held["blocks"] += sum(allocated(arr) for arr in vars(cl.grid).values()
-                              if isinstance(arr, np.ndarray))
-    assert held == index_bytes(mgrid)
+    predicted = index_bytes(mgrid)
+    ledger = memory_ledger(mgrid)
+    assert {family for _, family in ledger} == set(predicted)
+    assert {f: sum(n for (_, g), n in ledger.items() if g == f)
+            for f in predicted} == predicted
 
 
 # -- the anchor's heap ---------------------------------------------------------------
-
-def index_tables(sim):
-    """Distinct (by memory) >= 32-bit integer arrays with an entry per
-    (q, owned cell), reachable from the grid or the engine."""
-    found = {}
-    for cl, buf, maps in zip(sim.mgrid.levels, sim.engine.levels,
-                             sim.engine._maps):
-        per_cell = sim.lattice.q * cl.n_owned
-        held = [*vars(cl).values(), *vars(cl.grid).values(),
-                *vars(buf).values(), *cl.maps.values(), *maps.values()]
-        while held:
-            arr = held.pop()
-            if isinstance(arr, tuple):      # the flat maps come in tuples
-                held.extend(arr)
-            elif (isinstance(arr, np.ndarray) and arr.size >= per_cell
-                    and arr.dtype.kind in "iu" and arr.itemsize >= 4):
-                found.setdefault(arr.__array_interface__["data"][0],
-                                 (cl.level, arr))
-    return sorted(found.values(), key=lambda item: item[0])
-
 
 def heap_readings(wl, **config):
     """``(peak, steady, admission peak, sim)``: the ``tracemalloc`` peak
@@ -438,13 +394,15 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
     the heap does not depend on the host's CPUs.
     Admitting the plan again may add at most 4 MiB to the heap it starts
     from (25.9 MiB with the frozensets, 1.3 MiB with the shared sorted
-    arrays, reads 0.9)."""
+    arrays, reads 0.9).  The memory ledger is within 2 % of the steady
+    heap (reads 0.4 % below it: 0.18 of 43.09 MiB)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl)
     with sim:
         assert peak <= 48.9 * MiB, f"peak {peak / MiB:.1f} MiB"
         assert current <= 45.3 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # one part below the split floor; singletons on the boundary-free
         # level 1, (q, opp q) pairs on the walled ones
@@ -453,7 +411,10 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
         assert admit_peak - current <= 4 * MiB, (
             f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
         # one (Q, n_owned) integer table per level and no other
-        tables = index_tables(sim)
+        per_cell = [sim.lattice.q * k for k in n]
+        tables = [(lv, a) for lv, _, _, a in memory_arrays(sim.engine)
+                  if a.size >= per_cell[lv] and a.dtype.kind in "iu"
+                  and a.itemsize >= 4]
         assert [lv for lv, _ in tables] == list(range(sim.num_levels))
         for (lv, table), cl, buf in zip(tables, sim.mgrid.levels,
                                         sim.engine.levels):
@@ -471,13 +432,15 @@ def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
     """``sphere_tunnel(scale=0.5)``, D3Q27 KBC, ``baseline-4b``, compiled:
     the geometry and config behind the ledger's ``sphere-kbc-unfused``.
     51.3 MiB steady / 55.9 MiB peak while every level held ``fstar``
-    (reads 36.9 / 41.5; the ceilings are that + 5 %)."""
+    (reads 36.9 / 41.5; the ceilings are that + 5 %).  The memory ledger
+    is within 2 % of the steady heap (reads 0.6 % below: 0.22 of 36.93 MiB)."""
     wl = sphere_tunnel(scale=0.5)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl, fusion=MODIFIED_BASELINE)
     with sim:
         assert peak <= 43.6 * MiB, f"peak {peak / MiB:.1f} MiB"
         assert current <= 38.7 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # (q, opp q) pairs on the levels with boundary links, singletons
         # on the middle one, which has none
@@ -499,21 +462,11 @@ def test_every_index_array_is_int32_and_the_grids(setup, cfg):
     the index width NumPy converts every other one to, per call."""
     with make(setup, cfg) as sim:
         sim.run(1)                          # binds every body, builds every map
-        grid_arrays = {id(a) for cl in sim.mgrid.levels for a in vars(cl).values()
-                       if isinstance(a, np.ndarray)}
-        for cl, buf in zip(sim.mgrid.levels, sim.engine.levels):
-            assert not hasattr(cl, "kind")
-            held = [(f"grid.{k}", a, np.int32) for k, a in vars(cl.grid).items()
-                    if k != "bitmask_words"]
-            held += [(f"level.{k}", a, np.int32) for k, a in vars(cl).items()]
-            held += [(f"maps.{k}", a, np.intp) for k, a in cl.maps.items()
-                     if k != "pull"]
-            while held:
-                name, a, width = held.pop()
-                if isinstance(a, tuple):    # the flat maps come in tuples
-                    held.extend((name, x, width) for x in a)
-                elif isinstance(a, np.ndarray) and a.dtype.kind in "iu":
-                    assert a.dtype == width, (cl.level, name, a.dtype)
-            for k, a in vars(buf).items():
-                if isinstance(a, np.ndarray) and k not in ("f", "ghost_acc", "fghost"):
-                    assert id(a) in grid_arrays, (cl.level, k)
+        assert not any(hasattr(cl, "kind") for cl in sim.mgrid.levels)
+        compiled = {id(a) for _, _, a in compile_arrays(sim.mgrid)}
+        for lv, family, name, a in memory_arrays(sim.engine):
+            if a.dtype.kind in "iu" and name != "bitmask_words":
+                width = np.intp if family == "maps" else np.int32
+                assert a.dtype == width, (lv, family, name, a.dtype)
+            if family in index_bytes(sim.mgrid):
+                assert id(a) in compiled, (lv, family, name)

@@ -6,7 +6,7 @@ from repro.core.lattice import D3Q19, D3Q27
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
 from repro.grid.multigrid import RefinementSpec, build_multigrid
 from repro.gpu.device import A100_40GB
-from repro.gpu.memory import (MemoryReport, ghost_layer_bytes, grid_memory_report,
+from repro.gpu.memory import (MemoryReport, grid_memory_report,
                               mc_level_counts, refined_memory_bytes,
                               uniform_aa_max_cube, uniform_memory_bytes)
 
@@ -38,8 +38,9 @@ class TestGridReport:
         # Section IV-A: the coarse-side ghost layer shrinks ghost storage by
         # a large factor (the paper quotes 3x counted in overlapped coarse
         # layers; exact cell-count accounting gives far more).
-        gb = ghost_layer_bytes(mg)
-        assert gb["optimized"] * 3 <= gb["original"]
+        optimized, original = (grid_memory_report(mg, scheme=s)
+                               for s in ("optimized", "original"))
+        assert optimized.ghost_accumulators * 3 <= original.ghost_populations
 
     def test_total_and_fits(self, mg):
         rep = grid_memory_report(mg)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import hashlib
 import itertools
 import tracemalloc
 
@@ -14,11 +13,13 @@ from scipy import ndimage
 
 from repro.bench.workloads import lid_cavity, sphere_tunnel
 from repro.core.lattice import D2Q9, D3Q19, D3Q27
+from repro.gpu.memory import memory_arrays, memory_ledger
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
 from repro.grid.multigrid import (_FACE_KINDS, _PRECEDENCE, DomainBC, FaceBC,
                                   RefinementSpec, _dilate, _face_names,
                                   _owner_labels, _upsample2, _validate_spec,
-                                  build_multigrid, iter_pull_rows, spec_digest)
+                                  build_multigrid, compile_arrays, grid_arrays_digest,
+                                  iter_pull_rows, spec_digest)
 from repro.grid.sparse_grid import BlockSparseGrid
 
 
@@ -717,17 +718,6 @@ def _witness_specs():
     }
 
 
-def compile_digest(mg):
-    h = hashlib.sha256()
-    for cl in mg.levels:
-        for obj in (cl, cl.grid):
-            for name, a in vars(obj).items():
-                if isinstance(a, np.ndarray):
-                    h.update(f"{cl.level}:{name}:{a.dtype.str}:{a.shape}".encode())
-                    h.update(a.tobytes())
-    return h.hexdigest()
-
-
 WITNESS = {
     "2d-fully-periodic-B8-hilbert":
         "0b41937babb3bf488def2e2ecdbf590b4de99bb76c6cae066b2066c7d071794e",
@@ -779,8 +769,11 @@ def test_spec_digest_names_the_grid():
 
 @pytest.mark.parametrize("name", sorted(WITNESS))
 def test_compile_witness_pinned(name):
-    spec, lat = _witness_specs()[name]
-    assert compile_digest(build_multigrid(spec, lat)) == WITNESS[name]
+    mg = build_multigrid(*_witness_specs()[name])
+    assert grid_arrays_digest(mg) == WITNESS[name]
+    lv, table_name, table = next(t for t in compile_arrays(mg) if t[2].size > 1)
+    setattr(mg.levels[lv].grid, f"{table_name}_twin", table[::-1])  # a view: hashed too
+    assert grid_arrays_digest(mg) != WITNESS[name]
 
 
 class TestCompileMemory:
@@ -805,10 +798,7 @@ class TestCompileMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = {id(a): a.nbytes for cl in mg.levels
-                  for obj in (cl, cl.grid) for a in vars(obj).values()
-                  if isinstance(a, np.ndarray)}
-        return (peak - sum(arrays.values())) / 2 ** 20
+        return (peak - sum(memory_ledger(mg).values())) / 2 ** 20
 
     def test_peak_stays_near_the_result(self):
         assert self.excess_mib(sphere_tunnel(scale=0.5).spec, D3Q27) < 15.2
@@ -820,8 +810,6 @@ class TestCompileMemory:
     def test_no_level_shaped_array_survives_on_a_grid(self):
         spec = sphere_tunnel(scale=0.25).spec
         mg = build_multigrid(spec, D3Q27)
-        for cl in mg.levels:
-            box = int(np.prod(spec.level_shape(cl.level)))
-            for name, a in vars(cl.grid).items():
-                if isinstance(a, np.ndarray):
-                    assert a.size < box, (cl.level, name, a.shape)
+        for lv, family, name, a in memory_arrays(mg):
+            if family == "blocks":
+                assert a.size < np.prod(spec.level_shape(lv)), (lv, name, a.shape)

@@ -361,8 +361,7 @@ class TestWatchdog:
 
         def sabotage_then_check(stepper):
             if field is not None and stepper.steps_done == 2:
-                arr = (next(a for k, a in sim.engine._maps[lv].items()
-                            if isinstance(k, tuple) and k[0] == "scratch")
+                arr = (next(iter(sim.engine.scratch[lv].values()))
                        if field == "scratch" else getattr(sim.engine.levels[lv], field))
                 arr.flat[5] = np.nan            # f: q 0, cell 5
             wd.callback(stepper)

@@ -24,6 +24,7 @@ from repro.bench.workloads import lid_cavity
 from repro.core.fusion import ABLATION_CONFIGS, FUSED_FULL, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
 from repro.gpu.device import A100_40GB
+from repro.gpu.memory import memory_ledger
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.obs.cli import main as report_main
 from repro.obs.log import EventLog, read_log, split_runs, validate_log
@@ -494,4 +495,5 @@ class TestReportEdgeCases:
         loaded = read_json(paths["json"])
         assert loaded["workload"] == "w"
         assert loaded["roofline"]["kernels"] == rep.roofline.kernels
+        assert loaded["memory"]["total"] == sum(memory_ledger(sim.engine).values())
         assert Path(paths["html"]).read_text().startswith("<!doctype html>")

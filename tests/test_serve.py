@@ -29,6 +29,7 @@ from repro.serve import (AdmissionError, JobServer, JobSpec, UnknownJobError,
                          WorkerKilled, predict_cost, state_digest)
 from repro.serve.cli import build_flood, main as serve_main, summary_from_disk
 from repro.serve.oracle import active_cells_estimate
+from repro.serve.state import PAYLOAD_FILE, job_dir
 
 
 def cavity_job(base=10, levels=1, steps=4, tenant="default", priority=0,
@@ -430,6 +431,36 @@ class TestRestartResume:
         assert res.state == "done" and res.steps_done == 8
         assert "survivor" in started
         assert res.state_digest == serial_digest(spec)
+
+    def test_restart_skips_a_torn_payload(self, tmp_path):
+        # one parked job's payload.pkl cut in half: the restarted server
+        # starts, leaves that job's directory alone, resumes the others
+        root = str(tmp_path)
+        kept, torn = (cavity_job(base=12, levels=2, steps=8, job_id=name)
+                      for name in ("kept", "torn"))
+
+        async def phase1():
+            async with JobServer(root, workers=1) as srv:
+                for job in (kept, torn):
+                    await srv.submit(job)
+                while srv.status("kept").steps_done < 2:
+                    await asyncio.sleep(0.005)
+
+        asyncio.run(phase1())
+        payload = os.path.join(job_dir(root, "torn"), PAYLOAD_FILE)
+        with open(payload, "r+b") as fh:
+            fh.truncate(os.path.getsize(payload) // 2)
+
+        async def phase2():
+            async with JobServer(root, workers=1) as srv:
+                await srv.drain()
+                with pytest.raises(UnknownJobError):
+                    srv.status("torn")
+                return await srv.result("kept")
+
+        res = asyncio.run(phase2())
+        assert res.state == "done" and res.state_digest == serial_digest(kept)
+        assert os.path.getsize(payload) > 0
 
     def test_restart_terminates_a_torn_log_tail(self, tmp_path):
         # A server killed mid-append leaves a line without its newline;
@@ -851,10 +882,11 @@ class TestGridCache:
             assert state_digest(sim) == serial_digest(job)
 
     def test_eviction_under_the_budget(self):
-        from repro.serve.cache import GridCache, grid_nbytes
+        from repro.gpu.memory import memory_ledger
+        from repro.serve.cache import GridCache
         specs = [served_job((n, n), 2, "D2Q9", 100.0).spec for n in (16, 20, 24)]
         probe = GridCache(0)
-        sizes = [grid_nbytes(probe.get(s, "D2Q9")[0]) for s in specs]
+        sizes = [sum(memory_ledger(probe.get(s, "D2Q9")[0]).values()) for s in specs]
         assert len(probe) == 1                              # newest stays
         cache = GridCache(sizes[1] + sizes[2])
         for s in specs:

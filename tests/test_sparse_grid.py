@@ -129,10 +129,6 @@ class TestMemoryAccounting:
         meta = g.metadata_bytes()
         assert meta["bitmask"] == g.n_blocks * 8
 
-    def test_field_bytes(self):
-        g = BlockSparseGrid.from_mask(np.ones((8, 8, 8), dtype=bool))
-        assert g.field_bytes(ncomp=19, itemsize=8) == g.n_alloc * 19 * 8
-
     def test_neighbor_table_bytes(self):
         g = BlockSparseGrid.from_mask(np.ones((8, 8, 8), dtype=bool))
         assert g.metadata_bytes()["block_neighbors"] == g.n_blocks * 27 * 4

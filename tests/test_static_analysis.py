@@ -27,6 +27,7 @@ from repro.core.lattice import D2Q9, D3Q19
 from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
 from repro.gpu.device import get_device
+from repro.gpu.memory import memory_ledger
 from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
 from repro.neon.runtime import FieldRef, KernelRecord
 
@@ -541,8 +542,8 @@ class TestTouchedBytes:
         records, accesses, sim = plan_stream(config, WL2D, steps=1)
         touched = {a.field for accs in accesses.values()
                    for a in accs if a.field is not None and a.hi > a.lo}
-        held = sum(arr.nbytes for buf in sim.engine.levels
-                   for arr in (buf.f, buf.fghost, buf.ghost_acc) if arr is not None)
+        held = sum(n for (_, family), n in memory_ledger(sim.engine).items()
+                   if family in ("populations", "fine_ghosts", "ghost_accumulators"))
         assert lint_stream(records, accesses, sim.engine).touched_bytes == sum(
             field_nbytes(sim.engine, ref) for ref in touched) == held
 
