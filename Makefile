@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas mem-check lint lint-strict docs-check analysis report resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check physics-check lint lint-strict docs-check analysis report resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -29,17 +29,21 @@ test-mp:
 # kernels: a cell's result does not depend on where its column sits in a
 # call (DESIGN.md section 17, decision 2).  It has to hold for whatever
 # kernel set the BLAS dispatches to, not only this host's, so the tests
-# that rely on it run again under two others (both load on any x86-64;
-# OPENBLAS_VERBOSE=2 prints the core once, so the log shows the override
-# took).  One BLAS thread: above a size threshold a threaded OpenBLAS
+# that rely on it run again under four others (all load on any x86-64
+# with AVX2; OPENBLAS_VERBOSE=2 prints the core once, so the log shows
+# the override took).  Haswell and Zen round a float32 column by its
+# place in the sgemm, so in float32 the promise is that a level cut on
+# collide-tile boundaries steps to the same bits (the split test below).
+# One BLAS thread: above a size threshold a threaded OpenBLAS
 # cuts Q into per-thread chunks, and the Nehalem kernels round a chunk's
 # edge rows differently, so there a cell also depends on the width of
 # its call -- as it did before the moment-space kernels (DESIGN.md).
 test-blas:
-	@for core in Nehalem Sandybridge; do \
+	@for core in Nehalem Sandybridge Haswell Zen; do \
 		OPENBLAS_CORETYPE=$$core OPENBLAS_VERBOSE=2 OPENBLAS_NUM_THREADS=1 \
 		$(PYTHON) -m pytest -x -q tests/test_collision.py \
-			tests/test_mp_backend.py tests/test_reference.py || exit 1; \
+			tests/test_mp_backend.py tests/test_reference.py \
+			tests/test_cell_split.py::test_parts_start_on_the_collide_tile || exit 1; \
 	done
 
 # Live bytes (DESIGN.md sections 11, 18): the tracemalloc guards on the
@@ -57,6 +61,13 @@ test-blas:
 # through gpu.memory.memory_ledger, the one walker over the grid's and the
 # engine's arrays, which must be within 2 % of the steady heap.  Under
 # 30 s; also part of `make test`.
+# Physics on a refined grid (ROADMAP item 1): the Re 100 cylinder's mean
+# drag and Strouhal number, float32 and float64 each within 1 % / 2 % of
+# the pinned float64 run (~1 min; tools/physics_gate.py says why the
+# wake is seeded).
+physics-check:
+	$(PYTHON) tools/physics_gate.py
+
 mem-check:
 	$(PYTHON) -m pytest -x -q tests/test_live_state.py \
 		"tests/test_multigrid.py::TestCompileMemory" \
@@ -154,4 +165,4 @@ serve-check:
 	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_resilience.py \
 		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses or GridCache"
 
-check: lint docs-check test test-compiled test-mp test-blas mem-check analysis resilience-check serve-check report
+check: lint docs-check test test-compiled test-mp test-blas mem-check physics-check analysis resilience-check serve-check report

@@ -97,15 +97,17 @@ def field_nbytes(engine: "Engine", ref: FieldRef) -> int:
 
     A level stores one ``(Q, n_owned)`` population buffer ``f``, the 4a
     layout's fine ghosts (rows ``n_owned..n_used``) in ``fghost``, and
-    its ghost accumulator.
+    its ghost accumulator, all in ``f``'s dtype: host bytes, not the
+    device kernels' (:attr:`Engine.itemsize <repro.core.engine.Engine.itemsize>`).
     """
-    buf, row = engine.levels[ref.level], engine.lat.q * engine.itemsize
+    buf = engine.levels[ref.level]
+    row = engine.lat.q * buf.f.itemsize
     if ref.name == "f":
         return row * buf.n_owned
     if ref.name == "fghost":
         return row * (buf.n_used - buf.n_owned)
     if ref.name == "gacc":
-        return int(buf.ghost_acc.size) * engine.itemsize
+        return int(buf.ghost_acc.nbytes)
     raise KeyError(f"unknown field {ref}")
 
 

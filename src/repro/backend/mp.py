@@ -18,8 +18,8 @@ Bit-identity is inherited, not re-derived:
   launches carried (:func:`~repro.backend.compiler.bind_bodies`), on
   the same shared buffers;
 * the only mp-specific body is the column shard of a pure collide
-  kernel — collision is a per-cell operator, so a column slice computes
-  exactly the values the whole-buffer call would;
+  kernel, cut on the collide tile — so a shard issues, for its columns,
+  exactly the products the whole-buffer call would;
 * kernels with order-sensitive float accumulation (the Accumulate
   ``bincount`` scatter, and every fused kernel containing it) are never
   split across workers.
@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.certificate import stream_digest
+from ..core.collision import tile_cuts
 from ..gpu.costmodel import kernel_time_us
 from ..gpu.device import A100_40GB
 from ..neon.executor import usable_cpus
@@ -108,7 +109,7 @@ class MpWorkerError(RuntimeError):
 
 # -- plan partitioning ---------------------------------------------------------
 
-def _partition(records, waves, n_workers,
+def _partition(records, waves, n_workers, tile: int,
                device=A100_40GB) -> list[list[list[tuple[int, int, int]]]]:
     """Assign every wave's kernels (or shards of them) to workers.
 
@@ -116,8 +117,10 @@ def _partition(records, waves, n_workers,
     with ``lo == hi == -1`` for a whole kernel and an owned-cell column
     range for a collide shard.  Per wave: each splittable pure-collide
     kernel may be cut into column shards to occupy otherwise-idle
-    workers, then all items are placed by greedy LPT using the cost
-    model as the pricing oracle.
+    workers — at the multiples of the collide ``tile`` nearest an even
+    share (:meth:`CollisionModel.tile
+    <repro.core.collision.CollisionModel.tile>`) — then all items are
+    placed by greedy LPT using the cost model as the pricing oracle.
     """
     assignment: list[list[list[tuple[int, int, int]]]] = [
         [[] for _ in waves] for _ in range(n_workers)]
@@ -141,11 +144,9 @@ def _partition(records, waves, n_workers,
             if shares[i] == 1:
                 items.append((costs[i], i, -1, -1))
                 continue
-            bounds = np.linspace(0, rec.n_cells, shares[i] + 1).astype(int)
+            bounds = tile_cuts(rec.n_cells, shares[i], tile)
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    items.append((costs[i] * (hi - lo) / rec.n_cells,
-                                  i, int(lo), int(hi)))
+                items.append((costs[i] * (hi - lo) / rec.n_cells, i, lo, hi))
         items.sort(key=lambda it: -it[0])
         loads = [0.0] * n_workers
         for cost, i, lo, hi in items:
@@ -194,11 +195,11 @@ def _shard_collide(engine, rec, lo: int, hi: int):
 
     The slice is bitwise identical to the same columns of the whole-buffer
     call the interpreted path makes — not because collision is per-cell
-    (BLAS rounds a product's edge columns differently) but because
+    (BLAS rounds a product's edge columns differently, and float32 on
+    some kernel sets by a column's place in the product) but because
     ``collide`` runs every matrix product on a 64-column-aligned, padded
-    block, so a cell's result does not depend on where its column sits in
-    a call (DESIGN.md section 17, decision 2).  ``_partition`` may
-    therefore cut anywhere.
+    block of fixed tiles, and ``_partition`` cuts on the tile (DESIGN.md
+    section 17, decision 2).
     """
     lv = rec.level
     return engine.collide_columns(lv, lo, hi, engine.omega[lv], engine.force[lv])
@@ -235,7 +236,8 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         # and the parent's unlink clears the single entry; unregistering
         # here would instead strip the parent's own registration.
         shm = shared_memory.SharedMemory(name=setup["shm"])
-        engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0)
+        engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0,
+                        dtype=setup["dtype"])
         # the pool shards across processes: no threads inside a worker
         engine.split_width = 1
         # allocate what the layout addresses (4a: fghost) before the
@@ -511,6 +513,7 @@ class MultiprocessBackend:
         blob = pickle.dumps({
             "mgrid": engine.mgrid,
             "collision": engine.collision,
+            "dtype": engine.dtype,
             "fusion": stepper.config,
             "shm": self._shm.name,
             "manifest": self._manifest,
@@ -572,7 +575,9 @@ class MultiprocessBackend:
             admitted, _lint = admit_stream(stepper)
             records = admitted.records
             waves = schedule_records(records)
-            assignment = _partition(records, waves, self.workers)
+            engine = stepper.engine
+            assignment = _partition(records, waves, self.workers,
+                                    engine.collision.tile(engine.dtype))
             plan = _MpPlan(self._next_plan_id, records, admitted.digest,
                            len(waves), assignment, admitted.certificate)
             self._next_plan_id += 1

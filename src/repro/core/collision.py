@@ -1,9 +1,11 @@
 """Collision operators: BGK (Eq. 3), TRT and the entropic KBC model (Section II).
 
-All operators act on float64 population arrays of shape ``(Q, N)`` where
-``N`` is the number of cells of one grid level — the flat,
-structure-of-arrays view produced by the block-sparse grid (Section V-A of
-the paper).
+All operators act on population arrays of shape ``(Q, N)`` where ``N``
+is the number of cells of one grid level — the flat, structure-of-arrays
+view produced by the block-sparse grid (Section V-A of the paper) — and
+compute in the populations' own dtype: float32 (the engine's default) or
+float64 (the reference precision).  The constant matrices are cast to it
+once per call.
 
 Collision happens in *moment space*.  The equilibrium (Eq. 5) is a
 polynomial in a handful of moments, so a cell's relaxation is two small
@@ -16,12 +18,18 @@ scratch tiles stay in cache between the few passes that touch them — the
 host analogue of the paper's fused kernels keeping intermediates in
 registers (Section IV).
 
-A cell's result must not depend on where its column sits in a call (mp
-column shards, the dense reference and other tile widths compute the same
-cell at other offsets).  BLAS rounds the last columns of a product in an
+A cell's result must not depend on how a level is cut into calls (split
+parts, mp column shards).  BLAS rounds the last columns of a product in an
 edge kernel, so **every matrix product here runs on a block whose width is
 a multiple of 64**: whole tiles are read in place, the last ``N % 64``
-columns are staged into scratch padded with the rest state ``w_i``.
+columns are staged into scratch padded with the rest state ``w_i``.  In
+float64 that is enough: a column's result then depends on no offset.  In
+float32 some OpenBLAS kernel sets (Haswell, Zen) round a column by its
+place in the product, so the promise there is narrower: the tile width
+depends on the dtype alone (:meth:`CollisionModel.tile`), and a call that
+starts on a multiple of it issues, for the columns it shares with the
+whole-level call, the same products — so split cuts and shards fall on
+tile boundaries.
 """
 
 from __future__ import annotations
@@ -46,39 +54,53 @@ __all__ = [
     "TRT",
     "KBC",
     "make_collision",
+    "tile_cuts",
 ]
 
 #: Bytes a tile's working set may occupy: the ``f`` and ``out`` tiles plus
-#: the operator's scratch tiles.  Smaller tiles sit deeper in the cache
-#: but pay NumPy's per-call cost (and, between concurrently stepping
-#: threads, a GIL hand-off) more often; the sweep behind the value is in
-#: EXPERIMENTS.md, "Moment-space collision".
-TILE_BUDGET_BYTES = 6 << 20
+#: the operator's scratch tiles.  Each part of a split collide holds one
+#: (the width may not depend on the split), so a 2-way split holds what
+#: one 6 MiB working set held before.  Smaller tiles sit deeper in the
+#: cache but pay NumPy's per-call cost more often; the sweeps behind the
+#: value are in EXPERIMENTS.md, "Moment-space collision" and "The step
+#: runs in float32".
+TILE_BUDGET_BYTES = 3 << 20
 
 
-def tile_width(q: int, live_tiles: int, budget: int = TILE_BUDGET_BYTES) -> int:
-    """Cells per tile so that ``live_tiles`` float64 ``(q, tile)`` arrays fit ``budget``."""
-    return max(budget // (q * 8 * live_tiles) // 64 * 64, 64)
+def tile_width(q: int, live_tiles: int, itemsize: int = 8) -> int:
+    """Cells per tile so that ``live_tiles`` ``(q, tile)`` arrays of
+    ``itemsize``-byte values fit :data:`TILE_BUDGET_BYTES`."""
+    return max(TILE_BUDGET_BYTES // (q * itemsize * live_tiles) // 64 * 64, 64)
 
 
-def _tiles(lat: Lattice, n: int, live_tiles: int, budget: int = TILE_BUDGET_BYTES
+def tile_cuts(n: int, parts: int, tile: int) -> list[int]:
+    """``[0, ..., n]``: ``n`` columns cut into up to ``parts`` calls, inner
+    cuts on the multiples of ``tile`` nearest an even share (a split
+    collide's parts, mp shards)."""
+    inner = {tile * ((2 * n * k + parts * tile) // (2 * parts * tile))
+             for k in range(1, parts)}
+    return [0, *sorted(c for c in inner if 0 < c < n), n]
+
+
+def _tiles(lat: Lattice, n: int, live_tiles: int, dtype=np.float64
            ) -> Iterator[tuple[int, int, bool, list[np.ndarray]]]:
     """Yield ``(lo, hi, staged, scratch)`` over the column tiles of an ``n``-cell level.
 
-    ``scratch`` is float64, carved from one allocation per call: a
+    ``scratch`` is ``dtype``, carved from one allocation per call: a
     ``(Q, 64)`` stage, and — as wide as the tile's matrix products run,
     always a multiple of 64 — the ``(2 + 2 d + len(pairs), w)`` moment
     block and ``live_tiles - 2`` more ``(Q, w)`` blocks.  ``staged`` tells
     the caller to go through the stage instead of ``[lo, hi)`` of its own
     arrays: for the last ``n % 64`` columns (``w = 64``; the caller pads).
     """
-    tile = tile_width(lat.q, live_tiles, budget)
+    dtype = np.dtype(dtype)
+    tile = tile_width(lat.q, live_tiles, dtype.itemsize)
     width, full = min(tile, n + -n % 64), n - n % 64
     shapes = [(lat.q, 64),
               (2 + 2 * lat.d + len(lat.pairs), width),
               *[(lat.q, width)] * (live_tiles - 2)]
     offs = [0, *accumulate(r * w for r, w in shapes)]
-    flat = np.empty(offs[-1])
+    flat = np.empty(offs[-1], dtype)
     blocks = [flat[a:b].reshape(s) for a, b, s in zip(offs, offs[1:], shapes)]
     edges = sorted({*range(0, full, tile), full, n})
     for lo, hi in zip(edges, edges[1:]):
@@ -87,12 +109,15 @@ def _tiles(lat: Lattice, n: int, live_tiles: int, budget: int = TILE_BUDGET_BYTE
 
 
 def density(lat: Lattice, f: np.ndarray) -> np.ndarray:
-    """Fluid density, Eq. (6): ``rho = sum_i f_i``."""
-    return f.sum(axis=0)
+    """Fluid density, Eq. (6): ``rho = sum_i f_i``, summed in float64."""
+    return f.sum(axis=0, dtype=np.float64)
 
 
 def velocity(lat: Lattice, f: np.ndarray, rho: np.ndarray | None = None) -> np.ndarray:
-    """Fluid velocity, Eq. (7): ``u = (1/rho) sum_i e_i f_i``; shape ``(d, N)``."""
+    """Fluid velocity, Eq. (7): ``u = (1/rho) sum_i e_i f_i``; shape ``(d, N)``.
+
+    In float64 whatever ``f`` holds (the lattice matrices are float64).
+    """
     if rho is None:
         rho = density(lat, f)
     mom = lat.ef.T @ f  # (d, N)
@@ -121,16 +146,17 @@ def _flux_rows(lat: Lattice, m: np.ndarray) -> None:
         np.multiply(m[1 + a], u[b], out=m[n1 + k])
 
 
-def _project(lat: Lattice, f: np.ndarray, force: np.ndarray | None,
-             m: np.ndarray) -> None:
+def _project(lat: Lattice, moments: np.ndarray, f: np.ndarray,
+             half_force: np.ndarray | None, m: np.ndarray) -> None:
     """Moment block of a population tile: ``[rho; j; j_a u_b; 1; u]`` into ``m``.
 
-    With a force, ``j`` carries Guo's half-force shift.
+    ``moments`` is ``lat.moments[:1 + d]`` in the tile's dtype; with a
+    force, ``j`` carries Guo's half-force shift ``half_force`` ``(d, 1)``.
     """
     n1, n2 = 1 + lat.d, lat.basis.shape[1]
-    np.matmul(lat.moments[:n1], f, out=m[:n1])
-    if force is not None:
-        m[1:n1] += 0.5 * force[:, None]
+    np.matmul(moments, f, out=m[:n1])
+    if half_force is not None:
+        m[1:n1] += half_force
     m[n2] = 1.0
     np.divide(m[1:n1], m[0], out=m[n2 + 1:])
     _flux_rows(lat, m)
@@ -205,45 +231,59 @@ class CollisionModel:
 
     lattice: Lattice
 
-    #: Float64 ``(Q, tile)`` arrays a tile keeps live: ``f``, ``out`` and the
+    #: ``(Q, tile)`` arrays a tile keeps live: ``f``, ``out`` and the
     #: operator's scratch tiles; sets the tile width (see :func:`tile_width`).
     LIVE_TILES: ClassVar[int] = 3
 
+    def tile(self, dtype) -> int:
+        """Columns per tile of a call on ``dtype`` populations.
+
+        Fixed by the lattice, the operator and the dtype, never by the
+        call: a caller that cuts a level into calls (split parts, mp
+        shards) cuts on multiples of it, so every call issues the
+        whole-level call's products for its columns (module docstring).
+        """
+        return tile_width(self.lattice.q, self.LIVE_TILES, np.dtype(dtype).itemsize)
+
     def collide(self, f: np.ndarray, omega: float,
                 out: np.ndarray | None = None,
-                force: np.ndarray | None = None,
-                budget: int = TILE_BUDGET_BYTES) -> np.ndarray:
-        """Post-collision populations of ``f`` ``(Q, N)``, tile by tile.
+                force: np.ndarray | None = None) -> np.ndarray:
+        """Post-collision populations of ``f`` ``(Q, N)``, tile by tile,
+        in ``f``'s dtype.
 
         ``out`` may be ``f`` itself (a tile is read before it is written);
-        any other overlap between the two is not supported.  ``budget``
-        bounds the tile working set.
+        any other overlap between the two is not supported.
         """
-        lat = self.lattice
+        lat, dtype = self.lattice, f.dtype
         if out is None:
             out = np.empty_like(f)
         if force is not None:
             force = np.asarray(force, dtype=np.float64)
-        relax = self._relaxation(omega, force)
+        moments = lat.moments[:1 + lat.d].astype(dtype)
+        half_force = None if force is None else (0.5 * force[:, None]).astype(dtype)
+        rest = lat.w[:, None].astype(dtype)
+        relax = self._relaxation(omega, force, dtype)
         for lo, hi, staged, (stage, m, *tiles) in _tiles(
-                lat, f.shape[1], self.LIVE_TILES, budget):
+                lat, f.shape[1], self.LIVE_TILES, dtype):
             if staged:
                 src = dst = stage
-                src[:, :hi - lo], src[:, hi - lo:] = f[:, lo:hi], lat.w[:, None]
+                src[:, :hi - lo], src[:, hi - lo:] = f[:, lo:hi], rest
             else:
                 src, dst = f[:, lo:hi], out[:, lo:hi]
-            _project(lat, src, force, m)
+            _project(lat, moments, src, half_force, m)
             relax(src, dst, m, *tiles)
             if staged:
                 out[:, lo:hi] = dst[:, :hi - lo]
         return out
 
-    def _relaxation(self, omega: float, force: np.ndarray | None
-                    ) -> Callable[..., None]:
+    def _relaxation(self, omega: float, force: np.ndarray | None,
+                    dtype: np.dtype) -> Callable[..., None]:
         """One call's tile relaxation ``(f, out, m, *scratch_tiles)``.
 
-        Closed over the call's constant matrices; ``m`` is the moment block
-        of :func:`_project`, ``out`` may be ``f`` itself.
+        Closed over the call's constant matrices and rates, cast to
+        ``dtype`` (a float64 rate would lift a float32 product to
+        float64); ``m`` is the moment block of :func:`_project`, ``out``
+        may be ``f`` itself.
         """
         raise NotImplementedError
 
@@ -251,7 +291,7 @@ class CollisionModel:
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Density and (half-force-shifted, if forced) velocity."""
         rho = density(self.lattice, f)
-        mom = self.lattice.ef.T @ f
+        mom = self.lattice.ef.T @ f           # float64, as rho
         if force is not None:
             mom += 0.5 * np.asarray(force, dtype=np.float64)[:, None]
         return rho, mom / rho
@@ -265,17 +305,17 @@ class CollisionModel:
 class BGK(CollisionModel):
     """Single-relaxation-time Bhatnagar-Gross-Krook operator (Eq. 3)."""
 
-    def _relaxation(self, omega, force):
+    def _relaxation(self, omega, force, dtype):
         lat = self.lattice
         # f* = (1 - omega) f + omega feq (+ Guo source)
         mat = omega * lat.basis
         if force is not None:
             mat = np.hstack([mat, (1.0 - 0.5 * omega) * _guo_basis(lat, force)])
-        rows = mat.shape[1]
+        rows, mat, keep = mat.shape[1], mat.astype(dtype), dtype.type(1.0 - omega)
 
         def relax(f, out, m, g):
             np.matmul(mat, m[:rows], out=g)
-            np.multiply(f, 1.0 - omega, out=out)
+            np.multiply(f, keep, out=out)
             out += g
         return relax
 
@@ -312,12 +352,12 @@ class TRT(CollisionModel):
         rev = mat[self.lattice.opp]
         return 0.5 * c_even * (mat + rev) + 0.5 * c_odd * (mat - rev)
 
-    def _relaxation(self, omega, force):
+    def _relaxation(self, omega, force, dtype):
         lat = self.lattice
         om = self.omega_minus(omega)
         # f* = f - omega f+neq - om f-neq
         #    = a f + b f[opp] + (omega W+ + om W-) m, W+- the parities of W
-        a, b = 1.0 - 0.5 * (omega + om), 0.5 * (om - omega)
+        a, b = dtype.type(1.0 - 0.5 * (omega + om)), dtype.type(0.5 * (om - omega))
         mat = self._by_parity(lat.basis, omega, om)
         if force is not None:
             # each parity of the Guo source relaxes with its own rate:
@@ -325,7 +365,7 @@ class TRT(CollisionModel):
             # part (the u.F corrections) with omega
             mat = np.hstack([mat, self._by_parity(
                 _guo_basis(lat, force), 1.0 - 0.5 * omega, 1.0 - 0.5 * om)])
-        rows = mat.shape[1]
+        rows, mat = mat.shape[1], mat.astype(dtype)
 
         def relax(f, out, m, g, rev):
             np.matmul(mat, m[:rows], out=g)
@@ -383,16 +423,19 @@ class KBC(CollisionModel):
         shear.setflags(write=False)
         object.__setattr__(self, "shear", shear)
 
-    def _relaxation(self, omega, force):
-        lat, shear = self.lattice, self.shear
+    def _relaxation(self, omega, force, dtype):
+        lat = self.lattice
         n2, n_pi = lat.basis.shape[1], len(lat.pairs)
-        flux = lat.moments[n2 - n_pi:]
+        basis, flux, shear = (a.astype(dtype) for a in (
+            lat.basis, lat.moments[n2 - n_pi:], self.shear))
         beta, inv_beta = 0.5 * omega, 2.0 / omega
         source = None if force is None else (
-            (1.0 - beta) * _guo_basis(lat, force))
+            (1.0 - beta) * _guo_basis(lat, force)).astype(dtype)
+        beta, inv_beta, omega, sh_rate = (dtype.type(x) for x in (
+            beta, inv_beta, omega, 2.0 - inv_beta))
 
         def relax(f, out, m, feq, dh, ds):
-            np.matmul(lat.basis, m[:n2], out=feq)
+            np.matmul(basis, m[:n2], out=feq)
             # the conserved and flux rows of m are spent: reuse them
             pi, (sh, hh, gamma) = m[:n_pi], m[n_pi:n_pi + 3]
             np.subtract(f, feq, out=dh)               # fneq
@@ -405,7 +448,7 @@ class KBC(CollisionModel):
             np.einsum("qn,qn->n", dh, feq, out=hh)
             mask = hh > 1e-30
             np.divide(sh, hh, out=sh, where=mask)
-            sh *= 2.0 - inv_beta
+            sh *= sh_rate
             np.subtract(inv_beta, sh, out=sh)
             gamma.fill(2.0)
             np.copyto(gamma, sh, where=mask)

@@ -31,6 +31,9 @@ from .fusion import FUSED_FULL, FusionConfig, get_config
 
 __all__ = ["SimConfig"]
 
+#: Population dtypes a step runs in.
+DTYPES = ("float32", "float64")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -73,6 +76,12 @@ class SimConfig:
         Worker-process count for the ``"mp"`` backend; ``None`` defers
         to ``$REPRO_MP_WORKERS`` and then a small core-count default.
         Ignored by the in-process backends.
+    dtype:
+        Population dtype of the step, ``"float32"`` (the default: every
+        population, scratch and collide tile at half the bytes) or
+        ``"float64"``, the reference precision the round-off tests and
+        the dense-reference comparisons build at.  Bit-identity across
+        fusion configs and backends holds within a dtype.
     """
 
     lattice: Any = "D3Q19"
@@ -85,6 +94,7 @@ class SimConfig:
     max_workers: int | None = None
     backend: str | None = None
     mp_workers: int | None = None
+    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if (self.viscosity is None) == (self.omega0 is None):
@@ -108,11 +118,19 @@ class SimConfig:
                 raise ValueError(
                     f"unknown backend {self.backend!r}; available: "
                     f"{', '.join(available_backends())}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {', '.join(DTYPES)}, "
+                             f"got {self.dtype!r}")
         if self.backend == "mp" and self.threaded:
             raise ValueError(
                 "backend='mp' runs waves on worker processes and cannot "
                 "also be threaded; drop threaded=True or pick "
                 "backend='compiled'")
+
+    def __setstate__(self, state: dict) -> None:
+        # A config pickled before ``dtype`` existed (a parked job's
+        # payload) ran, and checkpointed, in float64: it resumes there.
+        self.__dict__.update({"dtype": "float64", **state})
 
     def replace(self, **changes) -> "SimConfig":
         """A copy with ``changes`` applied (re-validated).
@@ -137,4 +155,5 @@ class SimConfig:
             "max_workers": self.max_workers,
             "backend": self.backend,
             "mp_workers": self.mp_workers,
+            "dtype": self.dtype,
         }

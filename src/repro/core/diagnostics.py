@@ -28,7 +28,7 @@ def solid_force(engine: Engine) -> np.ndarray:
 
     The bounce-back pull put ``f*_{opp q}`` of each link's cell into
     ``f_q`` (``sb_q`` is the direction the cell pulls from the solid),
-    so ``f`` carries it.
+    so ``f`` carries it.  Summed in float64 whatever ``f``'s dtype.
     """
     lat = engine.lat
     d = engine.mgrid.d
@@ -39,7 +39,7 @@ def solid_force(engine: Engine) -> np.ndarray:
         # populations pointing INTO the wall: direction opp(q) at the
         # cell, bounced back into f_q by the last substep's pull
         opp = lat.opp[cl.sb_q]
-        fs = buf.f[cl.sb_q, cl.sb_cell]
+        fs = buf.f[cl.sb_q, cl.sb_cell].astype(np.float64)
         weight = (0.5 ** lv) ** d * (2 ** lv)
         force += weight * 2.0 * (fs[:, None] * lat.ef[opp]).sum(axis=0)
     return force

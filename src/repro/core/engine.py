@@ -1,7 +1,9 @@
 """Execution engine: state buffers and the one body of every kernel.
 
 The engine owns, per level, one population buffer ``f`` (``(Q,
-n_owned)``) and the ghost-layer accumulator.  ``f`` holds the
+n_owned)``) and the ghost-layer accumulator, in the engine's
+:attr:`~Engine.dtype` (float32 by default, float64 for the reference
+precision), as is every scratch a body binds.  ``f`` holds the
 post-streaming state at the start of a substep and, after Collide wrote
 over its input, the post-collision state: Accumulate reads it there, and
 so do the next finer level's Explosion reads during both finer substeps
@@ -22,9 +24,11 @@ and the in-place stream's scratch are rewritten before they are read,
 ``ghost_acc`` is zero.
 Each ``op_*`` method is one GPU kernel: it declares one launch record
 with the DRAM traffic the equivalent CUDA kernel would generate — the
-paper's two-buffer kernels, which is what the cost model consumes — and
-hands the runtime a handle of the kernel's body.  Its declared fields
-and its body's access report name the storage the body touches.
+paper's two-buffer kernels at 8 bytes a value (:attr:`Engine.itemsize`,
+the model's width, whatever the host's dtype), which is what the cost
+model consumes — and hands the runtime a handle of the kernel's body.
+Its declared fields and its body's access report name the storage the
+body touches.
 
 This module is the only place a kernel body is written.  The ``_collide``
 / ``_accumulate`` / ``_stream`` / ``_explode`` / ``_coalesce`` /
@@ -56,8 +60,8 @@ from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows, pull_grou
 from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
                             Runtime)
-from .collision import (TILE_BUDGET_BYTES, CollisionModel, equilibrium,
-                        macroscopics, make_collision)
+from .collision import (CollisionModel, equilibrium, macroscopics,
+                        make_collision, tile_cuts)
 from .fusion import FusionConfig
 from .units import omega_at_level
 
@@ -122,9 +126,15 @@ class Engine:
 
     def __init__(self, mgrid: MultiGrid, collision: CollisionModel | str = "bgk",
                  omega0: float = 1.0, runtime: Runtime | None = None,
-                 force=None) -> None:
+                 force=None, dtype="float32") -> None:
         self.mgrid = mgrid
-        #: bytes per stored population value: populations are float64
+        #: Host dtype of every population-sized array (``f``, ``fghost``,
+        #: ``ghost_acc``, the bodies' scratch); host bytes are read off
+        #: the arrays themselves.
+        self.dtype = np.dtype(dtype)
+        #: Bytes per population value of the paper's device kernels, which
+        #: the launch records and access reports price: the model's width,
+        #: not the host's dtype (so no ``gpu.*`` number follows the dtype).
         self.itemsize = 8
         self.lat = mgrid.lattice
         self.collision = (make_collision(collision, self.lat)
@@ -147,10 +157,11 @@ class Engine:
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
-        #: Per level, the in-place stream's scratch, ``parts -> (parts, G,
-        #: n_owned)``, built when the first stream body binds there: state,
-        #: so the engine's, while the flat index maps live on the grid (see
-        #: :meth:`_map`).
+        #: Per level, the bodies' bind-time scratch: the in-place stream's,
+        #: ``parts -> (parts, G, n_owned)``, and Accumulate's gather
+        #: buffers, ``"acc"``, each built when the first body binds there:
+        #: state, so the engine's, while the flat index maps live on the
+        #: grid (see :meth:`_map`).
         self.scratch: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
@@ -159,8 +170,8 @@ class Engine:
         every map in the engine's row space, so none is copied here."""
         Q = self.lat.q
         return LevelBuffers(
-            f=np.zeros((Q, cl.n_owned)),
-            ghost_acc=np.zeros((Q, cl.n_ghost)),
+            f=np.zeros((Q, cl.n_owned), self.dtype),
+            ghost_acc=np.zeros((Q, cl.n_ghost), self.dtype),
             n_owned=cl.n_owned, n_used=cl.n_owned + cl.fine_ghost_slots.size,
             pull_flat=cl.pull_flat,
             mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
@@ -193,7 +204,8 @@ class Engine:
         if config.original_layout:
             for buf in self.levels:
                 if buf.fghost is None and buf.n_used > buf.n_owned:
-                    buf.fghost = np.zeros((self.lat.q, buf.n_used - buf.n_owned))
+                    buf.fghost = np.zeros((self.lat.q, buf.n_used - buf.n_owned),
+                                          self.dtype)
 
     def _fghost(self, lv: int) -> np.ndarray:
         fghost = self.levels[lv].fghost
@@ -299,17 +311,23 @@ class Engine:
             got = maps["pull"] = (table, (lo, hi))
         return got
 
-    def split_cuts(self, lv: int) -> list[int]:
-        """Column cuts ``[0, ..., n_owned]`` of level ``lv``'s split bodies:
-        at most :attr:`split_width` parts of :data:`SPLIT_MIN_BYTES` or
-        more, inner cuts on multiples of 64 columns (the GEMM unit)."""
-        n = self.levels[lv].n_owned
-        parts = self.split_width
-        while parts > 1 and self.lat.q * self.itemsize * n < parts * SPLIT_MIN_BYTES:
+    def split_parts(self, lv: int) -> int:
+        """Parts level ``lv``'s split bodies may run in: at most
+        :attr:`split_width`, each of :data:`SPLIT_MIN_BYTES` of ``f`` or
+        more (host bytes, read off the array)."""
+        nbytes, parts = self.levels[lv].f.nbytes, self.split_width
+        while parts > 1 and nbytes < parts * SPLIT_MIN_BYTES:
             parts -= 1
-        blocks = -(-n // 64)
-        inner = {64 * (blocks * k // parts) for k in range(1, parts)}
-        return [0, *sorted(c for c in inner if 0 < c < n), n]
+        return parts
+
+    def split_cuts(self, lv: int) -> list[int]:
+        """Column cuts ``[0, ..., n_owned]`` of level ``lv``'s split collide:
+        up to :meth:`split_parts` parts, inner cuts on the multiples of
+        the collide tile (:meth:`CollisionModel.tile
+        <repro.core.collision.CollisionModel.tile>`) nearest an even
+        share, so every part issues the whole-level call's products."""
+        return tile_cuts(self.levels[lv].n_owned, self.split_parts(lv),
+                         self.collision.tile(self.dtype))
 
     # -- kernel bodies ---------------------------------------------------------
     # The one implementation of each kernel.  A builder resolves buffer
@@ -339,14 +357,15 @@ class Engine:
                 part_report(t)
         return run, report
 
-    def collide_columns(self, lv: int, lo: int, hi: int, omega: float, force,
-                        budget: int = TILE_BUDGET_BYTES) -> KernelBody:
-        """Collide columns ``[lo, hi)`` of level ``lv`` (a split part, an mp shard)."""
+    def collide_columns(self, lv: int, lo: int, hi: int, omega: float,
+                        force) -> KernelBody:
+        """Collide columns ``[lo, hi)`` of level ``lv`` (a split part, an mp
+        shard: ``lo`` on a multiple of the collide tile)."""
         collide = self.collision.collide
         f = self.levels[lv].f[:, lo:hi]
 
         def run() -> None:
-            collide(f, omega, out=f, force=force, budget=budget)
+            collide(f, omega, out=f, force=force)
         return run
 
     def _collide(self, lv: int, omega: float, force, in_registers: bool = False):
@@ -354,9 +373,7 @@ class Engine:
         post-collision values on chip, so the write moves no DRAM bytes."""
         n = self.levels[lv].n_owned
         cuts = self.split_cuts(lv)
-        # the parts share one tile budget: a split adds no scratch
-        budget = TILE_BUDGET_BYTES // (len(cuts) - 1)
-        parts = [self.collide_columns(lv, lo, hi, omega, force, budget)
+        parts = [self.collide_columns(lv, lo, hi, omega, force)
                  for lo, hi in zip(cuts, cuts[1:])]
         run = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 
@@ -373,7 +390,10 @@ class Engine:
         whose bin the parent's Coalescence reads and no
         others: contributions to such a bin keep the order of the
         per-``q`` sums, so the float accumulation order is the textbook
-        one, and a bin nobody reads stays 0.  ``mode`` selects the
+        one, and a bin nobody reads stays 0.  The entries are gathered into
+        bind-time buffers on :attr:`scratch` (``"acc"``; ``bincount``
+        weighs in float64, so a float32 level stages them twice) and the
+        sums land in ``ghost_acc``'s dtype.  ``mode`` selects the
         traffic attribution of the equivalent GPU kernel: ``"fused"``
         (Collision+Accumulate — the source values sit in registers, the
         scatter is atomic), ``"scatter"`` (standalone fine-initiated
@@ -399,11 +419,15 @@ class Engine:
                     flat(fine.n_owned, parent.acc_fine_rows))
         rows_flat, src_flat = self._map(lv, "acc", live_entries)
         gacc_flat, post_flat = parent.ghost_acc.reshape(-1), fine.f.reshape(-1)
+        gathered, weights = self._acc_buffers(lv, src_flat.size)
         minlength = Q * ng
-        bincount = np.bincount
+        bincount, take, copyto = np.bincount, np.take, np.copyto
 
         def run() -> None:
-            gacc_flat[:] += bincount(rows_flat, weights=post_flat[src_flat],
+            take(post_flat, src_flat, out=gathered, mode="clip")
+            if weights is not gathered:
+                copyto(weights, gathered)
+            gacc_flat[:] += bincount(rows_flat, weights=weights,
                                      minlength=minlength)
 
         def report(t) -> None:
@@ -419,6 +443,19 @@ class Engine:
                     t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
                 t.atomic(FieldRef("gacc", lv - 1), glo, ghi, nb)
         return run, report
+
+    def _acc_buffers(self, lv: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level ``lv``'s Accumulate buffers: the gather in the engine's
+        dtype and the float64 weights ``bincount`` reads (the same array
+        in float64).  Every Accumulate body bound on the level shares them:
+        they write the same ghost bins, so never run at once."""
+        got = self.scratch[lv].get("acc")
+        if got is None:
+            gathered = np.empty(size, self.dtype)
+            weights = (gathered if self.dtype == np.float64
+                       else np.empty(size, np.float64))
+            got = self.scratch[lv]["acc"] = (gathered, weights)
+        return got
 
     def _stream(self, lv: int, in_registers: bool = False):
         """One gather per direction through the pull table — interior,
@@ -457,10 +494,11 @@ class Engine:
 
         groups = sorted(self._map(lv, "groups", lambda: tuple(pull_groups(
             self.mgrid.levels[lv], self.lat))), key=len, reverse=True)
-        width = min(len(self.split_cuts(lv)) - 1, len(groups))
+        width = min(self.split_parts(lv), len(groups))
         scratch = self.scratch[lv].get(width)
         if scratch is None:
-            scratch = self.scratch[lv][width] = np.empty((width, len(groups[0]), n))
+            scratch = self.scratch[lv][width] = np.empty(
+                (width, len(groups[0]), n), self.dtype)
         parts = [in_place(groups[k::width], scratch[k]) for k in range(width)]
         pull = parts[0] if len(parts) == 1 else lambda: run_split(parts)
 
@@ -737,7 +775,8 @@ class Engine:
         (with one offending value per row, for diagnostics), plus density
         and velocity magnitude.  Only ``f`` crosses a coarse step, so
         nothing else is scanned; a non-finite population makes its
-        column's rho non-finite, so one moment product finds the rows.
+        column's rho non-finite, so one moment product (float64: the
+        lattice matrix is) finds the rows.
         Consumed by the observability watchdog (:mod:`repro.obs.watchdog`);
         kept on the engine because only it knows the buffer/row layout.
         """
@@ -770,15 +809,18 @@ class Engine:
         return self.collision._moments(f, self.force[lv])
 
     def total_mass(self) -> float:
-        """Volume-weighted total mass in coarse-lattice units."""
+        """Volume-weighted total mass in coarse-lattice units, summed in
+        float64 whatever the populations' dtype (so a drift reading is the
+        state's, not the sum's own rounding)."""
         total = 0.0
         for lv, buf in enumerate(self.levels):
             vol = (0.5 ** lv) ** self.mgrid.d
-            total += vol * float(buf.f.sum())
+            total += vol * float(buf.f.sum(dtype=np.float64))
         return total
 
     def total_momentum(self) -> np.ndarray:
-        """Volume-weighted total momentum vector in coarse-lattice units."""
+        """Volume-weighted total momentum vector in coarse-lattice units
+        (float64: the lattice matrix is)."""
         mom = np.zeros(self.mgrid.d)
         for lv, buf in enumerate(self.levels):
             vol = (0.5 ** lv) ** self.mgrid.d

@@ -87,7 +87,8 @@ class Simulation:
         self.mgrid: MultiGrid = (grid if grid is not None
                                  else build_multigrid(spec, lat))
         self.engine = Engine(self.mgrid, config.collision, omega0,
-                             runtime=runtime, force=config.force)
+                             runtime=runtime, force=config.force,
+                             dtype=config.dtype)
         self.engine.allocate(config.fusion)
         from ..backend import resolve_backend
         backend = resolve_backend(config.backend, bool(config.threaded))

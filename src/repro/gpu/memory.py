@@ -178,8 +178,8 @@ def memory_arrays(obj):
 
     Owners in order: the grid compile (the :func:`index_bytes` families),
     the engine's ``LevelBuffers`` (``populations``, ``ghost_accumulators``,
-    ``fine_ghosts``), the grid's flat index maps (``maps``), the stream
-    scratch (``scratch``).  An allocation held twice is yielded under its
+    ``fine_ghosts``), the grid's flat index maps (``maps``), the bodies'
+    bind-time scratch (``scratch``: the stream's, Accumulate's gathers).  An allocation held twice is yielded under its
     first owner (shared ``pull_flat`` counts once, as ``pull``); an empty
     one, which shares no memory, wherever it is held.
     """
@@ -192,7 +192,8 @@ def memory_arrays(obj):
     held += [(cl.level, "maps", str(key), a) for cl in mgrid.levels
              for key, value in cl.maps.items() for a in _arrays(value)]
     held += [(lv, "scratch", str(key), a) for lv, scratch in
-             enumerate(engine.scratch if engine else ()) for key, a in scratch.items()]
+             enumerate(engine.scratch if engine else ())
+             for key, value in scratch.items() for a in _arrays(value)]
     seen: set[int] = set()
     for lv, family, name, a in held:
         memory = _allocation(a)

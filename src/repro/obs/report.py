@@ -218,7 +218,7 @@ def render_text(rep: RunReport) -> str:
         f"bytes/step {_fmt(m.get('bytes_per_step'), 0)}   "
         f"wave depth {_fmt(m.get('wave_depth'), 0)}",
         f"touched bytes : {_fmt(m.get('arena_peak_bytes'), 0)} B   "
-        f"cell split {_fmt(m.get('cell_split_parts'), 0)} part(s)",
+        f"cell split {_fmt(m.get('cell_split_parts'), 0)} collide part(s)",
         f"occupancy     : max {rep.occupancy.get('max_concurrent', 0)} "
         f"mean {_fmt(rep.occupancy.get('mean_concurrent', 0.0), 2)}",
     ]

@@ -146,8 +146,9 @@ def synthetic_step_records(spec, config) -> list[KernelRecord]:
     """One coarse step's kernel stream, synthesized without a grid.
 
     Level ``L`` runs ``2^L`` substeps per coarse step (Algorithm 1);
-    each kernel reads and writes one full (float64) population set of
-    its level.
+    each kernel reads and writes one full population set of its level,
+    8 bytes a value (the device kernels' width, as the engine's records
+    price it, whatever the host's dtype).
     """
     fusion = config.fusion
     lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)

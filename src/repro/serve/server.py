@@ -535,7 +535,8 @@ class JobServer:
 
     def _persist(self, job: _Job) -> None:
         state = job.status.as_dict()
-        state.update(submitted_seq=job.submitted_seq, updated_at=time.time())
+        state.update(submitted_seq=job.submitted_seq, updated_at=time.time(),
+                     dtype=job.spec.config.dtype)
         write_job_state(job_dir(self.root, job.spec.job_id), state)
 
     def _flush_log(self, job: _Job) -> None:

@@ -3,7 +3,8 @@
 Each job owns one directory under ``<root>/jobs/<job_id>/``::
 
     job.json      -- the job's JobStatus (atomic tmp+replace, like a
-                     checkpoint) plus its submission sequence
+                     checkpoint) plus its submission sequence and the
+                     population dtype its config steps in
     payload.pkl   -- the whole JobSpec, pickled (domain masks and fusion
                      objects are not JSON-able)
     ckpt/         -- the job's CheckpointStore (atomic generations,

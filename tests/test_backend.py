@@ -86,8 +86,11 @@ class TestBitIdentity:
         ref.run(3)
         plan = next(iter(sim.backend.plans.values()))
         assert plan.arena_bytes == 0
-        scratch = [a for level in sim.engine.scratch for a in level.values()]
-        assert len(scratch) == sim.num_levels
+        stream = [a for level in sim.engine.scratch
+                  for key, a in level.items() if key != "acc"]
+        assert len(stream) == sim.num_levels
+        scratch = stream + [a for level in sim.engine.scratch
+                            for a in level.get("acc", ())]
         assert len({id(a) for a in scratch}) == len(scratch)
         names = [(r.name, r.level) for r in plan.records]
         assert {("S", 1), ("S", 2), ("E", 2)} <= set(names)

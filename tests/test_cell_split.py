@@ -1,23 +1,27 @@
 """Cell-range split of the collide and stream bodies (DESIGN.md, "Cell-range split").
 
-Most test grids are below the size floor, so the cases here remove the
-floor and force the width to 2 or 3, then compare against the same run
-unsplit: the state, the records and the markers must be identical.
+Most test grids are below the size floor and the collide tile, so the
+cases here remove the floor, narrow the tile to 64 columns and force the
+width to 2 or 3, then compare against the same run unsplit: the state,
+the records and the markers must be identical.
 """
 
 import os
 import signal
 import threading
 import time
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
+import numpy as np
 import pytest
 
+import repro.core.collision as collision_mod
 import repro.core.engine as engine_mod
 from repro.backend import mp
 from repro.bench.workloads import lid_cavity, sphere_tunnel
-from repro.core.collision import TILE_BUDGET_BYTES, CollisionModel
+from repro.core.collision import BGK, KBC
 from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
+from repro.core.lattice import D3Q19, D3Q27
 from repro.core.simulation import Simulation
 from repro.neon import executor
 from repro.neon.executor import run_split
@@ -41,9 +45,10 @@ EXECUTORS = {"interpreted": dict(backend="interpreted", threaded=False),
 @pytest.fixture
 def split(monkeypatch):
     """``split(width)``: engines built afterwards split every level into
-    up to ``width`` parts (width 1: unsplit)."""
+    up to ``width`` parts (width 1: unsplit), on 64-column tiles."""
     def force(width: int) -> None:
         monkeypatch.setattr(engine_mod, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(collision_mod, "TILE_BUDGET_BYTES", 0)
         monkeypatch.setattr(engine_mod, "usable_cpus", lambda: width)
     return force
 
@@ -61,22 +66,33 @@ def run(spec, config, steps=3):
 
 # -- the cuts ----------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 100, 128, 191, 420, 1392, 31232])
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 100, 128, 191, 420, 1392, 31232,
+                               121536])
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 @pytest.mark.parametrize("floor", [0, engine_mod.SPLIT_MIN_BYTES])
 def test_cuts_fall_on_64_columns(monkeypatch, n, width, floor):
+    # on the collide tile of the operator and the dtype, a multiple of 64
     monkeypatch.setattr(engine_mod, "SPLIT_MIN_BYTES", floor)
-    eng = SimpleNamespace(levels=[SimpleNamespace(n_owned=n)], itemsize=8,
-                          lat=SimpleNamespace(q=19), split_width=width)
-    cuts = engine_mod.Engine.split_cuts(eng, 0)
-    assert cuts[0] == 0 and cuts[-1] == n
-    assert all(a < b for a, b in zip(cuts, cuts[1:]))
-    assert all(c % 64 == 0 for c in cuts[1:-1])
-    parts = len(cuts) - 1
-    q_bytes = 19 * 8 * n
-    # the floor caps the parts; otherwise 64-column blocks do
-    assert parts == max(1, min(width, -(-n // 64),
-                               q_bytes // floor if floor else width))
+    for op, dtype in [(BGK(D3Q19), np.float32), (BGK(D3Q19), np.float64),
+                      (KBC(D3Q27), np.float32)]:
+        f = np.empty((op.lattice.q, n), dtype)
+        eng = SimpleNamespace(levels=[SimpleNamespace(n_owned=n, f=f)], dtype=f.dtype,
+                              collision=op, split_width=width)
+        eng.split_parts = MethodType(engine_mod.Engine.split_parts, eng)
+        cuts = engine_mod.Engine.split_cuts(eng, 0)
+        assert cuts[0] == 0 and cuts[-1] == n
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        tile = op.tile(dtype)
+        assert tile % 64 == 0
+        assert all(c % tile == 0 for c in cuts[1:-1])
+        # the floor caps the parts (host bytes: f's own); so do whole
+        # tiles, and a level of as many tiles as parts gets them all
+        allowed = max(1, min(width, f.nbytes // floor if floor else width))
+        assert eng.split_parts(0) == allowed
+        parts = len(cuts) - 1
+        assert parts <= min(allowed, -(-n // tile))
+        if n >= allowed * tile:
+            assert parts == allowed
 
 
 @pytest.mark.parametrize("base, levels", [((96, 96), 2), ((64, 64), 3)])
@@ -125,19 +141,31 @@ def test_split_bit_identical_collision_models(split, case):
         assert parts == width and got == want, width
 
 
-def test_parts_share_one_tile_budget(split, monkeypatch):
-    budgets = set()
-    collide = CollisionModel.collide
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_parts_start_on_the_collide_tile(monkeypatch, dtype):
+    # at the shipped tile width (no narrowing): the tile does not depend
+    # on the split, every part starts on it, and the split run steps to
+    # the unsplit run's bits
+    parts = []
+    build = engine_mod.Engine.collide_columns
 
-    def spy(self, f, omega, out=None, force=None, budget=TILE_BUDGET_BYTES):
-        budgets.add(budget)
-        return collide(self, f, omega, out=out, force=force, budget=budget)
-    monkeypatch.setattr(CollisionModel, "collide", spy)
-    split(3)
-    wl = WORKLOADS["3d"]()
-    run(wl.spec, wl.sim_config(backend="compiled"), steps=1)
-    # level 0 (8 cells) runs whole; the others in three parts
-    assert budgets == {TILE_BUDGET_BYTES, TILE_BUDGET_BYTES // 3}
+    def spy(self, lv, lo, hi, *args):
+        parts.append((lo, hi, self.collision.tile(self.dtype)))
+        return build(self, lv, lo, hi, *args)
+    monkeypatch.setattr(engine_mod.Engine, "collide_columns", spy)
+    monkeypatch.setattr(engine_mod, "SPLIT_MIN_BYTES", 0)
+    wl = lid_cavity(base=(16, 16, 16), num_levels=3)    # finest: 121536 cells
+    digests = set()
+    for width in (1, 2, 3):
+        monkeypatch.setattr(engine_mod, "usable_cpus", lambda: width)
+        parts.clear()
+        got, split_parts = run(wl.spec, wl.sim_config(backend="compiled", dtype=dtype),
+                               steps=1)
+        digests.add(got[0])
+        assert split_parts == width
+        assert len({tile for *_, tile in parts}) == 1
+        assert all(lo % tile == 0 for lo, _, tile in parts)
+    assert len(digests) == 1
 
 
 # -- errors and lifecycle -----------------------------------------------------

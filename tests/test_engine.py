@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.collision as collision_mod
 import repro.core.engine as engine_mod
 from repro.backend.compiler import bind_bodies
 from repro.backend.plan import StepPlan
@@ -114,21 +115,28 @@ class TestInitialize:
     @pytest.mark.parametrize("lattice,base", [("D2Q9", (16, 16)),
                                               ("D3Q19", (8, 8, 8)),
                                               ("D3Q27", (8, 8, 8))])
-    @pytest.mark.parametrize("rho", [1.0, 0.9731])
-    def test_rest_state_is_the_equilibrium_bit_for_bit(self, lattice, base, rho):
+    @pytest.mark.parametrize("rho, dtype", [
+        pytest.param(rho, dtype, id=f"{rho}{suffix}")
+        for dtype, suffix in (("float64", ""), ("float32", "-float32"))
+        for rho in (1.0, 0.9731)])
+    def test_rest_state_is_the_equilibrium_bit_for_bit(self, lattice, base, rho,
+                                                        dtype):
         # at rest with a scalar density initialize writes w * rho without
-        # the equilibrium's GEMMs: the same bits
+        # the equilibrium's GEMMs: the same bits (a float64 round-off
+        # property, so at float64); the float32 twin holds the float64
+        # equilibrium rounded once to float32 -- within 0 eps of float32
         from repro.bench.workloads import lid_cavity
         from repro.core.collision import equilibrium
         from repro.core.lattice import get_lattice
         lat = get_lattice(lattice)
         eng = Engine(build_multigrid(lid_cavity(base=base, num_levels=2,
-                                                lattice=lattice).spec, lat))
+                                                lattice=lattice).spec, lat),
+                     dtype=dtype)
         eng.initialize(rho)
         for buf in eng.levels:
             want = equilibrium(lat, np.full(buf.n_owned, rho),
                                np.zeros((lat.d, buf.n_owned)))
-            assert want.tobytes() == buf.f.tobytes()
+            assert want.astype(dtype).tobytes() == buf.f.tobytes()
             assert not buf.ghost_acc.any()
 
     def test_rest_equilibrium(self):
@@ -523,7 +531,7 @@ class TestKernelBodies:
         first, launch, reference = KERNELS[kernel]
         rng = np.random.default_rng(sum(map(ord, kernel)))
         for lv in range(first, len(engine.levels)):
-            start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
+            start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape).astype(b.f.dtype)
                       for k in self.FIELDS if getattr(b, k) is not None}
                      for b in engine.levels]
             results = []
@@ -629,11 +637,14 @@ class TestInPlace:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("sequence", IN_PLACE)
     def test_matches_textbook_body(self, engine, sequence, width, monkeypatch):
+        # 64-column tiles and no part floor: every level runs split
+        monkeypatch.setattr(collision_mod, "TILE_BUDGET_BYTES", 0)
         monkeypatch.setattr(engine_mod, "SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(engine, "split_width", width)
+        monkeypatch.setattr(engine, "scratch", [{} for _ in engine.levels])
         rng = np.random.default_rng(width)
         for lv in range(1, len(engine.levels)):
-            start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)
+            start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape).astype(b.f.dtype)
                       for k in ("f", "ghost_acc")} for b in engine.levels]
             results = []
             for run in (lambda: IN_PLACE[sequence](engine, lv),
@@ -653,8 +664,12 @@ class TestInPlace:
             for (gf, gacc), (wf, wacc) in zip(got, want):
                 assert np.array_equal(gf, wf), (sequence, lv)
                 assert np.array_equal(gacc, wacc), (sequence, lv)
+            # the collide ran in ``width`` tile-aligned calls, the stream
+            # in ``width`` parts through the one scratch it bound
             groups = pull_groups(engine.mgrid.levels[lv], engine.lat)
-            parts = min(len(engine.split_cuts(lv)) - 1, len(groups))
-            assert parts == min(width, len(engine.split_cuts(lv)) - 1)
-            assert engine.scratch[lv][parts].shape == (
-                parts, max(map(len, groups)), engine.levels[lv].n_owned)
+            assert len(engine.split_cuts(lv)) - 1 == width
+            assert engine.split_parts(lv) == width < len(groups)
+            bound = [k for k in engine.scratch[lv] if isinstance(k, int)]
+            assert bound == [width]
+            assert engine.scratch[lv][width].shape == (
+                width, max(map(len, groups)), engine.levels[lv].n_owned)

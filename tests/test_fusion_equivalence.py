@@ -7,7 +7,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import repro.core.collision as collision_mod
 import repro.core.engine as engine_mod
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_CA, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE, FusionConfig,
@@ -205,17 +207,26 @@ def swirl(base, amplitude=5e-4):
     return u
 
 
-def assert_executors_and_configs_agree(spec, lattice, steps=3):
+#: Relative mass change per step a closed single-level domain may show:
+#: none but round-off.  float64 reads well under 1e-12; float32 collides
+#: conserve a cell's mass to a few ulps and the cells' errors partly cancel
+#: (the mass is summed in float64, so the reading is the state's).
+SINGLE_LEVEL_DRIFT = {"float64": 1e-12, "float32": 16 * np.finfo(np.float32).eps}
+
+
+def assert_executors_and_configs_agree(spec, lattice, steps=3, dtype="float64"):
     closed = all(spec.bc.face(name).kind in ("wall", "slip", "periodic")
                  for name in _face_names(spec.d))
     state = None
     for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
         trace = None
         for (executor, how), parts in itertools.product(EXECUTORS.items(), SPLITS):
+            # the split on 64-column tiles, so small levels split too
             with mock.patch.object(engine_mod, "SPLIT_MIN_BYTES", 0), \
+                    mock.patch.object(collision_mod, "TILE_BUDGET_BYTES", 0), \
                     mock.patch.object(engine_mod, "usable_cpus", lambda: parts), \
                     Simulation.from_config(spec, lattice=lattice, viscosity=0.05,
-                                           fusion=cfg, **how) as sim:
+                                           fusion=cfg, dtype=dtype, **how) as sim:
                 sim.initialize(u=swirl(spec.base_shape))
                 mass = [sim.engine.total_mass()]
                 for _ in range(steps):
@@ -231,18 +242,19 @@ def assert_executors_and_configs_agree(spec, lattice, steps=3):
             assert ran == trace, where
             if closed:
                 drift = max(abs(b - a) / a for a, b in zip(mass, mass[1:]))
-                assert drift <= (1e-5 if spec.num_levels > 1 else 1e-12), where
+                assert drift <= (1e-5 if spec.num_levels > 1
+                                 else SINGLE_LEVEL_DRIFT[dtype]), where
 
 
 @executor_budget
-@given(random_specs())
-def test_random_topologies_agree_across_executors_and_configs(spec):
+@given(random_specs(), st.sampled_from(sorted(SINGLE_LEVEL_DRIFT)))
+def test_random_topologies_agree_across_executors_and_configs(spec, dtype):
     lattice = "D2Q9" if spec.d == 2 else "D3Q19"
     try:
         _validate_spec(spec)
     except ValueError:
         assume(False)
-    assert_executors_and_configs_agree(spec, lattice)
+    assert_executors_and_configs_agree(spec, lattice, dtype=dtype)
 
 
 def test_solid_among_a_ghost_cells_children_is_refused():

@@ -67,8 +67,15 @@ def assert_same_f(a, b):
 def scratch(engine):
     """``lv -> (parts, G, n_owned)`` scratch of every level that streams
     in place, as its bound bodies share it."""
-    return {lv: arr for lv, family, _, arr in memory_arrays(engine)
-            if family == "scratch"}
+    return {lv: arr for lv, family, name, arr in memory_arrays(engine)
+            if family == "scratch" and name != "acc"}
+
+
+def acc_buffers(engine):
+    """Accumulate's bind-time gather buffers, every level's (dead between
+    substeps, like the stream's scratch)."""
+    return [arr for _, family, name, arr in memory_arrays(engine)
+            if family == "scratch" and name == "acc"]
 
 
 # -- what crosses a coarse-step boundary -------------------------------------------
@@ -83,6 +90,8 @@ def test_only_f_crosses_a_coarse_step(setup, cfg):
         stage = scratch(poisoned.engine)
         assert list(stage) == list(range(poisoned.num_levels))
         for arr in stage.values():          # the in-place stream's scratch
+            arr.fill(np.nan)
+        for arr in acc_buffers(poisoned.engine):
             arr.fill(np.nan)
         for buf in poisoned.engine.levels:
             assert buf.f.shape == (poisoned.lattice.q, buf.n_owned)
@@ -206,18 +215,46 @@ def test_format_1_is_refused(tmp_path):
 
 
 def test_a_float32_checkpoint_is_refused(tmp_path):
-    # written by hand: what a float32 run of an earlier commit stored
+    # checkpoints are verbatim: a float32 run's file is not restored into
+    # a float64 simulation, and a refused restore leaves the target
+    # untouched
+    _assert_checkpoint_refused(tmp_path, saved="float32", target="float64")
+
+
+def test_a_float64_checkpoint_is_refused(tmp_path):
+    # nor the other way round
+    _assert_checkpoint_refused(tmp_path, saved="float64", target="float32")
+
+
+def _assert_checkpoint_refused(tmp_path, saved, target):
+    writer = make(cavity_2d_three_levels, dtype=saved)
+    writer.run(2)
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(writer, path)
+    with np.load(path) as data:
+        assert all(data[f"f_{lv}"].dtype == saved for lv in range(writer.num_levels))
+    sim = make(cavity_2d_three_levels, dtype=target)
+    sim.run(3)
+    before = state_digest(sim)
+    with pytest.raises(ValueError, match=f"^level 0 populations are {saved}, not {target}"):
+        restore_checkpoint(sim, path)
+    assert state_digest(sim) == before and sim.steps_done == 3
+
+
+def test_one_level_of_another_dtype_refuses_the_whole_file(tmp_path):
+    # written by hand: level 0 matches, level 1 does not -- the restore
+    # validates every level before it writes any
     sim = make(cavity_2d_three_levels)
     sim.run(2)
-    path = str(tmp_path / "f32.npz")
+    path = str(tmp_path / "mixed.npz")
     save_checkpoint(sim, path)
     with np.load(path) as data:
         old = {k: data[k] for k in data.files}
-    old["f_1"] = old["f_1"].astype(np.float32)
+    old["f_1"] = old["f_1"].astype(np.float64)
     np.savez(path, **old)
     sim.run(1)
     before = state_digest(sim)
-    with pytest.raises(ValueError, match="^level 1 populations are float32"):
+    with pytest.raises(ValueError, match="^level 1 populations are float64, not float32"):
         restore_checkpoint(sim, path)
     assert state_digest(sim) == before and sim.steps_done == 3
 
@@ -291,47 +328,56 @@ def test_the_host_allocates_what_the_stream_addresses(workload):
 
 
 def scratch_bytes(engine):
-    """What the in-place streams' scratch must hold: per level, one
-    ``(G, n_owned)`` block per part of the level's split, no more parts
-    than direction groups (``G`` the largest group)."""
+    """What the bodies' scratch must hold: per level, one ``(G, n_owned)``
+    block per part of the level's split stream, no more parts than
+    direction groups (``G`` the largest group), and Accumulate's gather of
+    the entries its parent's Coalescence reads, in ``f``'s dtype and --
+    unless that is float64 -- again in the float64 ``bincount`` weighs."""
     total = 0
     for lv, buf in enumerate(engine.levels):
         groups = table_groups(buf.pull_flat, buf.n_owned)
-        parts = min(len(engine.split_cuts(lv)) - 1, len(groups))
-        total += parts * max(map(len, groups)) * buf.n_owned * engine.itemsize
+        parts = min(engine.split_parts(lv), len(groups))
+        total += parts * max(map(len, groups)) * buf.n_owned * buf.f.itemsize
+        if lv:
+            n_acc = engine.levels[lv - 1].n_acc
+            total += n_acc * (buf.f.itemsize + (8 if buf.f.itemsize != 8 else 0))
     return total
 
 
 @ANCHOR_AND_SPHERE
 def test_population_bytes_are_what_the_memory_model_prices(workload):
-    """``f`` + allocated ``fghost`` + ``ghost_acc`` + the in-place
-    stream's scratch per config, after admission, against
-    :func:`repro.gpu.memory.grid_memory_report` (section IV-A), which
-    prices the paper's two population buffers: every config holds the
-    model's populations less one named term, the second buffer, plus the
-    scratch of every level; 4a holds its fine ghosts once beside them."""
+    """``f`` + allocated ``fghost`` + ``ghost_acc`` + the bodies' scratch
+    per config and dtype, after admission, against
+    :func:`repro.gpu.memory.grid_memory_report` (section IV-A) priced at
+    the host's width, which prices the paper's two population buffers:
+    every config holds the model's populations less one named term, the
+    second buffer, plus the scratch of every level; 4a holds its fine
+    ghosts once beside them."""
     wl = workload()
     mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
-    optimized = grid_memory_report(mgrid, scheme="optimized")
-    original = grid_memory_report(mgrid, scheme="original")
-    for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
-        engine = Engine(mgrid, wl.collision)
-        engine.allocate(cfg)
-        admit_stream(NonUniformStepper(engine, cfg))    # binds every body
-        assert sorted(scratch(engine)) == list(range(mgrid.num_levels))
-        held = sum(n for (_, family), n in memory_ledger(engine).items() if family in (
-            "populations", "fine_ghosts", "ghost_accumulators", "scratch"))
-        second_buffer = optimized.populations // 2
-        # the model prices 4a's fine ghosts in both population buffers, the
-        # engine stores them once (fghost); 4a's gather Accumulate sums
-        # into the coarse ghost layer, which the original scheme omits
-        fine_ghosts_once = original.ghost_populations // 2
-        assert original.ghost_populations > 0
-        assert original.populations == optimized.populations
-        assert held == (optimized.populations - second_buffer
-                        + (fine_ghosts_once if cfg.original_layout else 0)
-                        + optimized.ghost_accumulators
-                        + scratch_bytes(engine)), cfg.name
+    for dtype in ("float32", "float64"):
+        itemsize = np.dtype(dtype).itemsize
+        optimized = grid_memory_report(mgrid, itemsize, scheme="optimized")
+        original = grid_memory_report(mgrid, itemsize, scheme="original")
+        for cfg in (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL):
+            engine = Engine(mgrid, wl.collision, dtype=dtype)
+            engine.allocate(cfg)
+            admit_stream(NonUniformStepper(engine, cfg))    # binds every body
+            assert sorted(scratch(engine)) == list(range(mgrid.num_levels))
+            held = sum(n for (_, family), n in memory_ledger(engine).items() if family in (
+                "populations", "fine_ghosts", "ghost_accumulators", "scratch"))
+            second_buffer = optimized.populations // 2
+            # the model prices 4a's fine ghosts in both population buffers,
+            # the engine stores them once (fghost); 4a's gather Accumulate
+            # sums into the coarse ghost layer, which the original scheme
+            # omits
+            fine_ghosts_once = original.ghost_populations // 2
+            assert original.ghost_populations > 0
+            assert original.populations == optimized.populations
+            assert held == (optimized.populations - second_buffer
+                            + (fine_ghosts_once if cfg.original_layout else 0)
+                            + optimized.ghost_accumulators
+                            + scratch_bytes(engine)), (cfg.name, dtype)
 
 
 @pytest.mark.parametrize("workload", [
@@ -387,21 +433,22 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
     every config and each level its positions; 67.9 / 71.4 while the
     grid kept int64 tables and a kind matrix and the engine row-space
     copies of them; 61.9 / 65.6 while the finest level held ``fstar``
-    under CASE; 45.0 / 48.5 while the coarser levels held it (reads
-    43.1 / 46.6; the ceilings are that + 5 %).  Every level streams in
+    under CASE; 45.0 / 48.5 while the coarser levels held it; 43.1 / 46.6
+    while the step ran in float64 (reads 33.0 / 36.5 in float32; the
+    ceilings are that + 5 %).  Every level streams in
     place through one ``(G, n_owned)`` scratch per split part, allocated
     once for every body bound on it; the split is pinned at 2 parts, so
     the heap does not depend on the host's CPUs.
     Admitting the plan again may add at most 4 MiB to the heap it starts
     from (25.9 MiB with the frozensets, 1.3 MiB with the shared sorted
-    arrays, reads 0.9).  The memory ledger is within 2 % of the steady
-    heap (reads 0.4 % below it: 0.18 of 43.09 MiB)."""
+    arrays, reads 0.1).  The memory ledger is within 2 % of the steady
+    heap (reads 0.5 % below it: 0.18 of 33.00 MiB)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl)
     with sim:
-        assert peak <= 48.9 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 45.3 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 38.4 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 34.7 * MiB, f"steady {current / MiB:.1f} MiB"
         assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # one part below the split floor; singletons on the boundary-free
@@ -431,21 +478,23 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
 def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
     """``sphere_tunnel(scale=0.5)``, D3Q27 KBC, ``baseline-4b``, compiled:
     the geometry and config behind the ledger's ``sphere-kbc-unfused``.
-    51.3 MiB steady / 55.9 MiB peak while every level held ``fstar``
-    (reads 36.9 / 41.5; the ceilings are that + 5 %).  The memory ledger
-    is within 2 % of the steady heap (reads 0.6 % below: 0.22 of 36.93 MiB)."""
+    51.3 MiB steady / 55.9 MiB peak while every level held ``fstar``;
+    36.9 / 41.5 while the step ran in float64 (reads 29.2 / 33.6 in
+    float32; the ceilings are that + 5 %).  The memory ledger is within
+    2 % of the steady heap (reads 0.7 % below: 0.21 of 29.20 MiB)."""
     wl = sphere_tunnel(scale=0.5)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl, fusion=MODIFIED_BASELINE)
     with sim:
-        assert peak <= 43.6 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 38.7 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 35.3 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 30.7 * MiB, f"steady {current / MiB:.1f} MiB"
         assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
-        # (q, opp q) pairs on the levels with boundary links, singletons
-        # on the middle one, which has none
+        # (q, opp q) pairs on the levels with boundary links, a singleton
+        # on the middle one, which has none and whose float32 f (1.6 MB)
+        # is below the 2-part split floor
         assert {lv: a.shape for lv, a in scratch(sim.engine).items()} == {
-            0: (2, 2, n[0]), 1: (2, 1, n[1]), 2: (2, 2, n[2])}
+            0: (2, 2, n[0]), 1: (1, 1, n[1]), 2: (2, 2, n[2])}
         assert admit_peak - current <= 4 * MiB
 
 

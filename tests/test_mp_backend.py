@@ -131,34 +131,40 @@ class TestBitIdentity:
 class TestCollideShards:
     """A column shard equals the same columns of the whole-level call.
 
-    ``_partition`` cuts a level at ``np.linspace`` bounds, multiples of
-    nothing; ``collide`` must make a cell's result independent of where
-    its column sits in a call (DESIGN.md section 17, decision 2).
+    ``_partition`` cuts a level on multiples of the collide tile, and a
+    call starting on one issues, for its columns, the products of the
+    whole-level call (DESIGN.md section 17, decision 2) -- in float32
+    too, where the Haswell and Zen sgemm kernels round a column by its
+    place in the product (``make test-blas``).
     """
 
-    N = 10_007
-
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    @pytest.mark.parametrize("op, forced", [
-        (BGK(D3Q19), False), (TRT(D3Q19), True), (KBC(D3Q27), False),
-    ], ids=["BGK-D3Q19", "TRT-D3Q19-forced", "KBC-D3Q27"])
-    def test_shards_concatenate_to_the_whole_level(self, op, forced, workers):
-        lat = op.lattice
+    @pytest.mark.parametrize("op, forced, dtype", [
+        pytest.param(op, forced, dtype, id=name + suffix)
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+        for op, forced, name in ((BGK(D3Q19), False, "BGK-D3Q19"),
+                                 (TRT(D3Q19), True, "TRT-D3Q19-forced"),
+                                 (KBC(D3Q27), False, "KBC-D3Q27"))])
+    def test_shards_concatenate_to_the_whole_level(self, op, forced, workers,
+                                                   dtype):
+        lat, tile = op.lattice, op.tile(dtype)
+        n = 4 * tile + 1001
         rng = np.random.default_rng(workers)
-        f = equilibrium(lat, 1.0 + 0.05 * rng.standard_normal(self.N),
-                        0.05 * rng.standard_normal((lat.d, self.N)))
+        f = equilibrium(lat, 1.0 + 0.05 * rng.standard_normal(n),
+                        0.05 * rng.standard_normal((lat.d, n)))
         f *= 1.0 + 1e-3 * rng.standard_normal(f.shape)
+        f = f.astype(dtype)
         force = 1e-4 * (1.0 + np.arange(lat.d)) if forced else None
         buf = SimpleNamespace(f=f.copy())
         engine = SimpleNamespace(levels=[buf], collision=op, omega=[1.6],
                                  force=[force])
         # the shard is the engine's own column-range collide piece
         engine.collide_columns = MethodType(Engine.collide_columns, engine)
-        rec = KernelRecord("C", 0, self.N, f.nbytes, f.nbytes,
+        rec = KernelRecord("C", 0, n, f.nbytes, f.nbytes,
                            (FieldRef("f", 0),), (FieldRef("f", 0),))
-        shards = [(lo, hi) for worker in _partition([rec], [[0]], workers)
+        shards = [(lo, hi) for worker in _partition([rec], [[0]], workers, tile)
                   for _, lo, hi in worker[0]]
-        assert len(shards) == workers and all(lo >= 0 for lo, _ in shards)
+        assert len(shards) == workers and all(lo % tile == 0 for lo, _ in shards)
         for lo, hi in shards:
             _shard_collide(engine, rec, lo, hi)()
         assert np.array_equal(buf.f, op.collide(f, 1.6, force=force))

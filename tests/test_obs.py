@@ -361,7 +361,8 @@ class TestWatchdog:
 
         def sabotage_then_check(stepper):
             if field is not None and stepper.steps_done == 2:
-                arr = (next(iter(sim.engine.scratch[lv].values()))
+                arr = (next(a for key, a in sim.engine.scratch[lv].items()
+                            if key != "acc")
                        if field == "scratch" else getattr(sim.engine.levels[lv], field))
                 arr.flat[5] = np.nan            # f: q 0, cell 5
             wd.callback(stepper)

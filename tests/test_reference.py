@@ -98,37 +98,41 @@ class TestCrossValidation:
         diff = u - u_dense[:, pos[:, 0], pos[:, 1]]
         assert np.abs(diff).max() / lid[0] < 0.08
 
+    @staticmethod
+    def engine_vs_dense(shape, bc, omega, steps, dtype):
+        spec = RefinementSpec(shape, bc=bc)
+        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
+                                     omega0=omega, dtype=dtype)
+        sim.run(steps)
+        dense = DenseLBM(D2Q9, shape, omega=omega, bc=bc)
+        dense.run(steps)
+        _, u_sim = sim.macroscopics(0)
+        _, u_dense = dense.macroscopics()
+        pos = sim.positions(0)
+        return np.abs(u_sim - u_dense[:, pos[:, 0], pos[:, 1]]).max()
+
+    LID = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
+    OUTFLOW = DomainBC({"x-": FaceBC("inlet", velocity=(0.04, 0.0)),
+                        "x+": FaceBC("outflow")})
+
     def test_uniform_engine_matches_dense_exactly(self):
         # with one level the engine and the dense solver are two independent
         # implementations of the same discrete system: results must agree to
         # machine precision
-        bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
-        spec = RefinementSpec((10, 10), bc=bc)
-        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
-                                     omega0=1.25)
-        sim.run(20)
-        dense = DenseLBM(D2Q9, (10, 10), omega=1.25, bc=bc)
-        dense.run(20)
-        _, u_sim = sim.macroscopics(0)
-        _, u_dense = dense.macroscopics()
-        pos = sim.positions(0)
-        diff = u_sim - u_dense[:, pos[:, 0], pos[:, 1]]
-        assert np.abs(diff).max() < 1e-13
+        assert self.engine_vs_dense((10, 10), self.LID, 1.25, 20, "float64") < 1e-13
 
     def test_uniform_engine_matches_dense_with_outflow(self):
-        bc = DomainBC({"x-": FaceBC("inlet", velocity=(0.04, 0.0)),
-                       "x+": FaceBC("outflow")})
-        spec = RefinementSpec((12, 10), bc=bc)
-        sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
-                                     omega0=1.1)
-        sim.run(15)
-        dense = DenseLBM(D2Q9, (12, 10), omega=1.1, bc=bc)
-        dense.run(15)
-        _, u_sim = sim.macroscopics(0)
-        _, u_dense = dense.macroscopics()
-        pos = sim.positions(0)
-        diff = u_sim - u_dense[:, pos[:, 0], pos[:, 1]]
-        assert np.abs(diff).max() < 1e-13
+        assert self.engine_vs_dense((12, 10), self.OUTFLOW, 1.1, 15, "float64") < 1e-13
+
+    @pytest.mark.parametrize("case", ["lid", "outflow"])
+    def test_uniform_engine_matches_dense_float32(self, case):
+        # the float32 engine against the float64 dense solver: the same
+        # discrete system, the engine rounding every population to float32
+        # each step (reads 1.3 and 0.7 eps of float32 on u)
+        shape, bc, omega, steps = {"lid": ((10, 10), self.LID, 1.25, 20),
+                                   "outflow": ((12, 10), self.OUTFLOW, 1.1, 15)}[case]
+        assert self.engine_vs_dense(shape, bc, omega, steps, "float32") <= (
+            8 * np.finfo(np.float32).eps)
 
     def test_taylor_green_decay_agreement(self):
         # independent implementations agree on the measured decay rate

@@ -15,6 +15,7 @@ The acceptance bar this suite enforces (DESIGN.md §16):
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 
@@ -29,7 +30,8 @@ from repro.serve import (AdmissionError, JobServer, JobSpec, UnknownJobError,
                          WorkerKilled, predict_cost, state_digest)
 from repro.serve.cli import build_flood, main as serve_main, summary_from_disk
 from repro.serve.oracle import active_cells_estimate
-from repro.serve.state import PAYLOAD_FILE, job_dir
+from repro.serve.state import (PAYLOAD_FILE, job_dir, read_job_payload,
+                               read_job_state, write_job_payload)
 
 
 def cavity_job(base=10, levels=1, steps=4, tenant="default", priority=0,
@@ -408,16 +410,24 @@ class TestRestartResume:
                           job_id="survivor", checkpoint_every=2)
 
         async def phase1():
-            srv = JobServer(str(tmp_path), workers=1)
+            # stop at a deterministic point, not when a poll happens to
+            # see progress: the chaos hook runs at each boundary the job
+            # goes on from, while the worker waits for the reply; the stop
+            # it wakes starts before the worker's next boundary is read,
+            # so the job is interrupted there (step 4 of 8)
+            reached = asyncio.Event()
+            srv = JobServer(str(tmp_path), workers=1,
+                            chaos=lambda job_id, step: step >= 2 and reached.set())
             await srv.start()
             jid = await srv.submit(spec)
-            while srv.status(jid).steps_done < 2:
-                await asyncio.sleep(0.005)
+            await reached.wait()
             await srv.stop()  # interrupts at a segment boundary
             return srv.status(jid)
 
         st = asyncio.run(phase1())
-        assert not st.terminal and st.steps_done >= 2
+        assert not st.terminal and st.steps_done == 4
+        # the record names the dtype the job's populations step in
+        assert read_job_state(job_dir(str(tmp_path), "survivor"))["dtype"] == "float32"
 
         async def phase2():
             srv = JobServer(str(tmp_path), workers=1)
@@ -430,6 +440,39 @@ class TestRestartResume:
         res, started = asyncio.run(phase2())
         assert res.state == "done" and res.steps_done == 8
         assert "survivor" in started
+        assert res.state_digest == serial_digest(spec)
+
+    def test_a_payload_pickled_before_dtype_resumes_in_float64(self, tmp_path):
+        # A job parked by a server whose SimConfig had no ``dtype`` field:
+        # its payload pickles no dtype and its checkpoints hold float64
+        # populations.  A new server resumes it at that precision.
+        root = str(tmp_path)
+        spec = cavity_job(base=12, levels=2, steps=8, job_id="parked")
+        spec = dataclasses.replace(spec, config=spec.config.replace(dtype="float64"))
+
+        async def phase1():
+            reached = asyncio.Event()
+            srv = JobServer(root, workers=1,
+                            chaos=lambda job_id, step: step >= 2 and reached.set())
+            await srv.start()
+            await srv.submit(spec)
+            await reached.wait()
+            await srv.stop()
+
+        asyncio.run(phase1())
+        directory = job_dir(root, "parked")
+        old = read_job_payload(directory)
+        del old.config.__dict__["dtype"]             # the old class's state
+        write_job_payload(directory, old)
+        assert read_job_payload(directory).config.dtype == "float64"
+
+        async def phase2():
+            async with JobServer(root, workers=1) as srv:
+                await srv.drain()
+                return await srv.result("parked")
+
+        res = asyncio.run(phase2())
+        assert res.state == "done" and res.steps_done == 8
         assert res.state_digest == serial_digest(spec)
 
     def test_restart_skips_a_torn_payload(self, tmp_path):

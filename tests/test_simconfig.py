@@ -52,11 +52,15 @@ class TestValidation:
         assert cfg.force == (1e-5, 0.0, 0.0)
         hash(cfg)  # stays hashable
 
-    def test_storage_dtype_is_not_a_field(self):
-        # populations are float64; the keyword is refused like any
-        # unknown field
-        with pytest.raises(TypeError):
-            SimConfig(viscosity=0.05, dtype="float32")
+    def test_dtype_is_float32_or_float64(self):
+        # float32 by default; float64 is the reference precision; nothing
+        # else is a step's dtype
+        assert SimConfig(viscosity=0.05).dtype == "float32"
+        cfg = SimConfig(viscosity=0.05, dtype="float64")
+        assert cfg.as_dict()["dtype"] == "float64"
+        for bad in ("float16", "f4", np.float32):
+            with pytest.raises(ValueError, match="dtype must be one of"):
+                SimConfig(viscosity=0.05, dtype=bad)
 
 
 class TestReplace:

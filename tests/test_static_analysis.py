@@ -523,11 +523,13 @@ class TestLint:
 
 class TestTouchedBytes:
     # (six other configs, baseline-4a) on the static gate's two workloads:
-    # every level's f and ghost_acc, and 4a's fghost (218_016 / 121_248
-    # and 26_535_552 / 14_706_304 for (others, ours-4f) while the reports
-    # named a second buffer fstar, priced at n_used rows)
-    PINNED = {"2d": (WL2D, 87_840, 110_880),
-              "3d": (WL3D, 8_655_488, 13_480_576)}
+    # every level's f and ghost_acc, and 4a's fghost, in host bytes of the
+    # float32 step (87_840 / 110_880 and 8_655_488 / 13_480_576 while the
+    # populations were float64; 218_016 / 121_248 and 26_535_552 /
+    # 14_706_304 for (others, ours-4f) while the reports named a second
+    # buffer fstar, priced at n_used rows)
+    PINNED = {"2d": (WL2D, 43_920, 55_440),
+              "3d": (WL3D, 4_327_744, 6_740_288)}
 
     @pytest.mark.parametrize("dim", PINNED)
     def test_pinned_on_the_static_gate_workloads(self, dim):
@@ -552,7 +554,7 @@ class TestTouchedBytes:
         wl = lid_cavity(**WL2D)
         sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL))
         sim.run(1)
-        assert run_metrics(sim)["arena_peak_bytes"].value == 87_840
+        assert run_metrics(sim)["arena_peak_bytes"].value == 43_920
 
 
 # --------------------------------------------------------------- certificates
@@ -619,7 +621,7 @@ class TestStaticCLI:
         assert rep["verdict"] == "legal"
         assert rep["lint_errors"] == []
         assert rep["certificate_problems"] == []
-        assert rep["touched_bytes"] == 87_840
+        assert rep["touched_bytes"] == 43_920
         assert load_certificate(rep["certificate"])["config"] == "ours-4f"
 
     def test_cli_static_single_config(self, capsys):
