@@ -61,17 +61,17 @@ test-blas:
 # through gpu.memory.memory_ledger, the one walker over the grid's and the
 # engine's arrays, which must be within 2 % of the steady heap.  Under
 # 30 s; also part of `make test`.
+mem-check:
+	$(PYTHON) -m pytest -x -q tests/test_live_state.py \
+		"tests/test_multigrid.py::TestCompileMemory" \
+		"tests/test_engine.py::TestInPlace"
+
 # Physics on a refined grid (ROADMAP item 1): the Re 100 cylinder's mean
 # drag and Strouhal number, float32 and float64 each within 1 % / 2 % of
 # the pinned float64 run (~1 min; tools/physics_gate.py says why the
 # wake is seeded).
 physics-check:
 	$(PYTHON) tools/physics_gate.py
-
-mem-check:
-	$(PYTHON) -m pytest -x -q tests/test_live_state.py \
-		"tests/test_multigrid.py::TestCompileMemory" \
-		"tests/test_engine.py::TestInPlace"
 
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool

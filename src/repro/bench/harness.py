@@ -38,10 +38,10 @@ class Measurement:
     #: Execution backend that produced the wall-clock numbers
     #: (``"interpreted"``, ``"compiled"``, ``"mp"``).
     backend: str = "interpreted"
-    #: Metrics-registry snapshot of the measured run (see
-    #: :func:`repro.obs.metrics.run_metrics`); what the benchmarks
-    #: serialize into their ``BENCH_*.json`` artifacts.
-    metrics: dict = field(default_factory=dict)
+    #: :func:`repro.obs.metrics.run_metrics` of the measured run plus
+    #: ``sim_mlups``; what the benchmarks serialize into their
+    #: ``BENCH_*.json`` artifacts.
+    metrics: dict[str, float] = field(default_factory=dict)
     #: Bytes of the buffers one step's stream touches, the lint pass's
     #: ``touched_bytes`` (0 when the trace is empty).
     arena_peak_bytes: int = 0
@@ -113,12 +113,8 @@ def measure(workload: Workload, config: FusionConfig, steps: int = 5,
         cost = cost_trace(records, device, kbc=kbc, concurrent=concurrent)
         active = sim.mgrid.active_per_level()
         from ..obs.metrics import run_metrics
-        registry = run_metrics(sim)
-        registry.gauge("sim_mlups",
-                       "cost-model MLUPS on the target device").set(
-            predicted_mlups(active, n, cost))
-        arena_peak = int(registry["arena_peak_bytes"].value) \
-            if "arena_peak_bytes" in registry else 0
+        metrics = run_metrics(sim)
+        metrics["sim_mlups"] = predicted_mlups(active, n, cost)
         return Measurement(
             workload=workload.name, config=config.name, steps=n,
             backend=sim.backend.name,
@@ -126,9 +122,9 @@ def measure(workload: Workload, config: FusionConfig, steps: int = 5,
             wall_seconds=sim.elapsed,
             wall_mlups=mlups(active, n, sim.elapsed),
             trace=records, cost=cost,
-            sim_mlups=predicted_mlups(active, n, cost),
-            metrics=registry.as_dict(),
-            arena_peak_bytes=arena_peak)
+            sim_mlups=metrics["sim_mlups"],
+            metrics=metrics,
+            arena_peak_bytes=int(metrics.get("arena_peak_bytes", 0)))
     finally:
         sim.close()
 

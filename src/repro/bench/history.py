@@ -32,15 +32,7 @@ import subprocess
 from datetime import datetime, timezone
 from typing import Sequence
 
-try:  # POSIX only; appends on other platforms skip the >PIPE_BUF lock
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX host
-    fcntl = None  # type: ignore[assignment]
-
-try:
-    from select import PIPE_BUF as _PIPE_BUF
-except ImportError:  # pragma: no cover - non-POSIX host
-    _PIPE_BUF = 512
+from ..obs.log import append_lines
 
 __all__ = [
     "HISTORY_VERSION", "repo_root", "history_path", "git_sha",
@@ -132,31 +124,13 @@ def build_record(bench: str, metrics: dict[str, float], *,
 def append_record(record: dict, path: str | None = None) -> str:
     """Append one JSON line to the trajectory; returns the file path.
 
-    The encoded line goes down in a single unbuffered ``os.write`` on an
-    ``O_APPEND`` fd — no user-space buffering that could flush a record
-    in interleaving chunks — so concurrent benchmark processes (parallel
-    CI legs, mp workers) only ever append whole lines.  Lines longer
-    than ``PIPE_BUF`` additionally take an advisory ``flock``, since the
-    POSIX atomicity guarantee stops there.
+    The line goes down through :func:`repro.obs.log.append_lines`, so
+    concurrent benchmark processes (parallel CI legs, mp workers) only
+    ever append whole lines, and a tail torn by a writer killed mid-line
+    costs only that fragment, not the record appended after it.
     """
     p = path if path is not None else history_path()
-    os.makedirs(os.path.dirname(p) or ".", exist_ok=True)
-    data = (json.dumps(record, sort_keys=True, default=str) + "\n").encode()
-    fd = os.open(p, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        if len(data) > _PIPE_BUF and fcntl is not None:
-            # Atomicity of a single O_APPEND write is only guaranteed up
-            # to PIPE_BUF by POSIX; bigger lines serialize writers via an
-            # advisory lock (released with the fd on close).
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            except OSError:
-                pass  # e.g. filesystems without lock support
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-    finally:
-        os.close(fd)
+    append_lines(p, json.dumps(record, sort_keys=True, default=str) + "\n")
     return p
 
 

@@ -400,16 +400,8 @@ class MultiGrid:
     def d(self) -> int:
         return self.spec.d
 
-    def total_active(self) -> int:
-        """Active voxels over all levels, ghost cells excluded (paper's V_L sum)."""
-        return sum(lv.n_owned for lv in self.levels)
-
     def active_per_level(self) -> list[int]:
         return [lv.n_owned for lv in self.levels]
-
-    def finest_first_distribution(self) -> list[int]:
-        """Voxel counts ordered finest-to-coarsest, as reported in Table I."""
-        return [lv.n_owned for lv in reversed(self.levels)]
 
 
 def iter_pull_rows(pull_flat: np.ndarray, n_owned: int):

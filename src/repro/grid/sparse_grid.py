@@ -189,10 +189,6 @@ class BlockSparseGrid:
         out = np.where(tgt_block >= 0, tgt_block * cpb + loc_idx, -1)
         return out.reshape(-1)
 
-    def neighbor_table(self, e: np.ndarray) -> np.ndarray:
-        """Stacked :meth:`neighbor_ids` for every lattice direction, (Q, n_alloc)."""
-        return np.stack([self.neighbor_ids(v) for v in np.asarray(e)], axis=0)
-
     # -- memory accounting (feeds repro.gpu.memory) -------------------------
     def metadata_bytes(self) -> dict[str, int]:
         """Bytes of structural metadata as allocated on the GPU."""

@@ -255,13 +255,3 @@ class Runtime:
     def total_bytes(self) -> int:
         """Total declared DRAM traffic over all recorded launches."""
         return sum(r.bytes_total for r in self.records)
-
-    def summary_by_name(self) -> dict[str, dict[str, int]]:
-        """Aggregate launches / cells / bytes per kernel name."""
-        out: dict[str, dict[str, int]] = {}
-        for r in self.records:
-            agg = out.setdefault(r.name, {"launches": 0, "cells": 0, "bytes": 0})
-            agg["launches"] += 1
-            agg["cells"] += r.n_cells
-            agg["bytes"] += r.bytes_total
-        return out

@@ -7,8 +7,8 @@ Built on the runtime's launch trace (DESIGN.md §9):
 * :mod:`repro.obs.trace` — Chrome-trace-event / Perfetto JSON export,
   one track per concurrency stream plus the cost-model-predicted
   schedule;
-* :mod:`repro.obs.metrics` — counter/gauge/histogram registry with
-  periodic snapshots and the ``BENCH_*.json`` writers;
+* :mod:`repro.obs.metrics` — a run's metrics as one ``{name: value}``
+  dict and the ``BENCH_*.json`` writer;
 * :mod:`repro.obs.watchdog` — numerical-health monitor raising a
   structured :class:`~repro.obs.watchdog.SimulationDiverged`;
 * :mod:`repro.obs.roofline` — observed-vs-predicted bandwidth join and
@@ -23,8 +23,7 @@ Built on the runtime's launch trace (DESIGN.md §9):
 """
 
 from .log import EventLog, read_log, split_runs, validate_log
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, run_metrics,
-                      write_bench_json)
+from .metrics import run_metrics, write_bench_json
 from .report import (RunReport, collect_report, render_html, render_text,
                      write_report)
 from .roofline import (DriftFinding, DriftReport, FamilyRoofline,
@@ -35,8 +34,7 @@ from .trace import chrome_trace, validate_trace, write_chrome_trace
 from .watchdog import CS_LATTICE, HealthWatchdog, SimulationDiverged
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "run_metrics",
-    "write_bench_json",
+    "run_metrics", "write_bench_json",
     "KernelSpan", "LevelRun", "SpanRecorder", "StepSpan",
     "chrome_trace", "validate_trace", "write_chrome_trace",
     "CS_LATTICE", "HealthWatchdog", "SimulationDiverged",

@@ -11,7 +11,8 @@ and the health watchdog armed, then writes into ``--out-dir``:
   drift), lint opportunities and the step-plan certificate digest (see
   :mod:`repro.obs.report`);
 * ``events_<workload>_<config>.jsonl`` — the unified JSON-lines event
-  log.
+  log: one ``watchdog`` line per health check, the spans, and a final
+  ``metric`` line equal to the report's ``metrics``.
 
 The trace is re-read from disk and validated structurally before the
 process exits (exactly one complete slice per kernel record); the exit
@@ -35,7 +36,6 @@ from ..core.simulation import Simulation
 from ..gpu.device import get_device
 from ..io.checkpoint import atomic_write
 from .log import EventLog
-from .metrics import MetricsRegistry, run_metrics
 from .report import collect_report, render_text, write_report
 from .roofline import drift_report
 from .trace import validate_trace, write_chrome_trace
@@ -77,27 +77,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     wl = lid_cavity(**SMALL_WORKLOADS[args.workload])
     kbc = wl.collision.lower() == "kbc"
-    registry = MetricsRegistry()
     log = EventLog(workload=args.workload, config=cfg.name)
     log.emit("meta", workload=args.workload, config=cfg.name,
              steps=args.steps, device=device.name)
     with Simulation.from_config(wl.spec, wl.sim_config(fusion=cfg)) as sim:
         recorder = sim.enable_tracing()
-        watchdog = HealthWatchdog(sim, registry=registry)
+        watchdog = HealthWatchdog(sim)
 
         def monitor(stepper) -> None:
-            watchdog.check()
-            registry.snapshot(step=stepper.steps_done)
+            log.ingest_watchdog(report=watchdog.check())
 
         try:
             sim.run(args.steps, callback=monitor)
             status: dict = {"status": "ok"}
         except SimulationDiverged as exc:
             status = {"status": "diverged", "payload": exc.payload}
-        run_metrics(sim, registry, recorder=recorder)
-        rep = collect_report(sim, recorder, registry,
-                             workload=args.workload, status=status,
-                             device=device, kbc=kbc, event_log=log)
+        rep = collect_report(sim, recorder, workload=args.workload,
+                             status=status, device=device, kbc=kbc,
+                             event_log=log, watchdog=watchdog.last_report)
 
     stem = f"{args.workload}_{cfg.name}"
     trace_path = write_chrome_trace(

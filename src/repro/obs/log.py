@@ -1,7 +1,7 @@
 """Unified structured event log: one JSON-lines schema for everything.
 
 The observability layer grew four disjoint record streams — kernel/step
-spans (:mod:`repro.obs.spans`), metric snapshots
+spans (:mod:`repro.obs.spans`), run metrics
 (:mod:`repro.obs.metrics`), watchdog findings
 (:mod:`repro.obs.watchdog`) and resilience events (the
 ``RunReport.events`` of :mod:`repro.resilience.runner`).  This
@@ -21,7 +21,7 @@ Line schema (``v`` = :data:`LOG_VERSION`)::
 * ``meta``      — one opening line per run: workload, config, host;
 * ``kernel``    — one kernel span (index, name, level, bytes, timing);
 * ``step``      — one coarse-step span (record range, timing);
-* ``metric``    — one metrics-registry snapshot (labels + values);
+* ``metric``    — a run's closing metrics (labels + values);
 * ``watchdog``  — a health check outcome (ok stats or divergence payload);
 * ``resilience``— a recovery event (resume / retry / rollback / degrade,
   or a served job's worker-death);
@@ -40,6 +40,16 @@ from typing import Any, Sequence
 from uuid import uuid4
 
 from ..io.checkpoint import atomic_write
+
+try:  # POSIX only; appends on other platforms skip the >PIPE_BUF lock
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX host
+    fcntl = None  # type: ignore[assignment]
+
+try:
+    from select import PIPE_BUF as _PIPE_BUF
+except ImportError:  # pragma: no cover - non-POSIX host
+    _PIPE_BUF = 512
 
 __all__ = ["LOG_VERSION", "LOG_KINDS", "EventLog", "append_lines",
            "read_log", "validate_log", "split_runs"]
@@ -114,27 +124,13 @@ class EventLog:
             n += 1
         return n
 
-    def ingest_metrics(self, registry, *, final: bool = True) -> int:
-        """Fold a :class:`~repro.obs.metrics.MetricsRegistry` in.
+    def ingest_metrics(self, values: dict[str, float]) -> dict:
+        """Append a run's closing metrics as one final ``metric`` line.
 
-        Each recorded snapshot becomes one ``metric`` line (value-only
-        view — help strings stay in the registry dump); with ``final``
-        the registry's closing state is appended as a last snapshot
-        labelled ``{"final": True}``.
+        ``values`` is :func:`~repro.obs.metrics.run_metrics`' dict; the
+        line has the shape a served job's closing ``metric`` line has.
         """
-        n = 0
-        for snap in registry.snapshots:
-            self.emit("metric", labels=snap.get("labels", {}),
-                      values={k: m.get("value", m.get("mean"))
-                              for k, m in snap.get("metrics", {}).items()})
-            n += 1
-        if final:
-            self.emit("metric", labels={"final": True},
-                      values={name: registry[name].as_dict().get(
-                          "value", registry[name].as_dict().get("mean"))
-                          for name in registry.names()})
-            n += 1
-        return n
+        return self.emit("metric", labels={"final": True}, values=values)
 
     def ingest_watchdog(self, report: dict | None = None,
                         diverged: dict | None = None) -> int:
@@ -179,17 +175,25 @@ class EventLog:
 
 
 def append_lines(path: str, text: str) -> None:
-    """Append ``text`` — whole lines — to the log at ``path`` in one ``write``.
+    """Append ``text`` — whole lines — to the file at ``path`` in one ``write``.
 
+    One unbuffered ``os.write`` on an ``O_APPEND`` fd, so concurrent
+    writers only ever append whole lines; POSIX guarantees that only up
+    to ``PIPE_BUF``, so longer text first takes an advisory ``flock``.
     A process killed mid-append leaves a last line without its newline;
     appended to as it is, the next line would run on from the fragment
-    and :func:`read_log` would drop both.  So a torn tail is terminated
-    first, in the same ``write``: only the fragment is lost.
+    and a reader would drop both.  So a torn tail is terminated first,
+    in the same ``write``: only the fragment is lost.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     data = text.encode()
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        if len(data) > _PIPE_BUF and fcntl is not None:
+            try:        # released with the fd on close
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:
+                pass    # e.g. filesystems without lock support
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             data = b"\n" + data

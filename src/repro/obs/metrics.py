@@ -1,172 +1,43 @@
-"""Metrics registry: counters, gauges and histograms with snapshots.
+"""Per-run metrics and the ``BENCH_<name>.json`` writer.
 
-The registry is the numeric side of the observability layer: benchmarks
-and the ``repro.obs`` CLI publish MLUPS, per-step traffic, kernel counts,
-active-cell censuses and wave depths here, take periodic snapshots while
-a run progresses, and serialize everything to the machine-readable
-``BENCH_<name>.json`` files that track the perf trajectory across PRs.
+:func:`run_metrics` reduces a finished run to the numbers the paper
+argues with — MLUPS, per-step traffic, kernel counts, active-cell
+censuses, wave depths — as one plain ``{name: value}`` dict, the same
+shape as a backend's ``stats`` and a served job's final ``metric`` line.
+The run report, the event log and the benchmark harness take it as it
+is; :func:`write_bench_json` serializes figure benchmarks' payloads.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 
 from ..io.checkpoint import atomic_write
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "run_metrics", "write_bench_json", "bench_out_dir"]
+__all__ = ["run_metrics", "write_bench_json", "bench_out_dir"]
+
+#: Compiled / mp backend ``stats`` keys passed through under their own names.
+_STAT_KEYS = ("plan_cache_hits", "plan_cache_misses", "plan_fallback_steps",
+              "plan_compile_seconds", "mp_steps", "mp_worker_restarts",
+              "mp_workers", "mp_shard_imbalance", "mp_setup_seconds",
+              "mp_ipc_overhead_ms")
 
 
-@dataclass
-class Counter:
-    """Monotonic accumulator (launches, bytes, steps)."""
-
-    name: str
-    help: str = ""
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-    def as_dict(self) -> dict:
-        return {"type": "counter", "value": self.value, "help": self.help}
-
-
-@dataclass
-class Gauge:
-    """Point-in-time value (MLUPS, active cells, wave depth)."""
-
-    name: str
-    help: str = ""
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def as_dict(self) -> dict:
-        return {"type": "gauge", "value": self.value, "help": self.help}
-
-
-@dataclass
-class Histogram:
-    """Streaming distribution: count / sum / min / max / mean.
-
-    Keeps running moments rather than raw samples so a long run stays
-    O(1) in memory; the most recent ``keep_last`` samples are retained
-    for diagnostic dumps.
-    """
-
-    name: str
-    help: str = ""
-    keep_last: int = 32
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-    recent: list = field(default_factory=list)
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        self.min = min(self.min, v)
-        self.max = max(self.max, v)
-        self.recent.append(v)
-        if len(self.recent) > self.keep_last:
-            del self.recent[0]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {"type": "histogram", "count": self.count, "sum": self.total,
-                "min": self.min if self.count else None,
-                "max": self.max if self.count else None,
-                "mean": self.mean if self.count else None,
-                "help": self.help}
-
-
-class MetricsRegistry:
-    """Named metrics plus a time series of labelled snapshots."""
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self.snapshots: list[dict] = []
-
-    # -- registration --------------------------------------------------------
-    def _get(self, cls, name: str, help: str):
-        m = self._metrics.get(name)
-        if m is None:
-            m = cls(name=name, help=help)
-            self._metrics[name] = m
-        elif not isinstance(m, cls):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{type(m).__name__}")
-        return m
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(Gauge, name, help)
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get(Histogram, name, help)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __getitem__(self, name: str) -> Counter | Gauge | Histogram:
-        return self._metrics[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
-    # -- snapshots -----------------------------------------------------------
-    def snapshot(self, **labels) -> dict:
-        """Freeze every metric's current state, tagged with ``labels``.
-
-        The snapshot is appended to :attr:`snapshots` (the periodic time
-        series a monitored run accumulates) and returned.
-        """
-        snap = {"labels": dict(labels),
-                "metrics": {n: m.as_dict() for n, m in
-                            sorted(self._metrics.items())}}
-        self.snapshots.append(snap)
-        return snap
-
-    def as_dict(self) -> dict:
-        return {"metrics": {n: m.as_dict() for n, m in
-                            sorted(self._metrics.items())},
-                "snapshots": self.snapshots}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-
-def run_metrics(sim, registry: MetricsRegistry | None = None,
-                recorder=None) -> MetricsRegistry:
-    """Publish the standard per-run metrics of a finished ``Simulation``.
+def run_metrics(sim, recorder=None) -> dict[str, float]:
+    """The standard per-run metrics of a finished ``Simulation``, by name.
 
     Covers the quantities the paper argues with: kernels/step and
     bytes/step (Fig. 2 / Fig. 9), atomic traffic, active cells per level
     (Table I), dependency-wave depth (Section V-C) and measured MLUPS.
     ``recorder`` (a :class:`~repro.obs.spans.SpanRecorder`) adds observed
-    wall time per kernel family.
+    kernel wall time (``kernel_wall_us``, the mean over kernel spans) and
+    concurrency.  Names are sorted; counts stay ints, the rest are floats.
     """
     from ..core.simulation import mlups
     from ..gpu.costmodel import device_records
     from ..neon.graph import build_dependency_graph, schedule_waves
 
-    reg = registry if registry is not None else MetricsRegistry()
     rt = sim.runtime
     # Steps covered by the *trace*: the runtime may have been reset after
     # a warmup or checkpoint restore, in which case steps_done counts
@@ -176,101 +47,55 @@ def run_metrics(sim, registry: MetricsRegistry | None = None,
         max(sim.steps_done - base, 0)
     steps = max(traced_steps, 1)
     records = rt.records
-
-    reg.counter("kernels_total", "kernel launches recorded").value = len(records)
-    reg.counter("bytes_total", "payload DRAM traffic (B)").value = \
-        float(sum(r.bytes_total for r in records))
-    reg.counter("atomic_bytes_total", "atomically-written bytes (B)").value = \
-        float(sum(r.atomic_bytes for r in records))
-    reg.counter("steps_total", "coarse steps in the trace").value = traced_steps
-    reg.gauge("kernels_per_step", "launches per coarse step").set(
-        len(records) / steps)
-    reg.gauge("bytes_per_step", "payload traffic per coarse step (B)").set(
-        sum(r.bytes_total for r in records) / steps)
-    for lv, n in enumerate(sim.mgrid.active_per_level()):
-        reg.gauge(f"active_cells.L{lv}",
-                  f"active voxels on level {lv}").set(n)
+    bytes_total = sum(r.bytes_total for r in records)
     eng = sim.engine        # the stream may run in more (Engine.split_parts)
-    reg.gauge("cell_split_parts",
-              "split-collide parts (tile-aligned), most of any level").set(
-        max(len(eng.split_cuts(lv)) - 1 for lv in range(len(eng.levels))))
+    m = {
+        "kernels_total": len(records),
+        "bytes_total": bytes_total,
+        "atomic_bytes_total": sum(r.atomic_bytes for r in records),
+        "steps_total": traced_steps,
+        "kernels_per_step": len(records) / steps,
+        "bytes_per_step": bytes_total / steps,
+        # split-collide parts (tile-aligned), most of any level
+        "cell_split_parts": max(len(eng.split_cuts(lv)) - 1
+                                for lv in range(len(eng.levels))),
+    }
+    for lv, n in enumerate(sim.mgrid.active_per_level()):
+        m[f"active_cells.L{lv}"] = n
     last = rt.last_step()
     if last:
-        g = build_dependency_graph(device_records(last), reduce=False)
-        waves = schedule_waves(g)
-        reg.gauge("wave_depth", "device sync points per coarse step").set(
-            len(waves))
-        reg.gauge("wave_max_width", "widest concurrency wave").set(
-            max(len(w) for w in waves))
-        # The gauge keeps the name its history series was recorded under.
+        waves = schedule_waves(
+            build_dependency_graph(device_records(last), reduce=False))
+        m["wave_depth"] = len(waves)        # device sync points per step
+        m["wave_max_width"] = max(len(w) for w in waves)
+        # Bytes of the buffers one step's stream touches; the name is the
+        # one its history series was recorded under.
         from ..analysis.lint import lint_stream
         from ..backend.compiler import bind_stream
         step, _, _, accesses = bind_stream(sim.stepper)
-        reg.gauge("arena_peak_bytes",
-                  "bytes of the buffers one step's stream touches (B)").set(
-            lint_stream(step, accesses, sim.engine).touched_bytes)
+        m["arena_peak_bytes"] = lint_stream(step, accesses,
+                                            sim.engine).touched_bytes
     backend = getattr(getattr(sim, "stepper", None), "backend", None)
-    stats = getattr(backend, "stats", None)
-    if stats:
-        # Compiled backends: plan-cache behaviour and compile overhead.
-        for key in ("plan_cache_hits", "plan_cache_misses",
-                    "plan_fallback_steps"):
-            if key in stats:
-                reg.counter(key, {
-                    "plan_cache_hits": "steps replayed from a cached plan",
-                    "plan_cache_misses": "step-plan compilations",
-                    "plan_fallback_steps":
-                        "steps delegated to the interpreted path",
-                }[key]).value = float(stats[key])
-        if "plan_compile_seconds" in stats:
-            reg.gauge("plan_compile_seconds",
-                      "wall time spent compiling step plans").set(
-                float(stats["plan_compile_seconds"]))
-        if "mp_steps" in stats:
-            # Process-parallel backend: pool shape, load balance and the
-            # overheads that bound its speedup (IPC + spawn amortisation).
-            reg.counter("mp_steps",
-                        "coarse steps replayed on the worker pool").value = \
-                float(stats["mp_steps"])
-            reg.counter("mp_worker_restarts",
-                        "worker-pool respawns after a failure").value = \
-                float(stats["mp_worker_restarts"])
-            reg.gauge("mp_workers", "worker-process pool width").set(
-                float(stats["mp_workers"]))
-            reg.gauge("mp_shard_imbalance",
-                      "peak max/mean busy-time ratio across workers").set(
-                float(stats["mp_shard_imbalance"]))
-            reg.gauge("mp_setup_seconds",
-                      "pool spawn + shared-memory setup wall time").set(
-                float(stats["mp_setup_seconds"]))
-            reg.gauge("mp_ipc_overhead_ms",
-                      "step wall time not covered by worker busy time").set(
-                float(stats["mp_ipc_overhead_ms"]))
-            wall = float(stats.get("mp_step_wall_ms", 0.0))
-            workers = float(stats.get("mp_workers", 0.0))
-            if wall > 0 and workers:
-                reg.gauge(
-                    "mp_utilisation",
-                    "busy-time share of the pool during mp steps",
-                ).set(float(stats["mp_worker_busy_ms"]) / (wall * workers))
+    stats = getattr(backend, "stats", None) or {}
+    m.update({k: stats[k] for k in _STAT_KEYS if k in stats})
+    wall = stats.get("mp_step_wall_ms", 0.0)
+    if wall > 0 and stats["mp_workers"]:
+        # busy-time share of the pool during mp steps
+        m["mp_utilisation"] = stats["mp_worker_busy_ms"] / (
+            wall * stats["mp_workers"])
     if sim.elapsed > 0 and traced_steps > 0:
-        reg.gauge("wall_mlups", "measured MLUPS (paper formula)").set(
-            mlups(sim.mgrid.active_per_level(), traced_steps, sim.elapsed))
-        reg.gauge("wall_seconds", "wall time of run() calls").set(sim.elapsed)
+        m["wall_mlups"] = mlups(sim.mgrid.active_per_level(), traced_steps,
+                                sim.elapsed)
+        m["wall_seconds"] = sim.elapsed
     if recorder is not None:
-        per_name = reg.histogram("kernel_wall_us",
-                                 "observed wall time per kernel (us)")
-        for s in recorder.kernel_spans:
-            per_name.observe(s.dur_us)
-        reg.gauge("span_total_us", "wall time covered by spans (us)").set(
-            recorder.total_us())
+        if recorder.kernel_spans:
+            m["kernel_wall_us"] = (sum(s.dur_us for s in recorder.kernel_spans)
+                                   / len(recorder.kernel_spans))
         occ = recorder.observed_occupancy()
-        reg.gauge("observed_max_concurrency",
-                  "peak overlapping kernel spans").set(occ["max_concurrent"])
-        reg.gauge("observed_mean_concurrency",
-                  "time-weighted mean overlapping kernel spans").set(
-            occ["mean_concurrent"])
-    return reg
+        m["span_total_us"] = recorder.total_us()
+        m["observed_max_concurrency"] = occ["max_concurrent"]
+        m["observed_mean_concurrency"] = occ["mean_concurrent"]
+    return dict(sorted(m.items()))
 
 
 def bench_out_dir() -> str:
@@ -292,8 +117,8 @@ def write_bench_json(name: str, payload: dict, out_dir: str | None = None) -> st
     """Write ``BENCH_<name>.json`` and return its path.
 
     Every figure benchmark emits one of these, overwritten run to run
-    (and gitignored); ``payload`` may contain plain values, registry
-    dicts (:meth:`MetricsRegistry.as_dict`) or nested tables.  Nothing
+    (and gitignored); ``payload`` may contain plain values, metrics
+    dicts (:func:`run_metrics`) or nested tables.  Nothing
     else is written: ``BENCH_HISTORY.jsonl`` holds ledger comparisons
     only (:mod:`repro.bench.history`).
     """

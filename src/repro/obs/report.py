@@ -5,7 +5,8 @@ renderings (terminal text and self-contained HTML):
 
 * **trace** — kernel/step counts, wave depth, span coverage, observed
   occupancy (from the span tracer);
-* **metrics** — the registry's closing values (MLUPS, bytes/step, ...);
+* **metrics** — :func:`~repro.obs.metrics.run_metrics` (MLUPS,
+  bytes/step, ...);
 * **roofline** — per-kernel-family achieved bandwidth, predicted-vs-
   observed skew and flagged drift (:mod:`repro.obs.roofline`);
 * **lint** — the static linter's opportunities over the last step's
@@ -36,7 +37,7 @@ from ..gpu.device import A100_40GB, DeviceSpec
 from ..gpu.memory import memory_ledger
 from ..io.checkpoint import atomic_write
 from .log import EventLog
-from .metrics import MetricsRegistry, run_metrics
+from .metrics import run_metrics
 from .roofline import RooflineSummary, drift_findings, roofline_summary
 from .spans import SpanRecorder
 
@@ -56,7 +57,7 @@ class RunReport:
     n_records: int
     kernels_per_step: list[int]
     partial_step: bool             # trace truncated mid-step?
-    metrics: dict                  # registry closing values {name: value}
+    metrics: dict                  # run_metrics: {name: value}
     roofline: RooflineSummary | None
     drift: list[dict]              # flagged drift findings (as_dicts)
     lint: dict                     # {"errors": [...], "opportunities": [...],
@@ -65,6 +66,7 @@ class RunReport:
     log_lines: int                 # unified event-log lines emitted
     occupancy: dict = field(default_factory=dict)
     memory: dict = field(default_factory=dict)  # {"levels", "total", "ru_maxrss_kib"}
+    watchdog: dict | None = None   # last passed check (HealthWatchdog.last_report)
 
     def as_dict(self) -> dict:
         return {
@@ -82,15 +84,8 @@ class RunReport:
             "log_lines": self.log_lines,
             "occupancy": self.occupancy,
             "memory": self.memory,
+            "watchdog": self.watchdog,
         }
-
-
-def _registry_values(registry: MetricsRegistry) -> dict:
-    out = {}
-    for name in registry.names():
-        d = registry[name].as_dict()
-        out[name] = d.get("value", d.get("mean"))
-    return out
 
 
 def _lint_last_step(sim) -> dict:
@@ -135,21 +130,22 @@ def _memory(sim) -> dict:
             "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
-def collect_report(sim, recorder: SpanRecorder,
-                   registry: MetricsRegistry | None = None, *,
+def collect_report(sim, recorder: SpanRecorder, *,
                    workload: str = "", status: dict | None = None,
                    device: DeviceSpec = A100_40GB, kbc: bool = False,
-                   event_log: EventLog | None = None) -> RunReport:
+                   event_log: EventLog | None = None,
+                   watchdog: dict | None = None) -> RunReport:
     """Assemble a :class:`RunReport` from a (possibly failed) session.
 
     ``sim`` may have completed, diverged or aborted mid-step; ``status``
-    states which (default ``{"status": "ok"}``).  When ``event_log`` is
-    given the session's spans/metrics are folded into it, and the line
-    count is reported.
+    states which (default ``{"status": "ok"}``).  The metrics are
+    :func:`~repro.obs.metrics.run_metrics` of the session; ``watchdog``
+    is the last passed health check, kept as it is.  When ``event_log``
+    is given the session's spans and metrics are folded into it, and the
+    line count is reported.
     """
     rt = sim.runtime
-    registry = registry if registry is not None else run_metrics(
-        sim, recorder=recorder)
+    metrics = run_metrics(sim, recorder=recorder)
     markers = list(rt.markers)
     per_step = [m - (markers[i - 1] if i else 0)
                 for i, m in enumerate(markers)]
@@ -173,7 +169,7 @@ def collect_report(sim, recorder: SpanRecorder,
     log_lines = 0
     if event_log is not None:
         event_log.ingest_spans(recorder)
-        event_log.ingest_metrics(registry)
+        event_log.ingest_metrics(metrics)
         if status and status.get("status") == "diverged":
             event_log.ingest_watchdog(diverged=status.get("payload", {}))
         log_lines = len(event_log)
@@ -185,13 +181,14 @@ def collect_report(sim, recorder: SpanRecorder,
         status=status or {"status": "ok"},
         n_records=len(rt.records), kernels_per_step=per_step,
         partial_step=partial,
-        metrics=_registry_values(registry),
+        metrics=metrics,
         roofline=summary, drift=drift,
         lint=_lint_last_step(sim),
         certificate=_certificate_digest(sim),
         log_lines=log_lines,
         occupancy=recorder.observed_occupancy(),
-        memory=_memory(sim))
+        memory=_memory(sim),
+        watchdog=watchdog)
 
 
 # -- terminal rendering --------------------------------------------------------
@@ -270,6 +267,13 @@ def render_text(rep: RunReport) -> str:
     lines.append("-- certificate --")
     lines.append(f"  stream digest : {cert.get('stream_digest') or '-'} "
                  f"({cert.get('kernels', 0)} kernels/step)")
+    if rep.watchdog:
+        w = rep.watchdog
+        lines.append(f"-- watchdog: {w['checks_run']} check(s), last at step "
+                     f"{w['step']} --")
+        lines += [f"  level {s['level']}: rho [{_fmt(s['rho_min'], 4)}, "
+                  f"{_fmt(s['rho_max'], 4)}]  |u| max {_fmt(s['u_max'], 4)}"
+                  for s in w["levels"]]
     if rep.log_lines:
         lines.append("-- event log --")
         lines.append(f"  {rep.log_lines} unified log lines emitted")

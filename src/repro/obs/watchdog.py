@@ -74,14 +74,13 @@ class HealthWatchdog:
     ----------
     sim:
         The :class:`~repro.core.simulation.Simulation` to watch.
-    registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; every check
-        publishes per-level ρ/|u| extrema gauges and a check counter.
+
+    Each passed check returns, and keeps in :attr:`last_report`, the
+    per-level ρ / |u| extrema and the number of checks run.
     """
 
-    def __init__(self, sim, *, registry=None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.registry = registry
         self.checks_run = 0
         #: Last successful report (None until the first check passes).
         self.last_report: dict | None = None
@@ -124,12 +123,6 @@ class HealthWatchdog:
                 "u_max": float(u.max()) if u.size else None,
             }
             levels.append(stats)
-            if self.registry is not None and rho.size:
-                self.registry.gauge(f"rho_min.L{lv}").set(stats["rho_min"])
-                self.registry.gauge(f"rho_max.L{lv}").set(stats["rho_max"])
-                self.registry.gauge(f"u_max.L{lv}").set(stats["u_max"])
-        if self.registry is not None:
-            self.registry.counter("watchdog_checks", "health checks run").inc()
         self.last_report = {"status": "ok", "step": step, "levels": levels,
                             "checks_run": self.checks_run}
         return self.last_report
@@ -154,8 +147,6 @@ class HealthWatchdog:
                        for v in values],
             "spans": spans,
         }
-        if self.registry is not None:
-            self.registry.counter("watchdog_trips", "divergences detected").inc()
         raise SimulationDiverged(
             f"simulation diverged at coarse step {step}: {reason} in "
             f"{fname}@{level} ({payload['n_offending']} cell(s), first "

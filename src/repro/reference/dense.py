@@ -169,8 +169,3 @@ class DenseLBM:
 
     def total_mass(self) -> float:
         return float(self.f[:, self.fluid.ravel()].sum())
-
-    def seconds_per_step(self) -> float:
-        if self.steps_done == 0:
-            raise RuntimeError("run() the solver first")
-        return self.elapsed / self.steps_done

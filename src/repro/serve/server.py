@@ -696,14 +696,14 @@ class JobServer:
                 self._finalize(job, "failed")
         else:
             try:
-                job.log.emit("metric", labels={"final": True},
-                             values={"steps_done": job.status.steps_done,
-                                     "seconds": job.status.seconds,
-                                     "checkpoints": job.status.checkpoints,
-                                     "retries": job.status.retries,
-                                     "rollback_steps": job.status.rollback_steps,
-                                     "restarts": job.status.restarts,
-                                     "degradations": len(job.status.degradations)})
+                job.log.ingest_metrics({
+                    "steps_done": job.status.steps_done,
+                    "seconds": job.status.seconds,
+                    "checkpoints": job.status.checkpoints,
+                    "retries": job.status.retries,
+                    "rollback_steps": job.status.rollback_steps,
+                    "restarts": job.status.restarts,
+                    "degradations": len(job.status.degradations)})
                 self._finalize(job, "done", digest=digest, run=run)
             except Exception as exc:  # the record of a finished run failed
                 # Drop the lines that were not written, so that the log

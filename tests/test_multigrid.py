@@ -147,15 +147,10 @@ class TestPartition:
         spec = RefinementSpec((12, 12))
         mg = build_multigrid(spec, D2Q9)
         assert mg.num_levels == 1
-        assert mg.total_active() == 144
+        assert mg.active_per_level() == [144]
         lv = mg.levels[0]
         assert lv.n_ghost == 0
         assert lv.exp_q.size == 0 and lv.coal_q.size == 0
-
-    def test_finest_first_distribution(self):
-        mg = build_multigrid(two_level_2d(), D2Q9)
-        dist = mg.finest_first_distribution()
-        assert dist == list(reversed(mg.active_per_level()))
 
 
 class TestInterfaceMaps:

@@ -67,12 +67,6 @@ class TestRuntime:
         run(rt, "C")
         assert len(rt.last_step()) == 1
 
-    def test_summary_by_name(self):
-        rt = Runtime()
-        run(rt, "C", "C", "C", n_cells=7, bytes_read=2, bytes_written=3)
-        s = rt.summary_by_name()
-        assert s["C"] == {"launches": 3, "cells": 21, "bytes": 15}
-
     def test_reset(self):
         rt = Runtime()
         run(rt, "C")

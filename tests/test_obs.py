@@ -16,7 +16,7 @@ from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
 from repro.analysis.certificate import write_certificate
 from repro.neon.runtime import KernelRecord, Runtime
-from repro.obs import (HealthWatchdog, MetricsRegistry, SimulationDiverged,
+from repro.obs import (EventLog, HealthWatchdog, SimulationDiverged,
                        SpanRecorder, chrome_trace, run_metrics, validate_trace,
                        write_bench_json)
 from repro.obs.cli import main as report_main
@@ -43,40 +43,6 @@ def golden_sim(config):
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("launches").inc()
-        reg.counter("launches").inc(4)
-        reg.gauge("mlups").set(123.5)
-        h = reg.histogram("dur")
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        assert reg["launches"].value == 5
-        assert reg["mlups"].value == 123.5
-        assert h.count == 3 and h.min == 1.0 and h.max == 3.0
-        assert h.mean == pytest.approx(2.0)
-
-    def test_counter_never_decreases(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_type_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_snapshot_series(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("cells")
-        for step in range(3):
-            g.set(step * 10)
-            reg.snapshot(step=step)
-        assert len(reg.snapshots) == 3
-        assert reg.snapshots[2]["labels"] == {"step": 2}
-        assert reg.snapshots[2]["metrics"]["cells"]["value"] == 20
-        json.loads(reg.to_json())  # serializable
-
     def test_write_bench_json(self, tmp_path):
         write_bench_json("unit", {"speedup": 1.0}, out_dir=str(tmp_path))
         path = write_bench_json("unit", {"speedup": 2.0}, out_dir=str(tmp_path))
@@ -302,14 +268,18 @@ class TestRunMetrics:
         sim = golden_sim(FUSED_FULL)
         rec = sim.enable_tracing()
         sim.run(2)
-        reg = run_metrics(sim, recorder=rec)
-        assert reg["kernels_per_step"].value == pytest.approx(10.0)
-        assert reg["steps_total"].value == 2
-        assert reg["bytes_per_step"].value > 0
-        assert reg["atomic_bytes_total"].value > 0
-        assert "active_cells.L2" in reg
-        assert reg["wave_depth"].value > 0
-        assert reg["kernel_wall_us"].count == len(sim.runtime.records)
+        m = run_metrics(sim, recorder=rec)
+        assert all(type(v) in (int, float) for v in m.values())
+        assert list(m) == sorted(m)
+        assert m["kernels_per_step"] == pytest.approx(10.0)
+        assert m["steps_total"] == 2
+        assert m["bytes_per_step"] > 0
+        assert m["atomic_bytes_total"] > 0
+        assert "active_cells.L2" in m
+        assert m["wave_depth"] > 0
+        durs = [s.dur_us for s in rec.kernel_spans]
+        assert len(durs) == len(sim.runtime.records)
+        assert m["kernel_wall_us"] == pytest.approx(sum(durs) / len(durs))
 
     def test_steps_from_trace_not_steps_done(self):
         """After a warmup + reset, per-step metrics divide by traced steps."""
@@ -317,9 +287,9 @@ class TestRunMetrics:
         sim.run(3)       # warmup
         sim.runtime.reset()
         sim.run(2)
-        reg = run_metrics(sim)
-        assert reg["steps_total"].value == 2
-        assert reg["kernels_per_step"].value == pytest.approx(10.0)
+        m = run_metrics(sim)
+        assert m["steps_total"] == 2
+        assert m["kernels_per_step"] == pytest.approx(10.0)
 
 
 class TestMeasurementGuards:
@@ -435,12 +405,21 @@ class TestWatchdog:
         assert p["values"][0] > CS_LATTICE
 
     def test_registry_integration(self):
-        reg = MetricsRegistry()
+        """A check's readings are its report: kept in ``last_report`` and
+        logged as one ``watchdog`` line per check."""
         sim = small_sim()
-        wd = HealthWatchdog(sim, registry=reg)
-        sim.run(2, callback=wd.callback)
-        assert reg["watchdog_checks"].value == 2
-        assert "rho_max.L0" in reg and "u_max.L1" in reg
+        wd = HealthWatchdog(sim)
+        log = EventLog(run_id="wd")
+        sim.run(2, callback=lambda _: log.ingest_watchdog(report=wd.check()))
+        rep = wd.last_report
+        assert rep["checks_run"] == 2 and rep["step"] == 2
+        assert [s["level"] for s in rep["levels"]] == [0, 1]
+        for s in rep["levels"]:
+            assert RHO_BOUNDS[0] < s["rho_min"] <= s["rho_max"] < RHO_BOUNDS[1]
+            assert 0 <= s["u_max"] < CS_LATTICE
+        lines = [ln["data"] for ln in log.lines]
+        assert [ln["checks_run"] for ln in lines] == [1, 2]
+        assert lines[-1]["levels"] == rep["levels"]
 
 
 class TestObsCli:

@@ -151,6 +151,17 @@ class TestHistoryRecords:
         assert len(recs) == 2
         assert [r["metrics"]["wall_seconds"] for r in recs] == [1.0, 1.1]
 
+    def test_append_after_a_torn_tail_keeps_the_record(self, tmp_path):
+        # A writer killed mid-line leaves no newline; the next record must
+        # not run on from the fragment (load_history would drop both).
+        p = tmp_path / "BENCH_HISTORY.jsonl"
+        append_record(build_record("a", {"wall_seconds": 1.0}), str(p))
+        with open(p, "a") as fh:
+            fh.write('{"v": 1, "bench": "torn')
+        append_record(build_record("b", {"wall_seconds": 2.0}), str(p))
+        assert [r["bench"] for r in load_history(str(p))] == ["a", "b"]
+        assert p.read_text().splitlines()[1] == '{"v": 1, "bench": "torn'
+
     def test_append_is_one_unbuffered_o_append_write(self, tmp_path,
                                                      monkeypatch):
         # PR-9 regression: buffered text-mode appends left record
@@ -180,21 +191,22 @@ class TestHistoryRecords:
         assert load_history(p)[0]["git_sha"] == "abc"
 
     def test_append_locks_lines_beyond_pipe_buf(self, tmp_path, monkeypatch):
-        import repro.bench.history as hist
-        if hist.fcntl is None:
+        import repro.obs.log as log
+        # append_record takes the lock in obs.log.append_lines
+        if log.fcntl is None:
             pytest.skip("no fcntl on this platform")
         locked = []
-        real_flock = hist.fcntl.flock
+        real_flock = log.fcntl.flock
         monkeypatch.setattr(
-            hist.fcntl, "flock",
+            log.fcntl, "flock",
             lambda fd, op: (locked.append(op), real_flock(fd, op))[1])
         p = str(tmp_path / "h.jsonl")
         append_record(build_record("b", {"wall_seconds": 1.0}, sha="a"), p)
         assert locked == []  # short line: O_APPEND alone is atomic
         big = build_record("b", {"wall_seconds": 1.0}, sha="a",
-                           labels={"blob": "x" * (2 * hist._PIPE_BUF)})
+                           labels={"blob": "x" * (2 * log._PIPE_BUF)})
         append_record(big, p)
-        assert locked == [hist.fcntl.LOCK_EX]
+        assert locked == [log.fcntl.LOCK_EX]
         assert len(load_history(p)) == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires fork()")
@@ -487,6 +499,15 @@ class TestReportEdgeCases:
         assert len({ln["run"]["id"] for ln in lines}) == 1
         assert all(ln["run"]["workload"] == "cavity2d-2lvl"
                    and ln["run"]["config"] == "ours-4f" for ln in lines)
+        # One watchdog line per check, the last of them in the report; one
+        # metric line, closing the log, equal to the report's metrics.
+        checks = [ln["data"] for ln in lines if ln["kind"] == "watchdog"]
+        assert [c["checks_run"] for c in checks] == [1, 2]
+        assert rep["watchdog"]["levels"] == checks[-1]["levels"]
+        assert rep["watchdog"]["checks_run"] == 2
+        assert [ln["kind"] for ln in lines].count("metric") == 1
+        assert lines[-1]["kind"] == "metric"
+        assert lines[-1]["data"]["values"] == rep["metrics"]
 
     def test_report_written_files_roundtrip(self, tmp_path):
         sim, rec = traced_run()

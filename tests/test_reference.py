@@ -63,13 +63,6 @@ class TestDenseBasics:
         with pytest.raises(ValueError):
             DenseLBM(D2Q9, (8, 8), omega=1.0, solid=np.zeros((4, 4), dtype=bool))
 
-    def test_seconds_per_step_requires_run(self):
-        solver = DenseLBM(D2Q9, (8, 8), omega=1.0)
-        with pytest.raises(RuntimeError):
-            solver.seconds_per_step()
-        solver.run(2)
-        assert solver.seconds_per_step() > 0
-
 
 class TestCrossValidation:
     """The refined engine against an independent uniform-fine solution."""

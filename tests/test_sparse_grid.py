@@ -102,14 +102,6 @@ class TestNeighbors:
             expected = g.lookup(pos + np.asarray(v))
             assert np.array_equal(g.neighbor_ids(v), expected)
 
-    def test_neighbor_table_shape(self):
-        mask = np.ones((8, 8, 8), dtype=bool)
-        g = BlockSparseGrid.from_mask(mask)
-        e = np.array([[0, 0, 0], [1, 0, 0], [0, -1, 0], [1, 1, 1]])
-        table = g.neighbor_table(e)
-        assert table.shape == (4, g.n_alloc)
-        assert np.array_equal(table[0], np.arange(g.n_alloc))  # rest = self
-
     def test_missing_block_neighbor(self):
         mask = np.zeros((8, 8), dtype=bool)
         mask[:4, :4] = True

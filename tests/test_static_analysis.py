@@ -554,7 +554,7 @@ class TestTouchedBytes:
         wl = lid_cavity(**WL2D)
         sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL))
         sim.run(1)
-        assert run_metrics(sim)["arena_peak_bytes"].value == 43_920
+        assert run_metrics(sim)["arena_peak_bytes"] == 43_920
 
 
 # --------------------------------------------------------------- certificates
