@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp test-blas mem-check physics-check lint lint-strict docs-check analysis report resilience-check serve-check check
+.PHONY: test test-compiled test-mp test-blas mem-check physics-check examples lint lint-strict docs-check analysis report resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -73,6 +73,18 @@ mem-check:
 physics-check:
 	$(PYTHON) tools/physics_gate.py
 
+# The five examples/*.py end to end (~12 s), each run from a temporary
+# directory that is removed afterwards; a script that takes --outdir
+# writes there.  Any example that exits non-zero fails the target.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for ex in examples/*.py; do \
+		echo "== $$ex"; \
+		out=; grep -q -- '"--outdir"' $$ex && out="--outdir $$tmp/out"; \
+		(cd $$tmp && PYTHONPATH=$(CURDIR)/src $(PYTHON) $(CURDIR)/$$ex $$out) \
+			|| exit 1; \
+	done
+
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool
 # lookup, never a real lint failure.
@@ -143,7 +155,7 @@ report:
 # Fault matrix: inject NaN / kernel / OOM faults into every fusion
 # config on compiled plan replay, serial and threaded, and require
 # bit-identical recovery, zero plan_fallback_steps and a visible trail in
-# each run's report (RunReport.retries, its rollback events).  Exit status
+# each run's RunResult (its retries, its rollback events).  Exit status
 # gates.
 resilience-check:
 	$(PYTHON) -m repro resilience --out-dir resilience-artifacts
@@ -165,4 +177,4 @@ serve-check:
 	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_resilience.py \
 		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses or GridCache"
 
-check: lint docs-check test test-compiled test-mp test-blas mem-check physics-check analysis resilience-check serve-check report
+check: lint docs-check test test-compiled test-mp test-blas mem-check physics-check examples analysis resilience-check serve-check report

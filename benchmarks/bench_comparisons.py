@@ -24,7 +24,6 @@ from conftest import run_once
 from repro.bench.harness import full_scale_mlups, measure
 from repro.bench.workloads import lid_cavity
 from repro.core.fusion import FUSED_FULL, ORIGINAL_BASELINE
-from repro.core.simulation import mlups
 from repro.gpu.costmodel import cost_trace, predicted_mlups
 from repro.gpu.device import A100_40GB
 from repro.io.tables import format_table
@@ -65,12 +64,13 @@ def test_palabos_and_walberla_comparison(benchmark, report):
                                  naive.steps, naive_cost)
 
     # Palabos stand-in: the functional CPU execution of the same workload
-    cpu_s_per_iter = ours.wall_seconds / ours.steps * factor  # scaled volume
+    cpu_s_per_iter = (ours.metrics["wall_seconds"] / ours.steps
+                      * factor)  # scaled volume
     gpu_s_per_iter = ours_cost.per_step(ours.steps) / 1e6
 
     rows = [
         ["Palabos stand-in (CPU, measured)", f"{cpu_s_per_iter:.3f} s/iter",
-         f"{mlups(ours.active_per_level, 1, ours.wall_seconds / ours.steps) :.1f} MLUPS"],
+         f"{ours.metrics['wall_mlups']:.1f} MLUPS"],
         ["ours (A100 model)", f"{gpu_s_per_iter:.4f} s/iter",
          f"{ours_full:.0f} MLUPS"],
         ["naive GPU port (waLBerla stand-in)", "-", f"{naive_full:.0f} MLUPS"],

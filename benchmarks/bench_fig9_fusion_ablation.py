@@ -32,8 +32,8 @@ def test_fig9_fusion_ablation(benchmark, report):
         m = results[cfg.name]
         full, _ = full_scale_mlups(m, dist)
         mlups[cfg.name] = full
-        rows.append([cfg.name, f"{m.kernels_per_step:.0f}",
-                     m.bytes_per_step / 1e6, full])
+        rows.append([cfg.name, f"{m.metrics['kernels_per_step']:.0f}",
+                     m.metrics["bytes_per_step"] / 1e6, full])
     report("", format_table(
         ["Config", "Kernels/step", "MB/step (scaled)", "MLUPS (272x192x272)"],
         rows, title="Fig. 9: fusion ablation on the A100 cost model"))

@@ -54,7 +54,7 @@ print("\nrunning a scaled functional instance (scale = 0.06) ...")
 wl = airplane_tunnel(finest_shape=FINEST, scale=0.06, num_levels=3)
 sim = Simulation.from_config(wl.spec, wl.sim_config())
 print(f"base {wl.spec.base_shape}, active voxels {sim.mgrid.active_per_level()}")
-sim.run(8)
-print(f"8 coarse steps: stable={sim.is_stable()}, "
+run = sim.run(8)
+print(f"{run.steps} coarse steps: stable={sim.is_stable()}, "
       f"max|u|/u_in={sim.max_velocity() / wl.char_velocity:.2f}, "
-      f"{sim.wallclock_mlups():.2f} wall-clock MLUPS")
+      f"{run.mlups:.2f} wall-clock MLUPS")

@@ -31,9 +31,9 @@ sim = Simulation.from_config(spec, cfg)
 print(f"levels: {sim.num_levels}, active voxels per level: "
       f"{sim.mgrid.active_per_level()}")
 
-sim.run(20)
-print(f"20 coarse steps in {sim.elapsed:.2f}s "
-      f"-> {sim.wallclock_mlups():.2f} MLUPS (NumPy wall-clock)")
+run = sim.run(20)
+print(f"{run.steps} coarse steps in {run.seconds:.2f}s "
+      f"-> {run.mlups:.2f} MLUPS (NumPy wall-clock)")
 print(f"stable: {sim.is_stable()}, max |u|: {sim.max_velocity():.4f}")
 
 # -- 3. inspect the flow --------------------------------------------------------

@@ -56,8 +56,8 @@ def main() -> None:
     mb = measure(wl, MODIFIED_BASELINE, steps=3)
     mo = measure(wl, FUSED_FULL, steps=3)
     print(f"identical physics, different schedules: baseline "
-          f"{mb.kernels_per_step:.0f} kernels/step vs ours "
-          f"{mo.kernels_per_step:.0f}")
+          f"{mb.metrics['kernels_per_step']:.0f} kernels/step vs ours "
+          f"{mo.metrics['kernels_per_step']:.0f}")
 
     rows = []
     for size, dist in zip(("272x192x272", "544x384x544", "816x576x816"),

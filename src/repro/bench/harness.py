@@ -1,8 +1,9 @@
 """Measurement harness shared by the ``benchmarks/`` suite and examples.
 
 `measure` runs a workload functionally under one fusion configuration and
-returns both the wall-clock MLUPS of the NumPy execution and the
-simulated-A100 MLUPS from the cost model over the recorded kernel trace.
+returns its :func:`~repro.obs.metrics.run_metrics` — the wall-clock MLUPS
+of the NumPy execution among them — plus the simulated-A100 MLUPS from
+the cost model over the recorded kernel trace (``sim_mlups``).
 `full_scale_mlups` extrapolates the trace to paper-size voxel counts
 (see :mod:`repro.bench.model`).
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.fusion import FusionConfig
-from ..core.simulation import Simulation, mlups
+from ..core.simulation import Simulation
 from ..gpu.costmodel import TraceCost, cost_trace, predicted_mlups
 from ..gpu.device import A100_40GB, DeviceSpec
 from ..neon.runtime import KernelRecord
@@ -24,35 +25,25 @@ __all__ = ["Measurement", "measure", "full_scale_mlups"]
 
 @dataclass
 class Measurement:
-    """One (workload, fusion-config) data point."""
+    """One (workload, fusion-config) data point.
+
+    Every number is in :attr:`metrics`, once: the measured run's
+    :func:`~repro.obs.metrics.run_metrics` (``wall_mlups``,
+    ``wall_seconds``, ``kernels_per_step``, ``bytes_per_step``,
+    ``arena_peak_bytes``, ...) plus ``sim_mlups``, the paper's MLUPS
+    against the cost model's device time.
+    """
 
     workload: str
     config: str
     steps: int
     active_per_level: list[int]
-    wall_seconds: float
-    wall_mlups: float
     trace: list[KernelRecord]
     cost: TraceCost
-    sim_mlups: float
     #: Execution backend that produced the wall-clock numbers
     #: (``"interpreted"``, ``"compiled"``, ``"mp"``).
     backend: str = "interpreted"
-    #: :func:`repro.obs.metrics.run_metrics` of the measured run plus
-    #: ``sim_mlups``; what the benchmarks serialize into their
-    #: ``BENCH_*.json`` artifacts.
     metrics: dict[str, float] = field(default_factory=dict)
-    #: Bytes of the buffers one step's stream touches, the lint pass's
-    #: ``touched_bytes`` (0 when the trace is empty).
-    arena_peak_bytes: int = 0
-
-    @property
-    def kernels_per_step(self) -> float:
-        return self.cost.kernels / self.steps if self.steps else 0.0
-
-    @property
-    def bytes_per_step(self) -> float:
-        return self.cost.bytes_total / self.steps if self.steps else 0.0
 
     def summary(self) -> dict:
         """JSON-ready digest for the ``BENCH_*.json`` perf trajectory."""
@@ -62,13 +53,6 @@ class Measurement:
             "backend": self.backend,
             "steps": self.steps,
             "active_per_level": list(self.active_per_level),
-            "wall_seconds": self.wall_seconds,
-            "wall_mlups": self.wall_mlups,
-            "sim_mlups": self.sim_mlups,
-            "kernels_per_step": self.kernels_per_step,
-            "bytes_per_step": self.bytes_per_step,
-            "atomic_bytes": sum(r.atomic_bytes for r in self.trace),
-            "arena_peak_bytes": self.arena_peak_bytes,
             "metrics": self.metrics,
         }
 
@@ -105,9 +89,7 @@ def measure(workload: Workload, config: FusionConfig, steps: int = 5,
             sim.run(warmup)
         sim.runtime.reset(steps_base=sim.steps_done)
         sim.elapsed = 0.0
-        start_steps = sim.steps_done
-        sim.run(steps)
-        n = sim.steps_done - start_steps
+        n = sim.run(steps).steps
         records = list(sim.runtime.records)
         kbc = workload.collision.lower() == "kbc"
         cost = cost_trace(records, device, kbc=kbc, concurrent=concurrent)
@@ -117,14 +99,8 @@ def measure(workload: Workload, config: FusionConfig, steps: int = 5,
         metrics["sim_mlups"] = predicted_mlups(active, n, cost)
         return Measurement(
             workload=workload.name, config=config.name, steps=n,
-            backend=sim.backend.name,
-            active_per_level=active,
-            wall_seconds=sim.elapsed,
-            wall_mlups=mlups(active, n, sim.elapsed),
-            trace=records, cost=cost,
-            sim_mlups=metrics["sim_mlups"],
-            metrics=metrics,
-            arena_peak_bytes=int(metrics.get("arena_peak_bytes", 0)))
+            backend=sim.backend.name, active_per_level=active,
+            trace=records, cost=cost, metrics=metrics)
     finally:
         sim.close()
 

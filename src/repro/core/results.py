@@ -1,24 +1,20 @@
-"""Structured run results — the typed return value of every run loop.
+"""The one record of a ``run`` call.
 
-``Simulation.run`` used to return bare wall-clock seconds and
-``ResilientRunner.run`` its own ``RunReport``; callers stitching the two
-together (benchmarks, the serve layer, tests) had to know which ad-hoc
-value they were holding.  :class:`RunResult` unifies them: one frozen
-record per ``run`` call carrying the steps advanced, the wall time, the
-backend/execution mode that did the work, the measured MLUPS and — for
-resilient runs — the full degradation/retry summary
-(:class:`~repro.resilience.runner.RunReport`) under :attr:`report`.
+``Simulation.run`` and ``ResilientRunner.run`` both return a
+:class:`RunResult`; the resilient runner fills the same record while it
+runs (the one its ``on_checkpoint`` callback sees and
+:class:`~repro.resilience.runner.RetryExhausted` carries), so a plain
+run is a resilient one that needed no recovery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 __all__ = ["RunResult"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunResult:
     """Outcome of one ``run`` call (plain or resilient).
 
@@ -39,41 +35,35 @@ class RunResult:
     mlups:
         Measured MLUPS of this call (paper formula; ``0.0`` when the
         call advanced no steps or took no measurable time).
-    metrics:
-        A small snapshot of run accounting (traced kernels/steps,
-        cumulative elapsed seconds).  Deliberately cheap — full metrics
-        live in :func:`repro.obs.metrics.run_metrics`.
-    report:
-        The :class:`~repro.resilience.runner.RunReport` when the run was
-        driven by a :class:`~repro.resilience.runner.ResilientRunner`
-        (retries, rollbacks, degradation rungs); ``None`` for plain
-        ``Simulation.run`` calls.
+
+    The rest is what a resilient run recorded; a plain run leaves it at
+    zero or empty.  ``outcome`` is ``"ok"`` (target reached, physics
+    untouched), ``"degraded"`` (target reached on a safety rung) or
+    ``"failed"`` (carried by ``RetryExhausted``).  ``failures`` lists
+    every recovered incident; ``degradations`` the ladder rungs taken;
+    ``events`` every ``resume`` / ``retry`` / ``rollback`` / ``degrade``
+    as ``{"name": ..., **details}``, in the order they happened.
+    ``first_step_s`` is the wall time from the call to ``run`` to its
+    first completed step (``None`` until one completes).
     """
 
-    steps: int
-    final_step: int
-    seconds: float
+    steps: int = 0
+    final_step: int = 0
+    seconds: float = 0.0
     backend: str = "interpreted"
     mode: str = "serial"
     mlups: float = 0.0
-    metrics: dict = field(default_factory=dict)
-    report: Any | None = None
-
-    @property
-    def outcome(self) -> str:
-        """``"ok"`` for plain runs; the resilient report's outcome otherwise."""
-        return self.report.outcome if self.report is not None else "ok"
+    outcome: str = "ok"
+    target_step: int = 0
+    retries: int = 0
+    rollback_steps: int = 0
+    checkpoints: int = 0
+    omega_scale: float = 1.0
+    failures: list = field(default_factory=list)
+    degradations: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    first_step_s: float | None = None
 
     def as_dict(self) -> dict:
-        """JSON-ready digest (job results, bench payloads, CLI output)."""
-        return {
-            "steps": self.steps,
-            "final_step": self.final_step,
-            "seconds": self.seconds,
-            "backend": self.backend,
-            "mode": self.mode,
-            "mlups": self.mlups,
-            "outcome": self.outcome,
-            "metrics": dict(self.metrics),
-            "report": self.report.as_dict() if self.report is not None else None,
-        }
+        """JSON-ready copy (job results, bench payloads, CLI output)."""
+        return dict(vars(self))

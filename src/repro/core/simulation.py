@@ -154,10 +154,15 @@ class Simulation:
                 else "serial")
 
     def initialize(self, rho: float = 1.0, u=None) -> None:
-        """(Re-)initialise the populations to equilibrium; resets timing."""
+        """(Re-)initialise the populations to equilibrium at step 0.
+
+        Resets timing, and rebases the trace as a checkpoint restore
+        does: faults armed by step and per-step metrics count from here.
+        """
         self.engine.initialize(rho, u)
         self.elapsed = 0.0
         self.stepper.steps_done = 0
+        self.runtime.reset(steps_base=0)
 
     def step(self) -> None:
         self.stepper.step()
@@ -176,19 +181,20 @@ class Simulation:
         finally:
             dt = time.perf_counter() - t0
             self.elapsed += dt
-        return self._run_result(start_step, dt)
+        return self._measure(RunResult(), start_step, dt)
 
-    def _run_result(self, start_step: int, seconds: float) -> RunResult:
-        steps = self.steps_done - start_step
-        measured = (mlups(self.mgrid.active_per_level(), steps, seconds)
-                    if steps > 0 and seconds > 0 else 0.0)
-        rt = self.engine.rt
-        return RunResult(
-            steps=steps, final_step=self.steps_done, seconds=seconds,
-            backend=self.backend.name, mode=self.mode, mlups=measured,
-            metrics={"kernels_traced": len(rt.records),
-                     "steps_traced": len(rt.markers),
-                     "elapsed_total": self.elapsed})
+    def _measure(self, result: RunResult, start_step: int,
+                 seconds: float) -> RunResult:
+        """Fill ``result``'s measured fields for a run from ``start_step``."""
+        result.steps = self.steps_done - start_step
+        result.final_step = self.steps_done
+        result.seconds = seconds
+        result.backend = self.backend.name
+        result.mode = self.mode
+        result.mlups = (mlups(self.mgrid.active_per_level(), result.steps,
+                              seconds)
+                        if result.steps > 0 and seconds > 0 else 0.0)
+        return result
 
     def run_until(self, target: int, callback=None) -> RunResult:
         """Run until ``steps_done`` reaches ``target`` (no-op if past it).
@@ -265,7 +271,3 @@ class Simulation:
         """False once populations contain NaN/Inf (diverged run)."""
         return all(np.isfinite(buf.f).all()
                    for buf in self.engine.levels)
-
-    def wallclock_mlups(self) -> float:
-        """Measured MLUPS of all :meth:`run` calls so far (paper formula)."""
-        return mlups(self.mgrid.active_per_level(), self.steps_done, self.elapsed)

@@ -19,9 +19,10 @@ Two layers:
   directory listing and generation fallback on restore.  One durable
   write per save: the file names are the index.  This is what
   :class:`~repro.resilience.ResilientRunner` rolls back through.
-* :func:`save_checkpoint` / :func:`restore_checkpoint` — single-file
-  module functions, kept as thin compatibility wrappers over the same
-  serialization (and themselves crash-safe).
+* :func:`save_checkpoint` / :func:`restore_checkpoint` — the
+  single-file serialization itself: :meth:`CheckpointStore.save` and
+  :meth:`CheckpointStore.restore` call them on the store's generation
+  files, and they are crash-safe on their own.
 
 Corruption (a truncated or non-checkpoint file) raises the structured
 :class:`CheckpointError`; structural mismatch against the target

@@ -4,7 +4,7 @@ The observability layer grew four disjoint record streams — kernel/step
 spans (:mod:`repro.obs.spans`), run metrics
 (:mod:`repro.obs.metrics`), watchdog findings
 (:mod:`repro.obs.watchdog`) and resilience events (the
-``RunReport.events`` of :mod:`repro.resilience.runner`).  This
+``RunResult.events`` a :mod:`repro.resilience.runner` run fills).  This
 module folds them into **one** append-friendly JSON-lines schema so a
 single file narrates a whole run, and so several concurrent runs can
 share one sink and still be teased apart: every line carries the run's

@@ -90,14 +90,6 @@ class HealthWatchdog:
         """Per-step hook for ``Simulation.run(callback=...)``."""
         self.check()
 
-    def watch(self, n_steps: int):
-        """Run ``n_steps`` coarse steps under supervision.
-
-        Returns the :class:`~repro.core.results.RunResult` of the
-        underlying :meth:`~repro.core.simulation.Simulation.run`.
-        """
-        return self.sim.run(n_steps, callback=self.callback)
-
     # -- the check -----------------------------------------------------------
     def check(self) -> dict:
         """Inspect every level now; raise or return a health report."""

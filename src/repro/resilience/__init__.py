@@ -14,9 +14,9 @@ The subsystem has three parts (DESIGN.md Section 11):
 """
 
 from .faults import Fault, FaultInjector, InjectedKernelError
-from .runner import ResilientRunner, RetryExhausted, RetryPolicy, RunReport
+from .runner import ResilientRunner, RetryExhausted, RetryPolicy
 
 __all__ = [
     "Fault", "FaultInjector", "InjectedKernelError",
-    "ResilientRunner", "RetryExhausted", "RetryPolicy", "RunReport",
+    "ResilientRunner", "RetryExhausted", "RetryPolicy",
 ]

@@ -12,7 +12,7 @@ Every cell runs on the ``compiled`` backend — faults are injected into,
 and recovered on, the plan replay that ships — and must report zero
 ``plan_fallback_steps``: a cell that quietly ran on the interpreted
 reference path fails the matrix.  Each cell also has to leave a visible
-trail in its ``RunReport`` (``retries >= 1`` and at least one
+trail in its ``RunResult`` (``retries >= 1`` and at least one
 ``rollback`` entry in ``events``), so a recovery that silently happened
 — or silently didn't — fails the matrix.  Results land in
 ``BENCH_resilience.json`` via :func:`repro.obs.metrics.write_bench_json`;
@@ -85,20 +85,20 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
                 row = {"config": fusion.name, "mode": mode, "fault": kind,
                        "fault_step": fault_step}
                 try:
-                    report = runner.run(steps).report
+                    result = runner.run(steps)
                     row.update(
-                        outcome=report.outcome,
-                        retries=report.retries,
-                        rollback_steps=report.rollback_steps,
-                        checkpoints=report.checkpoints,
+                        outcome=result.outcome,
+                        retries=result.retries,
+                        rollback_steps=result.rollback_steps,
+                        checkpoints=result.checkpoints,
                         identical=_identical(reference, _state(runner.sim)),
-                        telemetry=report.retries >= 1 and any(
-                            e["name"] == "rollback" for e in report.events),
+                        telemetry=result.retries >= 1 and any(
+                            e["name"] == "rollback" for e in result.events),
                     )
                 except RetryExhausted as exc:
-                    row.update(outcome="failed", retries=exc.report.retries,
-                               rollback_steps=exc.report.rollback_steps,
-                               checkpoints=exc.report.checkpoints,
+                    row.update(outcome="failed", retries=exc.result.retries,
+                               rollback_steps=exc.result.rollback_steps,
+                               checkpoints=exc.result.checkpoints,
                                identical=False, telemetry=True)
                 finally:
                     row["injected"] = len(injector.fired)

@@ -27,13 +27,14 @@ When retries alone cannot help, the runner walks a degradation ladder
    physics, not the machinery, is unstable; after
    :data:`DIVERGENCE_STRIKES` strikes the simulation is rebuilt with the
    coarse relaxation rate scaled by :data:`OMEGA_SAFETY_SCALE` (more
-   viscous, more stable) and the report marks the run ``degraded``.
+   viscous, more stable) and the result marks the run ``degraded``.
 
-Every recovery is recorded once, in the run's :class:`RunReport`: its
-counts (``retries``, ``rollback_steps``, ``checkpoints``), its
-``failures`` and ``degradations``, and ``events`` — the ``resume`` /
-``retry`` / ``rollback`` / ``degrade`` narration in the order it
-happened.  The runner traces nothing: without a fault injector a
+Every recovery is recorded once, in the run's
+:class:`~repro.core.results.RunResult` — the record a plain
+``Simulation.run`` returns: its counts (``retries``, ``rollback_steps``,
+``checkpoints``), its ``failures`` and ``degradations``, and ``events``
+— the ``resume`` / ``retry`` / ``rollback`` / ``degrade`` narration in
+the order it happened.  The runner traces nothing: without a fault injector a
 resilient run executes exactly the plan loop ``Simulation.run`` does,
 and what happened to the executor itself (plan compiles, mp worker
 restarts) is the backend's ``stats``.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..backend.mp import MpWorkerError
@@ -55,7 +56,7 @@ from ..gpu.memory import DeviceOOMError
 from ..io.checkpoint import CheckpointError, CheckpointStore
 from ..obs.watchdog import HealthWatchdog, SimulationDiverged
 
-__all__ = ["RetryPolicy", "RunReport", "RetryExhausted", "ResilientRunner"]
+__all__ = ["RetryPolicy", "RetryExhausted", "ResilientRunner"]
 
 
 #: Failures under a concurrent executor (thread waves or the mp worker
@@ -94,56 +95,13 @@ class RetryPolicy:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-@dataclass
-class RunReport:
-    """Structured outcome of one :meth:`ResilientRunner.run`.
-
-    ``outcome`` is ``"ok"`` (target reached, physics untouched),
-    ``"degraded"`` (target reached on a safety rung) or ``"failed"``
-    (attached to :class:`RetryExhausted`).  ``failures`` lists every
-    recovered incident; ``degradations`` the ladder rungs taken;
-    ``events`` every ``resume`` / ``retry`` / ``rollback`` / ``degrade``
-    as ``{"name": ..., **details}``, in the order they happened.
-    ``first_step_s`` is the wall time from the call to ``run`` to its
-    first completed step (``None`` until one completes).
-    """
-
-    outcome: str = "ok"
-    target_step: int = 0
-    final_step: int = 0
-    retries: int = 0
-    rollback_steps: int = 0
-    checkpoints: int = 0
-    mode: str = "serial"
-    omega_scale: float = 1.0
-    failures: list = field(default_factory=list)
-    degradations: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    first_step_s: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "target_step": self.target_step,
-            "final_step": self.final_step,
-            "retries": self.retries,
-            "rollback_steps": self.rollback_steps,
-            "checkpoints": self.checkpoints,
-            "mode": self.mode,
-            "omega_scale": self.omega_scale,
-            "failures": list(self.failures),
-            "degradations": list(self.degradations),
-            "events": list(self.events),
-            "first_step_s": self.first_step_s,
-        }
-
-
 class RetryExhausted(RuntimeError):
-    """Every retry and every ladder rung failed; carries the full report."""
+    """Every retry and every ladder rung failed; carries the run's record
+    (outcome ``"failed"``) as :attr:`result`."""
 
-    def __init__(self, message: str, report: RunReport) -> None:
+    def __init__(self, message: str, result: RunResult) -> None:
         super().__init__(message)
-        self.report = report
+        self.result = result
 
 
 from .faults import InjectedKernelError
@@ -194,7 +152,7 @@ class ResilientRunner:
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults
         #: Events that happened outside a run (a resume at construction);
-        #: they head the next run's ``RunReport.events``.
+        #: they head the next run's ``RunResult.events``.
         self._events: list[dict] = []
         self._tmp = None
         if store is None:
@@ -240,48 +198,49 @@ class ResilientRunner:
 
     # -- the recovery loop -----------------------------------------------------
     def run(self, n_steps: int,
-            on_checkpoint: Callable[[RunReport], None] | None = None
+            on_checkpoint: Callable[[RunResult], None] | None = None
             ) -> RunResult:
         """Advance ``n_steps`` coarse steps, recovering as needed.
 
-        Returns a :class:`~repro.core.results.RunResult` whose
-        :attr:`~repro.core.results.RunResult.report` carries the full
-        :class:`RunReport` (retries, rollbacks, degradation rungs);
-        raises :class:`RetryExhausted` (report attached) when the budget
-        and the ladder are spent.  Callable repeatedly — the checkpoint
-        store carries over; each run's report holds that run's events.
+        Returns the run's :class:`~repro.core.results.RunResult`, its
+        retries, rollbacks and degradation rungs included; raises
+        :class:`RetryExhausted` (the record attached) when the budget and
+        the ladder are spent.  Callable repeatedly — the checkpoint store
+        carries over; each run's record holds that run's events.
 
-        ``on_checkpoint(report)`` is called on this thread at every
+        ``on_checkpoint(result)`` is called on this thread at every
         checkpoint boundary the run goes on from: before the first step
-        and after each checkpoint short of the target, with the report
+        and after each checkpoint short of the target, with the record
         (events included) as it stands.  Whatever it raises ends the run
         there, with the state of ``sim.steps_done`` durable in the store.
         """
         pol = self.policy
         start_step = self.sim.steps_done
         t0 = time.perf_counter()
-        report = RunReport(target_step=self.sim.steps_done + int(n_steps),
-                           mode=self.mode, omega_scale=self._omega_scale(),
+        result = RunResult(final_step=start_step, backend=self.sim.backend.name,
+                           mode=self.mode,
+                           target_step=start_step + int(n_steps),
+                           omega_scale=self._omega_scale(),
                            events=self._events)
         self._events = []
         if self.store.latest() is None:
             # Step-0 anchor: the very first failure must have somewhere
             # to roll back to.
             self.store.save(self.sim)
-            report.checkpoints += 1
-        if on_checkpoint is not None and self.sim.steps_done < report.target_step:
-            on_checkpoint(report)
+            result.checkpoints += 1
+        if on_checkpoint is not None and self.sim.steps_done < result.target_step:
+            on_checkpoint(result)
         attempts = 0
         executor_strikes = 0
         divergences = 0
 
         def watch(stepper) -> None:
-            if report.first_step_s is None:
-                report.first_step_s = time.perf_counter() - t0
+            if result.first_step_s is None:
+                result.first_step_s = time.perf_counter() - t0
             self.watchdog.callback(stepper)
 
-        while self.sim.steps_done < report.target_step:
-            segment_end = min(report.target_step,
+        while self.sim.steps_done < result.target_step:
+            segment_end = min(result.target_step,
                               self.sim.steps_done + pol.checkpoint_every)
             try:
                 # The watchdog checks every step, so the state is validated
@@ -293,17 +252,25 @@ class ResilientRunner:
                         and not hasattr(exc, "kernel_span")):
                     raise
                 attempts += 1
-                self._recover(report, exc, attempts)
+                self._recover(result, exc, attempts)
                 if attempts > pol.max_retries:
-                    # Budget spent on this rung: step down or give up
-                    # (raises RetryExhausted with the report attached).
-                    attempts = self._degrade_or_fail(report, exc)
-                    executor_strikes = divergences = 0
+                    # Budget spent on this rung: step down or give up.
+                    if not self._step_down(result, exc):
+                        result.outcome = "failed"
+                        result.omega_scale = self._omega_scale()
+                        self.sim._measure(result, start_step,
+                                          time.perf_counter() - t0)
+                        raise RetryExhausted(
+                            f"gave up at step {self.sim.steps_done}/"
+                            f"{result.target_step} after {result.retries} "
+                            f"retries (last failure: "
+                            f"{type(exc).__name__}: {exc})", result)
+                    attempts = executor_strikes = divergences = 0
                 elif isinstance(exc, SimulationDiverged):
                     divergences += 1
                     if (divergences >= DIVERGENCE_STRIKES
                             and self._omega_scale() == 1.0):
-                        self._degrade_safety(report)
+                        self._degrade_safety(result)
                         attempts = executor_strikes = divergences = 0
                 elif self.mode != "serial":
                     # The mp backend already respawns its pool per retry;
@@ -311,38 +278,31 @@ class ResilientRunner:
                     # abandon it for serial replay.
                     executor_strikes += 1
                     if executor_strikes >= EXECUTOR_STRIKES:
-                        self._degrade_serial(report)
+                        self._degrade_serial(result)
                         attempts = executor_strikes = 0
-                self._rollback(report)
+                self._rollback(result)
                 continue
             self.store.save(self.sim)
-            report.checkpoints += 1
+            result.checkpoints += 1
             attempts = 0
             if (on_checkpoint is not None
-                    and self.sim.steps_done < report.target_step):
-                on_checkpoint(report)
-        report.final_step = self.sim.steps_done
-        report.mode = self.mode
-        report.omega_scale = self._omega_scale()
-        report.outcome = "degraded" if report.degradations else "ok"
-        seconds = time.perf_counter() - t0
-        result = self.sim._run_result(start_step, seconds)
-        return RunResult(steps=result.steps, final_step=result.final_step,
-                         seconds=seconds, backend=result.backend,
-                         mode=result.mode, mlups=result.mlups,
-                         metrics=result.metrics, report=report)
+                    and self.sim.steps_done < result.target_step):
+                on_checkpoint(result)
+        result.omega_scale = self._omega_scale()
+        result.outcome = "degraded" if result.degradations else "ok"
+        return self.sim._measure(result, start_step, time.perf_counter() - t0)
 
     # -- failure handling ------------------------------------------------------
-    def _recover(self, report: RunReport, exc: BaseException,
+    def _recover(self, result: RunResult, exc: BaseException,
                  attempt: int) -> None:
         kind = self._classify(exc)
-        report.retries += 1
-        report.failures.append({
+        result.retries += 1
+        result.failures.append({
             "step": self.sim.steps_done, "kind": kind,
             "attempt": attempt, "mode": self.mode,
             "error": f"{type(exc).__name__}: {exc}",
         })
-        report.events.append({"name": "retry", "kind": kind,
+        result.events.append({"name": "retry", "kind": kind,
                               "step": self.sim.steps_done,
                               "attempt": attempt, "mode": self.mode})
 
@@ -356,19 +316,19 @@ class ResilientRunner:
             return "worker"
         return "kernel"
 
-    def _rollback(self, report: RunReport) -> None:
+    def _rollback(self, result: RunResult) -> None:
         failed_at = self.sim.steps_done
         restored = self.store.restore_latest(self.sim)
         lost = max(0, failed_at - restored)
-        report.rollback_steps += lost
-        report.events.append({"name": "rollback", "from_step": failed_at,
+        result.rollback_steps += lost
+        result.events.append({"name": "rollback", "from_step": failed_at,
                               "to_step": restored, "lost_steps": lost})
 
     # -- the degradation ladder ------------------------------------------------
     def _omega_scale(self) -> float:
         return getattr(self, "_omega_scale_applied", 1.0)
 
-    def _degrade_serial(self, report: RunReport) -> None:
+    def _degrade_serial(self, result: RunResult) -> None:
         """Concurrent rung (mp or threaded): rebuild on serial plan replay.
 
         The executor is fixed at construction, so this needs a rebuild;
@@ -380,9 +340,9 @@ class ResilientRunner:
         backend = ("compiled" if self.mode == "mp"
                    else self.sim.backend.name)
         self._rebuild(self.config.replace(backend=backend, threaded=False))
-        self._note_degradation(report, "serial", step=at_step)
+        self._note_degradation(result, "serial", step=at_step)
 
-    def _degrade_safety(self, report: RunReport) -> None:
+    def _degrade_safety(self, result: RunResult) -> None:
         """Last rung: rebuild with a reduced-omega (more viscous) profile."""
         cfg = self.config
         at_step = self.sim.steps_done
@@ -391,31 +351,23 @@ class ResilientRunner:
         scaled = omega0 * OMEGA_SAFETY_SCALE
         self._omega_scale_applied = self._omega_scale() * OMEGA_SAFETY_SCALE
         self._rebuild(cfg.replace(viscosity=None, omega0=scaled))
-        self._note_degradation(report, "safety-omega", step=at_step,
+        self._note_degradation(result, "safety-omega", step=at_step,
                                omega0=scaled)
 
-    def _note_degradation(self, report: RunReport, rung: str, **extra) -> None:
+    def _note_degradation(self, result: RunResult, rung: str, **extra) -> None:
         entry = {"rung": rung, "step": self.sim.steps_done, **extra}
-        report.degradations.append(entry)
-        report.events.append({"name": "degrade", **entry})
+        result.degradations.append(entry)
+        result.events.append({"name": "degrade", **entry})
 
-    def _degrade_or_fail(self, report: RunReport, exc: BaseException) -> int:
-        """Retry budget spent: step down a rung (returning a reset attempt
-        count of 0) or raise :class:`RetryExhausted`."""
+    def _step_down(self, result: RunResult, exc: BaseException) -> bool:
+        """Retry budget spent: take the next ladder rung, if there is one."""
         if self.mode != "serial":
-            self._degrade_serial(report)
-            return 0
+            self._degrade_serial(result)
+            return True
         if isinstance(exc, SimulationDiverged) and self._omega_scale() == 1.0:
-            self._degrade_safety(report)
-            return 0
-        report.final_step = self.sim.steps_done
-        report.mode = self.mode
-        report.omega_scale = self._omega_scale()
-        report.outcome = "failed"
-        raise RetryExhausted(
-            f"gave up at step {self.sim.steps_done}/{report.target_step} "
-            f"after {report.retries} retries "
-            f"(last failure: {type(exc).__name__}: {exc})", report)
+            self._degrade_safety(result)
+            return True
+        return False
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -57,7 +57,7 @@ Every job writes its lifecycle to the unified event log
 (:mod:`repro.obs.log`) under its own run id with per-tenant labels; all
 jobs share one ``events.jsonl`` sink in the server root, written on the
 event-loop thread.  The ``running`` note names the worker's ``pid``.  A
-job's ``resilience`` lines are its runner's ``RunReport.events``
+job's ``resilience`` lines are its runner's ``RunResult.events``
 (resume / retry / rollback / degrade), forwarded at each checkpoint
 boundary and at the end of the run, plus the server's own
 ``worker-death``.  :meth:`JobServer.fleet_summary` renders the
@@ -81,8 +81,7 @@ from ..core.results import RunResult
 from ..gpu.device import A100_40GB, DeviceSpec
 from ..io.checkpoint import CheckpointStore, atomic_write
 from ..obs.log import EventLog, append_lines
-from ..resilience.runner import (ResilientRunner, RetryExhausted, RetryPolicy,
-                                 RunReport)
+from ..resilience.runner import ResilientRunner, RetryExhausted, RetryPolicy
 from .cache import GridCache
 from .oracle import JobCost, predict_cost
 from .spec import (TERMINAL_STATES, AdmissionError, JobCancelled, JobResult,
@@ -210,32 +209,32 @@ def _serve_job(conn, root: str, faults, grids: GridCache, spec: JobSpec,
         runner = ResilientRunner(spec.spec, spec.config, policy=policy,
                                  store=store, grid=grid,
                                  faults=faults(spec) if faults else None)
-        forwarded = 0  # report events already in ``notes``
+        forwarded = 0  # run events already in ``notes``
         st.steps_done = runner.sim.steps_done
 
-        def record(report: RunReport) -> None:
-            """Forward the report's new events as ``resilience`` lines and
+        def record(run: RunResult) -> None:
+            """Forward the run's new events as ``resilience`` lines and
             fold the run so far into the job's record."""
             nonlocal forwarded
-            for event in report.events[forwarded:]:
+            for event in run.events[forwarded:]:
                 data = dict(event)
                 notes.append(("resilience", {"event": data.pop("name"), **data}))
-            forwarded = len(report.events)
-            if report.first_step_s is not None:
+            forwarded = len(run.events)
+            if run.first_step_s is not None:
                 st.first_step_s = (before.first_step_s + run_start
-                                   + report.first_step_s)
+                                   + run.first_step_s)
             if runner.sim.steps_done == st.steps_done:
                 return  # no checkpoint since the last record
             st.steps_done = runner.sim.steps_done
-            st.checkpoints = before.checkpoints + report.checkpoints
-            st.retries = before.retries + report.retries
-            st.rollback_steps = before.rollback_steps + report.rollback_steps
-            st.degradations = before.degradations + report.degradations
+            st.checkpoints = before.checkpoints + run.checkpoints
+            st.retries = before.retries + run.retries
+            st.rollback_steps = before.rollback_steps + run.rollback_steps
+            st.degradations = before.degradations + run.degradations
             notes.append(("note", {"message": "checkpointed",
                                    "step": st.steps_done}))
 
-        def boundary(report: RunReport) -> None:
-            record(report)
+        def boundary(run: RunResult) -> None:
+            record(run)
             conn.send(("boundary", progress(), take_notes()))
             reply = conn.recv()
             if reply == "stop":
@@ -249,7 +248,7 @@ def _serve_job(conn, root: str, faults, grids: GridCache, spec: JobSpec,
                              on_checkpoint=boundary)
         except RetryExhausted as exc:
             raise _JobFailed(str(exc)) from exc
-        record(run.report)
+        record(run)
         return ("end", progress(), take_notes(), None,
                 state_digest(runner.sim), run)
     except Exception as exc:

@@ -185,8 +185,8 @@ class JobResult(JobStatus):
     """The final outcome of one job: its :class:`JobStatus` at the end.
 
     ``state`` is one of :data:`TERMINAL_STATES`.  ``run`` is the
-    :class:`~repro.core.results.RunResult` of the job's last worker (its
-    :class:`~repro.resilience.runner.RunReport` attached);
+    :class:`~repro.core.results.RunResult` of the job's last worker
+    (retries, rollbacks and events included);
     ``state_digest`` is a SHA-256 over the final population buffers —
     two jobs that ran the same :class:`JobSpec` to completion must agree
     on it bit-for-bit, regardless of faults survived along the way.

@@ -252,8 +252,8 @@ class TestFallback:
         with ResilientRunner(wl.spec, cfg,
                              policy=RetryPolicy(checkpoint_every=2),
                              faults=FaultInjector([Fault(**fault)])) as runner:
-            report = runner.run(6).report
-            assert report.outcome == "ok" and report.retries == 1
+            result = runner.run(6)
+            assert result.outcome == "ok" and result.retries == 1
             assert runner.sim.mode == "threaded"
             assert runner.sim.backend.stats["plan_fallback_steps"] == 0
             assert_bit_identical(states(ref), states(runner.sim))
@@ -352,9 +352,9 @@ class TestFailureContract:
         with ResilientRunner(wl.spec, cfg,
                              policy=RetryPolicy(checkpoint_every=2),
                              faults=RaiseOnce("CASE", 1, step=3)) as runner:
-            report = runner.run(6).report
-            assert report.outcome == "ok" and report.retries == 1
-            assert report.failures[0]["kind"] == "kernel"
+            result = runner.run(6)
+            assert result.outcome == "ok" and result.retries == 1
+            assert result.failures[0]["kind"] == "kernel"
             assert runner.sim.backend.name == "interpreted"
             assert_bit_identical(states(ref), states(runner.sim))
 
@@ -515,13 +515,14 @@ class TestObservability:
         assert m.backend == "compiled"
         s = m.summary()
         assert s["backend"] == "compiled"
+        # every number once, in metrics
+        assert set(s) == {"workload", "config", "backend", "steps",
+                          "active_per_level", "metrics"}
         assert {"wall_seconds", "wall_mlups", "sim_mlups",
-                "kernels_per_step", "bytes_per_step", "atomic_bytes",
-                "arena_peak_bytes"} <= set(s)
-        assert s["arena_peak_bytes"] > 0
+                "kernels_per_step", "bytes_per_step", "atomic_bytes_total",
+                "arena_peak_bytes"} <= set(s["metrics"])
+        assert s["metrics"]["arena_peak_bytes"] > 0
         assert all(type(v) in (int, float) for v in s["metrics"].values())
-        assert s["metrics"]["sim_mlups"] == s["sim_mlups"]
-        assert s["metrics"]["arena_peak_bytes"] == s["arena_peak_bytes"]
 
 
 class TestTieredLeg:

@@ -222,8 +222,8 @@ def test_worker_part_failure_names_kernel_and_recovers(split, monkeypatch):
     fired.clear()
     with ResilientRunner(wl.spec, config,
                          policy=RetryPolicy(checkpoint_every=2)) as runner:
-        report = runner.run(6).report
-        assert report.outcome == "ok" and report.retries == 1 and fired
+        result = runner.run(6)
+        assert result.outcome == "ok" and result.retries == 1 and fired
         assert state_digest(runner.sim) == want[0]
         assert runner.sim.backend.stats["plan_fallback_steps"] == 0
 

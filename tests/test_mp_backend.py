@@ -215,11 +215,11 @@ class TestResilience:
             assert runner.mode == "mp"
             runner.run(2)
             runner.sim.backend._procs[0].kill()
-            report = runner.run(2).report
-            assert report.final_step == 4
-            assert report.outcome == "ok"
-            assert report.retries >= 1
-            assert report.failures[0]["kind"] == "worker"
+            result = runner.run(2)
+            assert result.final_step == 4
+            assert result.outcome == "ok"
+            assert result.retries >= 1
+            assert result.failures[0]["kind"] == "worker"
             assert runner.mode == "mp"
             assert_bit_identical(expect, states(runner.sim))
 
@@ -232,12 +232,12 @@ class TestResilience:
                 raise MpWorkerError("injected pool failure")
 
             runner.sim.backend.step = doomed_step
-            report = runner.run(2).report
-            assert [d["rung"] for d in report.degradations] == ["serial"]
+            result = runner.run(2)
+            assert [d["rung"] for d in result.degradations] == ["serial"]
             assert runner.mode == "serial"
             assert runner.sim.backend.name == "compiled"
-            assert report.final_step == 2
-            assert report.outcome == "degraded"
+            assert result.final_step == 2
+            assert result.outcome == "degraded"
 
 
 class TestSpawnEnv:

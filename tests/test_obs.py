@@ -10,7 +10,7 @@ from repro.bench.harness import Measurement
 from repro.bench.workloads import lid_cavity
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
-from repro.gpu.costmodel import TraceCost
+from repro.gpu.costmodel import cost_trace
 from repro.gpu.device import A100_40GB
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
@@ -294,22 +294,27 @@ class TestRunMetrics:
 
 class TestMeasurementGuards:
     def make(self, steps):
-        cost = TraceCost(total_us=10.0, launch_us=1.0, mem_us=9.0, kernels=7,
-                         bytes_total=1000, device=A100_40GB)
+        sim = small_sim()
+        sim.run(steps)
+        trace = list(sim.runtime.records)
         return Measurement(workload="w", config="c", steps=steps,
-                           active_per_level=[10], wall_seconds=0.0,
-                           wall_mlups=0.0, trace=[], cost=cost, sim_mlups=0.0)
+                           active_per_level=sim.mgrid.active_per_level(),
+                           trace=trace, cost=cost_trace(trace, A100_40GB),
+                           metrics=run_metrics(sim))
 
     def test_zero_steps_is_not_an_error(self):
         m = self.make(0)
-        assert m.kernels_per_step == 0.0
-        assert m.bytes_per_step == 0.0
+        assert m.metrics["kernels_per_step"] == 0.0
+        assert m.metrics["bytes_per_step"] == 0.0
+        assert "wall_mlups" not in m.metrics  # no time, no rate
         json.dumps(m.summary())  # serializable digest
 
     def test_nonzero_steps_unchanged(self):
         m = self.make(2)
-        assert m.kernels_per_step == pytest.approx(3.5)
-        assert m.bytes_per_step == pytest.approx(500.0)
+        assert m.metrics["kernels_per_step"] == pytest.approx(
+            m.cost.kernels / 2)
+        assert m.metrics["bytes_per_step"] == pytest.approx(
+            m.cost.bytes_total / 2)
 
 
 class TestWatchdog:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimConfig
+from repro.core.results import RunResult
 from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
 from repro.gpu.memory import DeviceOOMError
@@ -84,7 +85,7 @@ class TestFaultInjector:
                                      cavity_config(threaded=False))
         FaultInjector([Fault("nan", step=3)]).install(sim)
         with pytest.raises(SimulationDiverged) as exc:
-            HealthWatchdog(sim).watch(6)
+            sim.run(6, callback=HealthWatchdog(sim).callback)
         assert exc.value.step == 3
         assert exc.value.reason == "non-finite"
 
@@ -363,9 +364,9 @@ def test_recovery_bit_identical(fusion, kind):
     injector = FaultInjector([Fault(kind, step=5)])
     with ResilientRunner(spec, config, faults=injector,
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
-        report = runner.run(steps).report
-        assert report.outcome == "ok"
-        assert report.retries == 1
+        result = runner.run(steps)
+        assert result.outcome == "ok"
+        assert result.retries == 1
         assert len(injector.fired) == 1
         assert identical(reference, state(runner.sim))
         stats = getattr(runner.sim.backend, "stats", {})
@@ -377,17 +378,17 @@ def test_recovery_is_visible_in_telemetry():
     injector = FaultInjector([Fault("nan", step=4)])
     with ResilientRunner(spec, cavity_config(), faults=injector,
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
-        report = runner.run(6).report
-    assert report.retries == 1
-    assert report.rollback_steps >= 1
-    assert report.checkpoints == 3  # step-0 anchor, steps 3 and 6
-    # the report is the one record: each recovery once, in order
-    assert [e["name"] for e in report.events] == ["retry", "rollback"]
-    retry, rollback = report.events
+        result = runner.run(6)
+    assert result.retries == 1
+    assert result.rollback_steps >= 1
+    assert result.checkpoints == 3  # step-0 anchor, steps 3 and 6
+    # the run's record holds each recovery once, in order
+    assert [e["name"] for e in result.events] == ["retry", "rollback"]
+    retry, rollback = result.events
     assert retry == {"name": "retry", "kind": "divergence", "step": 4,
-                     "attempt": 1, "mode": report.mode}
-    assert rollback["lost_steps"] == report.rollback_steps
-    assert all("ts_us" not in e for e in report.events)
+                     "attempt": 1, "mode": result.mode}
+    assert rollback["lost_steps"] == result.rollback_steps
+    assert all("ts_us" not in e for e in result.events)
 
 
 def test_resilient_run_is_untraced_and_takes_the_plain_plan_loop(monkeypatch):
@@ -401,10 +402,10 @@ def test_resilient_run_is_untraced_and_takes_the_plain_plan_loop(monkeypatch):
     monkeypatch.setattr(StepPlan, "_execute_hooked", hooked)
     with ResilientRunner(cavity_spec(), cavity_config(threaded=False),
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
-        report = runner.run(4).report
+        result = runner.run(4)
         assert runner.sim.runtime.spans is None
         assert runner.sim.runtime.faults is None
-    assert report.outcome == "ok" and report.events == []
+    assert result.outcome == "ok" and result.events == []
 
 
 def test_retry_budget_exhaustion_carries_report():
@@ -417,10 +418,14 @@ def test_retry_budget_exhaustion_carries_report():
     with runner:
         with pytest.raises(RetryExhausted) as exc:
             runner.run(6)
-    report = exc.value.report
-    assert report.outcome == "failed"
-    assert report.retries == 3  # initial try + 2 retries all failed
-    assert report.failures[-1]["kind"] == "kernel"
+    result = exc.value.result
+    assert type(result) is RunResult
+    assert result.outcome == "failed"
+    assert result.retries == 3  # initial try + 2 retries all failed
+    assert result.failures[-1]["kind"] == "kernel"
+    # measured up to the step that failed last (step 3 never completes)
+    assert (result.final_step, result.steps) == (2, 2)
+    assert result.seconds > 0
 
 
 def test_ladder_falls_back_to_serial_and_stays_bit_identical():
@@ -432,14 +437,14 @@ def test_ladder_falls_back_to_serial_and_stays_bit_identical():
                                     only_threaded=True)])
     with ResilientRunner(spec, config, faults=injector,
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
-        report = runner.run(steps).report
-        assert report.outcome == "degraded"
-        assert report.mode == "serial"
-        assert [d["rung"] for d in report.degradations] == ["serial"]
+        result = runner.run(steps)
+        assert result.outcome == "degraded"
+        assert result.mode == "serial"
+        assert [d["rung"] for d in result.degradations] == ["serial"]
         assert runner.config.threaded is False
         assert identical(reference, state(runner.sim))
-        degrades = [e for e in report.events if e["name"] == "degrade"]
-        assert degrades == [{"name": "degrade", **report.degradations[0]}]
+        degrades = [e for e in result.events if e["name"] == "degrade"]
+        assert degrades == [{"name": "degrade", **result.degradations[0]}]
 
 
 def test_ladder_rebuilds_with_safety_omega_on_repeated_divergence():
@@ -452,10 +457,10 @@ def test_ladder_rebuilds_with_safety_omega_on_repeated_divergence():
                          faults=injector,
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
         omega_before = runner.sim.engine.omega[0]
-        report = runner.run(6).report
-        assert report.outcome == "degraded"
-        assert report.omega_scale == pytest.approx(OMEGA_SAFETY_SCALE)
-        assert [d["rung"] for d in report.degradations] == ["safety-omega"]
+        result = runner.run(6)
+        assert result.outcome == "degraded"
+        assert result.omega_scale == pytest.approx(OMEGA_SAFETY_SCALE)
+        assert [d["rung"] for d in result.degradations] == ["safety-omega"]
         assert runner.sim.engine.omega[0] == pytest.approx(
             OMEGA_SAFETY_SCALE * omega_before)
         assert runner.sim.steps_done == 6 and runner.sim.is_stable()
@@ -490,8 +495,8 @@ def test_runner_resumes_from_the_newest_generation(tmp_path):
         result = runner.run(5)
         assert identical(reference_state(spec, config, 15), state(runner.sim))
     assert (result.final_step, result.steps) == (15, 5)
-    assert result.report.retries == 1 and result.report.rollback_steps == 1
-    events = result.report.events
+    assert result.retries == 1 and result.rollback_steps == 1
+    events = result.events
     # the resume at construction heads the run's events
     assert events[0] == {"name": "resume", "from_step": 10}
     rollbacks = [{k: v for k, v in e.items() if k != "name"}
@@ -504,9 +509,11 @@ def test_checkpoint_callback_sees_every_boundary_short_of_the_target():
     seen = []
     with ResilientRunner(cavity_spec(), cavity_config(threaded=False),
                          policy=RetryPolicy(checkpoint_every=3)) as runner:
-        runner.run(8, on_checkpoint=lambda report: seen.append(
-            (runner.sim.steps_done, report.checkpoints)))
-    assert seen == [(0, 1), (3, 2), (6, 3)]
+        final = runner.run(8, on_checkpoint=lambda result: seen.append(
+            (runner.sim.steps_done, result.checkpoints, result)))
+    assert [s[:2] for s in seen] == [(0, 1), (3, 2), (6, 3)]
+    # the callback is handed the record the run returns
+    assert all(s[2] is final for s in seen) and type(final) is RunResult
 
 
 def test_unrecognised_exception_propagates():

@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.core.config import SimConfig
+from repro.core.results import RunResult
 from repro.core.simulation import Simulation
 from repro.bench.workloads import lid_cavity
 from repro.obs.log import read_log, split_runs, validate_log
@@ -183,7 +184,9 @@ class TestLifecycle:
         assert res.state == "done"
         assert res.steps_done == 5
         assert res.checkpoints >= 3  # step-0 anchor + every cadence
-        assert res.run is not None and res.run.steps == 5
+        assert type(res.run) is RunResult and res.run.steps == 5
+        assert res.run.checkpoints == res.checkpoints
+        assert res.as_dict()["run"]["events"] == []
         # $REPRO_BACKEND is an ambient override on SimConfig, so the
         # tiered CI legs legitimately report a different backend here.
         ambient = os.environ.get("REPRO_BACKEND", "interpreted")

@@ -68,9 +68,11 @@ class TestRun:
         assert res.backend == sim.backend.name
         assert res.mode == sim.mode
         assert res.mlups > 0
-        assert res.report is None and res.outcome == "ok"
+        # a plain run is a resilient one that needed no recovery
+        assert res.outcome == "ok" and res.retries == 0 and res.events == []
         d = res.as_dict()
-        assert d["steps"] == 2 and d["report"] is None
+        assert d["steps"] == 2 and d["outcome"] == "ok"
+        assert d == vars(res) and d is not vars(res)
 
     def test_callback_cadence(self):
         sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
@@ -87,16 +89,45 @@ class TestRun:
         assert sim.steps_done == 0 and sim.elapsed == 0.0
         assert np.allclose(sim.engine.total_momentum(), 0.0, atol=1e-12)
 
-
-class TestObservables:
-    def test_wallclock_mlups(self):
+    def test_initialize_rebases_the_trace(self):
+        # Re-initialising a simulation that has stepped starts the trace
+        # at step 0 again: a fault armed by step fires, and per-step
+        # metrics count only the steps run since.
+        from repro.obs import run_metrics
+        from repro.resilience import Fault, FaultInjector
         sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
                                      collision="bgk", viscosity=0.1)
-        sim.run(5)
-        m = sim.wallclock_mlups()
-        expected_updates = sum(v * 2 ** lv for lv, v in
-                               enumerate(sim.mgrid.active_per_level())) * 5
-        assert m == pytest.approx(expected_updates / (sim.elapsed * 1e6))
+        sim.run(3)
+        sim.initialize()
+        inj = FaultInjector([Fault("nan", step=2)])
+        inj.install(sim)
+        res = sim.run(2)
+        assert [f["step"] for f in inj.fired] == [2]
+        assert not sim.is_stable()
+        m = run_metrics(sim)
+        assert m["steps_total"] == 2
+        assert m["wall_mlups"] == pytest.approx(res.mlups)
+
+
+class TestObservables:
+    def test_wallclock_mlups(self, tmp_path):
+        # The paper formula over this run's steps and seconds, also for a
+        # run that continues from a restored checkpoint.
+        from repro.io.checkpoint import restore_checkpoint, save_checkpoint
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="bgk", viscosity=0.1)
+        updates = sum(v * 2 ** lv for lv, v in
+                      enumerate(sim.mgrid.active_per_level())) * 5
+        res = sim.run(5)
+        assert res.mlups == pytest.approx(updates / (res.seconds * 1e6))
+        sim.run(3)
+        save_checkpoint(sim, str(tmp_path / "ck.npz"))
+        resumed = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                         collision="bgk", viscosity=0.1)
+        restore_checkpoint(resumed, str(tmp_path / "ck.npz"))
+        res = resumed.run(5)
+        assert (res.steps, res.final_step) == (5, 13)
+        assert res.mlups == pytest.approx(updates / (res.seconds * 1e6))
 
     def test_is_stable_detects_nan(self):
         sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
