@@ -175,6 +175,6 @@ serve-check:
 		--chaos 0.3 --seed 1 --out-dir serve-artifacts
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_resilience.py \
-		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses or GridCache"
+		-k "fair or resume or chaos or summary or recoveries or WorkerProcesses or GridCache or CrashPoints"
 
 check: lint docs-check test test-compiled test-mp test-blas mem-check physics-check examples analysis resilience-check serve-check report

@@ -512,7 +512,7 @@ class MultiprocessBackend:
         engine = stepper.engine
         blob = pickle.dumps({
             "mgrid": engine.mgrid,
-            "collision": engine.collision,
+            "collision": engine.collision.name,
             "dtype": engine.dtype,
             "fusion": stepper.config,
             "shm": self._shm.name,

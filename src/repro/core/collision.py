@@ -53,6 +53,7 @@ __all__ = [
     "BGK",
     "TRT",
     "KBC",
+    "COLLISIONS",
     "make_collision",
     "tile_cuts",
 ]
@@ -464,14 +465,10 @@ class KBC(CollisionModel):
         return relax
 
 
+#: The collision models by name.
+COLLISIONS = {"bgk": BGK, "trt": TRT, "kbc": KBC}
+
+
 def make_collision(model: str, lat: Lattice) -> CollisionModel:
-    """Factory: ``model`` is ``"bgk"``, ``"trt"`` or ``"kbc"``."""
-    key = model.lower()
-    if key == "bgk":
-        return BGK(lat)
-    if key == "trt":
-        return TRT(lat)
-    if key == "kbc":
-        return KBC(lat)
-    raise KeyError(
-        f"unknown collision model {model!r}; choose 'bgk', 'trt' or 'kbc'")
+    """Factory: ``model`` is ``"bgk"``, ``"trt"`` or ``"kbc"`` (any case)."""
+    return COLLISIONS[model.lower()](lat)

@@ -13,8 +13,9 @@ consolidates all of it into a single frozen dataclass:
 * **replaceable** — :meth:`SimConfig.replace` derives safety profiles
   (the resilience ladder's serial / reduced-ω rebuilds) without
   mutating the original;
-* **serializable** — :meth:`SimConfig.as_dict` feeds served jobs'
-  ``meta`` lines and structured reports.
+* **plain data** — names and numbers only: :meth:`SimConfig.as_dict`
+  is exact and ``SimConfig(**d)`` reads it back (a served job's
+  ``job.json``, its ``meta`` line, structured reports).
 
 Construct simulations with ``Simulation.from_config(spec, config)``.
 """
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
+from .collision import COLLISIONS
 from .fusion import FUSED_FULL, FusionConfig, get_config
+from .lattice import get_lattice
 
 __all__ = ["SimConfig"]
 
@@ -43,16 +45,16 @@ class SimConfig:
     Attributes
     ----------
     lattice:
-        Descriptor name (``"D2Q9"``, ``"D3Q19"``, ``"D3Q27"``) or a
-        :class:`~repro.core.lattice.Lattice` instance.
+        Descriptor name, ``"D2Q9"``, ``"D3Q19"`` or ``"D3Q27"`` (any case;
+        stored upper-case).
     collision:
-        ``"bgk"``, ``"kbc"``, ``"trt"`` or a
-        :class:`~repro.core.collision.CollisionModel`.
+        ``"bgk"``, ``"kbc"`` or ``"trt"`` (any case; stored lower-case).
     viscosity / omega0:
         Exactly one of the two fixes the coarse-level relaxation.
     fusion:
-        Kernel-fusion configuration (a :class:`FusionConfig` or a preset
-        name such as ``"ours-4f"``); defaults to the paper's best.
+        Kernel-fusion preset (a name such as ``"ours-4f"`` or the preset
+        :class:`FusionConfig` itself; stored as the preset); defaults to
+        the paper's best.
     force:
         Optional constant body-force density vector (coarse lattice
         units); stored as a tuple so the config stays hashable.
@@ -84,8 +86,8 @@ class SimConfig:
         fusion configs and backends holds within a dtype.
     """
 
-    lattice: Any = "D3Q19"
-    collision: Any = "bgk"
+    lattice: str = "D3Q19"
+    collision: str = "bgk"
     viscosity: float | None = None
     omega0: float | None = None
     fusion: FusionConfig | str = FUSED_FULL
@@ -99,12 +101,20 @@ class SimConfig:
     def __post_init__(self) -> None:
         if (self.viscosity is None) == (self.omega0 is None):
             raise ValueError("specify exactly one of viscosity / omega0")
-        if isinstance(self.fusion, str):
-            object.__setattr__(self, "fusion", get_config(self.fusion))
-        elif not isinstance(self.fusion, FusionConfig):
-            raise TypeError(
-                f"fusion must be a FusionConfig or preset name, "
-                f"got {type(self.fusion).__name__}")
+        if not (isinstance(self.lattice, str) and isinstance(self.collision, str)):
+            raise TypeError("lattice and collision must be names")
+        object.__setattr__(self, "lattice", get_lattice(self.lattice).name)
+        object.__setattr__(self, "collision", self.collision.lower())
+        if self.collision not in COLLISIONS:
+            raise KeyError(f"unknown collision model {self.collision!r}; "
+                           f"choose from {sorted(COLLISIONS)}")
+        if not isinstance(self.fusion, (str, FusionConfig)):
+            raise TypeError(f"fusion must be a preset name or FusionConfig, "
+                            f"got {type(self.fusion).__name__}")
+        preset = get_config(getattr(self.fusion, "name", self.fusion))
+        if self.fusion not in (preset, preset.name):
+            raise ValueError(f"fusion {preset.name!r} differs from its preset")
+        object.__setattr__(self, "fusion", preset)
         if self.force is not None:
             object.__setattr__(self, "force",
                                tuple(float(c) for c in np.asarray(self.force).ravel()))
@@ -127,11 +137,6 @@ class SimConfig:
                 "also be threaded; drop threaded=True or pick "
                 "backend='compiled'")
 
-    def __setstate__(self, state: dict) -> None:
-        # A config pickled before ``dtype`` existed (a parked job's
-        # payload) ran, and checkpointed, in float64: it resumes there.
-        self.__dict__.update({"dtype": "float64", **state})
-
     def replace(self, **changes) -> "SimConfig":
         """A copy with ``changes`` applied (re-validated).
 
@@ -142,18 +147,6 @@ class SimConfig:
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> dict:
-        """JSON-ready digest (served jobs' ``meta`` lines, structured reports)."""
-        return {
-            "lattice": getattr(self.lattice, "name", self.lattice),
-            "collision": (self.collision if isinstance(self.collision, str)
-                          else type(self.collision).__name__),
-            "viscosity": self.viscosity,
-            "omega0": self.omega0,
-            "fusion": self.fusion.name,
-            "force": list(self.force) if self.force is not None else None,
-            "threaded": self.threaded,
-            "max_workers": self.max_workers,
-            "backend": self.backend,
-            "mp_workers": self.mp_workers,
-            "dtype": self.dtype,
-        }
+        """The config as JSON-ready data; ``SimConfig(**d)`` reads it back."""
+        return {**vars(self), "fusion": self.fusion.name,
+                "force": list(self.force) if self.force is not None else None}

@@ -60,8 +60,7 @@ from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows, pull_grou
 from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
                             Runtime)
-from .collision import (CollisionModel, equilibrium, macroscopics,
-                        make_collision, tile_cuts)
+from .collision import equilibrium, macroscopics, make_collision, tile_cuts
 from .fusion import FusionConfig
 from .units import omega_at_level
 
@@ -124,7 +123,7 @@ def _read_bins(Q: int, n_ghost: int, coal_q: np.ndarray,
 class Engine:
     """Functional executor for one compiled multigrid."""
 
-    def __init__(self, mgrid: MultiGrid, collision: CollisionModel | str = "bgk",
+    def __init__(self, mgrid: MultiGrid, collision: str = "bgk",
                  omega0: float = 1.0, runtime: Runtime | None = None,
                  force=None, dtype="float32") -> None:
         self.mgrid = mgrid
@@ -137,10 +136,7 @@ class Engine:
         #: not the host's dtype (so no ``gpu.*`` number follows the dtype).
         self.itemsize = 8
         self.lat = mgrid.lattice
-        self.collision = (make_collision(collision, self.lat)
-                          if isinstance(collision, str) else collision)
-        if self.collision.lattice is not self.lat:
-            raise ValueError("collision model built for a different lattice")
+        self.collision = make_collision(collision, self.lat)
         self.rt = runtime if runtime is not None else Runtime()
         self.omega = [omega_at_level(omega0, lv) for lv in range(mgrid.num_levels)]
         # Body-force density in coarse lattice units; on level L the

@@ -70,11 +70,10 @@ class Simulation:
     def __init__(self, spec: RefinementSpec, config: SimConfig,
                  runtime: Runtime | None = None, *,
                  grid: MultiGrid | None = None) -> None:
-        lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
-               else config.lattice)
+        lat = get_lattice(config.lattice)
         if grid is not None:
             want = spec_digest(spec, lat)
-            if grid.lattice.name != lat.name or grid.digest != want:
+            if grid.digest != want:
                 raise ValueError(
                     f"grid was built for another spec or lattice "
                     f"({grid.lattice.name}, digest {grid.digest[:12]}), not "

@@ -144,7 +144,10 @@ def cost_trace(records: list[KernelRecord], device: DeviceSpec, *,
 
 def predicted_mlups(active_per_level: list[int], n_coarse_steps: int,
                     trace: TraceCost) -> float:
-    """The paper's MLUPS metric against the *simulated* device time."""
+    """The paper's MLUPS metric against the *simulated* device time
+    (0.0 for an empty trace, as a run of zero steps has no rate)."""
+    if trace.total_us == 0:
+        return 0.0
     updates = sum(v * (2 ** lv) * n_coarse_steps
                   for lv, v in enumerate(active_per_level))
     return updates / trace.total_us

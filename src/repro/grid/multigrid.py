@@ -27,7 +27,10 @@ the compile refuses a level whose ``Q * rows`` entry ids would not fit.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,23 +138,50 @@ class RefinementSpec:
     def level_shape(self, level: int) -> tuple[int, ...]:
         return tuple(int(s) * 2 ** level for s in self.base_shape)
 
+    def as_dict(self) -> dict:
+        """The spec as JSON data (masks: :func:`_pack`, faces: ``[kind,
+        velocity]``); :meth:`from_dict` reads it back."""
+        return {"base_shape": [int(n) for n in self.base_shape],
+                "refine_regions": [_pack(m) for m in self.refine_regions],
+                "solid": None if self.solid is None else _pack(self.solid),
+                "faces": {name: [bc.kind, bc.velocity and list(map(float, bc.velocity))]
+                          for name, bc in self.bc.faces.items()},
+                "block_size": int(self.block_size), "curve": str(self.curve)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RefinementSpec":
+        """The spec :meth:`as_dict` wrote (``ValueError``: a torn mask)."""
+        return cls(tuple(int(n) for n in d["base_shape"]),
+                   [_unpack(m) for m in d["refine_regions"]],
+                   None if d["solid"] is None else _unpack(d["solid"]),
+                   DomainBC({name: FaceBC(kind, v and tuple(map(float, v)))
+                             for name, (kind, v) in d["faces"].items()}),
+                   int(d["block_size"]), str(d["curve"]))
+
+
+def _pack(mask) -> dict:
+    """A mask as ``{"shape", "bits"}``, ``bits`` the base64 of its packbits."""
+    mask = np.asarray(mask, dtype=bool)
+    return {"shape": list(mask.shape),
+            "bits": base64.b64encode(np.packbits(mask)).decode("ascii")}
+
+
+def _unpack(d: dict) -> np.ndarray:
+    """The mask :func:`_pack` wrote; ``ValueError`` unless its bits fill it."""
+    shape, bits = tuple(int(n) for n in d["shape"]), base64.b64decode(d["bits"])
+    if len(bits) != -(-math.prod(shape) // 8):
+        raise ValueError(f"a mask of shape {shape} needs {math.prod(shape)} "
+                         f"bits, got {8 * len(bits)}")
+    return np.unpackbits(np.frombuffer(bits, np.uint8),
+                         count=math.prod(shape)).view(bool).reshape(shape)
+
 
 def spec_digest(spec: RefinementSpec, lattice: Lattice | str) -> str:
-    """SHA-256 of everything a compiled grid is a function of: the coarse
-    shape, the refinement masks, the solid, the face BCs, the block size,
-    the curve and the lattice.  Equal digests, equal grids."""
-    h = hashlib.sha256()
-    name = lattice if isinstance(lattice, str) else lattice.name
-    h.update(repr((tuple(int(n) for n in spec.base_shape), spec.block_size,
-                   spec.curve, name, sorted(spec.bc.faces.items()))).encode())
-    for mask in (*spec.refine_regions, spec.solid):
-        if mask is None:
-            h.update(b"|none")
-            continue
-        mask = np.asarray(mask, dtype=bool)
-        h.update(f"|{mask.shape}".encode())
-        h.update(np.packbits(mask).tobytes())
-    return h.hexdigest()
+    """SHA-256 of everything a compiled grid is a function of: the spec's
+    JSON form and the lattice name.  Equal digests, equal grids."""
+    text = json.dumps([spec.as_dict(), getattr(lattice, "name", lattice)],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def compile_arrays(grid: MultiGrid):

@@ -193,10 +193,10 @@ def restore_checkpoint(sim: Simulation, path: str) -> None:
         buf.ghost_acc[:] = 0.0
     steps = int(data["steps"])
     sim.stepper.steps_done = steps
-    # Rebase the trace: the restored steps happened outside this
-    # runtime's records, so per-step metrics must not average the new
-    # trace over them (they'd report skewed kernels/bytes per step).
+    # Rebase the trace and the wall clock: per-step metrics and the wall
+    # MLUPS must not average over steps this runtime did not run.
     sim.runtime.reset(steps_base=steps)
+    sim.elapsed = 0.0
 
 
 class CheckpointStore:

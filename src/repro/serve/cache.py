@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..core.lattice import Lattice, get_lattice
+from ..core.lattice import get_lattice
 from ..gpu.memory import memory_ledger
 from ..grid.multigrid import (MultiGrid, RefinementSpec, build_multigrid,
                               grid_arrays_digest, spec_digest)
@@ -51,10 +51,8 @@ class GridCache:
         return sum(sum(memory_ledger(grid).values())
                    for grid, _ in self._entries.values())
 
-    def get(self, spec: RefinementSpec,
-            lattice: Lattice | str) -> tuple[MultiGrid, bool]:
-        lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-        key = spec_digest(spec, lat)
+    def get(self, spec: RefinementSpec, lattice: str) -> tuple[MultiGrid, bool]:
+        key = spec_digest(spec, lattice)
         entry = self._entries.pop(key, None)
         if entry is not None:
             grid, witness = entry
@@ -62,7 +60,7 @@ class GridCache:
                 self._entries[key] = entry
                 return grid, True
             # poisoned: dropped above, rebuilt below
-        grid = build_multigrid(spec, lat)
+        grid = build_multigrid(spec, get_lattice(lattice))
         self._entries[key] = (grid, grid_arrays_digest(grid))
         while len(self._entries) > 1 and self.nbytes() > self.budget_bytes:
             self._entries.popitem(last=False)

@@ -151,8 +151,7 @@ def synthetic_step_records(spec, config) -> list[KernelRecord]:
     price it, whatever the host's dtype).
     """
     fusion = config.fusion
-    lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
-           else config.lattice)
+    lat = get_lattice(config.lattice)
     active = active_cells_estimate(spec)
     num_levels = len(active)
     records: list[KernelRecord] = []
@@ -179,9 +178,8 @@ def predict_cost(spec, config, steps: int,
     mode); the total is linear in ``steps``.
     """
     records = synthetic_step_records(spec, config)
-    kbc = (config.collision == "kbc" if isinstance(config.collision, str)
-           else type(config.collision).__name__.lower().startswith("kbc"))
-    per_step = cost_trace(records, device, kbc=kbc, concurrent=False)
+    per_step = cost_trace(records, device, kbc=config.collision == "kbc",
+                          concurrent=False)
     active = active_cells_estimate(spec)
     updates = float(sum(v * (2 ** lv) for lv, v in enumerate(active)))
     return JobCost(

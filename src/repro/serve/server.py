@@ -33,10 +33,10 @@ late joiners neither monopolize nor wait out the backlog.
 Durability
 ----------
 
-Job state (``job.json``, the job's :class:`~repro.serve.spec.JobStatus`),
-payload (``payload.pkl``, its :class:`~repro.serve.spec.JobSpec`) and
-checkpoints live under ``<root>/jobs/<job_id>/``
-(:mod:`repro.serve.state`).  Worker death — the worker process exits
+A job's one record, ``job.json`` (its :class:`~repro.serve.spec.JobStatus`
+and its :class:`~repro.serve.spec.JobSpec` as JSON), and its checkpoints
+live under ``<root>/jobs/<job_id>/`` (:mod:`repro.serve.state`).  Worker
+death — the worker process exits
 (its pipe reaches EOF), or the server SIGKILLs it because the ``chaos``
 hook raised or a boundary's record could not be written — requeues the
 job (bounded by ``max_restarts``), and the dispatcher forks a
@@ -86,8 +86,7 @@ from .cache import GridCache
 from .oracle import JobCost, predict_cost
 from .spec import (TERMINAL_STATES, AdmissionError, JobCancelled, JobResult,
                    JobSpec, JobStatus, UnknownJobError, WorkerKilled)
-from .state import (CKPT_DIR, fleet_tables, job_dir, read_job_payload,
-                    scan_jobs, state_digest, write_job_payload,
+from .state import (CKPT_DIR, fleet_tables, job_dir, scan_jobs, state_digest,
                     write_job_state)
 
 __all__ = ["JobServer"]
@@ -119,6 +118,7 @@ class _Job:
     status: JobStatus
     submitted_seq: int
     log: EventLog
+    encoded: dict  # spec.as_dict(), once: every job.json write holds it
     queued_at: float = field(default_factory=time.perf_counter)
     cancel_requested: bool = False
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
@@ -353,8 +353,8 @@ class JobServer:
 
         With ``resume`` every job recorded on disk in a non-terminal
         state (a previous server stopped, or died, mid-flight) is
-        re-enqueued with its recorded status; its runner restores the
-        newest readable checkpoint generation before stepping.
+        re-enqueued with the status and spec its ``job.json`` holds; its
+        runner restores the newest readable checkpoint generation first.
         """
         if self._running:
             raise RuntimeError("server already started")
@@ -373,9 +373,9 @@ class JobServer:
                 if state.get("state") in TERMINAL_STATES or job_id in self._jobs:
                     continue
                 try:
-                    spec = read_job_payload(job_dir(self.root, job_id))
-                except (OSError, ValueError):
-                    continue  # torn payload: not resumable, keep the dir
+                    spec = JobSpec.from_dict(state["spec"])
+                except (KeyError, TypeError, ValueError):
+                    continue  # no decodable spec: not resumable, keep the dir
                 job = self._admit(spec, status=JobStatus.from_dict(state))
                 job.log.note("resubmitted", origin="server-restart",
                              steps_done=job.status.steps_done)
@@ -437,7 +437,7 @@ class JobServer:
 
         Admission is synchronous: the job is priced, checked against the
         per-tenant queue bound and the fleet cost budget, persisted, and
-        queued for the fair scheduler.
+        queued for the fair scheduler (not if its record cannot be written).
         """
         if not self._running:
             raise RuntimeError("server is not started")
@@ -515,28 +515,27 @@ class JobServer:
         status.predicted_cost_us = cost.total_us
         self._seq += 1
         log = EventLog(run_id=spec.job_id, **spec.label_dict())
-        job = _Job(spec=spec, status=status, submitted_seq=self._seq, log=log)
+        job = _Job(spec=spec, status=status, submitted_seq=self._seq, log=log,
+                   encoded=spec.as_dict())
+        self._persist(job)
         self._jobs[spec.job_id] = job
         self._queue.append(spec.job_id)
         self._outstanding_cost_us += cost.total_us
         if not resumed:
-            write_job_payload(job_dir(self.root, spec.job_id), spec)
             log.emit("meta", steps=spec.steps, tenant=status.tenant,
                      priority=spec.priority,
                      predicted_cost_us=cost.total_us,
                      predicted=cost.as_dict(),
-                     config=spec.config.as_dict())
-        self._persist(job)
+                     config=job.encoded["config"])
         self._flush_log(job)
         if self._wake is not None:
             self._wake.set()
         return job
 
     def _persist(self, job: _Job) -> None:
-        state = job.status.as_dict()
-        state.update(submitted_seq=job.submitted_seq, updated_at=time.time(),
-                     dtype=job.spec.config.dtype)
-        write_job_state(job_dir(self.root, job.spec.job_id), state)
+        write_job_state(job_dir(self.root, job.spec.job_id), {
+            **job.status.as_dict(), "submitted_seq": job.submitted_seq,
+            "updated_at": time.time(), "spec": job.encoded})
 
     def _flush_log(self, job: _Job) -> None:
         """Append the job's new event lines to the shared sink, in one
@@ -660,9 +659,9 @@ class JobServer:
     async def _run_job(self, job: _Job, worker: _Worker) -> None:
         job.status.state = "running"
         job.log.note("running", restarts=job.status.restarts, pid=worker.pid)
-        self._persist(job)
-        self._flush_log(job)
         try:
+            self._persist(job)
+            self._flush_log(job)
             digest, run = await self._drive(job, worker)
         except JobCancelled:
             self._finalize(job, "cancelled")

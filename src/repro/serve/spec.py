@@ -25,6 +25,9 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 from uuid import uuid4
 
+from ..core.config import SimConfig
+from ..grid.multigrid import RefinementSpec
+
 __all__ = [
     "JOB_STATES", "TERMINAL_STATES", "JobSpec", "JobStatus", "JobResult",
     "AdmissionError", "JobCancelled", "WorkerKilled", "UnknownJobError",
@@ -99,8 +102,8 @@ class JobSpec:
         Extra key/value labels stamped on the job's event-log lines.
     """
 
-    spec: Any
-    config: Any
+    spec: RefinementSpec
+    config: SimConfig
     steps: int
     tenant: str = "default"
     priority: int = 0
@@ -120,14 +123,23 @@ class JobSpec:
             raise ValueError("tenant must be a non-empty string")
         if not self.job_id:
             object.__setattr__(self, "job_id", uuid4().hex[:12])
-        if self.labels:
-            object.__setattr__(
-                self, "labels",
-                tuple((str(k), str(v)) for k, v in self.labels))
+        object.__setattr__(self, "labels",
+                           tuple((str(k), str(v)) for k, v in self.labels))
 
     def label_dict(self) -> dict[str, str]:
         """The job's event-log labels (tenant always included)."""
         return {"tenant": str(self.tenant), **dict(self.labels)}
+
+    def as_dict(self) -> dict:
+        """The job as JSON data (``job.json``'s ``spec``; see :meth:`from_dict`)."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "spec": self.spec.as_dict(), "config": self.config.as_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "JobSpec":
+        """The job :meth:`as_dict` wrote (else ``ValueError``, ``KeyError``, ``TypeError``)."""
+        return cls(**{**d, "spec": RefinementSpec.from_dict(d["spec"]),
+                      "config": SimConfig(**d["config"])})
 
 
 @dataclass

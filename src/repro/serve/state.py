@@ -2,19 +2,17 @@
 
 Each job owns one directory under ``<root>/jobs/<job_id>/``::
 
-    job.json      -- the job's JobStatus (atomic tmp+replace, like a
-                     checkpoint) plus its submission sequence and the
-                     population dtype its config steps in
-    payload.pkl   -- the whole JobSpec, pickled (domain masks and fusion
-                     objects are not JSON-able)
+    job.json      -- the job's JobStatus, its submission sequence and its
+                     JobSpec as JSON (``spec``; atomic tmp+replace)
     ckpt/         -- the job's CheckpointStore (atomic generations,
                      keep-K pruning, torn-write fallback)
 
 ``job.json`` is the one per-job record and the restart index: a new
 server scans the root, finds jobs whose recorded state is non-terminal,
-reads their :class:`~repro.serve.spec.JobSpec` from ``payload.pkl`` and
+decodes their :class:`~repro.serve.spec.JobSpec` from the record and
 re-enqueues them with their recorded status — the job's runner then
-resumes from the store's newest readable generation.  The fleet tables
+resumes from the store's newest readable generation (a record without a
+decodable ``spec`` is skipped).  The fleet tables
 (:func:`fleet_tables`) are a function of these records, live or read
 back from disk.  ``state_digest`` is the bit-identity witness: a SHA-256
 over the step count and every level's ``f`` — between coarse steps the
@@ -27,17 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 
 from ..io.checkpoint import atomic_write
-from .spec import TERMINAL_STATES, JobSpec, JobStatus
+from .spec import TERMINAL_STATES, JobStatus
 
-__all__ = ["job_dir", "write_job_state", "read_job_state",
-           "write_job_payload", "read_job_payload", "scan_jobs",
+__all__ = ["job_dir", "write_job_state", "read_job_state", "scan_jobs",
            "fleet_tables", "state_digest"]
 
 STATE_FILE = "job.json"
-PAYLOAD_FILE = "payload.pkl"
 CKPT_DIR = "ckpt"
 
 
@@ -62,28 +57,6 @@ def read_job_state(directory: str) -> dict | None:
     except (OSError, json.JSONDecodeError):
         return None
     return state if isinstance(state, dict) else None
-
-
-def write_job_payload(directory: str, spec: JobSpec) -> str:
-    """Persist the job's :class:`JobSpec` (it is not JSON-able)."""
-    path = os.path.join(directory, PAYLOAD_FILE)
-    data = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-    atomic_write(path, lambda fh: fh.write(data))
-    return path
-
-
-def read_job_payload(directory: str) -> JobSpec:
-    """Load the job's :class:`JobSpec` back; ``ValueError`` if it is none,
-    a torn or otherwise unreadable pickle included."""
-    with open(os.path.join(directory, PAYLOAD_FILE), "rb") as fh:
-        try:
-            spec = pickle.load(fh)
-        except Exception as exc:    # a truncated pickle raises EOFError,
-            # UnpicklingError or whatever its cut-off opcode trips over
-            raise ValueError(f"{directory}: unreadable payload ({exc!r})") from exc
-    if not isinstance(spec, JobSpec):
-        raise ValueError(f"{directory}: payload is not a JobSpec")
-    return spec
 
 
 def scan_jobs(root: str) -> list[tuple[str, dict]]:

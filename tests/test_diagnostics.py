@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.workloads import sphere_tunnel
+from repro.bench.workloads import SMALL_WORKLOADS, lid_cavity, sphere_tunnel
 from repro.core.diagnostics import (drag_coefficient, enstrophy_2d, kinetic_energy,
                                     solid_force)
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
@@ -11,6 +11,7 @@ from repro.core.simulation import Simulation
 from repro.grid.geometry import Sphere, shell_refinement, voxelize
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
+from repro.obs.metrics import run_metrics
 
 
 def sphere_spec(radius=1.6):
@@ -213,6 +214,19 @@ class TestCheckpoint:
         b.run(3)
         for la, lb in zip(a.engine.levels, b.engine.levels):
             assert np.array_equal(la.f, lb.f)
+
+    def test_restore_rebases_the_wall_clock(self, tmp_path):
+        # the wall MLUPS after a restore is the rate of the steps run since
+        wl = lid_cavity(**SMALL_WORKLOADS["cavity2d-2lvl"])
+        path = str(tmp_path / "ck.npz")
+        with Simulation.from_config(wl.spec, wl.sim_config(
+                backend="compiled")) as sim:
+            sim.run(2)
+            save_checkpoint(sim, path)
+            sim.run(20)
+            restore_checkpoint(sim, path)
+            run = sim.run(5)
+            assert run_metrics(sim)["wall_mlups"] == pytest.approx(run.mlups)
 
     def test_structural_validation(self, tmp_path):
         path = str(tmp_path / "ck.npz")

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.bench.harness import Measurement
-from repro.bench.workloads import lid_cavity
+from repro.bench.harness import Measurement, measure
+from repro.bench.workloads import SMALL_WORKLOADS, lid_cavity
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
 from repro.gpu.costmodel import cost_trace
@@ -308,6 +308,10 @@ class TestMeasurementGuards:
         assert m.metrics["bytes_per_step"] == 0.0
         assert "wall_mlups" not in m.metrics  # no time, no rate
         json.dumps(m.summary())  # serializable digest
+        # an empty trace has no device time either: no rate, no error
+        wl = lid_cavity(**SMALL_WORKLOADS["cavity2d-2lvl"])
+        empty = measure(wl, FUSED_FULL, steps=0, warmup=0)
+        assert empty.steps == 0 and empty.metrics["sim_mlups"] == 0.0
 
     def test_nonzero_steps_unchanged(self):
         m = self.make(2)

@@ -18,21 +18,24 @@ import asyncio
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 
 from repro.core.config import SimConfig
 from repro.core.results import RunResult
 from repro.core.simulation import Simulation
-from repro.bench.workloads import lid_cavity
+from repro.bench.workloads import cylinder_channel, lid_cavity, sphere_tunnel
+from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, spec_digest
 from repro.obs.log import read_log, split_runs, validate_log
 from repro.resilience.faults import Fault, FaultInjector
 from repro.serve import (AdmissionError, JobServer, JobSpec, UnknownJobError,
                          WorkerKilled, predict_cost, state_digest)
 from repro.serve.cli import build_flood, main as serve_main, summary_from_disk
 from repro.serve.oracle import active_cells_estimate
-from repro.serve.state import (PAYLOAD_FILE, job_dir, read_job_payload,
-                               read_job_state, write_job_payload)
+from repro.serve.spec import TERMINAL_STATES
+from repro.serve.state import (STATE_FILE, job_dir, read_job_state, scan_jobs,
+                               write_job_state)
 
 
 def cavity_job(base=10, levels=1, steps=4, tenant="default", priority=0,
@@ -429,8 +432,9 @@ class TestRestartResume:
 
         st = asyncio.run(phase1())
         assert not st.terminal and st.steps_done == 4
-        # the record names the dtype the job's populations step in
-        assert read_job_state(job_dir(str(tmp_path), "survivor"))["dtype"] == "float32"
+        # the record holds the spec, and with it the dtype the job steps in
+        record = read_job_state(job_dir(str(tmp_path), "survivor"))
+        assert record["spec"]["config"]["dtype"] == "float32"
 
         async def phase2():
             srv = JobServer(str(tmp_path), workers=1)
@@ -446,9 +450,9 @@ class TestRestartResume:
         assert res.state_digest == serial_digest(spec)
 
     def test_a_payload_pickled_before_dtype_resumes_in_float64(self, tmp_path):
-        # A job parked by a server whose SimConfig had no ``dtype`` field:
-        # its payload pickles no dtype and its checkpoints hold float64
-        # populations.  A new server resumes it at that precision.
+        # A float64 job parked by one server is resumed by the next from
+        # its job.json alone, the one file beside its checkpoints, and
+        # finishes in float64: the digest hashes each level's dtype.
         root = str(tmp_path)
         spec = cavity_job(base=12, levels=2, steps=8, job_id="parked")
         spec = dataclasses.replace(spec, config=spec.config.replace(dtype="float64"))
@@ -464,10 +468,10 @@ class TestRestartResume:
 
         asyncio.run(phase1())
         directory = job_dir(root, "parked")
-        old = read_job_payload(directory)
-        del old.config.__dict__["dtype"]             # the old class's state
-        write_job_payload(directory, old)
-        assert read_job_payload(directory).config.dtype == "float64"
+        assert sorted(os.listdir(directory)) == ["ckpt", STATE_FILE]
+        record = read_job_state(directory)
+        assert record["state"] == "queued" and record["steps_done"] == 4
+        assert JobSpec.from_dict(record["spec"]).config == spec.config
 
         async def phase2():
             async with JobServer(root, workers=1) as srv:
@@ -477,10 +481,13 @@ class TestRestartResume:
         res = asyncio.run(phase2())
         assert res.state == "done" and res.steps_done == 8
         assert res.state_digest == serial_digest(spec)
+        assert res.state_digest != serial_digest(dataclasses.replace(
+            spec, config=spec.config.replace(dtype="float32")))
 
     def test_restart_skips_a_torn_payload(self, tmp_path):
-        # one parked job's payload.pkl cut in half: the restarted server
-        # starts, leaves that job's directory alone, resumes the others
+        # one parked job's job.json holds a spec whose mask lost half its
+        # bits: the restarted server starts, leaves that job's directory
+        # alone, resumes the other
         root = str(tmp_path)
         kept, torn = (cavity_job(base=12, levels=2, steps=8, job_id=name)
                       for name in ("kept", "torn"))
@@ -493,9 +500,16 @@ class TestRestartResume:
                     await asyncio.sleep(0.005)
 
         asyncio.run(phase1())
-        payload = os.path.join(job_dir(root, "torn"), PAYLOAD_FILE)
-        with open(payload, "r+b") as fh:
-            fh.truncate(os.path.getsize(payload) // 2)
+        directory = job_dir(root, "torn")
+        record = read_job_state(directory)
+        assert record["state"] != "done"
+        mask = record["spec"]["spec"]["refine_regions"][0]
+        mask["bits"] = mask["bits"][:len(mask["bits"]) // 8 * 4]
+        with pytest.raises(ValueError, match="needs"):
+            JobSpec.from_dict(record["spec"])
+        write_job_state(directory, record)
+        with open(os.path.join(directory, STATE_FILE)) as fh:
+            before = fh.read()
 
         async def phase2():
             async with JobServer(root, workers=1) as srv:
@@ -506,7 +520,37 @@ class TestRestartResume:
 
         res = asyncio.run(phase2())
         assert res.state == "done" and res.state_digest == serial_digest(kept)
-        assert os.path.getsize(payload) > 0
+        with open(os.path.join(directory, STATE_FILE)) as fh:
+            assert fh.read() == before
+
+    @pytest.mark.parametrize("make", [
+        lambda: lid_cavity(base=(16, 16), num_levels=3, lattice="D2Q9"),
+        lambda: lid_cavity(base=(8, 8, 8), num_levels=2),
+        lambda: sphere_tunnel((64, 32, 32), num_levels=2),
+        lambda: cylinder_channel(20.0, 0.25, 3),
+        lambda: dataclasses.replace(
+            lid_cavity(base=(12, 12), num_levels=2, lattice="D2Q9"),
+            spec=RefinementSpec((12, 12), bc=DomainBC(
+                {f: FaceBC("periodic") for f in ("x-", "x+", "y-", "y+")}))),
+    ], ids=["cavity2d", "cavity3d", "sphere", "cylinder", "periodic"])
+    def test_job_spec_round_trips_through_json(self, make):
+        # job.json's spec form reads back to the same grid, physics and
+        # service fields
+        wl = make()
+        job = JobSpec(spec=wl.spec, steps=7, tenant="t1", priority=2,
+                      checkpoint_every=3, max_retries=4, job_id="rt",
+                      labels=(("sweep", "a"),),
+                      config=wl.sim_config(fusion="fuse-SE", dtype="float64",
+                                           force=(1e-6,) + (0.0,) * (wl.spec.d - 1)))
+        back = JobSpec.from_dict(json.loads(json.dumps(job.as_dict())))
+        assert (spec_digest(back.spec, back.config.lattice)
+                == spec_digest(job.spec, job.config.lattice))
+        assert back.config == job.config
+        scalars = ("steps", "tenant", "priority", "checkpoint_every",
+                   "max_retries", "job_id", "labels")
+        assert ([getattr(back, k) for k in scalars]
+                == [getattr(job, k) for k in scalars])
+        assert back.as_dict() == job.as_dict()
 
     def test_restart_terminates_a_torn_log_tail(self, tmp_path):
         # A server killed mid-append leaves a line without its newline;
@@ -604,6 +648,96 @@ class TestRestartResume:
         with open(path, "rb") as fh:
             assert fh.read() == before
         assert sorted(os.listdir(str(tmp_path))) == ["fleet_summary.json"]
+
+
+class TestCrashPoints:
+    """``os.replace`` fails once, at its k-th call in the server process,
+    for every k across submit -> run -> ``stop()`` of two jobs on one
+    worker.  A fresh server on the same root loses no job and admits no
+    spec but the submitted one; every job ends ``done`` with the serial
+    run's digest, or ``failed`` by the injected write of its final record."""
+
+    JOBS = (cavity_job(base=10, levels=1, steps=4, job_id="a"),
+            cavity_job(base=12, levels=2, steps=8, job_id="b"))
+
+    @staticmethod
+    async def submit_run_stop(root):
+        """Submit both jobs, stop once ``b`` went on from step 2 (or no
+        admitted job is live); the ids whose submit returned, and the
+        results of the jobs that ended."""
+        reached = asyncio.Event()
+        srv = JobServer(root, workers=1, chaos=lambda job_id, step: (
+            job_id == "b" and step >= 2 and reached.set()))
+        await srv.start()
+        submitted = []
+        for job in TestCrashPoints.JOBS:
+            try:
+                submitted.append(await srv.submit(job))
+            except OSError:
+                pass  # the injected failure hit the job's first record
+        deadline = time.monotonic() + 20
+        while not reached.is_set() and any(not srv.status(j).terminal
+                                           for j in submitted):
+            assert time.monotonic() < deadline, "a job stopped moving"
+            await asyncio.sleep(0.005)
+        try:
+            await srv.stop()
+        except OSError:
+            pass  # the injected failure hit fleet_summary.json
+        return submitted, {j: srv.status(j).terminal and await srv.result(j)
+                           for j in submitted}
+
+    @staticmethod
+    async def resume(root):
+        async with JobServer(root, workers=1) as srv:
+            admitted = {j.job_id: srv._jobs[j.job_id].spec for j in srv.jobs()}
+            await srv.drain()
+            return admitted, {j: await srv.result(j) for j in admitted}
+
+    def test_a_failed_replace_loses_no_job(self, tmp_path, monkeypatch):
+        serial = {job.job_id: serial_digest(job) for job in self.JOBS}
+        by_id = {job.job_id: job for job in self.JOBS}
+        real, server = os.replace, os.getpid()
+        t0, k = time.monotonic(), 0
+        while True:
+            k += 1
+            calls = 0
+
+            def replace(src, dst, *args, **kwargs):
+                nonlocal calls
+                if os.getpid() == server:      # forked workers write freely
+                    calls += 1
+                    if calls == k:
+                        raise OSError(f"injected: replace #{k}")
+                return real(src, dst, *args, **kwargs)
+
+            root = str(tmp_path / f"k{k}")
+            monkeypatch.setattr(os, "replace", replace)
+            submitted, ended = asyncio.run(self.submit_run_stop(root))
+            monkeypatch.setattr(os, "replace", real)
+            admitted, resumed = asyncio.run(self.resume(root))
+
+            on_disk = {jid for jid, _ in scan_jobs(root)}
+            assert on_disk <= set(submitted), (k, on_disk)
+            for jid, spec in admitted.items():
+                want = by_id[jid]
+                assert (spec_digest(spec.spec, spec.config.lattice)
+                        == spec_digest(want.spec, want.config.lattice)), k
+                assert spec.config == want.config, k
+            for jid in submitted:
+                res = resumed.get(jid) or ended[jid]
+                assert res, (k, jid, "neither resumed nor terminal")
+                assert res.state in TERMINAL_STATES, (k, jid)
+                assert read_job_state(job_dir(root, jid))["state"] == res.state
+                if res.state == "done":
+                    assert res.state_digest == serial[jid], (k, jid)
+                else:   # the failed write was the record of a finished run
+                    assert res.state == "failed", (k, jid, res.state)
+                    assert f"injected: replace #{k}" in res.error, (k, jid)
+            if calls < k:
+                break                          # this run wrote without a fault
+        assert k > 8                          # every record write was hit
+        assert time.monotonic() - t0 < 30
 
 
 def job_lines(root, job_id):

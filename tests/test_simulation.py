@@ -23,26 +23,41 @@ class TestConstruction:
                                    viscosity=0.1, omega0=1.0)
 
     def test_lattice_by_name_or_object(self):
+        # a name in any case is the one lattice; an instance is refused
         from repro.core.lattice import D2Q9
         a = Simulation.from_config(spec_2d(), lattice="d2q9", collision="bgk",
                                    viscosity=0.1)
-        b = Simulation.from_config(spec_2d(), lattice=D2Q9, collision="bgk",
+        b = Simulation.from_config(spec_2d(), lattice="D2Q9", collision="bgk",
                                    viscosity=0.1)
-        assert a.lattice is b.lattice
+        assert a.lattice is b.lattice is D2Q9
+        assert a.sim_config == b.sim_config and a.sim_config.lattice == "D2Q9"
+        with pytest.raises(TypeError, match="lattice and collision must be names"):
+            Simulation.from_config(spec_2d(), lattice=D2Q9, collision="bgk",
+                                   viscosity=0.1)
 
     def test_collision_object(self):
         from repro.core.collision import BGK
         from repro.core.lattice import D2Q9
-        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
-                                     collision=BGK(D2Q9), viscosity=0.1)
-        assert sim.engine.collision.name == "BGK"
+        for name in ("bgk", "BGK", "Bgk"):
+            sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                         collision=name, viscosity=0.1)
+            assert sim.engine.collision.name == "BGK"
+            assert sim.sim_config.collision == "bgk"
+        with pytest.raises(TypeError, match="lattice and collision must be names"):
+            Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                   collision=BGK(D2Q9), viscosity=0.1)
 
     def test_collision_lattice_mismatch(self):
+        # a model built for another lattice cannot be passed at all; by
+        # name, the model is built for the config's lattice
         from repro.core.collision import BGK
         from repro.core.lattice import D3Q19
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="lattice and collision must be names"):
             Simulation.from_config(spec_2d(), lattice="D2Q9",
                                    collision=BGK(D3Q19), viscosity=0.1)
+        sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
+                                     collision="KBC", viscosity=0.1)
+        assert sim.engine.collision.lattice is sim.lattice
 
     def test_default_config_is_fused(self):
         sim = Simulation.from_config(spec_2d(), lattice="D2Q9",
