@@ -97,8 +97,9 @@ def field_nbytes(engine: "Engine", ref: FieldRef) -> int:
 
     A level stores one ``(Q, n_owned)`` population buffer ``f``, the 4a
     layout's fine ghosts (rows ``n_owned..n_used``) in ``fghost``, and
-    its ghost accumulator, all in ``f``'s dtype: host bytes, not the
-    device kernels' (:attr:`Engine.itemsize <repro.core.engine.Engine.itemsize>`).
+    its ghost accumulator (a slot per bin Coalescence reads), all in
+    ``f``'s dtype: host bytes, not the device kernels'
+    (:attr:`Engine.itemsize <repro.core.engine.Engine.itemsize>`).
     """
     buf = engine.levels[ref.level]
     row = engine.lat.q * buf.f.itemsize

@@ -20,9 +20,9 @@ Bit-identity is inherited, not re-derived:
 * the only mp-specific body is the column shard of a pure collide
   kernel, cut on the collide tile — so a shard issues, for its columns,
   exactly the products the whole-buffer call would;
-* kernels with order-sensitive float accumulation (the Accumulate
-  ``bincount`` scatter, and every fused kernel containing it) are never
-  split across workers.
+* kernels with order-sensitive float accumulation (Accumulate's
+  in-order sum of each ghost slot's children, and every fused kernel
+  containing it) are never split across workers.
 
 Load balance comes from the GPU cost model: each wave's kernels are
 priced with :func:`~repro.gpu.costmodel.kernel_time_us` and placed by

@@ -17,11 +17,12 @@ a second buffer, ``fghost``, allocated only for that layout
 ``n_owned..n_used-1`` in the maps and access reports.  The pull table
 holds one flat ``f`` entry ``q_src * n_owned + row`` per ``(q, owned
 cell)`` with the bounce-back, moving-wall and slip links already in it,
-so Streaming is one gather per direction.  Accumulate adds into the
-parent's ghost bins only what Coalescence reads there; the other bins
-stay zero.  Between coarse steps ``f`` is the whole state: ``fghost``
-and the in-place stream's scratch are rewritten before they are read,
-``ghost_acc`` is zero.
+so Streaming is one gather per direction.  The ghost accumulator
+holds one slot per ghost bin ``(q, ghost)`` that Coalescence reads, in
+coalescence-entry order; Accumulate sums into those slots only.  Between
+coarse steps ``f`` is the whole state: ``fghost`` and the in-place
+stream's scratch are rewritten before they are read, ``ghost_acc`` is
+zero.
 Each ``op_*`` method is one GPU kernel: it declares one launch record
 with the DRAM traffic the equivalent CUDA kernel would generate — the
 paper's two-buffer kernels at 8 bytes a value (:attr:`Engine.itemsize`,
@@ -76,8 +77,11 @@ class LevelBuffers:
     """Per-level state, and the grid's row-space maps (the same arrays)."""
 
     f: np.ndarray                 # (Q, n_owned) populations, collided in place
-    ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
+    #: (n_coal,) Accumulate sums, slot ``e`` the ghost bin ``(coal_q[e],
+    #: coal_src[e])`` that Coalescence entry ``e`` reads
+    ghost_acc: np.ndarray
     n_owned: int
+    n_ghost: int                  # ghost cells: the device's (Q, n_ghost) accumulator
     n_used: int                   # n_owned + fine ghosts: rows the reports number
     pull_flat: np.ndarray         # (Q, n_owned) flat f entries
     mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
@@ -87,7 +91,7 @@ class LevelBuffers:
     coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray
     acc_fine_rows: np.ndarray     # rows in the FINER level's buffers
     acc_ghost_rows: np.ndarray
-    n_acc: int                    # (q, child) entries Accumulate adds into read bins
+    n_acc: int                    # (q, child) entries Accumulate adds: 2^d per slot
     fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers (4a)
     meta_bytes: int               # per-pass structural metadata traffic
     n_exp_cells: int              # distinct owned cells the E kernel writes
@@ -110,14 +114,6 @@ def _frozen(value):
         for item in value:
             _frozen(item)
     return value
-
-
-def _read_bins(Q: int, n_ghost: int, coal_q: np.ndarray,
-               coal_src: np.ndarray) -> np.ndarray:
-    """(Q, n_ghost) mask of the ghost bins a level's Coalescence reads."""
-    live = np.zeros((Q, n_ghost), dtype=bool)
-    live[coal_q, coal_src] = True
-    return live
 
 
 class Engine:
@@ -154,8 +150,8 @@ class Engine:
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
         #: Per level, the bodies' bind-time scratch: the in-place stream's,
-        #: ``parts -> (parts, G, n_owned)``, and Accumulate's gather
-        #: buffers, ``"acc"``, each built when the first body binds there:
+        #: ``parts -> (parts, G, n_owned)``, and Accumulate's gather and
+        #: sums, ``"accumulate"``, each built when the first body binds there:
         #: state, so the engine's, while the flat index maps live on the
         #: grid (see :meth:`_map`).
         self.scratch: list[dict] = [{} for _ in self.levels]
@@ -164,11 +160,17 @@ class Engine:
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
         """The level's buffers beside the grid's own maps: the grid states
         every map in the engine's row space, so none is copied here."""
-        Q = self.lat.q
+        Q, n_bins = self.lat.q, cl.coal_q.size
+        read = np.zeros(Q * cl.n_ghost, dtype=bool)
+        read[_flat(cl.coal_q, cl.n_ghost, cl.coal_src)] = True
+        if np.count_nonzero(read) != n_bins:
+            raise ValueError(f"level {cl.level}: two Coalescence entries read "
+                             f"one ghost bin; the accumulator has a slot per entry")
         return LevelBuffers(
             f=np.zeros((Q, cl.n_owned), self.dtype),
-            ghost_acc=np.zeros((Q, cl.n_ghost), self.dtype),
-            n_owned=cl.n_owned, n_used=cl.n_owned + cl.fine_ghost_slots.size,
+            ghost_acc=np.zeros(n_bins, self.dtype),
+            n_owned=cl.n_owned, n_ghost=cl.n_ghost,
+            n_used=cl.n_owned + cl.fine_ghost_slots.size,
             pull_flat=cl.pull_flat,
             mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
             out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,
@@ -176,8 +178,7 @@ class Engine:
             exp_ghost_rows=cl.exp_ghost_rows,
             coal_q=cl.coal_q, coal_cell=cl.coal_cell, coal_src=cl.coal_src,
             acc_fine_rows=cl.acc_fine_rows, acc_ghost_rows=cl.acc_ghost_rows,
-            n_acc=int(_read_bins(Q, cl.n_ghost, cl.coal_q, cl.coal_src)
-                      .sum(axis=0)[cl.acc_ghost_rows].sum()),
+            n_acc=2 ** self.mgrid.d * n_bins,
             fg_coarse_rows=cl.fg_coarse_rows,
             meta_bytes=sum(cl.grid.metadata_bytes().values()),
             n_exp_cells=cl.n_interface_fine, n_coal_cells=cl.n_interface_coarse,
@@ -260,13 +261,14 @@ class Engine:
         """Level ``lv``'s flat index map ``key``, built on first use.
 
         The maps flatten 2-D ``(q, row)`` addressing into 1-D indices
-        over the contiguous buffers — stride ``n_owned`` in ``f``,
-        ``n_ghost`` in ``ghost_acc``, the fine-ghost count in
-        ``fghost`` — so a body is one gather/scatter instead of a per-``q``
-        loop.  They depend on the level geometry alone, so they live on
-        the grid's level (:attr:`CompiledLevel.maps
-        <repro.grid.multigrid.CompiledLevel.maps>`), frozen, and every
-        body bound on any engine over that grid shares them.  Unlike the
+        over the contiguous buffers — stride ``n_owned`` in ``f``, the
+        fine-ghost count in ``fghost``, ``n_ghost`` in the device kernel's
+        ghost accumulator, which the reports name — so a body is one
+        gather/scatter instead of a per-``q`` loop.  They depend on the
+        level geometry alone, so they live on the grid's level
+        (:attr:`CompiledLevel.maps <repro.grid.multigrid.CompiledLevel.maps>`),
+        frozen, and every body bound on any engine over that grid shares
+        them.  Unlike the
         grid's int32 tables they are ``intp`` (:func:`_flat`), the width
         NumPy indexes with: an int32 map would be converted on every call
         (DESIGN.md §18 has the price).
@@ -382,52 +384,41 @@ class Engine:
     def _accumulate(self, lv: int, mode: str):
         """Add level ``lv``'s fresh post-collision values into its parent's ghosts.
 
-        One flat ``bincount`` over ``q``-offset bins, fed the entries
-        whose bin the parent's Coalescence reads and no
-        others: contributions to such a bin keep the order of the
-        per-``q`` sums, so the float accumulation order is the textbook
-        one, and a bin nobody reads stays 0.  The entries are gathered into
-        bind-time buffers on :attr:`scratch` (``"acc"``; ``bincount``
-        weighs in float64, so a float32 level stages them twice) and the
-        sums land in ``ghost_acc``'s dtype.  ``mode`` selects the
-        traffic attribution of the equivalent GPU kernel: ``"fused"``
-        (Collision+Accumulate — the source values sit in registers, the
-        scatter is atomic), ``"scatter"`` (standalone fine-initiated
-        atomic scatter) or ``"gather"`` (the original baseline's
-        coarse-initiated gather, launched over ghost cells).  The
-        arithmetic is identical in all three.
+        One gather of every accumulator slot's ``2^d`` children, child
+        by child (a ``(2^d, n_bins)`` map of flat ``f`` entries), then one
+        float64 reduce over the children, in order: the sum of each slot's
+        bin is the textbook per-``q`` sum's, term for term, and it is
+        rounded into ``ghost_acc``'s dtype once, when added.  A bin
+        Coalescence does not read has no slot, so nothing sums it.  The
+        gather and the sums are bind-time buffers on :attr:`scratch`
+        (``"accumulate"``).  ``mode`` selects the traffic attribution of the
+        equivalent GPU kernel, which sums into a ``(Q, n_ghost)``
+        accumulator: ``"fused"`` (Collision+Accumulate — the source values
+        sit in registers, the scatter is atomic), ``"scatter"``
+        (standalone fine-initiated atomic scatter) or ``"gather"`` (the
+        original baseline's coarse-initiated gather, launched over ghost
+        cells).  The arithmetic is identical in all three.
         """
         parent, fine = self.levels[lv - 1], self.levels[lv]
         if parent.acc_ghost_rows.size == 0:
             return None
-        Q, ng = self.lat.q, parent.ghost_acc.shape[1]
-
-        def live_entries():
-            # per q, the children whose bin is read: a sub-sequence of
-            # the textbook's q-major (Q * m) entry list, never built
-            keep = [np.flatnonzero(live.take(parent.acc_ghost_rows)) for live in
-                    _read_bins(Q, ng, parent.coal_q, parent.coal_src)]
-
-            def flat(stride, rows):
-                return np.concatenate([_flat(q, stride, rows.take(k))
-                                       for q, k in enumerate(keep)])
-            return (flat(ng, parent.acc_ghost_rows),
-                    flat(fine.n_owned, parent.acc_fine_rows))
-        rows_flat, src_flat = self._map(lv, "acc", live_entries)
-        gacc_flat, post_flat = parent.ghost_acc.reshape(-1), fine.f.reshape(-1)
-        gathered, weights = self._acc_buffers(lv, src_flat.size)
-        minlength = Q * ng
-        bincount, take, copyto = np.bincount, np.take, np.copyto
+        Q, ng = self.lat.q, parent.n_ghost
+        # the grid lists the children ghost by ghost: acc_ghost_rows is
+        # 0, .., 0, 1, .., 1, .. with 2^d of each
+        children = self._map(lv, "children", lambda: _flat(
+            parent.coal_q, fine.n_owned,
+            parent.acc_fine_rows.reshape(ng, -1).T.take(parent.coal_src, axis=1)))
+        acc, post_flat = parent.ghost_acc, fine.f.reshape(-1)
+        gathered, sums = self._acc_buffers(lv, children.shape)
+        take, reduce, add = np.take, np.add.reduce, np.add
 
         def run() -> None:
-            take(post_flat, src_flat, out=gathered, mode="clip")
-            if weights is not gathered:
-                copyto(weights, gathered)
-            gacc_flat[:] += bincount(rows_flat, weights=weights,
-                                     minlength=minlength)
+            take(post_flat, children, out=gathered, mode="clip")
+            reduce(gathered, axis=0, dtype=np.float64, out=sums)
+            add(acc, sums, out=acc)
 
         def report(t) -> None:
-            i, nb = self.itemsize, self.itemsize * src_flat.size
+            i, nb = self.itemsize, self.itemsize * children.size
             flo, fhi = self._span(parent.acc_fine_rows)
             glo, ghi = self._span(parent.acc_ghost_rows)
             t.read(FieldRef("f", lv), flo, fhi, 0 if mode == "fused" else nb)
@@ -440,17 +431,15 @@ class Engine:
                 t.atomic(FieldRef("gacc", lv - 1), glo, ghi, nb)
         return run, report
 
-    def _acc_buffers(self, lv: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Level ``lv``'s Accumulate buffers: the gather in the engine's
-        dtype and the float64 weights ``bincount`` reads (the same array
-        in float64).  Every Accumulate body bound on the level shares them:
-        they write the same ghost bins, so never run at once."""
-        got = self.scratch[lv].get("acc")
+    def _acc_buffers(self, lv: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Level ``lv``'s Accumulate buffers: the ``(2^d, n_bins)`` gather
+        in the engine's dtype and the float64 sums.  Every Accumulate body
+        bound on the level shares them: they write the same slots, so
+        never run at once."""
+        got = self.scratch[lv].get("accumulate")
         if got is None:
-            gathered = np.empty(size, self.dtype)
-            weights = (gathered if self.dtype == np.float64
-                       else np.empty(size, np.float64))
-            got = self.scratch[lv]["acc"] = (gathered, weights)
+            got = self.scratch[lv]["accumulate"] = (
+                np.empty(shape, self.dtype), np.empty(shape[1], np.float64))
         return got
 
     def _stream(self, lv: int, in_registers: bool = False):
@@ -546,16 +535,17 @@ class Engine:
     def _coalesce(self, lv: int, subsumed: bool = False):
         """Average the accumulated ghosts into ``f``, then reset them."""
         b = self.levels[lv]
-        ng = b.ghost_acc.shape[1]
+        Q, ng = self.lat.q, b.n_ghost
+        # ``src``: the bins the slots stand for, as entries of the device
+        # kernel's (Q, n_ghost) accumulator, which the report names
         dst, src = self._map(lv, "coal", lambda: (
             _flat(b.coal_q, b.n_owned, b.coal_cell), _flat(b.coal_q, ng, b.coal_src)))
         inv_navg = self.inv_navg
-        gacc, f_flat = b.ghost_acc, b.f.reshape(-1)
-        gacc_flat = gacc.reshape(-1)
+        acc, f_flat = b.ghost_acc, b.f.reshape(-1)
 
         def run() -> None:
-            f_flat[dst] = gacc_flat[src] * inv_navg
-            gacc.fill(0.0)
+            f_flat[dst] = acc * inv_navg
+            acc.fill(0.0)
 
         def report(t) -> None:
             nb = self.itemsize * b.coal_q.size
@@ -563,7 +553,7 @@ class Engine:
             t.read(FieldRef("gacc", lv), lo, hi, nb, entries=src)
             lo, hi = self._span(b.coal_cell)
             t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb, entries=dst)
-            t.write(FieldRef("gacc", lv), 0, ng, self.itemsize * gacc.size)
+            t.write(FieldRef("gacc", lv), 0, ng, self.itemsize * Q * ng)
         return run, report
 
     def _explosion_copy(self, lv: int):
@@ -624,8 +614,8 @@ class Engine:
         m = parent.acc_fine_rows.size
         if m == 0:
             return
-        ng = parent.ghost_acc.shape[1]
-        moved, gacc = self.itemsize * parent.n_acc, self.itemsize * parent.ghost_acc.size
+        ng = parent.n_ghost
+        moved, gacc = self.itemsize * parent.n_acc, self.itemsize * self.lat.q * ng
         self.rt.launch(
             "A", lv,
             n_cells=(ng if gather else m),
@@ -673,7 +663,7 @@ class Engine:
             reads.append(FieldRef("gacc", lv))
             writes.append(FieldRef("gacc", lv))
             br += self.itemsize * buf.coal_q.size
-            bw += self.itemsize * buf.ghost_acc.size  # reset
+            bw += Q * self.itemsize * buf.n_ghost  # reset
         self.rt.launch(name, lv, n_cells=n, bytes_read=br, bytes_written=bw,
                        reads=tuple(reads), writes=tuple(writes),
                        fn=LazyBody(lambda: self._fuse(
@@ -703,7 +693,7 @@ class Engine:
         self.rt.launch(
             "O", lv, n_cells=buf.n_coal_cells,
             bytes_read=self.itemsize * m,
-            bytes_written=self.itemsize * m + self.itemsize * buf.ghost_acc.size,
+            bytes_written=self.itemsize * m + self.lat.q * self.itemsize * buf.n_ghost,
             reads=(FieldRef("gacc", lv),),
             writes=(FieldRef("f", lv), FieldRef("gacc", lv)),
             fn=LazyBody(lambda: self._fuse(self._coalesce(lv))))
@@ -771,14 +761,15 @@ class Engine:
         (with one offending value per row, for diagnostics), plus density
         and velocity magnitude.  Only ``f`` crosses a coarse step, so
         nothing else is scanned; a non-finite population makes its
-        column's rho non-finite, so one moment product (float64: the
-        lattice matrix is) finds the rows.
+        column's rho non-finite, so one moment product finds the rows.
+        The product runs in the populations' dtype (the lattice matrix is
+        cast to it), so a float32 level is not copied to float64.
         Consumed by the observability watchdog (:mod:`repro.obs.watchdog`);
         kept on the engine because only it knows the buffer/row layout.
         """
         for lv, buf in enumerate(self.levels):
             f = buf.f
-            m = self.lat.moments[:1 + self.lat.d] @ f
+            m = self.lat.moments[:1 + self.lat.d].astype(f.dtype) @ f
             bad = np.nonzero(~np.isfinite(m[0]))[0]
             first_q = np.argmax(~np.isfinite(f[:, bad]), axis=0)
             scan = {"nonfinite": bad, "values": f[first_q, bad]}

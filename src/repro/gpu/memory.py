@@ -179,9 +179,10 @@ def memory_arrays(obj):
     Owners in order: the grid compile (the :func:`index_bytes` families),
     the engine's ``LevelBuffers`` (``populations``, ``ghost_accumulators``,
     ``fine_ghosts``), the grid's flat index maps (``maps``), the bodies'
-    bind-time scratch (``scratch``: the stream's, Accumulate's gathers).  An allocation held twice is yielded under its
-    first owner (shared ``pull_flat`` counts once, as ``pull``); an empty
-    one, which shares no memory, wherever it is held.
+    bind-time scratch (``scratch``: the stream's, Accumulate's gather and
+    sums).  An allocation held twice is yielded under its first owner
+    (shared ``pull_flat`` counts once, as ``pull``); an empty one, which
+    shares no memory, wherever it is held.
     """
     engine = None if isinstance(obj, MultiGrid) else obj
     mgrid = obj if engine is None else engine.mgrid

@@ -144,7 +144,11 @@ class RefinementSpec:
         return {"base_shape": [int(n) for n in self.base_shape],
                 "refine_regions": [_pack(m) for m in self.refine_regions],
                 "solid": None if self.solid is None else _pack(self.solid),
-                "faces": {name: [bc.kind, bc.velocity and list(map(float, bc.velocity))]
+                **self._settings()}
+
+    def _settings(self) -> dict:
+        """The JSON fields of :meth:`as_dict` that are not the shape or a mask."""
+        return {"faces": {name: [bc.kind, bc.velocity and list(map(float, bc.velocity))]
                           for name, bc in self.bc.faces.items()},
                 "block_size": int(self.block_size), "curve": str(self.curve)}
 
@@ -178,10 +182,19 @@ def _unpack(d: dict) -> np.ndarray:
 
 def spec_digest(spec: RefinementSpec, lattice: Lattice | str) -> str:
     """SHA-256 of everything a compiled grid is a function of: the spec's
-    JSON form and the lattice name.  Equal digests, equal grids."""
-    text = json.dumps([spec.as_dict(), getattr(lattice, "name", lattice)],
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    JSON fields but its masks, the lattice name, and each mask's shape and
+    packed bits (hashed raw: no base64 text, no JSON of it).  Equal
+    digests, equal grids."""
+    masks = list(spec.refine_regions) + ([] if spec.solid is None else [spec.solid])
+    head = [[int(n) for n in spec.base_shape], spec._settings(),
+            getattr(lattice, "name", lattice), len(spec.refine_regions),
+            spec.solid is not None]
+    h = hashlib.sha256(json.dumps(head, sort_keys=True, separators=(",", ":")).encode())
+    for mask in masks:
+        mask = np.asarray(mask, dtype=bool)
+        h.update(f"{mask.shape}".encode())
+        h.update(np.packbits(mask))
+    return h.hexdigest()
 
 
 def compile_arrays(grid: MultiGrid):

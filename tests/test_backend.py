@@ -87,10 +87,10 @@ class TestBitIdentity:
         plan = next(iter(sim.backend.plans.values()))
         assert plan.arena_bytes == 0
         stream = [a for level in sim.engine.scratch
-                  for key, a in level.items() if key != "acc"]
+                  for key, a in level.items() if key != "accumulate"]
         assert len(stream) == sim.num_levels
         scratch = stream + [a for level in sim.engine.scratch
-                            for a in level.get("acc", ())]
+                            for a in level.get("accumulate", ())]
         assert len({id(a) for a in scratch}) == len(scratch)
         names = [(r.name, r.level) for r in plan.records]
         assert {("S", 1), ("S", 2), ("E", 2)} <= set(names)

@@ -293,7 +293,7 @@ class TestStreamingSemantics:
         acc = coarse.ghost_acc.copy()
         run_op(eng.op_stream, 0, fuse_coalescence=True)
         got = coarse.f[coarse.coal_q, coarse.coal_cell]
-        expected = acc[coarse.coal_q, coarse.coal_src] / 8.0  # 2 * 2^2
+        expected = acc / 8.0  # 2 * 2^2; slot e is the bin entry e reads
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_ghost_reset_after_coalescence(self):
@@ -372,9 +372,12 @@ class TestBoundaryPhysics:
 # (``fstar`` / the new ``f``) from a whole copy of their input, and the
 # level's ``f`` holds the result.  The engine's in-place bodies (flat
 # index maps, one take per row through a table that has the boundary
-# links folded in, streamed one direction group at a time, one flat
-# bincount over the entries Coalescence reads) must reproduce them bit
-# for bit.
+# links folded in, streamed one direction group at a time, an in-order
+# reduce over the children of the bins Coalescence reads) must reproduce
+# them bit for bit.  The textbook sums into the device kernel's dense
+# ``(Q, n_ghost)`` accumulator (``eng.dense_acc``, see ``textbook``); the
+# engine keeps one slot per bin that Coalescence reads, compared with
+# that bin.
 
 def ref_collide(eng, lv):
     b = eng.levels[lv]
@@ -384,11 +387,11 @@ def ref_collide(eng, lv):
 
 
 def ref_accumulate(eng, lv):
-    parent, fine = eng.levels[lv - 1], eng.levels[lv]
+    parent, fine, acc = eng.levels[lv - 1], eng.levels[lv], eng.dense_acc[lv - 1]
     for q in range(eng.lat.q):
-        parent.ghost_acc[q] += np.bincount(
+        acc[q] += np.bincount(
             parent.acc_ghost_rows, weights=fine.f[q, parent.acc_fine_rows],
-            minlength=parent.ghost_acc.shape[1])
+            minlength=parent.n_ghost)
 
 
 def ref_stream(eng, lv):
@@ -415,10 +418,25 @@ def ref_explode(eng, lv, from_ghost):
 
 
 def ref_coalesce(eng, lv):
-    b = eng.levels[lv]
-    b.f[b.coal_q, b.coal_cell] = (b.ghost_acc[b.coal_q, b.coal_src]
-                                  * eng.inv_navg)
-    b.ghost_acc[:] = 0.0
+    b, acc = eng.levels[lv], eng.dense_acc[lv]
+    b.f[b.coal_q, b.coal_cell] = acc[b.coal_q, b.coal_src] * eng.inv_navg
+    acc[:] = 0.0
+
+
+def textbook(eng, lv, refs):
+    """Run the textbook bodies ``refs`` at level ``lv`` on ``eng``'s state:
+    each level's slots go into their bins of a dense ``(Q, n_ghost)``
+    accumulator (the bins nobody reads start at 0), the bodies run, and
+    the slots read their bins back."""
+    eng.dense_acc = []
+    for b in eng.levels:
+        acc = np.zeros((eng.lat.q, b.n_ghost), b.ghost_acc.dtype)
+        acc[b.coal_q, b.coal_src] = b.ghost_acc
+        eng.dense_acc.append(acc)
+    for ref in refs:
+        ref(eng, lv)
+    for b, acc in zip(eng.levels, eng.dense_acc):
+        b.ghost_acc[...] = acc[b.coal_q, b.coal_src]
 
 
 def ref_explosion_copy(eng, lv):
@@ -449,10 +467,6 @@ def accumulate_twice_then_coalesce(eng, lv):
     run_op(eng.op_accumulate, lv)
     run_op(eng.op_coalesce, lv - 1)
 
-
-#: Kernels with an Accumulate part: the textbook adds into every ghost
-#: bin, the body into the bins the parent's Coalescence reads.
-ACCUMULATING = ("A-scatter", "A-gather", "CA", "CASE")
 
 #: kernel -> (coarsest level it runs on, its launch, the textbook sequence)
 KERNELS = {
@@ -502,13 +516,6 @@ def mixed_engine(d, cfg=ORIGINAL_BASELINE):
     return eng
 
 
-def consumed_bins(b):
-    """(Q, n_ghost) mask of the ghost bins level ``b``'s Coalescence reads."""
-    live = np.zeros(b.ghost_acc.shape, dtype=bool)
-    live[b.coal_q, b.coal_src] = True
-    return live
-
-
 class TestKernelBodies:
     FIELDS = ("f", "fghost", "ghost_acc")
 
@@ -536,7 +543,7 @@ class TestKernelBodies:
                      for b in engine.levels]
             results = []
             for run in (lambda: launch(engine, lv),
-                        lambda: [ref(engine, lv) for ref in reference]):
+                        lambda: textbook(engine, lv, reference)):
                 for b, saved in zip(engine.levels, start):
                     for k, values in saved.items():
                         getattr(b, k)[...] = values
@@ -544,43 +551,40 @@ class TestKernelBodies:
                 results.append([{k: getattr(b, k).copy() for k in saved}
                                 for b, saved in zip(engine.levels, start)])
             got, want = results
-            if kernel in ACCUMULATING:
-                # narrowed to what is read: the other bins were not touched
-                parent = engine.levels[lv - 1]
-                live = consumed_bins(parent)
-                assert live.any() and not live.all()
-                want[lv - 1]["ghost_acc"] = np.where(
-                    live, want[lv - 1]["ghost_acc"], start[lv - 1]["ghost_acc"])
             for g, w in zip(got, want):
                 assert g.keys() == w.keys()
                 for k in g:
                     assert np.array_equal(g[k], w[k]), (kernel, lv, k)
 
     def test_accumulate_keeps_a_subsequence_of_the_entries(self, engine):
+        # each slot gathers the textbook's (q, child) entries of its bin,
+        # in the textbook's order; the bins are the ones Coalescence reads
         Q, children = engine.lat.q, 2 ** engine.mgrid.d
         for lv in range(1, len(engine.levels)):
             parent, fine = engine.levels[lv - 1], engine.levels[lv]
-            ng = parent.ghost_acc.shape[1]
             engine._accumulate(lv, "scatter")
-            bins, src = engine.mgrid.levels[lv].maps["acc"]
-            # the textbook's entries, q-major: (bin, source) pairs, all distinct
-            full = np.stack([(np.arange(Q)[:, None] * ng
-                              + parent.acc_ghost_rows).ravel(),
-                             (np.arange(Q)[:, None] * fine.n_owned
-                              + parent.acc_fine_rows).ravel()], axis=1)
-            where = {pair: i for i, pair in enumerate(map(tuple, full.tolist()))}
-            at = [where[pair] for pair in zip(bins.tolist(), src.tolist())]
-            assert at == sorted(set(at))                    # order kept
-            live = consumed_bins(parent)
-            assert np.array_equal(np.bincount(bins, minlength=Q * ng),
-                                  children * live.ravel())
-            assert bins.size == parent.n_acc == children * live.sum()
+            kids = engine.mgrid.levels[lv].maps["children"]
+            slots = parent.coal_q.size
+            assert kids.shape == (children, slots) == (children, parent.ghost_acc.size)
+            bins = parent.coal_q.astype(np.intp) * parent.n_ghost + parent.coal_src
+            assert np.unique(bins).size == slots < Q * parent.n_ghost
+            # the textbook adds entry k of each q into bin (q, acc_ghost_rows[k])
+            order = np.argsort(parent.acc_ghost_rows, kind="stable")
+            first = np.searchsorted(parent.acc_ghost_rows[order], parent.coal_src)
+            for c in range(children):
+                k = order[first + c]
+                assert np.array_equal(parent.acc_ghost_rows[k], parent.coal_src)
+                assert np.array_equal(
+                    kids[c], parent.coal_q * fine.n_owned + parent.acc_fine_rows[k])
+            counts = np.bincount(parent.acc_ghost_rows, minlength=parent.n_ghost)
+            assert (counts.take(parent.coal_src) == children).all()
+            assert kids.size == parent.n_acc == children * slots
             # ... and the declarations count exactly those entries
             for launch in (lambda: engine.op_accumulate(lv),
                            lambda: engine.op_collide(lv, fuse_accumulate=True),
                            lambda: engine.op_fused_case(lv)):
                 rec = engine.rt.capture_plan(launch)[0]
-                assert rec.atomic_bytes == engine.itemsize * src.size
+                assert rec.atomic_bytes == engine.itemsize * kids.size
 
 
 def table_groups(table, n):
@@ -648,9 +652,9 @@ class TestInPlace:
                       for k in ("f", "ghost_acc")} for b in engine.levels]
             results = []
             for run in (lambda: IN_PLACE[sequence](engine, lv),
-                        lambda: [body(engine, lv) for body in (
+                        lambda: textbook(engine, lv, (
                             ref_collide, ref_accumulate, ref_stream,
-                            ref_explode_direct)]):
+                            ref_explode_direct))):
                 for b, saved in zip(engine.levels, start):
                     for k, values in saved.items():
                         getattr(b, k)[...] = values
@@ -658,9 +662,6 @@ class TestInPlace:
                 results.append([(b.f.copy(), b.ghost_acc.copy())
                                 for b in engine.levels])
             got, want = results
-            live = consumed_bins(engine.levels[lv - 1])   # the bins read
-            want[lv - 1] = (want[lv - 1][0], np.where(
-                live, want[lv - 1][1], start[lv - 1]["ghost_acc"]))
             for (gf, gacc), (wf, wacc) in zip(got, want):
                 assert np.array_equal(gf, wf), (sequence, lv)
                 assert np.array_equal(gacc, wacc), (sequence, lv)

@@ -68,14 +68,14 @@ def scratch(engine):
     """``lv -> (parts, G, n_owned)`` scratch of every level that streams
     in place, as its bound bodies share it."""
     return {lv: arr for lv, family, name, arr in memory_arrays(engine)
-            if family == "scratch" and name != "acc"}
+            if family == "scratch" and name != "accumulate"}
 
 
 def acc_buffers(engine):
-    """Accumulate's bind-time gather buffers, every level's (dead between
+    """Accumulate's bind-time gather and sums, every level's (dead between
     substeps, like the stream's scratch)."""
     return [arr for _, family, name, arr in memory_arrays(engine)
-            if family == "scratch" and name == "acc"]
+            if family == "scratch" and name == "accumulate"]
 
 
 # -- what crosses a coarse-step boundary -------------------------------------------
@@ -331,16 +331,16 @@ def scratch_bytes(engine):
     """What the bodies' scratch must hold: per level, one ``(G, n_owned)``
     block per part of the level's split stream, no more parts than
     direction groups (``G`` the largest group), and Accumulate's gather of
-    the entries its parent's Coalescence reads, in ``f``'s dtype and --
-    unless that is float64 -- again in the float64 ``bincount`` weighs."""
+    the ``2^d`` children of each slot of its parent's accumulator, in
+    ``f``'s dtype, and the slots' float64 sums."""
     total = 0
     for lv, buf in enumerate(engine.levels):
         groups = table_groups(buf.pull_flat, buf.n_owned)
         parts = min(engine.split_parts(lv), len(groups))
         total += parts * max(map(len, groups)) * buf.n_owned * buf.f.itemsize
         if lv:
-            n_acc = engine.levels[lv - 1].n_acc
-            total += n_acc * (buf.f.itemsize + (8 if buf.f.itemsize != 8 else 0))
+            parent = engine.levels[lv - 1]
+            total += parent.n_acc * buf.f.itemsize + 8 * parent.ghost_acc.size
     return total
 
 
@@ -351,8 +351,9 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
     :func:`repro.gpu.memory.grid_memory_report` (section IV-A) priced at
     the host's width, which prices the paper's two population buffers:
     every config holds the model's populations less one named term, the
-    second buffer, plus the scratch of every level; 4a holds its fine
-    ghosts once beside them."""
+    second buffer, and the model's ghost accumulators less another, the
+    bins no Coalescence reads, plus the scratch of every level; 4a holds
+    its fine ghosts once beside them."""
     wl = workload()
     mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
     for dtype in ("float32", "float64"):
@@ -372,11 +373,15 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
             # sums into the coarse ghost layer, which the original scheme
             # omits
             fine_ghosts_once = original.ghost_populations // 2
+            # one accumulator slot per bin Coalescence reads
+            unread_bins = itemsize * sum(mgrid.lattice.q * cl.n_ghost - cl.coal_q.size
+                                         for cl in mgrid.levels)
+            assert 0 < unread_bins < optimized.ghost_accumulators
             assert original.ghost_populations > 0
             assert original.populations == optimized.populations
             assert held == (optimized.populations - second_buffer
                             + (fine_ghosts_once if cfg.original_layout else 0)
-                            + optimized.ghost_accumulators
+                            + optimized.ghost_accumulators - unread_bins
                             + scratch_bytes(engine)), (cfg.name, dtype)
 
 
@@ -434,21 +439,22 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
     grid kept int64 tables and a kind matrix and the engine row-space
     copies of them; 61.9 / 65.6 while the finest level held ``fstar``
     under CASE; 45.0 / 48.5 while the coarser levels held it; 43.1 / 46.6
-    while the step ran in float64 (reads 33.0 / 36.5 in float32; the
-    ceilings are that + 5 %).  Every level streams in
+    while the step ran in float64; 33.0 / 36.5 while the ghost accumulator
+    held every (q, ghost) bin and Accumulate staged its gather in float64
+    (reads 30.2 / 33.8; the ceilings are that + 5 %).  Every level streams in
     place through one ``(G, n_owned)`` scratch per split part, allocated
     once for every body bound on it; the split is pinned at 2 parts, so
     the heap does not depend on the host's CPUs.
     Admitting the plan again may add at most 4 MiB to the heap it starts
     from (25.9 MiB with the frozensets, 1.3 MiB with the shared sorted
     arrays, reads 0.1).  The memory ledger is within 2 % of the steady
-    heap (reads 0.5 % below it: 0.18 of 33.00 MiB)."""
+    heap (reads 0.6 % below it: 0.18 of 30.24 MiB)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl)
     with sim:
-        assert peak <= 38.4 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 34.7 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 35.5 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 31.8 * MiB, f"steady {current / MiB:.1f} MiB"
         assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # one part below the split floor; singletons on the boundary-free
@@ -469,7 +475,7 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
             assert table.dtype == np.int32 and not table.flags.writeable
         # declared atomic bytes are the entries the bound bodies gather
         plan = next(iter(sim.backend.plans.values()))
-        gathered = sum(sim.mgrid.levels[r.level].maps["acc"][1].size
+        gathered = sum(sim.mgrid.levels[r.level].maps["children"].size
                        for r in plan.records if r.atomic_bytes)
         assert sum(r.atomic_bytes for r in plan.records) \
             == sim.engine.itemsize * gathered == 5_345_280
@@ -479,15 +485,16 @@ def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
     """``sphere_tunnel(scale=0.5)``, D3Q27 KBC, ``baseline-4b``, compiled:
     the geometry and config behind the ledger's ``sphere-kbc-unfused``.
     51.3 MiB steady / 55.9 MiB peak while every level held ``fstar``;
-    36.9 / 41.5 while the step ran in float64 (reads 29.2 / 33.6 in
-    float32; the ceilings are that + 5 %).  The memory ledger is within
-    2 % of the steady heap (reads 0.7 % below: 0.21 of 29.20 MiB)."""
+    36.9 / 41.5 while the step ran in float64; 29.2 / 33.6 while the ghost
+    accumulator held every (q, ghost) bin (reads 26.4 / 30.8; the
+    ceilings are that + 5 %).  The memory ledger is within 2 % of the
+    steady heap (reads 0.8 % below: 0.21 of 26.39 MiB)."""
     wl = sphere_tunnel(scale=0.5)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl, fusion=MODIFIED_BASELINE)
     with sim:
-        assert peak <= 35.3 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 30.7 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 32.4 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 27.7 * MiB, f"steady {current / MiB:.1f} MiB"
         assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # (q, opp q) pairs on the levels with boundary links, a singleton

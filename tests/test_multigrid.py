@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -760,6 +761,28 @@ def test_spec_digest_names_the_grid():
     assert base not in digests and len(digests) == len(variants)
     wl = lid_cavity(base=(8, 8, 8), num_levels=2)
     assert spec_digest(wl.spec, D3Q19) != spec_digest(wl.spec, D3Q27)
+
+
+def test_spec_digest_hashes_the_mask_bits():
+    # the masks enter as their shape and packed bits: a JSON round trip
+    # (base64 text in between) keeps the digest, one flipped cell of any
+    # mask moves it, and so do a face and the lattice
+    spec = sphere_tunnel(scale=0.25).spec
+    base = spec_digest(spec, "D3Q27")
+    back = RefinementSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
+    assert spec_digest(back, "D3Q27") == base
+    masks = [("refine_regions", k) for k in range(len(spec.refine_regions))]
+    assert spec.solid is not None
+    for name, k in masks + [("solid", None)]:
+        flipped = [m.copy() for m in spec.refine_regions]
+        solid = spec.solid.copy()
+        mask = solid if k is None else flipped[k]
+        mask.flat[mask.size // 2] ^= True
+        other = dataclasses.replace(spec, refine_regions=flipped, solid=solid)
+        assert spec_digest(other, "D3Q27") != base, (name, k)
+    faces = dict(spec.bc.faces, **{"y+": FaceBC("slip")})
+    assert spec_digest(dataclasses.replace(spec, bc=DomainBC(faces)), "D3Q27") != base
+    assert spec_digest(spec, "D3Q19") != base
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS))

@@ -25,12 +25,12 @@ from repro.obs.spans import StepSpan
 from repro.obs.watchdog import CS_LATTICE, LAST_N_SPANS, RHO_BOUNDS
 
 
-def small_sim(config=FUSED_FULL, runtime=None):
+def small_sim(config=FUSED_FULL, runtime=None, dtype="float32"):
     wl = lid_cavity(base=(20, 20), num_levels=2, lattice="D2Q9")
     return Simulation.from_config(wl.spec, lattice=wl.lattice,
                                   collision=wl.collision,
                                   viscosity=wl.viscosity, fusion=config,
-                                  runtime=runtime)
+                                  runtime=runtime, dtype=dtype)
 
 
 def golden_sim(config):
@@ -341,7 +341,7 @@ class TestWatchdog:
         def sabotage_then_check(stepper):
             if field is not None and stepper.steps_done == 2:
                 arr = (next(a for key, a in sim.engine.scratch[lv].items()
-                            if key != "acc")
+                            if key != "accumulate")
                        if field == "scratch" else getattr(sim.engine.levels[lv], field))
                 arr.flat[5] = np.nan            # f: q 0, cell 5
             wd.callback(stepper)
@@ -412,6 +412,37 @@ class TestWatchdog:
         p = exc.value.payload
         assert p["field"] == "u" and p["level"] == 0 and p["cells"] == [3]
         assert p["values"][0] > CS_LATTICE
+
+    #: level-1 faults put in after step 2: a NaN, rho ~ 10, |u| ~ 0.75
+    FAULTS = {
+        "non-finite": lambda f, qx: f.__setitem__((0, 5), np.nan),
+        "density-bounds": lambda f, qx: f.__imul__(10.0),
+        "velocity-bound": lambda f, qx: f.__setitem__((qx, 3), f[qx, 3] + 3.0),
+    }
+
+    @pytest.mark.parametrize("reason", FAULTS)
+    def test_float32_scan_catches_what_float64_does(self, reason):
+        # the scan runs in the populations' dtype, no float64 copy of a
+        # float32 level; each fault still trips at the same step and cells
+        caught = {}
+        for dtype in ("float64", "float32"):
+            sim = small_sim(dtype=dtype)
+            wd = HealthWatchdog(sim)
+            qx = next(q for q, e in enumerate(sim.lattice.e) if tuple(e) == (1, 0))
+            scans = list(sim.engine.health_scan())
+            assert all(s["rho"].dtype == np.dtype(dtype) for s in scans)
+
+            def inject_then_check(stepper, sim=sim, wd=wd, qx=qx):
+                if stepper.steps_done == 2:
+                    self.FAULTS[reason](sim.engine.levels[1].f, qx)
+                wd.callback(stepper)
+            with pytest.raises(SimulationDiverged) as exc:
+                sim.run(4, callback=inject_then_check)
+            p = exc.value.payload
+            caught[dtype] = (exc.value.step, exc.value.level, exc.value.reason,
+                             p["field"], p["cells"])
+        assert caught["float32"] == caught["float64"]
+        assert caught["float32"][:3] == (2, 1, reason)
 
     def test_registry_integration(self):
         """A check's readings are its report: kept in ``last_report`` and

@@ -141,7 +141,9 @@ def test_shell_separation_keeps_generous_widths(widths):
 @given(st.integers(1, 30), st.data())
 @settings(max_examples=20, deadline=None)
 def test_bincount_accumulate_matches_add_at(n_ghost, data):
-    # the engine uses bincount as a deterministic stand-in for atomic adds
+    # the textbook Accumulate (tests/test_engine.py::ref_accumulate) uses
+    # bincount as a deterministic stand-in for atomic adds; the engine's
+    # reduce over the children, child by child, is the same sum bit for bit
     m = n_ghost * 4
     idx = np.repeat(np.arange(n_ghost), 4)
     vals = data.draw(arrays(np.float64, m, elements=st.floats(-10, 10)))
@@ -149,6 +151,8 @@ def test_bincount_accumulate_matches_add_at(n_ghost, data):
     via_add_at = np.zeros(n_ghost)
     np.add.at(via_add_at, idx, vals)
     assert np.allclose(via_bincount, via_add_at, atol=1e-12)
+    via_reduce = np.add.reduce(vals.reshape(n_ghost, 4).T, axis=0)
+    assert np.array_equal(via_reduce, via_bincount)
 
 
 # -- exact entry sets ---------------------------------------------------------------
