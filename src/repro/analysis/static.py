@@ -72,10 +72,10 @@ def decompose(engine: "Engine", record: KernelRecord) -> list[tuple[str, int]]:
         return [(p, lv) for p in _PRIMITIVES[record.name]]
     if record.name == "CASE":
         prims = ["C"]
-        if lv > 0 and engine.levels[lv - 1].acc_fine_rows.size:
+        if lv > 0 and engine.levels[lv - 1].n_ghost:
             prims.append("A")
         prims.append("S")
-        if lv > 0 and engine.levels[lv].exp_q.size:
+        if lv > 0 and engine.mgrid.levels[lv].exp_dst.size:
             prims.append("E")
         return [(p, lv) for p in prims]
     raise KeyError(f"cannot decompose kernel {record.name!r}")
@@ -284,7 +284,8 @@ def prove_fusion_legality(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
 
     The original Fig. 4a layout is a different *algorithm* (gather
     Accumulate, fine-ghost Explosion copies), not a contraction of 4b:
-    it gets the verdict ``"baseline"`` and an empty proof.
+    it gets the verdict ``"baseline"`` and an empty proof, and so does
+    4b's own untampered stream, which would be proven against itself.
     """
     from ..backend.compiler import prove_plan_legality
 

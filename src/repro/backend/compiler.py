@@ -6,9 +6,10 @@ Compilation of one coarse step runs in three stages:
    records the kernel stream: every launch's declaration, with its body
    handle kept next to it, unbound; no body runs.
 2. **Bind** — each handle is bound once (:func:`bind_bodies`): the
-   engine resolves the field views and flat index maps its body needs
-   and proves the pull table's entries inside ``[0, Q * n_owned)`` before
-   freezing them; the body's access report comes with it.  Evaluating
+   engine resolves the field views its body needs beside the grid's
+   flat index maps (a pull table other than the grid's, which proved its
+   own, is proven inside ``[0, Q * n_owned)``) and freezes the table;
+   the body's access report comes with it.  Evaluating
    every report gives the stream's access map (:func:`bind_stream`) —
    the one statement of what each kernel touches; still no body runs.
 3. **Admission** — the stream must pass the PR-5 contract before any
@@ -145,19 +146,24 @@ def prove_plan_legality(stepper: "NonUniformStepper",
     baseline is captured, bound and reported from the *same* engine for
     as many steps, with ``tracer`` — the plan is admitted for the
     geometry it will actually replay on.  The original Fig. 4a layout is
-    a different algorithm, not a contraction, and keeps its
-    ``"baseline"`` verdict.
+    a different algorithm, not a contraction, and gets the ``"baseline"``
+    verdict; so do records that are the modified baseline's own stream
+    (their declarations equal a fresh capture of it), which the proof
+    would check against themselves: it cannot fail.  Any other stream
+    under the modified baseline's name is proven like a fused one.
     """
     from ..core.fusion import MODIFIED_BASELINE
     from ..core.stepper import NonUniformStepper
 
     cfg = stepper.config
-    if cfg.original_layout:
+    base = NonUniformStepper(stepper.engine, MODIFIED_BASELINE)
+    if cfg.original_layout or (cfg == MODIFIED_BASELINE and records == [
+            r for _ in range(steps)
+            for r in stepper.engine.rt.capture_plan(lambda: base._advance(0))]):
         return LegalityProof(config=cfg.name, baseline=cfg.name,
                              verdict="baseline", pairs_checked=0,
                              primitives=0, counterexamples=())
-    base_records, base_map = bind_steps(
-        NonUniformStepper(stepper.engine, MODIFIED_BASELINE), steps, tracer)
+    base_records, base_map = bind_steps(base, steps, tracer)
     pairs, prims, cex = check_contraction(
         base_records, base_map, records, partial(decompose, stepper.engine))
     return LegalityProof(

@@ -9,9 +9,10 @@ over its input, the post-collision state: Accumulate reads it there, and
 so do the next finer level's Explosion reads during both finer substeps
 (Algorithm 1 runs a level's Streaming only after them).  Streaming runs
 in place, one direction group at a time through a small scratch
-(:meth:`Engine._stream`).  Every streaming map is the grid's own int32
+(:meth:`Engine._stream`).  Every index map is the grid compile's own
 array, in compact *row* space: rows ``0..n_owned-1`` are the owned
-cells.  The original baseline's (Fig. 4a) fine-ghost populations live in
+cells; the bodies gather and scatter with its flat ``intp`` entries as
+they are.  The original baseline's (Fig. 4a) fine-ghost populations live in
 a second buffer, ``fghost``, allocated only for that layout
 (:meth:`Engine.allocate`); its rows keep the numbers
 ``n_owned..n_used-1`` in the maps and access reports.  The pull table
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.multigrid import CompiledLevel, MultiGrid, iter_pull_rows, pull_groups
+from ..grid.multigrid import CompiledLevel, MultiGrid, pull_span, row_span
 from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
                             Runtime)
@@ -74,46 +75,21 @@ SPLIT_MIN_BYTES = 1 << 20
 
 @dataclass
 class LevelBuffers:
-    """Per-level state, and the grid's row-space maps (the same arrays)."""
+    """Per-level state beside the grid's pull table (the same array); the
+    bodies read every other map off the grid's level."""
 
     f: np.ndarray                 # (Q, n_owned) populations, collided in place
-    #: (n_coal,) Accumulate sums, slot ``e`` the ghost bin ``(coal_q[e],
-    #: coal_src[e])`` that Coalescence entry ``e`` reads
+    #: (n_coal,) Accumulate sums, slot ``e`` the ghost bin ``coal_bin[e]``
+    #: that Coalescence entry ``e`` reads
     ghost_acc: np.ndarray
     n_owned: int
     n_ghost: int                  # ghost cells: the device's (Q, n_ghost) accumulator
     n_used: int                   # n_owned + fine ghosts: rows the reports number
     pull_flat: np.ndarray         # (Q, n_owned) flat f entries
-    mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
-    out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
-    exp_q: np.ndarray; exp_cell: np.ndarray; exp_rows: np.ndarray
-    exp_ghost_rows: np.ndarray
-    coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray
-    acc_fine_rows: np.ndarray     # rows in the FINER level's buffers
-    acc_ghost_rows: np.ndarray
-    n_acc: int                    # (q, child) entries Accumulate adds: 2^d per slot
-    fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers (4a)
     meta_bytes: int               # per-pass structural metadata traffic
-    n_exp_cells: int              # distinct owned cells the E kernel writes
-    n_coal_cells: int             # distinct owned cells the O kernel writes
     #: (Q, n_used - n_owned) fine-ghost populations, row ``r`` at column
     #: ``r - n_owned``; ``None`` unless the 4a layout runs on this engine.
     fghost: np.ndarray | None = None
-
-
-def _flat(q, stride: int, rows: np.ndarray) -> np.ndarray:
-    """Flat ``intp`` entries ``q * stride + rows`` of a ``(Q, stride)`` buffer."""
-    return np.asarray(q, dtype=np.intp) * stride + rows
-
-
-def _frozen(value):
-    """``value`` with every array in it (nested in tuples) made read-only."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for item in value:
-            _frozen(item)
-    return value
 
 
 class Engine:
@@ -150,19 +126,18 @@ class Engine:
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
         #: Per level, the bodies' bind-time scratch: the in-place stream's,
-        #: ``parts -> (parts, G, n_owned)``, and Accumulate's gather and
+        #: ``parts -> (parts, G, n_owned)``, and Accumulate's gather row and
         #: sums, ``"accumulate"``, each built when the first body binds there:
-        #: state, so the engine's, while the flat index maps live on the
-        #: grid (see :meth:`_map`).
+        #: state, so the engine's, while the index maps are the grid's.
         self.scratch: list[dict] = [{} for _ in self.levels]
 
     # -- setup ----------------------------------------------------------------
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
         """The level's buffers beside the grid's own maps: the grid states
         every map in the engine's row space, so none is copied here."""
-        Q, n_bins = self.lat.q, cl.coal_q.size
+        Q, n_bins = self.lat.q, cl.coal_bin.size
         read = np.zeros(Q * cl.n_ghost, dtype=bool)
-        read[_flat(cl.coal_q, cl.n_ghost, cl.coal_src)] = True
+        read[cl.coal_bin] = True
         if np.count_nonzero(read) != n_bins:
             raise ValueError(f"level {cl.level}: two Coalescence entries read "
                              f"one ghost bin; the accumulator has a slot per entry")
@@ -172,16 +147,7 @@ class Engine:
             n_owned=cl.n_owned, n_ghost=cl.n_ghost,
             n_used=cl.n_owned + cl.fine_ghost_slots.size,
             pull_flat=cl.pull_flat,
-            mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_term=cl.mov_term,
-            out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,
-            exp_q=cl.exp_q, exp_cell=cl.exp_cell, exp_rows=cl.exp_rows,
-            exp_ghost_rows=cl.exp_ghost_rows,
-            coal_q=cl.coal_q, coal_cell=cl.coal_cell, coal_src=cl.coal_src,
-            acc_fine_rows=cl.acc_fine_rows, acc_ghost_rows=cl.acc_ghost_rows,
-            n_acc=2 ** self.mgrid.d * n_bins,
-            fg_coarse_rows=cl.fg_coarse_rows,
             meta_bytes=sum(cl.grid.metadata_bytes().values()),
-            n_exp_cells=cl.n_interface_fine, n_coal_cells=cl.n_interface_coarse,
         )
 
     def allocate(self, config: FusionConfig) -> None:
@@ -248,66 +214,16 @@ class Engine:
                 uu = np.broadcast_to(np.asarray(u, dtype=np.float64)[:, None], (d, n)).copy()
             equilibrium(self.lat, rr, uu, out=buf.f)
 
-    # -- access reports --------------------------------------------------------
-    @staticmethod
-    def _span(rows: np.ndarray) -> tuple[int, int]:
-        """Half-open interval bounding the rows an index array touches."""
-        if rows.size == 0:
-            return (0, 0)
-        return (int(rows.min()), int(rows.max()) + 1)
-
     # -- index maps ------------------------------------------------------------
-    def _map(self, lv: int, key, make):
-        """Level ``lv``'s flat index map ``key``, built on first use.
-
-        The maps flatten 2-D ``(q, row)`` addressing into 1-D indices
-        over the contiguous buffers — stride ``n_owned`` in ``f``, the
-        fine-ghost count in ``fghost``, ``n_ghost`` in the device kernel's
-        ghost accumulator, which the reports name — so a body is one
-        gather/scatter instead of a per-``q`` loop.  They depend on the
-        level geometry alone, so they live on the grid's level
-        (:attr:`CompiledLevel.maps <repro.grid.multigrid.CompiledLevel.maps>`),
-        frozen, and every body bound on any engine over that grid shares
-        them.  Unlike the
-        grid's int32 tables they are ``intp`` (:func:`_flat`), the width
-        NumPy indexes with: an int32 map would be converted on every call
-        (DESIGN.md §18 has the price).
-        """
-        maps = self.mgrid.levels[lv].maps
-        got = maps.get(key)
-        if got is None:
-            got = maps[key] = _frozen(make())
-        return got
-
     def _pull_flat(self, lv: int) -> tuple[np.ndarray, tuple[int, int]]:
-        """The pull table, bounds-proven and frozen, and the span of the
-        ``f`` rows it reads.
-
-        The stream body gathers with ``mode="clip"`` (NumPy buffers an
-        ``out=`` gather it may have to abandon with an ``IndexError``),
-        so the check it skips is made here, once per array (a replaced
-        ``pull_flat`` is proven again); freezing the array keeps it true.
-        The same pass, one direction at a time in one scratch row (the
-        table is a level's largest array), takes the row span the stream
-        report states.  Kept with the grid's maps, as ``"pull"``.
-        """
-        table = self.levels[lv].pull_flat
-        maps = self.mgrid.levels[lv].maps
-        got = maps.get("pull")
-        if got is None or got[0] is not table:
-            n = self.levels[lv].n_owned
-            size = self.lat.q * n
-            lo, hi, low, high = n, 0, 0, -1     # an empty level spans [0, 0)
-            for entries, rows in zip(table, iter_pull_rows(table, n)) if n else ():
-                low, high = min(low, int(entries.min())), max(high, int(entries.max()))
-                lo, hi = min(lo, int(rows.min())), max(hi, int(rows.max()) + 1)
-            if low < 0 or high >= size:
-                raise IndexError(
-                    f"level {lv}: pull table entries leave [0, {size}): "
-                    f"min {table.min()}, max {table.max()}")
-            table.setflags(write=False)
-            got = maps["pull"] = (table, (lo, hi))
-        return got
+        """The level's pull table, bounds-proven and frozen, and the span of
+        the ``f`` rows it reads: the grid's, proven by its compile, or
+        a table put in its place, proven here on every bind
+        (:func:`~repro.grid.multigrid.pull_span`)."""
+        table, cl = self.levels[lv].pull_flat, self.mgrid.levels[lv]
+        span = cl.pull_span if table is cl.pull_flat else pull_span(table, cl.n_owned, lv)
+        table.setflags(write=False)
+        return table, span
 
     def split_parts(self, lv: int) -> int:
         """Parts level ``lv``'s split bodies may run in: at most
@@ -384,13 +300,13 @@ class Engine:
     def _accumulate(self, lv: int, mode: str):
         """Add level ``lv``'s fresh post-collision values into its parent's ghosts.
 
-        One gather of every accumulator slot's ``2^d`` children, child
-        by child (a ``(2^d, n_bins)`` map of flat ``f`` entries), then one
-        float64 reduce over the children, in order: the sum of each slot's
-        bin is the textbook per-``q`` sum's, term for term, and it is
-        rounded into ``ghost_acc``'s dtype once, when added.  A bin
+        Every accumulator slot's ``2^d`` children are gathered one child at
+        a time through the grid's ``(2^d, n_bins)`` map of flat ``f``
+        entries and added, in order, into float64 sums: the sum of each
+        slot's bin is the textbook per-``q`` sum's, term for term, and it
+        is rounded into ``ghost_acc``'s dtype once, when added.  A bin
         Coalescence does not read has no slot, so nothing sums it.  The
-        gather and the sums are bind-time buffers on :attr:`scratch`
+        gather row and the sums are bind-time buffers on :attr:`scratch`
         (``"accumulate"``).  ``mode`` selects the traffic attribution of the
         equivalent GPU kernel, which sums into a ``(Q, n_ghost)``
         accumulator: ``"fused"`` (Collision+Accumulate — the source values
@@ -399,47 +315,44 @@ class Engine:
         original baseline's coarse-initiated gather, launched over ghost
         cells).  The arithmetic is identical in all three.
         """
-        parent, fine = self.levels[lv - 1], self.levels[lv]
-        if parent.acc_ghost_rows.size == 0:
+        up = self.mgrid.levels[lv - 1]
+        if up.n_ghost == 0:
             return None
-        Q, ng = self.lat.q, parent.n_ghost
-        # the grid lists the children ghost by ghost: acc_ghost_rows is
-        # 0, .., 0, 1, .., 1, .. with 2^d of each
-        children = self._map(lv, "children", lambda: _flat(
-            parent.coal_q, fine.n_owned,
-            parent.acc_fine_rows.reshape(ng, -1).T.take(parent.coal_src, axis=1)))
-        acc, post_flat = parent.ghost_acc, fine.f.reshape(-1)
-        gathered, sums = self._acc_buffers(lv, children.shape)
-        take, reduce, add = np.take, np.add.reduce, np.add
+        Q, ng, children = self.lat.q, up.n_ghost, up.acc_children
+        acc, post_flat = self.levels[lv - 1].ghost_acc, self.levels[lv].f.reshape(-1)
+        row, sums = self._acc_buffers(lv, children.shape[1])
+        first, rest = children[0], tuple(children[1:])
+        take, copyto, add = np.take, np.copyto, np.add
 
         def run() -> None:
-            take(post_flat, children, out=gathered, mode="clip")
-            reduce(gathered, axis=0, dtype=np.float64, out=sums)
+            take(post_flat, first, out=row, mode="clip")
+            copyto(sums, row)
+            for kids in rest:
+                take(post_flat, kids, out=row, mode="clip")
+                add(sums, row, out=sums)
             add(acc, sums, out=acc)
 
         def report(t) -> None:
             i, nb = self.itemsize, self.itemsize * children.size
-            flo, fhi = self._span(parent.acc_fine_rows)
-            glo, ghi = self._span(parent.acc_ghost_rows)
-            t.read(FieldRef("f", lv), flo, fhi, 0 if mode == "fused" else nb)
+            t.read(FieldRef("f", lv), *up.acc_span, 0 if mode == "fused" else nb)
             if mode == "gather":
                 t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
                 t.write(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
             else:
                 if mode == "scatter":
                     t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
-                t.atomic(FieldRef("gacc", lv - 1), glo, ghi, nb)
+                t.atomic(FieldRef("gacc", lv - 1), 0, ng, nb)
         return run, report
 
-    def _acc_buffers(self, lv: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Level ``lv``'s Accumulate buffers: the ``(2^d, n_bins)`` gather
+    def _acc_buffers(self, lv: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level ``lv``'s Accumulate buffers: one ``(n_bins,)`` gather row
         in the engine's dtype and the float64 sums.  Every Accumulate body
         bound on the level shares them: they write the same slots, so
         never run at once."""
         got = self.scratch[lv].get("accumulate")
         if got is None:
             got = self.scratch[lv]["accumulate"] = (
-                np.empty(shape, self.dtype), np.empty(shape[1], np.float64))
+                np.empty(n_bins, self.dtype), np.empty(n_bins, np.float64))
         return got
 
     def _stream(self, lv: int, in_registers: bool = False):
@@ -448,21 +361,21 @@ class Engine:
         and the outflow values (one kernel on the GPU).
 
         In place: a direction group's rows read only that group's rows
-        (:func:`~repro.grid.multigrid.pull_groups`), so each group is
-        gathered from ``f`` into a scratch and copied back before the next
-        overwrites anything; the groups are dealt out to the split's
-        parts, each with a ``(G, n_owned)`` scratch (``G`` the largest
-        group) that every body bound on the level shares.  The report
-        prices the paper's two-buffer gather (``in_registers``, CASE: the
-        source values come from registers, so the read moves no bytes).
+        (:attr:`CompiledLevel.groups <repro.grid.multigrid.CompiledLevel.groups>`),
+        so each group is gathered from ``f`` into a scratch and copied back
+        before the next overwrites anything; the groups are dealt out to
+        the split's parts, each with a ``(G, n_owned)`` scratch (``G`` the
+        largest group) that every body bound on the level shares.  The
+        report prices the paper's two-buffer gather (``in_registers``,
+        CASE: the source values come from registers, so the read moves no
+        bytes).
         """
-        b = self.levels[lv]
+        b, cl = self.levels[lv], self.mgrid.levels[lv]
         Q, n = self.lat.q, b.n_owned
         f_flat = b.f.reshape(-1)
         table, span = self._pull_flat(lv)
-        mov, out = self._map(lv, "walls", lambda: (
-            (_flat(b.mov_q, n, b.mov_cell), b.mov_term) if b.mov_q.size else None,
-            (_flat(b.out_q, n, b.out_cell), b.out_val) if b.out_q.size else None))
+        mov = (cl.mov_dst, cl.mov_term) if cl.mov_dst.size else None
+        out = (cl.out_dst, cl.out_val) if cl.out_dst.size else None
         take, copyto = np.take, np.copyto
 
         def in_place(groups, scratch: np.ndarray) -> KernelBody:
@@ -477,8 +390,7 @@ class Engine:
                         copyto(dst, row)
             return part
 
-        groups = sorted(self._map(lv, "groups", lambda: tuple(pull_groups(
-            self.mgrid.levels[lv], self.lat))), key=len, reverse=True)
+        groups = cl.groups
         width = min(self.split_parts(lv), len(groups))
         scratch = self.scratch[lv].get(width)
         if scratch is None:
@@ -505,41 +417,37 @@ class Engine:
     def _explode(self, lv: int, from_ghost: bool, subsumed: bool = False):
         """Write the cross-level pulls of ``f`` from the coarse level's
         post-collision ``f`` (or, ``from_ghost``, from this level's
-        fine-ghost copies of it)."""
-        b = self.levels[lv]
-        if b.exp_q.size == 0:
+        fine-ghost copies of it, whose flat entries the 4a layout's body
+        derives from the grid's rows when it binds)."""
+        b, cl = self.levels[lv], self.mgrid.levels[lv]
+        dst = cl.exp_dst
+        if dst.size == 0:
             return None
         if from_ghost:
-            source, src_rows = self._fghost(lv), b.exp_ghost_rows - b.n_owned
+            source = self._fghost(lv)
+            src = dst // b.n_owned * source.shape[1] + (cl.exp_ghost_rows - b.n_owned)
+            read = FieldRef("fghost", lv), *row_span(cl.exp_ghost_rows)
         else:
-            source, src_rows = self.levels[lv - 1].f, b.exp_rows
-        dst, src = self._map(lv, ("exp", from_ghost), lambda: (
-            _flat(b.exp_q, b.n_owned, b.exp_cell),
-            _flat(b.exp_q, source.shape[1], src_rows)))
+            source, src = self.levels[lv - 1].f, cl.exp_src
+            read = FieldRef("f", lv - 1), *cl.exp_src_span
         f_flat, src_flat = b.f.reshape(-1), source.reshape(-1)
 
         def run() -> None:
             f_flat[dst] = src_flat[src]
 
         def report(t) -> None:
-            nb = self.itemsize * b.exp_q.size
-            lo, hi = self._span(b.exp_ghost_rows if from_ghost else b.exp_rows)
-            t.read(FieldRef("fghost", lv) if from_ghost
-                   else FieldRef("f", lv - 1), lo, hi, nb)
-            lo, hi = self._span(b.exp_cell)
+            nb = self.itemsize * dst.size
+            t.read(*read, nb)
             # fused into streaming, the write lands on entries the bulk
             # pull already paid for — no extra traffic
-            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb, entries=dst)
+            t.write(FieldRef("f", lv), *cl.exp_dst_span, 0 if subsumed else nb,
+                    entries=dst)
         return run, report
 
     def _coalesce(self, lv: int, subsumed: bool = False):
         """Average the accumulated ghosts into ``f``, then reset them."""
-        b = self.levels[lv]
-        Q, ng = self.lat.q, b.n_ghost
-        # ``src``: the bins the slots stand for, as entries of the device
-        # kernel's (Q, n_ghost) accumulator, which the report names
-        dst, src = self._map(lv, "coal", lambda: (
-            _flat(b.coal_q, b.n_owned, b.coal_cell), _flat(b.coal_q, ng, b.coal_src)))
+        b, cl = self.levels[lv], self.mgrid.levels[lv]
+        Q, ng, dst = self.lat.q, b.n_ghost, cl.coal_dst
         inv_navg = self.inv_navg
         acc, f_flat = b.ghost_acc, b.f.reshape(-1)
 
@@ -548,30 +456,29 @@ class Engine:
             acc.fill(0.0)
 
         def report(t) -> None:
-            nb = self.itemsize * b.coal_q.size
-            lo, hi = self._span(b.coal_src)
-            t.read(FieldRef("gacc", lv), lo, hi, nb, entries=src)
-            lo, hi = self._span(b.coal_cell)
-            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else nb, entries=dst)
+            # the slots' bins, as entries of the device kernel's (Q,
+            # n_ghost) accumulator, which the report names
+            nb = self.itemsize * dst.size
+            t.read(FieldRef("gacc", lv), *cl.coal_src_span, nb, entries=cl.coal_bin)
+            t.write(FieldRef("f", lv), *cl.coal_dst_span, 0 if subsumed else nb,
+                    entries=dst)
             t.write(FieldRef("gacc", lv), 0, ng, self.itemsize * Q * ng)
         return run, report
 
     def _explosion_copy(self, lv: int):
-        """Original baseline: mirror coarse post-collision state into fine ghosts."""
+        """Original baseline: mirror coarse post-collision state into fine
+        ghosts, one gather of the parents' columns (fghost column ``k`` is
+        fine ghost ``k``: the copy writes all of it)."""
         b, fghost = self.levels[lv], self._fghost(lv)
-        coarse = self.levels[lv - 1]
-        # fghost column k is fine ghost k: the copy writes all of it
-        src = self._map(lv, "copy", lambda: _flat(
-            np.arange(self.lat.q)[:, None], coarse.n_owned, b.fg_coarse_rows).reshape(-1))
-        fghost_flat, coarse_flat = fghost.reshape(-1), coarse.f.reshape(-1)
+        rows, coarse = self.mgrid.levels[lv].fg_coarse_rows, self.levels[lv - 1].f
+        take = np.take
 
         def run() -> None:
-            fghost_flat[:] = coarse_flat[src]
+            take(coarse, rows, axis=1, out=fghost, mode="clip")
 
         def report(t) -> None:
-            nb = self.itemsize * src.size
-            lo, hi = self._span(b.fg_coarse_rows)
-            t.read(FieldRef("f", lv - 1), lo, hi, nb)
+            nb = self.itemsize * fghost.size
+            t.read(FieldRef("f", lv - 1), *row_span(rows), nb)
             t.write(FieldRef("fghost", lv), b.n_owned, b.n_used, nb)
         return run, report
 
@@ -587,10 +494,10 @@ class Engine:
         atomic = 0
         name = "C"
         fused = fuse_accumulate and lv > 0
-        if fused and self.levels[lv - 1].acc_fine_rows.size:
+        if fused and self.levels[lv - 1].n_ghost:
             name = "CA"
             writes = writes + (FieldRef("gacc", lv - 1),)
-            atomic = self.itemsize * self.levels[lv - 1].n_acc
+            atomic = self.itemsize * self.mgrid.levels[lv - 1].acc_children.size
         omega, force = self.omega[lv], self.force[lv]
         self.rt.launch(name, lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n,
@@ -610,15 +517,14 @@ class Engine:
         """
         if lv == 0:
             raise ValueError("level 0 has no parent to accumulate into")
-        parent = self.levels[lv - 1]
-        m = parent.acc_fine_rows.size
-        if m == 0:
+        up = self.mgrid.levels[lv - 1]
+        ng = up.n_ghost
+        if ng == 0:
             return
-        ng = parent.n_ghost
-        moved, gacc = self.itemsize * parent.n_acc, self.itemsize * self.lat.q * ng
+        moved, gacc = self.itemsize * up.acc_children.size, self.itemsize * self.lat.q * ng
         self.rt.launch(
             "A", lv,
-            n_cells=(ng if gather else m),
+            n_cells=(ng if gather else 2 ** self.mgrid.d * ng),
             bytes_read=moved + gacc,
             bytes_written=gacc if gather else moved,
             atomic_bytes=0 if gather else moved,
@@ -644,25 +550,25 @@ class Engine:
     def op_stream(self, lv: int, *, fuse_explosion: bool = False,
                   fuse_coalescence: bool = False, exp_from_ghost: bool = False) -> None:
         """Streaming kernel, optionally fused with Explosion and/or Coalescence."""
-        buf = self.levels[lv]
+        buf, cl = self.levels[lv], self.mgrid.levels[lv]
         Q, n = self.lat.q, buf.n_owned
         name = "S"
         reads = [FieldRef("f", lv)]
         writes = [FieldRef("f", lv)]
         br = Q * self.itemsize * n + buf.meta_bytes
         bw = Q * self.itemsize * n
-        do_exp = fuse_explosion and buf.exp_q.size > 0
-        do_coal = fuse_coalescence and buf.coal_q.size > 0
+        do_exp = fuse_explosion and cl.exp_dst.size > 0
+        do_coal = fuse_coalescence and cl.coal_dst.size > 0
         if do_exp:
             name = name + "E"
             reads.append(FieldRef("fghost", lv) if exp_from_ghost
                          else FieldRef("f", lv - 1))
-            br += self.itemsize * buf.exp_q.size
+            br += self.itemsize * cl.exp_dst.size
         if do_coal:
             name = ("SEO" if do_exp else "SO")
             reads.append(FieldRef("gacc", lv))
             writes.append(FieldRef("gacc", lv))
-            br += self.itemsize * buf.coal_q.size
+            br += self.itemsize * cl.coal_dst.size
             bw += Q * self.itemsize * buf.n_ghost  # reset
         self.rt.launch(name, lv, n_cells=n, bytes_read=br, bytes_written=bw,
                        reads=tuple(reads), writes=tuple(writes),
@@ -673,12 +579,12 @@ class Engine:
 
     def op_explode(self, lv: int, exp_from_ghost: bool = False) -> None:
         """Separate Explosion kernel writing the cross-level pulls of ``f``."""
-        buf = self.levels[lv]
-        m = buf.exp_q.size
+        cl = self.mgrid.levels[lv]
+        m = cl.exp_dst.size
         if m == 0:
             return
         self.rt.launch(
-            "E", lv, n_cells=buf.n_exp_cells,
+            "E", lv, n_cells=cl.n_interface_fine,
             bytes_read=self.itemsize * m, bytes_written=self.itemsize * m,
             reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("f", lv - 1),),
             writes=(FieldRef("f", lv),),
@@ -686,14 +592,14 @@ class Engine:
 
     def op_coalesce(self, lv: int) -> None:
         """Separate Coalescence kernel: averaged ghost reads plus the reset."""
-        buf = self.levels[lv]
-        m = buf.coal_q.size
+        cl = self.mgrid.levels[lv]
+        m = cl.coal_dst.size
         if m == 0:
             return
         self.rt.launch(
-            "O", lv, n_cells=buf.n_coal_cells,
+            "O", lv, n_cells=cl.n_interface_coarse,
             bytes_read=self.itemsize * m,
-            bytes_written=self.itemsize * m + self.lat.q * self.itemsize * buf.n_ghost,
+            bytes_written=self.itemsize * m + self.lat.q * self.itemsize * cl.n_ghost,
             reads=(FieldRef("gacc", lv),),
             writes=(FieldRef("f", lv), FieldRef("gacc", lv)),
             fn=LazyBody(lambda: self._fuse(self._coalesce(lv))))
@@ -707,21 +613,21 @@ class Engine:
         under every config: the body collides in place, accumulates from
         ``f`` and streams in place (:meth:`_stream`).
         """
-        buf = self.levels[lv]
+        buf, cl = self.levels[lv], self.mgrid.levels[lv]
         Q, n = self.lat.q, buf.n_owned
         reads = [FieldRef("f", lv)]
         writes = [FieldRef("f", lv)]
         atomic = 0
         if lv > 0:
-            parent = self.levels[lv - 1]
-            if parent.acc_fine_rows.size:
-                atomic = self.itemsize * parent.n_acc
+            up = self.mgrid.levels[lv - 1]
+            if up.n_ghost:
+                atomic = self.itemsize * up.acc_children.size
                 writes.append(FieldRef("gacc", lv - 1))
-            if buf.exp_q.size:
+            if cl.exp_dst.size:
                 reads.append(FieldRef("f", lv - 1))
         omega, force = self.omega[lv], self.force[lv]
         self.rt.launch("CASE", lv, n_cells=n,
-                       bytes_read=Q * self.itemsize * n + self.itemsize * buf.exp_q.size + buf.meta_bytes,
+                       bytes_read=Q * self.itemsize * n + self.itemsize * cl.exp_dst.size + buf.meta_bytes,
                        bytes_written=Q * self.itemsize * n + atomic,
                        atomic_bytes=atomic,
                        reads=tuple(reads), writes=tuple(writes),

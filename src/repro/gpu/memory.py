@@ -105,14 +105,13 @@ def grid_memory_report(mgrid: MultiGrid, itemsize: int = 8,
 def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
     """Host bytes of a compiled stack's index arrays, one term per family.
 
-    Counted from the grid's sizes — cells, kind-list entries, blocks — at
-    the width every array is stored with: int32 indices, float64 wall
-    terms and outflow values, uint64 bitmask words.  ``pull`` (``Q``
-    entries per owned cell) dominates; ``blocks`` is the block-sparse
-    structure :func:`grid_memory_report` prices as ``metadata``, plus the
-    host's dense block table.  The engine shares these arrays; the flat
-    maps its bodies build depend on the kernels bound, so only
-    :func:`memory_ledger` counts them (``maps``).
+    Counted from the grid's sizes — cells, map entries, blocks — at the
+    width every array is stored with: int32 tables and rows, ``intp``
+    (8-byte) flat entries, float64 wall terms and outflow values, uint64
+    bitmask words.  ``pull`` (``Q`` entries per owned cell) dominates;
+    ``blocks`` is the block-sparse structure :func:`grid_memory_report`
+    prices as ``metadata``, plus the host's dense block table.  The
+    engine's bodies index with these arrays themselves.
     """
     q, d = mgrid.lattice.q, mgrid.d
     out = dict.fromkeys(("pull", "cells", "boundary", "explosion", "coalescence",
@@ -121,15 +120,15 @@ def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
         g, B = cl.grid, cl.grid.block_size
         out["pull"] += 4 * q * cl.n_owned
         out["cells"] += 4 * (cl.n_owned + cl.n_ghost + cl.fine_ghost_slots.size)
-        # (q, cell) pairs; slip adds its source direction and cell, moving
-        # walls and outlets a float64 value
-        out["boundary"] += (8 * (cl.bb_q.size + cl.sb_q.size) + 16 * cl.sl_q.size
-                            + 16 * (cl.mov_q.size + cl.out_q.size))
-        # (q, cell, coarse row, fine-ghost row) per pull; a coarse row per fine ghost
-        out["explosion"] += 16 * cl.exp_q.size + 4 * cl.fine_ghost_slots.size
-        out["coalescence"] += 12 * cl.coal_q.size
-        # a (fine row, ghost row) pair per child of a ghost cell
-        out["accumulate"] += 8 * 2 ** d * cl.n_ghost
+        # a solid link's (q, cell) pair; a moving wall's or outlet's
+        # entry and float64 value
+        out["boundary"] += 8 * cl.sb_q.size + 16 * (cl.mov_dst.size + cl.out_dst.size)
+        # (entry, coarse entry, fine-ghost row) per pull; a coarse row per fine ghost
+        out["explosion"] += 20 * cl.exp_dst.size + 4 * cl.fine_ghost_slots.size
+        # (entry, bin) per pull
+        out["coalescence"] += 12 * cl.coal_dst.size
+        # an entry per child of an accumulator slot
+        out["accumulate"] += 8 * cl.acc_children.size
         # origins and 3^d neighbours per block, the dense block table, the
         # bitmask words and the block-local offsets
         out["blocks"] += (4 * g.n_blocks * (d + 3 ** d)
@@ -142,7 +141,7 @@ def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
 #: attribute-name prefix (``CompiledLevel`` and its ``BlockSparseGrid``).
 _INDEX_PREFIXES = {
     "pull": ("pull_flat",), "cells": ("owned_slots", "ghost_slots", "fine_ghost_slots"),
-    "boundary": ("bb_", "sb_", "mov_", "out_", "sl_"),
+    "boundary": ("sb_", "mov_", "out_"),
     "explosion": ("exp_", "fg_coarse_rows"), "coalescence": ("coal_",),
     "accumulate": ("acc_",), "blocks": ("block_", "bitmask_words", "_local")}
 
@@ -178,11 +177,11 @@ def memory_arrays(obj):
 
     Owners in order: the grid compile (the :func:`index_bytes` families),
     the engine's ``LevelBuffers`` (``populations``, ``ghost_accumulators``,
-    ``fine_ghosts``), the grid's flat index maps (``maps``), the bodies'
-    bind-time scratch (``scratch``: the stream's, Accumulate's gather and
-    sums).  An allocation held twice is yielded under its first owner
-    (shared ``pull_flat`` counts once, as ``pull``); an empty one, which
-    shares no memory, wherever it is held.
+    ``fine_ghosts``), the bodies' bind-time scratch (``scratch``: the
+    stream's, Accumulate's gather row and sums).  An allocation held
+    twice is yielded under its first owner (shared ``pull_flat`` counts
+    once, as ``pull``); an empty one, which shares no memory, wherever it
+    is held.
     """
     engine = None if isinstance(obj, MultiGrid) else obj
     mgrid = obj if engine is None else engine.mgrid
@@ -190,8 +189,6 @@ def memory_arrays(obj):
     held += [(lv, _family(name), name, a) for lv, buf in
              enumerate(engine.levels if engine else ())
              for name, a in vars(buf).items() if isinstance(a, np.ndarray)]
-    held += [(cl.level, "maps", str(key), a) for cl in mgrid.levels
-             for key, value in cl.maps.items() for a in _arrays(value)]
     held += [(lv, "scratch", str(key), a) for lv, scratch in
              enumerate(engine.scratch if engine else ())
              for key, value in scratch.items() for a in _arrays(value)]

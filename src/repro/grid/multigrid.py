@@ -21,8 +21,11 @@ Construction happens in two phases:
    vectorised gathers — the CPU analogue of the paper's precomputed
    neighbour/ghost indices on the GPU.
 
-Every index array the compile emits is int32, the width its values need:
-the compile refuses a level whose ``Q * rows`` entry ids would not fit.
+The compile emits each map a kernel body reads once, in the form it is
+read: the tables and rows at int32, the width their values need (the
+compile refuses a level whose ``Q * rows`` entry ids would not fit), and
+the flat entries the bodies gather and scatter with at ``intp``, the
+width NumPy indexes with.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
            "MultiGrid", "build_multigrid", "compile_arrays", "grid_arrays_digest",
-           "iter_pull_rows", "pull_groups", "spec_digest"]
+           "iter_pull_rows", "pull_span", "row_span", "spec_digest"]
 
 _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # When a diagonal pull exits through several faces at once, the face with
@@ -318,42 +321,47 @@ def _validate_spec(spec: RefinementSpec) -> None:
 
 @dataclass
 class CompiledLevel:
-    """One level of the stack with every precomputed streaming map.
-
-    Every (direction, owned cell) pull that does not read an owned cell of
-    the same level (periodic wraps included) sits in exactly one kind
-    list, a COO table of directions ``*_q`` and owned rows ``*_cell``
-    (0..n_owned-1):
-
-    * ``bb`` — a resting wall or solid: halfway bounce-back (``sb``: the
-      solid links among them, for the momentum exchange);
-    * ``mov`` — a moving wall or inlet: bounce-back plus ``mov_term``,
-      ``2 w_i rho_w (e_i . u_w) / c_s^2``;
-    * ``out`` — an open outlet: the lattice weight ``out_val``;
-    * ``sl`` — a free-slip plane: direction ``sl_src_q`` of the tangential
-      neighbour in slot ``sl_src`` (specular reflection);
-    * ``exp`` — a cell of the next-coarser level (Eq. 10): its row there;
-    * ``coal`` — a cell of the next-finer level (Eq. 11): the ghost row
-      of the accumulator it averages.
+    """One level of the stack: every map a kernel body or report reads,
+    once, in the form it is read.
 
     ``pull_flat`` holds, per direction and owned cell, the entry ``q_src *
     n_owned + row`` of the level's flat ``(Q, n_owned)`` post-collision
     buffer that streaming reads (never a fine-ghost row: every source is
     an owned cell): the upstream row for an interior pull, the cell's own
-    opposite population for bounce-back, moving and inlet links, the
-    mirrored population of the tangential neighbour for slip, and the
-    entry itself where another kernel part supplies the value (outflow,
-    explosion, coalescence).  One read-only table, which the engine
-    shares; the kind lists stay its definition.
+    opposite population for bounce-back (resting walls, solids), moving
+    and inlet links, the mirrored population of the tangential neighbour
+    for slip, and the entry itself where another kernel part supplies the
+    value.  One read-only int32 table, which the engine shares;
+    ``pull_span`` bounds the rows it reads and ``groups`` are its
+    direction groups (:func:`_pull_groups`), largest first.
 
-    Every cross-level reference is a *row* of the buffers it indexes,
-    so the engine uses these arrays as they are.  Rows number a level's
-    owned cells in slot order, then its fine ghosts (:meth:`row_of_slot`).
+    The pulls the table leaves to another part are flat ``intp`` entries
+    ``q * n_owned + row`` of this level's ``f`` (``*_dst``; NumPy indexes
+    with ``intp``, an int32 map would be converted on every call), each
+    beside what it is given:
 
-    ``maps`` holds the flat index maps the engine's kernel bodies gather
-    and scatter with (:meth:`~repro.core.engine.Engine._map`), each built
-    by the first body that needs it and frozen: they are a function of
-    the geometry alone, so every engine on this grid shares them.
+    * ``mov`` — a moving wall or inlet: bounce-back plus ``mov_term``,
+      ``2 w_i rho_w (e_i . u_w) / c_s^2``;
+    * ``out`` — an open outlet: the lattice weight ``out_val``;
+    * ``exp`` — a cell of the next-coarser level (Eq. 10): ``exp_src``,
+      the entry ``q * n_owned + row`` of that level's ``f`` (the 4a
+      layout reads the same value in ``exp_ghost_rows``, this level's
+      fine-ghost rows);
+    * ``coal`` — a cell of the next-finer level (Eq. 11): the average of
+      ghost-accumulator slot ``e``, which stands for the int32 bin
+      ``coal_bin[e] = q * n_ghost + ghost`` of the device's ``(Q,
+      n_ghost)`` accumulator.
+
+    ``acc_children`` gives each accumulator slot its ``2^d`` children,
+    child-major: a ``(2^d, n_coal)`` map of flat ``intp`` entries of the
+    *finer* level's ``f`` (resolved by that level's compile).
+    ``fg_coarse_rows`` gives each fine ghost (4a) its parent's row in the
+    coarser level.  ``sb_q`` / ``sb_cell`` list the solid links for the
+    momentum exchange.  The ``*_span`` pairs are the half-open row
+    intervals the access reports state, and ``n_interface_*`` the owned
+    cells the Explosion and Coalescence kernels write: ints, taken once.
+    Rows number a level's owned cells in slot order, then its fine ghosts
+    (:meth:`row_of_slot`).
     """
 
     level: int
@@ -362,24 +370,24 @@ class CompiledLevel:
     ghost_slots: np.ndarray           # coarse-ghost accumulator cells
     fine_ghost_slots: np.ndarray      # 4-layer fine ghosts (original baseline)
     pull_flat: np.ndarray             # (Q, n_owned) flat f source entries
-    # -- boundary tables -----------------------------------------------------
-    bb_q: np.ndarray; bb_cell: np.ndarray
-    mov_q: np.ndarray; mov_cell: np.ndarray; mov_term: np.ndarray
-    out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
-    sl_q: np.ndarray; sl_cell: np.ndarray; sl_src_q: np.ndarray; sl_src: np.ndarray
-    # -- solid-link subset of the bounce-back table (momentum exchange) ------
+    pull_span: tuple[int, int]
+    groups: tuple[tuple[int, ...], ...]
+    # -- the stream's fix-ups, and the solid links ----------------------------
+    mov_dst: np.ndarray; mov_term: np.ndarray
+    out_dst: np.ndarray; out_val: np.ndarray
     sb_q: np.ndarray; sb_cell: np.ndarray
-    # -- cross-level tables ----------------------------------------------------
-    exp_q: np.ndarray; exp_cell: np.ndarray
-    exp_rows: np.ndarray             # the coarser level's owned rows
-    exp_ghost_rows: np.ndarray       # the same values in this level's fine ghosts (4a)
-    coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray    # ghost rows
-    # -- accumulate maps (present when a finer level exists) -----------------
-    acc_fine_rows: np.ndarray        # owned rows of the *finer* level, 2^d per ghost
-    acc_ghost_rows: np.ndarray       # rows of this level's ghost accumulator
-    # -- original-baseline explosion copy (coarse f* -> fine ghosts) ---------
-    fg_coarse_rows: np.ndarray       # per fine ghost, its parent's coarser row
-    maps: dict = field(default_factory=dict, repr=False, compare=False)
+    # -- cross-level maps ------------------------------------------------------
+    exp_dst: np.ndarray; exp_src: np.ndarray
+    exp_ghost_rows: np.ndarray       # the exp_src values in this level's fine ghosts (4a)
+    coal_dst: np.ndarray; coal_bin: np.ndarray
+    acc_children: np.ndarray         # (2^d, n_coal) entries of the finer level's f
+    fg_coarse_rows: np.ndarray       # per fine ghost, its parent's coarser row (4a)
+    # -- report spans and kernel cell counts -------------------------------------
+    exp_dst_span: tuple[int, int]; exp_src_span: tuple[int, int]
+    coal_dst_span: tuple[int, int]; coal_src_span: tuple[int, int]
+    acc_span: tuple[int, int]        # rows of the finer level the children read
+    n_interface_fine: int            # owned cells with an explosion pull
+    n_interface_coarse: int          # owned cells with a coalescence pull
 
     @property
     def n_owned(self) -> int:
@@ -401,16 +409,6 @@ class CompiledLevel:
         rows[self.fine_ghost_slots] = self.n_owned + np.arange(self.fine_ghost_slots.size)
         return rows
 
-    @property
-    def n_interface_fine(self) -> int:
-        """Owned cells with at least one explosion pull (fine side of an interface)."""
-        return _n_distinct(self.exp_cell, self.n_owned)
-
-    @property
-    def n_interface_coarse(self) -> int:
-        """Owned cells with at least one coalescence pull (coarse side)."""
-        return _n_distinct(self.coal_cell, self.n_owned)
-
 
 def _n_distinct(cells: np.ndarray, n: int) -> int:
     """How many distinct values ``cells`` holds, all in ``[0, n)``: a flag
@@ -418,6 +416,16 @@ def _n_distinct(cells: np.ndarray, n: int) -> int:
     flag = np.zeros(n, dtype=bool)
     flag[cells] = True
     return int(np.count_nonzero(flag))
+
+
+def row_span(rows: np.ndarray) -> tuple[int, int]:
+    """Half-open interval bounding the rows an index array holds."""
+    return (int(rows.min()), int(rows.max()) + 1) if rows.size else (0, 0)
+
+
+def _flat(q, stride: int, rows: np.ndarray) -> np.ndarray:
+    """Flat ``intp`` entries ``q * stride + rows`` of a ``(Q, stride)`` buffer."""
+    return np.asarray(q, dtype=np.intp) * stride + rows
 
 
 @dataclass
@@ -459,20 +467,40 @@ def iter_pull_rows(pull_flat: np.ndarray, n_owned: int):
         yield np.subtract(entries, rows, out=rows)
 
 
-def pull_groups(cl: CompiledLevel, lat: Lattice) -> list[tuple[int, ...]]:
-    """The moving directions of a level's pull table, in *direction
-    groups*: the smallest sets closed under the source directions their
-    rows read, so a group's rows can be gathered from the post-collision
-    values in ``f`` and written back over them while every other group's
-    sources stay untouched.
+def pull_span(pull_flat: np.ndarray, n_owned: int, level: int) -> tuple[int, int]:
+    """The half-open span of the rows a pull table reads, one direction at
+    a time in one scratch row (the table is a level's largest array).
 
-    Read off the kind lists, not the table: a row of direction ``q``
-    reads ``q`` (interior pulls, and the entries outflow, explosion and
-    coalescence supply themselves), ``opp q`` (bounce-back, moving and
-    inlet links) and ``sl_src_q`` (slip links).  So a direction is a
-    group of its own on a level without boundary links, a wall or solid
-    pairs it with ``opp q``, and a slip face can merge two pairs.  The
-    rest direction pulls every cell from itself and is left out.
+    The stream body gathers with ``mode="clip"`` (NumPy buffers an
+    ``out=`` gather it may have to abandon with an ``IndexError``), so the
+    bounds check it skips is made here: ``IndexError`` when an entry
+    leaves ``[0, Q * n_owned)``.
+    """
+    lo, hi, low, high = n_owned, 0, 0, -1      # an empty level spans [0, 0)
+    for entries, rows in zip(pull_flat, iter_pull_rows(pull_flat, n_owned)) if n_owned else ():
+        low, high = min(low, int(entries.min())), max(high, int(entries.max()))
+        lo, hi = min(lo, int(rows.min())), max(hi, int(rows.max()) + 1)
+    size = pull_flat.shape[0] * n_owned
+    if low < 0 or high >= size:
+        raise IndexError(f"level {level}: pull table entries leave [0, {size}): "
+                         f"min {pull_flat.min()}, max {pull_flat.max()}")
+    return lo, hi
+
+
+def _pull_groups(parts: dict[str, list], lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    """The moving directions of a level's pull table, in *direction
+    groups*, largest first: the smallest sets closed under the source
+    directions their rows read, so a group's rows can be gathered from
+    the post-collision values in ``f`` and written back over them while
+    every other group's sources stay untouched.
+
+    Read off the kind parts of :func:`_classify`: a row of direction
+    ``q`` reads ``q`` (interior pulls, and the entries outflow, explosion
+    and coalescence supply themselves), ``opp q`` (bounce-back, moving and
+    inlet links) and the mirrored direction (slip links).  So a direction
+    is a group of its own on a level without boundary links, a wall or
+    solid pairs it with ``opp q``, and a slip face can merge two pairs.
+    The rest direction pulls every cell from itself and is left out.
     """
     root = list(range(lat.q))
 
@@ -481,19 +509,15 @@ def pull_groups(cl: CompiledLevel, lat: Lattice) -> list[tuple[int, ...]]:
             q = root[q]
         return q
 
-    bounced = np.zeros(lat.q, dtype=bool)
-    bounced[cl.bb_q] = bounced[cl.mov_q] = True
-    slipped = np.zeros((lat.q, lat.q), dtype=bool)
-    slipped[cl.sl_q, cl.sl_src_q] = True
-    links = [(q, int(lat.opp[q])) for q in np.flatnonzero(bounced)]
-    links += [(int(a), int(b)) for a, b in np.argwhere(slipped)]
-    for a, b in links:
+    links = {(p[0], int(lat.opp[p[0]])) for p in parts["bb"] + parts["mov"]}
+    links |= {(p[0], p[2]) for p in parts["sl"]}
+    for a, b in sorted(links):
         root[find(a)] = find(b)
     groups: dict[int, list[int]] = {}
     for q in range(lat.q):
         if lat.e[q].any():
             groups.setdefault(find(q), []).append(q)
-    return [tuple(g) for g in groups.values()]
+    return tuple(sorted((tuple(g) for g in groups.values()), key=len, reverse=True))
 
 
 def _owner_labels(spec: RefinementSpec) -> list[np.ndarray]:
@@ -615,16 +639,17 @@ def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
 
 
 def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
-              padded: tuple[int, ...], table: np.ndarray, cell: np.ndarray,
-              owned_slots: np.ndarray):
+              padded: tuple[int, ...], table: np.ndarray, cell: np.ndarray):
     """Classification: every (direction, owned cell) pull of one level.
 
     Returns the pull table and the per-kind parts ``(q, rows, ...)`` in
     append order; an explosion part carries its padded pull sources,
     whose coarser parents are resolved later, and a ghost pull the index
     ``j`` its source has among the level's stored ghosts (:func:`_index_table`).
+    A slip part carries its mirrored direction, which :func:`_pull_groups`
+    reads; the table holds the links themselves.
     """
-    d, Q, n_owned = spec.d, lat.q, owned_slots.size
+    d, Q, n_owned = spec.d, lat.q, cell.size
     per, face_names, strides = spec.bc.periodic_axes(d), _face_names(d), _strides(padded)
     pull_flat = np.empty((Q, n_owned), dtype=np.int32)
     parts: dict[str, list] = {k: [] for k in ("bb", "sb", "mov", "out", "sl", "exp", "coal")}
@@ -709,7 +734,7 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
                 good = mrow >= 0
                 if good.any():
                     srows = rows[good]
-                    mark("sl", q, srows, mq, owned_slots.take(mrow[good]))
+                    mark("sl", q, srows, mq)
                     pull_flat[q, srows] = mq * n_owned + mrow[good]
                 if not good.all():
                     # mirrored source unavailable (interface or
@@ -726,14 +751,15 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
 
 
 def _link_coarser(up: CompiledLevel, periodic: list[bool], padded: tuple[int, ...],
-                  table: np.ndarray, exp_cells: np.ndarray,
+                  table: np.ndarray, n_owned: int, exp_cells: np.ndarray,
                   fg_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cross-level maps, by gather on the coarser level ``up``'s table of
     owned rows (built here, dropped on return): the parent rows of the
     padded explosion sources ``exp_cells`` and fine ghosts ``fg_cells``,
-    and the rows of ``up``'s ghost cells' children in this level's
-    ``table`` (its accumulate map, stored on ``up``).  Every one of them
-    is an owned cell."""
+    and, stored on ``up``, its accumulator slots' children: the rows of
+    its ghost cells' children in this level's ``table``, as entries of
+    the slots' directions in this level's ``(Q, n_owned)`` ``f``.  Every
+    one of them is an owned cell."""
     up_padded = tuple(n + 2 for n in up.grid.shape)
     up_cells = _slot_cells(up.grid, up_padded)
     up_table = _index_table(up_cells, up_padded, periodic, up.owned_slots)
@@ -748,10 +774,13 @@ def _link_coarser(up: CompiledLevel, periodic: list[bool], padded: tuple[int, ..
         strides = _strides(padded)
         first = sum((2 * c - 1) * s for c, s in zip(
             np.unravel_index(up_cells.take(up.ghost_slots), up_padded), strides))
-        kids = (first[:, None] + _cube_offsets(2, strides)).ravel()
-        up.acc_fine_rows = table.take(kids)
-        if up.acc_fine_rows.min() < 0:
+        kids = table.take((first[:, None] + _cube_offsets(2, strides)).ravel())
+        if kids.min() < 0:
             raise AssertionError("ghost child is not an owned fine cell")
+        # slot e stands for bin (q, ghost): its children are that ghost's
+        q, ghost = np.divmod(up.coal_bin, up.n_ghost)
+        up.acc_children = _flat(q, n_owned, kids.reshape(up.n_ghost, -1).T.take(ghost, axis=1))
+        up.acc_span = row_span(kids)
     return exp_rows, fg_rows
 
 
@@ -760,9 +789,11 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
     """Compile one level; ``coarser`` holds the levels compiled before it.
 
     Its dense transients — int8 owner labels and the int32 index table over
-    the box padded by one cell — are locals, gone on return.  A pull source
-    is one flat offset away from its cell, with no bounds test: the pad
-    holds the far side on periodic axes and _OUTSIDE / -1 elsewhere.
+    the box padded by one cell — are locals, gone on return, and so are
+    the kind lists: each leaves the level only as the maps the bodies read.
+    A pull source is one flat offset away from its cell, with no bounds
+    test: the pad holds the far side on periodic axes and _OUTSIDE / -1
+    elsewhere.
     """
     per = spec.bc.periodic_axes(spec.d)
     padded = tuple(n + 2 for n in labels[lvl].shape)
@@ -771,41 +802,49 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
     # int32 entry ids (the pull table's, the access reports') number the
     # (q, row) pairs of the row space, 4a's fine-ghost rows included, and
     # the (q, ghost) bins of the accumulator
-    n_rows, n_ghost = owned_slots.size + fine_ghost_slots.size, ghost_slots.size
+    n_owned, n_ghost = owned_slots.size, ghost_slots.size
+    n_rows = n_owned + fine_ghost_slots.size
     if lat.q * max(n_rows, n_ghost) >= 2 ** 31:
         raise ValueError(f"level {lvl} has {lat.q} x {max(n_rows, n_ghost)} "
                          f"population entries; int32 ids address fewer than 2**31")
-    pull_flat, parts = _classify(spec, lat, lab_flat, padded, table,
-                                 cells.take(owned_slots), owned_slots)
+    pull_flat, parts = _classify(spec, lat, lab_flat, padded, table, cells.take(owned_slots))
     exp_cells, fg_cells = _cat(parts["exp"], 2, np.int64), cells.take(fine_ghost_slots)
     del lab_flat, cells
-    col = {f"{k}_{name}": _cat(p, i) for k, p in parts.items()
-           for i, name in enumerate(("q", "cell"))}
+    q, rows = ({k: _cat(parts[k], i) for k in ("mov", "out", "sb", "exp", "coal")}
+               for i in (0, 1))
     # the j of a coarse ghost is its ghost row; of a fine ghost, j - n_ghost
     # counts the fine ghosts, whose rows follow the owned ones
-    col["coal_src"] = _cat(parts["coal"], 2)
-    col["exp_ghost_rows"] = _cat(parts["exp"], 3) + (owned_slots.size - n_ghost)
-    col["mov_term"] = _cat(parts["mov"], 2, np.float64)
-    col["sl_src_q"], col["sl_src"] = _cat(parts["sl"], 2), _cat(parts["sl"], 3)
+    coal_src = _cat(parts["coal"], 2)
+    exp_ghost_rows = _cat(parts["exp"], 3) + (n_owned - n_ghost)
+    groups, mov_term = _pull_groups(parts, lat), _cat(parts["mov"], 2, np.float64)
     del parts
-    coal, exp = col["coal_src"], col["exp_ghost_rows"]
-    if coal.size and not 0 <= coal.min() <= coal.max() < n_ghost:
+    if coal_src.size and not 0 <= coal_src.min() <= coal_src.max() < n_ghost:
         raise AssertionError("coalescence source missing from the ghost layer")
-    if exp.size and not owned_slots.size <= exp.min() <= exp.max() < n_rows:
+    if exp_ghost_rows.size and not n_owned <= exp_ghost_rows.min() <= exp_ghost_rows.max() < n_rows:
         raise AssertionError("explosion source missing from the fine-ghost layer")
     exp_rows = fg_coarse_rows = np.empty(0, dtype=np.int32)
     if lvl > 0:
         exp_rows, fg_coarse_rows = _link_coarser(
-            coarser[lvl - 1], per, padded, table, exp_cells, fg_cells)
+            coarser[lvl - 1], per, padded, table, n_owned, exp_cells, fg_cells)
     return CompiledLevel(
         level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
-        fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat, **col,
-        out_val=lat.w[col["out_q"]] if col["out_q"].size else np.empty(0),
-        exp_rows=exp_rows,
-        # acc_fine_rows: resolved by the next finer level's _link_coarser
-        acc_fine_rows=np.empty(0, dtype=np.int32),
-        acc_ghost_rows=np.repeat(np.arange(n_ghost, dtype=np.int32), 2 ** spec.d),
+        fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat,
+        pull_span=pull_span(pull_flat, n_owned, lvl), groups=groups,
+        mov_dst=_flat(q["mov"], n_owned, rows["mov"]), mov_term=mov_term,
+        out_dst=_flat(q["out"], n_owned, rows["out"]), out_val=lat.w[q["out"]],
+        sb_q=q["sb"], sb_cell=rows["sb"],
+        exp_dst=_flat(q["exp"], n_owned, rows["exp"]),
+        exp_src=_flat(q["exp"], coarser[lvl - 1].n_owned if lvl else 0, exp_rows),
+        exp_ghost_rows=exp_ghost_rows,
+        coal_dst=_flat(q["coal"], n_owned, rows["coal"]),
+        coal_bin=q["coal"] * n_ghost + coal_src,
+        # acc_children / acc_span: resolved by the next finer level's _link_coarser
+        acc_children=np.empty((2 ** spec.d, 0), dtype=np.intp),
         fg_coarse_rows=fg_coarse_rows,
+        exp_dst_span=row_span(rows["exp"]), exp_src_span=row_span(exp_rows),
+        coal_dst_span=row_span(rows["coal"]), coal_src_span=row_span(coal_src),
+        acc_span=(0, 0), n_interface_fine=_n_distinct(rows["exp"], n_owned),
+        n_interface_coarse=_n_distinct(rows["coal"], n_owned),
     )
 
 

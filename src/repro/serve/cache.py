@@ -4,10 +4,10 @@ Jobs of one geometry carry equal :class:`~repro.grid.multigrid.RefinementSpec`
 content — a parameter sweep varies the viscosity, which enters no grid.
 So each worker process keeps the :class:`~repro.grid.multigrid.MultiGrid`
 it built, keyed by :func:`~repro.grid.multigrid.spec_digest` of ``(spec,
-lattice)``, and with the grid everything it determines: the engine's
-flat index maps (``CompiledLevel.maps``) and the plan-admission verdicts
-(``MultiGrid.verdicts``).  What stays per job is what a job mutates or
-binds to its own parameters: the populations ``f``, the ghost
+lattice)``, and with the grid everything it determines: the flat index
+maps the kernel bodies read (the compile's) and the plan-admission
+verdicts (``MultiGrid.verdicts``).  What stays per job is what a job
+mutates or binds to its own parameters: the populations ``f``, the ghost
 accumulators, the stream's scratch, the bodies bound with the job's
 relaxation rates and force, and the plan that holds them.
 
@@ -16,8 +16,7 @@ An entry is checked on every hit: the cache records the grid's
 re-hashes on each lookup; a mismatch — a poisoned entry — is dropped and
 rebuilt.  The entries live in least-recently-used order under a byte
 budget, priced by :func:`~repro.gpu.memory.memory_ledger` (the grid's
-arrays and its maps, which the first job to bind them builds) whenever
-a miss adds an entry.
+arrays) whenever a miss adds an entry.
 """
 
 from __future__ import annotations

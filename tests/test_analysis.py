@@ -295,7 +295,7 @@ class TestCLI:
     def test_static_check_report_shape(self):
         rep = static_check(MODIFIED_BASELINE, "cavity2d-2lvl", steps=1)
         assert rep["findings"] == [] and rep["races"] == []
-        assert rep["refined_races"] == [] and rep["verdict"] == "legal"
+        assert rep["refined_races"] == [] and rep["verdict"] == "baseline"
         assert rep["kernels"] > 0 and rep["declared_waves"] > 0
         assert rep["refined_waves"] > 0 and rep["stable"]
 

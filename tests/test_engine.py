@@ -11,12 +11,11 @@ from repro.core.engine import Engine
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.lattice import D2Q9, D3Q19
 from repro.core.stepper import NonUniformStepper
-from repro.grid.multigrid import (DomainBC, FaceBC, RefinementSpec, build_multigrid,
-                                  pull_groups)
+from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, build_multigrid
 from repro.grid.geometry import wall_refinement
 from repro.neon.runtime import FieldRef, LazyBody
 
-from .test_multigrid import nested_box_spec, ref_compile
+from .test_multigrid import compiled_form, nested_box_spec, ref_compile, table_groups
 
 
 def run_op(op, *args, **kwargs):
@@ -66,7 +65,6 @@ class TestConstruction:
         assert all(isinstance(h, LazyBody) and h._body is None
                    for h in handles)
         assert eng.scratch == [{} for _ in eng.levels]
-        assert all(cl.maps == {} for cl in eng.mgrid.levels)
 
     def test_the_pull_table_is_the_grids(self):
         # one table per level, frozen from birth: the engine neither
@@ -247,9 +245,9 @@ class TestKernelRecords:
         eng = Engine(build_multigrid(spec, D2Q9), "bgk", omega0=1.2)
         eng.initialize()
         seen = set()
-        for lv, buf in enumerate(eng.levels):
-            for op, name, cells in ((eng.op_explode, "E", buf.exp_cell),
-                                    (eng.op_coalesce, "O", buf.coal_cell)):
+        for lv, cl in enumerate(eng.mgrid.levels):
+            for op, name, cells in ((eng.op_explode, "E", cl.exp_dst % cl.n_owned),
+                                    (eng.op_coalesce, "O", cl.coal_dst % cl.n_owned)):
                 if cells.size:
                     run_op(op, lv)
                     rec = eng.rt.records[-1]
@@ -275,8 +273,9 @@ class TestStreamingSemantics:
         run_op(eng.op_stream, 1, fuse_explosion=True)
         fine = eng.levels[1]
         coarse = eng.levels[0]
-        got = fine.f[fine.exp_q, fine.exp_cell]
-        expected = coarse.f[fine.exp_q, fine.exp_rows]     # collided in place
+        cl = eng.mgrid.levels[1]
+        got = fine.f.reshape(-1)[cl.exp_dst]
+        expected = coarse.f.reshape(-1)[cl.exp_src]     # collided in place
         assert np.array_equal(got, expected)
 
     def test_coalescence_is_scaled_average(self):
@@ -292,7 +291,7 @@ class TestStreamingSemantics:
         coarse = eng.levels[0]
         acc = coarse.ghost_acc.copy()
         run_op(eng.op_stream, 0, fuse_coalescence=True)
-        got = coarse.f[coarse.coal_q, coarse.coal_cell]
+        got = coarse.f.reshape(-1)[eng.mgrid.levels[0].coal_dst]
         expected = acc / 8.0  # 2 * 2^2; slot e is the bin entry e reads
         assert np.allclose(got, expected, atol=1e-15)
 
@@ -320,7 +319,7 @@ class TestStreamingSemantics:
         run_op(eng.op_explosion_copy, 1)
         fine = eng.levels[1]
         coarse = eng.levels[0]
-        assert np.array_equal(fine.fghost, coarse.f[:, fine.fg_coarse_rows])
+        assert np.array_equal(fine.fghost, coarse.f[:, eng.mgrid.levels[1].fg_coarse_rows])
 
     def test_stream_from_ghost_equals_direct(self):
         # 4a explosion path (via ghost copies) gives identical pull values
@@ -361,9 +360,9 @@ class TestBoundaryPhysics:
         eng.initialize(u=np.array([0.03, 0.0]))
         run_op(eng.op_collide, 1)
         run_op(eng.op_stream, 1)
-        fine = eng.levels[1]
-        got = fine.f[fine.out_q, fine.out_cell]
-        assert np.allclose(got, eng.lat.w[fine.out_q])
+        fine, cl = eng.levels[1], eng.mgrid.levels[1]
+        got = fine.f.reshape(-1)[cl.out_dst]
+        assert np.allclose(got, eng.lat.w[cl.out_dst // fine.n_owned])
 
 
 # -- every body against a textbook copy ------------------------------------------
@@ -387,39 +386,40 @@ def ref_collide(eng, lv):
 
 
 def ref_accumulate(eng, lv):
-    parent, fine, acc = eng.levels[lv - 1], eng.levels[lv], eng.dense_acc[lv - 1]
+    parent, fine, acc = eng.ref[lv - 1], eng.levels[lv], eng.dense_acc[lv - 1]
     for q in range(eng.lat.q):
         acc[q] += np.bincount(
-            parent.acc_ghost_rows, weights=fine.f[q, parent.acc_fine_rows],
-            minlength=parent.n_ghost)
+            parent["acc_ghost_rows"], weights=fine.f[q, parent["acc_fine_rows"]],
+            minlength=parent["ghost_slots"].size)
 
 
 def ref_stream(eng, lv):
-    """The row pull of the reference compile, then the grid's four kind
-    lists — disjoint sets (tests/test_multigrid.py), so in any order —
-    all from a copy of the post-collision values.  Nothing here reads
-    the folded table."""
-    b, cl, opp = eng.levels[lv], eng.mgrid.levels[lv], eng.lat.opp
+    """The row pull of the reference compile, then its four kind lists —
+    disjoint sets (tests/test_multigrid.py), so in any order — all from a
+    copy of the post-collision values.  Nothing here reads the grid."""
+    b, a, opp = eng.levels[lv], eng.ref[lv], eng.lat.opp
     fstar = b.f.copy()
     for q in range(eng.lat.q):
-        b.f[q] = fstar[q, eng.ref_pull_rows[lv][q]]
-    b.f[cl.bb_q, cl.bb_cell] = fstar[opp[cl.bb_q], cl.bb_cell]
-    b.f[cl.mov_q, cl.mov_cell] = fstar[opp[cl.mov_q], cl.mov_cell] + cl.mov_term
-    b.f[cl.out_q, cl.out_cell] = cl.out_val
-    b.f[cl.sl_q, cl.sl_cell] = fstar[cl.sl_src_q, cl.row_of_slot()[cl.sl_src]]
+        b.f[q] = fstar[q, a["pull_rows"][q]]
+    b.f[a["bb_q"], a["bb_cell"]] = fstar[opp[a["bb_q"]], a["bb_cell"]]
+    b.f[a["mov_q"], a["mov_cell"]] = fstar[opp[a["mov_q"]], a["mov_cell"]] + a["mov_term"]
+    b.f[a["out_q"], a["out_cell"]] = a["out_val"]
+    b.f[a["sl_q"], a["sl_cell"]] = fstar[a["sl_src_q"],
+                                         eng.mgrid.levels[lv].row_of_slot()[a["sl_src"]]]
 
 
 def ref_explode(eng, lv, from_ghost):
-    b = eng.levels[lv]
+    b, a = eng.levels[lv], eng.ref[lv]
+    q, cell = a["exp_q"], a["exp_cell"]
     if from_ghost:
-        b.f[b.exp_q, b.exp_cell] = b.fghost[b.exp_q, b.exp_ghost_rows - b.n_owned]
+        b.f[q, cell] = b.fghost[q, a["exp_ghost_rows"] - b.n_owned]
     else:
-        b.f[b.exp_q, b.exp_cell] = eng.levels[lv - 1].f[b.exp_q, b.exp_rows]
+        b.f[q, cell] = eng.levels[lv - 1].f[q, a["exp_rows"]]
 
 
 def ref_coalesce(eng, lv):
-    b, acc = eng.levels[lv], eng.dense_acc[lv]
-    b.f[b.coal_q, b.coal_cell] = acc[b.coal_q, b.coal_src] * eng.inv_navg
+    b, a, acc = eng.levels[lv], eng.ref[lv], eng.dense_acc[lv]
+    b.f[a["coal_q"], a["coal_cell"]] = acc[a["coal_q"], a["coal_src"]] * eng.inv_navg
     acc[:] = 0.0
 
 
@@ -429,21 +429,21 @@ def textbook(eng, lv, refs):
     accumulator (the bins nobody reads start at 0), the bodies run, and
     the slots read their bins back."""
     eng.dense_acc = []
-    for b in eng.levels:
+    for b, a in zip(eng.levels, eng.ref.values()):
         acc = np.zeros((eng.lat.q, b.n_ghost), b.ghost_acc.dtype)
-        acc[b.coal_q, b.coal_src] = b.ghost_acc
+        acc[a["coal_q"], a["coal_src"]] = b.ghost_acc
         eng.dense_acc.append(acc)
     for ref in refs:
         ref(eng, lv)
-    for b, acc in zip(eng.levels, eng.dense_acc):
-        b.ghost_acc[...] = acc[b.coal_q, b.coal_src]
+    for b, a, acc in zip(eng.levels, eng.ref.values(), eng.dense_acc):
+        b.ghost_acc[...] = acc[a["coal_q"], a["coal_src"]]
 
 
 def ref_explosion_copy(eng, lv):
     b, cl = eng.levels[lv], eng.mgrid.levels[lv]
     # fghost column k holds fine ghost k, row n_owned + k
     cols = cl.row_of_slot()[cl.fine_ghost_slots] - b.n_owned
-    b.fghost[:, cols] = eng.levels[lv - 1].f[:, b.fg_coarse_rows]
+    b.fghost[:, cols] = eng.levels[lv - 1].f[:, eng.ref[lv]["fg_coarse_rows"]]
 
 
 def ref_explode_direct(eng, lv):
@@ -511,8 +511,8 @@ def mixed_engine(d, cfg=ORIGINAL_BASELINE):
     spec = nested_box_spec(base, 3, DomainBC(faces), solid=True)
     eng = Engine(build_multigrid(spec, lat), "bgk", omega0=1.3)
     eng.allocate(cfg)
-    #: the row-space pull of the reference compile, for ref_stream
-    eng.ref_pull_rows = [a["pull_rows"] for a in ref_compile(spec, lat).values()]
+    #: the reference compile's kind lists and row-space pull, for the textbook
+    eng.ref = ref_compile(spec, lat)
     return eng
 
 
@@ -524,14 +524,17 @@ class TestKernelBodies:
         return mixed_engine(request.param)
 
     def test_grids_reach_every_index_map(self, engine):
-        for levels, names in (
-                (engine.mgrid.levels, ("bb_q", "sb_q", "mov_q", "out_q", "sl_q")),
-                (engine.levels, ("exp_q", "coal_q", "acc_fine_rows", "fg_coarse_rows",
-                                 "exp_ghost_rows"))):
-            for name in names:
-                assert any(getattr(lv, name).size for lv in levels), name
+        for name in ("sb_q", "mov_dst", "out_dst", "exp_dst", "coal_dst",
+                     "acc_children", "fg_coarse_rows", "exp_ghost_rows"):
+            assert any(getattr(cl, name).size for cl in engine.mgrid.levels), name
+        for name in ("bb_q", "sl_q"):       # in the pull table only
+            assert any(a[name].size for a in engine.ref.values()), name
         for cl, b in zip(engine.mgrid.levels, engine.levels):
             assert b.pull_flat is cl.pull_flat      # the table is the grid's
+        # ... and each map is the reference's lists in flat form
+        for lv, cl in enumerate(engine.mgrid.levels):
+            for name, want in compiled_form(engine.ref, lv, engine.lat)[0].items():
+                assert np.array_equal(getattr(cl, name), want), (lv, name)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_matches_textbook_body(self, engine, kernel):
@@ -561,51 +564,30 @@ class TestKernelBodies:
         # in the textbook's order; the bins are the ones Coalescence reads
         Q, children = engine.lat.q, 2 ** engine.mgrid.d
         for lv in range(1, len(engine.levels)):
-            parent, fine = engine.levels[lv - 1], engine.levels[lv]
-            engine._accumulate(lv, "scatter")
-            kids = engine.mgrid.levels[lv].maps["children"]
-            slots = parent.coal_q.size
-            assert kids.shape == (children, slots) == (children, parent.ghost_acc.size)
-            bins = parent.coal_q.astype(np.intp) * parent.n_ghost + parent.coal_src
-            assert np.unique(bins).size == slots < Q * parent.n_ghost
+            a, up, fine = engine.ref[lv - 1], engine.mgrid.levels[lv - 1], engine.levels[lv]
+            kids = up.acc_children
+            slots = a["coal_q"].size
+            assert kids.shape == (children, slots) == (children, engine.levels[lv - 1].ghost_acc.size)
+            q, ghost = np.divmod(up.coal_bin, up.n_ghost)
+            assert np.array_equal(q, a["coal_q"]) and np.array_equal(ghost, a["coal_src"])
+            assert np.unique(up.coal_bin).size == slots < Q * up.n_ghost
             # the textbook adds entry k of each q into bin (q, acc_ghost_rows[k])
-            order = np.argsort(parent.acc_ghost_rows, kind="stable")
-            first = np.searchsorted(parent.acc_ghost_rows[order], parent.coal_src)
+            order = np.argsort(a["acc_ghost_rows"], kind="stable")
+            first = np.searchsorted(a["acc_ghost_rows"][order], a["coal_src"])
             for c in range(children):
                 k = order[first + c]
-                assert np.array_equal(parent.acc_ghost_rows[k], parent.coal_src)
+                assert np.array_equal(a["acc_ghost_rows"][k], a["coal_src"])
                 assert np.array_equal(
-                    kids[c], parent.coal_q * fine.n_owned + parent.acc_fine_rows[k])
-            counts = np.bincount(parent.acc_ghost_rows, minlength=parent.n_ghost)
-            assert (counts.take(parent.coal_src) == children).all()
-            assert kids.size == parent.n_acc == children * slots
+                    kids[c], a["coal_q"] * fine.n_owned + a["acc_fine_rows"][k])
+            counts = np.bincount(a["acc_ghost_rows"], minlength=up.n_ghost)
+            assert (counts.take(a["coal_src"]) == children).all()
+            assert kids.size == children * slots
             # ... and the declarations count exactly those entries
             for launch in (lambda: engine.op_accumulate(lv),
                            lambda: engine.op_collide(lv, fuse_accumulate=True),
                            lambda: engine.op_fused_case(lv)):
                 rec = engine.rt.capture_plan(launch)[0]
                 assert rec.atomic_bytes == engine.itemsize * kids.size
-
-
-def table_groups(table, n):
-    """Direction groups of one level read off its pull table: the rows
-    joined by the source directions ``entry // n_owned`` they read,
-    identity rows (the rest direction) left out; sorted lists."""
-    root = list(range(table.shape[0]))
-
-    def find(q):
-        while root[q] != q:
-            q = root[q]
-        return q
-    moving = [q for q, row in enumerate(table)
-              if not np.array_equal(row, q * n + np.arange(n))]
-    for q in moving:
-        for src in np.unique(table[q] // n):
-            root[find(q)] = find(int(src))
-    groups = {}
-    for q in moving:
-        groups.setdefault(find(q), []).append(q)
-    return sorted(groups.values())
 
 
 #: kernel sequences of the configs on a level below the coarsest, all
@@ -633,7 +615,7 @@ class TestInPlace:
     def test_groups_are_closed_under_the_rows_sources(self, engine):
         merged = False
         for cl, b in zip(engine.mgrid.levels, engine.levels):
-            groups = pull_groups(cl, engine.lat)
+            groups = cl.groups
             assert sorted(map(sorted, groups)) == table_groups(b.pull_flat, b.n_owned)
             merged |= max(map(len, groups)) > 2
         assert merged                       # a slip face joins two pairs
@@ -667,7 +649,7 @@ class TestInPlace:
                 assert np.array_equal(gacc, wacc), (sequence, lv)
             # the collide ran in ``width`` tile-aligned calls, the stream
             # in ``width`` parts through the one scratch it bound
-            groups = pull_groups(engine.mgrid.levels[lv], engine.lat)
+            groups = engine.mgrid.levels[lv].groups
             assert len(engine.split_cuts(lv)) - 1 == width
             assert engine.split_parts(lv) == width < len(groups)
             bound = [k for k in engine.scratch[lv] if isinstance(k, int)]

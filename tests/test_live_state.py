@@ -330,17 +330,16 @@ def test_the_host_allocates_what_the_stream_addresses(workload):
 def scratch_bytes(engine):
     """What the bodies' scratch must hold: per level, one ``(G, n_owned)``
     block per part of the level's split stream, no more parts than
-    direction groups (``G`` the largest group), and Accumulate's gather of
-    the ``2^d`` children of each slot of its parent's accumulator, in
-    ``f``'s dtype, and the slots' float64 sums."""
+    direction groups (``G`` the largest group), and Accumulate's gather
+    row, one value per slot of its parent's accumulator in ``f``'s dtype,
+    and the slots' float64 sums."""
     total = 0
     for lv, buf in enumerate(engine.levels):
         groups = table_groups(buf.pull_flat, buf.n_owned)
         parts = min(engine.split_parts(lv), len(groups))
         total += parts * max(map(len, groups)) * buf.n_owned * buf.f.itemsize
         if lv:
-            parent = engine.levels[lv - 1]
-            total += parent.n_acc * buf.f.itemsize + 8 * parent.ghost_acc.size
+            total += engine.levels[lv - 1].ghost_acc.size * (buf.f.itemsize + 8)
     return total
 
 
@@ -374,7 +373,7 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
             # omits
             fine_ghosts_once = original.ghost_populations // 2
             # one accumulator slot per bin Coalescence reads
-            unread_bins = itemsize * sum(mgrid.lattice.q * cl.n_ghost - cl.coal_q.size
+            unread_bins = itemsize * sum(mgrid.lattice.q * cl.n_ghost - cl.coal_dst.size
                                          for cl in mgrid.levels)
             assert 0 < unread_bins < optimized.ghost_accumulators
             assert original.ghost_populations > 0
@@ -440,21 +439,23 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
     copies of them; 61.9 / 65.6 while the finest level held ``fstar``
     under CASE; 45.0 / 48.5 while the coarser levels held it; 43.1 / 46.6
     while the step ran in float64; 33.0 / 36.5 while the ghost accumulator
-    held every (q, ghost) bin and Accumulate staged its gather in float64
-    (reads 30.2 / 33.8; the ceilings are that + 5 %).  Every level streams in
+    held every (q, ghost) bin and Accumulate staged its gather in float64;
+    30.2 / 33.8 while the grid kept its kind lists beside the engine's flat
+    maps and Accumulate gathered every child at once (reads 27.1 / 30.6;
+    the ceilings are that + 5 %).  Every level streams in
     place through one ``(G, n_owned)`` scratch per split part, allocated
     once for every body bound on it; the split is pinned at 2 parts, so
     the heap does not depend on the host's CPUs.
     Admitting the plan again may add at most 4 MiB to the heap it starts
     from (25.9 MiB with the frozensets, 1.3 MiB with the shared sorted
     arrays, reads 0.1).  The memory ledger is within 2 % of the steady
-    heap (reads 0.6 % below it: 0.18 of 30.24 MiB)."""
+    heap (reads 0.6 % below it: 0.17 of 27.08 MiB)."""
     wl = lid_cavity(base=(16, 16, 16), num_levels=3)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl)
     with sim:
-        assert peak <= 35.5 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 31.8 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 32.2 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 28.4 * MiB, f"steady {current / MiB:.1f} MiB"
         assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # one part below the split floor; singletons on the boundary-free
@@ -463,11 +464,12 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
             0: (1, 1, n[0]), 1: (1, 1, n[1]), 2: (2, 2, n[2])}
         assert admit_peak - current <= 4 * MiB, (
             f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
-        # one (Q, n_owned) integer table per level and no other
-        per_cell = [sim.lattice.q * k for k in n]
-        tables = [(lv, a) for lv, _, _, a in memory_arrays(sim.engine)
-                  if a.size >= per_cell[lv] and a.dtype.kind in "iu"
-                  and a.itemsize >= 4]
+        # one (Q, n_owned) integer table per level and no other (a level's
+        # accumulate children index the finer level's f; the finest has none)
+        per_cell = [sim.lattice.q * k for k in n] + [1]
+        tables = [(lv, a) for lv, _, name, a in memory_arrays(sim.engine)
+                  if a.size >= per_cell[lv + (name == "acc_children")]
+                  and a.dtype.kind in "iu" and a.itemsize >= 4]
         assert [lv for lv, _ in tables] == list(range(sim.num_levels))
         for (lv, table), cl, buf in zip(tables, sim.mgrid.levels,
                                         sim.engine.levels):
@@ -475,7 +477,7 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
             assert table.dtype == np.int32 and not table.flags.writeable
         # declared atomic bytes are the entries the bound bodies gather
         plan = next(iter(sim.backend.plans.values()))
-        gathered = sum(sim.mgrid.levels[r.level].maps["children"].size
+        gathered = sum(sim.mgrid.levels[r.level - 1].acc_children.size
                        for r in plan.records if r.atomic_bytes)
         assert sum(r.atomic_bytes for r in plan.records) \
             == sim.engine.itemsize * gathered == 5_345_280
@@ -486,15 +488,16 @@ def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
     the geometry and config behind the ledger's ``sphere-kbc-unfused``.
     51.3 MiB steady / 55.9 MiB peak while every level held ``fstar``;
     36.9 / 41.5 while the step ran in float64; 29.2 / 33.6 while the ghost
-    accumulator held every (q, ghost) bin (reads 26.4 / 30.8; the
-    ceilings are that + 5 %).  The memory ledger is within 2 % of the
-    steady heap (reads 0.8 % below: 0.21 of 26.39 MiB)."""
+    accumulator held every (q, ghost) bin; 26.4 / 30.8 while the grid
+    kept its kind lists (reads 23.5 / 27.9; the ceilings are that + 5 %).
+    The memory ledger is within 2 % of the steady heap (reads 0.9 %
+    below: 0.21 of 23.54 MiB)."""
     wl = sphere_tunnel(scale=0.5)
     monkeypatch.setattr(engine_mod, "usable_cpus", lambda: 2)
     peak, current, admit_peak, sim = heap_readings(wl, fusion=MODIFIED_BASELINE)
     with sim:
-        assert peak <= 32.4 * MiB, f"peak {peak / MiB:.1f} MiB"
-        assert current <= 27.7 * MiB, f"steady {current / MiB:.1f} MiB"
+        assert peak <= 29.3 * MiB, f"peak {peak / MiB:.1f} MiB"
+        assert current <= 24.7 * MiB, f"steady {current / MiB:.1f} MiB"
         assert abs(current - sum(memory_ledger(sim.engine).values())) <= 0.02 * current
         n = [buf.n_owned for buf in sim.engine.levels]
         # (q, opp q) pairs on the levels with boundary links, a singleton
@@ -505,24 +508,31 @@ def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
         assert admit_peak - current <= 4 * MiB
 
 
+#: The grid's flat ``intp`` entries (:class:`~repro.grid.multigrid.CompiledLevel`).
+FLAT_MAPS = {"mov_dst", "out_dst", "exp_dst", "exp_src", "coal_dst", "acc_children"}
+
+
 @GRIDS
 @pytest.mark.parametrize("cfg", (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL),
                          ids=lambda c: c.name)
 def test_every_index_array_is_int32_and_the_grids(setup, cfg):
-    """The index heap at the width its values need: every integer array
-    the grid compile keeps (bitmask words aside: they are bits) is int32,
-    and the engine copies no grid map — each array of a level's buffers
-    other than the populations is the grid's own object.  No ``(Q,
-    n_owned)`` kind matrix is kept: the kind lists are the classification.
-    The flat maps the bound bodies gather and scatter with are ``intp``,
-    the index width NumPy converts every other one to, per call."""
+    """The index heap at the width its values need: every integer table
+    and row array the grid compile keeps (bitmask words aside: they are
+    bits) is int32, the flat maps the bodies gather and scatter with are
+    ``intp``, the index width NumPy converts every other one to, per
+    call; and the engine copies no grid map — each array of a level's
+    buffers other than the populations is the grid's own object.  No
+    ``(Q, n_owned)`` kind matrix and no kind list is kept: the compile
+    holds each map once, in the form a body reads it."""
     with make(setup, cfg) as sim:
-        sim.run(1)                          # binds every body, builds every map
-        assert not any(hasattr(cl, "kind") for cl in sim.mgrid.levels)
+        sim.run(1)                          # binds every body
+        assert not any(hasattr(cl, name) for cl in sim.mgrid.levels
+                       for name in ("kind", "maps", "bb_q", "sl_q", "exp_q", "coal_q",
+                                    "acc_fine_rows"))
         compiled = {id(a) for _, _, a in compile_arrays(sim.mgrid)}
         for lv, family, name, a in memory_arrays(sim.engine):
             if a.dtype.kind in "iu" and name != "bitmask_words":
-                width = np.intp if family == "maps" else np.int32
+                width = np.intp if name in FLAT_MAPS else np.int32
                 assert a.dtype == width, (lv, family, name, a.dtype)
             if family in index_bytes(sim.mgrid):
                 assert id(a) in compiled, (lv, family, name)

@@ -1052,7 +1052,7 @@ class TestGridCache:
         grid, cached = cache.get(job.spec, "D2Q9")
         again, hit = cache.get(job.spec, "D2Q9")
         assert not cached and hit and again is grid
-        grid.levels[0].coal_cell[0] += 1                   # poisoned
+        grid.levels[0].coal_dst[0] += 1                    # poisoned
         fresh, cached = cache.get(job.spec, "D2Q9")
         assert not cached and fresh is not grid and len(cache) == 1
         again, hit = cache.get(job.spec, "D2Q9")

@@ -30,7 +30,7 @@ from repro.grid.multigrid import (DomainBC, FaceBC, RefinementSpec, _validate_sp
 
 from .test_engine import (accumulate_twice_then_coalesce,
                           ref_accumulate_twice_then_coalesce, textbook)
-from .test_multigrid import random_specs
+from .test_multigrid import random_specs, ref_compile
 
 #: A fixed budget (the grid property's local one) keeps the module well
 #: under 30 s whatever profile the grid properties run at: the drawn
@@ -90,6 +90,7 @@ def test_accumulate_and_coalescence_match_the_textbook(spec):
     assume(spec.num_levels > 1)
     eng = Engine(build_multigrid(spec, lattice_of(spec)), "bgk", omega0=1.3,
                  dtype="float64")
+    eng.ref = ref_compile(spec, lattice_of(spec))     # the textbook's kind lists
     rng = np.random.default_rng(spec.num_levels)
     for lv in range(1, spec.num_levels):
         start = [{k: rng.uniform(0.2, 1.0, getattr(b, k).shape)

@@ -5,8 +5,8 @@ For every level of the anchor cavity (16^3 x 3, D3Q19), the half-scale
 KBC sphere (D3Q27) and the served 2-D geometries (96^2 x 2, 64^2 x 3,
 D2Q9), times the bound collide and stream bodies unsplit and split into
 two parts with the size floor removed, and prints one row per level and
-body: cells, population bytes per part, median microseconds of each and
-their ratio.  Run with one BLAS thread, on an otherwise idle host::
+body: cells, population bytes per part (host bytes: the step's dtype,
+float32 by default), median microseconds of each and their ratio.  Run with one BLAS thread, on an otherwise idle host::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/split_sweep.py
 """
@@ -60,7 +60,7 @@ def main() -> int:
                 for body in ("collide", "stream"):
                     t1 = _median_us(one[body], reps)
                     t2 = _median_us(two[body], reps)
-                    mb = engine.lat.q * 8 * n / 2 / 1e6
+                    mb = buf.f.nbytes / 2 / 1e6
                     print(f"{name:16s} {lv:2d} {body:8s} {n:7d} {mb:8.2f} "
                           f"{t1:10.0f} {t2:11.0f} {t1 / t2:6.2f}")
     return 0
