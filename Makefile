@@ -122,9 +122,10 @@ docs-check:
 	$(PYTHON) tools/check_links.py
 
 # One pass over the bind-time access map (the bound bodies' reports; no
-# body runs for it): reports against declarations, races on the declared
-# and interval-refined waves, fusion-legality proofs, lint pass, step-plan
-# certificates, a short run that must stay finite, and the seeded-illegal
+# body runs for it): reports against declarations (with the declared
+# dependency graph, what keeps every wave race-free), fusion-legality
+# proofs, lint pass, step-plan certificates carrying the declared waves
+# the executors replay, a short run that must stay finite, and the seeded-illegal
 # negative controls (a hoisted Collision; an Explode moved behind the
 # coarser Stream that overwrites what it reads).
 analysis:

@@ -1,4 +1,4 @@
-"""Declaration checks, race detection and plan admission for the mini-Neon model.
+"""Declaration checks and plan admission for the mini-Neon model.
 
 The Neon runtime (paper Section V-C) derives the dependency DAG — and
 therefore every synchronisation the schedule contains — from the field
@@ -16,8 +16,6 @@ reasons over the reports:
 * :mod:`repro.analysis.verify` — diffs each kernel's reported accesses
   against its :class:`~repro.neon.runtime.KernelRecord`'s declared
   reads/writes and byte counts;
-* :mod:`repro.analysis.races` — flags same-wave kernels whose accesses
-  conflict (atomic-atomic pairs are commutative and exempt);
 * :mod:`repro.analysis.static` — the stream and its access map with no
   body run, and fusion-legality contraction proofs with structured
   counterexamples;
@@ -25,12 +23,18 @@ reasons over the reports:
   droppable-buffer opportunities priced by the :mod:`repro.gpu` cost
   model;
 * :mod:`repro.analysis.certificate` — machine-readable step-plan
-  certificates (access map, wave schedule, legality verdict, lint
-  findings) plan admission validates;
+  certificates (access map, the declared wave schedule plan replay
+  runs, legality verdict, lint findings) plan admission validates;
 * :mod:`repro.analysis.cli` — ``python -m repro analysis`` checks every
   fusion configuration on small multigrid workloads in one pass over
-  the bind-time access map: declarations, races on the declared and
-  the interval-refined waves, legality, lint and certificates.
+  the bind-time access map: declarations, legality, lint and
+  certificates.
+
+No race detector runs over the waves: the schedule is built from the
+declarations (:func:`repro.neon.graph.build_dependency_graph`), which
+order every two kernels that declare a common field one of them
+writes, and the verifier reports any access to a field a kernel does
+not declare — so a same-wave conflict is a verifier finding first.
 
 Whether a report covers what its body actually does is checked by
 running the bodies on poisoned buffers (``tests/test_static_analysis.py``).
@@ -42,7 +46,6 @@ from .certificate import (CERTIFICATE_VERSION, build_certificate,
                           validate_certificate, write_certificate)
 from .cli import ALL_CONFIGS, main, small_workloads, static_check
 from .lint import LintFinding, LintReport, lint_stream
-from .races import Race, detect_races
 from .static import (Counterexample, LegalityProof, plan_stream,
                      prove_fusion_legality, seeded_illegal_proof)
 from .verify import Finding, verify_record, verify_trace
@@ -57,9 +60,7 @@ __all__ = [
     "LegalityProof",
     "LintFinding",
     "LintReport",
-    "Race",
     "build_certificate",
-    "detect_races",
     "lint_stream",
     "load_certificate",
     "main",

@@ -35,7 +35,7 @@ __all__ = ["Access", "AccessTracer", "EntrySet", "READ", "WRITE", "ATOMIC",
 
 #: Access kinds.  ``META`` is structural-metadata traffic (neighbour
 #: tables, bitmasks): it contributes to the read-byte total but names no
-#: field, so it is exempt from declaration matching and race checks.
+#: field, so it is exempt from declaration matching and conflict pairs.
 READ = "read"
 WRITE = "write"
 ATOMIC = "atomic"

@@ -1,8 +1,10 @@
 """Machine-readable step-plan certificates.
 
 A certificate is the static analyzer's output frozen as JSON: the
-declaration stream, the access map its bound bodies report, the wave schedule a
-dependency-driven runtime would issue, the fusion-legality verdict and
+declaration stream, the access map its bound bodies report, the wave
+schedule of the declared dependency graph (the waves
+:attr:`StepPlan.waves <repro.backend.plan.StepPlan.waves>` and the mp
+backend replay), the fusion-legality verdict and
 the lint findings — everything a compiled backend needs to *admit* a
 step plan without re-deriving the analysis (ROADMAP: "compiled step
 plans" behind the pluggable backend).
@@ -11,8 +13,8 @@ The stream digest binds a certificate to the exact declaration stream it
 proves things about: an executor can hash its own records and refuse a
 stale certificate.  ``validate_certificate`` re-checks the structural
 invariants (digest match, schema version, wave schedule is a permutation
-respecting program-order hazards) so a tampered or hand-edited file is
-rejected before anything trusts it.
+that puts every declared hazard's later kernel in a later wave) so a
+tampered or hand-edited file is rejected before anything trusts it.
 """
 
 from __future__ import annotations
@@ -74,8 +76,7 @@ def build_certificate(config: str, workload: str,
                       proof: LegalityProof, lint: LintReport,
                       steps: int) -> dict[str, Any]:
     """Assemble the certificate document for one (config, workload) plan."""
-    g = build_dependency_graph(list(records), reduce=False,
-                               access_map=accesses)
+    g = build_dependency_graph(list(records), reduce=False)
     waves = schedule_waves(g)
     kernels = []
     for i, r in enumerate(records):
@@ -147,10 +148,8 @@ def validate_certificate(cert: Mapping[str, Any],
     if sorted(flat) != list(range(n)):
         problems.append("wave schedule is not a permutation of the kernels")
     else:
-        # program-order hazards must never be scheduled *backwards*: a
-        # kernel may not sit in an earlier wave than a conflicting
-        # predecessor.  Same-wave sharing is allowed — the schedule is
-        # interval/entry-refined and the race gate proves disjointness.
+        # a kernel must sit in a later wave than every predecessor it
+        # shares a declared field with, one of the two writing it.
         wave_of = {i: w for w, wave in enumerate(waves) for i in wave}
         writes: dict[str, list[int]] = {}
         reads: dict[str, list[int]] = {}
@@ -158,12 +157,12 @@ def validate_certificate(cert: Mapping[str, Any],
             i = k["index"]
             for fld in k["reads"]:
                 for j in writes.get(fld, ()):  # RAW
-                    if wave_of[i] < wave_of[j]:
+                    if wave_of[i] <= wave_of[j]:
                         problems.append(
                             f"wave schedule breaks RAW {fld}: #{j} -> #{i}")
             for fld in k["writes"]:
                 for j in reads.get(fld, []) + writes.get(fld, []):
-                    if j != i and wave_of[i] < wave_of[j]:
+                    if j != i and wave_of[i] <= wave_of[j]:
                         problems.append(
                             f"wave schedule breaks hazard on {fld}: "
                             f"#{j} -> #{i}")

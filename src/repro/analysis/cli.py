@@ -5,19 +5,17 @@ one pass over the stream's bind-time access map (no body runs for it:
 :func:`~repro.analysis.static.plan_stream`) checks
 
 1. every kernel's reported accesses against its declarations
-   (:mod:`repro.analysis.verify`);
-2. every wave of the declared dependency graph, and of the
-   interval-refined one (the schedule a runtime exploiting disjoint row
-   ranges would use), for races at row-interval / exact-entry
-   granularity (:mod:`repro.analysis.races`);
-3. the fusion-legality proof, the lint pass and the step-plan
-   certificate;
+   (:mod:`repro.analysis.verify`) — with the declared dependency graph
+   ordering every two kernels that share a field one of them writes,
+   this is what keeps the waves plan replay runs free of races;
+2. the fusion-legality proof, the lint pass and the step-plan
+   certificate, whose wave schedule is that declared one;
 
 then steps the simulation to check it stays finite, and runs the
 seeded-illegal negative controls per workload (a Collision hoisted over
 an Explosion, and an Explode moved behind the coarser level's Stream).
 
-Exit status is non-zero when any finding, race or failed gate survives —
+Exit status is non-zero when any finding or failed gate survives —
 this is the CI gate that every future fusion/optimisation change must
 keep green.
 """
@@ -31,8 +29,6 @@ from typing import Any, Sequence, TextIO
 
 from ..bench.workloads import ALL_CONFIGS, SMALL_WORKLOADS
 from ..core.fusion import FusionConfig, get_config
-from ..neon.graph import build_dependency_graph, schedule_waves
-from .races import detect_races
 from .verify import verify_trace
 
 __all__ = ["ALL_CONFIGS", "main", "small_workloads", "static_check"]
@@ -59,14 +55,12 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
 
     1. the reports reproduce every declaration exactly
        (:func:`~repro.analysis.verify.verify_trace`);
-    2. no wave of the declared or of the interval-refined schedule
-       races (:func:`~repro.analysis.races.detect_races`);
-    3. the fusion is proved a legal contraction of the modified baseline
+    2. the fusion is proved a legal contraction of the modified baseline
        on the same engine
        (:func:`~repro.backend.compiler.prove_plan_legality`);
-    4. the lint pass reports no ``error``-severity findings;
-    5. the emitted certificate validates against the stream;
-    6. the simulation, stepped ``steps`` times on the interpreted
+    3. the lint pass reports no ``error``-severity findings;
+    4. the emitted certificate validates against the stream;
+    5. the simulation, stepped ``steps`` times on the interpreted
        backend, stays finite.
 
     With ``cert_dir``, the step-plan certificate is written there as
@@ -82,8 +76,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     records, accesses, sim = plan_stream(config, small_workloads()[workload],
                                          steps=steps)
     findings = verify_trace(records, accesses)
-    declared = build_dependency_graph(records, reduce=False)
-    declared_waves = schedule_waves(declared)
     proof = prove_plan_legality(sim.stepper, records, AccessTracer(), steps)
     lint = lint_stream(records, accesses, sim.engine)
     cert = build_certificate(config.name, workload, records, accesses, proof,
@@ -93,7 +85,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     if cert_dir is not None:
         cert_path = str(write_certificate(
             cert, f"{cert_dir}/{config.name}--{workload}.json"))
-    refined_waves = cert["wave_schedule"]
     with sim:
         sim.run(steps)
         stable = sim.is_stable()
@@ -103,15 +94,9 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "workload": workload,
         "steps": steps,
         "kernels": len(records),
-        "declared_edges": declared.number_of_edges(),
-        "declared_waves": len(declared_waves),
-        "refined_edges": cert["graph"]["edges"],
-        "refined_waves": len(refined_waves),
+        "declared_edges": cert["graph"]["edges"],
+        "declared_waves": len(cert["wave_schedule"]),
         "findings": [str(f) for f in findings],
-        "races": [str(r) for r in detect_races(records, accesses,
-                                               declared_waves)],
-        "refined_races": [str(r) for r in detect_races(records, accesses,
-                                                       refined_waves)],
         "verdict": proof.verdict,
         "pairs_checked": proof.pairs_checked,
         "counterexamples": [str(c) for c in proof.counterexamples],
@@ -143,8 +128,7 @@ def _negative_controls(workload: str, steps: int) -> list[dict[str, Any]]:
 
 
 def _problems(report: dict[str, Any]) -> int:
-    return (len(report["findings"]) + len(report["races"])
-            + len(report["refined_races"])
+    return (len(report["findings"])
             + (0 if report["verdict"] in ("legal", "baseline") else 1)
             + len(report["lint_errors"]) + len(report["certificate_problems"])
             + (0 if report["stable"] else 1))
@@ -165,17 +149,11 @@ def _run(configs: Sequence[FusionConfig], workloads: Sequence[str],
             print(f"[{status}] {rep['config']:>14s} x {rep['workload']:<14s} "
                   f"kernels={rep['kernels']:4d} "
                   f"waves={rep['declared_waves']:3d} "
-                  f"(refined {rep['refined_waves']:3d}) "
-                  f"races={len(rep['races']) + len(rep['refined_races'])} "
                   f"verdict={rep['verdict']:8s} "
                   f"pairs={rep['pairs_checked']:4d} "
                   f"touched={rep['touched_bytes']} B", file=out)
             for f in rep["findings"]:
                 print(f"    declaration: {f}", file=out)
-            for r in rep["races"]:
-                print(f"    race: {r}", file=out)
-            for r in rep["refined_races"]:
-                print(f"    race (refined schedule): {r}", file=out)
             for msg in rep["lint_errors"] + rep["certificate_problems"]:
                 print(f"    {msg}", file=out)
             if rep["verdict"] == "illegal":
@@ -200,7 +178,7 @@ def _run(configs: Sequence[FusionConfig], workloads: Sequence[str],
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro analysis",
-        description="Declaration verifier, race detector, fusion-legality "
+        description="Declaration verifier, fusion-legality "
                     "proof, lint pass and step-plan certificates for every "
                     "kernel-fusion configuration, over the access map the "
                     "bound bodies report (plus seeded-illegal controls).")

@@ -69,12 +69,10 @@ class StepPlan:
     def waves(self) -> tuple[tuple[int, ...], ...]:
         """The plan's wave schedule: record indices grouped by ASAP depth.
 
-        Scheduled over the *declared* field-level graph.  The
-        certificate's interval-refined schedule lets two kernels share a
-        field in one wave, which is sound only for bodies touching
-        exactly their declared rows; the accumulate body adds into its
-        whole accumulator.  Built on first use, so serial replay and
-        cold start never pay for it.
+        Scheduled over the declared field-level graph
+        (:func:`~repro.neon.graph.schedule_records`) — the same waves the
+        admission certificate records as its ``wave_schedule``.  Built
+        on first use, so serial replay and cold start never pay for it.
         """
         if self._waves is None:
             self._waves = tuple(

@@ -9,13 +9,15 @@ reduction of this DAG is what the paper draws in Figure 2; its depth is
 the number of unavoidable synchronisation points, and its width the
 concurrency the scheduler can exploit.
 
-When an ``access_map`` of reported accesses (see
-:mod:`repro.analysis.capture`) is supplied, edges are refined to
-row-interval granularity: two kernels that touch *disjoint* row ranges of
-the same field do not conflict, and concurrent atomic-add scatters to the
-same accumulator are commutative and carry no write-write edge.  This is
-the check that lets a fused kernel read one range of a field while a
-sibling writes another without serialising the pair.
+Scheduling reads the declarations only, as Neon does: the waves of
+:func:`schedule_records` are the ones plan replay runs.  The accesses
+the bound bodies report (see :mod:`repro.analysis.capture`) refine one
+thing, the pair enumeration of :func:`iter_conflict_pairs` that the
+fusion-legality proof checks: there two kernels touching *disjoint* row
+ranges or entry sets of one field do not conflict, and atomic-add
+scatters into one accumulator commute.  The declaration verifier
+(:mod:`repro.analysis.verify`) is what makes the declared schedule
+sound: a body touching a field its kernel does not declare is a finding.
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def iter_conflict_pairs(records: Sequence[KernelRecord],
 
     With an ``access_map`` (the accesses the bound bodies report),
     pairs are refined to row-interval / exact-entry granularity and
-    commutative atomic-atomic pairs are dropped, exactly as in
-    interval-refined graph construction.
+    commutative atomic-atomic pairs are dropped: fusion may reorder two
+    kernels whose patches of one field are disjoint (Explosion's and
+    Coalescence's ``f`` writes).
     """
     for j, rj in enumerate(records):
         jr, jw = set(rj.reads), set(rj.writes)
@@ -233,62 +236,31 @@ def iter_conflict_pairs(records: Sequence[KernelRecord],
 
 
 def build_dependency_graph(records: list[KernelRecord],
-                           reduce: bool = True,
-                           access_map: AccessMap | None = None,
-                           ) -> KernelDAG:
+                           reduce: bool = True) -> KernelDAG:
     """DAG over a kernel trace; node ``i`` is ``records[i]``.
 
     Node attributes: ``label`` (e.g. ``"S1"`` — kernel initial + level, the
-    paper's Fig. 2 naming), ``name``, ``level``.
-
-    ``access_map`` (record index → reported :class:`~repro.analysis.capture.Access`
-    list: the bind-time map of :func:`repro.backend.compiler.bind_stream`)
-    switches edge construction to row-interval granularity — see the
-    module docstring.
+    paper's Fig. 2 naming), ``name``, ``level``.  Edges are the declared
+    field-level RAW / WAR / WAW hazards (``dep`` attribute).
     """
     g = KernelDAG()
     for i, r in enumerate(records):
         g.add_node(i, label=f"{r.name}{r.level}", name=r.name, level=r.level)
-    if access_map is None:
-        last_writer: dict[FieldRef, int] = {}
-        readers_since_write: dict[FieldRef, list[int]] = {}
-        for i, r in enumerate(records):
-            for ref in r.reads:
-                if ref in last_writer:
-                    g.add_edge(last_writer[ref], i, dep="raw")
-                readers_since_write.setdefault(ref, []).append(i)
-            for ref in r.writes:
-                for j in readers_since_write.get(ref, ()):  # WAR
-                    if j != i:
-                        g.add_edge(j, i, dep="war")
-                if ref in last_writer and last_writer[ref] != i:  # WAW
-                    g.add_edge(last_writer[ref], i, dep="waw")
-                last_writer[ref] = i
-                readers_since_write[ref] = []
-    else:
-        # Interval-refined construction: a skipped edge means the two
-        # kernels touch disjoint rows, so *older* writers/readers stay
-        # live — keep full logs instead of only the most recent writer.
-        # Redundant (transitively implied) edges are harmless; the
-        # transitive reduction removes them.
-        writers: dict[FieldRef, list[int]] = {}
-        readers: dict[FieldRef, list[int]] = {}
-        for i, r in enumerate(records):
-            for ref in r.reads:
-                for j in writers.get(ref, ()):  # RAW
-                    if j != i and _refs_conflict(access_map, j, True, i, False, ref):
-                        g.add_edge(j, i, dep="raw")
-            for ref in r.writes:
-                for j in readers.get(ref, ()):  # WAR
-                    if j != i and _refs_conflict(access_map, j, False, i, True, ref):
-                        g.add_edge(j, i, dep="war")
-                for j in writers.get(ref, ()):  # WAW
-                    if j != i and _refs_conflict(access_map, j, True, i, True, ref):
-                        g.add_edge(j, i, dep="waw")
-            for ref in r.reads:
-                readers.setdefault(ref, []).append(i)
-            for ref in r.writes:
-                writers.setdefault(ref, []).append(i)
+    last_writer: dict[FieldRef, int] = {}
+    readers_since_write: dict[FieldRef, list[int]] = {}
+    for i, r in enumerate(records):
+        for ref in r.reads:
+            if ref in last_writer:
+                g.add_edge(last_writer[ref], i, dep="raw")
+            readers_since_write.setdefault(ref, []).append(i)
+        for ref in r.writes:
+            for j in readers_since_write.get(ref, ()):  # WAR
+                if j != i:
+                    g.add_edge(j, i, dep="war")
+            if ref in last_writer and last_writer[ref] != i:  # WAW
+                g.add_edge(last_writer[ref], i, dep="waw")
+            last_writer[ref] = i
+            readers_since_write[ref] = []
     return g.transitive_reduction() if reduce else g
 
 
@@ -308,19 +280,17 @@ def schedule_waves(g: KernelDAG) -> list[list[int]]:
     return [sorted(waves[k]) for k in sorted(waves)]
 
 
-def schedule_records(records: list[KernelRecord],
-                     access_map: AccessMap | None = None,
-                     ) -> list[list[int]]:
+def schedule_records(records: list[KernelRecord]) -> list[list[int]]:
     """Waves of a record list in one call (graph build + ASAP partition).
 
     This is the schedule plan replay executes: the thread-wave executor
     (:attr:`StepPlan.waves <repro.backend.plan.StepPlan.waves>`) and the
-    mp backend each call it once per admitted plan, never per step.  The
+    mp backend each call it once per admitted plan, never per step, and
+    the plan's certificate records it as its ``wave_schedule``.  The
     transitive reduction is skipped: redundant edges cannot change ASAP
     depths.
     """
-    return schedule_waves(
-        build_dependency_graph(records, reduce=False, access_map=access_map))
+    return schedule_waves(build_dependency_graph(records, reduce=False))
 
 
 def stream_assignment(g: KernelDAG) -> dict[int, tuple[int, int]]:

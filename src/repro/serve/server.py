@@ -71,6 +71,7 @@ from __future__ import annotations
 import asyncio
 import os
 import pickle
+import shutil
 import signal
 import tempfile
 import time
@@ -437,7 +438,8 @@ class JobServer:
 
         Admission is synchronous: the job is priced, checked against the
         per-tenant queue bound and the fleet cost budget, persisted, and
-        queued for the fair scheduler (not if its record cannot be written).
+        queued for the fair scheduler (not if its record cannot be written:
+        then the job's directory is removed and the error re-raised).
         """
         if not self._running:
             raise RuntimeError("server is not started")
@@ -517,7 +519,15 @@ class JobServer:
         log = EventLog(run_id=spec.job_id, **spec.label_dict())
         job = _Job(spec=spec, status=status, submitted_seq=self._seq, log=log,
                    encoded=spec.as_dict())
-        self._persist(job)
+        try:
+            self._persist(job)
+        except BaseException:
+            # a directory fsync can fail after the record landed: a submit
+            # that raises must leave nothing a restarted server admits
+            if not resumed:
+                shutil.rmtree(job_dir(self.root, spec.job_id),
+                              ignore_errors=True)
+            raise
         self._jobs[spec.job_id] = job
         self._queue.append(spec.job_id)
         self._outstanding_cost_us += cost.total_us

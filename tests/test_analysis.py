@@ -1,4 +1,4 @@
-"""Access reports, declaration verifier, race detector (repro.analysis)."""
+"""Access reports, declaration verifier, conflict pairs (repro.analysis)."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.capture import (ATOMIC, META, READ, WRITE, Access,
                                    AccessTracer, EntrySet)
 from repro.analysis.cli import ALL_CONFIGS, main, small_workloads, static_check
-from repro.analysis.races import access_conflict, detect_races
 from repro.analysis.static import plan_stream
 from repro.analysis.verify import verify_record, verify_trace
 from repro.backend.compiler import bind_stream
@@ -17,7 +16,7 @@ from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.stepper import NonUniformStepper
 from repro.grid.multigrid import build_multigrid
 from repro.core.lattice import get_lattice
-from repro.neon.graph import build_dependency_graph, schedule_waves
+from repro.neon.graph import iter_conflict_pairs
 from repro.neon.runtime import FieldRef, KernelRecord, LazyBody
 
 F0, FS0 = FieldRef("f", 0), FieldRef("fstar", 0)
@@ -171,133 +170,33 @@ class TestVerifier:
         assert bad and all(f.field.startswith("f@") for f in bad)
 
 
-class TestRaceDetector:
-    def test_injected_same_wave_plain_write_conflict(self):
-        # declared field sets are disjoint -> both kernels land in wave 0;
-        # the bodies actually write overlapping rows of the same field.
-        records = [rec("X", writes=(A0,)), rec("Y", writes=(B0,))]
-        captured = {0: [Access(F0, WRITE, 0, 10, 80)],
-                    1: [Access(F0, WRITE, 5, 15, 80)]}
-        waves = schedule_waves(build_dependency_graph(records, reduce=False))
-        assert waves == [[0, 1]]
-        races = detect_races(records, captured, waves)
-        assert len(races) == 1 and races[0].hazard == "waw"
-        assert races[0].field == str(F0)
-
-    def test_disjoint_rows_do_not_race(self):
-        records = [rec("X", writes=(A0,)), rec("Y", writes=(B0,))]
-        captured = {0: [Access(F0, WRITE, 0, 5, 40)],
-                    1: [Access(F0, WRITE, 5, 10, 40)]}
-        waves = [[0, 1]]
-        assert detect_races(records, captured, waves) == []
-
-    def test_atomic_atomic_commutes(self):
-        captured = {0: [Access(A0, ATOMIC, 0, 10, 80)],
-                    1: [Access(A0, ATOMIC, 0, 10, 80)]}
-        records = [rec("X"), rec("Y")]
-        assert detect_races(records, captured, [[0, 1]]) == []
-
-    def test_atomic_vs_plain_races(self):
-        records = [rec("X"), rec("Y")]
-        captured = {0: [Access(A0, ATOMIC, 0, 10, 80)],
-                    1: [Access(A0, READ, 2, 4, 16)]}
-        races = detect_races(records, captured, [[0, 1]])
-        assert len(races) == 1 and races[0].hazard == "atomic-plain"
-
-    def test_read_read_is_fine(self):
-        records = [rec("X"), rec("Y")]
-        captured = {0: [Access(A0, READ, 0, 10, 80)],
-                    1: [Access(A0, READ, 0, 10, 80)]}
-        assert detect_races(records, captured, [[0, 1]]) == []
-
+class TestConflictPairs:
     def test_exact_entries_decide_inside_overlapping_envelopes(self):
-        # Explosion's and Coalescence's f patches interleave: the refined
-        # schedule may put them in one wave, and the detector must agree
-        # with the graph that disjoint entries do not race
+        # Explosion's and Coalescence's f patches interleave: the legality
+        # proof lets fusion reorder them only when their entries are disjoint
         records = [rec("E", writes=(F0,)), rec("O", writes=(F0,))]
 
-        def wave(e0, e1):
+        def patches(e0, e1):
             return {i: [Access(F0, WRITE, 0, 10, 8, entries=EntrySet(e))]
                     for i, e in enumerate((e0, e1))}
 
-        disjoint, shared = wave([4, 0, 2], [1, 3, 5]), wave([4, 0, 2], [1, 4, 5])
-        assert detect_races(records, disjoint, [[0, 1]]) == []
-        assert build_dependency_graph(records, reduce=False,
-                                      access_map=disjoint).number_of_edges() == 0
-        races = detect_races(records, shared, [[0, 1]])
-        assert len(races) == 1 and races[0].hazard == "waw"
+        disjoint = patches([4, 0, 2], [1, 3, 5])
+        shared = patches([4, 0, 2], [1, 4, 5])
+        assert list(iter_conflict_pairs(records, disjoint)) == []
+        assert [p.dep for p in iter_conflict_pairs(records, shared)] == ["waw"]
         # one side exact, the other an interval: the envelopes decide
+        records = [rec("E", writes=(F0,)), rec("R", reads=(F0,))]
         mixed = {0: disjoint[0], 1: [Access(F0, READ, 5, 6, 8)]}
-        assert [r.hazard for r in detect_races(records, mixed, [[0, 1]])] == ["rw"]
-
-    def test_conflict_matrix(self):
-        w = Access(A0, WRITE, 0, 4, 32)
-        r = Access(A0, READ, 0, 4, 32)
-        a = Access(A0, ATOMIC, 0, 4, 32)
-        assert access_conflict(w, w) == "waw"
-        assert access_conflict(w, r) == "rw"
-        assert access_conflict(a, r) == "atomic-plain"
-        assert access_conflict(a, a) is None
-        assert access_conflict(r, r) is None
-
-
-class TestIntervalRefinedGraph:
-    def test_disjoint_row_ranges_do_not_conflict(self):
-        records = [rec("X", writes=(F0,)), rec("Y", writes=(F0,))]
-        access_map = {0: [Access(F0, WRITE, 0, 5, 40)],
-                      1: [Access(F0, WRITE, 5, 10, 40)]}
-        g = build_dependency_graph(records, reduce=False, access_map=access_map)
-        assert g.number_of_edges() == 0
-        g_decl = build_dependency_graph(records, reduce=False)
-        assert g_decl.number_of_edges() == 1  # declared view must serialise
-
-    def test_overlapping_rows_keep_edge(self):
-        records = [rec("X", writes=(F0,)), rec("Y", writes=(F0,))]
-        access_map = {0: [Access(F0, WRITE, 0, 6, 48)],
-                      1: [Access(F0, WRITE, 5, 10, 40)]}
-        g = build_dependency_graph(records, reduce=False, access_map=access_map)
-        assert g.has_edge(0, 1)
-
-    def test_atomic_scatters_commute(self):
-        records = [rec("X", writes=(A0,)), rec("Y", writes=(A0,))]
-        access_map = {0: [Access(A0, ATOMIC, 0, 10, 80)],
-                      1: [Access(A0, ATOMIC, 0, 10, 80)]}
-        g = build_dependency_graph(records, reduce=False, access_map=access_map)
-        assert g.number_of_edges() == 0
-
-    def test_missing_capture_stays_conservative(self):
-        records = [rec("X", writes=(F0,)), rec("Y", writes=(F0,))]
-        g = build_dependency_graph(records, reduce=False,
-                                   access_map={0: [Access(F0, WRITE, 0, 5, 40)]})
-        assert g.has_edge(0, 1)
-
-    def test_skipped_edge_keeps_older_writer_live(self):
-        # k0 writes rows [0,10); k1 writes rows [10,20) (no WAW with k0);
-        # k2 reads rows [0,5) -> must depend on k0 even though k1 wrote last.
-        records = [rec("W1", writes=(F0,)), rec("W2", writes=(F0,)),
-                   rec("R", reads=(F0,))]
-        access_map = {0: [Access(F0, WRITE, 0, 10, 80)],
-                      1: [Access(F0, WRITE, 10, 20, 80)],
-                      2: [Access(F0, READ, 0, 5, 40)]}
-        g = build_dependency_graph(records, reduce=False, access_map=access_map)
-        assert g.has_edge(0, 2)
-        assert not g.has_edge(1, 2)
-        assert not g.has_edge(0, 1)
-
-    def test_refined_trace_stays_schedulable(self):
-        records, accesses, _ = bound_stream(FUSED_FULL)
-        g = build_dependency_graph(records, reduce=False, access_map=accesses)
-        waves = schedule_waves(g)
-        assert detect_races(records, accesses, waves) == []
+        assert [p.dep for p in iter_conflict_pairs(records, mixed)] == ["raw"]
 
 
 class TestCLI:
     def test_static_check_report_shape(self):
         rep = static_check(MODIFIED_BASELINE, "cavity2d-2lvl", steps=1)
-        assert rep["findings"] == [] and rep["races"] == []
-        assert rep["refined_races"] == [] and rep["verdict"] == "baseline"
+        assert rep["findings"] == [] and rep["verdict"] == "baseline"
         assert rep["kernels"] > 0 and rep["declared_waves"] > 0
-        assert rep["refined_waves"] > 0 and rep["stable"]
+        assert rep["stable"] and not {"races", "refined_races", "refined_waves",
+                                      "refined_edges"} & rep.keys()
 
     def test_main_single_config_ok(self, capsys):
         assert main(["--config", "ours-4f", "--workload", "cavity2d-2lvl"]) == 0

@@ -8,8 +8,8 @@ from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
-from repro.neon.graph import (KernelDAG, build_dependency_graph, graph_stats,
-                              schedule_waves)
+from repro.neon.graph import (ConflictPair, KernelDAG, build_dependency_graph,
+                              graph_stats, iter_conflict_pairs, schedule_waves)
 from repro.neon.runtime import FieldRef, KernelRecord, Runtime
 
 
@@ -186,44 +186,77 @@ class TestGraphEdgeCases:
 
 
 class TestIntervalRefinement:
-    """Half-open interval semantics of the access-refined conflict test."""
+    """Half-open interval semantics of the access-refined conflict pairs
+    (:func:`~repro.neon.graph.iter_conflict_pairs` with an access map, as
+    the fusion-legality proof enumerates them)."""
 
     @staticmethod
-    def _graph(span_a, span_b):
+    def _pairs(span_a, span_b):
         from repro.analysis.capture import Access
         records = [rec("W", 0, writes=[F0]), rec("R", 0, reads=[F0])]
         amap = {0: [Access(F0, "write", span_a[0], span_a[1], 8)],
                 1: [Access(F0, "read", span_b[0], span_b[1], 8)]}
-        return build_dependency_graph(records, reduce=False, access_map=amap)
+        return list(iter_conflict_pairs(records, amap))
 
     def test_touching_half_open_intervals_do_not_conflict(self):
         # [0,5) then [5,10): row 5 is in exactly one of them
-        assert self._graph((0, 5), (5, 10)).number_of_edges() == 0
-        assert self._graph((5, 10), (0, 5)).number_of_edges() == 0
+        assert self._pairs((0, 5), (5, 10)) == []
+        assert self._pairs((5, 10), (0, 5)) == []
 
     def test_one_row_overlap_conflicts(self):
-        assert self._graph((0, 6), (5, 10)).number_of_edges() == 1
+        assert self._pairs((0, 6), (5, 10)) == [ConflictPair(0, 1, "raw", F0)]
 
     def test_identical_single_row_conflicts(self):
-        assert self._graph((5, 6), (5, 6)).number_of_edges() == 1
+        assert len(self._pairs((5, 6), (5, 6))) == 1
 
     def test_empty_interval_never_conflicts(self):
-        assert self._graph((5, 5), (0, 10)).number_of_edges() == 0
+        assert self._pairs((5, 5), (0, 10)) == []
 
     def test_exact_entry_sets_refine_overlapping_envelopes(self):
         # interleaved scatter patches: same bounding interval, disjoint
         # entries — must not conflict; sharing one entry must
         from repro.analysis.capture import Access, EntrySet
 
-        def graph(e0, e1):
+        def pairs(e0, e1):
             records = [rec("W", 0, writes=[F0]), rec("V", 0, writes=[F0])]
             amap = {i: [Access(F0, "write", 0, 10, 8, entries=EntrySet(e))]
                     for i, e in enumerate((e0, e1))}
-            return build_dependency_graph(records, reduce=False,
-                                          access_map=amap)
+            return list(iter_conflict_pairs(records, amap))
 
-        assert graph([4, 0, 2], [1, 3, 5, 3]).number_of_edges() == 0
-        assert graph([4, 0, 2], [1, 4, 5]).number_of_edges() == 1
+        assert pairs([4, 0, 2], [1, 3, 5, 3]) == []
+        assert pairs([4, 0, 2], [1, 4, 5]) == [ConflictPair(0, 1, "waw", F0)]
+
+    def test_atomic_scatters_commute(self):
+        from repro.analysis.capture import Access
+        records = [rec("X", 0, writes=[F0]), rec("Y", 0, writes=[F0])]
+        amap = {i: [Access(F0, "atomic", 0, 10, 80)] for i in range(2)}
+        assert list(iter_conflict_pairs(records, amap)) == []
+        assert len(list(iter_conflict_pairs(records))) == 1
+        # atomicity does not order an atomic add against a plain read
+        records = [rec("X", 0, writes=[F0]), rec("R", 0, reads=[F0])]
+        amap = {0: [Access(F0, "atomic", 0, 10, 80)],
+                1: [Access(F0, "read", 2, 4, 16)]}
+        assert list(iter_conflict_pairs(records, amap)) == [
+            ConflictPair(0, 1, "raw", F0)]
+
+    def test_missing_capture_stays_conservative(self):
+        from repro.analysis.capture import Access
+        records = [rec("X", 0, writes=[F0]), rec("Y", 0, writes=[F0])]
+        amap = {0: [Access(F0, "write", 0, 5, 40)]}
+        assert list(iter_conflict_pairs(records, amap)) == [
+            ConflictPair(0, 1, "waw", F0)]
+
+    def test_every_pair_is_enumerated_not_only_the_last_writer(self):
+        # W1 writes rows [0,10), W2 rows [10,20), R reads [0,5): R pairs
+        # with W1 although W2 wrote last, and with W2 not at all
+        from repro.analysis.capture import Access
+        records = [rec("W1", 0, writes=[F0]), rec("W2", 0, writes=[F0]),
+                   rec("R", 0, reads=[F0])]
+        amap = {0: [Access(F0, "write", 0, 10, 80)],
+                1: [Access(F0, "write", 10, 20, 80)],
+                2: [Access(F0, "read", 0, 5, 40)]}
+        assert list(iter_conflict_pairs(records, amap)) == [
+            ConflictPair(0, 2, "raw", F0)]
 
 
 class TestDegenerateSchedules:

@@ -651,11 +651,12 @@ class TestRestartResume:
 
 
 class TestCrashPoints:
-    """``os.replace`` fails once, at its k-th call in the server process,
-    for every k across submit -> run -> ``stop()`` of two jobs on one
-    worker.  A fresh server on the same root loses no job and admits no
-    spec but the submitted one; every job ends ``done`` with the serial
-    run's digest, or ``failed`` by the injected write of its final record."""
+    """``os.replace`` or ``os.fsync`` fails once, at its k-th call in the
+    server process, for every k across submit -> run -> ``stop()`` of two
+    jobs on one worker.  A fresh server on the same root loses no job and
+    admits no spec but the submitted one; every job ends ``done`` with the
+    serial run's digest, or ``failed`` by the injected write of its final
+    record."""
 
     JOBS = (cavity_job(base=10, levels=1, steps=4, job_id="a"),
             cavity_job(base=12, levels=2, steps=8, job_id="b"))
@@ -694,27 +695,29 @@ class TestCrashPoints:
             await srv.drain()
             return admitted, {j: await srv.result(j) for j in admitted}
 
-    def test_a_failed_replace_loses_no_job(self, tmp_path, monkeypatch):
+    def crash_sweep(self, tmp_path, monkeypatch, name):
+        """Fail ``os.<name>`` at its k-th server-side call, k = 1, 2, ...
+        until a run makes fewer calls; returns the last k."""
         serial = {job.job_id: serial_digest(job) for job in self.JOBS}
         by_id = {job.job_id: job for job in self.JOBS}
-        real, server = os.replace, os.getpid()
+        real, server = getattr(os, name), os.getpid()
         t0, k = time.monotonic(), 0
         while True:
             k += 1
             calls = 0
 
-            def replace(src, dst, *args, **kwargs):
+            def failing(*args, **kwargs):
                 nonlocal calls
                 if os.getpid() == server:      # forked workers write freely
                     calls += 1
                     if calls == k:
-                        raise OSError(f"injected: replace #{k}")
-                return real(src, dst, *args, **kwargs)
+                        raise OSError(f"injected: {name} #{k}")
+                return real(*args, **kwargs)
 
             root = str(tmp_path / f"k{k}")
-            monkeypatch.setattr(os, "replace", replace)
+            monkeypatch.setattr(os, name, failing)
             submitted, ended = asyncio.run(self.submit_run_stop(root))
-            monkeypatch.setattr(os, "replace", real)
+            monkeypatch.setattr(os, name, real)
             admitted, resumed = asyncio.run(self.resume(root))
 
             on_disk = {jid for jid, _ in scan_jobs(root)}
@@ -733,11 +736,20 @@ class TestCrashPoints:
                     assert res.state_digest == serial[jid], (k, jid)
                 else:   # the failed write was the record of a finished run
                     assert res.state == "failed", (k, jid, res.state)
-                    assert f"injected: replace #{k}" in res.error, (k, jid)
+                    assert f"injected: {name} #{k}" in res.error, (k, jid)
             if calls < k:
                 break                          # this run wrote without a fault
-        assert k > 8                          # every record write was hit
         assert time.monotonic() - t0 < 30
+        return k
+
+    def test_a_failed_replace_loses_no_job(self, tmp_path, monkeypatch):
+        # every record write was hit
+        assert self.crash_sweep(tmp_path, monkeypatch, "replace") > 8
+
+    def test_a_failed_fsync_loses_no_job(self, tmp_path, monkeypatch):
+        # each write fsyncs the file before its replace and the directory
+        # after it: a failure after the replace leaves the record on disk
+        assert self.crash_sweep(tmp_path, monkeypatch, "fsync") > 16
 
 
 def job_lines(root, job_id):

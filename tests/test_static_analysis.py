@@ -29,6 +29,7 @@ from repro.core.stepper import NonUniformStepper
 from repro.gpu.device import get_device
 from repro.gpu.memory import memory_ledger
 from repro.grid.multigrid import DomainBC, FaceBC, build_multigrid
+from repro.neon.graph import build_dependency_graph, graph_stats
 from repro.neon.runtime import FieldRef, KernelRecord
 
 from .test_multigrid import INTERIOR, folded_pull, nested_box_spec, ref_compile
@@ -616,6 +617,25 @@ class TestCertificates:
         reversed_waves = [list(w) for w in reversed(cert["wave_schedule"])]
         bad = dict(cert, wave_schedule=reversed_waves)
         assert any("breaks" in p for p in validate_certificate(bad))
+        # each kernel of an ASAP wave conflicts with one of the wave before
+        # it: sharing one wave with a conflicting predecessor is a race
+        first, second, *rest = cert["wave_schedule"]
+        bad = dict(cert, wave_schedule=[sorted(first + second), *rest])
+        assert any("breaks" in p for p in validate_certificate(bad))
+
+    @pytest.mark.parametrize("workload", sorted(small_workloads()))
+    @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
+    def test_certificate_schedule_is_the_replayed_one(self, config, workload):
+        """One schedule per step: an admitted plan's certificate records the
+        declared graph and the waves its executors replay."""
+        wl = lid_cavity(**small_workloads()[workload])
+        with Simulation.from_config(wl.spec,
+                                    wl.sim_config(fusion=config)) as sim:
+            plan = compile_plan(sim.stepper, workload=workload)
+        cert = plan.certificate
+        assert cert["wave_schedule"] == [list(w) for w in plan.waves]
+        assert cert["graph"] == graph_stats(
+            build_dependency_graph(list(plan.records), reduce=False))
 
     def test_illegal_verdict_needs_counterexample(self):
         _, cert = self._cert()
