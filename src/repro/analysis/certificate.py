@@ -96,7 +96,7 @@ def build_certificate(config: str, workload: str,
         "stream_digest": stream_digest(records),
         "kernels": kernels,
         "wave_schedule": [list(w) for w in waves],
-        "graph": graph_stats(g),
+        "graph": graph_stats(g, waves),
         "legality": {
             "verdict": proof.verdict,
             "baseline": proof.baseline,

@@ -219,10 +219,51 @@ def grid_arrays_digest(grid: MultiGrid) -> str:
 
 
 def _upsample2(mask: np.ndarray) -> np.ndarray:
-    out = mask
-    for axis in range(mask.ndim):
-        out = np.repeat(out, 2, axis=axis)
-    return out
+    """Each cell of ``mask`` as its ``2^d`` children: the last axis doubled
+    by reading each bool as the two equal bytes of a uint16 (0 or 257),
+    the others by one broadcast copy of those rows."""
+    rows = (mask.astype(np.uint16) * 257).view(bool)
+    split = rows.reshape(sum(((n, 1) for n in mask.shape[:-1]), ()) + rows.shape[-1:])
+    wide = tuple(2 if i % 2 else n for i, n in enumerate(split.shape[:-1])) + rows.shape[-1:]
+    return np.broadcast_to(split, wide).reshape(tuple(2 * n for n in mask.shape))
+
+
+#: How far past the cells a level covers its build reads: the four
+#: fine-ghost layers, plus one for the pull and the pad.
+_REACH = 5
+
+
+def _half(win: tuple[slice, ...], coarse: tuple[slice, ...] | None = None
+          ) -> tuple[slice, ...]:
+    """The parents of the window ``win`` (even bounds), in an array over the
+    coarser level's window ``coarse`` (its whole box when ``None``)."""
+    lo = [0] * len(win) if coarse is None else [c.start for c in coarse]
+    return tuple(slice(s.start // 2 - o, s.stop // 2 - o) for s, o in zip(win, lo))
+
+
+def _child_window(region: np.ndarray, win: tuple[slice, ...], block: int,
+                  periodic: list[bool]) -> tuple[slice, ...]:
+    """The next finer level's window: the bounding box of the children of
+    ``region`` (a mask over this level's window ``win``) grown by
+    ``_REACH``, rounded out to multiples of ``block`` and 2 and clipped to
+    the children of ``win``; a periodic axis spans the box, as ``win`` does."""
+    step, out = math.lcm(block, 2), []
+    for axis, (s, wrap) in enumerate(zip(win, periodic)):
+        if wrap:
+            out.append(slice(2 * s.start, 2 * s.stop))
+            continue
+        hit = np.flatnonzero(region.any(axis=tuple(a for a in range(region.ndim)
+                                                   if a != axis)))
+        lo = (2 * (s.start + int(hit[0])) - _REACH) // step * step
+        hi = -(-(2 * (s.start + int(hit[-1]) + 1) + _REACH) // step) * step
+        out.append(slice(max(lo, 2 * s.start), min(hi, 2 * s.stop)))
+    return tuple(out)
+
+
+def _spills(mask: np.ndarray, win: tuple[slice, ...]) -> bool:
+    """Whether ``mask`` flags a cell outside the window ``win``."""
+    inner = mask[win]
+    return inner.size != mask.size and np.count_nonzero(inner) != np.count_nonzero(mask)
 
 
 def _dilate(mask: np.ndarray, radius: int,
@@ -251,10 +292,17 @@ def _dilate(mask: np.ndarray, radius: int,
     return out
 
 
-def _validate_spec(spec: RefinementSpec) -> None:
+def _validate_spec(spec: RefinementSpec) -> list[tuple[slice, ...]]:
+    """Refuse a spec the compile cannot build (``ValueError``), checking
+    each rule inside the levels' *windows*, and return them: slices of
+    each level's box, the whole box for level 0, then the
+    :func:`_child_window` of each refined region."""
     spec.bc.validate(spec.d)
+    if spec.block_size < 2:
+        raise ValueError("block_size must be at least 2")
     per = spec.bc.periodic_axes(spec.d)
-    covered = np.ones(spec.base_shape, dtype=bool)
+    win = tuple(slice(0, n) for n in spec.base_shape)
+    windows, covered, ghost_children = [win], np.ones(spec.base_shape, dtype=bool), None
     for k, region in enumerate(spec.refine_regions):
         region = np.asarray(region, dtype=bool)
         expected = spec.level_shape(k)
@@ -262,13 +310,25 @@ def _validate_spec(spec: RefinementSpec) -> None:
             raise ValueError(
                 f"refine_regions[{k}] has shape {region.shape}, expected {expected}"
             )
+        inner = region[win]
+        # The coarse-ghost layer of level k - 1 lives in the first cell ring
+        # inside its refined region; their level-k children must be owned
+        # by level k, so this interface has to stay clear of them.
+        if ghost_children is not None and (ghost_children & inner).any():
+            raise ValueError(
+                f"refine_regions[{k}] starts too close to the "
+                f"level-{k - 1}/{k} interface: the ghost layer's children "
+                f"must remain level-{k} cells (leave at least two "
+                f"level-{k} cells between successive interfaces)"
+            )
         if not region.any():
             raise ValueError(f"refine_regions[{k}] refines nothing")
-        if (region & ~covered).any():
+        if _spills(region, win) or (inner & ~covered).any():
             raise ValueError(
                 f"refine_regions[{k}] refines cells not covered by level {k} "
                 "(refinement regions must nest)"
             )
+        region = inner
         if not (covered & ~region).any():
             raise ValueError(
                 f"refine_regions[{k}] refines every level-{k} cell: "
@@ -282,21 +342,12 @@ def _validate_spec(spec: RefinementSpec) -> None:
                 "(needs at least one unrefined cell of the previous level "
                 "between successive refinement boundaries)"
             )
-        # The coarse-ghost layer of level k lives in the first level-k cell
-        # ring inside the refined region; its level-(k+1) children must be
-        # owned by level k+1, so the next interface has to stay clear of it
-        # (and so do the solid cells, where level k+1 is the finest).
-        ghost_children = _upsample2(_dilate(covered & ~region, 1, per) & region)
-        if k + 1 < len(spec.refine_regions):
-            nxt = np.asarray(spec.refine_regions[k + 1], dtype=bool)
-            if (ghost_children & nxt).any():
-                raise ValueError(
-                    f"refine_regions[{k + 1}] starts too close to the "
-                    f"level-{k}/{k + 1} interface: the ghost layer's children "
-                    f"must remain level-{k + 1} cells (leave at least two "
-                    f"level-{k + 1} cells between successive interfaces)"
-                )
-        covered = _upsample2(region)
+        child = _child_window(region, win, spec.block_size, per)
+        ghost_children = _upsample2(
+            (_dilate(covered & ~region, 1, per) & region)[_half(child, win)])
+        covered = _upsample2(region[_half(child, win)])
+        win = child
+        windows.append(win)
     if spec.solid is not None:
         solid = np.asarray(spec.solid, dtype=bool)
         finest = spec.level_shape(spec.num_levels - 1)
@@ -305,18 +356,20 @@ def _validate_spec(spec: RefinementSpec) -> None:
                 f"solid mask has shape {solid.shape}, expected finest-level {finest}"
             )
         if solid.any() and spec.num_levels > 1:
-            if (_dilate(solid, 1, per) & ~covered).any():
+            if _spills(solid, win) or (_dilate(solid[win], 1, per) & ~covered).any():
                 raise ValueError(
                     "solid cells must be surrounded by finest-level cells "
                     "(refine around the obstacle)"
                 )
             # Accumulate sums all 2^d children of a coarse ghost cell.
-            hit = np.argwhere(ghost_children & solid)
-            if hit.size:
+            hit = ghost_children & solid[win]
+            if hit.any():
+                cell = np.argwhere(hit)[0] + [s.start for s in win]
                 raise ValueError(
-                    f"solid cell {tuple(hit[0].tolist())} is a child of level "
-                    f"{k}'s coarse ghost cell {tuple((hit[0] // 2).tolist())}: "
+                    f"solid cell {tuple(cell.tolist())} is a child of level "
+                    f"{k}'s coarse ghost cell {tuple((cell // 2).tolist())}: "
                     f"keep the obstacle two level-{k + 1} cells off the interface")
+    return windows
 
 
 @dataclass
@@ -520,19 +573,20 @@ def _pull_groups(parts: dict[str, list], lat: Lattice) -> tuple[tuple[int, ...],
     return tuple(sorted((tuple(g) for g in groups.values()), key=len, reverse=True))
 
 
-def _owner_labels(spec: RefinementSpec) -> list[np.ndarray]:
-    """Per-level label arrays over the full box at each level's resolution."""
+def _owner_labels(spec: RefinementSpec,
+                  windows: list[tuple[slice, ...]]) -> list[np.ndarray]:
+    """Per-level label arrays over each level's window."""
     labels: list[np.ndarray] = []
     covered = np.ones(spec.base_shape, dtype=bool)
-    for lvl in range(spec.num_levels):
-        lab = np.full(spec.level_shape(lvl), _COARSER, dtype=np.int8)
+    for lvl, win in enumerate(windows):
+        lab = np.full(covered.shape, _COARSER, dtype=np.int8)   # the window's
         lab[covered] = _SELF
         if lvl < spec.num_levels - 1:
             region = np.asarray(spec.refine_regions[lvl], dtype=bool)
-            lab[region] = _FINER
-            covered = _upsample2(region)
+            lab[region[win]] = _FINER
+            covered = _upsample2(region[_half(windows[lvl + 1])])
         elif spec.solid is not None:
-            lab[np.asarray(spec.solid, dtype=bool)] = _SOLID
+            lab[np.asarray(spec.solid, dtype=bool)[win]] = _SOLID
         labels.append(lab)
     return labels
 
@@ -555,14 +609,15 @@ def _cube_offsets(n: int, strides: np.ndarray) -> np.ndarray:
     return strides @ np.indices((n,) * strides.size).reshape(strides.size, -1)
 
 
-def _slot_cells(grid: BlockSparseGrid, padded: tuple[int, ...]) -> np.ndarray:
-    """Flat index of every slot in the level's box padded by one cell: its
-    block origin's plus its local offset's, one ``(n_blocks, 1) + (1, B^d)``
-    add.  Slots of an edge block past the box get an index that is not
-    theirs (perhaps past the array); they are inactive, and only active
-    slots are ever stored."""
+def _slot_cells(grid: BlockSparseGrid, lo: tuple[int, ...],
+                padded: tuple[int, ...]) -> np.ndarray:
+    """Flat index of every slot in the level's window (first cell ``lo``)
+    padded by one cell: its block origin's plus its local offset's, one
+    ``(n_blocks, 1) + (1, B^d)`` add.  Slots of an edge block past the
+    box get an index that is not theirs (perhaps past the array); they are
+    inactive, and only active slots are ever stored."""
     B, strides = grid.block_size, _strides(padded)
-    origin = (grid.block_coords * B + 1) @ strides
+    origin = (grid.block_coords * B - np.asarray(lo) + 1) @ strides
     return (origin[:, None] + _cube_offsets(B, strides)).ravel()
 
 
@@ -583,12 +638,13 @@ def _index_table(cells: np.ndarray, padded: tuple[int, ...], periodic: list[bool
 
 
 def _parent_cells(cells: np.ndarray, padded: tuple[int, ...],
-                  coarse_strides: np.ndarray) -> np.ndarray:
-    """Flat index in the coarser level's padded box of each padded cell's
-    parent: padded coordinate ``c`` has parent ``(c + 1) // 2``, which maps
-    a periodic pad onto the coarser level's wrapped pad."""
+                  coarse_strides: np.ndarray, shift: tuple[int, ...]) -> np.ndarray:
+    """Flat index in the coarser level's padded window of each padded cell's
+    parent: padded coordinate ``c`` has parent ``(c + 1) // 2 + shift``
+    (``shift``: the windows' origins apart, at the coarser resolution),
+    which maps a periodic pad onto the coarser level's wrapped pad."""
     coords = np.unravel_index(cells, padded)
-    return sum((c + 1) // 2 * s for c, s in zip(coords, coarse_strides))
+    return sum(((c + 1) // 2 + o) * s for c, o, s in zip(coords, shift, coarse_strides))
 
 
 def _cat(parts: list[tuple], col: int, dtype=np.int32) -> np.ndarray:
@@ -602,11 +658,12 @@ def _cat(parts: list[tuple], col: int, dtype=np.int32) -> np.ndarray:
 
 
 def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
-                 padded: tuple[int, ...], periodic: list[bool]):
+                 windows: list[tuple[slice, ...]], periodic: list[bool]):
     """Level compile: the level's sparse grid, its owner labels over the
-    padded box, every slot's padded index, the index table and the (owned,
-    coarse-ghost, fine-ghost) slots."""
-    lab = labels[lvl]
+    padded window, every slot's padded index, the index table and the
+    (owned, coarse-ghost, fine-ghost) slots."""
+    lab, win = labels[lvl], windows[lvl]
+    lo, padded = tuple(s.start for s in win), tuple(n + 2 for n in lab.shape)
     owned_mask = lab == _SELF
     alloc = owned_mask.copy()
     # Coarse-ghost layer: one layer of this level's cells inside the finer
@@ -617,9 +674,11 @@ def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
     # level's cells outside the owned region, overlapping the coarser
     # parent (Section III / Fig. 4a).
     if lvl > 0:
-        alloc |= _dilate(owned_mask, 4, periodic) & _upsample2(labels[lvl - 1] == _SELF)
+        parents = labels[lvl - 1][_half(win, windows[lvl - 1])]
+        alloc |= _dilate(owned_mask, 4, periodic) & _upsample2(parents == _SELF)
     grid = BlockSparseGrid.from_mask(alloc, level=lvl, block_size=spec.block_size,
-                                     curve=spec.curve)
+                                     curve=spec.curve, origin=lo,
+                                     shape=spec.level_shape(lvl))
     del owned_mask, alloc
     lab_pad = np.full(padded, _OUTSIDE, dtype=np.int8)
     lab_pad[(slice(1, -1),) * spec.d] = lab
@@ -627,7 +686,7 @@ def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
     lab_flat = lab_pad.reshape(-1)
     # an active slot is owned (_SELF), a coarse ghost (_FINER) or a fine
     # ghost (_COARSER), by the label of its cell
-    cells = _slot_cells(grid, padded)
+    cells = _slot_cells(grid, lo, padded)
     code = np.where(grid.active(), lab_flat.take(cells, mode="clip"), _OUTSIDE)
     if grid.n_alloc >= 2 ** 31:
         raise ValueError(f"level {lvl} allocates {grid.n_alloc} cells; "
@@ -635,7 +694,7 @@ def _level_slots(spec: RefinementSpec, lvl: int, labels: list[np.ndarray],
     slots = tuple(np.flatnonzero(code == c).astype(np.int32)
                   for c in (_SELF, _FINER, _COARSER))
     table = _index_table(cells, padded, periodic, *slots)
-    return grid, lab_flat, cells, table, slots
+    return grid, padded, lab_flat, cells, table, slots
 
 
 def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
@@ -643,8 +702,7 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
     """Classification: every (direction, owned cell) pull of one level.
 
     Returns the pull table and the per-kind parts ``(q, rows, ...)`` in
-    append order; an explosion part carries its padded pull sources,
-    whose coarser parents are resolved later, and a ghost pull the index
+    append order; a ghost pull (coalescence, explosion) carries the index
     ``j`` its source has among the level's stored ghosts (:func:`_index_table`).
     A slip part carries its mirrored direction, which :func:`_pull_groups`
     reads; the table holds the links themselves.
@@ -680,8 +738,8 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
         if sel.any():                                  # + the ghost's j
             mark("coal", q, miss[sel], -2 - held[sel])
         sel = code == _COARSER
-        if sel.any():          # + the padded source and 4a's fine ghost's j
-            mark("exp", q, miss[sel], src_m[sel], -2 - held[sel])
+        if sel.any():                                  # + the fine ghost's j
+            mark("exp", q, miss[sel], -2 - held[sel])
         sel = code == _SOLID
         if sel.any():
             rows_s = miss[sel]
@@ -750,30 +808,32 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
     return pull_flat, parts
 
 
-def _link_coarser(up: CompiledLevel, periodic: list[bool], padded: tuple[int, ...],
-                  table: np.ndarray, n_owned: int, exp_cells: np.ndarray,
-                  fg_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _link_coarser(up: CompiledLevel, up_win: tuple[slice, ...], win: tuple[slice, ...],
+                  periodic: list[bool], padded: tuple[int, ...], table: np.ndarray,
+                  n_owned: int, fg_cells: np.ndarray) -> np.ndarray:
     """Cross-level maps, by gather on the coarser level ``up``'s table of
-    owned rows (built here, dropped on return): the parent rows of the
-    padded explosion sources ``exp_cells`` and fine ghosts ``fg_cells``,
-    and, stored on ``up``, its accumulator slots' children: the rows of
-    its ghost cells' children in this level's ``table``, as entries of
-    the slots' directions in this level's ``(Q, n_owned)`` ``f``.  Every
-    one of them is an owned cell."""
-    up_padded = tuple(n + 2 for n in up.grid.shape)
-    up_cells = _slot_cells(up.grid, up_padded)
+    owned rows over its window ``up_win`` (built here, dropped on return):
+    returned, the parent rows of the fine ghosts, padded cells ``fg_cells``
+    of this level's window ``win`` (every explosion source is one); stored
+    on ``up``, its accumulator slots' children: the rows of its ghost
+    cells' children in this level's ``table``, as entries of the slots'
+    directions in this level's ``(Q, n_owned)`` ``f``.  Every one of them
+    is an owned cell."""
+    up_lo = tuple(s.start for s in up_win)
+    up_padded = tuple(s.stop - s.start + 2 for s in up_win)
+    up_cells = _slot_cells(up.grid, up_lo, up_padded)
     up_table = _index_table(up_cells, up_padded, periodic, up.owned_slots)
-    exp_rows, fg_rows = (up_table.take(_parent_cells(c, padded, _strides(up_padded)))
-                         for c in (exp_cells, fg_cells))
-    if exp_rows.size and exp_rows.min() < 0:
-        raise AssertionError("explosion source is not an owned coarse cell")
+    shift = tuple(s.start // 2 - o for s, o in zip(win, up_lo))
+    fg_rows = up_table.take(_parent_cells(fg_cells, padded, _strides(up_padded), shift))
     if fg_rows.size and fg_rows.min() < 0:
         raise AssertionError("fine-ghost parent is not an owned coarse cell")
     if up.ghost_slots.size:
-        # padded coordinate c of a coarse cell has its children from 2c - 1
+        # padded coordinate c of a coarse cell has its children from
+        # 2c - 1, less the windows' origins apart at this resolution
         strides = _strides(padded)
-        first = sum((2 * c - 1) * s for c, s in zip(
-            np.unravel_index(up_cells.take(up.ghost_slots), up_padded), strides))
+        first = sum((2 * c - 1 - o) * s for c, o, s in zip(
+            np.unravel_index(up_cells.take(up.ghost_slots), up_padded),
+            (2 * o for o in shift), strides))
         kids = table.take((first[:, None] + _cube_offsets(2, strides)).ravel())
         if kids.min() < 0:
             raise AssertionError("ghost child is not an owned fine cell")
@@ -781,24 +841,25 @@ def _link_coarser(up: CompiledLevel, periodic: list[bool], padded: tuple[int, ..
         q, ghost = np.divmod(up.coal_bin, up.n_ghost)
         up.acc_children = _flat(q, n_owned, kids.reshape(up.n_ghost, -1).T.take(ghost, axis=1))
         up.acc_span = row_span(kids)
-    return exp_rows, fg_rows
+    return fg_rows
 
 
-def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
-                   labels: list[np.ndarray], coarser: list[CompiledLevel]) -> CompiledLevel:
+def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int, labels: list[np.ndarray],
+                   windows: list[tuple[slice, ...]],
+                   coarser: list[CompiledLevel]) -> CompiledLevel:
     """Compile one level; ``coarser`` holds the levels compiled before it.
 
     Its dense transients — int8 owner labels and the int32 index table over
-    the box padded by one cell — are locals, gone on return, and so are
-    the kind lists: each leaves the level only as the maps the bodies read.
-    A pull source is one flat offset away from its cell, with no bounds
-    test: the pad holds the far side on periodic axes and _OUTSIDE / -1
-    elsewhere.
+    the level's window padded by one cell — are locals, gone on return, and
+    so are the kind lists: each leaves the level only as the maps the
+    bodies read.  A pull source is one flat offset away from its cell, with
+    no bounds test: the pad holds the far side on periodic axes and
+    _OUTSIDE / -1 elsewhere, and no pull reaches the pad of a window edge
+    that is not a face of the box.
     """
     per = spec.bc.periodic_axes(spec.d)
-    padded = tuple(n + 2 for n in labels[lvl].shape)
-    grid, lab_flat, cells, table, (owned_slots, ghost_slots, fine_ghost_slots) = \
-        _level_slots(spec, lvl, labels, padded, per)
+    grid, padded, lab_flat, cells, table, (owned_slots, ghost_slots, fine_ghost_slots) = \
+        _level_slots(spec, lvl, labels, windows, per)
     # int32 entry ids (the pull table's, the access reports') number the
     # (q, row) pairs of the row space, 4a's fine-ghost rows included, and
     # the (q, ghost) bins of the accumulator
@@ -808,14 +869,14 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
         raise ValueError(f"level {lvl} has {lat.q} x {max(n_rows, n_ghost)} "
                          f"population entries; int32 ids address fewer than 2**31")
     pull_flat, parts = _classify(spec, lat, lab_flat, padded, table, cells.take(owned_slots))
-    exp_cells, fg_cells = _cat(parts["exp"], 2, np.int64), cells.take(fine_ghost_slots)
+    fg_cells = cells.take(fine_ghost_slots)
     del lab_flat, cells
     q, rows = ({k: _cat(parts[k], i) for k in ("mov", "out", "sb", "exp", "coal")}
                for i in (0, 1))
     # the j of a coarse ghost is its ghost row; of a fine ghost, j - n_ghost
     # counts the fine ghosts, whose rows follow the owned ones
     coal_src = _cat(parts["coal"], 2)
-    exp_ghost_rows = _cat(parts["exp"], 3) + (n_owned - n_ghost)
+    exp_ghost_rows = _cat(parts["exp"], 2) + (n_owned - n_ghost)
     groups, mov_term = _pull_groups(parts, lat), _cat(parts["mov"], 2, np.float64)
     del parts
     if coal_src.size and not 0 <= coal_src.min() <= coal_src.max() < n_ghost:
@@ -824,8 +885,10 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int,
         raise AssertionError("explosion source missing from the fine-ghost layer")
     exp_rows = fg_coarse_rows = np.empty(0, dtype=np.int32)
     if lvl > 0:
-        exp_rows, fg_coarse_rows = _link_coarser(
-            coarser[lvl - 1], per, padded, table, n_owned, exp_cells, fg_cells)
+        fg_coarse_rows = _link_coarser(coarser[lvl - 1], windows[lvl - 1], windows[lvl],
+                                       per, padded, table, n_owned, fg_cells)
+        # an explosion source is a fine ghost: its parent is that ghost's
+        exp_rows = fg_coarse_rows.take(exp_ghost_rows - n_owned)
     return CompiledLevel(
         level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
         fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat,
@@ -852,10 +915,10 @@ def build_multigrid(spec: RefinementSpec, lat: Lattice) -> MultiGrid:
     """Validate ``spec`` and compile the full multi-resolution stack."""
     if lat.d != spec.d:
         raise ValueError(f"lattice is {lat.d}-D but the domain is {spec.d}-D")
-    _validate_spec(spec)
-    labels = _owner_labels(spec)
+    windows = _validate_spec(spec)
+    labels = _owner_labels(spec, windows)
     levels: list[CompiledLevel] = []
     for lvl in range(spec.num_levels):
-        levels.append(_compile_level(spec, lat, lvl, labels, levels))
+        levels.append(_compile_level(spec, lat, lvl, labels, windows, levels))
     return MultiGrid(spec=spec, lattice=lat, levels=levels,
                      digest=spec_digest(spec, lat))

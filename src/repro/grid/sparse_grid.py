@@ -66,35 +66,46 @@ class BlockSparseGrid:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_mask(cls, mask: np.ndarray, *, level: int = 0, block_size: int = 4,
-                  curve: str = "morton") -> "BlockSparseGrid":
+                  curve: str = "morton", origin: tuple[int, ...] | None = None,
+                  shape: tuple[int, ...] | None = None) -> "BlockSparseGrid":
+        """The grid of the cells ``mask`` flags.  ``mask`` may be a window
+        of a box ``shape`` at the block-aligned ``origin``: the grid is then
+        the box's, for ``mask`` inside the window and nothing outside, built
+        without the box's mask (block coordinates and order are the box's)."""
         mask = np.asarray(mask, dtype=bool)
         d = mask.ndim
         B = block_size
         if B < 2:
             raise ValueError("block_size must be at least 2")
-        shape = mask.shape
+        origin = (0,) * d if origin is None else tuple(int(o) for o in origin)
+        shape = mask.shape if shape is None else tuple(int(s) for s in shape)
+        if any(o % B or o < 0 or o + m > s for o, m, s in zip(origin, mask.shape, shape)):
+            raise ValueError(f"a window {mask.shape} at {origin} must start on a "
+                             f"block boundary inside the box {shape}")
         nblk_axes = tuple(-(-s // B) for s in shape)  # ceil division
-        padded_shape = tuple(n * B for n in nblk_axes)
-        padded = np.zeros(padded_shape, dtype=bool)
-        padded[tuple(slice(0, s) for s in shape)] = mask
-        # view as (nbx, B, nby, B, ...) and reduce over the local axes
-        view = padded
-        new_shape: list[int] = []
-        for n in nblk_axes:
-            new_shape.extend((n, B))
-        view = padded.reshape(new_shape)
-        # per-block activity bits, C-ordered local cells
-        block_axes_first = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-        cells = view.transpose(block_axes_first).reshape(nblk_axes + (B ** d,))
-        occupied = cells.any(axis=-1)
-        coords = np.argwhere(occupied).astype(np.int64)
-        if coords.shape[0] == 0:
+        win_blk = tuple(-(-s // B) for s in mask.shape)
+        padded = np.pad(mask, [(0, n * B - s) for n, s in zip(win_blk, mask.shape)])
+        # a block is occupied if any of its cells is: one OR over B slabs
+        # per axis, outermost first (each pass reads whole rows and leaves
+        # a B times smaller array); only occupied blocks' bits are gathered
+        occupied = padded
+        for axis, n in enumerate(win_blk):
+            lead, rest = occupied.shape[:axis], occupied.shape[axis + 1:]
+            occupied = occupied.reshape(lead + (n, B) + rest).any(axis=axis + 1)
+        local = np.argwhere(occupied)
+        if local.shape[0] == 0:
             raise ValueError("mask selects no cells; cannot build an empty grid")
-        coords = coords[block_order(coords, nblk_axes, curve)].astype(np.int32)
+        coords = local + np.asarray(origin, dtype=np.int64) // B
+        order = block_order(coords, nblk_axes, curve)
+        coords, local = coords[order].astype(np.int32), local[order]
         nb = coords.shape[0]
         lut = np.full(nblk_axes, -1, dtype=np.int32)
         lut[tuple(coords.T)] = np.arange(nb)
-        flags = cells[tuple(coords.T)]
+        # per-block activity bits, C-ordered local cells: view the window as
+        # (nbx, B, nby, B, ...) and gather the occupied blocks
+        view = padded.reshape(sum(((n, B) for n in win_blk), ()))
+        block_axes_first = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+        flags = view.transpose(block_axes_first)[tuple(local.T)].reshape(nb, B ** d)
         words = bm.pack_bits(flags)
         # 3^d block neighbour table: one gather on the table padded by a block
         lut_pad = np.full(tuple(n + 2 for n in nblk_axes), -1, dtype=np.int32)
@@ -102,7 +113,7 @@ class BlockSparseGrid:
         strides = np.cumprod((1,) + lut_pad.shape[:0:-1])[::-1]
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ strides
         nbr = lut_pad.reshape(-1)[((coords + 1) @ strides)[:, None] + offsets]
-        return cls(level=level, shape=tuple(int(s) for s in shape), block_size=B,
+        return cls(level=level, shape=shape, block_size=B,
                    block_coords=coords, block_lut=lut, bitmask_words=words,
                    block_neighbors=nbr, curve=curve)
 

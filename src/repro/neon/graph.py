@@ -308,9 +308,11 @@ def stream_assignment(g: KernelDAG) -> dict[int, tuple[int, int]]:
     return out
 
 
-def graph_stats(g: KernelDAG) -> dict[str, int | float]:
-    """Kernel count, dependency edges, depth (syncs) and mean width."""
-    waves = schedule_waves(g)
+def graph_stats(g: KernelDAG,
+                waves: list[list[int]] | None = None) -> dict[str, int | float]:
+    """Kernel count, dependency edges, depth (syncs) and mean width, of
+    ``waves`` when the caller has partitioned ``g`` already."""
+    waves = schedule_waves(g) if waves is None else waves
     n = g.number_of_nodes()
     return {
         "kernels": n,

@@ -17,8 +17,7 @@ from repro.core.lattice import D2Q9, D3Q19, D3Q27
 from repro.gpu.memory import memory_arrays, memory_ledger
 from repro.grid.geometry import Sphere, shell_refinement, voxelize, wall_refinement
 from repro.grid.multigrid import (_FACE_KINDS, _PRECEDENCE, DomainBC, FaceBC,
-                                  RefinementSpec, _dilate, _face_names,
-                                  _owner_labels, _upsample2, _validate_spec,
+                                  RefinementSpec, _dilate, _face_names, _validate_spec,
                                   build_multigrid, compile_arrays, grid_arrays_digest,
                                   iter_pull_rows, spec_digest)
 from repro.grid.sparse_grid import BlockSparseGrid
@@ -62,6 +61,26 @@ class TestValidation:
         spec = RefinementSpec((8, 8), [r0, r1])
         with pytest.raises(ValueError, match="nest"):
             build_multigrid(spec, D2Q9)
+
+    def test_refined_cell_outside_the_window(self):
+        # level 1's build window hugs the children of r0; a level-1 region
+        # cell far outside it is refused like one next to it
+        r0 = np.zeros((32, 32), dtype=bool)
+        r0[12:20, 12:20] = True
+        r1 = np.zeros((64, 64), dtype=bool)
+        r1[30:34, 30:34] = True
+        assert build_multigrid(RefinementSpec((32, 32), [r0, r1]), D2Q9).num_levels == 3
+        r1[0, 63] = True
+        with pytest.raises(ValueError, match="nest"):
+            build_multigrid(RefinementSpec((32, 32), [r0, r1]), D2Q9)
+
+    def test_solid_outside_the_window(self):
+        r0 = np.zeros((32, 32), dtype=bool)
+        r0[12:20, 12:20] = True
+        solid = np.zeros((64, 64), dtype=bool)
+        solid[63, 0] = True
+        with pytest.raises(ValueError, match="surrounded by finest-level cells"):
+            build_multigrid(RefinementSpec((32, 32), [r0], solid=solid), D2Q9)
 
     def test_level_jump_violation(self):
         r0 = np.zeros((8, 8), dtype=bool)
@@ -324,15 +343,37 @@ def ref_dilate(mask, radius, periodic):
     return out
 
 
+def ref_upsample2(mask):
+    for axis in range(mask.ndim):
+        mask = np.repeat(mask, 2, axis=axis)
+    return mask
+
+
+def ref_owner_labels(spec):
+    """Per level, the owner code of every cell of the level's whole box
+    (0 own, 1 finer, 2 coarser, 3 solid)."""
+    labels, covered = [], np.ones(spec.base_shape, dtype=bool)
+    for lvl in range(spec.num_levels):
+        lab = np.where(covered, 0, 2).astype(np.int8)
+        if lvl < spec.num_levels - 1:
+            region = np.asarray(spec.refine_regions[lvl], dtype=bool)
+            lab[region] = 1
+            covered = ref_upsample2(region)
+        elif spec.solid is not None:
+            lab[np.asarray(spec.solid, dtype=bool)] = 3
+        labels.append(lab)
+    return labels
+
+
 def ref_compile(spec, lat):
     """``{level: {field: array}}`` by the position-based classifier."""
     d, Q, nl = spec.d, lat.q, spec.num_levels
-    per, names, labels = spec.bc.periodic_axes(d), _face_names(d), _owner_labels(spec)
+    per, names, labels = spec.bc.periodic_axes(d), _face_names(d), ref_owner_labels(spec)
     grids, slots = [], []
     for lvl, lab in enumerate(labels):
         owned = lab == 0
         ghost = ref_dilate(owned, 1, per) & (lab == 1)
-        fghost = (ref_dilate(owned, 4, per) & _upsample2(labels[lvl - 1] == 0)
+        fghost = (ref_dilate(owned, 4, per) & ref_upsample2(labels[lvl - 1] == 0)
                   if lvl else np.zeros_like(owned))
         grid = BlockSparseGrid.from_mask(owned | ghost | fghost, level=lvl,
                                          block_size=spec.block_size, curve=spec.curve)
@@ -682,12 +723,8 @@ grid_budget = (settings.get_profile("ci")
                else settings(max_examples=25, deadline=None))
 
 
-@st.composite
-def random_specs(draw):
-    """Random nested boxes, face-BC mixes and storage; legality not guaranteed."""
-    d = draw(st.sampled_from((2, 3)))
-    base = tuple(draw(st.integers(5, 12 if d == 2 else 8)) for _ in range(d))
-    levels = draw(st.sampled_from((1, 2, 2, 3, 3)))
+def draw_faces(draw, d):
+    """A random face-BC mix: periodic faces in pairs, every other kind free."""
     vel = tuple(draw(st.floats(-0.05, 0.05)) for _ in range(d))
     faces = {}
     for axis in "xyz"[:d]:
@@ -696,6 +733,16 @@ def random_specs(draw):
             st.sampled_from([k for k in _FACE_KINDS if k != "periodic"]))
         for name, kind in ((f"{axis}-", lo), (f"{axis}+", hi)):
             faces[name] = FaceBC(kind, velocity=vel if kind in ("moving", "inlet") else None)
+    return faces
+
+
+@st.composite
+def random_specs(draw):
+    """Random nested boxes, face-BC mixes and storage; legality not guaranteed."""
+    d = draw(st.sampled_from((2, 3)))
+    base = tuple(draw(st.integers(5, 12 if d == 2 else 8)) for _ in range(d))
+    levels = draw(st.sampled_from((1, 2, 2, 3, 3)))
+    faces = draw_faces(draw, d)
     # Each level's box sits 0-2 cells inside the range the previous one
     # leaves it: its children, less the two cells of coarse-ghost children
     # on every side that is not a domain face.  Periodic seams and tight
@@ -723,14 +770,122 @@ def random_specs(draw):
                           curve=draw(st.sampled_from(("morton", "hilbert"))))
 
 
+@st.composite
+def inner_specs(draw):
+    """Random refinements whose finer levels sit well inside the box, so
+    their build windows are inner ones: the level-0 region keeps 0 to a
+    third of the box off each face, and on a periodic axis it is an arc
+    of a third of the axis or more, which may cross the seam.  Each finer
+    region keeps 0-2 cells more than the coarse-ghost children's two off
+    every side that is not a face; a solid sits in the finest region's
+    middle; blocks may be odd.  Legality not guaranteed."""
+    d = draw(st.sampled_from((2, 3)))
+    base = tuple(draw(st.integers(9, 24 if d == 2 else 12)) for _ in range(d))
+    levels = draw(st.sampled_from((2, 3) if d == 2 else (2, 2, 3)))
+    bc = DomainBC(draw_faces(draw, d))
+    periodic = bc.periodic_axes(d)
+    # per axis an arc (start, length) of the level's circle of n cells;
+    # a non-periodic axis never wraps
+    arcs = []
+    for n, wrap in zip(base, periodic):
+        if wrap:
+            length = draw(st.integers(n // 3, n))
+            arcs.append((draw(st.integers(0, n - 1)) if length < n else 0, length))
+        else:
+            lo, hi = draw(st.integers(0, n // 3)), draw(st.integers(0, n // 3))
+            arcs.append((lo, n - lo - hi))
+    regions = []
+    for k in range(levels - 1):
+        shape = tuple(n * 2 ** k for n in base)
+        region = np.ones(shape, dtype=bool)
+        for axis, ((start, length), n) in enumerate(zip(arcs, shape)):
+            on = np.zeros(n, dtype=bool)
+            on[(start + np.arange(length)) % n] = True
+            region &= on.reshape([-1 if a == axis else 1 for a in range(d)])
+        regions.append(region)
+        nxt = []
+        for (start, length), n, wrap in zip(arcs, shape, periodic):
+            # no clearance at a face, nor on an axis the region spans
+            lo = 0 if length == n or (start == 0 and not wrap) else 2 + draw(st.integers(0, 2))
+            hi = 0 if length == n or (start + length == n and not wrap) \
+                else 2 + draw(st.integers(0, 2))
+            nxt.append((2 * start + lo, 2 * length - lo - hi))
+        arcs = nxt
+        assume(all(length > 0 for _, length in arcs))
+    solid = None
+    if draw(st.booleans()):
+        shape = tuple(n * 2 ** (levels - 1) for n in base)
+        solid = np.zeros(shape, dtype=bool)
+        solid[np.ix_(*[(start + length // 2 + np.arange(draw(st.integers(1, 2)))) % n
+                       for (start, length), n in zip(arcs, shape)])] = True
+    return RefinementSpec(base, regions, solid=solid, bc=bc,
+                          block_size=draw(st.sampled_from((2, 3, 4, 8))),
+                          curve=draw(st.sampled_from(("morton", "hilbert"))))
+
+
 @grid_budget
-@given(random_specs())
+@given(st.one_of(random_specs(), inner_specs()))
 def test_random_topologies_match_reference(spec):
     try:
         _validate_spec(spec)
     except ValueError:
         assume(False)
     assert_matches_reference(spec, D2Q9 if spec.d == 2 else D3Q19)
+
+
+def ref_validate(spec):
+    """The spec rules over each level's whole box: ``None`` when the spec
+    is legal, else the message ``_validate_spec`` refuses it with."""
+    per = spec.bc.periodic_axes(spec.d)
+    covered = np.ones(spec.base_shape, dtype=bool)
+    for k, region in enumerate(spec.refine_regions):
+        region = np.asarray(region, dtype=bool)
+        if region.shape != spec.level_shape(k):
+            return f"refine_regions[{k}] has shape {region.shape}, expected {spec.level_shape(k)}"
+        if not region.any():
+            return f"refine_regions[{k}] refines nothing"
+        if (region & ~covered).any():
+            return (f"refine_regions[{k}] refines cells not covered by level {k} "
+                    "(refinement regions must nest)")
+        if not (covered & ~region).any():
+            return (f"refine_regions[{k}] refines every level-{k} cell: "
+                    f"level {k} would own no cells")
+        if (ref_dilate(region, 1, per) & ~covered).any():
+            return (f"refine_regions[{k}] violates the max level jump of 1 "
+                    "(needs at least one unrefined cell of the previous level "
+                    "between successive refinement boundaries)")
+        ghost_children = ref_upsample2(ref_dilate(covered & ~region, 1, per) & region)
+        nxt = spec.refine_regions[k + 1] if k + 1 < len(spec.refine_regions) else None
+        if nxt is not None and (ghost_children & nxt).any():
+            return (f"refine_regions[{k + 1}] starts too close to the "
+                    f"level-{k}/{k + 1} interface: the ghost layer's children "
+                    f"must remain level-{k + 1} cells (leave at least two "
+                    f"level-{k + 1} cells between successive interfaces)")
+        covered = ref_upsample2(region)
+    solid = spec.solid
+    if solid is not None and solid.any() and spec.num_levels > 1:
+        if (ref_dilate(solid, 1, per) & ~covered).any():
+            return ("solid cells must be surrounded by finest-level cells "
+                    "(refine around the obstacle)")
+        hit = np.argwhere(ghost_children & solid)
+        if hit.size:
+            return (f"solid cell {tuple(hit[0].tolist())} is a child of level "
+                    f"{k}'s coarse ghost cell {tuple((hit[0] // 2).tolist())}: "
+                    f"keep the obstacle two level-{k + 1} cells off the interface")
+    return None
+
+
+@grid_budget
+@given(st.one_of(random_specs(), inner_specs()))
+def test_random_specs_validate_like_the_dense_rules(spec):
+    """``_validate_spec`` checks each rule inside the levels' windows; the
+    whole-box rules accept and refuse the same specs, with the same message."""
+    try:
+        _validate_spec(spec)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == ref_validate(spec)
 
 
 def assert_interface_counts(mg):
@@ -896,15 +1051,15 @@ def test_compile_witness_pinned(name):
 class TestCompileMemory:
     """The build's ``tracemalloc`` peak over the bytes of its result, MiB.
 
-    Ceilings are the reading + 2 MiB (half sphere 13.2, anchor 5.7; the
-    position-based compile read 18.6 / 25.1): each level's dense tables
-    are locals of its compile.  A fine-resolution copy of a coarser
-    level's table (4 bytes per finest padded cell, +7.1 MiB on the half
-    sphere) fails the first.  With every table int32 and the kind lists
-    freed before the cross-level maps are built they read 13.4 / 5.3:
-    the result shrank by more than the half sphere's peak did.  With the
-    flat maps part of the result and the kind lists gone they read
-    12.4 / 4.3.
+    Ceilings are the reading + 2 MiB (half sphere 2.6, anchor 3.7).  Each
+    level's dense tables are locals of its compile and span the level's
+    window, not its box: the half sphere's finest window is 188 160 of the
+    box's 1 775 616 cells.  A fine-resolution copy of a coarser level's
+    table (4 bytes per finest padded cell, +7.1 MiB on the half sphere)
+    fails the first test; dense arrays over the whole box (12.4 MiB on the
+    half sphere, 22.2 on its twice-as-long twin) fail the first and the
+    third.  The half sphere peaks in its finest level's ``_link_coarser``;
+    the anchor, whose windows are its boxes, in its finest ``_classify``.
     """
 
     @staticmethod
@@ -920,11 +1075,19 @@ class TestCompileMemory:
         return (peak - sum(memory_ledger(mg).values())) / 2 ** 20
 
     def test_peak_stays_near_the_result(self):
-        assert self.excess_mib(sphere_tunnel(scale=0.5).spec, D3Q27) < 15.2
+        assert self.excess_mib(sphere_tunnel(scale=0.5).spec, D3Q27) < 4.7
 
     def test_anchor_peak_stays_near_the_result(self):
         assert self.excess_mib(lid_cavity(base=(16, 16, 16), num_levels=3).spec,
-                               D3Q19) < 7.3
+                               D3Q19) < 5.7
+
+    def test_build_excess_does_not_follow_the_box(self):
+        # the half sphere's sphere and shells in a tunnel twice as long:
+        # 1.78 M finest-box cells more, as many refined cells
+        long = sphere_tunnel(finest_shape=(544, 192, 272), scale=0.5).spec
+        half = sphere_tunnel(scale=0.5).spec
+        assert np.prod(long.level_shape(2)) - np.prod(half.level_shape(2)) > 1.7e6
+        assert abs(self.excess_mib(long, D3Q27) - self.excess_mib(half, D3Q27)) < 1.0
 
     def test_no_level_shaped_array_survives_on_a_grid(self):
         spec = sphere_tunnel(scale=0.25).spec

@@ -124,3 +124,32 @@ class TestMemoryAccounting:
     def test_neighbor_table_bytes(self):
         g = BlockSparseGrid.from_mask(np.ones((8, 8, 8), dtype=bool))
         assert g.metadata_bytes()["block_neighbors"] == g.n_blocks * 27 * 4
+
+
+class TestWindow:
+    @pytest.mark.parametrize("curve", ["morton", "hilbert"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_window_builds_the_box_grid(self, curve, d):
+        # the cells sit inside a block-aligned window; the box's edge
+        # blocks are partial (no extent a multiple of B)
+        B, shape = 4, (23, 19, 26)[:d]
+        origin, stop = (4, 8, 4)[:d], (16, 19, 24)[:d]
+        rng = np.random.default_rng(d)
+        mask = np.zeros(shape, dtype=bool)
+        inner = tuple(slice(o + 1, s - 1) for o, s in zip(origin, stop))
+        mask[inner] = rng.random(mask[inner].shape) < 0.2
+        window = tuple(slice(o, s) for o, s in zip(origin, stop))
+        whole = BlockSparseGrid.from_mask(mask, block_size=B, curve=curve, level=2)
+        part = BlockSparseGrid.from_mask(mask[window], block_size=B, curve=curve,
+                                         level=2, origin=origin, shape=shape)
+        assert part.shape == whole.shape == shape
+        for name in ("block_coords", "block_lut", "bitmask_words", "block_neighbors"):
+            a, b = getattr(part, name), getattr(whole, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(part.active(), whole.active())
+
+    def test_window_must_start_on_a_block_inside_the_box(self):
+        mask = np.ones((4, 4), dtype=bool)
+        for origin in ((2, 0), (0, 8), (-4, 0)):
+            with pytest.raises(ValueError, match="block boundary"):
+                BlockSparseGrid.from_mask(mask, origin=origin, shape=(10, 10))

@@ -637,6 +637,26 @@ class TestCertificates:
         assert cert["graph"] == graph_stats(
             build_dependency_graph(list(plan.records), reduce=False))
 
+    def test_one_wave_partition_per_admission(self, monkeypatch):
+        """The certificate's graph stats are read off the waves it records:
+        an admission partitions its graph once."""
+        import repro.analysis.certificate as certificate
+        import repro.neon.graph as graph
+        calls, real = [], graph.schedule_waves
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        wl = lid_cavity(**small_workloads()["cavity2d-2lvl"])
+        with Simulation.from_config(wl.spec, wl.sim_config(fusion=FUSED_FULL)) as sim:
+            sim.mgrid.verdicts.clear()        # an ambient backend may have admitted
+            monkeypatch.setattr(graph, "schedule_waves", counted)
+            monkeypatch.setattr(certificate, "schedule_waves", counted)
+            cert = compile_plan(sim.stepper, workload="cavity2d-2lvl").certificate
+        assert len(calls) == 1
+        assert cert["graph"]["depth"] == len(cert["wave_schedule"])
+
     def test_illegal_verdict_needs_counterexample(self):
         _, cert = self._cert()
         bad = dict(cert, legality=dict(cert["legality"], verdict="illegal",
