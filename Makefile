@@ -50,7 +50,7 @@ test-blas:
 # 16^3 x 3 anchor and the half-sphere 4b tunnel (one population buffer
 # and one in-place stream scratch per level; one pull table per level,
 # shared by grid and engine;
-# every grid table int32 and priced by gpu.memory.index_bytes; admission
+# every grid table int32 and counted by gpu.memory.memory_ledger; admission
 # and state_digest copy nothing), the dead-state proof (only f
 # crosses a coarse step, all 7 configs, dynamic and static) and the
 # format-2 checkpoint contract; the host allocating exactly what the

@@ -35,7 +35,7 @@ def test_fig2_kernel_graphs(benchmark, report):
     stats = {}
     for name, trace in (("baseline (Fig. 2 top)", base_trace),
                         ("ours (Fig. 2 bottom)", ours_trace)):
-        g = build_dependency_graph(device_records(trace), reduce=False)
+        g = build_dependency_graph(device_records(trace))
         s = graph_stats(g)
         stats[name] = s
         census = {}

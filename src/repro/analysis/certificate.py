@@ -76,7 +76,7 @@ def build_certificate(config: str, workload: str,
                       proof: LegalityProof, lint: LintReport,
                       steps: int) -> dict[str, Any]:
     """Assemble the certificate document for one (config, workload) plan."""
-    g = build_dependency_graph(list(records), reduce=False)
+    g = build_dependency_graph(list(records))
     waves = schedule_waves(g)
     kernels = []
     for i, r in enumerate(records):

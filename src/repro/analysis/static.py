@@ -235,7 +235,7 @@ def check_contraction(base_records: Sequence[KernelRecord],
         return 0, len(fused_pos), cex
 
     # -- happens-before on every conflicting pair -----------------------------
-    g = build_dependency_graph(list(fused_records), reduce=False)
+    g = build_dependency_graph(list(fused_records))
     descendants: dict[int, set[int]] = {}
     pairs = 0
     for i, j, dep, ref in iter_conflict_pairs(base_records, base_map):

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.multigrid import CompiledLevel, MultiGrid, pull_span, row_span
+from ..grid.multigrid import CompiledLevel, MultiGrid, check_pull_table, row_span
 from ..neon.executor import run_split, usable_cpus
 from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
                             Runtime)
@@ -215,15 +215,15 @@ class Engine:
             equilibrium(self.lat, rr, uu, out=buf.f)
 
     # -- index maps ------------------------------------------------------------
-    def _pull_flat(self, lv: int) -> tuple[np.ndarray, tuple[int, int]]:
-        """The level's pull table, bounds-proven and frozen, and the span of
-        the ``f`` rows it reads: the grid's, proven by its compile, or
-        a table put in its place, proven here on every bind
-        (:func:`~repro.grid.multigrid.pull_span`)."""
+    def _pull_flat(self, lv: int) -> np.ndarray:
+        """The level's pull table, bounds-proven and frozen: the grid's,
+        proven by its compile, or a table put in its place, proven here on
+        every bind (:func:`~repro.grid.multigrid.check_pull_table`)."""
         table, cl = self.levels[lv].pull_flat, self.mgrid.levels[lv]
-        span = cl.pull_span if table is cl.pull_flat else pull_span(table, cl.n_owned, lv)
+        if table is not cl.pull_flat:
+            check_pull_table(table, cl.n_owned, lv)
         table.setflags(write=False)
-        return table, span
+        return table
 
     def split_parts(self, lv: int) -> int:
         """Parts level ``lv``'s split bodies may run in: at most
@@ -373,7 +373,7 @@ class Engine:
         b, cl = self.levels[lv], self.mgrid.levels[lv]
         Q, n = self.lat.q, b.n_owned
         f_flat = b.f.reshape(-1)
-        table, span = self._pull_flat(lv)
+        table = self._pull_flat(lv)
         mov = (cl.mov_dst, cl.mov_term) if cl.mov_dst.size else None
         out = (cl.out_dst, cl.out_val) if cl.out_dst.size else None
         take, copyto = np.take, np.copyto
@@ -409,7 +409,8 @@ class Engine:
 
         def report(t) -> None:
             nb = Q * self.itemsize * n
-            t.read(FieldRef("f", lv), *span, 0 if in_registers else nb)
+            # every row: the rest direction pulls each row from itself
+            t.read(FieldRef("f", lv), 0, n, 0 if in_registers else nb)
             t.write(FieldRef("f", lv), 0, n, nb)
             t.meta(b.meta_bytes)
         return run, report

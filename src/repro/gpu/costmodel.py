@@ -131,7 +131,7 @@ def cost_trace(records: list[KernelRecord], device: DeviceSpec, *,
               for r in records)
     launch = device.launch_overhead_us * len(records)
     if concurrent:
-        g = build_dependency_graph(device_records(records), reduce=False)
+        g = build_dependency_graph(device_records(records))
         waves = schedule_waves(g)
         launch += device.sync_overhead_us * len(waves)
     else:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid.bitmask import words_per_block
 from ..grid.geometry import Shape
 from ..grid.multigrid import MultiGrid, compile_arrays
 from .device import DeviceSpec
 
 __all__ = [
-    "DeviceOOMError", "MemoryReport", "grid_memory_report", "index_bytes",
+    "DeviceOOMError", "MemoryReport", "grid_memory_report",
     "memory_arrays", "memory_ledger",
     "uniform_memory_bytes", "uniform_aa_max_cube",
     "mc_level_counts", "refined_memory_bytes",
@@ -102,43 +101,8 @@ def grid_memory_report(mgrid: MultiGrid, itemsize: int = 8,
                         ghost_populations=gpop, metadata=meta)
 
 
-def index_bytes(mgrid: MultiGrid) -> dict[str, int]:
-    """Host bytes of a compiled stack's index arrays, one term per family.
-
-    Counted from the grid's sizes — cells, map entries, blocks — at the
-    width every array is stored with: int32 tables and rows, ``intp``
-    (8-byte) flat entries, float64 wall terms and outflow values, uint64
-    bitmask words.  ``pull`` (``Q`` entries per owned cell) dominates;
-    ``blocks`` is the block-sparse structure :func:`grid_memory_report`
-    prices as ``metadata``, plus the host's dense block table.  The
-    engine's bodies index with these arrays themselves.
-    """
-    q, d = mgrid.lattice.q, mgrid.d
-    out = dict.fromkeys(("pull", "cells", "boundary", "explosion", "coalescence",
-                         "accumulate", "blocks"), 0)
-    for cl in mgrid.levels:
-        g, B = cl.grid, cl.grid.block_size
-        out["pull"] += 4 * q * cl.n_owned
-        out["cells"] += 4 * (cl.n_owned + cl.n_ghost + cl.fine_ghost_slots.size)
-        # a solid link's (q, cell) pair; a moving wall's or outlet's
-        # entry and float64 value
-        out["boundary"] += 8 * cl.sb_q.size + 16 * (cl.mov_dst.size + cl.out_dst.size)
-        # (entry, coarse entry, fine-ghost row) per pull; a coarse row per fine ghost
-        out["explosion"] += 20 * cl.exp_dst.size + 4 * cl.fine_ghost_slots.size
-        # (entry, bin) per pull
-        out["coalescence"] += 12 * cl.coal_dst.size
-        # an entry per child of an accumulator slot
-        out["accumulate"] += 8 * cl.acc_children.size
-        # origins and 3^d neighbours per block, the dense block table, the
-        # bitmask words and the block-local offsets
-        out["blocks"] += (4 * g.n_blocks * (d + 3 ** d)
-                          + 4 * int(np.prod([-(-n // B) for n in g.shape]))
-                          + 8 * g.n_blocks * words_per_block(B ** d) + 4 * d * B ** d)
-    return out
-
-
-#: The :func:`index_bytes` family of each array the grid compile keeps, by
-#: attribute-name prefix (``CompiledLevel`` and its ``BlockSparseGrid``).
+#: The index family of each array the grid compile keeps, by attribute-name
+#: prefix (``CompiledLevel`` and its ``BlockSparseGrid``).
 _INDEX_PREFIXES = {
     "pull": ("pull_flat",), "cells": ("owned_slots", "ghost_slots", "fine_ghost_slots"),
     "boundary": ("sb_", "mov_", "out_"),
@@ -175,7 +139,8 @@ def memory_arrays(obj):
     """``(level, family, name, array)`` once per allocation that a
     :class:`MultiGrid` or an :class:`~repro.core.engine.Engine` holds.
 
-    Owners in order: the grid compile (the :func:`index_bytes` families),
+    Owners in order: the grid compile (the index families of
+    ``_INDEX_PREFIXES``),
     the engine's ``LevelBuffers`` (``populations``, ``ghost_accumulators``,
     ``fine_ghosts``), the bodies' bind-time scratch (``scratch``: the
     stream's, Accumulate's gather row and sums).  An allocation held

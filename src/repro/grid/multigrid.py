@@ -42,8 +42,8 @@ from ..core.lattice import Lattice
 from .sparse_grid import BlockSparseGrid
 
 __all__ = ["FaceBC", "DomainBC", "RefinementSpec", "CompiledLevel",
-           "MultiGrid", "build_multigrid", "compile_arrays", "grid_arrays_digest",
-           "iter_pull_rows", "pull_span", "row_span", "spec_digest"]
+           "MultiGrid", "build_multigrid", "check_pull_table", "compile_arrays",
+           "grid_arrays_digest", "row_span", "spec_digest"]
 
 _FACE_KINDS = ("wall", "moving", "inlet", "outflow", "periodic", "slip")
 # When a diagonal pull exits through several faces at once, the face with
@@ -384,9 +384,8 @@ class CompiledLevel:
     opposite population for bounce-back (resting walls, solids), moving
     and inlet links, the mirrored population of the tangential neighbour
     for slip, and the entry itself where another kernel part supplies the
-    value.  One read-only int32 table, which the engine shares;
-    ``pull_span`` bounds the rows it reads and ``groups`` are its
-    direction groups (:func:`_pull_groups`), largest first.
+    value.  One read-only int32 table, which the engine shares; ``groups``
+    are its direction groups (:func:`_pull_groups`), largest first.
 
     The pulls the table leaves to another part are flat ``intp`` entries
     ``q * n_owned + row`` of this level's ``f`` (``*_dst``; NumPy indexes
@@ -423,7 +422,6 @@ class CompiledLevel:
     ghost_slots: np.ndarray           # coarse-ghost accumulator cells
     fine_ghost_slots: np.ndarray      # 4-layer fine ghosts (original baseline)
     pull_flat: np.ndarray             # (Q, n_owned) flat f source entries
-    pull_span: tuple[int, int]
     groups: tuple[tuple[int, ...], ...]
     # -- the stream's fix-ups, and the solid links ----------------------------
     mov_dst: np.ndarray; mov_term: np.ndarray
@@ -508,36 +506,15 @@ class MultiGrid:
         return [lv.n_owned for lv in self.levels]
 
 
-def iter_pull_rows(pull_flat: np.ndarray, n_owned: int):
-    """Per direction, the source rows ``entry % n_owned`` of a pull table,
-    each yielded in the one scratch row all directions share (as ``entry -
-    entry // n_owned * n_owned``: NumPy divides an int32 array by a scalar
-    three times faster than it takes the remainder)."""
-    rows = np.empty(pull_flat.shape[1], dtype=pull_flat.dtype)
-    for entries in pull_flat:
-        np.floor_divide(entries, n_owned, out=rows)
-        np.multiply(rows, n_owned, out=rows)
-        yield np.subtract(entries, rows, out=rows)
-
-
-def pull_span(pull_flat: np.ndarray, n_owned: int, level: int) -> tuple[int, int]:
-    """The half-open span of the rows a pull table reads, one direction at
-    a time in one scratch row (the table is a level's largest array).
-
-    The stream body gathers with ``mode="clip"`` (NumPy buffers an
-    ``out=`` gather it may have to abandon with an ``IndexError``), so the
-    bounds check it skips is made here: ``IndexError`` when an entry
-    leaves ``[0, Q * n_owned)``.
-    """
-    lo, hi, low, high = n_owned, 0, 0, -1      # an empty level spans [0, 0)
-    for entries, rows in zip(pull_flat, iter_pull_rows(pull_flat, n_owned)) if n_owned else ():
-        low, high = min(low, int(entries.min())), max(high, int(entries.max()))
-        lo, hi = min(lo, int(rows.min())), max(hi, int(rows.max()) + 1)
+def check_pull_table(pull_flat: np.ndarray, n_owned: int, level: int) -> None:
+    """Refuse a pull table with an entry outside ``[0, Q * n_owned)``
+    (``IndexError``).  The stream body gathers with ``mode="clip"`` (NumPy
+    buffers an ``out=`` gather it may have to abandon with an
+    ``IndexError``), so the bounds check it skips is made here."""
     size = pull_flat.shape[0] * n_owned
-    if low < 0 or high >= size:
+    if pull_flat.size and not 0 <= pull_flat.min() <= pull_flat.max() < size:
         raise IndexError(f"level {level}: pull table entries leave [0, {size}): "
                          f"min {pull_flat.min()}, max {pull_flat.max()}")
-    return lo, hi
 
 
 def _pull_groups(parts: dict[str, list], lat: Lattice) -> tuple[tuple[int, ...], ...]:
@@ -750,22 +727,21 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
         sel = code == _OUTSIDE
         if not sel.any():
             continue
-        rows_o = miss[sel]
-        # the pad layer the source lies in names the crossed faces; pick
-        # the governing one by precedence
-        layer = np.unravel_index(src_m[sel], padded)
-        best_rank = np.full(rows_o.size, 99, dtype=np.int64)
+        rows_o, src_o = miss[sel], src_m[sel]
+        # the pad layer the source lies in names the crossed faces: only
+        # an axis the direction moves along (a periodic one is wrapped by
+        # the pad), on the side the pull leaves by.  The governing face
+        # is the one of highest precedence, the lowest index among equals:
+        # the faces are ranked once and written worst first.
+        faces = []
+        for axis in np.flatnonzero(v):
+            if not per[axis]:
+                fi = 2 * axis + int(v[axis] < 0)
+                faces.append((_PRECEDENCE[spec.bc.face(face_names[fi]).kind], fi, axis))
         best_face = np.zeros(rows_o.size, dtype=np.int64)
-        for axis in range(d):
-            if per[axis]:  # wrapped by the pad, cannot be crossed
-                continue
-            for side, crossed in ((0, layer[axis] == 0),
-                                  (1, layer[axis] == padded[axis] - 1)):
-                fi = 2 * axis + side
-                rank = _PRECEDENCE[spec.bc.face(face_names[fi]).kind]
-                better = crossed & (rank < best_rank)
-                best_rank[better] = rank
-                best_face[better] = fi
+        for _, fi, axis in sorted(faces, reverse=True):
+            layer = 0 if fi % 2 == 0 else padded[axis] - 1
+            best_face[src_o // strides[axis] % padded[axis] == layer] = fi
         for fi in np.flatnonzero(np.bincount(best_face)):
             fbc = spec.bc.face(face_names[fi])
             rows = rows_o[best_face == fi]
@@ -869,6 +845,7 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int, labels: list[np
         raise ValueError(f"level {lvl} has {lat.q} x {max(n_rows, n_ghost)} "
                          f"population entries; int32 ids address fewer than 2**31")
     pull_flat, parts = _classify(spec, lat, lab_flat, padded, table, cells.take(owned_slots))
+    check_pull_table(pull_flat, n_owned, lvl)
     fg_cells = cells.take(fine_ghost_slots)
     del lab_flat, cells
     q, rows = ({k: _cat(parts[k], i) for k in ("mov", "out", "sb", "exp", "coal")}
@@ -892,7 +869,7 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int, labels: list[np
     return CompiledLevel(
         level=lvl, grid=grid, owned_slots=owned_slots, ghost_slots=ghost_slots,
         fine_ghost_slots=fine_ghost_slots, pull_flat=pull_flat,
-        pull_span=pull_span(pull_flat, n_owned, lvl), groups=groups,
+        groups=groups,
         mov_dst=_flat(q["mov"], n_owned, rows["mov"]), mov_term=mov_term,
         out_dst=_flat(q["out"], n_owned, rows["out"]), out_val=lat.w[q["out"]],
         sb_q=q["sb"], sb_cell=rows["sb"],

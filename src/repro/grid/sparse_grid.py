@@ -1,13 +1,15 @@
 """Block-sparse grid of one resolution level (paper Section V-A).
 
 The domain is partitioned into ``B^d`` blocks placed only where the fluid
-is active.  Each block stores an activity bitmask and the indices of its
-``3^d - 1`` neighbouring blocks, so that any cell's neighbour in any
-lattice direction is found with cheap divisions/modulo — intra-block
-neighbours stay inside the block, inter-block neighbours go through the
-block neighbour table.  Storage is allocated at block granularity: a block
-with a single active cell still occupies ``B^d`` slots, exactly like the
-CUDA implementation (one block = one CUDA block, one cell = one thread).
+is active.  Each block stores an activity bitmask.  On the GPU each block
+also stores the indices of its ``3^d - 1`` neighbouring blocks, so that a
+cell's neighbour in any lattice direction is found with cheap
+divisions/modulo.  The host streams through one compiled pull table per
+level instead (:mod:`repro.grid.multigrid`), so the neighbour table is
+priced from the block count (:meth:`BlockSparseGrid.metadata_bytes`), not
+built.  Storage is allocated at block granularity: a block with a single
+active cell still occupies ``B^d`` slots, exactly like the CUDA
+implementation (one block = one CUDA block, one cell = one thread).
 
 Blocks are ordered along a space-filling curve; a cell's *flat id* is
 ``block_id * B^d + local_id`` with C-ordered local ids, which is the
@@ -16,7 +18,6 @@ layout the AoSoA fields use.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +32,6 @@ def _local_offsets(d: int, B: int) -> np.ndarray:
     """Local coordinates of every cell of a block, C-ordered, shape (B^d, d)."""
     axes = np.meshgrid(*([np.arange(B)] * d), indexing="ij")
     return np.stack([a.ravel() for a in axes], axis=1).astype(np.int32)
-
-
-def _offset_index(carry: np.ndarray) -> np.ndarray:
-    """Map per-axis carries in {-1, 0, 1} to a 3^d block-direction index."""
-    idx = np.zeros(carry.shape[0], dtype=np.int64)
-    for axis in range(carry.shape[1]):
-        idx = idx * 3 + (carry[:, axis] + 1)
-    return idx
 
 
 @dataclass
@@ -56,7 +49,6 @@ class BlockSparseGrid:
     block_coords: np.ndarray           # (nb, d) int32 in block units, curve-ordered
     block_lut: np.ndarray              # dense (block-space) int32 -> block id or -1
     bitmask_words: np.ndarray          # (nb, words) uint64 — active cells
-    block_neighbors: np.ndarray        # (nb, 3^d) int32 block ids, -1 if absent
     curve: str = "morton"
     _local: np.ndarray = field(init=False, repr=False)
 
@@ -107,15 +99,9 @@ class BlockSparseGrid:
         block_axes_first = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
         flags = view.transpose(block_axes_first)[tuple(local.T)].reshape(nb, B ** d)
         words = bm.pack_bits(flags)
-        # 3^d block neighbour table: one gather on the table padded by a block
-        lut_pad = np.full(tuple(n + 2 for n in nblk_axes), -1, dtype=np.int32)
-        lut_pad[(slice(1, -1),) * d] = lut
-        strides = np.cumprod((1,) + lut_pad.shape[:0:-1])[::-1]
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ strides
-        nbr = lut_pad.reshape(-1)[((coords + 1) @ strides)[:, None] + offsets]
         return cls(level=level, shape=shape, block_size=B,
                    block_coords=coords, block_lut=lut, bitmask_words=words,
-                   block_neighbors=nbr, curve=curve)
+                   curve=curve)
 
     # -- basic queries ------------------------------------------------------
     @property
@@ -171,40 +157,13 @@ class BlockSparseGrid:
         ids[inside] = out
         return ids
 
-    def neighbor_ids(self, direction) -> np.ndarray:
-        """Flat ids of each allocated slot's neighbour along ``direction``.
-
-        Resolution goes through the block neighbour table: intra-block
-        neighbours are found with modular arithmetic, inter-block ones via
-        ``block_neighbors`` (-1 when the neighbouring block is absent) —
-        mirroring the paper's data structure.
-        Returns shape ``(n_alloc,)`` with -1 for missing neighbours.
-        """
-        v = np.asarray(direction, dtype=np.int64)
-        B = self.block_size
-        cpb = self.cells_per_block
-        nb = self.n_blocks
-        nl = self._local[None, :, :] + v[None, None, :]     # (1, cpb, d) broadcast
-        carry = np.floor_divide(nl, B)                       # -1/0/1 per axis
-        local = nl - carry * B
-        loc_idx = np.zeros((1, cpb), dtype=np.int64)
-        for axis in range(self.d):
-            loc_idx = loc_idx * B + local[:, :, axis]
-        diridx = _offset_index(carry.reshape(-1, self.d)).reshape(1, cpb)
-        block_ids = np.arange(nb, dtype=np.int64)[:, None]   # (nb, 1)
-        tgt_block = np.where(
-            diridx == (3 ** self.d - 1) // 2,                # zero offset -> same block
-            np.broadcast_to(block_ids, (nb, cpb)),
-            self.block_neighbors[block_ids, diridx].astype(np.int64),
-        )
-        out = np.where(tgt_block >= 0, tgt_block * cpb + loc_idx, -1)
-        return out.reshape(-1)
-
     # -- memory accounting (feeds repro.gpu.memory) -------------------------
     def metadata_bytes(self) -> dict[str, int]:
-        """Bytes of structural metadata as allocated on the GPU."""
+        """Bytes of structural metadata as allocated on the GPU: the
+        bitmask words, the ``3^d`` int32 block-neighbour table (counted from
+        the blocks, not held on the host) and the block origins."""
         return {
             "bitmask": self.bitmask_words.size * 8,
-            "block_neighbors": self.block_neighbors.size * 4,
+            "block_neighbors": self.n_blocks * 3 ** self.d * 4,
             "block_origins": self.block_coords.size * 4,
         }

@@ -4,10 +4,10 @@ Neon derives the dependency DAG of a multi-resolution application from
 the input/output fields each kernel declares.  We rebuild that analysis
 over a recorded kernel trace: kernels become nodes; read-after-write,
 write-after-read and write-after-write conflicts on the same
-:class:`~repro.neon.runtime.FieldRef` become edges.  The transitive
-reduction of this DAG is what the paper draws in Figure 2; its depth is
-the number of unavoidable synchronisation points, and its width the
-concurrency the scheduler can exploit.
+:class:`~repro.neon.runtime.FieldRef` become edges.  The paper's Figure 2
+draws this DAG without the edges other paths imply, which change neither
+its depth — the number of unavoidable synchronisation points — nor its
+width, the concurrency the scheduler can exploit.
 
 Scheduling reads the declarations only, as Neon does: the waves of
 :func:`schedule_records` are the ones plan replay runs.  The accesses
@@ -101,25 +101,6 @@ class KernelDAG:
             seen |= new
             stack.extend(new)
         return seen
-
-    def transitive_reduction(self) -> KernelDAG:
-        """The same nodes, without the edges another path implies.
-
-        ``u -> v`` goes when ``v`` is reachable from another successor of
-        ``u``; surviving edges keep their attributes.
-        """
-        tr = KernelDAG()
-        for n, attrs in self.nodes.items():
-            tr.add_node(n, **attrs)
-        reach: dict[int, set[int]] = {}
-        for u in sorted(self.nodes, reverse=True):
-            succ = self._succ[u]
-            implied = set().union(*(reach[v] for v in succ))
-            for v, d in succ.items():
-                if v not in implied:
-                    tr.add_edge(u, v, **d)
-            reach[u] = implied | succ.keys()
-        return tr
 
 
 def _access_overlap(a: Any, b: Any) -> bool:
@@ -235,8 +216,7 @@ def iter_conflict_pairs(records: Sequence[KernelRecord],
                         yield ConflictPair(i, j, dep, ref)
 
 
-def build_dependency_graph(records: list[KernelRecord],
-                           reduce: bool = True) -> KernelDAG:
+def build_dependency_graph(records: list[KernelRecord]) -> KernelDAG:
     """DAG over a kernel trace; node ``i`` is ``records[i]``.
 
     Node attributes: ``label`` (e.g. ``"S1"`` — kernel initial + level, the
@@ -261,7 +241,7 @@ def build_dependency_graph(records: list[KernelRecord],
                 g.add_edge(last_writer[ref], i, dep="waw")
             last_writer[ref] = i
             readers_since_write[ref] = []
-    return g.transitive_reduction() if reduce else g
+    return g
 
 
 def schedule_waves(g: KernelDAG) -> list[list[int]]:
@@ -286,11 +266,9 @@ def schedule_records(records: list[KernelRecord]) -> list[list[int]]:
     This is the schedule plan replay executes: the thread-wave executor
     (:attr:`StepPlan.waves <repro.backend.plan.StepPlan.waves>`) and the
     mp backend each call it once per admitted plan, never per step, and
-    the plan's certificate records it as its ``wave_schedule``.  The
-    transitive reduction is skipped: redundant edges cannot change ASAP
-    depths.
+    the plan's certificate records it as its ``wave_schedule``.
     """
-    return schedule_waves(build_dependency_graph(records, reduce=False))
+    return schedule_waves(build_dependency_graph(records))
 
 
 def stream_assignment(g: KernelDAG) -> dict[int, tuple[int, int]]:

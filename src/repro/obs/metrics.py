@@ -64,8 +64,7 @@ def run_metrics(sim, recorder=None) -> dict[str, float]:
         m[f"active_cells.L{lv}"] = n
     last = rt.last_step()
     if last:
-        waves = schedule_waves(
-            build_dependency_graph(device_records(last), reduce=False))
+        waves = schedule_waves(build_dependency_graph(device_records(last)))
         m["wave_depth"] = len(waves)        # device sync points per step
         m["wave_max_width"] = max(len(w) for w in waves)
         # Bytes of the buffers one step's stream touches; the name is the

@@ -94,8 +94,7 @@ def chrome_trace(recorder: SpanRecorder, *, device: DeviceSpec = A100_40GB,
         if not spans:
             continue
         records = [s.record for s in spans]
-        slots = stream_assignment(build_dependency_graph(
-            device_records(records), reduce=False))
+        slots = stream_assignment(build_dependency_graph(device_records(records)))
         cursor = spans[0].start_us
         wave_end = {}
         for pos, span in enumerate(spans):

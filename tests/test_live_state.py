@@ -33,8 +33,7 @@ from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
 from repro.core.lattice import get_lattice
 from repro.core.simulation import Simulation
 from repro.core.stepper import NonUniformStepper
-from repro.gpu.memory import (grid_memory_report, index_bytes, memory_arrays,
-                              memory_ledger)
+from repro.gpu.memory import grid_memory_report, memory_arrays, memory_ledger
 from repro.grid.multigrid import build_multigrid, compile_arrays
 from repro.io.checkpoint import (CheckpointStore, restore_checkpoint,
                                  save_checkpoint)
@@ -384,24 +383,6 @@ def test_population_bytes_are_what_the_memory_model_prices(workload):
                             + scratch_bytes(engine)), (cfg.name, dtype)
 
 
-@pytest.mark.parametrize("workload", [
-    lambda: lid_cavity(base=(16, 16, 16), num_levels=3),
-    lambda: sphere_tunnel(scale=0.5),
-    lambda: lid_cavity(base=(64, 64), num_levels=3, lattice="D2Q9")],
-    ids=["anchor", "sphere-half", "served-2d"])
-def test_index_bytes_are_what_the_memory_model_prices(workload):
-    """Every array a compiled level and its block grid hold, summed by
-    family, against :func:`repro.gpu.memory.index_bytes`, which counts
-    from sizes: exact, so a wider dtype or a new table shows."""
-    wl = workload()
-    mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
-    predicted = index_bytes(mgrid)
-    ledger = memory_ledger(mgrid)
-    assert {family for _, family in ledger} == set(predicted)
-    assert {f: sum(n for (_, g), n in ledger.items() if g == f)
-            for f in predicted} == predicted
-
-
 # -- the anchor's heap ---------------------------------------------------------------
 
 def heap_readings(wl, **config):
@@ -511,6 +492,10 @@ def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
 #: The grid's flat ``intp`` entries (:class:`~repro.grid.multigrid.CompiledLevel`).
 FLAT_MAPS = {"mov_dst", "out_dst", "exp_dst", "exp_src", "coal_dst", "acc_children"}
 
+#: The ledger families of the engine's own arrays; every other one is an
+#: index family of the grid compile.
+ENGINE_FAMILIES = {"populations", "ghost_accumulators", "fine_ghosts", "scratch"}
+
 
 @GRIDS
 @pytest.mark.parametrize("cfg", (ORIGINAL_BASELINE, MODIFIED_BASELINE, FUSED_FULL),
@@ -534,5 +519,5 @@ def test_every_index_array_is_int32_and_the_grids(setup, cfg):
             if a.dtype.kind in "iu" and name != "bitmask_words":
                 width = np.intp if name in FLAT_MAPS else np.int32
                 assert a.dtype == width, (lv, family, name, a.dtype)
-            if family in index_bytes(sim.mgrid):
+            if family not in ENGINE_FAMILIES:
                 assert id(a) in compiled, (lv, family, name)

@@ -88,14 +88,14 @@ class TestDependencyGraph:
         g = build_dependency_graph([
             rec("S", 0, reads=[FS0], writes=[F0]),
             rec("C", 0, reads=[F0], writes=[FS0]),  # writes what 0 read
-        ], reduce=False)
+        ])
         assert g.has_edge(0, 1)
 
     def test_waw_edge(self):
         g = build_dependency_graph([
             rec("E", 1, writes=[F1]),
             rec("S", 1, writes=[F1]),
-        ], reduce=False)
+        ])
         assert g.has_edge(0, 1)
 
     def test_independent_kernels_unconnected(self):
@@ -110,7 +110,7 @@ class TestDependencyGraph:
                                      lattice="D2Q9", collision="bgk",
                                      viscosity=0.05, fusion=MODIFIED_BASELINE)
         sim.run(2)
-        g = build_dependency_graph(sim.runtime.records, reduce=False)
+        g = build_dependency_graph(sim.runtime.records)
         # every edge runs forward in program order: acyclic by construction
         assert g.number_of_edges() and all(u < v for u, v in g.edges())
 
@@ -126,7 +126,7 @@ class TestScheduleWaves:
             rec("C", 0, reads=[F0], writes=[FS0]),
             rec("S", 0, reads=[FS0], writes=[F0]),
             rec("C", 0, reads=[F0], writes=[FS0]),
-        ], reduce=False)
+        ])
         waves = schedule_waves(g)
         assert [len(w) for w in waves] == [1, 1, 1]
 
@@ -135,7 +135,7 @@ class TestScheduleWaves:
             rec("C", 0, reads=[F0], writes=[FS0]),
             rec("C", 1, reads=[F1], writes=[FS1]),
             rec("S", 0, reads=[FS0, FS1], writes=[F0]),
-        ], reduce=False)
+        ])
         waves = schedule_waves(g)
         assert waves[0] == [0, 1]
         assert waves[1] == [2]
@@ -162,7 +162,7 @@ class TestGraphEdgeCases:
         g = build_dependency_graph([
             rec("C", 0, reads=[F0], writes=[FS0]),
             rec("N", 0),  # no declarations: depends on nothing
-        ], reduce=False)
+        ])
         assert g.number_of_edges() == 0
         assert schedule_waves(g) == [[0, 1]]
 
@@ -174,14 +174,13 @@ class TestGraphEdgeCases:
             rec("R", 0, reads=[A]),
             rec("W", 0, reads=[B], writes=[A]),
             rec("V", 0, writes=[B]),
-        ], reduce=False)
+        ])
         assert g.number_of_edges() == 2
         assert all(d["dep"] == "war" for _, _, d in g.edges(data=True))
         assert schedule_waves(g) == [[0], [1], [2]]
 
     def test_self_access_makes_no_self_loop(self):
-        g = build_dependency_graph([rec("O", 0, reads=[F0], writes=[F0])],
-                                   reduce=False)
+        g = build_dependency_graph([rec("O", 0, reads=[F0], writes=[F0])])
         assert g.number_of_edges() == 0
 
 
@@ -284,7 +283,7 @@ class TestDegenerateSchedules:
             records.append(rec("C" if k % 2 == 0 else "S", 0,
                                reads=[F0 if k % 2 == 0 else FS0],
                                writes=[FS0 if k % 2 == 0 else F0]))
-        g = build_dependency_graph(records, reduce=False)
+        g = build_dependency_graph(records)
         assign = stream_assignment(g)
         # every kernel alone in its wave, always on stream 0
         assert assign == {k: (k, 0) for k in range(n)}
@@ -296,7 +295,7 @@ class TestDegenerateSchedules:
         from repro.neon.graph import stream_assignment
         records = [rec("C", lv, reads=[FieldRef("f", lv)],
                        writes=[FieldRef("fstar", lv)]) for lv in range(4)]
-        g = build_dependency_graph(records, reduce=False)
+        g = build_dependency_graph(records)
         assign = stream_assignment(g)
         assert assign == {k: (0, k) for k in range(4)}
         assert graph_stats(g)["max_width"] == 4
@@ -353,7 +352,7 @@ class TestGoldenKernelCounts:
         assert {str(x) for r in dev for x in r.reads + r.writes} >= {
             "fstar@0", "fstar@1"}
         for recs, waves in ((records, host), (dev, device)):
-            g = build_dependency_graph(list(recs), reduce=False)
+            g = build_dependency_graph(list(recs))
             assert len(schedule_waves(g)) == waves
 
     def test_the_coarse_stream_waits_for_the_finer_explodes(self):
@@ -363,8 +362,8 @@ class TestGoldenKernelCounts:
         records = self.last_step(MODIFIED_BASELINE)
         explodes = [i for i, r in enumerate(records) if (r.name, r.level) == ("E", 2)]
         stream = next(i for i, r in enumerate(records) if (r.name, r.level) == ("S", 1))
-        host = build_dependency_graph(list(records), reduce=False)
-        dev = build_dependency_graph(device_records(records), reduce=False)
+        host = build_dependency_graph(list(records))
+        dev = build_dependency_graph(device_records(records))
         assert all(host.has_edge(e, stream) for e in explodes if e < stream)
         assert not any(dev.has_edge(e, stream) for e in explodes)
 
@@ -377,7 +376,7 @@ class TestStepGraphs:
         sim = Simulation.from_config(spec, lattice="D2Q9", collision="bgk",
                                      viscosity=0.05, fusion=config)
         sim.run(2)
-        return build_dependency_graph(sim.runtime.last_step(), reduce=False)
+        return build_dependency_graph(sim.runtime.last_step())
 
     def test_fig2_kernel_ratio(self):
         sb = graph_stats(self.make(MODIFIED_BASELINE))

@@ -234,13 +234,9 @@ def test_kernel_dag_matches_networkx(dag):
     for i in range(n):
         assert ours.descendants(i) == nx.descendants(ref, i)
         assert ours.out_edges(i) == list(ref.out_edges(i))
-    reduced = ours.transitive_reduction()
-    assert sorted(reduced.edges()) == sorted(nx.transitive_reduction(ref).edges())
-    assert all(d == ref.edges[u, v] for u, v, d in reduced.edges(data=True))
-    assert reduced.nodes(data=True) == ours.nodes(data=True)
-    # the ASAP waves are the topological generations, redundant edges or not
+    # the ASAP waves are the topological generations
     waves = [sorted(gen) for gen in nx.topological_generations(ref)]
-    assert schedule_waves(ours) == schedule_waves(reduced) == waves
+    assert schedule_waves(ours) == waves
 
 
 @given(st.data())

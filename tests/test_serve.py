@@ -489,7 +489,9 @@ class TestRestartResume:
         # bits: the restarted server starts, leaves that job's directory
         # alone, resumes the other
         root = str(tmp_path)
-        kept, torn = (cavity_job(base=12, levels=2, steps=8, job_id=name)
+        # 40 steps: the server stops `kept` at a boundary after it is seen
+        # at step 2, which 8 steps could outrun within one 5 ms poll
+        kept, torn = (cavity_job(base=12, levels=2, steps=40, job_id=name)
                       for name in ("kept", "torn"))
 
         async def phase1():

@@ -90,6 +90,12 @@ class TestLookup:
 
 
 class TestNeighbors:
+    """A cell's neighbour in a lattice direction, resolved by ``lookup`` of
+    its shifted position (as the test-local reference compile resolves
+    pulls): across block boundaries, and -1 in an absent block.  The
+    grid keeps no block-neighbour table; ``metadata_bytes`` prices the
+    device's from the block count."""
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_coordinate_arithmetic(self, d):
         shape = (12,) * d
@@ -97,17 +103,18 @@ class TestNeighbors:
         mask[(0,) * d] = True
         g = BlockSparseGrid.from_mask(mask)
         pos = g.cell_positions()
+        slot_of = {tuple(p): i for i, p in enumerate(pos.tolist())}
         dirs = [(1,) + (0,) * (d - 1), (-1,) * d, (0,) * (d - 1) + (1,)]
         for v in dirs:
-            expected = g.lookup(pos + np.asarray(v))
-            assert np.array_equal(g.neighbor_ids(v), expected)
+            expected = [slot_of.get(tuple(p), -1) for p in (pos + v).tolist()]
+            assert g.lookup(pos + np.asarray(v)).tolist() == expected
 
     def test_missing_block_neighbor(self):
         mask = np.zeros((8, 8), dtype=bool)
         mask[:4, :4] = True
         g = BlockSparseGrid.from_mask(mask)
-        ids = g.neighbor_ids((1, 0))
         pos = g.cell_positions()
+        ids = g.lookup(pos + np.array([1, 0]))
         # cells on the x=3 row have their +x neighbour in an absent block
         edge = pos[:, 0] == 3
         assert (ids[edge] == -1).all()
@@ -124,6 +131,7 @@ class TestMemoryAccounting:
     def test_neighbor_table_bytes(self):
         g = BlockSparseGrid.from_mask(np.ones((8, 8, 8), dtype=bool))
         assert g.metadata_bytes()["block_neighbors"] == g.n_blocks * 27 * 4
+        assert not hasattr(g, "block_neighbors")    # priced, not built
 
 
 class TestWindow:
@@ -143,7 +151,7 @@ class TestWindow:
         part = BlockSparseGrid.from_mask(mask[window], block_size=B, curve=curve,
                                          level=2, origin=origin, shape=shape)
         assert part.shape == whole.shape == shape
-        for name in ("block_coords", "block_lut", "bitmask_words", "block_neighbors"):
+        for name in ("block_coords", "block_lut", "bitmask_words"):
             a, b = getattr(part, name), getattr(whole, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(part.active(), whole.active())

@@ -344,7 +344,7 @@ class TestAccessMemo:
     @pytest.mark.parametrize("wl", (WL2D, WL3D), ids=("2d", "3d"))
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_memo_is_invisible(self, config, wl):
-        # the engine caches each level's index maps and pull span, a
+        # the grid holds each level's index maps and spans, a
         # tracer builds one EntrySet per index array: a warm rebind
         # reports what a cold one did, sharing the cold one's entry sets
         w = lid_cavity(**wl)
@@ -635,7 +635,7 @@ class TestCertificates:
         cert = plan.certificate
         assert cert["wave_schedule"] == [list(w) for w in plan.waves]
         assert cert["graph"] == graph_stats(
-            build_dependency_graph(list(plan.records), reduce=False))
+            build_dependency_graph(list(plan.records)))
 
     def test_one_wave_partition_per_admission(self, monkeypatch):
         """The certificate's graph stats are read off the waves it records:

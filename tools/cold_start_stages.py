@@ -16,10 +16,9 @@ geometry: the median over ``--procs`` fresh processes of
 
 * the grid build and its sub-stages — spec validation, owner labels, level
   compile (grid, slots, index table), classification (the pull table),
-  cross-level maps (parents, accumulate children), the pull table's
-  span and bounds proof, and the rest of the build (assembling the
-  level's flat maps; on a commit without these sub-stages, all of the
-  per-level work);
+  cross-level maps (parents, accumulate children), and the rest of the
+  build (the pull table's bounds check, assembling the level's flat maps;
+  on a commit without these sub-stages, all of the per-level work);
 * engine init, ``initialize``, admission, the plan compile without
   admission, the first step without the compile, and the whole.
 
@@ -52,7 +51,6 @@ STAGES = (
     ("  level compile", "repro.grid.multigrid", "_level_slots"),
     ("  classification", "repro.grid.multigrid", "_classify"),
     ("  cross-level maps", "repro.grid.multigrid", "_link_coarser"),
-    ("  pull span", "repro.grid.multigrid", "pull_span"),
     ("engine init", "repro.core.engine:Engine", "__init__"),
     ("initialize", "repro.core.engine:Engine", "initialize"),
     ("admission", "repro.backend.compiler", "admit_stream"),
@@ -135,7 +133,7 @@ def child(name: str) -> dict[str, float]:
     # a cached grid serves the next job of the geometry: another viscosity
     whole = cold_start(config if grids is None
                        else config.replace(viscosity=config.viscosity * 0.8))
-    build = {s: totals[s] for s, _, _ in STAGES[1:7] if s in totals}
+    build = {s: totals[s] for s, _, _ in STAGES if s.startswith(" ") and s in totals}
     out = {"grid build": totals["grid build"], **build,
            "  rest of the build": totals["grid build"] - sum(build.values())}
     for s in ("engine init", "initialize", "admission"):
