@@ -120,8 +120,6 @@ class Engine:
             if f0.shape != (mgrid.d,):
                 raise ValueError(f"force must have shape ({mgrid.d},)")
             self.force = [f0 * 0.5 ** lv for lv in range(mgrid.num_levels)]
-        #: 1 / (2 * 2^d): the Coalescence average over 2^d children x 2 substeps.
-        self.inv_navg = 1.0 / (2.0 * 2 ** mgrid.d)
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
@@ -300,14 +298,14 @@ class Engine:
     def _accumulate(self, lv: int, mode: str):
         """Add level ``lv``'s fresh post-collision values into its parent's ghosts.
 
-        Every accumulator slot's ``2^d`` children are gathered one child at
-        a time through the grid's ``(2^d, n_bins)`` map of flat ``f``
-        entries and added, in order, into float64 sums: the sum of each
-        slot's bin is the textbook per-``q`` sum's, term for term, and it
-        is rounded into ``ghost_acc``'s dtype once, when added.  A bin
-        Coalescence does not read has no slot, so nothing sums it.  The
-        gather row and the sums are bind-time buffers on :attr:`scratch`
-        (``"accumulate"``).  ``mode`` selects the traffic attribution of the
+        Each accumulator slot sums the populations that stream out of this
+        level into its coarse cell: row ``j`` of the grid's ragged
+        ``acc_sources`` (the slots with more than ``j`` sources, first) is
+        gathered and added, in order, into a prefix of float64 sums, which
+        are rounded into ``ghost_acc``'s dtype once, when added.  A bin
+        Coalescence does not read has no slot.  The gather row and the sums
+        are bind-time buffers on :attr:`scratch` (``"accumulate"``), which
+        the rows write prefix views of.  ``mode`` selects the traffic attribution of the
         equivalent GPU kernel, which sums into a ``(Q, n_ghost)``
         accumulator: ``"fused"`` (Collision+Accumulate — the source values
         sit in registers, the scatter is atomic), ``"scatter"``
@@ -318,22 +316,22 @@ class Engine:
         up = self.mgrid.levels[lv - 1]
         if up.n_ghost == 0:
             return None
-        Q, ng, children = self.lat.q, up.n_ghost, up.acc_children
+        Q, ng, sources = self.lat.q, up.n_ghost, up.acc_sources
         acc, post_flat = self.levels[lv - 1].ghost_acc, self.levels[lv].f.reshape(-1)
-        row, sums = self._acc_buffers(lv, children.shape[1])
-        first, rest = children[0], tuple(children[1:])
+        row, sums = self._acc_buffers(lv, sources[0].size)
+        first, rest = sources[0], tuple((s, row[:s.size], sums[:s.size]) for s in sources[1:])
         take, copyto, add = np.take, np.copyto, np.add
 
         def run() -> None:
             take(post_flat, first, out=row, mode="clip")
             copyto(sums, row)
-            for kids in rest:
-                take(post_flat, kids, out=row, mode="clip")
-                add(sums, row, out=sums)
+            for src, part, part_sums in rest:
+                take(post_flat, src, out=part, mode="clip")
+                add(part_sums, part, out=part_sums)
             add(acc, sums, out=acc)
 
         def report(t) -> None:
-            i, nb = self.itemsize, self.itemsize * children.size
+            i, nb = self.itemsize, self.itemsize * up.n_acc_sources
             t.read(FieldRef("f", lv), *up.acc_span, 0 if mode == "fused" else nb)
             if mode == "gather":
                 t.read(FieldRef("gacc", lv - 1), 0, ng, Q * i * ng)
@@ -446,14 +444,19 @@ class Engine:
         return run, report
 
     def _coalesce(self, lv: int, subsumed: bool = False):
-        """Average the accumulated ghosts into ``f``, then reset them."""
+        """Write each slot's mean, ``acc_e / (2 n_e)`` over the two substeps'
+        sums, into ``f``, then reset the slots; the slots with ``n_e = k``
+        are those row ``k - 1`` of ``acc_sources`` covers and row ``k`` not."""
         b, cl = self.levels[lv], self.mgrid.levels[lv]
         Q, ng, dst = self.lat.q, b.n_ghost, cl.coal_dst
-        inv_navg = self.inv_navg
         acc, f_flat = b.ghost_acc, b.f.reshape(-1)
+        ends = [src.size for src in cl.acc_sources] + [0]
+        means = tuple((acc[lo:hi], 2.0 * k) for k, (hi, lo) in enumerate(zip(ends, ends[1:]), 1))
 
         def run() -> None:
-            f_flat[dst] = acc * inv_navg
+            for part, n in means:
+                np.divide(part, n, out=part)
+            f_flat[dst] = acc
             acc.fill(0.0)
 
         def report(t) -> None:
@@ -498,7 +501,7 @@ class Engine:
         if fused and self.levels[lv - 1].n_ghost:
             name = "CA"
             writes = writes + (FieldRef("gacc", lv - 1),)
-            atomic = self.itemsize * self.mgrid.levels[lv - 1].acc_children.size
+            atomic = self.itemsize * self.mgrid.levels[lv - 1].n_acc_sources
         omega, force = self.omega[lv], self.force[lv]
         self.rt.launch(name, lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n,
@@ -522,7 +525,7 @@ class Engine:
         ng = up.n_ghost
         if ng == 0:
             return
-        moved, gacc = self.itemsize * up.acc_children.size, self.itemsize * self.lat.q * ng
+        moved, gacc = self.itemsize * up.n_acc_sources, self.itemsize * self.lat.q * ng
         self.rt.launch(
             "A", lv,
             n_cells=(ng if gather else 2 ** self.mgrid.d * ng),
@@ -622,7 +625,7 @@ class Engine:
         if lv > 0:
             up = self.mgrid.levels[lv - 1]
             if up.n_ghost:
-                atomic = self.itemsize * up.acc_children.size
+                atomic = self.itemsize * up.n_acc_sources
                 writes.append(FieldRef("gacc", lv - 1))
             if cl.exp_dst.size:
                 reads.append(FieldRef("f", lv - 1))

@@ -202,11 +202,13 @@ def spec_digest(spec: RefinementSpec, lattice: Lattice | str) -> str:
 
 def compile_arrays(grid: MultiGrid):
     """``(level, name, array)`` of every array attribute of the compile
-    (``CompiledLevel``, its ``BlockSparseGrid``), shared buffers included."""
+    (``CompiledLevel``, its ``BlockSparseGrid``; each array of a tuple, the
+    ragged ``acc_sources``' rows), shared buffers included."""
     for cl in grid.levels:
         for owner in (cl, cl.grid):
-            yield from ((cl.level, name, a) for name, a in vars(owner).items()
-                        if isinstance(a, np.ndarray))
+            yield from ((cl.level, name, r) for name, a in vars(owner).items()
+                        for r in (a if isinstance(a, tuple) else (a,))
+                        if isinstance(r, np.ndarray))
 
 
 def grid_arrays_digest(grid: MultiGrid) -> str:
@@ -361,7 +363,7 @@ def _validate_spec(spec: RefinementSpec) -> list[tuple[slice, ...]]:
                     "solid cells must be surrounded by finest-level cells "
                     "(refine around the obstacle)"
                 )
-            # Accumulate sums all 2^d children of a coarse ghost cell.
+            # Accumulate's sources are a coarse ghost cell's children and their neighbours.
             hit = ghost_children & solid[win]
             if hit.any():
                 cell = np.argwhere(hit)[0] + [s.start for s in win]
@@ -399,14 +401,15 @@ class CompiledLevel:
       the entry ``q * n_owned + row`` of that level's ``f`` (the 4a
       layout reads the same value in ``exp_ghost_rows``, this level's
       fine-ghost rows);
-    * ``coal`` — a cell of the next-finer level (Eq. 11): the average of
+    * ``coal`` — a cell of the next-finer level (Eq. 11): the mean of
       ghost-accumulator slot ``e``, which stands for the int32 bin
       ``coal_bin[e] = q * n_ghost + ghost`` of the device's ``(Q,
       n_ghost)`` accumulator.
 
-    ``acc_children`` gives each accumulator slot its ``2^d`` children,
-    child-major: a ``(2^d, n_coal)`` map of flat ``intp`` entries of the
-    *finer* level's ``f`` (resolved by that level's compile).
+    ``acc_sources`` gives each slot the ``n_e`` *finer* cells whose pull leaves
+    that level into the slot's cell: ragged child-major rows of flat ``intp``
+    entries of its ``f``, slots by descending ``n_e``, row ``j`` covering those
+    with ``n_e > j`` (resolved, with that order, by the finer level's compile).
     ``fg_coarse_rows`` gives each fine ghost (4a) its parent's row in the
     coarser level.  ``sb_q`` / ``sb_cell`` list the solid links for the
     momentum exchange.  The ``*_span`` pairs are the half-open row
@@ -431,12 +434,12 @@ class CompiledLevel:
     exp_dst: np.ndarray; exp_src: np.ndarray
     exp_ghost_rows: np.ndarray       # the exp_src values in this level's fine ghosts (4a)
     coal_dst: np.ndarray; coal_bin: np.ndarray
-    acc_children: np.ndarray         # (2^d, n_coal) entries of the finer level's f
+    acc_sources: tuple[np.ndarray, ...]  # ragged rows of entries of the finer level's f
     fg_coarse_rows: np.ndarray       # per fine ghost, its parent's coarser row (4a)
     # -- report spans and kernel cell counts -------------------------------------
     exp_dst_span: tuple[int, int]; exp_src_span: tuple[int, int]
     coal_dst_span: tuple[int, int]; coal_src_span: tuple[int, int]
-    acc_span: tuple[int, int]        # rows of the finer level the children read
+    acc_span: tuple[int, int]        # rows of the finer level the sources read
     n_interface_fine: int            # owned cells with an explosion pull
     n_interface_coarse: int          # owned cells with a coalescence pull
 
@@ -447,6 +450,10 @@ class CompiledLevel:
     @property
     def n_ghost(self) -> int:
         return int(self.ghost_slots.size)
+
+    @property
+    def n_acc_sources(self) -> int:                 # the entries Accumulate gathers
+        return sum(r.size for r in self.acc_sources)
 
     @property
     def n_alloc(self) -> int:
@@ -786,15 +793,14 @@ def _classify(spec: RefinementSpec, lat: Lattice, lab_flat: np.ndarray,
 
 def _link_coarser(up: CompiledLevel, up_win: tuple[slice, ...], win: tuple[slice, ...],
                   periodic: list[bool], padded: tuple[int, ...], table: np.ndarray,
-                  n_owned: int, fg_cells: np.ndarray) -> np.ndarray:
+                  n_owned: int, fg_cells: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Cross-level maps, by gather on the coarser level ``up``'s table of
     owned rows over its window ``up_win`` (built here, dropped on return):
     returned, the parent rows of the fine ghosts, padded cells ``fg_cells``
     of this level's window ``win`` (every explosion source is one); stored
-    on ``up``, its accumulator slots' children: the rows of its ghost
-    cells' children in this level's ``table``, as entries of the slots'
-    directions in this level's ``(Q, n_owned)`` ``f``.  Every one of them
-    is an owned cell."""
+    on ``up``, its accumulator slots' sources, ``coal_dst`` / ``coal_bin``
+    sorted with them: the owned cells of this level's ``table`` whose pull
+    along the slot's ``e_q`` leaves the level into the slot's cell."""
     up_lo = tuple(s.start for s in up_win)
     up_padded = tuple(s.stop - s.start + 2 for s in up_win)
     up_cells = _slot_cells(up.grid, up_lo, up_padded)
@@ -810,13 +816,24 @@ def _link_coarser(up: CompiledLevel, up_win: tuple[slice, ...], win: tuple[slice
         first = sum((2 * c - 1 - o) * s for c, o, s in zip(
             np.unravel_index(up_cells.take(up.ghost_slots), up_padded),
             (2 * o for o in shift), strides))
-        kids = table.take((first[:, None] + _cube_offsets(2, strides)).ravel())
-        if kids.min() < 0:
-            raise AssertionError("ghost child is not an owned fine cell")
-        # slot e stands for bin (q, ghost): its children are that ghost's
+        # slot e: coarse cell x pulls q from ghost g = x - e_q; the cells
+        # streaming into x's children are g's children shifted by e_q
         q, ghost = np.divmod(up.coal_bin, up.n_ghost)
-        up.acc_children = _flat(q, n_owned, kids.reshape(up.n_ghost, -1).T.take(ghost, axis=1))
-        up.acc_span = row_span(kids)
+        at = first.take(ghost) + (e @ strides).take(q)
+        n_src = np.zeros(q.size, dtype=np.intp)
+        held = np.empty((2 ** strides.size, q.size), dtype=np.int32)
+        for off in _cube_offsets(2, strides):
+            rows = table.take(at + off)
+            mine = np.flatnonzero(rows >= 0)
+            held[n_src.take(mine), mine] = rows.take(mine)
+            n_src[mine] += 1
+        if n_src.min(initial=1) == 0:
+            raise AssertionError("coalescence entry with no fine source")
+        order = np.argsort(-n_src, kind="stable")
+        up.coal_dst, up.coal_bin, q = (a.take(order) for a in (up.coal_dst, up.coal_bin, q))
+        sources = [held[j].take(order[:np.count_nonzero(n_src > j)]) for j in range(n_src.max())]
+        up.acc_sources = tuple(_flat(q[:r.size], n_owned, r) for r in sources)
+        up.acc_span = row_span(np.concatenate(sources))
     return fg_rows
 
 
@@ -863,7 +880,7 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int, labels: list[np
     exp_rows = fg_coarse_rows = np.empty(0, dtype=np.int32)
     if lvl > 0:
         fg_coarse_rows = _link_coarser(coarser[lvl - 1], windows[lvl - 1], windows[lvl],
-                                       per, padded, table, n_owned, fg_cells)
+                                       per, padded, table, n_owned, fg_cells, lat.e)
         # an explosion source is a fine ghost: its parent is that ghost's
         exp_rows = fg_coarse_rows.take(exp_ghost_rows - n_owned)
     return CompiledLevel(
@@ -878,8 +895,8 @@ def _compile_level(spec: RefinementSpec, lat: Lattice, lvl: int, labels: list[np
         exp_ghost_rows=exp_ghost_rows,
         coal_dst=_flat(q["coal"], n_owned, rows["coal"]),
         coal_bin=q["coal"] * n_ghost + coal_src,
-        # acc_children / acc_span: resolved by the next finer level's _link_coarser
-        acc_children=np.empty((2 ** spec.d, 0), dtype=np.intp),
+        # acc_sources / acc_span: resolved by the next finer level's _link_coarser
+        acc_sources=(),
         fg_coarse_rows=fg_coarse_rows,
         exp_dst_span=row_span(rows["exp"]), exp_src_span=row_span(exp_rows),
         coal_dst_span=row_span(rows["coal"]), coal_src_span=row_span(coal_src),

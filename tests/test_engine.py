@@ -15,7 +15,8 @@ from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, build_multigr
 from repro.grid.geometry import wall_refinement
 from repro.neon.runtime import FieldRef, LazyBody
 
-from .test_multigrid import compiled_form, nested_box_spec, ref_compile, table_groups
+from .test_multigrid import (assert_same_map, compiled_form, nested_box_spec, ref_compile,
+                             table_groups)
 
 
 def run_op(op, *args, **kwargs):
@@ -281,7 +282,8 @@ class TestStreamingSemantics:
     def test_coalescence_is_scaled_average(self):
         eng = make_engine()
         eng.initialize(u=np.array([0.01, 0.0]))
-        # run the full two-substep fine cycle so the accumulator holds 2x4 samples
+        # run the full two-substep fine cycle so each slot holds 2 x n_e
+        # samples, n_e the fine cells that stream into its coarse cell
         stepper = NonUniformStepper(eng)
         run_op(eng.op_collide, 0)
         run_op(eng.op_collide, 1, fuse_accumulate=True)
@@ -291,8 +293,10 @@ class TestStreamingSemantics:
         coarse = eng.levels[0]
         acc = coarse.ghost_acc.copy()
         run_op(eng.op_stream, 0, fuse_coalescence=True)
-        got = coarse.f.reshape(-1)[eng.mgrid.levels[0].coal_dst]
-        expected = acc / 8.0  # 2 * 2^2; slot e is the bin entry e reads
+        cl = eng.mgrid.levels[0]
+        got = coarse.f.reshape(-1)[cl.coal_dst]
+        n_src = sum(np.arange(acc.size) < r.size for r in cl.acc_sources)
+        expected = acc / (2 * n_src).astype(acc.dtype)  # slot e is the bin entry e reads
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_ghost_reset_after_coalescence(self):
@@ -371,12 +375,11 @@ class TestBoundaryPhysics:
 # (``fstar`` / the new ``f``) from a whole copy of their input, and the
 # level's ``f`` holds the result.  The engine's in-place bodies (flat
 # index maps, one take per row through a table that has the boundary
-# links folded in, streamed one direction group at a time, an in-order
-# reduce over the children of the bins Coalescence reads) must reproduce
-# them bit for bit.  The textbook sums into the device kernel's dense
-# ``(Q, n_ghost)`` accumulator (``eng.dense_acc``, see ``textbook``); the
-# engine keeps one slot per bin that Coalescence reads, compared with
-# that bin.
+# links folded in, streamed one direction group at a time, ragged rows of
+# the populations that stream out of a level) must reproduce them bit for
+# bit.  The textbook sums into the device kernel's dense ``(Q, n_ghost)``
+# accumulator (``eng.dense_acc``, see ``textbook``); the engine keeps one
+# slot per bin that Coalescence reads, compared with that bin.
 
 def ref_collide(eng, lv):
     b = eng.levels[lv]
@@ -386,11 +389,17 @@ def ref_collide(eng, lv):
 
 
 def ref_accumulate(eng, lv):
+    """Coalescence entry ``(q, x)`` of level ``lv - 1`` reads bin ``(q, x -
+    e_q)``: into it go the post-collision ``f_q`` of the level-``lv`` cells
+    whose pull leaves the level into ``x``, summed in float64 in child
+    order (the reference's ``acc_src_rows``)."""
     parent, fine, acc = eng.ref[lv - 1], eng.levels[lv], eng.dense_acc[lv - 1]
-    for q in range(eng.lat.q):
-        acc[q] += np.bincount(
-            parent["acc_ghost_rows"], weights=fine.f[q, parent["acc_fine_rows"]],
-            minlength=parent["ghost_slots"].size)
+    q = parent["coal_q"]
+    sums = np.zeros(q.size)
+    for rows in parent["acc_src_rows"]:
+        owned = rows >= 0
+        sums[owned] += fine.f[q[owned], rows[owned]]
+    acc[q, parent["coal_src"]] += sums
 
 
 def ref_stream(eng, lv):
@@ -418,8 +427,12 @@ def ref_explode(eng, lv, from_ghost):
 
 
 def ref_coalesce(eng, lv):
+    """Each entry takes the mean of what streamed into its cell over two
+    substeps: its bin over twice the number of its sources."""
     b, a, acc = eng.levels[lv], eng.ref[lv], eng.dense_acc[lv]
-    b.f[a["coal_q"], a["coal_cell"]] = acc[a["coal_q"], a["coal_src"]] * eng.inv_navg
+    landed = 2 * (a["acc_src_rows"] >= 0).sum(axis=0)
+    b.f[a["coal_q"], a["coal_cell"]] = (acc[a["coal_q"], a["coal_src"]]
+                                        / landed.astype(acc.dtype))
     acc[:] = 0.0
 
 
@@ -429,14 +442,14 @@ def textbook(eng, lv, refs):
     accumulator (the bins nobody reads start at 0), the bodies run, and
     the slots read their bins back."""
     eng.dense_acc = []
-    for b, a in zip(eng.levels, eng.ref.values()):
+    for b, cl in zip(eng.levels, eng.mgrid.levels):
         acc = np.zeros((eng.lat.q, b.n_ghost), b.ghost_acc.dtype)
-        acc[a["coal_q"], a["coal_src"]] = b.ghost_acc
+        acc.reshape(-1)[cl.coal_bin] = b.ghost_acc
         eng.dense_acc.append(acc)
     for ref in refs:
         ref(eng, lv)
-    for b, a, acc in zip(eng.levels, eng.ref.values(), eng.dense_acc):
-        b.ghost_acc[...] = acc[a["coal_q"], a["coal_src"]]
+    for b, cl, acc in zip(eng.levels, eng.mgrid.levels, eng.dense_acc):
+        b.ghost_acc[...] = acc.reshape(-1)[cl.coal_bin]
 
 
 def ref_explosion_copy(eng, lv):
@@ -525,8 +538,9 @@ class TestKernelBodies:
 
     def test_grids_reach_every_index_map(self, engine):
         for name in ("sb_q", "mov_dst", "out_dst", "exp_dst", "coal_dst",
-                     "acc_children", "fg_coarse_rows", "exp_ghost_rows"):
+                     "fg_coarse_rows", "exp_ghost_rows"):
             assert any(getattr(cl, name).size for cl in engine.mgrid.levels), name
+        assert any(cl.acc_sources for cl in engine.mgrid.levels)
         for name in ("bb_q", "sl_q"):       # in the pull table only
             assert any(a[name].size for a in engine.ref.values()), name
         for cl, b in zip(engine.mgrid.levels, engine.levels):
@@ -534,7 +548,7 @@ class TestKernelBodies:
         # ... and each map is the reference's lists in flat form
         for lv, cl in enumerate(engine.mgrid.levels):
             for name, want in compiled_form(engine.ref, lv, engine.lat)[0].items():
-                assert np.array_equal(getattr(cl, name), want), (lv, name)
+                assert_same_map(getattr(cl, name), want, (lv, name))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_matches_textbook_body(self, engine, kernel):
@@ -560,34 +574,36 @@ class TestKernelBodies:
                     assert np.array_equal(g[k], w[k]), (kernel, lv, k)
 
     def test_accumulate_keeps_a_subsequence_of_the_entries(self, engine):
-        # each slot gathers the textbook's (q, child) entries of its bin,
-        # in the textbook's order; the bins are the ones Coalescence reads
-        Q, children = engine.lat.q, 2 ** engine.mgrid.d
+        # each slot gathers the textbook's sources of its entry, in child
+        # order; the slots are the entries sorted by how many sources they
+        # have, most first, and their bins are the ones Coalescence reads
+        Q = engine.lat.q
         for lv in range(1, len(engine.levels)):
             a, up, fine = engine.ref[lv - 1], engine.mgrid.levels[lv - 1], engine.levels[lv]
-            kids = up.acc_children
-            slots = a["coal_q"].size
-            assert kids.shape == (children, slots) == (children, engine.levels[lv - 1].ghost_acc.size)
-            q, ghost = np.divmod(up.coal_bin, up.n_ghost)
-            assert np.array_equal(q, a["coal_q"]) and np.array_equal(ghost, a["coal_src"])
+            src = a["acc_src_rows"]
+            owned = src >= 0
+            n_src = owned.sum(axis=0)
+            assert 1 <= n_src.min() and n_src.max() < 2 ** engine.mgrid.d
+            slots = up.coal_bin.size
+            assert slots == n_src.size == engine.levels[lv - 1].ghost_acc.size
             assert np.unique(up.coal_bin).size == slots < Q * up.n_ghost
-            # the textbook adds entry k of each q into bin (q, acc_ghost_rows[k])
-            order = np.argsort(a["acc_ghost_rows"], kind="stable")
-            first = np.searchsorted(a["acc_ghost_rows"][order], a["coal_src"])
-            for c in range(children):
-                k = order[first + c]
-                assert np.array_equal(a["acc_ghost_rows"][k], a["coal_src"])
-                assert np.array_equal(
-                    kids[c], a["coal_q"] * fine.n_owned + a["acc_fine_rows"][k])
-            counts = np.bincount(a["acc_ghost_rows"], minlength=up.n_ghost)
-            assert (counts.take(a["coal_src"]) == children).all()
-            assert kids.size == children * slots
+            ref_bin = a["coal_q"] * up.n_ghost + a["coal_src"]
+            entry = np.argsort(ref_bin)[np.searchsorted(np.sort(ref_bin), up.coal_bin)]
+            assert np.array_equal(ref_bin[entry], up.coal_bin)
+            assert (np.diff(n_src[entry]) <= 0).all()
+            for j, row in enumerate(up.acc_sources):
+                e = entry[:row.size]
+                assert (n_src[e] > j).all() and (n_src[entry[row.size:]] <= j).all()
+                # the (j + 1)-th owned source of each entry
+                pick = (np.cumsum(owned[:, e], axis=0) == j + 1) & owned[:, e]
+                assert np.array_equal(row, a["coal_q"][e] * fine.n_owned + src[:, e].T[pick.T])
+            assert up.n_acc_sources == n_src.sum()
             # ... and the declarations count exactly those entries
             for launch in (lambda: engine.op_accumulate(lv),
                            lambda: engine.op_collide(lv, fuse_accumulate=True),
                            lambda: engine.op_fused_case(lv)):
                 rec = engine.rt.capture_plan(launch)[0]
-                assert rec.atomic_bytes == engine.itemsize * kids.size
+                assert rec.atomic_bytes == engine.itemsize * n_src.sum()
 
 
 #: kernel sequences of the configs on a level below the coarsest, all

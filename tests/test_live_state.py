@@ -446,10 +446,10 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
         assert admit_peak - current <= 4 * MiB, (
             f"admission transient {(admit_peak - current) / MiB:.1f} MiB")
         # one (Q, n_owned) integer table per level and no other (a level's
-        # accumulate children index the finer level's f; the finest has none)
+        # accumulate sources index the finer level's f; the finest has none)
         per_cell = [sim.lattice.q * k for k in n] + [1]
         tables = [(lv, a) for lv, _, name, a in memory_arrays(sim.engine)
-                  if a.size >= per_cell[lv + (name == "acc_children")]
+                  if a.size >= per_cell[lv + name.startswith("acc_sources")]
                   and a.dtype.kind in "iu" and a.itemsize >= 4]
         assert [lv for lv, _ in tables] == list(range(sim.num_levels))
         for (lv, table), cl, buf in zip(tables, sim.mgrid.levels,
@@ -458,10 +458,10 @@ def test_anchor_heap_stays_near_the_live_bytes(monkeypatch):
             assert table.dtype == np.int32 and not table.flags.writeable
         # declared atomic bytes are the entries the bound bodies gather
         plan = next(iter(sim.backend.plans.values()))
-        gathered = sum(sim.mgrid.levels[r.level - 1].acc_children.size
+        gathered = sum(sim.mgrid.levels[r.level - 1].n_acc_sources
                        for r in plan.records if r.atomic_bytes)
         assert sum(r.atomic_bytes for r in plan.records) \
-            == sim.engine.itemsize * gathered == 5_345_280
+            == sim.engine.itemsize * gathered == 2_695_680
 
 
 def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
@@ -490,7 +490,7 @@ def test_half_sphere_4b_heap_stays_near_the_live_bytes(monkeypatch):
 
 
 #: The grid's flat ``intp`` entries (:class:`~repro.grid.multigrid.CompiledLevel`).
-FLAT_MAPS = {"mov_dst", "out_dst", "exp_dst", "exp_src", "coal_dst", "acc_children"}
+FLAT_MAPS = {"mov_dst", "out_dst", "exp_dst", "exp_src", "coal_dst", "acc_sources"}
 
 #: The ledger families of the engine's own arrays; every other one is an
 #: index family of the grid compile.
@@ -513,11 +513,11 @@ def test_every_index_array_is_int32_and_the_grids(setup, cfg):
         sim.run(1)                          # binds every body
         assert not any(hasattr(cl, name) for cl in sim.mgrid.levels
                        for name in ("kind", "maps", "bb_q", "sl_q", "exp_q", "coal_q",
-                                    "acc_fine_rows"))
+                                    "acc_fine_rows", "acc_children"))
         compiled = {id(a) for _, _, a in compile_arrays(sim.mgrid)}
         for lv, family, name, a in memory_arrays(sim.engine):
             if a.dtype.kind in "iu" and name != "bitmask_words":
-                width = np.intp if name in FLAT_MAPS else np.int32
+                width = np.intp if name.split("[")[0] in FLAT_MAPS else np.int32
                 assert a.dtype == width, (lv, family, name, a.dtype)
             if family not in ENGINE_FAMILIES:
                 assert id(a) in compiled, (lv, family, name)

@@ -206,24 +206,40 @@ class TestInterfaceMaps:
         assert ghost.min() >= 0
         assert ghost.max() < coarse.n_ghost
 
-    def test_accumulate_children_count(self):
-        mg = build_multigrid(two_level_2d(), D2Q9)
+    @pytest.mark.parametrize("spec, counts", [
+        # 2 (= 2^(d-1)) sources along a straight stretch of the interface,
+        # 1 at a convex corner of the refined region, 3 at a concave one
+        pytest.param(center_patch_spec(), [1, 2], id="patch"),
+        pytest.param(two_level_2d(), [2, 3], id="frame"),
+    ])
+    def test_accumulate_source_count(self, spec, counts):
+        mg = build_multigrid(spec, D2Q9)
         coarse, fine = mg.levels[0], mg.levels[1]
-        # each slot gathers exactly 2^d children, in its bin's direction
-        assert coarse.acc_children.shape == (4, coarse.coal_bin.size)
-        q = coarse.acc_children // fine.n_owned
-        assert (q == coarse.coal_bin // coarse.n_ghost).all()
+        # ragged rows: row j covers the slots with more than j sources,
+        # the first ones, each in its bin's direction
+        rows = coarse.acc_sources
+        assert rows[0].size == coarse.coal_bin.size
+        n_src = sum(np.arange(rows[0].size) < r.size for r in rows)
+        assert sorted(set(n_src.tolist())) == counts
+        assert (np.diff(n_src) <= 0).all()
+        for r in rows:
+            assert (r // fine.n_owned == coarse.coal_bin[:r.size] // coarse.n_ghost).all()
+        assert coarse.n_acc_sources == n_src.sum()
 
-    def test_accumulate_children_are_true_children(self):
-        mg = build_multigrid(two_level_2d(), D2Q9)
+    def test_accumulate_sources_stream_into_the_slot_cell(self):
+        mg = build_multigrid(center_patch_spec(), D2Q9)
         coarse, fine = mg.levels[0], mg.levels[1]
-        gpos = coarse.grid.cell_positions()[coarse.ghost_slots]
-        rows = coarse.acc_children % fine.n_owned
-        cpos = fine.grid.cell_positions()[fine.owned_slots[rows]]
-        parents = cpos // 2
-        ghost = coarse.coal_bin % coarse.n_ghost
-        assert np.array_equal(parents, np.broadcast_to(gpos[ghost], parents.shape))
-        assert len({tuple(c) for c in cpos[:, 0]}) == 4
+        cpos = coarse.grid.cell_positions()[coarse.owned_slots]
+        fpos = fine.grid.cell_positions()[fine.owned_slots]
+        cell = coarse.coal_dst % coarse.n_owned
+        landed = []
+        for r in coarse.acc_sources:
+            q, rows = np.divmod(r, fine.n_owned)
+            landed.append(fpos[rows] + mg.lattice.e[q])
+            assert np.array_equal(landed[-1] // 2, cpos[cell[:r.size]])
+        # in distinct children of the slot's cell
+        for first, later in itertools.combinations(landed, 2):
+            assert (first[:len(later)] != later).any(axis=1).all()
 
     def test_fine_ghost_four_layers(self):
         mg = build_multigrid(center_patch_spec(), D2Q9)
@@ -473,12 +489,20 @@ def ref_compile(spec, lat):
         a["exp_ghost_rows"] = row_of_slot[a["exp_ghost_rows"]]
         a["mov_term"] = cat("mov", 2, np.float64)
         a["out_val"] = lat.w[a["out_q"]] if a["out_q"].size else np.empty(0)
+        # Coalescence entry (q, x): the finer cells whose q-pull leaves that
+        # level into one of x's children, child by child (C order); -1
+        # where the finer level does not own the cell
         children = np.array(list(itertools.product((0, 1), repeat=d)))
-        gpos = grid.cell_positions()[ghost_slots]
-        a["acc_fine_rows"] = (rows_of(lvl + 1)[grids[lvl + 1].lookup(
-            (gpos[:, None, :] * 2 + children).reshape(-1, d))]
-            if ghost_slots.size else np.empty(0, dtype=np.int64))
-        a["acc_ghost_rows"] = np.repeat(np.arange(ghost_slots.size), 2 ** d)
+        src = np.full((2 ** d, a["coal_q"].size), -1, dtype=np.int64)
+        if a["coal_q"].size:
+            fine_shape = shape * 2
+            for c, child in enumerate(children):
+                at = 2 * pos[a["coal_cell"]] + child - lat.e[a["coal_q"]]
+                at = np.where(per, at % fine_shape, at)
+                ok = np.all((at >= 0) & (at < fine_shape), axis=1)
+                ok[ok] = labels[lvl + 1][tuple(at[ok].T)] == 0
+                src[c, ok] = rows_of(lvl + 1)[grids[lvl + 1].lookup(at[ok])]
+        a["acc_src_rows"] = src
         a["fg_coarse_rows"] = (rows_of(lvl - 1)[grids[lvl - 1].lookup(
             grid.cell_positions()[fg_slots] // 2)]
             if fg_slots.size else np.empty(0, dtype=np.int64))
@@ -521,9 +545,11 @@ def compiled_form(ref, lvl, lat):
     """What a ``CompiledLevel`` holds, from the reference's kind lists:
     ``(arrays, values)``.  Each list becomes flat ``intp`` entries ``q *
     stride + row`` (the Coalescence bins int32 ``q * n_ghost + ghost``),
-    whose ``divmod`` by the stride gives the list back; the accumulator
-    slot of Coalescence entry ``e`` gathers the ``2^d`` children of its
-    ghost, child-major; spans and counts are read off the lists."""
+    whose ``divmod`` by the stride gives the list back; the Coalescence
+    entries are sorted by how many finer cells stream into them, most
+    first, and ``acc_sources`` row ``j`` holds the ``j``-th of them (in
+    child order) of every entry that has one; spans and counts are read
+    off the lists."""
     a = ref[lvl]
     n, ng = a["owned_slots"].size, a["ghost_slots"].size
     up_n = ref[lvl - 1]["owned_slots"].size if lvl else 0
@@ -535,23 +561,39 @@ def compiled_form(ref, lvl, lat):
     arrays = {k: a[k] for k in ("owned_slots", "ghost_slots", "fine_ghost_slots",
                                 "mov_term", "out_val", "sb_q", "sb_cell",
                                 "exp_ghost_rows", "fg_coarse_rows")}
+    src = a["acc_src_rows"]
+    owned = src >= 0
+    n_src = owned.sum(axis=0)
+    order = np.argsort(-n_src, kind="stable")
+    packed = np.take_along_axis(src, np.argsort(~owned, axis=0, kind="stable"), axis=0)
+    coal_q, rows = a["coal_q"][order], [int((n_src > j).sum()) for j in range(n_src.max(initial=0))]
     arrays.update(
         mov_dst=flat(a["mov_q"], n, a["mov_cell"]),
         out_dst=flat(a["out_q"], n, a["out_cell"]),
         exp_dst=flat(a["exp_q"], n, a["exp_cell"]),
         exp_src=flat(a["exp_q"], up_n, a["exp_rows"]),
-        coal_dst=flat(a["coal_q"], n, a["coal_cell"]),
-        coal_bin=(a["coal_q"] * ng + a["coal_src"]).astype(np.int32),
-        acc_children=flat(a["coal_q"], fine_n,
-                          a["acc_fine_rows"].reshape(ng, -1).T[:, a["coal_src"]])
-        if ng else np.empty((2 ** lat.d, 0), dtype=np.intp))
+        coal_dst=flat(a["coal_q"], n, a["coal_cell"])[order],
+        coal_bin=(a["coal_q"] * ng + a["coal_src"]).astype(np.int32)[order],
+        acc_sources=tuple(flat(coal_q[:m], fine_n, packed[j, order[:m]])
+                          for j, m in enumerate(rows)))
     values = dict(
         exp_dst_span=_span(a["exp_cell"]), exp_src_span=_span(a["exp_rows"]),
         coal_dst_span=_span(a["coal_cell"]), coal_src_span=_span(a["coal_src"]),
-        acc_span=_span(a["acc_fine_rows"]),
+        acc_span=_span(src[owned]),
         n_interface_fine=np.unique(a["exp_cell"]).size,
         n_interface_coarse=np.unique(a["coal_cell"]).size)
     return arrays, values
+
+
+def assert_same_map(got, want, where):
+    """``got`` is ``want``, dtype and values; a ragged map row by row."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), where
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert_same_map(g, w, where + (j,))
+        return
+    assert got.dtype == want.dtype, where + (got.dtype,)
+    assert np.array_equal(got, want), where
 
 
 def table_groups(table, n):
@@ -599,12 +641,10 @@ def assert_matches_reference(spec, lat):
         a = ref[cl.level]
         want, values = compiled_form(ref, cl.level, lat)
         fields = [f.name for f in dataclasses.fields(cl)
-                  if isinstance(getattr(cl, f.name), np.ndarray)]
+                  if isinstance(getattr(cl, f.name), np.ndarray) or f.name == "acc_sources"]
         assert sorted(fields) == sorted(set(want) | {"pull_flat"})
         for name in want:
-            got = getattr(cl, name)
-            assert got.dtype == want[name].dtype, (cl.level, name, got.dtype)
-            assert np.array_equal(got, want[name]), (cl.level, name)
+            assert_same_map(getattr(cl, name), want[name], (cl.level, name))
         for name, value in values.items():
             assert getattr(cl, name) == value, (cl.level, name)
         assert_one_kind_per_pull(cl, a)
@@ -925,7 +965,11 @@ def test_random_topologies_count_interface_cells(spec):
 # converted to int32 rows in the same way).  Since the grid stopped
 # building its block-neighbour table, each pin is the digest of the
 # compile that still built it with ``block_neighbors`` deleted from every
-# level's BlockSparseGrid: no other array moved.
+# level's BlockSparseGrid: no other array moved.  Since Accumulate gathers
+# the populations that stream out of the finer level (``acc_sources``, in
+# place of ``acc_children``), each pin hashes those rows and the
+# Coalescence entries in their new order; every other array, and the set
+# of ``coal_dst`` / ``coal_bin`` values, kept its bytes.
 
 def shell_cavity(offsets):
     """The 16³×3 anchor cavity with its innermost refinement shell moved per
@@ -970,27 +1014,27 @@ def _witness_specs():
 
 WITNESS = {
     "2d-fully-periodic-B8-hilbert":
-        "0a4fc8b5a9ca6672ca529bd01a6dc3bae86575b8d48f1fa65aa459ddebbcecb8",
+        "114537092c8931840d475a86808628717d853e30abe1db0bdc76f5c426384a9f",
     "2d-periodic-slip-moving-L3":
-        "448f62872fafbc73b344ebeae74e6ee0d1b30dacc40c151d3072ca5e5b751824",
+        "a2346f0a4668bf0146144b3ac03cf43fe930ef44c767170b35800da06be742d9",
     "3d-periodic-inlet-outflow-slip-B2":
-        "7b49497c60d4da258ca30caa21494d9df347e35548b278088740baa75d74a652",
+        "3c0f9c09d8a86c5baed272afc4959e0be2b924cf93cfe9b78142c5b0bd199d47",
     "cavity-12c-L2":
-        "2abf98042437f5048cd1ed601663e3743417de43fc0d81f83a4711721a989d22",
+        "8b9d23a041136a1cff47cb97f345a4b8cc62a4b2264f03447fa78a9005ce0df2",
     "cavity-16c-L3":
-        "cab35f99b5a73e84df10be646c61984b67bb59e3e3373562e8eb839986d25718",
+        "0e8445a3670e15c25b51b2054e2781e2724c3fa0a528a27469a22b9c041b7357",
     "cavity-24c-L3":
-        "647c4b98d7ad7d0de699ef7018eef48e81e4cacd6c3ae07f08dd76a6c06b70aa",
+        "db3c643c963ca305948edf539db467a4b4d1558229819e83cedc99b3ae147bed",
     "coldstart-shell-a":
-        "10f65d207112440ff8a19c07a20409ad2603c21c5c909d1fef82e7b9aab3e68a",
+        "2e7df0c7ec70005b46baf0bf9165120926aead402f06ae7b88a255a48465c76c",
     "coldstart-shell-b":
-        "4cc2c25836b0bbe7ccc1910ccdf7f7b541588f3eeff4fa01689d5e6ae5ebf558",
+        "9ce9bbda1ee7833c8b8127178eaafb3441c530ea8d6e33036f6680a7d2b2877a",
     "served-2d-64-L3":
-        "c840e547557d73373ec69f7868a19c247bb3e12d7b4e752083606063cd1ac84b",
+        "3e716f04b3f136bfa6a7675135e1b36f3c60029621d63428803a4474624a1574",
     "sphere-s0.25":
-        "5711bcb86d8a09adf195b180d0c4bc7c0c5546d511665a93d6876bc894323fda",
+        "2a2a48b3b40d7c09ed85adbc392dbab250e51c8195d853b15088c035da6dfb6e",
     "sphere-s0.5":
-        "857f39a1a35695b04d1a0d29a38a2401448ea3c483af02dd1d79f42854884c0c",
+        "a082847f2376d93c7798dc1e1e9701098cd0aaa4747836af4bd2dedfaa05e5f1",
 }
 
 

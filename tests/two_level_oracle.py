@@ -18,19 +18,16 @@ One coarse step:
    post-collision value (*explosion*: homogeneous in space, and the same
    at both substeps, because the coarse box streams only afterwards);
 3. the coarse box streams.  A coarse cell whose upstream cell is refined
-   pulls a *coalesced* value instead, which ``coalesce`` reads in one of
-   two ways:
-
-   * ``"flux"`` — what left the fine box: every fine population that
-     streams out of the refined region, at either substep, enters the
-     coarse cell it lands in, at a quarter of its coarse-cell density.
-     What the coarse box loses to the fine one and what it gains from it
-     are then the streamed populations themselves, so at a planar
-     interface (a band) mass is conserved to round-off: Rohde et al.'s
-     "mass conservative" property.
-   * ``"children"`` — the space-time average of the upstream cell's four
-     fine children over both substeps' post-collision values, which is
-     how the engine reads the coalescence (DESIGN.md §4).
+   pulls a *coalesced* value instead: the mean of what left the fine box
+   into it.  Every fine population that streams out of the refined
+   region, at either substep, lands in a fine cell of some coarse cell
+   ``x``; ``x`` pulls the sum of what landed in it along that direction,
+   divided by how many landed.  At a planar interface half of ``x``'s
+   children receive one per substep, so the mean is the sum over 2^d:
+   what the coarse box loses to the fine one and what it gains from it
+   are then the streamed populations themselves, and mass is conserved
+   to round-off (Rohde et al.'s "mass conservative" property).  Where
+   the interface turns a corner fewer land, and the mean still is one.
 """
 
 from __future__ import annotations
@@ -80,12 +77,9 @@ class TwoLevelBGK:
     """Two levels of D2Q9 BGK on a periodic box; ``region`` may be all False
     (then the coarse box alone is a uniform solver)."""
 
-    def __init__(self, region: np.ndarray, nu: float, u, coalesce: str = "flux"):
-        if coalesce not in ("flux", "children"):
-            raise ValueError(coalesce)
+    def __init__(self, region: np.ndarray, nu: float, u):
         self.region = np.asarray(region, dtype=bool)
         self.fine = up(self.region)
-        self.coalesce = coalesce
         L = self.region.shape[0]
         self.omega_c = 1 / (3 * nu + 0.5)
         self.omega_f = 1 / (3 * 2 * nu + 0.5)
@@ -106,28 +100,22 @@ class TwoLevelBGK:
     def step(self) -> None:
         fc = collide(self.fc, self.omega_c)
         exploded = up(fc)
-        # the fine populations coalescence reads, summed over both
-        # substeps at fine resolution: "flux" by the cell each landed in,
-        # "children" by the cell each left
-        coal = np.zeros_like(self.ff)
+        # what streams out of the fine box at either substep, by the fine
+        # cell it lands in, and how many populations landed there
+        landed, count = np.zeros_like(self.ff), np.zeros_like(self.ff)
         ff = self.ff
         for _ in range(2):
             ff = collide(ff, self.omega_f)
             for i, shift in enumerate(map(tuple, E)):
-                leaving = np.where(self.fine, ff[i], 0.0)
-                if self.coalesce == "flux":
-                    coal[i] += np.where(self.fine, 0.0, np.roll(leaving, shift, axis=(0, 1)))
-                else:
-                    coal[i] += leaving
+                arrives = ~self.fine & np.roll(self.fine, shift, axis=(0, 1))
+                landed[i] += np.where(arrives, np.roll(ff[i], shift, axis=(0, 1)), 0.0)
+                count[i] += arrives
                 ff[i] = np.roll(np.where(self.fine, ff[i], exploded[i]), shift, axis=(0, 1))
-        # a quarter of a fine cell's density per fine population, and the
-        # children's average over two substeps
-        coal = block_sum(coal) / (4 if self.coalesce == "flux" else 8)
+        landed, count = block_sum(landed), block_sum(count)
         for i, shift in enumerate(map(tuple, E)):
-            if self.coalesce == "children":
-                coal[i] = np.roll(coal[i], shift, axis=(0, 1))
             from_fine = np.roll(self.region, shift, axis=(0, 1))
-            self.fc[i] = np.where(from_fine, coal[i], np.roll(fc[i], shift, axis=(0, 1)))
+            mean = landed[i] / np.maximum(count[i], 1)      # read where from_fine only
+            self.fc[i] = np.where(from_fine, mean, np.roll(fc[i], shift, axis=(0, 1)))
         self.fc[:, self.region] = W[:, None]        # not the coarse box's: never read
         self.ff = ff
 
