@@ -121,11 +121,10 @@ docs-check:
 	fi
 	$(PYTHON) tools/check_links.py
 
-# One pass over the bind-time access map (the bound bodies' reports; no
-# body runs for it): reports against declarations (with the declared
-# dependency graph, what keeps every wave race-free), fusion-legality
-# proofs, lint pass, step-plan certificates carrying the declared waves
-# the executors replay, a short run that must stay finite, and the seeded-illegal
+# One pass over the capture's access map (what the bodies' reports state,
+# which the launch records are read off; no body runs for it):
+# fusion-legality proofs, lint pass, step-plan certificates carrying the
+# records' waves the executors replay, a short run that must stay finite, and the seeded-illegal
 # negative controls (a hoisted Collision; an Explode moved behind the
 # coarser Stream that overwrites what it reads).
 analysis:

@@ -1,21 +1,16 @@
-"""Declaration checks and plan admission for the mini-Neon model.
+"""Kernel access analysis and plan admission for the mini-Neon model.
 
 The Neon runtime (paper Section V-C) derives the dependency DAG — and
 therefore every synchronisation the schedule contains — from the field
-sets each kernel *declares*.  A declaration that drifts from what the
-kernel body touches silently corrupts the schedule, which on a real GPU
-is a data race.  Each kernel's footprint is stated twice, independently:
-by its launch declaration, and by the access report bound with its body
-in :mod:`repro.core.engine` — the one per-kernel statement of what it
-reads and writes.  This subsystem checks the two against each other and
-reasons over the reports:
+sets each kernel declares.  Here a kernel states what it touches once:
+the access report bound with its body in :mod:`repro.core.engine`.  The
+launch record the scheduler reads is derived from that report
+(:meth:`~repro.neon.runtime.KernelRecord.from_accesses`), so the two
+cannot drift apart, and this subsystem reasons over the reports:
 
 * :mod:`repro.analysis.capture` — the :class:`Access` records a report
   states (field, row interval, kind, bytes, exact entries), the
   :class:`AccessTracer` that records them and the :class:`EntrySet`;
-* :mod:`repro.analysis.verify` — diffs each kernel's reported accesses
-  against its :class:`~repro.neon.runtime.KernelRecord`'s declared
-  reads/writes and byte counts;
 * :mod:`repro.analysis.static` — the stream and its access map with no
   body run, and fusion-legality contraction proofs with structured
   counterexamples;
@@ -27,17 +22,16 @@ reasons over the reports:
   runs, legality verdict, lint findings) plan admission validates;
 * :mod:`repro.analysis.cli` — ``python -m repro analysis`` checks every
   fusion configuration on small multigrid workloads in one pass over
-  the bind-time access map: declarations, legality, lint and
-  certificates.
+  the capture's access map: legality, lint and certificates.
 
 No race detector runs over the waves: the schedule is built from the
-declarations (:func:`repro.neon.graph.build_dependency_graph`), which
-order every two kernels that declare a common field one of them
-writes, and the verifier reports any access to a field a kernel does
-not declare — so a same-wave conflict is a verifier finding first.
+records (:func:`repro.neon.graph.build_dependency_graph`), which order
+every two kernels that touch a common field one of them writes, and the
+records name every field a report states.
 
-Whether a report covers what its body actually does is checked by
-running the bodies on poisoned buffers (``tests/test_static_analysis.py``).
+The one remaining check is whether a report covers what its body
+actually does: ``tests/test_static_analysis.py`` runs the bodies on
+poisoned buffers against their reports.
 """
 
 from .capture import Access, AccessTracer
@@ -48,7 +42,6 @@ from .cli import ALL_CONFIGS, main, small_workloads, static_check
 from .lint import LintFinding, LintReport, lint_stream
 from .static import (Counterexample, LegalityProof, plan_stream,
                      prove_fusion_legality, seeded_illegal_proof)
-from .verify import Finding, verify_record, verify_trace
 
 __all__ = [
     "ALL_CONFIGS",
@@ -56,7 +49,6 @@ __all__ = [
     "AccessTracer",
     "CERTIFICATE_VERSION",
     "Counterexample",
-    "Finding",
     "LegalityProof",
     "LintFinding",
     "LintReport",
@@ -71,7 +63,5 @@ __all__ = [
     "static_check",
     "stream_digest",
     "validate_certificate",
-    "verify_record",
-    "verify_trace",
     "write_certificate",
 ]

@@ -4,15 +4,15 @@ Every kernel body in :mod:`repro.core.engine` is built together with its
 access report — a closure that states, to an :class:`AccessTracer`, each
 read, plain write and atomic-add scatter the body performs, with the row
 interval taken from the index arrays the body uses.  That report is the
-one per-kernel statement of a kernel's footprint: admission, the legality
-proof, lint, certificates and ``repro analysis`` evaluate it once, at
-bind time (:func:`repro.backend.compiler.bind_stream`; no body runs).
-A report is not an observation of its body;
+one statement of a kernel's footprint: the capture evaluates it once
+(:meth:`~repro.neon.runtime.Runtime.capture_plan`; no body runs), the
+launch record is read off it
+(:meth:`~repro.neon.runtime.KernelRecord.from_accesses`), and admission,
+the legality proof, lint, certificates and ``repro analysis`` reason over
+what it stated.  A report is not an observation of its body;
 ``tests/test_static_analysis.py`` checks each report against what its
-body actually reads and writes.  Declarations (the ``reads=``/``writes=``
-tuples and byte counts handed to
-:meth:`~repro.neon.runtime.Runtime.launch`) are the other, independent
-statement; :mod:`repro.analysis.verify` diffs the two.
+body actually reads and writes.  The access kinds (``READ``, ``WRITE``,
+``ATOMIC``, ``META``) are :mod:`repro.neon.runtime`'s.
 
 Row coordinates are the engine's compact row space: rows ``0..n_owned-1``
 are the owned cells of a level — all of its one population buffer ``f``,
@@ -28,18 +28,10 @@ from typing import Any
 
 import numpy as np
 
-from ..neon.runtime import FieldRef
+from ..neon.runtime import ATOMIC, META, READ, WRITE, FieldRef
 
 __all__ = ["Access", "AccessTracer", "EntrySet", "READ", "WRITE", "ATOMIC",
            "META"]
-
-#: Access kinds.  ``META`` is structural-metadata traffic (neighbour
-#: tables, bitmasks): it contributes to the read-byte total but names no
-#: field, so it is exempt from declaration matching and conflict pairs.
-READ = "read"
-WRITE = "write"
-ATOMIC = "atomic"
-META = "meta"
 
 _KINDS = frozenset((READ, WRITE, ATOMIC, META))
 
@@ -85,8 +77,8 @@ class EntrySet:
 class Access:
     """One reported access: a field, a half-open row interval, a payload.
 
-    ``nbytes`` models the DRAM traffic of the access under the same
-    accounting the declarations use (register-resident re-reads inside a
+    ``nbytes`` models the DRAM traffic of the access under the paper's
+    two-buffer accounting (register-resident re-reads inside a
     fused kernel carry 0 bytes); ``lo``/``hi`` bound the rows the body
     indexes.  ``entries`` (when not ``None``) is the exact set of entry
     ids the body's flat index map names — the interval is then only an

@@ -1,15 +1,15 @@
 """Machine-readable step-plan certificates.
 
 A certificate is the static analyzer's output frozen as JSON: the
-declaration stream, the access map its bound bodies report, the wave
-schedule of the declared dependency graph (the waves
+kernel stream, the access map its bodies' reports state, the wave
+schedule of the records' dependency graph (the waves
 :attr:`StepPlan.waves <repro.backend.plan.StepPlan.waves>` and the mp
 backend replay), the fusion-legality verdict and
 the lint findings — everything a compiled backend needs to *admit* a
 step plan without re-deriving the analysis (ROADMAP: "compiled step
 plans" behind the pluggable backend).
 
-The stream digest binds a certificate to the exact declaration stream it
+The stream digest binds a certificate to the exact kernel stream it
 proves things about: an executor can hash its own records and refuse a
 stale certificate.  ``validate_certificate`` re-checks the structural
 invariants (digest match, schema version, wave schedule is a permutation
@@ -40,7 +40,7 @@ CERTIFICATE_VERSION = 1
 
 
 def stream_digest(records: Sequence[KernelRecord]) -> str:
-    """Stable content hash of a declaration stream.
+    """Stable content hash of a kernel stream.
 
     Covers exactly the declared launch parameters (not accesses — those
     are derived).  Field order inside reads/writes is significant: it is
@@ -179,7 +179,7 @@ def validate_certificate(cert: Mapping[str, Any],
         digest = stream_digest(records)
         if digest != cert["stream_digest"]:
             problems.append("stream digest mismatch: certificate was built "
-                            "for a different declaration stream")
+                            "for a different kernel stream")
     # keep only unique problems, first occurrence wins
     seen: set[str] = set()
     unique: list[str] = []

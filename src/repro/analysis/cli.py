@@ -1,15 +1,10 @@
 """``python -m repro analysis`` — gate every fusion configuration.
 
 For each requested :class:`~repro.core.fusion.FusionConfig` and workload
-one pass over the stream's bind-time access map (no body runs for it:
-:func:`~repro.analysis.static.plan_stream`) checks
-
-1. every kernel's reported accesses against its declarations
-   (:mod:`repro.analysis.verify`) — with the declared dependency graph
-   ordering every two kernels that share a field one of them writes,
-   this is what keeps the waves plan replay runs free of races;
-2. the fusion-legality proof, the lint pass and the step-plan
-   certificate, whose wave schedule is that declared one;
+one pass over the access map the capture's reports state (no body runs
+for it: :func:`~repro.analysis.static.plan_stream`) checks the
+fusion-legality proof, the lint pass and the step-plan certificate,
+whose wave schedule is the one the records' dependency graph gives;
 
 then steps the simulation to check it stays finite, and runs the
 seeded-illegal negative controls per workload (a Collision hoisted over
@@ -29,7 +24,6 @@ from typing import Any, Sequence, TextIO
 
 from ..bench.workloads import ALL_CONFIGS, SMALL_WORKLOADS
 from ..core.fusion import FusionConfig, get_config
-from .verify import verify_trace
 
 __all__ = ["ALL_CONFIGS", "main", "small_workloads", "static_check"]
 
@@ -49,18 +43,16 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
                  steps: int = 2, cert_dir: str | None = None) -> dict[str, Any]:
     """Analyse ``steps`` coarse steps of one config; returns a report dict.
 
-    The stream is captured and its bodies bound, and the access map is
-    what their reports state (:func:`~repro.analysis.static.plan_stream`).
-    Over that one map, each failure is a ``problem``:
+    The stream is captured, and the access map is what its reports
+    state (:func:`~repro.analysis.static.plan_stream`).  Over that one
+    map, each failure is a ``problem``:
 
-    1. the reports reproduce every declaration exactly
-       (:func:`~repro.analysis.verify.verify_trace`);
-    2. the fusion is proved a legal contraction of the modified baseline
+    1. the fusion is proved a legal contraction of the modified baseline
        on the same engine
        (:func:`~repro.backend.compiler.prove_plan_legality`);
-    3. the lint pass reports no ``error``-severity findings;
-    4. the emitted certificate validates against the stream;
-    5. the simulation, stepped ``steps`` times on the interpreted
+    2. the lint pass reports no ``error``-severity findings;
+    3. the emitted certificate validates against the stream;
+    4. the simulation, stepped ``steps`` times on the interpreted
        backend, stays finite.
 
     With ``cert_dir``, the step-plan certificate is written there as
@@ -75,7 +67,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
 
     records, accesses, sim = plan_stream(config, small_workloads()[workload],
                                          steps=steps)
-    findings = verify_trace(records, accesses)
     proof = prove_plan_legality(sim.stepper, records, AccessTracer(), steps)
     lint = lint_stream(records, accesses, sim.engine)
     cert = build_certificate(config.name, workload, records, accesses, proof,
@@ -96,7 +87,6 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "kernels": len(records),
         "declared_edges": cert["graph"]["edges"],
         "declared_waves": len(cert["wave_schedule"]),
-        "findings": [str(f) for f in findings],
         "verdict": proof.verdict,
         "pairs_checked": proof.pairs_checked,
         "counterexamples": [str(c) for c in proof.counterexamples],
@@ -128,8 +118,7 @@ def _negative_controls(workload: str, steps: int) -> list[dict[str, Any]]:
 
 
 def _problems(report: dict[str, Any]) -> int:
-    return (len(report["findings"])
-            + (0 if report["verdict"] in ("legal", "baseline") else 1)
+    return ((0 if report["verdict"] in ("legal", "baseline") else 1)
             + len(report["lint_errors"]) + len(report["certificate_problems"])
             + (0 if report["stable"] else 1))
 
@@ -152,8 +141,6 @@ def _run(configs: Sequence[FusionConfig], workloads: Sequence[str],
                   f"verdict={rep['verdict']:8s} "
                   f"pairs={rep['pairs_checked']:4d} "
                   f"touched={rep['touched_bytes']} B", file=out)
-            for f in rep["findings"]:
-                print(f"    declaration: {f}", file=out)
             for msg in rep["lint_errors"] + rep["certificate_problems"]:
                 print(f"    {msg}", file=out)
             if rep["verdict"] == "illegal":
@@ -178,10 +165,10 @@ def _run(configs: Sequence[FusionConfig], workloads: Sequence[str],
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro analysis",
-        description="Declaration verifier, fusion-legality "
+        description="Fusion-legality "
                     "proof, lint pass and step-plan certificates for every "
                     "kernel-fusion configuration, over the access map the "
-                    "bound bodies report (plus seeded-illegal controls).")
+                    "kernels' bodies report (plus seeded-illegal controls).")
     parser.add_argument("--config", action="append", default=None,
                         metavar="NAME",
                         help="check one configuration (repeatable); "

@@ -1,7 +1,7 @@
 """Lint pass over a kernel stream's access map.
 
-Consumes the declaration stream, its access map (each bound body's
-report, :func:`repro.backend.compiler.bind_stream`) and the engine's
+Consumes the kernel stream, its access map (what each body's report
+states, :func:`repro.backend.compiler.bind_stream`) and the engine's
 buffer sizes — never a population value — and reports two severities:
 
 * ``error`` — the step plan is wasteful as declared, plan admission

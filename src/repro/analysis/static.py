@@ -1,29 +1,22 @@
-"""Declaration-time kernel-stream analysis: nothing executes.
+"""Capture-time kernel-stream analysis: nothing executes.
 
-This module reasons about a kernel stream from two inputs only:
-
-* the :class:`~repro.neon.runtime.KernelRecord` declarations (fields,
-  byte totals, atomics) a capture records
-  (:meth:`~repro.neon.runtime.Runtime.capture_plan`);
-* the access map of the same stream: each launch's body handle is bound
-  and its access report evaluated (:func:`repro.backend.compiler.bind_stream`)
-  — the engine resolves index arrays, no body runs and no population
-  value is read.
+This module reasons about a kernel stream as one capture returns it
+(:func:`repro.backend.compiler.bind_stream`): the
+:class:`~repro.neon.runtime.KernelRecord` stream (fields, byte totals,
+atomics) and, for each launch, the accesses its body's report stated,
+from which the record was read
+(:meth:`~repro.neon.runtime.KernelRecord.from_accesses`) — the engine
+resolves index arrays, no body runs and no population value is read.
 
 The report bound with each body is the one per-kernel statement of what
 the kernel touches (field x level x half-open row interval x
 read/write/atomic, with exact entry sets for the small scatter/gather
-patches).  From it this module proves:
-
-* **declaration consistency**: the reports reproduce each record's
-  declared field sets and byte totals exactly
-  (:func:`~repro.analysis.verify.verify_trace` over the bind-time map);
-* **fusion legality**: a fused stream is a valid *contraction* of the
-  modified-baseline stream — every conflicting access pair of the
-  baseline keeps its happens-before order, either inside one fused
-  kernel (body order) or across kernels (a path in the fused declared
-  DAG).  Violations produce a structured :class:`Counterexample` naming
-  the conflicting pair.
+patches).  From it this module proves **fusion legality**: a fused
+stream is a valid *contraction* of the modified-baseline stream — every
+conflicting access pair of the baseline keeps its happens-before order,
+either inside one fused kernel (body order) or across kernels (a path in
+the fused stream's dependency DAG).  Violations produce a structured
+:class:`Counterexample` naming the conflicting pair.
 
 The same map feeds the lint pass (:mod:`repro.analysis.lint`) and the
 step-plan certificates (:mod:`repro.analysis.certificate`) plan
@@ -85,11 +78,11 @@ def plan_stream(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
                 steps: int = 2,
                 ) -> tuple[list[KernelRecord], dict[int, list[Access]],
                            "Simulation"]:
-    """The declaration stream of a workload and its access map; no body runs.
+    """The kernel stream of a workload and its access map; no body runs.
 
     Builds the simulation (grid compilation + buffer allocation are
     setup, not kernel execution) on the interpreted backend, whatever
-    ``$REPRO_BACKEND`` says, and binds ``steps`` coarse steps of the
+    ``$REPRO_BACKEND`` says, and captures ``steps`` coarse steps of the
     Algorithm-1 stepper (:func:`~repro.backend.compiler.bind_steps`, one
     tracer for the whole stream).  Returns ``(records, accesses, sim)``.
     """
@@ -278,9 +271,9 @@ def prove_fusion_legality(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
     (:func:`~repro.backend.compiler.prove_plan_legality`), on the fused
     simulation's own engine over ``steps`` coarse steps.  ``tamper``
     (tests, the CLI's seeded negative control) may rewrite the fused
-    stream's declarations before the proof runs; the baseline side and
-    the access maps are never tampered, so a declaration lie surfaces as
-    a lost happens-before pair.
+    stream's records before the proof runs; the baseline side and the
+    access maps are never tampered, so a record that lies about its
+    kernel surfaces as a lost happens-before pair.
 
     The original Fig. 4a layout is a different *algorithm* (gather
     Accumulate, fine-ghost Explosion copies), not a contraction of 4b:
@@ -327,7 +320,7 @@ def seeded_illegal_proof(wl_kwargs: Mapping[str, Any], steps: int = 2,
     """Negative control: a seeded-illegal stream must be rejected.
 
     Runs the contraction proof for the control's fusion config with its
-    stream reordered (:data:`SEEDED_CONTROLS`; declarations and access
+    stream reordered (:data:`SEEDED_CONTROLS`; records and access
     maps untouched): the proof must return ``"illegal"`` with a
     counterexample naming the reordered pair.
     """

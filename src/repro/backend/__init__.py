@@ -6,12 +6,12 @@ coarse step does; a backend decides *how* it runs:
 * :class:`~repro.backend.interpreted.InterpretedBackend` — the serial
   reference: every step re-drives the recursion under
   :meth:`Runtime.capture_plan <repro.neon.runtime.Runtime.capture_plan>`,
-  binds each launch's body afresh and runs them, with no admission and
-  no cache.  Every other backend's records, markers and hook order are
+  which builds each launch's body afresh, and runs them, with no
+  admission and no cache.  Every other backend's records, markers and hook order are
   tested against it.
 * :class:`~repro.backend.compiled.CompiledBackend` — compile-once step
   plans: the first execution of each unique step shape captures the
-  kernel stream, admits it, binds each launch's body once and replays
+  kernel stream (building each launch's body once), admits it and replays
   the plan on later steps with zero Python re-dispatch — serially, or in
   dependency waves on a thread pool under ``SimConfig(threaded=True)``.
 * :class:`~repro.backend.mp.MultiprocessBackend` — process-parallel

@@ -47,7 +47,7 @@ class PlanAdmissionError(RuntimeError):
     Raised when the captured kernel stream has lint *errors* (dead
     stores) or fails certificate validation (digest
     mismatch, hazard-order violation, illegal fusion contraction).  The
-    plan is never executed: admission failures mean the declarations the
+    plan is never executed: admission failures mean the records the
     plan would be replayed from cannot be trusted.
     """
 

@@ -1,8 +1,9 @@
-"""The interpreted reference backend: capture, bind and run every step.
+"""The interpreted reference backend: capture and run every step.
 
 Every coarse step re-drives the Algorithm-1 recursion under
-:meth:`~repro.neon.runtime.Runtime.capture_plan`, binds each launch's
-body afresh (:func:`~repro.backend.compiler.bind_bodies`) and runs the
+:meth:`~repro.neon.runtime.Runtime.capture_plan`
+(:func:`~repro.backend.compiler.bind_stream`, which builds each launch's
+body afresh and reads its record off the body's report) and runs the
 result in :meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`,
 the loop every in-process backend shares — no admission, no cache.  It
 is the per-step reference for *what a step declares*: the compiled
@@ -12,9 +13,9 @@ order and error contract, are gated against it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from .compiler import bind_bodies
+from .compiler import bind_stream
 from .plan import StepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,7 +25,7 @@ __all__ = ["InterpretedBackend"]
 
 
 class InterpretedBackend:
-    """Reference execution: capture and bind the step anew, then run it."""
+    """Reference execution: capture the step anew, then run it."""
 
     name = "interpreted"
 
@@ -37,9 +38,7 @@ class InterpretedBackend:
         trees stay balanced and the trace remains exportable/valid.
         """
         rt = stepper.engine.rt
-        handles: list[Any] = []
-        records = rt.capture_plan(lambda: stepper._advance(0), handles)
-        plan = StepPlan(records, bind_bodies(records, handles)[0])
+        plan = StepPlan(*bind_stream(stepper)[:2])
         try:
             plan.execute(rt)
             rt.step_marker()

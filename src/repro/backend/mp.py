@@ -13,10 +13,10 @@ between waves.
 
 Bit-identity is inherited, not re-derived:
 
-* workers capture the same stream on their own engine (digest-checked
-  against the parent's admission certificate) and bind the bodies its
-  launches carried (:func:`~repro.backend.compiler.bind_bodies`), on
-  the same shared buffers;
+* workers capture the same stream on their own engine
+  (:func:`~repro.backend.compiler.bind_stream`, digest-checked against
+  the parent's admission certificate) and run the bodies its launches
+  built, on the same shared buffers;
 * the only mp-specific body is the column shard of a pure collide
   kernel, cut on the collide tile — so a shard issues, for its columns,
   exactly the products the whole-buffer call would;
@@ -56,7 +56,7 @@ from ..gpu.costmodel import kernel_time_us
 from ..gpu.device import A100_40GB
 from ..neon.executor import usable_cpus
 from ..neon.graph import schedule_records
-from .compiler import admit_stream, bind_bodies, plan_key
+from .compiler import admit_stream, bind_stream, plan_key
 from .interpreted import InterpretedBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -258,9 +258,7 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
                     engine.omega = list(payload["omega"])
                     engine.force = [None if fv is None else np.asarray(fv)
                                     for fv in payload["force"]]
-                    handles: list = []
-                    records = engine.rt.capture_plan(
-                        lambda: stepper._advance(0), handles)
+                    records, bodies, _ = bind_stream(stepper)
                     mine = stream_digest(records)
                     if mine != payload["digest"]:
                         conn.send(("plan-err", plan_id,
@@ -268,7 +266,7 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
                                     f"!= parent {payload['digest']}")))
                         continue
                     plans[plan_id] = (payload["n_waves"], _build_shards(
-                        engine, records, bind_bodies(records, handles)[0],
+                        engine, records, bodies,
                         payload["waves"]))
                     conn.send(("plan-ok", plan_id, None))
                 except Exception:

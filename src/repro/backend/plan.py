@@ -2,10 +2,10 @@
 
 A :class:`StepPlan` holds the captured
 :class:`~repro.neon.runtime.KernelRecord` stream of one coarse step and,
-aligned with it, the bound body closure of each launch (the engine's own
+aligned with it, the body closure each launch built (the engine's own
 — field views resolved, index maps flattened).  The compiled backend keeps admitted plans (stream digest and
 certificate from :mod:`repro.backend.compiler`); the interpreted backend
-binds a fresh, unadmitted one every step.
+captures a fresh, unadmitted one every step.
 
 :meth:`StepPlan.execute` is the one loop that runs kernel bodies in this
 process: call the closures — in program order, or wave by wave on a
@@ -30,12 +30,12 @@ __all__ = ["StepPlan"]
 
 
 class StepPlan:
-    """One coarse step: prebuilt records plus their bound bodies.
+    """One coarse step: prebuilt records plus their bodies.
 
     The record tuple is shared across every replay (records are frozen
     dataclasses; appending the same instances each step is what makes
     the trace of a compiled run bit-identical to the interpreted one).
-    What each body accesses is its report, evaluated once at bind time
+    What each body accesses is its report, evaluated once at capture
     (:func:`~repro.backend.compiler.bind_stream`); a plan does not keep it.
     """
 

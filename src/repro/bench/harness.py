@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.fusion import FusionConfig
+from ..core.fusion import FusionConfig, get_config
 from ..core.simulation import Simulation
 from ..gpu.costmodel import TraceCost, cost_trace, predicted_mlups
 from ..gpu.device import A100_40GB, DeviceSpec
@@ -114,7 +114,7 @@ def full_scale_mlups(m: Measurement, full_counts_finest_first: list[float],
     level first); the measurement's counts are coarsest-first.
     """
     if concurrent is None:
-        concurrent = not m.config.startswith("baseline")
+        concurrent = default_concurrency(get_config(m.config))
     full = list(reversed(full_counts_finest_first))
     if len(full) != len(m.active_per_level):
         raise ValueError("level count mismatch between measurement and target")

@@ -2,7 +2,7 @@
 
 One front door for every tool the repo grew::
 
-    python -m repro analysis    # declaration verifier, legality, certs
+    python -m repro analysis    # fusion legality, lint, certs
     python -m repro report      # telemetry run: trace, report, event log
     python -m repro resilience  # fault matrix, bit-identical recovery gate
     python -m repro history     # ledger comparisons, parent → change per PR
@@ -49,8 +49,8 @@ def _serve(argv: list[str]) -> int:
 
 #: subcommand -> (runner, one-line help)
 SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
-    "analysis": (_analysis, "static kernel-stream analyzer: declarations, "
-                 "fusion legality, certificates"),
+    "analysis": (_analysis, "static kernel-stream analyzer: fusion "
+                 "legality, lint, certificates"),
     "report": (_report, "telemetry run: Perfetto trace, run report "
                "(text/HTML/JSON), event log, watchdog"),
     "resilience": (_resilience, "fault matrix with bit-identical "

@@ -24,23 +24,24 @@ coalescence-entry order; Accumulate sums into those slots only.  Between
 coarse steps ``f`` is the whole state: ``fghost`` and the in-place
 stream's scratch are rewritten before they are read, ``ghost_acc`` is
 zero.
-Each ``op_*`` method is one GPU kernel: it declares one launch record
-with the DRAM traffic the equivalent CUDA kernel would generate — the
-paper's two-buffer kernels at 8 bytes a value (:attr:`Engine.itemsize`,
-the model's width, whatever the host's dtype), which is what the cost
-model consumes — and hands the runtime a handle of the kernel's body.
-Its declared fields and its body's access report name the storage the
-body touches.
+Each ``op_*`` method is one GPU kernel: it builds the kernel's body
+and access report and hands them to the runtime, with the kernel's name
+and thread count; the launch record — fields, and the DRAM traffic the
+equivalent CUDA kernel would generate — is read off the report.  The
+report prices the paper's two-buffer kernels at 8 bytes a value
+(:attr:`Engine.itemsize`, the model's width, whatever the host's dtype),
+which is what the cost model consumes, and names the storage the body
+touches.
 
 This module is the only place a kernel body is written.  The ``_collide``
 / ``_accumulate`` / ``_stream`` / ``_explode`` / ``_coalesce`` /
 ``_explosion_copy`` builders each return the vectorised NumPy closure of
 one primitive with its access report beside it; every step plan
-(interpreted, compiled serial, thread waves) and every mp worker bind
-and run those closures (:mod:`repro.backend`).  The report is the one
-statement of what a kernel touches: admission, the legality proof, lint
-and certificates evaluate it without running the body
-(:mod:`repro.analysis.capture`).
+(interpreted, compiled serial, thread waves) and every mp worker run
+those closures (:mod:`repro.backend`).  The report is the one statement
+of what a kernel touches: the capture evaluates it once, without running
+the body, and the launch record, admission, the legality proof, lint and
+certificates all read what it stated (:mod:`repro.analysis.capture`).
 Collide runs a large level as column ranges, Streaming as direction
 groups, on every usable CPU (:meth:`Engine.split_cuts`), bit-identically.
 
@@ -60,8 +61,7 @@ import numpy as np
 
 from ..grid.multigrid import CompiledLevel, MultiGrid, check_pull_table, row_span
 from ..neon.executor import run_split, usable_cpus
-from ..neon.runtime import (AccessReport, FieldRef, KernelBody, LazyBody,
-                            Runtime)
+from ..neon.runtime import AccessReport, FieldRef, KernelBody, Runtime
 from .collision import equilibrium, macroscopics, make_collision, tile_cuts
 from .fusion import FusionConfig
 from .units import omega_at_level
@@ -123,9 +123,9 @@ class Engine:
         #: Most parts of a split body (mp workers, sharded already, set 1).
         self.split_width = usable_cpus()
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
-        #: Per level, the bodies' bind-time scratch: the in-place stream's,
+        #: Per level, the bodies' scratch: the in-place stream's,
         #: ``parts -> (parts, G, n_owned)``, and Accumulate's gather row and
-        #: sums, ``"accumulate"``, each built when the first body binds there:
+        #: sums, ``"accumulate"``, each made when the first body is built there:
         #: state, so the engine's, while the index maps are the grid's.
         self.scratch: list[dict] = [{} for _ in self.levels]
 
@@ -159,7 +159,7 @@ class Engine:
         Called for a stepper that will run, before anything lays out state
         (:class:`~repro.core.simulation.Simulation`, each mp worker: the
         mp backend's shared segment holds the buffers it finds), never by
-        the stepper itself: plan admission binds a baseline stepper on
+        the stepper itself: plan admission captures a baseline stepper on
         the same engine only for its reports.  Idempotent.
         """
         if config.original_layout:
@@ -246,9 +246,9 @@ class Engine:
     # views and index maps and returns ``(run, report)``: ``run()`` is the
     # arithmetic, ``report(tracer)`` states the accesses it performs.
     # Builders return ``None`` where the geometry leaves nothing to do.
-    # Views are taken at bind time and never kept on the engine: the mp
+    # Views are taken when a body is built and never kept on the engine: the mp
     # backend rebinds ``buf.f`` / ``fghost`` / ``ghost_acc`` to
-    # shared memory and back, and a body bound afterwards must see those arrays.
+    # shared memory and back, and a body built afterwards must see those arrays.
     def _fuse(self, *parts) -> tuple[KernelBody, AccessReport]:
         """One kernel body running ``parts`` in order (``None`` parts
         dropped), with the access report of the whole kernel.
@@ -304,7 +304,7 @@ class Engine:
         gathered and added, in order, into a prefix of float64 sums, which
         are rounded into ``ghost_acc``'s dtype once, when added.  A bin
         Coalescence does not read has no slot.  The gather row and the sums
-        are bind-time buffers on :attr:`scratch` (``"accumulate"``), which
+        are buffers on :attr:`scratch` (``"accumulate"``), which
         the rows write prefix views of.  ``mode`` selects the traffic attribution of the
         equivalent GPU kernel, which sums into a ``(Q, n_ghost)``
         accumulator: ``"fused"`` (Collision+Accumulate — the source values
@@ -417,7 +417,7 @@ class Engine:
         """Write the cross-level pulls of ``f`` from the coarse level's
         post-collision ``f`` (or, ``from_ghost``, from this level's
         fine-ghost copies of it, whose flat entries the 4a layout's body
-        derives from the grid's rows when it binds)."""
+        derives from the grid's rows when it is built)."""
         b, cl = self.levels[lv], self.mgrid.levels[lv]
         dst = cl.exp_dst
         if dst.size == 0:
@@ -486,31 +486,16 @@ class Engine:
             t.write(FieldRef("fghost", lv), b.n_owned, b.n_used, nb)
         return run, report
 
-    # -- public ops: one launch record each -------------------------------------
-    # ``fn=`` is a :class:`~repro.neon.runtime.LazyBody`: declaring a launch
-    # builds nothing, so capturing a stream stays free.  Its builder closes
-    # over the launch-time inputs (relaxation rate, force, fusion flags): a
-    # launch sees the configuration it was issued with, whenever it is bound.
+    # -- public ops: one launch each ---------------------------------------------
+    # Each op builds its kernel's body and report and hands them to the
+    # runtime, which reads the launch record off the report; an op states
+    # only the kernel's name and thread count.  The body closes over the
+    # launch-time inputs (relaxation rate, force, fusion flags).
     def op_collide(self, lv: int, fuse_accumulate: bool = False) -> None:
-        buf = self.levels[lv]
-        Q, n = self.lat.q, buf.n_owned
-        writes: tuple[FieldRef, ...] = (FieldRef("f", lv),)
-        atomic = 0
-        name = "C"
-        fused = fuse_accumulate and lv > 0
-        if fused and self.levels[lv - 1].n_ghost:
-            name = "CA"
-            writes = writes + (FieldRef("gacc", lv - 1),)
-            atomic = self.itemsize * self.mgrid.levels[lv - 1].n_acc_sources
-        omega, force = self.omega[lv], self.force[lv]
-        self.rt.launch(name, lv, n_cells=n,
-                       bytes_read=Q * self.itemsize * n,
-                       bytes_written=Q * self.itemsize * n + atomic,
-                       atomic_bytes=atomic, reads=(FieldRef("f", lv),),
-                       writes=writes,
-                       fn=LazyBody(lambda: self._fuse(
-                           self._collide(lv, omega, force),
-                           fused and self._accumulate(lv, "fused"))))
+        fused = fuse_accumulate and lv > 0 and self.levels[lv - 1].n_ghost > 0
+        self.rt.launch("CA" if fused else "C", lv, self.levels[lv].n_owned, self._fuse(
+            self._collide(lv, self.omega[lv], self.force[lv]),
+            fused and self._accumulate(lv, "fused")))
 
     def op_accumulate(self, lv: int, gather: bool = False) -> None:
         """Separate Accumulate kernel: fine level ``lv`` into parent ghosts.
@@ -521,92 +506,45 @@ class Engine:
         """
         if lv == 0:
             raise ValueError("level 0 has no parent to accumulate into")
-        up = self.mgrid.levels[lv - 1]
-        ng = up.n_ghost
+        ng = self.levels[lv - 1].n_ghost
         if ng == 0:
             return
-        moved, gacc = self.itemsize * up.n_acc_sources, self.itemsize * self.lat.q * ng
-        self.rt.launch(
-            "A", lv,
-            n_cells=(ng if gather else 2 ** self.mgrid.d * ng),
-            bytes_read=moved + gacc,
-            bytes_written=gacc if gather else moved,
-            atomic_bytes=0 if gather else moved,
-            reads=(FieldRef("f", lv), FieldRef("gacc", lv - 1)),
-            writes=(FieldRef("gacc", lv - 1),),
-            fn=LazyBody(lambda: self._fuse(self._accumulate(
-                lv, "gather" if gather else "scatter"))))
+        self.rt.launch("A", lv, ng if gather else 2 ** self.mgrid.d * ng, self._fuse(
+            self._accumulate(lv, "gather" if gather else "scatter")))
 
     def op_explosion_copy(self, lv: int) -> None:
         """Original baseline's Explosion: the coarse post-collision ``f``
         copied into fine ghost layers."""
         buf = self.levels[lv]
-        nfg = buf.n_used - buf.n_owned
-        if nfg == 0:
-            return
-        Q = self.lat.q
-        self.rt.launch(
-            "E", lv, n_cells=nfg,
-            bytes_read=Q * self.itemsize * nfg, bytes_written=Q * self.itemsize * nfg,
-            reads=(FieldRef("f", lv - 1),), writes=(FieldRef("fghost", lv),),
-            fn=LazyBody(lambda: self._fuse(self._explosion_copy(lv))))
+        if buf.n_used > buf.n_owned:
+            self.rt.launch("E", lv, buf.n_used - buf.n_owned,
+                           self._fuse(self._explosion_copy(lv)))
 
     def op_stream(self, lv: int, *, fuse_explosion: bool = False,
                   fuse_coalescence: bool = False, exp_from_ghost: bool = False) -> None:
         """Streaming kernel, optionally fused with Explosion and/or Coalescence."""
-        buf, cl = self.levels[lv], self.mgrid.levels[lv]
-        Q, n = self.lat.q, buf.n_owned
-        name = "S"
-        reads = [FieldRef("f", lv)]
-        writes = [FieldRef("f", lv)]
-        br = Q * self.itemsize * n + buf.meta_bytes
-        bw = Q * self.itemsize * n
+        cl = self.mgrid.levels[lv]
         do_exp = fuse_explosion and cl.exp_dst.size > 0
         do_coal = fuse_coalescence and cl.coal_dst.size > 0
-        if do_exp:
-            name = name + "E"
-            reads.append(FieldRef("fghost", lv) if exp_from_ghost
-                         else FieldRef("f", lv - 1))
-            br += self.itemsize * cl.exp_dst.size
-        if do_coal:
-            name = ("SEO" if do_exp else "SO")
-            reads.append(FieldRef("gacc", lv))
-            writes.append(FieldRef("gacc", lv))
-            br += self.itemsize * cl.coal_dst.size
-            bw += Q * self.itemsize * buf.n_ghost  # reset
-        self.rt.launch(name, lv, n_cells=n, bytes_read=br, bytes_written=bw,
-                       reads=tuple(reads), writes=tuple(writes),
-                       fn=LazyBody(lambda: self._fuse(
-                           self._stream(lv),
-                           do_exp and self._explode(lv, exp_from_ghost, subsumed=True),
-                           do_coal and self._coalesce(lv, subsumed=True))))
+        name = ("SEO" if do_exp else "SO") if do_coal else ("SE" if do_exp else "S")
+        self.rt.launch(name, lv, self.levels[lv].n_owned, self._fuse(
+            self._stream(lv),
+            do_exp and self._explode(lv, exp_from_ghost, subsumed=True),
+            do_coal and self._coalesce(lv, subsumed=True)))
 
     def op_explode(self, lv: int, exp_from_ghost: bool = False) -> None:
         """Separate Explosion kernel writing the cross-level pulls of ``f``."""
         cl = self.mgrid.levels[lv]
-        m = cl.exp_dst.size
-        if m == 0:
-            return
-        self.rt.launch(
-            "E", lv, n_cells=cl.n_interface_fine,
-            bytes_read=self.itemsize * m, bytes_written=self.itemsize * m,
-            reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("f", lv - 1),),
-            writes=(FieldRef("f", lv),),
-            fn=LazyBody(lambda: self._fuse(self._explode(lv, exp_from_ghost))))
+        if cl.exp_dst.size:
+            self.rt.launch("E", lv, cl.n_interface_fine,
+                           self._fuse(self._explode(lv, exp_from_ghost)))
 
     def op_coalesce(self, lv: int) -> None:
         """Separate Coalescence kernel: averaged ghost reads plus the reset."""
         cl = self.mgrid.levels[lv]
-        m = cl.coal_dst.size
-        if m == 0:
-            return
-        self.rt.launch(
-            "O", lv, n_cells=cl.n_interface_coarse,
-            bytes_read=self.itemsize * m,
-            bytes_written=self.itemsize * m + self.lat.q * self.itemsize * cl.n_ghost,
-            reads=(FieldRef("gacc", lv),),
-            writes=(FieldRef("f", lv), FieldRef("gacc", lv)),
-            fn=LazyBody(lambda: self._fuse(self._coalesce(lv))))
+        if cl.coal_dst.size:
+            self.rt.launch("O", lv, cl.n_interface_coarse,
+                           self._fuse(self._coalesce(lv)))
 
     def op_fused_case(self, lv: int) -> None:
         """The fully fused finest-level kernel (Fig. 4f).
@@ -617,29 +555,11 @@ class Engine:
         under every config: the body collides in place, accumulates from
         ``f`` and streams in place (:meth:`_stream`).
         """
-        buf, cl = self.levels[lv], self.mgrid.levels[lv]
-        Q, n = self.lat.q, buf.n_owned
-        reads = [FieldRef("f", lv)]
-        writes = [FieldRef("f", lv)]
-        atomic = 0
-        if lv > 0:
-            up = self.mgrid.levels[lv - 1]
-            if up.n_ghost:
-                atomic = self.itemsize * up.n_acc_sources
-                writes.append(FieldRef("gacc", lv - 1))
-            if cl.exp_dst.size:
-                reads.append(FieldRef("f", lv - 1))
-        omega, force = self.omega[lv], self.force[lv]
-        self.rt.launch("CASE", lv, n_cells=n,
-                       bytes_read=Q * self.itemsize * n + self.itemsize * cl.exp_dst.size + buf.meta_bytes,
-                       bytes_written=Q * self.itemsize * n + atomic,
-                       atomic_bytes=atomic,
-                       reads=tuple(reads), writes=tuple(writes),
-                       fn=LazyBody(lambda: self._fuse(
-                           self._collide(lv, omega, force, in_registers=True),
-                           lv > 0 and self._accumulate(lv, "fused"),
-                           self._stream(lv, in_registers=True),
-                           self._explode(lv, from_ghost=False, subsumed=True))))
+        self.rt.launch("CASE", lv, self.levels[lv].n_owned, self._fuse(
+            self._collide(lv, self.omega[lv], self.force[lv], in_registers=True),
+            lv > 0 and self._accumulate(lv, "fused"),
+            self._stream(lv, in_registers=True),
+            self._explode(lv, from_ghost=False, subsumed=True)))
 
     # -- fault injection ---------------------------------------------------------
     def corrupt_cell(self, lv: int, cell: int, q: int = 0,

@@ -9,8 +9,8 @@ very same driver.
 
 *How* the step executes is delegated to a pluggable backend
 (:mod:`repro.backend`).  Every backend records the recursion with
-``Runtime.capture_plan`` — ``op_*`` only declares — and runs the bodies
-the launches carried: the interpreted reference backend captures and
+``Runtime.capture_plan`` — ``op_*`` builds each kernel and runs nothing —
+and runs the bodies the launches carried: the interpreted reference backend captures and
 runs it anew every step, the compiled backend captures it once into an
 admitted step plan and replays, and the mp backend ships shards of that
 same captured plan to worker processes over shared memory.  The

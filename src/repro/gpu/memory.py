@@ -142,7 +142,7 @@ def memory_arrays(obj):
     Owners in order: the grid compile (the index families of
     ``_INDEX_PREFIXES``),
     the engine's ``LevelBuffers`` (``populations``, ``ghost_accumulators``,
-    ``fine_ghosts``), the bodies' bind-time scratch (``scratch``: the
+    ``fine_ghosts``), the bodies' scratch (``scratch``: the
     stream's, Accumulate's gather row and sums).  An allocation held
     twice is yielded under its first owner (shared ``pull_flat`` counts
     once, as ``pull``); an empty one, which shares no memory, wherever it

@@ -9,15 +9,15 @@ draws this DAG without the edges other paths imply, which change neither
 its depth — the number of unavoidable synchronisation points — nor its
 width, the concurrency the scheduler can exploit.
 
-Scheduling reads the declarations only, as Neon does: the waves of
-:func:`schedule_records` are the ones plan replay runs.  The accesses
-the bound bodies report (see :mod:`repro.analysis.capture`) refine one
-thing, the pair enumeration of :func:`iter_conflict_pairs` that the
-fusion-legality proof checks: there two kernels touching *disjoint* row
-ranges or entry sets of one field do not conflict, and atomic-add
-scatters into one accumulator commute.  The declaration verifier
-(:mod:`repro.analysis.verify`) is what makes the declared schedule
-sound: a body touching a field its kernel does not declare is a finding.
+Scheduling reads the records' field sets only, as Neon does: the waves
+of :func:`schedule_records` are the ones plan replay runs.  Each record
+is read off its body's access report
+(:meth:`~repro.neon.runtime.KernelRecord.from_accesses`), so it names
+every field the report states.  The accesses themselves (see
+:mod:`repro.analysis.capture`) refine one thing, the pair enumeration of
+:func:`iter_conflict_pairs` that the fusion-legality proof checks: there
+two kernels touching *disjoint* row ranges or entry sets of one field do
+not conflict, and atomic-add scatters into one accumulator commute.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .runtime import FieldRef, KernelRecord
 
-#: Accesses per record index, as the bound bodies report them.  Values are
+#: Accesses per record index, as the bodies' reports state them.  Values are
 #: duck-typed (:class:`repro.analysis.capture.Access`): anything with
 #: ``field``/``kind``/``lo``/``hi`` attributes and, optionally, ``entries``.
 AccessMap = Mapping[int, Sequence[Any]]
@@ -188,7 +188,7 @@ def iter_conflict_pairs(records: Sequence[KernelRecord],
     contraction preserves the order of each of these pairs, not merely
     the pruned edge set.
 
-    With an ``access_map`` (the accesses the bound bodies report),
+    With an ``access_map`` (the accesses the bodies' reports state),
     pairs are refined to row-interval / exact-entry granularity and
     commutative atomic-atomic pairs are dropped: fusion may reorder two
     kernels whose patches of one field are disjoint (Explosion's and

@@ -6,34 +6,34 @@ schedules kernels, and places synchronisations only where needed.  We
 reproduce the parts of that model the paper relies on:
 
 * :class:`FieldRef` — identity of a data container (a field at a level);
-* :class:`KernelRecord` — one kernel launch with its declared
-  reads/writes and its memory-traffic footprint;
-* :class:`LazyBody` — a kernel body declared with its launch and built
-  only when a plan binds it;
-* :class:`Runtime` — records the declarations a step launches
+* :class:`KernelRecord` — one kernel launch with its reads/writes and
+  its memory-traffic footprint, read off the access report of its body
+  (:meth:`KernelRecord.from_accesses`);
+* :class:`Runtime` — captures the kernels a step launches
   (:meth:`Runtime.capture_plan`) and keeps the trace of the kernels that
   ran, for the profiler, the dependency-graph analysis (Fig. 2) and the
   GPU cost model.
 
-Declaring a kernel and running it are separate, as in Neon: ``launch``
-only declares, inside :meth:`Runtime.capture_plan`, and
-:meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>` is the
-one loop that runs kernel bodies, for every in-process backend.  It
-appends the records of the kernels it ran to :attr:`Runtime.records`
-and applies the two hooks installed here (``spans``, ``faults``);
-:meth:`Runtime.step_marker` and :meth:`Runtime.abort_step` close each
-coarse step.  What each kernel accesses is not observed at run time: it
-is the access report bound with its body, evaluated at bind time
-(:func:`repro.backend.compiler.bind_stream`).  The *functional* result of a program never
-depends on the recording.
+A kernel states what it touches once: ``launch`` hands the runtime the
+kernel's built body and the access report beside it, and the capture
+evaluates the report into a tracer and derives the launch record from
+what it states.  Declaring a kernel and running it are still separate,
+as in Neon: ``launch`` runs nothing, and :meth:`StepPlan.execute
+<repro.backend.plan.StepPlan.execute>` is the one loop that runs kernel
+bodies, for every in-process backend.  It appends the records of the
+kernels it ran to :attr:`Runtime.records` and applies the two hooks
+installed here (``spans``, ``faults``); :meth:`Runtime.step_marker` and
+:meth:`Runtime.abort_step` close each coarse step.  The *functional*
+result of a program never depends on the recording.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-__all__ = ["FieldRef", "KernelRecord", "LazyBody", "Runtime"]
+__all__ = ["ATOMIC", "FieldRef", "KernelRecord", "META", "READ", "Runtime",
+           "WRITE"]
 
 #: A kernel body: a no-argument closure over the engine's buffers.
 KernelBody = Callable[[], None]
@@ -41,27 +41,13 @@ KernelBody = Callable[[], None]
 #: and writes (see :mod:`repro.analysis.capture`).
 AccessReport = Callable[[Any], None]
 
-
-class LazyBody:
-    """Handle of a kernel body that is built when a plan binds it.
-
-    Declaring a launch must cost nothing (capture runs no body, and
-    admission may refuse the stream), so ``op_*`` passes
-    ``LazyBody(make)`` as ``fn=``: :meth:`bind` calls ``make()`` once for
-    the body closure and its access report.
-    """
-
-    __slots__ = ("_make", "_body")
-
-    def __init__(self, make: Callable[[], tuple[KernelBody, AccessReport]]) -> None:
-        self._make = make
-        self._body: tuple[KernelBody, AccessReport] | None = None
-
-    def bind(self) -> tuple[KernelBody, AccessReport]:
-        """Build ``(run, report)`` (first call) and return it."""
-        if self._body is None:
-            self._body = self._make()
-        return self._body
+#: Access kinds a report states.  ``META`` is structural-metadata traffic
+#: (neighbour tables, bitmasks): it counts as read bytes but names no
+#: field, so it enters no field set and no conflict pair.
+READ = "read"
+WRITE = "write"
+ATOMIC = "atomic"
+META = "meta"
 
 
 @dataclass(frozen=True)
@@ -101,11 +87,41 @@ class KernelRecord:
         """Declared DRAM traffic of the launch (reads + writes)."""
         return self.bytes_read + self.bytes_written
 
+    @classmethod
+    def from_accesses(cls, name: str, level: int, n_cells: int,
+                      accesses: Sequence[Any]) -> "KernelRecord":
+        """The record of kernel ``name`` on ``level`` over ``n_cells``
+        cells whose body's report stated ``accesses``, in report order.
+
+        ``reads`` are the fields the kernel reads before it writes them (a
+        re-read of its own output is forwarded on chip) and ``writes`` the
+        fields it writes or atomically adds to, each in first-access
+        order; ``bytes_read`` is the read plus the metadata bytes,
+        ``bytes_written`` the write plus the atomic bytes, and
+        ``atomic_bytes`` the atomic bytes alone.
+        """
+        reads: dict[FieldRef, None] = {}
+        writes: dict[FieldRef, None] = {}
+        read_b = write_b = atomic_b = 0
+        for a in accesses:
+            if a.kind == READ or a.kind == META:
+                read_b += a.nbytes
+                if a.kind == READ and a.field not in writes:
+                    reads.setdefault(a.field)
+            else:
+                write_b += a.nbytes
+                atomic_b += a.nbytes if a.kind == ATOMIC else 0
+                writes.setdefault(a.field)
+        return cls(name=name, level=level, n_cells=int(n_cells),
+                   bytes_read=read_b, bytes_written=write_b,
+                   reads=tuple(reads), writes=tuple(writes),
+                   atomic_bytes=atomic_b)
+
 
 class Runtime:
-    """Kernel declarations, the trace of what ran, and the hooks.
+    """Kernel captures, the trace of what ran, and the hooks.
 
-    ``launch`` declares a kernel inside :meth:`capture_plan`; the plan
+    ``launch`` hands a built kernel to :meth:`capture_plan`; the plan
     loop appends the :class:`KernelRecord` of every kernel it ran to
     :attr:`records`.  ``step_marker`` tags coarse-timestep boundaries so
     benchmarks can cut the trace per step.
@@ -133,20 +149,19 @@ class Runtime:
         #: checkpoint restore / post-warmup :meth:`reset`); per-step metrics
         #: subtract it so a restored run is not skewed by untraced history.
         self.steps_base = 0
-        #: ``(records, bodies)`` of the active :meth:`capture_plan`, or
-        #: ``None`` outside one.
-        self._capture: tuple[list[KernelRecord], list[Any]] | None = None
+        #: ``(tracer, records, bodies, accesses)`` of the active
+        #: :meth:`capture_plan`, or ``None`` outside one.
+        self._capture: tuple[Any, list[KernelRecord], list[KernelBody],
+                             dict[int, list[Any]]] | None = None
 
-    def launch(self, name: str, level: int, *, n_cells: int,
-               bytes_read: int, bytes_written: int,
-               reads: tuple[FieldRef, ...] = (), writes: tuple[FieldRef, ...] = (),
-               atomic_bytes: int = 0, tag: str = "",
-               fn: LazyBody | KernelBody | None = None) -> None:
-        """Declare one kernel launch; run nothing.
+    def launch(self, name: str, level: int, n_cells: int,
+               body: tuple[KernelBody, AccessReport]) -> None:
+        """Hand one built kernel to the active capture; run nothing.
 
-        Appends a :class:`KernelRecord` built from the *declared* access
-        sets and byte counts to the active :meth:`capture_plan`, and the
-        body handle ``fn`` — never called here — beside it.  A launch
+        ``body`` is the kernel's ``(run, report)`` pair.  The report is
+        evaluated once, into the capture's tracer, and the launch record
+        is read off what it states (:meth:`KernelRecord.from_accesses`);
+        ``run`` — never called here — is kept beside it.  A launch
         outside a capture raises ``RuntimeError``: kernels run in
         :meth:`StepPlan.execute <repro.backend.plan.StepPlan.execute>`.
         """
@@ -154,13 +169,16 @@ class Runtime:
             raise RuntimeError(
                 f"kernel {name!r} launched outside Runtime.capture_plan: "
                 f"a launch only declares, StepPlan.execute runs bodies")
-        records, bodies = self._capture
-        records.append(KernelRecord(
-            name=name, level=level, n_cells=int(n_cells),
-            bytes_read=int(bytes_read), bytes_written=int(bytes_written),
-            reads=tuple(reads), writes=tuple(writes),
-            atomic_bytes=int(atomic_bytes), tag=tag))
-        bodies.append(fn)
+        tracer, records, bodies, accesses = self._capture
+        run, report = body
+        tracer.begin_launch()
+        try:
+            report(tracer)
+        finally:
+            stated = tracer.end_launch()
+        accesses[len(records)] = stated
+        records.append(KernelRecord.from_accesses(name, level, n_cells, stated))
+        bodies.append(run)
 
     def step_marker(self) -> None:
         """Mark the end of one coarse time step in the trace."""
@@ -215,30 +233,34 @@ class Runtime:
         """
         self.spans = recorder
 
-    # -- declaration capture -------------------------------------------------
-    def capture_plan(self, drive: Callable[[], None],
-                     bodies: list[Any] | None = None,
-                     ) -> list[KernelRecord]:
-        """Capture the declaration stream ``drive`` launches.
+    # -- capture -------------------------------------------------------------
+    def capture_plan(self, drive: Callable[[], None], tracer: Any,
+                     ) -> tuple[list[KernelRecord], list[KernelBody],
+                                dict[int, list[Any]]]:
+        """Capture the kernel stream ``drive`` launches.
 
-        The only way a step's kernel stream is recorded: every
-        :meth:`launch` inside ``drive`` appends its record to the returned
-        list, and its ``fn`` — unbound, never called — to ``bodies`` when
-        a list is given, one per record.  No body runs, and the trace
-        (:attr:`records`, :attr:`markers`) is left as it was.  Captures
-        do not nest (``RuntimeError``).  Every backend's step starts here
-        (:mod:`repro.backend`), and so does the static analyzer
-        (:mod:`repro.analysis.static`).
+        The only way a step's kernel stream is recorded.  Returns
+        ``(records, bodies, accesses)``, one entry per :meth:`launch`
+        inside ``drive``: its record, its body closure — built, never
+        called — and ``accesses[i]``, what its report stated, recorded
+        by ``tracer`` (an :class:`~repro.analysis.capture.AccessTracer`;
+        sharing one across captures shares their entry sets).  No body
+        runs, and the trace (:attr:`records`, :attr:`markers`) is left
+        as it was.  Captures do not nest (``RuntimeError``).  Every
+        backend's step starts here (:func:`repro.backend.compiler.bind_stream`),
+        and so does the static analyzer (:mod:`repro.analysis.static`).
         """
         if self._capture is not None:
             raise RuntimeError("Runtime.capture_plan called inside a capture")
         records: list[KernelRecord] = []
-        self._capture = (records, bodies if bodies is not None else [])
+        bodies: list[KernelBody] = []
+        accesses: dict[int, list[Any]] = {}
+        self._capture = (tracer, records, bodies, accesses)
         try:
             drive()
         finally:
             self._capture = None
-        return records
+        return records, bodies, accesses
 
     # -- trace queries -------------------------------------------------------
     def last_step(self) -> list[KernelRecord]:

@@ -71,7 +71,7 @@ def run_metrics(sim, recorder=None) -> dict[str, float]:
         # one its history series was recorded under.
         from ..analysis.lint import lint_stream
         from ..backend.compiler import bind_stream
-        step, _, _, accesses = bind_stream(sim.stepper)
+        step, _, accesses = bind_stream(sim.stepper)
         m["arena_peak_bytes"] = lint_stream(step, accesses,
                                             sim.engine).touched_bytes
     backend = getattr(getattr(sim, "stepper", None), "backend", None)

@@ -99,7 +99,7 @@ def _lint_last_step(sim) -> dict:
         return {"errors": [], "opportunities": [], "touched_bytes": 0}
     from ..analysis.lint import lint_stream
     from ..backend.compiler import bind_stream
-    records, _, _, accesses = bind_stream(sim.stepper)
+    records, _, accesses = bind_stream(sim.stepper)
     report = lint_stream(records, accesses, sim.engine)
     return {
         "errors": [str(f) for f in report.errors],

@@ -5,9 +5,9 @@ A :class:`SpanRecorder` plugs into :attr:`repro.neon.runtime.Runtime.spans`
 wall-clock start/duration of every kernel launch alongside the
 :class:`~repro.neon.runtime.KernelRecord` the runtime appends anyway.
 Recording is strictly observational: the recorder never sees — let alone
-touches — declared reads/writes or byte counts, so capture, the
-declaration verifier and the wave schedule built from the declarations
-behave identically with spans on or off.
+touches — records' reads/writes or byte counts, so capture and the
+wave schedule built from the records behave identically with spans on
+or off.
 
 The raw events are organised into a three-deep span tree:
 

@@ -1,4 +1,4 @@
-"""Access reports, declaration verifier, conflict pairs (repro.analysis)."""
+"""Access reports, the records read off them, conflict pairs (repro.analysis)."""
 
 import json
 
@@ -6,18 +6,11 @@ import pytest
 
 from repro.analysis.capture import (ATOMIC, META, READ, WRITE, Access,
                                    AccessTracer, EntrySet)
-from repro.analysis.cli import ALL_CONFIGS, main, small_workloads, static_check
+from repro.analysis.cli import main, small_workloads, static_check
 from repro.analysis.static import plan_stream
-from repro.analysis.verify import verify_record, verify_trace
-from repro.backend.compiler import bind_stream
-from repro.bench.workloads import lid_cavity
-from repro.core.engine import Engine
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
-from repro.core.stepper import NonUniformStepper
-from repro.grid.multigrid import build_multigrid
-from repro.core.lattice import get_lattice
 from repro.neon.graph import iter_conflict_pairs
-from repro.neon.runtime import FieldRef, KernelRecord, LazyBody
+from repro.neon.runtime import FieldRef, KernelRecord
 
 F0, FS0 = FieldRef("f", 0), FieldRef("fstar", 0)
 A0, B0 = FieldRef("a", 0), FieldRef("b", 0)
@@ -33,7 +26,7 @@ def rec(name, level=0, reads=(), writes=(), bytes_read=0, bytes_written=0,
 
 def bound_stream(config, steps=2):
     """Two coarse steps of the 2-D cavity: ``(records, accesses, sim)``,
-    the access map being what the bound bodies report (no body runs)."""
+    the access map being what the bodies' reports state (no body runs)."""
     return plan_stream(config, dict(base=(20, 20), num_levels=2,
                                     lattice="D2Q9"), steps)
 
@@ -71,7 +64,7 @@ class TestAccessTracer:
 
 
 class TestRuntimeCapture:
-    """The stream ``Runtime.capture_plan`` records and its bind-time map."""
+    """The stream ``Runtime.capture_plan`` records and its access map."""
 
     def test_capture_aligns_with_records(self):
         records, accesses, _ = bound_stream(MODIFIED_BASELINE)
@@ -106,68 +99,39 @@ class TestRuntimeCapture:
         assert atomics and all(a.field.name == "gacc" for a in atomics)
 
 
-class TestVerifier:
-    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
-    def test_all_declarations_sound_2d(self, config):
-        records, accesses, _ = bound_stream(config)
-        assert verify_trace(records, accesses) == []
+class TestRecordFromAccesses:
+    """The launch record is read off what the body's report states."""
 
-    def test_undeclared_read_flagged(self):
-        r = rec("C", reads=(), writes=(FS0,), bytes_read=32, bytes_written=32)
-        accs = [Access(F0, READ, 0, 4, 32), Access(FS0, WRITE, 0, 4, 32)]
-        checks = {f.check for f in verify_record(0, r, accs)}
-        assert checks == {"undeclared-read"}
-
-    def test_internal_forwarding_needs_no_declaration(self):
+    def test_a_reread_of_its_own_output_adds_no_read_field(self):
         # CA-style kernel: re-reads its own freshly written output
-        r = rec("CA", reads=(F0,), writes=(FS0,), bytes_read=32, bytes_written=32)
         accs = [Access(F0, READ, 0, 4, 32), Access(FS0, WRITE, 0, 4, 32),
                 Access(FS0, READ, 0, 4, 0)]
-        assert verify_record(0, r, accs) == []
+        r = KernelRecord.from_accesses("CA", 0, 4, accs)
+        assert r == rec("CA", reads=(F0,), writes=(FS0,), bytes_read=32,
+                        bytes_written=32)
 
-    def test_over_declarations_flagged(self):
-        r = rec("S", reads=(FS0, A0), writes=(F0, B0),
-                bytes_read=32, bytes_written=32)
-        accs = [Access(FS0, READ, 0, 4, 32), Access(F0, WRITE, 0, 4, 32)]
-        checks = sorted(f.check for f in verify_record(0, r, accs))
-        assert checks == ["over-declared-read", "over-declared-write"]
+    def test_meta_bytes_count_as_read_bytes(self):
+        accs = [Access(F0, READ, 0, 4, 32), Access(None, META, 0, 0, 16),
+                Access(F0, WRITE, 0, 4, 32)]
+        r = KernelRecord.from_accesses("S", 0, 4, accs)
+        assert (r.reads, r.writes) == ((F0,), (F0,))
+        assert (r.bytes_read, r.bytes_written) == (48, 32)
 
-    def test_byte_mismatches_flagged(self):
-        r = rec("A", reads=(FS0,), writes=(A0,), bytes_read=100,
-                bytes_written=64, atomic_bytes=0)
-        accs = [Access(FS0, READ, 0, 4, 32), Access(A0, ATOMIC, 0, 4, 64)]
-        checks = {f.check for f in verify_record(0, r, accs)}
-        assert checks == {"bytes-read-mismatch", "atomic-bytes-mismatch"}
+    def test_atomic_bytes_are_written_bytes_too(self):
+        accs = [Access(FS0, READ, 0, 4, 32), Access(A0, READ, 0, 4, 8),
+                Access(A0, ATOMIC, 0, 4, 64)]
+        r = KernelRecord.from_accesses("A", 1, 16, accs)
+        assert r == KernelRecord(name="A", level=1, n_cells=16, bytes_read=40,
+                                 bytes_written=64, reads=(FS0, A0),
+                                 writes=(A0,), atomic_bytes=64)
 
-    def test_uncaptured_record_flagged(self):
-        r = rec("C", reads=(F0,), writes=(FS0,))
-        findings = verify_trace([r], {})
-        assert [f.check for f in findings] == ["uncaptured"]
-
-    def test_misdeclared_engine_kernel_caught_end_to_end(self):
-        """A kernel whose declaration drifts from its body is detected."""
-
-        class MisdeclaredEngine(Engine):
-            def op_collide(self, lv, fuse_accumulate=False):
-                buf = self.levels[lv]
-                Q, n = self.lat.q, buf.n_owned
-                self.rt.launch(
-                    "C", lv, n_cells=n,
-                    bytes_read=Q * self.itemsize * n,
-                    bytes_written=Q * self.itemsize * n,
-                    reads=(FieldRef("f", lv),),
-                    writes=(),  # forgot to declare the in-place output
-                    fn=LazyBody(lambda: self._fuse(self._collide(
-                        lv, self.omega[lv], self.force[lv]))))
-
-        wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
-        mgrid = build_multigrid(wl.spec, get_lattice(wl.lattice))
-        eng = MisdeclaredEngine(mgrid, wl.collision, 1.2)
-        records, _, _, accesses = bind_stream(
-            NonUniformStepper(eng, MODIFIED_BASELINE))
-        findings = verify_trace(records, accesses)
-        bad = [f for f in findings if f.check == "undeclared-write"]
-        assert bad and all(f.field.startswith("f@") for f in bad)
+    def test_fields_keep_first_access_order(self):
+        accs = [Access(B0, READ, 0, 4, 8), Access(F0, READ, 0, 4, 8),
+                Access(A0, WRITE, 0, 4, 8), Access(B0, READ, 0, 4, 8),
+                Access(FS0, ATOMIC, 0, 4, 8), Access(A0, READ, 0, 4, 8),
+                Access(B0, WRITE, 0, 4, 8)]
+        r = KernelRecord.from_accesses("X", 0, 4, accs)
+        assert r.reads == (B0, F0) and r.writes == (A0, FS0, B0)
 
 
 class TestConflictPairs:
@@ -193,7 +157,7 @@ class TestConflictPairs:
 class TestCLI:
     def test_static_check_report_shape(self):
         rep = static_check(MODIFIED_BASELINE, "cavity2d-2lvl", steps=1)
-        assert rep["findings"] == [] and rep["verdict"] == "baseline"
+        assert "findings" not in rep and rep["verdict"] == "baseline"
         assert rep["kernels"] > 0 and rep["declared_waves"] > 0
         assert rep["stable"] and not {"races", "refined_races", "refined_waves",
                                       "refined_edges"} & rep.keys()

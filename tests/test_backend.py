@@ -32,6 +32,7 @@ from repro.bench.workloads import lid_cavity
 from repro.core.config import SimConfig
 from repro.core.fusion import ABLATION_CONFIGS, FUSED_FULL, ORIGINAL_BASELINE
 from repro.core.simulation import Simulation
+from repro.neon.runtime import FieldRef, Runtime
 from repro.resilience.faults import FaultInjector
 
 ALL_CONFIGS = (ORIGINAL_BASELINE,) + tuple(ABLATION_CONFIGS)
@@ -402,22 +403,43 @@ class TestAdmission:
 
     def test_unknown_kernel_refused(self):
         # Plans replay whatever body a launch carried; admission is what
-        # keeps the executable set to the kernels the static model knows.
-        sim = build(cavity(), ABLATION_CONFIGS[0], "compiled")
-        stepper = sim.stepper
+        # keeps the executable set to the kernels the static model knows,
+        # under every config: 4a's stream is not proven (its verdict is
+        # "baseline"), and is refused all the same.
+        def never():
+            raise AssertionError("a refused body ran")
 
-        class ExtraKernel:
-            engine = stepper.engine
-            config = stepper.config
-            num_levels = stepper.num_levels
-            def _advance(self, lv):
-                stepper._advance(lv)
-                self.engine.rt.launch("X", 1, n_cells=4, bytes_read=0,
-                                      bytes_written=0, fn=lambda: None)
+        def report(t):
+            t.read(FieldRef("f", 1), 0, 4, 0)
 
-        with pytest.raises(PlanAdmissionError,
-                           match=r"record #\d+ \(level 1\).*'X'"):
-            compile_plan(ExtraKernel())
+        for cfg in (ABLATION_CONFIGS[0], ORIGINAL_BASELINE):
+            stepper = build(cavity(), cfg, "compiled").stepper
+
+            class ExtraKernel:
+                engine = stepper.engine
+                config = stepper.config
+                num_levels = stepper.num_levels
+                def _advance(self, lv):
+                    stepper._advance(lv)
+                    self.engine.rt.launch("X", 1, 4, (never, report))
+
+            with pytest.raises(PlanAdmissionError,
+                               match=r"record #\d+ \(level 1\).*'X'"):
+                compile_plan(ExtraKernel())
+
+    def test_baseline_admission_captures_its_stream_once(self, monkeypatch):
+        # a plain 4b stepper's stream is the modified baseline's: the
+        # legality proof takes admission's capture instead of building the
+        # same bodies again; a fused config captures the baseline as well
+        calls = []
+        capture = Runtime.capture_plan
+        monkeypatch.setattr(Runtime, "capture_plan",
+                            lambda rt, *a: calls.append(1) or capture(rt, *a))
+        for cfg, captures in ((ABLATION_CONFIGS[0], 1), (FUSED_FULL, 2)):
+            sim = build(cavity(), cfg, "interpreted")
+            calls.clear()
+            compile_plan(sim.stepper)
+            assert len(calls) == captures, cfg.name
 
     @pytest.mark.parametrize("past_end", [False, True],
                              ids=["negative", "past-end"])
@@ -437,29 +459,40 @@ class TestAdmission:
         sim.run(1)
         for buf in sim.engine.levels:
             assert not buf.pull_flat.flags.writeable
-        # the per-direction index rows a stream body (or its split
-        # parts, or their direction groups) closes over
-        def lists(fn):
-            for c in getattr(fn, "__closure__", None) or ():
-                v = c.cell_contents
-                if callable(v):
-                    yield from lists(v)
-                elif isinstance(v, list):
-                    yield from nested(v)
 
-        def nested(v):
-            yield v
-            for part in v:
-                yield from nested(part) if isinstance(part, list) else lists(part)
+        def arrays(v, seen):
+            # every array a body reaches through its closures, the lists
+            # and tuples they hold, and the closures in those
+            if id(v) in seen:
+                return
+            seen.add(id(v))
+            if isinstance(v, np.ndarray):
+                yield v
+            elif isinstance(v, (list, tuple)):
+                for item in v:
+                    yield from arrays(item, seen)
+            elif callable(v):
+                for c in getattr(v, "__closure__", None) or ():
+                    yield from arrays(c.cell_contents, seen)
 
+        # every per-direction index array a Stream body gathers through
+        # (the directions of the level's groups: the rest direction pulls
+        # each row from itself) is a read-only int32 row of its level's
+        # frozen pull table
         plan = next(iter(sim.backend.plans.values()))
-        pulls = [v for body in plan.bodies for v in lists(body)
-                 if v and isinstance(v[0], tuple)]
-        assert pulls
-        for idx, *_ in (t for p in pulls for t in p):
-            assert idx.dtype == np.int32 and not idx.flags.writeable
-            with pytest.raises(ValueError):
-                idx[0] = 0
+        streams = [(r.level, body) for r, body in zip(plan.records, plan.bodies)
+                   if r.name.startswith("S") or r.name == "CASE"]
+        assert streams
+        for lv, body in streams:
+            table = sim.engine.levels[lv].pull_flat
+            rows = [a for a in arrays(body, set()) if np.shares_memory(a, table)]
+            assert sorted(a.ctypes.data for a in rows) == sorted(
+                table[q].ctypes.data for g in sim.mgrid.levels[lv].groups for q in g)
+            for idx in rows:
+                assert idx.dtype == np.int32 and idx.shape == table.shape[1:]
+                assert not idx.flags.writeable
+                with pytest.raises(ValueError):
+                    idx[0] = 0
 
 
 class TestSelection:

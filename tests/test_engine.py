@@ -5,7 +5,7 @@ import pytest
 
 import repro.core.collision as collision_mod
 import repro.core.engine as engine_mod
-from repro.backend.compiler import bind_bodies
+from repro.analysis.capture import AccessTracer
 from repro.backend.plan import StepPlan
 from repro.core.engine import Engine
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE, ORIGINAL_BASELINE
@@ -13,19 +13,22 @@ from repro.core.lattice import D2Q9, D3Q19
 from repro.core.stepper import NonUniformStepper
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec, build_multigrid
 from repro.grid.geometry import wall_refinement
-from repro.neon.runtime import FieldRef, LazyBody
+from repro.neon.runtime import FieldRef
 
 from .test_multigrid import (assert_same_map, compiled_form, nested_box_spec, ref_compile,
                              table_groups)
 
 
+def capture(rt, drive):
+    """The records, bodies and access map of the kernels ``drive`` launches."""
+    return rt.capture_plan(drive, AccessTracer())
+
+
 def run_op(op, *args, **kwargs):
-    """Declare the engine op ``op(*args, **kwargs)``, then run its body:
-    the interpreted backend's capture / bind / loop, one op at a time."""
+    """Capture the engine op ``op(*args, **kwargs)``, then run its body:
+    the interpreted backend's capture / loop, one op at a time."""
     rt = op.__self__.rt
-    handles = []
-    records = rt.capture_plan(lambda: op(*args, **kwargs), handles)
-    StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
+    StepPlan(*capture(rt, lambda: op(*args, **kwargs))[:2]).execute(rt)
 
 
 def make_engine(bc=None, base=(16, 16), omega0=1.2, cfg=MODIFIED_BASELINE):
@@ -46,26 +49,31 @@ class TestConstruction:
                                      FUSED_FULL], ids=lambda c: c.name)
     def test_fresh_engine_declares_the_initialised_step(self, cfg):
         # cross-level rows are linked at construction, so the stream does
-        # not depend on initialize() having run
-        ready = make_engine()
+        # not depend on initialize() having run (a built 4a body needs
+        # the fghost that allocate() gives)
+        ready = make_engine(cfg=cfg)
         fresh = Engine(ready.mgrid, "bgk", omega0=1.2)
-        streams = [eng.rt.capture_plan(
-                       lambda eng=eng: NonUniformStepper(eng, cfg)._advance(0))
+        fresh.allocate(cfg)
+        streams = [capture(eng.rt, lambda eng=eng: NonUniformStepper(eng, cfg)._advance(0))[0]
                    for eng in (fresh, ready)]
         assert streams[0] == streams[1]
         # ... and it includes the Accumulate into level 0's ghosts
         assert any(FieldRef("gacc", 0) in r.writes and r.level == 1
                    for r in streams[0])
 
-    def test_declaration_capture_builds_nothing(self):
-        eng = Engine(make_engine().mgrid, "bgk", omega0=1.2)
-        handles = []
+    def test_capture_runs_no_body(self):
+        # a capture builds each kernel's body and evaluates its report;
+        # it runs none, and the trace records no kernel
+        eng = make_engine()
+        eng.initialize(u=np.array([0.02, 0.01]))
+        eng.levels[0].ghost_acc[:] = 0.5
+        before = [(b.f.copy(), b.ghost_acc.copy()) for b in eng.levels]
         stepper = NonUniformStepper(eng, FUSED_FULL)
-        records = eng.rt.capture_plan(lambda: stepper._advance(0), handles)
-        assert len(handles) == len(records) > 0
-        assert all(isinstance(h, LazyBody) and h._body is None
-                   for h in handles)
-        assert eng.scratch == [{} for _ in eng.levels]
+        records, bodies, accesses = capture(eng.rt, lambda: stepper._advance(0))
+        assert len(records) == len(bodies) == len(accesses) > 0
+        assert eng.rt.records == [] and eng.rt.markers == []
+        for b, (f, acc) in zip(eng.levels, before):
+            assert np.array_equal(b.f, f) and np.array_equal(b.ghost_acc, acc)
 
     def test_the_pull_table_is_the_grids(self):
         # one table per level, frozen from birth: the engine neither
@@ -598,11 +606,11 @@ class TestKernelBodies:
                 pick = (np.cumsum(owned[:, e], axis=0) == j + 1) & owned[:, e]
                 assert np.array_equal(row, a["coal_q"][e] * fine.n_owned + src[:, e].T[pick.T])
             assert up.n_acc_sources == n_src.sum()
-            # ... and the declarations count exactly those entries
+            # ... and the records count exactly those entries
             for launch in (lambda: engine.op_accumulate(lv),
                            lambda: engine.op_collide(lv, fuse_accumulate=True),
                            lambda: engine.op_fused_case(lv)):
-                rec = engine.rt.capture_plan(launch)[0]
+                rec, = capture(engine.rt, launch)[0]
                 assert rec.atomic_bytes == engine.itemsize * n_src.sum()
 
 

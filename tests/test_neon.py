@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend.compiler import bind_bodies
+from repro.analysis.capture import AccessTracer
 from repro.backend.plan import StepPlan
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
@@ -22,36 +22,43 @@ F0, FS0 = FieldRef("f", 0), FieldRef("fstar", 0)
 F1, FS1 = FieldRef("f", 1), FieldRef("fstar", 1)
 
 
-def run(rt, *names, n_cells=1, bytes_read=1, bytes_written=1):
-    """Declare one no-op kernel per name, then run them as a plan."""
-    handles = []
-    records = rt.capture_plan(lambda: [
-        rt.launch(name, 0, n_cells=n_cells, bytes_read=bytes_read,
-                  bytes_written=bytes_written, fn=lambda: None)
-        for name in names], handles)
-    StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
+def kernel(run, nbytes=1):
+    """A ``(run, report)`` pair whose report reads and writes ``f@0``."""
+    def report(t):
+        t.read(F0, 0, 1, nbytes)
+        t.write(F0, 0, 1, 2 * nbytes)
+    return run, report
+
+
+def run(rt, *names):
+    """Launch one no-op kernel per name, then run them as a plan."""
+    records, bodies, _ = rt.capture_plan(lambda: [
+        rt.launch(name, 0, 1, kernel(lambda: None)) for name in names],
+        AccessTracer())
+    StepPlan(records, bodies).execute(rt)
 
 
 class TestRuntime:
     def test_launch_declares_and_the_plan_runs(self):
         rt = Runtime()
         hit = []
-        handles = []
-        records = rt.capture_plan(lambda: rt.launch(
-            "C", 0, n_cells=5, bytes_read=10, bytes_written=20,
-            fn=lambda: hit.append(1)), handles)
+        records, bodies, accesses = rt.capture_plan(lambda: rt.launch(
+            "C", 0, 5, kernel(lambda: hit.append(1), nbytes=10)), AccessTracer())
         assert hit == [] and rt.launches() == 0     # declared, not run
-        assert records[0].bytes_total == 30
-        StepPlan(records, bind_bodies(records, handles)[0]).execute(rt)
+        assert records[0].bytes_total == 30 and records[0].n_cells == 5
+        assert [a.kind for a in accesses[0]] == ["read", "write"]
+        StepPlan(records, bodies).execute(rt)
         assert hit == [1] and rt.records == records
 
     def test_launch_outside_a_capture_is_refused(self):
         rt = Runtime()
         with pytest.raises(RuntimeError, match="outside Runtime.capture_plan"):
-            rt.launch("C", 0, n_cells=1, bytes_read=1, bytes_written=1)
+            rt.launch("C", 0, 1, kernel(lambda: None))
         with pytest.raises(RuntimeError, match="inside a capture"):
-            rt.capture_plan(lambda: rt.capture_plan(lambda: None))
-        assert rt.capture_plan(lambda: None) == []   # and the runtime recovered
+            rt.capture_plan(lambda: rt.capture_plan(lambda: None, AccessTracer()),
+                            AccessTracer())
+        # and the runtime recovered
+        assert rt.capture_plan(lambda: None, AccessTracer()) == ([], [], {})
 
     def test_step_marker_slicing(self):
         rt = Runtime()

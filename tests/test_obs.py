@@ -106,19 +106,16 @@ class TestSpanRecorder:
         assert rec.kernel_spans == []
 
     def test_spans_do_not_perturb_capture_or_results(self):
-        """Analysis gate stays green with span hooks installed."""
-        from repro.analysis.verify import verify_trace
+        """Span hooks change neither the captured stream nor the results."""
         from repro.backend.compiler import bind_stream
 
         rt = Runtime()
         SpanRecorder().install(rt)
         sim = small_sim(runtime=rt)
         sim.run(2)
-        # the kernels that ran under spans are the bound stream, twice
-        step, _, _, bound = bind_stream(sim.stepper)
+        # the kernels that ran under spans are the captured stream, twice
+        step = bind_stream(sim.stepper)[0]
         assert rt.records == step + step
-        access_map = {i: bound[i % len(step)] for i in range(len(rt.records))}
-        assert verify_trace(rt.records, access_map) == []
         assert len(rt.spans.kernel_spans) == len(rt.records)
 
         # and the functional result is bit-identical with spans on

@@ -105,6 +105,7 @@ class TestOracle:
         # (name, level) must be the one the stepper declares, config by
         # config, on every grid depth.
         from collections import Counter
+        from repro.backend.compiler import bind_stream
         from repro.core.fusion import ABLATION_CONFIGS, ORIGINAL_BASELINE
         from repro.serve.oracle import synthetic_step_records
         wl = lid_cavity(base=base, num_levels=levels, lattice=lattice,
@@ -112,8 +113,7 @@ class TestOracle:
         for fusion in (ORIGINAL_BASELINE,) + ABLATION_CONFIGS:
             config = wl.sim_config(fusion=fusion, backend="interpreted")
             with Simulation.from_config(wl.spec, config) as sim:
-                captured = sim.runtime.capture_plan(
-                    lambda: sim.stepper._advance(0))
+                captured = bind_stream(sim.stepper)[0]
             synthetic = synthetic_step_records(wl.spec, config)
             assert (Counter((r.name, r.level) for r in synthetic)
                     == Counter((r.name, r.level) for r in captured)), fusion.name

@@ -16,7 +16,6 @@ from repro.analysis.cli import small_workloads, static_check
 from repro.analysis.lint import LintFinding, field_nbytes, lint_stream
 from repro.analysis.static import (check_contraction, decompose, plan_stream,
                                    prove_fusion_legality, seeded_illegal_proof)
-from repro.analysis.verify import verify_trace
 from repro.backend import PlanAdmissionError
 from repro.backend.compiler import admit_stream, bind_stream, compile_plan
 from repro.bench.workloads import lid_cavity, sphere_tunnel
@@ -70,82 +69,23 @@ class TestPlanStream:
         assert records == executed
 
     def test_plan_only_runs_no_bodies(self):
-        # capture_plan declares a step: no body runs, no record is kept
+        # capture_plan builds a step's bodies: none runs, no record is kept
         wl = lid_cavity(**WL2D)
         sim = Simulation.from_config(
             wl.spec, wl.sim_config(fusion=MODIFIED_BASELINE))
         sim.engine.initialize(u=np.array([0.02, 0.01]))
         before = [lv.f.copy() for lv in sim.engine.levels]
-        handles = []
-        records = sim.runtime.capture_plan(
-            lambda: sim.stepper._advance(0), handles)
-        assert len(records) == len(handles) > 0
+        records, bodies, _ = sim.runtime.capture_plan(
+            lambda: sim.stepper._advance(0), AccessTracer())
+        assert len(records) == len(bodies) > 0
         assert sim.runtime.records == [] and sim.runtime.markers == []
         for lv, f0 in zip(sim.engine.levels, before):
             assert (lv.f == f0).all()
 
 
-# ------------------------------------------------- reports against declarations
+# ---------------------------------------------- reports against their bodies
 
 class TestStaticAccessSets:
-    @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
-    def test_static_sets_reproduce_declarations_2d(self, config):
-        records, accesses, _ = plan_stream(config, WL2D, steps=2)
-        assert verify_trace(records, accesses) == []
-
-    @pytest.mark.parametrize("config", (ORIGINAL_BASELINE, MODIFIED_BASELINE,
-                                        FUSED_FULL), ids=lambda c: c.name)
-    def test_static_sets_reproduce_declarations_3d(self, config):
-        records, accesses, _ = plan_stream(config, WL3D, steps=2)
-        assert verify_trace(records, accesses) == []
-
-    def test_broken_declaration_is_caught(self):
-        # hand-edit one kernel's declared byte count: the reports no
-        # longer reproduce the declaration
-        records, accesses, _ = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        bad = list(records)
-        bad[0] = replace(bad[0], bytes_read=bad[0].bytes_read + 64)
-        findings = verify_trace(bad, accesses)
-        assert findings and any("bytes" in f.check for f in findings)
-
-    def test_swapped_field_declaration_is_caught(self):
-        records, accesses, _ = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        # E reads the coarse level's f and writes its own
-        i = next(i for i, r in enumerate(records) if r.name == "E")
-        bad = list(records)
-        bad[i] = replace(bad[i], reads=bad[i].writes, writes=bad[i].reads)
-        findings = verify_trace(bad, accesses)
-        checks = {f.check for f in findings}
-        assert "undeclared-read" in checks or "undeclared-write" in checks
-
-    def test_launch_without_report_refused_at_admission(self):
-        # a plain callable states no accesses: the stream's access map
-        # would have a hole, so binding refuses it, naming the launch,
-        # before anything runs
-        wl = lid_cavity(**WL2D)
-        sim = Simulation.from_config(
-            wl.spec, wl.sim_config(fusion=MODIFIED_BASELINE))
-        stepper = sim.stepper
-
-        def never():
-            raise AssertionError("a refused body ran")
-
-        class Unreported:
-            engine = stepper.engine
-            config = stepper.config
-            num_levels = stepper.num_levels
-
-            def _advance(self, lv):
-                stepper._advance(lv)
-                self.engine.rt.launch("XYZ", 0, n_cells=4, bytes_read=0,
-                                      bytes_written=0, fn=never)
-
-        for admit in (bind_stream, admit_stream):
-            with pytest.raises(PlanAdmissionError,
-                               match=r"record #\d+ \(level 0\): kernel 'XYZ' "
-                                     r"was launched with a plain callable"):
-                admit(Unreported())
-
     # -- reports against what the bodies do ------------------------------------
     # Each report must cover its body: every entry the body changes lies in
     # a reported write, and the body computes nothing from an entry outside
@@ -221,18 +161,16 @@ def report_violations(config, wl_kwargs, seed=0):
     rng = np.random.default_rng(seed)
     problems = []
     with Simulation.from_config(wl.spec, wl.sim_config(fusion=config)) as sim:
-        records, bodies, reports, _ = bind_stream(sim.stepper)
-        bufs, tracer = buffers(sim.engine), AccessTracer()
+        records, bodies, accesses = bind_stream(sim.stepper)
+        bufs = buffers(sim.engine)
 
         def randomise():
             for arr, _, _ in bufs.values():
                 arr[...] = rng.uniform(0.5, 1.5, arr.shape)
 
-        for i, (rec, body, report) in enumerate(zip(records, bodies, reports)):
-            tracer.begin_launch()
-            report(tracer)
+        for i, (rec, body) in enumerate(zip(records, bodies)):
             per_field = {}
-            for a in tracer.end_launch():
+            for a in accesses[i]:
                 if a.field is not None:
                     per_field.setdefault(a.field, []).append(a)
             label = f"#{i} {rec.name}{rec.level}"
@@ -325,7 +263,7 @@ class TestAccessMemo:
         # ... and a table that pulls from the fine-ghost rows, as a 4a
         # layout streaming across the interface would (slip sources too),
         # folded at the stride of that row space: f has no such rows,
-        # so binding the stream refuses the table, naming the level
+        # so capturing the stream refuses the table, naming the level
         rng = np.random.default_rng(d)
         for lv, buf in enumerate(engine.levels[1:], 1):
             a = ref[lv]
@@ -345,14 +283,15 @@ class TestAccessMemo:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_memo_is_invisible(self, config, wl):
         # the grid holds each level's index maps and spans, a
-        # tracer builds one EntrySet per index array: a warm rebind
-        # reports what a cold one did, sharing the cold one's entry sets
+        # tracer builds one EntrySet per index array: a warm capture
+        # states what a cold one did, sharing the cold one's entry sets,
+        # and a fresh tracer's capture states it too
         w = lid_cavity(**wl)
         sim = Simulation.from_config(w.spec, w.sim_config(fusion=config))
         tracer = AccessTracer()
-        _, _, reports, cold = bind_stream(sim.stepper, tracer)
-        assert cold == {i: reported(r) for i, r in enumerate(reports)}
-        _, _, _, warm = bind_stream(sim.stepper, tracer)
+        cold = bind_stream(sim.stepper, tracer)[2]
+        assert cold == bind_stream(sim.stepper)[2]
+        warm = bind_stream(sim.stepper, tracer)[2]
         assert warm == cold
         for k, accesses in warm.items():
             for a, b in zip(accesses, cold[k]):
@@ -360,11 +299,11 @@ class TestAccessMemo:
         # what a caller does to a returned list stays with the caller
         for accesses in cold.values():
             accesses.clear()
-        assert bind_stream(sim.stepper, tracer)[3] == warm
+        assert bind_stream(sim.stepper, tracer)[2] == warm
 
     def test_one_entry_set_per_patch_in_an_admission(self, monkeypatch):
         # the fused stream's E / O parts are subsumed, the baseline stream
-        # prove_plan_legality binds has them standalone: both maps of one
+        # prove_plan_legality captures has them standalone: both maps of one
         # admission hold one entry-set object per patch
         seen = []
 
@@ -674,7 +613,7 @@ class TestStaticCLI:
     def test_static_check_clean_on_case(self, tmp_path):
         rep = static_check(FUSED_FULL, "cavity2d-2lvl", steps=2,
                            cert_dir=str(tmp_path))
-        assert rep["findings"] == [] and "superset" not in rep
+        assert "findings" not in rep and "superset" not in rep
         assert rep["verdict"] == "legal"
         assert rep["lint_errors"] == []
         assert rep["certificate_problems"] == []
